@@ -27,10 +27,13 @@ from repro.storage import (
     Database,
     LockManager,
     LockMode,
+    RowId,
     SPJQuery,
     TableRef,
     TableSchema,
     evaluate,
+    index_key_resource,
+    table_resource,
 )
 
 
@@ -151,6 +154,33 @@ def test_lock_manager_churn(benchmark):
 
     lm = benchmark(churn)
     assert lm.stats["acquired"] >= 200
+
+
+@pytest.mark.benchmark(group="micro-locks")
+def test_lock_manager_churn_1000_live(benchmark):
+    """The batch-1000 transfer shape: every writer holds the same table
+    IX plus its own row and index key, all 1000 stay live until the
+    first commits, and the scheduler polls ``waiting`` per transaction."""
+    table = table_resource("Accounts")
+
+    def churn():
+        lm = LockManager()
+        for txn in range(1000):
+            lm.acquire(txn, table, LockMode.INTENTION_EXCLUSIVE)
+            lm.acquire(txn, RowId("Accounts", txn), LockMode.EXCLUSIVE)
+            lm.acquire(
+                txn,
+                index_key_resource("Accounts", ("id",), (txn,)),
+                LockMode.EXCLUSIVE,
+            )
+        for txn in range(1000):
+            assert not lm.waiting(txn)
+            lm.release_all(txn)
+        return lm
+
+    lm = benchmark(churn)
+    assert lm.stats["acquired"] == 3000 and lm.stats["waits"] == 0
+    assert not lm.held_resources(0)
 
 
 @pytest.mark.benchmark(group="micro-batch")

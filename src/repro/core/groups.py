@@ -21,39 +21,38 @@ from dataclasses import dataclass, field
 class GroupTracker:
     """Entanglement-edge store with transitive group queries."""
 
-    _members: set[int] = field(default_factory=set)
     _edges: set[frozenset[int]] = field(default_factory=set)
+    #: member -> directly entangled partners, kept in step with ``_edges``
+    #: by every mutator so a group query walks only its own group (the
+    #: commit path asks once per transaction; most groups are singletons).
+    _adjacency: dict[int, set[int]] = field(default_factory=dict)
 
     def register(self, handle: int) -> None:
         """Ensure a singleton group exists for ``handle``."""
-        self._members.add(handle)
+        self._adjacency.setdefault(handle, set())
 
     def entangle(self, *handles: int) -> None:
         """Record that these transactions entangled together (one
         entanglement operation links all its participants pairwise)."""
         for handle in handles:
-            self._members.add(handle)
+            self.register(handle)
         ordered = sorted(handles)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
                 if a != b:
                     self._edges.add(frozenset((a, b)))
+                    self._adjacency[a].add(b)
+                    self._adjacency[b].add(a)
 
     def group_of(self, handle: int) -> frozenset[int]:
         """All transactions entangled directly or transitively with
         ``handle``, including itself."""
-        if handle not in self._members:
+        if not self._adjacency.get(handle):
             return frozenset((handle,))
-        adjacency: dict[int, set[int]] = {m: set() for m in self._members}
-        for edge in self._edges:
-            a, b = tuple(edge)
-            adjacency[a].add(b)
-            adjacency[b].add(a)
         seen = {handle}
         stack = [handle]
         while stack:
-            node = stack.pop()
-            for neighbor in adjacency.get(node, ()):
+            for neighbor in self._adjacency[stack.pop()]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     stack.append(neighbor)
@@ -64,7 +63,7 @@ class GroupTracker:
 
     def groups(self) -> list[frozenset[int]]:
         """All groups (singletons included), sorted by smallest member."""
-        remaining = set(self._members)
+        remaining = set(self._adjacency)
         out = []
         while remaining:
             seed = min(remaining)
@@ -75,21 +74,18 @@ class GroupTracker:
 
     def partners_of(self, handle: int) -> frozenset[int]:
         """Directly entangled partners (one hop)."""
-        partners = set()
-        for edge in self._edges:
-            if handle in edge:
-                partners.update(edge - {handle})
-        return frozenset(partners)
+        return frozenset(self._adjacency.get(handle, ()))
 
     def forget(self, handle: int) -> None:
         """Drop a transaction and every link it contributed (retry reset)."""
-        self._members.discard(handle)
-        self._edges = {e for e in self._edges if handle not in e}
+        for partner in self._adjacency.pop(handle, ()):
+            self._adjacency[partner].discard(handle)
+            self._edges.discard(frozenset((handle, partner)))
 
     def edges(self) -> list[tuple[int, int]]:
         """All entanglement edges (for persistence), sorted."""
         return sorted(tuple(sorted(e)) for e in self._edges)
 
     def clear(self) -> None:
-        self._members.clear()
+        self._adjacency.clear()
         self._edges.clear()

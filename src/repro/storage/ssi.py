@@ -166,6 +166,9 @@ class SSITracker:
         #: so a read's sweep for superseding committed writers is
         #: O(per item) instead of O(tracked transactions).
         self._committed_writes: dict[Item, set[int]] = {}
+        #: the COMMITTED entries of ``_txns`` — all the garbage collector
+        #: ever drops, so it walks these and not every live transaction.
+        self._committed: dict[int, _SSITxn] = {}
         self.stats = {
             "rw_edges": 0,
             "pivot_aborts": 0,
@@ -225,6 +228,7 @@ class SSITracker:
             state = self._txns.pop(txn, None)
             if state is None:
                 return
+            self._committed.pop(txn, None)
             if state.serializable:
                 self._serializable_tracked -= 1
             for other in state.in_rw:
@@ -419,6 +423,7 @@ class SSITracker:
             self._add_edge(reader=reader, writer=state)
         state.status = _SSIStatus.COMMITTED
         state.commit_ts = commit_ts
+        self._committed[txn] = state
         for item in state.writes:
             self._committed_writes.setdefault(item, set()).add(txn)
         self._collect()
@@ -426,8 +431,8 @@ class SSITracker:
     def _overlap_readers(self, writer: _SSITxn) -> list[_SSITxn]:
         """Tracked serializable readers whose snapshot read sets overlap
         ``writer``'s write set and whose lifetime overlaps ``writer``'s."""
-        if not writer.writes:
-            return []
+        if not writer.writes or not self._serializable_tracked:
+            return []  # no serializable transaction, no reader to find
         readers = []
         for reader in self._txns.values():
             if reader.txn_id == writer.txn_id or not reader.serializable:
@@ -463,23 +468,25 @@ class SSITracker:
         read set meeting a writer that W overlapped).  Once every active
         serializable snapshot is at/after ``W.commit_ts``, W is inert.
         """
-        horizon = min(
-            (
-                t.read_ts
-                for t in self._txns.values()
-                if t.status is _SSIStatus.ACTIVE and t.serializable
-            ),
-            default=None,
-        )
+        if not self._committed:
+            return
+        horizon = None
+        if self._serializable_tracked:
+            horizon = min(
+                (
+                    t.read_ts
+                    for t in self._txns.values()
+                    if t.status is _SSIStatus.ACTIVE and t.serializable
+                ),
+                default=None,
+            )
         for txn_id in [
             t.txn_id
-            for t in self._txns.values()
-            if t.status is _SSIStatus.COMMITTED
-            and (
-                horizon is None
-                or (t.commit_ts is not None and t.commit_ts <= horizon)
-            )
+            for t in self._committed.values()
+            if horizon is None
+            or (t.commit_ts is not None and t.commit_ts <= horizon)
         ]:
+            del self._committed[txn_id]
             dead = self._txns.pop(txn_id)
             if dead.serializable:
                 self._serializable_tracked -= 1

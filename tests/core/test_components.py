@@ -1,6 +1,8 @@
 """Unit tests for the engine's components: transactions, groups, policies,
 the interpreter, and the middleware facade."""
 
+import random
+
 import pytest
 
 from repro.core import (
@@ -118,6 +120,37 @@ class TestGroupTracker:
         tracker = GroupTracker()
         tracker.entangle(1, 2, 3)
         assert tracker.partners_of(1) == frozenset({2, 3})
+
+    def test_forget_keeps_edges_and_adjacency_in_step(self):
+        tracker = GroupTracker()
+        tracker.entangle(1, 2, 3)
+        tracker.entangle(1, 2)  # the same link twice is still one link
+        tracker.forget(2)
+        assert tracker.edges() == [(1, 3)]
+        assert tracker.partners_of(1) == frozenset({3})
+        assert tracker.group_of(2) == frozenset({2})
+        tracker.register(2)  # the retry re-registers as a singleton
+        assert tracker.groups() == [frozenset({1, 3}), frozenset({2})]
+        tracker.clear()
+        assert tracker.groups() == [] and tracker.edges() == []
+
+    def test_groups_match_the_closure_of_the_stored_edges(self):
+        """Adjacency is kept incrementally; the stored edges stay the
+        ground truth (they are what gets persisted)."""
+        rng = random.Random(7)
+        tracker = GroupTracker()
+        for _ in range(400):
+            if rng.random() < 0.3:
+                tracker.forget(rng.randrange(30))
+            else:
+                tracker.entangle(*rng.sample(range(30), rng.choice((1, 2, 2, 3))))
+            closure = {m: {m} for m in range(30)}
+            for a, b in tracker.edges():
+                merged = closure[a] | closure[b]
+                for member in merged:
+                    closure[member] = merged
+            for member in range(30):
+                assert tracker.group_of(member) == closure[member]
 
 
 class TestPolicies:

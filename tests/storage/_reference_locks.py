@@ -1,4 +1,18 @@
-"""Lock manager: multigranularity IS/IX/S/X locks, Strict 2PL, deadlocks.
+"""TEST-ONLY ORACLE: the lock manager as it stood before the flat-cost rewrite.
+
+A verbatim copy of ``src/repro/storage/locks.py`` at the parent of that
+change (whole-manager queue strip in ``release_all``, promote-to-fixpoint
+over every state, holder scan per acquire).  Quadratic in live
+transactions but obviously correct, which is what a reference is for:
+``test_locks_differential.py`` drives it and the production manager with
+the same operation sequences and requires identical decisions.  It has its
+own ``LockMode``/``LockOutcome`` enums on purpose (independent
+compatibility tables); compare members by ``.name``.  Never import this
+from ``src/``.
+
+Original module docstring follows.
+
+Lock manager: multigranularity IS/IX/S/X locks, Strict 2PL, deadlocks.
 
 The paper's prototype enforces full entangled isolation with Strict 2PL
 implemented "using the lock manager of the DBMS" (Section 5.1).  This is
@@ -32,18 +46,6 @@ mutex, so the per-shard worker threads of
 ensembles that share one waits-for graph share the mutex too (see
 :meth:`LockManager.share_waits_for`), so the deadlock DFS observes a
 consistent cross-shard edge map.
-
-**Cost model** — every operation costs what *its* transaction holds or
-waits on, never the number of live transactions.  Each resource keeps
-granted-mode counts, so the grant path tests conflicts in O(#modes);
-holders are enumerated only on the WAIT path, where the blocker ids feed
-the waits-for graph.  A per-transaction index of queued resources beside
-the held index makes :meth:`release_all` O(held + queued) and
-:meth:`waiting` a lookup.  Promotion visits only the resources a release
-actually changed — sound because whether a resource's queue head is
-grantable depends on that resource's holders and queue alone.  All three
-indexes are insertion-ordered dicts, so the woken order never depends on
-``PYTHONHASHSEED``.
 
 Under MVCC (``TxnIsolation.SNAPSHOT``) readers bypass this manager
 entirely — snapshot reads are served from version chains without S/IS
@@ -85,20 +87,12 @@ class LockMode(enum.Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
 
-    #: position in ``_LockState.counts``; ``conflicts`` holds the positions
-    #: of the incompatible modes and ``covered`` one flag per position —
-    #: plain ints and tuples filled in below from the two tables, because
-    #: hashing an enum member is a Python-level call the hot path avoids.
-    index: int
-    conflicts: tuple[int, ...]
-    covered: tuple[bool, ...]
-
     def compatible(self, other: "LockMode") -> bool:
-        return other.index not in self.conflicts
+        return other in _COMPATIBLE[self]
 
     def covers(self, other: "LockMode") -> bool:
         """True when holding ``self`` makes a request for ``other`` a no-op."""
-        return self.covered[other.index]
+        return other in _COVERS[self]
 
     def combine(self, other: "LockMode") -> "LockMode":
         """The weakest single mode at least as strong as both (supremum).
@@ -134,39 +128,18 @@ _COVERS: dict[LockMode, frozenset[LockMode]] = {
     LockMode.EXCLUSIVE: frozenset(LockMode),
 }
 
-for _index, _mode in enumerate(LockMode):
-    _mode.index = _index
-for _mode in LockMode:
-    _mode.conflicts = tuple(
-        m.index for m in LockMode if m not in _COMPATIBLE[_mode]
-    )
-    _mode.covered = tuple(m in _COVERS[_mode] for m in LockMode)
-
 
 class LockOutcome(enum.Enum):
     GRANTED = "granted"
     WAIT = "wait"
 
 
-@dataclass(slots=True)
+@dataclass
 class _LockState:
-    """Per-resource lock state: holders by mode, how many holders each
-    mode has (indexed by ``LockMode.index``), and the FIFO wait queue.
-    A state exists only while it has a holder or a waiter."""
+    """Per-resource lock state: holders by mode plus FIFO wait queue."""
 
     holders: dict[int, LockMode] = field(default_factory=dict)
-    counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
     queue: list[tuple[int, LockMode]] = field(default_factory=list)
-
-    def conflicts(self, mode: LockMode, held: LockMode | None = None) -> bool:
-        """Does a holder *other than the requester* (which itself holds
-        ``held``, if anything) hold a mode incompatible with ``mode``?"""
-        own = -1 if held is None else held.index
-        counts = self.counts
-        for index in mode.conflicts:
-            if counts[index] > (index == own):  # discount the requester
-                return True
-        return False
 
 
 def table_resource(table_name: str) -> tuple[str, str]:
@@ -192,16 +165,8 @@ class LockManager:
     """A cooperative S/X lock manager with deadlock detection."""
 
     def __init__(self):
-        self._locks: dict[Resource, _LockState] = {}
-        #: txn -> resources it holds, and txn -> resources it is queued on
-        #: (with its number of queue entries there).  Insertion-ordered
-        #: dicts used as ordered sets: release walks them, and the order of
-        #: the woken list must not depend on how resources hash.
-        self._held: dict[int, dict[Resource, None]] = defaultdict(dict)
-        self._queued: dict[int, dict[Resource, int]] = defaultdict(dict)
-        #: resources whose queue :meth:`cancel_wait` shortened; the next
-        #: release promotes on them, so waking stays on the release path.
-        self._pending: dict[Resource, None] = {}
+        self._locks: dict[Resource, _LockState] = defaultdict(_LockState)
+        self._held: dict[int, set[Resource]] = defaultdict(set)
         self._waits_for: dict[int, set[int]] = defaultdict(set)
         #: guards all manager state; replaced by a *shared* mutex when the
         #: waits-for graph is shared across a shard ensemble.
@@ -246,17 +211,14 @@ class LockManager:
             self._mutex = mutex
 
     # -- introspection -------------------------------------------------------------
-    # Probes use ``.get``: looking at a resource must never create its state.
 
     def holders(self, resource: Resource) -> dict[int, LockMode]:
         with self._mutex:
-            state = self._locks.get(resource)
-            return dict(state.holders) if state is not None else {}
+            return dict(self._locks[resource].holders)
 
     def holds(self, txn: int, resource: Resource, mode: LockMode | None = None) -> bool:
         with self._mutex:
-            state = self._locks.get(resource)
-            held = state.holders.get(txn) if state is not None else None
+            held = self._locks[resource].holders.get(txn)
         if held is None:
             return False
         return mode is None or held.covers(mode)
@@ -267,7 +229,11 @@ class LockManager:
 
     def waiting(self, txn: int) -> bool:
         with self._mutex:
-            return txn in self._queued
+            return any(
+                waiter == txn
+                for state in self._locks.values()
+                for waiter, _ in state.queue
+            )
 
     def waits_edges(self) -> dict[int, set[int]]:
         """A consistent snapshot of the waits-for graph: waiter → blockers.
@@ -294,32 +260,30 @@ class LockManager:
         *after* the wait is already enqueued in the shard process (the
         shard-local manager saw no cycle — it only has its half of the
         edges).  Cancelling removes the queued request and the waiter's
-        outgoing waits-for edges.  Counts as a detected deadlock when
-        something was actually withdrawn.  Returns True when a wait was
-        removed.
+        outgoing waits-for edges, then promotes any request the removal
+        unblocked.  Counts as a detected deadlock when something was
+        actually withdrawn.  Returns True when a wait was removed.
         """
         with self._mutex:
-            entries = self._queued.get(txn, {}).get(resource)
-            if entries is None:
-                return False
-            state = self._locks[resource]
-            state.queue = [(w, m) for (w, m) in state.queue if w != txn]
-            self._unindex_queued(txn, resource, entries)
-            # Only this resource's wait is withdrawn; with one queued
-            # request per cooperative transaction the waiter has no
-            # other outgoing edges to keep.  Requests queued behind the
-            # withdrawn one are not promoted here: the resource goes into
-            # the pending set, which the next release_all/release_shared
-            # of any transaction consumes — the victim's own abort at the
-            # latest — so the scheduler's wake channel stays the release
-            # path.
-            if state.holders or state.queue:
-                self._pending[resource] = None
-            else:
-                del self._locks[resource]
-            self._waits_for.pop(txn, None)
-            self.stats["deadlocks"] += 1
-            return True
+            state = self._locks.get(resource)
+            removed = False
+            if state is not None:
+                before = len(state.queue)
+                state.queue = [(w, m) for (w, m) in state.queue if w != txn]
+                removed = len(state.queue) != before
+                if not state.holders and not state.queue:
+                    del self._locks[resource]
+            if removed:
+                # Only this resource's wait is withdrawn; with one queued
+                # request per cooperative transaction the waiter has no
+                # other outgoing edges to keep.  Requests queued behind
+                # the withdrawn one are promoted by the next release_all
+                # (which re-scans every resource) — the victim's own
+                # abort at the latest — so the scheduler's wake channel
+                # stays the release path.
+                self._waits_for.pop(txn, None)
+                self.stats["deadlocks"] += 1
+            return removed
 
     # -- acquisition ---------------------------------------------------------------
 
@@ -332,13 +296,7 @@ class LockManager:
         when granting-by-waiting would create a waits-for cycle.
         """
         with self._mutex:
-            state = self._locks.get(resource)
-            if state is None:
-                # Nothing held, nothing queued: grant.  (A state is only
-                # ever created here, so a refused request leaks none.)
-                state = self._locks[resource] = _LockState()
-                self._grant(txn, resource, state, mode)
-                return LockOutcome.GRANTED
+            state = self._locks[resource]
             current = state.holders.get(txn)
 
             if current is not None:
@@ -348,42 +306,32 @@ class LockManager:
                 # and requested modes, provided no *other* holder conflicts
                 # with the target.
                 target = current.combine(mode)
-                if not state.conflicts(target, held=current):
-                    self._convert(txn, state, target)
+                others = [
+                    holder
+                    for holder, held_mode in state.holders.items()
+                    if holder != txn and not held_mode.compatible(target)
+                ]
+                if not others:
+                    state.holders[txn] = target
+                    self.stats["upgrades"] += 1
                     return LockOutcome.GRANTED
-                blockers = self._blockers(txn, state, target)
-                self._enqueue(txn, resource, state, target, blockers)
+                self._enqueue(txn, resource, target, blockers=others)
                 return LockOutcome.WAIT
 
-            if not state.conflicts(mode):
-                if not self._must_queue_behind(txn, state, mode):
-                    self._grant(txn, resource, state, mode)
-                    return LockOutcome.GRANTED
-                blockers = [w for w, _ in state.queue if w != txn]
-            else:
-                blockers = self._blockers(txn, state, mode)
-            self._enqueue(txn, resource, state, mode, blockers)
+            blockers = self._blockers(txn, resource, mode)
+            if not blockers and not self._must_queue_behind(txn, state, mode):
+                state.holders[txn] = mode
+                self._held[txn].add(resource)
+                self.stats["acquired"] += 1
+                if mode in (LockMode.SHARED, LockMode.INTENTION_SHARED):
+                    self.stats["read_grants"] += 1
+                if mode is LockMode.SHARED and _is_table_resource(resource):
+                    self.stats["table_s_grants"] += 1
+                return LockOutcome.GRANTED
+
+            queue_blockers = blockers or [w for w, _ in state.queue if w != txn]
+            self._enqueue(txn, resource, mode, blockers=queue_blockers)
             return LockOutcome.WAIT
-
-    def _grant(
-        self, txn: int, resource: Resource, state: _LockState, mode: LockMode
-    ) -> None:
-        """Make ``txn`` a (new) holder of ``resource`` in ``mode``."""
-        state.holders[txn] = mode
-        state.counts[mode.index] += 1
-        self._held[txn][resource] = None
-        self.stats["acquired"] += 1
-        if mode in (LockMode.SHARED, LockMode.INTENTION_SHARED):
-            self.stats["read_grants"] += 1
-        if mode is LockMode.SHARED and _is_table_resource(resource):
-            self.stats["table_s_grants"] += 1
-
-    def _convert(self, txn: int, state: _LockState, target: LockMode) -> None:
-        """Move holder ``txn`` up the lattice to ``target``."""
-        state.counts[state.holders[txn].index] -= 1
-        state.counts[target.index] += 1
-        state.holders[txn] = target
-        self.stats["upgrades"] += 1
 
     def _must_queue_behind(self, txn: int, state: _LockState, mode: LockMode) -> bool:
         """FIFO fairness: a new request queues behind an incompatible waiter
@@ -394,9 +342,8 @@ class LockManager:
             for waiter, waiting_mode in state.queue
         )
 
-    def _blockers(self, txn: int, state: _LockState, mode: LockMode) -> list[int]:
-        """Holders that conflict with ``mode`` — the WAIT path only: the
-        grant path asks :meth:`_LockState.conflicts` and never enumerates.
+    def _blockers(self, txn: int, resource: Resource, mode: LockMode) -> list[int]:
+        """Holders that conflict with ``mode`` on ``resource``.
 
         The multigranularity protocol (keyed readers: table IS + row/key
         S; scans: table S; writers: table IX + row/key X) makes conflicts
@@ -404,6 +351,7 @@ class LockManager:
         the intention modes at the table granule, so no hierarchical walk
         is needed here.
         """
+        state = self._locks[resource]
         return sorted(
             holder
             for holder, held_mode in state.holders.items()
@@ -411,19 +359,13 @@ class LockManager:
         )
 
     def _enqueue(
-        self,
-        txn: int,
-        resource: Resource,
-        state: _LockState,
-        mode: LockMode,
-        blockers: Iterable[int],
+        self, txn: int, resource: Resource, mode: LockMode, blockers: Iterable[int]
     ) -> None:
         blockers = [b for b in set(blockers) if b != txn]
         self._check_deadlock(txn, blockers)
+        state = self._locks[resource]
         if (txn, mode) not in state.queue:
             state.queue.append((txn, mode))
-            queued = self._queued[txn]
-            queued[resource] = queued.get(resource, 0) + 1
             # Count the conflict once per queued request: a retry of an
             # already-queued request is not a new wait.
             self.stats["waits"] += 1
@@ -455,72 +397,58 @@ class LockManager:
         were granted — the scheduler uses this to wake suspended work.
         """
         with self._mutex:
-            touched, self._pending = self._pending, {}
-            for resource in self._held.pop(txn, ()):
-                self._drop_holder(txn, resource)
-                touched[resource] = None
-            for resource in self._queued.pop(txn, ()):
+            for resource in list(self._held.pop(txn, ())):
                 state = self._locks[resource]
+                state.holders.pop(txn, None)
+            for resource, state in list(self._locks.items()):
                 state.queue = [(w, m) for (w, m) in state.queue if w != txn]
-                touched[resource] = None
+                if not state.holders and not state.queue:
+                    del self._locks[resource]
             self._waits_for.pop(txn, None)
             for edges in self._waits_for.values():
                 edges.discard(txn)
-            return self._promote_waiters(touched)
+            return self._promote_waiters()
 
     def release_shared(self, txn: int) -> list[int]:
         """Early release of all read locks (S and IS) held by ``txn``
         (isolation-relaxation ablation; Section 3.3.3 'altering the length
         of time locks are held')."""
         with self._mutex:
-            touched, self._pending = self._pending, {}
-            held = self._held.get(txn, {})
-            for resource in list(held):
-                mode = self._locks[resource].holders[txn]
-                if mode is LockMode.SHARED or mode is LockMode.INTENTION_SHARED:
-                    self._drop_holder(txn, resource)
-                    del held[resource]
-                    touched[resource] = None
-            if not held:
-                self._held.pop(txn, None)
-            return self._promote_waiters(touched)
+            for resource in list(self._held.get(txn, ())):
+                state = self._locks[resource]
+                held = state.holders.get(txn)
+                if held is LockMode.SHARED or held is LockMode.INTENTION_SHARED:
+                    del state.holders[txn]
+                    self._held[txn].discard(resource)
+            return self._promote_waiters()
 
-    def _drop_holder(self, txn: int, resource: Resource) -> None:
-        state = self._locks[resource]
-        state.counts[state.holders.pop(txn).index] -= 1
-
-    def _unindex_queued(self, txn: int, resource: Resource, entries: int) -> None:
-        """``entries`` of ``txn``'s requests left ``resource``'s queue."""
-        queued = self._queued[txn]
-        queued[resource] -= entries
-        if not queued[resource]:
-            del queued[resource]
-            if not queued:
-                del self._queued[txn]
-
-    def _promote_waiters(self, touched: Iterable[Resource]) -> list[int]:
-        """Grant queued requests that no longer conflict, FIFO per resource,
-        on the resources a release changed; reclaim the states it emptied.
-        Untouched resources cannot have become grantable: a queue head's
-        fate depends only on its own resource's holders and queue."""
+    def _promote_waiters(self) -> list[int]:
+        """Grant queued requests that no longer conflict, FIFO per resource."""
         woken: list[int] = []
-        for resource in touched:
-            state = self._locks[resource]
-            while state.queue:
-                waiter, mode = state.queue[0]
-                held = state.holders.get(waiter)
-                if state.conflicts(mode, held=held):
-                    break
-                state.queue.pop(0)
-                self._unindex_queued(waiter, resource, 1)
-                if held is None:
-                    self._grant(waiter, resource, state, mode)
-                elif not held.covers(mode):
-                    self._convert(waiter, state, held.combine(mode))
-                self._waits_for.pop(waiter, None)
-                woken.append(waiter)
-            if not state.holders and not state.queue:
-                del self._locks[resource]
+        progress = True
+        while progress:
+            progress = False
+            for resource, state in list(self._locks.items()):
+                while state.queue:
+                    waiter, mode = state.queue[0]
+                    if self._blockers(waiter, resource, mode):
+                        break
+                    state.queue.pop(0)
+                    held = state.holders.get(waiter)
+                    if held is not None and not held.covers(mode):
+                        state.holders[waiter] = held.combine(mode)
+                        self.stats["upgrades"] += 1
+                    elif held is None:
+                        state.holders[waiter] = mode
+                        self._held[waiter].add(resource)
+                        self.stats["acquired"] += 1
+                        if mode in (LockMode.SHARED, LockMode.INTENTION_SHARED):
+                            self.stats["read_grants"] += 1
+                        if mode is LockMode.SHARED and _is_table_resource(resource):
+                            self.stats["table_s_grants"] += 1
+                    self._waits_for.pop(waiter, None)
+                    woken.append(waiter)
+                    progress = True
         return woken
 
 

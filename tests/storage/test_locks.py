@@ -274,3 +274,50 @@ class TestReleaseShared:
         lm.acquire(2, T, IX)
         woken = lm.release_shared(1)
         assert woken == [2]
+
+
+class TestCancelWait:
+    def test_request_behind_a_cancelled_waiter_wakes_at_the_next_release(self):
+        """cancel_wait itself promotes nothing — waking stays on the
+        release path — but the very next release of *any* transaction,
+        even one that never touched the resource, grants what the
+        withdrawn request was holding up."""
+        lm = LockManager()
+        lm.acquire(1, T, S)
+        assert lm.acquire(2, T, X) is LockOutcome.WAIT
+        assert lm.acquire(3, T, S) is LockOutcome.WAIT  # FIFO behind the X
+        assert lm.cancel_wait(2, T) is True
+        assert not lm.waiting(2)
+        assert lm.waiting(3) and not lm.holds(3, T)
+        assert lm.release_all(99) == [3]
+        assert lm.holds(3, T, S) and not lm.waiting(3)
+        assert lm.waits_edges() == {}
+
+    def test_cancel_of_nothing_is_a_no_op(self):
+        lm = LockManager()
+        lm.acquire(1, T, X)
+        assert lm.cancel_wait(2, T) is False
+        assert lm.cancel_wait(1, K) is False
+        assert lm.stats["deadlocks"] == 0
+
+
+class TestStateReclamation:
+    def test_probe_acquire_release_cycle_leaves_no_lock_state(self):
+        """Release reclaims exactly the states it empties (there is no
+        whole-manager sweep), so nothing else may create a state: probing
+        a resource must not, and a waiter's departure must not leak."""
+        lm = LockManager()
+        for i in range(10_000):
+            resource = index_key_resource("Flights", ("fno",), (i,))
+            assert lm.holders(resource) == {}
+            assert not lm.holds(1, resource)
+            lm.acquire(1, resource, X)
+            if i % 100 == 0:
+                assert lm.acquire(2, resource, S) is LockOutcome.WAIT
+                assert lm.cancel_wait(2, resource)
+                lm.acquire(1, RowId("Flights", i), S)
+                lm.release_shared(1)
+            if i % 1000 == 999:
+                lm.release_all(1)
+        assert len(lm._locks) == 0
+        assert not lm._held and not lm._queued and not lm._pending

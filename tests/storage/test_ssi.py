@@ -179,6 +179,31 @@ class TestTrackerHygiene:
             engine.commit(txn)
         assert engine.ssi.tracked() == 0
 
+    def test_committed_entries_wait_for_the_oldest_serializable_snapshot(self):
+        """Snapshot writers are dropped at their own commit while nothing
+        serializable is tracked, retained while a serializable snapshot
+        predates them, and collected together when it ends — with the
+        committed index the collector walks emptied alongside."""
+        engine = build_engine()
+        ssi = engine.ssi
+        for i in range(3):
+            txn = engine.begin(TxnIsolation.SNAPSHOT)
+            engine.update(txn, "T0", rid_of(engine, "T0"), (0, i))
+            engine.commit(txn)
+            assert ssi.tracked() == 0
+        reader = engine.begin(TxnIsolation.SERIALIZABLE)
+        engine.read_table(reader, "T1")
+        for i in range(3):
+            txn = engine.begin(TxnIsolation.SNAPSHOT)
+            engine.update(txn, "T0", rid_of(engine, "T0"), (0, 10 + i))
+            engine.commit(txn)
+        assert ssi.tracked() == 4  # the reader and three retained writers
+        assert len(ssi._committed) == 3
+        engine.commit(reader)
+        assert ssi.tracked() == 0
+        assert not ssi._committed and not ssi._committed_writes
+        assert ssi._serializable_tracked == 0
+
     def test_aborted_transactions_drop_their_edges(self):
         engine = build_engine()
         t1 = engine.begin(TxnIsolation.SERIALIZABLE)
