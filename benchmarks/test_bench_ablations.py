@@ -13,24 +13,19 @@ is visible:
 
 import pytest
 
-from repro.bench.harness import make_travel_env, run_single_batch
-from repro.core.engine import EngineConfig, IsolationConfig
-from repro.sim.costs import DEFAULT_COSTS
+from repro.bench.harness import drive, make_travel_env, travel_scripts
+from repro.core.engine import IsolationConfig
 from repro.workloads import WorkloadKind, generate_workload
 
 
 def _run_with(network, *, isolation=IsolationConfig.FULL, autocommit=False,
               transactions=200):
     env = make_travel_env(
-        connections=100, autocommit=autocommit, network=network)
-    env.engine.config = EngineConfig(
-        isolation=isolation,
-        connections=100,
-        autocommit=autocommit,
-        costs=DEFAULT_COSTS,
-    )
+        connections=100, autocommit=autocommit, isolation=isolation,
+        network=network)
     items = generate_workload(WorkloadKind.ENTANGLED_T, env.travel, transactions)
-    return run_single_batch(env, items)
+    return drive(
+        env.client, travel_scripts(items), label="ablation", allow_aborts=True)
 
 
 @pytest.mark.benchmark(group="ablation")

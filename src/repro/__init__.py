@@ -36,8 +36,7 @@ Subsystems (importable for the paper's formal artifacts and for tests):
   oracle-serializability, Theorem 3.6.
 * :mod:`repro.core` — the execution model and prototype (Sections 4–5):
   run-based scheduling, group commit, timeouts, recovery, the per-shard
-  thread-pool executor, and the legacy engine/broker entry points (thin
-  adapters; see their docstrings).
+  thread-pool executor; ``connect()`` builds its engine and broker.
 * :mod:`repro.storage` — the DBMS substrate (tables, SPJ queries,
   Strict 2PL, MVCC snapshots, SSI, sharding, WAL, restart recovery).
 * :mod:`repro.sql` — the extended-SQL dialect (``SELECT ... INTO ANSWER
@@ -74,7 +73,6 @@ from repro.core import (
     ShardExecutor,
     TimeIntervalPolicy,
     TxnPhase,
-    Youtopia,
 )
 from repro.entangled import (
     Atom,
@@ -150,7 +148,6 @@ __all__ = [
     "ShardExecutor",
     "TimeIntervalPolicy",
     "TxnPhase",
-    "Youtopia",
     # entangled queries
     "Atom",
     "EntangledQuery",

@@ -13,26 +13,41 @@ harness with admission control, ``BENCH_traffic.json``), and
 :mod:`repro.bench.replication` (follower-read scaling, replication-lag
 percentiles and leader failover, ``BENCH_replication.json``).
 
-Each module has a ``run()`` returning
-:class:`~repro.sim.metrics.Measurements`, a ``check_shapes()`` verifying
-the paper's qualitative claims, and a ``main()`` for command-line use
-(``python -m repro.bench.fig6a``).
+Every closed-loop experiment runs on :mod:`repro.bench.harness` (one
+store builder, one ``drive()``, one ``Point``, one shape checker) and
+every module's ``main()`` ends in the harness's ``report()``.  The
+figure modules have a ``run()`` returning
+:class:`~repro.sim.metrics.Measurements` and a ``check_shapes()``
+verifying the paper's qualitative claims; the contention ablations are
+entries of the declarative ``repro.bench.contention.ARMS`` table.
 """
 
 from repro.bench.harness import (
-    DrainResult,
+    Arm,
+    Point,
+    Script,
     TravelEnv,
+    bank_store,
+    drive,
+    grid,
     make_travel_env,
+    report,
     require_all_committed,
-    run_single_batch,
-    submit_and_drain,
+    run_arms,
+    travel_scripts,
 )
 
 __all__ = [
-    "DrainResult",
+    "Arm",
+    "Point",
+    "Script",
     "TravelEnv",
+    "bank_store",
+    "drive",
+    "grid",
     "make_travel_env",
+    "report",
     "require_all_committed",
-    "run_single_batch",
-    "submit_and_drain",
+    "run_arms",
+    "travel_scripts",
 ]

@@ -1,26 +1,29 @@
 """Locking ablations: granularity, MVCC vs. 2PL, SSI abort tax, sharding.
 
-Five Figure-6-style experiments isolating coordination costs.
+Eight Figure-6-style experiments isolating coordination costs, each one
+entry of :data:`ARMS` — a program generator plus data — run by the
+closed-loop harness (:mod:`repro.bench.harness`) through
+:func:`repro.connect`.
 
-**Granularity ablation** (PR 1): every transaction touches the *same*
-hot ``Accounts`` table — a point SELECT of one row, an UPDATE of
-another, and an INSERT into the ``Transfers`` journal — but each
+**Granularity ablation** (``granularity``): every transaction touches
+the *same* hot ``Accounts`` table — a point SELECT of one row, an UPDATE
+of another, and an INSERT into the ``Transfers`` journal — but each
 transaction's rows are disjoint, so there is no logical conflict at all.
 Under the seed's table-granularity protocol (``LockGranularity.TABLE``)
 the batch serializes; under the fine-grained protocol
 (``LockGranularity.FINE``) it commits in its first run.
 
-**MVCC ablation** (this PR): readers and writers share the *same* hot
+**MVCC ablation** (``mvcc``): readers and writers share the *same* hot
 rows, so fine-grained 2PL no longer helps — every reader's row S lock
 queues behind a writer's X lock and the batch needs extra runs.  Under
 ``IsolationConfig.SNAPSHOT`` the same readers are served from version
 chains: zero S/IS lock grants, zero lock waits, zero read restarts, and
 the whole batch commits in one run while the writers commit concurrently.
-The shape check asserts exactly that, which is the acceptance criterion
+The shape rules assert exactly that, which is the acceptance criterion
 for the MVCC refactor; the reported ``max_version_chain`` shows the
 price (one extra version per updated row until vacuum).
 
-**SSI ablation** (this PR): a *write-skew-prone* workload — pairs of
+**SSI ablation** (``ssi``): a *write-skew-prone* workload — pairs of
 transactions that read each other's write target — run under
 ``IsolationConfig.SERIALIZABLE`` (runtime SSI), ``SNAPSHOT``, and 2PL
 (``FULL``).  SNAPSHOT sails through in one run with zero aborts but
@@ -28,32 +31,32 @@ commits non-serializable write-skew histories; SSI keeps the lock-free
 reads (zero S/IS grants, like SNAPSHOT) and pays instead with pivot
 aborts + retries — the *abort tax* of closing write skew; 2PL closes it
 with read locks and pays in lock waits/deadlock retries.  The shape
-check pins the claim of the SSI tentpole: serializability without
+rules pin the claim of the SSI tentpole: serializability without
 reintroducing read locks, at a bounded abort cost.
 
-**Shard ablation** (this PR): the disjoint-key transfer workload again,
-but the storage layer is a ``ShardedStorageEngine`` at 1/2/4/8 shards
-and the cost model charges each committing transaction a WAL-flush cost
-*per written shard* — shards are serial commit pipelines that overlap
-with each other.  On the disjoint-key arm every transaction is
-single-shard (its written account and its journal row hash to the same
-shard), so committed throughput scales with the shard count (the
-acceptance bar is >= 2x at 4 shards).  The **cross-shard adversarial
-arm** transfers between accounts chosen from *different* shards: every
-commit pays the two-phase prepare on two shards, the per-shard pipelines
-stop being independent, and scaling flattens — the measured argument for
-routing transactions to a home shard.
+**Shard ablation** (``shards``): the disjoint-key transfer workload
+again, but the storage layer is a ``ShardedStorageEngine`` at 1/2/4/8
+shards and the cost model charges each committing transaction a
+WAL-flush cost *per written shard* — shards are serial commit pipelines
+that overlap with each other.  On the disjoint-key series every
+transaction is single-shard (its written account and its journal row
+hash to the same shard), so committed throughput scales with the shard
+count (the acceptance bar is >= 2x at 4 shards).  The **cross-shard
+adversarial series** transfers between accounts chosen from *different*
+shards: every commit pays the two-phase prepare on two shards, the
+per-shard pipelines stop being independent, and scaling flattens — the
+measured argument for routing transactions to a home shard.
 
-**SSI false-positive arm** (this PR): ROADMAP's Cahill-vs-Fekete
-question.  A low-contention workload (random read/write pairs over a
-wide key pool) runs under SERIALIZABLE; the tracker reports how many
-pivot aborts fired before any inbound-edge reader had committed
+**SSI false-positive arm** (``ssi_false_positives``): ROADMAP's
+Cahill-vs-Fekete question.  A low-contention workload (random read/write
+pairs over a wide key pool) runs under SERIALIZABLE; the tracker reports
+how many pivot aborts fired before any inbound-edge reader had committed
 (``pivot_aborts_unproven`` — the dangerous structure was not yet
 materialized), and the same seeded workload re-runs under SNAPSHOT with
 the model recorder counting the conflict cycles that *actually* formed.
 SSI aborts minus actual cycles estimates the false-positive share.
 
-**Range arm** (this PR): disjoint range-scan+insert transactions at
+**Range arm** (``range``): disjoint range-scan+insert transactions at
 1/2/4 shards.  Without an ordered index the bounded range predicate
 needs a sequential scan, so every transaction's table S lock collides
 with every other's insert IX and the batch serializes; with the B+ tree
@@ -62,8 +65,11 @@ next-key S locks on their own disjoint key ranges, and the whole batch
 commits in one run with **zero** whole-table S grants — the acceptance
 bar is >= 5x committed throughput over the hash-only baseline.
 
+``wallclock`` and ``scaling`` (``--scaling-only`` / ``--scaling-out``)
+run on a real clock; their rationale sits beside their entries below.
+
 The measured quantity in each is committed-transaction throughput
-(committed per virtual second) as the batch size grows, plus the
+(committed per second of the arm's clock) as the x axis grows, plus the
 lock-wait/abort counts that explain it.
 
 Run directly for the full grid::
@@ -76,639 +82,274 @@ from __future__ import annotations
 
 import argparse
 import os
-from dataclasses import dataclass
-from typing import Sequence
+import random
+from typing import Any, Mapping, Sequence
 
-from repro.core.engine import (
-    EngineConfig,
-    EntangledTransactionEngine,
-    IsolationConfig,
+from repro.bench.harness import (
+    Arm,
+    Point,
+    Rule,
+    Script,
+    Table,
+    curve,
+    ratio,
+    run_arms,
+    run_point,
 )
-from repro.core.policies import ManualPolicy
-from repro.core.transaction import TxnPhase
+from repro.core.engine import EngineConfig, IsolationConfig
 from repro.errors import BenchError
-from repro.sim.costs import DEFAULT_COSTS, CostModel
-from repro.sim.metrics import Measurements, MetricSeries, ratio_series
-from repro.storage.engine import LockGranularity, StorageEngine
-from repro.storage.schema import TableSchema
-from repro.storage.sharding import ShardedStorageEngine
-from repro.storage.types import ColumnType
+from repro.sim.costs import CostModel
+from repro.storage.engine import LockGranularity
 
 FAST_SIZES = (4, 8, 16)
 FULL_SIZES = (4, 8, 16, 32, 64)
 
+# -- vocabulary shared by the arms --------------------------------------------------------
+
+
+def _throughput(point: Point) -> float:
+    return point.throughput
+
+
+def _total(counter: str):
+    """Metric: a RunReport counter summed over the batch's runs."""
+    return lambda point: point.total(counter)
+
+
+def _lock_stat(counter: str):
+    """Metric: a lock-manager counter's delta over the batch."""
+    return lambda point: point.lock_stats[counter]
+
+
+def _txn(*statements: str) -> str:
+    """One transaction program over the bank's statement vocabulary."""
+    return "BEGIN TRANSACTION; " + "; ".join(statements) + "; COMMIT;"
+
+
+def _read(account: int, var: str = "b") -> str:
+    return f"SELECT balance AS @{var} FROM Accounts WHERE id={account}"
+
+
+def _bump(account: int, by: str = "+ 1") -> str:
+    return f"UPDATE Accounts SET balance = balance {by} WHERE id={account}"
+
+
+def _journal(account: int) -> str:
+    return f"INSERT INTO Transfers (account, amount) VALUES ({account}, 1)"
+
+
+def _over(table: str, numerator: str, denominator: str, at=None):
+    """Curve: one series of a table over another — pointwise, or over
+    the denominator's value at the one x ``at``."""
+    return ratio(curve(table, numerator), curve(table, denominator), at=at)
+
+
+def _need_accounts(needed: int, p: Mapping[str, Any], what: str) -> None:
+    if needed > p["n_accounts"]:
+        raise BenchError(
+            f"need {needed} accounts for {what}, have {p['n_accounts']}")
+
+
+#: The batch-size arms share their axes (``--sizes`` / ``--accounts``).
+_BATCH_AXIS = {
+    "x_label": "transactions",
+    "xs": FAST_SIZES,
+    "params": {"n_accounts": 256},
+}
+
+# -- granularity: disjoint rows on one hot table -----------------------------------------
+
 FINE_SERIES = "row+key locks"
 TABLE_SERIES = "table locks"
+
+
+def _transfer_program(read_id: int, write_id: int) -> str:
+    """A disjoint-row transaction on the shared hot table: a point
+    SELECT of one row, an UPDATE of another, a journal INSERT."""
+    return _txn(_read(read_id), _bump(write_id), _journal(write_id))
+
+
+def _disjoint_transfers(_param, n: int, _store, p) -> list[Script]:
+    """One batch of disjoint-row transactions: no two touch a common row."""
+    _need_accounts(2 * n, p, f"{n} disjoint transactions")
+    return [
+        Script(f"u{i}", _transfer_program(2 * i, 2 * i + 1)) for i in range(n)
+    ]
+
+
+_GRANULARITY_SPEEDUP = _over("throughput", FINE_SERIES, TABLE_SERIES)
+
+GRANULARITY = Arm(
+    name="granularity",
+    **_BATCH_AXIS,
+    series={
+        FINE_SERIES: LockGranularity.FINE,
+        TABLE_SERIES: LockGranularity.TABLE,
+    },
+    store=lambda granularity, _n, _p: {"granularity": granularity},
+    programs=_disjoint_transfers,
+    tables=(
+        Table("throughput", "Locking ablation: contended disjoint-row batch",
+              "committed txn/s (virtual)", _throughput),
+        Table("lock_waits", "Locking ablation: lock waits", "lock waits",
+              _total("lock_waits")),
+        Table("runs", "Locking ablation: scheduler runs to drain", "runs",
+              lambda point: point.runs),
+    ),
+    rules=(
+        # Disjoint rows really are disjoint under row + key locks.
+        Rule("fine-grained lock waits",
+             curve("lock_waits", FINE_SERIES), "==", 0),
+        Rule("fine/table throughput at every batch size",
+             _GRANULARITY_SPEEDUP, ">=", 1.5),
+    ),
+    ratios={"speedup (fine/table)": _GRANULARITY_SPEEDUP},
+)
+
+# -- mvcc: MVCC vs. 2PL on shared hot rows ----------------------------------------------
 
 MVCC_SERIES = "mvcc snapshot reads"
 TWO_PL_SERIES = "2pl row+key locks"
 
 
-@dataclass
-class ContentionPoint:
-    """One measured point of the ablation."""
-
-    granularity: LockGranularity
-    transactions: int
-    committed: int
-    elapsed: float
-    runs: int
-    lock_waits: int
-    deadlocks: int
-    locks_acquired: int
-
-    @property
-    def throughput(self) -> float:
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
-
-def _build_engine(
-    granularity: LockGranularity, n_accounts: int, costs: CostModel
-) -> EntangledTransactionEngine:
-    store = StorageEngine(granularity=granularity)
-    store.create_table(TableSchema.build(
-        "Accounts",
-        [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-         ("balance", ColumnType.FLOAT)],
-        primary_key=["id"],
-    ))
-    store.create_table(TableSchema.build(
-        "Transfers",
-        [("account", ColumnType.INTEGER), ("amount", ColumnType.FLOAT)],
-        indexes=[["account"]],
-    ))
-    store.load(
-        "Accounts",
-        [(i, f"u{i}", 100.0) for i in range(n_accounts)],
-    )
-    config = EngineConfig(connections=100, costs=costs)
-    return EntangledTransactionEngine(store, config, ManualPolicy())
-
-
-def _transfer_program(read_id: int, write_id: int) -> str:
-    """A disjoint-row transaction on the shared hot table."""
-    return f"""
-        BEGIN TRANSACTION;
-        SELECT balance AS @b FROM Accounts WHERE id={read_id};
-        UPDATE Accounts SET balance = balance + 1 WHERE id={write_id};
-        INSERT INTO Transfers (account, amount) VALUES ({write_id}, 1);
-        COMMIT;
-    """
-
-
-def run_point(
-    granularity: LockGranularity,
-    transactions: int,
-    *,
-    n_accounts: int = 256,
-    costs: CostModel = DEFAULT_COSTS,
-) -> ContentionPoint:
-    """Drive one batch of disjoint-row transactions to completion."""
-    if 2 * transactions > n_accounts:
-        raise BenchError(
-            f"need {2 * transactions} accounts for {transactions} disjoint "
-            f"transactions, have {n_accounts}"
-        )
-    engine = _build_engine(granularity, n_accounts, costs)
-    for i in range(transactions):
-        engine.submit(_transfer_program(2 * i, 2 * i + 1), client=f"u{i}")
-    engine.drain()
-    phases = [
-        engine.transaction(h).phase for h in range(1, transactions + 1)
-    ]
-    committed = sum(p is TxnPhase.COMMITTED for p in phases)
-    if committed != transactions:
-        raise BenchError(
-            f"contention point {granularity.value} n={transactions}: only "
-            f"{committed}/{transactions} committed"
-        )
-    reports = engine.run_reports
-    return ContentionPoint(
-        granularity=granularity,
-        transactions=transactions,
-        committed=committed,
-        elapsed=engine.total_elapsed,
-        runs=len(reports),
-        lock_waits=sum(r.lock_waits for r in reports),
-        deadlocks=sum(r.deadlocks for r in reports),
-        locks_acquired=sum(r.locks_acquired for r in reports),
-    )
-
-
-def run(
-    *,
-    sizes: Sequence[int] = FAST_SIZES,
-    n_accounts: int = 256,
-    costs: CostModel = DEFAULT_COSTS,
-) -> dict[str, Measurements]:
-    """Run the ablation grid; returns plot-ready measurement tables.
-
-    ``throughput`` — committed transactions per virtual second;
-    ``lock_waits`` — lock conflicts hit while completing the batch;
-    ``runs`` — scheduler runs needed (retry pressure).
-    """
-    throughput = Measurements(
-        experiment="Locking ablation: contended disjoint-row batch",
-        x_label="transactions",
-        y_label="committed txn/s (virtual)",
-    )
-    lock_waits = Measurements(
-        experiment="Locking ablation: lock waits",
-        x_label="transactions",
-        y_label="lock waits",
-    )
-    runs_needed = Measurements(
-        experiment="Locking ablation: scheduler runs to drain",
-        x_label="transactions",
-        y_label="runs",
-    )
-    for granularity, series in (
-        (LockGranularity.FINE, FINE_SERIES),
-        (LockGranularity.TABLE, TABLE_SERIES),
-    ):
-        for size in sizes:
-            point = run_point(granularity, size, n_accounts=n_accounts, costs=costs)
-            throughput.add(series, size, point.throughput)
-            lock_waits.add(series, size, point.lock_waits)
-            runs_needed.add(series, size, point.runs)
-    return {
-        "throughput": throughput,
-        "lock_waits": lock_waits,
-        "runs": runs_needed,
-    }
-
-
-# -- MVCC vs. 2PL on shared hot rows ------------------------------------------------
-
-
-@dataclass
-class MVCCPoint:
-    """One measured point of the MVCC-vs-2PL ablation."""
-
-    snapshot: bool
-    transactions: int
-    committed: int
-    elapsed: float
-    runs: int
-    lock_waits: int
-    #: S/IS grants during the batch — the read-lock footprint MVCC
-    #: eliminates entirely.
-    read_lock_grants: int
-    write_conflicts: int
-    read_restarts: int
-    max_version_chain: int
-
-    @property
-    def throughput(self) -> float:
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
-
-def _writer_program(row: int) -> str:
-    """Update one hot account row and journal the transfer."""
-    return f"""
-        BEGIN TRANSACTION;
-        UPDATE Accounts SET balance = balance + 1 WHERE id={row};
-        INSERT INTO Transfers (account, amount) VALUES ({row}, 1);
-        COMMIT;
-    """
-
-
-def _reader_program(first: int, second: int) -> str:
-    """Read two hot account rows — the ones the writers are updating."""
-    return f"""
-        BEGIN TRANSACTION;
-        SELECT balance AS @a FROM Accounts WHERE id={first};
-        SELECT balance AS @b FROM Accounts WHERE id={second};
-        COMMIT;
-    """
-
-
-def run_mvcc_point(
-    snapshot: bool,
-    transactions: int,
-    *,
-    n_accounts: int = 256,
-    costs: CostModel = DEFAULT_COSTS,
-) -> MVCCPoint:
-    """Drive one shared-hot-row batch (half writers, half readers).
+def _hot_row_batch(_isolation, n: int, _store, p) -> list[Script]:
+    """One shared-hot-row batch (half writers, half readers).
 
     Reader *j* reads exactly the rows writers *j* and *j+1* update, so
     under 2PL every reader queues behind a writer X lock; under SNAPSHOT
     every reader is served from version chains without any lock.
+    Writers go first: they grab their X locks at the start of the run,
+    so the readers scheduled after them in the same run meet the locks
+    head-on (2PL) or sail past on their snapshots (MVCC).
     """
-    writers = max(transactions // 2, 1)
-    readers = transactions - writers
-    if writers > n_accounts:
-        raise BenchError(
-            f"need {writers} accounts for {writers} writers, have {n_accounts}"
-        )
-    isolation = (
-        IsolationConfig.SNAPSHOT if snapshot else IsolationConfig.FULL
-    )
-    store = StorageEngine(granularity=LockGranularity.FINE)
-    store.create_table(TableSchema.build(
-        "Accounts",
-        [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-         ("balance", ColumnType.FLOAT)],
-        primary_key=["id"],
-    ))
-    store.create_table(TableSchema.build(
-        "Transfers",
-        [("account", ColumnType.INTEGER), ("amount", ColumnType.FLOAT)],
-        indexes=[["account"]],
-    ))
-    store.load(
-        "Accounts", [(i, f"u{i}", 100.0) for i in range(n_accounts)]
-    )
-    config = EngineConfig(isolation=isolation, connections=100, costs=costs)
-    engine = EntangledTransactionEngine(store, config, ManualPolicy())
-
-    read_grants_before = store.locks.stats["read_grants"]
-    # Writers first: they grab their X locks at the start of the run, so
-    # the readers scheduled after them in the same run meet the locks
-    # head-on (2PL) or sail past on their snapshots (MVCC).
-    for w in range(writers):
-        engine.submit(_writer_program(w), client=f"w{w}")
-    for j in range(readers):
-        engine.submit(
-            _reader_program(j % writers, (j + 1) % writers), client=f"r{j}"
-        )
-    engine.drain()
-    phases = [
-        engine.transaction(h).phase for h in range(1, transactions + 1)
+    writers = max(n // 2, 1)
+    _need_accounts(writers, p, f"{writers} writers")
+    # A writer updates one hot row and journals the transfer ...
+    scripts = [
+        Script(f"w{w}", _txn(_bump(w), _journal(w))) for w in range(writers)
     ]
-    committed = sum(p is TxnPhase.COMMITTED for p in phases)
-    if committed != transactions:
-        raise BenchError(
-            f"mvcc point snapshot={snapshot} n={transactions}: only "
-            f"{committed}/{transactions} committed"
-        )
-    reports = engine.run_reports
-    return MVCCPoint(
-        snapshot=snapshot,
-        transactions=transactions,
-        committed=committed,
-        elapsed=engine.total_elapsed,
-        runs=len(reports),
-        lock_waits=sum(r.lock_waits for r in reports),
-        read_lock_grants=(
-            store.locks.stats["read_grants"] - read_grants_before
-        ),
-        write_conflicts=sum(r.write_conflicts for r in reports),
-        read_restarts=sum(r.read_restarts for r in reports),
-        max_version_chain=max(
-            (r.max_version_chain for r in reports), default=0
-        ),
-    )
+    # ... a reader reads two of the rows the writers are updating.
+    scripts += [
+        Script(f"r{j}", _txn(
+            _read(j % writers, "a"), _read((j + 1) % writers, "b")))
+        for j in range(n - writers)
+    ]
+    return scripts
 
 
-def run_mvcc(
-    *,
-    sizes: Sequence[int] = FAST_SIZES,
-    n_accounts: int = 256,
-    costs: CostModel = DEFAULT_COSTS,
-) -> dict[str, Measurements]:
-    """Run the MVCC-vs-2PL grid; returns plot-ready measurement tables."""
-    throughput = Measurements(
-        experiment="MVCC ablation: shared hot rows, readers vs writers",
-        x_label="transactions",
-        y_label="committed txn/s (virtual)",
-    )
-    lock_waits = Measurements(
-        experiment="MVCC ablation: lock waits",
-        x_label="transactions",
-        y_label="lock waits",
-    )
-    read_locks = Measurements(
-        experiment="MVCC ablation: S/IS lock grants",
-        x_label="transactions",
-        y_label="read locks granted",
-    )
-    chains = Measurements(
-        experiment="MVCC ablation: longest version chain",
-        x_label="transactions",
-        y_label="max chain length",
-    )
-    restarts = Measurements(
-        experiment="MVCC ablation: read restarts",
-        x_label="transactions",
-        y_label="read restarts",
-    )
-    for snapshot, series in ((True, MVCC_SERIES), (False, TWO_PL_SERIES)):
-        for size in sizes:
-            point = run_mvcc_point(
-                snapshot, size, n_accounts=n_accounts, costs=costs
-            )
-            throughput.add(series, size, point.throughput)
-            lock_waits.add(series, size, point.lock_waits)
-            read_locks.add(series, size, point.read_lock_grants)
-            chains.add(series, size, point.max_version_chain)
-            restarts.add(series, size, point.read_restarts)
-    return {
-        "throughput": throughput,
-        "lock_waits": lock_waits,
-        "read_locks": read_locks,
-        "chains": chains,
-        "restarts": restarts,
-    }
+_MVCC_SPEEDUP = _over("throughput", MVCC_SERIES, TWO_PL_SERIES)
 
+MVCC = Arm(
+    name="mvcc",
+    **_BATCH_AXIS,
+    series={
+        MVCC_SERIES: IsolationConfig.SNAPSHOT,
+        TWO_PL_SERIES: IsolationConfig.FULL,
+    },
+    engine=lambda isolation, _n, _p: {"isolation": isolation},
+    programs=_hot_row_batch,
+    tables=(
+        Table("throughput",
+              "MVCC ablation: shared hot rows, readers vs writers",
+              "committed txn/s (virtual)", _throughput),
+        Table("lock_waits", "MVCC ablation: lock waits", "lock waits",
+              _total("lock_waits")),
+        Table("read_locks", "MVCC ablation: S/IS lock grants",
+              "read locks granted", _lock_stat("read_grants")),
+        Table("chains", "MVCC ablation: longest version chain",
+              "max chain length",
+              lambda point: max(r.max_version_chain for r in point.reports)),
+        Table("restarts", "MVCC ablation: read restarts", "read restarts",
+              _total("read_restarts")),
+    ),
+    rules=(
+        Rule("snapshot S/IS grants", curve("read_locks", MVCC_SERIES), "==", 0),
+        Rule("snapshot lock waits", curve("lock_waits", MVCC_SERIES), "==", 0),
+        Rule("snapshot read restarts", curve("restarts", MVCC_SERIES), "==", 0),
+        # The contention MVCC removes is real, not a workload artifact.
+        Rule("2pl lock waits", curve("lock_waits", TWO_PL_SERIES), "!=", 0),
+        Rule("mvcc/2pl throughput at every batch size",
+             _MVCC_SPEEDUP, ">", 1.0),
+    ),
+    ratios={"speedup (mvcc/2pl)": _MVCC_SPEEDUP},
+)
 
-# -- SSI vs. SNAPSHOT vs. 2PL on a write-skew-prone workload -------------------------
-
+# -- ssi: SSI vs. SNAPSHOT vs. 2PL on a write-skew-prone workload ------------------------
 
 SSI_SERIES = "ssi serializable"
 SNAPSHOT_SERIES = "snapshot isolation"
 SSI_2PL_SERIES = "2pl serializable"
 
-_SSI_ARMS = {
-    SSI_SERIES: IsolationConfig.SERIALIZABLE,
-    SNAPSHOT_SERIES: IsolationConfig.SNAPSHOT,
-    SSI_2PL_SERIES: IsolationConfig.FULL,
-}
-
-
-@dataclass
-class SSIPoint:
-    """One measured point of the SSI ablation."""
-
-    isolation: IsolationConfig
-    transactions: int
-    committed: int
-    elapsed: float
-    runs: int
-    lock_waits: int
-    deadlocks: int
-    read_lock_grants: int
-    write_conflicts: int
-    #: attempts aborted by SSI, and the pivot subset.
-    ssi_aborts: int
-    pivot_aborts: int
-
-    @property
-    def throughput(self) -> float:
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def abort_rate(self) -> float:
-        """SSI aborts per committed transaction (the abort tax)."""
-        return self.ssi_aborts / self.committed if self.committed else 0.0
-
 
 def _skew_program(read_id: int, write_id: int) -> str:
     """Read one hot row, write a different one — half of a skew pair."""
-    return f"""
-        BEGIN TRANSACTION;
-        SELECT balance AS @b FROM Accounts WHERE id={read_id};
-        UPDATE Accounts SET balance = balance + 1 WHERE id={write_id};
-        COMMIT;
-    """
+    return _txn(_read(read_id), _bump(write_id))
 
 
-def run_ssi_point(
-    isolation: IsolationConfig,
-    transactions: int,
-    *,
-    n_accounts: int = 256,
-    costs: CostModel = DEFAULT_COSTS,
-) -> SSIPoint:
-    """Drive one write-skew-prone batch to completion.
+def _skew_pairs(_isolation, n: int, _store, p) -> list[Script]:
+    """One write-skew-prone batch.
 
     Transactions come in pairs over disjoint row pairs: transaction
     ``2j`` reads row ``a_j`` and writes row ``b_j``, transaction
     ``2j+1`` reads ``b_j`` and writes ``a_j``.  Scheduled in one run,
-    every pair forms the dangerous structure — unless an arm prevents
+    every pair forms the dangerous structure — unless a series prevents
     it (SSI pivot aborts; 2PL lock conflicts).
     """
-    pairs = max(transactions // 2, 1)
-    if 2 * pairs > n_accounts:
-        raise BenchError(
-            f"need {2 * pairs} accounts for {pairs} skew pairs, "
-            f"have {n_accounts}"
-        )
-    store = StorageEngine(granularity=LockGranularity.FINE)
-    store.create_table(TableSchema.build(
-        "Accounts",
-        [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-         ("balance", ColumnType.FLOAT)],
-        primary_key=["id"],
-    ))
-    store.load(
-        "Accounts", [(i, f"u{i}", 100.0) for i in range(n_accounts)]
-    )
-    config = EngineConfig(isolation=isolation, connections=100, costs=costs)
-    engine = EntangledTransactionEngine(store, config, ManualPolicy())
-
-    read_grants_before = store.locks.stats["read_grants"]
-    total = 0
+    pairs = max(n // 2, 1)
+    _need_accounts(2 * pairs, p, f"{pairs} skew pairs")
+    scripts = []
     for j in range(pairs):
         a, b = 2 * j, 2 * j + 1
-        engine.submit(_skew_program(a, b), client=f"s{a}")
-        engine.submit(_skew_program(b, a), client=f"s{b}")
-        total += 2
-    engine.drain()
-    phases = [engine.transaction(h).phase for h in range(1, total + 1)]
-    committed = sum(p is TxnPhase.COMMITTED for p in phases)
-    if committed != total:
-        raise BenchError(
-            f"ssi point {isolation.value} n={transactions}: only "
-            f"{committed}/{total} committed"
-        )
-    reports = engine.run_reports
-    return SSIPoint(
-        isolation=isolation,
-        transactions=total,
-        committed=committed,
-        elapsed=engine.total_elapsed,
-        runs=len(reports),
-        lock_waits=sum(r.lock_waits for r in reports),
-        deadlocks=sum(r.deadlocks for r in reports),
-        read_lock_grants=(
-            store.locks.stats["read_grants"] - read_grants_before
-        ),
-        write_conflicts=sum(r.write_conflicts for r in reports),
-        ssi_aborts=sum(r.ssi_aborts for r in reports),
-        pivot_aborts=sum(r.pivot_aborts for r in reports),
-    )
+        scripts.append(Script(f"s{a}", _skew_program(a, b)))
+        scripts.append(Script(f"s{b}", _skew_program(b, a)))
+    return scripts
 
 
-def run_ssi(
-    *,
-    sizes: Sequence[int] = FAST_SIZES,
-    n_accounts: int = 256,
-    costs: CostModel = DEFAULT_COSTS,
-) -> dict[str, Measurements]:
-    """Run the SSI-vs-SNAPSHOT-vs-2PL grid on the write-skew workload."""
-    throughput = Measurements(
-        experiment="SSI ablation: write-skew-prone pairs",
-        x_label="transactions",
-        y_label="committed txn/s (virtual)",
-    )
-    aborts = Measurements(
-        experiment="SSI ablation: serialization aborts (abort tax)",
-        x_label="transactions",
-        y_label="ssi aborts",
-    )
-    abort_rate = Measurements(
-        experiment="SSI ablation: aborts per committed transaction",
-        x_label="transactions",
-        y_label="aborts / committed",
-    )
-    read_locks = Measurements(
-        experiment="SSI ablation: S/IS lock grants",
-        x_label="transactions",
-        y_label="read locks granted",
-    )
-    lock_waits = Measurements(
-        experiment="SSI ablation: lock waits + deadlocks",
-        x_label="transactions",
-        y_label="lock waits + deadlocks",
-    )
-    for series, isolation in _SSI_ARMS.items():
-        for size in sizes:
-            point = run_ssi_point(
-                isolation, size, n_accounts=n_accounts, costs=costs
-            )
-            throughput.add(series, size, point.throughput)
-            aborts.add(series, size, point.ssi_aborts)
-            abort_rate.add(series, size, point.abort_rate)
-            read_locks.add(series, size, point.read_lock_grants)
-            lock_waits.add(series, size, point.lock_waits + point.deadlocks)
-    return {
-        "throughput": throughput,
-        "aborts": aborts,
-        "abort_rate": abort_rate,
-        "read_locks": read_locks,
-        "lock_waits": lock_waits,
-    }
+_ABORT_TAX = _over("throughput", SSI_SERIES, SNAPSHOT_SERIES)
 
+SSI = Arm(
+    name="ssi",
+    **_BATCH_AXIS,
+    series={
+        SSI_SERIES: IsolationConfig.SERIALIZABLE,
+        SNAPSHOT_SERIES: IsolationConfig.SNAPSHOT,
+        SSI_2PL_SERIES: IsolationConfig.FULL,
+    },
+    engine=lambda isolation, _n, _p: {"isolation": isolation},
+    programs=_skew_pairs,
+    tables=(
+        Table("throughput", "SSI ablation: write-skew-prone pairs",
+              "committed txn/s (virtual)", _throughput),
+        Table("aborts", "SSI ablation: serialization aborts (abort tax)",
+              "ssi aborts", _total("ssi_aborts")),
+        Table("abort_rate", "SSI ablation: aborts per committed transaction",
+              "aborts / committed",
+              lambda point: point.per_commit("ssi_aborts")),
+        Table("read_locks", "SSI ablation: S/IS lock grants",
+              "read locks granted", _lock_stat("read_grants")),
+        Table("lock_waits", "SSI ablation: lock waits + deadlocks",
+              "lock waits + deadlocks",
+              lambda point: point.total("lock_waits")
+              + point.total("deadlocks")),
+    ),
+    rules=(
+        # SNAPSHOT has nothing to abort: write skew is simply admitted.
+        Rule("snapshot ssi aborts", curve("aborts", SNAPSHOT_SERIES), "==", 0),
+        # The workload really provokes the dangerous structure (yet
+        # everything eventually commits — drive() checks that).
+        Rule("ssi aborts at every batch size",
+             curve("aborts", SSI_SERIES), ">=", 1),
+        # 2PL pays for the same guarantee in waits.
+        Rule("ssi S/IS grants", curve("read_locks", SSI_SERIES), "==", 0),
+        Rule("2pl lock waits + deadlocks",
+             curve("lock_waits", SSI_2PL_SERIES), "!=", 0),
+        # The abort tax is real, never negative.
+        Rule("ssi/snapshot throughput", _ABORT_TAX, "<=", 1 + 1e-9),
+    ),
+    ratios={"abort tax (ssi/snapshot throughput)": _ABORT_TAX},
+)
 
-def check_ssi_shapes(results: dict[str, Measurements]) -> list[str]:
-    """Verify the SSI ablation's claims; returns violation messages.
-
-    1. the SNAPSHOT arm never takes an SSI abort (nothing to abort —
-       write skew is simply admitted);
-    2. the SSI arm aborts at least one pivot at every batch size (the
-       workload really provokes the dangerous structure) yet everything
-       eventually commits (checked inside :func:`run_ssi_point`);
-    3. SSI acquires **zero** S/IS read locks — serializability without
-       reintroducing read locks, the tentpole claim;
-    4. the 2PL arm pays for the same guarantee in lock waits/deadlocks;
-    5. SNAPSHOT throughput is at least SSI throughput (the abort tax is
-       real, never negative).
-    """
-    problems: list[str] = []
-    for x, y in results["aborts"].series_named(SNAPSHOT_SERIES).points:
-        if y != 0:
-            problems.append(f"snapshot arm took {y} ssi aborts at n={x}")
-    for x, y in results["aborts"].series_named(SSI_SERIES).points:
-        if y < 1:
-            problems.append(
-                f"ssi arm aborted nothing at n={x}: workload not skew-prone"
-            )
-    for x, y in results["read_locks"].series_named(SSI_SERIES).points:
-        if y != 0:
-            problems.append(f"ssi arm granted {y} read locks at n={x}")
-    for x, y in results["lock_waits"].series_named(SSI_2PL_SERIES).points:
-        if y == 0:
-            problems.append(
-                f"2pl arm hit no lock conflicts at n={x}: not contended"
-            )
-    snapshot_tp = dict(results["throughput"].series_named(SNAPSHOT_SERIES).points)
-    for x, y in results["throughput"].series_named(SSI_SERIES).points:
-        if y > snapshot_tp[x] * (1 + 1e-9):
-            problems.append(
-                f"ssi throughput {y:.2f} exceeds snapshot {snapshot_tp[x]:.2f} "
-                f"at n={x}: abort tax cannot be negative"
-            )
-    return problems
-
-
-def ssi_abort_tax_series(throughput: Measurements) -> MetricSeries:
-    """SSI over SNAPSHOT committed throughput, pointwise (<= 1.0)."""
-    return ratio_series(
-        throughput.series_named(SSI_SERIES),
-        throughput.series_named(SNAPSHOT_SERIES),
-        name="ssi/snapshot",
-    )
-
-
-def mvcc_speedup_series(throughput: Measurements) -> MetricSeries:
-    """Snapshot over 2PL committed throughput, pointwise."""
-    return ratio_series(
-        throughput.series_named(MVCC_SERIES),
-        throughput.series_named(TWO_PL_SERIES),
-        name="speedup",
-    )
-
-
-def check_mvcc_shapes(results: dict[str, Measurements]) -> list[str]:
-    """Verify the MVCC ablation's claims; returns violation messages.
-
-    1. snapshot readers acquire **zero** S/IS locks and the whole batch
-       completes with **zero** lock waits and **zero** read restarts
-       while the concurrent writers commit — the acceptance bar for the
-       refactor;
-    2. 2PL on the same workload does hit lock waits (the contention MVCC
-       removes is real, not an artifact of the workload);
-    3. snapshot throughput beats 2PL at every batch size.
-    """
-    problems: list[str] = []
-    for x, y in results["read_locks"].series_named(MVCC_SERIES).points:
-        if y != 0:
-            problems.append(f"snapshot arm granted {y} read locks at n={x}")
-    for x, y in results["lock_waits"].series_named(MVCC_SERIES).points:
-        if y != 0:
-            problems.append(f"snapshot arm hit {y} lock waits at n={x}")
-    for x, y in results["restarts"].series_named(MVCC_SERIES).points:
-        if y != 0:
-            problems.append(f"snapshot arm hit {y} read restarts at n={x}")
-    for x, y in results["lock_waits"].series_named(TWO_PL_SERIES).points:
-        if y == 0:
-            problems.append(
-                f"2pl arm hit no lock waits at n={x}: workload not contended"
-            )
-    for x, ratio in mvcc_speedup_series(results["throughput"]).points:
-        if ratio <= 1.0:
-            problems.append(
-                f"mvcc speedup {ratio:.2f}x at n={x} is not a speedup"
-            )
-    return problems
-
-
-def speedup_series(throughput: Measurements) -> MetricSeries:
-    """Fine-grained over table-locking committed throughput, pointwise."""
-    return ratio_series(
-        throughput.series_named(FINE_SERIES),
-        throughput.series_named(TABLE_SERIES),
-        name="speedup",
-    )
-
-
-def check_shapes(results: dict[str, Measurements]) -> list[str]:
-    """Verify the ablation's claims; returns violation messages.
-
-    1. fine-grained locking commits the batch with zero lock waits
-       (disjoint rows really are disjoint under row + key locks);
-    2. committed throughput under fine-grained locking is at least 1.5x
-       the table-locking baseline at every batch size.
-    """
-    problems: list[str] = []
-    waits = results["lock_waits"].series_named(FINE_SERIES)
-    for x, y in waits.points:
-        if y != 0:
-            problems.append(f"fine-grained locking hit {y} lock waits at n={x}")
-    for x, ratio in speedup_series(results["throughput"]).points:
-        if ratio < 1.5:
-            problems.append(
-                f"speedup {ratio:.2f}x at n={x} is below the 1.5x bar"
-            )
-    return problems
-
-
-# -- sharding: per-shard commit pipelines vs. cross-shard coordination ---------------
-
-
-SHARD_COUNTS = (1, 2, 4, 8)
+# -- shards: per-shard commit pipelines vs. cross-shard coordination ---------------------
 
 #: Commit flushes dominate this arm on purpose: the ablation isolates
 #: the per-shard WAL/group-commit pipeline, which is the resource the
@@ -723,395 +364,185 @@ DISJOINT_ARM = "disjoint keys"
 CROSS_SHARD_ARM = "cross-shard transfers"
 
 
-@dataclass
-class ShardPoint:
-    """One measured point of the shard ablation."""
-
-    n_shards: int
-    cross_shard: bool
-    transactions: int
-    committed: int
-    elapsed: float
-    runs: int
-    lock_waits: int
-    write_conflicts: int
-    #: committed middle-tier transactions whose writes spanned shards.
-    cross_shard_commits: int
-    #: storage commits per shard (balance check).
-    shard_commits: list[int]
-
-    @property
-    def throughput(self) -> float:
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
-    @property
-    def cross_shard_share(self) -> float:
-        return self.cross_shard_commits / self.committed if self.committed else 0.0
+def _home_shard(store, account: int) -> "int | None":
+    """The shard hint for a transaction homed on ``account``'s shard."""
+    sharded = store.n_shards > 1
+    return store.route_key("Accounts", (account,)) if sharded else None
 
 
-def _cross_shard_pairs(
-    store: ShardedStorageEngine, accounts: int, wanted: int
-) -> list[tuple[int, int]]:
-    """Account pairs guaranteed to live on different shards."""
+def _spread_accounts(
+    store, n_accounts: int, wanted: int, *, width: int = 1, across: int = 1
+) -> list[list[int]]:
+    """``wanted`` disjoint groups of account ids: ``width`` ids from each
+    of ``across`` consecutive shards, the groups rotating evenly over
+    the shards.  ``across=1`` co-locates a group on one shard — every
+    transaction single-shard and every shard's commit pipeline equally
+    loaded, so a measured speedup reflects the executor, not hash
+    imbalance; ``across=2`` guarantees the group straddles two shards.
+    Each account is consumed once, so groups stay row-disjoint."""
+    size = width * across
     if store.n_shards < 2:
-        return [(2 * i, 2 * i + 1) for i in range(wanted)]
+        return [list(range(size * i, size * (i + 1))) for i in range(wanted)]
     by_shard: dict[int, list[int]] = {}
-    for account in range(accounts):
+    for account in range(n_accounts):
         by_shard.setdefault(
-            store.route_key("Accounts", (account,)), []
-        ).append(account)
-    pools = [by_shard[s] for s in sorted(by_shard)]
-    pairs: list[tuple[int, int]] = []
-    i = 0
-    while len(pairs) < wanted:
-        a_pool = pools[i % len(pools)]
-        b_pool = pools[(i + 1) % len(pools)]
-        if not a_pool or not b_pool:
+            store.route_key("Accounts", (account,)), []).append(account)
+    groups: list[list[int]] = []
+    for i in range(wanted):
+        pools = [
+            by_shard.get((i + j) % store.n_shards, []) for j in range(across)
+        ]
+        if any(len(pool) < width for pool in pools):
             raise BenchError(
-                f"could not build {wanted} disjoint cross-shard pairs from "
-                f"{accounts} accounts over {store.n_shards} shards"
+                f"could not build {wanted} disjoint groups of {width} x "
+                f"{across} shards from {n_accounts} accounts over "
+                f"{store.n_shards} shards"
             )
-        # Each account is consumed once, so pairs stay row-disjoint; the
-        # two pools belong to different shards, so every pair crosses.
-        pairs.append((a_pool.pop(), b_pool.pop()))
-        i += 1
-    return pairs
+        groups.append([pool.pop() for pool in pools for _ in range(width)])
+    return groups
 
 
-def run_shard_point(
-    n_shards: int,
-    transactions: int,
-    *,
-    cross_shard: bool = False,
-    n_accounts: int = 512,
-    costs: CostModel = SHARD_COSTS,
-) -> ShardPoint:
-    """Drive one disjoint-key (or adversarial cross-shard) batch."""
-    if 2 * transactions > n_accounts:
-        raise BenchError(
-            f"need {2 * transactions} accounts for {transactions} disjoint "
-            f"transactions, have {n_accounts}"
-        )
-    store = ShardedStorageEngine(n_shards)
-    store.create_table(TableSchema.build(
-        "Accounts",
-        [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-         ("balance", ColumnType.FLOAT)],
-        primary_key=["id"],
-    ))
-    store.create_table(TableSchema.build(
-        "Transfers",
-        [("account", ColumnType.INTEGER), ("amount", ColumnType.FLOAT)],
-        indexes=[["account"]],
-    ))
-    store.load("Accounts", [(i, f"u{i}", 100.0) for i in range(n_accounts)])
-    config = EngineConfig(
-        isolation=IsolationConfig.SNAPSHOT, connections=100, costs=costs
-    )
-    engine = EntangledTransactionEngine(store, config, ManualPolicy())
-
-    if cross_shard:
-        pairs = _cross_shard_pairs(store, n_accounts, transactions)
-        for i, (read_id, write_id) in enumerate(pairs):
-            # Write both sides: the commit must span both home shards.
-            engine.submit(f"""
-                BEGIN TRANSACTION;
-                UPDATE Accounts SET balance = balance - 1 WHERE id={read_id};
-                UPDATE Accounts SET balance = balance + 1 WHERE id={write_id};
-                INSERT INTO Transfers (account, amount) VALUES ({write_id}, 1);
-                COMMIT;
-            """, client=f"x{i}")
-    else:
-        for i in range(transactions):
-            engine.submit(_transfer_program(2 * i, 2 * i + 1), client=f"u{i}")
-    engine.drain()
-    phases = [
-        engine.transaction(h).phase for h in range(1, transactions + 1)
+def _shard_batch(cross_shard: bool, _n_shards, store, p) -> list[Script]:
+    """The disjoint-key batch, or its adversarial twin whose every
+    transaction writes both sides of a pair living on *different*
+    shards, so its commit must span both home shards."""
+    n = p["transactions"]
+    if not cross_shard:
+        return _disjoint_transfers(None, n, store, p)
+    _need_accounts(2 * n, p, f"{n} disjoint transactions")
+    return [
+        Script(f"x{i}", _txn(
+            _bump(debit, "- 1"), _bump(credit), _journal(credit)))
+        for i, (debit, credit) in enumerate(
+            _spread_accounts(store, p["n_accounts"], n, across=2))
     ]
-    committed = sum(p is TxnPhase.COMMITTED for p in phases)
-    if committed != transactions:
-        raise BenchError(
-            f"shard point n_shards={n_shards} cross={cross_shard} "
-            f"n={transactions}: only {committed}/{transactions} committed"
-        )
-    reports = engine.run_reports
-    shard_commits = [0] * n_shards
-    for report in reports:
-        for idx, count in enumerate(report.shard_commits):
-            shard_commits[idx] += count
-    return ShardPoint(
-        n_shards=n_shards,
-        cross_shard=cross_shard,
-        transactions=transactions,
-        committed=committed,
-        elapsed=engine.total_elapsed,
-        runs=len(reports),
-        lock_waits=sum(r.lock_waits for r in reports),
-        write_conflicts=sum(r.write_conflicts for r in reports),
-        cross_shard_commits=sum(r.cross_shard_commits for r in reports),
-        shard_commits=shard_commits,
-    )
 
 
-def run_shards(
-    *,
-    transactions: int = 64,
-    shard_counts: Sequence[int] = SHARD_COUNTS,
-    n_accounts: int = 512,
-    costs: CostModel = SHARD_COSTS,
-) -> dict[str, Measurements]:
-    """Run the shard ablation; x-axis is the shard count."""
-    throughput = Measurements(
-        experiment="Shard ablation: committed throughput vs shard count",
-        x_label="shards",
-        y_label="committed txn/s (virtual)",
-    )
-    cross_share = Measurements(
-        experiment="Shard ablation: cross-shard commit share",
-        x_label="shards",
-        y_label="cross-shard share",
-    )
-    for arm, cross in ((DISJOINT_ARM, False), (CROSS_SHARD_ARM, True)):
-        for n_shards in shard_counts:
-            point = run_shard_point(
-                n_shards, transactions, cross_shard=cross,
-                n_accounts=n_accounts, costs=costs,
-            )
-            throughput.add(arm, n_shards, point.throughput)
-            cross_share.add(arm, n_shards, point.cross_shard_share)
-    return {"throughput": throughput, "cross_share": cross_share}
+def _scaling(series: str):
+    """Throughput at N shards relative to the 1-shard point."""
+    return _over("throughput", series, series, at=1)
 
 
-def shard_scaling_series(throughput: Measurements, arm: str) -> MetricSeries:
-    """Throughput at N shards relative to the smallest measured count
-    (normally 1; grids without a 1-shard point normalize to their own
-    baseline instead of crashing)."""
-    series = throughput.series_named(arm)
-    points = dict(series.points)
-    base = points[min(points)] if points else 0.0
-    scaled = MetricSeries(name=f"{arm} scaling")
-    for x, y in series.points:
-        scaled.add(x, y / base if base else 0.0)
-    return scaled
+SHARDS = Arm(
+    name="shards",
+    x_label="shards",
+    xs=(1, 2, 4, 8),
+    series={DISJOINT_ARM: False, CROSS_SHARD_ARM: True},
+    params={"transactions": 64, "n_accounts": 512},
+    store=lambda _cross, n_shards, _p: {"kind": "sharded", "shards": n_shards},
+    engine=lambda _cross, _n, _p: {
+        "isolation": IsolationConfig.SNAPSHOT, "costs": SHARD_COSTS},
+    programs=_shard_batch,
+    tables=(
+        Table("throughput",
+              "Shard ablation: committed throughput vs shard count",
+              "committed txn/s (virtual)", _throughput),
+        # committed middle-tier transactions whose writes spanned shards.
+        Table("cross_share", "Shard ablation: cross-shard commit share",
+              "cross-shard share",
+              lambda point: point.per_commit("cross_shard_commits")),
+    ),
+    rules=(
+        Rule("disjoint-key scaling vs 1 shard (the acceptance bar)",
+             _scaling(DISJOINT_ARM), ">=", 2.0, at=4),
+        Rule("disjoint-key throughput in the shard count",
+             curve("throughput", DISJOINT_ARM), "monotone"),
+        # The router really pins single-shard work to its home shard ...
+        Rule("disjoint-key cross-shard share",
+             curve("cross_share", DISJOINT_ARM), "==", 0.0),
+        # ... while the adversarial series is 100% cross-shard.
+        Rule("adversarial cross-shard share",
+             curve("cross_share", CROSS_SHARD_ARM), ">=", 1.0 - 1e-9,
+             where=lambda n_shards: n_shards > 1),
+        # The two-phase prepare tax is visible.
+        Rule("cross-shard scaling over disjoint-key scaling",
+             ratio(_scaling(CROSS_SHARD_ARM), _scaling(DISJOINT_ARM)),
+             "<", 1.0, at=4),
+    ),
+    ratios={
+        f"scaling ({DISJOINT_ARM})": _scaling(DISJOINT_ARM),
+        f"scaling ({CROSS_SHARD_ARM})": _scaling(CROSS_SHARD_ARM),
+    },
+)
+
+# -- ssi_false_positives: aborts vs. anomalies on a low-contention workload ---------------
 
 
-def check_shard_shapes(results: dict[str, Measurements]) -> list[str]:
-    """Verify the shard ablation's claims; returns violation messages.
-
-    1. disjoint-key throughput scales: >= 2x at 4 shards vs 1 (the
-       acceptance bar), monotone nondecreasing to the largest count;
-    2. the disjoint arm commits zero cross-shard transactions (the
-       router really pins single-shard work to its home shard) while the
-       adversarial arm is 100% cross-shard;
-    3. cross-shard scaling at 4 shards is strictly below disjoint-key
-       scaling (the two-phase prepare tax is visible).
-    """
-    problems: list[str] = []
-    disjoint_series = shard_scaling_series(results["throughput"], DISJOINT_ARM)
-    disjoint = dict(disjoint_series.points)
-    # The >= 2x acceptance bar is defined as "4 shards vs 1"; it only
-    # applies when both points were measured (custom grids still get the
-    # monotonicity check below).
-    if 1 in disjoint and 4 in disjoint and disjoint[4] < 2.0:
-        problems.append(
-            f"disjoint-key scaling at 4 shards is {disjoint[4]:.2f}x "
-            f"(< 2x acceptance bar)"
-        )
-    ordered = sorted(disjoint_series.points)
-    for (x_lo, y_lo), (x_hi, y_hi) in zip(ordered, ordered[1:]):
-        if y_hi < y_lo:
-            problems.append(
-                f"disjoint-key scaling regressed from {y_lo:.2f}x at "
-                f"{int(x_lo)} shards to {y_hi:.2f}x at {int(x_hi)}"
-            )
-    for x, share in results["cross_share"].series_named(DISJOINT_ARM).points:
-        if share != 0.0:
-            problems.append(
-                f"disjoint arm committed cross-shard txns at n_shards={x}"
-            )
-    for x, share in results["cross_share"].series_named(CROSS_SHARD_ARM).points:
-        if x > 1 and share < 1.0 - 1e-9:
-            problems.append(
-                f"adversarial arm only {share:.0%} cross-shard at "
-                f"n_shards={x}"
-            )
-    cross = dict(shard_scaling_series(
-        results["throughput"], CROSS_SHARD_ARM).points)
-    if 4 in cross and cross[4] >= disjoint.get(4, float("inf")):
-        problems.append(
-            f"cross-shard scaling {cross[4]:.2f}x is not below disjoint "
-            f"{disjoint[4]:.2f}x at 4 shards"
-        )
-    return problems
-
-
-# -- SSI false positives on a low-contention workload --------------------------------
-
-
-@dataclass
-class SSIFalsePositivePoint:
-    """One measured point of the Cahill-vs-Fekete abort-share question."""
-
-    transactions: int
-    committed: int
-    ssi_aborts: int
-    pivot_aborts: int
-    #: pivot aborts taken before any inbound reader committed — the
-    #: runtime marker for "the dangerous structure was not yet proven".
-    unproven_pivot_aborts: int
-    #: conflict cycles that actually formed when the same seeded workload
-    #: ran under SNAPSHOT (nothing aborted, anomalies free to happen).
-    materialized_cycles: int
-
-    @property
-    def abort_rate(self) -> float:
-        return self.ssi_aborts / self.committed if self.committed else 0.0
-
-    @property
-    def false_positive_share(self) -> float:
-        """Estimated share of SSI aborts with no materialized cycle."""
-        if not self.ssi_aborts:
-            return 0.0
-        excess = max(0, self.ssi_aborts - self.materialized_cycles)
-        return excess / self.ssi_aborts
-
-
-def _low_contention_programs(
-    transactions: int, n_accounts: int, seed: int = 7
-) -> list[str]:
+def _low_contention_batch(_isolation, n: int, _store, p) -> list[Script]:
     """Read one row, write another, drawn from a wide pool: collisions
     (and hence rw edges) are rare but nonzero — the regime where
     Cahill's in+out test pays its false-positive tax."""
-    import random
-
-    rng = random.Random(seed)
-    programs = []
-    for _ in range(transactions):
-        read_id = rng.randrange(n_accounts)
-        write_id = rng.randrange(n_accounts)
+    rng = random.Random(p["seed"])
+    scripts = []
+    for i in range(n):
+        read_id = rng.randrange(p["n_accounts"])
+        write_id = rng.randrange(p["n_accounts"])
         while write_id == read_id:
-            write_id = rng.randrange(n_accounts)
-        programs.append(f"""
-            BEGIN TRANSACTION;
-            SELECT balance AS @b FROM Accounts WHERE id={read_id};
-            UPDATE Accounts SET balance = balance + 1 WHERE id={write_id};
-            COMMIT;
-        """)
-    return programs
+            write_id = rng.randrange(p["n_accounts"])
+        scripts.append(Script(f"c{i}", _skew_program(read_id, write_id)))
+    return scripts
 
 
-def run_ssi_false_positive_point(
-    transactions: int,
-    *,
-    n_accounts: int = 24,
-    costs: CostModel = DEFAULT_COSTS,
-    seed: int = 7,
-) -> SSIFalsePositivePoint:
-    """Measure SSI aborts vs. materialized anomalies on one seeded batch."""
+def _false_positive_point(arm: Arm, _param, n: int, p) -> Point:
+    """SSI aborts vs. materialized anomalies on one seeded batch: the
+    SERIALIZABLE run is the point; the same batch re-run under SNAPSHOT
+    (nothing aborted, anomalies free to happen) with the model recorder
+    on contributes the conflict cycles that actually formed."""
     from repro.model.anomalies import find_conflict_cycles
     from repro.model.quasi import expand_quasi_reads
 
-    programs = _low_contention_programs(transactions, n_accounts, seed)
-
-    def build(mode: IsolationConfig) -> EntangledTransactionEngine:
-        store = StorageEngine(granularity=LockGranularity.FINE)
-        store.create_table(TableSchema.build(
-            "Accounts",
-            [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-             ("balance", ColumnType.FLOAT)],
-            primary_key=["id"],
-        ))
-        store.load("Accounts", [(i, f"u{i}", 100.0) for i in range(n_accounts)])
-        config = EngineConfig(
-            isolation=mode, connections=100, costs=costs,
-            record_schedule=(mode is IsolationConfig.SNAPSHOT),
-        )
-        return EntangledTransactionEngine(store, config, ManualPolicy())
-
-    ssi_engine = build(IsolationConfig.SERIALIZABLE)
-    for i, program in enumerate(programs):
-        ssi_engine.submit(program, client=f"c{i}")
-    ssi_engine.drain()
-    committed = sum(
-        ssi_engine.transaction(h).phase is TxnPhase.COMMITTED
-        for h in range(1, transactions + 1)
-    )
-    if committed != transactions:
-        raise BenchError(
-            f"ssi false-positive point n={transactions}: only "
-            f"{committed}/{transactions} committed"
-        )
-    tracker_stats = ssi_engine.store.ssi.stats
-
-    snap_engine = build(IsolationConfig.SNAPSHOT)
-    for i, program in enumerate(programs):
-        snap_engine.submit(program, client=f"c{i}")
-    snap_engine.drain()
-    expanded = expand_quasi_reads(snap_engine.recorded_schedule())
-    cycles = len(find_conflict_cycles(expanded))
-
-    return SSIFalsePositivePoint(
-        transactions=transactions,
-        committed=committed,
-        ssi_aborts=sum(r.ssi_aborts for r in ssi_engine.run_reports),
-        pivot_aborts=tracker_stats["pivot_aborts"],
-        unproven_pivot_aborts=tracker_stats["pivot_aborts_unproven"],
-        materialized_cycles=cycles,
-    )
+    point = run_point(arm, IsolationConfig.SERIALIZABLE, n, p)
+    twin = run_point(arm, IsolationConfig.SNAPSHOT, n, p)
+    schedule = twin.client.engine.recorded_schedule()
+    point.extras["materialized_cycles"] = len(
+        find_conflict_cycles(expand_quasi_reads(schedule)))
+    return point
 
 
-def run_ssi_false_positives(
-    *,
-    sizes: Sequence[int] = FAST_SIZES,
-    n_accounts: int = 24,
-    costs: CostModel = DEFAULT_COSTS,
-) -> dict[str, Measurements]:
-    """Run the low-contention SSI false-positive grid."""
-    aborts = Measurements(
-        experiment="SSI false positives: aborts vs materialized anomalies",
-        x_label="transactions",
-        y_label="count",
-    )
-    share = Measurements(
-        experiment="SSI false positives: share of aborts with no cycle",
-        x_label="transactions",
-        y_label="false-positive share",
-    )
-    for size in sizes:
-        point = run_ssi_false_positive_point(
-            size, n_accounts=n_accounts, costs=costs
-        )
-        aborts.add("ssi aborts", size, point.ssi_aborts)
-        aborts.add("materialized cycles", size, point.materialized_cycles)
-        aborts.add("unproven pivots", size, point.unproven_pivot_aborts)
-        share.add("false-positive share", size, point.false_positive_share)
-    return {"aborts": aborts, "share": share}
+def _false_positive_share(point: Point) -> float:
+    """Estimated share of SSI aborts with no materialized cycle."""
+    aborts = point.total("ssi_aborts")
+    excess = max(0, aborts - point.extras["materialized_cycles"])
+    return excess / aborts if aborts else 0.0
 
 
-def check_ssi_false_positive_shapes(
-    results: dict[str, Measurements],
-) -> list[str]:
-    """Sanity bounds for the false-positive measurement.
+SSI_FALSE_POSITIVES = Arm(
+    name="ssi_false_positives",
+    x_label="transactions",
+    xs=FAST_SIZES,
+    series={"false-positive share": IsolationConfig.SERIALIZABLE},
+    params={"n_accounts": 24, "seed": 7},
+    engine=lambda isolation, _n, _p: {
+        "isolation": isolation,
+        "config": EngineConfig(
+            record_schedule=isolation is IsolationConfig.SNAPSHOT),
+    },
+    programs=_low_contention_batch,
+    measure=_false_positive_point,
+    tables=(
+        Table("aborts",
+              "SSI false positives: aborts vs materialized anomalies",
+              "count", lambda point: {
+                  "ssi aborts": point.total("ssi_aborts"),
+                  "materialized cycles": point.extras["materialized_cycles"],
+                  "unproven pivots": point.ssi_stats["pivot_aborts_unproven"],
+              }),
+        Table("share",
+              "SSI false positives: share of aborts with no cycle",
+              "false-positive share", _false_positive_share),
+    ),
+    # Sanity bounds only: whether the share is *large enough to matter*
+    # is the ROADMAP question this arm exists to answer — reported, not
+    # asserted.
+    rules=(
+        Rule("unproven pivots over total ssi aborts",
+             _over("aborts", "unproven pivots", "ssi aborts"), "<=", 1.0),
+        Rule("false-positive share",
+             curve("share", "false-positive share"), "within", (0.0, 1.0)),
+    ),
+)
 
-    1. unproven pivots never exceed total SSI aborts;
-    2. the false-positive share stays a valid ratio in [0, 1].
-    (Whether the share is *large enough to matter* is the ROADMAP
-    question this arm exists to answer — reported, not asserted.)
-    """
-    problems: list[str] = []
-    totals = dict(results["aborts"].series_named("ssi aborts").points)
-    for x, y in results["aborts"].series_named("unproven pivots").points:
-        if y > totals[x]:
-            problems.append(
-                f"unproven pivots {y} exceed ssi aborts {totals[x]} at n={x}"
-            )
-    for x, y in results["share"].series_named("false-positive share").points:
-        if not (0.0 <= y <= 1.0):
-            problems.append(f"false-positive share {y} out of range at n={x}")
-    return problems
-
-
-# -- wall-clock shard ablation (the executor PR) -----------------------------------
+# -- wallclock: serial run loop vs per-shard thread pool, real seconds -------------------
 
 #: simulated fsync per watermark-advancing WAL flush (seconds).  Chosen
 #: large enough to dominate the Python-side statement work, so the
@@ -1122,204 +553,146 @@ SERIAL_ARM = "single-thread run loop"
 POOL_ARM = "per-shard thread pool"
 
 
-def _same_shard_pairs(
-    store, n_accounts: int, wanted: int
-) -> list[tuple[int, int]]:
-    """``wanted`` disjoint (read, write) account pairs, both ids on one
-    shard, spread evenly across the shards — every transaction is
-    single-shard and every shard's commit pipeline carries the same
-    load, so the measured speedup reflects the executor, not hash
-    imbalance."""
-    n_shards = store.n_shards
-    if n_shards < 2:
-        return [(2 * i, 2 * i + 1) for i in range(wanted)]
-    by_shard: dict[int, list[int]] = {}
-    for account in range(n_accounts):
-        by_shard.setdefault(
-            store.route_key("Accounts", (account,)), []
-        ).append(account)
-    pairs: list[tuple[int, int]] = []
-    for i in range(wanted):
-        pool = by_shard.get(i % n_shards, [])
-        if len(pool) < 2:
-            raise BenchError(
-                f"could not build {wanted} balanced same-shard pairs from "
-                f"{n_accounts} accounts over {n_shards} shards"
-            )
-        pairs.append((pool.pop(), pool.pop()))
-    return pairs
-
-
-@dataclass
-class WallClockPoint:
-    """One measured point of the wall-clock ablation (real seconds)."""
-
-    n_shards: int
-    executor: bool
-    transactions: int
-    committed: int
-    wall_seconds: float
-    runs: int
-
-    @property
-    def throughput(self) -> float:
-        """Committed transactions per *real* second (not virtual time)."""
-        return (
-            self.committed / self.wall_seconds if self.wall_seconds > 0 else 0.0
-        )
-
-
-def run_wallclock_point(
-    n_shards: int,
-    transactions: int,
-    *,
-    executor: bool,
-    n_accounts: int = 512,
-    flush_latency: float = WALLCLOCK_FLUSH_LATENCY,
-) -> WallClockPoint:
-    """Drive one disjoint-key batch and time it with a real clock.
-
-    Same workload as the virtual-time shard ablation's disjoint arm —
-    every transaction is single-shard by co-location — but no cost model
-    is attached: the only simulated quantity is the per-flush fsync
-    latency, and the measurement is ``time.perf_counter`` around the
-    drain.  ``executor=True`` dispatches execution and commit to the
-    per-shard worker pool, overlapping the flush sleeps across shards;
-    ``executor=False`` is the single-thread run loop paying them back to
-    back.
-    """
-    import time
-
-    if 2 * transactions > n_accounts:
-        raise BenchError(
-            f"need {2 * transactions} accounts for {transactions} disjoint "
-            f"transactions, have {n_accounts}"
-        )
-    store = (
-        ShardedStorageEngine(n_shards) if n_shards > 1 else StorageEngine()
-    )
-    store.create_table(TableSchema.build(
-        "Accounts",
-        [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-         ("balance", ColumnType.FLOAT)],
-        primary_key=["id"],
-    ))
-    store.create_table(TableSchema.build(
-        "Transfers",
-        [("account", ColumnType.INTEGER), ("amount", ColumnType.FLOAT)],
-        indexes=[["account"]],
-    ))
-    store.load("Accounts", [(i, f"u{i}", 100.0) for i in range(n_accounts)])
-    # The bulk load is free; only the measured section pays the fsync.
-    for wal in store.wals():
-        wal.flush_latency = flush_latency
-    config = EngineConfig(
-        isolation=IsolationConfig.SNAPSHOT, executor=executor
-    )
-    engine = EntangledTransactionEngine(store, config, ManualPolicy())
-    pairs = _same_shard_pairs(store, n_accounts, transactions)
-    try:
-        for i, (read_id, write_id) in enumerate(pairs):
-            hint = (
-                store.route_key("Accounts", (write_id,))
-                if n_shards > 1 else None
-            )
-            engine.submit(
-                _transfer_program(read_id, write_id),
-                client=f"u{i}", shard_hint=hint,
-            )
-        start = time.perf_counter()
-        reports = engine.drain()
-        wall = time.perf_counter() - start
-    finally:
-        engine.close()
-    committed = sum(len(r.committed) for r in reports)
-    if committed != transactions:
-        raise BenchError(
-            f"wall-clock point shards={n_shards} executor={executor}: only "
-            f"{committed}/{transactions} committed"
-        )
-    return WallClockPoint(
-        n_shards=n_shards,
-        executor=executor,
-        transactions=transactions,
-        committed=committed,
-        wall_seconds=wall,
-        runs=len(reports),
-    )
-
-
-def run_wallclock(
-    *,
-    transactions: int = 48,
-    shard_counts: Sequence[int] = (1, 4),
-    n_accounts: int = 512,
-    flush_latency: float = WALLCLOCK_FLUSH_LATENCY,
-    repeats: int = 2,
-) -> dict[str, Measurements]:
-    """The wall-clock ablation: serial loop vs per-shard thread pool.
-
-    The serial arm runs at every shard count (sharding alone buys
-    nothing in real time on one thread — the virtual-time ablation's
-    scaling claim was about *overlappable* work); the pool arm runs at
-    every count > 1.  x-axis is the shard count, y real committed
-    throughput.  Each point keeps the best of ``repeats`` timings —
-    standard wall-clock practice, since a noisy neighbor can only ever
-    slow a run down.
-    """
-    throughput = Measurements(
-        experiment="Wall-clock shard ablation: real committed throughput",
-        x_label="shards",
-        y_label="committed txn/s (wall clock)",
-    )
-
-    def best(n_shards: int, executor: bool) -> float:
-        return max(
-            run_wallclock_point(
-                n_shards, transactions, executor=executor,
-                n_accounts=n_accounts, flush_latency=flush_latency,
-            ).throughput
-            for _ in range(repeats)
-        )
-
-    for n_shards in shard_counts:
-        throughput.add(SERIAL_ARM, n_shards, best(n_shards, False))
-        if n_shards > 1:
-            throughput.add(POOL_ARM, n_shards, best(n_shards, True))
-    return {"wall_throughput": throughput}
-
-
-def wallclock_speedup(results: dict[str, Measurements]) -> list[tuple[int, float]]:
-    """Pool throughput at N shards over the 1-shard serial loop."""
-    series = results["wall_throughput"]
-    baseline = dict(series.series_named(SERIAL_ARM).points)[1]
+def _colocated_transfers(_executor, _n_shards, store, p) -> list[Script]:
+    """The shard ablation's disjoint series — every transaction
+    single-shard by co-location, pinned to its home shard — with no cost
+    model attached: the only simulated quantity is the per-flush fsync
+    latency, and the measurement is ``perf_counter`` around the drain."""
+    n = p["transactions"]
+    _need_accounts(2 * n, p, f"{n} disjoint transactions")
     return [
-        (int(x), y / baseline if baseline else 0.0)
-        for x, y in series.series_named(POOL_ARM).points
+        Script(f"u{i}", _transfer_program(read_id, write_id),
+               _home_shard(store, write_id))
+        for i, (read_id, write_id) in enumerate(
+            _spread_accounts(store, p["n_accounts"], n, width=2))
     ]
 
 
-def check_wallclock_shapes(results: dict[str, Measurements]) -> list[str]:
-    """The acceptance bar of the executor PR: with per-shard WALs and
-    the thread pool, the disjoint-key workload commits >= 2x faster in
-    *real* time at 4 shards than the single-thread run loop."""
-    problems: list[str] = []
-    speedups = dict(wallclock_speedup(results))
-    at_four = speedups.get(4)
-    if at_four is None:
-        problems.append("wall-clock ablation measured no 4-shard pool point")
-    elif at_four < 2.0:
-        problems.append(
-            f"wall-clock speedup at 4 shards is {at_four:.2f}x, need >= 2x"
-        )
-    return problems
+_WALL_SPEEDUP = _over("wall_throughput", POOL_ARM, SERIAL_ARM, at=1)
+
+#: The serial series runs at every shard count (sharding alone buys
+#: nothing in real time on one thread — the virtual-time ablation's
+#: scaling claim was about *overlappable* work); the pool series, at
+#: every count > 1, overlaps the flush sleeps across per-shard workers.
+WALLCLOCK = Arm(
+    name="wallclock",
+    x_label="shards",
+    xs=(1, 4),
+    series={SERIAL_ARM: False, POOL_ARM: True},
+    skip=lambda executor, n_shards: executor and n_shards == 1,
+    params={"transactions": 48, "n_accounts": 512, "repeats": 2},
+    clock="wall",
+    store=lambda _executor, n_shards, _p: {
+        "shards": n_shards, "flush_latency": WALLCLOCK_FLUSH_LATENCY},
+    engine=lambda executor, _n, _p: {
+        "isolation": IsolationConfig.SNAPSHOT, "executor": executor},
+    programs=_colocated_transfers,
+    tables=(
+        Table("wall_throughput",
+              "Wall-clock shard ablation: real committed throughput",
+              "committed txn/s (wall clock)", _throughput),
+    ),
+    rules=(
+        # The executor PR's acceptance bar.
+        Rule("pool throughput over the 1-shard single-thread run loop",
+             _WALL_SPEEDUP, ">=", 2.0, at=4),
+    ),
+    ratios={"wall-clock speedup (pool/serial@1)": _WALL_SPEEDUP},
+)
+
+# -- range: next-key locks vs hash-only table S locks --------------------------------------
+
+RANGE_INDEXED_SERIES = "b+tree next-key locks"
+RANGE_BASELINE_SERIES = "hash-only table S locks"
 
 
-# -- executor scaling arm: threaded pool vs process-per-shard workers ---------------
+def _range_program(lo: int, hi: int, insert_id: int) -> str:
+    """Scan one bounded key range, then insert a fresh row at the top:
+    the same transaction holds both halves of the conflict (its scan's
+    table S or next-key S locks, its insert's IX on the top-of-tree gap).
+    """
+    return _txn(
+        f"SELECT id AS @probe FROM Accounts WHERE id >= {lo} AND id < {hi}",
+        "INSERT INTO Accounts (id, owner, balance) "
+        f"VALUES ({insert_id}, 'probe', 0.0)",
+    )
 
-SCALING_SHARD_COUNTS = (1, 2, 4, 8)
+
+def _range_accounts(p: Mapping[str, Any]) -> int:
+    """The loaded table is twice as large as the scanned region, so
+    every shard holds keys above every scan's upper fence — range
+    readers never S-lock the SUPREMUM sentinel that top-end inserters
+    IX-lock."""
+    return 2 * p["span"] * p["transactions"]
+
+
+def _range_batch(_ordered, _n_shards, _store, p) -> list[Script]:
+    """Transaction *i* scans ``[span*i, span*i + width)`` and inserts a
+    brand-new id above every loaded key."""
+    span, width = p["span"], p["width"]
+    return [
+        Script(f"r{i}", _range_program(
+            span * i, span * i + width, _range_accounts(p) + i))
+        for i in range(p["transactions"])
+    ]
+
+
+_RANGE_SPEEDUP = _over(
+    "throughput", RANGE_INDEXED_SERIES, RANGE_BASELINE_SERIES)
+
+RANGE = Arm(
+    name="range",
+    x_label="shards",
+    xs=(1, 2, 4),
+    series={RANGE_INDEXED_SERIES: True, RANGE_BASELINE_SERIES: False},
+    params={"transactions": 16, "span": 8, "width": 4},
+    store=lambda ordered, n_shards, p: {
+        "shards": n_shards, "ordered_indexes": ordered,
+        "n_accounts": _range_accounts(p),
+    },
+    programs=_range_batch,
+    tables=(
+        Table("throughput",
+              "Range ablation: ordered-index range scans vs seq scans",
+              "committed txn/s (virtual)", _throughput),
+        Table("table_s_grants", "Range ablation: whole-table S lock grants",
+              "table S grants", _lock_stat("table_s_grants")),
+        Table("lock_waits", "Range ablation: lock waits", "lock waits",
+              _total("lock_waits")),
+        Table("range_scans", "Range ablation: planner index-range scans",
+              "index range scans", _total("index_range_scans")),
+        # index probes that degenerated into full scans.
+        Table("fallbacks", "Range ablation: index fallback scans",
+              "fallback scans",
+              lambda point: sum(
+                  sum(r.fallback_scans.values()) for r in point.reports)),
+    ),
+    rules=(
+        Rule("indexed table S grants",
+             curve("table_s_grants", RANGE_INDEXED_SERIES), "==", 0),
+        Rule("indexed lock waits",
+             curve("lock_waits", RANGE_INDEXED_SERIES), "==", 0),
+        Rule("indexed planner index-range scans",
+             curve("range_scans", RANGE_INDEXED_SERIES), ">=", 1),
+        # The contention the ordered index removes is real.
+        Rule("hash-only table S grants",
+             curve("table_s_grants", RANGE_BASELINE_SERIES), "!=", 0),
+        Rule("b+tree/hash-only throughput at every shard count (the "
+             "acceptance bar)", _RANGE_SPEEDUP, ">=", 5.0),
+        # Range predicates never route through ``lookup_index``.
+        Rule("indexed fallback scans",
+             curve("fallbacks", RANGE_INDEXED_SERIES), "==", 0),
+        Rule("hash-only fallback scans",
+             curve("fallbacks", RANGE_BASELINE_SERIES), "==", 0),
+    ),
+    ratios={"range speedup (b+tree/hash-only)": _RANGE_SPEEDUP},
+    extras={"range_speedup": _RANGE_SPEEDUP},
+)
+
+# -- scaling: threaded pool vs process-per-shard workers, real seconds ---------------------
+
 PROC_ARM = "process-per-shard workers"
-#: shape check only binds on hosts with enough cores to show scaling.
+#: shape rule only binds on hosts with enough cores to show scaling.
 SCALING_MIN_CORES = 4
 #: secondary indexes on the scaled table: every balance update pays
 #: B+ tree delete/insert maintenance on each — pure shard-side CPU with
@@ -1348,554 +721,85 @@ SCALING_INDEXES = (
 )
 
 
-def _shard_key_groups(
-    store, n_accounts: int, wanted: int, width: int
-) -> list[list[int]]:
-    """``wanted`` disjoint groups of ``width`` account ids, each group
-    co-located on one shard and the groups spread evenly across shards —
-    the scaling analogue of :func:`_same_shard_pairs` for worker-heavy
-    multi-update transactions."""
-    n_shards = store.n_shards
-    if n_shards < 2:
-        return [
-            list(range(width * i, width * (i + 1))) for i in range(wanted)
-        ]
-    by_shard: dict[int, list[int]] = {}
-    for account in range(n_accounts):
-        by_shard.setdefault(
-            store.route_key("Accounts", (account,)), []
-        ).append(account)
-    groups: list[list[int]] = []
-    for i in range(wanted):
-        pool = by_shard.get(i % n_shards, [])
-        if len(pool) < width:
-            raise BenchError(
-                f"could not build {wanted} balanced same-shard groups of "
-                f"{width} from {n_accounts} accounts over {n_shards} shards"
-            )
-        groups.append([pool.pop() for _ in range(width)])
-    return groups
-
-
-def _scaling_program(ids: "Sequence[int]") -> str:
+def _scaling_program(ids: Sequence[int]) -> str:
     """A worker-heavy single-shard transaction: two snapshot point reads
     plus one balance update per id and a journal insert — enough
     storage-engine work per statement that the shard side, not the
     coordinator's parse/plan, dominates."""
-    lines = [
-        "BEGIN TRANSACTION;",
-        f"SELECT balance AS @a FROM Accounts WHERE id={ids[0]};",
-        f"SELECT balance AS @b FROM Accounts WHERE id={ids[-1]};",
-    ]
-    lines += [
-        f"UPDATE Accounts SET balance = balance + 1 WHERE id={i};"
-        for i in ids
-    ]
-    lines.append(
-        f"INSERT INTO Transfers (account, amount) VALUES ({ids[0]}, 1);"
-    )
-    lines.append("COMMIT;")
-    return "\n".join(lines)
-
-
-@dataclass
-class ScalingPoint:
-    """One measured point of the executor scaling arm (real seconds)."""
-
-    n_shards: int
-    arm: str
-    transactions: int
-    committed: int
-    wall_seconds: float
-    runs: int
-
-    @property
-    def throughput(self) -> float:
-        return (
-            self.committed / self.wall_seconds if self.wall_seconds > 0 else 0.0
-        )
-
-
-def run_scaling_point(
-    n_shards: int,
-    transactions: int,
-    *,
-    arm: str,
-    n_accounts: int = 1024,
-    writes_per_txn: int = 8,
-) -> ScalingPoint:
-    """Time one disjoint-key batch under one executor arm.
-
-    Both arms run the *same* coordinator (statement routing, vector
-    begins, ordered 2PC) over the same per-shard dispatch pool; the only
-    difference is where each shard's engine lives.  ``POOL_ARM`` keeps
-    every shard in the client process, so all storage work serializes on
-    the GIL; ``PROC_ARM`` is :class:`~repro.transport.process.
-    ProcessShardedStorageEngine` — each shard's MVCC chains, lock
-    manager, index maintenance and WAL appends burn CPU in a separate
-    worker process while the dispatch thread blocks on the pipe with
-    the GIL released.  WAL fsync latency is left at zero on purpose: a
-    sleeping flush overlaps equally well under threads, and would
-    flatter the pool arm into parity.  Work that runs under the global
-    commit funnel (vacuum, checkpoints) is deliberately left out of the
-    loop: funnel work serializes identically in both arms and would
-    only dilute the executor signal.
-    """
-    import time
-
-    if arm == PROC_ARM:
-        from repro.transport.process import ProcessShardedStorageEngine
-
-        store = ProcessShardedStorageEngine(n_shards)
-    else:
-        store = ShardedStorageEngine(n_shards)
-    try:
-        store.create_table(TableSchema.build(
-            "Accounts",
-            [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-             ("balance", ColumnType.FLOAT)],
-            primary_key=["id"],
-            indexes=[list(ix) for ix in SCALING_INDEXES],
-        ))
-        store.create_table(TableSchema.build(
-            "Transfers",
-            [("account", ColumnType.INTEGER), ("amount", ColumnType.FLOAT)],
-            indexes=[["account"]],
-        ))
-        store.load(
-            "Accounts", [(i, f"u{i}", 100.0) for i in range(n_accounts)]
-        )
-        config = EngineConfig(
-            isolation=IsolationConfig.SNAPSHOT, executor=True
-        )
-        engine = EntangledTransactionEngine(store, config, ManualPolicy())
-        groups = _shard_key_groups(
-            store, n_accounts, transactions, writes_per_txn
-        )
-        try:
-            for i, ids in enumerate(groups):
-                hint = (
-                    store.route_key("Accounts", (ids[0],))
-                    if n_shards > 1 else None
-                )
-                engine.submit(
-                    _scaling_program(ids), client=f"u{i}", shard_hint=hint
-                )
-            start = time.perf_counter()
-            reports = engine.drain()
-            wall = time.perf_counter() - start
-        finally:
-            engine.close()
-    finally:
-        closer = getattr(store, "close", None)
-        if closer is not None:
-            closer()
-    committed = sum(len(r.committed) for r in reports)
-    if committed != transactions:
-        raise BenchError(
-            f"scaling point shards={n_shards} arm={arm!r}: only "
-            f"{committed}/{transactions} committed"
-        )
-    return ScalingPoint(
-        n_shards=n_shards,
-        arm=arm,
-        transactions=transactions,
-        committed=committed,
-        wall_seconds=wall,
-        runs=len(reports),
+    return _txn(
+        _read(ids[0], "a"), _read(ids[-1], "b"), *map(_bump, ids),
+        _journal(ids[0]),
     )
 
 
-def run_scaling(
-    *,
-    transactions: int = 48,
-    shard_counts: Sequence[int] = SCALING_SHARD_COUNTS,
-    n_accounts: int = 1024,
-    writes_per_txn: int = 8,
-    repeats: int = 2,
-) -> dict[str, Measurements]:
-    """The executor scaling arm: threaded pool vs process-per-shard.
-
-    Same disjoint-key discipline as the wall-clock ablation — every
+def _scaling_batch(_kind, _n_shards, store, p) -> list[Script]:
+    """Same disjoint-key discipline as the wall-clock ablation — every
     transaction single-shard by co-location, load balanced across
-    shards — but with worker-heavy transactions and both arms running
-    the identical dispatch pool, so the curve isolates exactly one
-    variable: whether shard engines share the coordinator's GIL.  Each
-    point keeps the best of ``repeats`` timings.
-    """
-    throughput = Measurements(
-        experiment=(
-            "Executor scaling: threaded pool vs process-per-shard "
-            "(real committed throughput)"
-        ),
-        x_label="shards",
-        y_label="committed txn/s (wall clock)",
-    )
-
-    def best(n_shards: int, arm: str) -> float:
-        return max(
-            run_scaling_point(
-                n_shards, transactions, arm=arm, n_accounts=n_accounts,
-                writes_per_txn=writes_per_txn,
-            ).throughput
-            for _ in range(repeats)
-        )
-
-    for n_shards in shard_counts:
-        throughput.add(POOL_ARM, n_shards, best(n_shards, POOL_ARM))
-        throughput.add(PROC_ARM, n_shards, best(n_shards, PROC_ARM))
-    return {"scaling_throughput": throughput}
-
-
-def scaling_speedup(results: dict[str, Measurements]) -> list[tuple[int, float]]:
-    """Process throughput over pool throughput at each shard count."""
-    series = results["scaling_throughput"]
-    pool = dict(series.series_named(POOL_ARM).points)
+    shards — but with worker-heavy transactions."""
     return [
-        (int(x), y / pool[x] if pool.get(x) else 0.0)
-        for x, y in series.series_named(PROC_ARM).points
+        Script(f"u{i}", _scaling_program(ids), _home_shard(store, ids[0]))
+        for i, ids in enumerate(_spread_accounts(
+            store, p["n_accounts"], p["transactions"],
+            width=p["writes_per_txn"]))
     ]
 
 
-def check_scaling_shapes(
-    results: dict[str, Measurements], *, cpu_count: "int | None" = None
-) -> list[str]:
-    """The acceptance bar of the process-executor PR: at the highest
-    measured shard count the process fleet commits the disjoint-key
-    batch >= 2x faster than the threaded pool — but only on hosts with
-    at least :data:`SCALING_MIN_CORES` cores, since a single-core box
-    has no parallelism for separate processes to claim."""
-    problems: list[str] = []
-    speedups = dict(scaling_speedup(results))
-    if not speedups:
-        problems.append("scaling arm measured no process-executor points")
-        return problems
-    cores = os.cpu_count() if cpu_count is None else cpu_count
-    if cores is None or cores < SCALING_MIN_CORES:
-        return problems
-    top = max(speedups)
-    if speedups[top] < 2.0:
-        problems.append(
-            f"process-over-pool speedup at {top} shards is "
-            f"{speedups[top]:.2f}x on a {cores}-core host, need >= 2x"
-        )
-    return problems
+_SCALING_SPEEDUP = _over("scaling_throughput", PROC_ARM, POOL_ARM)
+
+#: Both series run the *same* coordinator (statement routing, vector
+#: begins, ordered 2PC) over the same per-shard dispatch pool, so the
+#: curve isolates one variable: where each shard's engine lives.  The
+#: pool series keeps every shard in the client process (all storage work
+#: serializes on the GIL); in the process series each shard's MVCC
+#: chains, lock manager, index maintenance and WAL appends burn CPU in
+#: its own worker process while the dispatch thread blocks on the pipe
+#: with the GIL released.  WAL fsync latency stays zero on purpose: a
+#: sleeping flush overlaps equally well under threads and would flatter
+#: the pool series into parity.  Work under the global commit funnel
+#: (vacuum, checkpoints) is left out: it serializes identically in both
+#: series and would only dilute the executor signal.
+SCALING = Arm(
+    name="scaling",
+    x_label="shards",
+    xs=(1, 2, 4, 8),
+    series={POOL_ARM: "sharded", PROC_ARM: "process"},
+    params={
+        "transactions": 48, "n_accounts": 1024, "writes_per_txn": 8,
+        "repeats": 2,
+    },
+    clock="wall",
+    store=lambda kind, n_shards, _p: {
+        "kind": kind, "shards": n_shards, "indexes": SCALING_INDEXES},
+    engine=lambda _kind, _n, _p: {
+        "isolation": IsolationConfig.SNAPSHOT, "executor": "pool"},
+    programs=_scaling_batch,
+    tables=(
+        Table("scaling_throughput",
+              "Executor scaling: threaded pool vs process-per-shard "
+              "(real committed throughput)",
+              "committed txn/s (wall clock)", _throughput),
+    ),
+    rules=(
+        # The process-executor PR's acceptance bar.  A single-core box
+        # has no parallelism for separate processes to claim, hence
+        # min_cores.
+        Rule("process/pool throughput at the top shard count",
+             _SCALING_SPEEDUP, ">=", 2.0, at="max",
+             min_cores=SCALING_MIN_CORES),
+    ),
+    ratios={"executor scaling (process/pool)": _SCALING_SPEEDUP},
+    extras={"scaling_speedup": _SCALING_SPEEDUP},
+)
+
+#: Every arm, in reporting order, keyed by its JSON group name.
+ARMS: dict[str, Arm] = {arm.name: arm for arm in (
+    GRANULARITY, MVCC, SSI, SHARDS, SSI_FALSE_POSITIVES, WALLCLOCK, RANGE,
+    SCALING,
+)}
 
 
-# -- ordered-index range arm: next-key locks vs hash-only table S locks -------------
-
-RANGE_SHARD_COUNTS = (1, 2, 4)
-RANGE_INDEXED_SERIES = "b+tree next-key locks"
-RANGE_BASELINE_SERIES = "hash-only table S locks"
-
-
-@dataclass
-class RangePoint:
-    """One measured point of the ordered-index range ablation."""
-
-    ordered: bool
-    n_shards: int
-    transactions: int
-    committed: int
-    elapsed: float
-    runs: int
-    lock_waits: int
-    #: whole-table S grants during the batch — the footprint next-key
-    #: locking eliminates.
-    table_s_grants: int
-    #: planner decisions during the batch.
-    index_range_scans: int
-    seq_scans_avoided: int
-    #: index probes that degenerated into full scans (must stay zero on
-    #: both arms: range predicates never route through ``lookup_index``).
-    fallback_scans: int
-
-    @property
-    def throughput(self) -> float:
-        return self.committed / self.elapsed if self.elapsed > 0 else 0.0
-
-
-def _range_program(lo: int, hi: int, insert_id: int) -> str:
-    """Scan one bounded key range, then insert a fresh row at the top.
-
-    The same transaction holds both halves of the conflict: without an
-    ordered index the range predicate needs a sequential scan (table S),
-    so its insert's table IX collides with every *other* transaction's
-    scan and the batch serializes; with the B+ tree the scan takes IS
-    plus next-key S on its own disjoint key range, the insert IX-locks
-    the top-of-tree gap, and nothing conflicts.
-    """
-    return f"""
-        BEGIN TRANSACTION;
-        SELECT id AS @probe FROM Accounts WHERE id >= {lo} AND id < {hi};
-        INSERT INTO Accounts (id, owner, balance)
-            VALUES ({insert_id}, 'probe', 0.0);
-        COMMIT;
-    """
-
-
-def run_range_point(
-    ordered: bool,
-    n_shards: int,
-    transactions: int,
-    *,
-    span: int = 8,
-    width: int = 4,
-    costs: CostModel = DEFAULT_COSTS,
-) -> RangePoint:
-    """Drive one batch of disjoint range-scan+insert transactions.
-
-    Transaction *i* scans ``[span*i, span*i + width)`` and inserts a
-    brand-new id above every loaded key.  The loaded table is twice as
-    large as the scanned region, so every shard holds keys above every
-    scan's upper fence — range readers never S-lock the SUPREMUM
-    sentinel that top-end inserters IX-lock.
-    """
-    scanned = span * transactions
-    n_accounts = 2 * scanned
-    store = (
-        ShardedStorageEngine(n_shards, ordered_indexes=ordered)
-        if n_shards > 1
-        else StorageEngine(
-            granularity=LockGranularity.FINE, ordered_indexes=ordered
-        )
-    )
-    store.create_table(TableSchema.build(
-        "Accounts",
-        [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
-         ("balance", ColumnType.FLOAT)],
-        primary_key=["id"],
-    ))
-    store.load("Accounts", [(i, f"u{i}", 100.0) for i in range(n_accounts)])
-    config = EngineConfig(connections=100, costs=costs)
-    engine = EntangledTransactionEngine(store, config, ManualPolicy())
-
-    s_grants_before = store.locks.stats["table_s_grants"]
-    plan_before = dict(store.plan_stats)
-    for i in range(transactions):
-        lo, hi = span * i, span * i + width
-        engine.submit(
-            _range_program(lo, hi, n_accounts + i), client=f"r{i}"
-        )
-    engine.drain()
-    phases = [
-        engine.transaction(h).phase for h in range(1, transactions + 1)
-    ]
-    committed = sum(p is TxnPhase.COMMITTED for p in phases)
-    if committed != transactions:
-        raise BenchError(
-            f"range point ordered={ordered} shards={n_shards} "
-            f"n={transactions}: only {committed}/{transactions} committed"
-        )
-    reports = engine.run_reports
-    return RangePoint(
-        ordered=ordered,
-        n_shards=n_shards,
-        transactions=transactions,
-        committed=committed,
-        elapsed=engine.total_elapsed,
-        runs=len(reports),
-        lock_waits=sum(r.lock_waits for r in reports),
-        table_s_grants=(
-            store.locks.stats["table_s_grants"] - s_grants_before
-        ),
-        index_range_scans=(
-            store.plan_stats["index_range_scans"]
-            - plan_before["index_range_scans"]
-        ),
-        seq_scans_avoided=(
-            store.plan_stats["seq_scans_avoided"]
-            - plan_before["seq_scans_avoided"]
-        ),
-        fallback_scans=sum(store.fallback_scan_counts().values()),
-    )
-
-
-def run_range(
-    *,
-    transactions: int = 16,
-    shard_counts: Sequence[int] = RANGE_SHARD_COUNTS,
-    costs: CostModel = DEFAULT_COSTS,
-) -> dict[str, Measurements]:
-    """Run the range ablation grid; x-axis is the shard count."""
-    throughput = Measurements(
-        experiment="Range ablation: ordered-index range scans vs seq scans",
-        x_label="shards",
-        y_label="committed txn/s (virtual)",
-    )
-    table_s = Measurements(
-        experiment="Range ablation: whole-table S lock grants",
-        x_label="shards",
-        y_label="table S grants",
-    )
-    lock_waits = Measurements(
-        experiment="Range ablation: lock waits",
-        x_label="shards",
-        y_label="lock waits",
-    )
-    range_scans = Measurements(
-        experiment="Range ablation: planner index-range scans",
-        x_label="shards",
-        y_label="index range scans",
-    )
-    fallbacks = Measurements(
-        experiment="Range ablation: index fallback scans",
-        x_label="shards",
-        y_label="fallback scans",
-    )
-    for ordered, series in (
-        (True, RANGE_INDEXED_SERIES), (False, RANGE_BASELINE_SERIES)
-    ):
-        for n_shards in shard_counts:
-            point = run_range_point(
-                ordered, n_shards, transactions, costs=costs
-            )
-            throughput.add(series, n_shards, point.throughput)
-            table_s.add(series, n_shards, point.table_s_grants)
-            lock_waits.add(series, n_shards, point.lock_waits)
-            range_scans.add(series, n_shards, point.index_range_scans)
-            fallbacks.add(series, n_shards, point.fallback_scans)
-    return {
-        "throughput": throughput,
-        "table_s_grants": table_s,
-        "lock_waits": lock_waits,
-        "range_scans": range_scans,
-        "fallbacks": fallbacks,
-    }
-
-
-def range_speedup_series(throughput: Measurements) -> MetricSeries:
-    """Indexed over hash-only committed throughput, pointwise."""
-    return ratio_series(
-        throughput.series_named(RANGE_INDEXED_SERIES),
-        throughput.series_named(RANGE_BASELINE_SERIES),
-        name="speedup",
-    )
-
-
-def check_range_shapes(results: dict[str, Measurements]) -> list[str]:
-    """Verify the range ablation's claims; returns violation messages.
-
-    1. the indexed arm acquires **zero** whole-table S locks at every
-       shard count — next-key locking replaces the scan lock entirely;
-    2. the indexed arm hits zero lock waits (disjoint ranges really are
-       disjoint under next-key locks) and its planner chose the index
-       range path at least once per transaction;
-    3. the hash-only baseline does take table S locks (the contention
-       the ordered index removes is real);
-    4. indexed committed throughput is >= 5x the hash-only baseline at
-       every shard count — the acceptance bar;
-    5. neither arm ever degenerates an index probe into a fallback scan.
-    """
-    problems: list[str] = []
-    for x, y in results["table_s_grants"].series_named(
-            RANGE_INDEXED_SERIES).points:
-        if y != 0:
-            problems.append(
-                f"indexed arm granted {y} table S locks at shards={x}"
-            )
-    for x, y in results["lock_waits"].series_named(
-            RANGE_INDEXED_SERIES).points:
-        if y != 0:
-            problems.append(
-                f"indexed arm hit {y} lock waits at shards={x}"
-            )
-    for x, y in results["range_scans"].series_named(
-            RANGE_INDEXED_SERIES).points:
-        if y < 1:
-            problems.append(
-                f"indexed arm never planned an index range scan at shards={x}"
-            )
-    for x, y in results["table_s_grants"].series_named(
-            RANGE_BASELINE_SERIES).points:
-        if y == 0:
-            problems.append(
-                f"hash-only arm took no table S locks at shards={x}: "
-                f"workload not scan-bound"
-            )
-    for x, ratio in range_speedup_series(results["throughput"]).points:
-        if ratio < 5.0:
-            problems.append(
-                f"range speedup {ratio:.2f}x at shards={x} is below the "
-                f"5x acceptance bar"
-            )
-    for series in (RANGE_INDEXED_SERIES, RANGE_BASELINE_SERIES):
-        for x, y in results["fallbacks"].series_named(series).points:
-            if y != 0:
-                problems.append(
-                    f"{series} arm hit {y} fallback scans at shards={x}"
-                )
-    return problems
-
-
-# -- machine-readable results --------------------------------------------------------
-
-
-def results_to_json(
-    groups: "dict[str, dict[str, Measurements]]",
-    extra: "dict[str, object] | None" = None,
-) -> dict:
-    """All measurement groups as one JSON-serializable document."""
-    document: dict = {"experiments": {}}
-    for group_name, tables in groups.items():
-        document["experiments"][group_name] = {
-            table_name: {
-                "experiment": table.experiment,
-                "x_label": table.x_label,
-                "y_label": table.y_label,
-                "series": {
-                    name: series.points
-                    for name, series in table.series.items()
-                },
-            }
-            for table_name, table in tables.items()
-        }
-    if extra:
-        document.update(extra)
-    return document
-
-
-def run_scaling_cli(
-    *,
-    shard_counts: "Sequence[int] | None" = None,
-    transactions: "int | None" = None,
-    repeats: "int | None" = None,
-    json_out: "str | None" = None,
-) -> list[str]:
-    """Run the executor scaling arm, print the curve, optionally persist
-    it (with the host's core count) as JSON.  Returns shape problems."""
-    kwargs: dict = {}
-    if shard_counts is not None:
-        kwargs["shard_counts"] = tuple(shard_counts)
-    if transactions is not None:
-        kwargs["transactions"] = transactions
-    if repeats is not None:
-        kwargs["repeats"] = repeats
-    scaling_results = run_scaling(**kwargs)
-    for table in scaling_results.values():
-        print(table.render())
-        print()
-    speedups = scaling_speedup(scaling_results)
-    print("executor scaling (process/pool): " + ", ".join(
-        f"shards={n}: {ratio:.2f}x" for n, ratio in speedups
-    ))
-    problems = check_scaling_shapes(scaling_results)
-    if json_out:
-        import json
-
-        document = results_to_json(
-            {"scaling": scaling_results},
-            extra={
-                "cpu_count": os.cpu_count(),
-                "scaling_speedup": speedups,
-                "shape_check_failures": problems,
-            },
-        )
-        with open(json_out, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {json_out}")
-    return problems
+def _ints(text: "str | None") -> "tuple[int, ...] | None":
+    return tuple(int(part) for part in text.split(",")) if text else None
 
 
 def main() -> None:
@@ -1915,149 +819,30 @@ def main() -> None:
     parser.add_argument("--scaling-transactions", type=int, default=None)
     parser.add_argument("--scaling-repeats", type=int, default=None)
     args = parser.parse_args()
-    scaling_shards = (
-        tuple(int(s) for s in args.scaling_shards.split(","))
-        if args.scaling_shards else None
-    )
-    if args.scaling_only:
-        problems = run_scaling_cli(
-            shard_counts=scaling_shards,
-            transactions=args.scaling_transactions,
-            repeats=args.scaling_repeats,
-            json_out=args.scaling_out,
+    sizes = _ints(args.sizes) or FULL_SIZES
+    batch = {"xs": sizes, "n_accounts": args.accounts}
+    scaling = {
+        "xs": _ints(args.scaling_shards),
+        "transactions": args.scaling_transactions,
+        "repeats": args.scaling_repeats,
+    }
+    overrides = {
+        "granularity": batch, "mvcc": batch, "ssi": batch,
+        "ssi_false_positives": {"xs": sizes},
+        "scaling": {k: v for k, v in scaling.items() if v is not None},
+    }
+    code = 0
+    if not args.scaling_only:
+        code |= run_arms(
+            [arm for arm in ARMS.values() if arm is not SCALING],
+            overrides, json_out=args.json_out,
         )
-        if problems:
-            print("\nSHAPE CHECK FAILURES:")
-            for problem in problems:
-                print(f"  - {problem}")
-            raise SystemExit(1)
-        print("shape checks: OK (process executor >= 2x threaded pool at the "
-              "top shard count, enforced on hosts with >= "
-              f"{SCALING_MIN_CORES} cores)")
-        return
-    sizes = (
-        tuple(int(s) for s in args.sizes.split(","))
-        if args.sizes else FULL_SIZES
-    )
-    results = run(sizes=sizes, n_accounts=args.accounts)
-    for table in results.values():
-        print(table.render())
-        print()
-    print("speedup (fine/table): " + ", ".join(
-        f"n={int(x)}: {ratio:.2f}x" for x, ratio in
-        speedup_series(results["throughput"]).points
-    ))
-    problems = check_shapes(results)
-
-    mvcc_results = run_mvcc(sizes=sizes, n_accounts=args.accounts)
-    print()
-    for table in mvcc_results.values():
-        print(table.render())
-        print()
-    print("speedup (mvcc/2pl): " + ", ".join(
-        f"n={int(x)}: {ratio:.2f}x" for x, ratio in
-        mvcc_speedup_series(mvcc_results["throughput"]).points
-    ))
-    problems += check_mvcc_shapes(mvcc_results)
-
-    ssi_results = run_ssi(sizes=sizes, n_accounts=args.accounts)
-    print()
-    for table in ssi_results.values():
-        print(table.render())
-        print()
-    print("abort tax (ssi/snapshot throughput): " + ", ".join(
-        f"n={int(x)}: {ratio:.2f}x" for x, ratio in
-        ssi_abort_tax_series(ssi_results["throughput"]).points
-    ))
-    problems += check_ssi_shapes(ssi_results)
-
-    shard_results = run_shards()
-    print()
-    for table in shard_results.values():
-        print(table.render())
-        print()
-    for arm in (DISJOINT_ARM, CROSS_SHARD_ARM):
-        print(f"scaling ({arm}): " + ", ".join(
-            f"shards={int(x)}: {ratio:.2f}x" for x, ratio in
-            shard_scaling_series(shard_results["throughput"], arm).points
-        ))
-    problems += check_shard_shapes(shard_results)
-
-    fp_results = run_ssi_false_positives(sizes=sizes)
-    print()
-    for table in fp_results.values():
-        print(table.render())
-        print()
-    problems += check_ssi_false_positive_shapes(fp_results)
-
-    wall_results = run_wallclock()
-    print()
-    for table in wall_results.values():
-        print(table.render())
-        print()
-    print("wall-clock speedup (pool/serial@1): " + ", ".join(
-        f"shards={n}: {ratio:.2f}x" for n, ratio in
-        wallclock_speedup(wall_results)
-    ))
-    problems += check_wallclock_shapes(wall_results)
-
-    range_results = run_range()
-    print()
-    for table in range_results.values():
-        print(table.render())
-        print()
-    print("range speedup (b+tree/hash-only): " + ", ".join(
-        f"shards={int(x)}: {ratio:.2f}x" for x, ratio in
-        range_speedup_series(range_results["throughput"]).points
-    ))
-    problems += check_range_shapes(range_results)
-
-    if args.scaling_out:
-        print()
-        problems += run_scaling_cli(
-            shard_counts=scaling_shards,
-            transactions=args.scaling_transactions,
-            repeats=args.scaling_repeats,
-            json_out=args.scaling_out,
+    if args.scaling_only or args.scaling_out:
+        code |= run_arms(
+            [SCALING], overrides, json_out=args.scaling_out,
+            extra={"cpu_count": os.cpu_count()},
         )
-
-    if args.json_out:
-        import json
-
-        document = results_to_json(
-            {
-                "granularity": results,
-                "mvcc": mvcc_results,
-                "ssi": ssi_results,
-                "shards": shard_results,
-                "ssi_false_positives": fp_results,
-                "wallclock": wall_results,
-                "range": range_results,
-            },
-            extra={
-                "range_speedup": range_speedup_series(
-                    range_results["throughput"]
-                ).points,
-                "shape_check_failures": problems,
-            },
-        )
-        with open(args.json_out, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nwrote {args.json_out}")
-
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for problem in problems:
-            print(f"  - {problem}")
-        raise SystemExit(1)
-    print("shape checks: OK (no fine-grained lock waits; >= 1.5x throughput; "
-          "zero snapshot read locks/waits/restarts; ssi serializable with "
-          "zero read locks and a real, bounded abort tax; disjoint-key "
-          "throughput >= 2x at 4 shards with a visible cross-shard prepare "
-          "tax; ssi false-positive share within bounds; wall-clock >= 2x at "
-          "4 shards under the per-shard thread pool; indexed range scans "
-          ">= 5x over seq scans with zero table S locks at 1/2/4 shards)")
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -27,11 +27,7 @@ from __future__ import annotations
 import argparse
 from typing import Sequence
 
-from repro.bench.harness import (
-    make_travel_env,
-    require_all_committed,
-    run_single_batch,
-)
+from repro.bench.harness import drive, make_travel_env, report, travel_scripts
 from repro.sim.metrics import Measurements
 from repro.workloads.programs import WorkloadKind, generate_workload
 from repro.workloads.socialnet import SocialNetwork
@@ -68,9 +64,11 @@ def run(
                 seed=seed,
             )
             items = generate_workload(kind, env.travel, transactions)
-            result = run_single_batch(env, items)
-            require_all_committed(result, f"fig6a {kind.value} c={connections}")
-            measurements.add(kind.value, connections, result.elapsed)
+            point = drive(
+                env.client, travel_scripts(items),
+                label=f"fig6a {kind.value} c={connections}",
+            )
+            measurements.add(kind.value, connections, point.elapsed)
     return measurements
 
 
@@ -129,14 +127,10 @@ def main() -> None:
         transactions=args.transactions,
         n_users=args.users,
     )
-    print(measurements.render())
-    problems = check_shapes(measurements)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for problem in problems:
-            print(f"  - {problem}")
-        raise SystemExit(1)
-    print("\nshape checks: OK (inverse scaling; E>=S>=N; T-gap ≈ Q-gap)")
+    raise SystemExit(report(
+        {"fig6a": {"time": measurements}}, check_shapes(measurements),
+        ok="inverse scaling; E>=S>=N; T-gap ≈ Q-gap",
+    ))
 
 
 if __name__ == "__main__":

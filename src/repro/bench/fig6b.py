@@ -26,9 +26,8 @@ from __future__ import annotations
 import argparse
 from typing import Sequence
 
-from repro.bench.harness import make_travel_env, submit_and_drain
+from repro.bench.harness import drive, make_travel_env, report, travel_scripts
 from repro.core.policies import ArrivalCountPolicy
-from repro.errors import BenchError
 from repro.sim.metrics import Measurements
 from repro.workloads.batches import build_pending_plan
 from repro.workloads.socialnet import SocialNetwork
@@ -64,14 +63,13 @@ def run(
             plan = build_pending_plan(
                 env.travel, pending=pending, total=total
             )
-            result = submit_and_drain(env, plan.all_items(), tick_each=True)
-            if result.unfinished or result.timed_out:
-                raise BenchError(
-                    f"fig6b p={pending} f={frequency}: "
-                    f"{result.unfinished} unfinished / {result.timed_out} "
-                    f"timed out (plan should complete everything)"
-                )
-            measurements.add(f"f={frequency}", pending, result.elapsed)
+            # The plan should complete everything (aborts are terminal too).
+            point = drive(
+                env.client, travel_scripts(plan.all_items()),
+                label=f"fig6b p={pending} f={frequency}",
+                tick_each=True, allow_aborts=True,
+            )
+            measurements.add(f"f={frequency}", pending, point.elapsed)
     return measurements
 
 
@@ -122,15 +120,10 @@ def main() -> None:
     grid = PAPER_PENDING if args.paper_grid else FAST_PENDING
     grid = tuple(p for p in grid if args.total >= 2 * p + 2)
     measurements = run(pending_grid=grid, total=args.total, n_users=args.users)
-    print(measurements.render())
-    problems = check_shapes(measurements)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for problem in problems:
-            print(f"  - {problem}")
-        raise SystemExit(1)
-    print("\nshape checks: OK (linear in p; f=1 >= f=10 >= f=50; "
-          "steepest slope at f=1)")
+    raise SystemExit(report(
+        {"fig6b": {"time": measurements}}, check_shapes(measurements),
+        ok="linear in p; f=1 >= f=10 >= f=50; steepest slope at f=1",
+    ))
 
 
 if __name__ == "__main__":

@@ -29,9 +29,8 @@ from __future__ import annotations
 import argparse
 from typing import Sequence
 
-from repro.bench.harness import make_travel_env, submit_and_drain
+from repro.bench.harness import drive, make_travel_env, report, travel_scripts
 from repro.core.policies import ArrivalCountPolicy
-from repro.errors import BenchError
 from repro.sim.metrics import Measurements
 from repro.workloads.socialnet import SocialNetwork
 from repro.workloads.structures import StructureKind, generate_structures
@@ -73,18 +72,16 @@ def run(
                     policy=ArrivalCountPolicy(frequency),
                 )
                 items = generate_structures(env.travel, structure, k, instances)
-                result = submit_and_drain(env, items, tick_each=True)
-                if result.unfinished or result.timed_out:
-                    raise BenchError(
-                        f"fig6c {structure.value} k={k} f={frequency}: "
-                        f"{result.unfinished} unfinished / "
-                        f"{result.timed_out} timed out"
-                    )
+                point = drive(
+                    env.client, travel_scripts(items),
+                    label=f"fig6c {structure.value} k={k} f={frequency}",
+                    tick_each=True, allow_aborts=True,
+                )
                 name = f"{structure.value}, f={frequency}"
                 # Normalize to the per-transaction-constant workload: the
                 # instance count rounding makes totals differ by < k txns.
                 scale = total_transactions / (instances * k)
-                measurements.add(name, k, result.elapsed * scale)
+                measurements.add(name, k, point.elapsed * scale)
     return measurements
 
 
@@ -137,14 +134,10 @@ def main() -> None:
         total_transactions=args.total_transactions,
         n_users=args.users,
     )
-    print(measurements.render())
-    problems = check_shapes(measurements)
-    if problems:
-        print("\nSHAPE CHECK FAILURES:")
-        for problem in problems:
-            print(f"  - {problem}")
-        raise SystemExit(1)
-    print("\nshape checks: OK (small slope; f=10 >= f=50; Cycle >= Spoke-hub)")
+    raise SystemExit(report(
+        {"fig6c": {"time": measurements}}, check_shapes(measurements),
+        ok="small slope; f=10 >= f=50; Cycle >= Spoke-hub",
+    ))
 
 
 if __name__ == "__main__":

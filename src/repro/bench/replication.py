@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 
-from repro.bench.contention import results_to_json
+from repro.bench.harness import report
 from repro.bench.traffic import (
     TRAFFIC_CONNECTIONS,
     poisson_arrivals,
@@ -271,8 +270,8 @@ def run(
     seed: int = 7,
     verbose: bool = True,
 ) -> "dict[str, dict[str, Measurements]]":
-    """All three arms; returns the
-    :func:`~repro.bench.contention.results_to_json` shape."""
+    """All three arms; returns the ``{arm: {table: Measurements}}``
+    shape :func:`~repro.bench.harness.report` renders and serializes."""
     mu0 = estimate_capacity(shards=shards, seed=seed)
     if verbose:
         print(f"[replication] replicas=0 capacity μ₀ = {mu0:.1f}/s")
@@ -486,14 +485,12 @@ def main() -> None:
         seed=args.seed,
     )
     print()
-    for tables in groups.values():
-        for table in tables.values():
-            print(table.render())
-            print()
-
     problems = check_replication_shapes(groups)
-    if args.json_out:
-        document = results_to_json(groups, extra={
+    raise SystemExit(report(
+        groups, problems, json_out=args.json_out, enforce=args.check,
+        ok="follower reads scale; read-your-writes never stale; lag "
+           "tracks the configured apply lag; failover loses nothing",
+        extra={
             "bench": "replication",
             "n_arrivals": args.arrivals,
             "deadline": args.deadline,
@@ -501,15 +498,8 @@ def main() -> None:
             "replica_counts": list(replica_counts),
             "read_service_cost": READ_SERVICE_COST,
             "shape_check": {"passed": not problems, "problems": problems},
-        })
-        with open(args.json_out, "w") as fh:
-            json.dump(document, fh, indent=2)
-        print(f"wrote {args.json_out}")
-    if problems:
-        for problem in problems:
-            print(f"SHAPE VIOLATION: {problem}")
-        if args.check:
-            raise SystemExit(1)
+        },
+    ))
 
 
 if __name__ == "__main__":

@@ -55,12 +55,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import heapq
-import json
 import math
 import random
 from dataclasses import dataclass, field
 
-from repro.bench.contention import results_to_json
+from repro.bench.harness import report
 from repro.client import AdmissionConfig, RetryPolicy, connect
 from repro.core.engine import EngineConfig
 from repro.errors import OverloadError, WorkloadError
@@ -510,7 +509,7 @@ def run(
     """The full experiment: each arm, each load point, shed vs. not.
 
     Returns ``{arm: {table: Measurements}}`` — the shape
-    :func:`repro.bench.contention.results_to_json` serializes.  Each
+    :func:`repro.bench.harness.report` renders and serializes.  Each
     arm gets four tables: ``goodput`` (offered vs. goodput for the
     no-admission, admission and serializable-with-admission arms),
     ``latency`` (p50/p95/p99 with admission), ``admission`` (shed
@@ -762,14 +761,11 @@ def main() -> None:
         seed=args.seed,
     )
     print()
-    for tables in groups.values():
-        for table in tables.values():
-            print(table.render())
-            print()
-
     problems = check_traffic_shapes(groups)
-    if args.json_out:
-        document = results_to_json(groups, extra={
+    raise SystemExit(report(
+        groups, problems, json_out=args.json_out, enforce=args.check,
+        ok="goodput curves and SSI precision coherent on every arm",
+        extra={
             "bench": "traffic",
             "deadline": args.deadline,
             "queue_depth": args.queue_depth if args.queue_depth is not None
@@ -777,15 +773,8 @@ def main() -> None:
             "n_arrivals": args.arrivals,
             "retry": dataclasses.asdict(retry) if retry is not None else None,
             "shape_check": {"passed": not problems, "problems": problems},
-        })
-        with open(args.json_out, "w") as fh:
-            json.dump(document, fh, indent=2)
-        print(f"wrote {args.json_out}")
-    if problems:
-        for problem in problems:
-            print(f"SHAPE VIOLATION: {problem}")
-        if args.check:
-            raise SystemExit(1)
+        },
+    ))
 
 
 if __name__ == "__main__":

@@ -296,8 +296,8 @@ def connect(
     suites against process-backed shards.
 
     ``config`` (optional) supplies every other engine tunable; its
-    ``isolation``/``shards``/``executor`` fields are overridden by the
-    explicit arguments above.
+    ``isolation``/``executor`` fields are overridden by the explicit
+    arguments above.
 
     ``admission`` (optional) enables admission control — bounded session
     pool, per-session rate limits, and queue-depth shedding with the
@@ -401,7 +401,6 @@ def connect(
         dataclasses.replace(config) if config is not None else EngineConfig()
     )
     engine_config.isolation = isolation
-    engine_config.shards = store.n_shards
     # Process mode still wants the per-shard dispatch threads: they
     # spend their shard's statement time blocked on the transport
     # (GIL released), which is what lets N worker processes run

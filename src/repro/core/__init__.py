@@ -28,7 +28,6 @@ from repro.core.interpreter import (
     deliver_answer,
     run_until_block,
 )
-from repro.core.middleware import TransactionTicket, Youtopia
 from repro.core.policies import (
     ArrivalCountPolicy,
     ManualPolicy,
@@ -65,10 +64,8 @@ __all__ = [
     "ScheduleRecorder",
     "StepOutcome",
     "TimeIntervalPolicy",
-    "TransactionTicket",
     "TxnPhase",
     "TxnStats",
-    "Youtopia",
     "deliver_answer",
     "find_partial_groups",
     "recover_entangled",

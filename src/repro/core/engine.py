@@ -31,7 +31,7 @@ from typing import Iterable
 
 from repro.analysis.latch import Latch
 from repro.core.executor import ShardExecutor
-from repro.core.groups import GroupTracker
+from repro.core.groups import GroupTracker, commit_group
 from repro.core.interpreter import (
     NullCostTap,
     StepOutcome,
@@ -124,11 +124,6 @@ class EngineConfig:
     costs: CostModel | None = None
     record_schedule: bool = False
     persist_state: bool = False
-    #: storage shard count used when no store is injected: >1 builds a
-    #: :class:`~repro.storage.sharding.ShardedStorageEngine` (per-shard
-    #: oracles/WALs/locks, vector snapshots, cross-shard two-phase
-    #: commit) instead of a single StorageEngine.
-    shards: int = 1
     #: real-thread execution: dispatch each transaction's execution and
     #: commit onto its home shard's worker thread
     #: (:class:`~repro.core.executor.ShardExecutor`), so disjoint-shard
@@ -245,14 +240,14 @@ class DrainReports(list):
 
 
 class EntangledTransactionEngine:
-    """The middle tier supporting entanglement (Figure 5).
+    """The middle tier supporting entanglement (Figure 5): the run-based
+    scheduler over one storage ensemble.
 
-    .. deprecated:: 1.1
-        Legacy entry point, kept as a thin adapter for one release of
-        back-compat.  New code should use :func:`repro.connect`: a
-        :class:`repro.client.Client` owns this engine and exposes batch
-        scripts through ``Session.run_script`` without the construction
-        boilerplate.
+    Internal: :func:`repro.connect` builds it (and crash recovery
+    rebuilds it) around the store it is handed; a
+    :class:`repro.client.Client` owns it and exposes batch scripts
+    through ``Session.run_script``.  Reach it as ``client.engine`` when
+    a test or bench needs scheduler internals.
     """
 
     POOL_TABLE = "_youtopia_pool"
@@ -261,17 +256,12 @@ class EntangledTransactionEngine:
 
     def __init__(
         self,
-        store: StorageEngine | None = None,
+        store: StorageEngine,
         config: EngineConfig | None = None,
         policy: RunPolicy | None = None,
     ):
         self.config = config or EngineConfig()
-        if store is not None:
-            self.store = store
-        else:
-            from repro.storage.sharding import build_storage_engine
-
-            self.store = build_storage_engine(self.config.shards)
+        self.store = store
         self.policy = policy or ManualPolicy()
         self.executor = (
             ShardExecutor(self.store.n_shards) if self.config.executor else None
@@ -991,37 +981,26 @@ class EntangledTransactionEngine:
 
         def commit_unit(members: list[EntangledTransaction]) -> None:
             # A unit of one cannot widow: let its commit raise (and
-            # classify the failure) directly.  Larger units validate and
-            # commit inside the store's commit funnel, so no concurrent
-            # worker's commit can wedge between the group validation and
-            # the members' commits.
+            # classify the failure) directly.  Larger units go through
+            # the shared group-commit routine.
             if len(members) == 1:
                 self._commit_transaction(members[0], report)
                 return
-            committed: list[int] = []
-            with self.store.commit_funnel():
-                storage_txns = [
-                    m.storage_txn for m in members if m.storage_txn is not None
-                ]
-                if self.store.serialization_doomed_group(storage_txns):
-                    for member in members:
-                        with self._report_lock:
-                            member.stats.ssi_aborts += 1
-                            report.ssi_aborts += 1
-                        self._abort_attempt(
-                            member, retry=True, report=report,
-                            reason="serialization failure (SSI pre-commit "
-                                   "group validation)")
-                    return
-                # Members commit with their WAL flushes *deferred*: the
-                # funnel must never be held across an fsync (it stalls
-                # every other session's commit), so the physical flushes
-                # run below, after the funnel is released — one merged
-                # flush per shard log, the classic group-commit batch.
+            outcome = commit_group(
+                self.store, members, before=self._stage_commit,
+                after=lambda member: self._record_commit(member, report),
+            )
+            if outcome.doomed:
                 for member in members:
-                    if self._commit_transaction(member, report, flush=False):
-                        committed.append(member.storage_txn)
-            self.store.flush_commits(committed)
+                    with self._report_lock:
+                        member.stats.ssi_aborts += 1
+                        report.ssi_aborts += 1
+                    self._abort_attempt(
+                        member, retry=True, report=report,
+                        reason="serialization failure (SSI pre-commit "
+                               "group validation)")
+            elif outcome.failed is not None:
+                self._commit_rejected(outcome.failed, report)
 
         if self.executor is None or len(units) <= 1:
             for unit in units:
@@ -1052,54 +1031,63 @@ class EntangledTransactionEngine:
                 self.groups.register(txn.handle)
 
     def _commit_transaction(
-        self,
-        txn: EntangledTransaction,
-        report: RunReport,
-        *,
-        flush: bool = True,
-    ) -> bool:
-        """Commit one member; returns True iff the storage commit stuck.
-
-        ``flush=False`` is the group-commit path: the caller holds the
-        commit funnel and flushes the members' WALs itself afterwards
-        via :meth:`~repro.storage.engine.StorageEngine.flush_commits`.
-        """
-        assert txn.storage_txn is not None
-        if self.config.persist_state:
-            group = sorted(self.groups.group_of(txn.handle))
-            group_storage = [
-                self.transaction(h).storage_txn for h in group
-            ]
-            group_id = min(s for s in group_storage if s is not None)
-            self.store.insert(
-                txn.storage_txn,
-                self.COMMITS_TABLE,
-                (txn.storage_txn, group_id, len(group)),
-            )
-            # Remove the dormant-pool row *inside* the user transaction so
-            # commit and pool removal are atomic: a crash can never leave
-            # a committed transaction still queued for re-execution.  The
-            # pk-pinned WHERE keeps this a row+key delete, so concurrent
-            # group commits don't serialize on the pool table.
-            schema = self.store.db.table(self.POOL_TABLE).schema
-            index = schema.column_index("handle")
-            handle = txn.handle
-            self.store.delete_where(
-                txn.storage_txn, self.POOL_TABLE,
-                lambda row: row.values[index] == handle,
-                where=Cmp(CmpOp.EQ, Col("handle"), Const(handle)),
-            )
+        self, txn: EntangledTransaction, report: RunReport
+    ) -> None:
+        """Commit a unit of one, flushing its WAL in the commit itself."""
+        self._stage_commit(txn)
         try:
-            self.store.commit(txn.storage_txn, flush=flush)
+            self.store.commit(txn.storage_txn)
         except SerializationFailureError:
-            # SSI rejected the commit: the attempt aborts and retries,
-            # exactly like a write conflict discovered one step earlier.
-            with self._report_lock:
-                txn.stats.ssi_aborts += 1
-            self._abort_attempt(
-                txn, retry=True, report=report,
-                reason="serialization failure (SSI dangerous structure)")
-            return False
+            self._commit_rejected(txn, report)
+            return
+        self._record_commit(txn, report)
+
+    def _stage_commit(self, txn: EntangledTransaction) -> None:
+        """The stateless-middleware writes that ride inside the user
+        transaction, just before its storage commit."""
+        assert txn.storage_txn is not None
+        if not self.config.persist_state:
+            return
+        group = sorted(self.groups.group_of(txn.handle))
+        group_storage = [
+            self.transaction(h).storage_txn for h in group
+        ]
+        group_id = min(s for s in group_storage if s is not None)
+        self.store.insert(
+            txn.storage_txn,
+            self.COMMITS_TABLE,
+            (txn.storage_txn, group_id, len(group)),
+        )
+        # Remove the dormant-pool row *inside* the user transaction so
+        # commit and pool removal are atomic: a crash can never leave
+        # a committed transaction still queued for re-execution.  The
+        # pk-pinned WHERE keeps this a row+key delete, so concurrent
+        # group commits don't serialize on the pool table.
+        schema = self.store.db.table(self.POOL_TABLE).schema
+        index = schema.column_index("handle")
+        handle = txn.handle
+        self.store.delete_where(
+            txn.storage_txn, self.POOL_TABLE,
+            lambda row: row.values[index] == handle,
+            where=Cmp(CmpOp.EQ, Col("handle"), Const(handle)),
+        )
+
+    def _commit_rejected(
+        self, txn: EntangledTransaction, report: RunReport
+    ) -> None:
+        """SSI rejected the commit itself: the attempt aborts and
+        retries, exactly like a write conflict discovered one step
+        earlier."""
+        with self._report_lock:
+            txn.stats.ssi_aborts += 1
+        self._abort_attempt(
+            txn, retry=True, report=report,
+            reason="serialization failure (SSI dangerous structure)")
+
+    def _record_commit(
+        self, txn: EntangledTransaction, report: RunReport
+    ) -> None:
+        """Bookkeeping for a storage commit that stuck."""
         txn.stats.shards_touched = self.store.shards_touched(txn.storage_txn)
         if self.config.costs is not None:
             # Charge the commit flush to every shard the transaction
@@ -1118,7 +1106,6 @@ class EntangledTransactionEngine:
         txn.mark_committed()
         with self._report_lock:
             report.committed.append(txn.handle)
-        return True
 
     def _abort_attempt(
         self,

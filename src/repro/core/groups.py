@@ -10,11 +10,16 @@ such a group must either commit or abort."
 actual entanglement *edges* (not just a union-find) so that removing a
 transaction — when a failed attempt is reset for retry — removes exactly
 the links contributed by that transaction, including any bridging links.
+:func:`commit_group` is the one routine that commits such a group, for
+the batch engine and the interactive broker alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple, Sequence
+
+from repro.errors import SerializationFailureError
 
 
 @dataclass
@@ -89,3 +94,64 @@ class GroupTracker:
     def clear(self) -> None:
         self._adjacency.clear()
         self._edges.clear()
+
+
+class GroupCommit(NamedTuple):
+    """What :func:`commit_group` did."""
+
+    #: storage transactions whose commit stuck (already flushed).
+    committed: list[int]
+    #: the member whose own commit raised ``SerializationFailureError``
+    #: (the members after it were not attempted), or ``None``.
+    failed: Any
+    #: the group failed SSI validation as a unit; nothing committed.
+    doomed: bool
+
+
+def commit_group(
+    store,
+    members: Sequence[Any],
+    *,
+    before: "Callable[[Any], None] | None" = None,
+    after: "Callable[[Any], None] | None" = None,
+) -> GroupCommit:
+    """Commit an entanglement group (``members`` expose ``storage_txn``)
+    as one widow-free unit.
+
+    The rule, written once: inside the store's commit funnel — so no
+    concurrent commit can wedge between the validation and the members'
+    commits — a group of more than one is first SSI-validated
+    *atomically* (the simulation includes the edges the group's own
+    earlier members create; committing members one by one and failing
+    midway would leave the earlier ones durably committed while the rest
+    abort), then each member commits with its WAL flush *deferred*.  The
+    funnel is never held across an fsync: the physical flushes run after
+    it is released, one merged batch per shard log — and on the failure
+    path too, because members that did commit before a failure must
+    still become durable.
+
+    ``before(member)`` / ``after(member)`` run inside the funnel around
+    each member's commit (staging writes; commit bookkeeping).  Abort
+    and report bookkeeping for a doomed group or a failed member is the
+    caller's, after this returns.
+    """
+    committed: list[int] = []
+    try:
+        with store.commit_funnel():
+            if len(members) > 1 and store.serialization_doomed_group(
+                [member.storage_txn for member in members]
+            ):
+                return GroupCommit(committed, None, True)
+            for member in members:
+                if before is not None:
+                    before(member)
+                try:
+                    store.commit(member.storage_txn, flush=False)
+                except SerializationFailureError:
+                    return GroupCommit(committed, member, False)
+                committed.append(member.storage_txn)
+                if after is not None:
+                    after(member)
+    finally:
+        store.flush_commits(committed)
+    return GroupCommit(committed, None, False)

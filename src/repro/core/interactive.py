@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.latch import Latch
-from repro.core.groups import GroupTracker
+from repro.core.groups import GroupTracker, commit_group
 from repro.entangled.answers import QueryAnswer
 from repro.entangled.evaluator import QueryOutcome, evaluate_batch
-from repro.errors import MiddlewareError, SerializationFailureError
+from repro.errors import MiddlewareError
 from repro.sql.ast import EntangledSelectStmt, SelectStmt, Statement
 from repro.sql.compiler import compile_entangled, compile_select
 from repro.sql.parser import parse_statement
@@ -223,32 +223,22 @@ class InteractiveSession:
 class InteractiveBroker:
     """Coordinates entangled queries across interactive sessions.
 
-    .. deprecated:: 1.1
-        Legacy entry point, kept as a thin adapter for one release of
-        back-compat.  New code should use :func:`repro.connect`: a
-        :class:`repro.client.Session`'s ``execute()`` subsumes this
-        broker (parked queries come back as awaitable/pollable
-        :class:`~repro.client.PendingAnswer` objects, and
-        ``Client.pump()`` drives the matching rounds).
+    Internal: :func:`repro.connect` gives every
+    :class:`repro.client.Client` one over its store.  A
+    :class:`repro.client.Session`'s ``execute()`` is the
+    public face (parked queries come back as awaitable/pollable
+    :class:`~repro.client.PendingAnswer` objects, and ``Client.pump()``
+    drives the matching rounds).  Over a sharded store, sessions
+    transparently get vector snapshots and cross-shard group commits
+    run the ordered two-phase prepare per member.
     """
 
     def __init__(
         self,
-        store: StorageEngine | None = None,
+        store: StorageEngine,
         default_isolation: TxnIsolation = TxnIsolation.TWO_PL,
-        *,
-        shards: int = 1,
     ):
-        """``shards > 1`` (when no store is injected) backs the broker
-        with a :class:`~repro.storage.sharding.ShardedStorageEngine`:
-        sessions transparently get vector snapshots and cross-shard
-        group commits run the ordered two-phase prepare per member."""
-        if store is not None:
-            self.store = store
-        else:
-            from repro.storage.sharding import build_storage_engine
-
-            self.store = build_storage_engine(shards)
+        self.store = store
         self.default_isolation = default_isolation
         self.groups = GroupTracker()
         self._sessions: dict[int, InteractiveSession] = {}
@@ -372,12 +362,12 @@ class InteractiveBroker:
     def _try_group_commit(self, session: InteractiveSession) -> None:
         """Commit the whole group once every member requested commit.
 
-        SSI validation runs first, on the group *as one atomic unit*
-        (edges the group's own earlier commits would create included):
-        a group any member of which would fail aborts whole, before any
-        member commits — keeping widows impossible.  The per-commit
-        guard below is a defense-in-depth net for failures the
-        simulation could not foresee.
+        :func:`~repro.core.groups.commit_group` validates the group as
+        one atomic SSI unit before any member commits — keeping widows
+        impossible — and its per-commit guard is a defense-in-depth net
+        for failures the simulation could not foresee.  The members'
+        logs are flushed before the sessions report COMMITTED state to
+        any client (the broker mutex is still held here).
         """
         with self._mutex:
             group = self.groups.group_of(session.session_id)
@@ -387,41 +377,21 @@ class InteractiveBroker:
                 m.state is SessionState.COMMIT_PENDING for m in members
             ):
                 return
-            # A group of one cannot widow; larger groups are validated as
-            # a unit — inside the store's commit funnel, so a concurrent
-            # thread's commit cannot wedge between the validation and
-            # the members' commits.
-            committed: list[int] = []
-            with self.store.commit_funnel():
-                if len(members) > 1 and self.store.serialization_doomed_group(
-                    [m.storage_txn for m in members]
-                ):
-                    # Aborting one member cascades to the whole group;
-                    # surface the failure as ABORTED sessions the clients
-                    # can retry.
-                    members[0].abort()
-                    return
-                # WAL flushes are deferred past the funnel (it must not
-                # be held across an fsync); the members' logs flush in
-                # one merged batch below, before the sessions report
-                # COMMITTED state to any client.
-                failed = False
+
+            def mark_committed(member: InteractiveSession) -> None:
+                member.state = SessionState.COMMITTED
+
+            outcome = commit_group(self.store, members, after=mark_committed)
+            # Aborting one member cascades to (what is left of) the
+            # group; the failure surfaces as ABORTED sessions the
+            # clients can retry.
+            if outcome.doomed:
+                members[0].abort()
+            elif outcome.failed is not None:
+                outcome.failed.abort()
+            else:
                 for member in members:
-                    try:
-                        self.store.commit(member.storage_txn, flush=False)
-                    except SerializationFailureError:
-                        member.abort()
-                        failed = True
-                        break
-                    committed.append(member.storage_txn)
-                    member.state = SessionState.COMMITTED
-            # Outside the funnel (even on the failure path: members that
-            # did commit before the failure must still become durable).
-            self.store.flush_commits(committed)
-            if failed:
-                return
-            for member in members:
-                self.groups.forget(member.session_id)
+                    self.groups.forget(member.session_id)
 
     def _on_abort(self, session: InteractiveSession) -> None:
         """Widow prevention: aborting a session aborts its whole group."""

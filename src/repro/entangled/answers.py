@@ -100,11 +100,3 @@ class QueryAnswer:
         if not self.tuples:
             raise AnswerRelationError(f"query {self.query_id} has an empty answer")
         return self.tuples[0]
-
-    def for_relation(self, relation: str) -> GroundAtom:
-        for atom in self.tuples:
-            if atom.relation == relation:
-                return atom
-        raise AnswerRelationError(
-            f"query {self.query_id} has no answer for relation {relation!r}"
-        )

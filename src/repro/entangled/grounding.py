@@ -47,9 +47,6 @@ class Grounding:
     heads: tuple[GroundAtom, ...]
     postconditions: tuple[GroundAtom, ...]
 
-    def valuation_dict(self) -> dict[str, "SQLValue | None"]:
-        return dict(self.valuation)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         c = ", ".join(str(a) for a in self.postconditions)
         h = " ∧ ".join(str(a) for a in self.heads)

@@ -470,24 +470,6 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
                 return []
         return super().abort(txn)
 
-    # -- reporting ---------------------------------------------------------------------
-
-    def follower_stats(self) -> list[list[dict[str, int]]]:
-        """Per-shard, per-replica positions (telemetry/bench)."""
-        return [
-            [
-                {
-                    "received_lsn": f.received_lsn,
-                    "durable_lsn": f.durable_lsn,
-                    "applied_lsn": f.applied_lsn,
-                    "applied_commit_ts": f.applied_commit_ts,
-                    "applied_count": f.applied_count,
-                }
-                for f in row
-            ]
-            for row in self.followers
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ReplicatedStorageEngine(n_shards={self.n_shards}, "

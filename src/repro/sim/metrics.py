@@ -43,6 +43,9 @@ class Measurements:
     x_label: str
     y_label: str
     series: dict[str, MetricSeries] = field(default_factory=dict)
+    #: which clock the y values were measured on: ``"virtual"`` (cost
+    #: model seconds — shapes, not speed) or ``"wall"`` (real seconds).
+    clock: str = "virtual"
 
     def series_named(self, name: str) -> MetricSeries:
         if name not in self.series:
@@ -88,24 +91,6 @@ class Measurements:
             if r == 0:
                 lines.append("-" * len(line))
         return "\n".join(lines)
-
-
-def ratio_series(
-    numerator: MetricSeries, denominator: MetricSeries, name: str = "ratio"
-) -> MetricSeries:
-    """Pointwise numerator/denominator over their shared x values.
-
-    The ablation benchmarks use this to turn two measured curves (e.g.
-    committed throughput under fine-grained vs. table locking) into a
-    plot-ready speedup curve.
-    """
-    series = MetricSeries(name)
-    denominator_at = dict(denominator.points)
-    for x, y in numerator.points:
-        base = denominator_at.get(x)
-        if base:
-            series.add(x, y / base)
-    return series
 
 
 def percentile(values: Iterable[float], q: float) -> float:

@@ -33,11 +33,6 @@ class Database:
         self._tables[schema.name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise UnknownTableError(f"no table {name!r}")
-        del self._tables[name]
-
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
@@ -103,15 +98,6 @@ class Database:
             if mine != theirs:
                 return False
         return True
-
-    def clone(self, name: str | None = None) -> "Database":
-        """A deep copy with identical schemas and contents (fresh rids
-        are *not* assigned: snapshot/restore preserves rids)."""
-        copy = Database(name or f"{self.name}-clone")
-        for schema in self.schemas():
-            copy.create_table(schema)
-        copy.restore(self.snapshot())
-        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sizes = ", ".join(f"{n}:{len(self._tables[n])}" for n in sorted(self._tables))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 from repro.errors import CompileError, UnknownColumnError
 from repro.storage.expressions import Cmp, CmpOp, Col, Expr, split_conjuncts
@@ -250,37 +250,6 @@ def index_path_for(
         if all(c in bindings for c in cols):
             return tuple(cols), tuple(bindings[c] for c in cols), False
     return None
-
-
-def _candidate_rows(
-    ref_name: str,
-    table: Table,
-    bindings: Mapping[str, "SQLValue | None"],
-    observe: "ReadObserver",
-) -> Iterable[Row]:
-    """Choose the cheapest access path for the given equality bindings.
-
-    Every access is reported to ``observe`` before its rows are returned:
-    the probed index key (even on a miss — the caller's lock then guards
-    the gap) and each row an index probe produced.  Full scans report only
-    the table; the table-granularity lock covers every row.
-    """
-    path = index_path_for(table, bindings)
-    if path is None:
-        observe(ReadAccess.scan(ref_name))
-        return table.scan()
-    cols, key, is_pk = path
-    observe(ReadAccess.index_key(ref_name, table.canonical_index(cols), key))
-    if is_pk:
-        row = table.lookup_pk(key)
-        # Residual equality columns still need checking; the caller's
-        # predicate re-check covers that.
-        rows = [row] if row is not None else []
-    else:
-        rows = table.lookup_index(cols, key)
-    for row in rows:
-        observe(ReadAccess.row(ref_name, row.rid))
-    return rows
 
 
 def evaluate(

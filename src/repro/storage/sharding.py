@@ -169,62 +169,82 @@ def _merge_key_order(
 
 
 class ShardedTableView:
-    """The live union of one table's shard-local fragments.
+    """The union of one table's shard-local parts — live, or at a vector
+    of shard timestamps.
 
     Implements the read interface the SPJ evaluator (and the grounding
     facade) consume: pk probes route to the key's home shard, index
     probes and scans union every shard, all in deterministic rid order.
+
+    One class serves both providers; what differs is how a shard's part
+    is obtained.  Live (``vector is None``): the shard's table, read
+    under that shard's engine mutex (one shard at a time, never nested)
+    so a concurrent worker-thread write to another row of the table
+    cannot upset the traversal.  Snapshot: the engine's versioned-read
+    chokepoint ``_snapshot_view(i, name, txn, vector[i])`` — the single
+    seam replicated and process-backed engines override — whose views
+    serialize their own reads.
     """
 
-    def __init__(self, engine: "ShardedStorageEngine", name: str):
+    def __init__(
+        self, engine: "ShardedStorageEngine", name: str,
+        txn: "int | None" = None, vector: "Sequence[int] | None" = None,
+    ):
         self._engine = engine
         self._name = name
-        self.schema = engine.shards[0].db.table(name).schema
+        self._txn = txn
+        self._vector = None if vector is None else tuple(vector)
+        self.schema = self._catalog_table().schema
 
     @property
     def name(self) -> str:
         return self._name
 
-    def _tables(self) -> list[Table]:
-        return [s.db.table(self._name) for s in self._engine.shards]
+    def _catalog_table(self) -> Table:
+        """Shard 0's copy of the table: every shard declares the same
+        schema and indexes, so catalog questions go to any one of them."""
+        return self._engine.shards[0].db.table(self._name)
+
+    def _part(self, shard_idx: int, read: Callable[[Any], Any]) -> Any:
+        """``read`` applied to one shard's part of the table (``read``
+        must materialize its result before returning)."""
+        if self._vector is None:
+            shard = self._engine.shards[shard_idx]
+            with shard.mutex:
+                return read(shard.db.table(self._name))
+        return read(self._engine._snapshot_view(
+            shard_idx, self._name, self._txn, self._vector[shard_idx]))
+
+    def _union(self, read: Callable[[Any], Iterable[Row]]) -> list[Row]:
+        rows: list[Row] = []
+        for shard_idx in range(len(self._engine.shards)):
+            rows.extend(self._part(shard_idx, read))
+        return rows
 
     def __len__(self) -> int:
-        total = 0
-        for shard in self._engine.shards:
-            with shard.mutex:
-                total += len(shard.db.table(self._name))
-        return total
+        return sum(
+            self._part(i, len) for i in range(len(self._engine.shards)))
 
     def scan(self) -> Iterator[Row]:
-        # Each shard's fragment is read under that shard's engine mutex
-        # (one at a time, never nested) so a concurrent worker-thread
-        # write to another row of the table cannot upset the traversal.
-        rows: list[Row] = []
-        for shard in self._engine.shards:
-            with shard.mutex:
-                rows.extend(shard.db.table(self._name).scan())
+        rows = self._union(lambda part: list(part.scan()))
         return iter(sorted(rows, key=lambda r: r.rid))
 
     def lookup_pk(self, key: tuple) -> Row | None:
+        # A row carrying pk ``key`` can only ever have lived in the key's
+        # home shard (inserts route there; re-routing pk updates migrate
+        # the row), so one shard's probe answers exactly.
         home = self._engine.route_key(self._name, key)
-        shard = self._engine.shards[home]
-        with shard.mutex:
-            return shard.db.table(self._name).lookup_pk(key)
+        return self._part(home, lambda part: part.lookup_pk(key))
 
     def lookup_index(self, column_names: Sequence[str], key: tuple) -> list[Row]:
-        rows: list[Row] = []
-        for shard in self._engine.shards:
-            with shard.mutex:
-                rows.extend(
-                    shard.db.table(self._name).lookup_index(column_names, key)
-                )
+        rows = self._union(lambda part: part.lookup_index(column_names, key))
         return sorted(rows, key=lambda r: r.rid)
 
     def has_index(self, column_names: Sequence[str]) -> bool:
-        return self._tables()[0].has_index(column_names)
+        return self._catalog_table().has_index(column_names)
 
     def has_ordered_index(self, column_names: Sequence[str]) -> bool:
-        return self._tables()[0].has_ordered_index(column_names)
+        return self._catalog_table().has_ordered_index(column_names)
 
     def range_scan(
         self,
@@ -237,25 +257,17 @@ class ShardedTableView:
         reverse: bool = False,
     ) -> list[Row]:
         """Union ordered-range scan: each shard's B+ tree fragment is
-        walked under that shard's mutex, then the fragments merge back
-        into one global key order (rid-tiebroken, like the shard scans
-        themselves)."""
-        rows: list[Row] = []
-        for shard in self._engine.shards:
-            with shard.mutex:
-                rows.extend(
-                    shard.db.table(self._name).range_scan(
-                        column_names, lo, hi,
-                        lo_inc=lo_inc, hi_inc=hi_inc,
-                    )
-                )
+        walked, then the fragments merge back into one global key order
+        (rid-tiebroken, like the shard scans themselves)."""
+        rows = self._union(lambda part: part.range_scan(
+            column_names, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc))
         return _merge_key_order(self.schema, column_names, rows, reverse)
 
     def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
-        return self._tables()[0].canonical_index(column_names)
+        return self._catalog_table().canonical_index(column_names)
 
     def index_keys(self, values: ValueTuple):
-        return self._tables()[0].index_keys(values)
+        return self._catalog_table().index_keys(values)
 
 
 class ShardedDatabase:
@@ -319,86 +331,6 @@ class ShardedDatabase:
         return f"ShardedDatabase(shards={len(self._engine.shards)})"
 
 
-class ShardedSnapshotView:
-    """One table's union snapshot at a vector of shard timestamps."""
-
-    def __init__(
-        self, engine: "ShardedStorageEngine", name: str, txn: int,
-        vector: Sequence[int],
-    ):
-        self._engine = engine
-        self._name = name
-        self._txn = txn
-        self._vector = tuple(vector)
-        self.schema = engine.shards[0].db.table(name).schema
-
-    @property
-    def name(self) -> str:
-        return self._name
-
-    def _views(self) -> list[SnapshotView]:
-        return [
-            self._engine._snapshot_view(i, self._name, self._txn, read_ts)
-            for i, read_ts in enumerate(self._vector)
-        ]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.scan())
-
-    def scan(self) -> Iterator[Row]:
-        rows = [row for view in self._views() for row in view.scan()]
-        return iter(sorted(rows, key=lambda r: r.rid))
-
-    def lookup_pk(self, key: tuple) -> Row | None:
-        # A row carrying pk ``key`` can only ever have lived in the key's
-        # home shard (inserts route there; re-routing pk updates migrate
-        # the row), so one shard's versioned probe answers exactly.
-        home = self._engine.route_key(self._name, key)
-        return self._engine._snapshot_view(
-            home, self._name, self._txn, self._vector[home]
-        ).lookup_pk(key)
-
-    def lookup_index(self, column_names: Sequence[str], key: tuple) -> list[Row]:
-        rows = [
-            row
-            for view in self._views()
-            for row in view.lookup_index(column_names, key)
-        ]
-        return sorted(rows, key=lambda r: r.rid)
-
-    def has_index(self, column_names: Sequence[str]) -> bool:
-        return self._engine.shards[0].db.table(self._name).has_index(column_names)
-
-    def has_ordered_index(self, column_names: Sequence[str]) -> bool:
-        return self._engine.shards[0].db.table(self._name).has_ordered_index(
-            column_names
-        )
-
-    def range_scan(
-        self,
-        column_names: Sequence[str],
-        lo: "tuple | None",
-        hi: "tuple | None",
-        *,
-        lo_inc: bool = True,
-        hi_inc: bool = True,
-        reverse: bool = False,
-    ) -> list[Row]:
-        rows = [
-            row
-            for view in self._views()
-            for row in view.range_scan(
-                column_names, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc
-            )
-        ]
-        return _merge_key_order(self.schema, column_names, rows, reverse)
-
-    def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
-        return self._engine.shards[0].db.table(self._name).canonical_index(
-            column_names
-        )
-
-
 class ShardedSnapshotDatabase:
     """TableProvider serving every table at one transaction's vector cut."""
 
@@ -409,8 +341,8 @@ class ShardedSnapshotDatabase:
         self.txn = txn
         self.vector = tuple(vector)
 
-    def table(self, name: str) -> ShardedSnapshotView:
-        return ShardedSnapshotView(self._engine, name, self.txn, self.vector)
+    def table(self, name: str) -> ShardedTableView:
+        return ShardedTableView(self._engine, name, self.txn, self.vector)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ShardedSnapshotDatabase(txn={self.txn}, vector={self.vector})"
@@ -1585,8 +1517,8 @@ def build_storage_engine(
     granularity: LockGranularity = LockGranularity.FINE,
     ordered_indexes: bool = True,
 ) -> "StorageEngine | ShardedStorageEngine":
-    """The one construction policy for store-less middle-tier entry
-    points (`EngineConfig.shards`, `InteractiveBroker(shards=...)`):
+    """The one construction policy for callers that name a shard count
+    rather than a store (``connect(shards=...)``, the bench harness):
     one shard means a plain engine, more means the sharded router."""
     if shards > 1:
         return ShardedStorageEngine(

@@ -11,8 +11,8 @@ from repro.core import (
     ManualPolicy,
     TimeIntervalPolicy,
     TxnPhase,
-    Youtopia,
 )
+from repro.client import ScriptHandle, connect
 from repro.core.interpreter import StepOutcome, deliver_answer, run_until_block
 from repro.core.transaction import EntangledTransaction
 from repro.errors import EngineError, MiddlewareError
@@ -308,40 +308,39 @@ class TestInterpreter:
 
 class TestMiddlewareFacade:
     def test_query_direct(self):
-        system = Youtopia()
+        system = connect()
         system.create_table(TableSchema.build(
             "T", [("x", ColumnType.INTEGER)]))
         system.load("T", [(1,), (2,)])
         assert system.query("SELECT x FROM T WHERE x=2") == [(2,)]
 
     def test_query_rejects_dml(self):
-        system = Youtopia()
+        system = connect()
         with pytest.raises(MiddlewareError):
             system.query("DELETE FROM T")
 
     def test_unknown_handle(self):
-        system = Youtopia()
+        system = connect()
         with pytest.raises(MiddlewareError):
-            system.ticket(42)
+            ScriptHandle(system, 42).phase
 
     def test_host_variables_require_commit(self):
-        system = Youtopia()
+        system = connect()
         system.create_table(TableSchema.build(
             "T", [("x", ColumnType.INTEGER)]))
-        handle = system.submit(
+        script = system.session().run_script(
             "BEGIN TRANSACTION; SET @a = 1; COMMIT;")
         with pytest.raises(MiddlewareError):
-            system.host_variables(handle)
-        system.run_once()
-        assert system.host_variables(handle) == {"@a": 1}
+            script.host_variables()
+        system.run()
+        assert script.host_variables() == {"@a": 1}
 
     def test_ticket_reflects_phase(self):
-        system = Youtopia()
+        system = connect()
         system.create_table(TableSchema.build(
             "T", [("x", ColumnType.INTEGER)]))
-        handle = system.submit(
+        script = system.session().run_script(
             "BEGIN TRANSACTION; INSERT INTO T VALUES (1); COMMIT;")
-        assert system.ticket(handle).phase is TxnPhase.DORMANT
-        system.run_once()
-        ticket = system.ticket(handle)
-        assert ticket.succeeded and ticket.done and ticket.attempts == 1
+        assert script.phase is TxnPhase.DORMANT
+        system.run()
+        assert script.succeeded and script.done and script.attempts == 1

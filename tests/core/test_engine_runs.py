@@ -10,15 +10,17 @@ from repro.core import (
     EngineConfig,
     IsolationConfig,
     TxnPhase,
-    Youtopia,
 )
+from repro.client import Client
 from repro.model import find_widowed_transactions, is_entangled_isolated
 from repro.storage import ColumnType, TableSchema
 from repro.workloads import example_schema, figure1_rows
 
+from _batch import submit, system_for, ticket
 
-def make_system(config: EngineConfig | None = None) -> Youtopia:
-    system = Youtopia(config=config)
+
+def make_system(config: EngineConfig | None = None) -> Client:
+    system = system_for(config)
     for schema in example_schema():
         system.create_table(schema)
     for table, rows in figure1_rows().items():
@@ -59,22 +61,22 @@ class TestFigure4Walkthrough:
 
     def test_first_run_aborts_unmatched_pair(self):
         system = make_system()
-        mickey = system.submit(travel_program("Mickey", "Minnie"), "mickey")
-        donald = system.submit(travel_program("Donald", "Daffy"), "donald")
-        report = system.run_once()
+        mickey = submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        donald = submit(system, travel_program("Donald", "Daffy"), "donald")
+        report = system.run()
         # "Neither transaction is able to progress; therefore, the system
         # immediately aborts the run and returns both transactions."
         assert report.committed == []
         assert sorted(report.returned_to_pool) == [mickey, donald]
-        assert system.ticket(mickey).phase is TxnPhase.DORMANT
+        assert ticket(system, mickey).phase is TxnPhase.DORMANT
 
     def test_second_run_commits_mickey_and_minnie(self):
         system = make_system()
-        mickey = system.submit(travel_program("Mickey", "Minnie"), "mickey")
-        donald = system.submit(travel_program("Donald", "Daffy"), "donald")
-        system.run_once()
-        minnie = system.submit(travel_program("Minnie", "Mickey"), "minnie")
-        report = system.run_once()
+        mickey = submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        donald = submit(system, travel_program("Donald", "Daffy"), "donald")
+        system.run()
+        minnie = submit(system, travel_program("Minnie", "Mickey"), "minnie")
+        report = system.run()
         assert sorted(report.committed) == [mickey, minnie]
         assert report.returned_to_pool == [donald]
         # Both coordinated on the same flight and hotel.
@@ -94,18 +96,18 @@ class TestFigure4Walkthrough:
         # hotel entanglement happens in a later round than both flight
         # bookings — both flight bookings exist at commit time.
         system = make_system()
-        system.submit(travel_program("Mickey", "Minnie"), "mickey")
-        system.submit(travel_program("Minnie", "Mickey"), "minnie")
-        report = system.run_once()
+        submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        submit(system, travel_program("Minnie", "Mickey"), "minnie")
+        report = system.run()
         assert report.evaluation_rounds >= 2
         assert len(report.committed) == 2
 
     def test_host_variables_captured(self):
         system = make_system()
-        mickey = system.submit(travel_program("Mickey", "Minnie"), "mickey")
-        system.submit(travel_program("Minnie", "Mickey"), "minnie")
-        system.run_once()
-        variables = system.host_variables(mickey)
+        mickey = submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        submit(system, travel_program("Minnie", "Mickey"), "minnie")
+        system.run()
+        variables = ticket(system, mickey).host_variables()
         assert variables["@fno"] in (122, 123, 124)
         assert variables["@hid"] in (7, 9)
 
@@ -116,8 +118,8 @@ class TestGroupCommit:
         # hotel partner constraint that nobody offers ("Goofy"), so both
         # entangle on the flight but Minnie blocks at the hotel query.
         system = make_system()
-        mickey = system.submit(travel_program("Mickey", "Minnie"), "mickey")
-        minnie = system.submit("""
+        mickey = submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        minnie = submit(system, """
             BEGIN TRANSACTION WITH TIMEOUT 2 DAYS;
             SELECT 'Minnie', fno, fdate INTO ANSWER FlightRes
             WHERE fno, fdate IN (SELECT fno, fdate FROM Flights WHERE dest='LA')
@@ -129,7 +131,7 @@ class TestGroupCommit:
             CHOOSE 1;
             COMMIT;
         """, "minnie")
-        report = system.run_once()
+        report = system.run()
         # Mickey reaches his hotel query; nobody for either: both retried.
         assert report.committed == []
         assert sorted(report.returned_to_pool) == [mickey, minnie]
@@ -164,9 +166,9 @@ class TestGroupCommit:
             record_schedule=True,
         )
         system = make_system(config)
-        mickey = system.submit(self.MICKEY_FLIGHT_ONLY, "mickey")
-        system.submit(self.MINNIE_ABORTS, "minnie")
-        report = system.run_once()
+        mickey = submit(system, self.MICKEY_FLIGHT_ONLY, "mickey")
+        submit(system, self.MINNIE_ABORTS, "minnie")
+        report = system.run()
         assert report.committed == [mickey]
         schedule = system.engine.recorded_schedule()
         assert find_widowed_transactions(schedule)
@@ -177,9 +179,9 @@ class TestGroupCommit:
         # partner aborted, so Mickey's attempt must abort and retry.
         config = EngineConfig(record_schedule=True)
         system = make_system(config)
-        mickey = system.submit(self.MICKEY_FLIGHT_ONLY, "mickey")
-        system.submit(self.MINNIE_ABORTS, "minnie")
-        report = system.run_once()
+        mickey = submit(system, self.MICKEY_FLIGHT_ONLY, "mickey")
+        submit(system, self.MINNIE_ABORTS, "minnie")
+        report = system.run()
         assert report.committed == []
         assert mickey in report.returned_to_pool
         schedule = system.engine.recorded_schedule()
@@ -188,10 +190,10 @@ class TestGroupCommit:
     def test_full_isolation_schedules_are_isolated(self):
         config = EngineConfig(record_schedule=True)
         system = make_system(config)
-        system.submit(travel_program("Mickey", "Minnie"), "mickey")
-        system.submit(travel_program("Minnie", "Mickey"), "minnie")
-        system.submit(travel_program("Donald", "Daffy"), "donald")
-        system.run_once()
+        submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        submit(system, travel_program("Minnie", "Mickey"), "minnie")
+        submit(system, travel_program("Donald", "Daffy"), "donald")
+        system.run()
         schedule = system.engine.recorded_schedule()
         assert is_entangled_isolated(schedule)
 
@@ -199,48 +201,48 @@ class TestGroupCommit:
 class TestTimeouts:
     def test_expired_transaction_times_out(self):
         system = make_system(EngineConfig())
-        donald = system.submit(
+        donald = submit(system, 
             travel_program("Donald", "Daffy").replace("2 DAYS", "1 SECONDS"),
             "donald",
         )
-        system.run_once()
-        assert system.ticket(donald).phase is TxnPhase.DORMANT
+        system.run()
+        assert ticket(system, donald).phase is TxnPhase.DORMANT
         system.engine.clock.advance(5.0)
-        report = system.run_once()
+        report = system.run()
         assert report.timed_out == [donald]
-        assert system.ticket(donald).phase is TxnPhase.TIMED_OUT
+        assert ticket(system, donald).phase is TxnPhase.TIMED_OUT
 
     def test_no_timeout_cycles_forever(self):
         system = make_system()
-        donald = system.submit(travel_program("Donald", "Daffy"), "donald")
+        donald = submit(system, travel_program("Donald", "Daffy"), "donald")
         reports = system.drain(max_runs=50)
         # drain stops on no-progress; Donald still dormant.
         assert len(reports) < 50
-        assert system.ticket(donald).phase is TxnPhase.DORMANT
+        assert ticket(system, donald).phase is TxnPhase.DORMANT
 
 
 class TestRollbackAndErrors:
     def test_explicit_rollback_aborts_permanently(self):
         system = make_system()
-        handle = system.submit("""
+        handle = submit(system, """
             BEGIN TRANSACTION;
             INSERT INTO FlightBookings (name, fno) VALUES ('X', 1);
             ROLLBACK;
             COMMIT;
         """, "client")
-        report = system.run_once()
+        report = system.run()
         assert report.aborted == [handle]
-        assert system.ticket(handle).phase is TxnPhase.ABORTED
+        assert ticket(system, handle).phase is TxnPhase.ABORTED
         assert len(system.store.db.table("FlightBookings")) == 0
 
     def test_classical_transaction_commits_without_entanglement(self):
         system = make_system()
-        handle = system.submit("""
+        handle = submit(system, """
             BEGIN TRANSACTION;
             INSERT INTO FlightBookings (name, fno) VALUES ('Solo', 122);
             COMMIT;
         """, "client")
-        report = system.run_once()
+        report = system.run()
         assert report.committed == [handle]
 
 
@@ -257,31 +259,31 @@ class TestEmptyAnswerPolicy:
     def test_proceed_on_empty(self):
         system = make_system(EngineConfig(
             empty_answer=EmptyAnswerPolicy.PROCEED))
-        a = system.submit(self.NOWHERE.format(me="A", partner="B"), "a")
-        b = system.submit(self.NOWHERE.format(me="B", partner="A"), "b")
-        report = system.run_once()
+        a = submit(system, self.NOWHERE.format(me="A", partner="B"), "a")
+        b = submit(system, self.NOWHERE.format(me="B", partner="A"), "b")
+        report = system.run()
         # Both ground to nothing; Appendix B: empty answer = success.
         assert sorted(report.committed) == [a, b]
 
     def test_wait_on_empty(self):
         system = make_system(EngineConfig(
             empty_answer=EmptyAnswerPolicy.WAIT))
-        a = system.submit(self.NOWHERE.format(me="A", partner="B"), "a")
-        b = system.submit(self.NOWHERE.format(me="B", partner="A"), "b")
-        report = system.run_once()
+        a = submit(system, self.NOWHERE.format(me="A", partner="B"), "a")
+        b = submit(system, self.NOWHERE.format(me="B", partner="A"), "b")
+        report = system.run()
         assert report.committed == []
         assert sorted(report.returned_to_pool) == [a, b]
 
 
 class TestArrivalPolicy:
     def test_run_every_f_arrivals(self):
-        system = Youtopia(policy=ArrivalCountPolicy(2))
+        system = system_for(policy=ArrivalCountPolicy(2))
         system.create_table(TableSchema.build(
             "T", [("x", ColumnType.INTEGER)]))
-        first = system.submit(
+        first = submit(system, 
             "BEGIN TRANSACTION; INSERT INTO T VALUES (1); COMMIT;")
         assert system.tick() is None  # only one arrival
-        second = system.submit(
+        second = submit(system, 
             "BEGIN TRANSACTION; INSERT INTO T VALUES (2); COMMIT;")
         report = system.tick()
         assert report is not None

@@ -9,18 +9,19 @@ new anomalies were admitted in exchange for the throughput.
 """
 
 
-from repro.core import EngineConfig, IsolationConfig, Youtopia
+from repro.client import Client
+from repro.core import EngineConfig, IsolationConfig
 from repro.model import IsolationLevel, check_isolation
 from repro.storage import ColumnType, LockGranularity, StorageEngine, TableSchema
 
+from _batch import submit, system_for
 
-def build_system(*, record=False, granularity=LockGranularity.FINE) -> Youtopia:
+
+def build_system(*, record=False, granularity=LockGranularity.FINE) -> Client:
     store = StorageEngine(granularity=granularity)
-    system = Youtopia(
+    system = system_for(
+        EngineConfig(isolation=IsolationConfig.FULL, record_schedule=record),
         store=store,
-        config=EngineConfig(
-            isolation=IsolationConfig.FULL, record_schedule=record
-        ),
     )
     system.create_table(TableSchema.build(
         "Accounts",
@@ -46,11 +47,11 @@ class TestDisjointRowsOneRun:
     def test_disjoint_transactions_commit_together_without_waits(self):
         system = build_system()
         handles = [
-            system.submit(transfer(1, 2), "a"),
-            system.submit(transfer(3, 4), "b"),
-            system.submit(transfer(5, 6), "c"),
+            submit(system, transfer(1, 2), "a"),
+            submit(system, transfer(3, 4), "b"),
+            submit(system, transfer(5, 6), "c"),
         ]
-        report = system.run_once()
+        report = system.run()
         assert sorted(report.committed) == sorted(handles)
         assert report.lock_waits == 0
         assert report.deadlocks == 0
@@ -59,9 +60,9 @@ class TestDisjointRowsOneRun:
         # The control: the same workload under the seed's table locks
         # needs one run per transaction and hits lock waits.
         system = build_system(granularity=LockGranularity.TABLE)
-        system.submit(transfer(1, 2), "a")
-        system.submit(transfer(3, 4), "b")
-        report = system.run_once()
+        submit(system, transfer(1, 2), "a")
+        submit(system, transfer(3, 4), "b")
+        report = system.run()
         assert len(report.committed) == 1
         assert report.lock_waits > 0
 
@@ -80,9 +81,9 @@ class TestOverlapStillConflicts:
             INSERT INTO Accounts (id, owner, balance) VALUES (100, 'u1', 0);
             COMMIT;
         """
-        a = system.submit(reader, "reader")
-        b = system.submit(inserter, "inserter")
-        report = system.run_once()
+        a = submit(system, reader, "reader")
+        b = submit(system, inserter, "inserter")
+        report = system.run()
         # The insert of an overlapping key cannot commit alongside the
         # keyed reader in the same run: phantom protection held.
         assert sorted(report.committed + report.returned_to_pool) == [a, b]
@@ -96,7 +97,7 @@ class TestOracleOnRecordedSchedules:
     def test_disjoint_contention_schedule_is_entangled_isolated(self):
         system = build_system(record=True)
         for i in range(4):
-            system.submit(transfer(2 * i + 1, 2 * i + 2), f"c{i}")
+            submit(system, transfer(2 * i + 1, 2 * i + 2), f"c{i}")
         system.drain(max_runs=10)
         schedule = system.engine.recorded_schedule()
         check = check_isolation(schedule, IsolationLevel.FULL_ENTANGLED)
@@ -104,10 +105,10 @@ class TestOracleOnRecordedSchedules:
 
     def test_mixed_overlap_schedule_is_entangled_isolated(self):
         system = build_system(record=True)
-        system.submit(transfer(1, 2), "a")
-        system.submit(transfer(2, 3), "b")          # overlaps a's write
-        system.submit(transfer(3, 3), "c")          # overlaps b everywhere
-        system.submit("""
+        submit(system, transfer(1, 2), "a")
+        submit(system, transfer(2, 3), "b")          # overlaps a's write
+        submit(system, transfer(3, 3), "c")          # overlaps b everywhere
+        submit(system, """
             BEGIN TRANSACTION;
             INSERT INTO Accounts (id, owner, balance) VALUES (50, 'u1', 0);
             COMMIT;

@@ -6,12 +6,14 @@ pin them so a change in behavior is noticed and re-documented.
 """
 
 
-from repro.core import Youtopia
+from repro.client import Client
 from repro.storage import ColumnType, TableSchema
 
+from _batch import submit, system_for
 
-def system_with_counter() -> Youtopia:
-    system = Youtopia()
+
+def system_with_counter() -> Client:
+    system = system_for()
     system.create_table(TableSchema.build(
         "Slots",
         [("slot", ColumnType.INTEGER), ("free", ColumnType.INTEGER)],
@@ -44,9 +46,9 @@ class TestWriteAfterGroundLivelock:
         # engine must stay healthy (no exception, no widow, no partial
         # write) — the pair simply never commits.
         system = system_with_counter()
-        a = system.submit(grab("A", "B"), "a")
-        b = system.submit(grab("B", "A"), "b")
-        report = system.run_once()
+        a = submit(system, grab("A", "B"), "a")
+        b = submit(system, grab("B", "A"), "b")
+        report = system.run()
         assert report.committed == []
         assert sorted(report.returned_to_pool) == [a, b]
         # No partial effects leaked.
@@ -55,8 +57,8 @@ class TestWriteAfterGroundLivelock:
 
     def test_drain_detects_no_progress(self):
         system = system_with_counter()
-        system.submit(grab("A", "B"), "a")
-        system.submit(grab("B", "A"), "b")
+        submit(system, grab("A", "B"), "a")
+        submit(system, grab("B", "A"), "b")
         reports = system.drain(max_runs=10)
         # drain() stops as soon as a run makes no progress.
         assert len(reports) < 10
@@ -75,7 +77,7 @@ class TestWriteAfterGroundLivelock:
             INSERT INTO Taken (who, slot) VALUES ('{me}', @slot);
             COMMIT;
         """
-        a = system.submit(program.format(me="A", friend="B"), "a")
-        b = system.submit(program.format(me="B", friend="A"), "b")
-        report = system.run_once()
+        a = submit(system, program.format(me="A", friend="B"), "a")
+        b = submit(system, program.format(me="B", friend="A"), "b")
+        report = system.run()
         assert sorted(report.committed) == [a, b]

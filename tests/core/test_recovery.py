@@ -6,14 +6,17 @@ recovery."
 """
 
 
-from repro.core import EngineConfig, Youtopia, find_partial_groups
+from repro.client import Client
+from repro.core import EngineConfig, find_partial_groups
 from repro.storage import ColumnType, TableSchema
 from repro.storage.wal import LogRecordType
 from repro.workloads import example_schema, figure1_rows
 
+from _batch import submit, system_for
 
-def persistent_system() -> Youtopia:
-    system = Youtopia(config=EngineConfig(persist_state=True))
+
+def persistent_system() -> Client:
+    system = system_for(EngineConfig(persist_state=True))
     for schema in example_schema():
         system.create_table(schema)
     for table, rows in figure1_rows().items():
@@ -37,7 +40,7 @@ def pair_program(me: str, friend: str) -> str:
     """
 
 
-def bookings(system: Youtopia) -> list[tuple]:
+def bookings(system: Client) -> list[tuple]:
     return sorted(
         tuple(r.values) for r in system.store.db.table("FlightBookings").scan()
     )
@@ -46,9 +49,9 @@ def bookings(system: Youtopia) -> list[tuple]:
 class TestHappyPathPersistence:
     def test_full_group_commit_survives_crash(self):
         system = persistent_system()
-        system.submit(pair_program("Mickey", "Minnie"), "mickey")
-        system.submit(pair_program("Minnie", "Mickey"), "minnie")
-        system.run_once()
+        submit(system, pair_program("Mickey", "Minnie"), "mickey")
+        submit(system, pair_program("Minnie", "Mickey"), "minnie")
+        system.run()
         assert len(bookings(system)) == 2
         recovered, report = system.crash_and_recover()
         assert report.partial_groups == []
@@ -57,24 +60,24 @@ class TestHappyPathPersistence:
 
     def test_dormant_pool_survives_crash(self):
         system = persistent_system()
-        system.submit(pair_program("Donald", "Daffy"), "donald")
-        system.run_once()  # no partner: returned to pool
+        submit(system, pair_program("Donald", "Daffy"), "donald")
+        system.run()  # no partner: returned to pool
         recovered, report = system.crash_and_recover()
         assert len(report.resubmitted) == 1
         # The recovered engine can still run it (and it still finds no
         # partner, returning to the pool again).
-        run = recovered.run_once()
+        run = recovered.run()
         assert run.committed == []
 
     def test_recovered_transaction_can_complete(self):
         system = persistent_system()
-        system.submit(pair_program("Mickey", "Minnie"), "mickey")
-        system.run_once()
+        submit(system, pair_program("Mickey", "Minnie"), "mickey")
+        system.run()
         recovered, report = system.crash_and_recover()
         assert len(report.resubmitted) == 1
         handle = report.resubmitted[0]
-        recovered.submit(pair_program("Minnie", "Mickey"), "minnie")
-        run = recovered.run_once()
+        submit(recovered, pair_program("Minnie", "Mickey"), "minnie")
+        run = recovered.run()
         assert handle in run.committed
         assert len(bookings(recovered)) == 2
 
@@ -85,9 +88,9 @@ class TestPartialGroupRollback:
         WAL so only Mickey's COMMIT is durable — the paper's 'only one
         manages to commit prior to a crash'."""
         system = persistent_system()
-        system.submit(pair_program("Mickey", "Minnie"), "mickey")
-        system.submit(pair_program("Minnie", "Mickey"), "minnie")
-        system.run_once()
+        submit(system, pair_program("Mickey", "Minnie"), "mickey")
+        submit(system, pair_program("Minnie", "Mickey"), "minnie")
+        system.run()
         wal = system.store.wal
         commit_lsns = [
             r.lsn for r in wal.records() if r.type is LogRecordType.COMMIT
@@ -114,7 +117,7 @@ class TestPartialGroupRollback:
         assert len(report.demoted) == 1
         # Both transactions are back in the dormant pool for re-execution.
         assert len(report.resubmitted) == 2
-        run = recovered.run_once()
+        run = recovered.run()
         assert len(run.committed) == 2
         assert len(bookings(recovered)) == 2
 
@@ -128,29 +131,29 @@ class TestPartialGroupRollback:
 class TestRecoveryEdgeCases:
     def test_crash_before_any_run(self):
         system = persistent_system()
-        system.submit(pair_program("Mickey", "Minnie"), "mickey")
+        submit(system, pair_program("Mickey", "Minnie"), "mickey")
         recovered, report = system.crash_and_recover()
         assert len(report.resubmitted) == 1
 
     def test_classical_transactions_unaffected(self):
         system = persistent_system()
-        system.submit("""
+        submit(system, """
             BEGIN TRANSACTION;
             INSERT INTO FlightBookings (name, fno) VALUES ('Solo', 122);
             COMMIT;
         """, "solo")
-        system.run_once()
+        system.run()
         recovered, report = system.crash_and_recover()
         assert bookings(recovered) == [("Solo", 122)]
         assert report.partial_groups == []
 
     def test_double_crash(self):
         system = persistent_system()
-        system.submit(pair_program("Mickey", "Minnie"), "mickey")
-        system.run_once()
+        submit(system, pair_program("Mickey", "Minnie"), "mickey")
+        system.run()
         recovered, _ = system.crash_and_recover()
         recovered2, report2 = recovered.crash_and_recover()
         assert len(report2.resubmitted) == 1
-        recovered2.submit(pair_program("Minnie", "Mickey"), "minnie")
-        run = recovered2.run_once()
+        submit(recovered2, pair_program("Minnie", "Mickey"), "minnie")
+        run = recovered2.run()
         assert len(run.committed) == 2

@@ -19,7 +19,8 @@ from repro.core.engine import (
     EntangledTransactionEngine,
     IsolationConfig,
 )
-from repro.core.interactive import InteractiveBroker, SessionState
+from repro.client import connect
+from repro.core.interactive import SessionState
 from repro.core.policies import ManualPolicy
 from repro.core.recovery import recover_entangled
 from repro.core.transaction import TxnPhase
@@ -175,64 +176,66 @@ class TestPerShardReporting:
         assert committed.stats.shards_touched == 1
 
     def test_engine_config_shards_builds_a_sharded_store(self):
-        engine = EntangledTransactionEngine(
-            config=EngineConfig(shards=4), policy=ManualPolicy()
-        )
-        assert isinstance(engine.store, ShardedStorageEngine)
-        assert engine.store.n_shards == 4
+        with connect(shards=4, policy=ManualPolicy()) as client:
+            assert isinstance(client.engine.store, ShardedStorageEngine)
+            assert client.engine.store.n_shards == 4
 
 
 class TestInteractiveSharded:
     def test_sessions_and_group_commit_over_shards(self):
-        broker = InteractiveBroker(
-            shards=2, default_isolation=TxnIsolation.SNAPSHOT
-        )
-        store = broker.store
-        assert isinstance(store, ShardedStorageEngine)
-        for name in TABLES:
-            store.create_table(TableSchema.build(
-                name,
-                [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
-                primary_key=["k"],
-            ))
-            store.load(name, [(KEY_OF[name], 10)])
-        session = broker.open_session("alice")
-        session.execute("UPDATE T0 SET v = v + 1 WHERE k = 0;")
-        session.execute("UPDATE T1 SET v = v + 1 WHERE k = 1;")
-        assert session.commit()
-        assert session.state is SessionState.COMMITTED
-        assert store.cross_shard_commit_count >= 1
-        check = store.begin()
-        assert store.read_table(check, "T0")[0].values[1] == 11
-        assert store.read_table(check, "T1")[0].values[1] == 11
+        with connect(shards=2, isolation="snapshot") as client:
+            broker = client.broker
+            store = broker.store
+            assert isinstance(store, ShardedStorageEngine)
+            assert broker.default_isolation is TxnIsolation.SNAPSHOT
+            for name in TABLES:
+                store.create_table(TableSchema.build(
+                    name,
+                    [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
+                    primary_key=["k"],
+                ))
+                store.load(name, [(KEY_OF[name], 10)])
+            session = broker.open_session("alice")
+            session.execute("UPDATE T0 SET v = v + 1 WHERE k = 0;")
+            session.execute("UPDATE T1 SET v = v + 1 WHERE k = 1;")
+            assert session.commit()
+            assert session.state is SessionState.COMMITTED
+            assert store.cross_shard_commit_count >= 1
+            check = store.begin()
+            assert store.read_table(check, "T0")[0].values[1] == 11
+            assert store.read_table(check, "T1")[0].values[1] == 11
+            store.abort(check)
 
     def test_snapshot_session_reads_consistent_vector_cut(self):
-        broker = InteractiveBroker(shards=4)
-        store = broker.store
-        for name in TABLES:
-            store.create_table(TableSchema.build(
-                name,
-                [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
-                primary_key=["k"],
-            ))
-            store.load(name, [(KEY_OF[name], 10)])
-        reader = broker.open_session("r", isolation=TxnIsolation.SNAPSHOT)
-        writer = broker.open_session("w")
-        # The session's vector snapshot anchors at its *first statement*
-        # (an idle session is parked and pins no vacuum horizon), so the
-        # reader observes T0 before the writer runs to fix its cut.
-        first = reader.execute(f"SELECT v AS @v FROM T0 WHERE k = {KEY_OF['T0']};")
-        assert first.rows[0][0] == 10
-        for name in TABLES:
-            writer.execute(
-                f"UPDATE {name} SET v = 99 WHERE k = {KEY_OF[name]};"
-            )
-        assert writer.commit()
-        for name in TABLES:
-            result = reader.execute(
-                f"SELECT v AS @v FROM {name} WHERE k = {KEY_OF[name]};"
-            )
-            assert result.rows[0][0] == 10, f"{name} leaked the new value"
+        with connect(shards=4) as client:
+            broker = client.broker
+            store = broker.store
+            for name in TABLES:
+                store.create_table(TableSchema.build(
+                    name,
+                    [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
+                    primary_key=["k"],
+                ))
+                store.load(name, [(KEY_OF[name], 10)])
+            reader = broker.open_session("r", isolation=TxnIsolation.SNAPSHOT)
+            writer = broker.open_session("w")
+            # The session's vector snapshot anchors at its *first statement*
+            # (an idle session is parked and pins no vacuum horizon), so the
+            # reader observes T0 before the writer runs to fix its cut.
+            first = reader.execute(
+                f"SELECT v AS @v FROM T0 WHERE k = {KEY_OF['T0']};")
+            assert first.rows[0][0] == 10
+            for name in TABLES:
+                writer.execute(
+                    f"UPDATE {name} SET v = 99 WHERE k = {KEY_OF[name]};"
+                )
+            assert writer.commit()
+            for name in TABLES:
+                result = reader.execute(
+                    f"SELECT v AS @v FROM {name} WHERE k = {KEY_OF[name]};"
+                )
+                assert result.rows[0][0] == 10, f"{name} leaked the new value"
+            reader.abort()
 
 
 class TestEntangledOverShards:

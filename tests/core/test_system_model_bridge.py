@@ -10,7 +10,8 @@ paper makes, checked mechanically.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EngineConfig, IsolationConfig, Youtopia
+from repro.client import Client
+from repro.core import EngineConfig, IsolationConfig
 from repro.model import (
     check_isolation,
     IsolationLevel,
@@ -19,9 +20,11 @@ from repro.model import (
 )
 from repro.storage import ColumnType, TableSchema
 
+from _batch import submit, system_for
 
-def build_system(isolation=IsolationConfig.FULL) -> Youtopia:
-    system = Youtopia(config=EngineConfig(
+
+def build_system(isolation=IsolationConfig.FULL) -> Client:
+    system = system_for(EngineConfig(
         record_schedule=True, isolation=isolation))
     system.create_table(TableSchema.build(
         "Items", [("item", ColumnType.INTEGER), ("kind", ColumnType.TEXT)],
@@ -86,7 +89,7 @@ def test_property_recorded_schedules_are_entangled_isolated(
         programs.append(ROLLBACK.format(who=f"r{i}"))
     interleave_seed.shuffle(programs)
     for program in programs:
-        system.submit(program)
+        submit(system, program)
     system.drain(max_runs=20)
 
     schedule = system.engine.recorded_schedule()
@@ -97,9 +100,9 @@ def test_property_recorded_schedules_are_entangled_isolated(
 def test_entangled_pairs_claim_same_item():
     system = build_system()
     left, right = entangled_pair("alice", "bob", "gem")
-    a = system.submit(left, "alice")
-    b = system.submit(right, "bob")
-    report = system.run_once()
+    a = submit(system, left, "alice")
+    b = submit(system, right, "bob")
+    report = system.run()
     assert sorted(report.committed) == [a, b]
     claims = dict(system.query("SELECT who, item FROM Claims"))
     assert claims["alice"] == claims["bob"]
@@ -120,9 +123,9 @@ def test_relaxed_isolation_breaks_the_guarantee():
         ROLLBACK;
         COMMIT;
     """
-    system.submit(left, "alice")
-    system.submit(aborting_right, "bob")
-    system.run_once()
+    submit(system, left, "alice")
+    submit(system, aborting_right, "bob")
+    system.run()
     schedule = system.engine.recorded_schedule()
     assert find_widowed_transactions(schedule)
     assert not is_entangled_isolated(schedule)

@@ -458,19 +458,3 @@ def _is_table_resource(resource: Resource) -> bool:
         and len(resource) == 2
         and resource[0] == "table"
     )
-
-
-def _parent_resource(resource: Resource):
-    """The containing table resource for a row or index-key resource.
-
-    Exposed for diagnostics; the conflict rules themselves are local per
-    resource under the multigranularity protocol.
-    """
-    # Import here to avoid a cycle at module load.
-    from repro.storage.row import RowId
-
-    if isinstance(resource, RowId):
-        return table_resource(resource.table)
-    if isinstance(resource, tuple) and len(resource) == 4 and resource[0] == "ixkey":
-        return table_resource(resource[1])
-    return None

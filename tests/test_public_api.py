@@ -73,12 +73,16 @@ def test_all_is_importable_and_complete():
 
 
 def test_legacy_entry_points_emit_deprecation_pointer():
-    """The three legacy entry points still work and their docstrings
-    point migrators at repro.connect()."""
-    for cls in (repro.EntangledTransactionEngine, repro.InteractiveBroker,
-                repro.Youtopia):
+    """The engine and the broker are internal now: their docstrings say
+    so and point at repro.connect(), which builds them; the deprecated
+    ``Youtopia`` front end is gone."""
+    for cls in (repro.EntangledTransactionEngine, repro.InteractiveBroker):
         assert "connect" in (cls.__doc__ or ""), cls.__name__
-        assert "deprecated" in (cls.__doc__ or "").lower(), cls.__name__
+        assert "internal" in (cls.__doc__ or "").lower(), cls.__name__
+    assert not hasattr(repro, "Youtopia")
+    with repro.connect() as db:
+        assert isinstance(db.engine, repro.EntangledTransactionEngine)
+        assert isinstance(db.broker, repro.InteractiveBroker)
 
 
 def test_error_hierarchy():
