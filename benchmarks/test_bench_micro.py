@@ -2,8 +2,12 @@
 
 These measure real host time (unlike the figure benchmarks, whose result
 is virtual time): the coordinating-set search, entangled-query grounding,
-the SPJ evaluator's index paths, and the lock manager.
+the SPJ evaluator's index paths, the lock manager, and the SQL front end
+(a cold parse against a prepared-statement hit).
 """
+
+import itertools
+import timeit
 
 import pytest
 
@@ -181,6 +185,54 @@ def test_lock_manager_churn_1000_live(benchmark):
     lm = benchmark(churn)
     assert lm.stats["acquired"] == 3000 and lm.stats["waits"] == 0
     assert not lm.held_resources(0)
+
+
+def _transfer_script(read_id: int, write_id: int) -> str:
+    """``benchmarks/e2e``'s transfer script: one shape, two literals."""
+    return f"""
+        BEGIN TRANSACTION;
+        SELECT balance AS @b FROM Accounts WHERE id={read_id};
+        UPDATE Accounts SET balance = balance + 1 WHERE id={write_id};
+        INSERT INTO Transfers (account, amount) VALUES ({write_id}, 1);
+        COMMIT;
+    """
+
+
+def _cold_parse(text: str):
+    """A template-table miss: lex, derive the shape, run the parser."""
+    from repro.sql import parse_transaction, parser
+
+    parser._templates.clear()
+    return parse_transaction(text)
+
+
+@pytest.mark.benchmark(group="micro-frontend")
+def test_frontend_cold_parse(benchmark):
+    program = benchmark(_cold_parse, _transfer_script(17, 4000))
+    assert len(program.template) == 3 and program.params == (17, 1, 4000, 4000, 1)
+
+
+@pytest.mark.benchmark(group="micro-frontend")
+def test_frontend_prepared_hit(benchmark):
+    """Same shape, fresh literals: lex + shape key + one lookup.  The
+    assertion is the ratio to a cold parse on this host, best of five —
+    never an absolute time."""
+    from repro.sql import parse_transaction
+
+    scripts = itertools.cycle(
+        [_transfer_script(i, 4095 - i) for i in range(64)])
+    first = parse_transaction(next(scripts))
+
+    def hit():
+        return parse_transaction(next(scripts))
+
+    program = benchmark(hit)
+    assert program.template is first.template
+    text = _transfer_script(17, 4000)
+    cold = min(timeit.repeat(lambda: _cold_parse(text), number=200, repeat=5))
+    parse_transaction(text)
+    warm = min(timeit.repeat(hit, number=200, repeat=5))
+    assert warm <= 0.4 * cold, f"prepared hit {warm / cold:.2f}x a cold parse"
 
 
 @pytest.mark.benchmark(group="micro-batch")

@@ -383,6 +383,8 @@ class EntangledTransactionEngine:
             )
         if isinstance(program, str):
             sql_text = program
+            # Lexed in full; parsed only if no earlier script had this
+            # shape (repro.sql.parser's template table).
             program = parse_transaction(program)
         else:
             # AST-submitted programs are rendered so persistence/recovery

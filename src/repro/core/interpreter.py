@@ -106,13 +106,17 @@ def run_until_block(
     costs = costs or NullCostTap()
     if txn.storage_txn is None:
         raise EngineError(f"transaction {txn.handle} has no storage transaction")
-    statements = txn.program.statements
+    # The engine view of the program: the template shared by every
+    # script of this shape, executed with this script's parameters.
+    statements = txn.program.template
+    params = txn.program.params
     while txn.pc < len(statements):
         stmt = statements[txn.pc]
         try:
             if isinstance(stmt, EntangledSelectStmt):
                 txn.entangled_ordinal += 1
-                query = compile_entangled(stmt, store.db, txn.env, txn.query_id())
+                query = compile_entangled(
+                    stmt, store.db, txn.env, txn.query_id(), params)
                 txn.block_on(stmt, query)
                 costs.charge_entangled_submit(txn)
                 return StepOutcome.BLOCKED_ON_QUERY
@@ -161,13 +165,15 @@ def _execute_classical(
     store: StorageEngine,
     costs: CostTap,
 ) -> None:
-    """Execute one classical statement; raises TransactionAborted for
+    """Execute one classical statement — a literal one, or a template
+    statement of ``txn.program`` — raising TransactionAborted for
     ROLLBACK."""
     assert txn.storage_txn is not None
+    params = txn.program.params
     if isinstance(stmt, RollbackStmt):
         raise TransactionAborted("explicit ROLLBACK", reason="rollback")
     if isinstance(stmt, SelectStmt):
-        compiled = compile_select(stmt, store.db, txn.env)
+        compiled = compile_select(stmt, store.db, txn.env, params)
         fallback_counts = getattr(store, "fallback_scan_counts", None)
         scans_before = (
             sum(fallback_counts().values()) if fallback_counts else 0
@@ -183,12 +189,12 @@ def _execute_classical(
             txn.env[var] = None if first is None else first[index]
         return
     if isinstance(stmt, InsertStmt):
-        compiled = compile_insert(stmt, store.db, txn.env)
+        compiled = compile_insert(stmt, store.db, txn.env, params)
         store.insert(txn.storage_txn, compiled.table, list(compiled.values))
         costs.charge_statement(txn, is_write=True)
         return
     if isinstance(stmt, UpdateStmt):
-        compiled = compile_update(stmt, store.db, txn.env)
+        compiled = compile_update(stmt, store.db, txn.env, params)
         schema = store.db.table(compiled.table).schema
 
         def matches(row):
@@ -209,7 +215,7 @@ def _execute_classical(
         costs.charge_statement(txn, is_write=True)
         return
     if isinstance(stmt, DeleteStmt):
-        compiled = compile_delete(stmt, store.db, txn.env)
+        compiled = compile_delete(stmt, store.db, txn.env, params)
         schema = store.db.table(compiled.table).schema
 
         def matches_delete(row):
@@ -223,7 +229,7 @@ def _execute_classical(
         costs.charge_statement(txn, is_write=True)
         return
     if isinstance(stmt, SetStmt):
-        value = inline_hostvars(stmt.expr, txn.env).eval({})
+        value = inline_hostvars(stmt.expr, txn.env, params).eval({})
         txn.env[f"@{stmt.var}"] = value
         return
     raise EngineError(f"unsupported statement type {type(stmt).__name__}")

@@ -4,7 +4,11 @@ An :class:`EntangledTransaction` wraps a parsed
 :class:`~repro.sql.ast.TransactionProgram` with everything the execution
 model of Section 4 needs: the statement pointer, the host-variable
 environment, the timeout bookkeeping, the current storage-level
-transaction, and the pending entangled query while blocked.
+transaction, and the pending entangled query while blocked.  The program
+is a statement template shared with every script of the same shape plus
+this script's own literals (``program.params``); those stay on the
+program, beside the environment and never in it, so ``env`` shows user
+variables only and a retry re-binds the same tuple.
 
 Life cycle (non-interactive model, Section 4):
 

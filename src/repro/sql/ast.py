@@ -6,16 +6,50 @@ SELECT/INSERT/UPDATE/DELETE, ``SET @var = expr``, the entangled
 ``BEGIN TRANSACTION [WITH TIMEOUT d] ... COMMIT`` with optional
 ``ROLLBACK``.
 
-Expressions reuse :mod:`repro.storage.expressions` plus two SQL-level
-nodes that only exist before compilation: ``InSelect`` (tuple-IN-subquery)
-and ``InAnswer`` (tuple-IN-ANSWER — the entanglement postcondition).
+Expressions reuse :mod:`repro.storage.expressions` plus three SQL-level
+nodes that only exist before compilation: ``InSelect`` (tuple-IN-subquery),
+``InAnswer`` (tuple-IN-ANSWER — the entanglement postcondition) and
+``Param`` (a literal lifted out of a statement *template*).
+
+**Templates and the two views of a program.**  The parser parses each
+script *shape* once (:mod:`repro.sql.parser`): the shared result is a
+template AST with a :class:`Param` leaf wherever the text had a number or
+string literal, and each script contributes only its tuple of literal
+values.  A :class:`TransactionProgram` therefore holds ``template`` +
+``params`` — the *engine view*, which the interpreter executes directly,
+binding parameters in the same walk that inlines host variables
+(:func:`inline_hostvars`) — and materialises the *literal view*
+(``.statements``, ``==``, ``repr``, unparsing) only when somebody asks.
+A program built from literal statements is its own template with no
+parameters, so there is one representation, not two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping
+from weakref import WeakKeyDictionary
 
-from repro.storage.expressions import Expr
+from repro.errors import CompileError
+from repro.storage.expressions import (
+    And,
+    Arith,
+    Cmp,
+    Col,
+    Const,
+    Expr,
+    InList,
+    IsNull,
+    Not,
+    Or,
+)
+from repro.storage.types import SQLValue
+
+#: Host-variable environment: "@name" -> value.
+Env = Mapping[str, "SQLValue | None"]
+#: The literal values of one script, indexed by :attr:`Param.index`.
+Params = tuple["SQLValue | None", ...]
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +95,21 @@ class InAnswer(Expr):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(str(i) for i in self.items)
         return f"(({inner}) IN ANSWER {self.answer_relation})"
+
+
+@dataclass(frozen=True)
+class Param(Expr):
+    """The ``index``-th lifted literal of a script (template ASTs only).
+
+    ``negate`` is a unary minus folded into a numeric literal, so that
+    ``id = -5`` binds to ``Const(-5)`` exactly as the literal parse does.
+    """
+
+    index: int
+    negate: bool = False
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{'-' if self.negate else ''}?{self.index}"
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +166,15 @@ class SelectStmt(Statement):
     limit: int | None = None
     star: bool = False
     order_by: tuple[tuple[str, bool], ...] = ()
+
+    @cached_property
+    def resolutions(self) -> WeakKeyDictionary:
+        """``compile_select``'s memo: this statement resolved against a
+        catalog, by ``Database``.  Not a field — invisible to ``==``,
+        ``hash`` and ``repr`` — and as weak as its keys, so a shared
+        template statement neither pins a database nor outlives the
+        template table's bound."""
+        return WeakKeyDictionary()
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         cols = "*" if self.star else ", ".join(
@@ -177,17 +235,168 @@ class RollbackStmt(Statement):
     """Explicit ROLLBACK inside a transaction body."""
 
 
-@dataclass(frozen=True)
 class TransactionProgram:
     """A full ``BEGIN TRANSACTION ... COMMIT`` unit (Section 3.1 syntax).
 
     ``timeout_seconds`` is None when no WITH TIMEOUT clause was given.
+
+    Engine view: ``template`` (statements, shared by every script of the
+    same shape, :class:`Param` leaves where literals stood) + ``params``
+    (this script's literals).  Literal view: ``statements``, built from
+    the two on first access; equality, hashing and ``repr`` are those of
+    the literal view.  Immutable by convention, like the frozen
+    statements it holds.
     """
 
-    statements: tuple[Statement, ...]
-    timeout_seconds: float | None = None
+    __slots__ = ("template", "params", "timeout_seconds", "_statements")
+
+    def __init__(
+        self,
+        statements: tuple[Statement, ...],
+        timeout_seconds: float | None = None,
+        params: Params = (),
+    ):
+        self.template = statements
+        self.params = params
+        self.timeout_seconds = timeout_seconds
+        self._statements = None if params else statements
+
+    def bind(self, params: Params) -> "TransactionProgram":
+        """The program of another script of this shape."""
+        return TransactionProgram(self.template, self.timeout_seconds, params)
+
+    @property
+    def statements(self) -> tuple[Statement, ...]:
+        if self._statements is None:
+            self._statements = tuple(
+                bind_statement(stmt, self.params) for stmt in self.template
+            )
+        return self._statements
 
     def entangled_count(self) -> int:
         return sum(
-            1 for s in self.statements if isinstance(s, EntangledSelectStmt)
+            1 for s in self.template if isinstance(s, EntangledSelectStmt)
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransactionProgram):
+            return NotImplemented
+        return (self.statements == other.statements
+                and self.timeout_seconds == other.timeout_seconds)
+
+    def __hash__(self) -> int:
+        return hash((self.statements, self.timeout_seconds))
+
+    def __repr__(self) -> str:
+        return (f"TransactionProgram(statements={self.statements!r}, "
+                f"timeout_seconds={self.timeout_seconds!r})")
+
+
+# ---------------------------------------------------------------------------
+# Binding: parameters and host variables
+# ---------------------------------------------------------------------------
+
+
+def inline_hostvars(expr: Expr, env: Env | None, params: Params = ()) -> Expr:
+    """Replace every ``@name`` reference with its current value and every
+    :class:`Param` with its literal, in one walk; subtrees with neither
+    are shared, not copied.
+
+    Unbound host variables are a compile error — the paper's programs
+    always SET or bind a variable before use.  ``env=None`` leaves host
+    variables in place (the literal view of a template).
+    """
+    kind = type(expr)
+    if kind is Param:
+        value = params[expr.index]
+        return Const(-value if expr.negate else value)
+    if kind is Col:
+        if env is None or not expr.name.startswith("@"):
+            return expr
+        if expr.name not in env:
+            raise CompileError(f"unbound host variable {expr.name}")
+        return Const(env[expr.name])
+    if kind is Const:
+        return expr
+    if kind is Cmp or kind is Arith:
+        left = inline_hostvars(expr.left, env, params)
+        right = inline_hostvars(expr.right, env, params)
+        if left is expr.left and right is expr.right:
+            return expr
+        return kind(expr.op, left, right)
+    if kind is And or kind is Or:
+        left = inline_hostvars(expr.left, env, params)
+        right = inline_hostvars(expr.right, env, params)
+        if left is expr.left and right is expr.right:
+            return expr
+        return kind(left, right)
+    if kind is Not:
+        return Not(inline_hostvars(expr.operand, env, params))
+    if kind is IsNull:
+        return IsNull(inline_hostvars(expr.operand, env, params), expr.negated)
+    if kind is InList:
+        return InList(
+            inline_hostvars(expr.operand, env, params),
+            tuple(inline_hostvars(o, env, params) for o in expr.options),
+        )
+    if kind is InSelect:
+        return InSelect(
+            tuple(inline_hostvars(i, env, params) for i in expr.items),
+            bind_select(expr.subquery, env, params),
+        )
+    if kind is InAnswer:
+        return InAnswer(
+            tuple(inline_hostvars(i, env, params) for i in expr.items),
+            expr.answer_relation,
+        )
+    raise CompileError(f"cannot inline into {kind.__name__}")
+
+
+def _bind_items(items, env, params) -> tuple[SelectItem, ...]:
+    return tuple(
+        item if item.expr is None else SelectItem(
+            inline_hostvars(item.expr, env, params), item.bind_var, item.alias)
+        for item in items
+    )
+
+
+def _bind_optional(expr: Expr | None, env, params) -> Expr | None:
+    return None if expr is None else inline_hostvars(expr, env, params)
+
+
+def bind_select(stmt: SelectStmt, env: Env | None, params: Params = ()) -> SelectStmt:
+    """:func:`inline_hostvars` over a SELECT's items and WHERE clause."""
+    return SelectStmt(
+        _bind_items(stmt.items, env, params), stmt.tables,
+        _bind_optional(stmt.where, env, params), stmt.distinct, stmt.limit,
+        stmt.star, stmt.order_by,
+    )
+
+
+def bind_statement(stmt: Statement, params: Params) -> Statement:
+    """The literal statement a template statement stands for: every
+    :class:`Param` replaced by its value, host variables untouched."""
+    if not params:
+        return stmt
+    if isinstance(stmt, SelectStmt):
+        return bind_select(stmt, None, params)
+    if isinstance(stmt, EntangledSelectStmt):
+        return EntangledSelectStmt(
+            _bind_items(stmt.items, None, params), stmt.answer_relations,
+            _bind_optional(stmt.where, None, params), stmt.choose,
+        )
+    if isinstance(stmt, InsertStmt):
+        return InsertStmt(stmt.table, stmt.columns, tuple(
+            inline_hostvars(v, None, params) for v in stmt.values))
+    if isinstance(stmt, UpdateStmt):
+        return UpdateStmt(
+            stmt.table,
+            tuple((column, inline_hostvars(value, None, params))
+                  for column, value in stmt.assignments),
+            _bind_optional(stmt.where, None, params),
+        )
+    if isinstance(stmt, DeleteStmt):
+        return DeleteStmt(stmt.table, _bind_optional(stmt.where, None, params))
+    if isinstance(stmt, SetStmt):
+        return SetStmt(stmt.var, inline_hostvars(stmt.expr, None, params))
+    return stmt  # ROLLBACK

@@ -6,7 +6,17 @@ Two jobs:
   :class:`~repro.storage.query.SPJQuery` plans (SELECT) or row-operation
   plans (INSERT/UPDATE/DELETE), with host variables inlined as constants
   from the current environment — statements execute one at a time inside a
-  transaction, so the environment is known at compile time.
+  transaction, so the environment is known at compile time.  Statements
+  arrive as shared *templates* plus the script's ``params`` (see
+  :mod:`repro.sql.parser`); a literal statement is the ``params=()`` case.
+  Compiling a SELECT is split along that line: its **resolution** against
+  the catalog — table refs, column qualification, output names, ``AS
+  @var`` bindings, ORDER BY — depends on no literal and is computed once
+  per template statement per ``Database`` (``SelectStmt.resolutions``);
+  only **binding** — parameters and host variables to constants, in the
+  one walk of :func:`~repro.sql.ast.inline_hostvars`, and the eager
+  ``IN (SELECT ...)`` rewrite — runs per execution.  A resolution that
+  fails raises and is not remembered.
 
 * **Entangled SELECT statements** compile into the intermediate
   representation ``{C} H <- B`` of Appendix A.  The translation follows
@@ -23,19 +33,23 @@ Two jobs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import NamedTuple
 
 from repro.entangled.ir import Atom, EntangledQuery, Val, Var
 from repro.errors import CompileError, UnknownColumnError
 from repro.sql.ast import (
     DeleteStmt,
     EntangledSelectStmt,
+    Env,
     InAnswer,
     InSelect,
     InsertStmt,
+    Param,
+    Params,
     SelectItem,
     SelectStmt,
     UpdateStmt,
+    inline_hostvars,
 )
 from repro.storage.catalog import Database
 from repro.storage.expressions import (
@@ -53,74 +67,8 @@ from repro.storage.expressions import (
     conjoin,
     split_conjuncts,
 )
-from repro.storage.query import SPJQuery, TableRef
+from repro.storage.query import SPJQuery, TableRef, evaluate
 from repro.storage.types import SQLValue
-
-#: Host-variable environment: "@name" -> value.
-Env = Mapping[str, "SQLValue | None"]
-
-
-# ---------------------------------------------------------------------------
-# Host-variable inlining
-# ---------------------------------------------------------------------------
-
-
-def inline_hostvars(expr: Expr, env: Env) -> Expr:
-    """Replace every ``@name`` reference with its current value.
-
-    Unbound host variables are a compile error — the paper's programs
-    always SET or bind a variable before use.
-    """
-    if isinstance(expr, Col):
-        if expr.name.startswith("@"):
-            if expr.name not in env:
-                raise CompileError(f"unbound host variable {expr.name}")
-            return Const(env[expr.name])
-        return expr
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, inline_hostvars(expr.left, env), inline_hostvars(expr.right, env))
-    if isinstance(expr, And):
-        return And(inline_hostvars(expr.left, env), inline_hostvars(expr.right, env))
-    if isinstance(expr, Or):
-        return Or(inline_hostvars(expr.left, env), inline_hostvars(expr.right, env))
-    if isinstance(expr, Not):
-        return Not(inline_hostvars(expr.operand, env))
-    if isinstance(expr, IsNull):
-        return IsNull(inline_hostvars(expr.operand, env), expr.negated)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, inline_hostvars(expr.left, env), inline_hostvars(expr.right, env))
-    if isinstance(expr, InList):
-        return InList(
-            inline_hostvars(expr.operand, env),
-            tuple(inline_hostvars(o, env) for o in expr.options),
-        )
-    if isinstance(expr, InSelect):
-        return InSelect(
-            tuple(inline_hostvars(i, env) for i in expr.items),
-            _inline_select(expr.subquery, env),
-        )
-    if isinstance(expr, InAnswer):
-        return InAnswer(
-            tuple(inline_hostvars(i, env) for i in expr.items),
-            expr.answer_relation,
-        )
-    raise CompileError(f"cannot inline into {type(expr).__name__}")
-
-
-def _inline_select(stmt: SelectStmt, env: Env) -> SelectStmt:
-    items = tuple(
-        SelectItem(
-            None if item.expr is None else inline_hostvars(item.expr, env),
-            item.bind_var,
-            item.alias,
-        )
-        for item in stmt.items
-    )
-    where = None if stmt.where is None else inline_hostvars(stmt.where, env)
-    return SelectStmt(items, stmt.tables, where, stmt.distinct, stmt.limit,
-                      stmt.star, stmt.order_by)
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +86,49 @@ class CompiledSelect:
     bindings: tuple[tuple[str, int], ...] = ()
 
 
-def compile_select(stmt: SelectStmt, db: Database, env: Env) -> CompiledSelect:
+class _ResolvedSelect(NamedTuple):
+    """The literal-independent half of a compiled SELECT.  ``select`` and
+    ``where`` are qualified but unbound: they still hold the template's
+    ``Param`` and ``@var`` leaves, and ``where`` its ``IN (SELECT ...)``
+    nodes (under AND/OR/NOT only)."""
+
+    refs: tuple[TableRef, ...]
+    select: tuple[Expr, ...]
+    names: tuple[str, ...]
+    bindings: tuple[tuple[str, int], ...]
+    where: Expr | None
+    order_by: tuple[tuple[str, bool], ...]
+
+
+def compile_select(
+    stmt: SelectStmt, db: Database, env: Env, params: Params = ()
+) -> CompiledSelect:
     """Compile a classical SELECT against the catalog."""
-    stmt = _inline_select(stmt, env)
+    resolved = stmt.resolutions.get(db)
+    if resolved is None:
+        resolved = stmt.resolutions[db] = _resolve_select(stmt, db)
+    select = tuple(inline_hostvars(e, env, params) for e in resolved.select)
+    where = None
+    if resolved.where is not None:
+        where = _bind_where(resolved.where, db, env, params)
+    plan = SPJQuery(resolved.refs, select, resolved.names, where,
+                    stmt.distinct, stmt.limit, resolved.order_by)
+    return CompiledSelect(plan, resolved.bindings)
+
+
+def _resolve_select(stmt: SelectStmt, db: Database) -> _ResolvedSelect:
     if not stmt.tables and not stmt.star:
         # Table-less SELECT (constant row) — allowed for convenience.
         select = tuple(item.expr or Const(None) for item in stmt.items)
         names = tuple(
             item.alias or f"c{i}" for i, item in enumerate(stmt.items)
         )
-        plan = SPJQuery((), select, names, None, stmt.distinct, stmt.limit)
         bindings = tuple(
             (f"@{item.bind_var}", i)
             for i, item in enumerate(stmt.items)
             if item.bind_var
         )
-        return CompiledSelect(plan, bindings)
+        return _ResolvedSelect((), select, names, bindings, None, ())
 
     refs = tuple(
         TableRef(source.name, source.alias or source.name)
@@ -190,19 +165,14 @@ def compile_select(stmt: SelectStmt, db: Database, env: Env) -> CompiledSelect:
                 names.append(item.bind_var)
                 bindings.append((f"@{item.bind_var}", i))
                 continue
-            expr = _qualify(item.expr, schemas, resolve_bare)
-            select.append(expr)
+            select.append(_qualify(item.expr, resolve_bare))
             names.append(item.alias or f"c{i}")
             if item.bind_var:
                 bindings.append((f"@{item.bind_var}", i))
 
     where = None
     if stmt.where is not None:
-        where = _qualify(
-            _rewrite_classical_insubqueries(stmt.where, db, env),
-            schemas,
-            resolve_bare,
-        )
+        where = _qualify_where(stmt.where, resolve_bare)
     order_by: list[tuple[str, bool]] = []
     for name, descending in stmt.order_by:
         if "." in name:
@@ -218,90 +188,117 @@ def compile_select(stmt: SelectStmt, db: Database, env: Env) -> CompiledSelect:
             order_by.append((name, descending))
         else:
             order_by.append((resolve_bare(name), descending))
-    plan = SPJQuery(refs, tuple(select), tuple(names), where,
-                    stmt.distinct, stmt.limit, tuple(order_by))
-    return CompiledSelect(plan, tuple(bindings))
+    return _ResolvedSelect(refs, tuple(select), tuple(names), tuple(bindings),
+                           where, tuple(order_by))
 
 
-def _qualify(expr: Expr, schemas, resolve_bare) -> Expr:
+def _qualify(expr: Expr, resolve_bare) -> Expr:
     """Qualify bare column references so the evaluator resolves them even
     when names collide across joined tables."""
     if isinstance(expr, Col):
         if "." in expr.name or expr.name.startswith("@"):
             return expr
         return Col(resolve_bare(expr.name))
-    if isinstance(expr, Const):
+    if isinstance(expr, (Const, Param)):
         return expr
     if isinstance(expr, Cmp):
-        return Cmp(expr.op, _qualify(expr.left, schemas, resolve_bare),
-                   _qualify(expr.right, schemas, resolve_bare))
+        return Cmp(expr.op, _qualify(expr.left, resolve_bare),
+                   _qualify(expr.right, resolve_bare))
     if isinstance(expr, And):
-        return And(_qualify(expr.left, schemas, resolve_bare),
-                   _qualify(expr.right, schemas, resolve_bare))
+        return And(_qualify(expr.left, resolve_bare),
+                   _qualify(expr.right, resolve_bare))
     if isinstance(expr, Or):
-        return Or(_qualify(expr.left, schemas, resolve_bare),
-                  _qualify(expr.right, schemas, resolve_bare))
+        return Or(_qualify(expr.left, resolve_bare),
+                  _qualify(expr.right, resolve_bare))
     if isinstance(expr, Not):
-        return Not(_qualify(expr.operand, schemas, resolve_bare))
+        return Not(_qualify(expr.operand, resolve_bare))
     if isinstance(expr, IsNull):
-        return IsNull(_qualify(expr.operand, schemas, resolve_bare), expr.negated)
+        return IsNull(_qualify(expr.operand, resolve_bare), expr.negated)
     if isinstance(expr, Arith):
-        return Arith(expr.op, _qualify(expr.left, schemas, resolve_bare),
-                     _qualify(expr.right, schemas, resolve_bare))
+        return Arith(expr.op, _qualify(expr.left, resolve_bare),
+                     _qualify(expr.right, resolve_bare))
     if isinstance(expr, InList):
         return InList(
-            _qualify(expr.operand, schemas, resolve_bare),
-            tuple(_qualify(o, schemas, resolve_bare) for o in expr.options),
+            _qualify(expr.operand, resolve_bare),
+            tuple(_qualify(o, resolve_bare) for o in expr.options),
         )
     raise CompileError(
         f"unsupported expression in classical statement: {type(expr).__name__}"
     )
 
 
-def _rewrite_classical_insubqueries(expr: Expr, db: Database, env: Env) -> Expr:
-    """Rewrite ``IN (SELECT ...)`` in classical WHERE clauses.
-
-    The subquery is uncorrelated in this dialect, so it is evaluated
-    eagerly and replaced by a literal membership test.
-    """
-    if isinstance(expr, InSelect):
-        from repro.storage.query import evaluate
-
-        compiled = compile_select(expr.subquery, db, env)
-        rows = evaluate(compiled.plan, db)
-        if len(expr.items) == 1:
-            return InList(
-                expr.items[0], tuple(Const(row[0]) for row in rows)
-            )
-        # Tuple membership: expand into a disjunction of conjunctions.
-        disjuncts: list[Expr] = []
-        for row in rows:
-            parts = [
-                Cmp(CmpOp.EQ, item, Const(value))
-                for item, value in zip(expr.items, row)
-            ]
-            combined = conjoin(parts)
-            if combined is not None:
-                disjuncts.append(combined)
-        if not disjuncts:
-            return Const(False)
-        out = disjuncts[0]
-        for d in disjuncts[1:]:
-            out = Or(out, d)
-        return out
+def _map_where(expr: Expr, leaf) -> Expr:
+    """Rebuild a WHERE clause's AND/OR/NOT skeleton — the only positions
+    where ``IN (SELECT ...)`` may stand — applying ``leaf`` below it."""
     if isinstance(expr, And):
-        return And(_rewrite_classical_insubqueries(expr.left, db, env),
-                   _rewrite_classical_insubqueries(expr.right, db, env))
+        return And(_map_where(expr.left, leaf), _map_where(expr.right, leaf))
     if isinstance(expr, Or):
-        return Or(_rewrite_classical_insubqueries(expr.left, db, env),
-                  _rewrite_classical_insubqueries(expr.right, db, env))
+        return Or(_map_where(expr.left, leaf), _map_where(expr.right, leaf))
     if isinstance(expr, Not):
-        return Not(_rewrite_classical_insubqueries(expr.operand, db, env))
-    if isinstance(expr, InAnswer):
-        raise CompileError(
-            "IN ANSWER is only allowed in entangled SELECT ... INTO ANSWER"
-        )
-    return expr
+        return Not(_map_where(expr.operand, leaf))
+    return leaf(expr)
+
+
+def _qualify_where(expr: Expr, resolve_bare) -> Expr:
+    """:func:`_qualify` for a WHERE clause: an ``IN (SELECT ...)`` has its
+    tuple items qualified and its subquery left for :func:`_bind_where`
+    to evaluate per execution."""
+
+    def leaf(expr: Expr) -> Expr:
+        if isinstance(expr, InSelect):
+            return InSelect(
+                tuple(_qualify(item, resolve_bare) for item in expr.items),
+                expr.subquery,
+            )
+        if isinstance(expr, InAnswer):
+            raise CompileError(
+                "IN ANSWER is only allowed in entangled SELECT ... INTO ANSWER"
+            )
+        return _qualify(expr, resolve_bare)
+
+    return _map_where(expr, leaf)
+
+
+def _bind_where(expr: Expr, db: Database, env: Env, params: Params) -> Expr:
+    """Bind a resolved WHERE clause for one execution.
+
+    ``IN (SELECT ...)`` is uncorrelated in this dialect, so the subquery
+    is evaluated eagerly and replaced by a literal membership test;
+    everything else is :func:`inline_hostvars`.
+    """
+
+    def leaf(expr: Expr) -> Expr:
+        if isinstance(expr, InSelect):
+            return _membership_test(expr, db, env, params)
+        return inline_hostvars(expr, env, params)
+
+    return _map_where(expr, leaf)
+
+
+def _membership_test(
+    node: InSelect, db: Database, env: Env, params: Params
+) -> Expr:
+    items = tuple(inline_hostvars(i, env, params) for i in node.items)
+    compiled = compile_select(node.subquery, db, env, params)
+    rows = evaluate(compiled.plan, db)
+    if len(items) == 1:
+        return InList(items[0], tuple(Const(row[0]) for row in rows))
+    # Tuple membership: expand into a disjunction of conjunctions.
+    disjuncts: list[Expr] = []
+    for row in rows:
+        parts = [
+            Cmp(CmpOp.EQ, item, Const(value))
+            for item, value in zip(items, row)
+        ]
+        combined = conjoin(parts)
+        if combined is not None:
+            disjuncts.append(combined)
+    if not disjuncts:
+        return Const(False)
+    out = disjuncts[0]
+    for d in disjuncts[1:]:
+        out = Or(out, d)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +386,14 @@ def compile_entangled(
     db: Database,
     env: Env,
     query_id: str,
+    params: Params = (),
 ) -> EntangledQuery:
     """Compile an entangled SELECT into IR (see module docstring)."""
     ctx = _EntangledContext(db, env)
     postcondition_specs: list[tuple[tuple[Expr, ...], str]] = []
 
     for conjunct in split_conjuncts(stmt.where):
-        conjunct = inline_hostvars(conjunct, env)
+        conjunct = inline_hostvars(conjunct, env, params)
         if isinstance(conjunct, InSelect):
             _absorb_in_select(ctx, conjunct)
         elif isinstance(conjunct, InAnswer):
@@ -418,7 +416,7 @@ def compile_entangled(
             assert item.bind_var is not None
             expr = Col(f"@{item.bind_var}")
             item = SelectItem(expr=expr, bind_var=None, alias=None)
-        term = _expr_to_term(ctx, inline_hostvars(expr, env))
+        term = _expr_to_term(ctx, inline_hostvars(expr, env, params))
         head_terms.append(term)
         if item.bind_var:
             for head_index in range(len(stmt.answer_relations)):
@@ -678,9 +676,11 @@ class CompiledInsert:
     values: tuple["SQLValue | None", ...]
 
 
-def compile_insert(stmt: InsertStmt, db: Database, env: Env) -> CompiledInsert:
+def compile_insert(
+    stmt: InsertStmt, db: Database, env: Env, params: Params = ()
+) -> CompiledInsert:
     schema = db.table(stmt.table).schema
-    values = [_eval_const(inline_hostvars(v, env)) for v in stmt.values]
+    values = [_eval_const(inline_hostvars(v, env, params)) for v in stmt.values]
     if stmt.columns:
         if len(stmt.columns) != len(values):
             raise CompileError(
@@ -705,15 +705,17 @@ class CompiledUpdate:
     predicate: Expr | None
 
 
-def compile_update(stmt: UpdateStmt, db: Database, env: Env) -> CompiledUpdate:
+def compile_update(
+    stmt: UpdateStmt, db: Database, env: Env, params: Params = ()
+) -> CompiledUpdate:
     db.table(stmt.table)  # existence check
     assignments = tuple(
-        (column, inline_hostvars(value, env))
+        (column, inline_hostvars(value, env, params))
         for column, value in stmt.assignments
     )
     predicate = None
     if stmt.where is not None:
-        predicate = inline_hostvars(stmt.where, env)
+        predicate = inline_hostvars(stmt.where, env, params)
     return CompiledUpdate(stmt.table, assignments, predicate)
 
 
@@ -723,11 +725,13 @@ class CompiledDelete:
     predicate: Expr | None
 
 
-def compile_delete(stmt: DeleteStmt, db: Database, env: Env) -> CompiledDelete:
+def compile_delete(
+    stmt: DeleteStmt, db: Database, env: Env, params: Params = ()
+) -> CompiledDelete:
     db.table(stmt.table)
     predicate = None
     if stmt.where is not None:
-        predicate = inline_hostvars(stmt.where, env)
+        predicate = inline_hostvars(stmt.where, env, params)
     return CompiledDelete(stmt.table, predicate)
 
 

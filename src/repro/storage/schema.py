@@ -8,7 +8,7 @@ them as value objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SchemaError, TypeMismatchError, UnknownColumnError
@@ -46,12 +46,18 @@ class TableSchema:
             matching e.g. the paper's ``Friends`` relation).
         indexes: tuples of column names to maintain secondary hash
             indexes over (non-unique).
+        column_names: the columns' names in order (derived, precomputed:
+            the interpreter reads it per statement).
     """
 
     name: str
     columns: tuple[Column, ...]
     primary_key: tuple[str, ...] = ()
     indexes: tuple[tuple[str, ...], ...] = ()
+    column_names: tuple[str, ...] = field(
+        init=False, repr=False, compare=False)
+    #: column name -> position, behind column()/column_index()/has_column().
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
@@ -72,6 +78,10 @@ class TableSchema:
                     raise SchemaError(
                         f"index column {col!r} not in table {self.name!r}"
                     )
+        # Frozen, so the derived lookups can be computed once, here.
+        object.__setattr__(self, "column_names", tuple(names))
+        object.__setattr__(
+            self, "_positions", {name: i for i, name in enumerate(names)})
 
     # -- convenience constructors -------------------------------------------------
 
@@ -99,27 +109,21 @@ class TableSchema:
     # -- lookups ------------------------------------------------------------------
 
     @property
-    def column_names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns)
-
-    @property
     def arity(self) -> int:
         return len(self.columns)
 
     def column(self, name: str) -> Column:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise UnknownColumnError(f"no column {name!r} in table {self.name!r}")
+        return self.columns[self.column_index(name)]
 
     def column_index(self, name: str) -> int:
-        for i, col in enumerate(self.columns):
-            if col.name == name:
-                return i
-        raise UnknownColumnError(f"no column {name!r} in table {self.name!r}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise UnknownColumnError(
+                f"no column {name!r} in table {self.name!r}") from None
 
     def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
+        return name in self._positions
 
     # -- row validation -----------------------------------------------------------
 

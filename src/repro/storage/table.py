@@ -18,7 +18,6 @@ undo/redo paths use it, because rollback of chains is handled separately.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import DuplicateKeyError, StorageError
@@ -128,6 +127,10 @@ class Table:
         #: may overstate between prunes once versions were discarded).
         self._total_versions = 0
         self._max_chain = 0
+        #: chain length -> number of rids with a chain that long, kept in
+        #: step with ``_versions`` wherever a chain grows or shrinks, so
+        #: the per-run histogram costs O(distinct lengths), not O(rows).
+        self._chain_lengths: dict[int, int] = {}
         #: versions dropped opportunistically at supersede time since the
         #: engine last collected the counter (horizon-aware vacuum).
         self._supersede_pruned = 0
@@ -502,6 +505,19 @@ class Table:
         chain.append(version)
         self._total_versions += 1
         self._max_chain = max(self._max_chain, len(chain))
+        self._chain_resized(len(chain) - 1, len(chain))
+
+    def _chain_resized(self, before: int, after: int) -> None:
+        """Move one rid from chain length ``before`` to ``after`` in the
+        length histogram (0 = the rid has no chain)."""
+        lengths = self._chain_lengths
+        if before:
+            if lengths[before] == 1:
+                del lengths[before]
+            else:
+                lengths[before] -= 1
+        if after:
+            lengths[after] = lengths.get(after, 0) + 1
 
     def _chain_supersede(
         self,
@@ -557,6 +573,7 @@ class Table:
                     chain[:] = keep
                 else:
                     del self._versions[rid]
+                self._chain_resized(len(keep) + removed, len(keep))
                 self._total_versions -= removed
                 self._supersede_pruned += removed
                 self._prune_floor = max(self._prune_floor, prune_horizon)
@@ -623,6 +640,7 @@ class Table:
             before = len(chain)
             chain[:] = [v for v in chain if v is not version]
             self._total_versions -= before - len(chain)
+            self._chain_resized(before, len(chain))
             if not chain:
                 del self._versions[rid]
         for _rid, version in self._pending_ended.pop(txn, ()):
@@ -685,6 +703,8 @@ class Table:
         """
         removed = 0
         longest = 0
+        # The walk visits every chain anyway: recount the histogram.
+        lengths = self._chain_lengths = {}
         for rid in list(self._versions):
             chain = self._versions[rid]
             keep = [
@@ -694,6 +714,7 @@ class Table:
             removed += len(chain) - len(keep)
             longest = max(longest, len(keep))
             if keep:
+                lengths[len(keep)] = lengths.get(len(keep), 0) + 1
                 self._versions[rid] = keep
             else:
                 del self._versions[rid]
@@ -736,8 +757,9 @@ class Table:
         return self._total_versions, self._max_chain
 
     def chain_histogram(self) -> dict[int, int]:
-        """Version-chain-length histogram: ``length -> #rids`` (exact)."""
-        return dict(Counter(len(chain) for chain in self._versions.values()))
+        """Version-chain-length histogram: ``length -> #rids`` (exact;
+        maintained incrementally, so O(distinct lengths))."""
+        return dict(self._chain_lengths)
 
     def take_supersede_pruned(self) -> int:
         """Collect (and reset) the supersede-time prune counter."""
@@ -797,6 +819,7 @@ class Table:
         self._prune_floor = 0
         self._total_versions = 0
         self._max_chain = 0
+        self._chain_lengths.clear()
         self._supersede_pruned = 0
 
     def snapshot(self) -> list[tuple[int, ValueTuple]]:

@@ -1,4 +1,32 @@
-"""Recursive-descent parser for the extended-SQL dialect.
+"""TEST-ONLY ORACLE: the SQL front end as it stood before the prepared-statement pipeline.
+
+A verbatim copy of ``src/repro/sql/lexer.py`` (the char-by-char tokenizer),
+the ``Token`` dataclass of ``src/repro/sql/tokens.py`` and
+``src/repro/sql/parser.py`` (the uncached recursive-descent parser that
+builds a literal AST per script) at the parent of that change.  Slow but
+obviously correct, which is what a reference is for: ``test_prepared.py``
+feeds it and the production front end the same text and requires identical
+tokens (type, value, position), identical literal ASTs and identical error
+class/message/position.  It shares ``TokenType``/``KEYWORDS`` and the AST
+node classes with ``src/`` on purpose, so results compare with ``==``.  One
+known divergence, deliberate: malformed numbers (``1.2.3``, ``LIMIT 1.5``)
+leak a bare ``ValueError`` from here and are ``LexError``/``ParseError`` in
+production.  Never import this from ``src/``.
+
+Original lexer docstring follows.
+
+Tokenizer for the extended-SQL dialect.
+
+Handles the syntax used throughout the paper: single- or double-quoted
+string literals (with backslash and doubled-quote escapes), ``--`` line
+comments, host variables ``@name``, qualified identifiers, and numeric
+literals (integers and decimals).  Also accepts the Unicode "smart"
+quotes that the paper's typesetting uses in some listings, normalizing
+them to plain quotes, so examples can be pasted verbatim.
+
+Original parser docstring follows.
+
+Recursive-descent parser for the extended-SQL dialect.
 
 Grammar (informally; [] optional, {} repetition):
 
@@ -20,54 +48,19 @@ Grammar (informally; [] optional, {} repetition):
 Expressions use the usual precedence (OR < AND < NOT < comparison/IN/IS <
 additive < multiplicative < primary) and include the entangled forms
 ``(items) IN (SELECT ...)`` and ``(items) IN ANSWER Name``.
-
-**Parse once per shape.**  The scripts of a workload differ only in their
-literals, so :func:`parse_script`, :func:`parse_transaction` and
-:func:`parse_statement` run the recursive descent once per *shape* and
-keep the result in one bounded, process-wide template table:
-
-* The **shape key** is the token stream with every NUMBER and STRING in
-  expression position replaced by its token type; keywords, identifiers,
-  host variables, operators and punctuation stay verbatim.  Numbers the
-  grammar consumes as syntax — after ``LIMIT``, ``CHOOSE``, ``TIMEOUT`` —
-  are part of the shape and stay in the key (``LIMIT 1`` and ``LIMIT 2``
-  are two templates).  The lifted values, in token order, are the
-  script's **parameters**; ``1`` and ``1.0`` share a shape and differ in
-  the parameter.
-* A **miss** runs the parser below with ``lift=True``: each literal it
-  meets becomes a :class:`~repro.sql.ast.Param` leaf numbered in the
-  order met — the parser consumes tokens left to right, so that *is*
-  token order — and a unary minus folds into a numeric parameter
-  (``Param(i, negate=True)``), as it folds into a numeric literal.  A
-  **hit** is a dictionary lookup.  There is no uncached mode: the miss
-  path is the parser.
-* **Errors are never cached**: a miss parses the script's own tokens
-  (lifting is a decision at the leaf, not a rewritten token stream), so
-  a ``ParseError`` quotes the right token value and position and
-  propagates before anything is stored.
-* The table holds :data:`TEMPLATE_CAP` shapes, least recently used out
-  first.  It takes no latch: every step is one dict operation under the
-  GIL, and the worst a race does is parse a shape twice.
-
-:func:`parse_transaction` returns the shared template with the script's
-parameters (``TransactionProgram.template`` / ``.params``; the literal
-``.statements`` is materialised on demand); :func:`parse_statement` and
-:func:`parse_script` return literal statements.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from dataclasses import dataclass
 
-from repro.errors import ParseError
+from repro.errors import LexError, ParseError
 from repro.sql.ast import (
     DeleteStmt,
     EntangledSelectStmt,
     InAnswer,
     InSelect,
     InsertStmt,
-    Param,
-    Params,
     RollbackStmt,
     SelectItem,
     SelectStmt,
@@ -76,10 +69,8 @@ from repro.sql.ast import (
     TableSource,
     TransactionProgram,
     UpdateStmt,
-    bind_statement,
 )
-from repro.sql.lexer import tokenize
-from repro.sql.tokens import Token, TokenType
+from repro.sql.tokens import KEYWORDS, TokenType
 from repro.storage.expressions import (
     And,
     Arith,
@@ -95,6 +86,142 @@ from repro.storage.expressions import (
     Or,
 )
 
+
+# ---------------------------------------------------------------------------
+# tokens.py: the Token dataclass
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Token:
+    """A lexed token with its source position (for error messages)."""
+
+    type: TokenType
+    value: str
+    position: int
+
+    def matches_keyword(self, *words: str) -> bool:
+        return self.type is TokenType.KEYWORD and self.value in words
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{self.type.value}:{self.value!r}@{self.position}"
+
+
+# ---------------------------------------------------------------------------
+# lexer.py
+# ---------------------------------------------------------------------------
+
+_QUOTE_PAIRS = {
+    "'": "'",
+    '"': '"',
+    "‘": "’",  # ' '
+    "“": "”",  # " "
+    "`": "'",            # the paper writes `125' in one listing
+}
+
+_TWO_CHAR_OPERATORS = ("<=", ">=", "<>", "!=")
+_ONE_CHAR_OPERATORS = "=<>+-/"
+
+
+def tokenize(text: str) -> list[Token]:
+    """Tokenize ``text``; raises :class:`LexError` on unexpected input."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if text.startswith("--", i):
+            end = text.find("\n", i)
+            i = n if end == -1 else end + 1
+            continue
+        if ch in _QUOTE_PAIRS:
+            closer = _QUOTE_PAIRS[ch]
+            value, i = _read_string(text, i + 1, closer, ch)
+            tokens.append(Token(TokenType.STRING, value, i))
+            continue
+        if ch.isdigit():
+            start = i
+            while i < n and (text[i].isdigit() or text[i] == "."):
+                i += 1
+            tokens.append(Token(TokenType.NUMBER, text[start:i], start))
+            continue
+        if ch == "@":
+            start = i
+            i += 1
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            name = text[start + 1: i]
+            if not name:
+                raise LexError("'@' must be followed by a variable name", start)
+            tokens.append(Token(TokenType.HOSTVAR, name, start))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+            word = text[start:i]
+            upper = word.upper()
+            if upper in KEYWORDS:
+                tokens.append(Token(TokenType.KEYWORD, upper, start))
+            else:
+                tokens.append(Token(TokenType.IDENTIFIER, word, start))
+            continue
+        two = text[i: i + 2]
+        if two in _TWO_CHAR_OPERATORS:
+            canonical = "<>" if two == "!=" else two
+            tokens.append(Token(TokenType.OPERATOR, canonical, i))
+            i += 2
+            continue
+        if ch in _ONE_CHAR_OPERATORS:
+            tokens.append(Token(TokenType.OPERATOR, ch, i))
+            i += 1
+            continue
+        simple = {
+            ",": TokenType.COMMA,
+            "(": TokenType.LPAREN,
+            ")": TokenType.RPAREN,
+            ".": TokenType.DOT,
+            ";": TokenType.SEMICOLON,
+            "*": TokenType.STAR,
+        }.get(ch)
+        if simple is not None:
+            tokens.append(Token(simple, ch, i))
+            i += 1
+            continue
+        raise LexError(f"unexpected character {ch!r}", i)
+    tokens.append(Token(TokenType.EOF, "", n))
+    return tokens
+
+
+def _read_string(text: str, start: int, closer: str, opener: str) -> tuple[str, int]:
+    """Read a quoted string starting after the opening quote.
+
+    Doubling the closing quote escapes it (SQL style).  Returns the
+    string value and the index after the closing quote.
+    """
+    out: list[str] = []
+    i = start
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == closer:
+            if i + 1 < n and text[i + 1] == closer:
+                out.append(closer)
+                i += 2
+                continue
+            return "".join(out), i + 1
+        out.append(ch)
+        i += 1
+    raise LexError(f"unterminated string starting with {opener!r}", start - 1)
+
+
+# ---------------------------------------------------------------------------
+# parser.py
+# ---------------------------------------------------------------------------
+
 _TIME_UNITS = {
     "SECOND": 1.0,
     "SECONDS": 1.0,
@@ -107,40 +234,12 @@ _TIME_UNITS = {
 }
 
 
-_NUMBER = TokenType.NUMBER
-_STRING = TokenType.STRING
-
-#: Keywords whose following NUMBER is syntax, not an expression literal.
-_NUMBER_CLAUSES = frozenset({"LIMIT", "CHOOSE", "TIMEOUT"})
-
-
-def _number(token: Token, integer: bool = False) -> int | float:
-    """The value of a NUMBER token (``integer``: LIMIT and CHOOSE counts)."""
-    try:
-        if integer or "." not in token.value:
-            return int(token.value)
-        return float(token.value)
-    except ValueError:
-        kind = "an integer" if integer else "a number"
-        raise ParseError(
-            f"expected {kind}, found {token}", token.position) from None
-
-
 class Parser:
-    """One-pass recursive-descent parser over a token list.
+    """One-pass recursive-descent parser over a token list."""
 
-    ``source`` is SQL text or its tokens.  With ``lift=True`` the result
-    is a template: number and string literals become ``Param`` leaves,
-    numbered in the order the parser meets them.
-    """
-
-    def __init__(self, source: str | list[Token], lift: bool = False):
-        self.tokens = tokenize(source) if isinstance(source, str) else source
+    def __init__(self, text: str):
+        self.tokens = tokenize(text)
         self.pos = 0
-        self.lift = lift
-        #: one entry per parameter lifted so far: is it a number (the
-        #: kind a unary minus folds into)?
-        self.lifted: list[bool] = []
 
     # -- token helpers -------------------------------------------------------------
 
@@ -206,7 +305,7 @@ class Parser:
         timeout = None
         if self.accept_keyword("WITH"):
             self.expect_keyword("TIMEOUT")
-            amount = float(_number(self.expect(TokenType.NUMBER)))
+            amount = float(self.expect(TokenType.NUMBER).value)
             unit = self.expect_keyword(*_TIME_UNITS)
             timeout = amount * _TIME_UNITS[unit.value]
         self.expect(TokenType.SEMICOLON)
@@ -271,7 +370,7 @@ class Parser:
                 order_by.append(self.parse_order_item())
         limit = None
         if self.accept_keyword("LIMIT"):
-            limit = _number(self.expect(TokenType.NUMBER), integer=True)
+            limit = int(self.expect(TokenType.NUMBER).value)
         return SelectStmt(
             tuple(items), tuple(tables), where, distinct, limit, star,
             tuple(order_by),
@@ -299,7 +398,7 @@ class Parser:
         if self.accept_keyword("WHERE"):
             where = self.parse_expr()
         self.expect_keyword("CHOOSE")
-        choose = _number(self.expect(TokenType.NUMBER), integer=True)
+        choose = int(self.expect(TokenType.NUMBER).value)
         return EntangledSelectStmt(tuple(items), tuple(relations), where, choose)
 
     def parse_select_item(self) -> SelectItem:
@@ -571,16 +670,15 @@ class Parser:
                     operand.value, (int, float)) and not isinstance(
                     operand.value, bool):
                 return Const(-operand.value)
-            if isinstance(operand, Param) and self.lifted[operand.index]:
-                return Param(operand.index, not operand.negate)
             return Arith(ArithOp.SUB, Const(0), operand)
-        if token.type is _NUMBER or token.type is _STRING:
+        if token.type is TokenType.NUMBER:
             self.advance()
-            if self.lift:
-                self.lifted.append(token.type is _NUMBER)
-                return Param(len(self.lifted) - 1)
-            return Const(
-                _number(token) if token.type is _NUMBER else token.value)
+            if "." in token.value:
+                return Const(float(token.value))
+            return Const(int(token.value))
+        if token.type is TokenType.STRING:
+            self.advance()
+            return Const(token.value)
         if token.matches_keyword("NULL"):
             self.advance()
             return Const(None)
@@ -612,76 +710,9 @@ def _single(items: list[Expr]) -> Expr:
     return items[0]
 
 
-# ---------------------------------------------------------------------------
-# The template table
-# ---------------------------------------------------------------------------
-
-#: Shapes kept; the least recently used goes first.  A workload has a
-#: handful of shapes, an application some dozens; a template is a few KB.
-TEMPLATE_CAP = 512
-
-#: shape key -> the parsed script template (a tuple of units: template
-#: Statements and parameterless template TransactionPrograms).
-_templates: OrderedDict[tuple, tuple] = OrderedDict()
-
-
-def _shape(tokens: list[Token]) -> tuple[tuple, Params]:
-    """Split a token stream into its shape key and its parameters."""
-    key: list = []
-    params: list = []
-    previous = None
-    for token in tokens:
-        kind = token[0]
-        if kind is _NUMBER:
-            if previous in _NUMBER_CLAUSES:
-                element = token[1]
-            else:
-                element = _NUMBER
-                params.append(_number(token))
-        elif kind is _STRING:
-            element = _STRING
-            params.append(token[1])
-        elif kind is TokenType.HOSTVAR:
-            # The one token type whose value alone is ambiguous: @x vs x.
-            element = "@" + token[1]
-        else:
-            element = token[1]
-        key.append(element)
-        previous = element
-    return tuple(key), tuple(params)
-
-
-def _prepare(text: str) -> tuple[tuple, Params]:
-    """The template units of ``text``'s shape and ``text``'s parameters."""
-    tokens = tokenize(text)
-    key, params = _shape(tokens)
-    units = _templates.get(key)
-    if units is not None:
-        try:
-            _templates.move_to_end(key)
-        except KeyError:
-            pass  # evicted by another thread since the get(); still valid
-        return units, params
-    # Parsed from this script's own tokens, so a ParseError quotes the
-    # right values and positions; it propagates before anything is kept.
-    units = tuple(Parser(tokens, lift=True).parse_script())
-    _templates[key] = units
-    while len(_templates) > TEMPLATE_CAP:
-        try:
-            _templates.popitem(last=False)
-        except KeyError:
-            break  # another thread emptied it first
-    return units, params
-
-
 def parse_script(text: str) -> list:
     """Parse a script of transactions and statements."""
-    units, params = _prepare(text)
-    return [
-        unit.bind(params) if isinstance(unit, TransactionProgram)
-        else bind_statement(unit, params)
-        for unit in units
-    ]
+    return Parser(text).parse_script()
 
 
 def parse_transaction(text: str) -> TransactionProgram:

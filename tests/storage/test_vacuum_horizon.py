@@ -126,3 +126,95 @@ class TestChainHistogramsInRunReport:
         store.load("T", [(k, 0) for k in range(8)])
         merged = store.chain_histograms()["T"]
         assert sum(merged.values()) == 8
+
+
+# ---------------------------------------------------------------------------
+# The histogram is maintained, not recounted: white-box property
+# ---------------------------------------------------------------------------
+
+from collections import Counter  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.errors import ReproError  # noqa: E402
+
+_KEYS = st.integers(0, 5)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _KEYS),
+        st.tuples(st.just("update"), _KEYS),
+        st.tuples(st.just("delete"), _KEYS),
+        st.tuples(st.just("begin"), st.booleans()),     # snapshot reader?
+        st.tuples(st.just("commit"), st.integers(0, 3)),
+        st.tuples(st.just("abort"), st.integers(0, 3)),
+        st.tuples(st.just("vacuum"), st.none()),
+        st.tuples(st.just("clear"), st.none()),
+        st.tuples(st.just("checkpoint-restore"), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_OPS, interval=st.sampled_from([0, 3]))
+def test_property_maintained_histogram_equals_a_recount(ops, interval):
+    """After any insert/update/delete/abort/vacuum/clear sequence — with
+    supersede-time pruning, open snapshots pinning the horizon, and
+    failed operations along the way — ``chain_histogram()`` (kept at the
+    sites that grow or shrink a chain) equals a recount of the chains."""
+    engine = build_engine()
+    engine.vacuum_interval = interval
+    table = engine.db.table("T")
+    open_txns: list[int] = []
+    value = 0
+
+    def check():
+        chains = table.version_chains()
+        assert table.chain_histogram() == dict(
+            Counter(len(chain) for chain in chains.values()))
+        assert table.version_stats()[0] == sum(map(len, chains.values()))
+
+    for op, arg in ops:
+        value += 1
+        try:
+            if op == "begin":
+                open_txns.append(engine.begin(
+                    TxnIsolation.SNAPSHOT if arg else TxnIsolation.TWO_PL))
+            elif op in ("commit", "abort") and open_txns:
+                txn = open_txns.pop(arg % len(open_txns))
+                (engine.commit if op == "commit" else engine.abort)(txn)
+            elif op == "vacuum":
+                engine.vacuum()
+            elif op == "clear" and not open_txns:
+                table.clear()
+            elif op == "checkpoint-restore" and not open_txns:
+                table.restore_checkpoint(table.checkpoint_image())
+            elif op in ("insert", "update", "delete"):
+                # In the newest open transaction, else in its own
+                # (committed supersedes are what supersede-time pruning
+                # feeds on).
+                autocommit = not open_txns
+                if autocommit:
+                    open_txns.append(engine.begin())
+                txn = open_txns[-1]
+                row = table.lookup_pk((arg,))
+                if op == "insert":
+                    engine.insert(txn, "T", (arg, value))
+                elif row is not None and op == "update":
+                    engine.update(txn, "T", row.rid, (arg, value))
+                elif row is not None:
+                    engine.delete(txn, "T", row.rid)
+                if autocommit:
+                    engine.commit(open_txns.pop())
+        except ReproError:
+            # Duplicate keys, lock waits, write conflicts, deadlocks:
+            # the transaction is abandoned, as a client would.
+            if open_txns:
+                engine.abort(open_txns.pop())
+        check()
+    for txn in open_txns:
+        engine.abort(txn)
+    check()
+    engine.vacuum()
+    check()
