@@ -55,7 +55,7 @@ from repro.sim.resources import ConnectionPool
 from repro.sql.ast import TransactionProgram
 from repro.sql.parser import parse_transaction
 from repro.storage.engine import StorageEngine, TxnIsolation
-from repro.storage.expressions import Cmp, CmpOp, Col, Const
+from repro.storage.expressions import Cmp, CmpOp, Col, Const, RowPredicate
 from repro.storage.schema import TableSchema
 from repro.storage.types import ColumnType
 
@@ -332,13 +332,16 @@ class EntangledTransactionEngine:
         if not self.config.persist_state:
             return
         system = self.store.begin()
-        schema = self.store.db.table(self.POOL_TABLE).schema
-        index = schema.column_index("handle")
-        self.store.delete_where(
-            system, self.POOL_TABLE, lambda row: row.values[index] == handle,
-            where=Cmp(CmpOp.EQ, Col("handle"), Const(handle)),
-        )
+        self._delete_pool_row(system, handle)
         self.store.commit(system)
+
+    def _delete_pool_row(self, storage_txn: int, handle: int) -> None:
+        where = Cmp(CmpOp.EQ, Col("handle"), Const(handle))
+        columns = self.store.db.table(self.POOL_TABLE).schema.column_names
+        self.store.delete_where(
+            storage_txn, self.POOL_TABLE, RowPredicate(columns, where),
+            where=where,
+        )
 
     # -- submission --------------------------------------------------------------------
 
@@ -1065,14 +1068,7 @@ class EntangledTransactionEngine:
         # a committed transaction still queued for re-execution.  The
         # pk-pinned WHERE keeps this a row+key delete, so concurrent
         # group commits don't serialize on the pool table.
-        schema = self.store.db.table(self.POOL_TABLE).schema
-        index = schema.column_index("handle")
-        handle = txn.handle
-        self.store.delete_where(
-            txn.storage_txn, self.POOL_TABLE,
-            lambda row: row.values[index] == handle,
-            where=Cmp(CmpOp.EQ, Col("handle"), Const(handle)),
-        )
+        self._delete_pool_row(txn.storage_txn, txn.handle)
 
     def _commit_rejected(
         self, txn: EntangledTransaction, report: RunReport

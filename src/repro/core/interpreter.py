@@ -44,7 +44,7 @@ from repro.sql.compiler import (
     inline_hostvars,
 )
 from repro.storage.engine import StorageEngine, WouldBlock
-from repro.storage.expressions import is_satisfied
+from repro.storage.expressions import RowAssignments, RowPredicate
 from repro.core.transaction import EntangledTransaction
 
 
@@ -196,20 +196,15 @@ def _execute_classical(
     if isinstance(stmt, UpdateStmt):
         compiled = compile_update(stmt, store.db, txn.env, params)
         schema = store.db.table(compiled.table).schema
-
-        def matches(row):
-            env = dict(zip(schema.column_names, row.values))
-            return is_satisfied(compiled.predicate, env)
-
-        def new_values(row):
-            env = dict(zip(schema.column_names, row.values))
-            out = list(row.values)
-            for column, expr in compiled.assignments:
-                out[schema.column_index(column)] = expr.eval(env)
-            return out
-
+        # The statement as data: picklable, so a sharded store can hand
+        # it to each target shard whole.
         store.update_where(
-            txn.storage_txn, compiled.table, matches, new_values,
+            txn.storage_txn, compiled.table,
+            RowPredicate(schema.column_names, compiled.predicate),
+            RowAssignments(schema.column_names, tuple(
+                (schema.column_index(column), expr)
+                for column, expr in compiled.assignments
+            )),
             where=compiled.predicate,
         )
         costs.charge_statement(txn, is_write=True)
@@ -217,13 +212,9 @@ def _execute_classical(
     if isinstance(stmt, DeleteStmt):
         compiled = compile_delete(stmt, store.db, txn.env, params)
         schema = store.db.table(compiled.table).schema
-
-        def matches_delete(row):
-            env = dict(zip(schema.column_names, row.values))
-            return is_satisfied(compiled.predicate, env)
-
         store.delete_where(
-            txn.storage_txn, compiled.table, matches_delete,
+            txn.storage_txn, compiled.table,
+            RowPredicate(schema.column_names, compiled.predicate),
             where=compiled.predicate,
         )
         costs.charge_statement(txn, is_write=True)

@@ -41,6 +41,7 @@ from repro.core.engine import EngineConfig, EntangledTransactionEngine
 from repro.core.policies import RunPolicy
 from repro.errors import RecoveryError
 from repro.storage.engine import StorageEngine
+from repro.storage.expressions import RowPredicate
 from repro.storage.recovery import RecoveryReport, recover
 from repro.storage.wal import LogRecordType
 
@@ -128,7 +129,7 @@ def recover_entangled(
     # its new handle, keeping table and in-memory pool consistent.
     system = crashed.begin()
     crashed.delete_where(system, EntangledTransactionEngine.POOL_TABLE,
-                         lambda _row: True)
+                         RowPredicate((), None))
     crashed.commit(system)
     for row in rows:
         _handle, client, program_sql, submitted_at = row.values

@@ -166,12 +166,9 @@ class _PositionalTable:
         real_names = [self.schema.real_name(c) for c in column_names]
         return self._table.has_ordered_index(real_names)
 
-    def range_scan(self, column_names, lo, hi, *, lo_inc=True, hi_inc=True,
-                   reverse=False):
+    def range_scan(self, column_names, lo, hi, **scan_options):
         real_names = [self.schema.real_name(c) for c in column_names]
-        return self._table.range_scan(
-            real_names, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse
-        )
+        return self._table.range_scan(real_names, lo, hi, **scan_options)
 
     def canonical_index(self, column_names):
         # Translate positional ``__col<i>`` names back to the real schema

@@ -1224,21 +1224,22 @@ class StorageEngine:
         new_values: Callable[[Row], Sequence[Any]],
         *,
         where: "Expr | None" = None,
-    ) -> int:
-        """Update all rows matching ``predicate``; returns rows changed.
+    ) -> list[tuple[Row, Row]]:
+        """Update all rows matching ``predicate``; returns the
+        ``(old, new)`` row pairs it changed.
 
-        ``where`` optionally carries the compiled WHERE expression the
-        ``predicate`` closure was built from; when its equality conjuncts
-        cover an index, candidate rows come from that index under IX-table
-        + key X locks instead of a table X lock.
+        One call is the whole statement — candidate probe and locks,
+        first-updater-wins check, update — so a shard router can ship it
+        to a shard as one frame.  ``where`` optionally carries the
+        compiled WHERE expression the ``predicate`` was built from; when
+        its equality conjuncts cover an index, candidate rows come from
+        that index under IX-table + key X locks instead of a table X lock.
         """
-        table = self.db.table(table_name)
-        changed = 0
-        for row in self._write_candidates(txn, table_name, table, where):
-            if predicate(row):
-                self.update(txn, table_name, row.rid, list(new_values(row)))
-                changed += 1
-        return changed
+        return [
+            self.update(txn, table_name, row.rid, list(new_values(row)))
+            for row in self._write_candidates(txn, table_name, where)
+            if predicate(row)
+        ]
 
     @_locked
     def delete_where(
@@ -1248,21 +1249,18 @@ class StorageEngine:
         predicate: Callable[[Row], bool],
         *,
         where: "Expr | None" = None,
-    ) -> int:
-        """Delete all rows matching ``predicate``; returns rows removed.
-
-        ``where`` enables the same index pushdown as :meth:`update_where`.
-        """
-        table = self.db.table(table_name)
-        removed = 0
-        for row in self._write_candidates(txn, table_name, table, where):
-            if predicate(row):
-                self.delete(txn, table_name, row.rid)
-                removed += 1
-        return removed
+    ) -> list[Row]:
+        """Delete all rows matching ``predicate``; returns the rows
+        removed.  ``where`` enables the same index pushdown as
+        :meth:`update_where`."""
+        return [
+            self.delete(txn, table_name, row.rid)
+            for row in self._write_candidates(txn, table_name, where)
+            if predicate(row)
+        ]
 
     def _write_candidates(
-        self, txn: int, table_name: str, table, where: "Expr | None"
+        self, txn: int, table_name: str, where: "Expr | None"
     ) -> list[Row]:
         """Candidate rows for a predicate write, with the right locks.
 
@@ -1283,7 +1281,11 @@ class StorageEngine:
         inserted after the snapshot are rightly invisible to the write,
         and the candidate set cannot shift mid-statement in the
         cooperative single-threaded engine.
+
+        Nothing is written here: a router whose statement spans shards
+        calls this on each before any of them writes.
         """
+        table = self.db.table(table_name)
         ctx = self._contexts.get(txn)
         if ctx is not None and ctx.isolation.uses_snapshot:
             self._lock(
@@ -1334,6 +1336,9 @@ class StorageEngine:
                 return self._lock_candidate_rows(txn, table_name, rows)
         self._lock(txn, table_resource(table_name), LockMode.EXCLUSIVE)
         return list(table.scan())
+
+    #: the statement's lock-and-probe half alone, as a shard verb.
+    lock_write_candidates = _locked(_write_candidates)
 
     def _lock_candidate_rows(
         self, txn: int, table_name: str, rows: list[Row]

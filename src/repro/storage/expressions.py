@@ -306,6 +306,38 @@ def is_satisfied(predicate: Expr | None, env: Env) -> bool:
     return _as_bool(predicate.eval(env)) is True
 
 
+@dataclass(slots=True)
+class RowPredicate:
+    """A row predicate as data: ``where`` over a table's bare column
+    names.  Callable like the closure it replaces, and picklable, so a
+    predicate write can cross to a shard worker as one frame."""
+
+    columns: tuple[str, ...]
+    where: Expr | None
+
+    def __call__(self, row) -> bool:
+        return is_satisfied(self.where, dict(zip(self.columns, row.values)))
+
+
+@dataclass(slots=True)
+class RowAssignments:
+    """An UPDATE's SET list as data: ``(column position, expression)``
+    pairs evaluated over the old row; calling it gives the new values."""
+
+    columns: tuple[str, ...]
+    assignments: tuple[tuple[int, Expr], ...]
+
+    def __call__(self, row) -> list:
+        env = dict(zip(self.columns, row.values))
+        out = list(row.values)
+        for position, expr in self.assignments:
+            out[position] = expr.eval(env)
+        return out
+
+    def assigned_columns(self) -> set[str]:
+        return {self.columns[position] for position, _expr in self.assignments}
+
+
 def conjoin(parts: Iterable[Expr]) -> Expr | None:
     """AND together a sequence of predicates (None when empty)."""
     result: Expr | None = None

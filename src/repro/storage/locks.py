@@ -188,6 +188,14 @@ def index_key_resource(
     return ("ixkey", table_name, tuple(columns), tuple(key))
 
 
+#: the counters in :attr:`LockManager.stats`, in reporting order (the
+#: process transport ships them positionally).
+LOCK_STATS = (
+    "acquired", "waits", "deadlocks", "upgrades", "read_grants",
+    "table_s_grants",
+)
+
+
 class LockManager:
     """A cooperative S/X lock manager with deadlock detection."""
 
@@ -211,14 +219,7 @@ class LockManager:
         #: transactions drive it to exactly zero (readers never lock).
         #: ``table_s_grants`` counts whole-table S grants — the range
         #: bench asserts next-key-locked range scans drive it to zero.
-        self.stats = {
-            "acquired": 0,
-            "waits": 0,
-            "deadlocks": 0,
-            "upgrades": 0,
-            "read_grants": 0,
-            "table_s_grants": 0,
-        }
+        self.stats = dict.fromkeys(LOCK_STATS, 0)
 
     def share_waits_for(
         self,

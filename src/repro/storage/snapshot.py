@@ -146,9 +146,10 @@ class SnapshotView:
         lo_inc: bool = True,
         hi_inc: bool = True,
         reverse: bool = False,
+        limit: int | None = None,
     ) -> list[Row]:
         """Versioned range read: visible rows whose index key falls in the
-        bounds, ordered by (key, rid).
+        bounds, ordered by (key, rid); at most ``limit`` of them.
 
         Candidates are the *current* B+ tree postings in the bounds plus
         the per-key history buckets whose key falls in the bounds — the
@@ -179,7 +180,7 @@ class SnapshotView:
                     continue
                 keyed.append((skey, rid, row))
             keyed.sort(key=lambda item: (item[0], item[1]), reverse=reverse)
-            return [row for _skey, _rid, row in keyed]
+            return [row for _skey, _rid, row in keyed[:limit]]
 
     def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
         return self._table.canonical_index(column_names)

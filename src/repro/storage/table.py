@@ -292,16 +292,20 @@ class Table:
         lo_inc: bool = True,
         hi_inc: bool = True,
         reverse: bool = False,
+        limit: int | None = None,
     ) -> list[Row]:
-        """Current rows whose index key falls in the bounds, key-ordered
-        (rid-ordered within equal keys)."""
+        """Current rows whose index key falls in the bounds, in (key,
+        rid) order — exactly reversed under ``reverse`` — stopping the
+        tree walk once ``limit`` rows are in hand."""
         tree = self._ordered[tuple(column_names)]
         rows: list[Row] = []
         for _key, rids in tree.items(
             lo, hi, lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse
         ):
-            rows.extend(self._rows[rid] for rid in sorted(rids))
-        return rows
+            if limit is not None and len(rows) >= limit:
+                break
+            rows.extend(self._rows[rid] for rid in sorted(rids, reverse=reverse))
+        return rows[:limit]
 
     def range_candidate_rids(
         self,

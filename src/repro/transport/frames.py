@@ -4,8 +4,9 @@ The wire format of the process-per-shard transport (:mod:`repro.
 transport`): each message is a 4-byte big-endian length followed by a
 pickle of the frame object.  Frames are small Python tuples:
 
-* request  — ``(req_id, method, args)``; ``req_id == 0`` marks a
-  *notify* (fire-and-forget, no response frame);
+* request  — ``(req_id, method, args, prelude)``; ``prelude`` lists the
+  one-way ``(method, args)`` calls queued since the last frame, which
+  the worker runs first (there is no fire-and-forget frame);
 * response — ``(req_id, status, payload, envelope)`` with ``status``
   one of ``"ok"`` / ``"error"`` / ``"would_block"``.
 
@@ -41,9 +42,6 @@ from repro.errors import (
 )
 
 _HEADER = struct.Struct(">I")
-
-#: notify frames use this request id; the worker sends no response.
-NOTIFY = 0
 
 
 class FrameChannel:

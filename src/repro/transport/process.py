@@ -155,16 +155,15 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
             read_ts,
         )
 
-    def _record_write(self, ctx, shard_idx, table_name, rid, keys) -> None:
+    def _record_write(self, ctx, shard_idx, table_name, *images) -> None:
         # Transaction bookkeeping only — no per-statement SSI recording.
         # Active write sets are never consulted before commit (readers
         # only sweep *committed* writers), and the prepare round below
         # ships the worker-authoritative write set into the tracker at
         # commit time, deduplicated, in one round trip per shard instead
         # of one coordinator-side recording per statement.
-        del keys
         ctx.written.add(shard_idx)
-        ctx.writes.append(RowId(table_name, rid))
+        ctx.writes.append(RowId(table_name, images[0].rid))
         with self._meta_lock:
             self._active_writers.add(ctx.txn_id)
 

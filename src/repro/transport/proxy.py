@@ -6,18 +6,40 @@
 verbs, the maintenance verbs), so the whole coordinator layer —
 vector begins, ordered two-phase commit, query planning, vacuum,
 checkpointing, reporting — runs **unchanged** over process-backed
-shards.
+shards.  Planning stays here; only leaf accesses and write statements
+cross the pipe, one frame per statement per shard:
+
+=====================  ================  ================================
+coordinator call       frame             rides along
+=====================  ================  ================================
+``begin``,             none              queued as the connection's
+``oracle.register_/``                    **prelude**; the next request
+``release_snapshot``,                    frame to this worker carries it
+``set_*`` knobs                          (FIFO, run before the request)
+``update_where`` /     1                 the statement as data: table,
+``delete_where``                         picklable predicate/assignments,
+                                         ``where``
+``insert`` / pk or     1 each            —
+index probe / range
+scan (``limit`` rows)
+``commit``             1 per begun       —
+                       shard
+``wal.flush``          1 per written     the durable WAL delta, in the
+                       shard             response envelope
+``locks.stats``,       none              mirrored from response
+``version_stats``,                       envelopes, like ``commit_count``
+``chain_histograms``
+=====================  ================  ================================
 
 Two kinds of state answer locally, without a round trip:
 
-* **mirrors** — the shard's oracle timestamp, WAL contents and
-  commit/abort counters are replicated coordinator-side, folded in
-  from the envelope every synchronous response carries.  Because the
-  coordinator performs begins/commits under its commit funnel (each
-  enclosed RPC is awaited before the funnel is released) and worker
-  maintenance never moves these values on its own (auto-checkpoints
-  are disabled; auto-vacuum doesn't advance the oracle), a mirror read
-  under the funnel equals the worker's value.
+* **mirrors** — the shard's oracle timestamp, WAL contents, commit/abort
+  counters and lock/version-chain statistics are replicated
+  coordinator-side, folded in from the envelope responses carry.
+  Because the coordinator performs begins/commits under its commit
+  funnel (each enclosed RPC is awaited before the funnel is released)
+  and a worker only changes state while serving a request, a mirror read
+  equals the worker's value as of its last response.
 * **schema replicas** — pure schema-shape questions (``index_keys``,
   ``has_index``, ``canonical_index``) are answered by an empty local
   :class:`~repro.storage.table.Table` twin built from the same schema.
@@ -25,9 +47,10 @@ Two kinds of state answer locally, without a round trip:
 Everything else is a synchronous RPC over the shard's
 :class:`~repro.transport.frames.FrameChannel`.  A per-connection
 receiver thread matches responses to callers: the pending table lives
-under the ``transport-state`` latch, frame writes are serialized by
-``transport-send`` — both rank *above* every engine latch, so a
-receiver folding an envelope (oracle, WAL) never inverts the lattice.
+under the ``transport-state`` latch, frame writes (and the prelude
+queue they drain) are serialized by ``transport-send`` — both rank
+*above* every engine latch, so a receiver folding an envelope (oracle,
+WAL) never inverts the lattice.
 """
 
 from __future__ import annotations
@@ -37,11 +60,11 @@ import threading
 from repro.analysis.latch import Latch, assert_may_block
 from repro.errors import TransactionStateError, TransportError, UnknownTableError
 from repro.storage.engine import WouldBlock
-from repro.storage.locks import LockMode
+from repro.storage.locks import LOCK_STATS
 from repro.storage.oracle import TimestampOracle
 from repro.storage.table import Table
 from repro.storage.wal import WriteAheadLog
-from repro.transport.frames import NOTIFY, FrameChannel, decode_error
+from repro.transport.frames import FrameChannel, decode_error
 
 
 class RemoteWouldBlock(WouldBlock):
@@ -96,6 +119,8 @@ class ShardConnection:
         self._state = Latch("transport-state", reentrant=False)
         self._send_latch = Latch("transport-send", reentrant=False)
         self._pending: dict[int, _PendingCall] = {}
+        #: one-way calls waiting for a carrier (under ``transport-send``).
+        self._prelude: list[tuple[str, tuple]] = []
         self._next_req = 1
         self._closed = False
         #: installed by :class:`RemoteShardEngine` before :meth:`start`.
@@ -124,7 +149,8 @@ class ShardConnection:
             self._next_req += 1
             self._pending[req_id] = slot
         with self._send_latch:
-            self._channel.send((req_id, method, args))
+            prelude, self._prelude = self._prelude, []
+            self._channel.send((req_id, method, args, prelude))
         slot.done.wait()
         if slot.status == "closed":
             raise TransportError(
@@ -133,10 +159,13 @@ class ShardConnection:
             )
         return slot.status, slot.payload
 
-    def notify(self, method: str, *args) -> None:
-        """Fire-and-forget; the worker sends no response frame."""
+    def defer(self, method: str, *args) -> None:
+        """A one-way call with no frame of its own: it joins the prelude
+        the next request frame carries, and runs worker-side before that
+        request — in FIFO order, so it still precedes everything sent
+        after it.  If it fails there, its carrier fails with its error."""
         with self._send_latch:
-            self._channel.send((NOTIFY, method, args))
+            self._prelude.append((method, args))
 
     def request(self, method: str, *args):
         """:meth:`call`, with remote failures re-raised as themselves."""
@@ -205,9 +234,9 @@ class OracleMirror(TimestampOracle):
     ``last_commit_ts`` and ``oldest_active`` answer from local state:
     the commit timestamp advances via response envelopes, the snapshot
     registry via the coordinator's own register/release calls (which
-    are also forwarded to the worker as notifies, so the worker's
-    vacuum horizon respects coordinator-held snapshots — pipe FIFO
-    guarantees a registration outruns any later commit's auto-vacuum).
+    are also deferred to the worker, so the worker's vacuum horizon
+    respects coordinator-held snapshots — prelude FIFO guarantees a
+    registration outruns any later commit's auto-vacuum).
     """
 
     def __init__(self, connection: ShardConnection):
@@ -221,11 +250,11 @@ class OracleMirror(TimestampOracle):
 
     def register_snapshot(self, txn: int, read_ts: int) -> None:
         super().register_snapshot(txn, read_ts)
-        self._connection.notify("register_snapshot", txn, read_ts)
+        self._connection.defer("register_snapshot", txn, read_ts)
 
     def release_snapshot(self, txn: int) -> None:
         super().release_snapshot(txn)
-        self._connection.notify("release_snapshot", txn)
+        self._connection.defer("release_snapshot", txn)
 
 
 class WalReplica(WriteAheadLog):
@@ -260,7 +289,7 @@ class WalReplica(WriteAheadLog):
     @flush_latency.setter
     def flush_latency(self, value: float) -> None:
         self._flush_latency = value
-        self._connection.notify("set_flush_latency", value)
+        self._connection.defer("set_flush_latency", value)
 
     @property
     def last_lsn(self) -> int:
@@ -276,10 +305,8 @@ class RemoteLocks:
 
     def __init__(self, connection: ShardConnection):
         self._connection = connection
-
-    @property
-    def stats(self) -> dict[str, int]:
-        return self._connection.request("lock_stats")
+        #: the worker's counters as of its last response (envelope-fed).
+        self.stats = dict.fromkeys(LOCK_STATS, 0)
 
     def waiting(self, txn: int) -> bool:
         return self._connection.request("lock_waiting", txn)
@@ -353,13 +380,11 @@ class RemoteTable:
             "table_lookup_index", self.name, tuple(column_names), key
         )
 
-    def range_scan(
-        self, column_names, lo, hi, *,
-        lo_inc: bool = True, hi_inc: bool = True, reverse: bool = False,
-    ):
+    def range_scan(self, column_names, lo, hi, **options):
+        """``options``: the ``range_scan`` keywords (bound inclusivity,
+        ``reverse``, ``limit``), shipped as given."""
         return self._connection.request(
-            "table_range_scan", self.name, tuple(column_names),
-            lo, hi, lo_inc, hi_inc, reverse,
+            "table_range_scan", self.name, tuple(column_names), lo, hi, options
         )
 
     def __len__(self) -> int:
@@ -447,13 +472,10 @@ class RemoteSnapshotView:
             tuple(column_names), key,
         )
 
-    def range_scan(
-        self, column_names, lo, hi, *,
-        lo_inc: bool = True, hi_inc: bool = True, reverse: bool = False,
-    ):
+    def range_scan(self, column_names, lo, hi, **options):
         return self._connection.request(
             "snap_range_scan", self.name, self.txn, self.read_ts,
-            tuple(column_names), lo, hi, lo_inc, hi_inc, reverse,
+            tuple(column_names), lo, hi, options,
         )
 
     def has_index(self, column_names) -> bool:
@@ -466,7 +488,8 @@ class RemoteSnapshotView:
         return self._table.canonical_index(column_names)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.scan())
+        return self._connection.request(
+            "snap_len", self.name, self.txn, self.read_ts)
 
 
 # -- the shard proxy -----------------------------------------------------------------
@@ -501,6 +524,10 @@ class RemoteShardEngine:
             self.db.adopt_table(schema)
         self.commit_count = 0
         self.abort_count = 0
+        #: ``(versions, max chain)`` and the per-table chain-length
+        #: histograms (catalog order), as of the last response.
+        self._version_stats = (0, 0)
+        self._chain_histograms: tuple = ()
         self.checkpoint_stats = {"taken": 0, "skipped": 0}
         self._vacuum_interval = 128
         self._checkpoint_interval = 0
@@ -514,28 +541,28 @@ class RemoteShardEngine:
     def _apply_envelope(self, envelope) -> None:
         # Latch order: oracle (50) then wal (52), acquired separately,
         # never nested; counter writes are plain attribute stores.
-        self.oracle.advance_to(envelope["ts"])
+        (ts, self.commit_count, self.abort_count, delta, wal_full, last_lsn,
+         flushed, fallback, stats) = envelope
+        self.oracle.advance_to(ts)
         wal = self.wal
-        wal_full = envelope["wal_full"]
         if wal_full is not None:
-            records, flushed_lsn, next_lsn = wal_full
-            wal.replace(records, flushed_lsn=flushed_lsn, next_lsn=next_lsn)
-            wal._mirror_last_lsn = envelope["last_lsn"]
+            records, full_flushed, next_lsn = wal_full
+            wal.replace(records, flushed_lsn=full_flushed, next_lsn=next_lsn)
+            wal._mirror_last_lsn = last_lsn
         else:
-            if envelope["wal"] or envelope["flushed"]:
-                wal.install(envelope["wal"], flushed_lsn=envelope["flushed"])
-            if envelope["last_lsn"] > wal._mirror_last_lsn:
-                wal._mirror_last_lsn = envelope["last_lsn"]
+            if delta or flushed:
+                wal.install(delta, flushed_lsn=flushed)
+            if last_lsn > wal._mirror_last_lsn:
+                wal._mirror_last_lsn = last_lsn
         # The successor fleet after a crash must never reuse LSNs the
         # lost volatile tail consumed (this thread is the only writer).
-        if envelope["last_lsn"] >= wal._next_lsn:
-            wal._next_lsn = envelope["last_lsn"] + 1
-        self.commit_count = envelope["commits"]
-        self.abort_count = envelope["aborts"]
-        for name, count in envelope["fallback"].items():
-            table = self.db._tables.get(name)
-            if table is not None:
-                table.fallback_scans = count
+        if last_lsn >= wal._next_lsn:
+            wal._next_lsn = last_lsn + 1
+        for name, count in zip(self.db.table_names(), fallback):
+            self.db.table(name).fallback_scans = count
+        if stats is not None:
+            lock_stats, self._version_stats, self._chain_histograms = stats
+            self.locks.stats.update(zip(LOCK_STATS, lock_stats))
 
     def _blocking(self, method: str, *args):
         """A request that may hit a lock conflict worker-side.
@@ -552,8 +579,11 @@ class RemoteShardEngine:
 
     # -- transactions --------------------------------------------------------------
 
-    def begin(self, isolation, *, txn_id=None, read_ts=None) -> int:
-        return self._connection.request("begin", isolation, txn_id, read_ts)
+    def begin(self, isolation, *, txn_id: int, read_ts=None) -> int:
+        # The coordinator names the transaction, so nothing has to come
+        # back: the begin rides the first statement's frame.
+        self._connection.defer("begin", isolation, txn_id, read_ts)
+        return txn_id
 
     def commit(self, txn: int, *, participants=None, flush: bool = True):
         # The coordinator owns flush ordering (its reads-from dependency
@@ -588,14 +618,20 @@ class RemoteShardEngine:
     def delete(self, txn: int, table_name: str, rid: int):
         return self._blocking("delete", txn, table_name, rid)
 
+    def update_where(self, txn: int, table_name: str, predicate, new_values,
+                     *, where=None):
+        return self._blocking(
+            "update_where", txn, table_name, predicate, new_values, where)
+
+    def delete_where(self, txn: int, table_name: str, predicate, *,
+                     where=None):
+        return self._blocking(
+            "delete_where", txn, table_name, predicate, where)
+
     # -- locking -------------------------------------------------------------------
 
-    def _lock(self, txn: int, resource, mode) -> None:
-        self._blocking("lock", txn, resource, mode)
-
-    def _lock_index_keys(self, txn: int, table_name: str, keys,
-                         mode=LockMode.INTENTION_EXCLUSIVE) -> None:
-        self._blocking("lock_index_keys", txn, table_name, list(keys), mode)
+    def lock_write_candidates(self, txn: int, table_name: str, where):
+        return self._blocking("lock_write_candidates", txn, table_name, where)
 
     def lock_read_access(self, txn: int, access) -> None:
         self._blocking("lock_read_access", txn, access)
@@ -635,7 +671,7 @@ class RemoteShardEngine:
     @vacuum_interval.setter
     def vacuum_interval(self, value: int) -> None:
         self._vacuum_interval = value
-        self._connection.notify("set_vacuum_interval", value)
+        self._connection.defer("set_vacuum_interval", value)
 
     @property
     def checkpoint_interval(self) -> int:
@@ -644,15 +680,15 @@ class RemoteShardEngine:
     @checkpoint_interval.setter
     def checkpoint_interval(self, value: int) -> None:
         self._checkpoint_interval = value
-        self._connection.notify("set_checkpoint_interval", value)
+        self._connection.defer("set_checkpoint_interval", value)
 
     # -- stats ---------------------------------------------------------------------
 
     def version_stats(self) -> dict[str, int]:
-        return self._connection.request("version_stats")
+        return dict(zip(("versions", "max_chain"), self._version_stats))
 
     def chain_histograms(self) -> dict[str, dict[int, int]]:
-        return self._connection.request("chain_histograms")
+        return dict(zip(self.db.table_names(), self._chain_histograms))
 
     @property
     def mvcc_stats(self) -> dict[str, int]:

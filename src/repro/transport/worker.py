@@ -10,18 +10,41 @@ wrapping (worker-side snapshot views are built with ``mutex=None``).
 Cross-shard parallelism comes from having one such process per shard,
 not from concurrency inside one.
 
-Every synchronous response carries an **envelope**: the oracle's
-commit timestamp, commit/abort counters, the WAL record delta since
-the last ship (plus the flush watermark) and per-table fallback-scan
-counters.  The coordinator's receiver thread folds the envelope into
-its local mirrors, which is how the proxy objects in
-:mod:`repro.transport.proxy` can answer hot-path reads (``oracle.
-last_commit_ts``, ``wal.last_lsn``) without a round trip.
+One frame is one *step of the protocol* — a statement on this shard, a
+commit, a flush — not one line of the coordinator's implementation of
+it (the coordinator half of this table is in :mod:`repro.transport.
+proxy`):
 
-Notify frames (``req_id == 0``) get no response; a notify handler
-that *fails* stashes its exception and the next synchronous request
-fails with it instead of executing — the coordinator never silently
-loses a worker-side error.
+====================  ==========================================  ============
+verb                  what the handler fuses                      payload
+====================  ==========================================  ============
+``update_where`` /    IX + candidate probe at the shard's         changed
+``delete_where``      ``read_ts`` + row X locks + first-updater-  ``(old, new)``
+                      wins check + the writes                     pairs / rows
+``lock_write_``       the probe and locks alone (multi-shard      candidate
+``candidates``        statements lock everywhere before writing)  rows
+``insert`` ...        one row write with its key/gap locks        the row(s)
+``snap_*``            one versioned leaf access (``limit`` caps   row(s)
+                      a range scan's rows worker-side)
+``commit``            in-memory commit, never the fsync           woken txns
+``wal_flush``         the fsync; acks the durable WAL delta       —
+====================  ==========================================  ============
+
+One-way traffic (``begin``, ``register_snapshot``, ``release_snapshot``,
+the ``set_*`` knobs) has no frame of its own: it arrives as the
+**prelude** of the next request frame and runs, in order, before that
+request.  A prelude entry that *fails* stashes its exception and the
+carrier request fails with it instead of executing — the coordinator
+never silently loses a worker-side error.
+
+Every response carries an **envelope** (``None`` when nothing moved):
+the oracle's commit timestamp, commit/abort counters, the durable WAL
+delta and watermarks, per-table fallback-scan counters, and — when they
+changed — lock-manager and version-chain statistics.  The coordinator's
+receiver thread folds it into its local mirrors, which is how the proxy
+objects answer hot-path reads (``oracle.last_commit_ts``,
+``wal.last_lsn``, ``locks.stats``, ``chain_histograms``) without a
+round trip.
 """
 
 from __future__ import annotations
@@ -34,7 +57,7 @@ from repro.storage.locks import index_key_resource, table_resource
 from repro.storage.recovery import recover
 from repro.storage.row import RowId
 from repro.storage.snapshot import SnapshotView
-from repro.transport.frames import NOTIFY, FrameChannel, encode_error
+from repro.transport.frames import FrameChannel, encode_error
 
 
 def worker_main(shard_idx, read_fd, write_fd, close_fds, options):
@@ -111,12 +134,12 @@ class ShardServer:
         #: the next envelope carries a wholesale log resync instead of a
         #: delta, because ``install`` cannot express truncation.
         self._wal_resync = False
-        #: a failed notify poisons the next synchronous request.
+        #: a failed prelude entry poisons the request that carried it.
         self._pending_error: BaseException | None = None
-        #: signature of the last envelope actually shipped; responses
-        #: whose state matches carry ``None`` instead of a redundant
-        #: envelope (the hot read path — nothing changed to mirror).
-        self._last_sig = None
+        #: the state behind the last envelope actually shipped; a
+        #: response finding it unchanged carries ``None`` instead (the
+        #: hot read path — nothing moved, nothing to mirror).
+        self._last_state = None
 
     # -- the loop --------------------------------------------------------------------
 
@@ -125,16 +148,15 @@ class ShardServer:
             frame = self.channel.recv()
             if frame is None:  # coordinator died without a shutdown frame
                 return
-            req_id, method, args = frame
+            req_id, method, args, prelude = frame
+            for name, prelude_args in prelude:
+                try:
+                    getattr(self, f"do_{name}")(*prelude_args)
+                except Exception as exc:  # noqa: BLE001 - fails the carrier
+                    self._pending_error = exc
             if method == "shutdown":
                 self.channel.send((req_id, "ok", None, None))
                 return
-            if req_id == NOTIFY:
-                try:
-                    getattr(self, f"do_{method}")(*args)
-                except BaseException as exc:  # noqa: BLE001 - shipped onward
-                    self._pending_error = exc
-                continue
             self.channel.send(self._respond(req_id, method, args))
 
     def _respond(self, req_id, method, args):
@@ -157,51 +179,47 @@ class ShardServer:
         return (req_id, status, payload, self._envelope())
 
     def _envelope(self):
+        """``(ts, commits, aborts, wal delta, wal resync, last lsn,
+        flushed lsn, fallback scans, stats)`` — positional, because it
+        rides most responses and dict keys would outweigh its values."""
         engine = self.engine
         wal = engine.wal
+        head = (
+            engine.oracle.last_commit_ts, engine.commit_count,
+            engine.abort_count,
+        )
+        fallback = tuple(
+            engine.db.table(name).fallback_scans
+            for name in engine.db.table_names()
+        )
+        stats = (
+            tuple(engine.locks.stats.values()),
+            tuple(engine.version_stats().values()),
+            tuple(engine.chain_histograms().values()),
+        )
+        # Responses are FIFO per connection and the coordinator's
+        # receiver applies envelopes in order, so "same state as the last
+        # shipped envelope" means the mirrors are already exact.
+        state = (head, wal._next_lsn, wal.flushed_lsn, fallback, stats)
+        last = self._last_state
         if self._wal_resync:
             self._wal_resync = False
-            self._last_sig = None  # history rewritten: always ship
             records = tuple(wal.records())
             self._shipped_lsn = records[-1].lsn if records else 0
             wal_full = (records, wal.flushed_lsn, wal._next_lsn)
             delta = ()
+        elif state == last:
+            return None
         else:
-            # Responses are FIFO per connection and the coordinator's
-            # receiver applies envelopes in order, so "same signature as
-            # the last shipped envelope" means the mirrors are already
-            # exact — elide the envelope entirely.  This is the hot
-            # path: every snapshot read of a quiescent shard.
-            sig = (
-                engine.oracle.last_commit_ts,
-                engine.commit_count,
-                engine.abort_count,
-                len(wal._records),
-                wal._next_lsn,
-                wal.flushed_lsn,
-                tuple(
-                    getattr(engine.db.table(name), "fallback_scans", 0)
-                    for name in engine.db.table_names()
-                ),
-            )
-            if sig == self._last_sig:
-                return None
-            self._last_sig = sig
             wal_full = None
             delta = self._wal_delta()
-        return {
-            "ts": engine.oracle.last_commit_ts,
-            "commits": engine.commit_count,
-            "aborts": engine.abort_count,
-            "wal": delta,
-            "wal_full": wal_full,
-            "last_lsn": wal.last_lsn,
-            "flushed": wal.flushed_lsn,
-            "fallback": {
-                name: getattr(engine.db.table(name), "fallback_scans", 0)
-                for name in engine.db.table_names()
-            },
-        }
+        self._last_state = state
+        if last is not None and stats == last[-1]:
+            stats = None
+        return (
+            *head, delta, wal_full, wal.last_lsn, wal.flushed_lsn, fallback,
+            stats,
+        )
 
     def _wal_delta(self):
         # The serve loop is this process's only thread, so reading the
@@ -229,7 +247,10 @@ class ShardServer:
             self._shipped_lsn = delta[-1].lsn
         return delta
 
-    # -- notify handlers (no response frame) -------------------------------------------
+    # -- prelude handlers (one-way; never a request of their own) ------------------------
+
+    def do_begin(self, isolation, txn_id, read_ts):
+        self.engine.begin(isolation, txn_id=txn_id, read_ts=read_ts)
 
     def do_register_snapshot(self, txn, read_ts):
         self.engine.oracle.register_snapshot(txn, read_ts)
@@ -247,9 +268,6 @@ class ShardServer:
         self.engine.checkpoint_interval = value
 
     # -- transactions ------------------------------------------------------------------
-
-    def do_begin(self, isolation, txn_id, read_ts):
-        return self.engine.begin(isolation, txn_id=txn_id, read_ts=read_ts)
 
     def do_commit(self, txn, participants):
         # flush=False always: the coordinator owns flush ordering (its
@@ -303,13 +321,18 @@ class ShardServer:
     def do_delete(self, txn, table_name, rid):
         return self.engine.delete(txn, table_name, rid)
 
+    def do_update_where(self, txn, table_name, predicate, new_values, where):
+        return self.engine.update_where(
+            txn, table_name, predicate, new_values, where=where)
+
+    def do_delete_where(self, txn, table_name, predicate, where):
+        return self.engine.delete_where(
+            txn, table_name, predicate, where=where)
+
     # -- locking -----------------------------------------------------------------------
 
-    def do_lock(self, txn, resource, mode):
-        self.engine._lock(txn, resource, mode)
-
-    def do_lock_index_keys(self, txn, table_name, keys, mode):
-        self.engine._lock_index_keys(txn, table_name, keys, mode)
+    def do_lock_write_candidates(self, txn, table_name, where):
+        return self.engine.lock_write_candidates(txn, table_name, where)
 
     def do_lock_read_access(self, txn, access):
         self.engine.lock_read_access(txn, access)
@@ -325,9 +348,6 @@ class ShardServer:
 
     def do_cancel_wait(self, txn, resource):
         return self.engine.locks.cancel_wait(txn, resource)
-
-    def do_lock_stats(self):
-        return dict(self.engine.locks.stats)
 
     def do_lock_waiting(self, txn):
         return self.engine.locks.waiting(txn)
@@ -349,12 +369,12 @@ class ShardServer:
     def do_snap_lookup_index(self, name, txn, read_ts, columns, key):
         return self._snapshot_view(name, txn, read_ts).lookup_index(columns, key)
 
-    def do_snap_range_scan(
-        self, name, txn, read_ts, columns, lo, hi, lo_inc, hi_inc, reverse
-    ):
+    def do_snap_len(self, name, txn, read_ts):
+        return len(self._snapshot_view(name, txn, read_ts))
+
+    def do_snap_range_scan(self, name, txn, read_ts, columns, lo, hi, options):
         return self._snapshot_view(name, txn, read_ts).range_scan(
-            columns, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse
-        )
+            columns, lo, hi, **options)
 
     def do_unpark_snapshot(self, txn):
         self.engine.unpark_snapshot(txn)
@@ -373,12 +393,8 @@ class ShardServer:
     def do_table_lookup_index(self, name, columns, key):
         return self.engine.db.table(name).lookup_index(columns, key)
 
-    def do_table_range_scan(self, name, columns, lo, hi, lo_inc, hi_inc, reverse):
-        return list(
-            self.engine.db.table(name).range_scan(
-                columns, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse
-            )
-        )
+    def do_table_range_scan(self, name, columns, lo, hi, options):
+        return self.engine.db.table(name).range_scan(columns, lo, hi, **options)
 
     def do_table_len(self, name):
         return len(self.engine.db.table(name))
@@ -415,12 +431,6 @@ class ShardServer:
         return report
 
     # -- stats -------------------------------------------------------------------------
-
-    def do_version_stats(self):
-        return self.engine.version_stats()
-
-    def do_chain_histograms(self):
-        return self.engine.chain_histograms()
 
     def do_mvcc_stats(self):
         return dict(self.engine.mvcc_stats)

@@ -236,7 +236,7 @@ class TestPredicateWritePushdown:
             lambda row: [1, "u1", 0.0],
             where=where,
         )
-        assert changed == 1
+        assert [new.values for _old, new in changed] == [(1, "u1", 0.0)]
         # A disjoint-row reader is not blocked: no table X was taken.
         assert store.query(t2, point_select(2)) == [(100.0,)]
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -90,6 +91,42 @@ class TestFrameChannel:
                     a.send((1, "ping", b"x" * 65536))
         finally:
             a.close()
+
+
+@dataclasses.dataclass(frozen=True)
+class DefaultReduce:
+    """What a Row cost on the wire before it had its own ``__reduce__``."""
+
+    rid: int
+    values: tuple
+
+
+class TestRowPayload:
+    """Rows are most of what crosses the pipe; they pickle positionally."""
+
+    def test_rows_round_trip_equal_and_within_the_byte_bound(self):
+        import pickle
+
+        from repro.storage.row import Row
+
+        ledger = [
+            (2 * i + 1, (i, i % 1024, (7 * i) % 1024, 12.5 + i, i * 0.01))
+            for i in range(125)
+        ]
+        rows = [Row(rid, values) for rid, values in ledger]
+        a, b = pipe_pair()
+        try:
+            a.send((1, "ok", rows, None))
+            assert b.recv() == (1, "ok", rows, None)
+        finally:
+            a.close()
+            b.close()
+        size = len(pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL))
+        default = len(pickle.dumps(
+            [DefaultReduce(rid, values) for rid, values in ledger],
+            protocol=pickle.HIGHEST_PROTOCOL))
+        assert size <= 0.85 * default
+        assert size <= 36.5 * len(rows)  # 4,505 B for these 125
 
 
 class TestErrorRegistry:

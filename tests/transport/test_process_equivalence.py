@@ -149,3 +149,47 @@ class TestProcessExecutorEquivalence:
             proc.commit(readers["proc"])
         finally:
             proc.close()
+
+
+class TestRunReportStatisticsEquivalence:
+    """Lock and version-chain statistics reach ``RunReport`` from the
+    envelope mirrors under the process executor and from the engines
+    themselves under the pool: same scripts, same numbers."""
+
+    FIELDS = (
+        "lock_waits", "locks_acquired", "deadlocks", "max_version_chain",
+        "chain_histograms",
+    )
+
+    def reports(self, executor: str):
+        from repro import connect
+
+        client = connect(shards=2, executor=executor, isolation="snapshot")
+        try:
+            client.create_table(SCHEMA)
+            client.load("T", [(k, "v") for k in range(16)])
+            out = []
+            for batch in range(3):
+                # Disjoint keys per batch: no script waits on another,
+                # so thread timing cannot move a counter.
+                for i in range(4):
+                    k = 4 * batch + i
+                    client.session(f"c{i}").run_script(
+                        "BEGIN TRANSACTION; "
+                        f"SELECT v AS @v FROM T WHERE k={k}; "
+                        f"UPDATE T SET v = 'w{batch}' WHERE k={k}; "
+                        f"UPDATE T SET v = 'x{batch}' WHERE k={(k + 4) % 16}; "
+                        "COMMIT;"
+                    )
+                report = client.run()
+                assert len(report.committed) == 4
+                out.append({f: getattr(report, f) for f in self.FIELDS})
+            return out
+        finally:
+            client.close()
+
+    def test_pool_and_process_reports_agree(self):
+        pool, process = self.reports("pool"), self.reports("process")
+        assert process == pool
+        assert all(r["locks_acquired"] > 0 for r in process)
+        assert process[-1]["chain_histograms"]["T"] != {1: 16}
