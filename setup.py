@@ -2,8 +2,8 @@
 
 The evaluation environment is offline and lacks the ``wheel`` package, so
 PEP 517 editable installs cannot build. This shim lets
-``pip install -e .`` fall back to ``setup.py develop``. All real metadata
-lives in pyproject.toml.
+``pip install -e .`` fall back to ``setup.py develop``.  This file is the
+only packaging metadata the repository has.
 """
 
 from setuptools import find_packages, setup

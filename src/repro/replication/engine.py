@@ -54,7 +54,7 @@ from repro.analysis.latch import Latch, allow_blocking
 from repro.errors import LeaderFailoverError, ReplicationError
 from repro.replication.follower import FollowerShard
 from repro.storage.engine import LockGranularity, TxnIsolation, TxnStatus
-from repro.storage.recovery import recover
+from repro.storage.protocol import TableView
 from repro.storage.schema import TableSchema
 from repro.storage.sharding import (
     ShardedStorageEngine,
@@ -62,7 +62,6 @@ from repro.storage.sharding import (
     ShardedTxnContext,
     _commit_analysis,
 )
-from repro.storage.snapshot import SnapshotView
 
 
 class ReplicatedStorageEngine(ShardedStorageEngine):
@@ -229,7 +228,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
 
     def _snapshot_view(
         self, shard_idx: int, name: str, txn: int, read_ts: int
-    ) -> SnapshotView:
+    ) -> TableView:
         ctx = self._contexts.get(txn)
         row = self.followers[shard_idx]
         serveable: list[FollowerShard] = []
@@ -255,10 +254,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
             server = chosen.name if chosen else f"shard{shard_idx}"
             self._read_probes[server] = self._read_probes.get(server, 0) + 1
         if chosen is not None:
-            return SnapshotView(
-                chosen.engine.db.table(name), txn, read_ts,
-                mutex=chosen.engine.mutex,
-            )
+            return chosen.engine.snapshot_view(name, txn, read_ts)
         return super()._snapshot_view(shard_idx, name, txn, read_ts)
 
     def read_probe_counts(self) -> dict[str, int]:
@@ -401,7 +397,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         with allow_blocking(
             "leader failover recovers the successor under a quiescent funnel"
         ):
-            recover(shell, demote_to_loser=torn)
+            shell.recover(torn)
             shell.wal.flush_latency = dead.wal.flush_latency
             shell.vacuum_interval = dead.vacuum_interval
             shell.locks.share_waits_for(
@@ -420,27 +416,14 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         for txn, ctx in list(self._contexts.items()):
             if ctx.status is not TxnStatus.ACTIVE:
                 continue
-            self._abort_failed_over(txn, ctx, shard_idx)
+            # The dead shard's half went down with its leader; everything
+            # else — the survivors' rollback, the snapshot release, SSI,
+            # the observers — is the ordinary abort.
+            self._abort(txn, dead_shard=shard_idx)
+            self._failed_over[txn] = shard_idx
         self._recent_cuts.clear()
         self.promotion_count += 1
         return row.index(best)
-
-    def _abort_failed_over(
-        self, txn: int, ctx: ShardedTxnContext, shard_idx: int
-    ) -> None:
-        for idx in sorted(ctx.begun):
-            if idx != shard_idx:
-                self.shards[idx].abort(txn)
-        if ctx.isolation.uses_snapshot:
-            self._active_seqs.pop(txn, None)
-            for shard in self.shards:
-                shard.oracle.release_snapshot(txn)
-        ctx.status = TxnStatus.ABORTED
-        with self._meta_lock:
-            self._active_writers.discard(txn)
-            self.abort_count += 1
-        self.ssi.on_abort(txn)
-        self._failed_over[txn] = shard_idx
 
     def _context(self, txn: int) -> ShardedTxnContext:
         ctx = self._contexts.get(txn)

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.storage.catalog import Database
 from repro.storage.engine import StorageEngine
-from repro.storage.recovery import _apply, recover
+from repro.storage.recovery import _apply
 from repro.storage.schema import TableSchema
 from repro.storage.wal import LogRecord, LogRecordType, WriteAheadLog
 
@@ -66,9 +65,11 @@ class FollowerShard:
         self.replica_idx = replica_idx
         self.name = f"shard{shard_idx}r{replica_idx}"
         self._n_shards = n_shards
-        self._settings = (
-            leader.locking, leader.granularity, leader.ordered_indexes
-        )
+        self._settings = {
+            "locking": leader.locking,
+            "granularity": leader.granularity,
+            "ordered_indexes": leader.ordered_indexes,
+        }
         #: commits to hold back from application (simulated apply lag:
         #: the newest ``apply_lag`` received commits stay unapplied until
         #: later ships, a drain, or a checkpoint push them through).
@@ -85,24 +86,19 @@ class FollowerShard:
         #: received, decided, but not-yet-applied commits (apply lag).
         self._ready: deque[tuple[LogRecord, list[LogRecord]]] = deque()
 
-    def _fresh_engine(self, schemas: list[TableSchema]) -> StorageEngine:
-        locking, granularity, ordered_indexes = self._settings
-        engine = StorageEngine(
-            Database(self.name),
-            locking=locking,
-            granularity=granularity,
-            ssi_tracking=False,
-            ordered_indexes=ordered_indexes,
+    def _member(self, schemas: list[TableSchema]) -> StorageEngine:
+        """An empty engine for this follower's slot of the ensemble: same
+        rid class as the leader, no local checkpoints (the log must
+        mirror the leader's, record for record)."""
+        return StorageEngine.shard_member(
+            self.shard_idx, self._n_shards, schemas=schemas, **self._settings
         )
+
+    def _fresh_engine(self, schemas: list[TableSchema]) -> StorageEngine:
+        engine = self._member(schemas)
         # Replay is the only writer: no auto-vacuum (prune floor stays 0
-        # so stale cuts stay serveable) and no local checkpoints (the
-        # log must mirror the leader's, record for record).
+        # so stale cuts stay serveable).
         engine.vacuum_interval = 0
-        engine.checkpoint_interval = 0
-        for schema in schemas:
-            engine.create_table(schema).set_rid_namespace(
-                self.shard_idx + 1, self._n_shards
-            )
         return engine
 
     # -- positions -----------------------------------------------------------------
@@ -134,9 +130,7 @@ class FollowerShard:
 
     def mirror_table(self, schema: TableSchema) -> None:
         """DDL is not WAL-logged; the coordinator mirrors it directly."""
-        self.engine.create_table(schema).set_rid_namespace(
-            self.shard_idx + 1, self._n_shards
-        )
+        self.engine.create_table(schema)
 
     # -- the replication stream ----------------------------------------------------
 
@@ -230,19 +224,7 @@ class FollowerShard:
         durable log — identical to what any other copy of that log
         would recover to — independent of this follower's apply lag.
         """
-        locking, granularity, ordered_indexes = self._settings
-        shell = StorageEngine(
-            Database(f"shard{self.shard_idx}"),
-            locking=locking,
-            granularity=granularity,
-            ssi_tracking=False,
-            ordered_indexes=ordered_indexes,
-        )
-        shell.checkpoint_interval = 0
-        for schema in self.engine.db.schemas():
-            shell.create_table(schema).set_rid_namespace(
-                self.shard_idx + 1, self._n_shards
-            )
+        shell = self._member(self.engine.db.schemas())
         records = list(self.engine.wal.records(durable_only=True))
         shell.wal.replace(
             records,
@@ -278,7 +260,7 @@ class FollowerShard:
             flushed_lsn=flushed_lsn,
             next_lsn=(records[-1].lsn + 1) if records else 1,
         )
-        recover(self.engine, demote_to_loser=demote)
+        self.engine.recover(demote)
         self._pending.clear()
         self._ready.clear()
         self._cursor_lsn = self.engine.wal.last_lsn

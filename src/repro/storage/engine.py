@@ -84,9 +84,10 @@ from repro.storage.query import (
     evaluate,
     index_path_for,
 )
+from repro.storage.recovery import RecoveryReport, replay_log
 from repro.storage.row import Row, RowId, ValueTuple
 from repro.storage.schema import TableSchema
-from repro.storage.snapshot import SnapshotDatabase
+from repro.storage.snapshot import SnapshotDatabase, SnapshotView
 from repro.storage.ssi import SSITracker
 from repro.storage.types import SQLValue
 from repro.storage.wal import CheckpointImage, LogRecordType, WriteAheadLog
@@ -224,6 +225,19 @@ def ssi_read_items(access: ReadAccess) -> list:
     return [RowId(access.table, access.rid)]
 
 
+def ssi_write_items(
+    table_name: str, rid: int, keys: Iterable[tuple[tuple[str, ...], tuple]]
+) -> list:
+    """The SSI items one row write covers: the row, the table marker
+    that scan readers conflict on, and every index key in ``keys`` (the
+    ones either image of the row carries)."""
+    return [
+        RowId(table_name, rid),
+        table_resource(table_name),
+        *(index_key_resource(table_name, cols, key) for cols, key in keys),
+    ]
+
+
 class StorageEngine:
     """Classical ACID transactions over a :class:`Database`."""
 
@@ -233,10 +247,12 @@ class StorageEngine:
         *,
         locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
-        ssi_tracking: bool = True,
         ordered_indexes: bool = True,
     ):
         self.db = db if db is not None else Database()
+        #: ``(idx, n_shards)`` when this engine is one shard of an
+        #: ensemble (set only by :meth:`shard_member`), else None.
+        self._member: "tuple[int, int] | None" = None
         #: the engine mutex: one serial pipeline per engine (= per shard).
         #: ``ordered=True``: shard peers may nest only in creation
         #: (= shard-index) order, which is how the sharded commit visits
@@ -280,12 +296,10 @@ class StorageEngine:
             "supersede_prunes": 0,
         }
         #: SSI rw-antidependency tracker (TxnIsolation.SERIALIZABLE).
-        #: ``ssi_tracking=False`` (shard members of a ShardedStorageEngine,
-        #: which runs ONE global tracker instead — per-shard trackers
-        #: would miss cross-shard dangerous structures) downgrades every
-        #: transaction to untracked reads.
+        #: A shard member downgrades every transaction to untracked
+        #: reads: its coordinator runs ONE global tracker instead —
+        #: per-shard trackers would miss cross-shard dangerous structures.
         self.ssi = SSITracker()
-        self.ssi_tracking = ssi_tracking
         #: auto-vacuum cadence: prune version chains every N writing
         #: commits (0 disables; call :meth:`vacuum` manually).
         self.vacuum_interval = 128
@@ -299,21 +313,53 @@ class StorageEngine:
         self.commit_count = 0
         self.abort_count = 0
 
-    #: Back-compat shims: tests and the recovery manager historically
-    #: poked the engine's timeline directly; both now live on the oracle.
-    @property
-    def _last_commit_ts(self) -> int:
-        return self.oracle.last_commit_ts
+    @staticmethod
+    def shard_member(
+        idx: int,
+        n_shards: int,
+        *,
+        locking: bool = True,
+        granularity: LockGranularity = LockGranularity.FINE,
+        ordered_indexes: bool = True,
+        schemas: Iterable[TableSchema] = (),
+        next_txn: int | None = None,
+    ) -> "StorageEngine":
+        """Shard ``idx`` of an ``n_shards`` ensemble — the one place that
+        says what being a member means, for the sharded router, a worker
+        process, a follower replica and every crash successor alike.
 
-    @_last_commit_ts.setter
-    def _last_commit_ts(self, value: int) -> None:
-        self.oracle.advance_to(value)
+        The database is named ``shard{idx}``.  The SSI tracker is off
+        (the coordinator runs the global one).  Local auto-checkpoints
+        stay off: a member truncating alone would erase COMMIT evidence
+        its peers' torn-commit analysis reads, so ensembles checkpoint
+        as a whole.  Every table created here — now from ``schemas``,
+        later by :meth:`create_table`, after a :meth:`crash` — assigns
+        rids ``idx+1, idx+1+n_shards, ...``, so a rid names its shard and
+        ``RowId`` resources stay globally unique without coordination.
+
+        ``next_txn`` keeps transaction ids ahead of a log the caller is
+        about to install (a worker rebuilt after a crash).
+        """
+        engine = StorageEngine(
+            Database(f"shard{idx}"), locking=locking,
+            granularity=granularity, ordered_indexes=ordered_indexes,
+        )
+        engine._member = (idx, n_shards)
+        for schema in schemas:
+            engine.create_table(schema)
+        if next_txn is not None:
+            engine._next_txn = max(engine._next_txn, next_txn)
+        return engine
 
     # -- DDL / loading (non-transactional, as in the paper's setup phase) ---------
 
     @_locked
     def create_table(self, schema: TableSchema):
-        return self.db.create_table(schema)
+        table = self.db.create_table(schema)
+        if self._member is not None:
+            idx, n_shards = self._member
+            table.set_rid_namespace(idx + 1, n_shards)
+        return table
 
     @_locked
     def load(self, table: str, rows: Iterable[Sequence]) -> int:
@@ -365,7 +411,7 @@ class StorageEngine:
         self.ssi.begin(
             txn, snapshot_ts,
             serializable=(
-                self.ssi_tracking
+                self._member is None
                 and isolation is TxnIsolation.SERIALIZABLE
             ),
         )
@@ -390,6 +436,31 @@ class StorageEngine:
                 f"transaction {txn} is {ctx.status.value}, not active"
             )
         return ctx
+
+    @_locked
+    def prepare(self, txn: int) -> list:
+        """Phase one of two-phase commit: this shard's write set.
+
+        Derived from the transaction's undo log — the shard-local ground
+        truth of what it wrote — as SSI resource items (row, table and
+        every index key either image touches).  A coordinator that does
+        not record writes per statement merges these into its global
+        tracker before validation, so the dangerous-structure test runs
+        against shard-authoritative write sets.
+        """
+        ctx = self._contexts.get(txn)
+        if ctx is None:
+            return []
+        items: dict = {}  # insertion-ordered, deduplicated
+        for entry in ctx.undo:
+            table = self.db.table(entry.table)
+            keys = set()
+            for values in (entry.before, entry.after):
+                if values is not None:
+                    keys.update(table.index_keys(values))
+            items.update(dict.fromkeys(
+                ssi_write_items(entry.table, entry.rid, sorted(keys))))
+        return list(items)
 
     @_locked
     def commit(
@@ -688,6 +759,16 @@ class StorageEngine:
         return SnapshotDatabase(self.db, txn, ctx.read_ts, mutex=self.mutex)
 
     @_locked
+    def snapshot_view(self, name: str, txn: int, read_ts: int) -> SnapshotView:
+        """One table as ``txn`` sees it at ``read_ts`` — the read a
+        sharded coordinator serves at this shard's component of a vector
+        snapshot.  ``read_ts`` is the caller's, not this engine's idea of
+        the transaction: a coordinator's snapshot transaction may never
+        have begun here.  The view serializes its own reads on the
+        engine mutex."""
+        return SnapshotView(self.db.table(name), txn, read_ts, mutex=self.mutex)
+
+    @_locked
     def observe_snapshot_read(self, txn: int, access) -> None:
         """Read observer for snapshot evaluation: count and (for
         SERIALIZABLE transactions) record the access in the SSI read
@@ -698,22 +779,6 @@ class StorageEngine:
 
     def _ssi_observe_read(self, txn: int, access: ReadAccess) -> None:
         self.ssi.record_read(txn, ssi_read_items(access))
-
-    def _ssi_record_write(
-        self,
-        txn: int,
-        table_name: str,
-        rid: int,
-        keys: Iterable[tuple[tuple[str, ...], tuple]],
-    ) -> None:
-        """Record a write's SSI items: the row, every index key the write
-        disturbs, and the table marker that scan readers conflict on."""
-        items: list = [RowId(table_name, rid), table_resource(table_name)]
-        items.extend(
-            index_key_resource(table_name, columns, key)
-            for columns, key in keys
-        )
-        self.ssi.record_write(txn, items)
 
     @_locked
     def serialization_doomed(self, txn: int) -> bool:
@@ -1089,12 +1154,7 @@ class StorageEngine:
         txn: int,
         table_name: str,
         values: Sequence[Any],
-        *,
-        validated: bool = False,
     ) -> Row:
-        """Insert a row.  ``validated=True`` skips re-canonicalization
-        for values the caller (the shard router) already passed through
-        ``schema.validate_row``."""
         ctx = self._context(txn)
         # IX on the table (conflicts with full scans but not with other
         # writers), IX on every index key the new row carries (conflicts
@@ -1104,15 +1164,13 @@ class StorageEngine:
         # untouched.
         self._lock(txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE)
         table = self.db.table(table_name)
-        canonical = (
-            tuple(values) if validated else table.schema.validate_row(values)
-        )
+        canonical = table.schema.validate_row(values)
         keys = table.index_keys(canonical)
         self._lock_index_keys(txn, table_name, keys)
         self._lock_gap_successors(txn, table, table_name, keys)
         row = table.insert(canonical, validated=True, writer=txn)
         self._lock(txn, RowId(table_name, row.rid), LockMode.EXCLUSIVE)
-        self._ssi_record_write(txn, table_name, row.rid, keys)
+        self.ssi.record_write(txn, ssi_write_items(table_name, row.rid, keys))
         self.wal.append(
             LogRecordType.INSERT, txn, table_name, row.rid, None, row.values
         )
@@ -1129,8 +1187,6 @@ class StorageEngine:
         table_name: str,
         rid: int,
         values: Sequence[Any],
-        *,
-        validated: bool = False,
     ) -> tuple[Row, Row]:
         ctx = self._context(txn)
         self._lock(txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE)
@@ -1145,10 +1201,7 @@ class StorageEngine:
             # membership changes must conflict with key-S readers.  Keys
             # the row keeps are covered by the row X lock (any reader who
             # saw the row under that key holds row S).
-            canonical = (
-                tuple(values) if validated
-                else table.schema.validate_row(values)
-            )
+            canonical = table.schema.validate_row(values)
             old_keys = set(table.index_keys(table.get(rid).values))
             new_keys = set(table.index_keys(canonical))
             # Deterministic acquisition order; key=repr because key tuples
@@ -1168,16 +1221,16 @@ class StorageEngine:
             )
         else:
             old, new = table.update(
-                rid, values, validated=validated, writer=txn,
+                rid, values, writer=txn,
                 prune_horizon=self.oracle.oldest_active(),
             )
         self.mvcc_stats["supersede_prunes"] += table.take_supersede_pruned()
         # Both the vacated and the gained keys matter to SSI: a reader
         # who probed either key set observed state this write changes.
-        self._ssi_record_write(
-            txn, table_name, rid,
+        self.ssi.record_write(txn, ssi_write_items(
+            table_name, rid,
             set(table.index_keys(old.values)) | set(table.index_keys(new.values)),
-        )
+        ))
         self.wal.append(
             LogRecordType.UPDATE, txn, table_name, rid, old.values, new.values
         )
@@ -1205,7 +1258,8 @@ class StorageEngine:
             rid, writer=txn, prune_horizon=self.oracle.oldest_active()
         )
         self.mvcc_stats["supersede_prunes"] += table.take_supersede_pruned()
-        self._ssi_record_write(txn, table_name, rid, table.index_keys(old.values))
+        self.ssi.record_write(
+            txn, ssi_write_items(table_name, rid, table.index_keys(old.values)))
         self.wal.append(
             LogRecordType.DELETE, txn, table_name, rid, old.values, None
         )
@@ -1222,7 +1276,6 @@ class StorageEngine:
         table_name: str,
         predicate: Callable[[Row], bool],
         new_values: Callable[[Row], Sequence[Any]],
-        *,
         where: "Expr | None" = None,
     ) -> list[tuple[Row, Row]]:
         """Update all rows matching ``predicate``; returns the
@@ -1247,7 +1300,6 @@ class StorageEngine:
         txn: int,
         table_name: str,
         predicate: Callable[[Row], bool],
-        *,
         where: "Expr | None" = None,
     ) -> list[Row]:
         """Delete all rows matching ``predicate``; returns the rows
@@ -1356,23 +1408,33 @@ class StorageEngine:
         """Simulate a crash: volatile state (tables, locks, contexts) is
         lost; the flushed WAL prefix survives.  Returns a fresh engine on
         an empty database with the surviving log, ready for
-        :func:`repro.storage.recovery.recover`.
+        :meth:`recover` — a shard member's successor is a member of the
+        same ensemble.
         """
         self.wal.truncate_to_flushed()
-        survivor = StorageEngine(
-            Database(self.db.name),
-            locking=self.locking,
-            granularity=self.granularity,
-            ssi_tracking=self.ssi_tracking,
-            ordered_indexes=self.ordered_indexes,
-        )
+        settings = {
+            "locking": self.locking,
+            "granularity": self.granularity,
+            "ordered_indexes": self.ordered_indexes,
+        }
+        if self._member is None:
+            survivor = StorageEngine(Database(self.db.name), **settings)
+        else:
+            survivor = StorageEngine.shard_member(*self._member, **settings)
         for schema in self.db.schemas():
-            survivor.db.create_table(schema)
+            survivor.create_table(schema)
         survivor.wal = self.wal
         survivor._next_txn = self._next_txn
         survivor.vacuum_interval = self.vacuum_interval
         survivor.checkpoint_interval = self.checkpoint_interval
         return survivor
+
+    @_locked
+    def recover(self, demote: Iterable[int] = frozenset()) -> RecoveryReport:
+        """Restart recovery of this engine's own durable log (see
+        :mod:`repro.storage.recovery`); committed transactions in
+        ``demote`` are rolled back with the losers."""
+        return replay_log(self, set(demote))
 
     # -- internals ------------------------------------------------------------------------
 

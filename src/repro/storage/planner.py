@@ -85,15 +85,6 @@ _UPPER_OPS = {CmpOp.LT: False, CmpOp.LE: True}
 _LOWER_OPS = {CmpOp.GT: False, CmpOp.GE: True}
 
 
-def _has_ordered(table, cols: tuple[str, ...]) -> bool:
-    """Whether the provider's table exposes an ordered index on ``cols``.
-
-    Providers predating the ordered API (custom facades, test doubles)
-    simply never get range plans."""
-    probe = getattr(table, "has_ordered_index", None)
-    return bool(probe is not None and probe(cols))
-
-
 def range_bounds_for(
     conjuncts: Sequence[Expr],
     ref,
@@ -127,7 +118,7 @@ def range_bounds_for(
                 continue
             if columns is not None and column not in columns:
                 continue
-            if columns is None and not _has_ordered(table, (column,)):
+            if columns is None and not table.has_ordered_index((column,)):
                 continue
             try:
                 value = other.eval(outer)
@@ -300,7 +291,7 @@ def _sort_pushdown(
             return None
     if not table.schema.has_column(bare):
         return None
-    if not _has_ordered(table, (bare,)):
+    if not table.has_ordered_index((bare,)):
         return None
     for conj in conjuncts:
         if isinstance(conj, Cmp) and conj.op is CmpOp.EQ:

@@ -1,0 +1,189 @@
+"""The shard-engine contract, declared once.
+
+Two structural interfaces everything above the storage substrate stands
+on.  Declarations only — no behaviour lives here.
+
+:class:`ShardEngine` is what a sharded coordinator
+(:class:`~repro.storage.sharding.ShardedStorageEngine` and its
+replicated and process-backed subclasses) calls on one shard, enumerated
+from those call sites.  :class:`~repro.storage.engine.StorageEngine`
+implements it in process (:meth:`~repro.storage.engine.StorageEngine.
+shard_member` builds one that knows its place in an ensemble);
+:class:`~repro.transport.proxy.RemoteShardEngine` implements it over a
+pipe, where the verb table :data:`repro.transport.verbs.VERBS` is the
+same contract spelled as frames.  A follower replica *has* a shard
+engine (:attr:`~repro.replication.follower.FollowerShard.engine`) fed by
+WAL shipping rather than by these calls.
+
+:class:`TableView` is what the planner, the volcano operators and
+entangled grounding call on a table, whichever of the six providers in
+``src/`` hands it out: a live :class:`~repro.storage.table.Table`, a
+:class:`~repro.storage.snapshot.SnapshotView`, the sharded union view
+(live or at a vector), the remote view (live or at a snapshot), or
+grounding's positional facade.
+
+Both are ``runtime_checkable``; ``tests/storage/test_engine_contract.py``
+runs one behavioural script over a local and a remote shard and checks
+every implementation against them.
+"""
+
+from __future__ import annotations
+
+from typing import (
+    TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Protocol,
+    Sequence, runtime_checkable,
+)
+
+if TYPE_CHECKING:
+    from repro.storage.engine import TxnIsolation
+    from repro.storage.expressions import Expr
+    from repro.storage.oracle import TimestampOracle
+    from repro.storage.query import ReadAccess
+    from repro.storage.recovery import RecoveryReport
+    from repro.storage.row import Row
+    from repro.storage.schema import TableSchema
+    from repro.storage.wal import LogRecord, WriteAheadLog
+
+
+@runtime_checkable
+class TableView(Protocol):
+    """One table as the read path sees it."""
+
+    schema: Any  # a TableSchema, or grounding's positional alias of one
+
+    def __len__(self) -> int: ...
+
+    def scan(self) -> Iterable[Row]:
+        """Every row, in rid order."""
+
+    def lookup_pk(self, key: tuple) -> Row | None: ...
+
+    def lookup_index(self, column_names: Sequence[str], key: tuple) -> list[Row]: ...
+
+    def range_scan(
+        self, column_names: Sequence[str], lo: tuple | None, hi: tuple | None,
+        *, lo_inc: bool = True, hi_inc: bool = True, reverse: bool = False,
+        limit: int | None = None,
+    ) -> list[Row]:
+        """Rows whose ordered-index key lies in the bounds, in (key, rid)
+        order (reversed under ``reverse``), at most ``limit`` of them."""
+
+    def has_ordered_index(self, column_names: Sequence[str]) -> bool: ...
+
+    def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
+        """The declared column order of the index over ``column_names``
+        (the spelling lock and SSI resources are built from)."""
+
+
+@runtime_checkable
+class ShardEngine(Protocol):
+    """One shard of an ensemble.
+
+    The coordinator names every transaction (``begin`` takes its id and
+    its component of the vector snapshot) and owns SSI, flush ordering
+    and checkpoint cadence; the shard owns locks, version chains, the
+    undo log and its WAL.
+    """
+
+    mutex: ContextManager
+    #: ``last_commit_ts``, the snapshot registry, ``oldest_active``.
+    oracle: TimestampOracle
+    #: ``flush``, ``last_lsn`` / ``flushed_lsn``, ``records`` and the
+    #: commit analysis over them, ``flush_latency``.
+    wal: WriteAheadLog
+    #: the lock manager: ``stats``, ``waiting``, ``held_resources``,
+    #: ``waits_edges``, ``cancel_wait``, ``share_waits_for``.
+    locks: Any
+    #: the catalog: ``name``, ``has_table``, ``table`` (a live
+    #: :class:`TableView` plus ``index_keys``, ``snapshot`` and
+    #: ``fallback_scans``), ``table_names``, ``schemas``.
+    db: Any
+    commit_count: int
+    abort_count: int
+    #: auto-vacuum cadence in writing commits (0 disables).
+    vacuum_interval: int
+    #: always 0 for a member: ensembles checkpoint as a whole.
+    checkpoint_interval: int
+    checkpoint_stats: dict[str, int]
+    mvcc_stats: dict[str, int]
+
+    # -- transactions ----------------------------------------------------------------
+
+    def begin(
+        self, isolation: TxnIsolation, *, txn_id: int, read_ts: int | None
+    ) -> int: ...
+
+    def prepare(self, txn: int) -> list:
+        """Phase one of 2PC: the SSI write items of ``txn``'s undo log."""
+
+    def commit(
+        self, txn: int, *, participants: tuple[int, ...] | None = None,
+        flush: bool = True,
+    ) -> list[int]:
+        """Commit in memory; returns the transactions the released locks
+        woke.  The coordinator always passes ``flush=False`` and flushes
+        :attr:`wal` itself, outside its commit funnel."""
+
+    def abort(self, txn: int) -> list[int]: ...
+
+    # -- statements (values arrive validated against the shared schema) --------------
+
+    def insert(self, txn: int, table_name: str, values: Sequence) -> Row: ...
+
+    def update(
+        self, txn: int, table_name: str, rid: int, values: Sequence
+    ) -> tuple[Row, Row]: ...
+
+    def delete(self, txn: int, table_name: str, rid: int) -> Row: ...
+
+    def update_where(
+        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
+        new_values: Callable[[Row], Sequence], where: Expr | None = None,
+    ) -> list[tuple[Row, Row]]:
+        """The whole statement on this shard: probe, locks,
+        first-updater-wins check, writes."""
+
+    def delete_where(
+        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
+        where: Expr | None = None,
+    ) -> list[Row]: ...
+
+    # -- locks -------------------------------------------------------------------------
+
+    def lock_write_candidates(
+        self, txn: int, table_name: str, where: Expr | None
+    ) -> list[Row]:
+        """A predicate write's probe and locks alone, nothing written."""
+
+    def lock_read_access(self, txn: int, access: ReadAccess) -> None: ...
+
+    def lock_table_shared(self, txn: int, table: str) -> None: ...
+
+    def release_read_locks(self, txn: int) -> list[int]: ...
+
+    # -- snapshots ---------------------------------------------------------------------
+
+    def snapshot_view(self, name: str, txn: int, read_ts: int) -> TableView:
+        """This shard's part of ``name`` as ``txn`` sees it at ``read_ts``."""
+
+    def unpark_snapshot(self, txn: int) -> None: ...
+
+    def refresh_snapshot(self, txn: int) -> bool: ...
+
+    # -- DDL / maintenance ---------------------------------------------------------------
+
+    def create_table(self, schema: TableSchema) -> TableView: ...
+
+    def vacuum(self, horizon: int | None = None) -> int: ...
+
+    def checkpoint(self) -> LogRecord | None: ...
+
+    def recover(self, demote: set[int]) -> RecoveryReport:
+        """Restart recovery of this shard's own durable log, rolling the
+        committed transactions in ``demote`` back with the losers."""
+
+    # -- statistics --------------------------------------------------------------------
+
+    def version_stats(self) -> dict[str, int]: ...
+
+    def chain_histograms(self) -> dict[str, dict[int, int]]: ...

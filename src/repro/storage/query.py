@@ -30,15 +30,17 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from repro.errors import CompileError, UnknownColumnError
 from repro.storage.expressions import Cmp, CmpOp, Col, Expr, split_conjuncts
+from repro.storage.protocol import TableView
 from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.storage.types import SQLValue
 
 
 class TableProvider(Protocol):
-    """Anything that can resolve a table name to a :class:`Table`."""
+    """Anything that can resolve a table name to a
+    :class:`~repro.storage.protocol.TableView`."""
 
-    def table(self, name: str) -> Table:  # pragma: no cover - protocol
+    def table(self, name: str) -> TableView:  # pragma: no cover - protocol
         ...
 
 

@@ -29,10 +29,13 @@ committed-but-widowed winners to losers before calling :func:`recover`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import RecoveryError
-from repro.storage.engine import StorageEngine
 from repro.storage.wal import LogRecord, LogRecordType
+
+if TYPE_CHECKING:
+    from repro.storage.engine import StorageEngine
 
 
 @dataclass
@@ -52,9 +55,7 @@ class RecoveryReport:
 
 
 def recover(
-    engine: StorageEngine,
-    *,
-    demote_to_loser: set[int] | frozenset[int] = frozenset(),
+    engine, *, demote_to_loser: Iterable[int] = frozenset()
 ) -> RecoveryReport:
     """Run restart recovery on a post-crash engine.
 
@@ -63,18 +64,18 @@ def recover(
     members).  Their redo still happens (repeating history) and their
     effects are then undone.
 
-    Sharded engines (anything exposing ``.shards``) recover shard by
-    shard — each per-shard WAL replays independently against its own
-    oracle, reconverging to the exact pre-crash vector state — after a
-    cross-shard analysis pass demotes *torn* transactions (COMMIT durable
-    in some written shards but lost in others), which keeps cross-shard
-    atomicity through the crash.
+    Every engine recovers itself: a single engine replays its log
+    (:func:`replay_log`); a sharded one first demotes *torn* cross-shard
+    commits (COMMIT durable in some written shards but lost in others),
+    then has each shard replay its own log where that log lives — which
+    keeps cross-shard atomicity through the crash.
     """
-    shards = getattr(engine, "shards", None)
-    if shards is not None:
-        from repro.storage.sharding import recover_sharded
+    return engine.recover(set(demote_to_loser))
 
-        return recover_sharded(engine, demote_to_loser=set(demote_to_loser))
+
+def replay_log(engine: "StorageEngine", demote_to_loser: set[int]) -> RecoveryReport:
+    """The ARIES passes over one engine's durable log — the body of
+    :meth:`StorageEngine.recover <repro.storage.engine.StorageEngine.recover>`."""
     report = RecoveryReport()
     log = engine.wal
 
@@ -97,14 +98,14 @@ def recover(
     committed = log.committed_txns(durable_only=True)
     aborted = log.aborted_txns(durable_only=True)
     active = log.active_txns_at_end(durable_only=True)
-    report.winners = (committed - set(demote_to_loser))
-    report.losers = active | aborted | (committed & set(demote_to_loser))
+    report.winners = committed - demote_to_loser
+    report.losers = active | aborted | (committed & demote_to_loser)
     commit_ts_of = log.commit_timestamps(durable_only=True)
     # Transactions with a durable ABORT record were fully compensated in
     # the log (abort writes CLRs before the ABORT marker), so redo alone
     # reproduces their rollback; only still-active transactions — and
     # committed ones being demoted — need an undo pass.
-    undo_needed = active | (committed & set(demote_to_loser))
+    undo_needed = active | (committed & demote_to_loser)
 
     # ---- redo: repeat history in LSN order (rebuilding version chains) ----
     undo_stack: list[LogRecord] = []
@@ -143,9 +144,7 @@ def recover(
             engine.db.table(name).commit_versions(winner, commit_ts)
             table_writers.setdefault(name, []).append((commit_ts, winner))
     engine._table_writers = table_writers
-    engine._last_commit_ts = max(
-        [engine._last_commit_ts, *commit_ts_of.values()], default=0
-    )
+    engine.oracle.advance_to(max(commit_ts_of.values(), default=0))
 
     for loser in sorted(report.losers):
         if loser not in aborted:

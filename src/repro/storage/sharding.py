@@ -68,7 +68,7 @@ A and writes y on shard B; T2 the converse — each shard alone sees only
 half the dangerous structure).  The sharded engine therefore runs ONE
 :class:`~repro.storage.ssi.SSITracker` over a **global commit sequence**
 (one tick per writing commit, any shard); per-shard trackers are
-disabled (``ssi_tracking=False``).  Items reuse the lock-manager
+off (:meth:`StorageEngine.shard_member`).  Items reuse the lock-manager
 vocabulary unchanged — rid namespacing makes ``RowId`` globally unique,
 and index-key/table items name the same logical objects in every shard.
 """
@@ -83,16 +83,16 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from repro.analysis.latch import Latch, allow_blocking
 from repro.errors import TransactionStateError, UnknownTableError
 from repro.storage.bptree import sort_key
-from repro.storage.catalog import Database, _sort_key
+from repro.storage.catalog import _sort_key
 from repro.storage.engine import (
     LockGranularity,
     StorageEngine,
     TxnIsolation,
     TxnStatus,
     ssi_read_items,
+    ssi_write_items,
 )
 from repro.storage.expressions import Expr
-from repro.storage.locks import table_resource, index_key_resource
 from repro.storage.query import (
     ReadAccess,
     AccessKind,
@@ -101,10 +101,10 @@ from repro.storage.query import (
     evaluate,
     index_path_for,
 )
-from repro.storage.recovery import RecoveryReport, recover
+from repro.storage.protocol import ShardEngine, TableView
+from repro.storage.recovery import RecoveryReport
 from repro.storage.row import Row, RowId, ValueTuple
 from repro.storage.schema import TableSchema
-from repro.storage.snapshot import SnapshotView
 from repro.storage.ssi import SSITracker
 from repro.storage.table import Table
 from repro.storage.types import SQLValue
@@ -181,9 +181,9 @@ class ShardedTableView:
     under that shard's engine mutex (one shard at a time, never nested)
     so a concurrent worker-thread write to another row of the table
     cannot upset the traversal.  Snapshot: the engine's versioned-read
-    chokepoint ``_snapshot_view(i, name, txn, vector[i])`` — the single
-    seam replicated and process-backed engines override — whose views
-    serialize their own reads.
+    chokepoint ``_snapshot_view(i, name, txn, vector[i])`` — shard *i*'s
+    own ``snapshot_view`` unless replication routes the read to a
+    follower — whose views serialize their own reads.
     """
 
     def __init__(
@@ -240,9 +240,6 @@ class ShardedTableView:
         rows = self._union(lambda part: part.lookup_index(column_names, key))
         return sorted(rows, key=lambda r: r.rid)
 
-    def has_index(self, column_names: Sequence[str]) -> bool:
-        return self._catalog_table().has_index(column_names)
-
     def has_ordered_index(self, column_names: Sequence[str]) -> bool:
         return self._catalog_table().has_ordered_index(column_names)
 
@@ -269,9 +266,6 @@ class ShardedTableView:
 
     def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
         return self._catalog_table().canonical_index(column_names)
-
-    def index_keys(self, values: ValueTuple):
-        return self._catalog_table().index_keys(values)
 
 
 class ShardedDatabase:
@@ -451,7 +445,7 @@ class ShardedStorageEngine:
         *,
         locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
-        shards: "list[StorageEngine] | None" = None,
+        shards: "list[ShardEngine] | None" = None,
         ordered_indexes: bool = True,
     ):
         if shards is not None:
@@ -460,11 +454,8 @@ class ShardedStorageEngine:
             if n_shards < 1:
                 raise TransactionStateError(f"need >= 1 shard, got {n_shards}")
             self.shards = [
-                StorageEngine(
-                    Database(f"shard{i}"),
-                    locking=locking,
-                    granularity=granularity,
-                    ssi_tracking=False,
+                StorageEngine.shard_member(
+                    i, n_shards, locking=locking, granularity=granularity,
                     ordered_indexes=ordered_indexes,
                 )
                 for i in range(n_shards)
@@ -526,22 +517,14 @@ class ShardedStorageEngine:
         self.abort_count = 0
         self.cross_shard_commit_count = 0
         #: ensemble checkpoint cadence (writing commits between
-        #: checkpoints; 0 disables).  Shard-local auto-checkpoints stay
-        #: OFF: one shard truncating alone would erase the
-        #: participant-stamped COMMIT records (and entanglement-group
-        #: markers) that torn-commit analysis and group recovery read
-        #: from the *other* shards' perspective — see :meth:`checkpoint`.
+        #: checkpoints; 0 disables).  The members' own auto-checkpoints
+        #: are off by construction: one shard truncating alone would
+        #: erase the participant-stamped COMMIT records (and
+        #: entanglement-group markers) that torn-commit analysis and
+        #: group recovery read from the *other* shards' perspective —
+        #: see :meth:`checkpoint`.
         self._checkpoint_interval = 0
         self._commits_since_checkpoint = 0
-        for shard in self.shards:
-            shard.checkpoint_interval = 0
-        # Any pre-existing shard state (crash survivors) must keep the
-        # rid namespaces; fresh shards get them at create_table time.
-        for i, shard in enumerate(self.shards):
-            for name in shard.db.table_names():
-                table = shard.db.table(name)
-                if not len(table) and not table.version_chains():
-                    table.set_rid_namespace(i + 1, len(self.shards))
 
     # -- routing -----------------------------------------------------------------
 
@@ -567,15 +550,15 @@ class ShardedStorageEngine:
         return self.route_key(table_name, key)
 
     def shard_of_rid(self, rid: int) -> int:
-        """Rid namespacing: shard *i* assigns rids ``i+1 (mod N)``."""
+        """Rid namespacing: shard *i* assigns rids ``i+1 (mod N)``
+        (:meth:`StorageEngine.shard_member`)."""
         return (rid - 1) % self.n_shards
 
     # -- DDL / loading -------------------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> ShardedTableView:
-        for i, shard in enumerate(self.shards):
-            table = shard.create_table(schema)
-            table.set_rid_namespace(i + 1, self.n_shards)
+        for shard in self.shards:
+            shard.create_table(schema)
         return ShardedTableView(self, schema.name)
 
     def load(self, table: str, rows: Iterable[Sequence]) -> int:
@@ -666,7 +649,7 @@ class ShardedStorageEngine:
     def status(self, txn: int) -> TxnStatus:
         return self.context(txn).status
 
-    def _ensure_shard_txn(self, txn: int, shard_idx: int) -> StorageEngine:
+    def _ensure_shard_txn(self, txn: int, shard_idx: int) -> ShardEngine:
         """Begin ``txn``'s shard-local transaction on first touch."""
         ctx = self._context(txn)
         shard = self.shards[shard_idx]
@@ -679,36 +662,20 @@ class ShardedStorageEngine:
 
     def _snapshot_view(
         self, shard_idx: int, name: str, txn: int, read_ts: int
-    ) -> SnapshotView:
-        """One shard's versioned view of ``name`` at ``read_ts``.
-
-        The single point where shard-local version chains are read at a
-        vector component — the process-per-shard engine overrides it
-        with a remote view that serves the same probes over the
-        transport (the chains live in the worker process).
-        """
-        shard = self.shards[shard_idx]
-        return SnapshotView(
-            shard.db.table(name), txn, read_ts, mutex=shard.mutex
-        )
+    ) -> TableView:
+        """One shard's versioned view of ``name`` at ``read_ts`` — where
+        the replicated engine routes a read to a follower instead."""
+        return self.shards[shard_idx].snapshot_view(name, txn, read_ts)
 
     def _prepare_shards(self, ctx: ShardedTxnContext) -> None:
         """Phase-1 hook: collect the written shards' effects before SSI
         validation.  In-process shards record writes into the global SSI
         tracker synchronously (``_record_write``), so the base engine has
-        nothing to do here; the process-per-shard engine overrides this
-        with the prepare round that pulls each worker's write set into
-        the coordinator-resident tracker."""
+        nothing to do here; the process-per-shard engine overrides both
+        with a prepare round that pulls each shard's write set at commit
+        (why the two paths cannot yet merge: see
+        :class:`~repro.transport.process.ProcessShardedStorageEngine`)."""
         del ctx
-
-    def _recover_shard(
-        self, shard: StorageEngine, demote: set[int]
-    ) -> RecoveryReport:
-        """Replay one shard's WAL (restart recovery).  The process
-        engine overrides this with a recover RPC — single-engine
-        recovery mutates shard internals directly, which only works in
-        the process that owns them."""
-        return recover(shard, demote_to_loser=demote)
 
     def commit(self, txn: int, *, flush: bool = True) -> list[int]:
         """Ordered two-phase commit across the touched shards.
@@ -827,6 +794,13 @@ class ShardedStorageEngine:
                 wal.flush(lsn)
 
     def abort(self, txn: int) -> list[int]:
+        return self._abort(txn)
+
+    def _abort(self, txn: int, dead_shard: "int | None" = None) -> list[int]:
+        """The one abort body: roll back every begun shard — except
+        ``dead_shard``, whose leader took the transaction's state there
+        down with it (failover) — then release the vector snapshot,
+        count, tell SSI and the observers, exactly once."""
         # Under the commit funnel like commit/begin/vacuum: ``_active_seqs``
         # and the context status are read under it everywhere else, so the
         # one writer that skipped it would race them.
@@ -834,7 +808,8 @@ class ShardedStorageEngine:
             ctx = self._context(txn)
             woken: list[int] = []
             for shard_idx in sorted(ctx.begun):
-                woken.extend(self.shards[shard_idx].abort(txn))
+                if shard_idx != dead_shard:
+                    woken.extend(self.shards[shard_idx].abort(txn))
             if ctx.isolation.uses_snapshot:
                 self._active_seqs.pop(txn, None)
                 for shard in self.shards:
@@ -1067,12 +1042,9 @@ class ShardedStorageEngine:
         totals.setdefault("write_conflicts", 0)
         totals.setdefault("supersede_prunes", 0)
         for shard in self.shards:
-            for key in ("write_conflicts", "supersede_prunes"):
-                totals[key] += shard.mvcc_stats[key]
-            totals["snapshot_reads"] += shard.mvcc_stats["snapshot_reads"]
-            totals["snapshot_refreshes"] += shard.mvcc_stats[
-                "snapshot_refreshes"
-            ]
+            # One read per shard: a remote shard's dict is a round trip.
+            for key, value in shard.mvcc_stats.items():
+                totals[key] += value
         return totals
 
     @property
@@ -1243,14 +1215,9 @@ class ShardedStorageEngine:
         with self._meta_lock:
             self._active_writers.add(ctx.txn_id)
         table = self.shards[shard_idx].db.table(table_name)
-        items: list = [RowId(table_name, rid), table_resource(table_name)]
-        items.extend(
-            index_key_resource(table_name, columns, key)
-            for columns, key in {
-                k for image in images for k in table.index_keys(image.values)
-            }
-        )
-        self.ssi.record_write(ctx.txn_id, items)
+        self.ssi.record_write(ctx.txn_id, ssi_write_items(table_name, rid, {
+            k for image in images for k in table.index_keys(image.values)
+        }))
 
     def insert(self, txn: int, table_name: str, values: Sequence[Any]) -> Row:
         ctx = self._context(txn)
@@ -1258,7 +1225,7 @@ class ShardedStorageEngine:
         canonical = schema.validate_row(values)
         shard_idx = self.route_row(table_name, canonical)
         shard = self._ensure_shard_txn(txn, shard_idx)
-        row = shard.insert(txn, table_name, canonical, validated=True)
+        row = shard.insert(txn, table_name, canonical)
         self._record_write(ctx, shard_idx, table_name, row)
         self._notify(txn, "write", table_name)
         return row
@@ -1274,9 +1241,7 @@ class ShardedStorageEngine:
         dst = src if new_key is None else self.route_key(table_name, new_key)
         if dst == src:
             shard = self._ensure_shard_txn(txn, src)
-            old, new = shard.update(
-                txn, table_name, rid, canonical, validated=True
-            )
+            old, new = shard.update(txn, table_name, rid, canonical)
             self._record_write(ctx, src, table_name, old, new)
             self._notify(txn, "write", table_name)
             return old, new
@@ -1287,7 +1252,7 @@ class ShardedStorageEngine:
         dst_shard = self._ensure_shard_txn(txn, dst)
         old = src_shard.delete(txn, table_name, rid)
         self._record_write(ctx, src, table_name, old)
-        new = dst_shard.insert(txn, table_name, canonical, validated=True)
+        new = dst_shard.insert(txn, table_name, canonical)
         self._record_write(ctx, dst, table_name, new)
         self._notify(txn, "write", table_name)
         return old, new
@@ -1332,7 +1297,7 @@ class ShardedStorageEngine:
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
             for old, new in shard.update_where(
-                txn, table_name, predicate, new_values, where=where
+                txn, table_name, predicate, new_values, where
             ):
                 self._record_write(ctx, shard_idx, table_name, old, new)
                 self._notify(txn, "write", table_name)
@@ -1354,9 +1319,7 @@ class ShardedStorageEngine:
         removed: list[Row] = []
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
-            for old in shard.delete_where(
-                txn, table_name, predicate, where=where
-            ):
+            for old in shard.delete_where(txn, table_name, predicate, where):
                 self._record_write(ctx, shard_idx, table_name, old)
                 self._notify(txn, "write", table_name)
                 removed.append(old)
@@ -1445,14 +1408,13 @@ class ShardedStorageEngine:
             shards=[shard.crash() for shard in self.shards],
             ordered_indexes=self.ordered_indexes,
         )
-        # Fresh per-shard engines come back with default rid namespaces;
-        # restore the congruence classes before recovery re-inserts rows.
-        for i, shard in enumerate(survivor.shards):
-            for name in shard.db.table_names():
-                shard.db.table(name).set_rid_namespace(i + 1, self.n_shards)
         survivor._next_txn = self._next_txn
         survivor._checkpoint_interval = self._checkpoint_interval
         return survivor
+
+    def recover(self, demote: Iterable[int] = frozenset()) -> RecoveryReport:
+        """Restart recovery of the ensemble (post-:meth:`crash`)."""
+        return recover_sharded(self, demote_to_loser=demote)
 
     # -- internals ------------------------------------------------------------------------
 
@@ -1491,7 +1453,7 @@ def build_storage_engine(
 
 
 def _commit_analysis(
-    shards: Sequence[StorageEngine],
+    shards: Sequence[ShardEngine],
 ) -> tuple[set[int], set[int]]:
     """(committed anywhere, torn) over the shards' durable WALs.
 
@@ -1550,13 +1512,14 @@ def _commit_analysis(
 def recover_sharded(
     engine: ShardedStorageEngine,
     *,
-    demote_to_loser: set[int] | frozenset[int] = frozenset(),
+    demote_to_loser: Iterable[int] = frozenset(),
 ) -> RecoveryReport:
     """Restart recovery for a sharded engine (post-:meth:`crash`).
 
-    Each shard's WAL replays independently — redo rebuilds its version
-    chains and its oracle reconverges to the exact pre-crash component of
-    the commit-timestamp vector — after a global analysis pass extends
+    Each shard replays its own WAL, where that WAL lives — redo rebuilds
+    its version chains and its oracle reconverges to the exact pre-crash
+    component of the commit-timestamp vector — after a global analysis
+    pass over the coordinator's view of the durable logs extends
     the demotion set with *torn* cross-shard transactions, so a commit
     that was durable in only some of its written shards rolls back
     everywhere (cross-shard atomicity through the crash).
@@ -1565,7 +1528,7 @@ def recover_sharded(
     demote = set(demote_to_loser) | torn
     merged = RecoveryReport()
     for shard in engine.shards:
-        report = engine._recover_shard(shard, demote)
+        report = shard.recover(demote)
         merged.winners |= report.winners
         merged.losers |= report.losers
         merged.redone += report.redone

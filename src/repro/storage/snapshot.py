@@ -131,9 +131,6 @@ class SnapshotView:
                     rows.append(row)
             return rows
 
-    def has_index(self, column_names: Sequence[str]) -> bool:
-        return self._table.has_index(column_names)
-
     def has_ordered_index(self, column_names: Sequence[str]) -> bool:
         return self._table.has_ordered_index(column_names)
 

@@ -205,10 +205,6 @@ class Table:
             if tuple(row.values[p] for p in positions) == key
         ]
 
-    def has_index(self, column_names: Sequence[str]) -> bool:
-        wanted = tuple(column_names)
-        return any(ix.column_names == wanted for ix in self._secondary)
-
     def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
         """The canonical (storage-layer) name of an index's columns.
 

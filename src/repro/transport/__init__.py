@@ -12,13 +12,15 @@ Layout:
 
 * :mod:`~repro.transport.frames`  — length-prefixed pickle frames and
   the cross-process exception registry;
+* :mod:`~repro.transport.verbs`   — the verb table: every call that may
+  cross the pipe, declared once for both ends;
 * :mod:`~repro.transport.worker`  — the shard worker process: one
-  :class:`~repro.storage.engine.StorageEngine` served by a
-  single-threaded FIFO request loop;
+  shard-member :class:`~repro.storage.engine.StorageEngine` served by a
+  single-threaded FIFO request loop that dispatches through the table;
 * :mod:`~repro.transport.proxy`   — coordinator-side stand-ins
-  (:class:`RemoteShardEngine` and friends) that satisfy the exact
-  attribute surface :class:`~repro.storage.sharding.
-  ShardedStorageEngine` uses on a shard;
+  (:class:`RemoteShardEngine` and friends) implementing
+  :class:`~repro.storage.protocol.ShardEngine`: local mirrors plus
+  forwarders generated from the table;
 * :mod:`~repro.transport.process` — :class:`ProcessShardedStorageEngine`,
   the sharded engine constructed over remote proxies, plus the
   probe-based distributed deadlock detector.

@@ -16,10 +16,10 @@ What this class adds:
   process while sibling receiver threads hold transport latches would
   clone a locked world into the child), and each child closes every
   pipe end that is not its own;
-* **three seams** the base class exposes: snapshot reads
-  (:meth:`_snapshot_view`), the 2PC prepare round
-  (:meth:`_prepare_shards`) and worker-side restart recovery
-  (:meth:`_recover_shard`);
+* **two overrides**, one fork (see the class docstring): write sets are
+  *pulled* from the workers at commit instead of recorded per
+  statement.  Snapshot reads and restart recovery need no seam — a
+  remote shard answers ``snapshot_view`` and ``recover`` like any other;
 * the **probe-based distributed deadlock detector**: a shard worker
   reporting ``would_block`` returns who blocks the waiter; the
   coordinator unions every shard's waits-for edges and chases the
@@ -39,13 +39,11 @@ import signal
 from repro.analysis.latch import Latch
 from repro.errors import DeadlockError, TransportError
 from repro.storage.engine import LockGranularity
-from repro.storage.recovery import RecoveryReport
 from repro.storage.row import RowId
 from repro.storage.sharding import ShardedStorageEngine
 from repro.transport.frames import FrameChannel
 from repro.transport.proxy import (
     RemoteShardEngine,
-    RemoteSnapshotView,
     RemoteWouldBlock,
     ShardConnection,
 )
@@ -100,7 +98,20 @@ def _kill_process(process) -> None:
 
 
 class ProcessShardedStorageEngine(ShardedStorageEngine):
-    """N shard engines in N worker processes behind one coordinator."""
+    """N shard engines in N worker processes behind one coordinator.
+
+    **The one fork kept on purpose**: :meth:`_record_write` skips the
+    per-statement SSI recording of the base class and
+    :meth:`_prepare_shards` pulls each written shard's undo-derived
+    write set at commit instead.  One path could serve both engines, but
+    ``benchmarks/e2e`` declares ``SSITracker.record_write`` *silent* in
+    the coordinator on ``ledger_process`` (recording per statement here
+    fails its hook-liveness self-check) and *exercised* on
+    ``ledger_replicated`` (pulling at prepare there changes what that
+    hook counts), and those declarations are frozen to feature PRs — so
+    neither path can absorb the other before ROADMAP item 0's
+    benchmark-only PR.
+    """
 
     def __init__(
         self,
@@ -111,28 +122,25 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
         ordered_indexes: bool = True,
         install=None,
     ):
-        base_options = {
+        member_settings = {
+            "n_shards": n_shards,
             "locking": locking,
             "granularity": granularity,
             "ordered_indexes": ordered_indexes,
         }
-        per_shard = [
-            dict(base_options, install=install[i] if install else None)
-            for i in range(n_shards)
-        ]
+        installs = install or [None] * n_shards
+        per_shard = [dict(member_settings, install=i) for i in installs]
         self._processes, channels = _spawn_workers(n_shards, per_shard)
         self._connections = [
             ShardConnection(i, channel) for i, channel in enumerate(channels)
         ]
         proxies = []
         for i, connection in enumerate(self._connections):
-            schemas = install[i]["schemas"] if install else ()
-            proxy = RemoteShardEngine(i, connection, schemas=schemas)
+            proxy = RemoteShardEngine(i, connection, install=installs[i])
             proxy.deadlock_probe = self._deadlock_probe
             proxies.append(proxy)
         # Receivers only start once every envelope hook is installed and
-        # every fork is done; the base constructor below performs
-        # synchronous RPCs (rid namespaces, checkpoint cadence).
+        # every fork is done, before anything can send a request.
         for connection in self._connections:
             connection.start()
         self._probe_latch = Latch("deadlock-probe", reentrant=False)
@@ -146,14 +154,6 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
         )
 
     # -- base-class seams ----------------------------------------------------------
-
-    def _snapshot_view(self, shard_idx, name, txn, read_ts):
-        return RemoteSnapshotView(
-            self._connections[shard_idx],
-            self.shards[shard_idx].db.table(name),
-            txn,
-            read_ts,
-        )
 
     def _record_write(self, ctx, shard_idx, table_name, *images) -> None:
         # Transaction bookkeeping only — no per-statement SSI recording.
@@ -181,9 +181,6 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
             items = self.shards[shard_idx].prepare(ctx.txn_id)
             if items:
                 self.ssi.record_write(ctx.txn_id, items)
-
-    def _recover_shard(self, shard, demote) -> RecoveryReport:
-        return shard.run_recovery(demote)
 
     # -- distributed deadlock detection ----------------------------------------------
 
@@ -245,14 +242,10 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
         for connection in self._connections:
             connection.close()
         install = []
-        for idx, shard in enumerate(self.shards):
+        for shard in self.shards:
             shard.wal.truncate_to_flushed()
             install.append({
                 "schemas": list(shard.db.schemas()),
-                "rid_namespaces": {
-                    name: (idx + 1, self.n_shards)
-                    for name in shard.db.table_names()
-                },
                 # Private on purpose: the successor log must continue
                 # the LSN sequence, never reuse lost tail LSNs.
                 "wal": (
@@ -260,8 +253,6 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
                     shard.wal.flushed_lsn,
                     shard.wal._next_lsn,
                 ),
-                "flush_latency": shard.wal.flush_latency,
-                "vacuum_interval": shard.vacuum_interval,
                 "next_txn": self._next_txn,
             })
         survivor = ProcessShardedStorageEngine(
@@ -273,7 +264,10 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
         )
         survivor._next_txn = self._next_txn
         survivor.checkpoint_interval = self.checkpoint_interval
+        # The knobs reach the new workers ahead of their first request.
         survivor.vacuum_interval = self.vacuum_interval
+        for old, new in zip(self.shards, survivor.shards):
+            new.wal.flush_latency = old.wal.flush_latency
         return survivor
 
     def close(self) -> None:

@@ -1,37 +1,17 @@
 """Coordinator-side stand-ins for a shard engine living in another process.
 
-:class:`RemoteShardEngine` satisfies exactly the attribute surface
-:class:`~repro.storage.sharding.ShardedStorageEngine` uses on a shard
-(``oracle``, ``wal``, ``locks``, ``db``, ``mutex``, the transaction
-verbs, the maintenance verbs), so the whole coordinator layer —
-vector begins, ordered two-phase commit, query planning, vacuum,
-checkpointing, reporting — runs **unchanged** over process-backed
-shards.  Planning stays here; only leaf accesses and write statements
-cross the pipe, one frame per statement per shard:
+:class:`RemoteShardEngine` implements :class:`~repro.storage.protocol.
+ShardEngine` — exactly what :class:`~repro.storage.sharding.
+ShardedStorageEngine` uses on a shard — so the whole coordinator layer
+(vector begins, ordered two-phase commit, query planning, vacuum,
+checkpointing, reporting) runs **unchanged** over process-backed shards.
+Planning stays here; only leaf accesses and write statements cross the
+pipe, one frame per statement per shard.
 
-=====================  ================  ================================
-coordinator call       frame             rides along
-=====================  ================  ================================
-``begin``,             none              queued as the connection's
-``oracle.register_/``                    **prelude**; the next request
-``release_snapshot``,                    frame to this worker carries it
-``set_*`` knobs                          (FIFO, run before the request)
-``update_where`` /     1                 the statement as data: table,
-``delete_where``                         picklable predicate/assignments,
-                                         ``where``
-``insert`` / pk or     1 each            —
-index probe / range
-scan (``limit`` rows)
-``commit``             1 per begun       —
-                       shard
-``wal.flush``          1 per written     the durable WAL delta, in the
-                       shard             response envelope
-``locks.stats``,       none              mirrored from response
-``version_stats``,                       envelopes, like ``commit_count``
-``chain_histograms``
-=====================  ================  ================================
-
-Two kinds of state answer locally, without a round trip:
+What crosses is the verb table, :data:`repro.transport.verbs.VERBS`: a
+proxy method that only forwards is *generated* from its row
+(:func:`forwards`), so remoteness adds nothing to the contract.  What is
+written out below is what does more than forward, and answers locally:
 
 * **mirrors** — the shard's oracle timestamp, WAL contents, commit/abort
   counters and lock/version-chain statistics are replicated
@@ -41,8 +21,9 @@ Two kinds of state answer locally, without a round trip:
   and a worker only changes state while serving a request, a mirror read
   equals the worker's value as of its last response.
 * **schema replicas** — pure schema-shape questions (``index_keys``,
-  ``has_index``, ``canonical_index``) are answered by an empty local
-  :class:`~repro.storage.table.Table` twin built from the same schema.
+  ``has_ordered_index``, ``canonical_index``) are answered by an empty
+  local :class:`~repro.storage.table.Table` twin built from the same
+  schema.
 
 Everything else is a synchronous RPC over the shard's
 :class:`~repro.transport.frames.FrameChannel`.  A per-connection
@@ -59,12 +40,14 @@ import threading
 
 from repro.analysis.latch import Latch, assert_may_block
 from repro.errors import TransactionStateError, TransportError, UnknownTableError
+from repro.storage.catalog import Database
 from repro.storage.engine import WouldBlock
 from repro.storage.locks import LOCK_STATS
 from repro.storage.oracle import TimestampOracle
 from repro.storage.table import Table
 from repro.storage.wal import WriteAheadLog
 from repro.transport.frames import FrameChannel, decode_error
+from repro.transport.verbs import Target, Verb, members_of
 
 
 class RemoteWouldBlock(WouldBlock):
@@ -225,6 +208,38 @@ class ShardConnection:
             self._receiver.join(timeout=2.0)
 
 
+# -- generated forwarders ------------------------------------------------------------
+
+
+def _forwarder(verb: Verb):
+    member = verb.member
+    if verb.options:
+        def forward(self, *args, **options):
+            return self._send(self._verbs[member], *args, options)
+    else:
+        def forward(self, *args):
+            return self._send(self._verbs[member], *args)
+
+    forward.__name__ = member
+    return forward
+
+
+def forwards(*targets: Target):
+    """Class decorator: one forwarding method per verb-table row on
+    ``targets`` that the class does not define by hand.  The class says
+    how a verb is sent (``_send(verb, *args)``) and which rows its
+    instance speaks (``_verbs``: member name -> verb)."""
+
+    def decorate(cls):
+        for target in targets:
+            for member, verb in members_of(target).items():
+                if member not in cls.__dict__:
+                    setattr(cls, member, _forwarder(verb))
+        return cls
+
+    return decorate
+
+
 # -- mirrors -------------------------------------------------------------------------
 
 
@@ -300,25 +315,19 @@ class WalReplica(WriteAheadLog):
         self._connection.request("wal_flush", upto_lsn)
 
 
+@forwards(Target.LOCKS)
 class RemoteLocks:
     """Lock-manager facade; the real manager lives in the worker."""
+
+    _verbs = members_of(Target.LOCKS)
 
     def __init__(self, connection: ShardConnection):
         self._connection = connection
         #: the worker's counters as of its last response (envelope-fed).
         self.stats = dict.fromkeys(LOCK_STATS, 0)
 
-    def waiting(self, txn: int) -> bool:
-        return self._connection.request("lock_waiting", txn)
-
-    def held_resources(self, txn: int):
-        return self._connection.request("lock_held", txn)
-
-    def waits_edges(self) -> dict[int, set[int]]:
-        return self._connection.request("waits_edges")
-
-    def cancel_wait(self, txn: int, resource) -> bool:
-        return self._connection.request("cancel_wait", txn, resource)
+    def _send(self, verb: Verb, *args):
+        return self._connection.request(verb.wire, *args)
 
     def share_waits_for(self, graph, mutex=None) -> None:
         # Thread-mode shards share one waits-for graph so intra-process
@@ -331,32 +340,48 @@ class RemoteLocks:
 # -- catalog / tables ----------------------------------------------------------------
 
 
-class RemoteTable:
-    """One shard's fragment of a table, accessed over the pipe.
+_LIVE_READS = members_of(Target.TABLE)
+_SNAPSHOT_READS = members_of(Target.SNAPSHOT)
+
+
+@forwards(Target.TABLE, Target.SNAPSHOT)
+class RemoteTableView:
+    """One shard's fragment of a table, read over the pipe — live
+    (``at=None``: the worker's current rows, for 2PL reads under the
+    coordinator's locks) or at ``at=(txn, read_ts)`` (the worker's
+    ``snapshot_view``).  The data methods are the verb table's.
 
     Schema-shape questions are answered by ``_twin``, an empty local
     :class:`Table` built from the same schema — ``index_keys`` and
     friends are pure schema computations, and answering them locally
     keeps them off the statement hot path.  ``fallback_scans`` is a
     plain attribute refreshed from response envelopes for the same
-    reason.  Instances are cached per name by :class:`RemoteCatalog`,
-    so those envelope updates land on the object callers hold.
+    reason.  The live instance is cached per name by
+    :class:`RemoteCatalog`, so those envelope updates land on the object
+    callers hold.
     """
 
-    def __init__(self, connection: ShardConnection, schema):
+    def __init__(self, connection: ShardConnection, twin: Table,
+                 at: "tuple[int, int] | None" = None):
         self._connection = connection
-        self._twin = Table(schema)
-        self.schema = schema
+        self._twin = twin
+        self.schema = twin.schema
         self.fallback_scans = 0
+        self._verbs = _LIVE_READS if at is None else _SNAPSHOT_READS
+        #: what every frame of this view starts with.
+        self._address = (self.schema.name, *(at or ()))
 
     @property
     def name(self) -> str:
         return self.schema.name
 
-    # -- schema-shape (local) ------------------------------------------------------
+    def at(self, txn: int, read_ts: int) -> "RemoteTableView":
+        return RemoteTableView(self._connection, self._twin, (txn, read_ts))
 
-    def has_index(self, column_names) -> bool:
-        return self._twin.has_index(column_names)
+    def _send(self, verb: Verb, *args):
+        return self._connection.request(verb.wire, *self._address, *args)
+
+    # -- schema-shape (local) ------------------------------------------------------
 
     def has_ordered_index(self, column_names) -> bool:
         return self._twin.has_ordered_index(column_names)
@@ -367,129 +392,26 @@ class RemoteTable:
     def index_keys(self, values):
         return self._twin.index_keys(values)
 
-    # -- data (remote) -------------------------------------------------------------
 
-    def scan(self):
-        return iter(self._connection.request("table_scan", self.name))
-
-    def lookup_pk(self, key):
-        return self._connection.request("table_lookup_pk", self.name, key)
-
-    def lookup_index(self, column_names, key):
-        return self._connection.request(
-            "table_lookup_index", self.name, tuple(column_names), key
-        )
-
-    def range_scan(self, column_names, lo, hi, **options):
-        """``options``: the ``range_scan`` keywords (bound inclusivity,
-        ``reverse``, ``limit``), shipped as given."""
-        return self._connection.request(
-            "table_range_scan", self.name, tuple(column_names), lo, hi, options
-        )
-
-    def __len__(self) -> int:
-        return self._connection.request("table_len", self.name)
-
-    def snapshot(self):
-        return self._connection.request("table_snapshot", self.name)
-
-    def version_chains(self):
-        return self._connection.request("table_version_chains", self.name)
-
-    def set_rid_namespace(self, base: int, step: int) -> None:
-        self._connection.request("set_rid_namespace", self.name, base, step)
-
-
-class RemoteCatalog:
-    """Schema catalog of one remote shard; DDL round-trips, names don't."""
+class RemoteCatalog(Database):
+    """One remote shard's catalog: a :class:`Database` whose tables are
+    :class:`RemoteTableView` s.  DDL round-trips, names don't."""
 
     def __init__(self, connection: ShardConnection, name: str):
+        super().__init__(name)
         self._connection = connection
-        self.name = name
-        self._tables: dict[str, RemoteTable] = {}
 
-    def create_table(self, schema) -> RemoteTable:
-        if schema.name in self._tables:
+    def create_table(self, schema) -> RemoteTableView:
+        if self.has_table(schema.name):
             raise UnknownTableError(f"table {schema.name!r} already exists")
         self._connection.request("create_table", schema)
         return self.adopt_table(schema)
 
-    def adopt_table(self, schema) -> RemoteTable:
+    def adopt_table(self, schema) -> RemoteTableView:
         """Register a table the worker already has (crash rebuilds)."""
-        table = RemoteTable(self._connection, schema)
-        self._tables[schema.name] = table
+        table = self._tables[schema.name] = RemoteTableView(
+            self._connection, Table(schema))
         return table
-
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
-    def table(self, name: str) -> RemoteTable:
-        try:
-            return self._tables[name]
-        except KeyError:
-            raise UnknownTableError(f"no table {name!r}") from None
-
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
-    def schemas(self):
-        return [self._tables[n].schema for n in sorted(self._tables)]
-
-
-class RemoteSnapshotView:
-    """A shard-local MVCC snapshot view served over the pipe.
-
-    The worker rebuilds the (stateless) view per request from
-    ``(table, txn, read_ts)``; serveability is re-checked there, so
-    :class:`~repro.errors.SnapshotTooOldError` crosses back intact.
-    """
-
-    def __init__(self, connection: ShardConnection, table: RemoteTable,
-                 txn: int, read_ts: int):
-        self._connection = connection
-        self._table = table
-        self.txn = txn
-        self.read_ts = read_ts
-        self.schema = table.schema
-
-    @property
-    def name(self) -> str:
-        return self.schema.name
-
-    def scan(self):
-        return iter(
-            self._connection.request("snap_scan", self.name, self.txn, self.read_ts)
-        )
-
-    def lookup_pk(self, key):
-        return self._connection.request(
-            "snap_lookup_pk", self.name, self.txn, self.read_ts, key
-        )
-
-    def lookup_index(self, column_names, key):
-        return self._connection.request(
-            "snap_lookup_index", self.name, self.txn, self.read_ts,
-            tuple(column_names), key,
-        )
-
-    def range_scan(self, column_names, lo, hi, **options):
-        return self._connection.request(
-            "snap_range_scan", self.name, self.txn, self.read_ts,
-            tuple(column_names), lo, hi, options,
-        )
-
-    def has_index(self, column_names) -> bool:
-        return self._table.has_index(column_names)
-
-    def has_ordered_index(self, column_names) -> bool:
-        return self._table.has_ordered_index(column_names)
-
-    def canonical_index(self, column_names):
-        return self._table.canonical_index(column_names)
-
-    def __len__(self) -> int:
-        return self._connection.request(
-            "snap_len", self.name, self.txn, self.read_ts)
 
 
 # -- the shard proxy -----------------------------------------------------------------
@@ -507,12 +429,17 @@ def _no_probe(shard, exc) -> None:
     del shard, exc
 
 
+@forwards(Target.ENGINE)
 class RemoteShardEngine:
-    """The :class:`~repro.storage.engine.StorageEngine` surface the
-    sharded coordinator uses, proxied to one worker process."""
+    """A :class:`~repro.storage.protocol.ShardEngine` whose engine lives
+    in one worker process.  Statements, locks, prepare, abort, vacuum,
+    recovery and the snapshot re-arms are the verb table's rows; written
+    out here are the mirrors and the calls that do more than forward."""
+
+    _verbs = members_of(Target.ENGINE)
 
     def __init__(self, shard_idx: int, connection: ShardConnection, *,
-                 schemas=()):
+                 install=None):
         self.shard_idx = shard_idx
         self._connection = connection
         self.mutex = _shard_proxy_mutex()
@@ -520,8 +447,16 @@ class RemoteShardEngine:
         self.wal = WalReplica(connection)
         self.locks = RemoteLocks(connection)
         self.db = RemoteCatalog(connection, f"shard{shard_idx}")
-        for schema in schemas:
-            self.db.adopt_table(schema)
+        if install:
+            # A crash successor: the worker was forked with this catalog
+            # and durable log (``build_shard_engine``), so the mirrors
+            # start from them too — torn-commit analysis reads the log
+            # mirror before the first response could resync it.
+            for schema in install["schemas"]:
+                self.db.adopt_table(schema)
+            records, flushed_lsn, next_lsn = install["wal"]
+            self.wal.replace(records, flushed_lsn=flushed_lsn, next_lsn=next_lsn)
+            self.wal._mirror_last_lsn = records[-1].lsn if records else 0
         self.commit_count = 0
         self.abort_count = 0
         #: ``(versions, max chain)`` and the per-table chain-length
@@ -564,17 +499,16 @@ class RemoteShardEngine:
             lock_stats, self._version_stats, self._chain_histograms = stats
             self.locks.stats.update(zip(LOCK_STATS, lock_stats))
 
-    def _blocking(self, method: str, *args):
-        """A request that may hit a lock conflict worker-side.
-
-        On ``would_block`` the wait is already enqueued in the worker;
+    def _send(self, verb: Verb, *args):
+        """A request; if it may hit a lock conflict worker-side, then on
+        ``would_block`` the wait is already enqueued in the worker —
         give the probe detector a chance to find (and break) a
-        cross-shard cycle before surfacing the wait to the scheduler.
-        """
+        cross-shard cycle before surfacing the wait to the scheduler."""
         try:
-            return self._connection.request(method, *args)
+            return self._connection.request(verb.wire, *args)
         except RemoteWouldBlock as exc:
-            self.deadlock_probe(self, exc)  # may raise DeadlockError
+            if verb.blocking:
+                self.deadlock_probe(self, exc)  # may raise DeadlockError
             raise
 
     # -- transactions --------------------------------------------------------------
@@ -592,71 +526,15 @@ class RemoteShardEngine:
         del flush
         return self._connection.request("commit", txn, participants)
 
-    def abort(self, txn: int):
-        return self._connection.request("abort", txn)
-
-    def prepare(self, txn: int):
-        """Phase one of 2PC: the shard's undo-derived write set."""
-        return self._connection.request("prepare", txn)
-
-    def run_recovery(self, demote):
-        """Run restart recovery inside the worker; mirrors resync via
-        the response envelope's wholesale WAL replacement."""
-        return self._connection.request("recover", set(demote))
-
-    # -- writes --------------------------------------------------------------------
-
-    def insert(self, txn: int, table_name: str, values, *, validated: bool = False):
-        del validated  # the coordinator validated against the shared schema
-        return self._blocking("insert", txn, table_name, tuple(values))
-
-    def update(self, txn: int, table_name: str, rid: int, values, *,
-               validated: bool = False):
-        del validated
-        return self._blocking("update", txn, table_name, rid, tuple(values))
-
-    def delete(self, txn: int, table_name: str, rid: int):
-        return self._blocking("delete", txn, table_name, rid)
-
-    def update_where(self, txn: int, table_name: str, predicate, new_values,
-                     *, where=None):
-        return self._blocking(
-            "update_where", txn, table_name, predicate, new_values, where)
-
-    def delete_where(self, txn: int, table_name: str, predicate, *,
-                     where=None):
-        return self._blocking(
-            "delete_where", txn, table_name, predicate, where)
-
-    # -- locking -------------------------------------------------------------------
-
-    def lock_write_candidates(self, txn: int, table_name: str, where):
-        return self._blocking("lock_write_candidates", txn, table_name, where)
-
-    def lock_read_access(self, txn: int, access) -> None:
-        self._blocking("lock_read_access", txn, access)
-
-    def lock_table_shared(self, txn: int, table: str) -> None:
-        self._blocking("lock_table_shared", txn, table)
-
-    def release_read_locks(self, txn: int):
-        return self._connection.request("release_read_locks", txn)
-
     # -- snapshots -----------------------------------------------------------------
 
-    def unpark_snapshot(self, txn: int) -> None:
-        self._connection.request("unpark_snapshot", txn)
-
-    def refresh_snapshot(self, txn: int) -> bool:
-        return self._connection.request("refresh_snapshot", txn)
+    def snapshot_view(self, name: str, txn: int, read_ts: int) -> RemoteTableView:
+        return self.db.table(name).at(txn, read_ts)
 
     # -- DDL / maintenance ---------------------------------------------------------
 
-    def create_table(self, schema) -> RemoteTable:
+    def create_table(self, schema) -> RemoteTableView:
         return self.db.create_table(schema)
-
-    def vacuum(self, horizon=None) -> int:
-        return self._connection.request("vacuum", horizon)
 
     def checkpoint(self):
         record = self._connection.request("checkpoint")

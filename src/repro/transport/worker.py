@@ -5,34 +5,21 @@ version chains, WAL — exactly as a thread-mode shard does; the only
 difference is that requests arrive as frames on a pipe instead of
 method calls under the shard mutex.  The serve loop is deliberately
 **single-threaded FIFO**: one request runs at a time, in arrival
-order, so handlers never race each other and need no engine-mutex
-wrapping (worker-side snapshot views are built with ``mutex=None``).
-Cross-shard parallelism comes from having one such process per shard,
-not from concurrency inside one.
+order, so handlers never race each other.  Cross-shard parallelism
+comes from having one such process per shard, not from concurrency
+inside one.
 
-One frame is one *step of the protocol* — a statement on this shard, a
-commit, a flush — not one line of the coordinator's implementation of
-it (the coordinator half of this table is in :mod:`repro.transport.
-proxy`):
+What a frame may ask for is the verb table, :data:`repro.transport.
+verbs.VERBS`: the server resolves the frame's method there and calls the
+named member of the named part of its engine.  The only handlers written
+out here are the ones that do more than that — ``begin`` (the engine
+takes the imposed id and cut by keyword), ``commit`` (never the fsync),
+``checkpoint`` and ``recover`` (rewrite WAL history, so the next
+envelope resyncs the coordinator's replica wholesale) and
+``create_table`` (the table it returns lives here).
 
-====================  ==========================================  ============
-verb                  what the handler fuses                      payload
-====================  ==========================================  ============
-``update_where`` /    IX + candidate probe at the shard's         changed
-``delete_where``      ``read_ts`` + row X locks + first-updater-  ``(old, new)``
-                      wins check + the writes                     pairs / rows
-``lock_write_``       the probe and locks alone (multi-shard      candidate
-``candidates``        statements lock everywhere before writing)  rows
-``insert`` ...        one row write with its key/gap locks        the row(s)
-``snap_*``            one versioned leaf access (``limit`` caps   row(s)
-                      a range scan's rows worker-side)
-``commit``            in-memory commit, never the fsync           woken txns
-``wal_flush``         the fsync; acks the durable WAL delta       —
-====================  ==========================================  ============
-
-One-way traffic (``begin``, ``register_snapshot``, ``release_snapshot``,
-the ``set_*`` knobs) has no frame of its own: it arrives as the
-**prelude** of the next request frame and runs, in order, before that
+One-way verbs have no frame of their own: they arrive as the
+**prelude** of the next request frame and run, in order, before that
 request.  A prelude entry that *fails* stashes its exception and the
 carrier request fails with it instead of executing — the coordinator
 never silently loses a worker-side error.
@@ -50,14 +37,11 @@ round trip.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 
-from repro.storage.catalog import Database
 from repro.storage.engine import StorageEngine, WouldBlock
-from repro.storage.locks import index_key_resource, table_resource
-from repro.storage.recovery import recover
-from repro.storage.row import RowId
-from repro.storage.snapshot import SnapshotView
 from repro.transport.frames import FrameChannel, encode_error
+from repro.transport.verbs import VERBS
 
 
 def worker_main(shard_idx, read_fd, write_fd, close_fds, options):
@@ -85,40 +69,21 @@ def worker_main(shard_idx, read_fd, write_fd, close_fds, options):
 
 
 def build_shard_engine(shard_idx, options):
-    """Construct the worker-side engine from picklable ``options``.
-
-    ``options`` mirrors what :class:`~repro.storage.sharding.
-    ShardedStorageEngine` does when building thread-mode shards, plus an
-    optional ``install`` dict used by crash rebuilds: schemas, rid
-    namespaces and the surviving (flushed) WAL prefix, so a freshly
+    """Construct the worker-side engine from picklable ``options``: the
+    :meth:`StorageEngine.shard_member` settings, plus an optional
+    ``install`` dict used by crash rebuilds — schemas, the surviving
+    (flushed) WAL prefix and the transaction-id floor — so a freshly
     forked worker starts in exactly the post-crash state restart
     recovery expects.
     """
-    engine = StorageEngine(
-        Database(f"shard{shard_idx}"),
-        locking=options.get("locking", True),
-        granularity=options["granularity"],
-        ssi_tracking=False,  # SSI is coordinator-resident in process mode
-        ordered_indexes=options.get("ordered_indexes", True),
+    install = options.pop("install") or {}
+    engine = StorageEngine.shard_member(
+        shard_idx, **options,
+        schemas=install.get("schemas", ()), next_txn=install.get("next_txn"),
     )
-    engine.checkpoint_interval = 0
-    install = options.get("install")
     if install:
-        for schema in install.get("schemas", ()):
-            engine.create_table(schema)
-        for name, (base, step) in install.get("rid_namespaces", {}).items():
-            engine.db.table(name).set_rid_namespace(base, step)
-        wal_state = install.get("wal")
-        if wal_state is not None:
-            records, flushed_lsn, next_lsn = wal_state
-            engine.wal.replace(
-                records, flushed_lsn=flushed_lsn, next_lsn=next_lsn
-            )
-        engine.wal.flush_latency = install.get("flush_latency", 0.0)
-        if "vacuum_interval" in install:
-            engine.vacuum_interval = install["vacuum_interval"]
-        if "next_txn" in install:
-            engine._next_txn = max(engine._next_txn, install["next_txn"])
+        records, flushed_lsn, next_lsn = install["wal"]
+        engine.wal.replace(records, flushed_lsn=flushed_lsn, next_lsn=next_lsn)
     return engine
 
 
@@ -134,6 +99,12 @@ class ShardServer:
         #: the next envelope carries a wholesale log resync instead of a
         #: delta, because ``install`` cannot express truncation.
         self._wal_resync = False
+        #: wire name -> the ``do_*`` handlers below, which do more than
+        #: call the verb's member; every other verb goes through the table.
+        self._by_hand = {
+            name[3:]: getattr(self, name)
+            for name in vars(type(self)) if name.startswith("do_")
+        }
         #: a failed prelude entry poisons the request that carried it.
         self._pending_error: BaseException | None = None
         #: the state behind the last envelope actually shipped; a
@@ -151,7 +122,7 @@ class ShardServer:
             req_id, method, args, prelude = frame
             for name, prelude_args in prelude:
                 try:
-                    getattr(self, f"do_{name}")(*prelude_args)
+                    self._call(name, prelude_args)
                 except Exception as exc:  # noqa: BLE001 - fails the carrier
                     self._pending_error = exc
             if method == "shutdown":
@@ -164,7 +135,7 @@ class ShardServer:
             exc, self._pending_error = self._pending_error, None
             return (req_id, "error", encode_error(exc), self._envelope())
         try:
-            payload = getattr(self, f"do_{method}")(*args)
+            payload = self._call(method, args)
             status = "ok"
         except WouldBlock as exc:
             # The wait is already enqueued shard-side; tell the
@@ -247,174 +218,40 @@ class ShardServer:
             self._shipped_lsn = delta[-1].lsn
         return delta
 
-    # -- prelude handlers (one-way; never a request of their own) ------------------------
+    # -- dispatch ------------------------------------------------------------------------
+
+    def _call(self, method, args):
+        handler = self._by_hand.get(method)
+        if handler is not None:
+            return handler(*args)
+        verb = VERBS[method]
+        target, args = verb.target.resolve(self.engine, args)
+        if verb.attribute:
+            if not args:
+                return getattr(target, verb.member)
+            (value,) = args
+            setattr(target, verb.member, value)
+            return None
+        options = {}
+        if verb.options:
+            *args, options = args
+        result = getattr(target, verb.member)(*args, **options)
+        # A scan is lazy where it is written; only its rows can travel.
+        return list(result) if isinstance(result, Iterator) else result
+
+    # -- the handlers that do more than call the verb's member ---------------------------
 
     def do_begin(self, isolation, txn_id, read_ts):
         self.engine.begin(isolation, txn_id=txn_id, read_ts=read_ts)
-
-    def do_register_snapshot(self, txn, read_ts):
-        self.engine.oracle.register_snapshot(txn, read_ts)
-
-    def do_release_snapshot(self, txn):
-        self.engine.oracle.release_snapshot(txn)
-
-    def do_set_flush_latency(self, value):
-        self.engine.wal.flush_latency = value
-
-    def do_set_vacuum_interval(self, value):
-        self.engine.vacuum_interval = value
-
-    def do_set_checkpoint_interval(self, value):
-        self.engine.checkpoint_interval = value
-
-    # -- transactions ------------------------------------------------------------------
 
     def do_commit(self, txn, participants):
         # flush=False always: the coordinator owns flush ordering (its
         # reads-from dependency vector spans shards this worker can't see).
         return self.engine.commit(txn, participants=participants, flush=False)
 
-    def do_abort(self, txn):
-        return self.engine.abort(txn)
-
-    def do_prepare(self, txn):
-        """Phase one of two-phase commit: report this shard's write set.
-
-        Derived from the transaction's undo log — the shard-local ground
-        truth of what it wrote — as SSI resource items (row, table and
-        every index key either image touches).  The coordinator merges
-        these into its resident SSI tracker before validation, so the
-        dangerous-structure test runs against worker-authoritative
-        write sets, not just what the routing layer believes it sent.
-        """
-        ctx = self.engine._contexts.get(txn)
-        if ctx is None:
-            return []
-        items = []
-        seen = set()
-        for entry in ctx.undo:
-            table = self.engine.db.table(entry.table)
-            base = (RowId(entry.table, entry.rid), table_resource(entry.table))
-            keys = set()
-            for values in (entry.before, entry.after):
-                if values is not None:
-                    keys.update(table.index_keys(values))
-            for item in base:
-                if item not in seen:
-                    seen.add(item)
-                    items.append(item)
-            for columns, key in sorted(keys):
-                item = index_key_resource(entry.table, columns, key)
-                if item not in seen:
-                    seen.add(item)
-                    items.append(item)
-        return items
-
-    # -- writes ------------------------------------------------------------------------
-
-    def do_insert(self, txn, table_name, values):
-        return self.engine.insert(txn, table_name, values, validated=True)
-
-    def do_update(self, txn, table_name, rid, values):
-        return self.engine.update(txn, table_name, rid, values, validated=True)
-
-    def do_delete(self, txn, table_name, rid):
-        return self.engine.delete(txn, table_name, rid)
-
-    def do_update_where(self, txn, table_name, predicate, new_values, where):
-        return self.engine.update_where(
-            txn, table_name, predicate, new_values, where=where)
-
-    def do_delete_where(self, txn, table_name, predicate, where):
-        return self.engine.delete_where(
-            txn, table_name, predicate, where=where)
-
-    # -- locking -----------------------------------------------------------------------
-
-    def do_lock_write_candidates(self, txn, table_name, where):
-        return self.engine.lock_write_candidates(txn, table_name, where)
-
-    def do_lock_read_access(self, txn, access):
-        self.engine.lock_read_access(txn, access)
-
-    def do_lock_table_shared(self, txn, table):
-        self.engine.lock_table_shared(txn, table)
-
-    def do_release_read_locks(self, txn):
-        return self.engine.release_read_locks(txn)
-
-    def do_waits_edges(self):
-        return self.engine.locks.waits_edges()
-
-    def do_cancel_wait(self, txn, resource):
-        return self.engine.locks.cancel_wait(txn, resource)
-
-    def do_lock_waiting(self, txn):
-        return self.engine.locks.waiting(txn)
-
-    def do_lock_held(self, txn):
-        return self.engine.locks.held_resources(txn)
-
-    # -- snapshots ---------------------------------------------------------------------
-
-    def _snapshot_view(self, name, txn, read_ts):
-        return SnapshotView(self.engine.db.table(name), txn, read_ts, mutex=None)
-
-    def do_snap_scan(self, name, txn, read_ts):
-        return list(self._snapshot_view(name, txn, read_ts).scan())
-
-    def do_snap_lookup_pk(self, name, txn, read_ts, key):
-        return self._snapshot_view(name, txn, read_ts).lookup_pk(key)
-
-    def do_snap_lookup_index(self, name, txn, read_ts, columns, key):
-        return self._snapshot_view(name, txn, read_ts).lookup_index(columns, key)
-
-    def do_snap_len(self, name, txn, read_ts):
-        return len(self._snapshot_view(name, txn, read_ts))
-
-    def do_snap_range_scan(self, name, txn, read_ts, columns, lo, hi, options):
-        return self._snapshot_view(name, txn, read_ts).range_scan(
-            columns, lo, hi, **options)
-
-    def do_unpark_snapshot(self, txn):
-        self.engine.unpark_snapshot(txn)
-
-    def do_refresh_snapshot(self, txn):
-        return self.engine.refresh_snapshot(txn)
-
-    # -- table reads (2PL path) --------------------------------------------------------
-
-    def do_table_scan(self, name):
-        return list(self.engine.db.table(name).scan())
-
-    def do_table_lookup_pk(self, name, key):
-        return self.engine.db.table(name).lookup_pk(key)
-
-    def do_table_lookup_index(self, name, columns, key):
-        return self.engine.db.table(name).lookup_index(columns, key)
-
-    def do_table_range_scan(self, name, columns, lo, hi, options):
-        return self.engine.db.table(name).range_scan(columns, lo, hi, **options)
-
-    def do_table_len(self, name):
-        return len(self.engine.db.table(name))
-
-    def do_table_snapshot(self, name):
-        return self.engine.db.table(name).snapshot()
-
-    def do_table_version_chains(self, name):
-        return self.engine.db.table(name).version_chains()
-
-    # -- DDL / maintenance -------------------------------------------------------------
-
     def do_create_table(self, schema):
+        # The Table stays here; the coordinator builds its own schema twin.
         self.engine.create_table(schema)
-
-    def do_set_rid_namespace(self, name, base, step):
-        self.engine.db.table(name).set_rid_namespace(base, step)
-
-    def do_vacuum(self, horizon):
-        return self.engine.vacuum(horizon)
 
     def do_checkpoint(self):
         record = self.engine.checkpoint()
@@ -422,15 +259,7 @@ class ShardServer:
             self._wal_resync = True  # checkpoint truncated the log
         return record
 
-    def do_wal_flush(self, upto_lsn):
-        self.engine.wal.flush(upto_lsn)
-
     def do_recover(self, demote):
-        report = recover(self.engine, demote_to_loser=demote)
+        report = self.engine.recover(demote)
         self._wal_resync = True  # recovery appended/abandoned records
         return report
-
-    # -- stats -------------------------------------------------------------------------
-
-    def do_mvcc_stats(self):
-        return dict(self.engine.mvcc_stats)

@@ -127,7 +127,7 @@ class TestCancelReleasesSnapshot:
         writer = broker.open_session("writer")
         writer.execute("DELETE FROM Items WHERE item = 3")
         assert writer.commit()
-        store.vacuum(horizon=store._last_commit_ts)  # past alice's snapshot
+        store.vacuum(horizon=store.oracle.last_commit_ts)  # past alice's snapshot
         bob = broker.open_session("bob", isolation=TxnIsolation.SNAPSHOT)
         bob.execute(PICK.format(me="bob", friend="alice"))
         broker.match_round()  # alice's grounding raises SnapshotTooOld
@@ -143,7 +143,7 @@ class TestCancelReleasesSnapshot:
         writer = broker.open_session("writer")
         writer.execute("DELETE FROM Items WHERE item = 3")
         assert writer.commit()
-        store.vacuum(horizon=store._last_commit_ts)
+        store.vacuum(horizon=store.oracle.last_commit_ts)
         bob = broker.open_session("bob", isolation=TxnIsolation.SNAPSHOT)
         bob.execute(PICK.format(me="bob", friend="alice"))
         broker.match_round()  # alice restarts on a fresh snapshot

@@ -15,10 +15,17 @@ import pytest
 
 import repro
 from repro.client import RetryPolicy
+from repro.core.engine import EngineConfig
 from repro.errors import (
     LeaderFailoverError,
     MiddlewareError,
     ReplicationError,
+)
+from repro.model import (
+    OpKind,
+    expand_quasi_reads,
+    find_serialization_order,
+    find_widowed_transactions,
 )
 from repro.replication import ReplicatedStorageEngine
 from repro.storage import ColumnType, TableSchema, TxnIsolation
@@ -276,6 +283,75 @@ class TestFailover:
         engine.abort(txn)
         # The uncommitted write died with the old leader.
         assert leader_contents(engine) == {1: "a"}
+
+    def test_failover_aborts_reach_the_observers_exactly_once(self):
+        """Every transaction live at the failover — whichever shards it
+        had begun on — terminates for the observers there and then, and
+        the client's later cleanup abort adds nothing."""
+        engine = build(replicas=1)
+        events = []
+        engine.observers.append(
+            lambda txn, kind, _table, _reads_from: events.append((txn, kind)))
+        on_dead, on_survivor = 0, next(
+            k for k in range(1, 64) if engine.route_key("T", (k,)) == 1)
+        assert engine.route_key("T", (on_dead,)) == 0
+        live = {}
+        for name, isolation, key in [
+            ("snapshot on the dead shard", TxnIsolation.SNAPSHOT, on_dead),
+            ("2pl on the survivor", TxnIsolation.TWO_PL, on_survivor),
+        ]:
+            live[name] = txn = engine.begin(isolation)
+            engine.insert(txn, "T", (key, name))
+        idle = engine.begin(TxnIsolation.SNAPSHOT)  # begun on no shard
+        aborts_before = engine.abort_count
+        engine.fail_over(0)
+        for txn in (*live.values(), idle):
+            with pytest.raises(LeaderFailoverError):
+                engine.insert(txn, "T", (99, "touch"))
+            engine.abort(txn)
+        assert events == [
+            (live["snapshot on the dead shard"], "write"),
+            (live["2pl on the survivor"], "write"),
+            (live["snapshot on the dead shard"], "abort"),
+            (live["2pl on the survivor"], "abort"),
+            (idle, "abort"),
+        ]
+        assert engine.abort_count == aborts_before + 3
+        assert leader_contents(engine) == {}
+
+    def test_recorded_schedule_terminates_failed_over_transactions(self):
+        """A ``record_schedule`` engine over a replicated store: the
+        failed-over attempt is an aborted transaction *at the failover*,
+        not one still running when later writers commit."""
+        db = repro.connect(
+            shards=2, replicas=1, isolation="snapshot",
+            config=EngineConfig(record_schedule=True),
+        )
+        try:
+            db.create_table(SCHEMA)
+            session = db.session("alice")
+            with session.transaction() as before:
+                before.insert("T", (1, "a"))
+            doomed = session.transaction()
+            doomed.insert("T", (2, "doomed"))
+            db.store.fail_over(0)
+            with pytest.raises(LeaderFailoverError):
+                doomed.insert("T", (3, "more"))
+            doomed.abort()
+            with session.transaction() as after:
+                after.insert("T", (2, "after"))
+            schedule = db.engine.recorded_schedule()
+            ops = [str(op) for op in schedule.ops]
+            terminal = [i for i, op in enumerate(schedule.ops)
+                        if op.txn == doomed.txn
+                        and op.kind in (OpKind.ABORT, OpKind.COMMIT)]
+            first_after = next(i for i, op in enumerate(schedule.ops)
+                               if op.txn == after.txn)
+            assert len(terminal) == 1 and terminal[0] < first_after, ops
+            assert find_serialization_order(schedule).serializable, ops
+            assert find_widowed_transactions(expand_quasi_reads(schedule)) == []
+        finally:
+            db.close()
 
     def test_failover_without_followers_refuses(self):
         engine = build(replicas=0)

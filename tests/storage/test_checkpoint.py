@@ -123,7 +123,7 @@ class TestCheckpoint:
         engine.checkpoint()
         survivor = engine.crash()
         recover(survivor)
-        assert survivor._last_commit_ts == engine._last_commit_ts
+        assert survivor.oracle.last_commit_ts == engine.oracle.last_commit_ts
         # The restored version carries its original begin_ts, so a
         # (hypothetical) snapshot between ts1 and ts2 stays empty-handed
         # rather than seeing the row at the wrong time.

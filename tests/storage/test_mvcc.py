@@ -267,7 +267,7 @@ class TestRecoveryRebuildsVersions:
             for rid, chain in before.items()
         }
         assert after == committed_before
-        assert survivor._last_commit_ts == engine._last_commit_ts
+        assert survivor.oracle.last_commit_ts == engine.oracle.last_commit_ts
 
     def test_snapshot_reads_work_after_recovery(self):
         engine = build_engine()

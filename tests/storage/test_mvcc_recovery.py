@@ -167,7 +167,7 @@ class CrashRecoveryMachine(RuleBasedStateMachine):
 
         assert logical_chains(survivor) == logical_chains(twin)
         assert survivor.db.content_equal(twin.db)
-        assert survivor._last_commit_ts == twin._last_commit_ts
+        assert survivor.oracle.last_commit_ts == twin.oracle.last_commit_ts
 
         # Continue the machine on the recovered engine.  The surviving
         # entries keep their original LSNs, which remain valid in the

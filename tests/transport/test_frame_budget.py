@@ -25,8 +25,10 @@ import pytest
 
 from repro import connect
 from repro.errors import DeadlockError, TransactionStateError, TransportError
+from repro.replication import ReplicatedStorageEngine
 from repro.storage import ColumnType, TableSchema, TxnIsolation, recover
 from repro.storage.engine import StorageEngine, WouldBlock
+from repro.storage.sharding import ShardedStorageEngine
 from repro.storage.expressions import (
     Arith,
     ArithOp,
@@ -333,3 +335,86 @@ class TestFusedSemantics:
         for idx, shard in enumerate(engine.shards):
             found = shard.db.table("T").lookup_pk((y,))
             assert (found is not None) == (idx == engine.route_key("T", (y,)))
+
+
+# -- what the shard-engine contract removed from the wire -------------------------------
+
+
+@pytest.mark.parametrize("n_shards", [2, 4])
+class TestContractFramePins:
+    def test_create_table_is_one_frame_per_shard(self, n_shards, monkeypatch):
+        engine = ProcessShardedStorageEngine(n_shards)
+        try:
+            frames = CountedFrames(monkeypatch)
+            engine.create_table(K_SCHEMA)
+            # A shard member allocates rids in its own class from birth:
+            # no namespace frame follows the DDL.
+            assert frames.requests == {"create_table": n_shards}
+        finally:
+            engine.close()
+
+    def test_mvcc_stats_is_one_frame_per_shard(self, n_shards, monkeypatch):
+        engine = build(n_shards)
+        try:
+            engine.load("T", [(k, "a", 0) for k in range(8)])
+            frames = CountedFrames(monkeypatch)
+            stats = engine.mvcc_stats
+            assert frames.requests == {"mvcc_stats": n_shards}
+            assert set(stats) == {"snapshot_reads", "snapshot_refreshes",
+                                  "write_conflicts", "supersede_prunes"}
+        finally:
+            engine.close()
+
+
+def rid_classes(store, rows):
+    """``{(rid - 1) % n_shards == the shard the row's key routes to}``."""
+    return {
+        (row.rid - 1) % store.n_shards == store.route_key("T", row.values[:1])
+        for row in rows
+    }
+
+
+def build_store(kind: str, n_shards: int):
+    if kind == "process":
+        store = ProcessShardedStorageEngine(n_shards)
+    elif kind == "replicated":
+        store = ReplicatedStorageEngine(n_shards, replicas=1)
+    else:
+        store = ShardedStorageEngine(n_shards)
+    store.create_table(K_SCHEMA)
+    return store
+
+
+@pytest.mark.parametrize("n_shards", [2, 4])
+@pytest.mark.parametrize("kind", ["pool", "process", "replicated"])
+def test_rids_stay_in_the_shards_class(kind, n_shards):
+    """After ``create_table``, after ``crash()`` + ``recover`` and — on a
+    replicated store — on a follower after ``resync``, shard *i* of *n*
+    assigns rids ``i+1 (mod n)`` with no one re-imposing the class."""
+    store = build_store(kind, n_shards)
+    survivor = None
+    try:
+        store.load("T", [(k, "a", 0) for k in range(16)])
+        assert rid_classes(store, store.db.table("T").scan()) == {True}
+        if kind == "replicated":
+            store.fail_over(0)  # promotes a shell, resyncs the followers
+            store.load("T", [(k, "b", 0) for k in range(16, 32)])
+            store.drain_replicas()
+            for shard_idx, row in enumerate(store.followers):
+                for follower in row:
+                    rows = list(follower.engine.db.table("T").scan())
+                    assert rows and {(r.rid - 1) % n_shards for r in rows} == {
+                        shard_idx}
+                    # ... and the follower's own counter is in the class.
+                    fresh = follower.engine.db.table("T").insert((1000, "c", 0))
+                    assert (fresh.rid - 1) % n_shards == shard_idx
+        survivor = store.crash()
+        recover(survivor)
+        survivor.load("T", [(k, "d", 0) for k in range(32, 48)])
+        rows = list(survivor.db.table("T").scan())
+        assert len(rows) >= 32 and rid_classes(survivor, rows) == {True}
+    finally:
+        for engine in (store, survivor):
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
