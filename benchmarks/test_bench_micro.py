@@ -2,15 +2,20 @@
 
 These measure real host time (unlike the figure benchmarks, whose result
 is virtual time): the coordinating-set search, entangled-query grounding,
-the SPJ evaluator's index paths, the lock manager, and the SQL front end
-(a cold parse against a prepared-statement hit).
+the SPJ evaluator's index paths and its planner (a cold plan against a
+prepared-plan hit), a latch round trip against the bare primitive, the
+lock manager, and the SQL front end (a cold parse against a
+prepared-statement hit).
 """
 
 import itertools
+import threading
 import timeit
 
 import pytest
 
+from repro.analysis import latch as latch_module
+from repro.analysis.latch import Latch
 from repro.entangled import (
     Atom,
     EntangledQuery,
@@ -23,6 +28,7 @@ from repro.entangled import (
 from repro.entangled.grounding import Grounding
 from repro.entangled.answers import GroundAtom
 from repro.storage import (
+    And,
     Cmp,
     CmpOp,
     Col,
@@ -37,8 +43,11 @@ from repro.storage import (
     TableSchema,
     evaluate,
     index_key_resource,
+    planner,
     table_resource,
 )
+from repro.workloads.socialnet import SocialNetwork
+from repro.workloads.traveldb import TravelDatabase
 
 
 def _pair_groundings(pairs: int, options: int):
@@ -142,6 +151,103 @@ def test_spj_join_with_pushdown(benchmark):
     )
     rows = benchmark(evaluate, plan, db)
     assert len(rows) == 2_000
+
+
+def _social_join(uid: int) -> SPJQuery:
+    """Social-T's friend lookup (Appendix D) as the compiler hands it to
+    storage: Friends x User x User, the host variable inlined, LIMIT 1."""
+
+    def eq(left, right):
+        return Cmp(CmpOp.EQ, left, right)
+
+    return SPJQuery(
+        tables=(TableRef("Friends"), TableRef("User", "u1"), TableRef("User", "u2")),
+        select=(Col("Friends.uid2"),),
+        select_names=("uid2",),
+        where=And(And(And(
+            eq(Col("Friends.uid1"), Const(uid)),
+            eq(Col("Friends.uid2"), Col("u2.uid"))),
+            eq(Col("u1.uid"), Const(uid))),
+            eq(Col("u1.hometown"), Col("u2.hometown"))),
+        limit=1,
+    )
+
+
+def _social_planning():
+    """``(cold, hit)``: plan the Social-T join for a fresh uid per call,
+    into an emptied plan table and into one that knows the shape."""
+    db = Database()
+    TravelDatabase(SocialNetwork(100)).populate(db)
+    tables = [db.table(name) for name in ("Friends", "User", "User")]
+    queries = itertools.cycle([_social_join(uid) for uid in range(1, 65)])
+
+    def cold():
+        db.plans.clear()
+        return planner.build_plan(
+            next(queries), tables, {}, planner.DEFAULT_HINTS, db.plans)
+
+    def hit():
+        return planner.build_plan(
+            next(queries), tables, {}, planner.DEFAULT_HINTS, db.plans)
+
+    return db, cold, hit
+
+
+@pytest.mark.benchmark(group="micro-spj")
+def test_spj_plan_cold(benchmark):
+    db, cold, _hit = _social_planning()
+    benchmark(cold)
+    assert len(db.plans) == 1
+
+
+@pytest.mark.benchmark(group="micro-spj")
+def test_spj_plan_prepared_hit(benchmark):
+    """Same shape, fresh literal: fetch the prepared plan and bind this
+    query's expressions to it.  As for the front end, the assertion is a
+    ratio to the cold plan on this host, best of five."""
+    db, cold, hit = _social_planning()
+    cold()
+    (plan,) = db.plans.values()
+    benchmark(hit)
+    assert list(db.plans.values()) == [plan]
+    slow = min(timeit.repeat(cold, number=200, repeat=5))
+    fast = min(timeit.repeat(hit, number=200, repeat=5))
+    assert fast <= 0.6 * slow, f"prepared hit {fast / slow:.2f}x a cold plan"
+
+
+def _latch_round_trips():
+    """``(bare, latched)``: one uncontended ``with`` on an ``RLock`` and
+    on a :class:`Latch` wrapping one."""
+    bare, latch = threading.RLock(), Latch("lock-manager")
+
+    def with_bare():
+        with bare:
+            pass
+
+    def with_latch():
+        with latch:
+            pass
+
+    return with_bare, with_latch
+
+
+@pytest.mark.benchmark(group="micro-latch")
+def test_latch_bare_rlock(benchmark):
+    with_bare, _with_latch = _latch_round_trips()
+    benchmark(with_bare)
+
+
+@pytest.mark.benchmark(group="micro-latch")
+def test_latch_with_witness_off(benchmark):
+    """A latch in a process whose lock-order witness was never on costs
+    one flag test each way on top of the primitive."""
+    with_bare, with_latch = _latch_round_trips()
+    benchmark(with_latch)
+    if latch_module._witness.armed:
+        pytest.skip("the witness is (or was) on in this process")
+    bare = min(timeit.repeat(with_bare, number=20_000, repeat=5))
+    latched = min(timeit.repeat(with_latch, number=20_000, repeat=5))
+    assert latched <= 2 * bare, f"with Latch {latched / bare:.2f}x a bare RLock"
 
 
 @pytest.mark.benchmark(group="micro-locks")

@@ -36,8 +36,10 @@ process-wide acquisition-order graph and raises
 an A→B / B→A inversion is caught the first time both orders are ever
 observed, not only on the run where they interleave fatally.  Rank
 inversions (acquiring outward while holding an inner latch) raise
-immediately even before a full cycle exists.  When disabled the
-witness adds a single predicate per acquire and records nothing.
+immediately even before a full cycle exists.  In a process where the
+witness was never switched on, ``with latch:`` tests one flag
+(``armed``) on the way in and on the way out and otherwise calls the
+``threading`` primitive directly; nothing is recorded.
 
 Blocking discipline rides on the same stack: latches named in
 :data:`NO_BLOCK_LATCHES` must never be held across a blocking call
@@ -149,6 +151,11 @@ class _Witness:
 
     def __init__(self) -> None:
         self.enabled = os.environ.get("REPRO_LOCKDEP", "0") not in ("", "0")
+        #: the witness is, or has been, on in this process.  It never
+        #: goes back: a latch taken while the witness was on is on some
+        #: thread's held stack and must still be popped when it is
+        #: released after :func:`disable_lockdep`.
+        self.armed = self.enabled
         self._graph_lock = threading.Lock()
         #: name → set of names observed acquired *while holding* it.
         self._edges: dict[str, set[str]] = {}
@@ -340,17 +347,21 @@ class Latch:
         return ok
 
     def release(self) -> None:
-        witness = _witness
-        if witness.enabled or getattr(witness._tls, "stack", None):
-            witness.pop(self)
+        if _witness.armed:
+            _witness.pop(self)
         self._lock.release()
 
     def __enter__(self) -> "Latch":
-        self.acquire()
+        if _witness.armed:
+            self.acquire()
+        else:
+            self._lock.acquire()
         return self
 
     def __exit__(self, *_exc) -> None:
-        self.release()
+        if _witness.armed:
+            _witness.pop(self)
+        self._lock.release()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -421,6 +432,7 @@ def lockdep_enabled() -> bool:
 
 
 def enable_lockdep() -> None:
+    _witness.armed = True
     _witness.enabled = True
 
 

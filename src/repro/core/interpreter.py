@@ -174,15 +174,8 @@ def _execute_classical(
         raise TransactionAborted("explicit ROLLBACK", reason="rollback")
     if isinstance(stmt, SelectStmt):
         compiled = compile_select(stmt, store.db, txn.env, params)
-        fallback_counts = getattr(store, "fallback_scan_counts", None)
-        scans_before = (
-            sum(fallback_counts().values()) if fallback_counts else 0
-        )
         rows = store.query(txn.storage_txn, compiled.plan)
-        if fallback_counts:
-            txn.stats.fallback_scans += (
-                sum(fallback_counts().values()) - scans_before
-            )
+        txn.stats.fallback_scans += store.take_fallback_scans()
         costs.charge_statement(txn, is_write=False)
         first = rows[0] if rows else None
         for var, index in compiled.bindings:

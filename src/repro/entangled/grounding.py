@@ -133,6 +133,9 @@ class _PositionalView:
 
     def __init__(self, provider: TableProvider):
         self._provider = provider
+        #: body plans live beside the database's statement plans (a
+        #: plan's key includes its tables' column names, here ``__col<i>``).
+        self.plans = provider.plans
 
     def table(self, name: str):
         real = self._provider.table(name)

@@ -19,8 +19,11 @@ hierarchical walk:
 operation                  locks taken (in order)
 =========================  =======================================
 index/PK probe             IS table, S index-key (even on a miss —
-                           the key lock guards the *gap*)
-row produced by a probe    IS table, S row
+                           the key lock guards the *gap*); the key
+                           is the primary key's if covered, else the
+                           widest covered secondary index's
+row produced by a probe    IS table, S row — as the pipeline pulls
+                           it: rows past a met LIMIT stay unlocked
 full table scan            S table
 INSERT                     IX table, IX each index key the row
                            carries (insert intention), X new row
@@ -32,6 +35,9 @@ UPDATE/DELETE (predicate)  IX table + X pinned index key + X each
                            candidate row when the WHERE clause
                            covers an index, else X table
 =========================  =======================================
+
+A table's IS is requested once per transaction: later keyed reads of the
+same table find it held (and ask again after ``release_read_locks``).
 
 Phantom protection: a reader's index-key S lock conflicts with the key IX
 every insert (and key-gaining update) takes, so point and keyed-range
@@ -81,8 +87,10 @@ Read-observer contract
 ----------------------
 
 :func:`evaluate` reports each distinct :class:`ReadAccess` — the access
-paths of the table above — to its ``read_observer`` *before* the covered
-rows are used.  A lock-acquiring observer (``StorageEngine.query``
+paths of the table above — to its ``read_observer``: an access path
+*before* it is probed, a row *before* it is handed to the pipeline (a
+row the pipeline never pulls is never reported).  A lock-acquiring
+observer (``StorageEngine.query``
 internally; :meth:`StorageEngine.lock_read_access` for the entangled
 coordinator's grounding reads) may raise
 :class:`~repro.storage.engine.WouldBlock` to abort the evaluation with no

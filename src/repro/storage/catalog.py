@@ -23,6 +23,10 @@ class Database:
     def __init__(self, name: str = "db"):
         self.name = name
         self._tables: dict[str, Table] = {}
+        #: the planner's prepared plans, by query shape (see
+        #: :func:`repro.storage.planner.build_plan`).  Schemas never
+        #: change once created, so nothing here is ever invalidated.
+        self.plans: dict = {}
 
     # -- DDL ----------------------------------------------------------------------
 

@@ -166,6 +166,11 @@ class _UndoEntry:
     after: ValueTuple | None
 
 
+#: ``TxnContext.intent_shared`` when no IS is held (one shared object:
+#: ``frozenset()`` would allocate an empty set per call).
+_NO_TABLES: frozenset[str] = frozenset()
+
+
 @dataclass
 class TxnContext:
     """Book-keeping for one storage-level transaction."""
@@ -184,6 +189,12 @@ class TxnContext:
     undo: list[_UndoEntry] = field(default_factory=list)
     reads: list[str] = field(default_factory=list)
     writes: list[RowId] = field(default_factory=list)
+    #: tables whose IS lock a keyed read was already granted: every
+    #: index-key and row access wants the table's IS, one request per
+    #: transaction answers them all.  Emptied whenever the locks go:
+    #: at the end, or when read locks are released early.  Immutable, so
+    #: the contexts kept after their transactions ended share one empty set.
+    intent_shared: frozenset[str] = _NO_TABLES
 
     def written_tables(self) -> list[str]:
         return sorted({w.table for w in self.writes})
@@ -272,6 +283,9 @@ class StorageEngine:
             "seq_scans_avoided": 0,
             "sorts_elided": 0,
         }
+        #: the ``fallback_scan_counts`` total at the last
+        #: :meth:`take_fallback_scans`.
+        self._fallback_scans_taken = 0
         self._contexts: dict[int, TxnContext] = {}
         #: active transactions holding writes — maintained so the
         #: checkpoint quiescence test is O(1) instead of scanning every
@@ -523,6 +537,7 @@ class StorageEngine:
         self._active_writers.discard(txn)
         self.commit_count += 1
         self._notify(txn, "commit", "")
+        ctx.intent_shared = _NO_TABLES
         woken = self.locks.release_all(txn) if self.locking else []
         if commit_ts is not None and self.vacuum_interval:
             self._commits_since_vacuum += 1
@@ -592,6 +607,7 @@ class StorageEngine:
         self.abort_count += 1
         self.ssi.on_abort(txn)
         self._notify(txn, "abort", "")
+        ctx.intent_shared = _NO_TABLES
         return self.locks.release_all(txn) if self.locking else []
 
     @_locked
@@ -633,21 +649,25 @@ class StorageEngine:
         grounding evaluation as a ``read_observer``: a WouldBlock raised
         here aborts the evaluation before any unlocked row is consumed.
         """
-        self._context(txn)
-        self._lock_read_access(txn, access)
+        self._lock_read_access(self._context(txn), access)
 
-    def _lock_read_access(self, txn: int, access: ReadAccess) -> None:
+    def _lock_read_access(self, ctx: TxnContext, access: ReadAccess) -> None:
         if not self.locking:
             return
+        txn = ctx.txn_id
         if (
             self.granularity is LockGranularity.TABLE
             or access.kind is AccessKind.TABLE_SCAN
         ):
             self._lock(txn, table_resource(access.table), LockMode.SHARED)
-        elif access.kind is AccessKind.INDEX_KEY:
+            return
+        if access.table not in ctx.intent_shared:
             self._lock(
                 txn, table_resource(access.table), LockMode.INTENTION_SHARED
             )
+            # Only after the grant: a WouldBlock above must ask again.
+            ctx.intent_shared |= {access.table}
+        if access.kind is AccessKind.INDEX_KEY:
             assert access.index is not None and access.key is not None
             self._lock(
                 txn,
@@ -661,9 +681,6 @@ class StorageEngine:
             # none).  An inserter IX-locks the successor of each key it
             # creates, so a phantom landing anywhere in the range meets
             # one of these S locks.  Zero table S locks involved.
-            self._lock(
-                txn, table_resource(access.table), LockMode.INTENTION_SHARED
-            )
             assert access.index is not None
             table = self.db.table(access.table)
             for key in table.ordered_keys_in_range(
@@ -684,9 +701,6 @@ class StorageEngine:
                 LockMode.SHARED,
             )
         else:  # AccessKind.ROW
-            self._lock(
-                txn, table_resource(access.table), LockMode.INTENTION_SHARED
-            )
             assert access.rid is not None
             self._lock(txn, RowId(access.table, access.rid), LockMode.SHARED)
 
@@ -742,7 +756,7 @@ class StorageEngine:
     @_locked
     def release_read_locks(self, txn: int) -> list[int]:
         """Ablation hook: early release of S locks (non-strict reads)."""
-        self._context(txn)
+        self._context(txn).intent_shared = _NO_TABLES
         return self.locks.release_shared(txn)
 
     # -- MVCC helpers -----------------------------------------------------------------
@@ -1101,7 +1115,7 @@ class StorageEngine:
                             hints=self._plan_hints())
 
         def observe(access: ReadAccess) -> None:
-            self._lock_read_access(txn, access)
+            self._lock_read_access(ctx, access)
             # The formal model works at table granularity: record one read
             # per table per statement, after its locks are granted.
             if access.table not in seen_tables:
@@ -1128,6 +1142,16 @@ class StorageEngine:
             name: getattr(self.db.table(name), "fallback_scans", 0)
             for name in self.db.table_names()
         }
+
+    @_locked
+    def take_fallback_scans(self) -> int:
+        """Full scans counted since the previous call: the interpreter
+        asks once after each SELECT, so one catalog walk per statement
+        attributes them."""
+        total = sum(self.fallback_scan_counts().values())
+        taken, self._fallback_scans_taken = (
+            total - self._fallback_scans_taken, total)
+        return taken
 
     @_locked
     def read_table(self, txn: int, table: str) -> list[Row]:

@@ -2,65 +2,73 @@
 
 The SPJ evaluator in :mod:`repro.storage.query` used to be one recursive
 function; this module decomposes it into composable operators so the
-cost-based planner (:mod:`repro.storage.planner`) can assemble different
-plan shapes — index-range scans, ordered scans that elide a sort,
+planner (:mod:`repro.storage.planner`) can assemble different plan
+shapes — index-range scans, ordered scans that elide a sort,
 LIMIT-short-circuiting pipelines — from the same parts.
 
 Two operator families:
 
 * **Access operators** (:class:`SeqScan`, :class:`IndexPoint`,
-  :class:`IndexRange`) are per-table-position row sources.  The planner's
-  *chooser* instantiates one per outer-row binding, because which path is
-  cheapest depends on the values already bound (a join key becomes a
-  point probe only once the outer row fixes it).  Each access reports
-  itself through the read observer *before* any covered row is used —
-  that callback is where the engine takes IS + key/row/next-key locks,
-  so an observer that raises aborts evaluation with nothing unlocked.
+  :class:`IndexRange`) are per-table-position row sources.  Which one a
+  join level uses was decided when the statement's shape was prepared;
+  per outer row the level only binds the values — the probe key, the
+  range bounds — and instantiates it (the planner's ``_JoinLevel``).
+  Each reports itself through the read observer in two steps: the access
+  path *before* it is probed (that callback is where the engine takes IS
+  + key / next-key locks and records SIREAD keys and ranges), then its
+  rows before they are used (row S, the SSI ROW read).  A point probe
+  observes each row *immediately before* yielding it, so its row locks
+  are bounded by the rows the pipeline *examines*: a ``LIMIT`` that is
+  met, or a join level that stops pulling, leaves the rest of the probed
+  key's rows unobserved (a materialising :class:`Sort` or
+  :class:`Distinct` above still examines every row).  A range scan
+  observes the rows it fetched up front — its next-key locks already
+  cover every key in the bounds.  Either way an observer that raises
+  aborts evaluation with nothing unlocked consumed.
 
 * **Pipeline operators** (:class:`NestedLoopJoin`, :class:`Filter`,
   :class:`Project`, :class:`Distinct`, :class:`Sort`, :class:`Limit`)
-  stream ``(env, pending-conjuncts)`` pairs top-down.  Generators give
-  LIMIT short-circuiting for free: when :class:`Limit` stops pulling,
-  suspended scans never produce another row.  Conjunct handling keeps
-  the historical contract: each join level checks every pending conjunct
-  it *can* evaluate and defers the rest (``UnknownColumnError``) deeper;
-  access paths only ever *prune* candidates, they never replace the
-  final residual check — which is why an index-range plan returns
-  exactly what a filtered full scan would.
+  stream environments top-down.  Generators give LIMIT short-circuiting
+  for free: when :class:`Limit` stops pulling, suspended scans never
+  produce another row.  Each WHERE conjunct is checked at the join level
+  where its last column becomes bound — decided from aliases and schemas
+  when the plan is prepared, never by probing — and a conjunct naming
+  something no table or host variable provides is left to
+  :class:`Filter`, which raises ``UnknownColumnError`` for the first row
+  that reaches it.  Access paths only ever *prune* candidates, they never
+  replace that check — which is why an index-range plan returns exactly
+  what a filtered full scan would.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Mapping
 
-from repro.errors import UnknownColumnError
 from repro.storage.bptree import value_sort_key
 from repro.storage.expressions import Expr, is_satisfied
-from repro.storage.query import ReadAccess, SPJQuery, _env_for
+from repro.storage.query import AccessKind, ReadAccess
 from repro.storage.row import Row
 
-#: A pipeline element: the bindings accumulated so far plus the WHERE
-#: conjuncts not yet checkable at this depth.
+#: A pipeline element below :class:`Project`: the bindings accumulated so
+#: far (host variables, then ``alias.column`` / bare column per table).
 Env = dict
-Item = "tuple[Env, list[Expr]]"
 
 
 class ExecContext:
-    """Everything an executing plan needs: resolved tables, the read
-    observer, ambiguity info, and the plan-stat counters."""
+    """What an executing plan needs besides its own operators: the
+    resolved table views (per transaction, so never part of a plan), the
+    read observer (None when nobody listens) and the plan-stat counters."""
+
+    __slots__ = ("tables", "observe", "stats")
 
     def __init__(
         self,
-        query: SPJQuery,
         tables: list,
-        observe: Callable[[ReadAccess], None],
-        ambiguous: set[str],
+        observe: "Callable[[ReadAccess], None] | None",
         stats: "Mapping | None" = None,
     ):
-        self.query = query
         self.tables = tables
         self.observe = observe
-        self.ambiguous = ambiguous
         self.stats = stats
 
     def bump(self, counter: str, by: int = 1) -> None:
@@ -89,7 +97,8 @@ class SeqScan:
         self.limit = limit
 
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
-        ctx.observe(ReadAccess.scan(self.ref_name))
+        if ctx.observe is not None:
+            ctx.observe(ReadAccess.scan(self.ref_name))
         if self.order_cols is None:
             return table.scan()
         return table.range_scan(
@@ -98,31 +107,44 @@ class SeqScan:
         )
 
 
-class IndexPoint:
-    """Hash/pk point probe — the historical equality access path."""
+def _observed(rows: Iterable[Row], ref_name: str, observe) -> Iterator[Row]:
+    """``rows``, each observed (= locked) immediately before it is used."""
+    for row in rows:
+        observe(ReadAccess.row(ref_name, row.rid))
+        yield row
 
-    def __init__(self, ref_name: str, cols: tuple, key: tuple, is_pk: bool):
+
+class IndexPoint:
+    """Hash/pk point probe — the equality access path.  ``index`` is the
+    probed index under its canonical (storage-layer) column names, the
+    ones lock resources are built from."""
+
+    def __init__(
+        self, ref_name: str, cols: tuple, index: tuple, key: tuple, is_pk: bool
+    ):
         self.ref_name = ref_name
         self.cols = cols
+        self.index = index
         self.key = key
         self.is_pk = is_pk
 
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
-        ctx.observe(
-            ReadAccess.index_key(
-                self.ref_name, table.canonical_index(self.cols), self.key
-            )
-        )
+        observe = ctx.observe
+        if observe is not None:
+            observe(ReadAccess(
+                AccessKind.INDEX_KEY, self.ref_name,
+                index=self.index, key=self.key,
+            ))
         if self.is_pk:
             row = table.lookup_pk(self.key)
             # Residual equality columns still need checking; the
             # pipeline's conjunct re-check covers that.
-            rows = [row] if row is not None else []
+            rows = (row,) if row is not None else ()
         else:
             rows = table.lookup_index(self.cols, self.key)
-        for row in rows:
-            ctx.observe(ReadAccess.row(self.ref_name, row.rid))
-        return rows
+        if observe is None:
+            return rows
+        return _observed(rows, self.ref_name, observe)
 
 
 class IndexRange:
@@ -130,11 +152,15 @@ class IndexRange:
 
     The range access is observed first (the engine turns it into IS +
     next-key S locks: every in-range key plus the right fencepost), then
-    each produced row (row S).  Bounds prune candidates only — residual
-    conjuncts are still re-checked by the pipeline, so the result set is
-    identical to a filtered scan.  ``limit`` (set by the planner only
-    when the query's LIMIT provably applies here) caps the rows fetched
-    and row-observed; the observed range access keeps its full bounds.
+    every fetched row (row S) before the first is used: the keys those
+    rows sit under are all locked by the range access already, so unlike
+    a point probe there is no narrower lock set to be had by waiting —
+    not until next-key locking itself becomes pull-driven.  Bounds prune
+    candidates only — residual conjuncts are still re-checked by the
+    pipeline, so the result set is identical to a filtered scan.
+    ``limit`` (set by the planner only when the query's LIMIT provably
+    applies here) caps the rows fetched and row-observed; the observed
+    range access keeps its full bounds.
     """
 
     def __init__(
@@ -160,16 +186,18 @@ class IndexRange:
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
         ctx.bump("index_range_scans")
         ctx.bump("seq_scans_avoided")
-        ctx.observe(
-            ReadAccess.index_range(
-                self.ref_name,
-                table.canonical_index(self.cols),
-                self.lo,
-                self.hi,
-                lo_inc=self.lo_inc,
-                hi_inc=self.hi_inc,
+        observe = ctx.observe
+        if observe is not None:
+            observe(
+                ReadAccess.index_range(
+                    self.ref_name,
+                    table.canonical_index(self.cols),
+                    self.lo,
+                    self.hi,
+                    lo_inc=self.lo_inc,
+                    hi_inc=self.hi_inc,
+                )
             )
-        )
         rows = table.range_scan(
             self.cols,
             self.lo,
@@ -179,72 +207,76 @@ class IndexRange:
             reverse=self.reverse,
             limit=self.limit,
         )
-        for row in rows:
-            ctx.observe(ReadAccess.row(self.ref_name, row.rid))
+        if observe is not None:
+            for row in rows:
+                observe(ReadAccess.row(self.ref_name, row.rid))
         return rows
-
-
-#: The planner's runtime access chooser: (ctx, position, env, pending) ->
-#: an access operator for that table position under those bindings.
-AccessChooser = Callable[[ExecContext, int, Env, list], object]
 
 
 # -- pipeline operators -------------------------------------------------------------
 
 
 class Source:
-    """The pipeline root: one item holding the host-variable bindings and
-    the full conjunct list."""
+    """The pipeline root: one environment holding the host-variable
+    bindings."""
 
-    def __init__(self, base_env: Env, conjuncts: list):
+    def __init__(self, base_env: Env):
         self.base_env = base_env
-        self.conjuncts = conjuncts
 
-    def run(self, ctx: ExecContext) -> Iterator[Item]:
-        yield dict(self.base_env), list(self.conjuncts)
+    def run(self, ctx: ExecContext) -> Iterator[Env]:
+        yield dict(self.base_env)
 
 
 class NestedLoopJoin:
-    """One join level: for every upstream item, choose an access path for
-    this table position, extend the env per row, check what is now
-    checkable, and defer the rest."""
+    """One join level: for every upstream environment, let the prepared
+    level pick its access path under those bindings, extend the
+    environment per row, and check the conjuncts whose last column this
+    table binds."""
 
-    def __init__(self, child, position: int, chooser: AccessChooser):
+    def __init__(self, child, level):
         self.child = child
-        self.position = position
-        self.chooser = chooser
+        #: the planner's per-execution level: ``access(env, table, ctx)``,
+        #: ``checks``, and the prepared names in ``level.shape``.
+        self.level = level
 
-    def run(self, ctx: ExecContext) -> Iterator[Item]:
-        ref = ctx.query.tables[self.position]
-        table = ctx.tables[self.position]
-        for env, pending in self.child.run(ctx):
-            access = self.chooser(ctx, self.position, env, pending)
-            for row in access.rows(table, ctx):
-                env2 = _env_for(ref, row, table, env, ctx.ambiguous)
-                deeper: list[Expr] = []
-                ok = True
-                for conj in pending:
-                    try:
-                        if not is_satisfied(conj, env2):
-                            ok = False
-                            break
-                    except UnknownColumnError:
-                        deeper.append(conj)
-                if ok:
-                    yield env2, deeper
+    def run(self, ctx: ExecContext) -> Iterator[Env]:
+        level = self.level
+        shape = level.shape
+        table = ctx.tables[shape.position]
+        qualified, bare, all_bare = shape.qualified, shape.bare, shape.all_bare
+        checks = level.checks
+        for env in self.child.run(ctx):
+            for row in level.access(env, table, ctx).rows(table, ctx):
+                values = row.values
+                env2 = dict(env)
+                env2.update(zip(qualified, values))
+                if all_bare:
+                    env2.update(zip(bare, values))
+                else:
+                    for name, index in bare:
+                        env2[name] = values[index]
+                for conj in checks:
+                    if not is_satisfied(conj, env2):
+                        break
+                else:
+                    yield env2
 
 
 class Filter:
-    """Strictly evaluate whatever conjuncts survived every join level
-    (for a table-less query: the whole WHERE clause)."""
+    """Strictly evaluate the conjuncts no join level could take: those
+    naming something no table provides (``UnknownColumnError`` for the
+    first row that gets here) and, for a table-less query, the whole
+    WHERE clause."""
 
-    def __init__(self, child):
+    def __init__(self, child, conjuncts: "list[Expr]"):
         self.child = child
+        self.conjuncts = conjuncts
 
-    def run(self, ctx: ExecContext) -> Iterator[Item]:
-        for env, pending in self.child.run(ctx):
-            if all(is_satisfied(conj, env) for conj in pending):
-                yield env, []
+    def run(self, ctx: ExecContext) -> Iterator[Env]:
+        conjuncts = self.conjuncts
+        for env in self.child.run(ctx):
+            if all(is_satisfied(conj, env) for conj in conjuncts):
+                yield env
 
 
 class Project:
@@ -258,11 +290,12 @@ class Project:
         self.order_exprs = order_exprs
 
     def run(self, ctx: ExecContext) -> Iterator[tuple[tuple, "tuple | None"]]:
-        for env, _pending in self.child.run(ctx):
-            output = tuple(expr.eval(env) for expr in self.select)
+        select, order_exprs = self.select, self.order_exprs
+        for env in self.child.run(ctx):
+            output = tuple([expr.eval(env) for expr in select])
             skey = (
-                tuple(value_sort_key(expr.eval(env)) for expr in self.order_exprs)
-                if self.order_exprs
+                tuple([value_sort_key(expr.eval(env)) for expr in order_exprs])
+                if order_exprs
                 else None
             )
             yield output, skey

@@ -1,21 +1,43 @@
-"""Cost-based planning for SPJ queries over ordered + hash indexes.
+"""Prepared plans for SPJ queries over ordered + hash indexes.
 
-The planner owns every choice the volcano pipeline leaves open:
+A query is planned once per *shape* and executed many times.  The shape
+is the query with its constants abstracted — FROM items and what their
+columns are called, the column names and comparison operators of each
+WHERE conjunct, DISTINCT / ORDER BY, the host-variable names in scope,
+and ``PlanHints.ordered_indexes`` — so the thousands of scripts one
+statement template produces, and the grounding bodies one entangled
+query shape produces, share one plan.
 
-* **Static shape** (:func:`build_plan`): the operator chain —
-  Source -> one NestedLoopJoin per FROM item -> Filter -> Project ->
-  Distinct? -> Sort?/pushdown -> Limit? — and whether the ORDER BY can
-  ride an ordered-index scan on the outermost table (sort elision).
+* **Prepared once** (:func:`_prepare`, memoised in ``provider.plans``,
+  one dict per ``Database``): the operator chain — Source -> one
+  NestedLoopJoin per FROM item -> Filter? -> Project -> Distinct? ->
+  Sort?/pushdown -> Limit? — whether the ORDER BY can ride an ordered
+  scan of the outermost table (sort elision) and whether the LIMIT may
+  reach that leaf; the ambiguous-column set; and per FROM position a
+  :class:`_LevelShape`: which conjuncts first become checkable there
+  (every name they mention is bound by then — decided from aliases and
+  schemas, never by trying), the equality-key recipe (own column <-
+  the other side of a conjunct, evaluable from the outer bindings) with
+  the index it probes, and the per-column range-bound recipes.  A plan
+  holds names, positions and index column tuples only — never a table
+  object, a view or a value: views are per transaction, values per
+  execution.  A shape whose preparation raises is not remembered.
 
-* **Runtime access choice** (the *chooser* handed to each join level):
-  with the outer row's bindings in hand, pick hash/pk point probe vs
-  B+ tree range scan vs sequential scan.  Point probes win outright
-  (cost ~1).  Otherwise range conjuncts (``col < v``, ``v <= col``, …)
-  against outer-evaluable bounds are extracted per single-column ordered
-  index and costed by the classical selectivity guesses — two-sided
-  range ~ n/8, one-sided ~ n/3, scan = n — cheapest wins.  Extraction is
-  *non-destructive*: bounding conjuncts stay in the residual filter, so
-  an index range is purely a candidate generator and results always
+* **Bound per execution** (:func:`build_plan`): the conjunct list of
+  *this* query is laid over the recipes (a recipe says "conjunct 2,
+  right-hand side"; binding fetches that expression), which costs a
+  handful of list builds and no analysis.
+
+* **Decided per outer row** (:meth:`_JoinLevel.access`): only what
+  depends on values or sizes.  The probe key is evaluated; when a
+  component is NULL — ``col = NULL`` admits no row, so that column
+  cannot key a probe — the level asks :func:`index_path_for` what the
+  remaining bindings still cover.  Range bounds are evaluated, the
+  tightest kept, and costed by the classical selectivity guesses —
+  two-sided range ~ n/8, one-sided ~ n/3, scan = n — so a range path is
+  taken only over a table of more than one row.  Extraction is
+  *non-destructive*: bounding conjuncts stay among the level's checks,
+  so an index range is purely a candidate generator and results always
   equal the filtered-scan baseline.
 
 ``PlanHints.ordered_indexes=False`` disables ordered access paths
@@ -26,15 +48,21 @@ B+ trees regardless, the flag gates *use* only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, MutableMapping, Sequence
+from typing import MutableMapping
 
-from repro.errors import UnknownColumnError
 from repro.storage.bptree import value_sort_key
 from repro.storage.expressions import (
+    And,
+    Arith,
     Cmp,
     CmpOp,
     Col,
+    Const,
     Expr,
+    InList,
+    IsNull,
+    Not,
+    Or,
     split_conjuncts,
 )
 from repro.storage.operators import (
@@ -50,12 +78,7 @@ from repro.storage.operators import (
     Sort,
     Source,
 )
-from repro.storage.query import (
-    SPJQuery,
-    _constant_eq_conjuncts,
-    _own_column,
-    index_path_for,
-)
+from repro.storage.query import SPJQuery, _own_column, index_path_for
 
 
 @dataclass
@@ -64,7 +87,7 @@ class PlanHints:
 
     ``stats`` (when provided) accumulates the plan counters surfaced in
     run reports: ``index_range_scans``, ``seq_scans_avoided``,
-    ``sorts_elided``.
+    ``sorts_elided`` — counted per execution, not per preparation.
     """
 
     ordered_indexes: bool = True
@@ -72,6 +95,11 @@ class PlanHints:
 
 
 DEFAULT_HINTS = PlanHints()
+
+#: Prepared plans kept per ``Database`` — the front end's template table
+#: holds as many statement shapes (``repro.sql.parser.TEMPLATE_CAP``), so
+#: a plan is not evicted while its template is live.  Oldest out first.
+PLAN_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -83,63 +111,6 @@ class _Bound:
 #: col-OP-value orientation: which side of the range each operator bounds.
 _UPPER_OPS = {CmpOp.LT: False, CmpOp.LE: True}
 _LOWER_OPS = {CmpOp.GT: False, CmpOp.GE: True}
-
-
-def range_bounds_for(
-    conjuncts: Sequence[Expr],
-    ref,
-    table,
-    outer: Mapping,
-    *,
-    columns: "tuple[str, ...] | None" = None,
-) -> dict[str, tuple["_Bound | None", "_Bound | None"]]:
-    """Per-column (lower, upper) bounds the conjuncts admit right now.
-
-    A conjunct contributes when it compares an own column of ``ref``
-    (with a single-column ordered index, unless ``columns`` restricts the
-    candidates) against an expression evaluable from ``outer``.  NULL
-    bounds are discarded — a NULL comparison satisfies no row, and the
-    residual filter already handles that, so pruning on it buys nothing.
-    Overlapping conjuncts keep the *tightest* bound; the looser ones
-    remain in the filter, which re-checks everything anyway.
-    """
-    bounds: dict[str, tuple["_Bound | None", "_Bound | None"]] = {}
-    for conj in conjuncts:
-        if not isinstance(conj, Cmp):
-            continue
-        if conj.op not in _UPPER_OPS and conj.op not in _LOWER_OPS:
-            continue
-        for col_side, other, flipped in (
-            (conj.left, conj.right, False),
-            (conj.right, conj.left, True),
-        ):
-            column = _own_column(col_side, ref, table)
-            if column is None:
-                continue
-            if columns is not None and column not in columns:
-                continue
-            if columns is None and not table.has_ordered_index((column,)):
-                continue
-            try:
-                value = other.eval(outer)
-            except UnknownColumnError:
-                continue
-            if value is None:
-                continue
-            op = conj.op
-            # ``value OP col`` mirrors the bound direction.
-            upper = (op in _UPPER_OPS) != flipped
-            inclusive = _UPPER_OPS[op] if op in _UPPER_OPS else _LOWER_OPS[op]
-            lo, hi = bounds.get(column, (None, None))
-            if upper:
-                if hi is None or _tighter_upper(value, inclusive, hi):
-                    hi = _Bound(value, inclusive)
-            else:
-                if lo is None or _tighter_lower(value, inclusive, lo):
-                    lo = _Bound(value, inclusive)
-            bounds[column] = (lo, hi)
-            break
-    return bounds
 
 
 def _tighter_upper(value, inclusive: bool, current: _Bound) -> bool:
@@ -164,103 +135,116 @@ def _range_cost(n: int, lo: "_Bound | None", hi: "_Bound | None") -> int:
     return max(1, n // 3)
 
 
-def _leaf_limit(leaf_limit, pending, ref, table, env, column, lo):
-    """``leaf_limit`` when every row an ordered scan of ``column`` yields
-    is an output row, else None: each pending conjunct must be consumed
-    by a non-NULL bound on that column, and an open lower end must not
-    admit NULL keys (they sort first and fail any comparison)."""
-    if leaf_limit is None or not pending:
-        return leaf_limit
-    if lo is None:
-        column_of = getattr(table.schema, "column", None)
-        if column_of is None or column_of(column).nullable:
-            return None
-    if all(
-        range_bounds_for([conj], ref, table, env, columns=(column,))
-        for conj in pending
-    ):
-        return leaf_limit
-    return None
+# -- the shape of a query: what a plan may depend on ---------------------------------
 
 
-def make_chooser(
-    hints: PlanHints,
-    forced_order: "tuple | None" = None,
-    leaf_limit: "int | None" = None,
-):
-    """Build the runtime access chooser the join levels call per outer row.
+def _names(expr: Expr, out: list) -> None:
+    """Append every column / host-variable name under ``expr``."""
+    kind = type(expr)
+    if kind is Col:
+        out.append(expr.name)
+    elif kind is Const:
+        pass
+    elif kind in (Cmp, And, Or, Arith):
+        _names(expr.left, out)
+        _names(expr.right, out)
+    elif kind in (Not, IsNull):
+        _names(expr.operand, out)
+    elif kind is InList:
+        _names(expr.operand, out)
+        for option in expr.options:
+            _names(option, out)
+    else:
+        out.extend(sorted(expr.columns()))
 
-    ``forced_order`` — ``(position, cols, reverse)`` — pins the outermost
-    table to an ordered scan on ``cols`` so a pushed-down ORDER BY stays
-    truthful; range bounds on that same column still prune it.
-    ``leaf_limit`` is the query's LIMIT when nothing above the leaf can
-    drop or reorder rows; an ordered leaf whose bounds consume the whole
-    WHERE clause (:func:`_leaf_limit`) then fetches only that many.
+
+def _side(expr: Expr):
+    """One side of a comparison as the planner sees it: a column by its
+    name, anything else by the names it mentions."""
+    if type(expr) is Col:
+        return expr.name
+    names: list = []
+    _names(expr, names)
+    return tuple(names)
+
+
+def _conjunct_shape(conj: Expr):
+    """What planning reads off one conjunct: for an equality or ordering
+    comparison the operator and both sides, otherwise just the names
+    that decide where it can be checked."""
+    if type(conj) is Cmp and conj.op is not CmpOp.NE:
+        return conj.op, _side(conj.left), _side(conj.right)
+    names: list = []
+    _names(conj, names)
+    return tuple(names)
+
+
+# -- prepared plans --------------------------------------------------------------------
+
+
+class _LevelShape:
+    """Everything about one FROM position that no value can change.
+
+    A *recipe* names an expression of the executing query by position:
+    ``(conjunct index, side)`` with side 0 = the conjunct's left operand,
+    1 = its right.  Recipes are grouped per conjunct because a conjunct
+    binds at most one column (its first orientation that yields a
+    non-NULL value wins, as comparisons are tried left-to-right).
     """
 
-    def choose(ctx: ExecContext, position: int, env: dict, pending: list):
-        ref = ctx.query.tables[position]
-        table = ctx.tables[position]
+    __slots__ = (
+        "position", "ref_name", "qualified", "bare", "all_bare", "checks",
+        "eq", "eq_columns", "point", "ranges", "forced", "n_pending",
+        "not_null", "scan",
+    )
 
-        if forced_order is not None and position == forced_order[0]:
-            _pos, cols, reverse = forced_order
-            bounds = range_bounds_for(pending, ref, table, env, columns=cols)
-            lo, hi = bounds.get(cols[0], (None, None))
-            ctx.bump("sorts_elided")
-            limit = _leaf_limit(
-                leaf_limit, pending, ref, table, env, cols[0], lo)
-            if lo is None and hi is None:
-                return SeqScan(
-                    ref.name, order_cols=cols, reverse=reverse, limit=limit)
-            return IndexRange(
-                ref.name,
-                cols,
-                (lo.value,) if lo is not None else None,
-                (hi.value,) if hi is not None else None,
-                lo_inc=lo.inclusive if lo is not None else True,
-                hi_inc=hi.inclusive if hi is not None else True,
-                reverse=reverse,
-                limit=limit,
-            )
+    def __init__(self, position: int, ref_name: str):
+        self.position = position
+        self.ref_name = ref_name
+        #: ``alias.column`` per column, zipped with a row's values.
+        self.qualified: tuple = ()
+        #: bare names bound here: the column names themselves when none is
+        #: ambiguous (``all_bare``), else ``(name, value index)`` pairs.
+        self.bare: tuple = ()
+        self.all_bare = True
+        #: indexes of the conjuncts first checkable at this level.
+        self.checks: tuple = ()
+        #: per conjunct, ``(own column, (conjunct, side of the other
+        #: operand))`` orientations usable as an equality binding.
+        self.eq: tuple = ()
+        self.eq_columns = 0
+        #: ``(index columns, canonical columns, is_pk)`` probed when every
+        #: ``eq`` column binds non-NULL; None when they cover no index.
+        self.point: "tuple | None" = None
+        #: per conjunct, ``(own column, (conjunct, side), upper,
+        #: inclusive)`` orientations usable as a range bound.
+        self.ranges: tuple = ()
+        #: ``(sort columns, reverse)`` when the ORDER BY rides this level.
+        self.forced: "tuple | None" = None
+        #: conjuncts still undecided on arrival here (leaf-limit rule).
+        self.n_pending = 0
+        #: columns declared NOT NULL (an open lower bound admits no NULL key).
+        self.not_null: frozenset = frozenset()
+        self.scan = SeqScan(ref_name)
 
-        bindings, _residual = _constant_eq_conjuncts(pending, ref, table, env)
-        path = index_path_for(table, bindings)
-        if path is not None:
-            cols, key, is_pk = path
-            return IndexPoint(ref.name, cols, key, is_pk)
 
-        bounds = (
-            range_bounds_for(pending, ref, table, env)
-            if hints.ordered_indexes else {}
-        )
-        if bounds:
-            # Only now is the table's size worth asking for: on a
-            # snapshot view it costs a visibility scan.
-            best = None
-            try:
-                n = len(table)
-            except TypeError:
-                n = 1024  # facade without __len__: assume scanning hurts
-            for column, (lo, hi) in bounds.items():
-                cost = _range_cost(n, lo, hi)
-                if cost < n and (best is None or cost < best[0]):
-                    best = (cost, column, lo, hi)
-            if best is not None:
-                _cost, column, lo, hi = best
-                return IndexRange(
-                    ref.name,
-                    (column,),
-                    (lo.value,) if lo is not None else None,
-                    (hi.value,) if hi is not None else None,
-                    lo_inc=lo.inclusive if lo is not None else True,
-                    hi_inc=hi.inclusive if hi is not None else True,
-                    limit=_leaf_limit(
-                        leaf_limit, pending, ref, table, env, column, lo),
-                )
+class _PreparedPlan:
+    """The value-free part of a plan; see the module docstring."""
 
-        return SeqScan(ref.name)
+    __slots__ = (
+        "levels", "residual", "order_exprs", "descending", "at_leaf",
+    )
 
-    return choose
+    def __init__(self, levels, residual, order_exprs, descending, at_leaf):
+        self.levels = levels
+        #: conjuncts no level can check (unresolvable names; or no tables).
+        self.residual = residual
+        #: sort-key expressions when the sort is materialised, else ().
+        self.order_exprs = order_exprs
+        self.descending = descending
+        #: the LIMIT reaches the single leaf: nothing above it drops or
+        #: reorders rows.
+        self.at_leaf = at_leaf
 
 
 def _sort_pushdown(
@@ -272,7 +256,7 @@ def _sort_pushdown(
     single-column ordered index; outer-major nested-loop iteration then
     emits output already grouped in key order.  Declined when an equality
     conjunct touches table 0 — a point probe would beat the ordered scan,
-    and the chooser must stay free to take it.
+    and the level must stay free to take it.
     """
     if not hints.ordered_indexes or len(query.order_by) != 1 or not tables:
         return None
@@ -298,49 +282,16 @@ def _sort_pushdown(
             for side in (conj.left, conj.right):
                 if _own_column(side, ref, table) is not None:
                     return None
-    return (0, (bare,), bool(descending))
+    return ((bare,), bool(descending))
 
 
-def build_plan(
-    query: SPJQuery, tables: list, base_env: dict, hints: PlanHints
-):
-    """Assemble the operator pipeline for ``query``.
-
-    Returns ``(root operator, ambiguous column names)``; the root yields
-    ``(output tuple, sort key)`` pairs.
-    """
-    conjuncts = split_conjuncts(query.where)
-    forced_order = _sort_pushdown(query, tables, conjuncts, hints)
-    # The LIMIT reaches the leaf only through a pipeline that neither
-    # drops nor reorders rows above it: one FROM item, no DISTINCT, and
-    # the sort elided or absent.
-    at_leaf = (
-        len(query.tables) == 1
-        and not query.distinct
-        and (not query.order_by or forced_order is not None)
-    )
-    chooser = make_chooser(
-        hints, forced_order, query.limit if at_leaf else None)
-
-    node = Source(base_env, conjuncts)
-    for position in range(len(query.tables)):
-        node = NestedLoopJoin(node, position, chooser)
-    node = Filter(node)
-
-    materialize_sort = bool(query.order_by) and forced_order is None
-    order_exprs = (
-        tuple(Col(name) for name, _desc in query.order_by)
-        if materialize_sort
-        else ()
-    )
-    node = Project(node, query.select, order_exprs)
-    if query.distinct:
-        node = Distinct(node)
-    if materialize_sort:
-        node = Sort(node, tuple(desc for _name, desc in query.order_by))
-    if query.limit is not None:
-        node = Limit(node, query.limit)
-
+def _prepare(
+    query: SPJQuery, tables: list, conjuncts: list, base_env: dict,
+    hints: PlanHints,
+) -> _PreparedPlan:
+    """Plan ``query``'s shape.  ``tables`` and ``conjuncts`` are read for
+    what every query of the shape shares — schemas, names, operators."""
+    n = len(tables)
     # Column names occurring in more than one table must stay qualified.
     seen: set[str] = set()
     ambiguous: set[str] = set()
@@ -349,7 +300,335 @@ def build_plan(
             if col in seen:
                 ambiguous.add(col)
             seen.add(col)
-    return node, ambiguous
+
+    # The level at which each name is first bound: host variables before
+    # any table (-1), then ``alias.column`` and unambiguous bare columns
+    # per FROM position.
+    bound_at: dict[str, int] = dict.fromkeys(base_env, -1)
+    levels = []
+    for position, (ref, table) in enumerate(zip(query.tables, tables)):
+        level = _LevelShape(position, ref.name)
+        columns = table.schema.column_names
+        level.qualified = tuple(f"{ref.alias}.{col}" for col in columns)
+        level.all_bare = not ambiguous.intersection(columns)
+        level.bare = columns if level.all_bare else tuple(
+            (col, i) for i, col in enumerate(columns) if col not in ambiguous
+        )
+        for name in level.qualified:
+            bound_at.setdefault(name, position)
+        for col in columns:
+            if col not in ambiguous:
+                bound_at.setdefault(col, position)
+        column_of = getattr(table.schema, "column", None)
+        if column_of is not None:
+            level.not_null = frozenset(
+                col for col in columns if not column_of(col).nullable)
+        levels.append(level)
+
+    def level_of(expr: Expr) -> int:
+        """The first level at which every name in ``expr`` resolves the
+        way ``Col.eval`` resolves it (the name, else its bare suffix);
+        ``n`` — past every table — when one never does."""
+        names: list = []
+        _names(expr, names)
+        latest = -1
+        for name in names:
+            first = bound_at.get(name, n)
+            if "." in name:
+                first = min(first, bound_at.get(name.rsplit(".", 1)[1], n))
+            latest = max(latest, first)
+        return latest
+
+    # A conjunct is checked where its last name is bound (host-variable
+    # only conjuncts with the first table); what no level can resolve is
+    # the Filter's, which raises for the first row that reaches it.
+    check_at = [max(level_of(conj), 0) for conj in conjuncts]
+    residual = tuple(i for i, at in enumerate(check_at) if at == n)
+
+    forced = _sort_pushdown(query, tables, conjuncts, hints)
+    if forced is not None:
+        levels[0].forced = forced
+
+    for position, (ref, table) in enumerate(zip(query.tables, tables)):
+        level = levels[position]
+        level.checks = tuple(
+            i for i, at in enumerate(check_at) if at == position)
+        # Undecided on arrival: everything not checked at an earlier level.
+        pending = [i for i, at in enumerate(check_at) if at >= position]
+        level.n_pending = len(pending)
+        eq, ranges, eq_columns = [], [], {}
+        for i in pending:
+            conj = conjuncts[i]
+            if not isinstance(conj, Cmp):
+                continue
+            if conj.op is not CmpOp.EQ and (
+                conj.op not in _UPPER_OPS and conj.op not in _LOWER_OPS
+            ):
+                continue
+            usable = []
+            for col_side, other, other_side, flipped in (
+                (conj.left, conj.right, 1, False),
+                (conj.right, conj.left, 0, True),
+            ):
+                column = _own_column(col_side, ref, table)
+                if column is None or level_of(other) >= position:
+                    continue
+                if conj.op is CmpOp.EQ:
+                    usable.append((column, (i, other_side)))
+                    eq_columns[column] = None
+                    continue
+                if level.forced is not None:
+                    if column not in level.forced[0]:
+                        continue
+                elif not table.has_ordered_index((column,)):
+                    continue
+                # ``value OP col`` mirrors the bound direction.
+                upper = (conj.op in _UPPER_OPS) != flipped
+                inclusive = (
+                    _UPPER_OPS[conj.op] if conj.op in _UPPER_OPS
+                    else _LOWER_OPS[conj.op]
+                )
+                usable.append((column, (i, other_side), upper, inclusive))
+            if usable:
+                (eq if conj.op is CmpOp.EQ else ranges).append(tuple(usable))
+        if level.forced is not None:
+            # The ordered scan is the access path; only bounds on the
+            # sort column still prune it.
+            level.ranges = tuple(ranges)
+            continue
+        level.eq = tuple(eq)
+        level.eq_columns = len(eq_columns)
+        path = index_path_for(table, eq_columns)
+        if path is not None:
+            cols, _key, is_pk = path
+            level.point = (cols, table.canonical_index(cols), is_pk)
+        if hints.ordered_indexes:
+            level.ranges = tuple(ranges)
+
+    materialize_sort = bool(query.order_by) and forced is None
+    # The LIMIT reaches the leaf only through a pipeline that neither
+    # drops nor reorders rows above it: one FROM item, no DISTINCT, and
+    # the sort elided or absent.
+    at_leaf = n == 1 and not query.distinct and not materialize_sort
+    return _PreparedPlan(
+        tuple(levels),
+        residual,
+        tuple(Col(name) for name, _desc in query.order_by)
+        if materialize_sort else (),
+        tuple(desc for _name, desc in query.order_by),
+        at_leaf,
+    )
+
+
+# -- binding and executing ---------------------------------------------------------------
+
+
+def _operand(conjuncts: list, recipe: tuple) -> Expr:
+    index, side = recipe
+    return conjuncts[index].right if side else conjuncts[index].left
+
+
+class _JoinLevel:
+    """One FROM position of one execution: the prepared shape with this
+    query's expressions laid over its recipes."""
+
+    __slots__ = ("shape", "checks", "eq", "ranges", "leaf_limit")
+
+    def __init__(
+        self, shape: _LevelShape, conjuncts: list, leaf_limit: "int | None"
+    ):
+        self.shape = shape
+        self.checks = [conjuncts[i] for i in shape.checks]
+        self.eq = [
+            [(column, _operand(conjuncts, recipe)) for column, recipe in group]
+            for group in shape.eq
+        ]
+        self.ranges = [
+            [
+                (column, _operand(conjuncts, recipe), upper, inclusive)
+                for column, recipe, upper, inclusive in group
+            ]
+            for group in shape.ranges
+        ]
+        #: the query's LIMIT when nothing above the leaf can drop or
+        #: reorder rows, else None.
+        self.leaf_limit = leaf_limit
+
+    def access(self, env: dict, table, ctx: ExecContext):
+        """The access operator for this position under ``env``."""
+        shape = self.shape
+        if shape.forced is not None:
+            # A pushed-down ORDER BY pins the outermost table to an
+            # ordered scan; range bounds on the sort column still prune.
+            cols, reverse = shape.forced
+            bounds, consumed = self._bounds(env)
+            lo, hi = bounds.get(cols[0], (None, None))
+            ctx.bump("sorts_elided")
+            limit = self._limit_at_leaf(cols[0], lo, consumed)
+            if lo is None and hi is None:
+                return SeqScan(
+                    shape.ref_name, order_cols=cols, reverse=reverse,
+                    limit=limit)
+            return self._range(cols, lo, hi, reverse, limit)
+
+        if self.eq:
+            bindings: dict = {}
+            for group in self.eq:
+                for column, other in group:
+                    if column in bindings:
+                        continue
+                    value = other.eval(env)
+                    if value is not None:
+                        bindings[column] = value
+                        break
+            if len(bindings) == shape.eq_columns:
+                if shape.point is not None:
+                    cols, index, is_pk = shape.point
+                    return IndexPoint(
+                        shape.ref_name, cols, index,
+                        tuple([bindings[c] for c in cols]), is_pk)
+            else:
+                # A NULL never keys a probe (``col = NULL`` admits no
+                # row): probe what the remaining bindings still cover.
+                path = index_path_for(table, bindings)
+                if path is not None:
+                    cols, key, is_pk = path
+                    return IndexPoint(
+                        shape.ref_name, cols, table.canonical_index(cols),
+                        key, is_pk)
+
+        if self.ranges:
+            bounds, consumed = self._bounds(env)
+            if bounds:
+                # Only now is the table's size worth asking for: on a
+                # snapshot view it costs a visibility scan.
+                try:
+                    n = len(table)
+                except TypeError:
+                    n = 1024  # facade without __len__: assume scanning hurts
+                best = None
+                for column, (lo, hi) in bounds.items():
+                    cost = _range_cost(n, lo, hi)
+                    if cost < n and (best is None or cost < best[0]):
+                        best = (cost, column, lo, hi)
+                if best is not None:
+                    _cost, column, lo, hi = best
+                    return self._range(
+                        (column,), lo, hi, False,
+                        self._limit_at_leaf(column, lo, consumed))
+
+        return shape.scan
+
+    def _bounds(self, env: dict):
+        """Per-column ``(lower, upper)`` bounds the range recipes admit
+        under ``env``, and how many conjuncts bounded each column.
+
+        NULL bounds are discarded — a NULL comparison satisfies no row,
+        and the level's checks already handle that, so pruning on it buys
+        nothing.  Overlapping conjuncts keep the *tightest* bound; the
+        looser ones remain among the checks, which re-check everything
+        anyway.
+        """
+        bounds: dict = {}
+        consumed: dict = {}
+        for group in self.ranges:
+            for column, other, upper, inclusive in group:
+                value = other.eval(env)
+                if value is None:
+                    continue
+                lo, hi = bounds.get(column, (None, None))
+                if upper:
+                    if hi is None or _tighter_upper(value, inclusive, hi):
+                        hi = _Bound(value, inclusive)
+                else:
+                    if lo is None or _tighter_lower(value, inclusive, lo):
+                        lo = _Bound(value, inclusive)
+                bounds[column] = (lo, hi)
+                consumed[column] = consumed.get(column, 0) + 1
+                break
+        return bounds, consumed
+
+    def _limit_at_leaf(self, column: str, lo, consumed: dict) -> "int | None":
+        """``leaf_limit`` when every row an ordered scan of ``column``
+        yields is an output row, else None: each pending conjunct must be
+        consumed by a non-NULL bound on that column, and an open lower
+        end must not admit NULL keys (they sort first and fail any
+        comparison)."""
+        shape = self.shape
+        if self.leaf_limit is None or not shape.n_pending:
+            return self.leaf_limit
+        if lo is None and column not in shape.not_null:
+            return None
+        if consumed.get(column, 0) == shape.n_pending:
+            return self.leaf_limit
+        return None
+
+    def _range(self, cols, lo, hi, reverse, limit) -> IndexRange:
+        return IndexRange(
+            self.shape.ref_name,
+            cols,
+            (lo.value,) if lo is not None else None,
+            (hi.value,) if hi is not None else None,
+            lo_inc=lo.inclusive if lo is not None else True,
+            hi_inc=hi.inclusive if hi is not None else True,
+            reverse=reverse,
+            limit=limit,
+        )
+
+
+def build_plan(
+    query: SPJQuery,
+    tables: list,
+    base_env: dict,
+    hints: PlanHints,
+    plans: "MutableMapping | None" = None,
+):
+    """The operator pipeline for one execution of ``query``: fetch the
+    prepared plan of its shape from ``plans`` (preparing and storing it
+    on first use; None = nothing is kept) and bind this query's
+    expressions to it.  The root yields ``(output tuple, sort key)``
+    pairs.
+    """
+    conjuncts = split_conjuncts(query.where)
+    key = (
+        query.tables,
+        # One database's tables go by other column names behind the
+        # grounding facade, and a query without conjuncts names none.
+        tuple([table.schema.column_names for table in tables]),
+        tuple([_conjunct_shape(conj) for conj in conjuncts]),
+        query.distinct,
+        query.order_by,
+        frozenset(base_env) if base_env else None,
+        hints.ordered_indexes,
+    )
+    plan = plans.get(key) if plans is not None else None
+    if plan is None:
+        plan = _prepare(query, tables, conjuncts, base_env, hints)
+        if plans is not None:
+            # Worker threads plan concurrently and no latch is taken: a
+            # shape prepared twice stores equivalent plans, and an
+            # eviction that loses a race just evicts on the next store.
+            if len(plans) >= PLAN_CAP:
+                try:
+                    del plans[next(iter(plans))]
+                except (KeyError, RuntimeError, StopIteration):
+                    pass
+            plans[key] = plan
+
+    leaf_limit = query.limit if plan.at_leaf else None
+    node = Source(base_env)
+    for shape in plan.levels:
+        node = NestedLoopJoin(node, _JoinLevel(shape, conjuncts, leaf_limit))
+    if plan.residual:
+        node = Filter(node, [conjuncts[i] for i in plan.residual])
+    node = Project(node, query.select, plan.order_exprs)
+    if query.distinct:
+        node = Distinct(node)
+    if plan.order_exprs:
+        node = Sort(node, plan.descending)
+    if query.limit is not None:
+        node = Limit(node, query.limit)
+    return node
 
 
 def execute(
@@ -358,9 +637,11 @@ def execute(
     base_env: dict,
     observe,
     hints: "PlanHints | None" = None,
+    plans: "MutableMapping | None" = None,
 ) -> list[tuple]:
-    """Plan and run ``query``; returns the output tuples in order."""
+    """Bind ``query`` to its prepared plan and run it; returns the output
+    tuples in order."""
     hints = hints or DEFAULT_HINTS
-    root, ambiguous = build_plan(query, tables, base_env, hints)
-    ctx = ExecContext(query, tables, observe, ambiguous, hints.stats)
+    root = build_plan(query, tables, base_env, hints, plans)
+    ctx = ExecContext(tables, observe, hints.stats)
     return [output for output, _skey in root.run(ctx)]

@@ -17,28 +17,37 @@ The evaluator reports every *access path* it takes through an optional
 (table, index columns, key), per row produced by an index probe, and per
 genuine full scan.  This is how the engine layer takes fine-grained read
 locks (IS-table + key/row S instead of a table S lock) and how grounding
-reads reach the formal model.  Observers are invoked *before* the rows
-they cover are used, so a lock-acquiring observer that raises aborts the
-evaluation without any result escaping unlocked.
+reads reach the formal model.  An access path is observed before it is
+probed and each row immediately before it is *used* — handed to the
+pipeline — so a lock-acquiring observer that raises aborts the
+evaluation without any result escaping unlocked, and a row the pipeline
+never pulls (a ``LIMIT`` was met, a join level stopped) is never locked.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 from repro.errors import CompileError, UnknownColumnError
 from repro.storage.expressions import Cmp, CmpOp, Col, Expr, split_conjuncts
 from repro.storage.protocol import TableView
-from repro.storage.row import Row
 from repro.storage.table import Table
 from repro.storage.types import SQLValue
 
 
 class TableProvider(Protocol):
     """Anything that can resolve a table name to a
-    :class:`~repro.storage.protocol.TableView`."""
+    :class:`~repro.storage.protocol.TableView`.
+
+    ``plans`` is the planner's memo of prepared plans (query shape ->
+    plan, see :func:`repro.storage.planner.build_plan`): one dict per
+    :class:`~repro.storage.catalog.Database`, which every view provider
+    over that database hands on, so a shape is planned once whichever
+    transaction's views execute it."""
+
+    plans: dict
 
     def table(self, name: str) -> TableView:  # pragma: no cover - protocol
         ...
@@ -97,9 +106,9 @@ class AccessKind(enum.Enum):
     ROW = "row"
 
 
-@dataclass(frozen=True)
-class ReadAccess:
-    """One observed read access.
+class ReadAccess(NamedTuple):
+    """One observed read access — a named tuple: the evaluator builds
+    and hashes one per probed key and per row it uses.
 
     * ``TABLE_SCAN`` — the whole table was scanned; ``rid``/``index``/
       ``key`` are None.  The engine answers with a table S lock.
@@ -169,22 +178,6 @@ class ReadAccess:
 ReadObserver = Callable[[ReadAccess], None]
 
 
-def _env_for(
-    ref: TableRef,
-    row: Row,
-    table: Table,
-    base: dict[str, "SQLValue | None"],
-    ambiguous: set[str],
-) -> dict[str, "SQLValue | None"]:
-    """Extend ``base`` with the bindings contributed by ``row``."""
-    env = dict(base)
-    for col, value in zip(table.schema.column_names, row.values):
-        env[f"{ref.alias}.{col}"] = value
-        if col not in ambiguous:
-            env[col] = value
-    return env
-
-
 def _constant_eq_conjuncts(
     conjuncts: Sequence[Expr],
     ref: TableRef,
@@ -238,20 +231,30 @@ def index_path_for(
     """The index probe the equality ``bindings`` admit, or None for a scan.
 
     Returns ``(index columns, key, is_pk)`` — primary key first, then the
-    first fully-covered secondary index.  Shared by the read path
-    (:func:`evaluate`) and the predicate-write path
-    (``StorageEngine.update_where``/``delete_where``) so both always
-    choose — and lock — the same access path.
+    *widest* fully-covered secondary index (the first declared among
+    equals).  Widest is dominance, not a heuristic: the rows matching
+    ``(a, b)`` are a subset of those matching ``(a)``, so the wider probe
+    fetches — and locks — no row the narrower one would not, and writers
+    lock every index key a row carries, so the phantom guard is the same
+    on either key.  Shared by the read path (:func:`evaluate`) and the
+    predicate-write path (``StorageEngine.update_where``/``delete_where``,
+    the sharded router's target choice) so all always choose — and lock —
+    the same access path.
     """
     if not bindings:
         return None
     pk = table.schema.primary_key
     if pk and all(c in bindings for c in pk):
         return tuple(pk), tuple(bindings[c] for c in pk), True
+    widest = None
     for cols in table.schema.indexes:
-        if all(c in bindings for c in cols):
-            return tuple(cols), tuple(bindings[c] for c in cols), False
-    return None
+        if (widest is None or len(cols) > len(widest)) and all(
+            c in bindings for c in cols
+        ):
+            widest = cols
+    if widest is None:
+        return None
+    return tuple(widest), tuple(bindings[c] for c in widest), False
 
 
 def evaluate(
@@ -264,15 +267,17 @@ def evaluate(
     """Evaluate an SPJ query, returning output tuples in deterministic order.
 
     ``params`` supplies host-variable bindings (keys like ``"@x"``).
-    ``read_observer`` receives each distinct :class:`ReadAccess` before the
-    rows it covers are used — the transactional engine uses this to take
-    fine-grained read locks, so an observer that raises (e.g. on a lock
-    conflict) aborts the evaluation with no unlocked data consumed.
+    ``read_observer`` receives each distinct :class:`ReadAccess` — an
+    access path before it is probed, a row before it is handed to the
+    pipeline — the transactional engine uses this to take fine-grained
+    read locks, so an observer that raises (e.g. on a lock conflict)
+    aborts the evaluation with no unlocked data consumed.
 
-    Execution is delegated to the cost-based planner
-    (:mod:`repro.storage.planner`), which assembles a volcano pipeline
-    choosing point / range / scan access per table position.  ``hints``
-    (a :class:`~repro.storage.planner.PlanHints`) carries the engine's
+    Execution is delegated to the planner (:mod:`repro.storage.planner`):
+    the plan for this query's *shape* is prepared on first use and kept
+    in ``provider.plans``; each call binds this query's values to it and
+    runs the volcano pipeline.  ``hints`` (a
+    :class:`~repro.storage.planner.PlanHints`) carries the engine's
     planner knobs and stat counters; None means defaults (ordered
     indexes allowed, no counters).
     """
@@ -280,15 +285,17 @@ def evaluate(
 
     tables = [provider.table(ref.name) for ref in query.tables]
 
-    reported: set[ReadAccess] = set()
+    observe = None
+    if read_observer is not None:
+        reported: set[ReadAccess] = set()
 
-    def observe(access: ReadAccess) -> None:
-        if read_observer is not None and access not in reported:
-            reported.add(access)
-            read_observer(access)
+        def observe(access: ReadAccess) -> None:
+            if access not in reported:
+                reported.add(access)
+                read_observer(access)
 
-    base_env: dict[str, "SQLValue | None"] = dict(params or {})
-    return _plan_execute(query, tables, base_env, observe, hints)
+    return _plan_execute(
+        query, tables, dict(params or {}), observe, hints, provider.plans)
 
 
 def equality_bindings(

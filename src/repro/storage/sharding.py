@@ -278,6 +278,9 @@ class ShardedDatabase:
 
     def __init__(self, engine: "ShardedStorageEngine"):
         self._engine = engine
+        #: the coordinator's prepared plans (it plans over union views;
+        #: the shards' own databases plan only what reaches them whole).
+        self.plans: dict = {}
 
     @property
     def name(self) -> str:
@@ -338,6 +341,7 @@ class ShardedSnapshotDatabase:
         self._engine = engine
         self.txn = txn
         self.vector = tuple(vector)
+        self.plans = engine.db.plans
 
     def table(self, name: str) -> ShardedTableView:
         return ShardedTableView(self._engine, name, self.txn, self.vector)
@@ -480,6 +484,9 @@ class ShardedStorageEngine:
         #: guards the small coordinator counters that are not worth the
         #: commit funnel (mvcc tallies, abort counts).
         self._meta_lock = Latch("shard-meta", reentrant=False)
+        #: the ``fallback_scan_counts`` total already handed out by
+        #: :meth:`take_fallback_scans`.
+        self._fallback_scans_taken = 0
         # One waits-for graph across all shard lock managers: a 2PL
         # wait cycle that spans shards (A blocks in shard 0, B in shard
         # 1) is invisible to either manager alone; sharing the edge map
@@ -1180,6 +1187,17 @@ class ShardedStorageEngine:
                 for shard in self.shards
             )
         return counts
+
+    def take_fallback_scans(self) -> int:
+        """Full scans counted since the previous call (see
+        :meth:`StorageEngine.take_fallback_scans`)."""
+        total = sum(self.fallback_scan_counts().values())
+        with self._meta_lock:
+            # Two workers may have summed in either order: never hand
+            # out a scan twice, never a negative count.
+            taken = max(0, total - self._fallback_scans_taken)
+            self._fallback_scans_taken += taken
+        return taken
 
     def read_table(self, txn: int, table: str) -> list[Row]:
         ctx = self._context(txn)

@@ -191,6 +191,8 @@ class SnapshotDatabase:
         self.txn = txn
         self.read_ts = read_ts
         self._mutex = mutex
+        #: plans are per database, not per snapshot.
+        self.plans = db.plans
 
     def table(self, name: str) -> SnapshotView:
         return SnapshotView(

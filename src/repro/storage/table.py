@@ -121,6 +121,10 @@ class Table:
         self._history_entries: dict[int, set[tuple]] = {}
         self._pending_created: dict[int, list[tuple[int, RowVersion]]] = {}
         self._pending_ended: dict[int, list[tuple[int, RowVersion]]] = {}
+        #: rids whose chain holds an ended or deleted version, or that are
+        #: historic: the only chains a vacuum can shrink and the only
+        #: history entries it can retire, so the only ones it visits.
+        self._prunable: set[int] = set()
         self._prune_floor = 0
         #: incrementally maintained footprint: total live version count
         #: and the longest-chain high-watermark (exact after each prune,
@@ -550,6 +554,7 @@ class Table:
         chain = self._versions.get(rid)
         if not chain:
             return  # row predates versioning (restored without history)
+        self._prunable.add(rid)
         superseded: RowVersion | None = None
         for version in reversed(chain):
             if version.end_ts is None and version.deleted_by is None:
@@ -700,42 +705,48 @@ class Table:
         horizon no newer than the oldest active snapshot; once pruning
         removed anything, older snapshots raise
         :class:`~repro.errors.SnapshotTooOldError` on their next read.
+
+        Only ``_prunable`` chains are visited: a chain of live versions
+        alone has nothing at or below any horizon, and a rid that is not
+        historic has no history entry to retire.
         """
         removed = 0
-        longest = 0
-        # The walk visits every chain anyway: recount the histogram.
-        lengths = self._chain_lengths = {}
-        for rid in list(self._versions):
-            chain = self._versions[rid]
+        for rid in list(self._prunable):
+            chain = self._versions.get(rid)
+            if chain is None:
+                # Pruned away entirely in an earlier pass (or restored
+                # without history): nothing below any horizon is left, so
+                # the historic entry — and the per-key buckets built from
+                # it — must not outlive the chain.
+                self._history_discard(rid)
+                self._prunable.discard(rid)
+                continue
             keep = [
                 v for v in chain
                 if v.end_ts is None or v.end_ts > horizon
             ]
-            removed += len(chain) - len(keep)
-            longest = max(longest, len(keep))
-            if keep:
-                lengths[len(keep)] = lengths.get(len(keep), 0) + 1
-                self._versions[rid] = keep
-            else:
-                del self._versions[rid]
+            if len(keep) != len(chain):
+                removed += len(chain) - len(keep)
+                self._chain_resized(len(chain), len(keep))
+                if keep:
+                    self._versions[rid] = keep
+                else:
+                    del self._versions[rid]
             if rid in self._history:
-                live = [
-                    v for v in keep
-                    if v.end_ts is None and v.deleted_by is None
-                ]
-                if rid in self._rows and len(keep) == 1 and len(live) == 1:
+                # Historic no longer: the chain is gone, or it is down to
+                # the one live version the current indexes already reach.
+                if not keep or (
+                    rid in self._rows and len(keep) == 1
+                    and keep[0].end_ts is None and keep[0].deleted_by is None
+                ):
                     self._history_discard(rid)
-                elif not keep and rid not in self._rows:
-                    self._history_discard(rid)
-        # Historic rids whose chains are already gone entirely (pruned
-        # in a previous pass, or restored without history) have no
-        # below-horizon version left: without this sweep the historic
-        # set — and the per-key buckets built from it — would grow
-        # without bound across a long run's vacuums.
-        for rid in [r for r in self._history if r not in self._versions]:
-            self._history_discard(rid)
+            if rid not in self._history and not any(
+                v.end_ts is not None or v.deleted_by is not None for v in keep
+            ):
+                self._prunable.discard(rid)
         self._total_versions -= removed
-        self._max_chain = longest  # watermark resets to exact after prune
+        # The watermark resets to exact after a prune.
+        self._max_chain = max(self._chain_lengths, default=0)
         if removed:
             self._prune_floor = max(self._prune_floor, horizon)
         return removed
@@ -816,6 +827,7 @@ class Table:
         self._history_entries.clear()
         self._pending_created.clear()
         self._pending_ended.clear()
+        self._prunable.clear()
         self._prune_floor = 0
         self._total_versions = 0
         self._max_chain = 0

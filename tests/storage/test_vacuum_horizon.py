@@ -139,6 +139,94 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.errors import ReproError  # noqa: E402
 
+import pytest  # noqa: E402
+
+
+def _full_walk_prune(self, horizon: int) -> int:
+    """TEST-ONLY ORACLE: ``Table.prune_versions`` as it stood when every
+    vacuum walked every chain of the table (verbatim body), which the
+    incremental prune — it visits only chains that can shrink — must
+    equal step by step."""
+    removed = 0
+    longest = 0
+    # The walk visits every chain anyway: recount the histogram.
+    lengths = self._chain_lengths = {}
+    for rid in list(self._versions):
+        chain = self._versions[rid]
+        keep = [
+            v for v in chain
+            if v.end_ts is None or v.end_ts > horizon
+        ]
+        removed += len(chain) - len(keep)
+        longest = max(longest, len(keep))
+        if keep:
+            lengths[len(keep)] = lengths.get(len(keep), 0) + 1
+            self._versions[rid] = keep
+        else:
+            del self._versions[rid]
+        if rid in self._history:
+            live = [
+                v for v in keep
+                if v.end_ts is None and v.deleted_by is None
+            ]
+            if rid in self._rows and len(keep) == 1 and len(live) == 1:
+                self._history_discard(rid)
+            elif not keep and rid not in self._rows:
+                self._history_discard(rid)
+    # Historic rids whose chains are already gone entirely (pruned
+    # in a previous pass, or restored without history) have no
+    # below-horizon version left: without this sweep the historic
+    # set — and the per-key buckets built from it — would grow
+    # without bound across a long run's vacuums.
+    for rid in [r for r in self._history if r not in self._versions]:
+        self._history_discard(rid)
+    self._total_versions -= removed
+    self._max_chain = longest  # watermark resets to exact after prune
+    if removed:
+        self._prune_floor = max(self._prune_floor, horizon)
+    return removed
+
+
+def _mirror(engine, twin, name):
+    """Make ``engine.<name>(...)`` also run on ``twin``, requiring the
+    same result class: the same return value, or the same error."""
+    mine, theirs = getattr(engine, name), getattr(twin, name)
+
+    def both(*args, **kwargs):
+        try:
+            result = mine(*args, **kwargs)
+        except ReproError as exc:
+            with pytest.raises(type(exc)):
+                theirs(*args, **kwargs)
+            raise
+        other = theirs(*args, **kwargs)
+        if name == "begin":
+            assert other == result
+        return result
+
+    setattr(engine, name, both)
+
+
+def _mvcc_state(table):
+    """Everything a prune may touch, in comparable form."""
+    return {
+        "chains": {
+            rid: [(v.values, v.begin_ts, v.end_ts, v.created_by, v.deleted_by)
+                  for v in chain]
+            for rid, chain in table.version_chains().items()
+        },
+        "prune_floor": table.prune_floor,
+        "history": set(table.history_rids()),
+        "by_pk": {k: set(v) for k, v in table._history_by_pk.items()},
+        "by_index": {
+            cols: {k: set(v) for k, v in buckets.items()}
+            for cols, buckets in table._history_by_index.items()
+        },
+        "entries": {r: set(e) for r, e in table._history_entries.items()},
+        "histogram": table.chain_histogram(),
+        "stats": table.version_stats(),
+    }
+
 _KEYS = st.integers(0, 5)
 _OPS = st.lists(
     st.one_of(
@@ -168,12 +256,33 @@ def test_property_maintained_histogram_equals_a_recount(ops, interval):
     table = engine.db.table("T")
     open_txns: list[int] = []
     value = 0
+    # The twin runs every operation too, pruning by the full walk.
+    twin = build_engine()
+    twin.vacuum_interval = interval
+    twin_table = twin.db.table("T")
+    pruned, twin_pruned = [], []
+    incremental = table.prune_versions
+    table.prune_versions = lambda horizon: (
+        pruned.append(incremental(horizon)) or pruned[-1])
+    twin_table.prune_versions = lambda horizon: (
+        twin_pruned.append(_full_walk_prune(twin_table, horizon))
+        or twin_pruned[-1])
+    for name in ("begin", "commit", "abort", "insert", "update", "delete"):
+        _mirror(engine, twin, name)
 
     def check():
         chains = table.version_chains()
         assert table.chain_histogram() == dict(
             Counter(len(chain) for chain in chains.values()))
         assert table.version_stats()[0] == sum(map(len, chains.values()))
+        assert pruned == twin_pruned
+        assert _mvcc_state(table) == _mvcc_state(twin_table)
+        # Nothing a vacuum could still act on is missing from the set
+        # the incremental prune visits.
+        assert table._prunable >= set(table.history_rids()) | {
+            rid for rid, chain in chains.items()
+            if any(v.end_ts is not None or v.deleted_by is not None
+                   for v in chain)}
 
     for op, arg in ops:
         value += 1
@@ -186,10 +295,13 @@ def test_property_maintained_histogram_equals_a_recount(ops, interval):
                 (engine.commit if op == "commit" else engine.abort)(txn)
             elif op == "vacuum":
                 engine.vacuum()
+                twin.vacuum()
             elif op == "clear" and not open_txns:
                 table.clear()
+                twin_table.clear()
             elif op == "checkpoint-restore" and not open_txns:
                 table.restore_checkpoint(table.checkpoint_image())
+                twin_table.restore_checkpoint(twin_table.checkpoint_image())
             elif op in ("insert", "update", "delete"):
                 # In the newest open transaction, else in its own
                 # (committed supersedes are what supersede-time pruning
@@ -217,4 +329,5 @@ def test_property_maintained_histogram_equals_a_recount(ops, interval):
         engine.abort(txn)
     check()
     engine.vacuum()
+    twin.vacuum()
     check()
