@@ -4,8 +4,9 @@ These measure real host time (unlike the figure benchmarks, whose result
 is virtual time): the coordinating-set search, entangled-query grounding,
 the SPJ evaluator's index paths and its planner (a cold plan against a
 prepared-plan hit), a latch round trip against the bare primitive, the
-lock manager, and the SQL front end (a cold parse against a
-prepared-statement hit).
+lock manager, the SQL front end (a cold parse against a
+prepared-statement hit), a table update that moves no index key, and a
+point probe through each storage engine's ``query``.
 """
 
 import itertools
@@ -38,7 +39,9 @@ from repro.storage import (
     LockManager,
     LockMode,
     RowId,
+    ShardedStorageEngine,
     SPJQuery,
+    StorageEngine,
     TableRef,
     TableSchema,
     evaluate,
@@ -357,3 +360,65 @@ def test_evaluate_batch_20_queries(benchmark):
             ))
     result = benchmark(evaluate_batch, queries, db)
     assert len(result.answered_ids()) == 20
+
+
+def _accounts_schema() -> TableSchema:
+    """``benchmarks/e2e``'s Accounts table."""
+    return TableSchema.build(
+        "Accounts",
+        [("id", ColumnType.INTEGER), ("owner", ColumnType.TEXT),
+         ("balance", ColumnType.FLOAT)],
+        primary_key=["id"],
+    )
+
+
+_ACCOUNTS = 4_096
+
+
+@pytest.mark.benchmark(group="micro-table")
+def test_table_update_unkeyed(benchmark):
+    """``UPDATE Accounts SET balance = ... WHERE id = k`` as the table
+    sees it: the row changes, none of its index keys does (unversioned,
+    so the kernel is row + index maintenance and nothing accumulates)."""
+    db = Database()
+    table = db.create_table(_accounts_schema())
+    db.load("Accounts", [(i, f"u{i}", 100.0) for i in range(_ACCOUNTS)])
+    rids = itertools.cycle([row.rid for row in table.scan()][::61])
+
+    def bump():
+        rid = next(rids)
+        ident, owner, balance = table.get(rid).values
+        return table.update(
+            rid, (ident, owner, balance + 1), validated=True, versioned=False)
+
+    old, new = benchmark(bump)
+    assert new.values[2] == old.values[2] + 1
+    assert table.lookup_pk((new.values[0],)) == new
+
+
+@pytest.mark.benchmark(group="micro-engine")
+@pytest.mark.parametrize(
+    "build", [StorageEngine, lambda: ShardedStorageEngine(2)],
+    ids=["single", "sharded2"])
+def test_engine_query_point_probe(benchmark, build):
+    """A 2PL primary-key probe through ``query``: context, read path,
+    plan binding, the lock requests (re-requests once the 64 keys have
+    each been probed) and the observer events.  Both engines run one
+    shared body; ``single`` is the guard that sharing it cost the
+    single engine nothing."""
+    store = build()
+    store.create_table(_accounts_schema())
+    store.load("Accounts", [(i, f"u{i}", 100.0) for i in range(_ACCOUNTS)])
+    plans = itertools.cycle([
+        SPJQuery(
+            tables=(TableRef("Accounts"),),
+            select=(Col("balance"),),
+            select_names=("balance",),
+            where=Cmp(CmpOp.EQ, Col("id"), Const(key)),
+        )
+        for key in range(0, _ACCOUNTS, 64)
+    ])
+    txn = store.begin()
+    rows = benchmark(lambda: store.query(txn, next(plans)))
+    assert rows == [(100.0,)]
+    store.abort(txn)

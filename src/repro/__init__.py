@@ -133,7 +133,7 @@ __all__ = [
     "Session",
     "StorageTransaction",
     "connect",
-    # engine / coordinator surface (legacy entry points included)
+    # engine / coordinator surface (internal: connect() builds these)
     "ArrivalCountPolicy",
     "DrainReports",
     "EmptyAnswerPolicy",

@@ -33,6 +33,11 @@ a :class:`Session` — the **only** public way to run work:
   classical ACID transaction against the storage layer (context
   manager: commit on clean exit, abort on exception).
 
+The three are one executor behind three ways of handing it statements:
+each holds an :class:`~repro.core.transaction.EntangledTransaction` and
+runs every classical statement through
+:func:`repro.core.interpreter.execute_statement` on it.
+
 Under the façade, ``connect(shards=N)`` also enables the per-shard
 thread-pool execution layer (:mod:`repro.core.executor`), so
 disjoint-shard work — commit WAL flushes above all — makes *wall-clock*
@@ -42,9 +47,6 @@ ordered two-phase prepare and the global SSI tracker.
 :meth:`Client.close` (or using the client as a context manager) joins
 the worker threads, flushes every WAL, and checkpoints, so a subsequent
 restart replays almost nothing.
-
-The legacy entry points remain importable as thin adapters for one
-release of back-compat; their docstrings point here.
 """
 
 from __future__ import annotations
@@ -70,9 +72,10 @@ from repro.core.interactive import (
     SessionState,
     StatementResult,
 )
+from repro.core.interpreter import execute_statement
 from repro.core.policies import RunPolicy
 from repro.core.recovery import EntangledRecoveryReport, recover_entangled
-from repro.core.transaction import TxnPhase
+from repro.core.transaction import EntangledTransaction, TxnPhase
 from repro.errors import (
     EntanglementTimeout,
     MiddlewareError,
@@ -81,11 +84,11 @@ from repro.errors import (
 )
 from repro.replication import ReplicatedStorageEngine
 from repro.sim.costs import CostModel
-from repro.sql.ast import SelectStmt, TransactionProgram
-from repro.sql.compiler import compile_select
+from repro.sql.ast import SelectStmt, Statement, TransactionProgram
 from repro.sql.parser import parse_statement
 from repro.storage.catalog import Database
 from repro.storage.engine import StorageEngine, TxnIsolation
+from repro.storage.protocol import Store
 from repro.storage.schema import TableSchema
 from repro.storage.sharding import ShardedStorageEngine, build_storage_engine
 from repro.storage.types import SQLValue
@@ -322,7 +325,7 @@ def connect(
     if isinstance(durability, str):
         durability = Durability(durability)
 
-    prebuilt = isinstance(database, (StorageEngine, ShardedStorageEngine))
+    prebuilt = isinstance(database, Store)
     if executor is None and not prebuilt and shards > 1:
         executor = os.environ.get("REPRO_EXECUTOR") or None
     process_mode = False
@@ -551,22 +554,13 @@ class Client:
     def query(self, sql: str) -> list[tuple["SQLValue | None", ...]]:
         """Execute a read-only classical SELECT in its own transaction."""
         self._check_open()
-        stmt = parse_statement(sql)
-        if not isinstance(stmt, SelectStmt):
-            raise MiddlewareError("Client.query only accepts SELECT")
-        compiled = compile_select(stmt, self.store.db, {})
-        txn = self.store.begin()
-        try:
-            rows = self.store.query(txn, compiled.plan)
-        except BaseException:
-            # A failed read (WouldBlock under contention, a pruned
-            # snapshot, ...) must abort — committing would both mask the
-            # original error and finalize a transaction that may still
-            # sit in a lock queue.
-            self.store.abort(txn)
-            raise
-        self.store.commit(txn)
-        return rows
+        stmt = _parse_select(sql, "Client.query")
+        # A failed read (WouldBlock under contention, a pruned snapshot,
+        # ...) must abort, as leaving the block on an exception does —
+        # committing would both mask the original error and finalize a
+        # transaction that may still sit in a lock queue.
+        with StorageTransaction(self.store, TxnIsolation.TWO_PL) as txn:
+            return txn._run(stmt)
 
     # -- shutdown ------------------------------------------------------------------
 
@@ -596,9 +590,7 @@ class Client:
             self.store.checkpoint()
         # Process-backed stores own worker processes; shut the fleet
         # down after the final flush/checkpoint round-trips.
-        closer = getattr(self.store, "close", None)
-        if closer is not None:
-            closer()
+        self.store.close()
         self._closed = True
 
     def __enter__(self) -> "Client":
@@ -617,8 +609,10 @@ class Client:
         """
         crashed = self.store.crash()
         self.engine.close()  # join the dead engine's worker threads
-        engine, report = recover_entangled(crashed, self.engine.config, None)
-        replacement = Client(engine, durability=self.durability)
+        engine, report = recover_entangled(
+            crashed, self.engine.config, self.engine.policy)
+        replacement = Client(
+            engine, durability=self.durability, admission=self.admission)
         self._closed = True
         return replacement, report
 
@@ -757,8 +751,8 @@ class Session:
         session = self.interactive
         result = session.execute(sql)
         if result.pending:
-            assert session._pending_query is not None
-            self._pending = PendingAnswer(self, session._pending_query)
+            assert session.txn.pending_query is not None
+            self._pending = PendingAnswer(self, session.txn.pending_query)
             return self._pending
         return result
 
@@ -847,17 +841,13 @@ class Session:
         )
         return StorageTransaction(self.client.store, chosen, session=self)
 
-    def _observe_commit(self, store, txn: int) -> None:
+    def _observe_commit(self, store: Store, txn: int) -> None:
         """Advance the read-your-writes floor past an acknowledged
-        writing commit (replicated stores only).  Capturing the whole
-        current vector *overclaims* — it may include other sessions'
-        concurrent commits — which is safe: an inflated floor can only
-        force extra freshness, never staleness."""
-        if not isinstance(store, ReplicatedStorageEngine):
+        commit — where the store says a later begin could miss it
+        (replicated stores serving bounded-staleness cuts)."""
+        vector = store.commit_vector(txn)
+        if vector is None:
             return
-        if not store.written_shards(txn):
-            return
-        vector = tuple(s.oracle.last_commit_ts for s in store.shards)
         if self._vector is None:
             self._vector = vector
         else:
@@ -1116,6 +1106,13 @@ class PendingAnswer:
         return f"PendingAnswer({self.query_id}, {state})"
 
 
+def _parse_select(sql: str, caller: str) -> SelectStmt:
+    stmt = parse_statement(sql)
+    if not isinstance(stmt, SelectStmt):
+        raise MiddlewareError(f"{caller} only accepts SELECT")
+    return stmt
+
+
 class StorageTransaction:
     """A direct classical transaction against the storage layer.
 
@@ -1124,11 +1121,16 @@ class StorageTransaction:
     other path; under 2PL a conflicting statement raises
     :class:`~repro.storage.engine.WouldBlock` — the caller suspends and
     retries (cooperative protocol), it is never blocked on a thread.
+
+    SQL statements run through the batch interpreter's executor on one
+    :class:`~repro.core.transaction.EntangledTransaction` held for the
+    transaction's lifetime, so ``SET @x`` and ``AS @x`` bindings are
+    visible to its later statements.
     """
 
     def __init__(
         self,
-        store,
+        store: Store,
         isolation: TxnIsolation,
         *,
         session: "Session | None" = None,
@@ -1136,39 +1138,32 @@ class StorageTransaction:
         self._store = store
         self._session = session
         self.isolation = isolation
-        min_vector = session._vector if session is not None else None
-        if min_vector is not None and isinstance(store, ShardedStorageEngine):
-            self.txn = store.begin(isolation=isolation, min_vector=min_vector)
-        else:
-            self.txn = store.begin(isolation=isolation)
+        self._txn = EntangledTransaction(
+            handle=0, client=session.name if session is not None else "direct")
+        self._txn.start_attempt(store.begin(
+            isolation=isolation,
+            min_vector=session._vector if session is not None else None,
+        ))
         self._finished = False
+
+    @property
+    def txn(self) -> int:
+        """The storage transaction id."""
+        return self._txn.storage_txn
 
     # -- statements -----------------------------------------------------------------
 
+    def _run(self, stmt: Statement) -> list[tuple["SQLValue | None", ...]]:
+        return execute_statement(self._txn, stmt, self._store)
+
     def query(self, sql: str) -> list[tuple["SQLValue | None", ...]]:
         """Run a SELECT inside this transaction."""
-        stmt = parse_statement(sql)
-        if not isinstance(stmt, SelectStmt):
-            raise MiddlewareError("StorageTransaction.query only accepts SELECT")
-        compiled = compile_select(stmt, self._store.db, {})
-        return self._store.query(self.txn, compiled.plan)
+        return self._run(_parse_select(sql, "StorageTransaction.query"))
 
     def execute(self, sql: str) -> list[tuple["SQLValue | None", ...]]:
-        """Run one classical statement (SELECT/INSERT/UPDATE/DELETE)
+        """Run one classical statement (SELECT/INSERT/UPDATE/DELETE/SET)
         inside this transaction; returns rows for SELECTs."""
-        from repro.core.interpreter import NullCostTap, _execute_classical
-        from repro.core.transaction import EntangledTransaction
-        from repro.sql.ast import TransactionProgram as _TP
-
-        stmt = parse_statement(sql)
-        if isinstance(stmt, SelectStmt):
-            return self.query(sql)
-        carrier = EntangledTransaction(
-            handle=0, client="direct", program=_TP((), None)
-        )
-        carrier.storage_txn = self.txn
-        _execute_classical(carrier, stmt, self._store, NullCostTap())
-        return []
+        return self._run(parse_statement(sql))
 
     def insert(self, table: str, values: Sequence[Any]):
         return self._store.insert(self.txn, table, values)

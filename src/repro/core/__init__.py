@@ -26,6 +26,7 @@ from repro.core.interactive import (
 from repro.core.interpreter import (
     StepOutcome,
     deliver_answer,
+    execute_statement,
     run_until_block,
 )
 from repro.core.policies import (
@@ -67,6 +68,7 @@ __all__ = [
     "TxnPhase",
     "TxnStats",
     "deliver_answer",
+    "execute_statement",
     "find_partial_groups",
     "recover_entangled",
     "run_until_block",

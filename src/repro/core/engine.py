@@ -31,7 +31,7 @@ from typing import Iterable
 
 from repro.analysis.latch import Latch
 from repro.core.executor import ShardExecutor
-from repro.core.groups import GroupTracker, commit_group
+from repro.core.groups import GroupTracker, Round, commit_group, evaluate_round
 from repro.core.interpreter import (
     NullCostTap,
     StepOutcome,
@@ -41,12 +41,11 @@ from repro.core.interpreter import (
 from repro.core.policies import ManualPolicy, RunPolicy
 from repro.core.recorder import ScheduleRecorder
 from repro.core.transaction import EntangledTransaction, TxnPhase
-from repro.entangled.evaluator import QueryOutcome, evaluate_batch
+from repro.entangled.evaluator import QueryOutcome
 from repro.errors import (
     EngineError,
     MiddlewareError,
     OverloadError,
-    SafetyViolationError,
     SerializationFailureError,
 )
 from repro.sim.clock import VirtualClock
@@ -54,8 +53,9 @@ from repro.sim.costs import CostModel
 from repro.sim.resources import ConnectionPool
 from repro.sql.ast import TransactionProgram
 from repro.sql.parser import parse_transaction
-from repro.storage.engine import StorageEngine, TxnIsolation
+from repro.storage.engine import TxnIsolation
 from repro.storage.expressions import Cmp, CmpOp, Col, Const, RowPredicate
+from repro.storage.protocol import Store
 from repro.storage.schema import TableSchema
 from repro.storage.types import ColumnType
 
@@ -256,7 +256,7 @@ class EntangledTransactionEngine:
 
     def __init__(
         self,
-        store: StorageEngine,
+        store: Store,
         config: EngineConfig | None = None,
         policy: RunPolicy | None = None,
     ):
@@ -466,21 +466,7 @@ class EntangledTransactionEngine:
         self._run_index += 1
         report = RunReport(index=self._run_index)
         self.policy.on_run_started(self.clock.now)
-        lock_stats_before = dict(self.store.locks.stats)
-        ssi_stats_before = dict(self.store.ssi.stats)
-        plan_stats_before = dict(getattr(self.store, "plan_stats", {}))
-        fallback_counts = getattr(self.store, "fallback_scan_counts", None)
-        fallback_before = fallback_counts() if fallback_counts else {}
-        shard_stats_before = self.store.shard_stats()
-        cross_shard_before = getattr(self.store, "cross_shard_commit_count", 0)
-        follower_reads_before = getattr(self.store, "follower_read_count", 0)
-        promotions_before = getattr(self.store, "promotion_count", 0)
-        #: per-server snapshot-probe accounting (replicated stores):
-        #: every leader/follower is a serial read-service pipeline; the
-        #: run pays the busiest server's accumulated service time, which
-        #: is what adding follower replicas divides down.
-        probe_counts = getattr(self.store, "read_probe_counts", None)
-        probes_before = probe_counts() if probe_counts else {}
+        counters_before = self._store_counters()
         #: per-shard commit-flush accounting: each shard's WAL/group
         #: commit pipeline is a serial resource; the run pays the busiest
         #: shard's accumulated flush time (the shard ablation's subject).
@@ -600,49 +586,18 @@ class EntangledTransactionEngine:
 
         self._commit_phase(batch, lock_blocked, report)
 
-        lock_stats = self.store.locks.stats
-        report.lock_waits = lock_stats["waits"] - lock_stats_before["waits"]
-        report.deadlocks = lock_stats["deadlocks"] - lock_stats_before["deadlocks"]
-        report.locks_acquired = (
-            lock_stats["acquired"] - lock_stats_before["acquired"]
-        )
-        report.max_version_chain = self.store.version_stats()["max_chain"]
-        report.chain_histograms = self.store.chain_histograms()
-        plan_stats = getattr(self.store, "plan_stats", {})
-        report.index_range_scans = (
-            plan_stats.get("index_range_scans", 0)
-            - plan_stats_before.get("index_range_scans", 0)
-        )
-        report.seq_scans_avoided = (
-            plan_stats.get("seq_scans_avoided", 0)
-            - plan_stats_before.get("seq_scans_avoided", 0)
-        )
-        report.sorts_elided = (
-            plan_stats.get("sorts_elided", 0)
-            - plan_stats_before.get("sorts_elided", 0)
-        )
-        if fallback_counts:
-            report.fallback_scans = {
-                name: count - fallback_before.get(name, 0)
-                for name, count in fallback_counts().items()
-            }
-        shard_stats = self.store.shard_stats()
-        report.shard_commits = [
-            after["commits"] - before["commits"]
-            for before, after in zip(shard_stats_before, shard_stats)
-        ]
-        report.shard_aborts = [
-            after["aborts"] - before["aborts"]
-            for before, after in zip(shard_stats_before, shard_stats)
-        ]
-        report.shard_lock_waits = [
-            after["lock_waits"] - before["lock_waits"]
-            for before, after in zip(shard_stats_before, shard_stats)
-        ]
-        report.cross_shard_commits = (
-            getattr(self.store, "cross_shard_commit_count", 0)
-            - cross_shard_before
-        )
+        delta = _minus(self._store_counters(), counters_before)
+        report.lock_waits = delta["locks"]["waits"]
+        report.deadlocks = delta["locks"]["deadlocks"]
+        report.locks_acquired = delta["locks"]["acquired"]
+        report.index_range_scans = delta["plans"]["index_range_scans"]
+        report.seq_scans_avoided = delta["plans"]["seq_scans_avoided"]
+        report.sorts_elided = delta["plans"]["sorts_elided"]
+        report.fallback_scans = delta["fallback_scans"]
+        report.shard_commits = [s["commits"] for s in delta["shards"]]
+        report.shard_aborts = [s["aborts"] for s in delta["shards"]]
+        report.shard_lock_waits = [s["lock_waits"] for s in delta["shards"]]
+        report.cross_shard_commits = delta["cross_shard_commits"]
         if report.committed:
             report.cross_shard_share = (
                 report.cross_shard_commits / len(report.committed)
@@ -650,30 +605,19 @@ class EntangledTransactionEngine:
         # Commit-time SSI failures come from the tracker's stat deltas;
         # pre-commit group-validation aborts were already added to
         # ``report.ssi_aborts`` by the commit phase.
-        ssi_stats = self.store.ssi.stats
-        report.pivot_aborts = (
-            ssi_stats["pivot_aborts"] - ssi_stats_before["pivot_aborts"]
-        )
-        report.ssi_aborts += report.pivot_aborts + (
-            ssi_stats["conservative_aborts"]
-            - ssi_stats_before["conservative_aborts"]
-        )
+        report.pivot_aborts = delta["ssi"]["pivot_aborts"]
+        report.ssi_aborts += (
+            report.pivot_aborts + delta["ssi"]["conservative_aborts"])
+        report.follower_reads = delta["follower_reads"]
+        report.promotions = delta["promotions"]
+        report.max_version_chain = self.store.version_stats()["max_chain"]
+        report.chain_histograms = self.store.chain_histograms()
+        report.replication_lag = self.store.replication_lag()
 
         admitted_before, shed_before = self._admission_stamped
         report.admitted = self.admission_admitted - admitted_before
         report.shed = self.admission_shed - shed_before
         self._admission_stamped = (self.admission_admitted, self.admission_shed)
-
-        report.follower_reads = (
-            getattr(self.store, "follower_read_count", 0)
-            - follower_reads_before
-        )
-        report.promotions = (
-            getattr(self.store, "promotion_count", 0) - promotions_before
-        )
-        lag = getattr(self.store, "replication_lag", None)
-        if lag is not None:
-            report.replication_lag = lag()
 
         # Advance the virtual clock by this run's elapsed time.
         if self.config.costs is not None:
@@ -685,17 +629,11 @@ class EntangledTransactionEngine:
             # shards: the run pays the busiest shard's pipeline.
             flush_time = max(self._shard_flush_loads, default=0.0)
             # Snapshot probes serialize per server (leader or follower)
-            # but overlap across servers: the run pays the busiest one.
-            read_time = 0.0
-            if probe_counts and self.config.costs.read_service_cost > 0.0:
-                read_time = max(
-                    (
-                        (count - probes_before.get(server, 0))
-                        * self.config.costs.read_service_cost
-                        for server, count in probe_counts().items()
-                    ),
-                    default=0.0,
-                )
+            # but overlap across servers: every one is a serial
+            # read-service pipeline and the run pays the busiest, which
+            # is what adding follower replicas divides down.
+            read_time = self.config.costs.read_service_cost * max(
+                delta["read_probes"].values(), default=0)
             report.elapsed = (
                 pool.elapsed() + eval_time + overhead + retry_tax + flush_time
                 + read_time
@@ -705,6 +643,22 @@ class EntangledTransactionEngine:
             self.total_elapsed += report.elapsed
         self.run_reports.append(report)
         return report
+
+    def _store_counters(self) -> dict:
+        """One reading of every cumulative store counter a run reports
+        its own share of; :meth:`run_once` subtracts two of them."""
+        store = self.store
+        return {
+            "locks": dict(store.locks.stats),
+            "ssi": dict(store.ssi.stats),
+            "plans": dict(store.plan_stats),
+            "fallback_scans": store.fallback_scan_counts(),
+            "shards": store.shard_stats(),
+            "cross_shard_commits": store.cross_shard_commit_count,
+            "follower_reads": store.follower_read_count,
+            "promotions": store.promotion_count,
+            "read_probes": store.read_probe_counts(),
+        }
 
     def _home_shard(self, txn: EntangledTransaction) -> int:
         """The executor worker a transaction runs on: its shard hint, or
@@ -752,49 +706,26 @@ class EntangledTransactionEngine:
     def _evaluate_round(
         self, pending: list[EntangledTransaction], report: RunReport
     ) -> tuple[int, float]:
-        """Evaluate the pending queries as one batch; deliver answers.
+        """Evaluate the pending queries as one batch
+        (:func:`~repro.core.groups.evaluate_round`) and do to each
+        *script* what its query's outcome asks: deliver the answer and
+        resume, abort, retry the attempt, or leave it blocked for the
+        next round.
 
         Returns (number answered, coordinator virtual time).
-
-        Grounding read locks are taken *during* evaluation through a
-        lock-acquiring read observer per owner transaction, at access-path
-        granularity (index keys and rows; table S only for genuine scans).
-        A query that hits a lock conflict comes back ``BLOCKED`` and sits
-        out this round; a would-be deadlock victim comes back
-        ``DEADLOCKED`` and aborts its attempt.
-
-        Under ``IsolationConfig.SNAPSHOT`` grounding instead runs against
-        each owner's snapshot provider: no read locks exist to conflict,
-        so grounding never blocks or deadlocks — the only MVCC-specific
-        outcome is ``RESTART`` when a snapshot was pruned mid-wait.
         """
-        evaluable = list(pending)
-        by_query_id: dict[str, EntangledTransaction] = {}
-        observers = {}
-        providers: dict[str, object] = {}
-        for txn in evaluable:
-            assert txn.pending_query is not None and txn.storage_txn is not None
-            by_query_id[txn.query_id()] = txn
-            observer, provider = self.store.grounding_hooks(txn.storage_txn)
-            observers[txn.query_id()] = observer
-            if provider is not None:
-                providers[txn.query_id()] = provider
-
-        queries = [t.pending_query for t in evaluable]
-        try:
-            result = evaluate_batch(
-                queries, self.store.db, read_observer_for=observers,
-                provider_for=providers or None,
-            )
-        except SafetyViolationError as exc:
-            # An ANSWER arity clash poisons the whole batch ("queries that
-            # directly cause safety violations are not answered"): abort
-            # every participant so the system keeps running.
-            for txn in evaluable:
+        by_query_id = {txn.query_id(): txn for txn in pending}
+        verdict = evaluate_round(self.store, {
+            query_id: (txn.pending_query, txn.storage_txn)
+            for query_id, txn in by_query_id.items()
+        })
+        if verdict.poisoned is not None:
+            for txn in pending:
                 self._abort_attempt(
                     txn, retry=False, report=report,
-                    reason=f"safety violation: {exc}")
+                    reason=f"safety violation: {verdict.poisoned}")
             return 0, 0.0
+        result = verdict.result
 
         # Record grounding reads for the formal model (snapshot grounding
         # carries the version annotation: which committed transaction's
@@ -819,15 +750,9 @@ class EntangledTransactionEngine:
                 + costs.entangled_answer_cost * len(result.answers)
             )
 
-        # Group the answered queries by entanglement component so each
-        # component becomes one entanglement operation.
-        answered_txns = [
-            by_query_id[qid] for qid in result.answered_ids()
-        ]
-        if answered_txns:
-            self._record_entanglements(answered_txns, result)
+        self._record_entanglements(verdict, by_query_id)
         answered = 0
-        for txn in evaluable:
+        for txn in pending:
             outcome = result.outcome(txn.query_id())
             if outcome is QueryOutcome.ANSWERED:
                 deliver_answer(txn, result.answer(txn.query_id()))
@@ -887,56 +812,27 @@ class EntangledTransactionEngine:
             return
         txn.storage_txn = self.store.begin(isolation=self._storage_isolation)
 
-    def _record_entanglements(self, answered, result) -> None:
-        """Update group state (and the model schedule) for this round.
-
-        Queries answered together in one coordinating-set component form
-        one entanglement operation; we recover the components from the
-        chosen groundings' answer-relation links.
-        """
-        # Build components: txns whose chosen groundings share ground
-        # atoms (head satisfying another's postcondition) are partners.
-        by_handle = {t.handle: t for t in answered}
-        chosen = {
-            t.handle: result.match.chosen[t.query_id()] for t in answered
-        }
-        adjacency: dict[int, set[int]] = {t.handle: set() for t in answered}
-        heads_index: dict = {}
-        for handle, grounding in chosen.items():
-            for atom in grounding.heads:
-                heads_index.setdefault(atom, set()).add(handle)
-        for handle, grounding in chosen.items():
-            for atom in grounding.postconditions:
-                for provider in heads_index.get(atom, ()):
-                    if provider != handle:
-                        adjacency[handle].add(provider)
-                        adjacency[provider].add(handle)
-        seen: set[int] = set()
-        for handle in sorted(adjacency):
-            if handle in seen:
-                continue
-            component = []
-            stack = [handle]
-            seen.add(handle)
-            while stack:
-                node = stack.pop()
-                component.append(node)
-                for neighbor in sorted(adjacency[node]):
-                    if neighbor not in seen:
-                        seen.add(neighbor)
-                        stack.append(neighbor)
-            members = sorted(component)
-            self.groups.entangle(*members)
-            for member in members:
-                by_handle[member].partners.update(set(members) - {member})
+    def _record_entanglements(
+        self, verdict: Round, by_query_id: dict[str, EntangledTransaction]
+    ) -> None:
+        """Update group state (and the model schedule) for this round:
+        each component of queries answered together is one entanglement
+        operation, taken in handle order."""
+        chosen = verdict.result.match.chosen
+        for handles in sorted(
+            sorted(by_query_id[qid].handle for qid in component)
+            for component in verdict.components
+        ):
+            members = [self.transaction(handle) for handle in handles]
+            self.groups.entangle(*handles)
+            for txn in members:
+                txn.partners.update(h for h in handles if h != txn.handle)
             if self.recorder is not None:
-                payload = {
-                    by_handle[m].storage_txn: tuple(
-                        str(a) for a in chosen[m].heads
-                    )
-                    for m in members
-                }
-                self.recorder.on_entangle(payload)
+                self.recorder.on_entangle({
+                    txn.storage_txn: tuple(
+                        str(atom) for atom in chosen[txn.query_id()].heads)
+                    for txn in members
+                })
 
     # -- commit / abort machinery -----------------------------------------------------------
 
@@ -1229,3 +1125,15 @@ class _EngineCostTap:
 
     def charge_entangled_submit(self, txn: EntangledTransaction) -> None:
         self.pool.charge_slot(self._slot(txn), self.costs.entangled_submit_cost)
+
+
+def _minus(after, before):
+    """``after - before`` over two readings of nested counters; a key the
+    earlier reading lacks (a table created, a server first probed during
+    the run) counts from zero."""
+    if isinstance(after, dict):
+        return {key: _minus(value, before.get(key, 0))
+                for key, value in after.items()}
+    if isinstance(after, list):
+        return [_minus(a, b) for a, b in zip(after, before)]
+    return after - before

@@ -10,16 +10,20 @@ such a group must either commit or abort."
 actual entanglement *edges* (not just a union-find) so that removing a
 transaction — when a failed attempt is reset for retry — removes exactly
 the links contributed by that transaction, including any bridging links.
-:func:`commit_group` is the one routine that commits such a group, for
-the batch engine and the interactive broker alike.
+:func:`evaluate_round` is the one routine that evaluates a set of pending
+entangled queries and says who entangled with whom, and
+:func:`commit_group` the one that commits such a group, for the batch
+engine and the interactive broker alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from repro.errors import SerializationFailureError
+from repro.entangled.evaluator import EvaluationResult, evaluate_batch
+from repro.entangled.ir import EntangledQuery
+from repro.errors import SafetyViolationError, SerializationFailureError
 
 
 @dataclass
@@ -68,14 +72,13 @@ class GroupTracker:
 
     def groups(self) -> list[frozenset[int]]:
         """All groups (singletons included), sorted by smallest member."""
-        remaining = set(self._adjacency)
-        out = []
-        while remaining:
-            seed = min(remaining)
-            group = self.group_of(seed)
-            out.append(group)
-            remaining -= group
-        return sorted(out, key=min)
+        out: list[frozenset[int]] = []
+        seen: set[int] = set()
+        for seed in sorted(self._adjacency):  # a group's first is its smallest
+            if seed not in seen:
+                out.append(self.group_of(seed))
+                seen |= out[-1]
+        return out
 
     def partners_of(self, handle: int) -> frozenset[int]:
         """Directly entangled partners (one hop)."""
@@ -94,6 +97,66 @@ class GroupTracker:
     def clear(self) -> None:
         self._adjacency.clear()
         self._edges.clear()
+
+
+class Round(NamedTuple):
+    """What :func:`evaluate_round` found."""
+
+    #: every query's outcome (and answer); None when the batch was poisoned.
+    result: "EvaluationResult | None"
+    #: the safety violation that poisoned the whole batch, or None.
+    poisoned: "str | None"
+    #: the queries answered together, one sorted list of query ids per
+    #: entanglement operation (a query answered alone is a singleton),
+    #: ordered by smallest member.
+    components: list[list[str]]
+
+
+def evaluate_round(
+    store, pending: "Mapping[str, tuple[EntangledQuery, int]]"
+) -> Round:
+    """Evaluate ``{query id: (query, owner's storage txn)}`` as one batch
+    (steps two of Figure 4's three, for a run and for an interactive
+    matching round alike).
+
+    Each query is grounded through its owner's
+    :meth:`~repro.storage.protocol.Store.grounding_hooks`: 2PL owners
+    take read locks at access-path granularity *during* evaluation (a
+    conflict sidelines the query as ``BLOCKED``, a would-be deadlock
+    victim as ``DEADLOCKED``), snapshot owners read their own snapshot
+    lock-free (``RESTART`` when it was pruned mid-wait).  An ANSWER
+    arity clash poisons the whole batch ("queries that directly cause
+    safety violations are not answered"): it comes back as a verdict,
+    not an exception, so the caller can abort every participant and the
+    system keeps running.
+
+    Queries whose chosen groundings are linked — one's head satisfies
+    another's postcondition — entangled in one operation; the
+    components are the transitive closure of those links.
+    """
+    observers, providers = {}, {}
+    for query_id, (_query, storage_txn) in pending.items():
+        observers[query_id], provider = store.grounding_hooks(storage_txn)
+        if provider is not None:
+            providers[query_id] = provider
+    try:
+        result = evaluate_batch(
+            [query for query, _storage_txn in pending.values()], store.db,
+            read_observer_for=observers, provider_for=providers or None,
+        )
+    except SafetyViolationError as exc:
+        return Round(None, str(exc), [])
+    chosen = {qid: result.match.chosen[qid] for qid in result.answered_ids()}
+    providers_of: dict = {}
+    for query_id, grounding in chosen.items():
+        for atom in grounding.heads:
+            providers_of.setdefault(atom, []).append(query_id)
+    links = GroupTracker()
+    for query_id, grounding in chosen.items():
+        links.register(query_id)
+        for atom in grounding.postconditions:
+            links.entangle(query_id, *providers_of.get(atom, ()))
+    return Round(result, None, [sorted(group) for group in links.groups()])
 
 
 class GroupCommit(NamedTuple):

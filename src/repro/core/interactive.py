@@ -29,17 +29,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.analysis.latch import Latch
-from repro.core.groups import GroupTracker, commit_group
+from repro.core.groups import GroupTracker, commit_group, evaluate_round
+from repro.core.interpreter import deliver_answer, execute_statement
+from repro.core.transaction import EntangledTransaction
 from repro.entangled.answers import QueryAnswer
-from repro.entangled.evaluator import QueryOutcome, evaluate_batch
-from repro.errors import MiddlewareError
-from repro.sql.ast import EntangledSelectStmt, SelectStmt, Statement
-from repro.sql.compiler import compile_entangled, compile_select
+from repro.entangled.evaluator import QueryOutcome
+from repro.errors import MiddlewareError, TransactionAborted
+from repro.sql.ast import EntangledSelectStmt
+from repro.sql.compiler import compile_entangled
 from repro.sql.parser import parse_statement
-from repro.storage.engine import StorageEngine, TxnIsolation
+from repro.storage.engine import TxnIsolation
+from repro.storage.protocol import Store
 from repro.storage.types import SQLValue
 
 
@@ -65,7 +67,15 @@ class StatementResult:
 
 
 class InteractiveSession:
-    """One user's statement-by-statement entangled transaction."""
+    """One user's statement-by-statement entangled transaction.
+
+    It holds one :class:`~repro.core.transaction.EntangledTransaction`
+    (:attr:`txn`) for its lifetime — the same object a batch script is —
+    and runs every statement through the batch interpreter's executor on
+    it, so host variables, ``SET``, statistics and the pending entangled
+    query live where they do for a script.  What is the session's own is
+    the client-facing state machine around it.
+    """
 
     def __init__(self, broker: "InteractiveBroker", session_id: int,
                  client: str,
@@ -75,63 +85,49 @@ class InteractiveSession:
         self.client = client
         self.isolation = isolation
         self.state = SessionState.OPEN
-        self.env: dict[str, "SQLValue | None"] = {}
-        self.storage_txn = broker.store.begin(isolation=isolation)
+        self.txn = EntangledTransaction(handle=session_id, client=client)
+        self.txn.start_attempt(broker.store.begin(isolation=isolation))
         # A session that has not executed anything yet must not pin the
         # vacuum horizon: its snapshot is *parked* (deregistered from
         # every shard oracle) until the first statement re-snapshots.
         # Abandoned sessions therefore never block vacuum.
         self._parked = broker.store.park_snapshot(self.storage_txn)
-        self._pending_stmt: EntangledSelectStmt | None = None
-        self._pending_query = None
-        self._query_counter = 0
+
+    @property
+    def env(self) -> dict[str, "SQLValue | None"]:
+        """The host-variable bindings (``AS @var``, ``SET``, answers)."""
+        return self.txn.env
+
+    @property
+    def storage_txn(self) -> int:
+        return self.txn.storage_txn
 
     # -- statement execution -------------------------------------------------------
 
     def execute(self, sql: str) -> StatementResult:
-        """Execute one statement; entangled queries park the session."""
+        """Execute one statement; entangled queries park the session and
+        ``ROLLBACK`` ends it as :meth:`abort` does."""
         self._require(SessionState.OPEN)
+        store, txn = self.broker.store, self.txn
         if self._parked:
             # First observation since open/cancel: take a fresh snapshot
             # and rejoin the vacuum horizon.
-            self.broker.store.unpark_snapshot(self.storage_txn)
+            store.unpark_snapshot(self.storage_txn)
             self._parked = False
         stmt = parse_statement(sql)
-        return self._execute_parsed(stmt)
-
-    def _execute_parsed(self, stmt: Statement) -> StatementResult:
-        from repro.core.interpreter import _execute_classical
-        from repro.core.transaction import EntangledTransaction
-
         if isinstance(stmt, EntangledSelectStmt):
-            self._query_counter += 1
-            query_id = f"s{self.session_id}q{self._query_counter}"
-            query = compile_entangled(
-                stmt, self.broker.store.db, self.env, query_id)
-            self._pending_stmt = stmt
-            self._pending_query = query
+            txn.entangled_ordinal += 1
+            query_id = f"s{self.session_id}q{txn.entangled_ordinal}"
+            txn.block_on(
+                stmt, compile_entangled(stmt, store.db, txn.env, query_id))
             self.state = SessionState.WAITING
             self.broker._enqueue(self)
             return StatementResult(pending=True)
-
-        # Reuse the batch interpreter's classical execution by adapting
-        # the session into the transaction shape it expects.
-        carrier = EntangledTransaction(
-            handle=self.session_id, client=self.client,
-            program=_EMPTY_PROGRAM)
-        carrier.env = self.env
-        carrier.storage_txn = self.storage_txn
-        from repro.core.interpreter import NullCostTap
-
-        if isinstance(stmt, SelectStmt):
-            compiled = compile_select(stmt, self.broker.store.db, self.env)
-            rows = self.broker.store.query(self.storage_txn, compiled.plan)
-            first = rows[0] if rows else None
-            for var, index in compiled.bindings:
-                self.env[var] = None if first is None else first[index]
-            return StatementResult(rows=rows)
-        _execute_classical(carrier, stmt, self.broker.store, NullCostTap())
-        return StatementResult()
+        try:
+            return StatementResult(rows=execute_statement(txn, stmt, store))
+        except TransactionAborted:
+            self.abort()
+            return StatementResult()
 
     # -- waiting-state controls -------------------------------------------------------
 
@@ -153,29 +149,12 @@ class InteractiveSession:
         refresh when still clean enough."""
         self._require(SessionState.WAITING)
         self.broker._dequeue(self)
-        self._pending_stmt = None
-        self._pending_query = None
+        self.txn.resume()  # past the withdrawn statement, nothing bound
         self.state = SessionState.OPEN
         if self.broker.store.park_snapshot(self.storage_txn):
             self._parked = True
         else:
             self.broker.store.refresh_snapshot(self.storage_txn)
-
-    def _deliver(self, answer: QueryAnswer | None) -> None:
-        assert self._pending_query is not None
-        # The answer (even an empty one) is information derived from this
-        # snapshot; once delivered, the snapshot can never be refreshed.
-        self.broker.store.pin_snapshot(self.storage_txn)
-        if answer is not None:
-            for var, head_index, position in self._pending_query.var_bindings:
-                atom = answer.tuples[head_index]
-                self.env[var] = atom.values[position]
-        else:
-            for var, _h, _p in self._pending_query.var_bindings:
-                self.env[var] = None
-        self._pending_stmt = None
-        self._pending_query = None
-        self.state = SessionState.OPEN
 
     # -- termination ------------------------------------------------------------------
 
@@ -235,7 +214,7 @@ class InteractiveBroker:
 
     def __init__(
         self,
-        store: StorageEngine,
+        store: Store,
         default_isolation: TxnIsolation = TxnIsolation.TWO_PL,
     ):
         self.store = store
@@ -282,54 +261,44 @@ class InteractiveBroker:
             return self._match_round_locked()
 
     def _match_round_locked(self) -> int:
-        waiting = [s for s in self._waiting.values() if s.waiting]
-        if not waiting:
+        """Evaluate the waiting queries as one batch
+        (:func:`~repro.core.groups.evaluate_round`) and do to each
+        *session* what its query's outcome asks.  A session whose
+        grounding blocked, or found no partner yet, simply keeps waiting
+        for a later round."""
+        by_query = {
+            s.txn.pending_query.query_id: s
+            for s in self._waiting.values() if s.waiting
+        }
+        if not by_query:
             return 0
-        # Grounding read locks at access-path granularity, exactly as the
-        # batch engine takes them: a lock-acquiring observer per 2PL
-        # session.  A session whose grounding blocks (or would deadlock)
-        # simply keeps waiting for a later round.  SNAPSHOT sessions
-        # instead ground against their own snapshot provider — lock-free,
-        # so they can never hold up (or be held up by) the writers in the
-        # same round.
-        evaluable = list(waiting)
-        observers = {}
-        providers = {}
-        for session in evaluable:
-            qid = session._pending_query.query_id
-            observer, provider = self.store.grounding_hooks(
-                session.storage_txn
-            )
-            observers[qid] = observer
-            if provider is not None:
-                providers[qid] = provider
-        queries = [s._pending_query for s in evaluable]
-        result = evaluate_batch(
-            queries, self.store.db, read_observer_for=observers,
-            provider_for=providers or None,
-        )
-        answered = 0
-        by_query = {s._pending_query.query_id: s for s in evaluable}
+        verdict = evaluate_round(self.store, {
+            qid: (session.txn.pending_query, session.storage_txn)
+            for qid, session in by_query.items()
+        })
+        if verdict.poisoned is not None:
+            # Nobody in a poisoned batch is answered: every participant
+            # aborts, as in a run, and the next round is whoever is left.
+            # (``close``, here and below: the group cascade of an earlier
+            # abort in this round may already have reached the session.)
+            for session in by_query.values():
+                session.close()
+            return 0
         # Entangled partners share a group for widow prevention.
-        components: dict[Any, list[int]] = {}
-        for qid in result.answered_ids():
-            session = by_query[qid]
-            grounding = result.match.chosen[qid]
-            for atom in grounding.heads:
-                components.setdefault(atom, []).append(session.session_id)
+        for component in verdict.components:
+            self.groups.entangle(
+                *(by_query[qid].session_id for qid in component))
+        result = verdict.result
+        answered = 0
         for qid, session in sorted(by_query.items()):
             outcome = result.outcome(qid)
-            if outcome is QueryOutcome.ANSWERED:
-                grounding = result.match.chosen[qid]
-                for atom in grounding.postconditions:
-                    for provider in components.get(atom, ()):
-                        if provider != session.session_id:
-                            self.groups.entangle(session.session_id, provider)
-                session._deliver(result.answer(qid))
-                self._waiting.pop(session.session_id, None)
-                answered += 1
-            elif outcome is QueryOutcome.EMPTY:
-                session._deliver(None)
+            if outcome in (QueryOutcome.ANSWERED, QueryOutcome.EMPTY):
+                # The answer (even an empty one) is information derived
+                # from this snapshot; once delivered, the snapshot can
+                # never be refreshed.
+                self.store.pin_snapshot(session.storage_txn)
+                deliver_answer(session.txn, result.answer(qid))
+                session.state = SessionState.OPEN
                 self._waiting.pop(session.session_id, None)
                 answered += 1
             elif outcome is QueryOutcome.DEADLOCKED:
@@ -337,7 +306,7 @@ class InteractiveBroker:
                 # re-form every round; abort surfaces to the client as
                 # SessionState.ABORTED, the interactive analogue of the
                 # batch engine's deadlock-victim retry.
-                session.abort()
+                session.close()
             elif outcome is QueryOutcome.RESTART:
                 # The waiter's snapshot was pruned.  Re-snapshot and
                 # retry in a later round when nothing observed the old
@@ -346,7 +315,7 @@ class InteractiveBroker:
                 # the batch engine's read-restart retry) instead of
                 # failing the same way every round forever.
                 if not self.store.refresh_snapshot(session.storage_txn):
-                    session.abort()
+                    session.close()
         return answered
 
     # -- internals ----------------------------------------------------------------------
@@ -407,9 +376,3 @@ class InteractiveBroker:
                         SessionState.COMMITTED, SessionState.ABORTED):
                     continue
                 member.abort()
-
-
-# Adapter plumbing for reusing the batch interpreter.
-from repro.sql.ast import TransactionProgram as _TP
-
-_EMPTY_PROGRAM = _TP((), None)

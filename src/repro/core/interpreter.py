@@ -7,6 +7,14 @@ compiles the query against the *current* host-variable environment —
 which is why a second entangled query can use values bound by the first,
 as in Figure 2 — and hands control back to the scheduler.
 
+:func:`execute_statement` is the one executor of a classical statement
+and :func:`deliver_answer` the one binder of an entangled answer, for
+all three front ends: a batch script (:func:`run_until_block`), an
+interactive session and a direct storage transaction each call them on
+the :class:`~repro.core.transaction.EntangledTransaction` they hold, so
+host variables, parameters, statistics and fallback-scan attribution
+behave identically everywhere.
+
 All costs are charged to the supplied :class:`CostTap`, which the engine
 wires to the virtual clock's connection accounting.
 """
@@ -43,8 +51,10 @@ from repro.sql.compiler import (
     compile_update,
     inline_hostvars,
 )
-from repro.storage.engine import StorageEngine, WouldBlock
+from repro.storage.engine import WouldBlock
 from repro.storage.expressions import RowAssignments, RowPredicate
+from repro.storage.protocol import Store
+from repro.storage.types import SQLValue
 from repro.core.transaction import EntangledTransaction
 
 
@@ -84,9 +94,12 @@ class NullCostTap:
         pass
 
 
+_FREE = NullCostTap()
+
+
 def run_until_block(
     txn: EntangledTransaction,
-    store: StorageEngine,
+    store: Store,
     costs: CostTap | None = None,
     *,
     autocommit: bool = False,
@@ -103,7 +116,7 @@ def run_until_block(
     every classical statement commits its own storage transaction and a
     fresh one is begun for the next statement.
     """
-    costs = costs or NullCostTap()
+    costs = costs or _FREE
     if txn.storage_txn is None:
         raise EngineError(f"transaction {txn.handle} has no storage transaction")
     # The engine view of the program: the template shared by every
@@ -120,7 +133,7 @@ def run_until_block(
                 txn.block_on(stmt, query)
                 costs.charge_entangled_submit(txn)
                 return StepOutcome.BLOCKED_ON_QUERY
-            _execute_classical(txn, stmt, store, costs)
+            execute_statement(txn, stmt, store, costs)
         except WouldBlock:
             txn.stats.lock_waits += 1
             return StepOutcome.LOCK_BLOCKED
@@ -159,15 +172,17 @@ def run_until_block(
     return StepOutcome.COMPLETED
 
 
-def _execute_classical(
+def execute_statement(
     txn: EntangledTransaction,
     stmt,
-    store: StorageEngine,
-    costs: CostTap,
-) -> None:
-    """Execute one classical statement — a literal one, or a template
-    statement of ``txn.program`` — raising TransactionAborted for
-    ROLLBACK."""
+    store: Store,
+    costs: CostTap = _FREE,
+) -> list[tuple["SQLValue | None", ...]]:
+    """Execute one classical statement inside ``txn.storage_txn`` — a
+    literal one, or a template statement of ``txn.program`` — binding
+    into ``txn.env``; returns a SELECT's rows (``[]`` otherwise).
+    ROLLBACK raises :class:`~repro.errors.TransactionAborted`: ending
+    the transaction is its owner's business."""
     assert txn.storage_txn is not None
     params = txn.program.params
     if isinstance(stmt, RollbackStmt):
@@ -180,12 +195,12 @@ def _execute_classical(
         first = rows[0] if rows else None
         for var, index in compiled.bindings:
             txn.env[var] = None if first is None else first[index]
-        return
+        return rows
     if isinstance(stmt, InsertStmt):
         compiled = compile_insert(stmt, store.db, txn.env, params)
         store.insert(txn.storage_txn, compiled.table, list(compiled.values))
         costs.charge_statement(txn, is_write=True)
-        return
+        return []
     if isinstance(stmt, UpdateStmt):
         compiled = compile_update(stmt, store.db, txn.env, params)
         schema = store.db.table(compiled.table).schema
@@ -201,7 +216,7 @@ def _execute_classical(
             where=compiled.predicate,
         )
         costs.charge_statement(txn, is_write=True)
-        return
+        return []
     if isinstance(stmt, DeleteStmt):
         compiled = compile_delete(stmt, store.db, txn.env, params)
         schema = store.db.table(compiled.table).schema
@@ -211,11 +226,11 @@ def _execute_classical(
             where=compiled.predicate,
         )
         costs.charge_statement(txn, is_write=True)
-        return
+        return []
     if isinstance(stmt, SetStmt):
         value = inline_hostvars(stmt.expr, txn.env, params).eval({})
         txn.env[f"@{stmt.var}"] = value
-        return
+        return []
     raise EngineError(f"unsupported statement type {type(stmt).__name__}")
 
 

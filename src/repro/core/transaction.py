@@ -22,6 +22,11 @@ Life cycle (non-interactive model, Section 4):
 A retry (back to DORMANT) resets the environment and statement pointer:
 "Blocked transactions are aborted and returned to the dormant pool for
 execution in subsequent runs."
+
+An interactive session and a direct storage transaction hold one too,
+for their lifetime, with no program: their statements arrive one at a
+time and run through the same executor against the same ``env``,
+``stats`` and ``storage_txn``.
 """
 
 from __future__ import annotations
@@ -74,13 +79,17 @@ class TxnStats:
     shards_touched: int = 0
 
 
+#: the program of a transaction whose statements arrive one at a time.
+_NO_PROGRAM = TransactionProgram(())
+
+
 @dataclass
 class EntangledTransaction:
     """One submitted entangled (or classical) transaction."""
 
     handle: int
     client: str
-    program: TransactionProgram
+    program: TransactionProgram = _NO_PROGRAM
     submitted_at: float = 0.0
     phase: TxnPhase = TxnPhase.DORMANT
     env: dict[str, "SQLValue | None"] = field(default_factory=dict)

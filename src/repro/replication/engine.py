@@ -322,6 +322,17 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
                 ))
         return woken
 
+    def commit_vector(self, txn: int) -> "tuple[int, ...] | None":
+        """A bounded-staleness begin may be served a recorded cut older
+        than ``txn``'s commit; a session that must observe its own write
+        passes this back as ``min_vector``.  Capturing the whole current
+        vector *overclaims* — it may include other sessions' concurrent
+        commits — which is safe: an inflated floor can only force extra
+        freshness, never staleness."""
+        if not self.written_shards(txn):
+            return None
+        return tuple(s.oracle.last_commit_ts for s in self.shards)
+
     def replication_lag(self) -> int:
         """Worst follower lag, in commit-timestamp ticks."""
         lag = 0

@@ -79,9 +79,7 @@ from repro.storage.locks import (
 from repro.storage.query import (
     AccessKind,
     ReadAccess,
-    SPJQuery,
     equality_bindings,
-    evaluate,
     index_path_for,
 )
 from repro.storage.recovery import RecoveryReport, replay_log
@@ -89,7 +87,7 @@ from repro.storage.row import Row, RowId, ValueTuple
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import SnapshotDatabase, SnapshotView
 from repro.storage.ssi import SSITracker
-from repro.storage.types import SQLValue
+from repro.storage.store import StoreBase
 from repro.storage.wal import CheckpointImage, LogRecordType, WriteAheadLog
 
 
@@ -249,8 +247,14 @@ def ssi_write_items(
     ]
 
 
-class StorageEngine:
-    """Classical ACID transactions over a :class:`Database`."""
+class StorageEngine(StoreBase):
+    """Classical ACID transactions over a :class:`Database`.
+
+    The :class:`~repro.storage.protocol.Store` members whose bodies it
+    shares with the sharded engine appear here as ``name =
+    _locked(StoreBase.name)``: the one body, entered under the engine
+    mutex like every other public entry of this class.
+    """
 
     def __init__(
         self,
@@ -269,6 +273,8 @@ class StorageEngine:
         #: (= shard-index) order, which is how the sharded commit visits
         #: them.
         self.mutex = Latch("engine-mutex", ordered=True)
+        #: one pipeline, one latch: the shared bodies' small-counter latch.
+        self._meta_lock = self.mutex
         self.locks = LockManager()
         self.wal = WriteAheadLog()
         self.locking = locking
@@ -375,17 +381,7 @@ class StorageEngine:
             table.set_rid_namespace(idx + 1, n_shards)
         return table
 
-    @_locked
-    def load(self, table: str, rows: Iterable[Sequence]) -> int:
-        """Bulk-load through a system transaction so the data is WAL-logged
-        (and therefore survives crash recovery)."""
-        txn = self.begin()
-        count = 0
-        for values in rows:
-            self.insert(txn, table, values)
-            count += 1
-        self.commit(txn)
-        return count
+    load = _locked(StoreBase.load)
 
     # -- transaction lifecycle ------------------------------------------------------
 
@@ -396,8 +392,13 @@ class StorageEngine:
         *,
         txn_id: int | None = None,
         read_ts: int | None = None,
+        min_vector: "tuple[int, ...] | None" = None,
     ) -> int:
         """Begin a transaction.
+
+        ``min_vector`` is the store contract's read-your-writes floor; a
+        single timeline always begins on its freshest cut, which
+        dominates any floor taken from an acknowledged commit.
 
         ``txn_id`` lets a sharded coordinator impose its globally-unique
         transaction id on the shard-local transaction (so WAL records,
@@ -432,13 +433,7 @@ class StorageEngine:
         self.wal.append(LogRecordType.BEGIN, txn)
         return txn
 
-    @_locked
-    def isolation_of(self, txn: int) -> TxnIsolation:
-        """The isolation a transaction was begun with (any status)."""
-        try:
-            return self._contexts[txn].isolation
-        except KeyError:
-            raise TransactionStateError(f"unknown transaction {txn}") from None
+    isolation_of = _locked(StoreBase.isolation_of)
 
     def _context(self, txn: int) -> TxnContext:
         try:
@@ -610,20 +605,8 @@ class StorageEngine:
         ctx.intent_shared = _NO_TABLES
         return self.locks.release_all(txn) if self.locking else []
 
-    @_locked
-    def status(self, txn: int) -> TxnStatus:
-        try:
-            return self._contexts[txn].status
-        except KeyError:
-            raise TransactionStateError(f"unknown transaction {txn}") from None
-
-    @_locked
-    def context(self, txn: int) -> TxnContext:
-        """Expose read/write sets for the model recorder (any status)."""
-        try:
-            return self._contexts[txn]
-        except KeyError:
-            raise TransactionStateError(f"unknown transaction {txn}") from None
+    status = _locked(StoreBase.status)
+    context = _locked(StoreBase.context)
 
     # -- locking helpers --------------------------------------------------------------
 
@@ -782,79 +765,38 @@ class StorageEngine:
         engine mutex."""
         return SnapshotView(self.db.table(name), txn, read_ts, mutex=self.mutex)
 
-    @_locked
-    def observe_snapshot_read(self, txn: int, access) -> None:
-        """Read observer for snapshot evaluation: count and (for
-        SERIALIZABLE transactions) record the access in the SSI read
-        set.  Never locks, never raises — a doomed reader fails at its
-        own commit, not mid-evaluation."""
+    def _observe_snapshot_read(self, txn: int, access: ReadAccess) -> None:
         self.mvcc_stats["snapshot_reads"] += 1
         self._ssi_observe_read(txn, access)
+
+    #: Read observer for snapshot evaluation: count and (for
+    #: SERIALIZABLE transactions) record the access in the SSI read set.
+    #: Never locks, never raises — a doomed reader fails at its own
+    #: commit, not mid-evaluation.
+    observe_snapshot_read = _locked(_observe_snapshot_read)
 
     def _ssi_observe_read(self, txn: int, access: ReadAccess) -> None:
         self.ssi.record_read(txn, ssi_read_items(access))
 
-    @_locked
-    def serialization_doomed(self, txn: int) -> bool:
-        """Side-effect-free pre-check: would committing ``txn`` now fail
-        SSI validation?  Coordinators use this to keep a doomed member
-        from poisoning its commit group after partners committed."""
-        return self.ssi.serialization_doomed(txn)
-
-    @_locked
-    def serialization_doomed_group(self, txns: Sequence[int]) -> bool:
-        """Side-effect-free pre-check for an *atomic commit group*: would
-        committing ``txns`` in this order fail for any member, counting
-        the edges the group's own earlier commits create?  Coordinators
-        must consult this before committing the first member — a failure
-        midway would widow the already-committed ones."""
-        return self.ssi.group_doomed(txns)
+    serialization_doomed = _locked(StoreBase.serialization_doomed)
+    serialization_doomed_group = _locked(StoreBase.serialization_doomed_group)
 
     @_locked
     def grounding_hooks(self, txn: int):
-        """``(read_observer, provider_or_None)`` for grounding ``txn``'s
-        entangled queries — the single definition of the isolation split
-        both coordinators (the batch engine's evaluation round and the
-        interactive broker's match round) thread into ``evaluate_batch``:
-        SNAPSHOT/SERIALIZABLE transactions get a counting (and, for
-        SERIALIZABLE, read-set-recording) observer plus their snapshot
-        provider; 2PL transactions get the lock-acquiring observer and
-        read the live database.
-        """
-        if self.isolation_of(txn).uses_snapshot:
-            return (
-                lambda access, storage_txn=txn:
-                self.observe_snapshot_read(storage_txn, access),
-                self.snapshot_provider(txn),
-            )
-        return (
-            lambda access, storage_txn=txn:
-            self.lock_read_access(storage_txn, access),
-            None,
-        )
+        observe, provider = super().grounding_hooks(txn)
 
-    @_locked
-    def reads_from(self, txn: int, table: str) -> int | None:
-        """Which committed transaction's version of ``table`` a read by
-        ``txn`` observes: None for current (2PL) reads, for snapshot
-        reads the last committed writer at or below the snapshot
-        (0 = the initial bulk-loaded state).  This is the version
-        annotation the formal-model recorder attaches to reads.
+        def latched(access: ReadAccess) -> None:
+            # Grounding runs on the coordinator's thread, between this
+            # engine's calls: each observation enters the mutex itself.
+            with self.mutex:
+                observe(access)
 
-        The annotation stays the *snapshot* creator even when ``txn``
-        already wrote the table itself: the conflict analysis anchors rw
-        antidependencies at the snapshot (a writer committing between
-        the snapshot and ``txn``'s own commit must get the edge), and
-        the executor separately honours read-your-writes by preferring
-        the reader's own prior write of the object.
-        """
-        ctx = self._context(txn)
-        if not ctx.isolation.uses_snapshot:
-            return None
-        for commit_ts, writer in reversed(self._table_writers.get(table, ())):
-            if commit_ts <= ctx.read_ts:
-                return writer
-        return 0
+        return latched, provider
+
+    reads_from = _locked(StoreBase.reads_from)
+
+    def _read_position(self, ctx: TxnContext) -> int:
+        return ctx.read_ts
 
     @_locked
     def park_snapshot(self, txn: int) -> bool:
@@ -892,13 +834,7 @@ class StorageEngine:
         self.oracle.register_snapshot(txn, ctx.read_ts)
         self.ssi.refresh(txn, ctx.read_ts)
 
-    @_locked
-    def pin_snapshot(self, txn: int) -> None:
-        """Mark ``txn``'s snapshot as observed: information derived from
-        it (an entangled answer) reached the client, so
-        :meth:`refresh_snapshot` must refuse from now on — repeatability
-        wins over freshness."""
-        self._context(txn).snapshot_pinned = True
+    pin_snapshot = _locked(StoreBase.pin_snapshot)
 
     @_locked
     def refresh_snapshot(self, txn: int) -> bool:
@@ -942,20 +878,7 @@ class StorageEngine:
         removed = 0
         for name in self.db.table_names():
             removed += self.db.table(name).prune_versions(horizon)
-        # The committed-writer log only matters at/above the horizon:
-        # reads_from needs the newest entry at-or-below every live
-        # snapshot, so everything older than the newest-below-horizon
-        # entry can go — without this the log grows per writing commit
-        # forever.
-        for log in self._table_writers.values():
-            cut = 0
-            for i, (commit_ts, _writer) in enumerate(log):
-                if commit_ts <= horizon:
-                    cut = i
-                else:
-                    break
-            if cut:
-                del log[:cut]
+        self._trim_writer_logs(horizon)
         self._commits_since_vacuum = 0
         return removed
 
@@ -1075,100 +998,18 @@ class StorageEngine:
 
     # -- reads ------------------------------------------------------------------------
 
-    @_locked
-    def query(
-        self,
-        txn: int,
-        query: SPJQuery,
-        params: Mapping[str, "SQLValue | None"] | None = None,
-    ) -> list[tuple["SQLValue | None", ...]]:
-        """Run an SPJ query inside ``txn`` under access-path read locks.
+    query = _locked(StoreBase.query)
 
-        The evaluator reports each access path before using its rows; the
-        observer acquires the matching locks, so a conflict raises
-        :class:`WouldBlock` mid-evaluation with no unlocked data consumed
-        (reads have no side effects, so abandoning the evaluation is
-        safe — already-granted locks are simply retained, as 2PL wants).
+    def _merge_plan_stats(self, counts: Mapping[str, int]) -> None:
+        for key, count in counts.items():
+            self.plan_stats[key] = self.plan_stats.get(key, 0) + count
 
-        SNAPSHOT transactions instead evaluate against their snapshot
-        provider: version-chain reads, no locks, no waiting.
-        """
-        ctx = self._context(txn)
-        seen_tables: set[str] = set()
+    def _catalogs(self):
+        return (self.db,)
 
-        if ctx.isolation.uses_snapshot:
-            provider = self.snapshot_provider(txn)
-
-            def observe_snapshot(access: ReadAccess) -> None:
-                self.mvcc_stats["snapshot_reads"] += 1
-                self._ssi_observe_read(txn, access)
-                if access.table not in seen_tables:
-                    seen_tables.add(access.table)
-                    reads_from = self.reads_from(txn, access.table)
-                    ctx.reads.append(access.table)
-                    self._notify(
-                        txn, "read", access.table, reads_from=reads_from
-                    )
-
-            return evaluate(query, provider, params,
-                            read_observer=observe_snapshot,
-                            hints=self._plan_hints())
-
-        def observe(access: ReadAccess) -> None:
-            self._lock_read_access(ctx, access)
-            # The formal model works at table granularity: record one read
-            # per table per statement, after its locks are granted.
-            if access.table not in seen_tables:
-                seen_tables.add(access.table)
-                ctx.reads.append(access.table)
-                self._notify(txn, "read", access.table)
-
-        return evaluate(query, self.db, params, read_observer=observe,
-                        hints=self._plan_hints())
-
-    def _plan_hints(self):
-        from repro.storage.planner import PlanHints
-
-        return PlanHints(
-            ordered_indexes=self.ordered_indexes, stats=self.plan_stats
-        )
-
-    @_locked
-    def fallback_scan_counts(self) -> dict[str, int]:
-        """Per-table full-scan counters (``Table.fallback_scans``),
-        surfaced in run reports so workloads can assert an indexed range
-        query never degenerated into a scan."""
-        return {
-            name: getattr(self.db.table(name), "fallback_scans", 0)
-            for name in self.db.table_names()
-        }
-
-    @_locked
-    def take_fallback_scans(self) -> int:
-        """Full scans counted since the previous call: the interpreter
-        asks once after each SELECT, so one catalog walk per statement
-        attributes them."""
-        total = sum(self.fallback_scan_counts().values())
-        taken, self._fallback_scans_taken = (
-            total - self._fallback_scans_taken, total)
-        return taken
-
-    @_locked
-    def read_table(self, txn: int, table: str) -> list[Row]:
-        """Full-table read (used by tests and the recovery manager)."""
-        ctx = self._context(txn)
-        if ctx.isolation.uses_snapshot:
-            view = self.snapshot_provider(txn).table(table)
-            reads_from = self.reads_from(txn, table)
-            ctx.reads.append(table)
-            self._notify(txn, "read", table, reads_from=reads_from)
-            self.mvcc_stats["snapshot_reads"] += 1
-            self._ssi_observe_read(txn, ReadAccess.scan(table))
-            return list(view.scan())
-        self._lock(txn, table_resource(table), LockMode.SHARED)
-        ctx.reads.append(table)
-        self._notify(txn, "read", table)
-        return list(self.db.table(table).scan())
+    fallback_scan_counts = _locked(StoreBase.fallback_scan_counts)
+    take_fallback_scans = _locked(StoreBase.take_fallback_scans)
+    read_table = _locked(StoreBase.read_table)
 
     # -- writes -----------------------------------------------------------------------
 
@@ -1459,11 +1300,3 @@ class StorageEngine:
         :mod:`repro.storage.recovery`); committed transactions in
         ``demote`` are rolled back with the losers."""
         return replay_log(self, set(demote))
-
-    # -- internals ------------------------------------------------------------------------
-
-    def _notify(
-        self, txn: int, kind: str, table: str, reads_from: int | None = None
-    ) -> None:
-        for observer in self.observers:
-            observer(txn, kind, table, reads_from)

@@ -1,7 +1,15 @@
-"""The shard-engine contract, declared once.
+"""The storage contracts, declared once.
 
-Two structural interfaces everything above the storage substrate stands
-on.  Declarations only — no behaviour lives here.
+Three structural interfaces everything above the storage substrate
+stands on.  Declarations only — no behaviour lives here.
+
+:class:`Store` is what the middle tier — :mod:`repro.core`,
+:mod:`repro.client`, :mod:`repro.entangled` — calls on a store,
+enumerated from those call sites.  :class:`~repro.storage.engine.
+StorageEngine` and :class:`~repro.storage.sharding.ShardedStorageEngine`
+(with its process-backed and replicated subclasses) implement it; the
+members that mean the same over one timeline as over N have one body,
+in :class:`repro.storage.store.StoreBase`.
 
 :class:`ShardEngine` is what a sharded coordinator
 (:class:`~repro.storage.sharding.ShardedStorageEngine` and its
@@ -22,20 +30,23 @@ entangled grounding call on a table, whichever of the six providers in
 (live or at a vector), the remote view (live or at a snapshot), or
 grounding's positional facade.
 
-Both are ``runtime_checkable``; ``tests/storage/test_engine_contract.py``
-runs one behavioural script over a local and a remote shard and checks
-every implementation against them.
+All are ``runtime_checkable``.  ``tests/storage/test_store_contract.py``
+fails when the middle tier calls a store member :class:`Store` does not
+declare and drives one script over every store, step by step;
+``tests/storage/test_engine_contract.py`` does the same for a local and
+a remote shard.
 """
 
 from __future__ import annotations
 
 from typing import (
     TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Protocol,
-    Sequence, runtime_checkable,
+    Mapping, Sequence, runtime_checkable,
 )
 
 if TYPE_CHECKING:
     from repro.storage.engine import TxnIsolation
+    from repro.storage.query import SPJQuery
     from repro.storage.expressions import Expr
     from repro.storage.oracle import TimestampOracle
     from repro.storage.query import ReadAccess
@@ -187,3 +198,152 @@ class ShardEngine(Protocol):
     def version_stats(self) -> dict[str, int]: ...
 
     def chain_histograms(self) -> dict[str, dict[int, int]]: ...
+
+
+@runtime_checkable
+class Store(Protocol):
+    """A whole store, as the middle tier sees it.
+
+    One timeline or N shards, in this process or in workers, with or
+    without followers: the middle tier cannot tell and never asks.  A
+    topology with nothing to report for a member reports zero.
+    """
+
+    #: the catalog and live table provider: ``has_table``, ``table``,
+    #: ``create_table``, ``table_names``, ``plans``.
+    db: Any
+    #: the lock manager (or the sum of the shards'): ``stats``,
+    #: ``waiting(txn)``.
+    locks: Any
+    #: the SSI tracker deciding commits: ``stats``.
+    ssi: Any
+    #: callbacks ``(txn, "read" | "write" | "commit" | "abort", table,
+    #: reads_from)`` — how the schedule recorder listens.
+    observers: list
+    #: planner counters: ``index_range_scans``, ``seq_scans_avoided``,
+    #: ``sorts_elided``.
+    plan_stats: dict[str, int]
+    #: writing commits between automatic checkpoints (0 disables).
+    checkpoint_interval: int
+    #: writing commits whose writes spanned shards (two-phase commits).
+    cross_shard_commit_count: int
+    #: snapshot probes answered by a follower; leader failovers.
+    follower_read_count: int
+    promotion_count: int
+
+    @property
+    def n_shards(self) -> int: ...
+
+    # -- transactions ----------------------------------------------------------------
+
+    def begin(
+        self, isolation: TxnIsolation = ...,
+        *, min_vector: tuple[int, ...] | None = None,
+    ) -> int:
+        """Begin on a cut that dominates ``min_vector`` (what
+        :meth:`commit_vector` returned for commits the caller must see)."""
+
+    def commit(self, txn: int, *, flush: bool = True) -> list[int]:
+        """``flush=False`` defers the WAL flush to :meth:`flush_commits`;
+        the commit must not be acknowledged before it."""
+
+    def flush_commits(self, txns: Iterable[int]) -> None: ...
+
+    def abort(self, txn: int) -> list[int]: ...
+
+    def commit_funnel(self) -> ContextManager:
+        """Held across an atomic group's validate-and-commit sequence."""
+
+    def isolation_of(self, txn: int) -> TxnIsolation: ...
+
+    def serialization_doomed_group(self, txns: Sequence[int]) -> bool: ...
+
+    def commit_vector(self, txn: int) -> tuple[int, ...] | None: ...
+
+    # -- statements ------------------------------------------------------------------
+
+    def query(
+        self, txn: int, query: SPJQuery, params: Mapping | None = None
+    ) -> list[tuple]: ...
+
+    def read_table(self, txn: int, table: str) -> list[Row]: ...
+
+    def insert(self, txn: int, table_name: str, values: Sequence) -> Row: ...
+
+    def update(
+        self, txn: int, table_name: str, rid: int, values: Sequence
+    ) -> tuple[Row, Row]: ...
+
+    def delete(self, txn: int, table_name: str, rid: int) -> Row: ...
+
+    def update_where(
+        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
+        new_values: Callable[[Row], Sequence], *, where: Expr | None = None,
+    ) -> list[tuple[Row, Row]]: ...
+
+    def delete_where(
+        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
+        *, where: Expr | None = None,
+    ) -> list[Row]: ...
+
+    # -- entangled evaluation and the schedule recorder ------------------------------
+
+    def grounding_hooks(
+        self, txn: int
+    ) -> tuple[Callable[[ReadAccess], None], Any]:
+        """``(read observer, snapshot provider or None)`` for grounding
+        ``txn``'s entangled queries."""
+
+    def reads_from(self, txn: int, table: str) -> int | None: ...
+
+    def release_read_locks(self, txn: int) -> list[int]: ...
+
+    # -- snapshot lifetime of an idle interactive session ----------------------------
+
+    def park_snapshot(self, txn: int) -> bool: ...
+
+    def unpark_snapshot(self, txn: int) -> None: ...
+
+    def pin_snapshot(self, txn: int) -> None: ...
+
+    def refresh_snapshot(self, txn: int) -> bool: ...
+
+    # -- DDL / durability --------------------------------------------------------------
+
+    def create_table(self, schema: TableSchema) -> TableView: ...
+
+    def load(self, table: str, rows: Iterable[Sequence]) -> int: ...
+
+    def checkpoint(self) -> Any:
+        """Falsy when skipped (an active transaction holds writes)."""
+
+    def wals(self) -> list[WriteAheadLog]: ...
+
+    def durably_committed_txns(self) -> set[int]: ...
+
+    def crash(self) -> Store:
+        """Lose volatile state; the successor holds the flushed logs."""
+
+    def recover(self, demote: Iterable[int] = ...) -> RecoveryReport: ...
+
+    def close(self) -> None: ...
+
+    # -- statistics --------------------------------------------------------------------
+
+    def take_fallback_scans(self) -> int: ...
+
+    def fallback_scan_counts(self) -> dict[str, int]: ...
+
+    def shard_stats(self) -> list[dict[str, int]]: ...
+
+    def written_shards(self, txn: int) -> list[int]: ...
+
+    def shards_touched(self, txn: int) -> int: ...
+
+    def version_stats(self) -> dict[str, int]: ...
+
+    def chain_histograms(self) -> dict[str, dict[int, int]]: ...
+
+    def replication_lag(self) -> int: ...
+
+    def read_probe_counts(self) -> dict[str, int]: ...

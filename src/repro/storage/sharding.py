@@ -96,9 +96,7 @@ from repro.storage.expressions import Expr
 from repro.storage.query import (
     ReadAccess,
     AccessKind,
-    SPJQuery,
     equality_bindings,
-    evaluate,
     index_path_for,
 )
 from repro.storage.protocol import ShardEngine, TableView
@@ -106,8 +104,8 @@ from repro.storage.recovery import RecoveryReport
 from repro.storage.row import Row, RowId, ValueTuple
 from repro.storage.schema import TableSchema
 from repro.storage.ssi import SSITracker
+from repro.storage.store import StoreBase
 from repro.storage.table import Table
-from repro.storage.types import SQLValue
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 
@@ -412,14 +410,19 @@ class _AggregateLocks:
 # -- the engine ----------------------------------------------------------------------
 
 
-class ShardedStorageEngine:
-    """N shard-local engines behind the :class:`StorageEngine` protocol.
+class ShardedStorageEngine(StoreBase):
+    """N shard-local engines behind the :class:`~repro.storage.protocol.
+    Store` contract.
 
     Drop-in for the single-shard engine everywhere the middle tier uses
     one: the run-based scheduler, the interactive broker, the recovery
     manager and the benchmarks all work unchanged (``n_shards=1`` is the
     degenerate configuration, property-tested observationally equivalent
-    to a plain :class:`StorageEngine`).
+    to a plain :class:`StorageEngine`).  The contract members that mean
+    the same over N timelines as over one — ``query``, ``read_table``,
+    ``grounding_hooks``, ``reads_from``, ``load``, the fallback-scan
+    counters — are :class:`~repro.storage.store.StoreBase`'s; this class
+    supplies the primitives they stand on.
     """
 
     #: Latch discipline, machine-checked by ``latchlint`` (LL005): the
@@ -568,15 +571,6 @@ class ShardedStorageEngine:
             shard.create_table(schema)
         return ShardedTableView(self, schema.name)
 
-    def load(self, table: str, rows: Iterable[Sequence]) -> int:
-        txn = self.begin()
-        count = 0
-        for values in rows:
-            self.insert(txn, table, values)
-            count += 1
-        self.commit(txn)
-        return count
-
     # -- transaction lifecycle ------------------------------------------------------
 
     def begin(
@@ -643,18 +637,6 @@ class ShardedStorageEngine:
                 f"transaction {txn} is {ctx.status.value}, not active"
             )
         return ctx
-
-    def context(self, txn: int) -> ShardedTxnContext:
-        try:
-            return self._contexts[txn]
-        except KeyError:
-            raise TransactionStateError(f"unknown transaction {txn}") from None
-
-    def isolation_of(self, txn: int) -> TxnIsolation:
-        return self.context(txn).isolation
-
-    def status(self, txn: int) -> TxnStatus:
-        return self.context(txn).status
 
     def _ensure_shard_txn(self, txn: int, shard_idx: int) -> ShardEngine:
         """Begin ``txn``'s shard-local transaction on first touch."""
@@ -861,6 +843,9 @@ class ShardedStorageEngine:
             shard = self._ensure_shard_txn(txn, shard_idx)
             shard.lock_read_access(txn, access)
 
+    def _lock_read_access(self, ctx: ShardedTxnContext, access: ReadAccess) -> None:
+        self.lock_read_access(ctx.txn_id, access)
+
     def lock_table_shared(self, txn: int, table: str) -> None:
         for shard_idx in range(self.n_shards):
             shard = self._ensure_shard_txn(txn, shard_idx)
@@ -879,49 +864,23 @@ class ShardedStorageEngine:
         ctx = self._context(txn)
         return ShardedSnapshotDatabase(self, txn, ctx.vector)
 
-    def observe_snapshot_read(self, txn: int, access: ReadAccess) -> None:
+    def _observe_snapshot_read(self, txn: int, access: ReadAccess) -> None:
         with self._meta_lock:
             self._mvcc_local["snapshot_reads"] += 1
         self.ssi.record_read(txn, ssi_read_items(access))
 
-    def serialization_doomed(self, txn: int) -> bool:
-        return self.ssi.serialization_doomed(txn)
+    observe_snapshot_read = _observe_snapshot_read
 
-    def serialization_doomed_group(self, txns: Sequence[int]) -> bool:
-        return self.ssi.group_doomed(txns)
+    def _read_position(self, ctx: ShardedTxnContext) -> int:
+        """Version attribution runs on the *global* commit sequence.
 
-    def grounding_hooks(self, txn: int):
-        if self.isolation_of(txn).uses_snapshot:
-            return (
-                lambda access, storage_txn=txn:
-                self.observe_snapshot_read(storage_txn, access),
-                self.snapshot_provider(txn),
-            )
-        return (
-            lambda access, storage_txn=txn:
-            self.lock_read_access(storage_txn, access),
-            None,
-        )
-
-    def reads_from(self, txn: int, table: str) -> int | None:
-        """Version attribution on the *global* commit sequence.
-
-        The vector cut is captured atomically at begin (single-threaded
-        engine), so it equals the global prefix of commits at that
+        The vector cut is captured atomically at begin (under the commit
+        funnel), so it equals the global prefix of commits at that
         instant — the last global writer at/below the transaction's
         begin sequence is exactly the writer whose table state the
         vector observes, whichever shards it wrote.
         """
-        ctx = self.context(txn)
-        if not ctx.isolation.uses_snapshot:
-            return None
-        for commit_seq, writer in reversed(self._table_writers.get(table, ())):
-            if commit_seq <= ctx.read_seq:
-                return writer
-        return 0
-
-    def pin_snapshot(self, txn: int) -> None:
-        self._context(txn).snapshot_pinned = True
+        return ctx.read_seq
 
     def park_snapshot(self, txn: int) -> bool:
         """Release a clean transaction's horizon registrations in every
@@ -1007,22 +966,11 @@ class ShardedStorageEngine:
                 None if horizon is None
                 else min(horizon, shard.oracle.last_commit_ts)
             )
-        # Trim the global reads-from log exactly as the single-shard
-        # engine trims its per-table writer log: keep the newest entry
-        # at-or-below every live snapshot's sequence.
+        # The global reads-from log is kept on the commit sequence, so
+        # its horizon is the oldest live snapshot's sequence.
         with self._commit_lock:
-            seq_horizon = min(
-                self._active_seqs.values(), default=self._commit_seq
-            )
-            for log in self._table_writers.values():
-                cut = 0
-                for i, (commit_seq, _writer) in enumerate(log):
-                    if commit_seq <= seq_horizon:
-                        cut = i
-                    else:
-                        break
-                if cut:
-                    del log[:cut]
+            self._trim_writer_logs(
+                min(self._active_seqs.values(), default=self._commit_seq))
         return removed
 
     def version_stats(self) -> dict[str, int]:
@@ -1119,101 +1067,15 @@ class ShardedStorageEngine:
                 totals[key] += shard.checkpoint_stats[key]
         return totals
 
-    # -- reads --------------------------------------------------------------------------
+    # -- reads (bodies in StoreBase) ------------------------------------------------------
 
-    def query(
-        self,
-        txn: int,
-        query: SPJQuery,
-        params: Mapping[str, "SQLValue | None"] | None = None,
-    ) -> list[tuple["SQLValue | None", ...]]:
-        ctx = self._context(txn)
-        seen_tables: set[str] = set()
-        # Plan counters land in a query-local dict and merge under the
-        # meta latch after evaluation: the coordinator plans without any
-        # latch held, so incrementing the shared ``plan_stats`` in place
-        # would race concurrent workers' queries (lost updates).
-        local_stats: dict[str, int] = {}
-
-        try:
-            if ctx.isolation.uses_snapshot:
-                provider = self.snapshot_provider(txn)
-
-                def observe_snapshot(access: ReadAccess) -> None:
-                    self.observe_snapshot_read(txn, access)
-                    if access.table not in seen_tables:
-                        seen_tables.add(access.table)
-                        reads_from = self.reads_from(txn, access.table)
-                        ctx.reads.append(access.table)
-                        self._notify(
-                            txn, "read", access.table, reads_from=reads_from
-                        )
-
-                return evaluate(query, provider, params,
-                                read_observer=observe_snapshot,
-                                hints=self._plan_hints(local_stats))
-
-            def observe(access: ReadAccess) -> None:
-                self.lock_read_access(txn, access)
-                if access.table not in seen_tables:
-                    seen_tables.add(access.table)
-                    ctx.reads.append(access.table)
-                    self._notify(txn, "read", access.table)
-
-            return evaluate(query, self.db, params, read_observer=observe,
-                            hints=self._plan_hints(local_stats))
-        finally:
-            if local_stats:
-                with self._meta_lock:
-                    for key, count in local_stats.items():
-                        self.plan_stats[key] = (
-                            self.plan_stats.get(key, 0) + count
-                        )
-
-    def _plan_hints(self, stats: "dict[str, int] | None" = None):
-        from repro.storage.planner import PlanHints
-
-        return PlanHints(
-            ordered_indexes=self.ordered_indexes,
-            stats=self.plan_stats if stats is None else stats,
-        )
-
-    def fallback_scan_counts(self) -> dict[str, int]:
-        """Per-table full-scan counters, summed across the shards."""
-        counts: dict[str, int] = {}
-        for name in self.db.table_names():
-            counts[name] = sum(
-                getattr(shard.db.table(name), "fallback_scans", 0)
-                for shard in self.shards
-            )
-        return counts
-
-    def take_fallback_scans(self) -> int:
-        """Full scans counted since the previous call (see
-        :meth:`StorageEngine.take_fallback_scans`)."""
-        total = sum(self.fallback_scan_counts().values())
+    def _merge_plan_stats(self, counts: Mapping[str, int]) -> None:
         with self._meta_lock:
-            # Two workers may have summed in either order: never hand
-            # out a scan twice, never a negative count.
-            taken = max(0, total - self._fallback_scans_taken)
-            self._fallback_scans_taken += taken
-        return taken
+            for key, count in counts.items():
+                self.plan_stats[key] = self.plan_stats.get(key, 0) + count
 
-    def read_table(self, txn: int, table: str) -> list[Row]:
-        ctx = self._context(txn)
-        if ctx.isolation.uses_snapshot:
-            view = self.snapshot_provider(txn).table(table)
-            reads_from = self.reads_from(txn, table)
-            ctx.reads.append(table)
-            self._notify(txn, "read", table, reads_from=reads_from)
-            with self._meta_lock:
-                self._mvcc_local["snapshot_reads"] += 1
-            self.ssi.record_read(txn, ssi_read_items(ReadAccess.scan(table)))
-            return list(view.scan())
-        self.lock_table_shared(txn, table)
-        ctx.reads.append(table)
-        self._notify(txn, "read", table)
-        return list(self.db.table(table).scan())
+    def _catalogs(self):
+        return [shard.db for shard in self.shards]
 
     # -- writes -------------------------------------------------------------------------
 
@@ -1433,14 +1295,6 @@ class ShardedStorageEngine:
     def recover(self, demote: Iterable[int] = frozenset()) -> RecoveryReport:
         """Restart recovery of the ensemble (post-:meth:`crash`)."""
         return recover_sharded(self, demote_to_loser=demote)
-
-    # -- internals ------------------------------------------------------------------------
-
-    def _notify(
-        self, txn: int, kind: str, table: str, reads_from: int | None = None
-    ) -> None:
-        for observer in self.observers:
-            observer(txn, kind, table, reads_from)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ShardedStorageEngine(n_shards={self.n_shards})"

@@ -453,11 +453,19 @@ class Table:
                 del self._pk_index[old_key]
             if new_key is not None:
                 self._pk_index[new_key] = rid
+        # Only the indexes whose key the update changes are touched: a
+        # row keeps its place in every bucket and tree it already
+        # occupies under an equal key.
         for index in self._secondary:
-            index.remove(rid, old.values)
-            index.add(rid, canonical)
-        self._ordered_remove(rid, old.values)
-        self._ordered_add(rid, canonical)
+            if index.key_for(old.values) != index.key_for(canonical):
+                index.remove(rid, old.values)
+                index.add(rid, canonical)
+        for cols, tree in self._ordered.items():
+            old_entry = self._ordered_key(cols, old.values)
+            new_entry = self._ordered_key(cols, canonical)
+            if old_entry != new_entry:
+                tree.remove(old_entry, rid)
+                tree.add(new_entry, rid)
         if versioned:
             # Only key-changing updates leave a historic rid behind: a
             # row whose index keys are unchanged stays reachable through

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.storage import Database, StorageEngine
@@ -11,6 +14,10 @@ from repro.workloads import (
     example_schema,
     figure1_rows,
 )
+
+#: ``tests/core/_batch.py`` builds engines and brokers through
+#: ``connect()`` for suites in every test directory.
+sys.path.insert(0, str(Path(__file__).parent / "core"))
 
 
 @pytest.fixture

@@ -275,6 +275,22 @@ class TestCloseAndCrash:
         assert (3, 77) in recovered.query("SELECT k, v FROM Items")
         recovered.close()
 
+    def test_crash_and_recover_keeps_admission_and_run_policy(self):
+        from repro import AdmissionConfig, ArrivalCountPolicy, OverloadError
+
+        admission = AdmissionConfig(max_sessions=1)
+        db = make_db(
+            config=EngineConfig(persist_state=True),
+            admission=admission, policy=ArrivalCountPolicy(3),
+        )
+        recovered, _report = db.crash_and_recover()
+        assert recovered.engine.policy == ArrivalCountPolicy(3)
+        assert recovered.admission is admission
+        recovered.session("first")
+        with pytest.raises(OverloadError):
+            recovered.session("second")
+        recovered.close()
+
 
 class TestAbandonedSessionsAndVacuum:
     """Satellite regression: abandoned sessions never pin the vacuum

@@ -19,13 +19,12 @@ import threading
 
 import pytest
 
+from _batch import engine_for
 from repro.core.engine import (
     EngineConfig,
-    EntangledTransactionEngine,
     IsolationConfig,
 )
 from repro.core.executor import ExecutorClosed, ShardExecutor
-from repro.core.policies import ManualPolicy
 from repro.core.recorder import ScheduleRecorder
 from repro.errors import (
     DeadlockError,
@@ -316,12 +315,11 @@ class TestEngineUnderExecutor:
             primary_key=["id"],
         ))
         store.load("Accounts", [(i, 100) for i in range(32)])
-        engine = EntangledTransactionEngine(
+        engine = engine_for(
             store,
             EngineConfig(
                 isolation=IsolationConfig.SNAPSHOT, executor=executor
             ),
-            ManualPolicy(),
         )
         return store, engine
 
@@ -380,8 +378,7 @@ class TestEngineUnderExecutor:
         store.create_table(TableSchema.build(
             "Picks", [("who", ColumnType.TEXT), ("s", ColumnType.INTEGER)]))
         store.load("Slots", [(1,), (2,)])
-        engine = EntangledTransactionEngine(
-            store, EngineConfig(executor=True), ManualPolicy())
+        engine = engine_for(store, EngineConfig(executor=True))
         try:
             for me, friend in (("a", "b"), ("b", "a")):
                 engine.submit(f"""

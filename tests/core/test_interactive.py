@@ -2,6 +2,7 @@
 
 import pytest
 
+from _batch import broker_for
 from repro.core.interactive import InteractiveBroker, SessionState
 from repro.errors import MiddlewareError
 from repro.storage import ColumnType, StorageEngine, TableSchema
@@ -15,7 +16,7 @@ def broker() -> InteractiveBroker:
     store.create_table(TableSchema.build(
         "Picks", [("who", ColumnType.TEXT), ("item", ColumnType.INTEGER)]))
     store.load("Items", [(1,), (2,), (3,)])
-    return InteractiveBroker(store)
+    return broker_for(store)
 
 
 PICK = """

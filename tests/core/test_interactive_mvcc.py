@@ -8,6 +8,7 @@ cancelled query releases its snapshot so vacuum can reclaim versions.
 
 import pytest
 
+from _batch import broker_for
 from repro.core.interactive import InteractiveBroker, SessionState
 from repro.storage import (
     ColumnType,
@@ -29,7 +30,7 @@ def broker() -> InteractiveBroker:
         primary_key=["k"]))
     store.load("Items", [(1,), (2,), (3,)])
     store.load("Stock", [(1, 10)])
-    return InteractiveBroker(store)
+    return broker_for(store)
 
 
 PICK = """

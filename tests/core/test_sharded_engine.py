@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _batch import engine_for
 from repro.core.engine import (
     EngineConfig,
-    EntangledTransactionEngine,
     IsolationConfig,
 )
 from repro.client import connect
@@ -89,9 +89,7 @@ def workloads(draw):
 def run_workload(mode: IsolationConfig, n_shards: int, workload):
     programs, order, chunks = workload
     store = build_store(n_shards)
-    engine = EntangledTransactionEngine(
-        store, EngineConfig(isolation=mode), ManualPolicy()
-    )
+    engine = engine_for(store, EngineConfig(isolation=mode))
     handles = [engine.submit(p, client=f"c{i}") for i, p in enumerate(programs)]
     shuffled = [handles[i] for i in order]
     position = 0
@@ -136,10 +134,8 @@ class TestShardedEngineEquivalence:
 class TestPerShardReporting:
     def test_run_report_carries_per_shard_counters(self):
         store = build_store(4)
-        engine = EntangledTransactionEngine(
-            store, EngineConfig(isolation=IsolationConfig.SNAPSHOT),
-            ManualPolicy(),
-        )
+        engine = engine_for(
+            store, EngineConfig(isolation=IsolationConfig.SNAPSHOT))
         # One single-shard txn per table: commits land on each table's
         # home shard; the cross-table txn below crosses shards.
         for name in TABLES:
@@ -165,7 +161,7 @@ class TestPerShardReporting:
 
     def test_single_shard_store_reports_one_element_lists(self):
         store = build_store(1)
-        engine = EntangledTransactionEngine(store, EngineConfig(), ManualPolicy())
+        engine = engine_for(store)
         engine.submit(
             "BEGIN TRANSACTION; UPDATE T0 SET v = v + 1 WHERE k = 0; COMMIT;"
         )
@@ -254,9 +250,7 @@ class TestEntangledOverShards:
         from repro.workloads import example_schema, figure1_rows
 
         store = ShardedStorageEngine(n_shards)
-        engine = EntangledTransactionEngine(
-            store, EngineConfig(isolation=mode), ManualPolicy()
-        )
+        engine = engine_for(store, EngineConfig(isolation=mode))
         for schema in example_schema():
             store.create_table(schema)
         for table, rows in figure1_rows().items():
@@ -290,7 +284,7 @@ class TestEntangledRecoverySharded:
     def test_recover_entangled_rebuilds_pool_from_shard_wals(self):
         store = ShardedStorageEngine(2)
         config = EngineConfig(persist_state=True)
-        engine = EntangledTransactionEngine(store, config, ManualPolicy())
+        engine = engine_for(store, config)
         store.create_table(TableSchema.build(
             "T",
             [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],

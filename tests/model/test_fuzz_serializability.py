@@ -50,12 +50,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _batch import engine_for
 from repro.core.engine import (
     EngineConfig,
     EntangledTransactionEngine,
     IsolationConfig,
 )
-from repro.core.policies import ManualPolicy
 from repro.core.transaction import TxnPhase
 from repro.model.anomalies import (
     find_conflict_cycles,
@@ -118,7 +118,7 @@ def build_engine(mode: IsolationConfig) -> EntangledTransactionEngine:
     config = EngineConfig(
         isolation=mode, record_schedule=True, executor=USE_EXECUTOR
     )
-    return EntangledTransactionEngine(store, config, ManualPolicy())
+    return engine_for(store, config)
 
 
 @st.composite

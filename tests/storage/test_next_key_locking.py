@@ -13,12 +13,11 @@ it outright via next-key locks — with zero whole-table S grants.
 
 import pytest
 
+from _batch import engine_for
 from repro.core.engine import (
     EngineConfig,
-    EntangledTransactionEngine,
     IsolationConfig,
 )
-from repro.core.policies import ManualPolicy
 from repro.core.transaction import TxnPhase
 from repro.sql import parse_statement
 from repro.sql.compiler import compile_select
@@ -127,7 +126,7 @@ PHANTOM_SKEW = (
 def build_engine(shards, isolation):
     store = build_store(shards)
     config = EngineConfig(isolation=isolation, connections=10)
-    return EntangledTransactionEngine(store, config, ManualPolicy())
+    return engine_for(store, config)
 
 
 class TestPhantomWriteSkew:

@@ -9,12 +9,11 @@ observable.
 
 from __future__ import annotations
 
+from _batch import engine_for
 from repro.core.engine import (
     EngineConfig,
-    EntangledTransactionEngine,
     IsolationConfig,
 )
-from repro.core.policies import ManualPolicy
 from repro.storage import (
     ColumnType,
     StorageEngine,
@@ -101,10 +100,8 @@ class TestChainHistogramsInRunReport:
             primary_key=["k"],
         ))
         store.load("T", [(k, 0) for k in range(4)])
-        engine = EntangledTransactionEngine(
-            store, EngineConfig(isolation=IsolationConfig.SNAPSHOT),
-            ManualPolicy(),
-        )
+        engine = engine_for(
+            store, EngineConfig(isolation=IsolationConfig.SNAPSHOT))
         engine.submit(
             "BEGIN TRANSACTION; UPDATE T SET v = v + 1 WHERE k = 0; COMMIT;"
         )
