@@ -155,6 +155,9 @@ class _PositionalTable:
     def __len__(self):
         return len(self._table)
 
+    def row_estimate(self):
+        return self._table.row_estimate()
+
     def scan(self):
         return self._table.scan()
 

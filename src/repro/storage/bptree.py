@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import datetime
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 from repro.errors import StorageError
 
@@ -221,7 +221,7 @@ class BPlusTree:
             return frozenset(leaf.rids[i])
         return frozenset()
 
-    def items(
+    def walk(
         self,
         lo: "Sequence | None" = None,
         hi: "Sequence | None" = None,
@@ -229,31 +229,35 @@ class BPlusTree:
         lo_inc: bool = True,
         hi_inc: bool = True,
         reverse: bool = False,
-    ) -> Iterator[tuple[tuple, frozenset[int]]]:
-        """Yield ``(key, rids)`` for keys within the bounds, in order.
+    ) -> Iterator[tuple[tuple, tuple, AbstractSet[int]]]:
+        """Yield ``(sort key, key, rids)`` for keys within the bounds, in
+        order — the one leaf-chain walk every read below is a view of.
 
         ``None`` bounds are open ends.  ``reverse=True`` walks the leaf
-        chain right-to-left (DESC index scans).
+        chain right-to-left (DESC index scans).  ``rids`` is the posting
+        itself, not a copy: every caller consumes it before the tree's
+        next mutation (tables are read and written under one engine
+        mutex), and the key-only reads never look at it.
         """
         slo = sort_key(tuple(lo)) if lo is not None else None
         shi = sort_key(tuple(hi)) if hi is not None else None
-
-        def in_lo(skey: tuple) -> bool:
-            return slo is None or (skey >= slo if lo_inc else skey > slo)
-
-        def in_hi(skey: tuple) -> bool:
-            return shi is None or (skey <= shi if hi_inc else skey < shi)
-
+        # Either way: bisect to the near bound once, then only the far
+        # bound is left to check per key.
         if not reverse:
-            leaf = self._leaf_for(slo) if slo is not None else self._leftmost()
+            if slo is None:
+                leaf, start = self._leftmost(), 0
+            else:
+                leaf = self._leaf_for(slo)
+                start = (bisect_left if lo_inc else bisect_right)(leaf.skeys, slo)
             while leaf is not None:
-                for i, skey in enumerate(leaf.skeys):
-                    if not in_lo(skey):
-                        continue
-                    if not in_hi(skey):
+                skeys = leaf.skeys
+                for i in range(start, len(skeys)):
+                    if shi is not None and not (
+                        skeys[i] <= shi if hi_inc else skeys[i] < shi
+                    ):
                         return
-                    yield leaf.keys[i], frozenset(leaf.rids[i])
-                leaf = leaf.next
+                    yield skeys[i], leaf.keys[i], leaf.rids[i]
+                leaf, start = leaf.next, 0
             return
         leaf = self._leaf_for(shi) if shi is not None else self._rightmost()
         # The descent for ``shi`` may land one leaf left of keys equal to
@@ -262,25 +266,29 @@ class BPlusTree:
             shi is None or (leaf.next.skeys and leaf.next.skeys[0] <= shi)
         ):
             leaf = leaf.next
-        while leaf is not None:
-            for i in range(len(leaf.skeys) - 1, -1, -1):
-                skey = leaf.skeys[i]
-                if not in_hi(skey):
-                    continue
-                if not in_lo(skey):
+        skeys = leaf.skeys
+        end = len(skeys) if shi is None else (
+            bisect_right if hi_inc else bisect_left)(skeys, shi)
+        while True:
+            for i in range(end - 1, -1, -1):
+                if slo is not None and not (
+                    skeys[i] >= slo if lo_inc else skeys[i] > slo
+                ):
                     return
-                yield leaf.keys[i], frozenset(leaf.rids[i])
+                yield skeys[i], leaf.keys[i], leaf.rids[i]
             leaf = leaf.prev
+            if leaf is None:
+                return
+            skeys = leaf.skeys
+            end = len(skeys)
 
-    def keys_in_range(
-        self,
-        lo: "Sequence | None" = None,
-        hi: "Sequence | None" = None,
-        *,
-        lo_inc: bool = True,
-        hi_inc: bool = True,
-    ) -> list[tuple]:
-        return [key for key, _ in self.items(lo, hi, lo_inc=lo_inc, hi_inc=hi_inc)]
+    def items(self, lo=None, hi=None, **bounds):
+        """``(key, rids)`` per key within the bounds, in order — bounds
+        and ``rids`` as for :meth:`walk` (valid until the next mutation)."""
+        return ((key, rids) for _skey, key, rids in self.walk(lo, hi, **bounds))
+
+    def keys_in_range(self, lo=None, hi=None, **bounds) -> list[tuple]:
+        return [key for _skey, key, _rids in self.walk(lo, hi, **bounds)]
 
     def successor(
         self, bound: "Sequence | None", *, strict: bool = True
@@ -291,16 +299,20 @@ class BPlusTree:
         :data:`SUPREMUM`."""
         if bound is None:
             return SUPREMUM
-        for key, _ in self.items(lo=bound, lo_inc=not strict):
-            return key
+        # Once per ordered index per INSERT (the inserter's gap lock), so
+        # a bisect and at most a hop over emptied leaves, not a walk.
+        skey = sort_key(tuple(bound))
+        leaf = self._leaf_for(skey)
+        i = (bisect_right if strict else bisect_left)(leaf.skeys, skey)
+        while leaf is not None:
+            if i < len(leaf.skeys):
+                return leaf.keys[i]
+            leaf, i = leaf.next, 0
         return SUPREMUM
 
     def min_key(self) -> "tuple | None":
-        for key, _ in self.items():
-            return key
-        return None
+        return next((key for _skey, key, _rids in self.walk()), None)
 
     def max_key(self) -> "tuple | None":
-        for key, _ in self.items(reverse=True):
-            return key
-        return None
+        return next(
+            (key for _skey, key, _rids in self.walk(reverse=True)), None)

@@ -225,11 +225,19 @@ def ssi_read_items(access: ReadAccess) -> list:
         # A key *interval*, not a point: the tracker matches it against
         # committed/later writes of any ixkey inside the bounds, which is
         # how serializable range reads see phantom rw-antidependencies.
+        # A leaf that spent its LIMIT stopped at ``access.stop``: rows
+        # past it could not have changed what it returned, so the
+        # interval ends there — inclusively, since a new row under that
+        # very key may still sort before the one it stopped at.
         assert access.index is not None
-        return [(
-            "ixrange", access.table, access.index,
-            access.lo, access.hi, access.lo_inc, access.hi_inc,
-        )]
+        lo, hi, lo_inc, hi_inc = (
+            access.lo, access.hi, access.lo_inc, access.hi_inc)
+        if access.stop is not None:
+            if access.reverse:
+                lo, lo_inc = access.stop, True
+            else:
+                hi, hi_inc = access.stop, True
+        return [("ixrange", access.table, access.index, lo, hi, lo_inc, hi_inc)]
     assert access.rid is not None
     return [RowId(access.table, access.rid)]
 
@@ -658,31 +666,26 @@ class StorageEngine(StoreBase):
                 LockMode.SHARED,
             )
         elif access.kind is AccessKind.INDEX_RANGE:
-            # Next-key locking: IS on the table, S on every index key
-            # currently inside the bounds, and S on the right fencepost —
-            # the first existing key past the upper bound (SUPREMUM when
-            # none).  An inserter IX-locks the successor of each key it
-            # creates, so a phantom landing anywhere in the range meets
-            # one of these S locks.  Zero table S locks involved.
+            # Next-key locking: IS on the table, S on the index keys
+            # currently inside the bounds — all of them, or with a
+            # ``limit`` those the consumer's prefix sits under — and S
+            # on the right fencepost, the first existing key past the
+            # upper bound (SUPREMUM when none), unless a forward scan
+            # stops short of it.  An inserter IX-locks the successor of
+            # each key it creates, so a phantom landing anywhere it
+            # could change the answer meets one of these S locks.  Zero
+            # table S locks involved.
             assert access.index is not None
-            table = self.db.table(access.table)
-            for key in table.ordered_keys_in_range(
+            for key in self.db.table(access.table).ordered_keys_in_range(
                 access.index, access.lo, access.hi,
                 lo_inc=access.lo_inc, hi_inc=access.hi_inc,
+                reverse=access.reverse, limit=access.limit,
             ):
                 self._lock(
                     txn,
                     index_key_resource(access.table, access.index, key),
                     LockMode.SHARED,
                 )
-            fence = table.successor_key(
-                access.index, access.hi, strict=access.hi_inc
-            )
-            self._lock(
-                txn,
-                index_key_resource(access.table, access.index, fence),
-                LockMode.SHARED,
-            )
         else:  # AccessKind.ROW
             assert access.rid is not None
             self._lock(txn, RowId(access.table, access.rid), LockMode.SHARED)
@@ -774,6 +777,14 @@ class StorageEngine(StoreBase):
     #: Never locks, never raises — a doomed reader fails at its own
     #: commit, not mid-evaluation.
     observe_snapshot_read = _locked(_observe_snapshot_read)
+
+    def _observe_snapshot_reads(
+        self, txn: int, accesses: Sequence[ReadAccess]
+    ) -> None:
+        self.mvcc_stats["snapshot_reads"] += len(accesses)
+        # Lazily: the tracker asks for no item of an untracked reader.
+        self.ssi.record_read(txn, (
+            item for access in accesses for item in ssi_read_items(access)))
 
     def _ssi_observe_read(self, txn: int, access: ReadAccess) -> None:
         self.ssi.record_read(txn, ssi_read_items(access))

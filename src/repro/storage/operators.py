@@ -22,9 +22,10 @@ Two operator families:
   met, or a join level that stops pulling, leaves the rest of the probed
   key's rows unobserved (a materialising :class:`Sort` or
   :class:`Distinct` above still examines every row).  A range scan
-  observes the rows it fetched up front — its next-key locks already
-  cover every key in the bounds.  Either way an observer that raises
-  aborts evaluation with nothing unlocked consumed.
+  observes the rows it fetched in one batch, before the first is used —
+  and fetches, like it locks, only the prefix the consumer pulls when
+  the planner handed it the query's LIMIT.  Either way an observer that
+  raises aborts evaluation with nothing unlocked consumed.
 
 * **Pipeline operators** (:class:`NestedLoopJoin`, :class:`Filter`,
   :class:`Project`, :class:`Distinct`, :class:`Sort`, :class:`Limit`)
@@ -150,17 +151,23 @@ class IndexPoint:
 class IndexRange:
     """Ordered-index range scan: in-order candidates between bounds.
 
-    The range access is observed first (the engine turns it into IS +
-    next-key S locks: every in-range key plus the right fencepost), then
-    every fetched row (row S) before the first is used: the keys those
-    rows sit under are all locked by the range access already, so unlike
-    a point probe there is no narrower lock set to be had by waiting —
-    not until next-key locking itself becomes pull-driven.  Bounds prune
-    candidates only — residual conjuncts are still re-checked by the
-    pipeline, so the result set is identical to a filtered scan.
-    ``limit`` (set by the planner only when the query's LIMIT provably
-    applies here) caps the rows fetched and row-observed; the observed
-    range access keeps its full bounds.
+    Bounds prune candidates only — residual conjuncts are still
+    re-checked by the pipeline, so the result set is identical to a
+    filtered scan.  ``limit`` is set by the planner only when the
+    query's LIMIT provably applies here: the scan's first ``limit`` rows
+    are the answer, so that prefix is all the leaf fetches and all it
+    reports.  Three steps, in this order:
+
+    1. the range access is observed *before* the probe, carrying the
+       bounds, the direction and the budget — under 2PL the engine turns
+       it into IS + next-key S locks on the keys that prefix sits under
+       (every in-range key plus the right fencepost when there is no
+       budget);
+    2. the fetch;
+    3. every fetched row is observed (row S) before the first is used,
+       as one batch, together with the range access *as consumed*: with
+       the budget spent its ``stop`` is the last fetched row's key, and
+       that — not ``hi`` — is where the SIREAD interval ends.
     """
 
     def __init__(
@@ -178,38 +185,28 @@ class IndexRange:
         self.cols = cols
         self.lo = lo
         self.hi = hi
-        self.lo_inc = lo_inc
-        self.hi_inc = hi_inc
-        self.reverse = reverse
-        self.limit = limit
+        #: bound inclusivity, direction and budget: what the scan and the
+        #: observed access are both given.
+        self.scan = dict(
+            lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse, limit=limit)
 
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
         ctx.bump("index_range_scans")
         ctx.bump("seq_scans_avoided")
         observe = ctx.observe
-        if observe is not None:
-            observe(
-                ReadAccess.index_range(
-                    self.ref_name,
-                    table.canonical_index(self.cols),
-                    self.lo,
-                    self.hi,
-                    lo_inc=self.lo_inc,
-                    hi_inc=self.hi_inc,
-                )
-            )
-        rows = table.range_scan(
-            self.cols,
-            self.lo,
-            self.hi,
-            lo_inc=self.lo_inc,
-            hi_inc=self.hi_inc,
-            reverse=self.reverse,
-            limit=self.limit,
-        )
-        if observe is not None:
-            for row in rows:
-                observe(ReadAccess.row(self.ref_name, row.rid))
+        if observe is None:
+            return table.range_scan(self.cols, self.lo, self.hi, **self.scan)
+        path = ReadAccess.index_range(
+            self.ref_name, table.canonical_index(self.cols),
+            self.lo, self.hi, **self.scan)
+        observe(path)
+        rows = table.range_scan(self.cols, self.lo, self.hi, **self.scan)
+        if rows and len(rows) == path.limit:
+            positions = [table.schema.column_index(c) for c in self.cols]
+            last = rows[-1].values
+            path = path._replace(stop=tuple([last[p] for p in positions]))
+        observe.many(
+            [ReadAccess.row(self.ref_name, row.rid) for row in rows], path)
         return rows
 
 

@@ -500,12 +500,7 @@ class _JoinLevel:
         if self.ranges:
             bounds, consumed = self._bounds(env)
             if bounds:
-                # Only now is the table's size worth asking for: on a
-                # snapshot view it costs a visibility scan.
-                try:
-                    n = len(table)
-                except TypeError:
-                    n = 1024  # facade without __len__: assume scanning hurts
+                n = table.row_estimate()
                 best = None
                 for column, (lo, hi) in bounds.items():
                     cost = _range_cost(n, lo, hi)

@@ -64,6 +64,11 @@ class TableView(Protocol):
 
     def __len__(self) -> int: ...
 
+    def row_estimate(self) -> int:
+        """Roughly how many rows, in O(1) and without a round trip — the
+        live count, whatever the view's snapshot.  Costing reads this;
+        ``len`` is exact and may scan."""
+
     def scan(self) -> Iterable[Row]:
         """Every row, in rid order."""
 

@@ -120,7 +120,18 @@ class ReadAccess(NamedTuple):
       ``lo_inc``/``hi_inc`` give bound inclusivity).  The engine answers
       with IS-table + *next-key* S locks: every in-range key plus the
       right-fencepost successor, so phantom inserts collide without any
-      table S lock.
+      table S lock.  ``lo``/``hi`` are always the query's bounds; what
+      the consumer takes of them travels beside:
+
+      - ``reverse`` / ``limit`` — the scan's direction, and the leaf's
+        budget: set only when the planner proved the scan's first
+        ``limit`` rows *are* the answer.  Known before the probe:
+        next-key locking stops at the key that completes them.
+      - ``stop`` — the key of the last row fetched, set once the budget
+        was spent (None while unknown, and when the range ran out
+        first).  Known after the fetch: SSI records the interval
+        ``[lo, stop]`` (``[stop, hi]`` for a reverse scan, end
+        inclusive) instead of ``[lo, hi]``.
     * ``ROW`` — a row produced by an index probe; the engine answers with
       IS-table + row S.
     """
@@ -134,6 +145,9 @@ class ReadAccess(NamedTuple):
     hi: tuple | None = None
     lo_inc: bool = True
     hi_inc: bool = True
+    limit: int | None = None
+    reverse: bool = False
+    stop: tuple | None = None
 
     @classmethod
     def scan(cls, table: str) -> "ReadAccess":
@@ -161,6 +175,8 @@ class ReadAccess(NamedTuple):
         *,
         lo_inc: bool = True,
         hi_inc: bool = True,
+        limit: int | None = None,
+        reverse: bool = False,
     ) -> "ReadAccess":
         return cls(
             AccessKind.INDEX_RANGE,
@@ -170,12 +186,51 @@ class ReadAccess(NamedTuple):
             hi=tuple(hi) if hi is not None else None,
             lo_inc=lo_inc,
             hi_inc=hi_inc,
+            limit=limit,
+            reverse=reverse,
         )
 
 
 #: Called with each :class:`ReadAccess` the evaluator performs, before the
-#: covered rows are used.
+#: covered rows are used.  An observer may also offer ``many(accesses,
+#: path)``: a range leaf's whole batch of ``ROW`` accesses in one call,
+#: after its fetch, with ``path`` the leaf's own access as consumed
+#: (``stop`` set if its budget was spent; None if this evaluation already
+#: reported it).  One that does not is called once per row instead, in
+#: the same order, and never sees the consumed path.
 ReadObserver = Callable[[ReadAccess], None]
+
+
+class _EachAccessOnce:
+    """``observer``, told each distinct access once per evaluation."""
+
+    __slots__ = ("_observer", "_many", "_reported")
+
+    def __init__(self, observer: ReadObserver):
+        self._observer = observer
+        self._many = getattr(observer, "many", None)
+        self._reported: set[ReadAccess] = set()
+
+    def __call__(self, access: ReadAccess) -> None:
+        if access not in self._reported:
+            self._reported.add(access)
+            self._observer(access)
+
+    def many(self, accesses: list[ReadAccess], path: ReadAccess) -> None:
+        reported = self._reported
+        fresh = [access for access in accesses if access not in reported]
+        reported.update(fresh)
+        if self._many is None:
+            for access in fresh:
+                self._observer(access)
+            return
+        # ``path`` itself went in before the fetch; as consumed it may
+        # be the same tuple, so it is remembered under a key of its own.
+        consumed = ("consumed", path)
+        if consumed in reported:
+            path = None
+        reported.add(consumed)
+        self._many(fresh, path)
 
 
 def _constant_eq_conjuncts(
@@ -285,15 +340,8 @@ def evaluate(
 
     tables = [provider.table(ref.name) for ref in query.tables]
 
-    observe = None
-    if read_observer is not None:
-        reported: set[ReadAccess] = set()
-
-        def observe(access: ReadAccess) -> None:
-            if access not in reported:
-                reported.add(access)
-                read_observer(access)
-
+    observe = (
+        _EachAccessOnce(read_observer) if read_observer is not None else None)
     return _plan_execute(
         query, tables, dict(params or {}), observe, hints, provider.plans)
 

@@ -75,6 +75,8 @@ and index-key/table items name the same logical objects in every shard.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -82,7 +84,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.latch import Latch, allow_blocking
 from repro.errors import TransactionStateError, UnknownTableError
-from repro.storage.bptree import sort_key
+from repro.storage.bptree import value_sort_key
 from repro.storage.catalog import _sort_key
 from repro.storage.engine import (
     LockGranularity,
@@ -153,17 +155,21 @@ def shard_for_key(key: Sequence, n_shards: int, table_name: str = "") -> int:
 def _merge_key_order(
     schema: TableSchema,
     column_names: Sequence[str],
-    rows: list[Row],
+    fragments: list[list[Row]],
     reverse: bool,
+    limit: "int | None",
 ) -> list[Row]:
     """Re-establish global (index key, rid) order over per-shard ordered
-    fragments — the sharded half of ``Table.range_scan``'s contract."""
+    fragments — the sharded half of ``Table.range_scan``'s contract.  A
+    merge, not a sort: the fragments arrive in order, and with a
+    ``limit`` only the rows that reach the head are ever keyed."""
     positions = [schema.column_index(c) for c in column_names]
-    rows.sort(
-        key=lambda r: (sort_key(tuple(r.values[p] for p in positions)), r.rid),
+    merged = heapq.merge(
+        *fragments,
+        key=lambda r: ([value_sort_key(r.values[p]) for p in positions], r.rid),
         reverse=reverse,
     )
-    return rows
+    return list(itertools.islice(merged, limit))
 
 
 class ShardedTableView:
@@ -223,6 +229,11 @@ class ShardedTableView:
         return sum(
             self._part(i, len) for i in range(len(self._engine.shards)))
 
+    def row_estimate(self) -> int:
+        return sum(
+            shard.db.table(self._name).row_estimate()
+            for shard in self._engine.shards)
+
     def scan(self) -> Iterator[Row]:
         rows = self._union(lambda part: list(part.scan()))
         return iter(sorted(rows, key=lambda r: r.rid))
@@ -257,10 +268,14 @@ class ShardedTableView:
         (rid-tiebroken, like the shard scans themselves).  With a
         ``limit`` each shard ships only its first ``limit`` rows in scan
         order — the global first ``limit`` are among them."""
-        rows = self._union(lambda part: part.range_scan(
-            column_names, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc,
-            reverse=reverse, limit=limit))
-        return _merge_key_order(self.schema, column_names, rows, reverse)[:limit]
+        fragments = [
+            self._part(shard_idx, lambda part: part.range_scan(
+                column_names, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc,
+                reverse=reverse, limit=limit))
+            for shard_idx in range(len(self._engine.shards))
+        ]
+        return _merge_key_order(
+            self.schema, column_names, fragments, reverse, limit)
 
     def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
         return self._catalog_table().canonical_index(column_names)
@@ -870,6 +885,15 @@ class ShardedStorageEngine(StoreBase):
         self.ssi.record_read(txn, ssi_read_items(access))
 
     observe_snapshot_read = _observe_snapshot_read
+
+    def _observe_snapshot_reads(
+        self, txn: int, accesses: Sequence[ReadAccess]
+    ) -> None:
+        with self._meta_lock:
+            self._mvcc_local["snapshot_reads"] += len(accesses)
+        # Lazily: the tracker asks for no item of an untracked reader.
+        self.ssi.record_read(txn, (
+            item for access in accesses for item in ssi_read_items(access)))
 
     def _read_position(self, ctx: ShardedTxnContext) -> int:
         """Version attribution runs on the *global* commit sequence.

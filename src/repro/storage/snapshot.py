@@ -29,7 +29,6 @@ import contextlib
 from typing import Iterator, Sequence
 
 from repro.errors import SnapshotTooOldError
-from repro.storage.bptree import sort_key
 from repro.storage.catalog import Database
 from repro.storage.row import Row
 from repro.storage.table import Table
@@ -75,6 +74,9 @@ class SnapshotView:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.scan())
+
+    def row_estimate(self) -> int:
+        return self._table.row_estimate()
 
     def scan(self) -> Iterator[Row]:
         """Yield the visible version of every row, in rid order."""
@@ -148,36 +150,41 @@ class SnapshotView:
         """Versioned range read: visible rows whose index key falls in the
         bounds, ordered by (key, rid); at most ``limit`` of them.
 
-        Candidates are the *current* B+ tree postings in the bounds plus
-        the per-key history buckets whose key falls in the bounds — the
-        same O(matching + in-range history) recipe as point probes.  Each
-        candidate's *visible* version is re-keyed and re-checked against
-        the bounds, because a historic rid's visible key need not match
-        the bucket it was found under.
+        An in-order walk that stops at the ``limit``-th visible row: per
+        in-bounds key, ascending (descending under ``reverse``), the
+        candidates are the *current* B+ tree posting plus the key's
+        history bucket.  A candidate is a row of the answer only if its
+        *visible* version still carries that key — a rid re-keyed since
+        the snapshot is met again under its snapshot key, from the
+        history side, so it is emitted there and never twice.  Work is
+        the rows returned plus the candidates rejected before the last
+        of them: keys past the prefix, and history under keys outside
+        the bounds, are never touched.
         """
         with self._mutex:
             self._check_serveable()
-            cols = tuple(column_names)
-            positions = [self.schema.column_index(c) for c in cols]
-            slo = sort_key(lo) if lo is not None else None
-            shi = sort_key(hi) if hi is not None else None
-            keyed: list[tuple[tuple, int, Row]] = []
-            for rid in sorted(
-                self._table.range_candidate_rids(
-                    cols, lo, hi, lo_inc=lo_inc, hi_inc=hi_inc
-                )
+            rows: list[Row] = []
+            if limit is not None and limit <= 0:
+                return rows
+            positions = [self.schema.column_index(c) for c in column_names]
+            visible, txn, read_ts = (
+                self._table.version_read, self._txn, self._read_ts)
+            for key, rids in self._table.ordered_candidates(
+                column_names, lo, hi,
+                lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse,
             ):
-                row = self._visible(rid)
-                if row is None:
-                    continue
-                skey = sort_key(tuple(row.values[p] for p in positions))
-                if slo is not None and not (skey >= slo if lo_inc else skey > slo):
-                    continue
-                if shi is not None and not (skey <= shi if hi_inc else skey < shi):
-                    continue
-                keyed.append((skey, rid, row))
-            keyed.sort(key=lambda item: (item[0], item[1]), reverse=reverse)
-            return [row for _skey, _rid, row in keyed[:limit]]
+                if len(rids) > 1:
+                    rids = sorted(rids, reverse=reverse)
+                for rid in rids:
+                    row = visible(rid, txn, read_ts)
+                    if row is None:
+                        continue
+                    if tuple([row.values[p] for p in positions]) != key:
+                        continue
+                    rows.append(row)
+                    if len(rows) == limit:
+                        return rows
+            return rows
 
     def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
         return self._table.canonical_index(column_names)

@@ -15,6 +15,8 @@ the primitives they are written against:
   locks the access requires (may raise ``WouldBlock``);
 * ``_observe_snapshot_read(txn, access)`` — observe one snapshot read:
   count it, feed the SSI read set;
+* ``_observe_snapshot_reads(txn, accesses)`` — the same for a range
+  leaf's batch, in one latch round;
 * ``_read_position(ctx)`` — the snapshot's place on the timeline
   ``_table_writers`` is kept on (a commit timestamp; the global commit
   sequence when sharded);
@@ -35,9 +37,52 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import TransactionStateError
 from repro.storage.planner import PlanHints
-from repro.storage.query import ReadAccess, SPJQuery, evaluate
+from repro.storage.query import AccessKind, ReadAccess, SPJQuery, evaluate
 from repro.storage.row import Row
 from repro.storage.types import SQLValue
+
+
+_RANGE = AccessKind.INDEX_RANGE
+
+
+class _StatementReads:
+    """The read observer of one ``query()``: hands each access to the
+    isolation's observer (:meth:`StoreBase._read_path`) and books the
+    statement's first access of a table as its read of that table."""
+
+    __slots__ = ("_store", "_ctx", "_observe", "_versioned", "_tables")
+
+    def __init__(self, store: "StoreBase", ctx, observe, versioned: bool):
+        self._store = store
+        self._ctx = ctx
+        self._observe = observe
+        self._versioned = versioned
+        self._tables: set[str] = set()
+
+    def __call__(self, access: ReadAccess) -> None:
+        # A snapshot read records its range once the leaf knows how much
+        # of it was consumed (``many``); 2PL must lock it before the probe.
+        if access.kind is not _RANGE or not self._versioned:
+            self._observe(access)
+        # The formal model works at table granularity: record one read
+        # per table per statement, after its locks are granted.
+        if access.table not in self._tables:
+            self._tables.add(access.table)
+            self._store._note_read(self._ctx, access.table, self._versioned)
+
+    def many(
+        self, accesses: list[ReadAccess], path: "ReadAccess | None"
+    ) -> None:
+        """One range leaf's rows, after its fetch (``path`` was observed
+        before it, so the table is booked and, under 2PL, locked)."""
+        if not self._versioned:
+            for access in accesses:
+                self._observe(access)
+            return
+        if path is not None:
+            accesses = [path, *accesses]
+        if accesses:
+            self._store._observe_snapshot_reads(self._ctx.txn_id, accesses)
 
 
 class StoreBase:
@@ -159,17 +204,8 @@ class StoreBase:
         """
         ctx = self._context(txn)
         observe_access, provider = self._read_path(ctx)
-        versioned = provider is not None
-        seen_tables: set[str] = set()
-
-        def observe(access: ReadAccess) -> None:
-            observe_access(access)
-            # The formal model works at table granularity: record one read
-            # per table per statement, after its locks are granted.
-            if access.table not in seen_tables:
-                seen_tables.add(access.table)
-                self._note_read(ctx, access.table, versioned)
-
+        observe = _StatementReads(
+            self, ctx, observe_access, provider is not None)
         # Plan counters land in a query-local dict and merge afterwards:
         # a coordinator plans with no latch held, so incrementing the
         # shared ``plan_stats`` in place would race concurrent queries.

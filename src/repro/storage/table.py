@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import DuplicateKeyError, StorageError
-from repro.storage.bptree import SUPREMUM, BPlusTree, sort_key
+from repro.storage.bptree import SUPREMUM, BPlusTree
 from repro.storage.row import Row, RowVersion, ValueTuple
 from repro.storage.schema import TableSchema
 from repro.storage.wal import TableImage
@@ -116,6 +116,12 @@ class Table:
         #: delete/re-key-heavy windows between vacuums.
         self._history_by_pk: dict[tuple, set[int]] = {}
         self._history_by_index: dict[tuple[str, ...], dict[tuple, set[int]]] = {}
+        #: the same buckets once more, *in key order* per ordered index: a
+        #: snapshot range read merges the in-range slice with the current
+        #: tree's and never visits a bucket outside its bounds.
+        self._history_ordered: dict[tuple[str, ...], BPlusTree] = {
+            cols: BPlusTree() for cols in self._ordered
+        }
         #: reverse map rid -> its bucket entries, so vacuum can shrink
         #: the key maps exactly when it shrinks ``_history``.
         self._history_entries: dict[int, set[tuple]] = {}
@@ -165,6 +171,12 @@ class Table:
         return self.schema.name
 
     def __len__(self) -> int:
+        return len(self._rows)
+
+    def row_estimate(self) -> int:
+        """The live row count: what the planner costs an access path
+        with (a snapshot view answers with this too — an estimate must
+        never cost a visibility scan)."""
         return len(self._rows)
 
     def __contains__(self, rid: int) -> bool:
@@ -259,11 +271,35 @@ class Table:
         *,
         lo_inc: bool = True,
         hi_inc: bool = True,
+        reverse: bool = False,
+        limit: int | None = None,
     ) -> list[tuple]:
-        """The current index keys inside the bounds — what a next-key
-        range reader S-locks (plus the successor fencepost)."""
-        tree = self._ordered[tuple(column_names)]
-        return tree.keys_in_range(lo, hi, lo_inc=lo_inc, hi_inc=hi_inc)
+        """What a next-key range reader S-locks, in the order it locks:
+        the current index keys inside the bounds, in scan order, and the
+        right fencepost (the successor of ``hi``).
+
+        With a ``limit`` — the planner proved the scan's first ``limit``
+        rows are the answer — the walk stops at the key whose posting
+        completes them.  A forward scan that stops early takes no fence:
+        the gap left of every locked key is guarded by that key, and a
+        phantom right of the last one cannot change the answer.  A
+        reverse scan starts at the fence, which guards the gap between
+        its first key and ``hi``.
+        """
+        cols = tuple(column_names)
+        fence = self.successor_key(cols, hi, strict=hi_inc)
+        keys = [fence] if reverse else []
+        covered = 0
+        for key, rids in self._ordered[cols].items(
+            lo, hi, lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse
+        ):
+            if limit is not None and covered >= limit:
+                break
+            keys.append(key)
+            covered += len(rids)
+        if not reverse and (limit is None or covered < limit):
+            keys.append(fence)
+        return keys
 
     def successor_key(
         self,
@@ -307,7 +343,7 @@ class Table:
             rows.extend(self._rows[rid] for rid in sorted(rids, reverse=reverse))
         return rows[:limit]
 
-    def range_candidate_rids(
+    def ordered_candidates(
         self,
         column_names: Sequence[str],
         lo: tuple | None,
@@ -315,36 +351,30 @@ class Table:
         *,
         lo_inc: bool = True,
         hi_inc: bool = True,
-    ) -> set[int]:
-        """Every rid a *snapshot* range read must consider: current
-        postings in the bounds plus per-key history buckets whose key
-        falls in the bounds (rids that once carried an in-range key)."""
+        reverse: bool = False,
+    ) -> Iterator[tuple[tuple, Iterable[int]]]:
+        """``(key, rids)`` in key order: per in-bounds key, every rid a
+        *snapshot* range read must consider under it — the current
+        posting merged with the key's history bucket (rids that once
+        carried it).  Lazy: a reader that stops after *k* rows has
+        touched the keys up to the *k*-th and nothing past it."""
         cols = tuple(column_names)
-        tree = self._ordered[cols]
-        rids: set[int] = set()
-        for _key, posting in tree.items(lo, hi, lo_inc=lo_inc, hi_inc=hi_inc):
-            rids |= posting
-
-        slo = sort_key(lo) if lo is not None else None
-        shi = sort_key(hi) if hi is not None else None
-
-        def in_bounds(key: tuple) -> bool:
-            skey = sort_key(key)
-            if slo is not None and not (skey >= slo if lo_inc else skey > slo):
-                return False
-            if shi is not None and not (skey <= shi if hi_inc else skey < shi):
-                return False
-            return True
-
-        history: dict[tuple, set[int]]
-        if cols == tuple(self.schema.primary_key):
-            history = self._history_by_pk
-        else:
-            history = self._history_by_index.get(cols, {})
-        for key, bucket in history.items():
-            if in_bounds(key):
-                rids |= bucket
-        return rids
+        bounds = dict(lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse)
+        history = self._history_ordered[cols].walk(lo, hi, **bounds)
+        past = next(history, None)
+        for skey, key, rids in self._ordered[cols].walk(lo, hi, **bounds):
+            while past is not None and (
+                past[0] > skey if reverse else past[0] < skey
+            ):
+                yield past[1], past[2]
+                past = next(history, None)
+            if past is not None and past[0] == skey:
+                rids = rids | past[2]
+                past = next(history, None)
+            yield key, rids
+        while past is not None:
+            yield past[1], past[2]
+            past = next(history, None)
 
     # -- mutations ----------------------------------------------------------------
 
@@ -605,18 +635,26 @@ class Table:
         if pk_key is not None:
             self._history_by_pk.setdefault(pk_key, set()).add(rid)
             entries.add(("pk", pk_key))
+            self._history_ordered[tuple(self.schema.primary_key)].add(pk_key, rid)
         for index in self._secondary:
             key = index.key_for(values)
             self._history_by_index.setdefault(
                 index.column_names, {}
             ).setdefault(key, set()).add(rid)
             entries.add((index.column_names, key))
+            self._history_ordered[index.column_names].add(key, rid)
 
     def _history_discard(self, rid: int) -> None:
         """Forget ``rid``'s history membership, key buckets included."""
         self._history.discard(rid)
-        for entry in self._history_entries.pop(rid, ()):
-            kind, key = entry
+        entries = self._history_entries.pop(rid, ())
+        pk = tuple(self.schema.primary_key)
+        # A set: an index declared over the pk columns shares the pk's tree.
+        for cols, key in {
+            (pk if kind == "pk" else kind, key) for kind, key in entries
+        }:
+            self._history_ordered[cols].remove(key, rid)
+        for kind, key in entries:
             if kind == "pk":
                 bucket = self._history_by_pk.get(key)
                 if bucket is not None:
@@ -832,6 +870,8 @@ class Table:
         self._history.clear()
         self._history_by_pk.clear()
         self._history_by_index.clear()
+        for tree in self._history_ordered.values():
+            tree.clear()
         self._history_entries.clear()
         self._pending_created.clear()
         self._pending_ended.clear()

@@ -354,19 +354,23 @@ class RemoteTableView:
     Schema-shape questions are answered by ``_twin``, an empty local
     :class:`Table` built from the same schema — ``index_keys`` and
     friends are pure schema computations, and answering them locally
-    keeps them off the statement hot path.  ``fallback_scans`` is a
-    plain attribute refreshed from response envelopes for the same
-    reason.  The live instance is cached per name by
-    :class:`RemoteCatalog`, so those envelope updates land on the object
-    callers hold.
+    keeps them off the statement hot path.  ``fallback_scans`` and
+    ``live_rows`` (what ``row_estimate`` answers with: the planner costs
+    a path without a frame) are plain attributes refreshed from response
+    envelopes for the same reason.  The live instance is cached per name
+    by :class:`RemoteCatalog`, so those envelope updates land on the
+    object callers hold, and a view ``at`` a snapshot asks it.
     """
 
     def __init__(self, connection: ShardConnection, twin: Table,
-                 at: "tuple[int, int] | None" = None):
+                 at: "tuple[int, int] | None" = None,
+                 live: "RemoteTableView | None" = None):
         self._connection = connection
         self._twin = twin
         self.schema = twin.schema
         self.fallback_scans = 0
+        self.live_rows = 0
+        self._live = self if live is None else live
         self._verbs = _LIVE_READS if at is None else _SNAPSHOT_READS
         #: what every frame of this view starts with.
         self._address = (self.schema.name, *(at or ()))
@@ -376,10 +380,14 @@ class RemoteTableView:
         return self.schema.name
 
     def at(self, txn: int, read_ts: int) -> "RemoteTableView":
-        return RemoteTableView(self._connection, self._twin, (txn, read_ts))
+        return RemoteTableView(
+            self._connection, self._twin, (txn, read_ts), live=self._live)
 
     def _send(self, verb: Verb, *args):
         return self._connection.request(verb.wire, *self._address, *args)
+
+    def row_estimate(self) -> int:
+        return self._live.live_rows
 
     # -- schema-shape (local) ------------------------------------------------------
 
@@ -493,8 +501,9 @@ class RemoteShardEngine:
         # lost volatile tail consumed (this thread is the only writer).
         if last_lsn >= wal._next_lsn:
             wal._next_lsn = last_lsn + 1
-        for name, count in zip(self.db.table_names(), fallback):
-            self.db.table(name).fallback_scans = count
+        for name, (scans, rows) in zip(self.db.table_names(), fallback):
+            table = self.db.table(name)
+            table.fallback_scans, table.live_rows = scans, rows
         if stats is not None:
             lock_stats, self._version_stats, self._chain_histograms = stats
             self.locks.stats.update(zip(LOCK_STATS, lock_stats))

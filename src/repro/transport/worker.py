@@ -26,12 +26,12 @@ never silently loses a worker-side error.
 
 Every response carries an **envelope** (``None`` when nothing moved):
 the oracle's commit timestamp, commit/abort counters, the durable WAL
-delta and watermarks, per-table fallback-scan counters, and — when they
-changed — lock-manager and version-chain statistics.  The coordinator's
-receiver thread folds it into its local mirrors, which is how the proxy
-objects answer hot-path reads (``oracle.last_commit_ts``,
-``wal.last_lsn``, ``locks.stats``, ``chain_histograms``) without a
-round trip.
+delta and watermarks, per-table fallback-scan counters and live row
+counts, and — when they changed — lock-manager and version-chain
+statistics.  The coordinator's receiver thread folds it into its local
+mirrors, which is how the proxy objects answer hot-path reads
+(``oracle.last_commit_ts``, ``wal.last_lsn``, ``locks.stats``,
+``chain_histograms``, a table's ``row_estimate``) without a round trip.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ class ShardServer:
 
     def _envelope(self):
         """``(ts, commits, aborts, wal delta, wal resync, last lsn,
-        flushed lsn, fallback scans, stats)`` — positional, because it
-        rides most responses and dict keys would outweigh its values."""
+        flushed lsn, per-table (fallback scans, live rows), stats)`` —
+        positional, because it rides most responses and dict keys would
+        outweigh its values."""
         engine = self.engine
         wal = engine.wal
         head = (
@@ -167,9 +168,8 @@ class ShardServer:
             engine.abort_count,
         )
         fallback = tuple(
-            engine.db.table(name).fallback_scans
-            for name in engine.db.table_names()
-        )
+            (table.fallback_scans, table.row_estimate())
+            for table in map(engine.db.table, engine.db.table_names()))
         stats = (
             tuple(engine.locks.stats.values()),
             tuple(engine.version_stats().values()),

@@ -304,7 +304,8 @@ LOCAL = {
         "mutex", "oracle", "wal", "locks", "db", "commit_count", "abort_count",
         "checkpoint_stats", "version_stats", "chain_histograms", "snapshot_view",
     },
-    RemoteTableView: {"schema", "has_ordered_index", "canonical_index"},
+    RemoteTableView: {
+        "schema", "has_ordered_index", "canonical_index", "row_estimate"},
 }
 #: where each proxy class's remaining contract members must have a row.
 SPEAKS = {

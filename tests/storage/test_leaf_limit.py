@@ -6,8 +6,10 @@ process transport, ships) only that many rows per shard.  The property:
 a LIMIT query returns exactly the first *k* rows of the same query
 without its LIMIT — on a single engine, a 2-shard pool and a 2-shard
 process engine, under every isolation level.  The hand cases pin when
-the planner must **not** push, and that what is observed for locks and
-SIREAD keeps the range's full bounds.
+the planner must **not** push, and what the observed range access
+carries: the query's full bounds in ``lo``/``hi``, and beside them the
+leaf's budget and direction (how far 2PL next-key-locks) and, once the
+budget is spent, the key it stopped at (where the SIREAD interval ends).
 """
 
 import pytest
@@ -114,8 +116,9 @@ class TestWhenTheLimitReachesTheLeaf:
             store, "SELECT id FROM T WHERE id >= 2 AND id <= 9 ORDER BY id LIMIT 3")
         assert rows == [(2,), (3,), (4,)]
         assert rows_observed(accesses) <= 3 * store.n_shards
-        # The range access itself — what 2PL next-key-locks and SSI
-        # records as the SIREAD interval — keeps its full bounds.
+        # The range access itself keeps the query's bounds; how much of
+        # them 2PL next-key-locks and SSI records as the SIREAD interval
+        # travels beside, in ``limit``/``reverse`` and ``stop``.
         (access,) = [a for a in accesses if a.kind is AccessKind.INDEX_RANGE]
         assert (access.lo, access.hi) == ((2,), (9,))
 
@@ -180,3 +183,36 @@ class TestWhenItMustNot:
             rows, accesses = observed(store, sql)
             assert rows == expect
             assert rows_observed(accesses) == 12
+
+
+class TestCostingARange:
+    """Choosing the range path must not itself read the table: the
+    planner costs it from an O(1) row estimate, never from a visibility
+    scan of the snapshot (``len(view)``)."""
+
+    def version_reads(self, monkeypatch):
+        from repro.storage.table import Table
+        calls = []
+        read = Table.version_read
+
+        def counting(table, rid, txn, read_ts):
+            calls.append(rid)
+            return read(table, rid, txn, read_ts)
+
+        monkeypatch.setattr(Table, "version_read", counting)
+        return calls
+
+    @pytest.mark.parametrize("sql, returned", [
+        ("SELECT id FROM T WHERE id >= 100 AND id <= 109", 10),
+        ("SELECT id FROM T WHERE id >= 100 AND id <= 349 LIMIT 50", 50),
+    ])
+    @pytest.mark.parametrize("kind", ["single", "pool"])
+    def test_an_unordered_range_resolves_only_what_it_returns(
+        self, kind, sql, returned, monkeypatch
+    ):
+        store = build(kind, [(i, "g", i, i) for i in range(1000)])
+        calls = self.version_reads(monkeypatch)
+        assert len(run(store, sql, TxnIsolation.SNAPSHOT)) == returned
+        # No history in the bounds, so nothing is rejected: one version
+        # per row a shard hands over (each ships at most the limit).
+        assert len(calls) <= returned * store.n_shards

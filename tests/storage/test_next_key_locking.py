@@ -11,7 +11,11 @@ SNAPSHOT admits the phantom anomaly, SERIALIZABLE (runtime SSI, via the
 it outright via next-key locks — with zero whole-table S grants.
 """
 
+import os
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from _batch import engine_for
 from repro.core.engine import (
@@ -21,9 +25,15 @@ from repro.core.engine import (
 from repro.core.transaction import TxnPhase
 from repro.sql import parse_statement
 from repro.sql.compiler import compile_select
-from repro.storage import ColumnType, TableSchema
+from repro.storage import (
+    ColumnType,
+    ShardedStorageEngine,
+    TableSchema,
+    TxnIsolation,
+)
 from repro.storage.engine import WouldBlock
 from repro.storage.sharding import build_storage_engine
+from repro.transport.process import ProcessShardedStorageEngine
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -170,3 +180,171 @@ class TestPhantomWriteSkew:
         assert sum(r.lock_waits for r in engine.run_reports) >= 1
         assert store.locks.stats["table_s_grants"] == 0
         assert sum(r.ssi_aborts for r in engine.run_reports) == 0
+
+
+# -- LIMIT reaches the leaf: lock / track the prefix the consumer pulls -----------------
+
+#: ensemble width of the sharded arms (CI's range-predicates and
+#: proc-shards matrices run this file at 2 and 4).
+WIDTH = max(2, int(os.environ.get("REPRO_SHARDS", "2")))
+LIMIT_ENGINES = {
+    "single": lambda: build_storage_engine(1),
+    "pool": lambda: ShardedStorageEngine(WIDTH),
+    "process": lambda: ProcessShardedStorageEngine(WIDTH),
+}
+KEYS = list(range(0, 40, 2))
+
+
+@pytest.fixture(scope="module")
+def limit_stores():
+    """One store per engine kind for the whole property: every example
+    aborts both of its transactions, which restores the rows."""
+    stores = {}
+    try:
+        for kind, make in LIMIT_ENGINES.items():
+            store = stores[kind] = make()
+            store.create_table(TableSchema.build(
+                "T", [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
+                primary_key=["k"],
+            ))
+            store.load("T", [(k, 0) for k in KEYS])
+        yield stores
+    finally:
+        for store in stores.values():
+            getattr(store, "close", lambda: None)()
+
+
+def limited_read(store, txn, lo, hi, descending, n):
+    direction = "DESC" if descending else "ASC"
+    compiled = compile_select(parse_statement(
+        f"SELECT k FROM T WHERE k >= {lo} AND k <= {hi} "
+        f"ORDER BY k {direction} LIMIT {n}"), store.db, {})
+    return store.query(txn, compiled.plan)
+
+
+def shard_of(store, key):
+    return store.route_key("T", (key,)) if store.n_shards > 1 else 0
+
+
+def beyond_the_prefix(store, x, lo, hi, descending, n):
+    """Is inserting ``x`` sure to be granted?  Each shard locks the keys
+    its own first ``n`` in-range rows sit under, so "beyond the n-th
+    key" is judged on ``x``'s home shard; one that ran out of rows
+    before ``n`` guards its whole range.  A next-key lock guards the gap
+    *below* its key: going down, beyond starts under the next existing
+    key."""
+    home = [k for k in KEYS if shard_of(store, k) == shard_of(store, x)]
+    fragment = sorted((k for k in home if lo <= k <= hi), reverse=descending)
+    if len(fragment) < n:
+        return False
+    nth = fragment[n - 1]
+    if not descending:
+        return x > nth
+    below = [k for k in home if k < nth]
+    return bool(below) and x < max(below)
+
+
+class TestLimitPhantom:
+    @pytest.mark.parametrize("kind", list(LIMIT_ENGINES))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.integers(-2, 30), width=st.integers(0, 40),
+        descending=st.booleans(), n=st.integers(1, 6),
+        op=st.sampled_from(("insert", "delete", "rekey")),
+        where=st.integers(0, 19), to=st.integers(0, 20),
+    )
+    # Rows 0, 2, 4 going up / 20, 18, 16 going down; the insert lands in
+    # the bounds, past them (a single engine blocks both at the parent).
+    @example(lo=0, width=20, descending=False, n=3, op="insert", where=0, to=5)
+    @example(lo=0, width=20, descending=True, n=3, op="insert", where=0, to=6)
+    # ... and past every shard's first row, under the fence of an open top.
+    @example(lo=-2, width=42, descending=False, n=1, op="insert", where=0, to=20)
+    def test_2pl_granted_writes_never_change_the_answer(
+        self, limit_stores, kind, lo, width, descending, n, op, where, to
+    ):
+        store = limit_stores[kind]
+        hi = lo + width
+        table = store.db.table("T")
+        assert sorted(row.values[0] for row in table.scan()) == KEYS
+        reader, writer = store.begin(), store.begin()
+        try:
+            rows = limited_read(store, reader, lo, hi, descending, n)
+            odd = 2 * to - 1                 # a key no row carries, -1..39
+            try:
+                if op == "insert":
+                    store.insert(writer, "T", [odd, 1])
+                elif op == "delete":
+                    store.delete(writer, "T", table.lookup_pk((KEYS[where],)).rid)
+                else:
+                    store.update(
+                        writer, "T", table.lookup_pk((KEYS[where],)).rid, [odd, 1])
+                granted = True
+            except WouldBlock:
+                granted = False
+            if granted:
+                # Soundness: 2PL reads the live rows, so the writer's
+                # uncommitted change is in front of the re-run — same
+                # answer, and no lock the first run did not already hold.
+                assert limited_read(store, reader, lo, hi, descending, n) == rows
+            if (op == "insert" and len(rows) == n
+                    and beyond_the_prefix(store, odd, lo, hi, descending, n)):
+                # Precision: past the n-th key nothing can change the
+                # answer, so nothing there is locked.
+                assert granted, (kind, lo, hi, descending, n, odd)
+        finally:
+            store.abort(writer)
+            store.abort(reader)
+
+    def skew(self, first_insert, second_insert):
+        return (
+            "BEGIN TRANSACTION; "
+            "SELECT k AS @a FROM T WHERE k >= 0 AND k < 20 ORDER BY k LIMIT 3; "
+            f"INSERT INTO T (k, v) VALUES ({first_insert}, 1); COMMIT;",
+            "BEGIN TRANSACTION; "
+            "SELECT k AS @b FROM T WHERE k >= 20 AND k < 40 ORDER BY k LIMIT 3; "
+            f"INSERT INTO T (k, v) VALUES ({second_insert}, 1); COMMIT;",
+        )
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_serializable_aborts_the_pivot_inside_the_examined_prefix(self, shards):
+        # Each scan examined three keys ([0, 4] and [20, 24]); each
+        # insert lands inside the other's: the classic write skew.
+        engine = build_engine(shards, IsolationConfig.SERIALIZABLE)
+        handles = [engine.submit(p) for p in self.skew(23, 3)]
+        report = engine.run_once()
+        assert len(report.committed) == 1
+        assert report.ssi_aborts >= 1
+        engine.drain()
+        for handle in handles:
+            assert engine.transaction(handle).phase is TxnPhase.COMMITTED
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_serializable_insert_beyond_the_prefix_adds_no_rw_edge(self, shards):
+        # Inside the other's bounds, past the rows it consumed: neither
+        # reader's answer depends on it, so there is no antidependency.
+        engine = build_engine(shards, IsolationConfig.SERIALIZABLE)
+        handles = [engine.submit(p) for p in self.skew(31, 11)]
+        report = engine.run_once()
+        assert sorted(report.committed) == sorted(handles)
+        assert report.ssi_aborts == 0
+        assert engine.store.ssi.stats["rw_edges"] == 0
+
+    @pytest.mark.parametrize("kind", list(LIMIT_ENGINES))
+    def test_siread_interval_ends_at_the_last_key_examined(self, limit_stores, kind):
+        store = limit_stores[kind]
+        # Three rows of [0, 20]: keys 0..4 going up, 20..16 going down.
+        for descending, covered, spared in ((False, 3, 5), (True, 17, 15)):
+            reader = store.begin(TxnIsolation.SERIALIZABLE)
+            assert len(limited_read(store, reader, 0, 20, descending, 3)) == 3
+            edges = store.ssi.stats["rw_edges"]
+            for key, forms_edge in ((spared, 0), (covered, 1)):
+                writer = store.begin(TxnIsolation.SERIALIZABLE)
+                store.insert(writer, "T", [key, 1])
+                store.commit(writer)
+                assert store.ssi.stats["rw_edges"] == edges + forms_edge, (
+                    kind, descending, key)
+            store.abort(reader)
+            cleanup = store.begin()
+            for key in (spared, covered):
+                store.delete(cleanup, "T", store.db.table("T").lookup_pk((key,)).rid)
+            store.commit(cleanup)

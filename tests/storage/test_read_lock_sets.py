@@ -263,3 +263,72 @@ def test_nested_index_declaration_order_does_not_matter():
         assert evaluate(plan, db, read_observer=seen.append) == [(1,), (3,), (5,)]
         assert seen[0].index == ("a", "b") and seen[0].key == (1, 1)
         assert len(seen) == 4
+
+
+# -- a LIMIT that reaches a range leaf locks the prefix, not the bounds -----------------
+
+LEDGER = TableSchema.build(
+    "L", [("id", INT), ("at", INT)], primary_key=["id"], indexes=[["at"]])
+
+
+def requests_of(store, sql):
+    """Lock-manager requests one 2PL statement makes, over every shard."""
+    shards = getattr(store, "shards", [store])
+    asked = lambda: sum(s.locks.stats["acquired"] for s in shards)  # noqa: E731
+    txn = store.begin()
+    before = asked()
+    rows = read(store, txn, sql)
+    return rows, asked() - before, held(store, txn)
+
+
+class TestRangePrefix:
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_the_roadmaps_probe_locks_what_it_returns(self, shards):
+        """ROADMAP probe 2: 250 keys in bounds, LIMIT 50 — 302 requests
+        (304 on two shards) when every in-bounds key was locked."""
+        store = build_storage_engine(shards)
+        store.create_table(LEDGER)
+        store.load("L", [(i, i) for i in range(1000)])
+        k = 50
+        rows, requests, _held = requests_of(
+            store,
+            f"SELECT id FROM L WHERE at >= 100 AND at <= 349 ORDER BY at LIMIT {k}")
+        assert rows == [(i,) for i in range(100, 150)]
+        # Per shard: IS, its first k keys and (if it ran out) a fence;
+        # then the k rows.
+        assert requests <= shards * (k + 2) + k
+
+    def test_limit_one_over_a_twenty_row_posting_locks_one_key_and_one_row(self):
+        store = build()
+        _rows, requests, locked = requests_of(
+            store, "SELECT id FROM N WHERE a >= 1 ORDER BY a LIMIT 1")
+        assert locked == {
+            table_resource("N"),
+            index_key_resource("N", ("a",), (1,)),
+            RowId("N", rid_of(store, 0)),
+        }
+        assert requests == 3
+
+    def test_a_descending_prefix_starts_at_the_fence(self):
+        store = build()
+        rows, _requests, locked = requests_of(
+            store, "SELECT id FROM N WHERE id < 15 ORDER BY id DESC LIMIT 2")
+        assert rows == [(14,), (13,)]
+        keys = {r for r in locked if not isinstance(r, RowId)}
+        assert keys == {table_resource("N")} | {
+            index_key_resource("N", ("id",), (i,)) for i in (15, 14, 13)}
+
+    @pytest.mark.parametrize("sql", [
+        # A residual conjunct: rows past the second may yet be needed.
+        "SELECT id FROM N WHERE id >= 0 AND id < 20 AND b <> 1 ORDER BY id LIMIT 2",
+        # A sort the index cannot elide examines the whole range.
+        "SELECT id FROM N WHERE id >= 0 AND id < 20 ORDER BY b DESC, id LIMIT 2",
+    ])
+    def test_without_the_leaf_limit_every_key_examined_is_locked(self, sql):
+        store = build()
+        _rows, _requests, locked = requests_of(store, sql)
+        # ids 0..19 are in the bounds; 100, the next one up, is the fence.
+        assert {
+            index_key_resource("N", ("id",), (i,)) for i in (*range(20), 100)
+        } <= locked
+        assert sum(isinstance(r, RowId) for r in locked) == 20

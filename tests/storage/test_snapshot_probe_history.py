@@ -164,3 +164,98 @@ def test_probe_cost_is_bounded_by_matches_plus_per_key_history(scenario):
     assert table.history_rids() == frozenset()
     assert table._history_by_pk == {}
     assert all(not b for b in table._history_by_index.values())
+
+
+# -- the range twin: a LIMIT-k range read costs the prefix, not the bounds ---------------
+
+#: pk bounds: around the loaded keys (0..11) and around the fresh keys
+#: ``repk`` moves rows to (10_000..), so re-keys carry rows *across* them.
+PK_BOUNDS = st.one_of(
+    st.none(), st.integers(-1, 13), st.integers(9_998, 10_012))
+G_BOUNDS = st.one_of(st.none(), st.integers(-1, GROUPS))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(scenario=churn(), data=st.data())
+def test_range_scan_is_the_scan_prefix_and_costs_the_prefix(scenario, data):
+    n_rows, before_ops, after_ops = scenario
+    engine = build_engine(n_rows)
+    next_pk = [10_000]
+    for op, arg in before_ops:
+        apply_op(engine, op, arg, next_pk)
+
+    from repro.storage.bptree import value_sort_key
+    from repro.storage.engine import TxnIsolation
+    reader = engine.begin(TxnIsolation.SNAPSHOT)
+    view = engine.snapshot_provider(reader).table("T")
+
+    for op, arg in after_ops:
+        apply_op(engine, op, arg, next_pk)
+
+    table = engine.db.table("T")
+    snapshot_rows = list(view.scan())
+    index = table.secondary_index(("g",))
+    # Per key: every rid the walk may have to look at under it.
+    candidates = {
+        ("k",): lambda key: (
+            {table.pk_rid(key)} - {None}) | table.history_rids_for_pk(key),
+        ("g",): lambda key: (
+            index.lookup(key) | table.history_rids_for_index(("g",), key)),
+    }
+    known_keys = {
+        ("k",): set(table._pk_index) | set(table._history_by_pk),
+        ("g",): set(index._buckets) | set(table._history_by_index.get(("g",), {})),
+    }
+
+    for cols, position, bounds in ((("k",), 0, PK_BOUNDS), (("g",), 1, G_BOUNDS)):
+        for _ in range(4):
+            lo, hi = data.draw(bounds), data.draw(bounds)
+            lo_inc, hi_inc = data.draw(st.booleans()), data.draw(st.booleans())
+            reverse = data.draw(st.booleans())
+            limit = data.draw(st.one_of(st.none(), st.integers(0, 6)))
+
+            def within(value):
+                if lo is not None and (value < lo or (value == lo and not lo_inc)):
+                    return False
+                if hi is not None and (value > hi or (value == hi and not hi_inc)):
+                    return False
+                return True
+
+            expected = sorted(
+                (r for r in snapshot_rows if within(r.values[position])),
+                key=lambda r: (value_sort_key(r.values[position]), r.rid),
+                reverse=reverse,
+            )[:limit]
+            with _ReadCounter(table) as counter:
+                got = view.range_scan(
+                    cols,
+                    None if lo is None else (lo,), None if hi is None else (hi,),
+                    lo_inc=lo_inc, hi_inc=hi_inc, reverse=reverse, limit=limit,
+                )
+            assert [r.rid for r in got] == [r.rid for r in expected]
+
+            # Budget: the candidates under the in-bounds keys up to the
+            # one the limit was spent at (all of them if it never was) —
+            # the rows returned plus whatever had to be rejected on the
+            # way.  Keys past that one, and every key outside the bounds,
+            # contribute nothing however much history they carry.
+            examined = [key for key in known_keys[cols] if within(key[0])]
+            if limit == 0:
+                examined = []
+            elif limit is not None and len(got) == limit:
+                stop = got[-1].values[position]
+                examined = [
+                    key for key in examined
+                    if (key[0] >= stop if reverse else key[0] <= stop)
+                ]
+            budget = sum(len(candidates[cols](key)) for key in examined)
+            assert counter.calls <= budget, (
+                f"{cols} [{lo}, {hi}] reverse={reverse} limit={limit}: "
+                f"{counter.calls} version reads, budget {budget} "
+                f"(history total {len(table.history_rids())})"
+            )
+
+    engine.abort(reader)
+    engine.vacuum()
+    assert table.history_rids() == frozenset()
+    assert all(len(tree) == 0 for tree in table._history_ordered.values())

@@ -154,6 +154,23 @@ class TestFrameBudget:
             "ORDER BY at LIMIT 7"
         ) == [(i,) for i in range(1, 8)]
 
+    def test_costing_a_range_costs_no_frame(self, ledger, monkeypatch):
+        ledger.load("Ledger", [
+            (i, i % N_ACCOUNTS, (i + 1) % N_ACCOUNTS, 1.0, i * 0.5)
+            for i in range(1, 81)
+        ])
+        frames = CountedFrames(monkeypatch)
+        # No ORDER BY pins the access path, so the planner costs the
+        # range against a scan — from the row counts response envelopes
+        # already mirrored, not a ``snap_len`` (a visibility scan in the
+        # worker) per shard.
+        run_one(ledger, """
+            BEGIN TRANSACTION;
+            SELECT entry FROM Ledger WHERE at >= 10.0 AND at <= 12.0;
+            COMMIT;
+        """)
+        assert frames.requests == {"snap_range_scan": 2}
+
     def test_run_report_statistics_are_local_reads(self, ledger, monkeypatch):
         frames = CountedFrames(monkeypatch)
         report = ledger.run()
