@@ -40,6 +40,7 @@ from repro.storage import (
     Database,
     LockManager,
     LockMode,
+    ReadAccess,
     RowId,
     ShardedStorageEngine,
     SPJQuery,
@@ -425,6 +426,66 @@ def test_engine_query_point_probe(benchmark, build):
     rows = benchmark(lambda: store.query(txn, next(plans)))
     assert rows == [(100.0,)]
     store.abort(txn)
+
+
+def _accounts_engine() -> "tuple[StorageEngine, list[int]]":
+    store = StorageEngine()
+    store.vacuum_interval = 0
+    store.create_table(_accounts_schema())
+    store.load("Accounts", [(i, f"u{i}", 100.0) for i in range(_ACCOUNTS)])
+    return store, [row.rid for row in store.db.table("Accounts").scan()][::61]
+
+
+@pytest.mark.benchmark(group="micro-engine")
+def test_engine_update_statement(benchmark):
+    """One 2PL ``update`` by rid, first write of its transaction: locks,
+    the versioned table update, WAL record, undo entry, observers —
+    and nothing for SSI, whose write set is derived at commit."""
+    store, rids = _accounts_engine()
+    picks = itertools.cycle(rids)
+    open_txns: list[int] = []
+
+    def fresh():
+        for txn in open_txns:
+            store.abort(txn)
+        open_txns[:] = [store.begin()]
+        rid = next(picks)
+        ident, owner, balance = store.db.table("Accounts").get(rid).values
+        return (open_txns[0], "Accounts", rid, (ident, owner, balance + 1)), {}
+
+    old, new = benchmark.pedantic(
+        store.update, setup=fresh, rounds=3000, warmup_rounds=100)
+    assert new.values[2] == old.values[2] + 1
+
+
+@pytest.mark.benchmark(group="micro-engine")
+@pytest.mark.parametrize("tracked", [False, True], ids=["alone", "ssi-tracked"])
+def test_engine_commit_writer(benchmark, tracked):
+    """Commit of a three-write 2PL transaction — where the statement
+    path's SSI work went: the write set is derived from the undo log
+    here, once.  ``ssi-tracked`` runs each commit against one open
+    SERIALIZABLE reader that scanned the table, so validation sweeps
+    the write set against a read set and forms an rw edge."""
+    store, rids = _accounts_engine()
+    picks = itertools.cycle(rids)
+    readers: list[int] = []
+
+    def writer():
+        if tracked:
+            for reader in readers:
+                store.abort(reader)
+            readers[:] = [store.begin(TxnIsolation.SERIALIZABLE)]
+            store.observe_snapshot_read(readers[0], ReadAccess.scan("Accounts"))
+        txn = store.begin()
+        for _ in range(3):
+            rid = next(picks)
+            ident, owner, balance = store.db.table("Accounts").get(rid).values
+            store.update(txn, "Accounts", rid, (ident, owner, balance + 1))
+        return (txn,), {"flush": False}
+
+    benchmark.pedantic(
+        store.commit, setup=writer, rounds=3000, warmup_rounds=100)
+    assert store.ssi.stats["rw_edges"] == (3100 if tracked else 0)
 
 
 # -- LIMIT-k range reads: the cost is k ------------------------------------------------

@@ -43,10 +43,6 @@ class DuplicateKeyError(StorageError):
     """An insert violates a primary-key or unique constraint."""
 
 
-class IntegrityError(StorageError):
-    """A declared integrity constraint would be violated."""
-
-
 class TransactionStateError(StorageError):
     """A transactional operation was used in an illegal state."""
 
@@ -57,14 +53,6 @@ class LockError(StorageError):
 
 class DeadlockError(LockError):
     """The waits-for graph contains a cycle involving the requester."""
-
-
-class LockTimeoutError(LockError):
-    """A lock request could not be granted within its budget."""
-
-
-class LockUpgradeError(LockError):
-    """An illegal lock conversion was requested."""
 
 
 class WriteConflictError(StorageError):
@@ -236,10 +224,6 @@ class TransactionAborted(EngineError):
 class EntanglementTimeout(EngineError):
     """An entangled transaction exceeded its WITH TIMEOUT budget while
     waiting for partners (Section 3.1)."""
-
-
-class GroupCommitViolation(EngineError):
-    """A commit/abort decision would break the group-commit invariant."""
 
 
 class MiddlewareError(EngineError):

@@ -58,14 +58,10 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.analysis.latch import Latch
-from repro.errors import (
-    StorageError,
-    TransactionStateError,
-    WriteConflictError,
-)
+from repro.errors import StorageError, WriteConflictError
 from repro.storage.catalog import Database
 from repro.storage.expressions import Expr
 from repro.storage.oracle import TimestampOracle
@@ -87,7 +83,7 @@ from repro.storage.row import Row, RowId, ValueTuple
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import SnapshotDatabase, SnapshotView
 from repro.storage.ssi import SSITracker
-from repro.storage.store import StoreBase
+from repro.storage.store import StoreBase, TxnStatus
 from repro.storage.wal import CheckpointImage, LogRecordType, WriteAheadLog
 
 
@@ -145,12 +141,6 @@ class TxnIsolation(enum.Enum):
     def uses_snapshot(self) -> bool:
         """Reads are served lock-free from the transaction's snapshot."""
         return self in (TxnIsolation.SNAPSHOT, TxnIsolation.SERIALIZABLE)
-
-
-class TxnStatus(enum.Enum):
-    ACTIVE = "active"
-    COMMITTED = "committed"
-    ABORTED = "aborted"
 
 
 @dataclass
@@ -242,19 +232,6 @@ def ssi_read_items(access: ReadAccess) -> list:
     return [RowId(access.table, access.rid)]
 
 
-def ssi_write_items(
-    table_name: str, rid: int, keys: Iterable[tuple[tuple[str, ...], tuple]]
-) -> list:
-    """The SSI items one row write covers: the row, the table marker
-    that scan readers conflict on, and every index key in ``keys`` (the
-    ones either image of the row carries)."""
-    return [
-        RowId(table_name, rid),
-        table_resource(table_name),
-        *(index_key_resource(table_name, cols, key) for cols, key in keys),
-    ]
-
-
 class StorageEngine(StoreBase):
     """Classical ACID transactions over a :class:`Database`.
 
@@ -323,10 +300,13 @@ class StorageEngine(StoreBase):
             "snapshot_refreshes": 0,
             "supersede_prunes": 0,
         }
+        #: one timeline: this store's own tallies are the totals.
+        self._mvcc_local = self.mvcc_stats
         #: SSI rw-antidependency tracker (TxnIsolation.SERIALIZABLE).
         #: A shard member downgrades every transaction to untracked
         #: reads: its coordinator runs ONE global tracker instead —
-        #: per-shard trackers would miss cross-shard dangerous structures.
+        #: per-shard trackers would miss cross-shard dangerous structures
+        #: — and pulls the member's write sets into it with :meth:`prepare`.
         self.ssi = SSITracker()
         #: auto-vacuum cadence: prune version chains every N writing
         #: commits (0 disables; call :meth:`vacuum` manually).
@@ -443,41 +423,40 @@ class StorageEngine(StoreBase):
 
     isolation_of = _locked(StoreBase.isolation_of)
 
-    def _context(self, txn: int) -> TxnContext:
-        try:
-            ctx = self._contexts[txn]
-        except KeyError:
-            raise TransactionStateError(f"unknown transaction {txn}") from None
-        if ctx.status is not TxnStatus.ACTIVE:
-            raise TransactionStateError(
-                f"transaction {txn} is {ctx.status.value}, not active"
-            )
-        return ctx
-
     @_locked
     def prepare(self, txn: int) -> list:
-        """Phase one of two-phase commit: this shard's write set.
-
-        Derived from the transaction's undo log — the shard-local ground
-        truth of what it wrote — as SSI resource items (row, table and
-        every index key either image touches).  A coordinator that does
-        not record writes per statement merges these into its global
-        tracker before validation, so the dangerous-structure test runs
-        against shard-authoritative write sets.
-        """
+        """``txn``'s SSI write set — phase one of two-phase commit when a
+        coordinator asks a shard.  Nothing records a write per statement:
+        whoever validates — this engine's own tracker at :meth:`commit`
+        and in ``_stage_write_sets``, a coordinator's global one in its
+        prepare round — asks when it needs to."""
         ctx = self._contexts.get(txn)
-        if ctx is None:
-            return []
-        items: dict = {}  # insertion-ordered, deduplicated
+        return [] if ctx is None else self._write_set(ctx)
+
+    def _write_set(self, ctx: TxnContext) -> list:
+        """The one derivation, from the undo log — the ground truth of
+        what the transaction wrote — in the lock manager's vocabulary:
+        per row the row itself, the table marker scan readers conflict
+        on, and every index key either image carries (a reader who
+        probed a vacated or a gained key observed state the write
+        changes).  Insertion-ordered and deduplicated; nothing is
+        sorted — key tuples may mix NULL with values, which do not
+        compare."""
+        items: dict = {}
         for entry in ctx.undo:
-            table = self.db.table(entry.table)
-            keys = set()
+            name = entry.table
+            items[RowId(name, entry.rid)] = None
+            items[table_resource(name)] = None
+            index_keys = self.db.table(name).index_keys
             for values in (entry.before, entry.after):
                 if values is not None:
-                    keys.update(table.index_keys(values))
-            items.update(dict.fromkeys(
-                ssi_write_items(entry.table, entry.rid, sorted(keys))))
+                    for cols, key in index_keys(values):
+                        items[index_key_resource(name, cols, key)] = None
         return list(items)
+
+    def _stage_write_sets(self, txns: Iterable[int]) -> None:
+        for txn in txns:
+            self.ssi.record_write(txn, self.prepare(txn))
 
     @_locked
     def commit(
@@ -514,6 +493,13 @@ class StorageEngine(StoreBase):
         """
         ctx = self._context(txn)
         written = ctx.written_tables()
+        if written:
+            # Unconditionally: a shard member's tracker validates
+            # nothing (its coordinator pulls ``prepare`` into the global
+            # one), so this is wasted work there — ``benchmarks/e2e``
+            # declares the hook exercised on replicated shards, and
+            # ROADMAP gate 0(f) is what lets a member skip it.
+            self.ssi.record_write(txn, self._write_set(ctx))
         # SSI validation happens before the commit point.  Read-only
         # transactions take the last allocated timestamp as their commit
         # position so concurrency stays decidable for later sweeps.
@@ -624,13 +610,6 @@ class StorageEngine(StoreBase):
         outcome = self.locks.acquire(txn, resource, mode)
         if outcome is LockOutcome.WAIT:
             raise WouldBlock(txn, resource)
-
-    @_locked
-    def lock_table_shared(self, txn: int, table: str) -> None:
-        """Take (or raise WouldBlock for) a table S lock — the coarse
-        grounding-read lock, still used by tests and the TABLE baseline."""
-        self._context(txn)
-        self._lock(txn, table_resource(table), LockMode.SHARED)
 
     @_locked
     def lock_read_access(self, txn: int, access: ReadAccess) -> None:
@@ -809,68 +788,24 @@ class StorageEngine(StoreBase):
     def _read_position(self, ctx: TxnContext) -> int:
         return ctx.read_ts
 
-    @_locked
-    def park_snapshot(self, txn: int) -> bool:
-        """Release a *clean* snapshot transaction's vacuum-horizon
-        registration without ending the transaction.
-
-        An idle waiter (an interactive session between statements, or one
-        that never executed a statement at all) holds no observations, so
-        nothing entitles it to pin the version-chain GC floor.  Parking
-        deregisters its snapshot from the oracle; the owner must call
-        :meth:`unpark_snapshot` before the next read or write, which
-        re-snapshots at the latest commit timestamp.  Returns True when
-        parked (snapshot transaction with no reads, writes, or delivered
-        answers), False otherwise.
-        """
-        ctx = self._context(txn)
-        if not ctx.isolation.uses_snapshot:
-            return False
-        if ctx.reads or ctx.writes or ctx.snapshot_pinned:
-            return False
-        self.oracle.release_snapshot(txn)
-        return True
-
-    @_locked
-    def unpark_snapshot(self, txn: int) -> None:
-        """Re-arm a parked transaction: take a fresh snapshot at the
-        latest commit timestamp and re-register it in the vacuum
-        horizon.  No-op for transactions that are not parked."""
-        ctx = self._context(txn)
-        if not ctx.isolation.uses_snapshot:
-            return
-        if self.oracle.snapshot_of(txn) is not None:
-            return  # never parked (or already unparked)
-        ctx.read_ts = self.oracle.last_commit_ts
-        self.oracle.register_snapshot(txn, ctx.read_ts)
-        self.ssi.refresh(txn, ctx.read_ts)
-
+    park_snapshot = _locked(StoreBase.park_snapshot)
+    unpark_snapshot = _locked(StoreBase.unpark_snapshot)
     pin_snapshot = _locked(StoreBase.pin_snapshot)
+    refresh_snapshot = _locked(StoreBase.refresh_snapshot)
 
-    @_locked
-    def refresh_snapshot(self, txn: int) -> bool:
-        """Re-snapshot a SNAPSHOT transaction that has not observed any
-        state yet — no reads, no writes, no delivered entangled answer
-        (e.g. an interactive session whose pending query was cancelled
-        before being answered): its old snapshot is released — unpinning
-        the vacuum horizon — and subsequent reads see the latest
-        committed state.  Returns True when the snapshot was refreshed.
+    def _release_horizon(self, txn: int) -> None:
+        self.oracle.release_snapshot(txn)
 
-        Grounding performed for a query that came back unanswered (WAIT)
-        does not pin the snapshot: its observations were discarded by
-        the coordinator and nothing escaped to the client.
-        """
-        ctx = self._context(txn)
-        if not ctx.isolation.uses_snapshot:
+    def _holds_horizon(self, txn: int) -> bool:
+        return self.oracle.snapshot_of(txn) is not None
+
+    def _resnapshot(self, ctx: TxnContext) -> bool:
+        fresh = self.oracle.last_commit_ts
+        if ctx.read_ts == fresh and self._holds_horizon(ctx.txn_id):
             return False
-        if ctx.reads or ctx.writes or ctx.snapshot_pinned:
-            return False
-        if ctx.read_ts == self.oracle.last_commit_ts:
-            return False
-        ctx.read_ts = self.oracle.last_commit_ts
-        self.oracle.register_snapshot(txn, ctx.read_ts)
-        self.ssi.refresh(txn, ctx.read_ts)
-        self.mvcc_stats["snapshot_refreshes"] += 1
+        ctx.read_ts = fresh
+        self.oracle.register_snapshot(ctx.txn_id, fresh)
+        self.ssi.refresh(ctx.txn_id, fresh)
         return True
 
     @_locked
@@ -1011,10 +946,6 @@ class StorageEngine(StoreBase):
 
     query = _locked(StoreBase.query)
 
-    def _merge_plan_stats(self, counts: Mapping[str, int]) -> None:
-        for key, count in counts.items():
-            self.plan_stats[key] = self.plan_stats.get(key, 0) + count
-
     def _catalogs(self):
         return (self.db,)
 
@@ -1046,7 +977,6 @@ class StorageEngine(StoreBase):
         self._lock_gap_successors(txn, table, table_name, keys)
         row = table.insert(canonical, validated=True, writer=txn)
         self._lock(txn, RowId(table_name, row.rid), LockMode.EXCLUSIVE)
-        self.ssi.record_write(txn, ssi_write_items(table_name, row.rid, keys))
         self.wal.append(
             LogRecordType.INSERT, txn, table_name, row.rid, None, row.values
         )
@@ -1101,12 +1031,6 @@ class StorageEngine(StoreBase):
                 prune_horizon=self.oracle.oldest_active(),
             )
         self.mvcc_stats["supersede_prunes"] += table.take_supersede_pruned()
-        # Both the vacated and the gained keys matter to SSI: a reader
-        # who probed either key set observed state this write changes.
-        self.ssi.record_write(txn, ssi_write_items(
-            table_name, rid,
-            set(table.index_keys(old.values)) | set(table.index_keys(new.values)),
-        ))
         self.wal.append(
             LogRecordType.UPDATE, txn, table_name, rid, old.values, new.values
         )
@@ -1134,8 +1058,6 @@ class StorageEngine(StoreBase):
             rid, writer=txn, prune_horizon=self.oracle.oldest_active()
         )
         self.mvcc_stats["supersede_prunes"] += table.take_supersede_pruned()
-        self.ssi.record_write(
-            txn, ssi_write_items(table_name, rid, table.index_keys(old.values)))
         self.wal.append(
             LogRecordType.DELETE, txn, table_name, rid, old.values, None
         )

@@ -130,7 +130,9 @@ class ShardEngine(Protocol):
     ) -> int: ...
 
     def prepare(self, txn: int) -> list:
-        """Phase one of 2PC: the SSI write items of ``txn``'s undo log."""
+        """Phase one of 2PC: the SSI write items of ``txn``'s undo log —
+        how its write set reaches the coordinator's tracker, for a
+        commit and for a group validation alike."""
 
     def commit(
         self, txn: int, *, participants: tuple[int, ...] | None = None,
@@ -172,8 +174,6 @@ class ShardEngine(Protocol):
         """A predicate write's probe and locks alone, nothing written."""
 
     def lock_read_access(self, txn: int, access: ReadAccess) -> None: ...
-
-    def lock_table_shared(self, txn: int, table: str) -> None: ...
 
     def release_read_locks(self, txn: int) -> list[int]: ...
 

@@ -134,7 +134,6 @@ def replay_log(engine: "StorageEngine", demote_to_loser: set[int]) -> RecoveryRe
         report.undone += 1
 
     # ---- stamp: winners' versions get their original commit timestamps ----
-    table_writers: dict[str, list[tuple[int, int]]] = {}
     for winner, commit_ts in sorted(
         commit_ts_of.items(), key=lambda item: item[1]
     ):
@@ -142,8 +141,9 @@ def replay_log(engine: "StorageEngine", demote_to_loser: set[int]) -> RecoveryRe
             continue
         for name in sorted(touched_tables.get(winner, ())):
             engine.db.table(name).commit_versions(winner, commit_ts)
-            table_writers.setdefault(name, []).append((commit_ts, winner))
-    engine._table_writers = table_writers
+    # The recovered state is the new epoch's initial load: reads-from
+    # attribution annotates it 0, like bulk-loaded data.
+    engine._table_writers = {}
     engine.oracle.advance_to(max(commit_ts_of.values(), default=0))
 
     for loser in sorted(report.losers):

@@ -49,16 +49,19 @@ original cut.
 Cross-shard commit
 ------------------
 
-Commit is an ordered two-phase prepare.  Phase 1 validates the commit
-with **no side effects**: the single *global* SSI tracker (below) checks
-the would-be dangerous structures exactly as the single-shard engine
-does (including group validation for entanglement groups).  Phase 2
-commits the shard-local transactions in shard order, each allocating its
-shard's next commit timestamp and flushing its shard's WAL.  The engine
-is single-threaded, so nothing interleaves between the phases; a crash
-between shard flushes is still possible in principle, so sharded restart
-recovery demotes *torn* transactions (COMMIT durable in some written
-shard but not all) before replaying each shard's WAL independently.
+Commit is an ordered two-phase prepare.  Phase 1 pulls each written
+shard's write set (``prepare``, skipped while no serializable
+transaction is tracked) and validates the commit with **no side
+effects**: the single *global* SSI tracker (below) checks the would-be
+dangerous structures exactly as the single-shard engine does (including
+group validation for entanglement groups, which runs the same pull for
+every member first).  Phase 2 commits the shard-local transactions in
+shard order, each allocating its shard's next commit timestamp and
+flushing its shard's WAL.  The engine is single-threaded, so nothing
+interleaves between the phases; a crash between shard flushes is still
+possible in principle, so sharded restart recovery demotes *torn*
+transactions (COMMIT durable in some written shard but not all) before
+replaying each shard's WAL independently.
 
 Global SSI
 ----------
@@ -80,7 +83,7 @@ import itertools
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.latch import Latch, allow_blocking
 from repro.errors import TransactionStateError, UnknownTableError
@@ -92,7 +95,6 @@ from repro.storage.engine import (
     TxnIsolation,
     TxnStatus,
     ssi_read_items,
-    ssi_write_items,
 )
 from repro.storage.expressions import Expr
 from repro.storage.query import (
@@ -388,6 +390,9 @@ class ShardedTxnContext:
     begun: list[int] = field(default_factory=list)
     #: shards this transaction wrote in.
     written: set[int] = field(default_factory=set)
+    #: written shards whose write set is in the global SSI tracker and
+    #: has not been written since (see ``_prepare_shards``).
+    staged: set[int] = field(default_factory=set)
     reads: list[str] = field(default_factory=list)
     writes: list[RowId] = field(default_factory=list)
     #: per-shard WAL flush targets parked by ``commit(flush=False)``
@@ -642,17 +647,6 @@ class ShardedStorageEngine(StoreBase):
             tuple(s.wal.last_lsn for s in self.shards),
         )
 
-    def _context(self, txn: int) -> ShardedTxnContext:
-        try:
-            ctx = self._contexts[txn]
-        except KeyError:
-            raise TransactionStateError(f"unknown transaction {txn}") from None
-        if ctx.status is not TxnStatus.ACTIVE:
-            raise TransactionStateError(
-                f"transaction {txn} is {ctx.status.value}, not active"
-            )
-        return ctx
-
     def _ensure_shard_txn(self, txn: int, shard_idx: int) -> ShardEngine:
         """Begin ``txn``'s shard-local transaction on first touch."""
         ctx = self._context(txn)
@@ -672,14 +666,32 @@ class ShardedStorageEngine(StoreBase):
         return self.shards[shard_idx].snapshot_view(name, txn, read_ts)
 
     def _prepare_shards(self, ctx: ShardedTxnContext) -> None:
-        """Phase-1 hook: collect the written shards' effects before SSI
-        validation.  In-process shards record writes into the global SSI
-        tracker synchronously (``_record_write``), so the base engine has
-        nothing to do here; the process-per-shard engine overrides both
-        with a prepare round that pulls each shard's write set at commit
-        (why the two paths cannot yet merge: see
-        :class:`~repro.transport.process.ProcessShardedStorageEngine`)."""
-        del ctx
+        """Phase one of 2PC, in shard order under the commit funnel: each
+        written shard reports its undo-derived write set (``prepare`` —
+        a method call in process, one frame to a worker), merged into
+        the global SSI tracker before validation runs.  The only way a
+        write set reaches that tracker, for a commit and for a group
+        validation alike; a shard staged by the latter and not written
+        since is not asked again.
+
+        With no serializable transaction tracked the round is skipped
+        outright — begins register under this same funnel, so any
+        serializable transaction starting later snapshots at or past
+        this commit and can never form an edge to it."""
+        if not self.ssi.has_serializable():
+            return
+        for shard_idx in sorted(ctx.written - ctx.staged):
+            items = self.shards[shard_idx].prepare(ctx.txn_id)
+            if items:
+                self.ssi.record_write(ctx.txn_id, items)
+            ctx.staged.add(shard_idx)
+
+    def _stage_write_sets(self, txns: Iterable[int]) -> None:
+        with self._commit_lock:
+            for txn in txns:
+                ctx = self._contexts.get(txn)
+                if ctx is not None and ctx.status is TxnStatus.ACTIVE:
+                    self._prepare_shards(ctx)
 
     def commit(self, txn: int, *, flush: bool = True) -> list[int]:
         """Ordered two-phase commit across the touched shards.
@@ -733,9 +745,7 @@ class ShardedStorageEngine(StoreBase):
                 if len(written) > 1:
                     self.cross_shard_commit_count += 1
             if ctx.isolation.uses_snapshot:
-                self._active_seqs.pop(txn, None)
-                for shard in self.shards:
-                    shard.oracle.release_snapshot(txn)
+                self._release_horizon(txn)
             ctx.status = TxnStatus.COMMITTED
             with self._meta_lock:
                 self._active_writers.discard(txn)
@@ -815,9 +825,7 @@ class ShardedStorageEngine(StoreBase):
                 if shard_idx != dead_shard:
                     woken.extend(self.shards[shard_idx].abort(txn))
             if ctx.isolation.uses_snapshot:
-                self._active_seqs.pop(txn, None)
-                for shard in self.shards:
-                    shard.oracle.release_snapshot(txn)
+                self._release_horizon(txn)
             ctx.status = TxnStatus.ABORTED
             with self._meta_lock:
                 self._active_writers.discard(txn)
@@ -861,11 +869,6 @@ class ShardedStorageEngine(StoreBase):
     def _lock_read_access(self, ctx: ShardedTxnContext, access: ReadAccess) -> None:
         self.lock_read_access(ctx.txn_id, access)
 
-    def lock_table_shared(self, txn: int, table: str) -> None:
-        for shard_idx in range(self.n_shards):
-            shard = self._ensure_shard_txn(txn, shard_idx)
-            shard.lock_table_shared(txn, table)
-
     def release_read_locks(self, txn: int) -> list[int]:
         ctx = self._context(txn)
         woken: list[int] = []
@@ -906,63 +909,37 @@ class ShardedStorageEngine(StoreBase):
         """
         return ctx.read_seq
 
-    def park_snapshot(self, txn: int) -> bool:
-        """Release a clean transaction's horizon registrations in every
-        shard oracle (see :meth:`StorageEngine.park_snapshot`): an idle
-        vector snapshot pins N vacuum horizons at once, so abandoning it
-        matters N times as much."""
+    def _release_horizon(self, txn: int) -> None:
+        """Out of the reads-from GC floor and every shard's vacuum
+        horizon (a vector snapshot pins N of them)."""
         with self._commit_lock:
-            ctx = self._context(txn)
-            if not ctx.isolation.uses_snapshot:
-                return False
-            if ctx.reads or ctx.writes or ctx.snapshot_pinned:
-                return False
             self._active_seqs.pop(txn, None)
             for shard in self.shards:
                 shard.oracle.release_snapshot(txn)
-            return True
 
-    def unpark_snapshot(self, txn: int) -> None:
-        """Re-arm a parked transaction on a fresh vector cut."""
-        with self._commit_lock:
-            ctx = self._context(txn)
-            if not ctx.isolation.uses_snapshot:
-                return
-            if txn in self._active_seqs:
-                return  # never parked (or already unparked)
-            ctx.vector = tuple(s.oracle.last_commit_ts for s in self.shards)
-            ctx.read_seq = self._commit_seq
-            self._active_seqs[txn] = ctx.read_seq
-            # Begun shard transactions re-arm through their own unpark
-            # (which also moves their shard-local read_ts); the rest just
-            # re-register in their shard's horizon.
-            for shard_idx in ctx.begun:
-                self.shards[shard_idx].unpark_snapshot(txn)
-            for shard, read_ts in zip(self.shards, ctx.vector):
-                if shard.oracle.snapshot_of(txn) is None:
-                    shard.oracle.register_snapshot(txn, read_ts)
-            self.ssi.refresh(txn, ctx.read_seq)
+    def _holds_horizon(self, txn: int) -> bool:
+        return txn in self._active_seqs
 
-    def refresh_snapshot(self, txn: int) -> bool:
+    def _resnapshot(self, ctx: ShardedTxnContext) -> bool:
+        txn = ctx.txn_id
         with self._commit_lock:
-            ctx = self._context(txn)
-            if not ctx.isolation.uses_snapshot:
-                return False
-            if ctx.reads or ctx.writes or ctx.snapshot_pinned:
-                return False
+            parked = not self._holds_horizon(txn)
             vector = tuple(s.oracle.last_commit_ts for s in self.shards)
-            if ctx.read_seq == self._commit_seq and ctx.vector == vector:
+            if not parked and (ctx.read_seq, ctx.vector) == (
+                    self._commit_seq, vector):
                 return False
             ctx.vector = vector
             ctx.read_seq = self._commit_seq
             self._active_seqs[txn] = ctx.read_seq
+            # Begun shard transactions move their shard-local read_ts
+            # through the member's own verb; every shard's horizon then
+            # holds the new component.
+            for shard_idx in ctx.begun:
+                shard = self.shards[shard_idx]
+                (shard.unpark_snapshot if parked else shard.refresh_snapshot)(txn)
             for shard, read_ts in zip(self.shards, vector):
                 shard.oracle.register_snapshot(txn, read_ts)
-            for shard_idx in ctx.begun:
-                self.shards[shard_idx].refresh_snapshot(txn)
             self.ssi.refresh(txn, ctx.read_seq)
-            with self._meta_lock:
-                self._mvcc_local["snapshot_refreshes"] += 1
             return True
 
     def oldest_snapshot_vector(self) -> tuple[int, ...]:
@@ -1093,11 +1070,6 @@ class ShardedStorageEngine(StoreBase):
 
     # -- reads (bodies in StoreBase) ------------------------------------------------------
 
-    def _merge_plan_stats(self, counts: Mapping[str, int]) -> None:
-        with self._meta_lock:
-            for key, count in counts.items():
-                self.plan_stats[key] = self.plan_stats.get(key, 0) + count
-
     def _catalogs(self):
         return [shard.db for shard in self.shards]
 
@@ -1105,12 +1077,16 @@ class ShardedStorageEngine(StoreBase):
 
     def _record_write(
         self, ctx: ShardedTxnContext, shard_idx: int, table_name: str,
-        *images: Row,
+        rid: int,
     ) -> None:
-        """Book one row write on ``shard_idx``; ``images`` are the row's
-        old and/or new image, whose index keys enter the SSI write set."""
-        rid = images[0].rid
+        """Book one row write on ``shard_idx``: transaction bookkeeping
+        only.  The write set itself stays with the shard until
+        :meth:`_prepare_shards` pulls it — active write sets are never
+        consulted before a validation (readers only sweep *committed*
+        writers) — so all this owes SSI is forgetting the shard was
+        staged."""
         ctx.written.add(shard_idx)
+        ctx.staged.discard(shard_idx)
         ctx.writes.append(RowId(table_name, rid))
         # Under the meta latch, not the funnel: this runs on every write
         # statement, and the funnel is reserved for commit-visibility
@@ -1118,10 +1094,6 @@ class ShardedStorageEngine(StoreBase):
         # quiescence, commit/abort cleanup) take the same latch.
         with self._meta_lock:
             self._active_writers.add(ctx.txn_id)
-        table = self.shards[shard_idx].db.table(table_name)
-        self.ssi.record_write(ctx.txn_id, ssi_write_items(table_name, rid, {
-            k for image in images for k in table.index_keys(image.values)
-        }))
 
     def insert(self, txn: int, table_name: str, values: Sequence[Any]) -> Row:
         ctx = self._context(txn)
@@ -1130,7 +1102,7 @@ class ShardedStorageEngine(StoreBase):
         shard_idx = self.route_row(table_name, canonical)
         shard = self._ensure_shard_txn(txn, shard_idx)
         row = shard.insert(txn, table_name, canonical)
-        self._record_write(ctx, shard_idx, table_name, row)
+        self._record_write(ctx, shard_idx, table_name, row.rid)
         self._notify(txn, "write", table_name)
         return row
 
@@ -1146,7 +1118,7 @@ class ShardedStorageEngine(StoreBase):
         if dst == src:
             shard = self._ensure_shard_txn(txn, src)
             old, new = shard.update(txn, table_name, rid, canonical)
-            self._record_write(ctx, src, table_name, old, new)
+            self._record_write(ctx, src, table_name, rid)
             self._notify(txn, "write", table_name)
             return old, new
         # The new primary key routes to a different shard: the update
@@ -1155,9 +1127,9 @@ class ShardedStorageEngine(StoreBase):
         src_shard = self._ensure_shard_txn(txn, src)
         dst_shard = self._ensure_shard_txn(txn, dst)
         old = src_shard.delete(txn, table_name, rid)
-        self._record_write(ctx, src, table_name, old)
+        self._record_write(ctx, src, table_name, rid)
         new = dst_shard.insert(txn, table_name, canonical)
-        self._record_write(ctx, dst, table_name, new)
+        self._record_write(ctx, dst, table_name, new.rid)
         self._notify(txn, "write", table_name)
         return old, new
 
@@ -1166,7 +1138,7 @@ class ShardedStorageEngine(StoreBase):
         shard_idx = self.shard_of_rid(rid)
         shard = self._ensure_shard_txn(txn, shard_idx)
         old = shard.delete(txn, table_name, rid)
-        self._record_write(ctx, shard_idx, table_name, old)
+        self._record_write(ctx, shard_idx, table_name, rid)
         self._notify(txn, "write", table_name)
         return old
 
@@ -1203,7 +1175,7 @@ class ShardedStorageEngine(StoreBase):
             for old, new in shard.update_where(
                 txn, table_name, predicate, new_values, where
             ):
-                self._record_write(ctx, shard_idx, table_name, old, new)
+                self._record_write(ctx, shard_idx, table_name, old.rid)
                 self._notify(txn, "write", table_name)
                 changed.append((old, new))
         return changed
@@ -1224,7 +1196,7 @@ class ShardedStorageEngine(StoreBase):
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
             for old in shard.delete_where(txn, table_name, predicate, where):
-                self._record_write(ctx, shard_idx, table_name, old)
+                self._record_write(ctx, shard_idx, table_name, old.rid)
                 self._notify(txn, "write", table_name)
                 removed.append(old)
         return removed

@@ -52,7 +52,9 @@ Thread-safe: every public entry runs under one internal mutex, because
 the sharded engine runs ONE global tracker that the per-shard worker
 threads of :mod:`repro.core.executor` all report into.  Write sets are
 recorded for *every* transaction (a SNAPSHOT writer can still be the W
-of an R → W edge); read sets only for SERIALIZABLE transactions.
+of an R → W edge) — once, from its undo log (``StorageEngine.prepare``),
+when its commit or its commit group's validation is about to read them;
+read sets only for SERIALIZABLE transactions, as they read.
 Committed state is garbage-collected once no live serializable snapshot
 predates the commit.
 """
@@ -159,8 +161,8 @@ class SSITracker:
         self._txns: dict[int, _SSITxn] = {}
         #: count of tracked SERIALIZABLE transactions (any status).  A
         #: plain int maintained under the mutex but *read* without it:
-        #: :meth:`has_serializable` is an advisory fast path for writers
-        #: deciding whether recording their write set can matter at all.
+        #: :meth:`has_serializable` is an advisory fast path for a
+        #: coordinator deciding whether its prepare round can matter.
         self._serializable_tracked = 0
         #: inverted index item -> committed transactions that wrote it,
         #: so a read's sweep for superseding committed writers is
@@ -198,9 +200,12 @@ class SSITracker:
         When false, no write set recorded *now* can ever form an rw
         antidependency: every serializable transaction beginning later
         gets a snapshot at or past the recorder's eventual commit, so it
-        reads the new versions and no edge exists.  Callers holding the
-        commit funnel (begins register under the same funnel) may use
-        this to skip write-set recording entirely.
+        reads the new versions and no edge exists.  Its one kind of
+        caller is a sharded coordinator's prepare round
+        (``ShardedStorageEngine._prepare_shards``, for a commit or a
+        group validation): it holds the commit funnel, begins register
+        under the same funnel, so it may skip pulling the shards' write
+        sets entirely.
         """
         return self._serializable_tracked > 0
 

@@ -9,7 +9,7 @@ engine.StorageEngine` and :class:`~repro.storage.sharding.
 ShardedStorageEngine` (hence the process and replicated engines) supply
 the primitives they are written against:
 
-* ``_context(txn)`` — the context of an *active* transaction;
+* ``_contexts`` — every transaction's context, whatever its status;
 * ``snapshot_provider(txn)`` — the provider serving its snapshot;
 * ``_lock_read_access(ctx, access)`` — observe one 2PL read: take the
   locks the access requires (may raise ``WouldBlock``);
@@ -20,18 +20,28 @@ the primitives they are written against:
 * ``_read_position(ctx)`` — the snapshot's place on the timeline
   ``_table_writers`` is kept on (a commit timestamp; the global commit
   sequence when sharded);
-* ``_merge_plan_stats(counts)`` — add a query's planner counters;
+* ``_stage_write_sets(txns)`` — put each transaction's undo-derived
+  write set (``prepare``) in front of the tracker that validates it;
+* ``_release_horizon(txn)`` — release its vacuum-horizon registration(s);
+* ``_holds_horizon(txn)`` — whether it is registered (not parked);
+* ``_resnapshot(ctx)`` — move it to the freshest cut and re-register it,
+  unless it is registered there already; says whether it moved;
 * ``_catalogs()`` — the databases holding the physical tables;
-* ``_meta_lock`` — the latch the small counters are updated under.
+* ``commit_funnel()`` — the latch visibility transitions ride;
+* ``_meta_lock`` / ``_mvcc_local`` — the latch the small counters are
+  updated under, and this store's own share of ``mvcc_stats``.
 
-Nothing here takes the single engine's mutex — that class re-declares
-each public member as ``_locked(StoreBase.member)`` — and nothing here
-assigns an attribute an engine guards with ``_GUARDED_FIELDS``: those
-writes stay in the engines, where ``latchlint`` LL005 sees their latch.
+Nothing here names the single engine's mutex — that class re-declares
+each public member as ``_locked(StoreBase.member)`` — and the two
+writes to fields the sharded engine guards with ``_GUARDED_FIELDS``
+(``plan_stats``, ``_mvcc_local``) sit under the latch it declares for
+them, ``_meta_lock``; every other guarded write stays in the engines,
+where ``latchlint`` LL005 sees its latch.
 """
 
 from __future__ import annotations
 
+import enum
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,6 +53,12 @@ from repro.storage.types import SQLValue
 
 
 _RANGE = AccessKind.INDEX_RANGE
+
+
+class TxnStatus(enum.Enum):
+    ACTIVE = "active"
+    COMMITTED = "committed"
+    ABORTED = "aborted"
 
 
 class _StatementReads:
@@ -124,7 +140,19 @@ class StoreBase:
         self.commit(txn)
         return count
 
-    # -- transaction state (any status) -------------------------------------------------
+    # -- transaction state ----------------------------------------------------------------
+
+    def _context(self, txn: int):
+        """The context of an *active* transaction."""
+        try:
+            ctx = self._contexts[txn]
+        except KeyError:
+            raise TransactionStateError(f"unknown transaction {txn}") from None
+        if ctx.status is not TxnStatus.ACTIVE:
+            raise TransactionStateError(
+                f"transaction {txn} is {ctx.status.value}, not active"
+            )
+        return ctx
 
     def context(self, txn: int):
         """Expose read/write sets for the model recorder (any status)."""
@@ -144,14 +172,19 @@ class StoreBase:
         """Side-effect-free pre-check: would committing ``txn`` now fail
         SSI validation?  Coordinators use this to keep a doomed member
         from poisoning its commit group after partners committed."""
-        return self.ssi.serialization_doomed(txn)
+        return self.serialization_doomed_group((txn,))
 
     def serialization_doomed_group(self, txns: Sequence[int]) -> bool:
-        """Side-effect-free pre-check for an *atomic commit group*: would
-        committing ``txns`` in this order fail for any member, counting
-        the edges the group's own earlier commits create?  Coordinators
-        must consult this before committing the first member — a failure
-        midway would widow the already-committed ones."""
+        """Pre-check for an *atomic commit group*: would committing
+        ``txns`` in this order fail for any member, counting the edges
+        the group's own earlier commits create?  Coordinators must
+        consult this before committing the first member — a failure
+        midway would widow the already-committed ones.
+
+        No write set reaches the tracker before a commit needs it, so
+        the members' are staged first; nothing else changes (an active
+        transaction's write set is read by its own validation only)."""
+        self._stage_write_sets(txns)
         return self.ssi.group_doomed(txns)
 
     def pin_snapshot(self, txn: int) -> None:
@@ -160,6 +193,55 @@ class StoreBase:
         ``refresh_snapshot`` must refuse from now on — repeatability
         wins over freshness."""
         self._context(txn).snapshot_pinned = True
+
+    @staticmethod
+    def _unobserved_snapshot(ctx) -> bool:
+        """A snapshot nothing was derived from: no reads, no writes, no
+        delivered entangled answer.  Grounding performed for a query
+        that came back unanswered (WAIT) does not count — the
+        coordinator discarded its observations."""
+        return ctx.isolation.uses_snapshot and not (
+            ctx.reads or ctx.writes or ctx.snapshot_pinned)
+
+    def park_snapshot(self, txn: int) -> bool:
+        """Release an unobserved snapshot transaction's vacuum-horizon
+        registration(s) without ending the transaction.
+
+        An idle waiter (an interactive session between statements, or one
+        that never executed a statement at all) holds no observations, so
+        nothing entitles it to pin the version-chain GC floor — N floors
+        at once when its snapshot is a vector.  The owner must call
+        :meth:`unpark_snapshot` before the next read or write.  Returns
+        True when parked, False otherwise.
+        """
+        with self.commit_funnel():
+            if not self._unobserved_snapshot(self._context(txn)):
+                return False
+            self._release_horizon(txn)
+            return True
+
+    def unpark_snapshot(self, txn: int) -> None:
+        """Re-arm a parked transaction: take a fresh snapshot at the
+        freshest cut and re-register it in the vacuum horizon.  No-op for
+        transactions that are not parked."""
+        with self.commit_funnel():
+            ctx = self._context(txn)
+            if ctx.isolation.uses_snapshot and not self._holds_horizon(txn):
+                self._resnapshot(ctx)
+
+    def refresh_snapshot(self, txn: int) -> bool:
+        """Re-snapshot a transaction that has not observed any state yet
+        (e.g. an interactive session whose pending query was cancelled
+        before being answered): its old snapshot is released — unpinning
+        the vacuum horizon — and subsequent reads see the latest
+        committed state.  Returns True when the snapshot moved."""
+        with self.commit_funnel():
+            ctx = self._context(txn)
+            if not self._unobserved_snapshot(ctx) or not self._resnapshot(ctx):
+                return False
+            with self._meta_lock:
+                self._mvcc_local["snapshot_refreshes"] += 1
+            return True
 
     # -- reads --------------------------------------------------------------------------
 
@@ -219,6 +301,11 @@ class StoreBase:
         finally:
             if plan_counts:
                 self._merge_plan_stats(plan_counts)
+
+    def _merge_plan_stats(self, counts: Mapping[str, int]) -> None:
+        with self._meta_lock:
+            for key, count in counts.items():
+                self.plan_stats[key] = self.plan_stats.get(key, 0) + count
 
     def read_table(self, txn: int, table: str) -> list[Row]:
         """Full-table read (used by tests and the recovery manager)."""

@@ -5,9 +5,11 @@
 :class:`~repro.transport.proxy.RemoteShardEngine` proxies instead of
 in-process shards: the entire coordinator layer — vector begins,
 ordered two-phase prepare/commit, planning, vacuum, ensemble
-checkpoints — is inherited unchanged, which is also the
-observational-equivalence argument (property-tested against the
-threaded pool in ``tests/transport``).
+checkpoints — is inherited unchanged, with no override: write sets
+(``prepare``), snapshot reads (``snapshot_view``) and restart recovery
+(``recover``) are verbs every shard answers, a remote one with a frame.
+That is also the observational-equivalence argument (property-tested
+against the threaded pool in ``tests/transport``).
 
 What this class adds:
 
@@ -16,10 +18,6 @@ What this class adds:
   process while sibling receiver threads hold transport latches would
   clone a locked world into the child), and each child closes every
   pipe end that is not its own;
-* **two overrides**, one fork (see the class docstring): write sets are
-  *pulled* from the workers at commit instead of recorded per
-  statement.  Snapshot reads and restart recovery need no seam — a
-  remote shard answers ``snapshot_view`` and ``recover`` like any other;
 * the **probe-based distributed deadlock detector**: a shard worker
   reporting ``would_block`` returns who blocks the waiter; the
   coordinator unions every shard's waits-for edges and chases the
@@ -39,7 +37,6 @@ import signal
 from repro.analysis.latch import Latch
 from repro.errors import DeadlockError, TransportError
 from repro.storage.engine import LockGranularity
-from repro.storage.row import RowId
 from repro.storage.sharding import ShardedStorageEngine
 from repro.transport.frames import FrameChannel
 from repro.transport.proxy import (
@@ -98,20 +95,7 @@ def _kill_process(process) -> None:
 
 
 class ProcessShardedStorageEngine(ShardedStorageEngine):
-    """N shard engines in N worker processes behind one coordinator.
-
-    **The one fork kept on purpose**: :meth:`_record_write` skips the
-    per-statement SSI recording of the base class and
-    :meth:`_prepare_shards` pulls each written shard's undo-derived
-    write set at commit instead.  One path could serve both engines, but
-    ``benchmarks/e2e`` declares ``SSITracker.record_write`` *silent* in
-    the coordinator on ``ledger_process`` (recording per statement here
-    fails its hook-liveness self-check) and *exercised* on
-    ``ledger_replicated`` (pulling at prepare there changes what that
-    hook counts), and those declarations are frozen to feature PRs — so
-    neither path can absorb the other before ROADMAP item 0's
-    benchmark-only PR.
-    """
+    """N shard engines in N worker processes behind one coordinator."""
 
     def __init__(
         self,
@@ -152,35 +136,6 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
             shards=proxies,
             ordered_indexes=ordered_indexes,
         )
-
-    # -- base-class seams ----------------------------------------------------------
-
-    def _record_write(self, ctx, shard_idx, table_name, *images) -> None:
-        # Transaction bookkeeping only — no per-statement SSI recording.
-        # Active write sets are never consulted before commit (readers
-        # only sweep *committed* writers), and the prepare round below
-        # ships the worker-authoritative write set into the tracker at
-        # commit time, deduplicated, in one round trip per shard instead
-        # of one coordinator-side recording per statement.
-        ctx.written.add(shard_idx)
-        ctx.writes.append(RowId(table_name, images[0].rid))
-        with self._meta_lock:
-            self._active_writers.add(ctx.txn_id)
-
-    def _prepare_shards(self, ctx) -> None:
-        # Phase one of 2PC, in shard order under the commit funnel: each
-        # written shard reports its undo-derived write set, merged into
-        # the coordinator-resident SSI tracker before validation runs.
-        # With no serializable transaction tracked the round is skipped
-        # outright — begins register under this same funnel, so any
-        # serializable transaction starting later snapshots at or past
-        # this commit and can never form an edge to it.
-        if not self.ssi.has_serializable():
-            return
-        for shard_idx in sorted(ctx.written):
-            items = self.shards[shard_idx].prepare(ctx.txn_id)
-            if items:
-                self.ssi.record_write(ctx.txn_id, items)
 
     # -- distributed deadlock detection ----------------------------------------------
 

@@ -27,6 +27,7 @@ from repro.entangled.grounding import _PositionalTable
 from repro.errors import SnapshotTooOldError, WriteConflictError
 from repro.storage import (
     ColumnType,
+    ReadAccess,
     ShardedStorageEngine,
     StorageEngine,
     TableSchema,
@@ -165,8 +166,8 @@ BEFORE_CRASH = [
     ("cancel_wait", lambda s: s.locks.cancel_wait(4, PK_1), True),
     ("not waiting", lambda s: s.locks.waiting(4), False),
     ("abort blocked", lambda s: s.abort(4)),
-    ("lock_table_shared blocked", lambda s: (
-        begin(s, TWO_PL, 5), s.lock_table_shared(5, "T")),
+    ("scan read blocked", lambda s: (
+        begin(s, TWO_PL, 5), s.lock_read_access(5, ReadAccess.scan("T"))),
      ("WouldBlock", 5, table_resource("T"))),
     ("abort reader", lambda s: s.abort(5)),
     # -- versioned reads: the old cut, the writer's own view -----------------------------
@@ -191,7 +192,7 @@ BEFORE_CRASH = [
     ("commit unparked", lambda s: s.commit(7, flush=False)),
     # -- 2PL read locks ----------------------------------------------------------------
     ("begin locker", lambda s: begin(s, TWO_PL, 9)),
-    ("lock_table_shared", lambda s: s.lock_table_shared(9, "T")),
+    ("lock_read_access", lambda s: s.lock_read_access(9, ReadAccess.scan("T"))),
     ("release_read_locks", lambda s: s.release_read_locks(9)),
     ("commit locker", lambda s: s.commit(9, flush=False)),
     # -- a forced vacuum takes the old cut away from its reader ----------------------------

@@ -6,9 +6,12 @@ over :class:`RemoteShardEngine` proxies — and this property pins the
 argument down: the same seeded operation sequence applied to the
 threaded engine and to the process-per-shard engine at N in {1, 2, 4}
 must produce the same outcomes, the same committed contents and the
-same exceptions.  Rows are addressed by primary key because rid
-assignment (deliberately) differs between executors only in namespace
-interleaving, not observably.
+same exceptions — under every isolation level: under SERIALIZABLE a
+watcher that read the whole table stays open, so every commit's write
+set (pulled from the shards by ``prepare`` on both engines) is swept
+against it and the trackers must count the same rw edges.  Rows are
+addressed by primary key because rid assignment (deliberately) differs
+between executors only in namespace interleaving, not observably.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DuplicateKeyError
+from repro.errors import DuplicateKeyError, SerializationFailureError
 from repro.storage import (
     ColumnType,
     ShardedStorageEngine,
@@ -68,6 +71,15 @@ def apply(engine, txn, op, key, value):
     return ("deleted", None)
 
 
+def commit_outcome(engine, txn) -> str:
+    try:
+        engine.commit(txn)
+        return "committed"
+    except SerializationFailureError:
+        engine.abort(txn)
+        return "serialization failure"
+
+
 class TestProcessExecutorEquivalence:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(
@@ -81,14 +93,20 @@ class TestProcessExecutorEquivalence:
             min_size=1, max_size=20,
         ),
         commit_every=st.integers(min_value=1, max_value=5),
+        isolation=st.sampled_from(list(TxnIsolation)),
     )
     def test_process_engine_is_observationally_equivalent(
-        self, n_shards, ops, commit_every
+        self, n_shards, ops, commit_every, isolation
     ):
         pool = build(ShardedStorageEngine, n_shards)
         proc = build(ProcessShardedStorageEngine, n_shards)
         try:
-            txns = {"pool": pool.begin(), "proc": proc.begin()}
+            watchers = {}
+            if isolation is TxnIsolation.SERIALIZABLE:
+                for name, engine in (("pool", pool), ("proc", proc)):
+                    watchers[name] = engine.begin(isolation)
+                    engine.read_table(watchers[name], "T")
+            txns = {"pool": pool.begin(isolation), "proc": proc.begin(isolation)}
             for i, (op, key, value) in enumerate(ops):
                 out_pool = apply(pool, txns["pool"], op, key, value)
                 out_proc = apply(proc, txns["proc"], op, key, value)
@@ -97,11 +115,17 @@ class TestProcessExecutorEquivalence:
                     pool.commit(txns["pool"])
                     proc.commit(txns["proc"])
                     assert contents(pool) == contents(proc)
-                    txns = {"pool": pool.begin(), "proc": proc.begin()}
+                    txns = {
+                        "pool": pool.begin(isolation),
+                        "proc": proc.begin(isolation)}
             pool.abort(txns["pool"])
             proc.abort(txns["proc"])
             assert contents(pool) == contents(proc)
             assert proc.db.content_equal(pool.db)
+            assert proc.ssi.stats == pool.ssi.stats
+            if watchers:
+                assert commit_outcome(proc, watchers["proc"]) == (
+                    commit_outcome(pool, watchers["pool"]))
         finally:
             proc.close()
 
