@@ -6,9 +6,10 @@ the SPJ evaluator's index paths and its planner (a cold plan against a
 prepared-plan hit), a latch round trip against the bare primitive, the
 lock manager, the SQL front end (a cold parse against a
 prepared-statement hit), a table update that moves no index key, a
-point probe through each storage engine's ``query``, and a ``LIMIT``
+point probe through each storage engine's ``query``, a ``LIMIT``
 range read — whose cost must follow the rows it returns, not the width
-of its bounds or the history outside them.
+of its bounds or the history outside them — and the pipeline above that
+read's leaf, per returned row.
 """
 
 import itertools
@@ -53,6 +54,7 @@ from repro.storage import (
     planner,
     table_resource,
 )
+from repro.workloads.payments import payment_schema
 from repro.workloads.socialnet import SocialNetwork
 from repro.workloads.traveldb import TravelDatabase
 
@@ -558,6 +560,63 @@ def test_snapshot_range_limit_cost_is_flat_in_the_window():
         timings[window] = min(timeit.repeat(
             lambda: store.query(txn, query), number=20, repeat=5))
     assert timings[2500] <= 2 * timings[250], timings
+
+
+class _FetchedOnce:
+    """A table view whose ``range_scan`` answers from its first fetch, so
+    that a statement through it times what happens *above* the leaf."""
+
+    def __init__(self, view):
+        self._view = view
+        self._rows = None
+        self.schema = view.schema
+
+    def __getattr__(self, name):
+        return getattr(self._view, name)
+
+    def range_scan(self, *args, **options):
+        if self._rows is None:
+            self._rows = self._view.range_scan(*args, **options)
+        return self._rows
+
+
+@pytest.mark.benchmark(group="micro-range")
+@pytest.mark.parametrize(
+    "build", [StorageEngine, lambda: ShardedStorageEngine(2)],
+    ids=["single", "sharded2"])
+def test_engine_query_range_limit50(benchmark, build):
+    """The payment ledger's time-window read — four columns of the first
+    50 rows, ``ORDER BY at LIMIT 50`` — through ``query`` under SNAPSHOT,
+    on one engine and on a 2-shard snapshot view, with the fetch itself
+    cached: plan binding, the observer's batch of 50 row reports and the
+    per-row pipeline from the leaf's rows to the output tuples.
+    ``extra_info`` carries the mean in microseconds per returned row."""
+    store = build()
+    store.vacuum_interval = 0
+    for schema in payment_schema():
+        store.create_table(schema)
+    store.load("Ledger", [
+        (i, i % 64, (i + 1) % 64, float(i % 50), i * 0.01) for i in range(2000)])
+    column = lambda name: Col(f"Ledger.{name}")  # noqa: E731
+    query = SPJQuery(
+        tables=(TableRef("Ledger"),),
+        select=tuple(column(c) for c in ("entry", "src", "dst", "amount")),
+        select_names=("entry", "src", "dst", "amount"),
+        where=And(Cmp(CmpOp.GE, column("at"), Const(5.0)),
+                  Cmp(CmpOp.LE, column("at"), Const(10.0))),
+        order_by=(("Ledger.at", False),), limit=50,
+    )
+    txn = store.begin(TxnIsolation.SNAPSHOT)
+    provider = store.snapshot_provider(txn)
+    view = _FetchedOnce(provider.table("Ledger"))
+    provider.table = lambda name: view
+    store.snapshot_provider = lambda txn: provider
+    rows = benchmark(lambda: store.query(txn, query))
+    assert rows == [
+        (i, i % 64, (i + 1) % 64, float(i % 50)) for i in range(500, 550)]
+    benchmark.extra_info["us_per_row"] = round(
+        benchmark.stats.stats.mean * 1e6 / len(rows), 3)
+    store.abort(txn)
 
 
 @pytest.mark.benchmark(group="micro-range")

@@ -232,6 +232,16 @@ def ssi_read_items(access: ReadAccess) -> list:
     return [RowId(access.table, access.rid)]
 
 
+def ssi_batch_items(table: str, rids: Sequence[int], path: "ReadAccess | None"):
+    """The SSI items of one range leaf's report — its consumed range
+    access (None when already recorded), then each row — built as the
+    tracker pulls them: it asks for no item of an untracked reader."""
+    if path is not None:
+        yield from ssi_read_items(path)
+    for rid in rids:
+        yield RowId(table, rid)
+
+
 class StorageEngine(StoreBase):
     """Classical ACID transactions over a :class:`Database`.
 
@@ -758,12 +768,11 @@ class StorageEngine(StoreBase):
     observe_snapshot_read = _locked(_observe_snapshot_read)
 
     def _observe_snapshot_reads(
-        self, txn: int, accesses: Sequence[ReadAccess]
+        self, txn: int, table: str, rids: Sequence[int],
+        path: "ReadAccess | None",
     ) -> None:
-        self.mvcc_stats["snapshot_reads"] += len(accesses)
-        # Lazily: the tracker asks for no item of an untracked reader.
-        self.ssi.record_read(txn, (
-            item for access in accesses for item in ssi_read_items(access)))
+        self.mvcc_stats["snapshot_reads"] += len(rids) + (path is not None)
+        self.ssi.record_read(txn, ssi_batch_items(table, rids, path))
 
     def _ssi_observe_read(self, txn: int, access: ReadAccess) -> None:
         self.ssi.record_read(txn, ssi_read_items(access))

@@ -24,8 +24,9 @@ Two operator families:
   :class:`Distinct` above still examines every row).  A range scan
   observes the rows it fetched in one batch, before the first is used —
   and fetches, like it locks, only the prefix the consumer pulls when
-  the planner handed it the query's LIMIT.  Either way an observer that
-  raises aborts evaluation with nothing unlocked consumed.
+  the planner handed it the query's LIMIT — as ``(table, rids, the range
+  as consumed)``, not an access object per row.  Either way an observer
+  that raises aborts evaluation with nothing unlocked consumed.
 
 * **Pipeline operators** (:class:`NestedLoopJoin`, :class:`Filter`,
   :class:`Project`, :class:`Distinct`, :class:`Sort`, :class:`Limit`)
@@ -36,13 +37,20 @@ Two operator families:
   when the plan is prepared, never by probing — and a conjunct naming
   something no table or host variable provides is left to
   :class:`Filter`, which raises ``UnknownColumnError`` for the first row
-  that reaches it.  Access paths only ever *prune* candidates, they never
-  replace that check — which is why an index-range plan returns exactly
-  what a filtered full scan would.
+  that reaches it.  A conjunct the level's access path *proves* for
+  every row it yields — the equality that keyed a point probe, a
+  well-typed non-NULL bound of the range scan — is not checked again
+  (the planner's ``_JoinLevel.access`` hands back the checks that are
+  left, per access); every other conjunct is, and all of them whenever
+  the proof fails — which is why an index-range plan returns exactly
+  what a filtered full scan would.  The innermost level may be given the
+  projection (``emit``, by position): its rows with no check left go
+  from the leaf to their output tuple without becoming an environment.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.storage.bptree import value_sort_key
@@ -138,8 +146,8 @@ class IndexPoint:
             ))
         if self.is_pk:
             row = table.lookup_pk(self.key)
-            # Residual equality columns still need checking; the
-            # pipeline's conjunct re-check covers that.
+            # Equality columns outside the key still need checking:
+            # their conjuncts stay among the level's checks.
             rows = (row,) if row is not None else ()
         else:
             rows = table.lookup_index(self.cols, self.key)
@@ -151,12 +159,14 @@ class IndexPoint:
 class IndexRange:
     """Ordered-index range scan: in-order candidates between bounds.
 
-    Bounds prune candidates only — residual conjuncts are still
-    re-checked by the pipeline, so the result set is identical to a
-    filtered scan.  ``limit`` is set by the planner only when the
-    query's LIMIT provably applies here: the scan's first ``limit`` rows
-    are the answer, so that prefix is all the leaf fetches and all it
-    reports.  Three steps, in this order:
+    Every row returned carries a key inside the bounds, which is what
+    lets the planner drop the conjuncts the bounds came from (when it
+    can prove the comparison well-typed; see ``_JoinLevel._bounds``);
+    the rest are still checked by the pipeline, so the result set is
+    identical to a filtered scan.  ``limit`` is set by the planner only
+    when the query's LIMIT provably applies here: the scan's first
+    ``limit`` rows are the answer, so that prefix is all the leaf
+    fetches and all it reports.  Three steps, in this order:
 
     1. the range access is observed *before* the probe, carrying the
        bounds, the direction and the budget — under 2PL the engine turns
@@ -165,9 +175,11 @@ class IndexRange:
        budget);
     2. the fetch;
     3. every fetched row is observed (row S) before the first is used,
-       as one batch, together with the range access *as consumed*: with
-       the budget spent its ``stop`` is the last fetched row's key, and
-       that — not ``hi`` — is where the SIREAD interval ends.
+       as one batch — the table and the rids, not a ``ReadAccess`` per
+       row: who needs one builds it — together with the range access
+       *as consumed*: with the budget spent its ``stop`` is the last
+       fetched row's key, and that — not ``hi`` — is where the SIREAD
+       interval ends.
     """
 
     def __init__(
@@ -205,8 +217,7 @@ class IndexRange:
             positions = [table.schema.column_index(c) for c in self.cols]
             last = rows[-1].values
             path = path._replace(stop=tuple([last[p] for p in positions]))
-        observe.many(
-            [ReadAccess.row(self.ref_name, row.rid) for row in rows], path)
+        observe.many(self.ref_name, [row.rid for row in rows], path)
         return rows
 
 
@@ -228,22 +239,36 @@ class NestedLoopJoin:
     """One join level: for every upstream environment, let the prepared
     level pick its access path under those bindings, extend the
     environment per row, and check the conjuncts whose last column this
-    table binds."""
+    table binds — those of them the access path did not already prove.
 
-    def __init__(self, child, level):
+    With ``emit`` set (the planner sets it on the innermost level when
+    the SELECT list is plain columns of this table and nothing above
+    reads a row by name) the level yields :class:`Project`'s ``(output
+    tuple, None)`` pairs itself, by position; and a row whose every
+    check the access path proved goes from the leaf to its output tuple
+    without ever becoming an environment."""
+
+    def __init__(self, child, level, emit=None):
         self.child = child
-        #: the planner's per-execution level: ``access(env, table, ctx)``,
-        #: ``checks``, and the prepared names in ``level.shape``.
+        #: the planner's per-execution level: ``access(env, table, ctx)``
+        #: and the prepared names in ``level.shape``.
         self.level = level
+        self.emit = emit
 
-    def run(self, ctx: ExecContext) -> Iterator[Env]:
+    def run(self, ctx: ExecContext) -> Iterator:
         level = self.level
         shape = level.shape
         table = ctx.tables[shape.position]
         qualified, bare, all_bare = shape.qualified, shape.bare, shape.all_bare
-        checks = level.checks
+        emit = self.emit
         for env in self.child.run(ctx):
-            for row in level.access(env, table, ctx).rows(table, ctx):
+            operator, checks = level.access(env, table, ctx)
+            rows = operator.rows(table, ctx)
+            if emit is not None and not checks:
+                for row in rows:
+                    yield emit(row.values), None
+                continue
+            for row in rows:
                 values = row.values
                 env2 = dict(env)
                 env2.update(zip(qualified, values))
@@ -256,7 +281,7 @@ class NestedLoopJoin:
                     if not is_satisfied(conj, env2):
                         break
                 else:
-                    yield env2
+                    yield env2 if emit is None else (emit(values), None)
 
 
 class Filter:
@@ -339,11 +364,5 @@ class Limit:
         self.n = n
 
     def run(self, ctx: ExecContext) -> Iterator[tuple[tuple, "tuple | None"]]:
-        if self.n <= 0:
-            return
-        count = 0
-        for item in self.child.run(ctx):
-            yield item
-            count += 1
-            if count >= self.n:
-                return
+        # ``LIMIT 0`` never starts the child: a Sort would run eagerly.
+        return islice(self.child.run(ctx), self.n) if self.n > 0 else iter(())

@@ -3,14 +3,14 @@
 A query is planned once per *shape* and executed many times.  The shape
 is the query with its constants abstracted — FROM items and what their
 columns are called, the column names and comparison operators of each
-WHERE conjunct, DISTINCT / ORDER BY, the host-variable names in scope,
-and ``PlanHints.ordered_indexes`` — so the thousands of scripts one
-statement template produces, and the grounding bodies one entangled
-query shape produces, share one plan.
+WHERE conjunct, which SELECT items are plain columns, DISTINCT / ORDER
+BY, the host-variable names in scope, and ``PlanHints.ordered_indexes``
+— so the thousands of scripts one statement template produces, and the
+grounding bodies one entangled query shape produces, share one plan.
 
 * **Prepared once** (:func:`_prepare`, memoised in ``provider.plans``,
   one dict per ``Database``): the operator chain — Source -> one
-  NestedLoopJoin per FROM item -> Filter? -> Project -> Distinct? ->
+  NestedLoopJoin per FROM item -> (Filter? -> Project)? -> Distinct? ->
   Sort?/pushdown -> Limit? — whether the ORDER BY can ride an ordered
   scan of the outermost table (sort elision) and whether the LIMIT may
   reach that leaf; the ambiguous-column set; and per FROM position a
@@ -35,10 +35,26 @@ query shape produces, share one plan.
   remaining bindings still cover.  Range bounds are evaluated, the
   tightest kept, and costed by the classical selectivity guesses —
   two-sided range ~ n/8, one-sided ~ n/3, scan = n — so a range path is
-  taken only over a table of more than one row.  Extraction is
-  *non-destructive*: bounding conjuncts stay among the level's checks,
-  so an index range is purely a candidate generator and results always
-  equal the filtered-scan baseline.
+  taken only over a table of more than one row.  With the path goes
+  what it *proves*: a conjunct the chosen path guarantees for every row
+  it yields is not evaluated again.  That is an equality whose binding
+  keyed the point probe, and a range conjunct on the scanned column
+  whose bound was non-NULL and of a type ``comparable`` orders against
+  the column's declared type (the used bound itself, or a looser one it
+  implies) — unless the scan's lower end is open over a nullable column.
+  Whenever that proof fails the conjunct stays among the level's checks,
+  so a ``TypeMismatchError``, a NULL bound, a bound on a column the scan
+  did not ride and every residual conjunct behave as under a filtered
+  scan, and results always equal that baseline.  The same proof decides
+  whether the query's LIMIT may reach the leaf.
+
+* **By position, not by name**: when the SELECT list is plain columns
+  of the innermost table and nothing above that level reads a row by
+  name (no residual conjunct, no materialised sort key), the prepared
+  plan carries ``emit`` — row values to output tuple — and that level
+  yields output tuples itself; a row with no check left never becomes
+  an environment.  Every other plan projects through
+  :class:`~repro.storage.operators.Project`.
 
 ``PlanHints.ordered_indexes=False`` disables ordered access paths
 entirely (the benchmark's hash-only baseline); tables maintain their
@@ -47,7 +63,9 @@ B+ trees regardless, the flag gates *use* only.
 
 from __future__ import annotations
 
+import datetime
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import MutableMapping
 
 from repro.storage.bptree import value_sort_key
@@ -79,6 +97,7 @@ from repro.storage.operators import (
     Source,
 )
 from repro.storage.query import SPJQuery, _own_column, index_path_for
+from repro.storage.types import ColumnType
 
 
 @dataclass
@@ -111,6 +130,19 @@ class _Bound:
 #: col-OP-value orientation: which side of the range each operator bounds.
 _UPPER_OPS = {CmpOp.LT: False, CmpOp.LE: True}
 _LOWER_OPS = {CmpOp.GT: False, CmpOp.GE: True}
+
+
+#: Per declared column type, the exact types ``comparable`` orders
+#: against every non-NULL value such a column stores.  ``value_sort_key``
+#: is laxer — a ``bool`` ranks among the numbers, anything against
+#: anything — which is why a scan's bounds alone prove nothing.
+_ORDERS_WITH = {
+    ColumnType.INTEGER: (int, float),
+    ColumnType.FLOAT: (int, float),
+    ColumnType.TEXT: (str,),
+    ColumnType.BOOLEAN: (bool,),
+    ColumnType.DATE: (datetime.date,),
+}
 
 
 def _tighter_upper(value, inclusive: bool, current: _Bound) -> bool:
@@ -195,7 +227,7 @@ class _LevelShape:
     __slots__ = (
         "position", "ref_name", "qualified", "bare", "all_bare", "checks",
         "eq", "eq_columns", "point", "ranges", "forced", "n_pending",
-        "not_null", "scan",
+        "not_null", "orders_with", "scan",
     )
 
     def __init__(self, position: int, ref_name: str):
@@ -209,15 +241,16 @@ class _LevelShape:
         self.all_bare = True
         #: indexes of the conjuncts first checkable at this level.
         self.checks: tuple = ()
-        #: per conjunct, ``(own column, (conjunct, side of the other
-        #: operand))`` orientations usable as an equality binding.
+        #: per conjunct, its index and the ``(own column, (conjunct, side
+        #: of the other operand))`` orientations usable as an equality
+        #: binding.
         self.eq: tuple = ()
         self.eq_columns = 0
         #: ``(index columns, canonical columns, is_pk)`` probed when every
         #: ``eq`` column binds non-NULL; None when they cover no index.
         self.point: "tuple | None" = None
-        #: per conjunct, ``(own column, (conjunct, side), upper,
-        #: inclusive)`` orientations usable as a range bound.
+        #: per conjunct, its index and the ``(own column, (conjunct,
+        #: side), upper, inclusive)`` orientations usable as a range bound.
         self.ranges: tuple = ()
         #: ``(sort columns, reverse)`` when the ORDER BY rides this level.
         self.forced: "tuple | None" = None
@@ -225,6 +258,9 @@ class _LevelShape:
         self.n_pending = 0
         #: columns declared NOT NULL (an open lower bound admits no NULL key).
         self.not_null: frozenset = frozenset()
+        #: per column, its ``_ORDERS_WITH`` entry (none behind a facade
+        #: that declares no types: no range bound is ever proved there).
+        self.orders_with: dict = {}
         self.scan = SeqScan(ref_name)
 
 
@@ -232,10 +268,10 @@ class _PreparedPlan:
     """The value-free part of a plan; see the module docstring."""
 
     __slots__ = (
-        "levels", "residual", "order_exprs", "descending", "at_leaf",
+        "levels", "residual", "order_exprs", "descending", "at_leaf", "emit",
     )
 
-    def __init__(self, levels, residual, order_exprs, descending, at_leaf):
+    def __init__(self, levels, residual, order_exprs, descending, at_leaf, emit):
         self.levels = levels
         #: conjuncts no level can check (unresolvable names; or no tables).
         self.residual = residual
@@ -245,6 +281,10 @@ class _PreparedPlan:
         #: the LIMIT reaches the single leaf: nothing above it drops or
         #: reorders rows.
         self.at_leaf = at_leaf
+        #: ``row values -> output tuple`` when the SELECT list is plain
+        #: columns of the innermost table and nothing above that level
+        #: reads a row by name (no residual, no sort key), else None.
+        self.emit = emit
 
 
 def _sort_pushdown(
@@ -323,6 +363,8 @@ def _prepare(
         if column_of is not None:
             level.not_null = frozenset(
                 col for col in columns if not column_of(col).nullable)
+            level.orders_with = {
+                col: _ORDERS_WITH[column_of(col).type] for col in columns}
         levels.append(level)
 
     def level_of(expr: Expr) -> int:
@@ -390,7 +432,8 @@ def _prepare(
                 )
                 usable.append((column, (i, other_side), upper, inclusive))
             if usable:
-                (eq if conj.op is CmpOp.EQ else ranges).append(tuple(usable))
+                (eq if conj.op is CmpOp.EQ else ranges).append(
+                    (i, tuple(usable)))
         if level.forced is not None:
             # The ordered scan is the access path; only bounds on the
             # sort column still prune it.
@@ -410,6 +453,9 @@ def _prepare(
     # drops nor reorders rows above it: one FROM item, no DISTINCT, and
     # the sort elided or absent.
     at_leaf = n == 1 and not query.distinct and not materialize_sort
+    emit = None
+    if levels and not residual and not materialize_sort:
+        emit = _positional(query.select, levels[-1])
     return _PreparedPlan(
         tuple(levels),
         residual,
@@ -417,7 +463,29 @@ def _prepare(
         if materialize_sort else (),
         tuple(desc for _name, desc in query.order_by),
         at_leaf,
+        emit,
     )
+
+
+def _positional(select: tuple, level: _LevelShape):
+    """``row values -> output tuple`` for a SELECT list of plain columns
+    that ``level``'s own row binds, under the names it binds them by;
+    None when one is anything else (an expression, a host variable,
+    another table's column, a name only ``Col.eval``'s suffix rule
+    finds)."""
+    index_of = {name: i for i, name in enumerate(level.qualified)}
+    index_of.update(
+        zip(level.bare, range(len(level.bare))) if level.all_bare
+        else level.bare)
+    indexes = []
+    for expr in select:
+        if type(expr) is not Col or expr.name not in index_of:
+            return None
+        indexes.append(index_of[expr.name])
+    if len(indexes) == 1:
+        (only,) = indexes
+        return lambda values: (values[only],)
+    return itemgetter(*indexes) if indexes else None
 
 
 # -- binding and executing ---------------------------------------------------------------
@@ -440,22 +508,24 @@ class _JoinLevel:
         self.shape = shape
         self.checks = [conjuncts[i] for i in shape.checks]
         self.eq = [
-            [(column, _operand(conjuncts, recipe)) for column, recipe in group]
-            for group in shape.eq
+            (index, [
+                (column, _operand(conjuncts, recipe))
+                for column, recipe in group])
+            for index, group in shape.eq
         ]
         self.ranges = [
-            [
+            (index, [
                 (column, _operand(conjuncts, recipe), upper, inclusive)
-                for column, recipe, upper, inclusive in group
-            ]
-            for group in shape.ranges
+                for column, recipe, upper, inclusive in group])
+            for index, group in shape.ranges
         ]
         #: the query's LIMIT when nothing above the leaf can drop or
         #: reorder rows, else None.
         self.leaf_limit = leaf_limit
 
     def access(self, env: dict, table, ctx: ExecContext):
-        """The access operator for this position under ``env``."""
+        """``(access operator, checks)`` for this position under ``env``:
+        the row source, and the level's checks less those it proves."""
         shape = self.shape
         if shape.forced is not None:
             # A pushed-down ORDER BY pins the outermost table to an
@@ -464,38 +534,35 @@ class _JoinLevel:
             bounds, consumed = self._bounds(env)
             lo, hi = bounds.get(cols[0], (None, None))
             ctx.bump("sorts_elided")
-            limit = self._limit_at_leaf(cols[0], lo, consumed)
-            if lo is None and hi is None:
-                return SeqScan(
-                    shape.ref_name, order_cols=cols, reverse=reverse,
-                    limit=limit)
-            return self._range(cols, lo, hi, reverse, limit)
+            return self._ordered(cols[0], lo, hi, reverse, consumed)
 
         if self.eq:
             bindings: dict = {}
-            for group in self.eq:
+            bound_by: dict = {}
+            for index, group in self.eq:
                 for column, other in group:
                     if column in bindings:
                         continue
                     value = other.eval(env)
                     if value is not None:
                         bindings[column] = value
+                        bound_by[column] = index
                         break
             if len(bindings) == shape.eq_columns:
                 if shape.point is not None:
                     cols, index, is_pk = shape.point
-                    return IndexPoint(
-                        shape.ref_name, cols, index,
-                        tuple([bindings[c] for c in cols]), is_pk)
+                    return self._probe(
+                        cols, index, tuple([bindings[c] for c in cols]),
+                        is_pk, bound_by)
             else:
                 # A NULL never keys a probe (``col = NULL`` admits no
                 # row): probe what the remaining bindings still cover.
                 path = index_path_for(table, bindings)
                 if path is not None:
                     cols, key, is_pk = path
-                    return IndexPoint(
-                        shape.ref_name, cols, table.canonical_index(cols),
-                        key, is_pk)
+                    return self._probe(
+                        cols, table.canonical_index(cols), key, is_pk,
+                        bound_by)
 
         if self.ranges:
             bounds, consumed = self._bounds(env)
@@ -508,25 +575,35 @@ class _JoinLevel:
                         best = (cost, column, lo, hi)
                 if best is not None:
                     _cost, column, lo, hi = best
-                    return self._range(
-                        (column,), lo, hi, False,
-                        self._limit_at_leaf(column, lo, consumed))
+                    return self._ordered(column, lo, hi, False, consumed)
 
-        return shape.scan
+        return shape.scan, self.checks
+
+    def _probe(self, cols, index, key, is_pk, bound_by: dict):
+        """``(operator, checks)`` for the point probe of ``key``: every
+        row it yields carries the key, and ``=`` raises for no pair of
+        types, so the conjuncts that bound ``cols`` need no check."""
+        return (
+            IndexPoint(self.shape.ref_name, cols, index, key, is_pk),
+            self._unproved([bound_by[c] for c in cols]))
 
     def _bounds(self, env: dict):
         """Per-column ``(lower, upper)`` bounds the range recipes admit
-        under ``env``, and how many conjuncts bounded each column.
+        under ``env``, and per column the conjuncts a scan between them
+        *consumes*: those whose bound is non-NULL and of a type
+        ``comparable`` orders against the column's.
 
         NULL bounds are discarded — a NULL comparison satisfies no row,
-        and the level's checks already handle that, so pruning on it buys
-        nothing.  Overlapping conjuncts keep the *tightest* bound; the
-        looser ones remain among the checks, which re-check everything
-        anyway.
+        and the level's checks handle that, so pruning on it buys
+        nothing.  Overlapping conjuncts keep the *tightest* bound, which
+        implies the looser ones.  A bound of any other type still prunes
+        (``value_sort_key`` ranks anything) but its conjunct stays a
+        check: it raises for the first row that comes back.
         """
         bounds: dict = {}
         consumed: dict = {}
-        for group in self.ranges:
+        orders_with = self.shape.orders_with
+        for index, group in self.ranges:
             for column, other, upper, inclusive in group:
                 value = other.eval(env)
                 if value is None:
@@ -539,36 +616,51 @@ class _JoinLevel:
                     if lo is None or _tighter_lower(value, inclusive, lo):
                         lo = _Bound(value, inclusive)
                 bounds[column] = (lo, hi)
-                consumed[column] = consumed.get(column, 0) + 1
+                # ``value == value``: NaN orders with nothing.
+                if type(value) in orders_with.get(column, ()) and value == value:
+                    consumed.setdefault(column, []).append(index)
                 break
         return bounds, consumed
 
-    def _limit_at_leaf(self, column: str, lo, consumed: dict) -> "int | None":
-        """``leaf_limit`` when every row an ordered scan of ``column``
-        yields is an output row, else None: each pending conjunct must be
-        consumed by a non-NULL bound on that column, and an open lower
-        end must not admit NULL keys (they sort first and fail any
-        comparison)."""
+    def _ordered(self, column: str, lo, hi, reverse: bool, consumed: dict):
+        """``(operator, checks)`` for the ordered scan of ``column``
+        between ``lo`` and ``hi``.  Every row it yields satisfies the
+        conjuncts ``consumed`` on that column — unless the lower end is
+        open over a nullable column: NULL keys sort first and fail any
+        comparison.  ``leaf_limit`` reaches the scan when that is every
+        conjunct still pending: its first rows are then the answer."""
         shape = self.shape
-        if self.leaf_limit is None or not shape.n_pending:
-            return self.leaf_limit
+        proved = consumed.get(column, ())
         if lo is None and column not in shape.not_null:
-            return None
-        if consumed.get(column, 0) == shape.n_pending:
-            return self.leaf_limit
-        return None
-
-    def _range(self, cols, lo, hi, reverse, limit) -> IndexRange:
+            proved = ()
+        limit = self.leaf_limit
+        if limit is not None and len(proved) != shape.n_pending:
+            limit = None
+        checks = self._unproved(proved)
+        if lo is None and hi is None:
+            return SeqScan(
+                shape.ref_name, order_cols=(column,), reverse=reverse,
+                limit=limit), checks
         return IndexRange(
-            self.shape.ref_name,
-            cols,
+            shape.ref_name,
+            (column,),
             (lo.value,) if lo is not None else None,
             (hi.value,) if hi is not None else None,
             lo_inc=lo.inclusive if lo is not None else True,
             hi_inc=hi.inclusive if hi is not None else True,
             reverse=reverse,
             limit=limit,
-        )
+        ), checks
+
+    def _unproved(self, proved) -> list:
+        """The level's checks less the conjuncts (by index) the chosen
+        access path already guarantees for every row it yields."""
+        if not proved:
+            return self.checks
+        return [
+            conj for index, conj in zip(self.shape.checks, self.checks)
+            if index not in proved
+        ]
 
 
 def build_plan(
@@ -595,6 +687,8 @@ def build_plan(
         query.order_by,
         frozenset(base_env) if base_env else None,
         hints.ordered_indexes,
+        # Which SELECT items are plain columns, and of what name.
+        tuple([e.name if type(e) is Col else None for e in query.select]),
     )
     plan = plans.get(key) if plans is not None else None
     if plan is None:
@@ -613,10 +707,14 @@ def build_plan(
     leaf_limit = query.limit if plan.at_leaf else None
     node = Source(base_env)
     for shape in plan.levels:
-        node = NestedLoopJoin(node, _JoinLevel(shape, conjuncts, leaf_limit))
-    if plan.residual:
-        node = Filter(node, [conjuncts[i] for i in plan.residual])
-    node = Project(node, query.select, plan.order_exprs)
+        node = NestedLoopJoin(
+            node, _JoinLevel(shape, conjuncts, leaf_limit),
+            # The innermost level projects, when it can do so by position.
+            plan.emit if shape is plan.levels[-1] else None)
+    if plan.emit is None:
+        if plan.residual:
+            node = Filter(node, [conjuncts[i] for i in plan.residual])
+        node = Project(node, query.select, plan.order_exprs)
     if query.distinct:
         node = Distinct(node)
     if plan.order_exprs:

@@ -192,45 +192,60 @@ class ReadAccess(NamedTuple):
 
 
 #: Called with each :class:`ReadAccess` the evaluator performs, before the
-#: covered rows are used.  An observer may also offer ``many(accesses,
-#: path)``: a range leaf's whole batch of ``ROW`` accesses in one call,
-#: after its fetch, with ``path`` the leaf's own access as consumed
-#: (``stop`` set if its budget was spent; None if this evaluation already
-#: reported it).  One that does not is called once per row instead, in
-#: the same order, and never sees the consumed path.
+#: covered rows are used.  An observer may also offer ``many(table, rids,
+#: path)``: the rows of one range leaf's batch in one call, after its
+#: fetch — the table's name and the rids in scan order, no ``ROW`` access
+#: built per row: an observer that wants them as accesses (to lock each)
+#: builds them, one that only counts or feeds a lazy read set need not —
+#: with ``path`` the leaf's own access as consumed (``stop`` set if its
+#: budget was spent; None if this evaluation already reported it).  One
+#: that does not is called once per row instead with the ``ROW`` access,
+#: in the same order, and never sees the consumed path.
 ReadObserver = Callable[[ReadAccess], None]
 
 
 class _EachAccessOnce:
     """``observer``, told each distinct access once per evaluation."""
 
-    __slots__ = ("_observer", "_many", "_reported")
+    __slots__ = ("_observer", "_many", "_reported", "_rows")
 
     def __init__(self, observer: ReadObserver):
         self._observer = observer
         self._many = getattr(observer, "many", None)
-        self._reported: set[ReadAccess] = set()
+        self._reported: set = set()
+        #: per table, the rids reported — singly or in a batch.
+        self._rows: dict[str, set[int]] = {}
 
     def __call__(self, access: ReadAccess) -> None:
-        if access not in self._reported:
+        if access.kind is AccessKind.ROW:
+            seen = self._rows.setdefault(access.table, set())
+            if access.rid in seen:
+                return
+            seen.add(access.rid)
+        elif access in self._reported:
+            return
+        else:
             self._reported.add(access)
-            self._observer(access)
+        self._observer(access)
 
-    def many(self, accesses: list[ReadAccess], path: ReadAccess) -> None:
-        reported = self._reported
-        fresh = [access for access in accesses if access not in reported]
-        reported.update(fresh)
+    def many(self, table: str, rids: list[int], path: ReadAccess) -> None:
+        seen = self._rows.get(table)
+        if seen is None:
+            self._rows[table] = set(rids)
+        else:
+            rids = [rid for rid in rids if rid not in seen]
+            seen.update(rids)
         if self._many is None:
-            for access in fresh:
-                self._observer(access)
+            for rid in rids:
+                self._observer(ReadAccess.row(table, rid))
             return
         # ``path`` itself went in before the fetch; as consumed it may
         # be the same tuple, so it is remembered under a key of its own.
         consumed = ("consumed", path)
-        if consumed in reported:
+        if consumed in self._reported:
             path = None
-        reported.add(consumed)
-        self._many(fresh, path)
+        self._reported.add(consumed)
+        self._many(table, rids, path)
 
 
 def _constant_eq_conjuncts(

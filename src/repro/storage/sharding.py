@@ -94,6 +94,7 @@ from repro.storage.engine import (
     StorageEngine,
     TxnIsolation,
     TxnStatus,
+    ssi_batch_items,
     ssi_read_items,
 )
 from repro.storage.expressions import Expr
@@ -890,13 +891,12 @@ class ShardedStorageEngine(StoreBase):
     observe_snapshot_read = _observe_snapshot_read
 
     def _observe_snapshot_reads(
-        self, txn: int, accesses: Sequence[ReadAccess]
+        self, txn: int, table: str, rids: Sequence[int],
+        path: "ReadAccess | None",
     ) -> None:
         with self._meta_lock:
-            self._mvcc_local["snapshot_reads"] += len(accesses)
-        # Lazily: the tracker asks for no item of an untracked reader.
-        self.ssi.record_read(txn, (
-            item for access in accesses for item in ssi_read_items(access)))
+            self._mvcc_local["snapshot_reads"] += len(rids) + (path is not None)
+        self.ssi.record_read(txn, ssi_batch_items(table, rids, path))
 
     def _read_position(self, ctx: ShardedTxnContext) -> int:
         """Version attribution runs on the *global* commit sequence.

@@ -15,8 +15,9 @@ the primitives they are written against:
   locks the access requires (may raise ``WouldBlock``);
 * ``_observe_snapshot_read(txn, access)`` — observe one snapshot read:
   count it, feed the SSI read set;
-* ``_observe_snapshot_reads(txn, accesses)`` — the same for a range
-  leaf's batch, in one latch round;
+* ``_observe_snapshot_reads(txn, table, rids, path)`` — the same for a
+  range leaf's batch (its rows by rid, its consumed range access or
+  None), in one latch round and without an access object per row;
 * ``_read_position(ctx)`` — the snapshot's place on the timeline
   ``_table_writers`` is kept on (a commit timestamp; the global commit
   sequence when sharded);
@@ -87,18 +88,16 @@ class _StatementReads:
             self._store._note_read(self._ctx, access.table, self._versioned)
 
     def many(
-        self, accesses: list[ReadAccess], path: "ReadAccess | None"
+        self, table: str, rids: list[int], path: "ReadAccess | None"
     ) -> None:
         """One range leaf's rows, after its fetch (``path`` was observed
         before it, so the table is booked and, under 2PL, locked)."""
         if not self._versioned:
-            for access in accesses:
-                self._observe(access)
-            return
-        if path is not None:
-            accesses = [path, *accesses]
-        if accesses:
-            self._store._observe_snapshot_reads(self._ctx.txn_id, accesses)
+            for rid in rids:
+                self._observe(ReadAccess.row(table, rid))
+        elif rids or path is not None:
+            self._store._observe_snapshot_reads(
+                self._ctx.txn_id, table, rids, path)
 
 
 class StoreBase:

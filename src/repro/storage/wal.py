@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from repro.analysis.latch import Latch, assert_may_block
@@ -105,6 +107,9 @@ class LogRecord:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         target = f" {self.table}#{self.rid}" if self.table else ""
         return f"[{self.lsn}] {self.type.value} T{self.txn}{target}"
+
+
+_lsn_of = attrgetter("lsn")
 
 
 class WriteAheadLog:
@@ -244,20 +249,12 @@ class WriteAheadLog:
         so repeated ships over a long log stay O(delta), not O(log).
         """
         with self._mutex:
-            lo, hi = 0, len(self._records)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._records[mid].lsn <= after_lsn:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            flushed = self._flushed_lsn
-            out = []
-            for record in self._records[lo:]:
-                if durable_only and record.lsn > flushed:
-                    break
-                out.append(record)
-            return out
+            records = self._records
+            start = bisect_right(records, after_lsn, key=_lsn_of)
+            if not durable_only:
+                return records[start:]
+            return records[start:bisect_right(
+                records, self._flushed_lsn, start, key=_lsn_of)]
 
     def truncate_to_flushed(self) -> int:
         """Simulate a crash: drop the volatile tail.  Returns #records lost."""

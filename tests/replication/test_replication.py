@@ -29,6 +29,7 @@ from repro.model import (
 )
 from repro.replication import ReplicatedStorageEngine
 from repro.storage import ColumnType, TableSchema, TxnIsolation
+from repro.storage.wal import LogRecordType, WriteAheadLog
 
 SCHEMA = TableSchema.build(
     "T",
@@ -129,6 +130,32 @@ class TestShipping:
                 if follower.shard_idx == repro.shard_for_key(
                     (k,), engine.n_shards)
             }
+
+    def test_the_shipped_tail_at_its_boundaries(self):
+        """``WriteAheadLog.tail``: everything past the cursor, capped at
+        the flush watermark unless asked otherwise — on an empty log, a
+        cursor at and past the end, a truncated prefix, a volatile tail."""
+        wal = WriteAheadLog()
+        assert wal.tail(0) == [] and wal.tail(7, durable_only=False) == []
+        for txn in range(1, 7):
+            wal.append(LogRecordType.BEGIN, txn)
+        wal.flush(4)
+        lsns = lambda records: [r.lsn for r in records]  # noqa: E731
+        assert lsns(wal.tail(0)) == [1, 2, 3, 4]             # volatile 5, 6 capped
+        assert lsns(wal.tail(0, durable_only=False)) == [1, 2, 3, 4, 5, 6]
+        assert lsns(wal.tail(2)) == [3, 4]
+        assert wal.tail(4) == [] and wal.tail(5) == []       # cursor past the watermark
+        assert lsns(wal.tail(5, durable_only=False)) == [6]
+        assert wal.tail(6, durable_only=False) == []
+        assert wal.tail(99) == [] and wal.tail(99, durable_only=False) == []
+        wal.truncate_before(3)                               # the list no longer starts at 1
+        assert lsns(wal.tail(0)) == lsns(wal.tail(2)) == [3, 4]
+        wal.flush()
+        assert lsns(wal.tail(4)) == [5, 6]
+        # A copy: the caller may keep it across later appends.
+        tail = wal.tail(0)
+        wal.append(LogRecordType.BEGIN, 7)
+        assert lsns(tail) == [3, 4, 5, 6]
 
     def test_apply_lag_and_drain(self):
         engine = build(replicas=1, apply_lag=3)
