@@ -1,15 +1,18 @@
 """Micro-benchmarks of the performance-critical kernels.
 
 These measure real host time (unlike the figure benchmarks, whose result
-is virtual time): the coordinating-set search, entangled-query grounding,
+is virtual time): the coordinating-set search, entangled-query grounding
+(a one-atom body on a bare database, and the Appendix D body through a
+store's grounding hooks under 2PL and on a snapshot),
 the SPJ evaluator's index paths and its planner (a cold plan against a
 prepared-plan hit), a latch round trip against the bare primitive, the
 lock manager, the SQL front end (a cold parse against a
 prepared-statement hit), a table update that moves no index key, a
 point probe through each storage engine's ``query``, a ``LIMIT``
 range read — whose cost must follow the rows it returns, not the width
-of its bounds or the history outside them — and the pipeline above that
-read's leaf, per returned row.
+of its bounds or the history outside them — the pipeline above that
+read's leaf, per returned row, and a snapshot primary-key probe beside
+an empty and a populated history.
 """
 
 import itertools
@@ -31,6 +34,10 @@ from repro.entangled import (
 )
 from repro.entangled.grounding import Grounding
 from repro.entangled.answers import GroundAtom
+from repro.bench import make_travel_env
+from repro.sql import parse_transaction
+from repro.sql.ast import EntangledSelectStmt
+from repro.sql.compiler import compile_entangled
 from repro.storage import (
     And,
     Cmp,
@@ -55,6 +62,7 @@ from repro.storage import (
     table_resource,
 )
 from repro.workloads.payments import payment_schema
+from repro.workloads.programs import entangled_program
 from repro.workloads.socialnet import SocialNetwork
 from repro.workloads.traveldb import TravelDatabase
 
@@ -126,6 +134,33 @@ def test_grounding_indexed_1000_rows(benchmark):
     )
     groundings = benchmark(ground, query, db)
     assert len(groundings) == 250
+
+
+@pytest.mark.benchmark(group="micro-grounding")
+@pytest.mark.parametrize(
+    "isolation", [TxnIsolation.TWO_PL, TxnIsolation.SNAPSHOT],
+    ids=["2pl", "snapshot"])
+def test_ground_travel_body(benchmark, isolation):
+    """One ``ground()`` of the Appendix D body — Friends x User x User,
+    every probe keyed by a constant — as the evaluation round runs it:
+    the owner's provider and read observer from ``grounding_hooks``, a
+    fresh pair of constants per call on one prepared plan."""
+    env = make_travel_env(network=SocialNetwork(200, seed=7))
+    store = env.client.store
+    queries = itertools.cycle([
+        compile_entangled(stmt, store.db, {}, f"q{uid}")
+        for uid, friend in env.travel.same_hometown_pairs(16)
+        for stmt in parse_transaction(
+            entangled_program(uid, friend, "LAX", "JFK")).statements
+        if isinstance(stmt, EntangledSelectStmt)
+    ])
+    txn = store.begin(isolation)
+    observe, provider = store.grounding_hooks(txn)
+    groundings = benchmark(lambda: ground(
+        next(queries), provider or store.db, read_observer=observe))
+    assert len(groundings) == 1
+    store.abort(txn)
+    env.client.close()
 
 
 @pytest.mark.benchmark(group="micro-spj")
@@ -546,6 +581,34 @@ def test_snapshot_range_with_history(benchmark, history):
     query = _recent(1000, 1249)
     rows = benchmark(lambda: store.query(txn, query))
     assert rows == [(i,) for i in range(1000, 1050)]
+    store.abort(txn)
+
+
+@pytest.mark.benchmark(group="micro-range")
+@pytest.mark.parametrize("history", [0, 1000])
+def test_snapshot_pk_probe_with_history(benchmark, history):
+    """A snapshot primary-key probe, hit and miss alternating, beside
+    ``history`` historic rids under other keys.  A hit is answered by the
+    current index; a miss must also ask the key's history posting — the
+    ordered history tree, which answers an empty history without a
+    descent and a populated one with a descent (a dict lookup before the
+    trees answered point probes too)."""
+    store = _ledger(10_000)
+    txn = store.begin(TxnIsolation.SNAPSHOT)
+    table = store.db.table("L")
+    purge = store.begin()
+    for key in range(5000, 5000 + history):
+        store.delete(purge, "L", table.pk_rid((key,)))
+    store.commit(purge)
+    assert len(table.history_rids()) == history
+    view = store.snapshot_provider(txn).table("L")
+    keys = itertools.cycle(
+        key for i in range(32) for key in ((1000 + i,), (20_000 + i,)))
+    benchmark(lambda: view.lookup_pk(next(keys)))
+    assert view.lookup_pk((1000,)).values == (1000, 1000)
+    assert view.lookup_pk((20_000,)) is None
+    # A purged key is still this snapshot's, through its history posting.
+    assert view.lookup_pk((5000,)).values == (5000, 5000)
     store.abort(txn)
 
 

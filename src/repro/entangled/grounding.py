@@ -53,12 +53,17 @@ class Grounding:
         return f"{{{c}}} {h}"
 
 
-def compile_body(query: EntangledQuery) -> SPJQuery:
+def compile_body(query: EntangledQuery, provider: TableProvider) -> SPJQuery:
     """Compile the body atoms + residual predicate into an SPJ plan.
 
-    Each body atom becomes a FROM item with alias ``_b<i>``; constant terms
-    become equality conjuncts, repeated variables become join conjuncts,
-    and each variable is selected once (first occurrence wins).
+    Each body atom becomes a FROM item with alias ``_b<i>``, and each of
+    its positions the relation's column there, by its real name
+    (``_b0.fno``): the IR is positional, the storage layer is not, and
+    this is where one becomes the other — so the plan probes, locks and
+    records exactly what a statement naming those columns would.
+    Constant terms become equality conjuncts, repeated variables become
+    join conjuncts, and each variable is selected once (first occurrence
+    wins).  An atom whose arity is not its relation's is rejected.
     """
     if not query.body_atoms:
         raise EntangledQueryError(
@@ -71,8 +76,14 @@ def compile_body(query: EntangledQuery) -> SPJQuery:
     for i, atom in enumerate(query.body_atoms):
         alias = f"_b{i}"
         tables.append(TableRef(atom.relation, alias))
-        for position, term in enumerate(atom.terms):
-            column = Col(f"{alias}.__col{position}")
+        names = provider.table(atom.relation).schema.column_names
+        if len(names) != atom.arity:
+            raise EntangledQueryError(
+                f"query {query.query_id!r}: body atom {atom.relation} has "
+                f"{atom.arity} terms, the relation has {len(names)} columns"
+            )
+        for name, term in zip(names, atom.terms):
+            column = Col(f"{alias}.{name}")
             if isinstance(term, Val):
                 conjuncts.append(Cmp(CmpOp.EQ, column, Const(term.value)))
             else:
@@ -96,7 +107,7 @@ def compile_body(query: EntangledQuery) -> SPJQuery:
 
 def _rewrite_vars(expr: Expr, mapping: Mapping[str, Col]) -> Expr:
     """Replace variable references in the residual predicate with the
-    positional columns chosen by :func:`compile_body`."""
+    columns chosen by :func:`compile_body`."""
     from repro.storage.expressions import Arith, InList, IsNull, Not, Or
 
     if isinstance(expr, Col):
@@ -123,96 +134,6 @@ def _rewrite_vars(expr: Expr, mapping: Mapping[str, Col]) -> Expr:
     raise EntangledQueryError(f"unsupported body predicate node {type(expr).__name__}")
 
 
-class _PositionalView:
-    """Expose a table provider whose column names are ``__col<i>``.
-
-    The IR is positional (atoms don't know column names), so the compiled
-    body refers to columns by position; this adapter maps those names back
-    to the real table columns.
-    """
-
-    def __init__(self, provider: TableProvider):
-        self._provider = provider
-        #: body plans live beside the database's statement plans (a
-        #: plan's key includes its tables' column names, here ``__col<i>``).
-        self.plans = provider.plans
-
-    def table(self, name: str):
-        real = self._provider.table(name)
-        return _PositionalTable(real)
-
-
-class _PositionalTable:
-    """A read-only positional facade over a storage table."""
-
-    def __init__(self, table):
-        self._table = table
-        schema = table.schema
-        # Positional alias schema reusing the real schema object is not
-        # possible (frozen dataclass); we translate names on access instead.
-        self.schema = _PositionalSchema(schema)
-
-    def __len__(self):
-        return len(self._table)
-
-    def row_estimate(self):
-        return self._table.row_estimate()
-
-    def scan(self):
-        return self._table.scan()
-
-    def lookup_pk(self, key):
-        return self._table.lookup_pk(key)
-
-    def lookup_index(self, column_names, key):
-        real_names = [self.schema.real_name(c) for c in column_names]
-        return self._table.lookup_index(real_names, key)
-
-    def has_ordered_index(self, column_names):
-        real_names = [self.schema.real_name(c) for c in column_names]
-        return self._table.has_ordered_index(real_names)
-
-    def range_scan(self, column_names, lo, hi, **scan_options):
-        real_names = [self.schema.real_name(c) for c in column_names]
-        return self._table.range_scan(real_names, lo, hi, **scan_options)
-
-    def canonical_index(self, column_names):
-        # Translate positional ``__col<i>`` names back to the real schema
-        # names, so read accesses reported during grounding build the same
-        # lock resources as writers on the underlying table.
-        return tuple(self.schema.real_name(c) for c in column_names)
-
-
-class _PositionalSchema:
-    """Schema facade translating ``__col<i>`` names to real columns."""
-
-    def __init__(self, schema):
-        self._schema = schema
-        self.primary_key = tuple(
-            f"__col{schema.column_index(c)}" for c in schema.primary_key
-        )
-        self.indexes = tuple(
-            tuple(f"__col{schema.column_index(c)}" for c in ix)
-            for ix in schema.indexes
-        )
-        self.column_names = tuple(f"__col{i}" for i in range(schema.arity))
-
-    def real_name(self, positional: str) -> str:
-        index = int(positional.removeprefix("__col"))
-        return self._schema.columns[index].name
-
-    def column_index(self, name: str) -> int:
-        return int(name.removeprefix("__col"))
-
-    def has_column(self, name: str) -> bool:
-        if not name.startswith("__col"):
-            return False
-        try:
-            return 0 <= int(name.removeprefix("__col")) < self._schema.arity
-        except ValueError:
-            return False
-
-
 def ground(
     query: EntangledQuery,
     provider: TableProvider,
@@ -231,13 +152,9 @@ def ground(
     Groundings are returned in a deterministic (sorted) order, which makes
     the whole evaluation pipeline deterministic as Appendix C.1 assumes.
     """
-    plan = compile_body(query)
+    plan = compile_body(query, provider)
     rows = evaluate(
-        plan,
-        _PositionalView(provider),
-        params=params,
-        read_observer=read_observer,
-    )
+        plan, provider, params=params, read_observer=read_observer)
     names = plan.select_names
     groundings = []
     for row in rows:

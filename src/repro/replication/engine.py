@@ -236,7 +236,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
             row
             and ctx is not None
             and ctx.isolation is TxnIsolation.SNAPSHOT
-            and not ctx.writes
+            and not ctx.written_tables
         ):
             # A transaction that has written must read its own
             # uncommitted versions, which live only in the leader; a

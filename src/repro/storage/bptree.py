@@ -214,6 +214,11 @@ class BPlusTree:
     # -- reads -----------------------------------------------------------------------
 
     def get(self, key: Sequence) -> frozenset[int]:
+        """``key``'s posting (a copy; empty when absent).  An empty tree
+        — a table's history between vacuums, mostly — answers without
+        keying or descending."""
+        if not self._count:
+            return frozenset()
         skey = sort_key(tuple(key))
         leaf = self._leaf_for(skey)
         i = bisect_left(leaf.skeys, skey)

@@ -174,18 +174,21 @@ class TxnContext:
     #: client (an entangled answer was delivered): the snapshot must not
     #: be silently refreshed afterwards, even if ``reads`` is empty.
     snapshot_pinned: bool = False
+    #: one entry per row write, in order: what rollback replays in
+    #: reverse and what ``prepare`` derives the SSI write set from, both
+    #: while the transaction is active — emptied once its outcome is
+    #: decided, so a finished context (kept for ``status`` and friends)
+    #: holds no row image.
     undo: list[_UndoEntry] = field(default_factory=list)
     reads: list[str] = field(default_factory=list)
-    writes: list[RowId] = field(default_factory=list)
+    #: the tables it wrote (its row-level write set is ``undo``).
+    written_tables: set[str] = field(default_factory=set)
     #: tables whose IS lock a keyed read was already granted: every
     #: index-key and row access wants the table's IS, one request per
     #: transaction answers them all.  Emptied whenever the locks go:
     #: at the end, or when read locks are released early.  Immutable, so
     #: the contexts kept after their transactions ended share one empty set.
     intent_shared: frozenset[str] = _NO_TABLES
-
-    def written_tables(self) -> list[str]:
-        return sorted({w.table for w in self.writes})
 
 
 def _locked(method):
@@ -457,7 +460,7 @@ class StorageEngine(StoreBase):
             name = entry.table
             items[RowId(name, entry.rid)] = None
             items[table_resource(name)] = None
-            index_keys = self.db.table(name).index_keys
+            index_keys = self.db.table(name).schema.index_keys
             for values in (entry.before, entry.after):
                 if values is not None:
                     for cols, key in index_keys(values):
@@ -502,7 +505,7 @@ class StorageEngine(StoreBase):
         Returns transactions woken by lock release.
         """
         ctx = self._context(txn)
-        written = ctx.written_tables()
+        written = ctx.written_tables
         if written:
             # Unconditionally: a shard member's tracker validates
             # nothing (its coordinator pulls ``prepare`` into the global
@@ -532,6 +535,7 @@ class StorageEngine(StoreBase):
                     (commit_ts, txn)
                 )
         ctx.status = TxnStatus.COMMITTED
+        ctx.undo.clear()
         self.oracle.release_snapshot(txn)
         self._active_writers.discard(txn)
         self.commit_count += 1
@@ -575,7 +579,7 @@ class StorageEngine(StoreBase):
         compensated.
         """
         ctx = self._context(txn)
-        for name in ctx.written_tables():
+        for name in ctx.written_tables:
             self.db.table(name).abort_versions(txn)
         for entry in reversed(ctx.undo):
             table = self.db.table(entry.table)
@@ -601,6 +605,7 @@ class StorageEngine(StoreBase):
                 )
         self.wal.append(LogRecordType.ABORT, txn)
         ctx.status = TxnStatus.ABORTED
+        ctx.undo.clear()
         self.oracle.release_snapshot(txn)
         self._active_writers.discard(txn)
         self.abort_count += 1
@@ -719,8 +724,6 @@ class StorageEngine(StoreBase):
         if not self.locking or self.granularity is not LockGranularity.FINE:
             return
         for columns, key in keys:
-            if not table.has_ordered_index(columns):
-                continue
             fence = table.successor_key(columns, key, strict=True)
             self._lock(
                 txn,
@@ -918,7 +921,7 @@ class StorageEngine(StoreBase):
     def written_shards(self, txn: int) -> list[int]:
         """Shard indexes ``txn`` wrote to (commit-flush cost accounting)."""
         ctx = self._contexts.get(txn)
-        return [0] if ctx is not None and ctx.writes else []
+        return [0] if ctx is not None and ctx.written_tables else []
 
     @_locked
     def shards_touched(self, txn: int) -> int:
@@ -981,7 +984,7 @@ class StorageEngine(StoreBase):
         self._lock(txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE)
         table = self.db.table(table_name)
         canonical = table.schema.validate_row(values)
-        keys = table.index_keys(canonical)
+        keys = table.schema.index_keys(canonical)
         self._lock_index_keys(txn, table_name, keys)
         self._lock_gap_successors(txn, table, table_name, keys)
         row = table.insert(canonical, validated=True, writer=txn)
@@ -990,7 +993,7 @@ class StorageEngine(StoreBase):
             LogRecordType.INSERT, txn, table_name, row.rid, None, row.values
         )
         ctx.undo.append(_UndoEntry(LogRecordType.INSERT, table_name, row.rid, None, row.values))
-        ctx.writes.append(RowId(table_name, row.rid))
+        ctx.written_tables.add(table_name)
         self._active_writers.add(txn)
         self._notify(txn, "write", table_name)
         return row
@@ -1017,8 +1020,9 @@ class StorageEngine(StoreBase):
             # the row keeps are covered by the row X lock (any reader who
             # saw the row under that key holds row S).
             canonical = table.schema.validate_row(values)
-            old_keys = set(table.index_keys(table.get(rid).values))
-            new_keys = set(table.index_keys(canonical))
+            index_keys = table.schema.index_keys
+            old_keys = set(index_keys(table.get(rid).values))
+            new_keys = set(index_keys(canonical))
             # Deterministic acquisition order; key=repr because key tuples
             # may mix NULL with values, which don't compare directly.
             self._lock_index_keys(
@@ -1044,7 +1048,7 @@ class StorageEngine(StoreBase):
             LogRecordType.UPDATE, txn, table_name, rid, old.values, new.values
         )
         ctx.undo.append(_UndoEntry(LogRecordType.UPDATE, table_name, rid, old.values, new.values))
-        ctx.writes.append(RowId(table_name, rid))
+        ctx.written_tables.add(table_name)
         self._active_writers.add(txn)
         self._notify(txn, "write", table_name)
         return old, new
@@ -1061,7 +1065,8 @@ class StorageEngine(StoreBase):
             # probing one of them (perhaps getting a miss) must not see
             # the uncommitted removal, so each key takes IX first.
             self._lock_index_keys(
-                txn, table_name, table.index_keys(table.get(rid).values)
+                txn, table_name,
+                table.schema.index_keys(table.get(rid).values),
             )
         old = table.delete(
             rid, writer=txn, prune_horizon=self.oracle.oldest_active()
@@ -1071,7 +1076,7 @@ class StorageEngine(StoreBase):
             LogRecordType.DELETE, txn, table_name, rid, old.values, None
         )
         ctx.undo.append(_UndoEntry(LogRecordType.DELETE, table_name, rid, old.values, None))
-        ctx.writes.append(RowId(table_name, rid))
+        ctx.written_tables.add(table_name)
         self._active_writers.add(txn)
         self._notify(txn, "write", table_name)
         return old
@@ -1162,9 +1167,7 @@ class StorageEngine(StoreBase):
                 # enter the SSI read set like any other access path.
                 self._ssi_observe_read(
                     txn,
-                    ReadAccess.index_key(
-                        table_name, table.canonical_index(cols), key
-                    ),
+                    ReadAccess.index_key(table_name, cols, key),
                 )
                 if is_pk:
                     row = view.lookup_pk(key)

@@ -124,16 +124,13 @@ def _observed(rows: Iterable[Row], ref_name: str, observe) -> Iterator[Row]:
 
 
 class IndexPoint:
-    """Hash/pk point probe — the equality access path.  ``index`` is the
-    probed index under its canonical (storage-layer) column names, the
-    ones lock resources are built from."""
+    """Hash/pk point probe — the equality access path.  ``cols`` is the
+    probed index by its declared columns, the names lock and SSI
+    resources are built from."""
 
-    def __init__(
-        self, ref_name: str, cols: tuple, index: tuple, key: tuple, is_pk: bool
-    ):
+    def __init__(self, ref_name: str, cols: tuple, key: tuple, is_pk: bool):
         self.ref_name = ref_name
         self.cols = cols
-        self.index = index
         self.key = key
         self.is_pk = is_pk
 
@@ -142,7 +139,7 @@ class IndexPoint:
         if observe is not None:
             observe(ReadAccess(
                 AccessKind.INDEX_KEY, self.ref_name,
-                index=self.index, key=self.key,
+                index=self.cols, key=self.key,
             ))
         if self.is_pk:
             row = table.lookup_pk(self.key)
@@ -209,8 +206,7 @@ class IndexRange:
         if observe is None:
             return table.range_scan(self.cols, self.lo, self.hi, **self.scan)
         path = ReadAccess.index_range(
-            self.ref_name, table.canonical_index(self.cols),
-            self.lo, self.hi, **self.scan)
+            self.ref_name, self.cols, self.lo, self.hi, **self.scan)
         observe(path)
         rows = table.range_scan(self.cols, self.lo, self.hi, **self.scan)
         if rows and len(rows) == path.limit:

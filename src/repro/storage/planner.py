@@ -1,12 +1,14 @@
 """Prepared plans for SPJ queries over ordered + hash indexes.
 
 A query is planned once per *shape* and executed many times.  The shape
-is the query with its constants abstracted — FROM items and what their
-columns are called, the column names and comparison operators of each
-WHERE conjunct, which SELECT items are plain columns, DISTINCT / ORDER
-BY, the host-variable names in scope, and ``PlanHints.ordered_indexes``
-— so the thousands of scripts one statement template produces, and the
-grounding bodies one entangled query shape produces, share one plan.
+is the query with its constants abstracted — FROM items, the column
+names and comparison operators of each WHERE conjunct, which SELECT
+items are plain columns, DISTINCT / ORDER BY, the host-variable names in
+scope, and ``PlanHints.ordered_indexes`` — so the thousands of scripts
+one statement template produces, and the grounding bodies one entangled
+query shape produces, share one plan.  A table goes by one set of column
+names whichever view serves it (a schema never changes once created), so
+a FROM item's table name stands for its columns.
 
 * **Prepared once** (:func:`_prepare`, memoised in ``provider.plans``,
   one dict per ``Database``): the operator chain — Source -> one
@@ -21,7 +23,10 @@ grounding bodies one entangled query shape produces, share one plan.
   the index it probes, and the per-column range-bound recipes.  A plan
   holds names, positions and index column tuples only — never a table
   object, a view or a value: views are per transaction, values per
-  execution.  A shape whose preparation raises is not remembered.
+  execution.  What preparing asks about a table it asks the table's
+  *schema* (``has_column``, ``has_index``, the declared indexes, column
+  types and nullability); a view is asked for rows and a row estimate
+  only.  A shape whose preparation raises is not remembered.
 
 * **Bound per execution** (:func:`build_plan`): the conjunct list of
   *this* query is laid over the recipes (a recipe says "conjunct 2,
@@ -246,8 +251,8 @@ class _LevelShape:
         #: binding.
         self.eq: tuple = ()
         self.eq_columns = 0
-        #: ``(index columns, canonical columns, is_pk)`` probed when every
-        #: ``eq`` column binds non-NULL; None when they cover no index.
+        #: ``(index columns, is_pk)`` probed when every ``eq`` column
+        #: binds non-NULL; None when they cover no index.
         self.point: "tuple | None" = None
         #: per conjunct, its index and the ``(own column, (conjunct,
         #: side), upper, inclusive)`` orientations usable as a range bound.
@@ -258,8 +263,7 @@ class _LevelShape:
         self.n_pending = 0
         #: columns declared NOT NULL (an open lower bound admits no NULL key).
         self.not_null: frozenset = frozenset()
-        #: per column, its ``_ORDERS_WITH`` entry (none behind a facade
-        #: that declares no types: no range bound is ever proved there).
+        #: per column, its ``_ORDERS_WITH`` entry.
         self.orders_with: dict = {}
         self.scan = SeqScan(ref_name)
 
@@ -315,7 +319,7 @@ def _sort_pushdown(
             return None
     if not table.schema.has_column(bare):
         return None
-    if not table.has_ordered_index((bare,)):
+    if not table.schema.has_index((bare,)):
         return None
     for conj in conjuncts:
         if isinstance(conj, Cmp) and conj.op is CmpOp.EQ:
@@ -359,12 +363,10 @@ def _prepare(
         for col in columns:
             if col not in ambiguous:
                 bound_at.setdefault(col, position)
-        column_of = getattr(table.schema, "column", None)
-        if column_of is not None:
-            level.not_null = frozenset(
-                col for col in columns if not column_of(col).nullable)
-            level.orders_with = {
-                col: _ORDERS_WITH[column_of(col).type] for col in columns}
+        level.not_null = frozenset(
+            col.name for col in table.schema.columns if not col.nullable)
+        level.orders_with = {
+            col.name: _ORDERS_WITH[col.type] for col in table.schema.columns}
         levels.append(level)
 
     def level_of(expr: Expr) -> int:
@@ -422,7 +424,7 @@ def _prepare(
                 if level.forced is not None:
                     if column not in level.forced[0]:
                         continue
-                elif not table.has_ordered_index((column,)):
+                elif not table.schema.has_index((column,)):
                     continue
                 # ``value OP col`` mirrors the bound direction.
                 upper = (conj.op in _UPPER_OPS) != flipped
@@ -444,7 +446,7 @@ def _prepare(
         path = index_path_for(table, eq_columns)
         if path is not None:
             cols, _key, is_pk = path
-            level.point = (cols, table.canonical_index(cols), is_pk)
+            level.point = (cols, is_pk)
         if hints.ordered_indexes:
             level.ranges = tuple(ranges)
 
@@ -550,19 +552,17 @@ class _JoinLevel:
                         break
             if len(bindings) == shape.eq_columns:
                 if shape.point is not None:
-                    cols, index, is_pk = shape.point
+                    cols, is_pk = shape.point
                     return self._probe(
-                        cols, index, tuple([bindings[c] for c in cols]),
-                        is_pk, bound_by)
+                        cols, tuple([bindings[c] for c in cols]), is_pk,
+                        bound_by)
             else:
                 # A NULL never keys a probe (``col = NULL`` admits no
                 # row): probe what the remaining bindings still cover.
                 path = index_path_for(table, bindings)
                 if path is not None:
                     cols, key, is_pk = path
-                    return self._probe(
-                        cols, table.canonical_index(cols), key, is_pk,
-                        bound_by)
+                    return self._probe(cols, key, is_pk, bound_by)
 
         if self.ranges:
             bounds, consumed = self._bounds(env)
@@ -579,12 +579,12 @@ class _JoinLevel:
 
         return shape.scan, self.checks
 
-    def _probe(self, cols, index, key, is_pk, bound_by: dict):
+    def _probe(self, cols, key, is_pk, bound_by: dict):
         """``(operator, checks)`` for the point probe of ``key``: every
         row it yields carries the key, and ``=`` raises for no pair of
         types, so the conjuncts that bound ``cols`` need no check."""
         return (
-            IndexPoint(self.shape.ref_name, cols, index, key, is_pk),
+            IndexPoint(self.shape.ref_name, cols, key, is_pk),
             self._unproved([bound_by[c] for c in cols]))
 
     def _bounds(self, env: dict):
@@ -679,9 +679,6 @@ def build_plan(
     conjuncts = split_conjuncts(query.where)
     key = (
         query.tables,
-        # One database's tables go by other column names behind the
-        # grounding facade, and a query without conjuncts names none.
-        tuple([table.schema.column_names for table in tables]),
         tuple([_conjunct_shape(conj) for conj in conjuncts]),
         query.distinct,
         query.order_by,

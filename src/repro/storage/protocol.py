@@ -23,12 +23,15 @@ same contract spelled as frames.  A follower replica *has* a shard
 engine (:attr:`~repro.replication.follower.FollowerShard.engine`) fed by
 WAL shipping rather than by these calls.
 
-:class:`TableView` is what the planner, the volcano operators and
-entangled grounding call on a table, whichever of the six providers in
-``src/`` hands it out: a live :class:`~repro.storage.table.Table`, a
+:class:`TableView` is what the planner and the volcano operators —
+hence statements and entangled grounding alike — call on a table,
+whichever of the five providers in ``src/`` hands it out: a live
+:class:`~repro.storage.table.Table`, a
 :class:`~repro.storage.snapshot.SnapshotView`, the sharded union view
-(live or at a vector), the remote view (live or at a snapshot), or
-grounding's positional facade.
+(live or at a vector), or the remote view (live or at a snapshot).
+Seven members: the table's ``schema`` — which answers everything that
+is a function of the declaration: column names, types, ``has_index``,
+``index_keys`` — a count, an estimate, and four ways to fetch rows.
 
 All are ``runtime_checkable``.  ``tests/storage/test_store_contract.py``
 fails when the middle tier calls a store member :class:`Store` does not
@@ -60,7 +63,7 @@ if TYPE_CHECKING:
 class TableView(Protocol):
     """One table as the read path sees it."""
 
-    schema: Any  # a TableSchema, or grounding's positional alias of one
+    schema: TableSchema
 
     def __len__(self) -> int: ...
 
@@ -84,12 +87,6 @@ class TableView(Protocol):
         """Rows whose ordered-index key lies in the bounds, in (key, rid)
         order (reversed under ``reverse``), at most ``limit`` of them."""
 
-    def has_ordered_index(self, column_names: Sequence[str]) -> bool: ...
-
-    def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
-        """The declared column order of the index over ``column_names``
-        (the spelling lock and SSI resources are built from)."""
-
 
 @runtime_checkable
 class ShardEngine(Protocol):
@@ -111,8 +108,8 @@ class ShardEngine(Protocol):
     #: ``waits_edges``, ``cancel_wait``, ``share_waits_for``.
     locks: Any
     #: the catalog: ``name``, ``has_table``, ``table`` (a live
-    #: :class:`TableView` plus ``index_keys``, ``snapshot`` and
-    #: ``fallback_scans``), ``table_names``, ``schemas``.
+    #: :class:`TableView` plus ``snapshot`` and ``fallback_scans``),
+    #: ``table_names``, ``schemas``.
     db: Any
     commit_count: int
     abort_count: int

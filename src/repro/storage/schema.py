@@ -48,6 +48,10 @@ class TableSchema:
             indexes over (non-unique).
         column_names: the columns' names in order (derived, precomputed:
             the interpreter reads it per statement).
+        index_positions: ``(index columns, their positions in a row)``
+            per declared index, the primary key first (derived; behind
+            ``has_index`` / ``index_keys``, and what a table builds its
+            ordered trees from).
     """
 
     name: str
@@ -58,6 +62,8 @@ class TableSchema:
         init=False, repr=False, compare=False)
     #: column name -> position, behind column()/column_index()/has_column().
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
+    index_positions: tuple[tuple[tuple[str, ...], tuple[int, ...]], ...] = (
+        field(init=False, repr=False, compare=False))
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
@@ -80,8 +86,12 @@ class TableSchema:
                     )
         # Frozen, so the derived lookups can be computed once, here.
         object.__setattr__(self, "column_names", tuple(names))
-        object.__setattr__(
-            self, "_positions", {name: i for i, name in enumerate(names)})
+        positions = {name: i for i, name in enumerate(names)}
+        object.__setattr__(self, "_positions", positions)
+        declared = ((self.primary_key,) if self.primary_key else ()) + self.indexes
+        object.__setattr__(self, "index_positions", tuple(
+            (tuple(cols), tuple(positions[c] for c in cols))
+            for cols in declared))
 
     # -- convenience constructors -------------------------------------------------
 
@@ -124,6 +134,26 @@ class TableSchema:
 
     def has_column(self, name: str) -> bool:
         return name in self._positions
+
+    def has_index(self, column_names: Sequence[str]) -> bool:
+        """Whether an index — the primary key or a secondary one — is
+        declared over exactly ``column_names``, in that order.  Every
+        declared index is kept both as a hash index and as an ordered
+        B+ tree, so this answers for point and range access alike."""
+        wanted = tuple(column_names)
+        return any(cols == wanted for cols, _positions in self.index_positions)
+
+    def index_keys(
+        self, values: Sequence[SQLValue | None]
+    ) -> list[tuple[tuple[str, ...], tuple]]:
+        """Every ``(index columns, key)`` pair a row with ``values``
+        occupies, the primary key first.  Writers lock these so keyed
+        readers (who S-lock the keys they probe) get phantom protection;
+        an SSI write set names them."""
+        return [
+            (cols, tuple([values[p] for p in positions]))
+            for cols, positions in self.index_positions
+        ]
 
     # -- row validation -----------------------------------------------------------
 

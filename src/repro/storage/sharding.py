@@ -106,11 +106,10 @@ from repro.storage.query import (
 )
 from repro.storage.protocol import ShardEngine, TableView
 from repro.storage.recovery import RecoveryReport
-from repro.storage.row import Row, RowId, ValueTuple
+from repro.storage.row import Row, ValueTuple
 from repro.storage.schema import TableSchema
 from repro.storage.ssi import SSITracker
 from repro.storage.store import StoreBase
-from repro.storage.table import Table
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 
@@ -179,9 +178,9 @@ class ShardedTableView:
     """The union of one table's shard-local parts — live, or at a vector
     of shard timestamps.
 
-    Implements the read interface the SPJ evaluator (and the grounding
-    facade) consume: pk probes route to the key's home shard, index
-    probes and scans union every shard, all in deterministic rid order.
+    A :class:`~repro.storage.protocol.TableView`: pk probes route to
+    the key's home shard, index probes and scans union every shard, all
+    in deterministic rid order.
 
     One class serves both providers; what differs is how a shard's part
     is obtained.  Live (``vector is None``): the shard's table, read
@@ -201,16 +200,12 @@ class ShardedTableView:
         self._name = name
         self._txn = txn
         self._vector = None if vector is None else tuple(vector)
-        self.schema = self._catalog_table().schema
+        #: every shard declares the same schema; shard 0's copy speaks.
+        self.schema = engine.shards[0].db.table(name).schema
 
     @property
     def name(self) -> str:
         return self._name
-
-    def _catalog_table(self) -> Table:
-        """Shard 0's copy of the table: every shard declares the same
-        schema and indexes, so catalog questions go to any one of them."""
-        return self._engine.shards[0].db.table(self._name)
 
     def _part(self, shard_idx: int, read: Callable[[Any], Any]) -> Any:
         """``read`` applied to one shard's part of the table (``read``
@@ -252,9 +247,6 @@ class ShardedTableView:
         rows = self._union(lambda part: part.lookup_index(column_names, key))
         return sorted(rows, key=lambda r: r.rid)
 
-    def has_ordered_index(self, column_names: Sequence[str]) -> bool:
-        return self._catalog_table().has_ordered_index(column_names)
-
     def range_scan(
         self,
         column_names: Sequence[str],
@@ -279,9 +271,6 @@ class ShardedTableView:
         ]
         return _merge_key_order(
             self.schema, column_names, fragments, reverse, limit)
-
-    def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
-        return self._catalog_table().canonical_index(column_names)
 
 
 class ShardedDatabase:
@@ -395,13 +384,11 @@ class ShardedTxnContext:
     #: has not been written since (see ``_prepare_shards``).
     staged: set[int] = field(default_factory=set)
     reads: list[str] = field(default_factory=list)
-    writes: list[RowId] = field(default_factory=list)
+    #: the tables it wrote (the rows are in the shards' undo logs).
+    written_tables: set[str] = field(default_factory=set)
     #: per-shard WAL flush targets parked by ``commit(flush=False)``
     #: until the coordinator's :meth:`ShardedStorageEngine.flush_commits`.
     flush_targets: dict[int, int] = field(default_factory=dict)
-
-    def written_tables(self) -> list[str]:
-        return sorted({w.table for w in self.writes})
 
 
 class _AggregateLocks:
@@ -739,7 +726,7 @@ class ShardedStorageEngine(StoreBase):
             if written:
                 self._commit_seq += 1
                 ctx.commit_seq = self._commit_seq
-                for name in ctx.written_tables():
+                for name in ctx.written_tables:
                     self._table_writers.setdefault(name, []).append(
                         (self._commit_seq, txn)
                     )
@@ -1077,7 +1064,6 @@ class ShardedStorageEngine(StoreBase):
 
     def _record_write(
         self, ctx: ShardedTxnContext, shard_idx: int, table_name: str,
-        rid: int,
     ) -> None:
         """Book one row write on ``shard_idx``: transaction bookkeeping
         only.  The write set itself stays with the shard until
@@ -1087,7 +1073,7 @@ class ShardedStorageEngine(StoreBase):
         staged."""
         ctx.written.add(shard_idx)
         ctx.staged.discard(shard_idx)
-        ctx.writes.append(RowId(table_name, rid))
+        ctx.written_tables.add(table_name)
         # Under the meta latch, not the funnel: this runs on every write
         # statement, and the funnel is reserved for commit-visibility
         # transitions.  Readers of ``_active_writers`` (checkpoint
@@ -1102,7 +1088,7 @@ class ShardedStorageEngine(StoreBase):
         shard_idx = self.route_row(table_name, canonical)
         shard = self._ensure_shard_txn(txn, shard_idx)
         row = shard.insert(txn, table_name, canonical)
-        self._record_write(ctx, shard_idx, table_name, row.rid)
+        self._record_write(ctx, shard_idx, table_name)
         self._notify(txn, "write", table_name)
         return row
 
@@ -1118,7 +1104,7 @@ class ShardedStorageEngine(StoreBase):
         if dst == src:
             shard = self._ensure_shard_txn(txn, src)
             old, new = shard.update(txn, table_name, rid, canonical)
-            self._record_write(ctx, src, table_name, rid)
+            self._record_write(ctx, src, table_name)
             self._notify(txn, "write", table_name)
             return old, new
         # The new primary key routes to a different shard: the update
@@ -1127,9 +1113,9 @@ class ShardedStorageEngine(StoreBase):
         src_shard = self._ensure_shard_txn(txn, src)
         dst_shard = self._ensure_shard_txn(txn, dst)
         old = src_shard.delete(txn, table_name, rid)
-        self._record_write(ctx, src, table_name, rid)
+        self._record_write(ctx, src, table_name)
         new = dst_shard.insert(txn, table_name, canonical)
-        self._record_write(ctx, dst, table_name, new.rid)
+        self._record_write(ctx, dst, table_name)
         self._notify(txn, "write", table_name)
         return old, new
 
@@ -1138,7 +1124,7 @@ class ShardedStorageEngine(StoreBase):
         shard_idx = self.shard_of_rid(rid)
         shard = self._ensure_shard_txn(txn, shard_idx)
         old = shard.delete(txn, table_name, rid)
-        self._record_write(ctx, shard_idx, table_name, rid)
+        self._record_write(ctx, shard_idx, table_name)
         self._notify(txn, "write", table_name)
         return old
 
@@ -1175,7 +1161,7 @@ class ShardedStorageEngine(StoreBase):
             for old, new in shard.update_where(
                 txn, table_name, predicate, new_values, where
             ):
-                self._record_write(ctx, shard_idx, table_name, old.rid)
+                self._record_write(ctx, shard_idx, table_name)
                 self._notify(txn, "write", table_name)
                 changed.append((old, new))
         return changed
@@ -1196,7 +1182,7 @@ class ShardedStorageEngine(StoreBase):
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
             for old in shard.delete_where(txn, table_name, predicate, where):
-                self._record_write(ctx, shard_idx, table_name, old.rid)
+                self._record_write(ctx, shard_idx, table_name)
                 self._notify(txn, "write", table_name)
                 removed.append(old)
         return removed
@@ -1215,8 +1201,7 @@ class ShardedStorageEngine(StoreBase):
         if snapshot:
             self.ssi.record_read(ctx.txn_id, ssi_read_items(
                 ReadAccess.scan(table_name) if path is None
-                else ReadAccess.index_key(
-                    table_name, table.canonical_index(path[0]), path[1])
+                else ReadAccess.index_key(table_name, path[0], path[1])
             ))
         indexed = snapshot or (
             self.locking and self.granularity is LockGranularity.FINE

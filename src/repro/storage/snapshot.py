@@ -2,19 +2,20 @@
 
 A :class:`SnapshotDatabase` is a :class:`~repro.storage.query.TableProvider`
 facade over a live :class:`~repro.storage.catalog.Database` bound to one
-transaction's snapshot timestamp.  Each :class:`SnapshotView` answers the
-read interface the SPJ evaluator uses (``scan`` / ``lookup_pk`` /
-``lookup_index`` / ``schema`` / ``canonical_index``) by traversing the
-tables' version chains: the reader sees, for every rid, exactly the
-version whose commit window contains its ``read_ts`` — plus its own
-uncommitted writes — and never observes, blocks on, or is blocked by
-concurrent writers.
+transaction's snapshot timestamp.  Each :class:`SnapshotView` is a
+:class:`~repro.storage.protocol.TableView` — the table's own ``schema``
+and ``row_estimate``, and ``scan`` / ``lookup_pk`` / ``lookup_index`` /
+``range_scan`` answered by traversing the tables' version chains: the
+reader sees, for every rid, exactly the version whose commit window
+contains its ``read_ts`` — plus its own uncommitted writes — and never
+observes, blocks on, or is blocked by concurrent writers.
 
 Index lookups stay index-shaped: candidates come from the *current* hash
 index (covering every row whose key did not change) plus the probed
-key's *per-key history bucket* (rids deleted or re-keyed away from that
-key since the oldest retained snapshot), each filtered through version
-visibility and a key re-check.  This keeps snapshot probes
+key's posting in the index's *history tree* (rids deleted or re-keyed
+away from that key since the oldest retained snapshot; the same tree a
+range read merges with the current B+ tree), each filtered through
+version visibility and a key re-check.  This keeps snapshot probes
 O(matching + per-key history) — a delete/re-key-heavy window between
 vacuums no longer degrades unrelated probes toward linear scans.
 
@@ -98,8 +99,8 @@ class SnapshotView:
                 if row is not None and self.schema.key_of(row.values) == key:
                     return row
             # The key may have lived on a row that was since deleted or
-            # re-keyed; only the rids that ever held *this* key are tracked
-            # in its history bucket, so a miss stays O(per-key history)
+            # re-keyed; only the rids that ever held *this* key are in
+            # its history posting, so a miss stays O(per-key history)
             # rather than degrading to a scan of every historic rid.
             for rid in sorted(self._table.history_rids_for_pk(key)):
                 row = self._visible(rid)
@@ -132,9 +133,6 @@ class SnapshotView:
                 if tuple(row.values[p] for p in positions) == tuple(key):
                     rows.append(row)
             return rows
-
-    def has_ordered_index(self, column_names: Sequence[str]) -> bool:
-        return self._table.has_ordered_index(column_names)
 
     def range_scan(
         self,
@@ -185,9 +183,6 @@ class SnapshotView:
                     if len(rows) == limit:
                         return rows
             return rows
-
-    def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
-        return self._table.canonical_index(column_names)
 
 
 class SnapshotDatabase:

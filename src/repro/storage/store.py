@@ -200,7 +200,7 @@ class StoreBase:
         that came back unanswered (WAIT) does not count — the
         coordinator discarded its observations."""
         return ctx.isolation.uses_snapshot and not (
-            ctx.reads or ctx.writes or ctx.snapshot_pinned)
+            ctx.reads or ctx.written_tables or ctx.snapshot_pinned)
 
     def park_snapshot(self, txn: int) -> bool:
         """Release an unobserved snapshot transaction's vacuum-horizon

@@ -85,19 +85,11 @@ class Table:
         #: ordered B+ tree twin, so range predicates and ORDER BY pushdown
         #: have in-order access paths.  Maintained unconditionally — the
         #: planner's ``ordered_indexes`` flag gates *use*, not upkeep.
-        self._ordered: dict[tuple[str, ...], BPlusTree] = {}
-        self._ordered_positions: dict[tuple[str, ...], tuple[int, ...]] = {}
-        ordered_cols: list[tuple[str, ...]] = []
-        if schema.primary_key:
-            ordered_cols.append(tuple(schema.primary_key))
-        ordered_cols.extend(tuple(cols) for cols in schema.indexes)
-        for cols in ordered_cols:
-            if cols in self._ordered:
-                continue
-            self._ordered[cols] = BPlusTree()
-            self._ordered_positions[cols] = tuple(
-                schema.column_index(c) for c in cols
-            )
+        self._ordered_positions: dict[tuple[str, ...], tuple[int, ...]] = (
+            dict(schema.index_positions))
+        self._ordered: dict[tuple[str, ...], BPlusTree] = {
+            cols: BPlusTree() for cols in self._ordered_positions
+        }
         #: how often :meth:`lookup_index` fell back to a linear scan because
         #: no matching index was declared — an unindexed hot path shows up
         #: here (and in benchmark reports) instead of hiding in latency.
@@ -108,22 +100,20 @@ class Table:
         #: snapshots can no longer be served.
         self._versions: dict[int, list[RowVersion]] = {}
         self._history: set[int] = set()
-        #: the historic-rid set, *per key*: which rids may hold a
-        #: snapshot-visible version under a primary key / index key that
-        #: the current indexes no longer (or never) map there.  Snapshot
-        #: probes union only their own key's bucket instead of the whole
-        #: historic set, which keeps them O(matching) through
-        #: delete/re-key-heavy windows between vacuums.
-        self._history_by_pk: dict[tuple, set[int]] = {}
-        self._history_by_index: dict[tuple[str, ...], dict[tuple, set[int]]] = {}
-        #: the same buckets once more, *in key order* per ordered index: a
-        #: snapshot range read merges the in-range slice with the current
-        #: tree's and never visits a bucket outside its bounds.
+        #: the historic-rid set, *per key*, one tree per ordered index:
+        #: which rids may hold a snapshot-visible version under a primary
+        #: key / index key that the current indexes no longer (or never)
+        #: map there.  A snapshot point probe unions only its own key's
+        #: posting instead of the whole historic set, which keeps it
+        #: O(matching) through delete/re-key-heavy windows between
+        #: vacuums; a snapshot range read merges the in-range slice with
+        #: the current tree's and never visits a posting outside its
+        #: bounds.
         self._history_ordered: dict[tuple[str, ...], BPlusTree] = {
             cols: BPlusTree() for cols in self._ordered
         }
-        #: reverse map rid -> its bucket entries, so vacuum can shrink
-        #: the key maps exactly when it shrinks ``_history``.
+        #: reverse map rid -> its ``(index columns, key)`` postings, so
+        #: vacuum can shrink the trees exactly when it shrinks ``_history``.
         self._history_entries: dict[int, set[tuple]] = {}
         self._pending_created: dict[int, list[tuple[int, RowVersion]]] = {}
         self._pending_ended: dict[int, list[tuple[int, RowVersion]]] = {}
@@ -221,29 +211,6 @@ class Table:
             if tuple(row.values[p] for p in positions) == key
         ]
 
-    def canonical_index(self, column_names: Sequence[str]) -> tuple[str, ...]:
-        """The canonical (storage-layer) name of an index's columns.
-
-        Facades that rename columns (the positional view used for
-        entangled-query grounding) override this so lock resources built
-        from reported accesses always match the writers' resources.
-        """
-        return tuple(column_names)
-
-    def index_keys(self, values: ValueTuple) -> list[tuple[tuple[str, ...], tuple]]:
-        """Every (index columns, key) pair a row with ``values`` occupies.
-
-        Includes the primary key; writers X-lock these so keyed readers
-        (who S-lock the keys they probe) get phantom protection.
-        """
-        keys: list[tuple[tuple[str, ...], tuple]] = []
-        pk_key = self.schema.key_of(values)
-        if pk_key is not None:
-            keys.append((tuple(self.schema.primary_key), pk_key))
-        for index in self._secondary:
-            keys.append((index.column_names, index.key_for(values)))
-        return keys
-
     # -- ordered (B+ tree) access ---------------------------------------------------
 
     def _ordered_key(self, cols: tuple[str, ...], values: ValueTuple) -> tuple:
@@ -256,9 +223,6 @@ class Table:
     def _ordered_remove(self, rid: int, values: ValueTuple) -> None:
         for cols, tree in self._ordered.items():
             tree.remove(self._ordered_key(cols, values), rid)
-
-    def has_ordered_index(self, column_names: Sequence[str]) -> bool:
-        return tuple(column_names) in self._ordered
 
     def ordered_index(self, column_names: Sequence[str]) -> BPlusTree | None:
         return self._ordered.get(tuple(column_names))
@@ -502,7 +466,8 @@ class Table:
             # the current buckets at every timestamp.
             if rekeyed is None:
                 rekeyed = (
-                    self.index_keys(old.values) != self.index_keys(canonical)
+                    self.schema.index_keys(old.values)
+                    != self.schema.index_keys(canonical)
                 )
             self._chain_supersede(
                 rid, writer, values=old.values, track_history=rekeyed,
@@ -631,44 +596,16 @@ class Table:
         if values is None:
             return
         entries = self._history_entries.setdefault(rid, set())
-        pk_key = self.schema.key_of(values)
-        if pk_key is not None:
-            self._history_by_pk.setdefault(pk_key, set()).add(rid)
-            entries.add(("pk", pk_key))
-            self._history_ordered[tuple(self.schema.primary_key)].add(pk_key, rid)
-        for index in self._secondary:
-            key = index.key_for(values)
-            self._history_by_index.setdefault(
-                index.column_names, {}
-            ).setdefault(key, set()).add(rid)
-            entries.add((index.column_names, key))
-            self._history_ordered[index.column_names].add(key, rid)
+        for cols, tree in self._history_ordered.items():
+            key = self._ordered_key(cols, values)
+            tree.add(key, rid)
+            entries.add((cols, key))
 
     def _history_discard(self, rid: int) -> None:
-        """Forget ``rid``'s history membership, key buckets included."""
+        """Forget ``rid``'s history membership, key postings included."""
         self._history.discard(rid)
-        entries = self._history_entries.pop(rid, ())
-        pk = tuple(self.schema.primary_key)
-        # A set: an index declared over the pk columns shares the pk's tree.
-        for cols, key in {
-            (pk if kind == "pk" else kind, key) for kind, key in entries
-        }:
+        for cols, key in self._history_entries.pop(rid, ()):
             self._history_ordered[cols].remove(key, rid)
-        for kind, key in entries:
-            if kind == "pk":
-                bucket = self._history_by_pk.get(key)
-                if bucket is not None:
-                    bucket.discard(rid)
-                    if not bucket:
-                        del self._history_by_pk[key]
-            else:
-                buckets = self._history_by_index.get(kind)
-                if buckets is not None:
-                    bucket = buckets.get(key)
-                    if bucket is not None:
-                        bucket.discard(rid)
-                        if not bucket:
-                            del buckets[key]
 
     def commit_versions(self, txn: int, commit_ts: int) -> None:
         """Stamp every version ``txn`` created/superseded with ``commit_ts``."""
@@ -716,17 +653,15 @@ class Table:
     def history_rids_for_pk(self, key: tuple) -> frozenset[int]:
         """Historic rids that ever held primary key ``key`` — the only
         extra candidates a snapshot pk probe must examine."""
-        return frozenset(self._history_by_pk.get(key, frozenset()))
+        return self.history_rids_for_index(self.schema.primary_key, key)
 
     def history_rids_for_index(
         self, column_names: Sequence[str], key: tuple
     ) -> frozenset[int]:
         """Historic rids that ever carried ``key`` in the given index —
         the only extra candidates a snapshot index probe must examine."""
-        buckets = self._history_by_index.get(tuple(column_names))
-        if not buckets:
-            return frozenset()
-        return frozenset(buckets.get(key, frozenset()))
+        tree = self._history_ordered.get(tuple(column_names))
+        return tree.get(key) if tree is not None else frozenset()
 
     @property
     def prune_floor(self) -> int:
@@ -868,8 +803,6 @@ class Table:
             tree.clear()
         self._versions.clear()
         self._history.clear()
-        self._history_by_pk.clear()
-        self._history_by_index.clear()
         for tree in self._history_ordered.values():
             tree.clear()
         self._history_entries.clear()

@@ -20,10 +20,10 @@ written out below is what does more than forward, and answers locally:
   funnel (each enclosed RPC is awaited before the funnel is released)
   and a worker only changes state while serving a request, a mirror read
   equals the worker's value as of its last response.
-* **schema replicas** — pure schema-shape questions (``index_keys``,
-  ``has_ordered_index``, ``canonical_index``) are answered by an empty
-  local :class:`~repro.storage.table.Table` twin built from the same
-  schema.
+* **schema replicas** — a remote table view holds the table's
+  :class:`~repro.storage.schema.TableSchema` (it crossed the pipe once,
+  with ``create_table``), and what a schema can answer — column names
+  and types, ``has_index``, ``index_keys`` — the planner asks that.
 
 Everything else is a synchronous RPC over the shard's
 :class:`~repro.transport.frames.FrameChannel`.  A per-connection
@@ -44,7 +44,7 @@ from repro.storage.catalog import Database
 from repro.storage.engine import WouldBlock
 from repro.storage.locks import LOCK_STATS
 from repro.storage.oracle import TimestampOracle
-from repro.storage.table import Table
+from repro.storage.schema import TableSchema
 from repro.storage.wal import WriteAheadLog
 from repro.transport.frames import FrameChannel, decode_error
 from repro.transport.verbs import Target, Verb, members_of
@@ -351,23 +351,19 @@ class RemoteTableView:
     coordinator's locks) or at ``at=(txn, read_ts)`` (the worker's
     ``snapshot_view``).  The data methods are the verb table's.
 
-    Schema-shape questions are answered by ``_twin``, an empty local
-    :class:`Table` built from the same schema — ``index_keys`` and
-    friends are pure schema computations, and answering them locally
-    keeps them off the statement hot path.  ``fallback_scans`` and
-    ``live_rows`` (what ``row_estimate`` answers with: the planner costs
-    a path without a frame) are plain attributes refreshed from response
-    envelopes for the same reason.  The live instance is cached per name
-    by :class:`RemoteCatalog`, so those envelope updates land on the
-    object callers hold, and a view ``at`` a snapshot asks it.
+    Nothing but ``schema`` and ``row_estimate`` is answered here:
+    ``fallback_scans`` and ``live_rows`` (what ``row_estimate`` answers
+    with: the planner costs a path without a frame) are plain attributes
+    refreshed from response envelopes.  The live instance is cached per
+    name by :class:`RemoteCatalog`, so those envelope updates land on
+    the object callers hold, and a view ``at`` a snapshot asks it.
     """
 
-    def __init__(self, connection: ShardConnection, twin: Table,
+    def __init__(self, connection: ShardConnection, schema: TableSchema,
                  at: "tuple[int, int] | None" = None,
                  live: "RemoteTableView | None" = None):
         self._connection = connection
-        self._twin = twin
-        self.schema = twin.schema
+        self.schema = schema
         self.fallback_scans = 0
         self.live_rows = 0
         self._live = self if live is None else live
@@ -381,24 +377,13 @@ class RemoteTableView:
 
     def at(self, txn: int, read_ts: int) -> "RemoteTableView":
         return RemoteTableView(
-            self._connection, self._twin, (txn, read_ts), live=self._live)
+            self._connection, self.schema, (txn, read_ts), live=self._live)
 
     def _send(self, verb: Verb, *args):
         return self._connection.request(verb.wire, *self._address, *args)
 
     def row_estimate(self) -> int:
         return self._live.live_rows
-
-    # -- schema-shape (local) ------------------------------------------------------
-
-    def has_ordered_index(self, column_names) -> bool:
-        return self._twin.has_ordered_index(column_names)
-
-    def canonical_index(self, column_names):
-        return self._twin.canonical_index(column_names)
-
-    def index_keys(self, values):
-        return self._twin.index_keys(values)
 
 
 class RemoteCatalog(Database):
@@ -418,7 +403,7 @@ class RemoteCatalog(Database):
     def adopt_table(self, schema) -> RemoteTableView:
         """Register a table the worker already has (crash rebuilds)."""
         table = self._tables[schema.name] = RemoteTableView(
-            self._connection, Table(schema))
+            self._connection, schema)
         return table
 
 

@@ -257,7 +257,7 @@ class ShardServer:
         return self.engine.commit(txn, participants=participants, flush=False)
 
     def do_create_table(self, schema):
-        # The Table stays here; the coordinator builds its own schema twin.
+        # The Table stays here; the coordinator keeps the schema it sent.
         self.engine.create_table(schema)
 
     def do_checkpoint(self):

@@ -1,7 +1,9 @@
 """TEST-ONLY ORACLE: the read path as it stood before plans were prepared.
 
-A verbatim copy of ``src/repro/storage/operators.py`` and
-``src/repro/storage/planner.py`` at the parent of that change, plus the
+A copy of ``src/repro/storage/operators.py`` and
+``src/repro/storage/planner.py`` at the parent of that change (verbatim
+but for three questions it asked a table view and now asks the view's
+schema: ``has_index``, and the columns an observed index goes by), plus the
 five helpers of ``src/repro/storage/query.py`` they were built on
 (``_env_for``, ``_constant_eq_conjuncts``, ``_own_column``, the
 *first-covered* ``index_path_for`` and ``evaluate``): the planner that
@@ -260,9 +262,7 @@ class IndexPoint:
 
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
         ctx.observe(
-            ReadAccess.index_key(
-                self.ref_name, table.canonical_index(self.cols), self.key
-            )
+            ReadAccess.index_key(self.ref_name, self.cols, self.key)
         )
         if self.is_pk:
             row = table.lookup_pk(self.key)
@@ -314,7 +314,7 @@ class IndexRange:
         ctx.observe(
             ReadAccess.index_range(
                 self.ref_name,
-                table.canonical_index(self.cols),
+                self.cols,
                 self.lo,
                 self.hi,
                 lo_inc=self.lo_inc,
@@ -533,7 +533,7 @@ def range_bounds_for(
                 continue
             if columns is not None and column not in columns:
                 continue
-            if columns is None and not table.has_ordered_index((column,)):
+            if columns is None and not table.schema.has_index((column,)):
                 continue
             try:
                 value = other.eval(outer)
@@ -706,7 +706,7 @@ def _sort_pushdown(
             return None
     if not table.schema.has_column(bare):
         return None
-    if not table.has_ordered_index((bare,)):
+    if not table.schema.has_index((bare,)):
         return None
     for conj in conjuncts:
         if isinstance(conj, Cmp) and conj.op is CmpOp.EQ:

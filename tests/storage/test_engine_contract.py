@@ -9,7 +9,8 @@ module checks the declaration against the code three ways:
   every return value, the durable WAL and every statistic must agree
   after every step, through a SIGKILL, a restart and ``recover``;
 * **structure** — every implementation in ``src/`` satisfies the
-  runtime-checkable Protocols;
+  runtime-checkable Protocols, and a table view is its seven members:
+  what a schema can answer, no view answers;
 * **completeness** — the verb table says exactly what the contract
   says: every row names a real member of a real shard engine, every
   contract member of a proxy class is either answered locally or has a
@@ -23,7 +24,6 @@ import re
 
 import pytest
 
-from repro.entangled.grounding import _PositionalTable
 from repro.errors import SnapshotTooOldError, WriteConflictError
 from repro.storage import (
     ColumnType,
@@ -46,6 +46,7 @@ from repro.storage.expressions import (
     RowPredicate,
 )
 from repro.storage.protocol import ShardEngine, TableView
+from repro.storage.table import Table
 from repro.transport import proxy
 from repro.transport.process import ProcessShardedStorageEngine
 from repro.transport.proxy import RemoteShardEngine, RemoteTableView
@@ -267,6 +268,29 @@ def test_local_and_remote_shards_agree_step_by_step():
 # -- structure ---------------------------------------------------------------------------
 
 
+def test_a_table_view_is_seven_members():
+    assert protocol_members(TableView) == {
+        "schema", "__len__", "row_estimate", "scan", "lookup_pk",
+        "lookup_index", "range_scan"}
+    assert SCHEMA.has_index(("k",)) and SCHEMA.has_index(("grp",))
+    assert not SCHEMA.has_index(("n",)) and not SCHEMA.has_index(("grp", "k"))
+    assert SCHEMA.index_keys((7, "a", 1)) == [(("k",), (7,)), (("grp",), ("a",))]
+
+
+def test_a_remote_view_answers_only_schema_and_estimate_locally():
+    """Everything else a ``RemoteTableView`` offers is a generated
+    forwarder (a frame), and it builds no table of its own to answer."""
+    public = {
+        name for name in dir(RemoteTableView)
+        if not name.startswith("_") or name == "__len__"}
+    local = {name for name in public if not is_generated(RemoteTableView, name)}
+    assert local == {"name", "at", "row_estimate"}
+    view = RemoteTableView(None, SCHEMA)
+    assert view.schema is SCHEMA and view.row_estimate() == 0
+    assert not any(
+        isinstance(value, Table) for value in vars(view).values())
+
+
 def test_every_implementation_satisfies_the_protocols():
     sharded = ShardedStorageEngine(2)
     sharded.create_table(SCHEMA)
@@ -284,12 +308,18 @@ def test_every_implementation_satisfies_the_protocols():
             sharded.snapshot_provider(txn).table("T"),
             remote.db.table("T"),
             remote.snapshot_view("T", 1, 0),
-            _PositionalTable(member.db.table("T")),
         ]
         for engine in engines:
             assert isinstance(engine, ShardEngine), type(engine).__name__
         for view in views:
             assert isinstance(view, TableView), type(view).__name__
+            assert view.schema == SCHEMA
+            # Catalog questions go to the schema: no view forwards them.
+            for gone in ("has_ordered_index", "canonical_index"):
+                assert not hasattr(view, gone), (type(view).__name__, gone)
+        # The four that are not the table itself answer nothing else.
+        for view in views[1:]:
+            assert not hasattr(view, "index_keys"), type(view).__name__
         assert isinstance(remote, RemoteShardEngine)
         assert not isinstance(sharded, ShardEngine)  # a coordinator is not a shard
     finally:
@@ -299,14 +329,13 @@ def test_every_implementation_satisfies_the_protocols():
 # -- completeness ------------------------------------------------------------------------
 
 #: contract members a proxy answers without a frame: mirrors fed by
-#: response envelopes, the schema twin, and views built locally.
+#: response envelopes, the schema, and views built locally.
 LOCAL = {
     RemoteShardEngine: {
         "mutex", "oracle", "wal", "locks", "db", "commit_count", "abort_count",
         "checkpoint_stats", "version_stats", "chain_histograms", "snapshot_view",
     },
-    RemoteTableView: {
-        "schema", "has_ordered_index", "canonical_index", "row_estimate"},
+    RemoteTableView: {"schema", "row_estimate"},
 }
 #: where each proxy class's remaining contract members must have a row.
 SPEAKS = {

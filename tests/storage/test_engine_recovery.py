@@ -61,6 +61,40 @@ class TestCommitAbort:
         store.abort(txn)
         assert rows(store) == []
 
+    def test_a_finished_transaction_keeps_no_row_image(self, store):
+        """A context outlives its transaction (``status``, ``isolation_of``
+        and ``written_shards`` read it); its undo log — a before- and an
+        after-image per row write — goes when the outcome is decided."""
+        import gc
+        import types
+
+        from repro.storage.engine import _UndoEntry
+
+        for n in range(1000):
+            txn = store.begin()
+            row = store.insert(txn, "Reserve", (n, 1))
+            store.update(txn, "Reserve", row.rid, (n, 2))
+            store.update(txn, "Reserve", row.rid, (n, 3))
+            assert len(store.context(txn).undo) == 3
+            (store.abort if n % 10 == 9 else store.commit)(txn)
+        assert len(store._contexts) == 1000 and len(rows(store)) == 900
+
+        opaque = (type, types.ModuleType, types.FunctionType)
+        seen, stack, entries = set(), [store._contexts], []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, opaque):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, _UndoEntry):
+                entries.append(obj)
+            stack.extend(gc.get_referents(obj))
+        assert not entries
+        # What a finished context is kept for still answers.
+        assert store.status(txn) is TxnStatus.ABORTED
+        assert store.status(txn - 1) is TxnStatus.COMMITTED
+        assert store.written_shards(txn - 1) == [0]
+
     def test_double_commit_rejected(self, store):
         txn = store.begin()
         store.commit(txn)

@@ -9,8 +9,9 @@ included), host variables and other tables' columns, DISTINCT, ORDER BY
 asc/desc, LIMIT — the production path returns **identical rows in
 identical order**, on its first execution of the shape (which prepares
 the plan) and on the next (a cache hit), over live tables, snapshot
-views, sharded union views and the grounding facade; and a twin of the
-query with every literal shifted runs on the *same* prepared plan.
+views and sharded union views, also phrased the way entangled grounding
+phrases a body (every column ``alias.column``); and a twin of the query
+with every literal shifted runs on the *same* prepared plan.
 
 The second half pins the plan cache itself: what it is keyed by, that
 nothing failing is stored, that it is bounded, and that threads sharing
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.entangled.grounding import _PositionalView
+from repro.entangled import Atom, EntangledQuery, Val, Var, compile_body, ground
 from repro.errors import ReproError, UnknownColumnError, UnknownTableError
 from repro.sql import parse_statement, parser
 from repro.sql.compiler import compile_select
@@ -277,18 +278,15 @@ def shifted(query):
     return remap(query, const=lambda v: v if v is None else v + 1)
 
 
-def positional(query):
-    """The query as entangled grounding would phrase it: columns by
-    position (``alias.__col<i>``), for the grounding facade."""
-    schema_of = {ref.alias: SCHEMAS[ref.name] for ref in query.tables}
+def qualified(query):
+    """The query as entangled grounding phrases a body: every column by
+    ``alias.column``, none by its bare name."""
+    only = query.tables[0].alias
 
     def column(name):
-        if name.startswith("@") or name.startswith("nowhere."):
+        if name.startswith("@") or "." in name:
             return name
-        alias, _, col = name.rpartition(".")
-        schema = schema_of[alias] if alias else SCHEMAS[query.tables[0].name]
-        index = schema.column_index(col)
-        return f"{alias}.__col{index}" if alias else f"__col{index}"
+        return f"{only}.{name}"
 
     return remap(query, column=column)
 
@@ -339,10 +337,10 @@ def test_a_limit_at_the_leaf_equals_the_reference(provider, case):
 
 @RELAXED
 @given(case=queries())
-def test_grounding_facade_equals_the_reference(case):
+def test_grounding_phrasing_equals_the_reference(case):
     query, params = case
     db, _close = _live(DATASETS["full"])
-    assert_same_rows(positional(query), _PositionalView(db), params)
+    assert_same_rows(qualified(query), db, params)
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,7 +391,7 @@ def test_plans_are_per_database_and_per_ordered_indexes_setting():
     assert len(one.plans) == 2 and stats["index_range_scans"] == 1
 
 
-def test_a_snapshot_and_the_grounding_facade_plan_into_their_database():
+def test_a_snapshot_and_a_grounding_body_plan_into_their_database():
     engine = StorageEngine()
     _install(engine.create_table, engine.load, DATASETS["full"])
     txn = engine.begin(TxnIsolation.SNAPSHOT)
@@ -402,20 +400,16 @@ def test_a_snapshot_and_the_grounding_facade_plan_into_their_database():
     evaluate(POINT, engine.snapshot_provider(engine.begin(TxnIsolation.SNAPSHOT)))
     evaluate(POINT, engine.db)
     assert len(engine.db.plans) == 1
-    evaluate(positional(POINT), _PositionalView(engine.db))
+    # A body is a statement like any other: planned once per shape,
+    # whichever provider grounds it and whatever its constants.
+    body = lambda key: EntangledQuery(  # noqa: E731
+        "q", heads=(Atom("R", (Var("v"),)),), postconditions=(),
+        body_atoms=(Atom("A", (Val(key), Var("g"), Var("v"))),))
+    assert [g.heads[0].values for g in ground(body(4), engine.db)] == [(0,)]
     assert len(engine.db.plans) == 2
-
-
-def test_the_grounding_facade_never_shares_a_plan_with_the_real_columns():
-    """No conjunct, so no column name in the shape: only the tables'
-    own column names tell the facade's plan from the statement's."""
-    db, _close = _live(DATASETS["tiny"])
-    everything = SPJQuery(
-        tables=(TableRef("A", "t0"),), select=(Col("t0.id"),), select_names=("id",))
-    for _ in range(2):
-        assert evaluate(positional(everything), _PositionalView(db)) == [(3,)]
-        assert evaluate(everything, db) == [(3,)]
-    assert len(db.plans) == 2
+    assert ground(body(3), engine.snapshot_provider(txn))[0].heads[0].values == (None,)
+    evaluate(compile_body(body(5), engine.db), engine.db)
+    assert len(engine.db.plans) == 2
 
 
 def test_a_failing_statement_stores_nothing():
@@ -428,17 +422,20 @@ def test_a_failing_statement_stores_nothing():
         compile_select(parse_statement("SELECT nothing FROM A WHERE id = 1"), db, {})
     assert not db.plans
 
+    class NoCatalog:
+        """A schema that fails the question preparing a probe asks it."""
+
+        def __init__(self, schema):
+            self._schema = schema
+
+        def __getattr__(self, name):
+            if name == "primary_key":
+                raise RuntimeError("no catalog")
+            return getattr(self._schema, name)
+
     class Broken:
-        """A view whose catalog answer fails while the plan is prepared."""
-
         def __init__(self, table):
-            self.schema = table.schema
-
-        def has_ordered_index(self, cols):
-            return False
-
-        def canonical_index(self, cols):
-            raise RuntimeError("no catalog")
+            self.schema = NoCatalog(table.schema)
 
     class BrokenProvider:
         plans = db.plans

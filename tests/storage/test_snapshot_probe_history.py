@@ -13,7 +13,7 @@ key — that
 * ``SnapshotView.lookup_index`` / ``lookup_pk`` return exactly what a
   full ``scan()`` filter returns (correctness is untouched), and
 * the probe visits no more candidate rids than current matches plus the
-  probed key's own history bucket (counted by instrumenting
+  probed key's own history posting (counted by instrumenting
   ``Table.version_read``), independent of churn under *other* keys.
 """
 
@@ -162,8 +162,8 @@ def test_probe_cost_is_bounded_by_matches_plus_per_key_history(scenario):
     engine.abort(reader)
     engine.vacuum()
     assert table.history_rids() == frozenset()
-    assert table._history_by_pk == {}
-    assert all(not b for b in table._history_by_index.values())
+    assert all(len(tree) == 0 for tree in table._history_ordered.values())
+    assert not table._history_entries
 
 
 # -- the range twin: a LIMIT-k range read costs the prefix, not the bounds ---------------
@@ -203,8 +203,10 @@ def test_range_scan_is_the_scan_prefix_and_costs_the_prefix(scenario, data):
             index.lookup(key) | table.history_rids_for_index(("g",), key)),
     }
     known_keys = {
-        ("k",): set(table._pk_index) | set(table._history_by_pk),
-        ("g",): set(index._buckets) | set(table._history_by_index.get(("g",), {})),
+        ("k",): set(table._pk_index)
+        | set(table._history_ordered[("k",)].keys_in_range()),
+        ("g",): set(index._buckets)
+        | set(table._history_ordered[("g",)].keys_in_range()),
     }
 
     for cols, position, bounds in ((("k",), 0, PK_BOUNDS), (("g",), 1, G_BOUNDS)):

@@ -214,10 +214,9 @@ def _mvcc_state(table):
         },
         "prune_floor": table.prune_floor,
         "history": set(table.history_rids()),
-        "by_pk": {k: set(v) for k, v in table._history_by_pk.items()},
-        "by_index": {
-            cols: {k: set(v) for k, v in buckets.items()}
-            for cols, buckets in table._history_by_index.items()
+        "postings": {
+            cols: {key: set(rids) for key, rids in tree.items()}
+            for cols, tree in table._history_ordered.items()
         },
         "entries": {r: set(e) for r, e in table._history_entries.items()},
         "histogram": table.chain_histogram(),
