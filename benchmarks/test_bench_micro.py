@@ -385,6 +385,36 @@ def test_frontend_prepared_hit(benchmark):
     assert warm <= 0.4 * cold, f"prepared hit {warm / cold:.2f}x a cold parse"
 
 
+@pytest.mark.benchmark(group="micro-frontend")
+def test_bind_transfer_statements(benchmark):
+    """Binding alone: the three statements of a cached transfer template
+    compiled with one script's parameters.  The SELECT's resolution is
+    memoised, so this is ``inline_hostvars`` over each statement plus the
+    compiled records it fills."""
+    from repro.sql.compiler import compile_insert, compile_select, compile_update
+
+    db = Database("bind")
+    db.create_table(_accounts_schema())
+    db.create_table(TableSchema.build(
+        "Transfers",
+        [("account", ColumnType.INTEGER), ("amount", ColumnType.FLOAT)],
+        indexes=[["account"]],
+    ))
+    program = parse_transaction(_transfer_script(17, 4000))
+    select, update, insert = program.template
+    params, env = program.params, {}
+
+    def bind():
+        return (compile_select(select, db, env, params),
+                compile_update(update, db, env, params),
+                compile_insert(insert, db, env, params))
+
+    selected, updated, inserted = benchmark(bind)
+    assert str(selected.plan.where) == "(Accounts.id = 17)"
+    assert str(updated.predicate) == "(id = 4000)"
+    assert inserted.values == (4000, 1)
+
+
 @pytest.mark.benchmark(group="micro-batch")
 def test_evaluate_batch_20_queries(benchmark):
     db = _flights_db(500)

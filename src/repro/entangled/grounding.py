@@ -24,7 +24,7 @@ from typing import Mapping
 from repro.entangled.answers import GroundAtom
 from repro.entangled.ir import EntangledQuery, Val
 from repro.errors import EntangledQueryError
-from repro.storage.expressions import And, Cmp, CmpOp, Col, Const, Expr, conjoin
+from repro.storage.expressions import STORAGE_NODES, Cmp, CmpOp, Col, Const, Expr, conjoin
 from repro.storage.query import (
     ReadObserver,
     SPJQuery,
@@ -108,30 +108,12 @@ def compile_body(query: EntangledQuery, provider: TableProvider) -> SPJQuery:
 def _rewrite_vars(expr: Expr, mapping: Mapping[str, Col]) -> Expr:
     """Replace variable references in the residual predicate with the
     columns chosen by :func:`compile_body`."""
-    from repro.storage.expressions import Arith, InList, IsNull, Not, Or
-
-    if isinstance(expr, Col):
+    kind = type(expr)
+    if kind is Col:
         return mapping.get(expr.name, expr)
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _rewrite_vars(expr.left, mapping), _rewrite_vars(expr.right, mapping))
-    if isinstance(expr, And):
-        return And(_rewrite_vars(expr.left, mapping), _rewrite_vars(expr.right, mapping))
-    if isinstance(expr, Or):
-        return Or(_rewrite_vars(expr.left, mapping), _rewrite_vars(expr.right, mapping))
-    if isinstance(expr, Not):
-        return Not(_rewrite_vars(expr.operand, mapping))
-    if isinstance(expr, IsNull):
-        return IsNull(_rewrite_vars(expr.operand, mapping), expr.negated)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _rewrite_vars(expr.left, mapping), _rewrite_vars(expr.right, mapping))
-    if isinstance(expr, InList):
-        return InList(
-            _rewrite_vars(expr.operand, mapping),
-            tuple(_rewrite_vars(o, mapping) for o in expr.options),
-        )
-    raise EntangledQueryError(f"unsupported body predicate node {type(expr).__name__}")
+    if kind not in STORAGE_NODES:
+        raise EntangledQueryError(f"unsupported body predicate node {kind.__name__}")
+    return expr.map(lambda node: _rewrite_vars(node, mapping))
 
 
 def ground(

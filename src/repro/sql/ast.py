@@ -9,7 +9,10 @@ SELECT/INSERT/UPDATE/DELETE, ``SET @var = expr``, the entangled
 Expressions reuse :mod:`repro.storage.expressions` plus three SQL-level
 nodes that only exist before compilation: ``InSelect`` (tuple-IN-subquery),
 ``InAnswer`` (tuple-IN-ANSWER — the entanglement postcondition) and
-``Param`` (a literal lifted out of a statement *template*).
+``Param`` (a literal lifted out of a statement *template*).  Like the
+storage nodes, each declares its children in its ``map`` and nowhere
+else: ``Param`` is a leaf, and the ``IN`` nodes' children are their tuple
+items — a subquery is a statement, so a walker that binds one says so.
 
 **Templates and the two views of a program.**  The parser parses each
 script *shape* once (:mod:`repro.sql.parser`): the shared result is a
@@ -32,18 +35,7 @@ from typing import Mapping
 from weakref import WeakKeyDictionary
 
 from repro.errors import CompileError
-from repro.storage.expressions import (
-    And,
-    Arith,
-    Cmp,
-    Col,
-    Const,
-    Expr,
-    InList,
-    IsNull,
-    Not,
-    Or,
-)
+from repro.storage.expressions import Col, Const, Expr, map_items
 from repro.storage.types import SQLValue
 
 #: Host-variable environment: "@name" -> value.
@@ -68,11 +60,9 @@ class InSelect(Expr):
     items: tuple[Expr, ...]
     subquery: "SelectStmt"
 
-    def columns(self) -> set[str]:
-        cols: set[str] = set()
-        for item in self.items:
-            cols |= item.columns()
-        return cols
+    def map(self, f):
+        items = map_items(f, self.items)
+        return self if items is self.items else InSelect(items, self.subquery)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(str(i) for i in self.items)
@@ -86,11 +76,9 @@ class InAnswer(Expr):
     items: tuple[Expr, ...]
     answer_relation: str
 
-    def columns(self) -> set[str]:
-        cols: set[str] = set()
-        for item in self.items:
-            cols |= item.columns()
-        return cols
+    def map(self, f):
+        items = map_items(f, self.items)
+        return self if items is self.items else InAnswer(items, self.answer_relation)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         inner = ", ".join(str(i) for i in self.items)
@@ -318,38 +306,11 @@ def inline_hostvars(expr: Expr, env: Env | None, params: Params = ()) -> Expr:
         return Const(env[expr.name])
     if kind is Const:
         return expr
-    if kind is Cmp or kind is Arith:
-        left = inline_hostvars(expr.left, env, params)
-        right = inline_hostvars(expr.right, env, params)
-        if left is expr.left and right is expr.right:
-            return expr
-        return kind(expr.op, left, right)
-    if kind is And or kind is Or:
-        left = inline_hostvars(expr.left, env, params)
-        right = inline_hostvars(expr.right, env, params)
-        if left is expr.left and right is expr.right:
-            return expr
-        return kind(left, right)
-    if kind is Not:
-        return Not(inline_hostvars(expr.operand, env, params))
-    if kind is IsNull:
-        return IsNull(inline_hostvars(expr.operand, env, params), expr.negated)
-    if kind is InList:
-        return InList(
-            inline_hostvars(expr.operand, env, params),
-            tuple(inline_hostvars(o, env, params) for o in expr.options),
-        )
     if kind is InSelect:
         return InSelect(
-            tuple(inline_hostvars(i, env, params) for i in expr.items),
-            bind_select(expr.subquery, env, params),
-        )
-    if kind is InAnswer:
-        return InAnswer(
-            tuple(inline_hostvars(i, env, params) for i in expr.items),
-            expr.answer_relation,
-        )
-    raise CompileError(f"cannot inline into {kind.__name__}")
+            map_items(lambda item: inline_hostvars(item, env, params), expr.items),
+            bind_select(expr.subquery, env, params))
+    return expr.map(lambda node: inline_hostvars(node, env, params))
 
 
 def _bind_items(items, env, params) -> tuple[SelectItem, ...]:

@@ -44,7 +44,6 @@ from repro.sql.ast import (
     InAnswer,
     InSelect,
     InsertStmt,
-    Param,
     Params,
     SelectItem,
     SelectStmt,
@@ -53,16 +52,14 @@ from repro.sql.ast import (
 )
 from repro.storage.catalog import Database
 from repro.storage.expressions import (
-    And,
-    Arith,
+    CONNECTIVES,
+    STORAGE_NODES,
     Cmp,
     CmpOp,
     Col,
     Const,
     Expr,
     InList,
-    IsNull,
-    Not,
     Or,
     conjoin,
     split_conjuncts,
@@ -199,64 +196,27 @@ def _qualify(expr: Expr, resolve_bare) -> Expr:
         if "." in expr.name or expr.name.startswith("@"):
             return expr
         return Col(resolve_bare(expr.name))
-    if isinstance(expr, (Const, Param)):
-        return expr
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _qualify(expr.left, resolve_bare),
-                   _qualify(expr.right, resolve_bare))
-    if isinstance(expr, And):
-        return And(_qualify(expr.left, resolve_bare),
-                   _qualify(expr.right, resolve_bare))
-    if isinstance(expr, Or):
-        return Or(_qualify(expr.left, resolve_bare),
-                  _qualify(expr.right, resolve_bare))
-    if isinstance(expr, Not):
-        return Not(_qualify(expr.operand, resolve_bare))
-    if isinstance(expr, IsNull):
-        return IsNull(_qualify(expr.operand, resolve_bare), expr.negated)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _qualify(expr.left, resolve_bare),
-                     _qualify(expr.right, resolve_bare))
-    if isinstance(expr, InList):
-        return InList(
-            _qualify(expr.operand, resolve_bare),
-            tuple(_qualify(o, resolve_bare) for o in expr.options),
+    if isinstance(expr, (InSelect, InAnswer)):
+        raise CompileError(
+            f"unsupported expression in classical statement: {type(expr).__name__}"
         )
-    raise CompileError(
-        f"unsupported expression in classical statement: {type(expr).__name__}"
-    )
-
-
-def _map_where(expr: Expr, leaf) -> Expr:
-    """Rebuild a WHERE clause's AND/OR/NOT skeleton — the only positions
-    where ``IN (SELECT ...)`` may stand — applying ``leaf`` below it."""
-    if isinstance(expr, And):
-        return And(_map_where(expr.left, leaf), _map_where(expr.right, leaf))
-    if isinstance(expr, Or):
-        return Or(_map_where(expr.left, leaf), _map_where(expr.right, leaf))
-    if isinstance(expr, Not):
-        return Not(_map_where(expr.operand, leaf))
-    return leaf(expr)
+    return expr.map(lambda node: _qualify(node, resolve_bare))
 
 
 def _qualify_where(expr: Expr, resolve_bare) -> Expr:
-    """:func:`_qualify` for a WHERE clause: an ``IN (SELECT ...)`` has its
-    tuple items qualified and its subquery left for :func:`_bind_where`
-    to evaluate per execution."""
-
-    def leaf(expr: Expr) -> Expr:
-        if isinstance(expr, InSelect):
-            return InSelect(
-                tuple(_qualify(item, resolve_bare) for item in expr.items),
-                expr.subquery,
-            )
-        if isinstance(expr, InAnswer):
-            raise CompileError(
-                "IN ANSWER is only allowed in entangled SELECT ... INTO ANSWER"
-            )
-        return _qualify(expr, resolve_bare)
-
-    return _map_where(expr, leaf)
+    """:func:`_qualify` for a WHERE clause, whose AND/OR/NOT skeleton is
+    where ``IN (SELECT ...)`` may stand: there it has its tuple items
+    qualified and its subquery left for :func:`_bind_where` to evaluate
+    per execution."""
+    if isinstance(expr, CONNECTIVES):
+        return expr.map(lambda node: _qualify_where(node, resolve_bare))
+    if isinstance(expr, InSelect):
+        return expr.map(lambda item: _qualify(item, resolve_bare))
+    if isinstance(expr, InAnswer):
+        raise CompileError(
+            "IN ANSWER is only allowed in entangled SELECT ... INTO ANSWER"
+        )
+    return _qualify(expr, resolve_bare)
 
 
 def _bind_where(expr: Expr, db: Database, env: Env, params: Params) -> Expr:
@@ -266,13 +226,11 @@ def _bind_where(expr: Expr, db: Database, env: Env, params: Params) -> Expr:
     is evaluated eagerly and replaced by a literal membership test;
     everything else is :func:`inline_hostvars`.
     """
-
-    def leaf(expr: Expr) -> Expr:
-        if isinstance(expr, InSelect):
-            return _membership_test(expr, db, env, params)
-        return inline_hostvars(expr, env, params)
-
-    return _map_where(expr, leaf)
+    if isinstance(expr, CONNECTIVES):
+        return expr.map(lambda node: _bind_where(node, db, env, params))
+    if isinstance(expr, InSelect):
+        return _membership_test(expr, db, env, params)
+    return inline_hostvars(expr, env, params)
 
 
 def _membership_test(
@@ -538,35 +496,13 @@ def _absorb_in_select(ctx: _EntangledContext, node: InSelect) -> None:
 
 def _rebind_subquery_columns(expr: Expr, resolve) -> Expr:
     """Rewrite subquery column refs to canonical slot names for residuals."""
-    if isinstance(expr, Col):
-        slot = resolve(expr.name)
-        return Col(_slot_name(slot))
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _rebind_subquery_columns(expr.left, resolve),
-                   _rebind_subquery_columns(expr.right, resolve))
-    if isinstance(expr, And):
-        return And(_rebind_subquery_columns(expr.left, resolve),
-                   _rebind_subquery_columns(expr.right, resolve))
-    if isinstance(expr, Or):
-        return Or(_rebind_subquery_columns(expr.left, resolve),
-                  _rebind_subquery_columns(expr.right, resolve))
-    if isinstance(expr, Not):
-        return Not(_rebind_subquery_columns(expr.operand, resolve))
-    if isinstance(expr, IsNull):
-        return IsNull(_rebind_subquery_columns(expr.operand, resolve), expr.negated)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _rebind_subquery_columns(expr.left, resolve),
-                     _rebind_subquery_columns(expr.right, resolve))
-    if isinstance(expr, InList):
-        return InList(
-            _rebind_subquery_columns(expr.operand, resolve),
-            tuple(_rebind_subquery_columns(o, resolve) for o in expr.options),
-        )
-    raise CompileError(
-        f"unsupported predicate in entangled subquery: {type(expr).__name__}"
-    )
+    kind = type(expr)
+    if kind is Col:
+        return Col(_slot_name(resolve(expr.name)))
+    if kind not in STORAGE_NODES:
+        raise CompileError(
+            f"unsupported predicate in entangled subquery: {kind.__name__}")
+    return expr.map(lambda node: _rebind_subquery_columns(node, resolve))
 
 
 def _slot_name(slot) -> str:
@@ -613,7 +549,8 @@ def _expr_to_term(ctx: _EntangledContext, expr: Expr):
 
 def _residual_to_vars(ctx: _EntangledContext, expr: Expr) -> Expr:
     """Rewrite residual predicates to use canonical variable names."""
-    if isinstance(expr, Col):
+    kind = type(expr)
+    if kind is Col:
         if expr.name.startswith("@"):
             raise CompileError(f"unbound host variable {expr.name}")
         # Either an outer name or an already-canonical subquery slot name.
@@ -625,32 +562,9 @@ def _residual_to_vars(ctx: _EntangledContext, expr: Expr) -> Expr:
         if constant is not None:
             return Const(constant[0])
         return Col(_canonical_var(ctx, slot))
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, _residual_to_vars(ctx, expr.left),
-                   _residual_to_vars(ctx, expr.right))
-    if isinstance(expr, And):
-        return And(_residual_to_vars(ctx, expr.left),
-                   _residual_to_vars(ctx, expr.right))
-    if isinstance(expr, Or):
-        return Or(_residual_to_vars(ctx, expr.left),
-                  _residual_to_vars(ctx, expr.right))
-    if isinstance(expr, Not):
-        return Not(_residual_to_vars(ctx, expr.operand))
-    if isinstance(expr, IsNull):
-        return IsNull(_residual_to_vars(ctx, expr.operand), expr.negated)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, _residual_to_vars(ctx, expr.left),
-                     _residual_to_vars(ctx, expr.right))
-    if isinstance(expr, InList):
-        return InList(
-            _residual_to_vars(ctx, expr.operand),
-            tuple(_residual_to_vars(ctx, o) for o in expr.options),
-        )
-    raise CompileError(
-        f"unsupported residual predicate: {type(expr).__name__}"
-    )
+    if kind not in STORAGE_NODES:
+        raise CompileError(f"unsupported residual predicate: {kind.__name__}")
+    return expr.map(lambda node: _residual_to_vars(ctx, node))
 
 
 def _find_slot_by_name(ctx: _EntangledContext, name: str):

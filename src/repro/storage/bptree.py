@@ -45,11 +45,17 @@ class _Supremum:
     def __repr__(self) -> str:
         return "SUPREMUM"
 
+    def __reduce__(self) -> str:
+        # By name: a fence that crosses a pipe unpickles as the one sentinel.
+        return "_SUPREMUM"
+
+
+_SUPREMUM = _Supremum()
 
 #: The right fencepost of every ordered index, as an index-key tuple:
 #: next-key locks on open-ended ranges (and inserts past the last key)
 #: name this resource.
-SUPREMUM: tuple = (_Supremum(),)
+SUPREMUM: tuple = (_SUPREMUM,)
 
 
 def value_sort_key(value) -> tuple:

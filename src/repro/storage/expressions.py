@@ -6,6 +6,20 @@ unambiguous) to values, plus host variables (``"@name"``).  The evaluator
 implements SQL-flavoured three-valued logic for NULL: comparisons with NULL
 are unknown (treated as not satisfied), ``AND``/``OR`` propagate unknowns
 the SQL way.
+
+**One walk per tree.**  A node declares its children once, in
+:meth:`Expr.map`: a leaf returns itself; a compound node rebuilds itself
+from ``f`` applied to each child, left to right, and returns itself when
+``f`` returned every child unchanged, so a rewrite shares every subtree
+it did not touch.  Every walker — :func:`names`, :func:`substitute`, the
+SQL compiler's qualification and binding, grounding's renaming — answers
+the node kinds it cares about and hands the rest to ``map`` with itself
+bound to its other arguments (``expr.map(lambda node: walker(node,
+...))``).  It recurses through its module-level name, never through a
+nested function that refers to itself: such a closure is a reference
+cycle per call, garbage only the cyclic collector frees, and on the
+statement path its extra passes cost more than the walk.  A new node
+type is one class with one ``map``.
 """
 
 from __future__ import annotations
@@ -13,7 +27,8 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from operator import is_
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import CompileError, TypeMismatchError, UnknownColumnError
 from repro.storage.types import SQLValue, comparable
@@ -29,9 +44,17 @@ class Expr:
     def eval(self, env: Env) -> "SQLValue | None":
         raise NotImplementedError
 
+    def map(self, f: Callable[["Expr"], "Expr"]) -> "Expr":
+        """This node with ``f`` applied to each child, left to right —
+        itself when ``f`` returned every child unchanged.  A leaf has no
+        children."""
+        return self
+
     def columns(self) -> set[str]:
         """All column/variable names referenced by this expression."""
-        return set()
+        found: list = []
+        names(self, found)
+        return set(found)
 
 
 @dataclass(frozen=True)
@@ -68,9 +91,6 @@ class Col(Expr):
             if bare in env:
                 return env[bare]
         raise UnknownColumnError(f"unbound name {self.name!r}")
-
-    def columns(self) -> set[str]:
-        return {self.name}
 
     def __str__(self) -> str:
         return self.name
@@ -114,8 +134,11 @@ class Cmp(Expr):
             return lhs > rhs
         return lhs >= rhs
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def map(self, f):
+        left, right = f(self.left), f(self.right)
+        if left is self.left and right is self.right:
+            return self
+        return Cmp(self.op, left, right)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op.value} {self.right})"
@@ -137,8 +160,11 @@ class And(Expr):
             return None
         return True
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def map(self, f):
+        left, right = f(self.left), f(self.right)
+        if left is self.left and right is self.right:
+            return self
+        return And(left, right)
 
     def __str__(self) -> str:
         return f"({self.left} AND {self.right})"
@@ -160,8 +186,11 @@ class Or(Expr):
             return None
         return False
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def map(self, f):
+        left, right = f(self.left), f(self.right)
+        if left is self.left and right is self.right:
+            return self
+        return Or(left, right)
 
     def __str__(self) -> str:
         return f"({self.left} OR {self.right})"
@@ -177,8 +206,9 @@ class Not(Expr):
             return None
         return not val
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
+    def map(self, f):
+        operand = f(self.operand)
+        return self if operand is self.operand else Not(operand)
 
     def __str__(self) -> str:
         return f"(NOT {self.operand})"
@@ -193,8 +223,9 @@ class IsNull(Expr):
         is_null = self.operand.eval(env) is None
         return not is_null if self.negated else is_null
 
-    def columns(self) -> set[str]:
-        return self.operand.columns()
+    def map(self, f):
+        operand = f(self.operand)
+        return self if operand is self.operand else IsNull(operand, self.negated)
 
     def __str__(self) -> str:
         suffix = "IS NOT NULL" if self.negated else "IS NULL"
@@ -248,8 +279,11 @@ class Arith(Expr):
             raise TypeMismatchError("division by zero")
         return lhs / rhs
 
-    def columns(self) -> set[str]:
-        return self.left.columns() | self.right.columns()
+    def map(self, f):
+        left, right = f(self.left), f(self.right)
+        if left is self.left and right is self.right:
+            return self
+        return Arith(self.op, left, right)
 
     def __str__(self) -> str:
         return f"({self.left} {self.op.value} {self.right})"
@@ -275,15 +309,32 @@ class InList(Expr):
                 return True
         return None if saw_null else False
 
-    def columns(self) -> set[str]:
-        cols = self.operand.columns()
-        for option in self.options:
-            cols |= option.columns()
-        return cols
+    def map(self, f):
+        operand, options = f(self.operand), map_items(f, self.options)
+        if operand is self.operand and options is self.options:
+            return self
+        return InList(operand, options)
 
     def __str__(self) -> str:
         inner = ", ".join(str(o) for o in self.options)
         return f"({self.operand} IN ({inner}))"
+
+
+def map_items(f: Callable[[Expr], Expr], items: tuple) -> tuple:
+    """``tuple(map(f, items))`` — ``items`` itself when ``f`` returned
+    every item unchanged (the tuple half of the :meth:`Expr.map` rule)."""
+    mapped = tuple(map(f, items))
+    return items if all(map(is_, mapped, items)) else mapped
+
+
+#: The node kinds a storage plan evaluates.  The SQL front end's
+#: ``InSelect``, ``InAnswer`` and ``Param`` are compiled away before a
+#: plan sees them, so a rewrite below the SQL layer rejects them by this.
+STORAGE_NODES = frozenset({Const, Col, Cmp, And, Or, Not, IsNull, Arith, InList})
+
+#: The boolean skeleton of a predicate: the only positions where a
+#: WHERE clause's ``IN (SELECT ...)`` may stand.
+CONNECTIVES = (And, Or, Not)
 
 
 def _as_bool(value: Any) -> bool | None:
@@ -355,33 +406,21 @@ def split_conjuncts(predicate: Expr | None) -> list[Expr]:
     return [predicate]
 
 
-def substitute(expr: Expr, bindings: Mapping[str, "SQLValue | None"]) -> Expr:
-    """Replace :class:`Col` references found in ``bindings`` with constants.
+def names(expr: Expr, out: list) -> None:
+    """Append every column / host-variable name under ``expr`` to
+    ``out``, left to right, repeats included."""
+    if type(expr) is Col:
+        out.append(expr.name)
+    else:
+        expr.map(lambda node: names(node, out) or node)
 
-    Used to inline host-variable values into compiled predicates before
-    execution, and by the entangled-query grounding step.
-    """
-    if isinstance(expr, Col):
-        if expr.name in bindings:
-            return Const(bindings[expr.name])
-        return expr
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Cmp):
-        return Cmp(expr.op, substitute(expr.left, bindings), substitute(expr.right, bindings))
-    if isinstance(expr, And):
-        return And(substitute(expr.left, bindings), substitute(expr.right, bindings))
-    if isinstance(expr, Or):
-        return Or(substitute(expr.left, bindings), substitute(expr.right, bindings))
-    if isinstance(expr, Not):
-        return Not(substitute(expr.operand, bindings))
-    if isinstance(expr, IsNull):
-        return IsNull(substitute(expr.operand, bindings), expr.negated)
-    if isinstance(expr, Arith):
-        return Arith(expr.op, substitute(expr.left, bindings), substitute(expr.right, bindings))
-    if isinstance(expr, InList):
-        return InList(
-            substitute(expr.operand, bindings),
-            tuple(substitute(o, bindings) for o in expr.options),
-        )
-    raise CompileError(f"cannot substitute into {type(expr).__name__}")
+
+def substitute(expr: Expr, bindings: Mapping[str, "SQLValue | None"]) -> Expr:
+    """Replace :class:`Col` references found in ``bindings`` with constants
+    (the front end's own binding walk is ``sql.ast.inline_hostvars``)."""
+    kind = type(expr)
+    if kind is Col:
+        return Const(bindings[expr.name]) if expr.name in bindings else expr
+    if kind not in STORAGE_NODES:
+        raise CompileError(f"cannot substitute into {kind.__name__}")
+    return expr.map(lambda node: substitute(node, bindings))

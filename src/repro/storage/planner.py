@@ -75,17 +75,11 @@ from typing import MutableMapping
 
 from repro.storage.bptree import value_sort_key
 from repro.storage.expressions import (
-    And,
-    Arith,
     Cmp,
     CmpOp,
     Col,
-    Const,
     Expr,
-    InList,
-    IsNull,
-    Not,
-    Or,
+    names,
     split_conjuncts,
 )
 from repro.storage.operators import (
@@ -175,34 +169,14 @@ def _range_cost(n: int, lo: "_Bound | None", hi: "_Bound | None") -> int:
 # -- the shape of a query: what a plan may depend on ---------------------------------
 
 
-def _names(expr: Expr, out: list) -> None:
-    """Append every column / host-variable name under ``expr``."""
-    kind = type(expr)
-    if kind is Col:
-        out.append(expr.name)
-    elif kind is Const:
-        pass
-    elif kind in (Cmp, And, Or, Arith):
-        _names(expr.left, out)
-        _names(expr.right, out)
-    elif kind in (Not, IsNull):
-        _names(expr.operand, out)
-    elif kind is InList:
-        _names(expr.operand, out)
-        for option in expr.options:
-            _names(option, out)
-    else:
-        out.extend(sorted(expr.columns()))
-
-
 def _side(expr: Expr):
     """One side of a comparison as the planner sees it: a column by its
     name, anything else by the names it mentions."""
     if type(expr) is Col:
         return expr.name
-    names: list = []
-    _names(expr, names)
-    return tuple(names)
+    found: list = []
+    names(expr, found)
+    return tuple(found)
 
 
 def _conjunct_shape(conj: Expr):
@@ -211,9 +185,9 @@ def _conjunct_shape(conj: Expr):
     that decide where it can be checked."""
     if type(conj) is Cmp and conj.op is not CmpOp.NE:
         return conj.op, _side(conj.left), _side(conj.right)
-    names: list = []
-    _names(conj, names)
-    return tuple(names)
+    found: list = []
+    names(conj, found)
+    return tuple(found)
 
 
 # -- prepared plans --------------------------------------------------------------------
@@ -373,10 +347,10 @@ def _prepare(
         """The first level at which every name in ``expr`` resolves the
         way ``Col.eval`` resolves it (the name, else its bare suffix);
         ``n`` — past every table — when one never does."""
-        names: list = []
-        _names(expr, names)
+        found: list = []
+        names(expr, found)
         latest = -1
-        for name in names:
+        for name in found:
             first = bound_at.get(name, n)
             if "." in name:
                 first = min(first, bound_at.get(name.rsplit(".", 1)[1], n))

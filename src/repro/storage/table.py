@@ -28,14 +28,14 @@ from repro.storage.wal import TableImage
 
 
 class HashIndex:
-    """A non-unique hash index over a subset of columns.
+    """A non-unique hash index over one of ``schema``'s declared indexes.
 
     Maps the indexed key tuple to the set of rids that currently carry it.
     """
 
     def __init__(self, column_names: Sequence[str], schema: TableSchema):
         self.column_names = tuple(column_names)
-        self._positions = tuple(schema.column_index(c) for c in self.column_names)
+        self._positions = dict(schema.index_positions)[self.column_names]
         self._buckets: dict[tuple, set[int]] = {}
 
     def key_for(self, values: ValueTuple) -> tuple:

@@ -243,9 +243,7 @@ def test_same_groundings_accesses_locks_and_read_sets(
             sides[ground_with] = (
                 results,
                 recorder.seen,
-                # By spelling: a fence that crossed the pipe is a copy
-                # of ``SUPREMUM``, equal to no other copy.
-                sorted(map(repr, store.locks.held_resources(txn))),
+                store.locks.held_resources(txn),
                 set(store.ssi._txns[txn].reads),
             )
         assert sides[ground] == sides[reference.ground]

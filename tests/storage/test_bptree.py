@@ -9,6 +9,7 @@ just the single-leaf fast path.
 """
 
 import datetime
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,15 @@ def test_open_bound_successor_is_supremum():
     assert tree.successor(None) is SUPREMUM
     assert tree.successor((1,), strict=True) is SUPREMUM
     assert tree.successor((1,), strict=False) == (1,)
+
+
+def test_supremum_survives_pickling():
+    """A fence a shard worker returns is the sentinel itself, so it equals
+    (and hashes like) every local next-key lock on ``SUPREMUM``."""
+    crossed = pickle.loads(pickle.dumps(SUPREMUM))
+    assert crossed == SUPREMUM
+    assert crossed[0] is SUPREMUM[0]
+    assert {("Flights", crossed)} == {("Flights", SUPREMUM)}
 
 
 def test_mixed_type_keys_never_raise():
