@@ -283,7 +283,10 @@ def run_traffic_point(
     ``pivot_aborts``, ``conservative_aborts`` and the unproven-pivot
     count whose share of total SSI aborts measures validation
     precision.  ``shards > 1`` drives the schedule through a sharded
-    engine (the fanout arms' cross-shard commit path).
+    engine (the fanout arms' cross-shard commit path).  Execution is
+    serial at any shard count, as in :func:`calibrate`: under the thread
+    pool the order of cost charges per connection slot follows thread
+    interleaving, and the virtual series would change from run to run.
     """
     if not arrivals:
         raise WorkloadError("no arrivals to drive")
@@ -295,6 +298,7 @@ def run_traffic_point(
     db = connect(
         shards=shards,
         isolation=isolation,
+        executor="serial",
         config=EngineConfig(connections=connections),
         costs=DEFAULT_COSTS,
         admission=admission,
@@ -425,6 +429,7 @@ def calibrate(
     scenario = make_scenario()
     db = connect(
         shards=shards,
+        executor="serial",
         config=EngineConfig(connections=connections),
         costs=DEFAULT_COSTS,
     )
