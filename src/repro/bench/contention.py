@@ -98,6 +98,7 @@ from repro.bench.harness import (
 )
 from repro.core.engine import EngineConfig, IsolationConfig
 from repro.errors import BenchError
+from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.engine import LockGranularity
 
@@ -431,7 +432,8 @@ SHARDS = Arm(
     params={"transactions": 64, "n_accounts": 512},
     store=lambda _cross, n_shards, _p: {"kind": "sharded", "shards": n_shards},
     engine=lambda _cross, _n, _p: {
-        "isolation": IsolationConfig.SNAPSHOT, "costs": SHARD_COSTS},
+        "isolation": IsolationConfig.SNAPSHOT,
+        "clock": VirtualClock(costs=SHARD_COSTS)},
     programs=_shard_batch,
     tables=(
         Table("throughput",

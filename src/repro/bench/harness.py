@@ -12,12 +12,14 @@ them against the arm's :class:`Rule` list; and :func:`report` — render,
 persist, exit code — which the open-loop benches
 (:mod:`repro.bench.traffic`, :mod:`repro.bench.replication`) share.
 
-A ``clock="virtual"`` arm measures the engine's *virtual elapsed time*
-(:mod:`repro.sim.costs`): the paper measures wall-clock seconds on
+A ``clock="virtual"`` arm runs the engine on a
+:class:`~repro.sim.clock.VirtualClock` and measures its *virtual elapsed
+time* (:mod:`repro.sim.costs`): the paper measures wall-clock seconds on
 MySQL; we measure the same workload structure under a calibrated cost
 model, so curve *shapes* (who wins, slopes, crossovers) are comparable
-while absolute seconds are model outputs.  ``clock="wall"`` arms time
-the drain with ``time.perf_counter`` instead.
+while absolute seconds are model outputs.  ``clock="wall"`` arms run on
+the product's real-seconds clock and time the drain with
+``time.perf_counter``.
 
 Adding an experiment is adding one :class:`Arm` entry to
 ``repro.bench.contention.ARMS`` — a program generator plus data; no new
@@ -39,6 +41,7 @@ from repro.core.engine import EngineConfig, IsolationConfig, RunReport
 from repro.core.policies import ManualPolicy, RunPolicy
 from repro.core.transaction import TxnPhase
 from repro.errors import BenchError
+from repro.sim.clock import VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.metrics import Measurements
 from repro.storage.engine import LockGranularity
@@ -130,7 +133,7 @@ def make_travel_env(
     client = connect(
         isolation=isolation,
         executor="serial",
-        costs=DEFAULT_COSTS,
+        clock=VirtualClock(costs=DEFAULT_COSTS),
         config=EngineConfig(connections=connections, autocommit=autocommit),
         policy=policy or ManualPolicy(),
     )
@@ -163,7 +166,8 @@ class Point:
     timed_out: int
     aborted: int
     unfinished: int
-    #: virtual seconds (cost model) and real seconds around the drain.
+    #: virtual seconds (cost model; 0 on a wall clock) and real seconds
+    #: around the drain.
     elapsed: float
     wall_seconds: float
     #: coordinator (entangled-evaluation) share of ``elapsed``.
@@ -222,7 +226,6 @@ def drive(
     *,
     label: str,
     tick_each: bool = False,
-    clock: str = "virtual",
     allow_aborts: bool = False,
 ) -> Point:
     """Submit every script (ticking the run policy after each arrival
@@ -242,16 +245,20 @@ def drive(
     client.drain(max_runs=100_000)
     wall_seconds = time.perf_counter() - start
     phases = [handle.phase for handle in handles]
+    # A virtual clock's cost model keeps the totals: the engine does no
+    # time accounting of its own.
+    virtual = isinstance(client.clock, VirtualClock)
+    account = client.clock.account if virtual else None
     point = Point(
         transactions=len(handles),
         committed=sum(p is TxnPhase.COMMITTED for p in phases),
         timed_out=sum(p is TxnPhase.TIMED_OUT for p in phases),
         aborted=sum(p is TxnPhase.ABORTED for p in phases),
         unfinished=sum(not p.is_terminal for p in phases),
-        elapsed=client.engine.total_elapsed,
+        elapsed=account.total_elapsed if account else 0.0,
         wall_seconds=wall_seconds,
-        eval_time=client.engine.total_eval_time,
-        clock=clock,
+        eval_time=account.total_eval_time if account else 0.0,
+        clock="virtual" if virtual else "wall",
         reports=list(client.run_reports),
         lock_stats=_delta(store.locks.stats, locks_before),
         ssi_stats=_delta(store.ssi.stats, ssi_before),
@@ -382,14 +389,15 @@ def run_point(
         "n_accounts": p.get("n_accounts", 0), **arm.store(param, x, p)})
     client = connect(store, policy=ManualPolicy(), **{
         "executor": "serial",
-        "costs": DEFAULT_COSTS if arm.clock == "virtual" else None,
+        "clock": (
+            VirtualClock(costs=DEFAULT_COSTS) if arm.clock == "virtual"
+            else None),
         **arm.engine(param, x, p),
     })
     try:
         return drive(
             client, arm.programs(param, x, store, p),
             label=f"{arm.name} point {param!r} {arm.x_label}={x}",
-            clock=arm.clock,
         )
     finally:
         # Joins executor threads and shuts a process fleet down; no

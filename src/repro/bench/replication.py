@@ -41,6 +41,7 @@ from repro.bench.traffic import (
 from repro.client import connect
 from repro.core.engine import EngineConfig
 from repro.errors import WorkloadError
+from repro.sim.clock import VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.metrics import LatencySummary, Measurements
 from repro.storage.schema import TableSchema
@@ -163,7 +164,7 @@ def run_replica_point(
         shards=shards,
         isolation="snapshot",
         config=EngineConfig(connections=connections),
-        costs=BENCH_COSTS,
+        clock=VirtualClock(costs=BENCH_COSTS),
         replicas=replicas,
         max_staleness=max_staleness,
         replica_lag=replica_lag,

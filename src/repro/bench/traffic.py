@@ -63,6 +63,7 @@ from repro.bench.harness import report
 from repro.client import AdmissionConfig, RetryPolicy, connect
 from repro.core.engine import EngineConfig
 from repro.errors import OverloadError, WorkloadError
+from repro.sim.clock import VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.metrics import LatencySummary, Measurements
 from repro.workloads.flashsale import FlashSale
@@ -300,7 +301,7 @@ def run_traffic_point(
         isolation=isolation,
         executor="serial",
         config=EngineConfig(connections=connections),
-        costs=DEFAULT_COSTS,
+        clock=VirtualClock(costs=DEFAULT_COSTS),
         admission=admission,
     )
     point = TrafficPoint(offered=offered)
@@ -431,7 +432,7 @@ def calibrate(
         shards=shards,
         executor="serial",
         config=EngineConfig(connections=connections),
-        costs=DEFAULT_COSTS,
+        clock=VirtualClock(costs=DEFAULT_COSTS),
     )
     try:
         scenario.install(db)

@@ -59,6 +59,7 @@ import time
 from typing import Any, Iterable, Sequence
 
 from repro.analysis.latch import latch_condition
+from repro.core.clock import Clock
 from repro.core.engine import (
     DrainReports,
     EngineConfig,
@@ -83,7 +84,6 @@ from repro.errors import (
     TransportError,
 )
 from repro.replication import ReplicatedStorageEngine
-from repro.sim.costs import CostModel
 from repro.sql.ast import SelectStmt, Statement, TransactionProgram
 from repro.sql.parser import parse_statement
 from repro.storage.catalog import Database
@@ -114,7 +114,7 @@ class AdmissionConfig:
             :meth:`Client.session` sheds past it
             (``reason="session-pool"``).  Closed sessions free slots.
         session_rate: per-session token-bucket rate limit, in
-            submissions per second of the client's (virtual) clock;
+            submissions per second of the client's clock;
             both :meth:`Session.run_script` and :meth:`Session.execute`
             charge it (``reason="rate-limit"``).
         session_burst: the token bucket's capacity — how many
@@ -265,7 +265,7 @@ def connect(
     durability: "Durability | str" = Durability.WAL,
     executor: "bool | str | None" = None,
     checkpoint_every: int = 64,
-    costs: CostModel | None = None,
+    clock: Clock | None = None,
     config: EngineConfig | None = None,
     policy: RunPolicy | None = None,
     admission: AdmissionConfig | None = None,
@@ -297,6 +297,13 @@ def connect(
     ``REPRO_EXECUTOR`` environment variable (e.g. ``process``) can
     override that default — which is how CI re-runs the threaded
     suites against process-backed shards.
+
+    ``clock`` (optional) is the one clock every timeout, rate limit,
+    retry hint and run policy reads.  The default is real seconds
+    (:class:`~repro.core.clock.WallClock`).  A bench reproducing the
+    paper's figures passes ``VirtualClock(costs=...)``
+    (:mod:`repro.sim.clock`), which its cost model advances run by run;
+    a test that moves time by hand passes a bare ``VirtualClock()``.
 
     ``config`` (optional) supplies every other engine tunable; its
     ``isolation``/``executor`` fields are overridden by the explicit
@@ -409,13 +416,12 @@ def connect(
     # (GIL released), which is what lets N worker processes run
     # engine code truly in parallel.
     engine_config.executor = True if process_mode else executor
-    engine_config.costs = costs if costs is not None else engine_config.costs
     if admission is not None and admission.max_queue_depth is not None:
         engine_config.max_queue_depth = admission.max_queue_depth
     if durability is Durability.CHECKPOINT:
         store.checkpoint_interval = checkpoint_every
 
-    engine = EntangledTransactionEngine(store, engine_config, policy)
+    engine = EntangledTransactionEngine(store, engine_config, policy, clock)
     return Client(engine, durability=durability, admission=admission)
 
 
@@ -507,8 +513,9 @@ class Client:
     # -- run control --------------------------------------------------------------
 
     @property
-    def clock(self):
-        """The engine's virtual clock (timeouts, cost accounting)."""
+    def clock(self) -> Clock:
+        """The engine's clock: real seconds unless :func:`connect` was
+        handed another (timeouts, rate limits, retry hints)."""
         return self.engine.clock
 
     @property
@@ -610,7 +617,7 @@ class Client:
         crashed = self.store.crash()
         self.engine.close()  # join the dead engine's worker threads
         engine, report = recover_entangled(
-            crashed, self.engine.config, self.engine.policy)
+            crashed, self.engine.config, self.engine.policy, self.engine.clock)
         replacement = Client(
             engine, durability=self.durability, admission=self.admission)
         self._closed = True
@@ -654,8 +661,8 @@ class Session:
         self._pending: "PendingAnswer | None" = None
         self._closed = False
         # Per-session token bucket (AdmissionConfig.session_rate), run
-        # on the client's virtual clock: full at open, refilled by the
-        # passage of clock time.
+        # on the client's clock: full at open, refilled by the passage of
+        # clock time.
         admission = client.admission
         self._bucket_tokens = float(
             admission.session_burst if admission is not None else 0

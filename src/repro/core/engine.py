@@ -16,11 +16,14 @@ Combines every piece of the execution model of Section 4:
 * **stateless-middleware persistence** (Section 5.1): the dormant pool
   and entanglement-group state are serialized into ``_youtopia_*`` tables
   so the DBMS recovery path can rebuild the middle tier after a crash;
-* optional **virtual-time accounting** against a
-  :class:`~repro.sim.costs.CostModel` and connection pool, which is what
-  the Figure 6 benchmarks measure;
-* optional **schedule recording** for the formal model
-  (:mod:`repro.core.recorder`).
+* **run events** (:mod:`repro.core.events`) for whatever observes the
+  work: the schedule recorder of the formal model
+  (:mod:`repro.core.recorder`), and the cost model of a virtual clock,
+  which is what the Figure 6 benchmarks measure.
+
+Time comes from one clock (:mod:`repro.core.clock`): real seconds by
+default, or a :class:`~repro.sim.clock.VirtualClock` a bench passes in.
+The engine reads it and does no time accounting of its own.
 """
 
 from __future__ import annotations
@@ -30,14 +33,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.latch import Latch
+from repro.core.clock import Clock, WallClock
+from repro.core.events import RunListener
 from repro.core.executor import ShardExecutor
 from repro.core.groups import GroupTracker, Round, commit_group, evaluate_round
-from repro.core.interpreter import (
-    NullCostTap,
-    StepOutcome,
-    deliver_answer,
-    run_until_block,
-)
+from repro.core.interpreter import StepOutcome, deliver_answer, run_until_block
 from repro.core.policies import ManualPolicy, RunPolicy
 from repro.core.recorder import ScheduleRecorder
 from repro.core.transaction import EntangledTransaction, TxnPhase
@@ -48,9 +48,6 @@ from repro.errors import (
     OverloadError,
     SerializationFailureError,
 )
-from repro.sim.clock import VirtualClock
-from repro.sim.costs import CostModel
-from repro.sim.resources import ConnectionPool
 from repro.sql.ast import TransactionProgram
 from repro.sql.parser import parse_transaction
 from repro.storage.engine import TxnIsolation
@@ -120,8 +117,9 @@ class EngineConfig:
 
     isolation: IsolationConfig = IsolationConfig.FULL
     empty_answer: EmptyAnswerPolicy = EmptyAnswerPolicy.PROCEED
+    #: connection slots a virtual clock's cost model spreads a run's
+    #: transactions over (Section 5.2.1's MySQL connection limit).
     connections: int = 100
-    costs: CostModel | None = None
     record_schedule: bool = False
     persist_state: bool = False
     #: real-thread execution: dispatch each transaction's execution and
@@ -137,7 +135,7 @@ class EngineConfig:
     #: Non-transactional execution: "the same code without enclosing it
     #: within a transaction block" (the -Q workloads of Section 5.2.2).
     #: Each statement commits immediately, no transaction bracket cost is
-    #: charged, and group commit does not apply.
+    #: charged by a cost model, and group commit does not apply.
     autocommit: bool = False
     #: max evaluate/resume rounds per run (defensive; the paper's runs
     #: always converge because answered queries strictly advance programs).
@@ -164,6 +162,8 @@ class RunReport:
     aborted: list[int] = field(default_factory=list)
     evaluation_rounds: int = 0
     answered_queries: int = 0
+    #: the run's duration on the engine's clock: measured seconds on the
+    #: wall clock, the cost model's charge on a virtual one.
     elapsed: float = 0.0
     #: lock-manager deltas for this run: conflicts hit, deadlock victims,
     #: and the run's lock footprint (grants) — the contention signal the
@@ -259,6 +259,7 @@ class EntangledTransactionEngine:
         store: Store,
         config: EngineConfig | None = None,
         policy: RunPolicy | None = None,
+        clock: Clock | None = None,
     ):
         self.config = config or EngineConfig()
         self.store = store
@@ -270,9 +271,16 @@ class EntangledTransactionEngine:
         #: commit-unit workers (a leaf lock: never held while calling
         #: into the store).
         self._report_lock = Latch("run-report", reentrant=False)
-        self.clock = VirtualClock()
+        self.clock = clock if clock is not None else WallClock()
         self.groups = GroupTracker()
-        self.recorder = ScheduleRecorder() if self.config.record_schedule else None
+        #: the run-event subscribers (:mod:`repro.core.events`): the
+        #: schedule recorder when configured, and whatever the clock
+        #: subscribes at the end of construction.
+        self.listeners: list[RunListener] = []
+        self.recorder = None
+        if self.config.record_schedule:
+            self.recorder = ScheduleRecorder(store=self.store)
+            self.listeners.append(self.recorder)
         self._transactions: dict[int, EntangledTransaction] = {}
         self._dormant: list[int] = []
         #: cumulative admission counters (per-run deltas land on each
@@ -282,16 +290,10 @@ class EntangledTransactionEngine:
         self._admission_stamped = (0, 0)
         self._next_handle = 1
         self._run_index = 0
-        self._shard_flush_loads: list[float] = [0.0] * self.store.n_shards
         self.run_reports: list[RunReport] = []
-        #: total coordinator (entangled-evaluation) virtual time, for the
-        #: -Q vs -T comparison of Figure 6(a).
-        self.total_eval_time = 0.0
-        self.total_elapsed = 0.0
-        if self.recorder is not None:
-            self.store.observers.append(self._observe_storage)
         if self.config.persist_state:
             self._ensure_system_tables()
+        self.clock.subscribe(self)
 
     # -- system tables (stateless middleware, Section 5.1) ----------------------------
 
@@ -360,9 +362,11 @@ class EntangledTransactionEngine:
     ) -> int:
         """Submit a transaction; returns its handle.
 
-        ``at`` stamps the (virtual) arrival time; by default the current
-        clock.  Arrival does not execute anything — the run policy decides
-        when the next run starts (call :meth:`tick` or :meth:`run_once`).
+        ``at`` stamps the arrival time (the deadline of a ``WITH
+        TIMEOUT`` counts from it), moving a virtual clock forward to it;
+        by default the current clock.  Arrival does not execute anything
+        — the run policy decides when the next run starts (call
+        :meth:`tick` or :meth:`run_once`).
 
         ``shard_hint`` names the transaction's *home shard* for the
         thread-pool executor (``EngineConfig.executor``): its statements
@@ -382,7 +386,7 @@ class EntangledTransactionEngine:
                 f"dormant pool is at its bound ({depth_bound}); "
                 f"retry after the next run drains it",
                 reason="queue-depth",
-                retry_after=self._estimate_drain_time(),
+                retry_after=self.clock.run_estimate(self),
             )
         if isinstance(program, str):
             sql_text = program
@@ -397,7 +401,9 @@ class EntangledTransactionEngine:
             sql_text = unparse_transaction(program)
         handle = self._next_handle
         self._next_handle += 1
-        arrival = self.clock.now if at is None else self.clock.advance_to(at)
+        if at is not None:
+            self.clock.advance_to(at)
+        arrival = self.clock.now if at is None else at
         txn = EntangledTransaction(
             handle=handle, client=client, program=program,
             submitted_at=arrival, shard_hint=shard_hint,
@@ -409,16 +415,6 @@ class EntangledTransactionEngine:
         self._persist_pool_add(txn, sql_text)
         self.policy.on_arrival(self.clock.now, len(self._dormant))
         return handle
-
-    def _estimate_drain_time(self) -> float:
-        """A retry-after hint: roughly one run's virtual time."""
-        if self.config.costs is None:
-            return 0.0
-        costs = self.config.costs
-        per_txn = costs.txn_bracket_cost + 3 * costs.statement_cost
-        slots = max(1, self.config.connections)
-        batch = max(1, len(self._dormant))
-        return costs.run_overhead + per_txn * batch / slots
 
     def transaction(self, handle: int) -> EntangledTransaction:
         try:
@@ -465,19 +461,11 @@ class EntangledTransactionEngine:
         """
         self._run_index += 1
         report = RunReport(index=self._run_index)
-        self.policy.on_run_started(self.clock.now)
+        started = self.clock.now
+        self.policy.on_run_started(started)
         counters_before = self._store_counters()
-        #: per-shard commit-flush accounting: each shard's WAL/group
-        #: commit pipeline is a serial resource; the run pays the busiest
-        #: shard's accumulated flush time (the shard ablation's subject).
-        self._shard_flush_loads = [0.0] * self.store.n_shards
-
-        pool = ConnectionPool(self.config.connections)
-        cost_tap = (
-            _EngineCostTap(self.config.costs, pool)
-            if self.config.costs is not None
-            else NullCostTap()
-        )
+        for listener in self.listeners:
+            listener.run_started(report)
 
         if handles is None:
             scheduled = list(self._dormant)
@@ -490,7 +478,7 @@ class EntangledTransactionEngine:
         batch: list[EntangledTransaction] = []
         for handle in scheduled:
             txn = self.transaction(handle)
-            if txn.is_expired(self.clock.now):
+            if txn.is_expired(started):
                 self._finalize_timeout(txn, report)
                 continue
             batch.append(txn)
@@ -498,12 +486,9 @@ class EntangledTransactionEngine:
 
         for txn in batch:
             txn.start_attempt(self.store.begin(isolation=self._storage_isolation))
-            if isinstance(cost_tap, _EngineCostTap):
-                cost_tap.assign_slot(txn)
-            if self.config.costs is not None and not self.config.autocommit:
-                pool.charge(self.config.costs.txn_bracket_cost)
+            for listener in self.listeners:
+                listener.attempt_started(txn)
 
-        eval_time = 0.0
         rounds = 0
         lock_blocked: list[EntangledTransaction] = []
         runnable = list(batch)
@@ -515,7 +500,7 @@ class EntangledTransactionEngine:
             # happens back on the coordinator either way.
             next_lock_blocked: list[EntangledTransaction] = []
             executing = [t for t in runnable if t.phase is TxnPhase.RUNNING]
-            for txn, outcome in self._execute_step(executing, cost_tap):
+            for txn, outcome in self._execute_step(executing):
                 if outcome is StepOutcome.COMPLETED:
                     txn.mark_ready()
                 elif outcome is StepOutcome.LOCK_BLOCKED:
@@ -559,8 +544,7 @@ class EntangledTransactionEngine:
             ]
             progressed = False
             if pending:
-                answered, round_eval_time = self._evaluate_round(pending, report)
-                eval_time += round_eval_time
+                answered = self._evaluate_round(pending, report)
                 progressed = answered > 0
                 report.evaluation_rounds += 1
                 report.answered_queries += answered
@@ -619,28 +603,9 @@ class EntangledTransactionEngine:
         report.shed = self.admission_shed - shed_before
         self._admission_stamped = (self.admission_admitted, self.admission_shed)
 
-        # Advance the virtual clock by this run's elapsed time.
-        if self.config.costs is not None:
-            overhead = self.config.costs.run_overhead
-            retry_tax = self.config.costs.suspend_resume_cost * len(
-                report.returned_to_pool
-            )
-            # Commit flushes serialize per shard but overlap across
-            # shards: the run pays the busiest shard's pipeline.
-            flush_time = max(self._shard_flush_loads, default=0.0)
-            # Snapshot probes serialize per server (leader or follower)
-            # but overlap across servers: every one is a serial
-            # read-service pipeline and the run pays the busiest, which
-            # is what adding follower replicas divides down.
-            read_time = self.config.costs.read_service_cost * max(
-                delta["read_probes"].values(), default=0)
-            report.elapsed = (
-                pool.elapsed() + eval_time + overhead + retry_tax + flush_time
-                + read_time
-            )
-            self.clock.advance(report.elapsed)
-            self.total_eval_time += eval_time
-            self.total_elapsed += report.elapsed
+        report.elapsed = self.clock.now - started
+        for listener in self.listeners:
+            listener.run_ended(report)
         self.run_reports.append(report)
         return report
 
@@ -657,7 +622,6 @@ class EntangledTransactionEngine:
             "cross_shard_commits": store.cross_shard_commit_count,
             "follower_reads": store.follower_read_count,
             "promotions": store.promotion_count,
-            "read_probes": store.read_probe_counts(),
         }
 
     def _home_shard(self, txn: EntangledTransaction) -> int:
@@ -667,9 +631,7 @@ class EntangledTransactionEngine:
         return base % self.store.n_shards
 
     def _execute_step(
-        self,
-        txns: list[EntangledTransaction],
-        cost_tap,
+        self, txns: list[EntangledTransaction]
     ) -> list[tuple[EntangledTransaction, StepOutcome]]:
         """Run one execute phase over ``txns``; returns their outcomes.
 
@@ -680,13 +642,13 @@ class EntangledTransactionEngine:
         """
 
         def step(txn: EntangledTransaction):
-            return (
-                txn,
-                run_until_block(
-                    txn, self.store, cost_tap,
-                    autocommit=self.config.autocommit,
-                ),
-            )
+            first = txn.pc
+            outcome = run_until_block(
+                txn, self.store, autocommit=self.config.autocommit)
+            for listener in self.listeners:
+                listener.step_ended(
+                    txn, txn.program.template[first:txn.pc], outcome)
+            return txn, outcome
 
         if self.executor is None or len(txns) <= 1:
             return [step(txn) for txn in txns]
@@ -705,14 +667,12 @@ class EntangledTransactionEngine:
 
     def _evaluate_round(
         self, pending: list[EntangledTransaction], report: RunReport
-    ) -> tuple[int, float]:
+    ) -> int:
         """Evaluate the pending queries as one batch
         (:func:`~repro.core.groups.evaluate_round`) and do to each
         *script* what its query's outcome asks: deliver the answer and
         resume, abort, retry the attempt, or leave it blocked for the
-        next round.
-
-        Returns (number answered, coordinator virtual time).
+        next round.  Returns the number answered.
         """
         by_query_id = {txn.query_id(): txn for txn in pending}
         verdict = evaluate_round(self.store, {
@@ -724,31 +684,10 @@ class EntangledTransactionEngine:
                 self._abort_attempt(
                     txn, retry=False, report=report,
                     reason=f"safety violation: {verdict.poisoned}")
-            return 0, 0.0
+            return 0
         result = verdict.result
-
-        # Record grounding reads for the formal model (snapshot grounding
-        # carries the version annotation: which committed transaction's
-        # table state it observed).
-        if self.recorder is not None:
-            for qid, tables in sorted(result.grounding_reads.items()):
-                txn = by_query_id[qid]
-                for table in tables:
-                    self.recorder.on_grounding_read(
-                        txn.storage_txn, table,
-                        reads_from=self.store.reads_from(txn.storage_txn, table),
-                    )
-
-        # Coordinator cost: base + per-grounding + per-answer.
-        eval_time = 0.0
-        if self.config.costs is not None:
-            costs = self.config.costs
-            eval_time = (
-                costs.entangled_eval_base
-                + costs.entangled_eval_per_grounding
-                * sum(result.groundings_per_query.values())
-                + costs.entangled_answer_cost * len(result.answers)
-            )
+        for listener in self.listeners:
+            listener.round_evaluated(by_query_id, result)
 
         self._record_entanglements(verdict, by_query_id)
         answered = 0
@@ -767,10 +706,10 @@ class EntangledTransactionEngine:
                     self._autocommit_statement(txn, report)
             elif outcome is QueryOutcome.EMPTY:
                 if self.config.empty_answer is EmptyAnswerPolicy.PROCEED:
-                    if self.recorder is not None:
-                        # Degenerate single-party entanglement closes the
-                        # grounding window in the recorded schedule.
-                        self.recorder.on_entangle({txn.storage_txn: ()})
+                    # A degenerate single-party entanglement (it closes
+                    # the grounding window of a recorded schedule).
+                    for listener in self.listeners:
+                        listener.entangled([txn], None)
                     deliver_answer(txn, None)
                     answered += 1
                     if self.config.autocommit:
@@ -792,7 +731,7 @@ class EntangledTransactionEngine:
                 self._abort_attempt(txn, retry=True, report=report,
                                     reason="snapshot pruned (grounding)")
             # WAIT: stays blocked; retried next round/run.
-        return answered, eval_time
+        return answered
 
     def _autocommit_statement(
         self, txn: EntangledTransaction, report: RunReport
@@ -815,7 +754,7 @@ class EntangledTransactionEngine:
     def _record_entanglements(
         self, verdict: Round, by_query_id: dict[str, EntangledTransaction]
     ) -> None:
-        """Update group state (and the model schedule) for this round:
+        """Update group state (and tell the subscribers) for this round:
         each component of queries answered together is one entanglement
         operation, taken in handle order."""
         chosen = verdict.result.match.chosen
@@ -827,12 +766,8 @@ class EntangledTransactionEngine:
             self.groups.entangle(*handles)
             for txn in members:
                 txn.partners.update(h for h in handles if h != txn.handle)
-            if self.recorder is not None:
-                self.recorder.on_entangle({
-                    txn.storage_txn: tuple(
-                        str(atom) for atom in chosen[txn.query_id()].heads)
-                    for txn in members
-                })
+            for listener in self.listeners:
+                listener.entangled(members, chosen)
 
     # -- commit / abort machinery -----------------------------------------------------------
 
@@ -983,20 +918,8 @@ class EntangledTransactionEngine:
     ) -> None:
         """Bookkeeping for a storage commit that stuck."""
         txn.stats.shards_touched = self.store.shards_touched(txn.storage_txn)
-        if self.config.costs is not None:
-            # Charge the commit flush to every shard the transaction
-            # wrote in — plus the two-phase prepare tax when it wrote
-            # more than one.
-            written = self.store.written_shards(txn.storage_txn)
-            per_shard = self.config.costs.commit_flush_cost + (
-                self.config.costs.cross_shard_prepare_cost
-                if len(written) > 1 else 0.0
-            )
-            with self._report_lock:
-                for shard_idx in written:
-                    self._shard_flush_loads[shard_idx] += per_shard
-        if self.recorder is not None:
-            self.recorder.on_commit(txn.storage_txn)
+        for listener in self.listeners:
+            listener.committed(txn)
         txn.mark_committed()
         with self._report_lock:
             report.committed.append(txn.handle)
@@ -1017,8 +940,6 @@ class EntangledTransactionEngine:
         """
         if txn.storage_txn is not None:
             self.store.abort(txn.storage_txn)
-            if self.recorder is not None:
-                self.recorder.on_abort(txn.storage_txn)
         if not retry:
             txn.mark_aborted(reason)
             with self._report_lock:
@@ -1076,61 +997,11 @@ class EntangledTransactionEngine:
             raise EngineError("engine was not configured with record_schedule")
         return self.recorder.schedule()
 
-    def _observe_storage(
-        self,
-        storage_txn: int,
-        kind: str,
-        table: str,
-        reads_from: int | None = None,
-    ) -> None:
-        if self.recorder is None:
-            return
-        if kind == "commit":
-            self.recorder.on_commit(storage_txn)
-            return
-        if kind == "abort":
-            self.recorder.on_abort(storage_txn)
-            return
-        if table.startswith("_youtopia"):
-            return  # middleware bookkeeping is not part of the model
-        if kind == "read":
-            self.recorder.on_read(storage_txn, table, reads_from=reads_from)
-        else:
-            self.recorder.on_write(storage_txn, table)
-
-
-class _EngineCostTap:
-    """Charges interpreter work to connection slots."""
-
-    def __init__(self, costs: CostModel, pool: ConnectionPool):
-        self.costs = costs
-        self.pool = pool
-        self._slots: dict[int, int] = {}
-
-    def assign_slot(self, txn: EntangledTransaction) -> None:
-        self._slots[txn.handle] = self.pool.charge(0.0)
-
-    def _slot(self, txn: EntangledTransaction) -> int:
-        if txn.handle not in self._slots:
-            self._slots[txn.handle] = self.pool.charge(0.0)
-        return self._slots[txn.handle]
-
-    def charge_statement(self, txn: EntangledTransaction, is_write: bool) -> None:
-        cost = (
-            self.costs.write_statement_cost
-            if is_write
-            else self.costs.statement_cost
-        )
-        self.pool.charge_slot(self._slot(txn), cost)
-
-    def charge_entangled_submit(self, txn: EntangledTransaction) -> None:
-        self.pool.charge_slot(self._slot(txn), self.costs.entangled_submit_cost)
-
 
 def _minus(after, before):
     """``after - before`` over two readings of nested counters; a key the
-    earlier reading lacks (a table created, a server first probed during
-    the run) counts from zero."""
+    earlier reading lacks (a table created during the run) counts from
+    zero."""
     if isinstance(after, dict):
         return {key: _minus(value, before.get(key, 0))
                 for key, value in after.items()}

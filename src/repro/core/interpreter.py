@@ -15,14 +15,14 @@ the :class:`~repro.core.transaction.EntangledTransaction` they hold, so
 host variables, parameters, statistics and fallback-scan attribution
 behave identically everywhere.
 
-All costs are charged to the supplied :class:`CostTap`, which the engine
-wires to the virtual clock's connection accounting.
+Nothing here accounts time: the engine reports each step of a batch
+script to its run-event subscribers (:mod:`repro.core.events`), and a
+virtual clock's cost model charges the statements that step completed.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Protocol
 
 from repro.entangled.answers import QueryAnswer
 from repro.errors import (
@@ -74,33 +74,9 @@ class StepOutcome(enum.Enum):
     COMPLETED = "completed"
 
 
-class CostTap(Protocol):
-    """Receives virtual-time charges as the interpreter works."""
-
-    def charge_statement(self, txn: EntangledTransaction, is_write: bool) -> None:
-        ...  # pragma: no cover - protocol
-
-    def charge_entangled_submit(self, txn: EntangledTransaction) -> None:
-        ...  # pragma: no cover - protocol
-
-
-class NullCostTap:
-    """Charges nothing (unit tests, interactive use)."""
-
-    def charge_statement(self, txn, is_write):
-        pass
-
-    def charge_entangled_submit(self, txn):
-        pass
-
-
-_FREE = NullCostTap()
-
-
 def run_until_block(
     txn: EntangledTransaction,
     store: Store,
-    costs: CostTap | None = None,
     *,
     autocommit: bool = False,
 ) -> StepOutcome:
@@ -116,7 +92,6 @@ def run_until_block(
     every classical statement commits its own storage transaction and a
     fresh one is begun for the next statement.
     """
-    costs = costs or _FREE
     if txn.storage_txn is None:
         raise EngineError(f"transaction {txn.handle} has no storage transaction")
     # The engine view of the program: the template shared by every
@@ -131,9 +106,8 @@ def run_until_block(
                 query = compile_entangled(
                     stmt, store.db, txn.env, txn.query_id(), params)
                 txn.block_on(stmt, query)
-                costs.charge_entangled_submit(txn)
                 return StepOutcome.BLOCKED_ON_QUERY
-            execute_statement(txn, stmt, store, costs)
+            execute_statement(txn, stmt, store)
         except WouldBlock:
             txn.stats.lock_waits += 1
             return StepOutcome.LOCK_BLOCKED
@@ -176,7 +150,6 @@ def execute_statement(
     txn: EntangledTransaction,
     stmt,
     store: Store,
-    costs: CostTap = _FREE,
 ) -> list[tuple["SQLValue | None", ...]]:
     """Execute one classical statement inside ``txn.storage_txn`` — a
     literal one, or a template statement of ``txn.program`` — binding
@@ -191,7 +164,6 @@ def execute_statement(
         compiled = compile_select(stmt, store.db, txn.env, params)
         rows = store.query(txn.storage_txn, compiled.plan)
         txn.stats.fallback_scans += store.take_fallback_scans()
-        costs.charge_statement(txn, is_write=False)
         first = rows[0] if rows else None
         for var, index in compiled.bindings:
             txn.env[var] = None if first is None else first[index]
@@ -199,7 +171,6 @@ def execute_statement(
     if isinstance(stmt, InsertStmt):
         compiled = compile_insert(stmt, store.db, txn.env, params)
         store.insert(txn.storage_txn, compiled.table, list(compiled.values))
-        costs.charge_statement(txn, is_write=True)
         return []
     if isinstance(stmt, UpdateStmt):
         compiled = compile_update(stmt, store.db, txn.env, params)
@@ -215,7 +186,6 @@ def execute_statement(
             )),
             where=compiled.predicate,
         )
-        costs.charge_statement(txn, is_write=True)
         return []
     if isinstance(stmt, DeleteStmt):
         compiled = compile_delete(stmt, store.db, txn.env, params)
@@ -225,7 +195,6 @@ def execute_statement(
             RowPredicate(schema.column_names, compiled.predicate),
             where=compiled.predicate,
         )
-        costs.charge_statement(txn, is_write=True)
         return []
     if isinstance(stmt, SetStmt):
         value = inline_hostvars(stmt.expr, txn.env, params).eval({})

@@ -62,7 +62,7 @@ class ArrivalCountPolicy:
 
 @dataclass
 class TimeIntervalPolicy:
-    """Start a run every ``interval`` seconds of virtual time."""
+    """Start a run every ``interval`` seconds of the engine's clock."""
 
     interval: float
     last_run_at: float = float("-inf")

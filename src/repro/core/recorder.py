@@ -14,6 +14,11 @@ before starting another.
 Tests use the recorder to assert system-level guarantees mechanically:
 schedules produced under full isolation are entangled-isolated
 (Definition C.5) and therefore oracle-serializable (Theorem 3.6).
+
+An engine configured with ``record_schedule`` builds one over its store
+and subscribes it to its run events (:mod:`repro.core.events`): the
+recorder hears grounding reads and entanglements there, and every data
+read, write, commit and abort from the store's observers.
 """
 
 from __future__ import annotations
@@ -22,12 +27,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.latch import Latch
+from repro.core.events import RunListener
 from repro.model.ops import A, C, E, Op, R, RG, W
 from repro.model.schedule import Schedule
+from repro.storage.protocol import Store
 
 
 @dataclass
-class ScheduleRecorder:
+class ScheduleRecorder(RunListener):
     """Accumulates model operations in engine execution order.
 
     Thread-safe: the per-shard worker threads of
@@ -38,6 +45,9 @@ class ScheduleRecorder:
     notifications fire).
     """
 
+    #: the store whose observers report reads and writes (``None``: the
+    #: caller feeds every operation by hand).
+    store: "Store | None" = field(default=None, repr=False, compare=False)
     ops: list[Op] = field(default_factory=list)
     _next_eid: int = 1
     #: storage txns that performed at least one op (for trimming).
@@ -48,6 +58,44 @@ class ScheduleRecorder:
         repr=False,
         compare=False,
     )
+
+    def __post_init__(self) -> None:
+        if self.store is not None:
+            self.store.observers.append(self.observe)
+
+    def observe(self, storage_txn, kind, table, reads_from=None) -> None:
+        """A store observer: one data operation of ``storage_txn``."""
+        if kind == "commit":
+            self.on_commit(storage_txn)
+        elif kind == "abort":
+            self.on_abort(storage_txn)
+        elif table.startswith("_youtopia"):
+            return  # middleware bookkeeping is not part of the model
+        elif kind == "read":
+            self.on_read(storage_txn, table, reads_from=reads_from)
+        else:
+            self.on_write(storage_txn, table)
+
+    # -- run events (repro.core.events) -----------------------------------------------
+
+    def round_evaluated(self, queries, result) -> None:
+        """Grounding reads, with the version annotation a snapshot
+        grounding carries (whose committed table state it observed)."""
+        for qid, tables in sorted(result.grounding_reads.items()):
+            storage_txn = queries[qid].storage_txn
+            for table in tables:
+                self.on_grounding_read(
+                    storage_txn, table,
+                    reads_from=self.store.reads_from(storage_txn, table))
+
+    def entangled(self, members, chosen) -> None:
+        self.on_entangle({
+            txn.storage_txn: () if chosen is None else tuple(
+                str(atom) for atom in chosen[txn.query_id()].heads)
+            for txn in members
+        })
+
+    # -- model operations -----------------------------------------------------------------
 
     def on_read(
         self, storage_txn: int, table: str, reads_from: int | None = None

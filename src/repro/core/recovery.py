@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.clock import Clock
 from repro.core.engine import EngineConfig, EntangledTransactionEngine
 from repro.core.policies import RunPolicy
 from repro.errors import RecoveryError
@@ -99,12 +100,15 @@ def recover_entangled(
     crashed: StorageEngine,
     config: EngineConfig | None = None,
     policy: RunPolicy | None = None,
+    clock: Clock | None = None,
 ) -> tuple[EntangledTransactionEngine, EntangledRecoveryReport]:
     """Entanglement-aware restart: storage recovery + middle-tier rebuild.
 
     ``crashed`` must be the engine returned by
     :meth:`StorageEngine.crash` (empty tables, surviving WAL).  Returns
-    the rebuilt middle tier and a report.
+    the rebuilt middle tier, on ``clock`` (default: real seconds), and
+    a report.  Each resubmitted script keeps its original arrival
+    stamp, so its ``WITH TIMEOUT`` deadline survives the restart.
     """
     demote, partial = find_partial_groups(crashed)
     storage_report = recover(crashed, demote_to_loser=demote)
@@ -114,7 +118,7 @@ def recover_entangled(
         raise RecoveryError(
             "entanglement-aware recovery requires persist_state engines"
         )
-    engine = EntangledTransactionEngine(crashed, config, policy)
+    engine = EntangledTransactionEngine(crashed, config, policy, clock)
 
     report = EntangledRecoveryReport(
         storage=storage_report, demoted=demote, partial_groups=partial

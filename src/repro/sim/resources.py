@@ -9,7 +9,8 @@ transaction's connection work is charged to one of ``capacity`` slots, and
 the elapsed (wall-clock-equivalent) time of a batch is the maximum slot
 load — work on different connections overlaps, work on the same connection
 serializes.  Transactions are assigned round-robin in arrival order, which
-matches the paper's uniformly sized transactions.
+matches the paper's uniformly sized transactions.  The cost model prices
+shard commit pipelines the same way, one slot per shard.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from repro.errors import BenchError
 
 @dataclass
 class ConnectionPool:
-    """Per-slot accumulated connection time within one accounting window.
+    """Per-slot accumulated busy time of ``capacity`` serial resources
+    within one accounting window.
 
-    Thread-safe: per-shard worker threads charge statement costs
-    concurrently when the engine runs under
+    Thread-safe: per-shard worker threads charge statement and commit
+    costs concurrently when the engine runs under
     :mod:`repro.core.executor`.
     """
 

@@ -13,15 +13,17 @@ from repro.core import EngineConfig
 
 
 def system_for(
-    config: "EngineConfig | None" = None, *, store=None, policy=None
+    config: "EngineConfig | None" = None, *, store=None, policy=None,
+    clock=None,
 ) -> Client:
     """A client whose engine runs exactly ``config`` (``connect()``
     overrides a config's isolation/executor with its own arguments, so
-    they are passed through explicitly)."""
+    they are passed through explicitly), on ``clock`` (default: real
+    seconds)."""
     config = config or EngineConfig()
     return connect(
         store, isolation=config.isolation, executor=config.executor,
-        config=config, policy=policy,
+        config=config, policy=policy, clock=clock,
     )
 
 

@@ -21,6 +21,7 @@ from repro import (
     connect,
 )
 from repro.errors import MiddlewareError
+from repro.sim.clock import VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
 
 WRITE = "BEGIN TRANSACTION; INSERT INTO Items (k, v) VALUES ({k}, 1); COMMIT;"
@@ -88,7 +89,7 @@ class TestQueueDepthShedding:
     def test_retry_after_backoff_succeeds(self):
         db = make_db(
             admission=AdmissionConfig(max_queue_depth=2),
-            costs=DEFAULT_COSTS,
+            clock=VirtualClock(costs=DEFAULT_COSTS),
         )
         s = db.session("w")
         s.run_script(WRITE.format(k=1))
@@ -169,7 +170,7 @@ class TestSessionRateLimit:
     def test_burst_then_shed_then_refill(self):
         db = make_db(
             admission=AdmissionConfig(session_rate=1.0, session_burst=2),
-            costs=DEFAULT_COSTS,
+            clock=VirtualClock(),
         )
         s = db.session("w")
         s.run_script(WRITE.format(k=1))

@@ -13,14 +13,15 @@ from repro.core import (
 )
 from repro.client import Client
 from repro.model import find_widowed_transactions, is_entangled_isolated
+from repro.sim.clock import VirtualClock
 from repro.storage import ColumnType, TableSchema
 from repro.workloads import example_schema, figure1_rows
 
 from _batch import submit, system_for, ticket
 
 
-def make_system(config: EngineConfig | None = None) -> Client:
-    system = system_for(config)
+def make_system(config: EngineConfig | None = None, clock=None) -> Client:
+    system = system_for(config, clock=clock)
     for schema in example_schema():
         system.create_table(schema)
     for table, rows in figure1_rows().items():
@@ -200,7 +201,7 @@ class TestGroupCommit:
 
 class TestTimeouts:
     def test_expired_transaction_times_out(self):
-        system = make_system(EngineConfig())
+        system = make_system(EngineConfig(), clock=VirtualClock())
         donald = submit(system, 
             travel_program("Donald", "Daffy").replace("2 DAYS", "1 SECONDS"),
             "donald",

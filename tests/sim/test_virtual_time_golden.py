@@ -21,6 +21,7 @@ from repro.bench.harness import bank_store
 from repro.client import connect
 from repro.core.engine import EngineConfig
 from repro.core.policies import ManualPolicy
+from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.storage.schema import TableSchema
 from repro.storage.types import ColumnType
@@ -37,13 +38,13 @@ COSTS = CostModel(
 def _connect(store=None, **kwargs):
     """A serial client whose virtual clock charges ``COSTS``."""
     return connect(
-        store, executor="serial", policy=ManualPolicy(), costs=COSTS,
-        **kwargs)
+        store, executor="serial", policy=ManualPolicy(),
+        clock=VirtualClock(costs=COSTS), **kwargs)
 
 
 def _totals(client):
     """(total elapsed, clock reading) of the client's cost account."""
-    return client.engine.total_elapsed, client.clock.now
+    return client.clock.account.total_elapsed, client.clock.now
 
 
 def _txn(*statements: str) -> str:

@@ -6,8 +6,10 @@ three ways:
 
 * **completeness** — every ``store.<name>`` / ``self.store.<name>`` /
   ``self._store.<name>`` the ASTs of ``core/``, ``client.py`` and
-  ``entangled/`` name is a declared member, and every declared member is
-  reached; removing a member or adding an undeclared call is a gap;
+  ``entangled/`` name — and of ``sim/costs.py``, the cost model that
+  subscribes to the engine's run events — is a declared member, and
+  every declared member is reached; removing a member or adding an
+  undeclared call is a gap;
 * **structure** — every store in ``src/`` satisfies the
   runtime-checkable Protocol;
 * **conformance** — one scripted sequence per isolation is run, step by
@@ -54,8 +56,10 @@ from repro.storage.store import StoreBase
 from repro.transport.process import ProcessShardedStorageEngine
 
 SRC = Path(repro.__file__).parent
-MIDDLE_TIER = sorted(
-    [*SRC.glob("core/*.py"), SRC / "client.py", *SRC.glob("entangled/*.py")])
+MIDDLE_TIER = sorted([
+    *SRC.glob("core/*.py"), SRC / "client.py", *SRC.glob("entangled/*.py"),
+    SRC / "sim" / "costs.py",
+])
 
 STORES = {
     "single": StorageEngine,
