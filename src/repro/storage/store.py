@@ -130,13 +130,18 @@ class StoreBase:
 
     def load(self, table: str, rows: Iterable[Sequence]) -> int:
         """Bulk-load through a system transaction so the data is WAL-logged
-        (and therefore survives crash recovery)."""
+        (and therefore survives crash recovery).  All or none: any error
+        aborts the system transaction, releasing its locks, and re-raises."""
         txn = self.begin()
         count = 0
-        for values in rows:
-            self.insert(txn, table, values)
-            count += 1
-        self.commit(txn)
+        try:
+            for values in rows:
+                self.insert(txn, table, values)
+                count += 1
+            self.commit(txn)
+        except BaseException:
+            self.abort(txn)
+            raise
         return count
 
     # -- transaction state ----------------------------------------------------------------
