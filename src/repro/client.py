@@ -464,6 +464,12 @@ class Client:
         self.store.create_table(schema)
 
     def load(self, table: str, rows: Iterable[Sequence]) -> int:
+        """Bulk-load ``rows`` into ``table`` in one WAL-logged system
+        transaction and return how many there were.  It takes the
+        table's X lock once per shard the rows land on (one frame per
+        such shard under process execution), is all or none, and raises
+        :class:`~repro.storage.engine.WouldBlock` at once when another
+        open transaction holds a lock on the table."""
         self._check_open()
         return self.store.load(table, rows)
 

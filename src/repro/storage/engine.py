@@ -999,6 +999,36 @@ class StorageEngine(StoreBase):
         return row
 
     @_locked
+    def insert_many(
+        self,
+        txn: int,
+        table_name: str,
+        rows: Iterable[Sequence[Any]],
+    ) -> int:
+        """A bulk load's rows (see :meth:`~repro.storage.protocol.
+        ShardEngine.insert_many`): every row is validated before the
+        table's X lock is asked for, so a malformed load writes and
+        locks nothing."""
+        ctx = self._context(txn)
+        table = self.db.table(table_name)
+        validate = table.schema.validate_row
+        rows = [validate(values) for values in rows]
+        if not rows:
+            return 0
+        self._lock(txn, table_resource(table_name), LockMode.EXCLUSIVE)
+        ctx.written_tables.add(table_name)
+        self._active_writers.add(txn)
+        for canonical in rows:
+            row = table.insert(canonical, validated=True, writer=txn)
+            self.wal.append(
+                LogRecordType.INSERT, txn, table_name, row.rid, None, row.values
+            )
+            ctx.undo.append(_UndoEntry(
+                LogRecordType.INSERT, table_name, row.rid, None, row.values))
+            self._notify(txn, "write", table_name)
+        return len(rows)
+
+    @_locked
     def update(
         self,
         txn: int,

@@ -145,6 +145,18 @@ class ShardEngine(Protocol):
 
     def insert(self, txn: int, table_name: str, values: Sequence) -> Row: ...
 
+    def insert_many(
+        self, txn: int, table_name: str, rows: Sequence[Sequence]
+    ) -> int:
+        """A bulk load's rows on this shard, in order: one table X lock
+        (multi-granularity: it covers every key, gap and row lock a
+        per-row insert takes, as every reader asks for the table's IS or
+        S first), then per row only what the data needs — the row, its
+        WAL ``INSERT`` record, its undo entry, the write notification —
+        so recovery, shipping, the undo-derived SSI write set and abort
+        see what per-row inserts leave.  One frame to a worker.  Returns
+        the number of rows."""
+
     def update(
         self, txn: int, table_name: str, rid: int, values: Sequence
     ) -> tuple[Row, Row]: ...
@@ -314,7 +326,8 @@ class Store(Protocol):
 
     def create_table(self, schema: TableSchema) -> TableView: ...
 
-    def load(self, table: str, rows: Iterable[Sequence]) -> int: ...
+    def load(self, table: str, rows: Iterable[Sequence]) -> int:
+        """All of ``rows`` in one system transaction, or none of them."""
 
     def checkpoint(self) -> Any:
         """Falsy when skipped (an active transaction holds writes)."""

@@ -1092,6 +1092,30 @@ class ShardedStorageEngine(StoreBase):
         self._notify(txn, "write", table_name)
         return row
 
+    def insert_many(
+        self, txn: int, table_name: str, rows: Iterable[Sequence[Any]]
+    ) -> int:
+        """A bulk load's rows: validated and routed here, then one call —
+        one frame under process execution — per shard they land on, in
+        shard order.  Each shard keeps its rows in load order, so rids and
+        WAL records are the ones per-row inserts would have left."""
+        ctx = self._context(txn)
+        schema = self.shards[0].db.table(table_name).schema
+        routed: dict[int, list] = {}
+        for values in rows:
+            canonical = schema.validate_row(values)
+            routed.setdefault(
+                self.route_row(table_name, canonical), []).append(canonical)
+        for shard_idx in sorted(routed):
+            shard = self._ensure_shard_txn(txn, shard_idx)
+            # Booked first: a shard that fails part-way has still written
+            # rows, and commit flushes and stamps booked shards only.
+            self._record_write(ctx, shard_idx, table_name)
+            shard.insert_many(txn, table_name, routed[shard_idx])
+            for _ in routed[shard_idx]:
+                self._notify(txn, "write", table_name)
+        return sum(map(len, routed.values()))
+
     def update(
         self, txn: int, table_name: str, rid: int, values: Sequence[Any]
     ) -> tuple[Row, Row]:

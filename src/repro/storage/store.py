@@ -130,14 +130,18 @@ class StoreBase:
 
     def load(self, table: str, rows: Iterable[Sequence]) -> int:
         """Bulk-load through a system transaction so the data is WAL-logged
-        (and therefore survives crash recovery).  All or none: any error
-        aborts the system transaction, releasing its locks, and re-raises."""
+        (and therefore survives crash recovery): one ``insert_many``,
+        which takes the table's X lock once on every shard the rows land
+        on and costs one frame per such shard under process execution.
+
+        All or none: any error aborts the transaction, releasing its
+        locks, and re-raises.  Because the X lock conflicts with every
+        other transaction's intent lock, a load into a table another open
+        transaction has locked fails at once with
+        :class:`~repro.storage.engine.WouldBlock` rather than waiting."""
         txn = self.begin()
-        count = 0
         try:
-            for values in rows:
-                self.insert(txn, table, values)
-                count += 1
+            count = self.insert_many(txn, table, rows)
             self.commit(txn)
         except BaseException:
             self.abort(txn)

@@ -96,6 +96,7 @@ VERBS: dict[str, Verb] = {verb.wire: verb for verb in (
     Verb("abort", _ENGINE),
     # -- statements ----------------------------------------------------------------------
     Verb("insert", _ENGINE, blocking=True),
+    Verb("insert_many", _ENGINE, blocking=True),
     Verb("update", _ENGINE, blocking=True),
     Verb("delete", _ENGINE, blocking=True),
     Verb("update_where", _ENGINE, blocking=True),

@@ -24,7 +24,7 @@ import re
 
 import pytest
 
-from repro.errors import SnapshotTooOldError, WriteConflictError
+from repro.errors import DuplicateKeyError, SnapshotTooOldError, WriteConflictError
 from repro.storage import (
     ColumnType,
     ReadAccess,
@@ -87,7 +87,7 @@ def outcome(step, shard):
         value = step(shard)
     except WouldBlock as exc:  # RemoteWouldBlock is one
         return ("WouldBlock", exc.txn, exc.resource)
-    except (SnapshotTooOldError, WriteConflictError) as exc:
+    except (DuplicateKeyError, SnapshotTooOldError, WriteConflictError) as exc:
         return (type(exc).__name__,)
     return value
 
@@ -202,6 +202,22 @@ BEFORE_CRASH = [
      ("SnapshotTooOldError",)),
     ("abort old reader", lambda s: s.abort(2)),
     ("auto vacuum", lambda s: s.vacuum()),
+    # -- a bulk load: one table X lock, all rows; a failed one rolls back --------------------
+    ("begin loader", lambda s: begin(s, TWO_PL, 30)),
+    ("insert_many", lambda s: s.insert_many(
+        30, "T", [(k, "ab"[k % 2], 0) for k in (31, 33, 35)]), 3),
+    ("insert_many nothing", lambda s: s.insert_many(30, "T", []), 0),
+    ("commit loader", lambda s: s.commit(30, flush=False)),
+    ("begin failing loader", lambda s: begin(s, TWO_PL, 31)),
+    ("insert_many duplicate", lambda s: s.insert_many(
+        31, "T", [(37, "a", 0), (31, "b", 0)]), ("DuplicateKeyError",)),
+    ("abort failing loader", lambda s: s.abort(31)),
+    ("load beside a reader", lambda s: (
+        begin(s, TWO_PL, 32), s.lock_read_access(32, ReadAccess.row("T", 2)),
+        begin(s, TWO_PL, 33), s.insert_many(33, "T", [(39, "a", 0)])),
+     ("WouldBlock", 33, table_resource("T"))),
+    ("abort blocked loader", lambda s: s.abort(33)),
+    ("abort row reader", lambda s: s.abort(32)),
     # -- checkpoint, then the three fates a crash deals out -----------------------------------
     ("checkpoint", lambda s: s.checkpoint()),
     ("begin winner", lambda s: begin(s, TWO_PL, 10)),

@@ -2,7 +2,8 @@
 
 The budget half drives seeded ledger scripts through ``connect(shards=2,
 executor="process")`` with the coordinator's ``FrameChannel`` counted,
-and pins round trips per statement shape.  The semantics half checks
+and pins round trips per statement shape and per bulk load (one
+``insert_many`` per shard the rows land on).  The semantics half checks
 what fusing must not change: a blocked statement applies each row once
 when retried, a wait cycle closed inside a fused verb is still a
 ``DeadlockError``, a failing piggybacked ``begin`` surfaces on its
@@ -170,6 +171,28 @@ class TestFrameBudget:
             COMMIT;
         """)
         assert frames.requests == {"snap_range_scan": 2}
+
+    def test_a_load_costs_one_frame_per_shard_it_touches(
+        self, ledger, monkeypatch
+    ):
+        store = ledger.store
+        frames = CountedFrames(monkeypatch)
+        for rows, n_touched in (
+            ([(i, i % N_ACCOUNTS, (i + 1) % N_ACCOUNTS, 1.0, i * 0.5)
+              for i in range(1, 101)], 2),
+            ([(101, 0, 1, 1.0, 50.5)], 1),
+        ):
+            frames.reset()
+            assert ledger.load("Ledger", rows) == len(rows)
+            assert len({store.route_row("Ledger", r) for r in rows}) == n_touched
+            # One insert_many per shard the rows land on (the shard's
+            # begin rides it), then the commit round: commit and flush
+            # per written shard.
+            assert frames.requests == {
+                "insert_many": n_touched, "commit": n_touched,
+                "wal_flush": n_touched,
+            }
+            assert frames.prelude["begin"] == n_touched
 
     def test_run_report_statistics_are_local_reads(self, ledger, monkeypatch):
         frames = CountedFrames(monkeypatch)
