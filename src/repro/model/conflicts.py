@@ -26,17 +26,22 @@ classical graph; for snapshot-isolation histories it makes write skew
 appear as the cycle of consecutive rw antidependencies it is —
 :func:`find_non_si_cycles` then classifies which cycles snapshot
 isolation could *not* have produced.
+
+networkx is imported inside the functions that build a graph: the
+product imports this module, and ``import repro`` must not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.model.ops import Op, OpKind
 from repro.model.quasi import expand_quasi_reads, has_explicit_quasi_reads
 from repro.model.schedule import Schedule
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,8 @@ def conflict_graph(schedule: Schedule) -> nx.DiGraph:
     Node set = committed transactions; each edge carries the list of
     contributing :class:`ConflictEdge` witnesses under key ``"witnesses"``.
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     graph.add_nodes_from(schedule.committed())
     for edge in conflict_edges(schedule):
@@ -178,11 +185,15 @@ def conflict_graph(schedule: Schedule) -> nx.DiGraph:
 
 def has_cycle(schedule: Schedule) -> bool:
     """Requirement C.2 check: True when the conflict graph is cyclic."""
+    import networkx as nx
+
     return not nx.is_directed_acyclic_graph(conflict_graph(schedule))
 
 
 def find_cycle(schedule: Schedule) -> list[int] | None:
     """A witness cycle (list of transaction ids) or None when acyclic."""
+    import networkx as nx
+
     graph = conflict_graph(schedule)
     try:
         cycle_edges = nx.find_cycle(graph)
@@ -218,6 +229,8 @@ def find_non_si_cycles(
     best-effort beyond the cap (far larger than any schedule the engine
     or the fuzz harness produces).
     """
+    import networkx as nx
+
     graph = conflict_graph(schedule)
     offending: list[list[int]] = []
     for examined, cycle in enumerate(nx.simple_cycles(graph)):
@@ -241,6 +254,8 @@ def topological_orders(schedule: Schedule, limit: int = 64) -> list[list[int]]:
     Theorem 3.6's proof serializes along a topological sort; exposing
     several lets the serializability checker try alternatives cheaply.
     """
+    import networkx as nx
+
     graph = conflict_graph(schedule)
     if not nx.is_directed_acyclic_graph(graph):
         return []

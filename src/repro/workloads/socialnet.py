@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -52,6 +54,10 @@ class SocialNetwork:
                 f"need more users ({self.n_users}) than the attachment "
                 f"parameter ({self.attachment})"
             )
+        # Here, not at module level: ``import repro.workloads`` must not
+        # load networkx for the workloads that never build a graph.
+        import networkx as nx
+
         base = nx.barabasi_albert_graph(
             self.n_users, self.attachment, seed=self.seed
         )

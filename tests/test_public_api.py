@@ -1,6 +1,10 @@
 """Public API sanity: imports, __all__ consistency, error hierarchy."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +108,19 @@ def test_docstrings_on_public_modules():
     for name in PACKAGES:
         module = importlib.import_module(name)
         assert module.__doc__, f"{name} lacks a module docstring"
+
+
+def test_importing_the_product_does_not_load_networkx():
+    """Only the conflict-graph oracle and the synthetic social network
+    build graphs, and they import networkx when they do: a fresh
+    interpreter's ``import repro, repro.workloads`` leaves it unloaded."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.workloads; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    ).stdout.strip()
+    assert loaded == "[]"
