@@ -38,7 +38,9 @@ TOPOLOGIES = {
     "single": {},
     "shards2-pool": {"shards": 2, "executor": "pool"},
     "shards2-process": {"shards": 2, "executor": "process"},
-    "shards2-replicas2": {"shards": 2, "replicas": 2},
+    # Pinned: replicas do not combine with worker processes, which a
+    # REPRO_EXECUTOR=process run would otherwise pick.
+    "shards2-replicas2": {"shards": 2, "replicas": 2, "executor": "pool"},
 }
 
 
