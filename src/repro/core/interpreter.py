@@ -162,7 +162,7 @@ def execute_statement(
         raise TransactionAborted("explicit ROLLBACK", reason="rollback")
     if isinstance(stmt, SelectStmt):
         compiled = compile_select(stmt, store.db, txn.env, params)
-        rows = store.query(txn.storage_txn, compiled.plan)
+        rows = store.query(txn.storage_txn, compiled.query, compiled.values)
         txn.stats.fallback_scans += store.take_fallback_scans()
         first = rows[0] if rows else None
         for var, index in compiled.bindings:

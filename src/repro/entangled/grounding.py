@@ -63,7 +63,10 @@ def compile_body(query: EntangledQuery, provider: TableProvider) -> SPJQuery:
     records exactly what a statement naming those columns would.
     Constant terms become equality conjuncts, repeated variables become
     join conjuncts, and each variable is selected once (first occurrence
-    wins).  An atom whose arity is not its relation's is rejected.
+    wins).  An atom whose arity is not its relation's is rejected.  A
+    prepared statement's template query holds, for a constant, the
+    expression its executions read the value from (``Val(Param(0))``);
+    the conjunct compares with that expression.
     """
     if not query.body_atoms:
         raise EntangledQueryError(
@@ -85,7 +88,9 @@ def compile_body(query: EntangledQuery, provider: TableProvider) -> SPJQuery:
         for name, term in zip(names, atom.terms):
             column = Col(f"{alias}.{name}")
             if isinstance(term, Val):
-                conjuncts.append(Cmp(CmpOp.EQ, column, Const(term.value)))
+                value = term.value
+                conjuncts.append(Cmp(CmpOp.EQ, column, value if isinstance(
+                    value, Expr) else Const(value)))
             else:
                 if term.name in first_occurrence:
                     conjuncts.append(
@@ -133,10 +138,17 @@ def ground(
 
     Groundings are returned in a deterministic (sorted) order, which makes
     the whole evaluation pipeline deterministic as Appendix C.1 assumes.
+    A query compiled from a prepared statement brings its body compiled
+    (``query.body``): grounding runs it with the values it carries.
     """
-    plan = compile_body(query, provider)
+    if query.body is None:
+        plan, values = compile_body(query, provider), params
+    else:
+        plan, values = query.body
+        if params:
+            values = {**params, **values}
     rows = evaluate(
-        plan, provider, params=params, read_observer=read_observer)
+        plan, provider, params=values, read_observer=read_observer)
     names = plan.select_names
     groundings = []
     for row in rows:

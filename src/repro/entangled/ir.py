@@ -14,7 +14,7 @@ variables, which the SQL WHERE clause may contribute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from repro.errors import RangeRestrictionError, SchemaError
@@ -120,6 +120,11 @@ class EntangledQuery:
         var_bindings: SQL-level ``AS @var`` bindings: maps host-variable
             name -> (head index, position) so the transaction layer can
             extract values from the answer (Section 3.1).
+        body: for a query compiled from a prepared statement, its
+            grounding body compiled once per statement template (see
+            :func:`repro.entangled.grounding.compile_body`) and the values
+            its leaves read; None when grounding is to compile the body.
+            Not part of the query's identity.
     """
 
     query_id: str
@@ -129,6 +134,7 @@ class EntangledQuery:
     body_predicate: Expr | None = None
     choose: int = 1
     var_bindings: tuple[tuple[str, int, int], ...] = ()
+    body: "tuple | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.heads:

@@ -64,9 +64,8 @@ class InSelect(Expr):
         items = map_items(f, self.items)
         return self if items is self.items else InSelect(items, self.subquery)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(str(i) for i in self.items)
-        return f"(({inner}) IN ({self.subquery}))"
+    def __str__(self) -> str:
+        return _unparse(self)
 
 
 @dataclass(frozen=True)
@@ -80,9 +79,8 @@ class InAnswer(Expr):
         items = map_items(f, self.items)
         return self if items is self.items else InAnswer(items, self.answer_relation)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(str(i) for i in self.items)
-        return f"(({inner}) IN ANSWER {self.answer_relation})"
+    def __str__(self) -> str:
+        return _unparse(self)
 
 
 @dataclass(frozen=True)
@@ -95,6 +93,12 @@ class Param(Expr):
 
     index: int
     negate: bool = False
+
+    def eval(self, env) -> "SQLValue | None":
+        """The parameter's value where a prepared plan keeps it: under
+        its index in the values its execution fills."""
+        value = env[self.index]
+        return -value if self.negate else value
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{'-' if self.negate else ''}?{self.index}"
@@ -128,7 +132,27 @@ class SelectItem:
 
 
 class Statement:
-    """Base class for statements."""
+    """Base class for statements; ``str()`` is the statement in SQL."""
+
+    @cached_property
+    def resolutions(self) -> WeakKeyDictionary:
+        """The compiler's memo: this statement's *prepared form* against
+        a catalog, by ``Database`` (see :mod:`repro.sql.compiler`).  Not a
+        field — invisible to ``==``, ``hash`` and ``repr`` — and as weak
+        as its keys, so a shared template statement neither pins a
+        database nor outlives the template table's bound."""
+        return WeakKeyDictionary()
+
+    def __str__(self) -> str:
+        return _unparse(self)
+
+
+def _unparse(node) -> str:
+    from repro.sql.unparse import unparse_expr, unparse_statement
+
+    if isinstance(node, Statement):
+        return unparse_statement(node)
+    return unparse_expr(node)
 
 
 @dataclass(frozen=True)
@@ -154,30 +178,6 @@ class SelectStmt(Statement):
     limit: int | None = None
     star: bool = False
     order_by: tuple[tuple[str, bool], ...] = ()
-
-    @cached_property
-    def resolutions(self) -> WeakKeyDictionary:
-        """``compile_select``'s memo: this statement resolved against a
-        catalog, by ``Database``.  Not a field — invisible to ``==``,
-        ``hash`` and ``repr`` — and as weak as its keys, so a shared
-        template statement neither pins a database nor outlives the
-        template table's bound."""
-        return WeakKeyDictionary()
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        cols = "*" if self.star else ", ".join(
-            str(i.expr) if i.expr is not None else f"@{i.bind_var}"
-            for i in self.items
-        )
-        tables = ", ".join(
-            t.name if not t.alias else f"{t.name} {t.alias}" for t in self.tables
-        )
-        out = f"SELECT {cols}"
-        if tables:
-            out += f" FROM {tables}"
-        if self.where is not None:
-            out += f" WHERE {self.where}"
-        return out
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from repro.sql.ast import (
     InAnswer,
     InSelect,
     InsertStmt,
+    Param,
     RollbackStmt,
     SelectItem,
     SelectStmt,
@@ -85,6 +86,8 @@ def unparse_expr(expr: Expr) -> str:
     if isinstance(expr, InAnswer):
         items = ", ".join(unparse_expr(i) for i in expr.items)
         return f"(({items}) IN ANSWER {expr.answer_relation})"
+    if isinstance(expr, Param):
+        return str(expr)  # a template's placeholder: not SQL, never parsed
     raise CompileError(f"cannot unparse expression {type(expr).__name__}")
 
 

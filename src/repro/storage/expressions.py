@@ -327,9 +327,11 @@ def map_items(f: Callable[[Expr], Expr], items: tuple) -> tuple:
     return items if all(map(is_, mapped, items)) else mapped
 
 
-#: The node kinds a storage plan evaluates.  The SQL front end's
-#: ``InSelect``, ``InAnswer`` and ``Param`` are compiled away before a
-#: plan sees them, so a rewrite below the SQL layer rejects them by this.
+#: The node kinds a rewrite below the SQL layer takes.  The SQL front
+#: end's ``InSelect`` and ``InAnswer`` are compiled away before a plan
+#: sees them; its ``Param`` reaches a prepared statement's plan as a leaf
+#: that reads its execution's values, and is rewritten by the front end
+#: only — so such a rewrite rejects all three by this.
 STORAGE_NODES = frozenset({Const, Col, Cmp, And, Or, Not, IsNull, Arith, InList})
 
 #: The boolean skeleton of a predicate: the only positions where a

@@ -3,10 +3,11 @@
 A query is planned once per *shape* and executed many times.  The shape
 is the query with its constants abstracted — FROM items, the column
 names and comparison operators of each WHERE conjunct, which SELECT
-items are plain columns, DISTINCT / ORDER BY, the host-variable names in
-scope, and ``PlanHints.ordered_indexes`` — so the thousands of scripts
-one statement template produces, and the grounding bodies one entangled
-query shape produces, share one plan.  A table goes by one set of column
+items are plain columns, DISTINCT / ORDER BY, the names in scope before
+the first table (host variables, and the parameters a prepared
+statement's leaves read), and ``PlanHints.ordered_indexes`` — so the
+thousands of scripts one statement template produces, and the grounding
+bodies one entangled query shape produces, share one plan.  A table goes by one set of column
 names whichever view serves it (a schema never changes once created), so
 a FROM item's table name stands for its columns.
 
@@ -28,10 +29,16 @@ a FROM item's table name stands for its columns.
   types and nullability); a view is asked for rows and a row estimate
   only.  A shape whose preparation raises is not remembered.
 
-* **Bound per execution** (:func:`build_plan`): the conjunct list of
-  *this* query is laid over the recipes (a recipe says "conjunct 2,
-  right-hand side"; binding fetches that expression), which costs a
-  handful of list builds and no analysis.
+* **Bound per query object** (:func:`_prepared`): the conjunct list of
+  the query is laid over the recipes (a recipe says "conjunct 2,
+  right-hand side"; binding fetches that expression).  A query object
+  splits its WHERE clause and computes its shape key once, and keeps its
+  key and bound join levels while ``plans`` still holds the plan.  A
+  statement template's SPJ query is one object for all its executions —
+  its ``Param`` and ``@var`` leaves read the values each execution puts
+  in its source environment (``base_env``) — so an execution of a known
+  statement is a dictionary lookup and an operator chain
+  (:func:`build_plan`), with no split, no key and no binding.
 
 * **Decided per outer row** (:meth:`_JoinLevel.access`): only what
   depends on values or sizes.  The probe key is evaluated; when a
@@ -637,30 +644,67 @@ class _JoinLevel:
         ]
 
 
-def build_plan(
-    query: SPJQuery,
-    tables: list,
-    base_env: dict,
-    hints: PlanHints,
-    plans: "MutableMapping | None" = None,
-):
-    """The operator pipeline for one execution of ``query``: fetch the
-    prepared plan of its shape from ``plans`` (preparing and storing it
-    on first use; None = nothing is kept) and bind this query's
-    expressions to it.  The root yields ``(output tuple, sort key)``
-    pairs.
-    """
-    conjuncts = split_conjuncts(query.where)
-    key = (
-        query.tables,
-        tuple([_conjunct_shape(conj) for conj in conjuncts]),
-        query.distinct,
-        query.order_by,
-        frozenset(base_env) if base_env else None,
-        hints.ordered_indexes,
-        # Which SELECT items are plain columns, and of what name.
-        tuple([e.name if type(e) is Col else None for e in query.select]),
-    )
+def _shape_of(query: SPJQuery) -> tuple:
+    """``(conjuncts, key)`` of ``query``: its WHERE conjuncts, and what a
+    plan of it depends on besides the execution's host-variable names
+    and ``PlanHints`` — computed once per query object."""
+    shape = query.__dict__.get("_shape")
+    if shape is None:
+        conjuncts = split_conjuncts(query.where)
+        shape = (conjuncts, (
+            query.tables,
+            tuple([_conjunct_shape(conj) for conj in conjuncts]),
+            query.distinct,
+            query.order_by,
+            # Which SELECT items are plain columns, and of what name.
+            tuple([e.name if type(e) is Col else None for e in query.select]),
+        ))
+        object.__setattr__(query, "_shape", shape)
+    return shape
+
+
+class _PlanKey:
+    """A plan's key in ``plans``, hashed once (a query's shape is a deep
+    tuple, and a tuple does not keep its hash)."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _PlanKey and self.parts == other.parts
+
+
+def _prepared(
+    query: SPJQuery, tables: list, base_env: dict, hints: PlanHints,
+    plans: "MutableMapping | None",
+) -> tuple:
+    """``(plan, join levels)`` for ``query`` under ``base_env``'s names
+    and ``hints``: the plan of its shape from ``plans`` (prepared and
+    stored on first use; None = nothing is kept), bound to the query's
+    conjuncts.  A statement template's query is one object for all its
+    executions: it remembers its key, and its binding while ``plans``
+    still holds that plan."""
+    names_in_scope = frozenset(base_env) if base_env else None
+    slot = (names_in_scope, hints.ordered_indexes)
+    memo = query.__dict__.get("_plans")
+    if memo is None:
+        memo = {}
+        object.__setattr__(query, "_plans", memo)
+    found = memo.get(slot)
+    if found is not None:
+        key, plan, levels = found
+        if plans is not None and plans.get(key) is plan:
+            return plan, levels
+    else:
+        key = _PlanKey(
+            (_shape_of(query)[1], names_in_scope, hints.ordered_indexes))
+    conjuncts = _shape_of(query)[0]
     plan = plans.get(key) if plans is not None else None
     if plan is None:
         plan = _prepare(query, tables, conjuncts, base_env, hints)
@@ -674,16 +718,35 @@ def build_plan(
                 except (KeyError, RuntimeError, StopIteration):
                     pass
             plans[key] = plan
-
     leaf_limit = query.limit if plan.at_leaf else None
+    levels = tuple([
+        _JoinLevel(shape, conjuncts, leaf_limit) for shape in plan.levels])
+    memo[slot] = (key, plan, levels)
+    return plan, levels
+
+
+def build_plan(
+    query: SPJQuery,
+    tables: list,
+    base_env: dict,
+    hints: PlanHints,
+    plans: "MutableMapping | None" = None,
+):
+    """The operator pipeline for one execution of ``query``: its prepared
+    plan, bound to this query's expressions (see :func:`_prepared`), over
+    a source of ``base_env``.  The root yields ``(output tuple, sort
+    key)`` pairs.
+    """
+    plan, levels = _prepared(query, tables, base_env, hints, plans)
     node = Source(base_env)
-    for shape in plan.levels:
+    for level in levels:
         node = NestedLoopJoin(
-            node, _JoinLevel(shape, conjuncts, leaf_limit),
+            node, level,
             # The innermost level projects, when it can do so by position.
-            plan.emit if shape is plan.levels[-1] else None)
+            plan.emit if level is levels[-1] else None)
     if plan.emit is None:
         if plan.residual:
+            conjuncts = _shape_of(query)[0]
             node = Filter(node, [conjuncts[i] for i in plan.residual])
         node = Project(node, query.select, plan.order_exprs)
     if query.distinct:
