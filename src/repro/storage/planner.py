@@ -7,9 +7,10 @@ items are plain columns, DISTINCT / ORDER BY, the names in scope before
 the first table (host variables, and the parameters a prepared
 statement's leaves read), and ``PlanHints.ordered_indexes`` — so the
 thousands of scripts one statement template produces, and the grounding
-bodies one entangled query shape produces, share one plan.  A table goes by one set of column
-names whichever view serves it (a schema never changes once created), so
-a FROM item's table name stands for its columns.
+bodies one entangled query shape produces, share one plan.  A table goes
+by one set of column names whichever view serves it (a schema never
+changes once created), so a FROM item's table name stands for its
+columns.
 
 * **Prepared once** (:func:`_prepare`, memoised in ``provider.plans``,
   one dict per ``Database``): the operator chain — Source -> one

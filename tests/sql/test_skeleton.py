@@ -25,6 +25,7 @@ from repro.errors import LexError
 from repro.sql import parser as parser_module
 from repro.sql import tokenize
 from repro.sql.parser import _shape
+from repro.sql.tokens import TokenType
 
 WORDS = ["t1", "a", "uid", "é1", "Tábla", "x_2"]
 HOSTVARS = ["@v2", "@uid", "@x"]
@@ -121,7 +122,12 @@ def assert_paths_agree(text: str) -> None:
     units, params = parser_module._prepare(text)  # a miss: the token path
     want_units, want_params = token_path(text)
     assert units is want_units and typed(params) == typed(want_params)
-    if tokenize(text).skeleton is not None:
+    lexed = tokenize(text)
+    if lexed.skeleton is not None:
+        # The one pass lifts exactly the scanner's literals.
+        assert lexed.literals == [
+            t.value for t in lexed.tokens
+            if t.type in (TokenType.NUMBER, TokenType.STRING)]
         again, again_params = skeleton_path(text)
         assert again is units and typed(again_params) == typed(params)
 
