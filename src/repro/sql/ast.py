@@ -7,12 +7,14 @@ SELECT/INSERT/UPDATE/DELETE, ``SET @var = expr``, the entangled
 ``ROLLBACK``.
 
 Expressions reuse :mod:`repro.storage.expressions` plus three SQL-level
-nodes that only exist before compilation: ``InSelect`` (tuple-IN-subquery),
-``InAnswer`` (tuple-IN-ANSWER — the entanglement postcondition) and
-``Param`` (a literal lifted out of a statement *template*).  Like the
-storage nodes, each declares its children in its ``map`` and nowhere
-else: ``Param`` is a leaf, and the ``IN`` nodes' children are their tuple
-items — a subquery is a statement, so a walker that binds one says so.
+nodes: ``InSelect`` (tuple-IN-subquery) and ``InAnswer`` (tuple-IN-ANSWER
+— the entanglement postcondition), which only exist before compilation,
+and ``Param`` (a literal lifted out of a statement *template*), which a
+prepared plan keeps as a leaf that evaluates to its execution's value.
+Like the storage nodes, each declares its children in its ``map`` and
+nowhere else: ``Param`` is a leaf, and the ``IN`` nodes' children are
+their tuple items — a subquery is a statement, so a walker that binds one
+says so.
 
 **Templates and the two views of a program.**  The parser parses each
 script *shape* once (:mod:`repro.sql.parser`): the shared result is a
@@ -20,8 +22,9 @@ template AST with a :class:`Param` leaf wherever the text had a number or
 string literal, and each script contributes only its tuple of literal
 values.  A :class:`TransactionProgram` therefore holds ``template`` +
 ``params`` — the *engine view*, which the interpreter executes directly,
-binding parameters in the same walk that inlines host variables
-(:func:`inline_hostvars`) — and materialises the *literal view*
+each statement through its prepared form (:mod:`repro.sql.compiler`)
+with the values its ``Param`` and ``@var`` leaves read — and
+materialises the *literal view*
 (``.statements``, ``==``, ``repr``, unparsing) only when somebody asks.
 A program built from literal statements is its own template with no
 parameters, so there is one representation, not two.

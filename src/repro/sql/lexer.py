@@ -9,16 +9,17 @@ quotes, so examples can be pasted verbatim.
 
 The lexer runs for every submitted script, and a workload submits a
 handful of script shapes over and over with new literals, so
-:func:`tokenize` makes **one C-level pass** (:data:`_SKELETON`) and
-builds no token.  The pass yields the script's *skeleton* — its text
-with every number and string literal lifted out and a marker of the
-literal's kind left in its place — and the vector of those literals
-(their token values, in order), which is all the parser's template table
-needs to recognise a known shape (see :mod:`repro.sql.parser`).  The
-pass admits only the ASCII rules of the token scanner and checks that
-its matches cover the text; any other text — a word starting with a
-non-ASCII letter, every lexical error — is tokenized at once, so a
-:class:`LexError` still comes from :func:`tokenize` itself.
+:func:`tokenize` builds no token: one C-level match checks the text by
+the ASCII rules of the token scanner (:data:`_VALID`), and one C-level
+split (:data:`_SKELETON`) lifts every number and string literal out of
+it.  That yields the script's *skeleton* — the runs between its literals
+joined by ``"\x00"``, a string's opening quote ending the run before it,
+so the skeleton also tells a number from a string — and the vector of
+the literals, which is all the parser's template table needs to
+recognise a known shape (see :mod:`repro.sql.parser`).  Any other text —
+a word starting with a non-ASCII letter, every lexical error — is
+tokenized at once, so a :class:`LexError` still comes from
+:func:`tokenize` itself.
 
 The token list is built only when a parser asks for it (a skeleton the
 template table does not know, or an error position to quote): one match
