@@ -40,12 +40,15 @@ keep the result in one bounded, process-wide template table:
   entry's **recipe** for that skeleton — per lifted literal, "parameter"
   (converted as the token path converts it) or "shape literal, must
   read exactly so" (the ``2`` of ``LIMIT 2``).  One skeleton may lead to
-  several shapes (``LIMIT 1``, ``LIMIT 2``); a shape remembers at most
-  :data:`SPELLINGS` skeletons (case, spacing and comments vary them).
-  The skeleton index has no bound of its own: it holds skeletons of
-  entries in the table only, and an entry evicted from the table is gone
-  under both keys.  Such a **hit** is a dictionary lookup and one pass
-  over the literals, and builds no token.
+  several shapes (``LIMIT 1``, ``LIMIT 2``); a shape keeps the skeleton
+  of its newest spelling only (case, spacing and comments vary it; a
+  workload builds each script from one format string, so it has one).
+  A script in a spelling the shape no longer keeps takes the token path
+  below and becomes the kept spelling.  The skeleton index has no bound
+  of its own: it holds skeletons of entries in the table only, one per
+  entry, and an entry evicted from the table is gone under both keys.
+  Such a **hit** is a dictionary lookup and one pass over the literals,
+  and builds no token.
 * A skeleton **miss** takes the token path: the shape key is computed
   from the tokens, and a shape **miss** runs the parser below with
   ``lift=True``: each literal it meets becomes a
@@ -633,29 +636,27 @@ def _single(items: list[Expr]) -> Expr:
 #: Shapes kept; the least recently used goes first.  A workload has a
 #: handful of shapes, an application some dozens; a template is a few KB.
 TEMPLATE_CAP = 512
-#: Skeletons (spellings: case, spacing, comments) remembered per shape.
-SPELLINGS = 4
 
 
 class _Template:
     """One entry of the table: a shape's template units, and the
-    skeletons that lead to it."""
+    skeleton of its newest spelling (None before one is known)."""
 
-    __slots__ = ("key", "units", "skeletons")
+    __slots__ = ("key", "units", "skeleton")
 
     def __init__(self, key: tuple, units: tuple):
         self.key = key
         #: the parsed script template (a tuple of units: template
         #: Statements and parameterless template TransactionPrograms).
         self.units = units
-        self.skeletons: list[str] = []
+        self.skeleton: str | None = None
 
 
 #: shape key -> its entry, least recently used first.
 _templates: OrderedDict[tuple, _Template] = OrderedDict()
 #: skeleton -> ``(entry, recipe)`` per shape spelled that way (``LIMIT 1``
 #: and ``LIMIT 2`` are one skeleton, two shapes).  Not a table of its
-#: own: an entry evicted from ``_templates`` takes its skeletons along.
+#: own: it holds entries of ``_templates`` under their ``skeleton`` only.
 _skeletons: dict[str, list] = {}
 
 
@@ -761,27 +762,41 @@ def _prepare(text: str) -> tuple[tuple, Params]:
                 _key, evicted = _templates.popitem(last=False)
             except KeyError:
                 break  # another thread emptied it first
-            for spelling in evicted.skeletons:
-                _forget(spelling)
+            if evicted.skeleton is not None:
+                _forget(evicted.skeleton)
     else:
         try:
             _templates.move_to_end(key)
         except KeyError:
             pass
-    if skeleton is not None and len(entry.skeletons) < SPELLINGS:
-        _forget(skeleton)
-        _skeletons.setdefault(skeleton, []).append(
-            (entry, _recipe(rules, lexed.parts)))
-        entry.skeletons.append(skeleton)
+    if skeleton is not None:
+        _spell(entry, skeleton, _recipe(rules, lexed.parts))
     return entry.units, params
 
 
-def _forget(skeleton: str) -> None:
-    """Drop the entries of ``skeleton`` that left the table."""
-    live = [
+def _spell(entry: _Template, skeleton: str, recipe: tuple) -> None:
+    """Make ``skeleton`` lead to ``entry`` by ``recipe``, in place of the
+    spelling the entry kept before."""
+    previous, entry.skeleton = entry.skeleton, skeleton
+    if previous is not None and previous != skeleton:
+        _forget(previous)
+    pairs = [pair for pair in _live(skeleton) if pair[0] is not entry]
+    pairs.append((entry, recipe))
+    _skeletons[skeleton] = pairs
+
+
+def _live(skeleton: str) -> list:
+    """The ``(entry, recipe)`` pairs of ``skeleton`` whose entry is in the
+    table and still spelled that way."""
+    return [
         (entry, recipe) for entry, recipe in _skeletons.get(skeleton, ())
-        if _templates.get(entry.key) is entry
+        if entry.skeleton == skeleton and _templates.get(entry.key) is entry
     ]
+
+
+def _forget(skeleton: str) -> None:
+    """Drop the pairs of ``skeleton`` that no longer hold (see :func:`_live`)."""
+    live = _live(skeleton)
     if live:
         _skeletons[skeleton] = live
     else:

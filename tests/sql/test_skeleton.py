@@ -182,6 +182,39 @@ def test_an_evicted_template_is_gone_under_both_keys(monkeypatch):
     assert parser_module._prepare("SELECT a FROM T WHERE a = 2")[0] is not first
 
 
+def test_a_new_spelling_replaces_the_one_kept(monkeypatch):
+    """A shape keeps the skeleton of its newest spelling only.  A script
+    in another spelling takes the token path — to the same template and
+    the parameters the token path reads — and becomes the kept spelling;
+    the skeleton index never holds more than one skeleton for it."""
+    parser_module._templates.clear()
+    parser_module._skeletons.clear()
+    token_walks = []
+    shape = parser_module._shape
+    monkeypatch.setattr(parser_module, "_shape",
+                        lambda tokens: token_walks.append(1) or shape(tokens))
+    spellings = [
+        "SELECT a FROM T WHERE a = {} AND b = '{}' LIMIT 2",
+        "select a from T where a = {} and b = '{}' limit 2",
+        "SELECT a FROM T -- it's 9\n WHERE a={} AND b='{}' LIMIT 2",
+    ]
+    template = parser_module._prepare(spellings[0].format(0, "p"))[0]
+    for round_ in range(2):
+        for number, spelling in enumerate(spellings):
+            for value in (number + round_, 7.5):
+                text = spelling.format(value, f"q{number}")
+                token_walks.clear()
+                units, params = parser_module._prepare(text)
+                assert units is template
+                assert typed(params) == typed((value, f"q{number}"))
+                # A new spelling walks the tokens once; then it is kept.
+                new = (number > 0 or round_ > 0) and value != 7.5
+                assert len(token_walks) == (1 if new else 0)
+                assert list(parser_module._skeletons) == [
+                    tokenize(text).skeleton]
+    assert list(parser_module._templates.values())[0].units is template
+
+
 @st.composite
 def damaged(draw) -> str:
     text = draw(scripts())
