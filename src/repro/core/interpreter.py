@@ -162,7 +162,8 @@ def execute_statement(
         raise TransactionAborted("explicit ROLLBACK", reason="rollback")
     if isinstance(stmt, SelectStmt):
         compiled = compile_select(stmt, store.db, txn.env, params)
-        rows = store.query(txn.storage_txn, compiled.query, compiled.values)
+        rows = store.query(
+            txn.storage_txn, compiled.query, compiled.values, compiled.bound)
         txn.stats.fallback_scans += store.take_fallback_scans()
         first = rows[0] if rows else None
         for var, index in compiled.bindings:

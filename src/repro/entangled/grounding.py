@@ -139,16 +139,19 @@ def ground(
     Groundings are returned in a deterministic (sorted) order, which makes
     the whole evaluation pipeline deterministic as Appendix C.1 assumes.
     A query compiled from a prepared statement brings its body compiled
-    (``query.body``): grounding runs it with the values it carries.
+    and planned once (``query.body``): grounding runs it with the values
+    it carries.
     """
     if query.body is None:
-        plan, values = compile_body(query, provider), params
+        plan, bound, values = compile_body(query, provider), None, params
     else:
-        plan, values = query.body
+        bound, values = query.body
+        plan = bound.query
         if params:
             values = {**params, **values}
     rows = evaluate(
-        plan, provider, params=values, read_observer=read_observer)
+        plan, provider, params=values, read_observer=read_observer,
+        bound=bound)
     names = plan.select_names
     groundings = []
     for row in rows:

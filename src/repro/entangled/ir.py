@@ -122,8 +122,10 @@ class EntangledQuery:
             extract values from the answer (Section 3.1).
         body: for a query compiled from a prepared statement, its
             grounding body compiled once per statement template (see
-            :func:`repro.entangled.grounding.compile_body`) and the values
-            its leaves read; None when grounding is to compile the body.
+            :func:`repro.entangled.grounding.compile_body`), as the
+            :class:`~repro.storage.planner.BoundQuery` that plans it once,
+            and the values its leaves read; None when grounding is to
+            compile the body.
             Not part of the query's identity.
     """
 

@@ -30,16 +30,16 @@ columns.
   types and nullability); a view is asked for rows and a row estimate
   only.  A shape whose preparation raises is not remembered.
 
-* **Bound per query object** (:func:`_prepared`): the conjunct list of
-  the query is laid over the recipes (a recipe says "conjunct 2,
-  right-hand side"; binding fetches that expression).  A query object
-  splits its WHERE clause and computes its shape key once, and keeps its
-  key and bound join levels while ``plans`` still holds the plan.  A
-  statement template's SPJ query is one object for all its executions —
-  its ``Param`` and ``@var`` leaves read the values each execution puts
-  in its source environment (``base_env``) — so an execution of a known
-  statement is a dictionary lookup and an operator chain
-  (:func:`build_plan`), with no split, no key and no binding.
+* **Bound per query object** (:class:`BoundQuery`): the conjunct list
+  of the query is laid over the recipes (a recipe says "conjunct 2,
+  right-hand side"; binding fetches that expression).  A statement
+  template's SPJ query is one object for all its executions — its
+  ``Param`` and ``@var`` leaves read the values each execution puts in
+  its source environment (``base_env``) — and the statement's prepared
+  form keeps its ``BoundQuery``: the WHERE split, the key and the bound
+  join levels are made once, and an execution of a known statement is a
+  dictionary lookup and an operator chain (:func:`build_plan`).  Any
+  other query is split, keyed and bound per execution.
 
 * **Decided per outer row** (:meth:`_JoinLevel.access`): only what
   depends on values or sizes.  The probe key is evaluated; when a
@@ -481,8 +481,9 @@ def _operand(conjuncts: list, recipe: tuple) -> Expr:
 
 
 class _JoinLevel:
-    """One FROM position of one execution: the prepared shape with this
-    query's expressions laid over its recipes."""
+    """One FROM position of a bound query: the prepared shape with the
+    query's expressions laid over its recipes.  It holds nothing of an
+    execution, so every execution of the query shares it."""
 
     __slots__ = ("shape", "checks", "eq", "ranges", "leaf_limit")
 
@@ -645,85 +646,69 @@ class _JoinLevel:
         ]
 
 
-def _shape_of(query: SPJQuery) -> tuple:
-    """``(conjuncts, key)`` of ``query``: its WHERE conjuncts, and what a
-    plan of it depends on besides the execution's host-variable names
-    and ``PlanHints`` — computed once per query object."""
-    shape = query.__dict__.get("_shape")
-    if shape is None:
-        conjuncts = split_conjuncts(query.where)
-        shape = (conjuncts, (
+class BoundQuery:
+    """A query object planned once for all its executions: its WHERE
+    conjuncts, the part of its plan key that is its own, and — per names
+    in scope and ``ordered_indexes`` setting — its plan bound to those
+    conjuncts, ``(plan, join levels)``.
+
+    A prepared statement keeps one beside the SPJ query every execution
+    of it runs (:mod:`repro.sql.compiler`), whose ``Param`` and ``@var``
+    leaves read the values each execution puts in the source
+    environment, and hands it to :func:`build_plan`; an execution of a
+    known statement is then a dictionary lookup and an operator chain,
+    with no split, no key and no binding.  Any other query is bound for
+    its one execution.  The plan itself is shared through ``plans``, so
+    every query of one shape has one.
+    """
+
+    __slots__ = ("query", "conjuncts", "shape", "bound")
+
+    def __init__(self, query: SPJQuery):
+        self.query = query
+        self.conjuncts = split_conjuncts(query.where)
+        self.shape = (
             query.tables,
-            tuple([_conjunct_shape(conj) for conj in conjuncts]),
+            tuple([_conjunct_shape(conj) for conj in self.conjuncts]),
             query.distinct,
             query.order_by,
             # Which SELECT items are plain columns, and of what name.
             tuple([e.name if type(e) is Col else None for e in query.select]),
-        ))
-        object.__setattr__(query, "_shape", shape)
-    return shape
+        )
+        self.bound: dict = {}
 
-
-class _PlanKey:
-    """A plan's key in ``plans``, hashed once (a query's shape is a deep
-    tuple, and a tuple does not keep its hash)."""
-
-    __slots__ = ("parts", "_hash")
-
-    def __init__(self, parts: tuple):
-        self.parts = parts
-        self._hash = hash(parts)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return type(other) is _PlanKey and self.parts == other.parts
-
-
-def _prepared(
-    query: SPJQuery, tables: list, base_env: dict, hints: PlanHints,
-    plans: "MutableMapping | None",
-) -> tuple:
-    """``(plan, join levels)`` for ``query`` under ``base_env``'s names
-    and ``hints``: the plan of its shape from ``plans`` (prepared and
-    stored on first use; None = nothing is kept), bound to the query's
-    conjuncts.  A statement template's query is one object for all its
-    executions: it remembers its key, and its binding while ``plans``
-    still holds that plan."""
-    names_in_scope = frozenset(base_env) if base_env else None
-    slot = (names_in_scope, hints.ordered_indexes)
-    memo = query.__dict__.get("_plans")
-    if memo is None:
-        memo = {}
-        object.__setattr__(query, "_plans", memo)
-    found = memo.get(slot)
-    if found is not None:
-        key, plan, levels = found
-        if plans is not None and plans.get(key) is plan:
-            return plan, levels
-    else:
-        key = _PlanKey(
-            (_shape_of(query)[1], names_in_scope, hints.ordered_indexes))
-    conjuncts = _shape_of(query)[0]
-    plan = plans.get(key) if plans is not None else None
-    if plan is None:
-        plan = _prepare(query, tables, conjuncts, base_env, hints)
-        if plans is not None:
-            # Worker threads plan concurrently and no latch is taken: a
-            # shape prepared twice stores equivalent plans, and an
-            # eviction that loses a race just evicts on the next store.
-            if len(plans) >= PLAN_CAP:
-                try:
-                    del plans[next(iter(plans))]
-                except (KeyError, RuntimeError, StopIteration):
-                    pass
-            plans[key] = plan
-    leaf_limit = query.limit if plan.at_leaf else None
-    levels = tuple([
-        _JoinLevel(shape, conjuncts, leaf_limit) for shape in plan.levels])
-    memo[slot] = (key, plan, levels)
-    return plan, levels
+    def plan(
+        self, tables: list, base_env: dict, hints: PlanHints,
+        plans: "MutableMapping | None",
+    ) -> tuple:
+        """``(plan, join levels)`` under ``base_env``'s names and
+        ``hints``: the plan of the query's shape from ``plans`` (prepared
+        and stored on first use; None = nothing is kept), bound to its
+        conjuncts on first use."""
+        names_in_scope = frozenset(base_env) if base_env else None
+        slot = (names_in_scope, hints.ordered_indexes)
+        found = self.bound.get(slot)
+        if found is not None:
+            return found
+        key = (self.shape, names_in_scope, hints.ordered_indexes)
+        plan = plans.get(key) if plans is not None else None
+        if plan is None:
+            plan = _prepare(self.query, tables, self.conjuncts, base_env, hints)
+            if plans is not None:
+                # Worker threads plan concurrently and no latch is taken: a
+                # shape prepared twice stores equivalent plans, and an
+                # eviction that loses a race just evicts on the next store.
+                if len(plans) >= PLAN_CAP:
+                    try:
+                        del plans[next(iter(plans))]
+                    except (KeyError, RuntimeError, StopIteration):
+                        pass
+                plans[key] = plan
+        leaf_limit = self.query.limit if plan.at_leaf else None
+        found = self.bound[slot] = (plan, tuple([
+            _JoinLevel(shape, self.conjuncts, leaf_limit)
+            for shape in plan.levels]))
+        return found
 
 
 def build_plan(
@@ -732,13 +717,17 @@ def build_plan(
     base_env: dict,
     hints: PlanHints,
     plans: "MutableMapping | None" = None,
+    bound: "BoundQuery | None" = None,
 ):
-    """The operator pipeline for one execution of ``query``: its prepared
-    plan, bound to this query's expressions (see :func:`_prepared`), over
-    a source of ``base_env``.  The root yields ``(output tuple, sort
-    key)`` pairs.
+    """The operator pipeline for one execution of ``query``: its plan
+    bound to its expressions (``bound``, the query's
+    :class:`BoundQuery`, or one made for this execution), over a source
+    of ``base_env``.  The root yields ``(output tuple, sort key)``
+    pairs.
     """
-    plan, levels = _prepared(query, tables, base_env, hints, plans)
+    if bound is None:
+        bound = BoundQuery(query)
+    plan, levels = bound.plan(tables, base_env, hints, plans)
     node = Source(base_env)
     for level in levels:
         node = NestedLoopJoin(
@@ -747,8 +736,7 @@ def build_plan(
             plan.emit if level is levels[-1] else None)
     if plan.emit is None:
         if plan.residual:
-            conjuncts = _shape_of(query)[0]
-            node = Filter(node, [conjuncts[i] for i in plan.residual])
+            node = Filter(node, [bound.conjuncts[i] for i in plan.residual])
         node = Project(node, query.select, plan.order_exprs)
     if query.distinct:
         node = Distinct(node)
@@ -766,10 +754,11 @@ def execute(
     observe,
     hints: "PlanHints | None" = None,
     plans: "MutableMapping | None" = None,
+    bound: "BoundQuery | None" = None,
 ) -> list[tuple]:
     """Bind ``query`` to its prepared plan and run it; returns the output
     tuples in order."""
     hints = hints or DEFAULT_HINTS
-    root = build_plan(query, tables, base_env, hints, plans)
+    root = build_plan(query, tables, base_env, hints, plans, bound)
     ctx = ExecContext(tables, observe, hints.stats)
     return [output for output, _skey in root.run(ctx)]

@@ -277,7 +277,8 @@ class Store(Protocol):
     # -- statements ------------------------------------------------------------------
 
     def query(
-        self, txn: int, query: SPJQuery, params: Mapping | None = None
+        self, txn: int, query: SPJQuery, params: Mapping | None = None,
+        bound=None,
     ) -> list[tuple]: ...
 
     def read_table(self, txn: int, table: str) -> list[Row]: ...

@@ -333,6 +333,7 @@ def evaluate(
     params: Mapping[str, "SQLValue | None"] | None = None,
     read_observer: ReadObserver | None = None,
     hints=None,
+    bound=None,
 ) -> list[tuple["SQLValue | None", ...]]:
     """Evaluate an SPJ query, returning output tuples in deterministic order.
 
@@ -349,7 +350,9 @@ def evaluate(
     runs the volcano pipeline.  ``hints`` (a
     :class:`~repro.storage.planner.PlanHints`) carries the engine's
     planner knobs and stat counters; None means defaults (ordered
-    indexes allowed, no counters).
+    indexes allowed, no counters).  ``bound`` is the query's
+    :class:`~repro.storage.planner.BoundQuery` when it has one kept (a
+    prepared statement's), so its plan is bound once, not per call.
     """
     from repro.storage.planner import execute as _plan_execute
 
@@ -358,7 +361,8 @@ def evaluate(
     observe = (
         _EachAccessOnce(read_observer) if read_observer is not None else None)
     return _plan_execute(
-        query, tables, dict(params or {}), observe, hints, provider.plans)
+        query, tables, dict(params or {}), observe, hints, provider.plans,
+        bound)
 
 
 def equality_bindings(

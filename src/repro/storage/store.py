@@ -280,8 +280,10 @@ class StoreBase:
         txn: int,
         query: SPJQuery,
         params: Mapping[str, "SQLValue | None"] | None = None,
+        bound=None,
     ) -> list[tuple["SQLValue | None", ...]]:
-        """Run an SPJ query inside ``txn``.
+        """Run an SPJ query inside ``txn`` (``params`` and ``bound``: see
+        :func:`~repro.storage.query.evaluate`).
 
         The evaluator reports each access path before using its rows.
         Under 2PL the observer acquires the matching locks, so a conflict
@@ -305,6 +307,7 @@ class StoreBase:
                 query, provider or self.db, params, read_observer=observe,
                 hints=PlanHints(
                     ordered_indexes=self.ordered_indexes, stats=plan_counts),
+                bound=bound,
             )
         finally:
             if plan_counts:

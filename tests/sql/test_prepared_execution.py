@@ -286,3 +286,35 @@ def test_every_edge_case_is_met():
     equal = tuple(122 if value == 235 else value for value in program.params)
     assert compile_entangled(stmt, db, {}, "q", equal) == (
         reference.compile_entangled(stmt, db, {}, "q", equal))
+
+
+#: Statements with more than one fault: the prepared path raises what
+#: binding met first, with no binding of its own (an unbound host
+#: variable before a structural fault, a contradiction before an unbound
+#: variable, a value that does not evaluate before a count mismatch).
+FAULTS = [
+    "SELECT 'a', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Flights "
+    "WHERE dest = @d) AND fno IN (SELECT nosuch FROM Flights) CHOOSE 1",
+    "SELECT 'k', fno INTO ANSWER R WHERE fno IN (SELECT F.fno FROM Flights F, "
+    "Airlines A WHERE F.fno = 122 AND A.fno = 235 AND F.fno = A.fno) AND fno "
+    "IN (SELECT fno FROM Flights WHERE dest = @d) CHOOSE 1",
+    "SELECT 'k', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Flights "
+    "WHERE dest = @d AND fno = 122 AND fno = @f) CHOOSE 1",
+    "INSERT INTO Bookings (name, fno) VALUES (@d, 1 + 'a', 3)",
+    "INSERT INTO Bookings (name, fno) VALUES (@d, 1, 3)",
+    "INSERT INTO Bookings VALUES (@d, @f + 1)",
+    "INSERT INTO Nowhere VALUES (@d)",
+    "SELECT fno FROM Flights F, Flights F WHERE fno = @d",
+]
+
+
+@pytest.mark.parametrize("text", FAULTS)
+@pytest.mark.parametrize("env", [{}, {"@d": "LA"}, {"@d": "LA", "@f": 235},
+                                 {"@d": "LA", "@f": 122}])
+def test_the_first_fault_binding_met_is_the_one_raised(text, env):
+    db, _scripts = FAMILIES["examples"]
+    program = parse_transaction(f"BEGIN TRANSACTION; {text}; COMMIT;")
+    stmt, params = program.template[0], program.params
+    want = outcome(lambda: oracle(stmt, db, env, params, {}))
+    for _ in range(2):
+        assert outcome(lambda: production(stmt, db, env, params)) == want
