@@ -410,7 +410,8 @@ def test_bind_transfer_statements(benchmark):
                 compile_insert(insert, db, env, params))
 
     selected, updated, inserted = benchmark(bind)
-    assert str(selected.plan.where) == "(Accounts.id = 17)"
+    assert str(selected.query.where) == "(Accounts.id = ?0)"
+    assert selected.values == {0: 17}
     assert str(updated.predicate) == "(id = 4000)"
     assert inserted.values == (4000, 1)
 

@@ -663,11 +663,6 @@ RANGE = Arm(
               _total("lock_waits")),
         Table("range_scans", "Range ablation: planner index-range scans",
               "index range scans", _total("index_range_scans")),
-        # index probes that degenerated into full scans.
-        Table("fallbacks", "Range ablation: index fallback scans",
-              "fallback scans",
-              lambda point: sum(
-                  sum(r.fallback_scans.values()) for r in point.reports)),
     ),
     rules=(
         Rule("indexed table S grants",
@@ -681,11 +676,6 @@ RANGE = Arm(
              curve("table_s_grants", RANGE_BASELINE_SERIES), "!=", 0),
         Rule("b+tree/hash-only throughput at every shard count (the "
              "acceptance bar)", _RANGE_SPEEDUP, ">=", 5.0),
-        # Range predicates never route through ``lookup_index``.
-        Rule("indexed fallback scans",
-             curve("fallbacks", RANGE_INDEXED_SERIES), "==", 0),
-        Rule("hash-only fallback scans",
-             curve("fallbacks", RANGE_BASELINE_SERIES), "==", 0),
     ),
     ratios={"range speedup (b+tree/hash-only)": _RANGE_SPEEDUP},
     extras={"range_speedup": _RANGE_SPEEDUP},

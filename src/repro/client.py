@@ -901,7 +901,7 @@ class ScriptHandle:
 
     @property
     def attempts(self) -> int:
-        return self._txn.stats.attempts
+        return self._txn.attempts
 
     def host_variables(self) -> dict[str, "SQLValue | None"]:
         """The committed script's ``AS @var`` bindings."""

@@ -41,7 +41,7 @@ from repro.core.recovery import (
     find_partial_groups,
     recover_entangled,
 )
-from repro.core.transaction import EntangledTransaction, TxnPhase, TxnStats
+from repro.core.transaction import EntangledTransaction, TxnPhase
 
 __all__ = [
     "ArrivalCountPolicy",
@@ -66,7 +66,6 @@ __all__ = [
     "StepOutcome",
     "TimeIntervalPolicy",
     "TxnPhase",
-    "TxnStats",
     "deliver_answer",
     "execute_statement",
     "find_partial_groups",

@@ -155,7 +155,6 @@ class RunReport:
     """What one run did — the engine's unit of progress reporting."""
 
     index: int
-    scheduled: int = 0
     committed: list[int] = field(default_factory=list)
     returned_to_pool: list[int] = field(default_factory=list)
     timed_out: list[int] = field(default_factory=list)
@@ -171,10 +170,9 @@ class RunReport:
     lock_waits: int = 0
     deadlocks: int = 0
     locks_acquired: int = 0
-    #: MVCC deltas for this run: attempts lost to first-updater-wins
-    #: write-write conflicts, snapshot reads restarted by version-chain
-    #: pruning, and the longest version chain at the end of the run.
-    write_conflicts: int = 0
+    #: MVCC deltas for this run: snapshot reads restarted by
+    #: version-chain pruning, and the longest version chain at the end
+    #: of the run.
     read_restarts: int = 0
     max_version_chain: int = 0
     #: SSI deltas for this run: attempts aborted by serialization
@@ -183,12 +181,6 @@ class RunReport:
     #: the pivot had already committed).
     ssi_aborts: int = 0
     pivot_aborts: int = 0
-    #: sharding deltas for this run, one entry per storage shard
-    #: (single-shard engines report one-element lists): storage commits,
-    #: storage aborts, and lock waits that landed on each shard.
-    shard_commits: list[int] = field(default_factory=list)
-    shard_aborts: list[int] = field(default_factory=list)
-    shard_lock_waits: list[int] = field(default_factory=list)
     #: middle-tier transactions this run committed whose writes spanned
     #: more than one shard (the two-phase-commit population).
     cross_shard_commits: int = 0
@@ -198,30 +190,17 @@ class RunReport:
     #: (table -> {chain length -> #rids}) — the GC-pressure signal the
     #: horizon-aware vacuum is meant to keep flat.
     chain_histograms: dict[str, dict[int, int]] = field(default_factory=dict)
-    #: planner deltas for this run: ordered-index range scans taken,
-    #: sequential scans those ranges replaced, and ORDER BY sorts elided
-    #: by riding an ordered scan.
+    #: planner delta for this run: ordered-index range scans taken.
     index_range_scans: int = 0
-    seq_scans_avoided: int = 0
-    sorts_elided: int = 0
-    #: per-table index-miss scans (``Table.fallback_scans`` deltas):
-    #: probes that degenerated into full scans because no declared index
-    #: covered the requested columns.  An indexed workload should keep
-    #: every entry at zero.
-    fallback_scans: dict[str, int] = field(default_factory=dict)
     #: admission deltas since the previous run: arrivals admitted into
     #: the dormant pool, and arrivals shed by the queue-depth bound
     #: (``EngineConfig.max_queue_depth``) with an
     #: :class:`~repro.errors.OverloadError`.
     admitted: int = 0
     shed: int = 0
-    #: replication deltas (zero on non-replicated stores): snapshot
-    #: probes served by follower replicas instead of leaders, the worst
-    #: follower lag (commit-timestamp ticks) at run end, and leader
-    #: failovers promoted during the run.
+    #: replication delta (zero on non-replicated stores): snapshot
+    #: probes served by follower replicas instead of leaders.
     follower_reads: int = 0
-    replication_lag: int = 0
-    promotions: int = 0
 
 
 class DrainReports(list):
@@ -267,7 +246,7 @@ class EntangledTransactionEngine:
         self.executor = (
             ShardExecutor(self.store.n_shards) if self.config.executor else None
         )
-        #: guards run-report/stats mutations reachable from concurrent
+        #: guards run-report mutations reachable from concurrent
         #: commit-unit workers (a leaf lock: never held while calling
         #: into the store).
         self._report_lock = Latch("run-report", reentrant=False)
@@ -482,7 +461,6 @@ class EntangledTransactionEngine:
                 self._finalize_timeout(txn, report)
                 continue
             batch.append(txn)
-        report.scheduled = len(batch)
 
         for txn in batch:
             txn.start_attempt(self.store.begin(isolation=self._storage_isolation))
@@ -509,7 +487,6 @@ class EntangledTransactionEngine:
                     self._abort_attempt(txn, retry=True, report=report,
                                         reason="deadlock victim")
                 elif outcome is StepOutcome.WRITE_CONFLICT:
-                    report.write_conflicts += 1
                     self._abort_attempt(
                         txn, retry=True, report=report,
                         reason="write-write conflict (first updater wins)")
@@ -575,12 +552,6 @@ class EntangledTransactionEngine:
         report.deadlocks = delta["locks"]["deadlocks"]
         report.locks_acquired = delta["locks"]["acquired"]
         report.index_range_scans = delta["plans"]["index_range_scans"]
-        report.seq_scans_avoided = delta["plans"]["seq_scans_avoided"]
-        report.sorts_elided = delta["plans"]["sorts_elided"]
-        report.fallback_scans = delta["fallback_scans"]
-        report.shard_commits = [s["commits"] for s in delta["shards"]]
-        report.shard_aborts = [s["aborts"] for s in delta["shards"]]
-        report.shard_lock_waits = [s["lock_waits"] for s in delta["shards"]]
         report.cross_shard_commits = delta["cross_shard_commits"]
         if report.committed:
             report.cross_shard_share = (
@@ -593,10 +564,8 @@ class EntangledTransactionEngine:
         report.ssi_aborts += (
             report.pivot_aborts + delta["ssi"]["conservative_aborts"])
         report.follower_reads = delta["follower_reads"]
-        report.promotions = delta["promotions"]
         report.max_version_chain = self.store.version_stats()["max_chain"]
         report.chain_histograms = self.store.chain_histograms()
-        report.replication_lag = self.store.replication_lag()
 
         admitted_before, shed_before = self._admission_stamped
         report.admitted = self.admission_admitted - admitted_before
@@ -617,11 +586,8 @@ class EntangledTransactionEngine:
             "locks": dict(store.locks.stats),
             "ssi": dict(store.ssi.stats),
             "plans": dict(store.plan_stats),
-            "fallback_scans": store.fallback_scan_counts(),
-            "shards": store.shard_stats(),
             "cross_shard_commits": store.cross_shard_commit_count,
             "follower_reads": store.follower_read_count,
-            "promotions": store.promotion_count,
         }
 
     def _home_shard(self, txn: EntangledTransaction) -> int:
@@ -717,20 +683,16 @@ class EntangledTransactionEngine:
             elif outcome is QueryOutcome.UNSAFE:
                 self._abort_attempt(txn, retry=False, report=report,
                                     reason="safety violation")
-            elif outcome is QueryOutcome.BLOCKED:
-                # Grounding hit a lock conflict; stays blocked and is
-                # retried once the holder commits/aborts.
-                txn.stats.lock_waits += 1
             elif outcome is QueryOutcome.DEADLOCKED:
-                txn.stats.deadlocks += 1
                 self._abort_attempt(txn, retry=True, report=report,
                                     reason="deadlock victim (grounding)")
             elif outcome is QueryOutcome.RESTART:
-                txn.stats.read_restarts += 1
                 report.read_restarts += 1
                 self._abort_attempt(txn, retry=True, report=report,
                                     reason="snapshot pruned (grounding)")
-            # WAIT: stays blocked; retried next round/run.
+            # BLOCKED (grounding hit a lock conflict) and WAIT: stays
+            # blocked; retried once the holder commits/aborts, or next
+            # round/run.
         return answered
 
     def _autocommit_statement(
@@ -744,7 +706,6 @@ class EntangledTransactionEngine:
         try:
             self.store.commit(txn.storage_txn)
         except SerializationFailureError:
-            txn.stats.ssi_aborts += 1
             self._abort_attempt(
                 txn, retry=True, report=report,
                 reason="serialization failure (SSI dangerous structure)")
@@ -829,7 +790,6 @@ class EntangledTransactionEngine:
             if outcome.doomed:
                 for member in members:
                     with self._report_lock:
-                        member.stats.ssi_aborts += 1
                         report.ssi_aborts += 1
                     self._abort_attempt(
                         member, retry=True, report=report,
@@ -907,8 +867,6 @@ class EntangledTransactionEngine:
         """SSI rejected the commit itself: the attempt aborts and
         retries, exactly like a write conflict discovered one step
         earlier."""
-        with self._report_lock:
-            txn.stats.ssi_aborts += 1
         self._abort_attempt(
             txn, retry=True, report=report,
             reason="serialization failure (SSI dangerous structure)")
@@ -917,7 +875,6 @@ class EntangledTransactionEngine:
         self, txn: EntangledTransaction, report: RunReport
     ) -> None:
         """Bookkeeping for a storage commit that stuck."""
-        txn.stats.shards_touched = self.store.shards_touched(txn.storage_txn)
         for listener in self.listeners:
             listener.committed(txn)
         txn.mark_committed()
@@ -1000,11 +957,8 @@ class EntangledTransactionEngine:
 
 def _minus(after, before):
     """``after - before`` over two readings of nested counters; a key the
-    earlier reading lacks (a table created during the run) counts from
-    zero."""
+    earlier reading lacks counts from zero."""
     if isinstance(after, dict):
         return {key: _minus(value, before.get(key, 0))
                 for key, value in after.items()}
-    if isinstance(after, list):
-        return [_minus(a, b) for a, b in zip(after, before)]
     return after - before

@@ -12,8 +12,7 @@ and :func:`deliver_answer` the one binder of an entangled answer, for
 all three front ends: a batch script (:func:`run_until_block`), an
 interactive session and a direct storage transaction each call them on
 the :class:`~repro.core.transaction.EntangledTransaction` they hold, so
-host variables, parameters, statistics and fallback-scan attribution
-behave identically everywhere.
+host variables and parameters behave identically everywhere.
 
 Nothing here accounts time: the engine reports each step of a batch
 script to its run-event subscribers (:mod:`repro.core.events`), and a
@@ -109,19 +108,14 @@ def run_until_block(
                 return StepOutcome.BLOCKED_ON_QUERY
             execute_statement(txn, stmt, store)
         except WouldBlock:
-            txn.stats.lock_waits += 1
             return StepOutcome.LOCK_BLOCKED
         except DeadlockError:
-            txn.stats.deadlocks += 1
             return StepOutcome.DEADLOCKED
         except WriteConflictError:
-            txn.stats.write_conflicts += 1
             return StepOutcome.WRITE_CONFLICT
         except SnapshotTooOldError:
-            txn.stats.read_restarts += 1
             return StepOutcome.SNAPSHOT_RESTART
         except SerializationFailureError:
-            txn.stats.ssi_aborts += 1
             return StepOutcome.SERIALIZATION_FAILURE
         except TransactionAborted as exc:
             txn.abort_reason = exc.reason
@@ -133,12 +127,10 @@ def run_until_block(
             txn.abort_reason = f"statement error: {exc}"
             return StepOutcome.ROLLED_BACK
         txn.pc += 1
-        txn.stats.statements_executed += 1
         if autocommit:
             try:
                 store.commit(txn.storage_txn)
             except SerializationFailureError:
-                txn.stats.ssi_aborts += 1
                 return StepOutcome.SERIALIZATION_FAILURE
             txn.storage_txn = store.begin(
                 isolation=store.isolation_of(txn.storage_txn)
@@ -164,7 +156,6 @@ def execute_statement(
         compiled = compile_select(stmt, store.db, txn.env, params)
         rows = store.query(
             txn.storage_txn, compiled.query, compiled.values, compiled.bound)
-        txn.stats.fallback_scans += store.take_fallback_scans()
         first = rows[0] if rows else None
         for var, index in compiled.bindings:
             txn.env[var] = None if first is None else first[index]
@@ -216,7 +207,6 @@ def deliver_answer(txn: EntangledTransaction, answer: QueryAnswer | None) -> Non
         for var, head_index, position in txn.pending_query.var_bindings:
             atom = answer.tuples[head_index]
             txn.env[var] = atom.values[position]
-        txn.stats.entangled_queries_answered += 1
     else:
         for var, _head_index, _position in txn.pending_query.var_bindings:
             txn.env[var] = None

@@ -25,8 +25,8 @@ execution in subsequent runs."
 
 An interactive session and a direct storage transaction hold one too,
 for their lifetime, with no program: their statements arrive one at a
-time and run through the same executor against the same ``env``,
-``stats`` and ``storage_txn``.
+time and run through the same executor against the same ``env`` and
+``storage_txn``.
 """
 
 from __future__ import annotations
@@ -54,31 +54,6 @@ class TxnPhase(enum.Enum):
         return self in (TxnPhase.COMMITTED, TxnPhase.ABORTED, TxnPhase.TIMED_OUT)
 
 
-@dataclass
-class TxnStats:
-    """Per-transaction counters reported by the engine."""
-
-    attempts: int = 0
-    statements_executed: int = 0
-    entangled_queries_answered: int = 0
-    lock_waits: int = 0
-    deadlocks: int = 0
-    #: SNAPSHOT attempts lost to first-updater-wins write-write conflicts.
-    write_conflicts: int = 0
-    #: attempts restarted because the snapshot was pruned mid-flight.
-    read_restarts: int = 0
-    #: SERIALIZABLE attempts aborted by SSI (dangerous-structure pivots).
-    ssi_aborts: int = 0
-    #: index probes that degenerated into full scans because no declared
-    #: index covered the requested columns (``Table.fallback_scans``
-    #: deltas attributed to this transaction's SELECTs).
-    fallback_scans: int = 0
-    #: storage shards the committed attempt touched (1 for single-shard
-    #: transactions; >1 means the commit ran the cross-shard two-phase
-    #: prepare).  0 until the transaction commits.
-    shards_touched: int = 0
-
-
 #: the program of a transaction whose statements arrive one at a time.
 _NO_PROGRAM = TransactionProgram(())
 
@@ -100,7 +75,8 @@ class EntangledTransaction:
     #: ordinal of the entangled query currently pending (1-based), used to
     #: build unique query ids and to track progress through the program.
     entangled_ordinal: int = 0
-    stats: TxnStats = field(default_factory=TxnStats)
+    #: attempts started, the first one included.
+    attempts: int = 0
     #: transactions this one entangled with during the current attempt.
     partners: set[int] = field(default_factory=set)
     abort_reason: str = ""
@@ -134,7 +110,7 @@ class EntangledTransaction:
             )
         self.phase = TxnPhase.RUNNING
         self.storage_txn = storage_txn
-        self.stats.attempts += 1
+        self.attempts += 1
 
     def block_on(self, stmt: EntangledSelectStmt, query: EntangledQuery) -> None:
         self.phase = TxnPhase.BLOCKED

@@ -56,7 +56,7 @@ SELECT's residual predicate — are bound per execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from repro.entangled.grounding import compile_body
 from repro.entangled.ir import Atom, EntangledQuery, Val, Var
@@ -186,52 +186,21 @@ def _is_value(expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class CompiledSelect:
+class CompiledSelect(NamedTuple):
     """An executable classical SELECT plus the host-variable bindings to
     apply to its first result row (``AS @var`` / bare ``@var`` select
     items), as ``(var name, output index)`` pairs.
 
-    Engine view: ``query``, the statement's prepared SPJ query, whose
-    ``Param`` and ``@var`` leaves read ``values`` (pass them to the
-    store as the query's parameters), and ``bound``, its
+    ``query`` is the statement's prepared SPJ query, whose ``Param`` and
+    ``@var`` leaves read ``values`` (pass them to the store as the
+    query's parameters), and ``bound`` its
     :class:`~repro.storage.planner.BoundQuery` (None: bound per call).
-    Literal view: ``plan``, the query with those leaves bound to
-    constants, built on first access; equality is that of the literal
-    view.
     """
 
-    __slots__ = ("query", "bindings", "values", "bound", "_plan")
-
-    def __init__(self, query: SPJQuery, bindings=(), values=None, bound=None):
-        self.query = query
-        self.bindings = bindings
-        self.values = values or {}
-        self.bound = bound
-        self._plan = None if self.values else query
-
-    @property
-    def plan(self) -> SPJQuery:
-        if self._plan is None:
-            q, values = self.query, self.values
-            self._plan = SPJQuery(
-                q.tables,
-                tuple(inline_hostvars(e, values, values) for e in q.select),
-                q.select_names,
-                None if q.where is None
-                else inline_hostvars(q.where, values, values),
-                q.distinct, q.limit, q.order_by,
-            )
-        return self._plan
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CompiledSelect):
-            return NotImplemented
-        return self.plan == other.plan and self.bindings == other.bindings
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"CompiledSelect(plan={self.plan!r}, bindings={self.bindings!r})"
+    query: SPJQuery
+    bindings: tuple[tuple[str, int], ...] = ()
+    values: Mapping[str, SQLValue | None] | None = None
+    bound: BoundQuery | None = None
 
 
 class _ResolvedSelect(NamedTuple):

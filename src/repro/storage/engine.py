@@ -281,15 +281,13 @@ class StorageEngine(StoreBase):
         #: paths?  Tables maintain the trees either way; False is the
         #: hash-only baseline arm of the range benchmark.
         self.ordered_indexes = ordered_indexes
-        #: plan counters the planner accumulates (surfaced in RunReport).
+        #: plan counters the planner accumulates (``index_range_scans``
+        #: is surfaced in RunReport).
         self.plan_stats = {
             "index_range_scans": 0,
             "seq_scans_avoided": 0,
             "sorts_elided": 0,
         }
-        #: the ``fallback_scan_counts`` total at the last
-        #: :meth:`take_fallback_scans`.
-        self._fallback_scans_taken = 0
         self._contexts: dict[int, TxnContext] = {}
         #: active transactions holding writes — maintained so the
         #: checkpoint quiescence test is O(1) instead of scanning every
@@ -706,6 +704,27 @@ class StorageEngine(StoreBase):
         for columns, key in keys:
             self._lock(txn, index_key_resource(table_name, columns, key), mode)
 
+    def _lock_moved_keys(
+        self,
+        txn: int,
+        table,
+        table_name: str,
+        keys: Iterable[tuple[tuple[str, ...], tuple]],
+        vacated,
+    ) -> None:
+        """Lock the keys a delete or an update moves a row into or out
+        of: IX on each, except a primary key in ``vacated``, which takes
+        X.  It is unique, so an inserter of the vacated key (IX) must
+        wait for this write's outcome: were it let in, an abort could
+        not give the key back to the row."""
+        primary = table.schema.primary_key
+        for key in keys:
+            self._lock_index_keys(
+                txn, table_name, [key],
+                LockMode.EXCLUSIVE if key[0] == primary and key in vacated
+                else LockMode.INTENTION_EXCLUSIVE,
+            )
+
     def _lock_gap_successors(
         self,
         txn: int,
@@ -923,20 +942,6 @@ class StorageEngine(StoreBase):
         ctx = self._contexts.get(txn)
         return [0] if ctx is not None and ctx.written_tables else []
 
-    @_locked
-    def shards_touched(self, txn: int) -> int:
-        return 1
-
-    @_locked
-    def shard_stats(self) -> list[dict[str, int]]:
-        """Per-shard counters for RunReport (one entry per shard)."""
-        return [{
-            "commits": self.commit_count,
-            "aborts": self.abort_count,
-            "lock_waits": self.locks.stats["waits"],
-            "locks_acquired": self.locks.stats["acquired"],
-        }]
-
     def _check_write_conflict(self, ctx: TxnContext, table, rid: int) -> None:
         """First-updater-wins: a SNAPSHOT writer loses against any version
         of the row committed after its snapshot (the first updater already
@@ -958,11 +963,6 @@ class StorageEngine(StoreBase):
 
     query = _locked(StoreBase.query)
 
-    def _catalogs(self):
-        return (self.db,)
-
-    fallback_scan_counts = _locked(StoreBase.fallback_scan_counts)
-    take_fallback_scans = _locked(StoreBase.take_fallback_scans)
     read_table = _locked(StoreBase.read_table)
 
     # -- writes -----------------------------------------------------------------------
@@ -1055,8 +1055,9 @@ class StorageEngine(StoreBase):
             new_keys = set(index_keys(canonical))
             # Deterministic acquisition order; key=repr because key tuples
             # may mix NULL with values, which don't compare directly.
-            self._lock_index_keys(
-                txn, table_name, sorted(old_keys ^ new_keys, key=repr)
+            self._lock_moved_keys(
+                txn, table, table_name, sorted(old_keys ^ new_keys, key=repr),
+                old_keys - new_keys,
             )
             # Keys the row *gains* are inserts from a range reader's
             # perspective: gap-lock their successors too.
@@ -1093,11 +1094,10 @@ class StorageEngine(StoreBase):
         if self.locking and self.granularity is LockGranularity.FINE:
             # The delete vacates every key the row carries: a reader
             # probing one of them (perhaps getting a miss) must not see
-            # the uncommitted removal, so each key takes IX first.
-            self._lock_index_keys(
-                txn, table_name,
-                table.schema.index_keys(table.get(rid).values),
-            )
+            # the uncommitted removal, so each key takes IX first.  The
+            # primary key takes X (see _lock_moved_keys).
+            keys = table.schema.index_keys(table.get(rid).values)
+            self._lock_moved_keys(txn, table, table_name, keys, keys)
         old = table.delete(
             rid, writer=txn, prune_horizon=self.oracle.oldest_active()
         )

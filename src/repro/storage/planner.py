@@ -111,9 +111,9 @@ from repro.storage.types import ColumnType
 class PlanHints:
     """Engine-level knobs threaded into planning.
 
-    ``stats`` (when provided) accumulates the plan counters surfaced in
-    run reports: ``index_range_scans``, ``seq_scans_avoided``,
-    ``sorts_elided`` — counted per execution, not per preparation.
+    ``stats`` (when provided) accumulates a store's ``plan_stats``:
+    ``index_range_scans``, ``seq_scans_avoided``, ``sorts_elided`` —
+    counted per execution, not per preparation.
     """
 
     ordered_indexes: bool = True

@@ -108,7 +108,7 @@ class ShardEngine(Protocol):
     #: ``waits_edges``, ``cancel_wait``, ``share_waits_for``.
     locks: Any
     #: the catalog: ``name``, ``has_table``, ``table`` (a live
-    #: :class:`TableView` plus ``snapshot`` and ``fallback_scans``),
+    #: :class:`TableView` plus ``snapshot``),
     #: ``table_names``, ``schemas``.
     db: Any
     commit_count: int
@@ -241,9 +241,8 @@ class Store(Protocol):
     checkpoint_interval: int
     #: writing commits whose writes spanned shards (two-phase commits).
     cross_shard_commit_count: int
-    #: snapshot probes answered by a follower; leader failovers.
+    #: snapshot probes answered by a follower.
     follower_read_count: int
-    promotion_count: int
 
     @property
     def n_shards(self) -> int: ...
@@ -346,20 +345,10 @@ class Store(Protocol):
 
     # -- statistics --------------------------------------------------------------------
 
-    def take_fallback_scans(self) -> int: ...
-
-    def fallback_scan_counts(self) -> dict[str, int]: ...
-
-    def shard_stats(self) -> list[dict[str, int]]: ...
-
     def written_shards(self, txn: int) -> list[int]: ...
-
-    def shards_touched(self, txn: int) -> int: ...
 
     def version_stats(self) -> dict[str, int]: ...
 
     def chain_histograms(self) -> dict[str, dict[int, int]]: ...
-
-    def replication_lag(self) -> int: ...
 
     def read_probe_counts(self) -> dict[str, int]: ...

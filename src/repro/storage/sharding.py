@@ -428,9 +428,9 @@ class ShardedStorageEngine(StoreBase):
     degenerate configuration, property-tested observationally equivalent
     to a plain :class:`StorageEngine`).  The contract members that mean
     the same over N timelines as over one — ``query``, ``read_table``,
-    ``grounding_hooks``, ``reads_from``, ``load``, the fallback-scan
-    counters — are :class:`~repro.storage.store.StoreBase`'s; this class
-    supplies the primitives they stand on.
+    ``grounding_hooks``, ``reads_from``, ``load`` — are
+    :class:`~repro.storage.store.StoreBase`'s; this class supplies the
+    primitives they stand on.
     """
 
     #: Latch discipline, machine-checked by ``latchlint`` (LL005): the
@@ -495,9 +495,6 @@ class ShardedStorageEngine(StoreBase):
         #: guards the small coordinator counters that are not worth the
         #: commit funnel (mvcc tallies, abort counts).
         self._meta_lock = Latch("shard-meta", reentrant=False)
-        #: the ``fallback_scan_counts`` total already handed out by
-        #: :meth:`take_fallback_scans`.
-        self._fallback_scans_taken = 0
         # One waits-for graph across all shard lock managers: a 2PL
         # wait cycle that spans shards (A blocks in shard 0, B in shard
         # 1) is invisible to either manager alone; sharing the edge map
@@ -1057,9 +1054,6 @@ class ShardedStorageEngine(StoreBase):
 
     # -- reads (bodies in StoreBase) ------------------------------------------------------
 
-    def _catalogs(self):
-        return [shard.db for shard in self.shards]
-
     # -- writes -------------------------------------------------------------------------
 
     def _record_write(
@@ -1261,26 +1255,6 @@ class ShardedStorageEngine(StoreBase):
     def written_shards(self, txn: int) -> list[int]:
         ctx = self._contexts.get(txn)
         return sorted(ctx.written) if ctx is not None else []
-
-    def shards_touched(self, txn: int) -> int:
-        """Shards the transaction *wrote* in (>1 ⇒ two-phase prepare
-        ran); read-only fan-out does not count — a cross-shard read
-        needs no coordination at commit."""
-        ctx = self._contexts.get(txn)
-        if ctx is None:
-            return 0
-        return max(len(ctx.written), 1)
-
-    def shard_stats(self) -> list[dict[str, int]]:
-        return [
-            {
-                "commits": shard.commit_count,
-                "aborts": shard.abort_count,
-                "lock_waits": shard.locks.stats["waits"],
-                "locks_acquired": shard.locks.stats["acquired"],
-            }
-            for shard in self.shards
-        ]
 
     # -- crash simulation ----------------------------------------------------------------
 

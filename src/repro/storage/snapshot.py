@@ -113,17 +113,13 @@ class SnapshotView:
             self._check_serveable()
             wanted = tuple(column_names)
             index = self._table.secondary_index(wanted)
-            if index is None:
-                self._table.fallback_scans += 1
-                candidates = self._table.snapshot_rids()
-            else:
-                # Current-index matches plus the rids that historically
-                # carried this key: O(matching + per-key history), immune to
-                # delete/re-key churn elsewhere in the table.
-                candidates = sorted(
-                    set(index.lookup(key))
-                    | self._table.history_rids_for_index(index.column_names, key)
-                )
+            # Current-index matches plus the rids that historically
+            # carried this key: O(matching + per-key history), immune to
+            # delete/re-key churn elsewhere in the table.
+            candidates = sorted(
+                set(index.lookup(key))
+                | self._table.history_rids_for_index(index.column_names, key)
+            )
             positions = [self.schema.column_index(c) for c in wanted]
             rows = []
             for rid in candidates:

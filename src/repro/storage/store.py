@@ -27,7 +27,6 @@ the primitives they are written against:
 * ``_holds_horizon(txn)`` — whether it is registered (not parked);
 * ``_resnapshot(ctx)`` — move it to the freshest cut and re-register it,
   unless it is registered there already; says whether it moved;
-* ``_catalogs()`` — the databases holding the physical tables;
 * ``commit_funnel()`` — the latch visibility transitions ride;
 * ``_meta_lock`` / ``_mvcc_local`` — the latch the small counters are
   updated under, and this store's own share of ``mvcc_stats``.
@@ -376,30 +375,6 @@ class StoreBase:
                     break
             if cut:
                 del log[:cut]
-
-    # -- index-miss accounting ----------------------------------------------------------
-
-    def fallback_scan_counts(self) -> dict[str, int]:
-        """Per-table full-scan counters (``Table.fallback_scans``),
-        surfaced in run reports so workloads can assert an indexed range
-        query never degenerated into a scan."""
-        counts = dict.fromkeys(self.db.table_names(), 0)
-        for catalog in self._catalogs():
-            for name in counts:
-                counts[name] += catalog.table(name).fallback_scans
-        return counts
-
-    def take_fallback_scans(self) -> int:
-        """Full scans counted since the previous call: the statement
-        executor asks once after each SELECT, so one catalog walk per
-        statement attributes them."""
-        total = sum(self.fallback_scan_counts().values())
-        with self._meta_lock:
-            # Two workers may have summed in either order: never hand
-            # out a scan twice, never a negative count.
-            taken = max(0, total - self._fallback_scans_taken)
-            self._fallback_scans_taken += taken
-        return taken
 
     # -- internals ----------------------------------------------------------------------
 

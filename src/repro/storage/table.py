@@ -90,10 +90,6 @@ class Table:
         self._ordered: dict[tuple[str, ...], BPlusTree] = {
             cols: BPlusTree() for cols in self._ordered_positions
         }
-        #: how often :meth:`lookup_index` fell back to a linear scan because
-        #: no matching index was declared — an unindexed hot path shows up
-        #: here (and in benchmark reports) instead of hiding in latency.
-        self.fallback_scans = 0
         #: MVCC state: per-rid version chains (oldest first), rids whose
         #: non-current versions may still be visible to some snapshot, the
         #: per-writer pending version sets, and the GC floor below which
@@ -194,22 +190,13 @@ class Table:
         return self._rows[rid] if rid is not None else None
 
     def lookup_index(self, column_names: Sequence[str], key: tuple) -> list[Row]:
-        """Lookup via a matching secondary index; falls back to a scan.
+        """Lookup via the declared secondary index on ``column_names``.
 
-        The fallback keeps callers correct when no index was declared, at a
-        linear cost — the query layer prefers indexes when available.
+        The planner probes declared indexes only, so a probe no index
+        covers raises :class:`StorageError` instead of scanning.
         """
-        wanted = tuple(column_names)
-        for index in self._secondary:
-            if index.column_names == wanted:
-                return [self._rows[rid] for rid in sorted(index.lookup(key))]
-        self.fallback_scans += 1
-        positions = [self.schema.column_index(c) for c in wanted]
-        return [
-            row
-            for row in self.scan()
-            if tuple(row.values[p] for p in positions) == key
-        ]
+        index = self.secondary_index(column_names)
+        return [self._rows[rid] for rid in sorted(index.lookup(key))]
 
     # -- ordered (B+ tree) access ---------------------------------------------------
 
@@ -672,12 +659,14 @@ class Table:
         """The rid currently carrying primary key ``key`` (current state)."""
         return self._pk_index.get(key)
 
-    def secondary_index(self, column_names: Sequence[str]) -> HashIndex | None:
+    def secondary_index(self, column_names: Sequence[str]) -> HashIndex:
+        """The declared secondary index on exactly ``column_names``."""
         wanted = tuple(column_names)
         for index in self._secondary:
             if index.column_names == wanted:
                 return index
-        return None
+        raise StorageError(
+            f"table {self.name!r} declares no secondary index on {wanted!r}")
 
     def prune_versions(self, horizon: int) -> int:
         """Drop versions invisible to every snapshot at/after ``horizon``.

@@ -352,11 +352,11 @@ class RemoteTableView:
     ``snapshot_view``).  The data methods are the verb table's.
 
     Nothing but ``schema`` and ``row_estimate`` is answered here:
-    ``fallback_scans`` and ``live_rows`` (what ``row_estimate`` answers
-    with: the planner costs a path without a frame) are plain attributes
-    refreshed from response envelopes.  The live instance is cached per
-    name by :class:`RemoteCatalog`, so those envelope updates land on
-    the object callers hold, and a view ``at`` a snapshot asks it.
+    ``live_rows`` (what ``row_estimate`` answers with: the planner costs
+    a path without a frame) is a plain attribute refreshed from response
+    envelopes.  The live instance is cached per name by
+    :class:`RemoteCatalog`, so those envelope updates land on the object
+    callers hold, and a view ``at`` a snapshot asks it.
     """
 
     def __init__(self, connection: ShardConnection, schema: TableSchema,
@@ -364,7 +364,6 @@ class RemoteTableView:
                  live: "RemoteTableView | None" = None):
         self._connection = connection
         self.schema = schema
-        self.fallback_scans = 0
         self.live_rows = 0
         self._live = self if live is None else live
         self._verbs = _LIVE_READS if at is None else _SNAPSHOT_READS
@@ -470,7 +469,7 @@ class RemoteShardEngine:
         # Latch order: oracle (50) then wal (52), acquired separately,
         # never nested; counter writes are plain attribute stores.
         (ts, self.commit_count, self.abort_count, delta, wal_full, last_lsn,
-         flushed, fallback, stats) = envelope
+         flushed, live_rows, stats) = envelope
         self.oracle.advance_to(ts)
         wal = self.wal
         if wal_full is not None:
@@ -486,9 +485,8 @@ class RemoteShardEngine:
         # lost volatile tail consumed (this thread is the only writer).
         if last_lsn >= wal._next_lsn:
             wal._next_lsn = last_lsn + 1
-        for name, (scans, rows) in zip(self.db.table_names(), fallback):
-            table = self.db.table(name)
-            table.fallback_scans, table.live_rows = scans, rows
+        for name, rows in zip(self.db.table_names(), live_rows):
+            self.db.table(name).live_rows = rows
         if stats is not None:
             lock_stats, self._version_stats, self._chain_histograms = stats
             self.locks.stats.update(zip(LOCK_STATS, lock_stats))

@@ -26,10 +26,10 @@ never silently loses a worker-side error.
 
 Every response carries an **envelope** (``None`` when nothing moved):
 the oracle's commit timestamp, commit/abort counters, the durable WAL
-delta and watermarks, per-table fallback-scan counters and live row
-counts, and — when they changed — lock-manager and version-chain
-statistics.  The coordinator's receiver thread folds it into its local
-mirrors, which is how the proxy objects answer hot-path reads
+delta and watermarks, per-table live row counts, and — when they
+changed — lock-manager and version-chain statistics.  The
+coordinator's receiver thread folds it into its local mirrors, which is
+how the proxy objects answer hot-path reads
 (``oracle.last_commit_ts``, ``wal.last_lsn``, ``locks.stats``,
 ``chain_histograms``, a table's ``row_estimate``) without a round trip.
 """
@@ -158,7 +158,7 @@ class ShardServer:
 
     def _envelope(self):
         """``(ts, commits, aborts, wal delta, wal resync, last lsn,
-        flushed lsn, per-table (fallback scans, live rows), stats)`` —
+        flushed lsn, per-table live rows, stats)`` —
         positional, because it rides most responses and dict keys would
         outweigh its values."""
         engine = self.engine
@@ -167,8 +167,8 @@ class ShardServer:
             engine.oracle.last_commit_ts, engine.commit_count,
             engine.abort_count,
         )
-        fallback = tuple(
-            (table.fallback_scans, table.row_estimate())
+        live_rows = tuple(
+            table.row_estimate()
             for table in map(engine.db.table, engine.db.table_names()))
         stats = (
             tuple(engine.locks.stats.values()),
@@ -178,7 +178,7 @@ class ShardServer:
         # Responses are FIFO per connection and the coordinator's
         # receiver applies envelopes in order, so "same state as the last
         # shipped envelope" means the mirrors are already exact.
-        state = (head, wal._next_lsn, wal.flushed_lsn, fallback, stats)
+        state = (head, wal._next_lsn, wal.flushed_lsn, live_rows, stats)
         last = self._last_state
         if self._wal_resync:
             self._wal_resync = False
@@ -195,8 +195,8 @@ class ShardServer:
         if last is not None and stats == last[-1]:
             stats = None
         return (
-            *head, delta, wal_full, wal.last_lsn, wal.flushed_lsn, fallback,
-            stats,
+            *head, delta, wal_full, wal.last_lsn, wal.flushed_lsn,
+            live_rows, stats,
         )
 
     def _wal_delta(self):

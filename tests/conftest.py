@@ -16,8 +16,11 @@ from repro.workloads import (
 )
 
 #: ``tests/core/_batch.py`` builds engines and brokers through
-#: ``connect()`` for suites in every test directory.
+#: ``connect()`` for suites in every test directory, and
+#: ``tests/sql/_reference_bind.py``'s ``literal`` reads a compiled
+#: SELECT as the plan its values bind.
 sys.path.insert(0, str(Path(__file__).parent / "core"))
+sys.path.insert(0, str(Path(__file__).parent / "sql"))
 
 
 @pytest.fixture

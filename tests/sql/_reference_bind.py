@@ -12,7 +12,9 @@ bindings, ``EntangledQuery`` and errors.  Two deviations, both forced:
 the resolution memo the copy kept on ``SelectStmt.resolutions`` is not
 kept (that attribute now holds the production path's prepared forms),
 and ``build_plan`` imports the production planner's ``_prepare`` and
-operators, which it shares on purpose.  Never import this from ``src/``.
+operators, which it shares on purpose.  One addition: :func:`literal`,
+which reads a production compiled SELECT as the plan this path binds, for
+the suites that inspect or run that plan.  Never import this from ``src/``.
 
 Original compiler docstring follows.
 
@@ -113,6 +115,23 @@ class _ResolvedSelect(NamedTuple):
     bindings: tuple[tuple[str, int], ...]
     where: Expr | None
     order_by: tuple[tuple[str, bool], ...]
+
+
+def literal(compiled) -> SPJQuery:
+    """A production ``repro.sql.compiler.CompiledSelect`` read as the plan
+    this path binds: its query with every ``Param`` and ``@var`` leaf
+    bound to the value it reads from ``compiled.values``.  Not part of
+    the copied bind path."""
+    q, values = compiled.query, compiled.values
+    if not values:
+        return q
+    return SPJQuery(
+        q.tables,
+        tuple(inline_hostvars(e, values, values) for e in q.select),
+        q.select_names,
+        None if q.where is None else inline_hostvars(q.where, values, values),
+        q.distinct, q.limit, q.order_by,
+    )
 
 
 def compile_select(

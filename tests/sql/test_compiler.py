@@ -14,6 +14,8 @@ from repro.sql import (
 )
 from repro.storage import ColumnType, TableSchema, evaluate
 
+from _reference_bind import literal
+
 
 @pytest.fixture
 def db(figure1_db):
@@ -33,19 +35,19 @@ class TestCompileSelect:
         compiled = compile_select(
             parse_statement("SELECT fno FROM Flights WHERE dest='LA'"),
             db, {})
-        rows = evaluate(compiled.plan, db)
+        rows = evaluate(literal(compiled), db)
         assert [r[0] for r in rows] == [122, 123, 124]
 
     def test_star_expansion(self, db):
         compiled = compile_select(parse_statement("SELECT * FROM Airlines"), db, {})
-        assert len(compiled.plan.select) == 2
+        assert len(literal(compiled).select) == 2
 
     def test_bare_hostvar_items_bind_like_named_columns(self, db):
         compiled = compile_select(
             parse_statement("SELECT @uid, @hometown FROM User WHERE uid=2"),
             db, {})
         assert compiled.bindings == (("@uid", 0), ("@hometown", 1))
-        assert evaluate(compiled.plan, db) == [(2, "FAT")]
+        assert evaluate(literal(compiled), db) == [(2, "FAT")]
 
     def test_as_hostvar_binding(self, db):
         compiled = compile_select(
@@ -57,7 +59,7 @@ class TestCompileSelect:
         compiled = compile_select(
             parse_statement("SELECT fno FROM Flights WHERE dest=@d"),
             db, {"@d": "Paris"})
-        assert [r[0] for r in evaluate(compiled.plan, db)] == [235]
+        assert [r[0] for r in evaluate(literal(compiled), db)] == [235]
 
     def test_unbound_hostvar_rejected(self, db):
         with pytest.raises(CompileError):
@@ -78,7 +80,7 @@ class TestCompileSelect:
                 "SELECT Flights.fno FROM Flights, Airlines "
                 "WHERE Flights.fno = Airlines.fno AND airline='Delta'"),
             db, {})
-        assert [r[0] for r in evaluate(compiled.plan, db)] == [235]
+        assert [r[0] for r in evaluate(literal(compiled), db)] == [235]
 
     def test_unknown_column(self, db):
         with pytest.raises(UnknownColumnError):
@@ -91,11 +93,11 @@ class TestCompileSelect:
                 "SELECT fno FROM Flights WHERE fno IN "
                 "(SELECT fno FROM Airlines WHERE airline='United')"),
             db, {})
-        assert [r[0] for r in evaluate(compiled.plan, db)] == [122, 123]
+        assert [r[0] for r in evaluate(literal(compiled), db)] == [122, 123]
 
     def test_tableless_select(self, db):
         compiled = compile_select(parse_statement("SELECT 1 AS one"), db, {})
-        assert evaluate(compiled.plan, db) == [(1,)]
+        assert evaluate(literal(compiled), db) == [(1,)]
 
 
 class TestCompileDml:

@@ -225,7 +225,7 @@ def production(stmt, db, env, params):
         first = rows[0] if rows else None
         bound = {var: None if first is None else first[i]
                  for var, i in compiled.bindings}
-        return compiled.plan, rows, bound
+        return reference.literal(compiled), rows, bound
     if isinstance(stmt, EntangledSelectStmt):
         query = compile_entangled(stmt, db, env, "q1", params)
         return query, ground(query, db)

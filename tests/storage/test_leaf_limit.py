@@ -23,6 +23,7 @@ from repro.storage.query import AccessKind, evaluate
 from repro.storage.sharding import build_storage_engine
 from repro.transport.process import ProcessShardedStorageEngine
 
+from _reference_bind import literal
 from test_range_queries import bound_strategy, dedupe, rows_strategy
 
 SCHEMA = TableSchema.build(
@@ -50,7 +51,7 @@ def close(store):
 
 
 def run(store, sql, isolation=TxnIsolation.TWO_PL):
-    plan = compile_select(parse_statement(sql), store.db, {}).plan
+    plan = literal(compile_select(parse_statement(sql), store.db, {}))
     txn = store.begin(isolation)
     try:
         return store.query(txn, plan)
@@ -60,7 +61,7 @@ def run(store, sql, isolation=TxnIsolation.TWO_PL):
 
 def observed(store, sql):
     """(rows, the accesses the evaluator reported) on the live tables."""
-    plan = compile_select(parse_statement(sql), store.db, {}).plan
+    plan = literal(compile_select(parse_statement(sql), store.db, {}))
     accesses = []
     return evaluate(plan, store.db, read_observer=accesses.append), accesses
 
@@ -158,9 +159,9 @@ class TestWhenItMustNot:
         assert rows_observed(accesses) == 12
 
     def test_null_bound_keeps_the_whole_range(self, store):
-        plan = compile_select(parse_statement(
+        plan = literal(compile_select(parse_statement(
             "SELECT id FROM T WHERE id >= 0 AND id < @top ORDER BY id LIMIT 2"
-        ), store.db, {"@top": None}).plan
+        ), store.db, {"@top": None}))
         accesses = []
         assert evaluate(plan, store.db, read_observer=accesses.append) == []
         assert rows_observed(accesses) == 12

@@ -123,6 +123,15 @@ DIFF_ROWS = {
 }
 
 
+def probe(view, schema, cols, key) -> list:
+    """The rows a probe of one declared index finds: the primary key's
+    or a secondary index's."""
+    if cols == list(schema.primary_key or ()):
+        row = view.lookup_pk(key)
+        return [] if row is None else [row]
+    return view.lookup_index(cols, key)
+
+
 def literal(value) -> str:
     return "NULL" if value is None else repr(value)
 
@@ -151,7 +160,7 @@ def shard_state(engine) -> dict:
                     if list(index) == cols}
             state[schema.name, tuple(cols)] = (
                 [row.rid for row in view.range_scan(cols, None, None)],
-                {key: sorted(row.rid for row in view.lookup_index(cols, key))
+                {key: sorted(row.rid for row in probe(view, schema, cols, key))
                  for key in sorted(keys, key=repr)},
             )
     return state

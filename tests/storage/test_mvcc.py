@@ -293,4 +293,3 @@ class TestSnapshotDatabaseDirect:
         view = provider.table("T")
         assert [r.values for r in view.scan()] == [(1, "a"), (2, "b")]
         assert view.lookup_pk((1,)).values == (1, "a")
-        assert view.lookup_index(("k",), (1,))[0].values == (1, "a")

@@ -35,6 +35,8 @@ from repro.storage.engine import WouldBlock
 from repro.storage.sharding import build_storage_engine
 from repro.transport.process import ProcessShardedStorageEngine
 
+from _reference_bind import literal
+
 SHARD_COUNTS = (1, 2, 4)
 
 
@@ -56,7 +58,7 @@ def range_read(store, txn, lo, hi):
         parse_statement(f"SELECT k FROM T WHERE k >= {lo} AND k < {hi}"),
         store.db, {},
     )
-    return store.query(txn, compiled.plan)
+    return store.query(txn, literal(compiled))
 
 
 class TestNextKeyLocks2PL:
@@ -119,6 +121,27 @@ class TestNextKeyLocks2PL:
         reader = store.begin()
         with pytest.raises(WouldBlock):
             range_read(store, reader, 4, 12)
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    @pytest.mark.parametrize("vacate", ["delete", "update"])
+    def test_insert_of_a_vacated_primary_key_waits(self, shards, vacate):
+        # A delete, or an update that moves the row to another primary
+        # key, X-locks the key it vacates: an inserter of that key waits
+        # for the outcome, and an abort gives the key back to the row.
+        store = build_store(shards)
+        writer = store.begin()
+        row = store.db.table("T").lookup_pk((6,))
+        if vacate == "delete":
+            store.delete(writer, "T", row.rid)
+        else:
+            store.update(writer, "T", row.rid, [7, 0])
+        inserter = store.begin()
+        with pytest.raises(WouldBlock):
+            store.insert(inserter, "T", [6, 1])
+        store.abort(writer)
+        store.abort(inserter)
+        probe = store.begin()
+        assert sorted(range_read(store, probe, 4, 10)) == [(4,), (6,), (8,)]
 
 
 #: the classic phantom write-skew pair: each transaction scans the range
@@ -219,7 +242,7 @@ def limited_read(store, txn, lo, hi, descending, n):
     compiled = compile_select(parse_statement(
         f"SELECT k FROM T WHERE k >= {lo} AND k <= {hi} "
         f"ORDER BY k {direction} LIMIT {n}"), store.db, {})
-    return store.query(txn, compiled.plan)
+    return store.query(txn, literal(compiled))
 
 
 def shard_of(store, key):

@@ -6,7 +6,7 @@ path must return exactly what a filtered sequential scan returns, for
 any data, any bounds, and any interleaved mutations, at 1/2/4 shards.
 The hypothesis suites here pin that property; the directed tests cover
 the SQL ``ORDER BY`` surface and the observability counters
-(``plan_stats``, ``fallback_scans``, ``RunReport``).
+(``plan_stats``, ``RunReport``).
 """
 
 import pytest
@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.errors import UnknownColumnError
-from repro.storage import ColumnType, TableSchema
+from repro.storage import ColumnType, TableSchema, TxnIsolation
 from repro.storage.sharding import build_storage_engine
+
+from _reference_bind import literal
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -82,14 +84,14 @@ def apply_mutations(store, mutations):
         store.commit(txn)
 
 
-def run_sql(store, sql):
+def run_sql(store, sql, isolation=TxnIsolation.TWO_PL):
     from repro.sql import parse_statement
     from repro.sql.compiler import compile_select
 
     compiled = compile_select(parse_statement(sql), store.db, {})
-    txn = store.begin()
+    txn = store.begin(isolation)
     try:
-        return store.query(txn, compiled.plan)
+        return store.query(txn, literal(compiled))
     finally:
         store.abort(txn)
 
@@ -216,7 +218,7 @@ class TestPlannerCounters:
         return store
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_range_query_bumps_plan_stats_not_fallbacks(self, shards):
+    def test_range_query_bumps_plan_stats(self, shards):
         store = self.build(shards)
         before = dict(store.plan_stats)
         rows = run_sql(store, "SELECT id FROM T WHERE id >= 5 AND id < 12")
@@ -227,9 +229,19 @@ class TestPlannerCounters:
         assert store.plan_stats["seq_scans_avoided"] == (
             before["seq_scans_avoided"] + 1
         )
-        assert all(
-            count == 0 for count in store.fallback_scan_counts().values()
-        )
+
+    @pytest.mark.parametrize("shards", SHARD_COUNTS)
+    def test_unindexed_equality_scans_and_never_probes(self, shards):
+        # The planner probes declared indexes only (a probe no index
+        # covers raises): an equality on ``amount``, which no index
+        # covers, is a filtered scan, on live rows and on a snapshot.
+        store = self.build(shards)
+        sql = "SELECT id FROM T WHERE amount = 7 OR amount = 13"
+        for isolation in (TxnIsolation.TWO_PL, TxnIsolation.SNAPSHOT):
+            assert sorted(run_sql(store, sql, isolation)) == [(7,), (13,)]
+            assert run_sql(
+                store, "SELECT id FROM T WHERE amount = 99", isolation,
+            ) == []
 
     def test_sort_elision_counts_ordered_output(self):
         store = self.build()
@@ -240,7 +252,7 @@ class TestPlannerCounters:
         assert rows == [(i,) for i in range(3, 9)]
         assert store.plan_stats["sorts_elided"] > before
 
-    def test_run_report_carries_plan_and_fallback_deltas(self):
+    def test_run_report_carries_plan_deltas(self):
         client = repro.connect()
         client.create_table(TableSchema.build(
             T_SCHEMA["name"], T_SCHEMA["columns"],
@@ -257,5 +269,3 @@ class TestPlannerCounters:
         assert handle.succeeded
         report = client.run_reports[-1]
         assert report.index_range_scans >= 1
-        assert report.fallback_scans.get("T", 0) == 0
-        assert handle._txn.stats.fallback_scans == 0

@@ -37,6 +37,7 @@ from repro.storage.query import AccessKind
 from repro.storage.sharding import build_storage_engine
 
 import _reference_planner as reference
+from _reference_bind import literal
 from test_prepared_plans import DATASETS, _live, outcome, queries
 
 INT = ColumnType.INTEGER
@@ -57,7 +58,7 @@ def build(shards=1):
 
 
 def read(store, txn, sql):
-    plan = compile_select(parse_statement(sql), store.db, {}).plan
+    plan = literal(compile_select(parse_statement(sql), store.db, {}))
     return store.query(txn, plan)
 
 
@@ -112,8 +113,8 @@ class TestMostSelectiveKey:
         store = build()
         writer = store.begin()
         candidates = store.lock_write_candidates(
-            writer, "N", compile_select(parse_statement(
-                "SELECT id FROM N WHERE a = 1 AND b = 4"), store.db, {}).plan.where)
+            writer, "N", literal(compile_select(parse_statement(
+                "SELECT id FROM N WHERE a = 1 AND b = 4"), store.db, {})).where)
         assert [row.values[0] for row in candidates] == [4]
         assert store.locks.holds(
             writer, index_key_resource("N", ("a", "b"), (1, 4)), LockMode.EXCLUSIVE)
@@ -258,8 +259,8 @@ def test_nested_index_declaration_order_does_not_matter():
             "N", [("id", INT), ("a", INT), ("b", INT)], indexes=indexes))
         db.load("N", [(i, 1, i % 2) for i in range(6)])
         seen = []
-        plan = compile_select(parse_statement(
-            "SELECT id FROM N WHERE b = 1 AND a = 1"), db, {}).plan
+        plan = literal(compile_select(parse_statement(
+            "SELECT id FROM N WHERE b = 1 AND a = 1"), db, {}))
         assert evaluate(plan, db, read_observer=seen.append) == [(1,), (3,), (5,)]
         assert seen[0].index == ("a", "b") and seen[0].key == (1, 1)
         assert len(seen) == 4

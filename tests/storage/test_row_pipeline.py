@@ -48,6 +48,7 @@ from repro.storage.ssi import SSITracker
 from repro.workloads.payments import payment_schema
 
 import _reference_planner as reference
+from _reference_bind import literal
 from test_leaf_limit import ENGINES, close
 from test_prepared_plans import outcome
 from test_read_lock_sets import held, read
@@ -266,7 +267,7 @@ def mixed_db(rows=MIXED_ROWS):
 
 
 def plan_of(sql, db, params=None):
-    return compile_select(parse_statement(sql), db, params or {}).plan
+    return literal(compile_select(parse_statement(sql), db, params or {}))
 
 
 class TestBoundsThatProveNothing:

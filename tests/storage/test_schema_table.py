@@ -1,5 +1,7 @@
 """Unit tests for schemas, tables, indexes and snapshots."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from repro.errors import (
     UnknownColumnError,
 )
 from repro.storage import Column, ColumnType, Table, TableSchema
+from repro.storage.snapshot import SnapshotView
 
 
 def users_schema(**overrides):
@@ -129,23 +132,15 @@ class TestTable:
         hits = table.lookup_index(["hometown"], ("FAT",))
         assert [r.values[0] for r in hits] == [1, 3]
 
-    def test_unindexed_lookup_falls_back_to_scan(self):
+    def test_unindexed_lookup_raises(self):
+        # The planner probes declared indexes only: a probe no index
+        # covers is an error on the live table and on a snapshot of it.
         table = self.make()
         table.insert((1, "FAT", "x"))
-        hits = table.lookup_index(["note"], ("x",))
-        assert len(hits) == 1
-
-    def test_fallback_scan_counter(self):
-        # The linear-scan fallback is correct but silently slow; the
-        # counter makes unindexed hot paths visible in benchmark reports.
-        table = self.make()
-        table.insert((1, "FAT", "x"))
-        assert table.fallback_scans == 0
-        table.lookup_index(["note"], ("x",))
-        table.lookup_index(["note"], ("y",))
-        assert table.fallback_scans == 2
-        table.lookup_index(["hometown"], ("FAT",))  # indexed: not counted
-        assert table.fallback_scans == 2
+        message = "table 'User' declares no secondary index on ('note',)"
+        for view in (table, SnapshotView(table, txn=1, read_ts=1)):
+            with pytest.raises(StorageError, match=re.escape(message)):
+                view.lookup_index(["note"], ("x",))
 
     def test_clear_empties_rows_and_indexes(self):
         table = self.make()

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.replication import ReplicatedStorageEngine
 from repro.sql import parse_statement
 from repro.sql.compiler import compile_select
@@ -54,6 +54,8 @@ from repro.storage.query import evaluate
 from repro.storage.row import Row
 from repro.storage.store import StoreBase
 from repro.transport.process import ProcessShardedStorageEngine
+
+from _reference_bind import literal
 
 SRC = Path(repro.__file__).parent
 MIDDLE_TIER = sorted([
@@ -174,8 +176,7 @@ def test_every_store_satisfies_the_protocol(name):
 @pytest.mark.parametrize("member", [
     "load", "query", "read_table", "grounding_hooks", "reads_from",
     "isolation_of", "status", "context", "serialization_doomed",
-    "serialization_doomed_group", "fallback_scan_counts",
-    "take_fallback_scans", "_plan_hints", "_notify", "park_snapshot",
+    "serialization_doomed_group", "_plan_hints", "_notify", "park_snapshot",
     "unpark_snapshot", "refresh_snapshot", "_context", "_merge_plan_stats",
 ])
 def test_shared_members_have_one_body(member):
@@ -222,7 +223,7 @@ class World:
         store.observers.append(lambda *event: self.events.append(event))
 
     def select(self, txn: str, sql: str):
-        plan = compile_select(parse_statement(sql), self.store.db, {}).plan
+        plan = literal(compile_select(parse_statement(sql), self.store.db, {}))
         return self.store.query(self.ids[txn], plan)
 
     def set_n(self, txn: str, k: int, n: int):
@@ -238,7 +239,7 @@ class World:
     def ground(self, txn: str, sql: str):
         """Evaluate the way grounding does: through the owner's hooks."""
         observer, provider = self.store.grounding_hooks(self.ids[txn])
-        plan = compile_select(parse_statement(sql), self.store.db, {}).plan
+        plan = literal(compile_select(parse_statement(sql), self.store.db, {}))
         before = self.store.locks.stats["acquired"]
         rows = evaluate(plan, provider or self.store.db, read_observer=observer)
         return (rows, provider is not None,
@@ -258,6 +259,15 @@ def begin(name: str, isolation):
         w.ids[name] = w.store.begin(isolation)
         return w.ids[name]
     return step
+
+
+def index_miss(w: World):
+    """A probe no declared index covers: the error, class and message."""
+    try:
+        w.store.db.table("U").lookup_index(("tag",), ("t2",))
+    except StorageError as exc:
+        return type(exc).__name__, str(exc)
+    return "no error"
 
 
 def crash(w: World):
@@ -366,19 +376,9 @@ def script(iso) -> list:
             s(w).release_read_locks(w.ids["q"]))),
         ("commit idle", lambda w: w.finish("p")),
         ("commit clean", lambda w: w.finish("q")),
-        # -- index-miss accounting ----------------------------------------------------------
-        ("nothing to take", lambda w: s(w).take_fallback_scans()),
-        ("index miss", lambda w: s(w).db.table("U").lookup_index(
-            ("tag",), ("t2",))),
-        ("take_fallback_scans", lambda w: s(w).take_fallback_scans() > 0),
-        ("taken once", lambda w: s(w).take_fallback_scans()),
-        ("fallback_scan_counts", lambda w: {
-            name: count > 0
-            for name, count in s(w).fallback_scan_counts().items()}),
+        # -- a probe no declared index covers -----------------------------------------------
+        ("index miss", index_miss),
         # -- statistics: shapes, whatever the topology ---------------------------------------
-        ("shard_stats", lambda w: [sorted(shard) for shard in s(w).shard_stats()]
-            == [["aborts", "commits", "lock_waits", "locks_acquired"]]
-            * s(w).n_shards),
         ("version_stats", lambda w: sorted(s(w).version_stats())),
         ("chain_histograms", lambda w: {
             name: sum(length * rids for length, rids in histogram.items()) > 0
@@ -478,8 +478,8 @@ def test_every_store_agrees_with_the_plain_engine_step_by_step(iso, name):
     assert seen["refresh"] is snapshot and seen["refresh again"] is False
     assert seen["unparked reads"] == [(55,)]
     assert seen["refreshed reads"] == [(55,)]
-    assert seen["nothing to take"] == 0 and seen["taken once"] == 0
-    assert seen["fallback_scan_counts"] == {"T": False, "U": True}
+    assert seen["index miss"] == (
+        "StorageError", "table 'U' declares no secondary index on ('tag',)")
     assert seen["writer log"] == {"T": 1, "U": 1}
     assert seen["checkpoint"] is True
     assert seen["read after"] == [(66,)]

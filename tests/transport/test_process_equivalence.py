@@ -174,15 +174,48 @@ class TestProcessExecutorEquivalence:
         finally:
             proc.close()
 
+    def test_row_estimates_mirror_the_workers(self):
+        # Each shard's response envelope carries its per-table live row
+        # counts, which the proxy's ``row_estimate`` answers from
+        # without a frame: after a load, a committed insert and a
+        # committed delete they equal the pool shards' own counts.
+        pool = build(ShardedStorageEngine, 2)
+        proc = build(ProcessShardedStorageEngine, 2)
+        try:
+            estimates = []
+            for engine in (pool, proc):
+                engine.load("T", [(k, f"v{k}") for k in range(7)])
+                steps = [[shard.db.table("T").row_estimate()
+                          for shard in engine.shards]]
+                txn = engine.begin()
+                engine.insert(txn, "T", (7, "v7"))
+                engine.insert(txn, "T", (8, "v8"))
+                engine.commit(txn)
+                steps.append([shard.db.table("T").row_estimate()
+                              for shard in engine.shards])
+                txn = engine.begin()
+                for k in range(3):
+                    apply(engine, txn, "delete", k, None)
+                engine.commit(txn)
+                steps.append([shard.db.table("T").row_estimate()
+                              for shard in engine.shards])
+                estimates.append(steps)
+            assert estimates[1] == estimates[0]
+            assert [sum(step) for step in estimates[0]] == [7, 9, 6]
+        finally:
+            proc.close()
+
 
 class TestRunReportStatisticsEquivalence:
-    """Lock and version-chain statistics reach ``RunReport`` from the
-    envelope mirrors under the process executor and from the engines
-    themselves under the pool: same scripts, same numbers."""
+    """Lock, version-chain, planner, sharding and SSI statistics reach
+    ``RunReport`` from the envelope mirrors under the process executor
+    and from the engines themselves under the pool: same scripts, same
+    numbers."""
 
     FIELDS = (
         "lock_waits", "locks_acquired", "deadlocks", "max_version_chain",
-        "chain_histograms",
+        "chain_histograms", "index_range_scans", "read_restarts",
+        "cross_shard_commits", "ssi_aborts", "pivot_aborts",
     )
 
     def reports(self, executor: str):
@@ -195,14 +228,19 @@ class TestRunReportStatisticsEquivalence:
             out = []
             for batch in range(3):
                 # Disjoint keys per batch: no script waits on another,
-                # so thread timing cannot move a counter.
+                # so thread timing cannot move a counter.  Keys k and
+                # k + 5 live on different shards, so every script
+                # commits across shards.  The first script also reads a
+                # key range, which under snapshot isolation takes no lock.
                 for i in range(4):
                     k = 4 * batch + i
+                    ranged = (f"SELECT v AS @r FROM T WHERE k >= {k} "
+                              f"AND k < {k + 8}; " if i == 0 else "")
                     client.session(f"c{i}").run_script(
-                        "BEGIN TRANSACTION; "
+                        "BEGIN TRANSACTION; " + ranged +
                         f"SELECT v AS @v FROM T WHERE k={k}; "
                         f"UPDATE T SET v = 'w{batch}' WHERE k={k}; "
-                        f"UPDATE T SET v = 'x{batch}' WHERE k={(k + 4) % 16}; "
+                        f"UPDATE T SET v = 'x{batch}' WHERE k={(k + 5) % 16}; "
                         "COMMIT;"
                     )
                 report = client.run()
@@ -216,4 +254,6 @@ class TestRunReportStatisticsEquivalence:
         pool, process = self.reports("pool"), self.reports("process")
         assert process == pool
         assert all(r["locks_acquired"] > 0 for r in process)
+        assert all(r["index_range_scans"] > 0 for r in process)
+        assert sum(r["cross_shard_commits"] for r in process) > 0
         assert process[-1]["chain_histograms"]["T"] != {1: 16}
