@@ -41,7 +41,7 @@ from repro.entangled.matching import MatchResult, find_coordinating_set
 from repro.entangled.safety import SafetyReport, analyze
 from repro.errors import DeadlockError, SnapshotTooOldError
 from repro.storage.engine import WouldBlock
-from repro.storage.query import ReadObserver, TableProvider
+from repro.storage.query import ReadObserver, Reads, TableProvider
 from repro.storage.types import SQLValue
 
 
@@ -130,14 +130,9 @@ def evaluate_batch(
         if query.query_id in unmatchable:
             result.outcomes[query.query_id] = QueryOutcome.WAIT
             continue
-        reads: list[str] = []
-        locker = observers.get(query.query_id)
-
-        def observe(access, locker=locker):
-            if locker is not None:
-                locker(access)  # may raise WouldBlock / DeadlockError
-            reads.append(access.table)
-
+        # Its observer may raise WouldBlock / DeadlockError; with none
+        # given, one that only books the tables read.
+        observe = Reads.of(observers.get(query.query_id)) or Reads()
         try:
             groundings = ground(
                 query,
@@ -154,7 +149,7 @@ def evaluate_batch(
         except SnapshotTooOldError:
             result.outcomes[query.query_id] = QueryOutcome.RESTART
             continue
-        result.grounding_reads[query.query_id] = sorted(set(reads))
+        result.grounding_reads[query.query_id] = sorted(observe.tables)
         result.groundings_per_query[query.query_id] = len(groundings)
         groundings_by_query[query.query_id] = groundings
 

@@ -89,13 +89,13 @@ Read-observer contract
 :func:`evaluate` reports each distinct :class:`ReadAccess` — the access
 paths of the table above — to its ``read_observer``: an access path
 *before* it is probed, a row *before* it is handed to the pipeline (a
-row the pipeline never pulls is never reported).  A lock-acquiring
-observer (``StorageEngine.query``
-internally; :meth:`StorageEngine.lock_read_access` for the entangled
-coordinator's grounding reads) may raise
-:class:`~repro.storage.engine.WouldBlock` to abort the evaluation with no
-unlocked data consumed; evaluation is side-effect free, so the statement
-can simply be retried once the conflict clears.
+row the pipeline never pulls is never reported; with no ``LIMIT`` a
+leaf's rows go as one batch before the first is used).  A store builds
+one :class:`~repro.storage.query.Reads` observer per statement and per
+grounding (``grounding_hooks``); a 2PL one takes the locks and may
+raise :class:`~repro.storage.engine.WouldBlock` to abort the evaluation
+with no unlocked data consumed; evaluation is side-effect free, so the
+statement can simply be retried once the conflict clears.
 """
 
 from repro.storage.catalog import Database

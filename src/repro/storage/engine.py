@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from itertools import repeat
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -75,11 +76,12 @@ from repro.storage.locks import (
 from repro.storage.query import (
     AccessKind,
     ReadAccess,
+    Reads,
     equality_bindings,
     index_path_for,
 )
 from repro.storage.recovery import RecoveryReport, replay_log
-from repro.storage.row import Row, RowId, ValueTuple
+from repro.storage.row import Row, RowId, ValueTuple, row_id
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import SnapshotDatabase, SnapshotView
 from repro.storage.ssi import SSITracker
@@ -105,8 +107,9 @@ class LockGranularity(enum.Enum):
 
     FINE — multigranularity row + index-key locking: IS-table plus S on
         the keys/rows actually observed; table S only for full scans.
-    TABLE — the coarse protocol (every read takes a table S lock), kept
-        as the baseline arm of the locking ablation benchmarks.
+    TABLE — the coarse protocol (every read takes a table S lock; writers
+        lock only rows and primary keys), kept as the baseline arm of the
+        locking ablation benchmarks.
     """
 
     FINE = "fine"
@@ -154,11 +157,6 @@ class _UndoEntry:
     after: ValueTuple | None
 
 
-#: ``TxnContext.intent_shared`` when no IS is held (one shared object:
-#: ``frozenset()`` would allocate an empty set per call).
-_NO_TABLES: frozenset[str] = frozenset()
-
-
 @dataclass
 class TxnContext:
     """Book-keeping for one storage-level transaction."""
@@ -183,12 +181,12 @@ class TxnContext:
     reads: list[str] = field(default_factory=list)
     #: the tables it wrote (its row-level write set is ``undo``).
     written_tables: set[str] = field(default_factory=set)
-    #: tables whose IS lock a keyed read was already granted: every
-    #: index-key and row access wants the table's IS, one request per
-    #: transaction answers them all.  Emptied whenever the locks go:
-    #: at the end, or when read locks are released early.  Immutable, so
-    #: the contexts kept after their transactions ended share one empty set.
-    intent_shared: frozenset[str] = _NO_TABLES
+    #: per table, the strongest intent lock (IS or IX) it was granted:
+    #: every keyed read wants the table's IS and every row write its IX,
+    #: and one request per transaction answers them all.  Emptied
+    #: whenever the locks go: at the end, or when read locks are
+    #: released early.  Nothing else mirrors the lock manager's table.
+    intents: dict[str, LockMode] = field(default_factory=dict)
 
 
 def _locked(method):
@@ -538,7 +536,7 @@ class StorageEngine(StoreBase):
         self._active_writers.discard(txn)
         self.commit_count += 1
         self._notify(txn, "commit", "")
-        ctx.intent_shared = _NO_TABLES
+        ctx.intents.clear()
         woken = self.locks.release_all(txn) if self.locking else []
         if commit_ts is not None and self.vacuum_interval:
             self._commits_since_vacuum += 1
@@ -609,7 +607,7 @@ class StorageEngine(StoreBase):
         self.abort_count += 1
         self.ssi.on_abort(txn)
         self._notify(txn, "abort", "")
-        ctx.intent_shared = _NO_TABLES
+        ctx.intents.clear()
         return self.locks.release_all(txn) if self.locking else []
 
     status = _locked(StoreBase.status)
@@ -624,40 +622,47 @@ class StorageEngine(StoreBase):
         if outcome is LockOutcome.WAIT:
             raise WouldBlock(txn, resource)
 
+    def _lock_intent(self, ctx: TxnContext, table: str, mode: LockMode) -> None:
+        """Table ``mode`` (IS or IX), asked of the lock manager only when
+        ``ctx.intents`` holds no mode covering it — and recorded only
+        after the grant: a WouldBlock must ask again."""
+        held = ctx.intents.get(table)
+        if held is not mode and held is not LockMode.INTENTION_EXCLUSIVE:
+            self._lock(ctx.txn_id, table_resource(table), mode)
+            ctx.intents[table] = mode
+
     @_locked
     def lock_read_access(self, txn: int, access: ReadAccess) -> None:
-        """Acquire the locks one observed read access requires.
-
-        This is the public entry the entangled coordinator threads into
-        grounding evaluation as a ``read_observer``: a WouldBlock raised
-        here aborts the evaluation before any unlocked row is consumed.
-        """
+        """Acquire the locks one observed read access requires (the shard
+        contract's member; a router sends each shard the accesses that
+        cover it)."""
         self._lock_read_access(self._context(txn), access)
+
+    @_locked
+    def lock_read_rows(self, txn: int, table: str, rids: Sequence[int]) -> None:
+        """Row S on each of ``rids`` — one leaf's rows on this shard —
+        in one lock-manager call (the shard contract's member)."""
+        self._lock_read_rows(self._context(txn), table, rids)
 
     def _lock_read_access(self, ctx: TxnContext, access: ReadAccess) -> None:
         if not self.locking:
             return
-        txn = ctx.txn_id
+        kind = access.kind
         if (
             self.granularity is LockGranularity.TABLE
-            or access.kind is AccessKind.TABLE_SCAN
+            or kind is AccessKind.TABLE_SCAN
         ):
-            self._lock(txn, table_resource(access.table), LockMode.SHARED)
+            self._lock(ctx.txn_id, table_resource(access.table), LockMode.SHARED)
             return
-        if access.table not in ctx.intent_shared:
-            self._lock(
-                txn, table_resource(access.table), LockMode.INTENTION_SHARED
-            )
-            # Only after the grant: a WouldBlock above must ask again.
-            ctx.intent_shared |= {access.table}
-        if access.kind is AccessKind.INDEX_KEY:
-            assert access.index is not None and access.key is not None
-            self._lock(
-                txn,
-                index_key_resource(access.table, access.index, access.key),
-                LockMode.SHARED,
-            )
-        elif access.kind is AccessKind.INDEX_RANGE:
+        if kind is AccessKind.ROW:
+            self._lock_read_rows(ctx, access.table, (access.rid,))
+            return
+        if access.table not in ctx.intents:
+            self._lock_intent(ctx, access.table, LockMode.INTENTION_SHARED)
+        if kind is AccessKind.INDEX_KEY:
+            resources = (
+                index_key_resource(access.table, access.index, access.key),)
+        else:  # AccessKind.INDEX_RANGE
             # Next-key locking: IS on the table, S on the index keys
             # currently inside the bounds — all of them, or with a
             # ``limit`` those the consumer's prefix sits under — and S
@@ -667,42 +672,37 @@ class StorageEngine(StoreBase):
             # each key it creates, so a phantom landing anywhere it
             # could change the answer meets one of these S locks.  Zero
             # table S locks involved.
-            assert access.index is not None
-            for key in self.db.table(access.table).ordered_keys_in_range(
-                access.index, access.lo, access.hi,
-                lo_inc=access.lo_inc, hi_inc=access.hi_inc,
-                reverse=access.reverse, limit=access.limit,
-            ):
-                self._lock(
-                    txn,
-                    index_key_resource(access.table, access.index, key),
-                    LockMode.SHARED,
-                )
-        else:  # AccessKind.ROW
-            assert access.rid is not None
-            self._lock(txn, RowId(access.table, access.rid), LockMode.SHARED)
+            resources = [
+                index_key_resource(access.table, access.index, key)
+                for key in self.db.table(access.table).ordered_keys_in_range(
+                    access.index, access.lo, access.hi,
+                    lo_inc=access.lo_inc, hi_inc=access.hi_inc,
+                    reverse=access.reverse, limit=access.limit,
+                )]
+        txn = ctx.txn_id
+        waiting = self.locks.acquire_many(txn, resources, LockMode.SHARED)
+        if waiting is not None:
+            raise WouldBlock(txn, waiting)
 
-    def _lock_index_keys(
+    def _lock_read_rows(
         self,
-        txn: int,
-        table_name: str,
-        keys: Iterable[tuple[tuple[str, ...], tuple]],
-        mode: LockMode = LockMode.INTENTION_EXCLUSIVE,
+        ctx: TxnContext,
+        table: str,
+        rids: Sequence[int],
+        path: "ReadAccess | None" = None,
     ) -> None:
-        """Lock index keys a write disturbs (FINE granularity only — under
-        TABLE granularity the readers' table S already conflicts with the
-        writer's table IX).
-
-        Inserts (and key-gaining updates) take IX on each key — the
-        insert-intention idea: it conflicts with a reader's key S (phantom
-        guard) but not with other inserters of the same non-unique key.
-        Predicate writes pass X for the key they pin, which additionally
-        excludes concurrent inserters so the candidate set stays stable.
-        """
-        if not self.locking or self.granularity is not LockGranularity.FINE:
+        """Row S on each of ``rids``, in order (``path``, a range leaf's
+        access as consumed, was locked before its probe).  Under TABLE
+        granularity the table S that access took covers them."""
+        if not self.locking or self.granularity is LockGranularity.TABLE:
             return
-        for columns, key in keys:
-            self._lock(txn, index_key_resource(table_name, columns, key), mode)
+        if table not in ctx.intents:
+            self._lock_intent(ctx, table, LockMode.INTENTION_SHARED)
+        txn = ctx.txn_id
+        waiting = self.locks.acquire_many(
+            txn, map(row_id, zip(repeat(table), rids)), LockMode.SHARED)
+        if waiting is not None:
+            raise WouldBlock(txn, waiting)
 
     def _lock_moved_keys(
         self,
@@ -712,18 +712,30 @@ class StorageEngine(StoreBase):
         keys: Iterable[tuple[tuple[str, ...], tuple]],
         vacated,
     ) -> None:
-        """Lock the keys a delete or an update moves a row into or out
-        of: IX on each, except a primary key in ``vacated``, which takes
-        X.  It is unique, so an inserter of the vacated key (IX) must
-        wait for this write's outcome: were it let in, an abort could
-        not give the key back to the row."""
+        """Lock the keys an insert, a delete or an update moves a row
+        into or out of: IX on each, except a primary key in ``vacated``,
+        which takes X.  It is unique, so an inserter of the vacated key
+        (IX) must wait for this write's outcome: were it let in, an abort
+        could not give the key back to the row.
+
+        Under TABLE granularity only primary keys are locked: readers'
+        table S already conflicts with every writer's table IX, but two
+        writers meet only on rows, and a vacated primary key is the one
+        conflict between them that no row carries."""
+        if not self.locking:
+            return
         primary = table.schema.primary_key
+        fine = self.granularity is LockGranularity.FINE
         for key in keys:
-            self._lock_index_keys(
-                txn, table_name, [key],
-                LockMode.EXCLUSIVE if key[0] == primary and key in vacated
-                else LockMode.INTENTION_EXCLUSIVE,
-            )
+            if key[0] == primary:
+                mode = (
+                    LockMode.EXCLUSIVE if key in vacated
+                    else LockMode.INTENTION_EXCLUSIVE)
+            elif fine:
+                mode = LockMode.INTENTION_EXCLUSIVE
+            else:
+                continue
+            self._lock(txn, index_key_resource(table_name, *key), mode)
 
     def _lock_gap_successors(
         self,
@@ -753,7 +765,7 @@ class StorageEngine(StoreBase):
     @_locked
     def release_read_locks(self, txn: int) -> list[int]:
         """Ablation hook: early release of S locks (non-strict reads)."""
-        self._context(txn).intent_shared = _NO_TABLES
+        self._context(txn).intents.clear()
         return self.locks.release_shared(txn)
 
     # -- MVCC helpers -----------------------------------------------------------------
@@ -802,17 +814,23 @@ class StorageEngine(StoreBase):
     serialization_doomed = _locked(StoreBase.serialization_doomed)
     serialization_doomed_group = _locked(StoreBase.serialization_doomed_group)
 
-    @_locked
-    def grounding_hooks(self, txn: int):
-        observe, provider = super().grounding_hooks(txn)
+    #: A grounding's read hooks, each entering the mutex itself:
+    #: grounding runs on the coordinator's thread, between this engine's
+    #: calls.
+    _latched_lock_read_access = _locked(_lock_read_access)
+    _latched_lock_read_rows = _locked(_lock_read_rows)
+    _latched_observe_snapshot_reads = _locked(_observe_snapshot_reads)
 
-        def latched(access: ReadAccess) -> None:
-            # Grounding runs on the coordinator's thread, between this
-            # engine's calls: each observation enters the mutex itself.
-            with self.mutex:
-                observe(access)
+    def _read_hooks(self, snapshot: bool, grounding: bool) -> tuple:
+        if not grounding:
+            return super()._read_hooks(snapshot, grounding)
+        if snapshot:
+            return (
+                self.observe_snapshot_read,
+                self._latched_observe_snapshot_reads)
+        return self._latched_lock_read_access, self._latched_lock_read_rows
 
-        return latched, provider
+    grounding_hooks = _locked(StoreBase.grounding_hooks)
 
     reads_from = _locked(StoreBase.reads_from)
 
@@ -981,11 +999,11 @@ class StorageEngine(StoreBase):
         # with other inserters), then X on the new row.  Keys are locked
         # *before* the physical insert so a WouldBlock leaves the table
         # untouched.
-        self._lock(txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE)
+        self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
         table = self.db.table(table_name)
         canonical = table.schema.validate_row(values)
         keys = table.schema.index_keys(canonical)
-        self._lock_index_keys(txn, table_name, keys)
+        self._lock_moved_keys(txn, table, table_name, keys, ())
         self._lock_gap_successors(txn, table, table_name, keys)
         row = table.insert(canonical, validated=True, writer=txn)
         self._lock(txn, RowId(table_name, row.rid), LockMode.EXCLUSIVE)
@@ -1037,11 +1055,11 @@ class StorageEngine(StoreBase):
         values: Sequence[Any],
     ) -> tuple[Row, Row]:
         ctx = self._context(txn)
-        self._lock(txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE)
+        self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
         self._lock(txn, RowId(table_name, rid), LockMode.EXCLUSIVE)
         table = self.db.table(table_name)
         self._check_write_conflict(ctx, table, rid)
-        if self.locking and self.granularity is LockGranularity.FINE:
+        if self.locking:
             # Keys the row *gains or vacates* need IX: moving a row into
             # an index key is an insert from the perspective of a reader
             # holding that key's S lock, and moving it *out* changes what
@@ -1087,11 +1105,11 @@ class StorageEngine(StoreBase):
     @_locked
     def delete(self, txn: int, table_name: str, rid: int) -> Row:
         ctx = self._context(txn)
-        self._lock(txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE)
+        self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
         self._lock(txn, RowId(table_name, rid), LockMode.EXCLUSIVE)
         table = self.db.table(table_name)
         self._check_write_conflict(ctx, table, rid)
-        if self.locking and self.granularity is LockGranularity.FINE:
+        if self.locking:
             # The delete vacates every key the row carries: a reader
             # probing one of them (perhaps getting a miss) must not see
             # the uncommitted removal, so each key takes IX first.  The
@@ -1180,11 +1198,9 @@ class StorageEngine(StoreBase):
         calls this on each before any of them writes.
         """
         table = self.db.table(table_name)
-        ctx = self._contexts.get(txn)
-        if ctx is not None and ctx.isolation.uses_snapshot:
-            self._lock(
-                txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE
-            )
+        ctx = self._context(txn)
+        if ctx.isolation.uses_snapshot:
+            self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
             view = self.snapshot_provider(txn).table(table_name)
             bindings = (
                 equality_bindings(where, table) if where is not None else {}
@@ -1214,12 +1230,13 @@ class StorageEngine(StoreBase):
             path = index_path_for(table, equality_bindings(where, table))
             if path is not None:
                 cols, key, is_pk = path
+                self._lock_intent(
+                    ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
+                # X, not an inserter's IX: it also excludes concurrent
+                # inserters of the key, so the candidate set stays stable.
                 self._lock(
-                    txn, table_resource(table_name), LockMode.INTENTION_EXCLUSIVE
-                )
-                self._lock_index_keys(
-                    txn, table_name, [(cols, key)], LockMode.EXCLUSIVE
-                )
+                    txn, index_key_resource(table_name, cols, key),
+                    LockMode.EXCLUSIVE)
                 if is_pk:
                     row = table.lookup_pk(key)
                     rows = [row] if row is not None else []

@@ -34,13 +34,18 @@ ensembles that share one waits-for graph share the mutex too (see
 consistent cross-shard edge map.
 
 **Cost model** — every operation costs what *its* transaction holds or
-waits on, never the number of live transactions.  Each resource keeps
+waits on, never the number of live transactions.  :meth:`acquire_many`
+requests a batch — a leaf's rows, a range's next keys — in one hold of
+the mutex, stopping at the first request that must wait; :meth:`acquire`
+is a batch of one.  A resource with no state is granted inline: its
+state is born holding the grant.  Otherwise each resource keeps
 granted-mode counts, so the grant path tests conflicts in O(#modes);
 holders are enumerated only on the WAIT path, where the blocker ids feed
 the waits-for graph.  A per-transaction index of queued resources beside
-the held index makes :meth:`release_all` O(held + queued) and
+the held index makes :meth:`release_all` O(held + queued) — one pass
+that drops each grant and deletes the states it empties — and
 :meth:`waiting` a lookup.  Promotion visits only the resources a release
-actually changed — sound because whether a resource's queue head is
+left with waiters — sound because whether a resource's queue head is
 grantable depends on that resource's holders and queue alone.  All three
 indexes are insertion-ordered dicts, so the woken order never depends on
 ``PYTHONHASHSEED``.
@@ -57,7 +62,6 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from repro.analysis.latch import Latch
@@ -86,12 +90,19 @@ class LockMode(enum.Enum):
     EXCLUSIVE = "X"
 
     #: position in ``_LockState.counts``; ``conflicts`` holds the positions
-    #: of the incompatible modes and ``covered`` one flag per position —
-    #: plain ints and tuples filled in below from the two tables, because
-    #: hashing an enum member is a Python-level call the hot path avoids.
+    #: of the incompatible modes, ``covered`` one flag per position,
+    #: ``alone`` the counts of a state whose one holder holds this mode and
+    #: ``reads`` whether a grant counts in ``stats["read_grants"]`` —
+    #: plain values filled in below from the two tables.
     index: int
     conflicts: tuple[int, ...]
     covered: tuple[bool, ...]
+    alone: list[int]
+    reads: bool
+
+    #: Members are singletons, so identity is equality: hash by it in C
+    #: instead of ``Enum.__hash__``'s Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
 
     def compatible(self, other: "LockMode") -> bool:
         return other.index not in self.conflicts
@@ -141,6 +152,8 @@ for _mode in LockMode:
         m.index for m in LockMode if m not in _COMPATIBLE[_mode]
     )
     _mode.covered = tuple(m in _COVERS[_mode] for m in LockMode)
+    _mode.alone = [int(m is _mode) for m in LockMode]
+    _mode.reads = _mode in (LockMode.SHARED, LockMode.INTENTION_SHARED)
 
 
 class LockOutcome(enum.Enum):
@@ -148,15 +161,18 @@ class LockOutcome(enum.Enum):
     WAIT = "wait"
 
 
-@dataclass(slots=True)
 class _LockState:
     """Per-resource lock state: holders by mode, how many holders each
     mode has (indexed by ``LockMode.index``), and the FIFO wait queue.
-    A state exists only while it has a holder or a waiter."""
+    A state exists only while it has a holder or a waiter, so it is born
+    holding its first grant."""
 
-    holders: dict[int, LockMode] = field(default_factory=dict)
-    counts: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    queue: list[tuple[int, LockMode]] = field(default_factory=list)
+    __slots__ = ("holders", "counts", "queue")
+
+    def __init__(self, txn: int, mode: "LockMode"):
+        self.holders: dict[int, LockMode] = {txn: mode}
+        self.counts: list[int] = mode.alone[:]
+        self.queue: list[tuple[int, LockMode]] = []
 
     def conflicts(self, mode: LockMode, held: LockMode | None = None) -> bool:
         """Does a holder *other than the requester* (which itself holds
@@ -332,52 +348,103 @@ class LockManager:
         are recorded.  Raises :class:`DeadlockError` (and leaves no residue)
         when granting-by-waiting would create a waits-for cycle.
         """
+        if self.acquire_many(txn, (resource,), mode) is None:
+            return LockOutcome.GRANTED
+        return LockOutcome.WAIT
+
+    def acquire_many(
+        self, txn: int, resources: Iterable[Resource], mode: LockMode
+    ) -> Resource | None:
+        """Request ``mode`` on each of ``resources`` in order, in one hold
+        of the mutex: what :meth:`acquire` does for each, stopping at the
+        first request that must wait.  That one is queued exactly as
+        :meth:`acquire` would queue it (a would-be deadlock raises the
+        same way) and returned; None when every request was granted.
+        Requests before it stay granted, the rest are not made."""
         with self._mutex:
-            state = self._locks.get(resource)
-            if state is None:
-                # Nothing held, nothing queued: grant.  (A state is only
-                # ever created here, so a refused request leaks none.)
-                state = self._locks[resource] = _LockState()
-                self._grant(txn, resource, state, mode)
-                return LockOutcome.GRANTED
-            current = state.holders.get(txn)
+            locks = self._locks
+            held = self._held[txn]
+            stats = self.stats
+            reads = mode.reads
+            table_s = mode is LockMode.SHARED
+            for resource in resources:
+                state = locks.get(resource)
+                if state is None:
+                    # Nothing held, nothing queued: grant.  (A state is
+                    # only ever created here, so a refused request leaks
+                    # none.)
+                    locks[resource] = _LockState(txn, mode)
+                    held[resource] = None
+                    stats["acquired"] += 1
+                    if reads:
+                        stats["read_grants"] += 1
+                        # _is_table_resource, inline: rows and index keys
+                        # fail the first test.
+                        if (
+                            table_s and type(resource) is tuple
+                            and resource[0] == "table" and len(resource) == 2
+                        ):
+                            stats["table_s_grants"] += 1
+                    continue
+                current = state.holders.get(txn)
+                if current is not None and current.covered[mode.index]:
+                    continue  # already sufficient
+                if not self._request(txn, resource, state, mode, current):
+                    if not held:
+                        del self._held[txn]  # a waiter holding nothing
+                    return resource
+            return None
 
-            if current is not None:
-                if current.covers(mode):
-                    return LockOutcome.GRANTED  # already sufficient
-                # Conversion: move up the lattice to the supremum of the held
-                # and requested modes, provided no *other* holder conflicts
-                # with the target.
-                target = current.combine(mode)
-                if not state.conflicts(target, held=current):
-                    self._convert(txn, state, target)
-                    return LockOutcome.GRANTED
-                blockers = self._blockers(txn, state, target)
-                self._enqueue(txn, resource, state, target, blockers)
-                return LockOutcome.WAIT
+    def _request(
+        self,
+        txn: int,
+        resource: Resource,
+        state: _LockState,
+        mode: LockMode,
+        current: LockMode | None,
+    ) -> bool:
+        """A request on a resource that has holders or waiters, by a
+        transaction holding ``current`` there (None, or a mode that does
+        not cover ``mode``): grant or convert it, or queue it.  True when
+        the lock is held on return."""
+        if current is not None:
+            # Conversion: move up the lattice to the supremum of the held
+            # and requested modes, provided no *other* holder conflicts
+            # with the target.
+            target = current.combine(mode)
+            if not state.conflicts(target, held=current):
+                self._convert(txn, state, target)
+                return True
+            blockers = self._blockers(txn, state, target)
+            self._enqueue(txn, resource, state, target, blockers)
+            return False
 
-            if not state.conflicts(mode):
-                if not self._must_queue_behind(txn, state, mode):
-                    self._grant(txn, resource, state, mode)
-                    return LockOutcome.GRANTED
-                blockers = [w for w, _ in state.queue if w != txn]
-            else:
+        counts = state.counts
+        for index in mode.conflicts:  # state.conflicts(mode), inline
+            if counts[index]:
                 blockers = self._blockers(txn, state, mode)
-            self._enqueue(txn, resource, state, mode, blockers)
-            return LockOutcome.WAIT
+                break
+        else:
+            if not state.queue or not self._must_queue_behind(txn, state, mode):
+                self._grant(txn, resource, state, mode)
+                return True
+            blockers = [w for w, _ in state.queue if w != txn]
+        self._enqueue(txn, resource, state, mode, blockers)
+        return False
 
     def _grant(
         self, txn: int, resource: Resource, state: _LockState, mode: LockMode
     ) -> None:
-        """Make ``txn`` a (new) holder of ``resource`` in ``mode``."""
+        """Make ``txn`` a (new) holder of ``resource``, whose state exists,
+        in ``mode``."""
         state.holders[txn] = mode
         state.counts[mode.index] += 1
         self._held[txn][resource] = None
         self.stats["acquired"] += 1
-        if mode in (LockMode.SHARED, LockMode.INTENTION_SHARED):
+        if mode.reads:
             self.stats["read_grants"] += 1
-        if mode is LockMode.SHARED and _is_table_resource(resource):
-            self.stats["table_s_grants"] += 1
+            if mode is LockMode.SHARED and _is_table_resource(resource):
+                self.stats["table_s_grants"] += 1
 
     def _convert(self, txn: int, state: _LockState, target: LockMode) -> None:
         """Move holder ``txn`` up the lattice to ``target``."""
@@ -454,14 +521,27 @@ class LockManager:
 
         Returns transaction ids whose queued requests became grantable and
         were granted — the scheduler uses this to wake suspended work.
+
+        One pass over what ``txn`` held drops each grant and deletes the
+        states it leaves empty; only resources with a queue are collected
+        for promotion, after those ``cancel_wait`` left pending and before
+        those ``txn`` was itself queued on.
         """
         with self._mutex:
             touched, self._pending = self._pending, {}
+            locks = self._locks
             for resource in self._held.pop(txn, ()):
-                self._drop_holder(txn, resource)
-                touched[resource] = None
+                state = locks[resource]
+                holders = state.holders
+                mode = holders.pop(txn)
+                if not holders and not state.queue:
+                    del locks[resource]  # its last holder, no waiter
+                    continue
+                state.counts[mode.index] -= 1
+                if state.queue:
+                    touched[resource] = None
             for resource in self._queued.pop(txn, ()):
-                state = self._locks[resource]
+                state = locks[resource]
                 state.queue = [(w, m) for (w, m) in state.queue if w != txn]
                 touched[resource] = None
             self._waits_for.pop(txn, None)
@@ -506,7 +586,9 @@ class LockManager:
         fate depends only on its own resource's holders and queue."""
         woken: list[int] = []
         for resource in touched:
-            state = self._locks[resource]
+            state = self._locks.get(resource)
+            if state is None:
+                continue  # pending, and emptied by the release itself
             while state.queue:
                 waiter, mode = state.queue[0]
                 held = state.holders.get(waiter)
@@ -526,8 +608,11 @@ class LockManager:
 
 
 def _is_table_resource(resource: Resource) -> bool:
+    """Exactly a :func:`table_resource`: a plain tuple, so a
+    :class:`~repro.storage.row.RowId` — a tuple subclass — of a table
+    named ``"table"`` is not one."""
     return (
-        isinstance(resource, tuple)
+        type(resource) is tuple
         and len(resource) == 2
         and resource[0] == "table"
     )

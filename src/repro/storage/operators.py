@@ -16,12 +16,14 @@ Two operator families:
   Each reports itself through the read observer in two steps: the access
   path *before* it is probed (that callback is where the engine takes IS
   + key / next-key locks and records SIREAD keys and ranges), then its
-  rows before they are used (row S, the SSI ROW read).  A point probe
-  observes each row *immediately before* yielding it, so its row locks
-  are bounded by the rows the pipeline *examines*: a ``LIMIT`` that is
-  met, or a join level that stops pulling, leaves the rest of the probed
-  key's rows unobserved (a materialising :class:`Sort` or
-  :class:`Distinct` above still examines every row).  A range scan
+  rows before they are used (row S, the SSI ROW read).  Under a
+  ``LIMIT`` a point probe observes each row *immediately before*
+  yielding it, so its row locks are bounded by the rows the pipeline
+  *examines*: a ``LIMIT`` that is met, or a join level that stops
+  pulling, leaves the rest of the probed key's rows unobserved (a
+  materialising :class:`Sort` or :class:`Distinct` above still examines
+  every row).  With no ``LIMIT`` the pipeline uses every row, and the
+  probe observes them as one batch before the first.  A range scan
   observes the rows it fetched in one batch, before the first is used —
   and fetches, like it locks, only the prefix the consumer pulls when
   the planner handed it the query's LIMIT — as ``(table, rids, the range
@@ -51,11 +53,11 @@ Two operator families:
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.storage.bptree import value_sort_key
 from repro.storage.expressions import Expr, is_satisfied
-from repro.storage.query import AccessKind, ReadAccess
+from repro.storage.query import AccessKind, ReadAccess, Reads
 from repro.storage.row import Row
 
 #: A pipeline element below :class:`Project`: the bindings accumulated so
@@ -66,14 +68,15 @@ Env = dict
 class ExecContext:
     """What an executing plan needs besides its own operators: the
     resolved table views (per transaction, so never part of a plan), the
-    read observer (None when nobody listens) and the plan-stat counters."""
+    read observer (a :class:`~repro.storage.query.Reads`, None when
+    nobody listens) and the plan-stat counters."""
 
     __slots__ = ("tables", "observe", "stats")
 
     def __init__(
         self,
         tables: list,
-        observe: "Callable[[ReadAccess], None] | None",
+        observe: "Reads | None",
         stats: "Mapping | None" = None,
     ):
         self.tables = tables
@@ -118,21 +121,28 @@ class SeqScan:
 
 def _observed(rows: Iterable[Row], ref_name: str, observe) -> Iterator[Row]:
     """``rows``, each observed (= locked) immediately before it is used."""
+    row_used = observe.row
     for row in rows:
-        observe(ReadAccess.row(ref_name, row.rid))
+        row_used(ref_name, row.rid)
         yield row
 
 
 class IndexPoint:
     """Hash/pk point probe — the equality access path.  ``cols`` is the
     probed index by its declared columns, the names lock and SSI
-    resources are built from."""
+    resources are built from.  ``batch`` (set by the planner when the
+    query has no LIMIT, so every row the probe yields is used) reports
+    the key's rows as one batch before the first is used, instead of
+    each as the pipeline pulls it."""
 
-    def __init__(self, ref_name: str, cols: tuple, key: tuple, is_pk: bool):
+    def __init__(
+        self, ref_name: str, cols: tuple, key: tuple, is_pk: bool, batch: bool
+    ):
         self.ref_name = ref_name
         self.cols = cols
         self.key = key
         self.is_pk = is_pk
+        self.batch = batch
 
     def rows(self, table, ctx: ExecContext) -> Iterable[Row]:
         observe = ctx.observe
@@ -148,7 +158,10 @@ class IndexPoint:
             rows = (row,) if row is not None else ()
         else:
             rows = table.lookup_index(self.cols, self.key)
-        if observe is None:
+        if observe is None or not rows:
+            return rows
+        if self.batch:
+            observe.many(self.ref_name, [row.rid for row in rows], None)
             return rows
         return _observed(rows, self.ref_name, observe)
 
@@ -207,7 +220,7 @@ class IndexRange:
             return table.range_scan(self.cols, self.lo, self.hi, **self.scan)
         path = ReadAccess.index_range(
             self.ref_name, self.cols, self.lo, self.hi, **self.scan)
-        observe(path)
+        observe.range(path)
         rows = table.range_scan(self.cols, self.lo, self.hi, **self.scan)
         if rows and len(rows) == path.limit:
             positions = [table.schema.column_index(c) for c in self.cols]

@@ -485,10 +485,11 @@ class _JoinLevel:
     query's expressions laid over its recipes.  It holds nothing of an
     execution, so every execution of the query shares it."""
 
-    __slots__ = ("shape", "checks", "eq", "ranges", "leaf_limit")
+    __slots__ = ("shape", "checks", "eq", "ranges", "leaf_limit", "batch")
 
     def __init__(
-        self, shape: _LevelShape, conjuncts: list, leaf_limit: "int | None"
+        self, shape: _LevelShape, conjuncts: list, leaf_limit: "int | None",
+        batch: bool,
     ):
         self.shape = shape
         self.checks = [conjuncts[i] for i in shape.checks]
@@ -507,6 +508,9 @@ class _JoinLevel:
         #: the query's LIMIT when nothing above the leaf can drop or
         #: reorder rows, else None.
         self.leaf_limit = leaf_limit
+        #: the query has no LIMIT: every row a point probe yields is
+        #: used, so it reports them as one batch.
+        self.batch = batch
 
     def access(self, env: dict, table, ctx: ExecContext):
         """``(access operator, checks)`` for this position under ``env``:
@@ -567,7 +571,7 @@ class _JoinLevel:
         row it yields carries the key, and ``=`` raises for no pair of
         types, so the conjuncts that bound ``cols`` need no check."""
         return (
-            IndexPoint(self.shape.ref_name, cols, key, is_pk),
+            IndexPoint(self.shape.ref_name, cols, key, is_pk, self.batch),
             self._unproved([bound_by[c] for c in cols]))
 
     def _bounds(self, env: dict):
@@ -704,9 +708,10 @@ class BoundQuery:
                     except (KeyError, RuntimeError, StopIteration):
                         pass
                 plans[key] = plan
-        leaf_limit = self.query.limit if plan.at_leaf else None
+        limit = self.query.limit
+        leaf_limit = limit if plan.at_leaf else None
         found = self.bound[slot] = (plan, tuple([
-            _JoinLevel(shape, self.conjuncts, leaf_limit)
+            _JoinLevel(shape, self.conjuncts, leaf_limit, limit is None)
             for shape in plan.levels]))
         return found
 

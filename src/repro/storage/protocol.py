@@ -52,7 +52,7 @@ if TYPE_CHECKING:
     from repro.storage.query import SPJQuery
     from repro.storage.expressions import Expr
     from repro.storage.oracle import TimestampOracle
-    from repro.storage.query import ReadAccess
+    from repro.storage.query import ReadAccess, Reads
     from repro.storage.recovery import RecoveryReport
     from repro.storage.row import Row
     from repro.storage.schema import TableSchema
@@ -184,6 +184,12 @@ class ShardEngine(Protocol):
 
     def lock_read_access(self, txn: int, access: ReadAccess) -> None: ...
 
+    def lock_read_rows(self, txn: int, table: str, rids: Sequence[int]) -> None:
+        """Row S on each of ``rids`` of ``table`` — the rows of one leaf
+        that live here — in order, as one request: one lock-manager call,
+        one frame to a worker.  Raises ``WouldBlock`` on the first that
+        must wait, the ones before it granted."""
+
     def release_read_locks(self, txn: int) -> list[int]: ...
 
     # -- snapshots ---------------------------------------------------------------------
@@ -302,11 +308,9 @@ class Store(Protocol):
 
     # -- entangled evaluation and the schedule recorder ------------------------------
 
-    def grounding_hooks(
-        self, txn: int
-    ) -> tuple[Callable[[ReadAccess], None], Any]:
+    def grounding_hooks(self, txn: int) -> tuple[Reads, Any]:
         """``(read observer, snapshot provider or None)`` for grounding
-        ``txn``'s entangled queries."""
+        one of ``txn``'s entangled queries: a fresh observer each call."""
 
     def reads_from(self, txn: int, table: str) -> int | None: ...
 

@@ -13,11 +13,12 @@ index, and join predicates between the next table and already-bound columns
 use index lookups when available.
 
 The evaluator reports every *access path* it takes through an optional
-``read_observer`` callback: a :class:`ReadAccess` per index-key probe
-(table, index columns, key), per row produced by an index probe, and per
-genuine full scan.  This is how the engine layer takes fine-grained read
-locks (IS-table + key/row S instead of a table S lock) and how grounding
-reads reach the formal model.  An access path is observed before it is
+read observer (a :class:`Reads`): a :class:`ReadAccess` per index-key
+probe (table, index columns, key), per range probe and per genuine full
+scan, and each row an index probe produces, by table and rid.  This is
+how the engine layer takes fine-grained read locks (IS-table + key/row S
+instead of a table S lock) and how grounding reads reach the formal
+model.  An access path is observed before it is
 probed and each row immediately before it is *used* — handed to the
 pipeline — so a lock-acquiring observer that raises aborts the
 evaluation without any result escaping unlocked, and a row the pipeline
@@ -105,10 +106,16 @@ class AccessKind(enum.Enum):
     INDEX_RANGE = "index-range"
     ROW = "row"
 
+    #: Members are singletons, so identity is equality: a
+    #: :class:`ReadAccess` hashes its kind in C, not through
+    #: ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 class ReadAccess(NamedTuple):
     """One observed read access — a named tuple: the evaluator builds
-    and hashes one per probed key and per row it uses.
+    and hashes one per access path it probes (a row it uses goes to
+    :meth:`Reads.row` by table and rid).
 
     * ``TABLE_SCAN`` — the whole table was scanned; ``rid``/``index``/
       ``key`` are None.  The engine answers with a table S lock.
@@ -191,61 +198,144 @@ class ReadAccess(NamedTuple):
         )
 
 
-#: Called with each :class:`ReadAccess` the evaluator performs, before the
-#: covered rows are used.  An observer may also offer ``many(table, rids,
-#: path)``: the rows of one range leaf's batch in one call, after its
-#: fetch — the table's name and the rids in scan order, no ``ROW`` access
-#: built per row: an observer that wants them as accesses (to lock each)
-#: builds them, one that only counts or feeds a lazy read set need not —
-#: with ``path`` the leaf's own access as consumed (``stop`` set if its
-#: budget was spent; None if this evaluation already reported it).  One
-#: that does not is called once per row instead with the ``ROW`` access,
-#: in the same order, and never sees the consumed path.
+#: A plain read observer: called with each distinct :class:`ReadAccess`
+#: the evaluator performs — an access path before it is probed, a row
+#: (``ROW``) before it is used.  One may also offer ``many(table, rids,
+#: path)``: then every row reaches it through that instead — a range
+#: leaf's rows in one call after its fetch, with ``path`` the leaf's own
+#: access as consumed (``stop`` set if its budget was spent; None if this
+#: evaluation already reported it), any other row alone, with ``path``
+#: None.  :func:`evaluate` wraps a plain observer in :class:`Reads`.
 ReadObserver = Callable[[ReadAccess], None]
 
+_ROW = AccessKind.ROW
 
-class _EachAccessOnce:
-    """``observer``, told each distinct access once per evaluation."""
 
-    __slots__ = ("_observer", "_many", "_reported", "_rows")
+def _ignore(*_args) -> None:
+    pass
 
-    def __init__(self, observer: ReadObserver):
-        self._observer = observer
-        self._many = getattr(observer, "many", None)
-        self._reported: set = set()
+
+class Reads:
+    """The read observer of one evaluation — one statement, one
+    grounding: it reports each distinct access once, and books the
+    tables read.
+
+    The operators tell it an access path before its probe (a call with
+    the :class:`ReadAccess`; a range leaf calls :meth:`range`), a row
+    before it is used (:meth:`row`, by table and rid: no access object
+    is built per row), and the rows of one leaf as a batch after their
+    fetch (:meth:`many`).  What it reports goes to the hooks it was
+    built with, each given ``owner`` first:
+
+    * ``on_path(owner, access)`` — each scan, index-key and range access;
+    * ``on_rows(owner, table, rids, path)`` — rows not reported before,
+      one (``path`` None) or a leaf's batch with ``path`` the range as
+      consumed (None when there is none, or it was reported already);
+    * ``on_table(table)`` — the first access of each table, after its
+      ``on_path`` returned; :attr:`tables` keeps them all.
+
+    With ``defer_ranges`` a range reaches ``on_path`` only as consumed,
+    through ``on_rows`` — a snapshot read records the interval its leaf
+    actually read; without, before its probe — a 2PL read must hold the
+    next-key locks first.  Called like a plain observer with a range
+    access, it reports it at once: there is no batch to wait for.
+    A hook that raises aborts the evaluation with nothing unreported
+    used.
+    """
+
+    __slots__ = (
+        "tables", "_owner", "_on_path", "_on_rows", "_on_table",
+        "_defer_ranges", "_paths", "_rows")
+
+    def __init__(
+        self,
+        owner=None,
+        on_path: Callable = _ignore,
+        on_rows: Callable = _ignore,
+        on_table: "Callable | None" = None,
+        *,
+        defer_ranges: bool = False,
+    ):
+        self.tables: set[str] = set()
+        self._owner = owner
+        self._on_path = on_path
+        self._on_rows = on_rows
+        self._on_table = on_table or _ignore
+        self._defer_ranges = defer_ranges
+        self._paths: set = set()
         #: per table, the rids reported — singly or in a batch.
         self._rows: dict[str, set[int]] = {}
 
+    @classmethod
+    def of(cls, observer: "ReadObserver | Reads | None") -> "Reads | None":
+        """``observer`` as a :class:`Reads` (a plain one wrapped)."""
+        if observer is None or isinstance(observer, Reads):
+            return observer
+        return cls(observer, _tell, _tell_rows)
+
     def __call__(self, access: ReadAccess) -> None:
-        if access.kind is AccessKind.ROW:
-            seen = self._rows.setdefault(access.table, set())
-            if access.rid in seen:
-                return
-            seen.add(access.rid)
-        elif access in self._reported:
+        if access.kind is _ROW:
+            self.row(access.table, access.rid)
+        elif access not in self._paths:
+            self._paths.add(access)
+            self._on_path(self._owner, access)
+            table = access.table
+            if table not in self.tables:
+                self.tables.add(table)
+                self._on_table(table)
+
+    def range(self, path: ReadAccess) -> None:
+        """A range leaf's access, before its probe."""
+        if not self._defer_ranges:
+            self(path)
+        elif path.table not in self.tables:
+            self.tables.add(path.table)
+            self._on_table(path.table)
+
+    def row(self, table: str, rid: int) -> None:
+        seen = self._rows.get(table)
+        if seen is None:
+            self._rows[table] = {rid}
+        elif rid in seen:
             return
         else:
-            self._reported.add(access)
-        self._observer(access)
+            seen.add(rid)
+        self._on_rows(self._owner, table, (rid,), None)
 
-    def many(self, table: str, rids: list[int], path: ReadAccess) -> None:
+    def many(
+        self, table: str, rids: Sequence[int], path: "ReadAccess | None"
+    ) -> None:
+        """One leaf's rows, after its fetch and before the first is used;
+        ``path`` is a range leaf's access as consumed (the access itself
+        went in before the probe, and may be the same tuple, so it is
+        remembered under a key of its own), None for a point probe."""
         seen = self._rows.get(table)
         if seen is None:
             self._rows[table] = set(rids)
         else:
             rids = [rid for rid in rids if rid not in seen]
             seen.update(rids)
-        if self._many is None:
-            for rid in rids:
-                self._observer(ReadAccess.row(table, rid))
-            return
-        # ``path`` itself went in before the fetch; as consumed it may
-        # be the same tuple, so it is remembered under a key of its own.
-        consumed = ("consumed", path)
-        if consumed in self._reported:
-            path = None
-        self._reported.add(consumed)
-        self._many(table, rids, path)
+        if path is not None:
+            consumed = ("consumed", path)
+            if consumed in self._paths:
+                path = None
+            else:
+                self._paths.add(consumed)
+        if rids or path is not None:
+            self._on_rows(self._owner, table, rids, path)
+
+
+def _tell(observer: ReadObserver, access: ReadAccess) -> None:
+    observer(access)
+
+
+def _tell_rows(observer, table: str, rids, path) -> None:
+    many = getattr(observer, "many", None)
+    if many is not None:
+        many(table, rids, path)
+    else:
+        for rid in rids:
+            observer(ReadAccess.row(table, rid))
 
 
 def _constant_eq_conjuncts(
@@ -338,7 +428,8 @@ def evaluate(
     """Evaluate an SPJ query, returning output tuples in deterministic order.
 
     ``params`` supplies host-variable bindings (keys like ``"@x"``).
-    ``read_observer`` receives each distinct :class:`ReadAccess` — an
+    ``read_observer`` — a :class:`Reads`, or a plain observer, which is
+    wrapped in one — receives each distinct :class:`ReadAccess` — an
     access path before it is probed, a row before it is handed to the
     pipeline — the transactional engine uses this to take fine-grained
     read locks, so an observer that raises (e.g. on a lock conflict)
@@ -357,12 +448,9 @@ def evaluate(
     from repro.storage.planner import execute as _plan_execute
 
     tables = [provider.table(ref.name) for ref in query.tables]
-
-    observe = (
-        _EachAccessOnce(read_observer) if read_observer is not None else None)
     return _plan_execute(
-        query, tables, dict(params or {}), observe, hints, provider.plans,
-        bound)
+        query, tables, dict(params or {}), Reads.of(read_observer), hints,
+        provider.plans, bound)
 
 
 def equality_bindings(

@@ -17,6 +17,8 @@ and stamped by the engine at commit time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 from repro.storage.types import SQLValue
 
@@ -111,11 +113,14 @@ class RowVersion:
         return f"[{begin},{end}){self.values!r}"
 
 
-@dataclass(frozen=True)
-class RowId:
+class RowId(NamedTuple):
     """A fully qualified record name: ``(table, rid)``.
 
-    This is the locking and logging granule for row-level operations.
+    This is the locking and logging granule for row-level operations.  A
+    tuple type, so hashing and comparing one — what the lock table and
+    the SSI read sets do with it — runs in C.  It equals the plain tuple
+    ``(table, rid)``, which no other resource is: a table resource pairs
+    two strings, an index-key resource has four fields.
     """
 
     table: str
@@ -123,3 +128,9 @@ class RowId:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.table}#{self.rid}"
+
+
+#: ``row_id((table, rid))`` is ``RowId(table, rid)``, built in C: a
+#: NamedTuple's own constructor is a Python-level ``__new__``.  The lock
+#: path makes one per row it locks.
+row_id = partial(tuple.__new__, RowId)

@@ -854,6 +854,24 @@ class ShardedStorageEngine(StoreBase):
     def _lock_read_access(self, ctx: ShardedTxnContext, access: ReadAccess) -> None:
         self.lock_read_access(ctx.txn_id, access)
 
+    def _lock_read_rows(
+        self,
+        ctx: ShardedTxnContext,
+        table: str,
+        rids: Sequence[int],
+        path: "ReadAccess | None" = None,
+    ) -> None:
+        """A leaf's rows, split by the shard each rid names: one
+        ``lock_read_rows`` per shard, in the order the shards first
+        appear (one frame each to a worker).  ``path`` was locked before
+        the probe."""
+        txn = ctx.txn_id
+        by_shard: dict[int, list[int]] = {}
+        for rid in rids:
+            by_shard.setdefault(self.shard_of_rid(rid), []).append(rid)
+        for shard_idx, part in by_shard.items():
+            self._ensure_shard_txn(txn, shard_idx).lock_read_rows(txn, table, part)
+
     def release_read_locks(self, txn: int) -> list[int]:
         ctx = self._context(txn)
         woken: list[int] = []

@@ -11,8 +11,10 @@ the primitives they are written against:
 
 * ``_contexts`` — every transaction's context, whatever its status;
 * ``snapshot_provider(txn)`` — the provider serving its snapshot;
-* ``_lock_read_access(ctx, access)`` — observe one 2PL read: take the
-  locks the access requires (may raise ``WouldBlock``);
+* ``_lock_read_access(ctx, access)`` — observe one 2PL access path:
+  take the locks it requires (may raise ``WouldBlock``);
+* ``_lock_read_rows(ctx, table, rids, path)`` — the same for rows used,
+  one or a leaf's batch: row S on each, one lock-manager call per shard;
 * ``_observe_snapshot_read(txn, access)`` — observe one snapshot read:
   count it, feed the SSI read set;
 * ``_observe_snapshot_reads(txn, table, rids, path)`` — the same for a
@@ -43,60 +45,19 @@ from __future__ import annotations
 
 import enum
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import TransactionStateError
 from repro.storage.planner import PlanHints
-from repro.storage.query import AccessKind, ReadAccess, SPJQuery, evaluate
+from repro.storage.query import ReadAccess, Reads, SPJQuery, evaluate
 from repro.storage.row import Row
 from repro.storage.types import SQLValue
-
-
-_RANGE = AccessKind.INDEX_RANGE
 
 
 class TxnStatus(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
     ABORTED = "aborted"
-
-
-class _StatementReads:
-    """The read observer of one ``query()``: hands each access to the
-    isolation's observer (:meth:`StoreBase._read_path`) and books the
-    statement's first access of a table as its read of that table."""
-
-    __slots__ = ("_store", "_ctx", "_observe", "_versioned", "_tables")
-
-    def __init__(self, store: "StoreBase", ctx, observe, versioned: bool):
-        self._store = store
-        self._ctx = ctx
-        self._observe = observe
-        self._versioned = versioned
-        self._tables: set[str] = set()
-
-    def __call__(self, access: ReadAccess) -> None:
-        # A snapshot read records its range once the leaf knows how much
-        # of it was consumed (``many``); 2PL must lock it before the probe.
-        if access.kind is not _RANGE or not self._versioned:
-            self._observe(access)
-        # The formal model works at table granularity: record one read
-        # per table per statement, after its locks are granted.
-        if access.table not in self._tables:
-            self._tables.add(access.table)
-            self._store._note_read(self._ctx, access.table, self._versioned)
-
-    def many(
-        self, table: str, rids: list[int], path: "ReadAccess | None"
-    ) -> None:
-        """One range leaf's rows, after its fetch (``path`` was observed
-        before it, so the table is booked and, under 2PL, locked)."""
-        if not self._versioned:
-            for rid in rids:
-                self._observe(ReadAccess.row(table, rid))
-        elif rids or path is not None:
-            self._store._observe_snapshot_reads(
-                self._ctx.txn_id, table, rids, path)
 
 
 class StoreBase:
@@ -252,27 +213,37 @@ class StoreBase:
 
     # -- reads --------------------------------------------------------------------------
 
-    def _read_path(self, ctx) -> tuple[Callable[[ReadAccess], None], object]:
-        """``(observe one access, provider or None)`` — the one place the
-        isolation split is decided: SNAPSHOT/SERIALIZABLE transactions
-        read their snapshot provider under a counting (and, for
-        SERIALIZABLE, read-set-recording) observer that never locks and
-        never raises; 2PL transactions read the live database under the
-        lock-acquiring observer, which may raise
+    def _reads(self, ctx, on_table=None, grounding: bool = False) -> Reads:
+        """The one read observer of a statement (``on_table`` books each
+        table it reads) or of a grounding in ``ctx``: SNAPSHOT and
+        SERIALIZABLE reads are counted (and, for SERIALIZABLE, recorded
+        in the SSI read set), never lock and never raise; 2PL reads take
+        the locks each access requires, which may raise
         :class:`~repro.storage.engine.WouldBlock`."""
-        if ctx.isolation.uses_snapshot:
-            return (
-                partial(self._observe_snapshot_read, ctx.txn_id),
-                self.snapshot_provider(ctx.txn_id),
-            )
-        return partial(self._lock_read_access, ctx), None
+        snapshot = ctx.isolation.uses_snapshot
+        on_path, on_rows = self._read_hooks(snapshot, grounding)
+        return Reads(
+            ctx.txn_id if snapshot else ctx, on_path, on_rows, on_table,
+            defer_ranges=snapshot)
+
+    def _read_hooks(self, snapshot: bool, grounding: bool) -> tuple:
+        """``(on_path, on_rows)`` of a read observer — the one place the
+        isolation split is decided."""
+        if snapshot:
+            return self._observe_snapshot_read, self._observe_snapshot_reads
+        return self._lock_read_access, self._lock_read_rows
 
     def grounding_hooks(self, txn: int):
-        """``(read_observer, provider_or_None)`` for grounding ``txn``'s
-        entangled queries — what the shared evaluation round
+        """``(read_observer, provider_or_None)`` for grounding one of
+        ``txn``'s entangled queries — what the shared evaluation round
         (:func:`repro.core.groups.evaluate_round`) threads into
-        ``evaluate_batch`` for every owner."""
-        return self._read_path(self._context(txn))
+        ``evaluate_batch`` for each query: a fresh observer per
+        grounding, and the snapshot provider when ``txn`` reads one."""
+        ctx = self._context(txn)
+        provider = (
+            self.snapshot_provider(txn) if ctx.isolation.uses_snapshot
+            else None)
+        return self._reads(ctx, grounding=True), provider
 
     def query(
         self,
@@ -294,9 +265,12 @@ class StoreBase:
         no waiting.
         """
         ctx = self._context(txn)
-        observe_access, provider = self._read_path(ctx)
-        observe = _StatementReads(
-            self, ctx, observe_access, provider is not None)
+        versioned = ctx.isolation.uses_snapshot
+        provider = self.snapshot_provider(txn) if versioned else None
+        # The formal model works at table granularity: one read per
+        # table per statement, booked after its locks are granted.
+        observe = self._reads(
+            ctx, partial(self._note_read, ctx, versioned=versioned))
         # Plan counters land in a query-local dict and merge afterwards:
         # a coordinator plans with no latch held, so incrementing the
         # shared ``plan_stats`` in place would race concurrent queries.
@@ -320,10 +294,11 @@ class StoreBase:
     def read_table(self, txn: int, table: str) -> list[Row]:
         """Full-table read (used by tests and the recovery manager)."""
         ctx = self._context(txn)
-        observe_access, provider = self._read_path(ctx)
+        versioned = ctx.isolation.uses_snapshot
+        provider = self.snapshot_provider(txn) if versioned else None
         view = (provider or self.db).table(table)
-        observe_access(ReadAccess.scan(table))
-        self._note_read(ctx, table, provider is not None)
+        self._reads(ctx)(ReadAccess.scan(table))
+        self._note_read(ctx, table, versioned)
         return list(view.scan())
 
     def _note_read(self, ctx, table: str, versioned: bool) -> None:

@@ -104,6 +104,7 @@ VERBS: dict[str, Verb] = {verb.wire: verb for verb in (
     # -- locks ---------------------------------------------------------------------------
     Verb("lock_write_candidates", _ENGINE, blocking=True),
     Verb("lock_read_access", _ENGINE, blocking=True),
+    Verb("lock_read_rows", _ENGINE, blocking=True),
     Verb("release_read_locks", _ENGINE),
     Verb("lock_waiting", _LOCKS, "waiting"),
     Verb("lock_held", _LOCKS, "held_resources"),

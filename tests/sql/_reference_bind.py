@@ -759,7 +759,7 @@ def build_plan(
     node = Source(base_env)
     for shape in plan.levels:
         node = NestedLoopJoin(
-            node, _JoinLevel(shape, conjuncts, leaf_limit),
+            node, _JoinLevel(shape, conjuncts, leaf_limit, query.limit is None),
             # The innermost level projects, when it can do so by position.
             plan.emit if shape is plan.levels[-1] else None)
     if plan.emit is None:

@@ -28,6 +28,7 @@ from repro.errors import DuplicateKeyError, SnapshotTooOldError, WriteConflictEr
 from repro.storage import (
     ColumnType,
     ReadAccess,
+    RowId,
     ShardedStorageEngine,
     StorageEngine,
     TableSchema,
@@ -195,7 +196,16 @@ BEFORE_CRASH = [
     ("begin locker", lambda s: begin(s, TWO_PL, 9)),
     ("lock_read_access", lambda s: s.lock_read_access(9, ReadAccess.scan("T"))),
     ("release_read_locks", lambda s: s.release_read_locks(9)),
+    ("lock_read_rows", lambda s: (
+        s.lock_read_rows(9, "T", [2]), RowId("T", 2) in s.locks.held_resources(9)),
+     (None, True)),
     ("commit locker", lambda s: s.commit(9, flush=False)),
+    ("row read blocked", lambda s: (
+        begin(s, TWO_PL, 34), s.update(34, "T", 2, (1, "b", 41)),
+        begin(s, TWO_PL, 35), s.lock_read_rows(35, "T", [2])),
+     ("WouldBlock", 35, RowId("T", 2))),
+    ("abort row writer", lambda s: s.abort(34)),
+    ("abort blocked row reader", lambda s: s.abort(35)),
     # -- a forced vacuum takes the old cut away from its reader ----------------------------
     ("vacuum", lambda s: s.vacuum(s.oracle.last_commit_ts)),
     ("snapshot too old", lambda s: list(s.snapshot_view("T", 2, 1).scan()),

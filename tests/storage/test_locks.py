@@ -321,3 +321,41 @@ class TestStateReclamation:
                 lm.release_all(1)
         assert len(lm._locks) == 0
         assert not lm._held and not lm._queued and not lm._pending
+
+
+class TestRowIdIsNoTableResource:
+    """``RowId`` is a tuple type: a row of a table named ``"table"`` is a
+    2-tuple starting with ``"table"``, like a table resource."""
+
+    @pytest.mark.parametrize("batch", [False, True], ids=["acquire", "acquire_many"])
+    def test_a_row_s_grant_is_not_a_table_s_grant(self, batch):
+        lm = LockManager()
+        row = RowId("table", 7)
+        if batch:
+            assert lm.acquire_many(1, [row, table_resource("T")], S) is None
+        else:
+            lm.acquire(1, row, S)
+            lm.acquire(1, table_resource("T"), S)
+        assert lm.stats["table_s_grants"] == 1
+        assert lm.stats["read_grants"] == 2
+
+    def test_a_row_s_granted_after_a_wait_is_not_a_table_s_grant(self):
+        lm = LockManager()
+        row = RowId("table", 7)
+        lm.acquire(1, row, X)
+        assert lm.acquire(2, row, S) is LockOutcome.WAIT
+        assert lm.release_all(1) == [2]
+        assert lm.stats["table_s_grants"] == 0
+
+    @pytest.mark.parametrize("name", ["table", "ixkey", "7", "T"])
+    @pytest.mark.parametrize("rid", [0, 7])
+    def test_a_row_id_equals_no_table_or_index_key_resource(self, name, rid):
+        row = RowId(name, rid)
+        others = [
+            table_resource(name), table_resource(str(rid)),
+            table_resource("table"),
+            index_key_resource(name, ("id",), (rid,)),
+            index_key_resource("table", (name,), (rid,)),
+        ]
+        assert all(row != other for other in others)
+        assert row not in set(others)

@@ -6,7 +6,9 @@ and touched-only promotion.  A hypothesis state machine drives both with
 the same random operation sequences over a small txn × resource × mode
 space — small so that conversions, double-queued requests, FIFO queueing
 behind waiters, deadlocks and cancelled waits all occur — and requires
-the same decision at every step and the same observable state after it.
+the same decision at every step and the same observable state after it;
+a batch (``acquire_many``) is held to sequential ``acquire`` on the
+reference up to the first request that waits.
 Woken lists are compared as multisets: the rewrite orders them by what
 the releasing transaction touched, the reference by state creation.
 """
@@ -71,6 +73,26 @@ class LockManagerMachine(RuleBasedStateMachine):
             except DeadlockError:
                 outcomes.append("DEADLOCK")
         assert outcomes[0] == outcomes[1]
+
+    @rule(txn=txns, batch=st.lists(resources, max_size=4), mode=modes)
+    def acquire_many(self, txn, batch, mode):
+        """The batch against sequential ``acquire`` on the reference, up
+        to and including the first request that waits (or deadlocks)."""
+        try:
+            stopped = self.new.acquire_many(txn, batch, LockMode[mode])
+        except DeadlockError:
+            stopped = "DEADLOCK"
+        expected = None
+        for resource in batch:
+            try:
+                outcome = self.old.acquire(txn, resource, reference.LockMode[mode])
+            except DeadlockError:
+                expected = "DEADLOCK"
+                break
+            if outcome is reference.LockOutcome.WAIT:
+                expected = resource
+                break
+        assert stopped == expected
 
     @rule(txn=txns)
     def release_all(self, txn):

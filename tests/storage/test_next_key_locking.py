@@ -27,6 +27,7 @@ from repro.sql import parse_statement
 from repro.sql.compiler import compile_select
 from repro.storage import (
     ColumnType,
+    LockGranularity,
     ShardedStorageEngine,
     TableSchema,
     TxnIsolation,
@@ -40,8 +41,8 @@ from _reference_bind import literal
 SHARD_COUNTS = (1, 2, 4)
 
 
-def build_store(shards):
-    store = build_storage_engine(shards)
+def build_store(shards, granularity=LockGranularity.FINE):
+    store = build_storage_engine(shards, granularity=granularity)
     store.create_table(TableSchema.build(
         "T",
         [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
@@ -124,11 +125,17 @@ class TestNextKeyLocks2PL:
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     @pytest.mark.parametrize("vacate", ["delete", "update"])
-    def test_insert_of_a_vacated_primary_key_waits(self, shards, vacate):
+    @pytest.mark.parametrize(
+        "granularity", list(LockGranularity), ids=lambda g: g.value)
+    def test_insert_of_a_vacated_primary_key_waits(
+        self, shards, vacate, granularity
+    ):
         # A delete, or an update that moves the row to another primary
         # key, X-locks the key it vacates: an inserter of that key waits
         # for the outcome, and an abort gives the key back to the row.
-        store = build_store(shards)
+        # Under TABLE granularity too, where writers take no other key
+        # lock: table IX is compatible with table IX.
+        store = build_store(shards, granularity)
         writer = store.begin()
         row = store.db.table("T").lookup_pk((6,))
         if vacate == "delete":

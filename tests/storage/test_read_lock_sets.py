@@ -174,15 +174,35 @@ class TestRowsExamined:
 
 class TestIntentOnce:
     def requests(self, store, monkeypatch):
-        """Record every (txn, resource, mode) the lock manager is asked for."""
+        """Record every (txn, resource, mode) the lock manager is asked
+        for: each ``acquire``, and each item of an ``acquire_many`` as
+        the manager pulls it (not the ones after a request that waits).
+        A batch made inside an ``acquire`` is that one request."""
         asked = []
-        acquire = store.locks.acquire
+        acquire, acquire_many = store.locks.acquire, store.locks.acquire_many
+        inside_acquire = []
 
         def recording(txn, resource, mode):
             asked.append((txn, resource, mode))
-            return acquire(txn, resource, mode)
+            inside_acquire.append(True)
+            try:
+                return acquire(txn, resource, mode)
+            finally:
+                inside_acquire.pop()
+
+        def recording_many(txn, resources, mode):
+            if inside_acquire:
+                return acquire_many(txn, resources, mode)
+
+            def pulled():
+                for resource in resources:
+                    asked.append((txn, resource, mode))
+                    yield resource
+
+            return acquire_many(txn, pulled(), mode)
 
         monkeypatch.setattr(store.locks, "acquire", recording)
+        monkeypatch.setattr(store.locks, "acquire_many", recording_many)
         return asked
 
     def test_is_requested_once_per_table_per_transaction(self, monkeypatch):
