@@ -94,7 +94,7 @@ def test_snapshot_readers_never_lock_or_wait(one_round):
     # while the writers commit concurrently.
     assert point.committed == 16
     assert point.runs == 1
-    assert point.lock_stats["read_grants"] == 0
+    assert point.metrics["locks.read_grants"] == 0
     assert point.total("lock_waits") == 0
     assert point.total("read_restarts") == 0
     # the price: one superseded version

@@ -553,7 +553,7 @@ def test_engine_commit_writer(benchmark, tracked):
 
     benchmark.pedantic(
         store.commit, setup=writer, rounds=3000, warmup_rounds=100)
-    assert store.ssi.stats["rw_edges"] == (3100 if tracked else 0)
+    assert store.metrics()["ssi.rw_edges"] == (3100 if tracked else 0)
 
 
 # -- LIMIT-k range reads: the cost is k ------------------------------------------------

@@ -119,7 +119,7 @@ def _total(counter: str):
 
 def _lock_stat(counter: str):
     """Metric: a lock-manager counter's delta over the batch."""
-    return lambda point: point.lock_stats[counter]
+    return lambda point: point.metrics[f"locks.{counter}"]
 
 
 def _txn(*statements: str) -> str:
@@ -527,7 +527,7 @@ SSI_FALSE_POSITIVES = Arm(
               "count", lambda point: {
                   "ssi aborts": point.total("ssi_aborts"),
                   "materialized cycles": point.extras["materialized_cycles"],
-                  "unproven pivots": point.ssi_stats["pivot_aborts_unproven"],
+                  "unproven pivots": point.metrics["ssi.pivot_aborts_unproven"],
               }),
         Table("share",
               "SSI false positives: share of aborts with no cycle",

@@ -47,6 +47,7 @@ from repro.sim.metrics import Measurements
 from repro.storage.engine import LockGranularity
 from repro.storage.schema import TableSchema
 from repro.storage.sharding import ShardedStorageEngine, build_storage_engine
+from repro.storage.store import metrics_delta
 from repro.storage.types import ColumnType
 from repro.workloads.programs import WorkloadItem
 from repro.workloads.socialnet import SocialNetwork
@@ -175,11 +176,10 @@ class Point:
     #: which of the two clocks :attr:`throughput` divides by.
     clock: str
     reports: list[RunReport] = field(repr=False)
-    #: lock-manager and SSI-tracker counter deltas over the batch — the
-    #: contention picture behind the elapsed time (``read_grants``,
-    #: ``table_s_grants``, ``pivot_aborts_unproven``, ...).
-    lock_stats: dict[str, int] = field(repr=False)
-    ssi_stats: dict[str, int] = field(repr=False)
+    #: the store's counters over the batch (``metrics()`` deltas) — the
+    #: contention picture behind the elapsed time (``locks.read_grants``,
+    #: ``locks.table_s_grants``, ``ssi.pivot_aborts_unproven``, ...).
+    metrics: dict[str, int] = field(repr=False)
     #: the driven client, for measurements only its internals can answer
     #: (e.g. the recorded schedule).
     client: Client = field(repr=False)
@@ -233,8 +233,7 @@ def drive(
     total the run reports.  The ``wall_seconds`` window covers the drain
     only: submission is parse work, not the system under test."""
     store = client.store
-    locks_before = dict(store.locks.stats)
-    ssi_before = dict(store.ssi.stats)
+    before = store.metrics()
     handles = []
     for script in scripts:
         handles.append(client.session(script.client).run_script(
@@ -260,16 +259,11 @@ def drive(
         eval_time=account.total_eval_time if account else 0.0,
         clock="virtual" if virtual else "wall",
         reports=list(client.run_reports),
-        lock_stats=_delta(store.locks.stats, locks_before),
-        ssi_stats=_delta(store.ssi.stats, ssi_before),
+        metrics=metrics_delta(store.metrics(), before),
         client=client,
     )
     require_all_committed(point, label, allow_aborts=allow_aborts)
     return point
-
-
-def _delta(after: Mapping[str, int], before: Mapping[str, int]) -> dict[str, int]:
-    return {name: value - before.get(name, 0) for name, value in after.items()}
 
 
 # -- arms: one experiment as data ---------------------------------------------------------

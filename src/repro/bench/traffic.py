@@ -392,10 +392,10 @@ def run_traffic_point(
             point.latency = LatencySummary.of(point.latencies)
         # Fresh engine per point, so cumulative tracker counters are
         # exactly this point's counts.
-        ssi_stats = db.engine.store.ssi.stats
-        point.pivot_aborts = ssi_stats["pivot_aborts"]
-        point.conservative_aborts = ssi_stats["conservative_aborts"]
-        point.unproven_pivot_aborts = ssi_stats["pivot_aborts_unproven"]
+        reading = db.engine.store.metrics()
+        point.pivot_aborts = reading["ssi.pivot_aborts"]
+        point.conservative_aborts = reading["ssi.conservative_aborts"]
+        point.unproven_pivot_aborts = reading["ssi.pivot_aborts_unproven"]
         verify = getattr(scenario, "verify", None)
         if verify is not None:
             verify(db)

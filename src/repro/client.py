@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import os
 import random
 import time
@@ -1017,24 +1018,7 @@ class PendingAnswer:
         even while no partner exists; a partner delivered by another
         thread's pump wakes this one immediately.
         """
-        backoff = self.BASE_BACKOFF
-        for _ in range(max_rounds):
-            if self.cancelled:
-                raise MiddlewareError(
-                    f"entangled query {self.query_id} was cancelled"
-                )
-            if self.poll():
-                return self.bindings()
-            self._wait_for_pump(backoff)
-            if self.done:
-                return self.bindings()
-            backoff = min(backoff * 2, self.MAX_BACKOFF)
-        if self.done:
-            return self.bindings()
-        raise EntanglementTimeout(
-            f"entangled query {self.query_id} found no partners in "
-            f"{max_rounds} matching rounds"
-        )
+        return self._wait(range(max_rounds), None, f"in {max_rounds} matching rounds")
 
     def block(self, timeout: float | None = None) -> dict[str, "SQLValue | None"]:
         """Block the calling thread until the answer lands.
@@ -1052,8 +1036,19 @@ class PendingAnswer:
         :class:`~repro.errors.MiddlewareError` on cancellation.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
+        return self._wait(
+            itertools.count(), deadline, f"within {timeout} seconds")
+
+    def _wait(
+        self, rounds: Iterable, deadline: float | None, limit: str,
+    ) -> dict[str, "SQLValue | None"]:
+        """The one wait loop: a matching round, then a backoff wait on
+        the client's condition variable, once per element of ``rounds``
+        and until ``deadline`` (monotonic seconds; None: none); past
+        either, :class:`~repro.errors.EntanglementTimeout` naming the
+        ``limit``."""
         backoff = self.BASE_BACKOFF
-        while True:
+        for _ in rounds:
             if self.cancelled:
                 raise MiddlewareError(
                     f"entangled query {self.query_id} was cancelled"
@@ -1062,17 +1057,18 @@ class PendingAnswer:
                 return self.bindings()
             wait = backoff
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise EntanglementTimeout(
-                        f"entangled query {self.query_id} found no partners "
-                        f"within {timeout} seconds"
-                    )
-                wait = min(wait, remaining)
+                wait = min(wait, deadline - time.monotonic())
+                if wait <= 0:
+                    break
             self._wait_for_pump(wait)
             if self.done:
                 return self.bindings()
             backoff = min(backoff * 2, self.MAX_BACKOFF)
+        if self.done:
+            return self.bindings()
+        raise EntanglementTimeout(
+            f"entangled query {self.query_id} found no partners {limit}"
+        )
 
     def cancel(self) -> None:
         """Give up waiting; the session resumes and may issue other

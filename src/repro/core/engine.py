@@ -51,6 +51,7 @@ from repro.errors import (
 from repro.sql.ast import TransactionProgram
 from repro.sql.parser import parse_transaction
 from repro.storage.engine import TxnIsolation
+from repro.storage.store import metrics_delta
 from repro.storage.expressions import Cmp, CmpOp, Col, Const, RowPredicate
 from repro.storage.protocol import Store
 from repro.storage.schema import TableSchema
@@ -442,7 +443,7 @@ class EntangledTransactionEngine:
         report = RunReport(index=self._run_index)
         started = self.clock.now
         self.policy.on_run_started(started)
-        counters_before = self._store_counters()
+        before = self.store.metrics()
         for listener in self.listeners:
             listener.run_started(report)
 
@@ -547,11 +548,12 @@ class EntangledTransactionEngine:
 
         self._commit_phase(batch, lock_blocked, report)
 
-        delta = _minus(self._store_counters(), counters_before)
-        report.lock_waits = delta["locks"]["waits"]
-        report.deadlocks = delta["locks"]["deadlocks"]
-        report.locks_acquired = delta["locks"]["acquired"]
-        report.index_range_scans = delta["plans"]["index_range_scans"]
+        after = self.store.metrics()
+        delta = metrics_delta(after, before)
+        report.lock_waits = delta["locks.waits"]
+        report.deadlocks = delta["locks.deadlocks"]
+        report.locks_acquired = delta["locks.acquired"]
+        report.index_range_scans = delta["plans.index_range_scans"]
         report.cross_shard_commits = delta["cross_shard_commits"]
         if report.committed:
             report.cross_shard_share = (
@@ -560,11 +562,11 @@ class EntangledTransactionEngine:
         # Commit-time SSI failures come from the tracker's stat deltas;
         # pre-commit group-validation aborts were already added to
         # ``report.ssi_aborts`` by the commit phase.
-        report.pivot_aborts = delta["ssi"]["pivot_aborts"]
+        report.pivot_aborts = delta["ssi.pivot_aborts"]
         report.ssi_aborts += (
-            report.pivot_aborts + delta["ssi"]["conservative_aborts"])
+            report.pivot_aborts + delta["ssi.conservative_aborts"])
         report.follower_reads = delta["follower_reads"]
-        report.max_version_chain = self.store.version_stats()["max_chain"]
+        report.max_version_chain = after["max_chain"]
         report.chain_histograms = self.store.chain_histograms()
 
         admitted_before, shed_before = self._admission_stamped
@@ -577,18 +579,6 @@ class EntangledTransactionEngine:
             listener.run_ended(report)
         self.run_reports.append(report)
         return report
-
-    def _store_counters(self) -> dict:
-        """One reading of every cumulative store counter a run reports
-        its own share of; :meth:`run_once` subtracts two of them."""
-        store = self.store
-        return {
-            "locks": dict(store.locks.stats),
-            "ssi": dict(store.ssi.stats),
-            "plans": dict(store.plan_stats),
-            "cross_shard_commits": store.cross_shard_commit_count,
-            "follower_reads": store.follower_read_count,
-        }
 
     def _home_shard(self, txn: EntangledTransaction) -> int:
         """The executor worker a transaction runs on: its shard hint, or
@@ -953,12 +943,3 @@ class EntangledTransactionEngine:
         if self.recorder is None:
             raise EngineError("engine was not configured with record_schedule")
         return self.recorder.schedule()
-
-
-def _minus(after, before):
-    """``after - before`` over two readings of nested counters; a key the
-    earlier reading lacks counts from zero."""
-    if isinstance(after, dict):
-        return {key: _minus(value, before.get(key, 0))
-                for key, value in after.items()}
-    return after - before

@@ -85,7 +85,7 @@ from repro.storage.row import Row, RowId, ValueTuple, row_id
 from repro.storage.schema import TableSchema
 from repro.storage.snapshot import SnapshotDatabase, SnapshotView
 from repro.storage.ssi import SSITracker
-from repro.storage.store import StoreBase, TxnStatus
+from repro.storage.store import METRICS, StoreBase, TxnStatus
 from repro.storage.wal import CheckpointImage, LogRecordType, WriteAheadLog
 
 
@@ -279,8 +279,8 @@ class StorageEngine(StoreBase):
         #: paths?  Tables maintain the trees either way; False is the
         #: hash-only baseline arm of the range benchmark.
         self.ordered_indexes = ordered_indexes
-        #: plan counters the planner accumulates (``index_range_scans``
-        #: is surfaced in RunReport).
+        #: plan counters the planner accumulates (``plans.*`` in
+        #: :meth:`metrics`).
         self.plan_stats = {
             "index_range_scans": 0,
             "seq_scans_avoided": 0,
@@ -326,7 +326,7 @@ class StorageEngine(StoreBase):
         self.checkpoint_interval = 0
         self._commits_since_checkpoint = 0
         self.checkpoint_stats = {"taken": 0, "skipped": 0}
-        #: commit/abort tallies (per-shard reporting wants these).
+        #: commit/abort tallies (``commits`` / ``aborts`` in :meth:`metrics`).
         self.commit_count = 0
         self.abort_count = 0
 
@@ -878,15 +878,23 @@ class StorageEngine(StoreBase):
         return removed
 
     @_locked
-    def version_stats(self) -> dict[str, int]:
-        """Aggregate version-chain footprint across all tables."""
+    def metrics(self) -> dict[str, int]:
+        """Every counter, keyed as :data:`~repro.storage.store.METRICS`,
+        with the version-chain footprint across all tables as the
+        ``versions`` / ``max_chain`` gauges.  One timeline: nothing
+        spans shards, no follower answers."""
         total = 0
         longest = 0
         for name in self.db.table_names():
             table_total, table_longest = self.db.table(name).version_stats()
             total += table_total
             longest = max(longest, table_longest)
-        return {"versions": total, "max_chain": longest}
+        return dict(zip(METRICS, (
+            *self.locks.stats.values(), *self.mvcc_stats.values(),
+            total, longest, *self.checkpoint_stats.values(),
+            self.commit_count, self.abort_count, *self.ssi.stats.values(),
+            *self.plan_stats.values(), 0, 0,
+        )))
 
     @_locked
     def chain_histograms(self) -> dict[str, dict[int, int]]:

@@ -104,21 +104,17 @@ class ShardEngine(Protocol):
     #: ``flush``, ``last_lsn`` / ``flushed_lsn``, ``records`` and the
     #: commit analysis over them, ``flush_latency``.
     wal: WriteAheadLog
-    #: the lock manager: ``stats``, ``waiting``, ``held_resources``,
+    #: the lock manager: ``waiting``, ``held_resources``,
     #: ``waits_edges``, ``cancel_wait``, ``share_waits_for``.
     locks: Any
     #: the catalog: ``name``, ``has_table``, ``table`` (a live
     #: :class:`TableView` plus ``snapshot``),
     #: ``table_names``, ``schemas``.
     db: Any
-    commit_count: int
-    abort_count: int
     #: auto-vacuum cadence in writing commits (0 disables).
     vacuum_interval: int
     #: always 0 for a member: ensembles checkpoint as a whole.
     checkpoint_interval: int
-    checkpoint_stats: dict[str, int]
-    mvcc_stats: dict[str, int]
 
     # -- transactions ----------------------------------------------------------------
 
@@ -215,7 +211,12 @@ class ShardEngine(Protocol):
 
     # -- statistics --------------------------------------------------------------------
 
-    def version_stats(self) -> dict[str, int]: ...
+    def metrics(self) -> dict[str, int]:
+        """One reading of this shard's counters, keyed as
+        :data:`~repro.storage.store.METRICS`: what it counts itself —
+        locks, MVCC, the checkpoints it took, commits and aborts — and
+        the version-chain gauges ``versions`` and ``max_chain``; the keys
+        only a coordinator counts read zero."""
 
     def chain_histograms(self) -> dict[str, dict[int, int]]: ...
 
@@ -226,29 +227,21 @@ class Store(Protocol):
 
     One timeline or N shards, in this process or in workers, with or
     without followers: the middle tier cannot tell and never asks.  A
-    topology with nothing to report for a member reports zero.
+    topology with nothing to report for a member reports zero — in
+    :meth:`metrics`, a lone engine's ``cross_shard_commits`` and an
+    unreplicated store's ``follower_reads``.
     """
 
     #: the catalog and live table provider: ``has_table``, ``table``,
     #: ``create_table``, ``table_names``, ``plans``.
     db: Any
-    #: the lock manager (or the sum of the shards'): ``stats``,
-    #: ``waiting(txn)``.
+    #: the lock manager (or the shards'): ``waiting(txn)``.
     locks: Any
-    #: the SSI tracker deciding commits: ``stats``.
-    ssi: Any
     #: callbacks ``(txn, "read" | "write" | "commit" | "abort", table,
     #: reads_from)`` — how the schedule recorder listens.
     observers: list
-    #: planner counters: ``index_range_scans``, ``seq_scans_avoided``,
-    #: ``sorts_elided``.
-    plan_stats: dict[str, int]
     #: writing commits between automatic checkpoints (0 disables).
     checkpoint_interval: int
-    #: writing commits whose writes spanned shards (two-phase commits).
-    cross_shard_commit_count: int
-    #: snapshot probes answered by a follower.
-    follower_read_count: int
 
     @property
     def n_shards(self) -> int: ...
@@ -351,7 +344,15 @@ class Store(Protocol):
 
     def written_shards(self, txn: int) -> list[int]: ...
 
-    def version_stats(self) -> dict[str, int]: ...
+    def metrics(self) -> dict[str, int]:
+        """One reading of every counter, keyed as
+        :data:`~repro.storage.store.METRICS`: cumulative counts —
+        ``locks.*``, ``ssi.*``, ``plans.*``, ``mvcc.*``,
+        ``checkpoints.taken`` / ``skipped``, ``commits``, ``aborts``,
+        ``cross_shard_commits`` (writing commits that spanned shards),
+        ``follower_reads`` (snapshot probes a follower answered) — and
+        the gauges ``versions`` and ``max_chain``.  A run's share is
+        :func:`~repro.storage.store.metrics_delta` of two readings."""
 
     def chain_histograms(self) -> dict[str, dict[int, int]]: ...
 

@@ -109,7 +109,7 @@ from repro.storage.recovery import RecoveryReport
 from repro.storage.row import Row, ValueTuple
 from repro.storage.schema import TableSchema
 from repro.storage.ssi import SSITracker
-from repro.storage.store import StoreBase
+from repro.storage.store import ENSEMBLE_METRICS, METRICS, StoreBase
 from repro.storage.wal import LogRecordType, WriteAheadLog
 
 
@@ -392,18 +392,10 @@ class ShardedTxnContext:
 
 
 class _AggregateLocks:
-    """Read-only facade summing the shard lock managers for reporting."""
+    """Read-only facade over the shard lock managers."""
 
     def __init__(self, engine: "ShardedStorageEngine"):
         self._engine = engine
-
-    @property
-    def stats(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for shard in self._engine.shards:
-            for key, value in shard.locks.stats.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
     def waiting(self, txn: int) -> bool:
         return any(shard.locks.waiting(txn) for shard in self._engine.shards)
@@ -448,6 +440,7 @@ class ShardedStorageEngine(StoreBase):
         "commit_count": "commit-funnel",
         "cross_shard_commit_count": "commit-funnel",
         "_commits_since_checkpoint": "commit-funnel",
+        "_checkpoints": "commit-funnel",
         "_active_writers": "shard-meta",
         "abort_count": "shard-meta",
         "plan_stats": "shard-meta",
@@ -540,6 +533,8 @@ class ShardedStorageEngine(StoreBase):
         #: see :meth:`checkpoint`.
         self._checkpoint_interval = 0
         self._commits_since_checkpoint = 0
+        #: ensemble checkpoints, each counted once (a shard counts its own).
+        self._checkpoints = {"taken": 0, "skipped": 0}
 
     # -- routing -----------------------------------------------------------------
 
@@ -976,14 +971,29 @@ class ShardedStorageEngine(StoreBase):
                 min(self._active_seqs.values(), default=self._commit_seq))
         return removed
 
-    def version_stats(self) -> dict[str, int]:
-        total = 0
+    def metrics(self) -> dict[str, int]:
+        """The shards' lock, MVCC and version counters summed
+        (``max_chain``: the longest), plus this coordinator's own
+        snapshot reads and refreshes; the counts it keeps for the whole
+        ensemble — checkpoints, SSI, planner, cross-shard and follower
+        reads, commits, aborts — replace the shards' shares.  On a
+        process fleet each shard's reading is a mirror: no frame."""
+        reading = dict.fromkeys(METRICS, 0)
         longest = 0
         for shard in self.shards:
-            stats = shard.version_stats()
-            total += stats["versions"]
-            longest = max(longest, stats["max_chain"])
-        return {"versions": total, "max_chain": longest}
+            member = shard.metrics()
+            longest = max(longest, member["max_chain"])
+            for key, value in member.items():
+                reading[key] += value
+        reading["max_chain"] = longest
+        for key, value in self._mvcc_local.items():
+            reading[f"mvcc.{key}"] += value
+        reading.update(zip(ENSEMBLE_METRICS, (
+            *self._checkpoints.values(), self.commit_count, self.abort_count,
+            *self.ssi.stats.values(), *self.plan_stats.values(),
+            self.cross_shard_commit_count, self.follower_read_count,
+        )))
+        return reading
 
     def chain_histograms(self) -> dict[str, dict[int, int]]:
         merged: dict[str, dict[int, int]] = {}
@@ -993,17 +1003,6 @@ class ShardedStorageEngine(StoreBase):
                 for length, count in histogram.items():
                     bucket[length] = bucket.get(length, 0) + count
         return merged
-
-    @property
-    def mvcc_stats(self) -> dict[str, int]:
-        totals = dict(self._mvcc_local)
-        totals.setdefault("write_conflicts", 0)
-        totals.setdefault("supersede_prunes", 0)
-        for shard in self.shards:
-            # One read per shard: a remote shard's dict is a round trip.
-            for key, value in shard.mvcc_stats.items():
-                totals[key] += value
-        return totals
 
     @property
     def vacuum_interval(self) -> int:
@@ -1043,8 +1042,7 @@ class ShardedStorageEngine(StoreBase):
             with self._meta_lock:
                 busy = bool(self._active_writers)
             if busy:
-                for shard in self.shards:
-                    shard.checkpoint_stats["skipped"] += 1
+                self._checkpoints["skipped"] += 1
                 return []
             # Latch-discipline waiver: the per-shard checkpoint flushes
             # (and truncates) each WAL *under* the commit funnel.  That
@@ -1060,15 +1058,8 @@ class ShardedStorageEngine(StoreBase):
             assert all(record is not None for record in records), (
                 "shard checkpoint skipped despite global quiescence"
             )
+            self._checkpoints["taken"] += 1
             return records
-
-    @property
-    def checkpoint_stats(self) -> dict[str, int]:
-        totals = {"taken": 0, "skipped": 0}
-        for shard in self.shards:
-            for key in totals:
-                totals[key] += shard.checkpoint_stats[key]
-        return totals
 
     # -- reads (bodies in StoreBase) ------------------------------------------------------
 

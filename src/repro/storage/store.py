@@ -31,7 +31,7 @@ the primitives they are written against:
   unless it is registered there already; says whether it moved;
 * ``commit_funnel()`` — the latch visibility transitions ride;
 * ``_meta_lock`` / ``_mvcc_local`` — the latch the small counters are
-  updated under, and this store's own share of ``mvcc_stats``.
+  updated under, and this store's own share of the ``mvcc.*`` metrics.
 
 Nothing here names the single engine's mutex — that class re-declares
 each public member as ``_locked(StoreBase.member)`` — and the two
@@ -48,10 +48,40 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import TransactionStateError
+from repro.storage.locks import LOCK_STATS
 from repro.storage.planner import PlanHints
 from repro.storage.query import ReadAccess, Reads, SPJQuery, evaluate
 from repro.storage.row import Row
 from repro.storage.types import SQLValue
+
+
+#: the keys of a ``metrics()`` reading, in its order.
+METRICS = (
+    *(f"locks.{name}" for name in LOCK_STATS),
+    "mvcc.snapshot_reads", "mvcc.write_conflicts", "mvcc.snapshot_refreshes",
+    "mvcc.supersede_prunes", "versions", "max_chain",
+    "checkpoints.taken", "checkpoints.skipped", "commits", "aborts",
+    "ssi.rw_edges", "ssi.pivot_aborts", "ssi.pivot_aborts_unproven",
+    "ssi.conservative_aborts", "ssi.doomed_reads",
+    "plans.index_range_scans", "plans.seq_scans_avoided", "plans.sorts_elided",
+    "cross_shard_commits", "follower_reads",
+)
+#: what one shard of an ensemble counts besides its commits and aborts;
+#: the keys after those read zero on a shard.  A shard worker ships these
+#: in its envelope, in this order, when one changed.
+SHARD_METRICS = METRICS[:METRICS.index("commits")]
+#: the counts an ensemble's coordinator keeps for the whole ensemble: its
+#: reading takes these from itself and the rest from its shards, summed
+#: (``max_chain``: the longest).
+ENSEMBLE_METRICS = METRICS[METRICS.index("checkpoints.taken"):]
+
+
+def metrics_delta(
+    after: Mapping[str, int], before: Mapping[str, int]
+) -> dict[str, int]:
+    """What the counters of ``after`` added since ``before``: two readings
+    of one store's ``metrics()``."""
+    return {key: value - before[key] for key, value in after.items()}
 
 
 class TxnStatus(enum.Enum):
@@ -65,7 +95,6 @@ class StoreBase:
 
     # -- what a topology without shards, followers or workers reports -------------------
 
-    cross_shard_commit_count = 0
     follower_read_count = 0
     promotion_count = 0
 

@@ -13,8 +13,8 @@ proxy method that only forwards is *generated* from its row
 (:func:`forwards`), so remoteness adds nothing to the contract.  What is
 written out below is what does more than forward, and answers locally:
 
-* **mirrors** — the shard's oracle timestamp, WAL contents, commit/abort
-  counters and lock/version-chain statistics are replicated
+* **mirrors** — the shard's oracle timestamp, WAL contents, its
+  ``metrics()`` reading and chain histograms are replicated
   coordinator-side, folded in from the envelope responses carry.
   Because the coordinator performs begins/commits under its commit
   funnel (each enclosed RPC is awaited before the funnel is released)
@@ -42,9 +42,9 @@ from repro.analysis.latch import Latch, assert_may_block
 from repro.errors import TransactionStateError, TransportError, UnknownTableError
 from repro.storage.catalog import Database
 from repro.storage.engine import WouldBlock
-from repro.storage.locks import LOCK_STATS
 from repro.storage.oracle import TimestampOracle
 from repro.storage.schema import TableSchema
+from repro.storage.store import METRICS, SHARD_METRICS
 from repro.storage.wal import WriteAheadLog
 from repro.transport.frames import FrameChannel, decode_error
 from repro.transport.verbs import Target, Verb, members_of
@@ -323,8 +323,6 @@ class RemoteLocks:
 
     def __init__(self, connection: ShardConnection):
         self._connection = connection
-        #: the worker's counters as of its last response (envelope-fed).
-        self.stats = dict.fromkeys(LOCK_STATS, 0)
 
     def _send(self, verb: Verb, *args):
         return self._connection.request(verb.wire, *args)
@@ -425,8 +423,11 @@ def _no_probe(shard, exc) -> None:
 class RemoteShardEngine:
     """A :class:`~repro.storage.protocol.ShardEngine` whose engine lives
     in one worker process.  Statements, locks, prepare, abort, vacuum,
-    recovery and the snapshot re-arms are the verb table's rows; written
-    out here are the mirrors and the calls that do more than forward."""
+    checkpoint, recovery and the snapshot re-arms are the verb table's
+    rows; written out here are the mirrors and the calls that do more
+    than forward.  :meth:`metrics` and :meth:`chain_histograms` answer
+    from the mirror the envelopes keep — the worker's reading as of its
+    last response — without a frame."""
 
     _verbs = members_of(Target.ENGINE)
 
@@ -449,13 +450,10 @@ class RemoteShardEngine:
             records, flushed_lsn, next_lsn = install["wal"]
             self.wal.replace(records, flushed_lsn=flushed_lsn, next_lsn=next_lsn)
             self.wal._mirror_last_lsn = records[-1].lsn if records else 0
-        self.commit_count = 0
-        self.abort_count = 0
-        #: ``(versions, max chain)`` and the per-table chain-length
+        #: the worker's ``metrics()`` and per-table chain-length
         #: histograms (catalog order), as of the last response.
-        self._version_stats = (0, 0)
+        self._metrics = dict.fromkeys(METRICS, 0)
         self._chain_histograms: tuple = ()
-        self.checkpoint_stats = {"taken": 0, "skipped": 0}
         self._vacuum_interval = 128
         self._checkpoint_interval = 0
         #: installed by the process engine: probes for cross-shard
@@ -467,9 +465,11 @@ class RemoteShardEngine:
 
     def _apply_envelope(self, envelope) -> None:
         # Latch order: oracle (50) then wal (52), acquired separately,
-        # never nested; counter writes are plain attribute stores.
-        (ts, self.commit_count, self.abort_count, delta, wal_full, last_lsn,
-         flushed, live_rows, stats) = envelope
+        # never nested; counter writes are plain dict stores.
+        (ts, commits, aborts, delta, wal_full, last_lsn, flushed, live_rows,
+         stats) = envelope
+        self._metrics["commits"] = commits
+        self._metrics["aborts"] = aborts
         self.oracle.advance_to(ts)
         wal = self.wal
         if wal_full is not None:
@@ -488,8 +488,8 @@ class RemoteShardEngine:
         for name, rows in zip(self.db.table_names(), live_rows):
             self.db.table(name).live_rows = rows
         if stats is not None:
-            lock_stats, self._version_stats, self._chain_histograms = stats
-            self.locks.stats.update(zip(LOCK_STATS, lock_stats))
+            counters, self._chain_histograms = stats
+            self._metrics.update(zip(SHARD_METRICS, counters))
 
     def _send(self, verb: Verb, *args):
         """A request; if it may hit a lock conflict worker-side, then on
@@ -528,12 +528,6 @@ class RemoteShardEngine:
     def create_table(self, schema) -> RemoteTableView:
         return self.db.create_table(schema)
 
-    def checkpoint(self):
-        record = self._connection.request("checkpoint")
-        key = "taken" if record is not None else "skipped"
-        self.checkpoint_stats[key] += 1
-        return record
-
     @property
     def vacuum_interval(self) -> int:
         return self._vacuum_interval
@@ -554,12 +548,8 @@ class RemoteShardEngine:
 
     # -- stats ---------------------------------------------------------------------
 
-    def version_stats(self) -> dict[str, int]:
-        return dict(zip(("versions", "max_chain"), self._version_stats))
+    def metrics(self) -> dict[str, int]:
+        return dict(self._metrics)
 
     def chain_histograms(self) -> dict[str, dict[int, int]]:
         return dict(zip(self.db.table_names(), self._chain_histograms))
-
-    @property
-    def mvcc_stats(self) -> dict[str, int]:
-        return self._connection.request("mvcc_stats")

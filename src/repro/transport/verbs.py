@@ -140,7 +140,6 @@ VERBS: dict[str, Verb] = {verb.wire: verb for verb in (
          one_way=True, attribute=True),
     Verb("set_checkpoint_interval", _ENGINE, "checkpoint_interval",
          one_way=True, attribute=True),
-    Verb("mvcc_stats", _ENGINE, attribute=True),
 )}
 
 

@@ -25,13 +25,15 @@ carrier request fails with it instead of executing — the coordinator
 never silently loses a worker-side error.
 
 Every response carries an **envelope** (``None`` when nothing moved):
-the oracle's commit timestamp, commit/abort counters, the durable WAL
-delta and watermarks, per-table live row counts, and — when they
-changed — lock-manager and version-chain statistics.  The
-coordinator's receiver thread folds it into its local mirrors, which is
-how the proxy objects answer hot-path reads
-(``oracle.last_commit_ts``, ``wal.last_lsn``, ``locks.stats``,
-``chain_histograms``, a table's ``row_estimate``) without a round trip.
+the oracle's commit timestamp, the engine's commit and abort counts, the
+durable WAL delta and watermarks, per-table live row counts, and — when
+they changed — the stats: the rest of what the engine's ``metrics()``
+reading counts, as one tuple in :data:`~repro.storage.store.
+SHARD_METRICS` order, and its chain histograms.  The coordinator's receiver thread folds it
+into its local mirrors, which is how the proxy objects answer hot-path
+reads (``oracle.last_commit_ts``, ``wal.last_lsn``, ``metrics()``,
+``chain_histograms()``, a table's ``row_estimate``) without a round
+trip.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import os
 from collections.abc import Iterator
 
 from repro.storage.engine import StorageEngine, WouldBlock
+from repro.storage.store import SHARD_METRICS
 from repro.transport.frames import FrameChannel, encode_error
 from repro.transport.verbs import VERBS
 
@@ -160,19 +163,20 @@ class ShardServer:
         """``(ts, commits, aborts, wal delta, wal resync, last lsn,
         flushed lsn, per-table live rows, stats)`` —
         positional, because it rides most responses and dict keys would
-        outweigh its values."""
+        outweigh its values.  Commits and aborts ride the head: they
+        often change alone, and the stats part ships only when the rest
+        of the reading or a histogram moved."""
         engine = self.engine
         wal = engine.wal
+        reading = engine.metrics()
         head = (
-            engine.oracle.last_commit_ts, engine.commit_count,
-            engine.abort_count,
+            engine.oracle.last_commit_ts, reading["commits"], reading["aborts"],
         )
         live_rows = tuple(
             table.row_estimate()
             for table in map(engine.db.table, engine.db.table_names()))
         stats = (
-            tuple(engine.locks.stats.values()),
-            tuple(engine.version_stats().values()),
+            tuple([reading[key] for key in SHARD_METRICS]),
             tuple(engine.chain_histograms().values()),
         )
         # Responses are FIFO per connection and the coordinator's

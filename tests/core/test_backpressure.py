@@ -184,11 +184,7 @@ class TestCloseCancelsPending:
             with writer.transaction() as txn:
                 txn.execute(f"UPDATE Items SET v = {i} WHERE k = 0")
         store = db.store
-        stats = (
-            store.mvcc_stats() if callable(getattr(store, "mvcc_stats"))
-            else store.mvcc_stats
-        )
-        pruned_at_supersede = stats["supersede_prunes"]
+        pruned_at_supersede = store.metrics()["mvcc.supersede_prunes"]
         removed = store.vacuum()
         assert removed > 0 or pruned_at_supersede > 0, (
             "nothing was pruned: the closed session's parked snapshot "

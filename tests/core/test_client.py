@@ -224,7 +224,7 @@ class TestCloseAndCrash:
             "BEGIN TRANSACTION; UPDATE Items SET v = 5 WHERE k = 0; COMMIT;"
         ).wait()
         db.close()
-        assert db.store.checkpoint_stats["taken"] >= 1
+        assert db.store.metrics()["checkpoints.taken"] >= 1
         for wal in db.store.wals():
             assert wal.flushed_lsn == wal.last_lsn
 

@@ -48,13 +48,13 @@ class TestMixedIsolationMatchRound:
         alice = broker.open_session(
             "alice", isolation=TxnIsolation.SNAPSHOT)
         bob = broker.open_session("bob", isolation=TxnIsolation.SNAPSHOT)
-        grants_before = broker.store.locks.stats["read_grants"]
+        grants_before = broker.store.metrics()["locks.read_grants"]
         alice.execute(PICK.format(me="alice", friend="bob"))
         bob.execute(PICK.format(me="bob", friend="alice"))
         # Both ground lock-free on their snapshots and entangle — the
         # writer's X locks on Items are simply never encountered.
         assert broker.match_round() == 2
-        assert broker.store.locks.stats["read_grants"] == grants_before
+        assert broker.store.metrics()["locks.read_grants"] == grants_before
         assert alice.env["@item"] == bob.env["@item"]
         # Neither saw the uncommitted insert.
         assert alice.env["@item"] in (1, 2, 3)
@@ -190,11 +190,11 @@ class TestSerializableSessions:
 
         s1 = broker.open_session("s1", isolation=TxnIsolation.SERIALIZABLE)
         s2 = broker.open_session("s2", isolation=TxnIsolation.SERIALIZABLE)
-        grants_before = store.locks.stats["read_grants"]
+        grants_before = store.metrics()["locks.read_grants"]
         s1.execute("SELECT v AS @a FROM Stock WHERE k = 1")
         s2.execute("SELECT v AS @b FROM Stock WHERE k = 2")
         # Reads took no locks: still the snapshot protocol underneath.
-        assert store.locks.stats["read_grants"] == grants_before
+        assert store.metrics()["locks.read_grants"] == grants_before
         s1.execute("UPDATE Stock SET v = 0 WHERE k = 2")
         s2.execute("UPDATE Stock SET v = 0 WHERE k = 1")
         assert s1.commit()

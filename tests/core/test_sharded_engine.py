@@ -192,7 +192,7 @@ class TestInteractiveSharded:
             session.execute("UPDATE T1 SET v = v + 1 WHERE k = 1;")
             assert session.commit()
             assert session.state is SessionState.COMMITTED
-            assert store.cross_shard_commit_count >= 1
+            assert store.metrics()["cross_shard_commits"] >= 1
             check = store.begin()
             assert store.read_table(check, "T0")[0].values[1] == 11
             assert store.read_table(check, "T1")[0].values[1] == 11

@@ -181,7 +181,7 @@ class TestFollowerReads:
             }
             assert seen == expected
             engine.commit(txn)
-        assert engine.follower_read_count > 0
+        assert engine.metrics()["follower_reads"] > 0
         probes = engine.read_probe_counts()
         # Every server — each leader and each replica — took probes.
         assert len(probes) == engine.n_shards * 3
@@ -190,7 +190,7 @@ class TestFollowerReads:
         engine = build(replicas=1)
         put(engine, 1, "a")
         engine.drain_replicas()
-        before = engine.follower_read_count
+        before = engine.metrics()["follower_reads"]
         # A SNAPSHOT transaction that wrote must read its own
         # uncommitted version — which lives only on the leader.
         for i in range(6):
@@ -208,7 +208,7 @@ class TestFollowerReads:
             list(engine.snapshot_provider(txn).table("T").scan())
             engine.commit(txn)
         # Neither kind of probe ever routed off the leaders.
-        assert engine.follower_read_count == before
+        assert engine.metrics()["follower_reads"] == before
         probes = engine.read_probe_counts()
         follower_probes = {
             k: v for k, v in probes.items() if "r" in k.removeprefix("shard")
@@ -330,7 +330,7 @@ class TestFailover:
             live[name] = txn = engine.begin(isolation)
             engine.insert(txn, "T", (key, name))
         idle = engine.begin(TxnIsolation.SNAPSHOT)  # begun on no shard
-        aborts_before = engine.abort_count
+        aborts_before = engine.metrics()["aborts"]
         engine.fail_over(0)
         for txn in (*live.values(), idle):
             with pytest.raises(LeaderFailoverError):
@@ -343,7 +343,7 @@ class TestFailover:
             (live["2pl on the survivor"], "abort"),
             (idle, "abort"),
         ]
-        assert engine.abort_count == aborts_before + 3
+        assert engine.metrics()["aborts"] == aborts_before + 3
         assert leader_contents(engine) == {}
 
     def test_recorded_schedule_terminates_failed_over_transactions(self):

@@ -7,6 +7,7 @@ newest durable image and replays only the log suffix.
 
 from __future__ import annotations
 
+import pytest
 
 from repro.storage import (
     ColumnType,
@@ -17,6 +18,8 @@ from repro.storage import (
     TxnIsolation,
     recover,
 )
+
+from test_store_contract import STORES
 
 
 def build_engine() -> StorageEngine:
@@ -63,7 +66,7 @@ class TestCheckpoint:
         writer = engine.begin()
         engine.insert(writer, "T", (9, 9))
         assert engine.checkpoint() is None
-        assert engine.checkpoint_stats["skipped"] == 1
+        assert engine.metrics()["checkpoints.skipped"] == 1
         engine.commit(writer)
         assert engine.checkpoint() is not None
 
@@ -137,7 +140,7 @@ class TestCheckpoint:
         engine.checkpoint_interval = 5
         for i in range(12):
             bump(engine, i, i)
-        assert engine.checkpoint_stats["taken"] >= 2
+        assert engine.metrics()["checkpoints.taken"] >= 2
         # The WAL stays short: bounded by the interval, not the history.
         assert len(engine.wal) < 5 * 4 + 2
 
@@ -156,6 +159,30 @@ class TestCheckpoint:
 
 
 class TestShardedCheckpoint:
+    @pytest.mark.parametrize("name", STORES)
+    def test_a_checkpoint_counts_once_whatever_the_shard_count(self, name):
+        """One checkpoint of a store — skipped under an active writer, or
+        taken once it commits — is one count, not one per shard."""
+        store = STORES[name]()
+        try:
+            store.create_table(TableSchema.build(
+                "T", [("k", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
+                primary_key=["k"],
+            ))
+            store.load("T", [(k, k) for k in range(8)])
+            writer = store.begin()
+            store.insert(writer, "T", (9, 9))
+            assert not store.checkpoint()
+            counted = lambda: (  # noqa: E731
+                store.metrics()["checkpoints.taken"],
+                store.metrics()["checkpoints.skipped"])
+            assert counted() == (0, 1)
+            store.commit(writer)
+            assert store.checkpoint()
+            assert counted() == (1, 1)
+        finally:
+            store.close()
+
     def test_ensemble_checkpoints_bound_per_shard_logs(self):
         engine = ShardedStorageEngine(2)
         engine.create_table(TableSchema.build(
@@ -169,7 +196,7 @@ class TestShardedCheckpoint:
         # Ensemble cadence: every shard checkpoints (at the same
         # quiescent instants).
         for shard in engine.shards:
-            assert shard.checkpoint_stats["taken"] >= 1
+            assert shard.metrics()["checkpoints.taken"] >= 1
         survivor = engine.crash()
         report = recover(survivor)
         assert table_contents(survivor) == table_contents(engine)

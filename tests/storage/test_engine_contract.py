@@ -103,13 +103,8 @@ def observe(shard):
         "last_lsn": shard.wal.last_lsn,
         "flushed_lsn": shard.wal.flushed_lsn,
         "durable": list(shard.wal.records(durable_only=True)),
-        "commits": shard.commit_count,
-        "aborts": shard.abort_count,
-        "checkpoints": dict(shard.checkpoint_stats),
-        "locks": dict(shard.locks.stats),
-        "versions": shard.version_stats(),
+        "metrics": shard.metrics(),
         "chains": shard.chain_histograms(),
-        "mvcc": dict(shard.mvcc_stats),
         "tables": shard.db.table_names(),
         "rows": {name: list(shard.db.table(name).scan())
                  for name in shard.db.table_names()},
@@ -269,10 +264,11 @@ def test_local_and_remote_shards_agree_step_by_step():
         run_in_step(BEFORE_CRASH, local, remote)
         # The script reached what it set out to pin.
         seen = observe(local)
-        assert seen["mvcc"]["write_conflicts"] == 1
-        assert seen["mvcc"]["snapshot_refreshes"] == 1
-        assert seen["checkpoints"] == {"taken": 1, "skipped": 1}
-        assert seen["locks"]["waits"] >= 2
+        reading = seen["metrics"]
+        assert reading["mvcc.write_conflicts"] == 1
+        assert reading["mvcc.snapshot_refreshes"] == 1
+        assert (reading["checkpoints.taken"], reading["checkpoints.skipped"]) == (1, 1)
+        assert reading["locks.waits"] >= 2
         assert seen["flushed_lsn"] < seen["last_lsn"]  # the lost commit
 
         local = local.crash()
@@ -358,8 +354,8 @@ def test_every_implementation_satisfies_the_protocols():
 #: response envelopes, the schema, and views built locally.
 LOCAL = {
     RemoteShardEngine: {
-        "mutex", "oracle", "wal", "locks", "db", "commit_count", "abort_count",
-        "checkpoint_stats", "version_stats", "chain_histograms", "snapshot_view",
+        "mutex", "oracle", "wal", "locks", "db", "metrics", "chain_histograms",
+        "snapshot_view",
     },
     RemoteTableView: {"schema", "row_estimate"},
 }
@@ -446,7 +442,7 @@ def test_wire_names_and_members_are_unique_per_target():
         assert members_of(target), target  # no target without a row
 
 
-@pytest.mark.parametrize("wire", ["abort", "snap_range_scan", "mvcc_stats"])
+@pytest.mark.parametrize("wire", ["abort", "snap_range_scan", "checkpoint"])
 def test_removing_a_row_is_a_gap(wire):
     """Adding a verb is one row (plus, at most, one Protocol line): without
     its row, a contract member has nowhere to go and the check says so."""

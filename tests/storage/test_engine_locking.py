@@ -84,7 +84,7 @@ class TestDisjointRowsCoexist:
         store.query(txns[1], point_select(2))
         store.update(txns[2], "Accounts", 3, [3, "u3", 1.0])
         store.update(txns[3], "Accounts", 4, [4, "u0", 2.0])
-        assert store.locks.stats["waits"] == 0
+        assert store.metrics()["locks.waits"] == 0
         for t in txns:
             store.commit(t)
 

@@ -263,9 +263,9 @@ def home_shards(store, rows) -> set[int]:
 @pytest.mark.parametrize("n_rows", [1, 40])
 def test_a_load_takes_one_lock_request_per_table_per_shard(store, n_rows):
     rows = [(i, i % 3) for i in range(n_rows)]
-    before = store.locks.stats["acquired"]
+    before = store.metrics()["locks.acquired"]
     assert store.load("T", rows) == n_rows
-    assert store.locks.stats["acquired"] - before == len(home_shards(store, rows))
+    assert store.metrics()["locks.acquired"] - before == len(home_shards(store, rows))
 
 
 def test_an_open_load_blocks_keyed_2pl_readers_until_it_commits(store):
@@ -301,10 +301,10 @@ def test_a_load_keeps_a_per_row_write_set(store):
     assert store.query(probed, select_ids(5)) == []
     missed = store.begin(TxnIsolation.SERIALIZABLE)
     assert store.query(missed, select_ids(77)) == []
-    edges = store.ssi.stats["rw_edges"]
+    edges = store.metrics()["ssi.rw_edges"]
     load = store.begin()
     store.insert_many(load, "T", [(5, 5), (6, 6)])
     store.commit(load)
-    assert store.ssi.stats["rw_edges"] == edges + 1
+    assert store.metrics()["ssi.rw_edges"] == edges + 1
     store.commit(missed)
     store.commit(probed)

@@ -76,7 +76,7 @@ class TestSnapshotVisibility:
         reader = engine.begin(isolation=TxnIsolation.SNAPSHOT)
         # No WouldBlock, and the uncommitted write is invisible.
         assert select_k(engine, reader, 2) == [("b",)]
-        assert engine.locks.stats["read_grants"] == 0
+        assert engine.metrics()["locks.read_grants"] == 0
 
     def test_reader_sees_own_writes(self):
         engine = build_engine()
@@ -136,7 +136,7 @@ class TestWriteConflicts:
         engine.commit(winner)
         with pytest.raises(WriteConflictError):
             engine.update(loser, "T", rid, (1, "l"))
-        assert engine.mvcc_stats["write_conflicts"] == 1
+        assert engine.metrics()["mvcc.write_conflicts"] == 1
 
     def test_delete_also_conflicts(self):
         engine = build_engine()

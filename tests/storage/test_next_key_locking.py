@@ -74,7 +74,7 @@ class TestNextKeyLocks2PL:
         with pytest.raises(WouldBlock):
             store.insert(writer, "T", [7, 1])
         # the whole read path used index locks, never a table S lock
-        assert store.locks.stats["table_s_grants"] == 0
+        assert store.metrics()["locks.table_s_grants"] == 0
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_insert_just_below_fence_blocks(self, shards):
@@ -208,7 +208,7 @@ class TestPhantomWriteSkew:
         # the conflict was real (one attempt waited) and it was resolved
         # by key locks alone — never a whole-table S lock
         assert sum(r.lock_waits for r in engine.run_reports) >= 1
-        assert store.locks.stats["table_s_grants"] == 0
+        assert store.metrics()["locks.table_s_grants"] == 0
         assert sum(r.ssi_aborts for r in engine.run_reports) == 0
 
 
@@ -357,7 +357,7 @@ class TestLimitPhantom:
         report = engine.run_once()
         assert sorted(report.committed) == sorted(handles)
         assert report.ssi_aborts == 0
-        assert engine.store.ssi.stats["rw_edges"] == 0
+        assert engine.store.metrics()["ssi.rw_edges"] == 0
 
     @pytest.mark.parametrize("kind", list(LIMIT_ENGINES))
     def test_siread_interval_ends_at_the_last_key_examined(self, limit_stores, kind):
@@ -366,12 +366,12 @@ class TestLimitPhantom:
         for descending, covered, spared in ((False, 3, 5), (True, 17, 15)):
             reader = store.begin(TxnIsolation.SERIALIZABLE)
             assert len(limited_read(store, reader, 0, 20, descending, 3)) == 3
-            edges = store.ssi.stats["rw_edges"]
+            edges = store.metrics()["ssi.rw_edges"]
             for key, forms_edge in ((spared, 0), (covered, 1)):
                 writer = store.begin(TxnIsolation.SERIALIZABLE)
                 store.insert(writer, "T", [key, 1])
                 store.commit(writer)
-                assert store.ssi.stats["rw_edges"] == edges + forms_edge, (
+                assert store.metrics()["ssi.rw_edges"] == edges + forms_edge, (
                     kind, descending, key)
             store.abort(reader)
             cleanup = store.begin()

@@ -6,7 +6,7 @@ path must return exactly what a filtered sequential scan returns, for
 any data, any bounds, and any interleaved mutations, at 1/2/4 shards.
 The hypothesis suites here pin that property; the directed tests cover
 the SQL ``ORDER BY`` surface and the observability counters
-(``plan_stats``, ``RunReport``).
+(the ``plans.*`` metrics, ``RunReport``).
 """
 
 import pytest
@@ -220,14 +220,15 @@ class TestPlannerCounters:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_range_query_bumps_plan_stats(self, shards):
         store = self.build(shards)
-        before = dict(store.plan_stats)
+        before = store.metrics()
         rows = run_sql(store, "SELECT id FROM T WHERE id >= 5 AND id < 12")
         assert sorted(rows) == [(i,) for i in range(5, 12)]
-        assert store.plan_stats["index_range_scans"] == (
-            before["index_range_scans"] + 1
+        after = store.metrics()
+        assert after["plans.index_range_scans"] == (
+            before["plans.index_range_scans"] + 1
         )
-        assert store.plan_stats["seq_scans_avoided"] == (
-            before["seq_scans_avoided"] + 1
+        assert after["plans.seq_scans_avoided"] == (
+            before["plans.seq_scans_avoided"] + 1
         )
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
@@ -245,12 +246,12 @@ class TestPlannerCounters:
 
     def test_sort_elision_counts_ordered_output(self):
         store = self.build()
-        before = store.plan_stats["sorts_elided"]
+        before = store.metrics()["plans.sorts_elided"]
         rows = run_sql(
             store, "SELECT id FROM T WHERE id >= 3 AND id < 9 ORDER BY id"
         )
         assert rows == [(i,) for i in range(3, 9)]
-        assert store.plan_stats["sorts_elided"] > before
+        assert store.metrics()["plans.sorts_elided"] > before
 
     def test_run_report_carries_plan_deltas(self):
         client = repro.connect()

@@ -295,7 +295,7 @@ LEDGER = TableSchema.build(
 def requests_of(store, sql):
     """Lock-manager requests one 2PL statement makes, over every shard."""
     shards = getattr(store, "shards", [store])
-    asked = lambda: sum(s.locks.stats["acquired"] for s in shards)  # noqa: E731
+    asked = lambda: sum(s.metrics()["locks.acquired"] for s in shards)  # noqa: E731
     txn = store.begin()
     before = asked()
     rows = read(store, txn, sql)

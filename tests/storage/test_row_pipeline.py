@@ -122,7 +122,7 @@ class TestTheLedgerRead:
     def test_snapshot_rows_reach_the_client_untouched(self, shards, counts):
         store = ledger(shards)
         txn = store.begin(TxnIsolation.SNAPSHOT)
-        before = store.mvcc_stats["snapshot_reads"]
+        before = store.metrics()["mvcc.snapshot_reads"]
         rows = read(store, txn, LEDGER_READ.format(extra=""))
         assert rows == [
             (i, i % 8, (i + 1) % 8, float(i % 11)) for i in range(100, 150)]
@@ -130,7 +130,7 @@ class TestTheLedgerRead:
         assert counts.envs == 1            # the Source's, once per statement
         assert counts.row_accesses == 0
         # Still counted: the consumed range and the 50 rows.
-        assert store.mvcc_stats["snapshot_reads"] - before == 51
+        assert store.metrics()["mvcc.snapshot_reads"] - before == 51
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_two_phase_locking_still_locks_the_fifty_rows(self, shards, counts):

@@ -132,7 +132,7 @@ class TestVectorSnapshots:
     def test_single_shard_txn_stays_pinned_to_home_shard(self):
         engine = build_sharded(4)
         engine.load("T", [(k, "x") for k in range(8)])
-        cross_before = engine.cross_shard_commit_count  # bulk load crosses
+        cross_before = engine.metrics()["cross_shard_commits"]  # bulk load crosses
         txn = engine.begin()
         home = engine.route_key("T", (3,))
         row = engine.db.table("T").lookup_pk((3,))
@@ -140,7 +140,7 @@ class TestVectorSnapshots:
         assert engine.context(txn).begun == [home]
         assert engine.written_shards(txn) == [home]
         engine.commit(txn)
-        assert engine.cross_shard_commit_count == cross_before
+        assert engine.metrics()["cross_shard_commits"] == cross_before
 
     def test_first_updater_wins_per_shard(self):
         engine = build_sharded(2)
@@ -183,13 +183,13 @@ class TestCrossShardWrites:
             if engine.route_key("T", (k,)) != engine.route_key("T", (0,))
         )
         engine.load("T", [(src_key, "a"), (dst_key, "b")])
-        cross_before = engine.cross_shard_commit_count
+        cross_before = engine.metrics()["cross_shard_commits"]
         txn = engine.begin()
         for key, value in ((src_key, "a2"), (dst_key, "b2")):
             row = engine.db.table("T").lookup_pk((key,))
             engine.update(txn, "T", row.rid, (key, value))
         engine.commit(txn)
-        assert engine.cross_shard_commit_count == cross_before + 1
+        assert engine.metrics()["cross_shard_commits"] == cross_before + 1
         survivor = engine.crash()
         recover(survivor)
         assert contents(survivor) == {src_key: "a2", dst_key: "b2"}
@@ -288,7 +288,7 @@ class TestCrossShardDeadlocks:
             engine.update(a, "T", row_y.rid, (y, "a"))  # a waits for b
         with pytest.raises(DeadlockError):
             engine.update(b, "T", row_x.rid, (x, "b"))  # closes the cycle
-        assert engine.locks.stats["deadlocks"] == 1
+        assert engine.metrics()["locks.deadlocks"] == 1
         engine.abort(b)  # victim releases; a can proceed
         engine.update(a, "T", row_y.rid, (y, "a"))
         engine.commit(a)

@@ -52,7 +52,7 @@ class TestPivotDetection:
             engine.commit(t2)
         assert excinfo.value.pivot
         engine.abort(t2)
-        assert engine.ssi.stats["pivot_aborts"] == 1
+        assert engine.metrics()["ssi.pivot_aborts"] == 1
         # The aborted commit left no trace: a retry on a fresh snapshot
         # sees t1's write and commits serially.
         t3 = engine.begin(TxnIsolation.SERIALIZABLE)
@@ -85,8 +85,8 @@ class TestPivotDetection:
         engine.update(txns[1], "T1", rid_of(engine, "T1"), (0, 20))
         for txn in txns:
             engine.commit(txn)
-        assert engine.ssi.stats["pivot_aborts"] == 0
-        assert engine.ssi.stats["conservative_aborts"] == 0
+        assert engine.metrics()["ssi.pivot_aborts"] == 0
+        assert engine.metrics()["ssi.conservative_aborts"] == 0
 
     def test_serial_reuse_never_aborts(self):
         """Non-overlapping (serial) transactions form no edges."""
@@ -96,7 +96,7 @@ class TestPivotDetection:
             engine.read_table(txn, "T0")
             engine.update(txn, "T1", rid_of(engine, "T1"), (0, 11))
             engine.commit(txn)
-        assert engine.ssi.stats["rw_edges"] == 0
+        assert engine.metrics()["ssi.rw_edges"] == 0
         assert engine.ssi.tracked() == 0
 
 
@@ -233,7 +233,7 @@ class TestTrackerHygiene:
         engine.read_table(txn, "T0")
         engine.update(txn, "T1", rid_of(engine, "T1"), (0, 5))
         engine.commit(txn)  # no stale edge from the discarded read
-        assert engine.ssi.stats["pivot_aborts"] == 0
+        assert engine.metrics()["ssi.pivot_aborts"] == 0
 
     def test_first_updater_wins_still_applies(self):
         engine = build_engine()
@@ -302,8 +302,8 @@ class TestFalsePositiveAccounting:
         with pytest.raises(SerializationFailureError):
             engine.commit(t2)
         engine.abort(t2)
-        assert engine.ssi.stats["pivot_aborts"] == 1
-        assert engine.ssi.stats["pivot_aborts_unproven"] == 0
+        assert engine.metrics()["ssi.pivot_aborts"] == 1
+        assert engine.metrics()["ssi.pivot_aborts_unproven"] == 0
 
     def test_pivot_abort_with_only_active_readers_is_unproven(self):
         engine = build_engine(("T0", "T1", "T2"))
@@ -322,6 +322,6 @@ class TestFalsePositiveAccounting:
         with pytest.raises(SerializationFailureError):
             engine.commit(pivot)
         engine.abort(pivot)
-        assert engine.ssi.stats["pivot_aborts"] == 1
-        assert engine.ssi.stats["pivot_aborts_unproven"] == 1
+        assert engine.metrics()["ssi.pivot_aborts"] == 1
+        assert engine.metrics()["ssi.pivot_aborts_unproven"] == 1
         engine.commit(reader)

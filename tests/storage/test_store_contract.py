@@ -16,7 +16,9 @@ three ways:
   step, through the contract only, on the plain ``StorageEngine`` and on
   each of the four ensembles: rows, isolation-visible outcomes, the
   observer event stream and the topology-independent counters must
-  agree after every step, through a crash and ``recover``.
+  agree after every step, through a crash and ``recover``; and an
+  ensemble's ``metrics()`` must be its shards' lock, MVCC and version
+  counters summed after every step.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ from repro.storage.expressions import (
     RowAssignments,
     RowPredicate,
 )
-from repro.storage.protocol import Store
+from repro.storage.protocol import ShardEngine, Store
 from repro.storage.query import evaluate
 from repro.storage.row import Row
-from repro.storage.store import StoreBase
+from repro.storage.store import METRICS, StoreBase
 from repro.transport.process import ProcessShardedStorageEngine
 
 from _reference_bind import literal
@@ -173,6 +175,47 @@ def test_every_store_satisfies_the_protocol(name):
         store.close()
 
 
+#: the counter members ``metrics()`` replaced.
+COUNTER_MEMBERS = {
+    ShardEngine: {"commit_count", "abort_count", "checkpoint_stats",
+                  "mvcc_stats", "version_stats"},
+    Store: {"ssi", "plan_stats", "cross_shard_commit_count",
+            "follower_read_count", "version_stats"},
+}
+
+
+@pytest.mark.parametrize("protocol", COUNTER_MEMBERS, ids=lambda p: p.__name__)
+def test_the_counters_are_one_reading(protocol):
+    declared = set(protocol.__annotations__) | set(vars(protocol))
+    assert "metrics" in declared
+    assert not declared & COUNTER_MEMBERS[protocol]
+
+
+@pytest.mark.parametrize("name", STORES)
+def test_every_store_reads_every_key_and_zero_for_what_it_lacks(name):
+    """Same keys, in :data:`METRICS` order, on every topology; a lone
+    engine spans no shards and no store here has a follower but the
+    replicated one."""
+    store = STORES[name]()
+    try:
+        assert store.metrics() == dict.fromkeys(METRICS, 0)
+        store.create_table(T)
+        store.load("T", [(k, "ab"[k % 2], 0) for k in range(1, 13)])
+        txn = store.begin(TxnIsolation.SNAPSHOT)
+        store.read_table(txn, "T")
+        store.commit(txn)
+        reading = store.metrics()
+        assert list(reading) == list(METRICS)
+        assert reading["commits"] == 2 and reading["versions"] == 12
+        assert reading["mvcc.snapshot_reads"] == 1
+        if name == "single":
+            assert reading["cross_shard_commits"] == 0
+        if name != "replicated2":
+            assert reading["follower_reads"] == 0
+    finally:
+        store.close()
+
+
 @pytest.mark.parametrize("member", [
     "load", "query", "read_table", "grounding_hooks", "reads_from",
     "isolation_of", "status", "context", "serialization_doomed",
@@ -240,10 +283,10 @@ class World:
         """Evaluate the way grounding does: through the owner's hooks."""
         observer, provider = self.store.grounding_hooks(self.ids[txn])
         plan = literal(compile_select(parse_statement(sql), self.store.db, {}))
-        before = self.store.locks.stats["acquired"]
+        before = self.store.metrics()["locks.acquired"]
         rows = evaluate(plan, provider or self.store.db, read_observer=observer)
         return (rows, provider is not None,
-                self.store.locks.stats["acquired"] - before)
+                self.store.metrics()["locks.acquired"] - before)
 
     def finish(self, txn: str):
         """Commit; a store that refuses gets the abort it asks for."""
@@ -300,7 +343,7 @@ def script(iso) -> list:
         ("query scan", lambda w: w.select("r", "SELECT k FROM T WHERE n >= 0")),
         ("read_table", lambda w: s(w).read_table(w.ids["r"], "U")),
         ("reads_from", lambda w: s(w).reads_from(w.ids["r"], "T")),
-        ("plan_stats", lambda w: dict(s(w).plan_stats)),
+        ("plans", lambda w: part(s(w).metrics(), "plans.")),
         ("commit reader", lambda w: w.finish("r")),
         # -- the write verbs, a deferred flush, an abort ----------------------------------
         ("begin old", begin("old", iso)),
@@ -341,7 +384,7 @@ def script(iso) -> list:
         ("finish b", lambda w: w.finish("b")),
         ("a writes k=2 again", lambda w: w.set_n("a", 2, 21)),
         ("finish a", lambda w: w.finish("a")),
-        ("ssi stats", lambda w: dict(s(w).ssi.stats)),
+        ("ssi", lambda w: part(s(w).metrics(), "ssi.")),
         # -- the same pair as one commit group: validated before either commits ------------
         ("begin c", begin("c", iso)),
         ("begin d", begin("d", iso)),
@@ -379,12 +422,13 @@ def script(iso) -> list:
         # -- a probe no declared index covers -----------------------------------------------
         ("index miss", index_miss),
         # -- statistics: shapes, whatever the topology ---------------------------------------
-        ("version_stats", lambda w: sorted(s(w).version_stats())),
+        ("metrics keys", lambda w: tuple(s(w).metrics())),
         ("chain_histograms", lambda w: {
             name: sum(length * rids for length, rids in histogram.items()) > 0
             for name, histogram in s(w).chain_histograms().items()}),
         ("zero-valued defaults", lambda w: (
-            s(w).cross_shard_commit_count >= 0, s(w).follower_read_count >= 0,
+            s(w).metrics()["cross_shard_commits"] >= 0,
+            s(w).metrics()["follower_reads"] >= 0,
             s(w).promotion_count, s(w).replication_lag() >= 0,
             all(n > 0 for n in s(w).read_probe_counts().values()))),
         # -- vacuum trims the committed-writer log reads_from walks ---------------------------
@@ -414,6 +458,26 @@ def script(iso) -> list:
         ("write after", lambda w: w.set_n("after", 7, 78)),
         ("commit after", lambda w: w.finish("after")),
     ]
+
+
+def part(reading: dict, prefix: str) -> dict:
+    """The counters of one ``metrics()`` group."""
+    return {key: value for key, value in reading.items()
+            if key.startswith(prefix)}
+
+
+#: what an ensemble's reading adds up from its shards' (``max_chain``:
+#: the longest); the coordinator's own counts are the rest.
+SUMMED = [key for key in METRICS if key.startswith("locks.")] + [
+    "mvcc.write_conflicts", "mvcc.supersede_prunes", "versions"]
+
+
+def assert_sums_its_shards(store) -> None:
+    reading = store.metrics()
+    members = [shard.metrics() for shard in store.shards]
+    assert {key: reading[key] for key in SUMMED} == {
+        key: sum(member[key] for member in members) for key in SUMMED}
+    assert reading["max_chain"] == max(m["max_chain"] for m in members)
 
 
 def plain(value):
@@ -452,6 +516,7 @@ def test_every_store_agrees_with_the_plain_engine_step_by_step(iso, name):
             want = seen[step_name] = outcome(step, reference, ordered)
             assert outcome(step, candidate, ordered) == want, step_name
             assert candidate.events == reference.events, f"after {step_name}"
+            assert_sums_its_shards(candidate.store)
     finally:
         candidate.store.close()
 
@@ -478,6 +543,7 @@ def test_every_store_agrees_with_the_plain_engine_step_by_step(iso, name):
     assert seen["refresh"] is snapshot and seen["refresh again"] is False
     assert seen["unparked reads"] == [(55,)]
     assert seen["refreshed reads"] == [(55,)]
+    assert seen["metrics keys"] == METRICS
     assert seen["index miss"] == (
         "StorageError", "table 'U' declares no secondary index on ('tag',)")
     assert seen["writer log"] == {"T": 1, "U": 1}

@@ -52,7 +52,7 @@ class TestSupersedeTimePruning:
         table = engine.db.table("T")
         rid = table.lookup_pk((0,)).rid
         assert len(table.versions_of(rid)) <= 3
-        assert engine.mvcc_stats["supersede_prunes"] > 0
+        assert engine.metrics()["mvcc.supersede_prunes"] > 0
 
     def test_active_snapshot_blocks_pruning_below_its_cut(self):
         engine = build_engine()

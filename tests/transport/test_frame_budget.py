@@ -40,6 +40,7 @@ from repro.storage.expressions import (
     RowAssignments,
     RowPredicate,
 )
+from repro.storage.store import METRICS
 from repro.transport.frames import FrameChannel
 from repro.transport.process import ProcessShardedStorageEngine
 from repro.transport.proxy import ShardConnection
@@ -198,8 +199,8 @@ class TestFrameBudget:
         frames = CountedFrames(monkeypatch)
         report = ledger.run()
         store = ledger.store
-        assert store.locks.stats["acquired"] > 0  # the load took locks
-        assert store.version_stats()["versions"] >= N_ACCOUNTS
+        assert store.metrics()["locks.acquired"] > 0  # the load took locks
+        assert store.metrics()["versions"] >= N_ACCOUNTS
         assert sum(store.chain_histograms()["Accounts"].values()) == N_ACCOUNTS
         assert report.chain_histograms == store.chain_histograms()
         assert not frames.requests
@@ -393,15 +394,19 @@ class TestContractFramePins:
         finally:
             engine.close()
 
-    def test_mvcc_stats_is_one_frame_per_shard(self, n_shards, monkeypatch):
+    def test_metrics_and_chain_histograms_cost_no_frame(self, n_shards, monkeypatch):
+        # Both answer from the mirrors the response envelopes keep.
         engine = build(n_shards)
         try:
             engine.load("T", [(k, "a", 0) for k in range(8)])
             frames = CountedFrames(monkeypatch)
-            stats = engine.mvcc_stats
-            assert frames.requests == {"mvcc_stats": n_shards}
-            assert set(stats) == {"snapshot_reads", "snapshot_refreshes",
-                                  "write_conflicts", "supersede_prunes"}
+            reading = engine.metrics()
+            histograms = engine.chain_histograms()
+            assert not frames.requests and not frames.prelude
+            assert list(reading) == list(METRICS)
+            assert reading["locks.acquired"] > 0 and reading["versions"] == 8
+            assert reading["commits"] == 1
+            assert histograms == {"T": {1: 8}}
         finally:
             engine.close()
 

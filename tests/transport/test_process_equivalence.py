@@ -123,6 +123,7 @@ class TestProcessExecutorEquivalence:
             assert contents(pool) == contents(proc)
             assert proc.db.content_equal(pool.db)
             assert proc.ssi.stats == pool.ssi.stats
+            assert proc.metrics() == pool.metrics()
             if watchers:
                 assert commit_outcome(proc, watchers["proc"]) == (
                     commit_outcome(pool, watchers["pool"]))
@@ -219,6 +220,8 @@ class TestRunReportStatisticsEquivalence:
     )
 
     def reports(self, executor: str):
+        """The three runs' reports, and the store's ``metrics()`` after
+        them."""
         from repro import connect
 
         client = connect(shards=2, executor=executor, isolation="snapshot")
@@ -246,13 +249,15 @@ class TestRunReportStatisticsEquivalence:
                 report = client.run()
                 assert len(report.committed) == 4
                 out.append({f: getattr(report, f) for f in self.FIELDS})
-            return out
+            return out, client.store.metrics()
         finally:
             client.close()
 
     def test_pool_and_process_reports_agree(self):
-        pool, process = self.reports("pool"), self.reports("process")
+        (pool, pool_metrics), (process, process_metrics) = (
+            self.reports("pool"), self.reports("process"))
         assert process == pool
+        assert process_metrics == pool_metrics
         assert all(r["locks_acquired"] > 0 for r in process)
         assert all(r["index_range_scans"] > 0 for r in process)
         assert sum(r["cross_shard_commits"] for r in process) > 0
