@@ -22,7 +22,6 @@ the declared latch order (outermost first)::
     schedule-recorder    53 │ leaf latches: never held across a call
     shard-meta           54 │ into another subsystem
     run-report           55 │
-    executor-pending     56 │
     deadlock-probe       57 ┘
     transport-state      58   coordinator RPC pending-table (process mode)
     transport-send       59   per-connection frame-write pipeline
@@ -91,7 +90,6 @@ LATTICE: dict[str, int] = {
     "schedule-recorder": 53,
     "shard-meta": 54,
     "run-report": 55,
-    "executor-pending": 56,
     "deadlock-probe": 57,
     "transport-state": 58,
     "transport-send": 59,

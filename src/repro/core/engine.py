@@ -57,6 +57,10 @@ from repro.storage.protocol import Store
 from repro.storage.schema import TableSchema
 from repro.storage.types import ColumnType
 
+#: max evaluate/resume rounds per run (defensive; the paper's runs
+#: always converge because answered queries strictly advance programs).
+MAX_ROUNDS_PER_RUN = 1_000
+
 
 class EmptyAnswerPolicy(enum.Enum):
     """What to do when an entangled query succeeds with an empty answer.
@@ -138,9 +142,6 @@ class EngineConfig:
     #: Each statement commits immediately, no transaction bracket cost is
     #: charged by a cost model, and group commit does not apply.
     autocommit: bool = False
-    #: max evaluate/resume rounds per run (defensive; the paper's runs
-    #: always converge because answered queries strictly advance programs).
-    max_rounds_per_run: int = 1_000
     #: admission control: bound on the dormant pool.  ``None`` admits
     #: everything (closed-loop benches); an integer makes :meth:`submit`
     #: *shed* arrivals that find the pool full, raising the retryable
@@ -471,7 +472,7 @@ class EntangledTransactionEngine:
         rounds = 0
         lock_blocked: list[EntangledTransaction] = []
         runnable = list(batch)
-        while rounds < self.config.max_rounds_per_run:
+        while rounds < MAX_ROUNDS_PER_RUN:
             rounds += 1
             # Phase 1: drive every runnable transaction to a stop point —
             # on the caller's thread, or (with the executor) each on its

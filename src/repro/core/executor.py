@@ -39,9 +39,6 @@ import queue
 import threading
 from typing import Any, Callable, Sequence
 
-from repro.analysis.latch import Latch
-from repro.errors import OverloadError
-
 
 class ExecutorClosed(RuntimeError):
     """Work was submitted to an executor after :meth:`ShardExecutor.close`."""
@@ -80,30 +77,12 @@ class ShardExecutor:
     cannot be used afterwards.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        *,
-        name: str = "repro-shard",
-        max_queue_depth: "int | None" = None,
-    ):
+    def __init__(self, n_shards: int, *, name: str = "repro-shard"):
         if n_shards < 1:
             raise ValueError(f"need >= 1 shard, got {n_shards}")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1, got {max_queue_depth}"
-            )
         self._queues: list[queue.SimpleQueue] = [
             queue.SimpleQueue() for _ in range(n_shards)
         ]
-        #: admission control on the dispatch path: per-shard count of
-        #: submitted-but-unfinished tasks, bounded by ``max_queue_depth``
-        #: (``None`` = unbounded, the engine run loop's configuration —
-        #: the coordinator must never lose a dispatch mid-run).
-        self._max_queue_depth = max_queue_depth
-        self._pending = [0] * n_shards
-        self._pending_lock = Latch("executor-pending", reentrant=False)
-        self.shed_count = 0
         self._closed = False
         self._threads = [
             threading.Thread(
@@ -127,44 +106,21 @@ class ShardExecutor:
             item = tasks.get()
             if item is None:
                 return
-            fn, future, idx = item
+            fn, future = item
             try:
                 future._finish(fn(), None)
             except BaseException as exc:  # noqa: BLE001 - re-raised by result()
                 future._finish(None, exc)
-            finally:
-                with self._pending_lock:
-                    self._pending[idx] -= 1
-
-    def queue_depth(self, shard_idx: int) -> int:
-        """Submitted-but-unfinished tasks on one shard's worker."""
-        with self._pending_lock:
-            return self._pending[shard_idx % self.n_shards]
 
     def submit(self, shard_idx: int, fn: Callable[[], Any]) -> _Future:
         """Enqueue ``fn`` on ``shard_idx``'s worker; returns its future.
 
-        With ``max_queue_depth`` configured, a submission that finds the
-        target worker's queue at its bound is shed with the retryable
-        :class:`~repro.errors.OverloadError` — nothing is enqueued.
+        Unbounded: the run loop must never lose a dispatch mid-run.
         """
         if self._closed:
             raise ExecutorClosed("executor already closed")
-        idx = shard_idx % self.n_shards
-        with self._pending_lock:
-            if (
-                self._max_queue_depth is not None
-                and self._pending[idx] >= self._max_queue_depth
-            ):
-                self.shed_count += 1
-                raise OverloadError(
-                    f"shard {idx} worker queue is at its bound "
-                    f"({self._max_queue_depth})",
-                    reason="executor-queue",
-                )
-            self._pending[idx] += 1
         future = _Future()
-        self._queues[idx].put((fn, future, idx))
+        self._queues[shard_idx % self.n_shards].put((fn, future))
         return future
 
     def run(self, tasks: Sequence[tuple[int, Callable[[], Any]]]) -> list[Any]:

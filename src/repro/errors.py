@@ -244,9 +244,7 @@ class OverloadError(EngineError):
         reason: which limiter shed the work — ``"queue-depth"`` (the
             engine's dormant pool is at its configured bound),
             ``"session-pool"`` (the client's bounded session pool is
-            exhausted), ``"rate-limit"`` (a per-session rate limit), or
-            ``"executor-queue"`` (a shard worker's dispatch queue is at
-            its bound).
+            exhausted), or ``"rate-limit"`` (a per-session rate limit).
         retry_after: a hint — how long until a retry has a chance.
     """
 

@@ -66,9 +66,6 @@ class RecordedOracle:
                 f"oracle has no recorded answer for E{eid} / transaction {txn}"
             ) from None
 
-    def has_answer(self, eid: int, txn: int) -> bool:
-        return txn in self.answer_sets.get(eid, {})
-
 
 def oracle_serialization_template(
     schedule: Schedule,

@@ -32,8 +32,11 @@ always observes its own acknowledged writes, however lagged the replica
 serving it.
 
 **Failover.**  :meth:`fail_over` simulates a leader crash: it elects
-the follower with the maximal durable WAL position, rebuilds a fresh
-successor engine from that log via the ordinary restart-recovery path —
+the follower with the maximal durable WAL position, builds the dead
+leader's successor (:meth:`StorageEngine.successor
+<repro.storage.engine.StorageEngine.successor>`, so it keeps the dead
+leader's knobs) on a copy of that log and recovers it via the ordinary
+restart-recovery path —
 cross-shard commits that are now torn (durable here, not in some other
 written shard) demote exactly as in sharded crash recovery — repoints
 the routing table, and resyncs every follower from the same log with
@@ -42,6 +45,13 @@ converge bit-for-bit).  Transactions live at that instant lost their
 uncommitted state with the leader; they surface
 :class:`~repro.errors.LeaderFailoverError`, which the client retry
 policy treats as transparently retryable.
+
+**Restart.**  A :meth:`crash` keeps the topology: the survivor is a
+replicated store over the crashed leaders' successors that keeps the
+same followers (hence their apply lags) and staleness bound, and its
+:meth:`recover` resyncs every follower from the log its leader
+recovers from, with the leader's demotion set — what failover does for
+one shard, done for all of them.
 """
 
 from __future__ import annotations
@@ -53,8 +63,14 @@ from typing import Iterable
 from repro.analysis.latch import Latch, allow_blocking
 from repro.errors import LeaderFailoverError, ReplicationError
 from repro.replication.follower import FollowerShard
-from repro.storage.engine import LockGranularity, TxnIsolation, TxnStatus
+from repro.storage.engine import (
+    LockGranularity,
+    StorageEngine,
+    TxnIsolation,
+    TxnStatus,
+)
 from repro.storage.protocol import TableView
+from repro.storage.recovery import RecoveryReport
 from repro.storage.schema import TableSchema
 from repro.storage.sharding import (
     ShardedStorageEngine,
@@ -62,6 +78,7 @@ from repro.storage.sharding import (
     ShardedTxnContext,
     _commit_analysis,
 )
+from repro.storage.wal import WriteAheadLog
 
 
 class ReplicatedStorageEngine(ShardedStorageEngine):
@@ -94,6 +111,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
         ordered_indexes: bool = True,
+        shards: "list[StorageEngine] | None" = None,
     ):
         if replicas < 0:
             raise ReplicationError(
@@ -111,19 +129,16 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
             n_shards,
             locking=locking,
             granularity=granularity,
+            shards=shards,
             ordered_indexes=ordered_indexes,
         )
-        self.replicas_per_shard = replicas
         #: how far (in global commit-sequence ticks) behind the freshest
         #: cut a SNAPSHOT transaction's begin cut may be (0 = always
         #: fresh, which usually pins reads to the leaders).
         self.max_staleness = max_staleness
         self.followers: list[list[FollowerShard]] = []
         for i, shard in enumerate(self.shards):
-            row = [
-                FollowerShard(i, r, shard, self.n_shards)
-                for r in range(replicas)
-            ]
+            row = [FollowerShard(i, r, shard) for r in range(replicas)]
             for follower in row:
                 follower.apply_lag = apply_lag
             self.followers.append(row)
@@ -149,6 +164,10 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         #: — the read-service load the cost model prices per server.
         self._read_probes: dict[str, int] = {}
         self._route_cursor = [0] * self.n_shards
+
+    @property
+    def replicas_per_shard(self) -> int:
+        return len(self.followers[0])
 
     # -- DDL ---------------------------------------------------------------------------
 
@@ -390,13 +409,22 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
                 time.sleep(0.0005)
 
     def _fail_over_quiesced(self, shard_idx: int) -> int:
-        """The election proper; funnel held, no acks in flight."""
+        """The election proper; funnel held, no acks in flight.
+
+        The new leader is the dead one's successor on the winner's
+        durable log, so it keeps the dead leader's knobs.  It is built
+        from that log rather than by adopting the live replica, so
+        promotion is deterministic replay of the durable log —
+        identical to what any other copy of that log would recover to
+        — independent of the winner's apply lag.  The torn-commit
+        analysis runs over the surviving shards *plus this unrecovered
+        successor* (its WAL is the evidence).
+        """
         row = self.followers[shard_idx]
         best = max(row, key=lambda f: f.durable_lsn)
+        elected = best.wal
         dead = self.shards[shard_idx]
-        shell = best.successor_shell()
-        base_records = list(best.wal.records(durable_only=True))
-        base_flushed = best.durable_lsn
+        shell = dead.successor(elected.durable_copy())
         probe = list(self.shards)
         probe[shard_idx] = shell
         _committed, torn = _commit_analysis(probe)
@@ -409,17 +437,11 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
             "leader failover recovers the successor under a quiescent funnel"
         ):
             shell.recover(torn)
-            shell.wal.flush_latency = dead.wal.flush_latency
-            shell.vacuum_interval = dead.vacuum_interval
             shell.locks.share_waits_for(
                 self._shared_waits, self._shared_waits_mutex
             )
             self.shards[shard_idx] = shell
-            with self._ship_latches[shard_idx]:
-                for follower in row:
-                    follower.resync(
-                        base_records, flushed_lsn=base_flushed, demote=torn
-                    )
+            self._resync(shard_idx, elected, torn)
         # Every live transaction dies with the leader: locks, uncommitted
         # versions and undo state on the failed shard are gone, and a
         # snapshot vector spanning the old timeline may observe commits
@@ -435,6 +457,43 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         self._recent_cuts.clear()
         self.promotion_count += 1
         return row.index(best)
+
+    def _resync(
+        self, shard_idx: int, log: WriteAheadLog, demote: set[int]
+    ) -> None:
+        """Rebuild every follower of a shard from the (pre-recovery) log
+        its leader recovered from, with the leader's demotion set."""
+        with self._ship_latches[shard_idx]:
+            for follower in self.followers[shard_idx]:
+                follower.resync(log, demote)
+
+    # -- crash / restart ---------------------------------------------------------------
+
+    def _survivor(self) -> "ReplicatedStorageEngine":
+        survivor = ReplicatedStorageEngine(
+            self.n_shards,
+            replicas=0,
+            max_staleness=self.max_staleness,
+            locking=self.locking,
+            granularity=self.granularity,
+            ordered_indexes=self.ordered_indexes,
+            shards=[shard.crash() for shard in self.shards],
+        )
+        # The followers outlive their leaders' crash; each keeps its
+        # apply lag, and :meth:`recover` resyncs its engine (the old one
+        # is freed as its successor replaces it).
+        survivor.followers = self.followers
+        return survivor
+
+    def recover(self, demote: Iterable[int] = frozenset()) -> RecoveryReport:
+        """Restart recovery (post-:meth:`crash`): every follower resyncs
+        from the durable log its leader recovers from, with the leader's
+        demotion set — what :meth:`fail_over` does for one shard — and
+        the leaders recover as a sharded ensemble."""
+        demote = set(demote) | _commit_analysis(self.shards)[1]
+        for shard_idx, leader in enumerate(self.shards):
+            self._resync(shard_idx, leader.wal, demote)
+        return super().recover(demote)
 
     def _context(self, txn: int) -> ShardedTxnContext:
         ctx = self._contexts.get(txn)

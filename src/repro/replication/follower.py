@@ -25,6 +25,13 @@ Followers never vacuum: their prune floor stays 0, so a follower can
 serve arbitrarily old cuts that the leader may already have pruned —
 that is what makes bounded-staleness reads on followers *cheaper* than
 on leaders, not just load-shedding.
+
+A follower's engine is always built by
+:meth:`~repro.storage.engine.StorageEngine.successor`, the one
+replacement recipe: it is born as its leader's successor on an empty
+log, and :meth:`FollowerShard.resync` (after a failover or a restart)
+makes it its own engine's successor on the log the new leader
+recovered from.
 """
 
 from __future__ import annotations
@@ -54,22 +61,10 @@ class FollowerShard:
     routed snapshot reads never observe a half-applied commit.
     """
 
-    def __init__(
-        self,
-        shard_idx: int,
-        replica_idx: int,
-        leader: StorageEngine,
-        n_shards: int,
-    ):
+    def __init__(self, shard_idx: int, replica_idx: int, leader: StorageEngine):
         self.shard_idx = shard_idx
         self.replica_idx = replica_idx
         self.name = f"shard{shard_idx}r{replica_idx}"
-        self._n_shards = n_shards
-        self._settings = {
-            "locking": leader.locking,
-            "granularity": leader.granularity,
-            "ordered_indexes": leader.ordered_indexes,
-        }
         #: commits to hold back from application (simulated apply lag:
         #: the newest ``apply_lag`` received commits stay unapplied until
         #: later ships, a drain, or a checkpoint push them through).
@@ -78,28 +73,17 @@ class FollowerShard:
         self.applied_lsn = 0
         #: total commits applied (bench/telemetry).
         self.applied_count = 0
-        self.engine = self._fresh_engine(leader.db.schemas())
+        #: the leader's successor on an empty log: same rid class and
+        #: catalog.  Replay is its only writer, so it never vacuums (its
+        #: prune floor stays 0 and stale cuts stay serveable).
+        self.engine = leader.successor(WriteAheadLog())
+        self.engine.vacuum_interval = 0
         #: highest LSN examined by the apply loop (received cursor).
         self._cursor_lsn = 0
         #: txn -> buffered row operations awaiting a COMMIT/ABORT.
         self._pending: dict[int, list[LogRecord]] = {}
         #: received, decided, but not-yet-applied commits (apply lag).
         self._ready: deque[tuple[LogRecord, list[LogRecord]]] = deque()
-
-    def _member(self, schemas: list[TableSchema]) -> StorageEngine:
-        """An empty engine for this follower's slot of the ensemble: same
-        rid class as the leader, no local checkpoints (the log must
-        mirror the leader's, record for record)."""
-        return StorageEngine.shard_member(
-            self.shard_idx, self._n_shards, schemas=schemas, **self._settings
-        )
-
-    def _fresh_engine(self, schemas: list[TableSchema]) -> StorageEngine:
-        engine = self._member(schemas)
-        # Replay is the only writer: no auto-vacuum (prune floor stays 0
-        # so stale cuts stay serveable).
-        engine.vacuum_interval = 0
-        return engine
 
     # -- positions -----------------------------------------------------------------
 
@@ -213,53 +197,22 @@ class FollowerShard:
 
     # -- failover ------------------------------------------------------------------
 
-    def successor_shell(self) -> StorageEngine:
-        """A fresh engine holding this follower's durable log, unrecovered.
-
-        The promotion candidate: the coordinator first runs torn-commit
-        analysis over the surviving shards *plus this shell* (the
-        shell's WAL is the evidence), then recovers it with the torn
-        set demoted.  Built from a fresh engine rather than by adopting
-        the live replica so promotion is deterministic replay of the
-        durable log — identical to what any other copy of that log
-        would recover to — independent of this follower's apply lag.
-        """
-        shell = self._member(self.engine.db.schemas())
-        records = list(self.engine.wal.records(durable_only=True))
-        shell.wal.replace(
-            records,
-            flushed_lsn=self.engine.wal.flushed_lsn,
-            next_lsn=(records[-1].lsn + 1) if records else 1,
-        )
-        return shell
-
-    def resync(
-        self,
-        records: list[LogRecord],
-        *,
-        flushed_lsn: int,
-        demote: set[int],
-    ) -> None:
-        """Wholesale rebuild after a failover of this shard.
+    def resync(self, log: WriteAheadLog, demote: set[int]) -> None:
+        """Wholesale rebuild after this shard's leader was replaced.
 
         Incremental apply cannot express a demotion — this follower may
-        already have applied a COMMIT that the promotion's torn-commit
-        analysis just rolled back — so after a failover every follower
-        of the shard rebuilds: fresh engine, adopt the elected log
-        (``records`` is the election winner's durable, *pre-recovery*
-        log) and recover it with the same demotion set the successor was
-        recovered with.  Recovery is deterministic, so every copy —
-        successor and followers alike — converges to bit-identical
-        state *and* bit-identical logs (including the compensation
-        records recovery appends), which is what keeps the next
-        election, and the next incremental ship, coherent.
+        already have applied a COMMIT that the new leader's torn-commit
+        analysis just rolled back — so after a failover or a restart
+        every follower of the shard rebuilds: a successor of its engine
+        adopts a copy of ``log`` (the durable, *pre-recovery* log the
+        leader recovered from) and recovers it with the leader's
+        demotion set.  Recovery is deterministic, so every copy —
+        leader and followers alike — converges to bit-identical state
+        *and* bit-identical logs (including the compensation records
+        recovery appends), which is what keeps the next election, and
+        the next incremental ship, coherent.
         """
-        self.engine = self._fresh_engine(self.engine.db.schemas())
-        self.engine.wal.replace(
-            records,
-            flushed_lsn=flushed_lsn,
-            next_lsn=(records[-1].lsn + 1) if records else 1,
-        )
+        self.engine = self.engine.successor(log.durable_copy())
         self.engine.recover(demote)
         self._pending.clear()
         self._ready.clear()

@@ -1271,12 +1271,25 @@ class StorageEngine(StoreBase):
 
     def crash(self) -> "StorageEngine":
         """Simulate a crash: volatile state (tables, locks, contexts) is
-        lost; the flushed WAL prefix survives.  Returns a fresh engine on
-        an empty database with the surviving log, ready for
-        :meth:`recover` — a shard member's successor is a member of the
-        same ensemble.
+        lost; the flushed WAL prefix survives.  Returns the
+        :meth:`successor` holding that prefix, ready for :meth:`recover`.
         """
         self.wal.truncate_to_flushed()
+        return self.successor()
+
+    @_locked
+    def successor(self, log: "WriteAheadLog | None" = None) -> "StorageEngine":
+        """The engine taking this one's place, holding ``log`` unrecovered
+        (default: this engine's durable prefix).
+
+        The one replacement recipe: a crash survivor, a follower replica
+        (born on an empty log, resynced onto its leader's) and a promoted
+        failover leader are all built here.  The successor is the same
+        kind — standalone, or shard ``idx`` of the same ensemble — with
+        the same settings and catalog and an empty database; of this
+        engine's state it keeps exactly the transaction-id floor, the
+        vacuum and checkpoint cadences and the log's ``flush_latency``.
+        """
         settings = {
             "locking": self.locking,
             "granularity": self.granularity,
@@ -1288,7 +1301,8 @@ class StorageEngine(StoreBase):
             survivor = StorageEngine.shard_member(*self._member, **settings)
         for schema in self.db.schemas():
             survivor.create_table(schema)
-        survivor.wal = self.wal
+        survivor.wal = log if log is not None else self.wal.durable_copy()
+        survivor.wal.flush_latency = self.wal.flush_latency
         survivor._next_txn = self._next_txn
         survivor.vacuum_interval = self.vacuum_interval
         survivor.checkpoint_interval = self.checkpoint_interval

@@ -334,7 +334,12 @@ class Store(Protocol):
     def durably_committed_txns(self) -> set[int]: ...
 
     def crash(self) -> Store:
-        """Lose volatile state; the successor holds the flushed logs."""
+        """Lose volatile state; the successor holds the flushed logs.
+
+        The successor is the same kind of store with the same settings
+        and knobs, built per engine by ``StorageEngine.successor``; a
+        replicated store keeps its followers, which :meth:`recover`
+        resyncs from their leaders' logs."""
 
     def recover(self, demote: Iterable[int] = ...) -> RecoveryReport: ...
 

@@ -1268,17 +1268,26 @@ class ShardedStorageEngine(StoreBase):
     # -- crash simulation ----------------------------------------------------------------
 
     def crash(self) -> "ShardedStorageEngine":
-        """Crash every shard; the per-shard flushed WAL prefixes survive."""
-        survivor = ShardedStorageEngine(
+        """Crash every shard; the per-shard flushed WAL prefixes survive.
+
+        The survivor is this topology rebuilt over the crashed shards
+        (:meth:`_survivor`); it keeps the router's transaction-id floor
+        and checkpoint cadence, and each shard keeps its own knobs.
+        """
+        survivor = self._survivor()
+        survivor._next_txn = self._next_txn
+        survivor.checkpoint_interval = self._checkpoint_interval
+        return survivor
+
+    def _survivor(self) -> "ShardedStorageEngine":
+        """This topology's constructor over its crashed shards."""
+        return ShardedStorageEngine(
             self.n_shards,
             locking=self.locking,
             granularity=self.granularity,
             shards=[shard.crash() for shard in self.shards],
             ordered_indexes=self.ordered_indexes,
         )
-        survivor._next_txn = self._next_txn
-        survivor._checkpoint_interval = self._checkpoint_interval
-        return survivor
 
     def recover(self, demote: Iterable[int] = frozenset()) -> RecoveryReport:
         """Restart recovery of the ensemble (post-:meth:`crash`)."""

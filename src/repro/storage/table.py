@@ -211,9 +211,6 @@ class Table:
         for cols, tree in self._ordered.items():
             tree.remove(self._ordered_key(cols, values), rid)
 
-    def ordered_index(self, column_names: Sequence[str]) -> BPlusTree | None:
-        return self._ordered.get(tuple(column_names))
-
     def ordered_keys_in_range(
         self,
         column_names: Sequence[str],

@@ -190,6 +190,23 @@ class WriteAheadLog:
             self._flushed_lsn = flushed_lsn
             self._next_lsn = next_lsn
 
+    def durable_copy(self) -> "WriteAheadLog":
+        """A new log holding this one's durable prefix, as a successor
+        engine adopts it (:meth:`StorageEngine.successor
+        <repro.storage.engine.StorageEngine.successor>`).
+
+        The copy keeps the flush watermark and the next LSN, so the
+        successor continues the LSN sequence and never reuses an LSN
+        lost with the volatile tail.
+        """
+        copy = WriteAheadLog()
+        with self._mutex:
+            copy._records = self._records[:bisect_right(
+                self._records, self._flushed_lsn, key=_lsn_of)]
+            copy._flushed_lsn = self._flushed_lsn
+            copy._next_lsn = self._next_lsn
+        return copy
+
     def commit_timestamps(self, durable_only: bool = True) -> dict[int, int]:
         """``txn -> commit_ts`` for every (durable) stamped COMMIT record."""
         return {

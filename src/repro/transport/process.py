@@ -184,7 +184,7 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
         """SIGKILL one shard's worker (crash-injection hook for tests)."""
         _kill_process(self._processes[shard_idx])
 
-    def crash(self) -> "ProcessShardedStorageEngine":
+    def _survivor(self) -> "ProcessShardedStorageEngine":
         """Kill the fleet; rebuild a successor from the durable mirrors.
 
         Mirrors are the coordinator's view of each worker's log —
@@ -217,8 +217,6 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
             ordered_indexes=self.ordered_indexes,
             install=install,
         )
-        survivor._next_txn = self._next_txn
-        survivor.checkpoint_interval = self.checkpoint_interval
         # The knobs reach the new workers ahead of their first request.
         survivor.vacuum_interval = self.vacuum_interval
         for old, new in zip(self.shards, survivor.shards):

@@ -95,15 +95,6 @@ class SocialNetwork:
 
     # -- sampling (deterministic) --------------------------------------------------------
 
-    def sample_user(self) -> int:
-        return self._rng.choice(self.users())
-
-    def sample_friend_pair(self) -> tuple[int, int]:
-        """A uniformly random friendship edge, as an ordered pair."""
-        edges = list(self._graph.edges)
-        a, b = edges[self._rng.randrange(len(edges))]
-        return (a, b) if self._rng.random() < 0.5 else (b, a)
-
     def sample_disjoint_friend_pairs(self, count: int) -> list[tuple[int, int]]:
         """``count`` friendship pairs with all users distinct.
 

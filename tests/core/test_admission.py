@@ -1,5 +1,5 @@
-"""Admission control: queue-depth shedding, session pools, rate limits,
-executor bounds — and the OverloadError contract they share.
+"""Admission control: queue-depth shedding, session pools, rate limits
+— and the OverloadError contract they share.
 
 The contract under test: every limiter sheds *before any storage side
 effect* with the retryable :class:`~repro.errors.OverloadError`, a shed
@@ -16,7 +16,6 @@ from repro import (
     ColumnType,
     EngineError,
     OverloadError,
-    ShardExecutor,
     TableSchema,
     connect,
 )
@@ -207,49 +206,6 @@ class TestSessionRateLimit:
         with pytest.raises(OverloadError):
             a.run_script(WRITE.format(k=3))
         db.close()
-
-
-class TestExecutorQueueBound:
-    def test_rejects_bad_bound(self):
-        with pytest.raises(ValueError):
-            ShardExecutor(1, max_queue_depth=0)
-
-    def test_sheds_when_a_shard_queue_fills(self):
-        import threading
-
-        executor = ShardExecutor(1, max_queue_depth=2)
-        release = threading.Event()
-        started = threading.Event()
-
-        def blocker():
-            started.set()
-            release.wait(timeout=30)
-
-        try:
-            executor.submit(0, blocker)
-            started.wait(timeout=30)
-            # The bound counts in-flight work: the blocker plus one
-            # queued item fill it.
-            executor.submit(0, lambda: None)
-            with pytest.raises(OverloadError) as exc:
-                executor.submit(0, lambda: None)
-            assert exc.value.reason == "executor-queue"
-        finally:
-            release.set()
-            executor.close()
-
-    def test_queue_drains_and_admits_again(self):
-        executor = ShardExecutor(2, max_queue_depth=4)
-        try:
-            futures = [
-                executor.submit(i % 2, lambda x=i: x * 2) for i in range(8)
-            ]
-            assert [f.result(timeout=30) for f in futures] \
-                == [i * 2 for i in range(8)]
-            assert executor.shed_count == 0
-            assert executor.queue_depth(0) == 0
-        finally:
-            executor.close()
 
 
 class TestDrainTruncation:

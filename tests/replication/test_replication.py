@@ -397,6 +397,28 @@ class TestFailover:
         expected[10] = "x"
         assert leader_contents(engine) == expected
 
+    def test_a_client_restart_keeps_its_replicas(self):
+        db = repro.connect(
+            shards=2, replicas=1, config=EngineConfig(persist_state=True),
+        )
+        try:
+            db.create_table(SCHEMA)
+            with db.session("w").transaction() as t:
+                t.insert("T", (1, "one"))
+            db, _report = db.crash_and_recover()
+            assert isinstance(db.store, ReplicatedStorageEngine)
+            assert [len(row) for row in db.store.followers] == [1, 1]
+            alice = db.session("alice")
+            with alice.transaction() as t:
+                t.insert("T", (2, "two"))
+            with alice.transaction() as t:
+                assert {row.values[0] for row in t.read_table("T")} == {1, 2}
+            db.store.fail_over(0)
+            with alice.transaction() as t:
+                assert {row.values[0] for row in t.read_table("T")} == {1, 2}
+        finally:
+            db.close()
+
 
 class TestConfigValidation:
     def test_negative_knobs_rejected(self):

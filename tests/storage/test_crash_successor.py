@@ -1,0 +1,125 @@
+"""A crash successor is the same store.
+
+``crash()`` + ``recover()`` must hand back the store that crashed, not
+a plainer one: the same type and shard count, the same settings
+(locking, granularity, ordered indexes), the same knobs (transaction-id
+floor, vacuum and checkpoint cadences, every WAL's simulated fsync
+latency) and, for a replicated store, the same followers — replica
+count, staleness bound and per-follower apply lag — resynced from the
+log their leader recovered from, so a failover after the restart still
+loses nothing.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+
+from repro.replication import ReplicatedStorageEngine
+from repro.storage import (
+    ColumnType,
+    LockGranularity,
+    ShardedStorageEngine,
+    StorageEngine,
+    TableSchema,
+)
+from repro.transport.process import ProcessShardedStorageEngine
+
+SCHEMA = TableSchema.build(
+    "T",
+    [("k", ColumnType.INTEGER), ("v", ColumnType.TEXT)],
+    primary_key=["k"],
+)
+SETTINGS = {"granularity": LockGranularity.TABLE, "ordered_indexes": False}
+ROWS = {k: f"v{k}" for k in range(6)}
+
+STORES = {
+    "single": lambda: StorageEngine(**SETTINGS),
+    "sharded2": lambda: ShardedStorageEngine(2, **SETTINGS),
+    "process2": lambda: ProcessShardedStorageEngine(2, **SETTINGS),
+    "replicated2": lambda: ReplicatedStorageEngine(
+        2, replicas=2, max_staleness=3, apply_lag=1, **SETTINGS
+    ),
+}
+
+
+def shape(store) -> dict:
+    """Everything a crash successor must keep."""
+    followers = getattr(store, "followers", [])
+    return {
+        "type": type(store),
+        "n_shards": store.n_shards,
+        "locking": store.locking,
+        "granularity": store.granularity,
+        "ordered_indexes": store.ordered_indexes,
+        "next_txn": store._next_txn,
+        "vacuum_interval": store.vacuum_interval,
+        "checkpoint_interval": store.checkpoint_interval,
+        "flush_latency": [wal.flush_latency for wal in store.wals()],
+        "replicas": getattr(store, "replicas_per_shard", None),
+        "max_staleness": getattr(store, "max_staleness", None),
+        "apply_lag": [[f.apply_lag for f in row] for row in followers],
+    }
+
+
+def rows_of(engine: StorageEngine) -> dict[int, str]:
+    return {row.values[0]: row.values[1] for row in engine.db.table("T").scan()}
+
+
+def lsns(wal) -> list[int]:
+    return [r.lsn for r in wal.records(durable_only=True)]
+
+
+def read_all(store) -> dict[int, str]:
+    txn = store.begin()
+    rows = {row.values[0]: row.values[1] for row in store.read_table(txn, "T")}
+    store.commit(txn)
+    return rows
+
+
+@contextmanager
+def restarted(name: str):
+    """Build store ``name``, commit six rows, crash and recover it;
+    yields (the store's shape before the crash, the recovered survivor)."""
+    store = STORES[name]()
+    survivor = None
+    try:
+        store.create_table(SCHEMA)
+        store.vacuum_interval = 7
+        store.checkpoint_interval = 5
+        for wal in store.wals():
+            wal.flush_latency = 0.0005
+        for k, v in ROWS.items():
+            txn = store.begin()
+            store.insert(txn, "T", (k, v))
+            store.commit(txn)
+        before = shape(store)
+        survivor = store.crash()
+        store.close()
+        survivor.recover()
+        yield before, survivor
+    finally:
+        store.close()
+        if survivor is not None:
+            survivor.close()
+
+
+@pytest.mark.parametrize("name", sorted(STORES))
+def test_the_survivor_keeps_the_store(name):
+    with restarted(name) as (before, survivor):
+        assert shape(survivor) == before
+        assert read_all(survivor) == ROWS
+
+
+def test_a_replicated_restart_resyncs_every_follower():
+    with restarted("replicated2") as (_before, survivor):
+        survivor.drain_replicas()
+        for leader, row in zip(survivor.shards, survivor.followers):
+            assert len(row) == 2
+            for follower in row:
+                assert rows_of(follower.engine) == rows_of(leader)
+                assert lsns(follower.wal) == lsns(leader.wal)
+                assert follower.durable_lsn == leader.wal.flushed_lsn
+        survivor.fail_over(0)
+        assert read_all(survivor) == ROWS
