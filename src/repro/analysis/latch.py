@@ -1,7 +1,7 @@
 """Named latches and a lockdep-style runtime lock-order witness.
 
-Since PR 5 the engine is genuinely multithreaded: per-shard workers, a
-lock-manager mutex shared across shard ensembles, a global commit
+The engine is genuinely multithreaded: per-shard workers, a cross-shard
+deadlock probe reading every shard's lock manager, a global commit
 funnel with WAL fsyncs hoisted outside it, and condition-variable
 waiters in the client.  The latch discipline that keeps all of that
 deadlock-free used to live only in commit messages; this module makes
@@ -15,14 +15,15 @@ the declared latch order (outermost first)::
     commit-funnel        20   ensemble-wide commit/abort/begin funnel
     replication-ship     25   per-shard WAL shipping / follower apply
     engine-mutex         30   per-shard storage engine (ordered peers)
+    deadlock-probe       35   router's cross-shard probe (reads the
+                              members' lock managers, or sends frames)
     lock-manager         40   transaction-lock tables + waits-for graph
     oracle               50 ┐
     ssi-tracker          51 │
-    wal                  52 │
-    schedule-recorder    53 │ leaf latches: never held across a call
-    shard-meta           54 │ into another subsystem
-    run-report           55 │
-    deadlock-probe       57 ┘
+    wal                  52 │ leaf latches: never held across a call
+    schedule-recorder    53 │ into another subsystem
+    shard-meta           54 │
+    run-report           55 ┘
     transport-state      58   coordinator RPC pending-table (process mode)
     transport-send       59   per-connection frame-write pipeline
     answer-cond          60   client-side answer condvar
@@ -83,6 +84,7 @@ LATTICE: dict[str, int] = {
     "commit-funnel": 20,
     "replication-ship": 25,
     "engine-mutex": 30,
+    "deadlock-probe": 35,
     "lock-manager": 40,
     "oracle": 50,
     "ssi-tracker": 51,
@@ -90,7 +92,6 @@ LATTICE: dict[str, int] = {
     "schedule-recorder": 53,
     "shard-meta": 54,
     "run-report": 55,
-    "deadlock-probe": 57,
     "transport-state": 58,
     "transport-send": 59,
     "answer-cond": 60,

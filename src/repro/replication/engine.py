@@ -437,9 +437,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
             "leader failover recovers the successor under a quiescent funnel"
         ):
             shell.recover(torn)
-            shell.locks.share_waits_for(
-                self._shared_waits, self._shared_waits_mutex
-            )
+            shell.deadlock_probe = self._deadlock_probe
             self.shards[shard_idx] = shell
             self._resync(shard_idx, elected, torn)
         # Every live transaction dies with the leader: locks, uncommitted

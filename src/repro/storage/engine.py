@@ -102,6 +102,12 @@ class WouldBlock(StorageError):
         self.resource = resource
 
 
+def no_deadlock_probe(shard, exc: WouldBlock) -> None:
+    """A member's deadlock hook until a router installs its probe: a
+    standalone engine's lock manager sees every waits-for edge itself."""
+    del shard, exc
+
+
 class LockGranularity(enum.Enum):
     """How read locks map to resources.
 
@@ -272,6 +278,10 @@ class StorageEngine(StoreBase):
         #: one pipeline, one latch: the shared bodies' small-counter latch.
         self._meta_lock = self.mutex
         self.locks = LockManager()
+        #: told of every wait this engine queues, inside its mutex; a
+        #: router installs its cross-shard probe here (raises
+        #: DeadlockError when the wait closes a cycle across shards).
+        self.deadlock_probe = no_deadlock_probe
         self.wal = WriteAheadLog()
         self.locking = locking
         self.granularity = granularity
@@ -338,8 +348,6 @@ class StorageEngine(StoreBase):
         locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
         ordered_indexes: bool = True,
-        schemas: Iterable[TableSchema] = (),
-        next_txn: int | None = None,
     ) -> "StorageEngine":
         """Shard ``idx`` of an ``n_shards`` ensemble — the one place that
         says what being a member means, for the sharded router, a worker
@@ -349,23 +357,16 @@ class StorageEngine(StoreBase):
         (the coordinator runs the global one).  Local auto-checkpoints
         stay off: a member truncating alone would erase COMMIT evidence
         its peers' torn-commit analysis reads, so ensembles checkpoint
-        as a whole.  Every table created here — now from ``schemas``,
-        later by :meth:`create_table`, after a :meth:`crash` — assigns
-        rids ``idx+1, idx+1+n_shards, ...``, so a rid names its shard and
-        ``RowId`` resources stay globally unique without coordination.
-
-        ``next_txn`` keeps transaction ids ahead of a log the caller is
-        about to install (a worker rebuilt after a crash).
+        as a whole.  Every table created here — by :meth:`create_table`,
+        by a :meth:`successor` — assigns rids ``idx+1, idx+1+n_shards,
+        ...``, so a rid names its shard and ``RowId`` resources stay
+        globally unique without coordination.
         """
         engine = StorageEngine(
             Database(f"shard{idx}"), locking=locking,
             granularity=granularity, ordered_indexes=ordered_indexes,
         )
         engine._member = (idx, n_shards)
-        for schema in schemas:
-            engine.create_table(schema)
-        if next_txn is not None:
-            engine._next_txn = max(engine._next_txn, next_txn)
         return engine
 
     # -- DDL / loading (non-transactional, as in the paper's setup phase) ---------
@@ -620,7 +621,14 @@ class StorageEngine(StoreBase):
             return
         outcome = self.locks.acquire(txn, resource, mode)
         if outcome is LockOutcome.WAIT:
-            raise WouldBlock(txn, resource)
+            raise self._would_block(txn, resource)
+
+    def _would_block(self, txn: int, resource) -> WouldBlock:
+        """The :class:`WouldBlock` for a wait just queued on ``resource``,
+        once :attr:`deadlock_probe` has seen it (and found no cycle)."""
+        exc = WouldBlock(txn, resource)
+        self.deadlock_probe(self, exc)
+        return exc
 
     def _lock_intent(self, ctx: TxnContext, table: str, mode: LockMode) -> None:
         """Table ``mode`` (IS or IX), asked of the lock manager only when
@@ -682,7 +690,7 @@ class StorageEngine(StoreBase):
         txn = ctx.txn_id
         waiting = self.locks.acquire_many(txn, resources, LockMode.SHARED)
         if waiting is not None:
-            raise WouldBlock(txn, waiting)
+            raise self._would_block(txn, waiting)
 
     def _lock_read_rows(
         self,
@@ -702,7 +710,7 @@ class StorageEngine(StoreBase):
         waiting = self.locks.acquire_many(
             txn, map(row_id, zip(repeat(table), rids)), LockMode.SHARED)
         if waiting is not None:
-            raise WouldBlock(txn, waiting)
+            raise self._would_block(txn, waiting)
 
     def _lock_moved_keys(
         self,
@@ -1272,10 +1280,13 @@ class StorageEngine(StoreBase):
     def crash(self) -> "StorageEngine":
         """Simulate a crash: volatile state (tables, locks, contexts) is
         lost; the flushed WAL prefix survives.  Returns the
-        :meth:`successor` holding that prefix, ready for :meth:`recover`.
+        :meth:`successor` holding that prefix, ready for :meth:`recover`,
+        with this engine's transaction-id floor.
         """
         self.wal.truncate_to_flushed()
-        return self.successor()
+        survivor = self.successor()
+        survivor._next_txn = self._next_txn
+        return survivor
 
     @_locked
     def successor(self, log: "WriteAheadLog | None" = None) -> "StorageEngine":
@@ -1283,12 +1294,15 @@ class StorageEngine(StoreBase):
         (default: this engine's durable prefix).
 
         The one replacement recipe: a crash survivor, a follower replica
-        (born on an empty log, resynced onto its leader's) and a promoted
-        failover leader are all built here.  The successor is the same
-        kind — standalone, or shard ``idx`` of the same ensemble — with
-        the same settings and catalog and an empty database; of this
-        engine's state it keeps exactly the transaction-id floor, the
-        vacuum and checkpoint cadences and the log's ``flush_latency``.
+        (born on an empty log, resynced onto its leader's), a promoted
+        failover leader and a process fleet's respawned worker are all
+        built here.  The successor is the same kind — standalone, or
+        shard ``idx`` of the same ensemble — with the same settings and
+        catalog and an empty database; of this engine's state it keeps
+        exactly the vacuum and checkpoint cadences and the log's
+        ``flush_latency``.  That is all the body reads, and a
+        :class:`~repro.transport.proxy.RemoteShardEngine` mirrors all of
+        it, so the same body builds the successor of a dead worker.
         """
         settings = {
             "locking": self.locking,
@@ -1303,7 +1317,6 @@ class StorageEngine(StoreBase):
             survivor.create_table(schema)
         survivor.wal = log if log is not None else self.wal.durable_copy()
         survivor.wal.flush_latency = self.wal.flush_latency
-        survivor._next_txn = self._next_txn
         survivor.vacuum_interval = self.vacuum_interval
         survivor.checkpoint_interval = self.checkpoint_interval
         return survivor

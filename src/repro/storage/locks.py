@@ -28,10 +28,11 @@ request returns :data:`LockOutcome.WAIT` after enqueueing the waiter; the
 scheduler decides whether to suspend or abort the transaction.  It is
 also **thread-safe**: every public operation runs under an internal
 mutex, so the per-shard worker threads of
-:mod:`repro.core.executor` can acquire and release concurrently.  Shard
-ensembles that share one waits-for graph share the mutex too (see
-:meth:`LockManager.share_waits_for`), so the deadlock DFS observes a
-consistent cross-shard edge map.
+:mod:`repro.core.executor` can acquire and release concurrently.  Each
+shard of an ensemble keeps its own manager, graph and mutex; a wait
+cycle spanning shards is found by the router's probe over every
+shard's :meth:`LockManager.waits_edges`, which withdraws the victim's
+wait with :meth:`LockManager.cancel_wait`.
 
 **Cost model** — every operation costs what *its* transaction holds or
 waits on, never the number of live transactions.  :meth:`acquire_many`
@@ -65,7 +66,7 @@ from collections import defaultdict
 from typing import Hashable, Iterable, Sequence
 
 from repro.analysis.latch import Latch
-from repro.errors import DeadlockError, LockError
+from repro.errors import DeadlockError
 
 #: A lockable resource.  The engine uses ("table", name), RowId values, and
 #: ("ixkey", table, columns, key) tuples from :func:`index_key_resource`.
@@ -227,8 +228,11 @@ class LockManager:
         #: release promotes on them, so waking stays on the release path.
         self._pending: dict[Resource, None] = {}
         self._waits_for: dict[int, set[int]] = defaultdict(set)
-        #: guards all manager state; replaced by a *shared* mutex when the
-        #: waits-for graph is shared across a shard ensemble.
+        #: txn -> the resource its latest waiting request newly queued (and
+        #: counted in ``stats["waits"]``): a victim :meth:`cancel_wait`
+        #: withdraws there counts as a deadlock, not as a wait.
+        self._fresh: dict[int, Resource] = {}
+        #: guards all manager state.
         self._mutex = Latch("lock-manager")
         #: statistics for benchmarks and tests.  ``read_grants`` counts
         #: S/IS grants specifically: the MVCC ablation asserts snapshot
@@ -236,31 +240,6 @@ class LockManager:
         #: ``table_s_grants`` counts whole-table S grants — the range
         #: bench asserts next-key-locked range scans drive it to zero.
         self.stats = dict.fromkeys(LOCK_STATS, 0)
-
-    def share_waits_for(
-        self,
-        graph: "dict[int, set[int]]",
-        mutex: "Latch | None" = None,
-    ) -> None:
-        """Adopt a shared waits-for graph (sharded ensembles).
-
-        Shard-local lock managers see only their own half of a
-        cross-shard wait cycle; pointing every shard's deadlock DFS at
-        one shared edge map makes the cycle visible to whichever shard
-        receives the closing request.  Transaction ids are globally
-        unique across shards, so edges compose without translation.
-        Must be called before any lock is requested.
-
-        ``mutex`` (when given) replaces the manager's internal mutex, so
-        every manager sharing the graph also shares one lock — the
-        deadlock DFS walks edges contributed by *other* shards' managers
-        and must never observe them mid-update.
-        """
-        if self._waits_for:
-            raise LockError("cannot share a waits-for graph mid-flight")
-        self._waits_for = graph
-        if mutex is not None:
-            self._mutex = mutex
 
     # -- introspection -------------------------------------------------------------
     # Probes use ``.get``: looking at a resource must never create its state.
@@ -289,11 +268,9 @@ class LockManager:
     def waits_edges(self) -> dict[int, set[int]]:
         """A consistent snapshot of the waits-for graph: waiter → blockers.
 
-        The distributed deadlock detector (process-per-shard mode) probes
-        each shard's manager for its local edges and unions them on the
-        coordinator — transaction ids are globally unique across shards,
-        so edges compose without translation, exactly as they do for
-        :meth:`share_waits_for` ensembles.
+        The router's deadlock probe reads every shard's manager for its
+        local edges and unions them — transaction ids are globally unique
+        across shards, so edges compose without translation.
         """
         with self._mutex:
             return {
@@ -307,13 +284,15 @@ class LockManager:
     def cancel_wait(self, txn: int, resource: Resource) -> bool:
         """Withdraw ``txn``'s queued request on ``resource`` (victim path).
 
-        The coordinator's probe-based deadlock detector chooses a victim
-        *after* the wait is already enqueued in the shard process (the
+        The router's probe-based deadlock detector chooses a victim
+        *after* the wait is already enqueued in the shard (the
         shard-local manager saw no cycle — it only has its half of the
         edges).  Cancelling removes the queued request and the waiter's
         outgoing waits-for edges.  Counts as a detected deadlock when
-        something was actually withdrawn.  Returns True when a wait was
-        removed.
+        something was actually withdrawn; when the withdrawn wait is the
+        one ``txn``'s latest request queued, it stops counting as a wait,
+        so a victim's request counts as :meth:`_check_deadlock`'s does.
+        Returns True when a wait was removed.
         """
         with self._mutex:
             entries = self._queued.get(txn, {}).get(resource)
@@ -336,6 +315,8 @@ class LockManager:
                 del self._locks[resource]
             self._waits_for.pop(txn, None)
             self.stats["deadlocks"] += 1
+            if self._fresh.pop(txn, None) == resource:
+                self.stats["waits"] -= 1
             return True
 
     # -- acquisition ---------------------------------------------------------------
@@ -495,6 +476,9 @@ class LockManager:
             # Count the conflict once per queued request: a retry of an
             # already-queued request is not a new wait.
             self.stats["waits"] += 1
+            self._fresh[txn] = resource
+        else:
+            self._fresh.pop(txn, None)
         self._waits_for[txn].update(blockers)
 
     def _check_deadlock(self, txn: int, new_edges: Iterable[int]) -> None:
@@ -545,6 +529,7 @@ class LockManager:
                 state.queue = [(w, m) for (w, m) in state.queue if w != txn]
                 touched[resource] = None
             self._waits_for.pop(txn, None)
+            self._fresh.pop(txn, None)
             for edges in self._waits_for.values():
                 edges.discard(txn)
             return self._promote_waiters(touched)

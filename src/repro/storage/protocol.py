@@ -93,9 +93,12 @@ class ShardEngine(Protocol):
     """One shard of an ensemble.
 
     The coordinator names every transaction (``begin`` takes its id and
-    its component of the vector snapshot) and owns SSI, flush ordering
-    and checkpoint cadence; the shard owns locks, version chains, the
-    undo log and its WAL.
+    its component of the vector snapshot) and owns SSI, flush ordering,
+    checkpoint cadence and cross-shard deadlock detection; the shard owns
+    locks, version chains, the undo log and its WAL.  A shard reports
+    every lock wait it queues to the coordinator's probe, which its
+    ``deadlock_probe`` attribute holds: an in-process member before it
+    raises ``WouldBlock``, a remote one when its worker answers with it.
     """
 
     mutex: ContextManager
@@ -105,7 +108,7 @@ class ShardEngine(Protocol):
     #: commit analysis over them, ``flush_latency``.
     wal: WriteAheadLog
     #: the lock manager: ``waiting``, ``held_resources``,
-    #: ``waits_edges``, ``cancel_wait``, ``share_waits_for``.
+    #: ``waits_edges`` and ``cancel_wait`` (the probe's two).
     locks: Any
     #: the catalog: ``name``, ``has_table``, ``table`` (a live
     #: :class:`TableView` plus ``snapshot``),

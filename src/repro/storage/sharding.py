@@ -81,12 +81,16 @@ from __future__ import annotations
 import heapq
 import itertools
 import zlib
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.latch import Latch, allow_blocking
-from repro.errors import TransactionStateError, UnknownTableError
+from repro.errors import (
+    DeadlockError,
+    TransactionStateError,
+    TransportError,
+    UnknownTableError,
+)
 from repro.storage.bptree import value_sort_key
 from repro.storage.catalog import _sort_key
 from repro.storage.engine import (
@@ -94,6 +98,7 @@ from repro.storage.engine import (
     StorageEngine,
     TxnIsolation,
     TxnStatus,
+    WouldBlock,
     ssi_batch_items,
     ssi_read_items,
 )
@@ -488,21 +493,12 @@ class ShardedStorageEngine(StoreBase):
         #: guards the small coordinator counters that are not worth the
         #: commit funnel (mvcc tallies, abort counts).
         self._meta_lock = Latch("shard-meta", reentrant=False)
-        # One waits-for graph across all shard lock managers: a 2PL
-        # wait cycle that spans shards (A blocks in shard 0, B in shard
-        # 1) is invisible to either manager alone; sharing the edge map
-        # lets the closing request raise DeadlockError exactly as it
-        # would on a single-shard engine.  The managers share one mutex
-        # with the map, so the deadlock DFS never reads another shard's
-        # edges mid-update.
-        shared_waits: dict[int, set[int]] = defaultdict(set)
-        shared_waits_mutex = Latch("lock-manager")
+        #: serializes the cross-shard deadlock probes (see
+        #: :meth:`_deadlock_probe`), which every member reports its
+        #: waits to.
+        self._probe_latch = Latch("deadlock-probe", reentrant=False)
         for shard in self.shards:
-            shard.locks.share_waits_for(shared_waits, shared_waits_mutex)
-        # Kept so topology changes (replication promotes a follower into
-        # ``self.shards``) can join the successor to the shared graph.
-        self._shared_waits = shared_waits
-        self._shared_waits_mutex = shared_waits_mutex
+            shard.deadlock_probe = self._deadlock_probe
         self.locks = _AggregateLocks(self)
         self.db = ShardedDatabase(self)
         #: the single global SSI tracker (see module docstring) running
@@ -1250,6 +1246,46 @@ class ShardedStorageEngine(StoreBase):
             shard = self._ensure_shard_txn(txn, shard_idx)
             rows.extend(shard.lock_write_candidates(txn, table_name, where))
         return rows
+
+    # -- distributed deadlock detection ----------------------------------------------
+
+    def _deadlock_probe(self, shard: ShardEngine, exc: WouldBlock) -> None:
+        """Chase a wait ``shard`` just queued across every shard's graph.
+
+        Each shard's lock manager refuses a wait that closes a cycle of
+        its own; a cycle spanning shards is visible only here (edge
+        chasing after Chandy, Misra & Haas).  The union of the
+        per-shard waits-for edges is a faithful snapshot of a *stable*
+        cross-shard cycle — every transaction in one is parked and cannot
+        move — so a DFS from the new waiter either closes the loop or
+        proves none exists yet.  The victim is the prober itself: its
+        wait is withdrawn shard-side (``cancel_wait``) and it aborts with
+        :class:`DeadlockError`, exactly like an intra-shard victim.  An
+        in-process member calls this inside its engine mutex, a remote
+        one after its worker answered ``WouldBlock``.
+        """
+        with self._probe_latch:
+            edges: dict[int, set[int]] = {}
+            for peer in self.shards:
+                try:
+                    for waiter, blockers in peer.locks.waits_edges().items():
+                        edges.setdefault(waiter, set()).update(blockers)
+                except TransportError:  # peer mid-teardown: partial view
+                    continue
+            stack = list(edges.get(exc.txn, ()))
+            seen: set[int] = set()
+            while stack:
+                node = stack.pop()
+                if node == exc.txn:
+                    shard.locks.cancel_wait(exc.txn, exc.resource)
+                    raise DeadlockError(
+                        f"cross-shard deadlock: transaction {exc.txn} waiting "
+                        f"for {exc.resource!r} closes a waits-for cycle"
+                    )
+                if node in seen:
+                    continue
+                seen.add(node)
+                stack.extend(edges.get(node, ()))
 
     # -- sharding protocol (reporting) -----------------------------------------------
 

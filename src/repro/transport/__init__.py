@@ -22,8 +22,8 @@ Layout:
   :class:`~repro.storage.protocol.ShardEngine`: local mirrors plus
   forwarders generated from the table;
 * :mod:`~repro.transport.process` — :class:`ProcessShardedStorageEngine`,
-  the sharded engine constructed over remote proxies, plus the
-  probe-based distributed deadlock detector.
+  the sharded engine constructed over remote proxies: it forks one
+  worker serving each engine it builds, at birth and after a crash.
 """
 
 from repro.errors import TransportError

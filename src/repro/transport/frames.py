@@ -8,7 +8,8 @@ pickle of the frame object.  Frames are small Python tuples:
   one-way ``(method, args)`` calls queued since the last frame, which
   the worker runs first (there is no fire-and-forget frame);
 * response — ``(req_id, status, payload, envelope)`` with ``status``
-  one of ``"ok"`` / ``"error"`` / ``"would_block"``.
+  either ``"ok"`` or ``"error"`` (a lock wait is an error too:
+  ``WouldBlock``, rebuilt with its transaction and resource).
 
 The channel itself is deliberately dumb: no threading, no retries, no
 request matching — that lives in :mod:`repro.transport.proxy` (the

@@ -1,31 +1,33 @@
-"""The process-per-shard sharded engine and its deadlock probe.
+"""The process-per-shard sharded engine.
 
 :class:`ProcessShardedStorageEngine` is the thread-mode
 :class:`~repro.storage.sharding.ShardedStorageEngine` constructed over
 :class:`~repro.transport.proxy.RemoteShardEngine` proxies instead of
 in-process shards: the entire coordinator layer — vector begins,
 ordered two-phase prepare/commit, planning, vacuum, ensemble
-checkpoints — is inherited unchanged, with no override: write sets
-(``prepare``), snapshot reads (``snapshot_view``) and restart recovery
-(``recover``) are verbs every shard answers, a remote one with a frame.
-That is also the observational-equivalence argument (property-tested
-against the threaded pool in ``tests/transport``).
+checkpoints, the cross-shard deadlock probe — is inherited unchanged,
+with no override: write sets (``prepare``), snapshot reads
+(``snapshot_view``) and restart recovery (``recover``) are verbs every
+shard answers, a remote one with a frame, and a worker's ``WouldBlock``
+reaches the probe through its proxy.  That is also the
+observational-equivalence argument (property-tested against the
+threaded pool in ``tests/transport``).
 
 What this class adds:
 
-* **spawning** — all pipes are created before any fork, every worker
-  is forked before any coordinator receiver thread starts (forking a
-  process while sibling receiver threads hold transport latches would
-  clone a locked world into the child), and each child closes every
-  pipe end that is not its own;
-* the **probe-based distributed deadlock detector**: a shard worker
-  reporting ``would_block`` returns who blocks the waiter; the
-  coordinator unions every shard's waits-for edges and chases the
-  cycle, withdrawing the victim's enqueued wait when it finds one;
+* **spawning** — the coordinator builds every engine a worker will
+  serve (:meth:`~repro.storage.engine.StorageEngine.shard_member` at
+  birth, the dead worker's :meth:`~repro.storage.engine.StorageEngine.
+  successor` after a crash) and forks the worker serving it.  All pipes
+  are created before any fork, every worker is forked before any
+  coordinator receiver thread starts (forking a process while sibling
+  receiver threads hold transport latches would clone a locked world
+  into the child), and each child closes every pipe end that is not its
+  own;
 * **crash/kill semantics** — :meth:`crash` SIGKILLs the worker fleet
   mid-flight (tests point it at a worker between WAL flushes to get a
-  genuinely torn cross-shard commit) and rebuilds a successor fleet
-  from the coordinator's durable mirrors.
+  genuinely torn cross-shard commit) and forks a successor fleet
+  serving the successors of the coordinator's durable mirrors.
 """
 
 from __future__ import annotations
@@ -34,21 +36,16 @@ import multiprocessing
 import os
 import signal
 
-from repro.analysis.latch import Latch
-from repro.errors import DeadlockError, TransportError
-from repro.storage.engine import LockGranularity
+from repro.storage.engine import LockGranularity, StorageEngine
 from repro.storage.sharding import ShardedStorageEngine
 from repro.transport.frames import FrameChannel
-from repro.transport.proxy import (
-    RemoteShardEngine,
-    RemoteWouldBlock,
-    ShardConnection,
-)
+from repro.transport.proxy import RemoteShardEngine, ShardConnection
 from repro.transport.worker import worker_main
 
 
-def _spawn_workers(n_shards, per_shard_options):
-    """Fork one worker per shard; returns (processes, channels).
+def _spawn_workers(engines):
+    """Fork one worker serving each of ``engines``; returns (processes,
+    channels).
 
     Order matters twice over: every pipe exists before the first fork
     (so each child can close all sibling ends by fd), and every fork
@@ -58,12 +55,12 @@ def _spawn_workers(n_shards, per_shard_options):
     """
     ctx = multiprocessing.get_context("fork")
     pipes = []
-    for _ in range(n_shards):
+    for _ in engines:
         c2w_read, c2w_write = os.pipe()  # coordinator -> worker
         w2c_read, w2c_write = os.pipe()  # worker -> coordinator
         pipes.append((c2w_read, c2w_write, w2c_read, w2c_write))
     processes = []
-    for idx in range(n_shards):
+    for idx, engine in enumerate(engines):
         c2w_read, c2w_write, w2c_read, w2c_write = pipes[idx]
         close_fds = [
             fd for j, quad in enumerate(pipes) if j != idx for fd in quad
@@ -71,7 +68,7 @@ def _spawn_workers(n_shards, per_shard_options):
         close_fds += [c2w_write, w2c_read]  # the coordinator's ends
         process = ctx.Process(
             target=worker_main,
-            args=(idx, c2w_read, w2c_write, close_fds, per_shard_options[idx]),
+            args=(engine, c2w_read, w2c_write, close_fds),
             name=f"repro-shard{idx}",
             daemon=True,
         )
@@ -104,76 +101,41 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
         locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
         ordered_indexes: bool = True,
-        install=None,
+        shards: "list[StorageEngine] | None" = None,
     ):
-        member_settings = {
-            "n_shards": n_shards,
-            "locking": locking,
-            "granularity": granularity,
-            "ordered_indexes": ordered_indexes,
-        }
-        installs = install or [None] * n_shards
-        per_shard = [dict(member_settings, install=i) for i in installs]
-        self._processes, channels = _spawn_workers(n_shards, per_shard)
+        """``shards`` are the engines the workers serve, one per shard
+        (default: fresh :meth:`StorageEngine.shard_member` s)."""
+        if shards is None:
+            shards = [
+                StorageEngine.shard_member(
+                    i, n_shards, locking=locking, granularity=granularity,
+                    ordered_indexes=ordered_indexes,
+                )
+                for i in range(n_shards)
+            ]
+        self._processes, channels = _spawn_workers(shards)
         self._connections = [
             ShardConnection(i, channel) for i, channel in enumerate(channels)
         ]
-        proxies = []
-        for i, connection in enumerate(self._connections):
-            proxy = RemoteShardEngine(i, connection, install=installs[i])
-            proxy.deadlock_probe = self._deadlock_probe
-            proxies.append(proxy)
+        proxies = [
+            RemoteShardEngine(connection, engine)
+            for connection, engine in zip(self._connections, shards)
+        ]
+        # The workers own the engines now: the proxies keep copies of
+        # what they mirror, and the coordinator no reference.
+        del shards
         # Receivers only start once every envelope hook is installed and
         # every fork is done, before anything can send a request.
         for connection in self._connections:
             connection.start()
-        self._probe_latch = Latch("deadlock-probe", reentrant=False)
         self._closed = False
         super().__init__(
-            n_shards,
+            len(proxies),
             locking=locking,
             granularity=granularity,
             shards=proxies,
             ordered_indexes=ordered_indexes,
         )
-
-    # -- distributed deadlock detection ----------------------------------------------
-
-    def _deadlock_probe(self, shard, exc: RemoteWouldBlock) -> None:
-        """Chase a fresh would-block edge across every shard's graph.
-
-        Workers detect intra-shard cycles themselves (before enqueuing
-        the wait); only cycles spanning shards reach this probe.  The
-        union of per-shard waits-for edges plus the just-reported edge
-        is a faithful snapshot of a *stable* cross-shard cycle — every
-        transaction in one is parked and cannot move — so a DFS from
-        the new waiter either closes the loop or proves none exists
-        yet.  The victim is the prober itself: its wait is withdrawn
-        shard-side (``cancel_wait``) and it aborts with
-        :class:`DeadlockError`, exactly like an intra-shard victim.
-        """
-        with self._probe_latch:
-            edges: dict[int, set[int]] = {exc.txn: set(exc.blockers)}
-            for peer in self.shards:
-                try:
-                    for waiter, blockers in peer.locks.waits_edges().items():
-                        edges.setdefault(waiter, set()).update(blockers)
-                except TransportError:  # peer mid-teardown: partial view
-                    continue
-            stack = list(edges[exc.txn])
-            seen: set[int] = set()
-            while stack:
-                node = stack.pop()
-                if node == exc.txn:
-                    shard.locks.cancel_wait(exc.txn, exc.resource)
-                    raise DeadlockError(
-                        f"cross-shard deadlock: transaction {exc.txn} waiting "
-                        f"for {exc.resource!r} closes a waits-for cycle"
-                    )
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(edges.get(node, ()))
 
     # -- crash / teardown ----------------------------------------------------------
 
@@ -185,43 +147,28 @@ class ProcessShardedStorageEngine(ShardedStorageEngine):
         _kill_process(self._processes[shard_idx])
 
     def _survivor(self) -> "ProcessShardedStorageEngine":
-        """Kill the fleet; rebuild a successor from the durable mirrors.
+        """Kill the fleet; fork one serving the successors of its mirrors.
 
         Mirrors are the coordinator's view of each worker's log —
         honest crash semantics: anything a worker made durable after
         its last envelope is lost with the process, exactly as a
-        machine losing power loses what it never acknowledged.
+        machine losing power loses what it never acknowledged.  Every
+        worker dies before any successor is forked.
         """
         for process in self._processes:
             _kill_process(process)
         for connection in self._connections:
             connection.close()
-        install = []
-        for shard in self.shards:
-            shard.wal.truncate_to_flushed()
-            install.append({
-                "schemas": list(shard.db.schemas()),
-                # Private on purpose: the successor log must continue
-                # the LSN sequence, never reuse lost tail LSNs.
-                "wal": (
-                    tuple(shard.wal.records()),
-                    shard.wal.flushed_lsn,
-                    shard.wal._next_lsn,
-                ),
-                "next_txn": self._next_txn,
-            })
-        survivor = ProcessShardedStorageEngine(
+        successors = [shard.successor() for shard in self.shards]
+        for engine in successors:
+            engine._next_txn = self._next_txn
+        return ProcessShardedStorageEngine(
             self.n_shards,
             locking=self.locking,
             granularity=self.granularity,
             ordered_indexes=self.ordered_indexes,
-            install=install,
+            shards=successors,
         )
-        # The knobs reach the new workers ahead of their first request.
-        survivor.vacuum_interval = self.vacuum_interval
-        for old, new in zip(self.shards, survivor.shards):
-            new.wal.flush_latency = old.wal.flush_latency
-        return survivor
 
     def close(self) -> None:
         """Shut the worker fleet down (idempotent)."""

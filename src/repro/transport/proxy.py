@@ -41,27 +41,13 @@ import threading
 from repro.analysis.latch import Latch, assert_may_block
 from repro.errors import TransactionStateError, TransportError, UnknownTableError
 from repro.storage.catalog import Database
-from repro.storage.engine import WouldBlock
+from repro.storage.engine import StorageEngine, WouldBlock, no_deadlock_probe
 from repro.storage.oracle import TimestampOracle
 from repro.storage.schema import TableSchema
 from repro.storage.store import METRICS, SHARD_METRICS
 from repro.storage.wal import WriteAheadLog
 from repro.transport.frames import FrameChannel, decode_error
 from repro.transport.verbs import Target, Verb, members_of
-
-
-class RemoteWouldBlock(WouldBlock):
-    """A worker-side lock wait, annotated with who blocks the waiter.
-
-    The wait is already enqueued in the worker's lock manager when this
-    surfaces coordinator-side; ``blockers`` seeds the distributed
-    deadlock probe without an extra ``waits_edges`` round trip to the
-    shard that reported it.
-    """
-
-    def __init__(self, txn: int, resource, blockers):
-        super().__init__(txn, resource)
-        self.blockers = tuple(blockers)
 
 
 class _PendingCall:
@@ -155,9 +141,6 @@ class ShardConnection:
         status, payload = self.call(method, *args)
         if status == "ok":
             return payload
-        if status == "would_block":
-            txn, resource, blockers = payload
-            raise RemoteWouldBlock(txn, resource, blockers)
         raise decode_error(payload)
 
     # -- receiving -------------------------------------------------------------------
@@ -284,18 +267,23 @@ class WalReplica(WriteAheadLog):
     happens where the authoritative log lives.
     """
 
-    def __init__(self, connection: ShardConnection):
+    def __init__(self, connection: ShardConnection, log: WriteAheadLog):
         # Set before super().__init__: the base constructor assigns
-        # ``flush_latency``, which our data descriptor forwards here.
+        # ``flush_latency`` its default, which our data descriptor sees
+        # here as no change, so no frame.
         self._connection = connection
         self._flush_latency = 0.0
+        super().__init__()
+        # The worker was forked holding ``log``: start as its copy.
+        self._flush_latency = log.flush_latency
+        self.replace(list(log.records(durable_only=True)),
+                     flushed_lsn=log.flushed_lsn, next_lsn=log._next_lsn)
         #: the worker's true log tail as of the last envelope.  The
         #: replica's own record list holds only the *durable* prefix
         #: (volatile records would be truncated on crash anyway), so the
         #: tail watermark — which dependency vectors and flush targets
         #: read — is mirrored as a plain int instead.
-        self._mirror_last_lsn = 0
-        super().__init__()
+        self._mirror_last_lsn = log.last_lsn
 
     @property
     def flush_latency(self) -> float:
@@ -303,8 +291,9 @@ class WalReplica(WriteAheadLog):
 
     @flush_latency.setter
     def flush_latency(self, value: float) -> None:
-        self._flush_latency = value
-        self._connection.defer("set_flush_latency", value)
+        if value != self._flush_latency:  # else the worker already has it
+            self._flush_latency = value
+            self._connection.defer("set_flush_latency", value)
 
     @property
     def last_lsn(self) -> int:
@@ -326,13 +315,6 @@ class RemoteLocks:
 
     def _send(self, verb: Verb, *args):
         return self._connection.request(verb.wire, *args)
-
-    def share_waits_for(self, graph, mutex=None) -> None:
-        # Thread-mode shards share one waits-for graph so intra-process
-        # deadlock checks see cross-shard edges eagerly.  Across
-        # processes each worker keeps its own graph; cross-shard cycles
-        # are chased by the coordinator's probe detector instead.
-        del graph, mutex
 
 
 # -- catalog / tables ----------------------------------------------------------------
@@ -414,11 +396,6 @@ def _shard_proxy_mutex() -> Latch:
     return Latch("engine-mutex", ordered=True)
 
 
-def _no_probe(shard, exc) -> None:
-    """Default deadlock hook: no detector installed, just re-raise."""
-    del shard, exc
-
-
 @forwards(Target.ENGINE)
 class RemoteShardEngine:
     """A :class:`~repro.storage.protocol.ShardEngine` whose engine lives
@@ -431,34 +408,37 @@ class RemoteShardEngine:
 
     _verbs = members_of(Target.ENGINE)
 
-    def __init__(self, shard_idx: int, connection: ShardConnection, *,
-                 install=None):
-        self.shard_idx = shard_idx
+    #: the one replacement recipe: it reads only the settings, catalog,
+    #: durable log, cadences and flush latency, which the mirrors hold.
+    successor = StorageEngine.successor
+
+    def __init__(self, connection: ShardConnection, engine: StorageEngine):
+        """Stand in for ``engine``, the one ``connection``'s worker was
+        forked serving.  The mirrors start from its catalog, durable log,
+        cadences and flush latency — torn-commit analysis reads the log
+        mirror before any response — and the proxy keeps its settings
+        and place in the ensemble; nothing else of it is kept."""
         self._connection = connection
+        self._member = engine._member
+        self.locking = engine.locking
+        self.granularity = engine.granularity
+        self.ordered_indexes = engine.ordered_indexes
         self.mutex = _shard_proxy_mutex()
         self.oracle = OracleMirror(connection)
-        self.wal = WalReplica(connection)
+        self.wal = WalReplica(connection, engine.wal)
         self.locks = RemoteLocks(connection)
-        self.db = RemoteCatalog(connection, f"shard{shard_idx}")
-        if install:
-            # A crash successor: the worker was forked with this catalog
-            # and durable log (``build_shard_engine``), so the mirrors
-            # start from them too — torn-commit analysis reads the log
-            # mirror before the first response could resync it.
-            for schema in install["schemas"]:
-                self.db.adopt_table(schema)
-            records, flushed_lsn, next_lsn = install["wal"]
-            self.wal.replace(records, flushed_lsn=flushed_lsn, next_lsn=next_lsn)
-            self.wal._mirror_last_lsn = records[-1].lsn if records else 0
+        self.db = RemoteCatalog(connection, engine.db.name)
+        for schema in engine.db.schemas():
+            self.db.adopt_table(schema)
         #: the worker's ``metrics()`` and per-table chain-length
         #: histograms (catalog order), as of the last response.
         self._metrics = dict.fromkeys(METRICS, 0)
         self._chain_histograms: tuple = ()
-        self._vacuum_interval = 128
-        self._checkpoint_interval = 0
-        #: installed by the process engine: probes for cross-shard
-        #: deadlock when a request would block (raises DeadlockError).
-        self.deadlock_probe = _no_probe
+        self._vacuum_interval = engine.vacuum_interval
+        self._checkpoint_interval = engine.checkpoint_interval
+        #: replaced by the router's cross-shard probe (may raise
+        #: DeadlockError when a request would block).
+        self.deadlock_probe = no_deadlock_probe
         connection.apply_envelope = self._apply_envelope
 
     # -- envelope folding (receiver-thread context) --------------------------------
@@ -493,12 +473,12 @@ class RemoteShardEngine:
 
     def _send(self, verb: Verb, *args):
         """A request; if it may hit a lock conflict worker-side, then on
-        ``would_block`` the wait is already enqueued in the worker —
+        ``WouldBlock`` the wait is already enqueued in the worker —
         give the probe detector a chance to find (and break) a
         cross-shard cycle before surfacing the wait to the scheduler."""
         try:
             return self._connection.request(verb.wire, *args)
-        except RemoteWouldBlock as exc:
+        except WouldBlock as exc:
             if verb.blocking:
                 self.deadlock_probe(self, exc)  # may raise DeadlockError
             raise

@@ -42,14 +42,17 @@ import gc
 import os
 from collections.abc import Iterator
 
-from repro.storage.engine import StorageEngine, WouldBlock
+from repro.storage.engine import StorageEngine
 from repro.storage.store import SHARD_METRICS
 from repro.transport.frames import FrameChannel, encode_error
 from repro.transport.verbs import VERBS
 
 
-def worker_main(shard_idx, read_fd, write_fd, close_fds, options):
-    """Entry point of a forked shard worker (never returns normally)."""
+def worker_main(engine, read_fd, write_fd, close_fds):
+    """Entry point of a forked shard worker (never returns normally):
+    serve ``engine``, which the coordinator built before the fork — a
+    fresh :meth:`StorageEngine.shard_member`, or the :meth:`StorageEngine.
+    successor` of a dead worker, holding its durable log unrecovered."""
     # Everything on the heap right now is the coordinator's, inherited by
     # the fork and never freed here: move it to the permanent generation
     # so this process's full collections walk only what it allocates
@@ -71,30 +74,10 @@ def worker_main(shard_idx, read_fd, write_fd, close_fds, options):
 
     reset_lockdep()
     channel = FrameChannel(read_fd, write_fd)
-    engine = build_shard_engine(shard_idx, options)
     try:
         ShardServer(engine, channel).serve()
     finally:
         channel.close()
-
-
-def build_shard_engine(shard_idx, options):
-    """Construct the worker-side engine from picklable ``options``: the
-    :meth:`StorageEngine.shard_member` settings, plus an optional
-    ``install`` dict used by crash rebuilds — schemas, the surviving
-    (flushed) WAL prefix and the transaction-id floor — so a freshly
-    forked worker starts in exactly the post-crash state restart
-    recovery expects.
-    """
-    install = options.pop("install") or {}
-    engine = StorageEngine.shard_member(
-        shard_idx, **options,
-        schemas=install.get("schemas", ()), next_txn=install.get("next_txn"),
-    )
-    if install:
-        records, flushed_lsn, next_lsn = install["wal"]
-        engine.wal.replace(records, flushed_lsn=flushed_lsn, next_lsn=next_lsn)
-    return engine
 
 
 class ShardServer:
@@ -147,13 +130,6 @@ class ShardServer:
         try:
             payload = self._call(method, args)
             status = "ok"
-        except WouldBlock as exc:
-            # The wait is already enqueued shard-side; tell the
-            # coordinator who blocks us so its probe detector can chase
-            # the cross-shard cycle.
-            blockers = self.engine.locks.waits_edges().get(exc.txn, set())
-            payload = (exc.txn, exc.resource, sorted(blockers))
-            status = "would_block"
         except Exception as exc:  # noqa: BLE001 - reconstructed remotely
             payload = encode_error(exc)
             status = "error"

@@ -42,10 +42,7 @@ request returns :data:`LockOutcome.WAIT` after enqueueing the waiter; the
 scheduler decides whether to suspend or abort the transaction.  It is
 also **thread-safe**: every public operation runs under an internal
 mutex, so the per-shard worker threads of
-:mod:`repro.core.executor` can acquire and release concurrently.  Shard
-ensembles that share one waits-for graph share the mutex too (see
-:meth:`LockManager.share_waits_for`), so the deadlock DFS observes a
-consistent cross-shard edge map.
+:mod:`repro.core.executor` can acquire and release concurrently.
 
 Under MVCC (``TxnIsolation.SNAPSHOT``) readers bypass this manager
 entirely — snapshot reads are served from version chains without S/IS
@@ -63,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
 from repro.analysis.latch import Latch
-from repro.errors import DeadlockError, LockError
+from repro.errors import DeadlockError
 
 #: A lockable resource.  The engine uses ("table", name), RowId values, and
 #: ("ixkey", table, columns, key) tuples from :func:`index_key_resource`.
@@ -168,8 +165,9 @@ class LockManager:
         self._locks: dict[Resource, _LockState] = defaultdict(_LockState)
         self._held: dict[int, set[Resource]] = defaultdict(set)
         self._waits_for: dict[int, set[int]] = defaultdict(set)
-        #: guards all manager state; replaced by a *shared* mutex when the
-        #: waits-for graph is shared across a shard ensemble.
+        #: txn -> the resource its latest waiting request newly queued.
+        self._fresh: dict[int, Resource] = {}
+        #: guards all manager state.
         self._mutex = Latch("lock-manager")
         #: statistics for benchmarks and tests.  ``read_grants`` counts
         #: S/IS grants specifically: the MVCC ablation asserts snapshot
@@ -184,31 +182,6 @@ class LockManager:
             "read_grants": 0,
             "table_s_grants": 0,
         }
-
-    def share_waits_for(
-        self,
-        graph: "dict[int, set[int]]",
-        mutex: "Latch | None" = None,
-    ) -> None:
-        """Adopt a shared waits-for graph (sharded ensembles).
-
-        Shard-local lock managers see only their own half of a
-        cross-shard wait cycle; pointing every shard's deadlock DFS at
-        one shared edge map makes the cycle visible to whichever shard
-        receives the closing request.  Transaction ids are globally
-        unique across shards, so edges compose without translation.
-        Must be called before any lock is requested.
-
-        ``mutex`` (when given) replaces the manager's internal mutex, so
-        every manager sharing the graph also shares one lock — the
-        deadlock DFS walks edges contributed by *other* shards' managers
-        and must never observe them mid-update.
-        """
-        if self._waits_for:
-            raise LockError("cannot share a waits-for graph mid-flight")
-        self._waits_for = graph
-        if mutex is not None:
-            self._mutex = mutex
 
     # -- introspection -------------------------------------------------------------
 
@@ -238,11 +211,9 @@ class LockManager:
     def waits_edges(self) -> dict[int, set[int]]:
         """A consistent snapshot of the waits-for graph: waiter → blockers.
 
-        The distributed deadlock detector (process-per-shard mode) probes
-        each shard's manager for its local edges and unions them on the
-        coordinator — transaction ids are globally unique across shards,
-        so edges compose without translation, exactly as they do for
-        :meth:`share_waits_for` ensembles.
+        The router's deadlock probe reads every shard's manager for its
+        local edges and unions them — transaction ids are globally unique
+        across shards, so edges compose without translation.
         """
         with self._mutex:
             return {
@@ -262,7 +233,8 @@ class LockManager:
         edges).  Cancelling removes the queued request and the waiter's
         outgoing waits-for edges, then promotes any request the removal
         unblocked.  Counts as a detected deadlock when something was
-        actually withdrawn.  Returns True when a wait was removed.
+        actually withdrawn, and not as a wait when ``txn``'s latest
+        request queued it.  Returns True when a wait was removed.
         """
         with self._mutex:
             state = self._locks.get(resource)
@@ -283,6 +255,8 @@ class LockManager:
                 # stays the release path.
                 self._waits_for.pop(txn, None)
                 self.stats["deadlocks"] += 1
+                if self._fresh.pop(txn, None) == resource:
+                    self.stats["waits"] -= 1
             return removed
 
     # -- acquisition ---------------------------------------------------------------
@@ -369,6 +343,9 @@ class LockManager:
             # Count the conflict once per queued request: a retry of an
             # already-queued request is not a new wait.
             self.stats["waits"] += 1
+            self._fresh[txn] = resource
+        else:
+            self._fresh.pop(txn, None)
         self._waits_for[txn].update(blockers)
 
     def _check_deadlock(self, txn: int, new_edges: Iterable[int]) -> None:
@@ -405,6 +382,7 @@ class LockManager:
                 if not state.holders and not state.queue:
                     del self._locks[resource]
             self._waits_for.pop(txn, None)
+            self._fresh.pop(txn, None)
             for edges in self._waits_for.values():
                 edges.discard(txn)
             return self._promote_waiters()

@@ -123,3 +123,43 @@ def test_a_replicated_restart_resyncs_every_follower():
                 assert follower.durable_lsn == leader.wal.flushed_lsn
         survivor.fail_over(0)
         assert read_all(survivor) == ROWS
+
+
+@pytest.mark.parametrize("name", ["single", "sharded2", "process2"])
+def test_the_survivor_never_reuses_an_lsn(name):
+    """A volatile tail's LSNs die with the crash, not with the sequence:
+    every record the survivor writes — recovery's and the next
+    commit's — is numbered past every LSN the crashed store assigned."""
+    store = STORES[name]()
+    survivor = None
+    try:
+        store.create_table(SCHEMA)
+        txn = store.begin()
+        for k, v in ROWS.items():
+            store.insert(txn, "T", (k, v))
+        store.commit(txn)
+        txn = store.begin()
+        for k in ROWS:
+            store.insert(txn, "T", (k + 10, "tail"))
+        store.commit(txn, flush=False)
+        flushed = [wal.flushed_lsn for wal in store.wals()]
+        assigned = [wal.last_lsn for wal in store.wals()]
+        assert all(a > f for a, f in zip(assigned, flushed))  # a tail each
+        survivor = store.crash()
+        store.close()
+        survivor.recover()
+        txn = survivor.begin()
+        survivor.insert(txn, "T", (99, "after"))
+        survivor.commit(txn)
+        written = [
+            [lsn for lsn in lsns(wal) if lsn > old]
+            for wal, old in zip(survivor.wals(), flushed)
+        ]
+        assert any(written)
+        for new, old in zip(written, assigned):
+            assert all(lsn > old for lsn in new)
+        assert read_all(survivor) == {**ROWS, 99: "after"}
+    finally:
+        store.close()
+        if survivor is not None:
+            survivor.close()

@@ -293,6 +293,20 @@ class TestCancelWait:
         assert lm.holds(3, T, S) and not lm.waiting(3)
         assert lm.waits_edges() == {}
 
+    def test_a_victims_fresh_wait_counts_as_a_deadlock_not_a_wait(self):
+        """As with a cycle the manager finds itself: the refused request
+        counts in ``deadlocks`` only.  A retry of a queued request counts
+        no new wait, so withdrawing it leaves the first count standing."""
+        lm = LockManager()
+        lm.acquire(1, T, X)
+        assert lm.acquire(2, T, X) is LockOutcome.WAIT
+        assert lm.cancel_wait(2, T) is True
+        assert (lm.stats["waits"], lm.stats["deadlocks"]) == (0, 1)
+        assert lm.acquire(2, T, X) is LockOutcome.WAIT
+        assert lm.acquire(2, T, X) is LockOutcome.WAIT  # the retry
+        assert lm.cancel_wait(2, T) is True
+        assert (lm.stats["waits"], lm.stats["deadlocks"]) == (1, 2)
+
     def test_cancel_of_nothing_is_a_no_op(self):
         lm = LockManager()
         lm.acquire(1, T, X)

@@ -263,37 +263,6 @@ class TestCrossShardSSI:
         engine.commit(t1)
 
 
-class TestCrossShardDeadlocks:
-    def test_cross_shard_wait_cycle_raises_deadlock(self):
-        """Regression: each shard's lock manager sees only its half of a
-        cross-shard wait cycle; the shared waits-for graph makes the
-        closing request raise DeadlockError like a single-shard engine."""
-        from repro.errors import DeadlockError
-        from repro.storage.engine import WouldBlock
-
-        engine = build_sharded(2)
-        x = 0
-        y = next(
-            k for k in range(1, 32)
-            if engine.route_key("T", (k,)) != engine.route_key("T", (0,))
-        )
-        engine.load("T", [(x, "0"), (y, "0")])
-        a = engine.begin()
-        b = engine.begin()
-        row_x = engine.db.table("T").lookup_pk((x,))
-        row_y = engine.db.table("T").lookup_pk((y,))
-        engine.update(a, "T", row_x.rid, (x, "a"))   # a holds shard(x)
-        engine.update(b, "T", row_y.rid, (y, "b"))   # b holds shard(y)
-        with pytest.raises(WouldBlock):
-            engine.update(a, "T", row_y.rid, (y, "a"))  # a waits for b
-        with pytest.raises(DeadlockError):
-            engine.update(b, "T", row_x.rid, (x, "b"))  # closes the cycle
-        assert engine.metrics()["locks.deadlocks"] == 1
-        engine.abort(b)  # victim releases; a can proceed
-        engine.update(a, "T", row_y.rid, (y, "a"))
-        engine.commit(a)
-
-
 class TestShardedEquivalence:
     """The tentpole property: same workload, same observable outcomes."""
 

@@ -496,7 +496,7 @@ def plain(value):
 def outcome(step, world, ordered: bool):
     try:
         value = plain(step(world))
-    except WouldBlock as exc:  # RemoteWouldBlock is one
+    except WouldBlock as exc:  # a worker's too, rebuilt by the frame codec
         return ("WouldBlock", exc.txn, exc.resource)
     except ReproError as exc:
         return (type(exc).__name__,)

@@ -1,11 +1,12 @@
-"""The process-per-shard engine: basics, cross-shard deadlock, SSI,
-and SIGKILL crash recovery.
+"""The process-per-shard engine: basics, cross-shard SSI and SIGKILL
+crash recovery (its cross-shard deadlock is one case of
+``tests/storage/test_cross_shard_deadlock.py``).
 
 Regression twins of the threaded-mode tests in
 ``tests/storage/test_sharding.py`` — same scenarios, but every shard
 lives in its own worker process behind the frame transport, so each
-assertion also exercises the coordinator's mirrors, the probe-based
-deadlock detector and the prepare-round SSI reporting.
+assertion also exercises the coordinator's mirrors and the
+prepare-round SSI reporting.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 
 import pytest
 
-from repro.errors import DeadlockError, SerializationFailureError
+from repro.errors import SerializationFailureError
 from repro.storage import (
     ColumnType,
     ReadAccess,
@@ -22,7 +23,6 @@ from repro.storage import (
     TxnIsolation,
     recover,
 )
-from repro.storage.engine import WouldBlock
 from repro.transport.process import ProcessShardedStorageEngine
 
 
@@ -96,30 +96,6 @@ class TestBasics:
         }
         assert seen == {"old"}
         engine.commit(reader)
-
-
-class TestCrossShardDeadlock:
-    def test_cross_shard_wait_cycle_raises_deadlock(self, engine2):
-        """Regression: each worker's lock manager sees only its half of
-        the cycle; the coordinator's probe must union the per-shard
-        waits-for edges and pick the closing requester as victim."""
-        engine = engine2
-        y = other_shard_key(engine)
-        engine.load("T", [(0, "0"), (y, "0")])
-        a = engine.begin()
-        b = engine.begin()
-        row_x = engine.db.table("T").lookup_pk((0,))
-        row_y = engine.db.table("T").lookup_pk((y,))
-        engine.update(a, "T", row_x.rid, (0, "a"))   # a holds shard(x)
-        engine.update(b, "T", row_y.rid, (y, "b"))   # b holds shard(y)
-        with pytest.raises(WouldBlock):
-            engine.update(a, "T", row_y.rid, (y, "a"))  # a waits for b
-        with pytest.raises(DeadlockError):
-            engine.update(b, "T", row_x.rid, (0, "b"))  # closes the cycle
-        engine.abort(b)  # the victim releases; a can proceed
-        engine.update(a, "T", row_y.rid, (y, "a"))
-        engine.commit(a)
-        assert contents(engine) == {0: "a", y: "a"}
 
 
 class TestCrossShardSSI:
