@@ -46,9 +46,14 @@ from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.metrics import Measurements
 from repro.storage.engine import LockGranularity
 from repro.storage.schema import TableSchema
-from repro.storage.sharding import ShardedStorageEngine, build_storage_engine
+from repro.storage.sharding import (
+    ShardedStorageEngine,
+    build_storage_engine,
+    shard_members,
+)
 from repro.storage.store import metrics_delta
 from repro.storage.types import ColumnType
+from repro.transport.process import spawn_workers
 from repro.workloads.programs import WorkloadItem
 from repro.workloads.socialnet import SocialNetwork
 from repro.workloads.traveldb import TravelDatabase
@@ -78,12 +83,13 @@ def bank_store(
     simulated fsync *after* the bulk load, so only the measured section
     pays it.
     """
+    settings = {"granularity": granularity, "ordered_indexes": ordered_indexes}
     if kind == "process":
-        from repro.transport.process import ProcessShardedStorageEngine as build
+        store = ShardedStorageEngine(
+            shards=spawn_workers(shard_members(shards, **settings)))
     else:
         build = {"auto": build_storage_engine, "sharded": ShardedStorageEngine}[kind]
-    store = build(
-        shards, granularity=granularity, ordered_indexes=ordered_indexes)
+        store = build(shards, **settings)
     try:
         store.create_table(TableSchema.build(
             "Accounts",
@@ -102,8 +108,7 @@ def bank_store(
             for wal in store.wals():
                 wal.flush_latency = flush_latency
     except BaseException:
-        if kind == "process":
-            store.close()  # never leak the worker fleet
+        store.close()  # never leak a worker fleet
         raise
     return store
 

@@ -82,6 +82,7 @@ from repro.errors import (
     EntanglementTimeout,
     MiddlewareError,
     OverloadError,
+    ReplicationError,
     TransportError,
 )
 from repro.replication import ReplicatedStorageEngine
@@ -91,9 +92,13 @@ from repro.storage.catalog import Database
 from repro.storage.engine import StorageEngine, TxnIsolation
 from repro.storage.protocol import Store
 from repro.storage.schema import TableSchema
-from repro.storage.sharding import ShardedStorageEngine, build_storage_engine
+from repro.storage.sharding import (
+    ShardedStorageEngine,
+    build_storage_engine,
+    shard_members,
+)
 from repro.storage.types import SQLValue
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -326,7 +331,9 @@ def connect(
     their direct transactions never begin on a cut older than their own
     acknowledged commits.  ``replica_lag`` simulates lazy followers
     (each holds back its newest N received commits).  Writes and
-    SERIALIZABLE transactions always execute against the leaders.
+    SERIALIZABLE transactions always execute against the leaders.  Under
+    ``executor="process"`` each leader runs in a worker process and its
+    followers in this one, fed from the leader's durable log mirror.
     """
     if isinstance(isolation, str):
         isolation = IsolationConfig(isolation)
@@ -360,28 +367,25 @@ def connect(
                 "connect(replicas=...) cannot adopt a prebuilt database or "
                 "engine; let connect() build the replicated ensemble"
             )
-        if process_mode:
-            raise MiddlewareError(
-                "connect(replicas=...) runs in-process; executor='process' "
-                "is not supported with replication"
+        members = spawn_workers(shard_members(shards)) if process_mode else None
+        try:
+            store = ReplicatedStorageEngine(
+                shards,
+                replicas=replicas,
+                max_staleness=max_staleness,
+                apply_lag=replica_lag,
+                shards=members,
             )
-        store = ReplicatedStorageEngine(
-            shards,
-            replicas=replicas,
-            max_staleness=max_staleness,
-            apply_lag=replica_lag,
-        )
+        except ReplicationError:
+            for member in members or ():
+                member.close()
+            raise
     elif prebuilt:
         store = database
         if shards != 1 and shards != store.n_shards:
             raise MiddlewareError(
                 f"connect(shards={shards}) conflicts with the supplied "
                 f"engine's {store.n_shards} shard(s)"
-            )
-        if process_mode and not isinstance(store, ProcessShardedStorageEngine):
-            raise MiddlewareError(
-                "executor='process' cannot adopt an in-process engine; "
-                "pass shards and let connect() build the worker fleet"
             )
     elif isinstance(database, Database):
         if shards != 1:
@@ -396,7 +400,7 @@ def connect(
             )
         store = StorageEngine(database)
     elif process_mode:
-        store = ProcessShardedStorageEngine(shards)
+        store = ShardedStorageEngine(shards=spawn_workers(shard_members(shards)))
     elif shards == 1 and isinstance(database, str):
         store = StorageEngine(Database(database))
     else:

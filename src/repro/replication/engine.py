@@ -2,7 +2,10 @@
 
 :class:`ReplicatedStorageEngine` extends the sharded engine with N
 :class:`~repro.replication.follower.FollowerShard` replicas per shard
-and three behaviors layered on the base protocol:
+and three behaviors layered on the base protocol.  A leader is any
+member — an in-process engine or a worker proxy
+(:class:`~repro.transport.proxy.RemoteShardEngine`), whose durable-log
+mirror is what ships; followers always run in this process.
 
 **Shipping (semi-synchronous).**  Every commit acknowledgement already
 funnels through :meth:`flush_commits` (eager commits call it
@@ -16,7 +19,7 @@ contract (below): electing the maximal durable position can never lose
 an acknowledged commit.
 
 **Follower reads.**  Snapshot probes flow through the base engine's one
-versioned-read chokepoint (:meth:`_snapshot_view`); the override routes
+versioned-read chokepoint (:meth:`_snapshot_read`); the override routes
 a probe to a follower whose applied position covers the requested
 ``read_ts``, round-robin across the leader and every caught-up replica
 — but only for ``SNAPSHOT`` transactions that have not written
@@ -25,7 +28,10 @@ feed the leader-side SSI machinery at full freshness).  A
 ``max_staleness`` bound (in global commit ticks) additionally lets
 :meth:`_begin_cut` serve a *recorded* consistent cut that followers can
 already satisfy instead of the freshest one, which is what keeps read
-traffic on the replicas even while writes keep moving the head.
+traffic on the replicas even while writes keep moving the head.  The
+leader may have pruned such a cut before the reader pinned it; a probe
+it refuses (``SnapshotTooOldError``) is served by a follower, which
+never prunes.
 Sessions pass their read-your-writes floor as ``min_vector``; a
 recorded cut is only served if it dominates that floor, so a session
 always observes its own acknowledged writes, however lagged the replica
@@ -41,13 +47,16 @@ cross-shard commits that are now torn (durable here, not in some other
 written shard) demote exactly as in sharded crash recovery — repoints
 the routing table, and resyncs every follower from the same log with
 the same demotion set (recovery is deterministic, so all copies
-converge bit-for-bit).  Transactions live at that instant lost their
+converge bit-for-bit).  The successor runs in this process whatever
+the dead leader was; a dead worker leader's process is shut down.
+Transactions live at that instant lost their
 uncommitted state with the leader; they surface
 :class:`~repro.errors.LeaderFailoverError`, which the client retry
 policy treats as transparently retryable.
 
 **Restart.**  A :meth:`crash` keeps the topology: the survivor is a
-replicated store over the crashed leaders' successors that keeps the
+replicated store over the crashed leaders' successors (each where its
+leader ran: in this process, or forked into a worker) that keeps the
 same followers (hence their apply lags) and staleness bound, and its
 :meth:`recover` resyncs every follower from the log its leader
 recovers from, with the leader's demotion set — what failover does for
@@ -58,10 +67,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from repro.analysis.latch import Latch, allow_blocking
-from repro.errors import LeaderFailoverError, ReplicationError
+from repro.errors import LeaderFailoverError, ReplicationError, SnapshotTooOldError
 from repro.replication.follower import FollowerShard
 from repro.storage.engine import (
     LockGranularity,
@@ -245,9 +254,10 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
 
     # -- follower reads ----------------------------------------------------------------
 
-    def _snapshot_view(
-        self, shard_idx: int, name: str, txn: int, read_ts: int
-    ) -> TableView:
+    def _snapshot_read(
+        self, shard_idx: int, name: str, txn: int, read_ts: int,
+        read: Callable[[TableView], Any],
+    ) -> Any:
         ctx = self._contexts.get(txn)
         row = self.followers[shard_idx]
         serveable: list[FollowerShard] = []
@@ -272,9 +282,20 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
                     self.follower_read_count += 1
             server = chosen.name if chosen else f"shard{shard_idx}"
             self._read_probes[server] = self._read_probes.get(server, 0) + 1
-        if chosen is not None:
-            return chosen.engine.snapshot_view(name, txn, read_ts)
-        return super()._snapshot_view(shard_idx, name, txn, read_ts)
+        if chosen is None:
+            try:
+                return super()._snapshot_read(shard_idx, name, txn, read_ts, read)
+            except SnapshotTooOldError:
+                # A recorded cut the leader pruned before this reader
+                # pinned it (bounded staleness); followers never prune.
+                if not serveable:
+                    raise
+                chosen = serveable[0]
+                with self._meta:
+                    self.follower_read_count += 1
+                    self._read_probes[chosen.name] = (
+                        self._read_probes.get(chosen.name, 0) + 1)
+        return read(chosen.engine.snapshot_view(name, txn, read_ts))
 
     def read_probe_counts(self) -> dict[str, int]:
         """Per-server snapshot-probe tallies (the read-service load)."""
@@ -440,6 +461,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
             shell.deadlock_probe = self._deadlock_probe
             self.shards[shard_idx] = shell
             self._resync(shard_idx, elected, torn)
+            dead.close()  # a worker leader's process exits
         # Every live transaction dies with the leader: locks, uncommitted
         # versions and undo state on the failed shard are gone, and a
         # snapshot vector spanning the old timeline may observe commits
@@ -467,15 +489,9 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
 
     # -- crash / restart ---------------------------------------------------------------
 
-    def _survivor(self) -> "ReplicatedStorageEngine":
+    def _survivor(self, shards: list) -> "ReplicatedStorageEngine":
         survivor = ReplicatedStorageEngine(
-            self.n_shards,
-            replicas=0,
-            max_staleness=self.max_staleness,
-            locking=self.locking,
-            granularity=self.granularity,
-            ordered_indexes=self.ordered_indexes,
-            shards=[shard.crash() for shard in self.shards],
+            replicas=0, max_staleness=self.max_staleness, shards=shards,
         )
         # The followers outlive their leaders' crash; each keeps its
         # apply lag, and :meth:`recover` resyncs its engine (the old one

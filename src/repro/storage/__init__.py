@@ -149,6 +149,7 @@ from repro.storage.sharding import (
     ShardedStorageEngine,
     build_storage_engine,
     shard_for_key,
+    shard_members,
 )
 from repro.storage.snapshot import SnapshotDatabase, SnapshotView
 from repro.storage.ssi import SSITracker
@@ -223,6 +224,7 @@ __all__ = [
     "parse_date",
     "recover",
     "shard_for_key",
+    "shard_members",
     "split_conjuncts",
     "substitute",
     "table_resource",

@@ -1288,6 +1288,13 @@ class StorageEngine(StoreBase):
         survivor._next_txn = self._next_txn
         return survivor
 
+    @staticmethod
+    def place(engines: "list[StorageEngine]") -> "list[StorageEngine]":
+        """Serve each of ``engines`` where this kind of member runs: here.
+        A router crashing its members hands each successor to its
+        predecessor's ``place``, so every shard restarts where it ran."""
+        return engines
+
     @_locked
     def successor(self, log: "WriteAheadLog | None" = None) -> "StorageEngine":
         """The engine taking this one's place, holding ``log`` unrecovered
@@ -1295,12 +1302,12 @@ class StorageEngine(StoreBase):
 
         The one replacement recipe: a crash survivor, a follower replica
         (born on an empty log, resynced onto its leader's), a promoted
-        failover leader and a process fleet's respawned worker are all
-        built here.  The successor is the same kind — standalone, or
-        shard ``idx`` of the same ensemble — with the same settings and
-        catalog and an empty database; of this engine's state it keeps
-        exactly the vacuum and checkpoint cadences and the log's
-        ``flush_latency``.  That is all the body reads, and a
+        failover leader and the engine a crashed worker's successor
+        serves are all built here.  The successor is the same kind —
+        standalone, or shard ``idx`` of the same ensemble — with the same
+        settings and catalog and an empty database; of this engine's
+        state it keeps exactly the vacuum and checkpoint cadences and the
+        log's ``flush_latency``.  That is all the body reads, and a
         :class:`~repro.transport.proxy.RemoteShardEngine` mirrors all of
         it, so the same body builds the successor of a dead worker.
         """

@@ -99,6 +99,8 @@ class ShardEngine(Protocol):
     every lock wait it queues to the coordinator's probe, which its
     ``deadlock_probe`` attribute holds: an in-process member before it
     raises ``WouldBlock``, a remote one when its worker answers with it.
+    Its lifecycle — ``successor``, ``crash``, ``place`` and ``close`` —
+    is the router's business only, and no frame carries it.
     """
 
     mutex: ContextManager

@@ -192,8 +192,8 @@ class ShardedTableView:
     under that shard's engine mutex (one shard at a time, never nested)
     so a concurrent worker-thread write to another row of the table
     cannot upset the traversal.  Snapshot: the engine's versioned-read
-    chokepoint ``_snapshot_view(i, name, txn, vector[i])`` — shard *i*'s
-    own ``snapshot_view`` unless replication routes the read to a
+    chokepoint ``_snapshot_read(i, name, txn, vector[i], read)`` — shard
+    *i*'s own ``snapshot_view`` unless replication routes the read to a
     follower — whose views serialize their own reads.
     """
 
@@ -219,8 +219,8 @@ class ShardedTableView:
             shard = self._engine.shards[shard_idx]
             with shard.mutex:
                 return read(shard.db.table(self._name))
-        return read(self._engine._snapshot_view(
-            shard_idx, self._name, self._txn, self._vector[shard_idx]))
+        return self._engine._snapshot_read(
+            shard_idx, self._name, self._txn, self._vector[shard_idx], read)
 
     def _union(self, read: Callable[[Any], Iterable[Row]]) -> list[Row]:
         rows: list[Row] = []
@@ -461,21 +461,20 @@ class ShardedStorageEngine(StoreBase):
         shards: "list[ShardEngine] | None" = None,
         ordered_indexes: bool = True,
     ):
-        if shards is not None:
-            self.shards = shards
-        else:
-            if n_shards < 1:
-                raise TransactionStateError(f"need >= 1 shard, got {n_shards}")
-            self.shards = [
-                StorageEngine.shard_member(
-                    i, n_shards, locking=locking, granularity=granularity,
-                    ordered_indexes=ordered_indexes,
-                )
-                for i in range(n_shards)
-            ]
-        self.locking = locking
-        self.granularity = granularity
-        self.ordered_indexes = ordered_indexes
+        """``shards`` are the members, in shard order, when the caller
+        built them (worker proxies, crash successors); the router owns
+        them from here on and reads its settings off them.  Otherwise it
+        builds ``n_shards`` fresh in-process members with the settings
+        given."""
+        if shards is None:
+            shards = shard_members(
+                n_shards, locking=locking, granularity=granularity,
+                ordered_indexes=ordered_indexes,
+            )
+        self.shards = shards
+        self.locking = shards[0].locking
+        self.granularity = shards[0].granularity
+        self.ordered_indexes = shards[0].ordered_indexes
         #: coordinator-level planner counters (the coordinator plans the
         #: query once over the union views, so counters live here, not in
         #: any shard).
@@ -634,12 +633,14 @@ class ShardedStorageEngine(StoreBase):
             ctx.begun.append(shard_idx)
         return shard
 
-    def _snapshot_view(
-        self, shard_idx: int, name: str, txn: int, read_ts: int
-    ) -> TableView:
-        """One shard's versioned view of ``name`` at ``read_ts`` — where
-        the replicated engine routes a read to a follower instead."""
-        return self.shards[shard_idx].snapshot_view(name, txn, read_ts)
+    def _snapshot_read(
+        self, shard_idx: int, name: str, txn: int, read_ts: int,
+        read: Callable[[TableView], Any],
+    ) -> Any:
+        """``read`` applied to one shard's versioned view of ``name`` at
+        ``read_ts`` — where the replicated engine routes a read to a
+        follower instead."""
+        return read(self.shards[shard_idx].snapshot_view(name, txn, read_ts))
 
     def _prepare_shards(self, ctx: ShardedTxnContext) -> None:
         """Phase one of 2PC, in shard order under the commit funnel: each
@@ -1306,24 +1307,36 @@ class ShardedStorageEngine(StoreBase):
     def crash(self) -> "ShardedStorageEngine":
         """Crash every shard; the per-shard flushed WAL prefixes survive.
 
-        The survivor is this topology rebuilt over the crashed shards
-        (:meth:`_survivor`); it keeps the router's transaction-id floor
-        and checkpoint cadence, and each shard keeps its own knobs.
+        Every member goes down before any successor is served.  Each
+        successor holds the router's transaction-id floor and runs where
+        its predecessor ran: the predecessor's ``place`` serves it, one
+        batch per kind of member (a worker fleet forks in one go).  The
+        survivor is this topology rebuilt over them (:meth:`_survivor`);
+        it keeps the router's floor and checkpoint cadence, and each
+        shard keeps its own knobs.
         """
-        survivor = self._survivor()
+        crashed = [(shard.place, shard.crash()) for shard in self.shards]
+        batches: dict[Callable, list] = {}
+        for place, engine in crashed:
+            engine._next_txn = self._next_txn
+            batches.setdefault(place, []).append(engine)
+        placed = {place: iter(place(batch)) for place, batch in batches.items()}
+        survivor = self._survivor([next(placed[place]) for place, _ in crashed])
         survivor._next_txn = self._next_txn
         survivor.checkpoint_interval = self._checkpoint_interval
         return survivor
 
-    def _survivor(self) -> "ShardedStorageEngine":
-        """This topology's constructor over its crashed shards."""
-        return ShardedStorageEngine(
-            self.n_shards,
-            locking=self.locking,
-            granularity=self.granularity,
-            shards=[shard.crash() for shard in self.shards],
-            ordered_indexes=self.ordered_indexes,
-        )
+    def _survivor(self, shards: list) -> "ShardedStorageEngine":
+        """This topology's constructor over the crashed shards' successors."""
+        return ShardedStorageEngine(shards=shards)
+
+    def close(self) -> None:
+        """Close every member (a worker proxy shuts its worker down)."""
+        for shard in self.shards:
+            shard.close()
+
+    def worker_pids(self) -> list[int]:
+        return [pid for shard in self.shards for pid in shard.worker_pids()]
 
     def recover(self, demote: Iterable[int] = frozenset()) -> RecoveryReport:
         """Restart recovery of the ensemble (post-:meth:`crash`)."""
@@ -1331,6 +1344,25 @@ class ShardedStorageEngine(StoreBase):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ShardedStorageEngine(n_shards={self.n_shards})"
+
+
+def shard_members(
+    n_shards: int,
+    *,
+    locking: bool = True,
+    granularity: LockGranularity = LockGranularity.FINE,
+    ordered_indexes: bool = True,
+) -> list[StorageEngine]:
+    """Fresh in-process members ``0 .. n_shards-1`` of one ensemble."""
+    if n_shards < 1:
+        raise TransactionStateError(f"need >= 1 shard, got {n_shards}")
+    return [
+        StorageEngine.shard_member(
+            i, n_shards, locking=locking, granularity=granularity,
+            ordered_indexes=ordered_indexes,
+        )
+        for i in range(n_shards)
+    ]
 
 
 def build_storage_engine(

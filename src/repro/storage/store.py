@@ -115,6 +115,10 @@ class StoreBase:
     def close(self) -> None:
         """Release what the store owns beyond memory (worker processes)."""
 
+    def worker_pids(self) -> list[int]:
+        """The worker processes serving this store (none: it runs here)."""
+        return []
+
     # -- DDL / loading ------------------------------------------------------------------
 
     def load(self, table: str, rows: Iterable[Sequence]) -> int:

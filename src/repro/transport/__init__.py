@@ -20,20 +20,27 @@ Layout:
 * :mod:`~repro.transport.proxy`   — coordinator-side stand-ins
   (:class:`RemoteShardEngine` and friends) implementing
   :class:`~repro.storage.protocol.ShardEngine`: local mirrors plus
-  forwarders generated from the table;
-* :mod:`~repro.transport.process` — :class:`ProcessShardedStorageEngine`,
-  the sharded engine constructed over remote proxies: it forks one
-  worker serving each engine it builds, at birth and after a crash.
+  forwarders generated from the table; a ``RemoteShardEngine`` owns its
+  worker (``close`` shuts it down, ``crash`` SIGKILLs it);
+* :mod:`~repro.transport.process` — :func:`spawn_workers`, which forks
+  one worker serving each engine the coordinator built (at birth and
+  after a crash) and returns the started proxies.
+
+A process-backed store is an ordinary router over those proxies, plain
+or replicated::
+
+    ShardedStorageEngine(shards=spawn_workers(shard_members(4)))
+    ReplicatedStorageEngine(replicas=2, shards=spawn_workers(shard_members(4)))
 """
 
 from repro.errors import TransportError
 from repro.transport.frames import FrameChannel, decode_error, encode_error
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 __all__ = [
     "FrameChannel",
-    "ProcessShardedStorageEngine",
     "TransportError",
     "decode_error",
     "encode_error",
+    "spawn_workers",
 ]

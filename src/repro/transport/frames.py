@@ -103,13 +103,17 @@ _EXTRA_ATTRS = ("pivot", "reason", "retry_after", "position", "txn", "resource")
 
 
 def encode_error(exc: BaseException) -> tuple:
-    """``(class_name, message, extras)`` — picklable, class-preserving."""
+    """``(class_name, message, extras)`` — picklable, class-preserving.
+
+    A ``WouldBlock`` ships no message: it is rebuilt from its ``txn``
+    and ``resource``, which is all its message says."""
     extras = {}
     for attr in _EXTRA_ATTRS:
         value = getattr(exc, attr, None)
         if value is not None:
             extras[attr] = value
-    return (type(exc).__name__, str(exc), extras)
+    name = type(exc).__name__
+    return (name, "" if name == "WouldBlock" else str(exc), extras)
 
 
 def _rebuild_would_block(message, extras):

@@ -23,7 +23,12 @@ written out below is what does more than forward, and answers locally:
 * **schema replicas** — a remote table view holds the table's
   :class:`~repro.storage.schema.TableSchema` (it crossed the pipe once,
   with ``create_table``), and what a schema can answer — column names
-  and types, ``has_index``, ``index_keys`` — the planner asks that.
+  and types, ``has_index``, ``index_keys`` — the planner asks that;
+* **the worker itself** — a :class:`RemoteShardEngine` owns the process
+  it talks to: ``close()`` shuts it down, ``crash()`` SIGKILLs it and
+  returns the successor of the mirrors, and ``place`` forks successors
+  (:func:`~repro.transport.process.spawn_workers`), so a router treats
+  it as any other member.
 
 Everything else is a synchronous RPC over the shard's
 :class:`~repro.transport.frames.FrameChannel`.  A per-connection
@@ -36,6 +41,8 @@ WAL) never inverts the lattice.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 
 from repro.analysis.latch import Latch, assert_may_block
@@ -399,12 +406,14 @@ def _shard_proxy_mutex() -> Latch:
 @forwards(Target.ENGINE)
 class RemoteShardEngine:
     """A :class:`~repro.storage.protocol.ShardEngine` whose engine lives
-    in one worker process.  Statements, locks, prepare, abort, vacuum,
-    checkpoint, recovery and the snapshot re-arms are the verb table's
-    rows; written out here are the mirrors and the calls that do more
-    than forward.  :meth:`metrics` and :meth:`chain_histograms` answer
-    from the mirror the envelopes keep — the worker's reading as of its
-    last response — without a frame."""
+    in one worker process, which the proxy owns.  Statements, locks,
+    prepare, abort, vacuum, checkpoint, recovery and the snapshot
+    re-arms are the verb table's rows; written out here are the mirrors,
+    the calls that do more than forward, and the worker's lifecycle:
+    :meth:`close` shuts it down, :meth:`crash` SIGKILLs it, and
+    :meth:`place` forks the successors.  :meth:`metrics` and
+    :meth:`chain_histograms` answer from the mirror the envelopes keep —
+    the worker's reading as of its last response — without a frame."""
 
     _verbs = members_of(Target.ENGINE)
 
@@ -412,13 +421,16 @@ class RemoteShardEngine:
     #: durable log, cadences and flush latency, which the mirrors hold.
     successor = StorageEngine.successor
 
-    def __init__(self, connection: ShardConnection, engine: StorageEngine):
-        """Stand in for ``engine``, the one ``connection``'s worker was
+    def __init__(self, connection: ShardConnection, engine: StorageEngine,
+                 worker):
+        """Stand in for ``engine``, the one ``worker`` (a forked
+        :class:`multiprocessing.Process`, ``connection``'s peer) was
         forked serving.  The mirrors start from its catalog, durable log,
         cadences and flush latency — torn-commit analysis reads the log
         mirror before any response — and the proxy keeps its settings
         and place in the ensemble; nothing else of it is kept."""
         self._connection = connection
+        self._worker = worker
         self._member = engine._member
         self.locking = engine.locking
         self.granularity = engine.granularity
@@ -525,6 +537,49 @@ class RemoteShardEngine:
     def checkpoint_interval(self, value: int) -> None:
         self._checkpoint_interval = value
         self._connection.defer("set_checkpoint_interval", value)
+
+    # -- the worker's lifecycle -----------------------------------------------------
+
+    @staticmethod
+    def place(engines: "list[StorageEngine]") -> "list[RemoteShardEngine]":
+        """Serve each of ``engines`` where a remote member runs: each in
+        a worker of its own, forked in one batch."""
+        # Deferred: the forking module builds these proxies.
+        from repro.transport.process import spawn_workers
+
+        return spawn_workers(engines)
+
+    def worker_pids(self) -> list[int]:
+        return [self._worker.pid]
+
+    def kill(self) -> None:
+        """SIGKILL the worker (crash injection: :meth:`crash` does it,
+        and a test may do it first to tear a commit between flushes)."""
+        try:
+            os.kill(self._worker.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        self._worker.join(timeout=5.0)
+
+    def crash(self) -> StorageEngine:
+        """SIGKILL the worker; returns the :meth:`successor` of the
+        mirrors, for :meth:`place` to serve.
+
+        Honest crash semantics: the mirrors are the coordinator's view
+        of the worker's log, so anything the worker made durable after
+        its last envelope is lost with the process, exactly as a machine
+        losing power loses what it never acknowledged."""
+        self.kill()
+        self._connection.close()
+        return self.successor()
+
+    def close(self) -> None:
+        """Shut the worker down (idempotent; a dead worker is left alone)."""
+        self._connection.shutdown()
+        self._connection.close()
+        self._worker.join(timeout=2.0)
+        if self._worker.is_alive():  # pragma: no cover - stuck worker
+            self.kill()
 
     # -- stats ---------------------------------------------------------------------
 

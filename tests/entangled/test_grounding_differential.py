@@ -39,9 +39,10 @@ from repro.storage import (
     ShardedStorageEngine,
     StorageEngine,
     TxnIsolation,
+    shard_members,
 )
 from repro.storage.expressions import conjoin
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 from repro.workloads import SocialNetwork, TravelDatabase
 from repro.workloads.programs import entangled_program
 from repro.workloads.structures import cycle_structure, spoke_hub_structure
@@ -69,7 +70,7 @@ class _Through:
 STORES = {
     "engine": StorageEngine,
     "sharded": lambda: ShardedStorageEngine(2),
-    "process": lambda: ProcessShardedStorageEngine(2),
+    "process": lambda: ShardedStorageEngine(shards=spawn_workers(shard_members(2))),
 }
 
 

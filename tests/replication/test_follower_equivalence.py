@@ -14,11 +14,13 @@ the freshest state (read-your-writes, however lagged the replicas).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.replication import ReplicatedStorageEngine
-from repro.storage import ColumnType, TableSchema, TxnIsolation
+from repro.storage import ColumnType, TableSchema, TxnIsolation, shard_members
+from repro.transport.process import spawn_workers
 
 SCHEMA = TableSchema.build(
     "T",
@@ -27,8 +29,13 @@ SCHEMA = TableSchema.build(
 )
 
 
-def build(n_shards, **kwargs):
-    engine = ReplicatedStorageEngine(n_shards, **kwargs)
+def build(n_shards, leaders="in_process", **kwargs):
+    """``leaders="workers"`` runs each leader in a worker process (its
+    followers stay here); close the store when done."""
+    members = (
+        spawn_workers(shard_members(n_shards)) if leaders == "workers" else None
+    )
+    engine = ReplicatedStorageEngine(n_shards, shards=members, **kwargs)
     engine.create_table(SCHEMA)
     return engine
 
@@ -51,6 +58,7 @@ def snapshot_read(engine, *, min_vector=None) -> frozenset:
 
 
 class TestFollowerReadEquivalence:
+    @pytest.mark.parametrize("leaders", ["in_process", "workers"])
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         n_shards=st.sampled_from((1, 2)),
@@ -69,12 +77,19 @@ class TestFollowerReadEquivalence:
         read_after=st.integers(min_value=0, max_value=9),
     )
     def test_every_read_observes_some_consistent_leader_prefix(
-        self, n_shards, apply_lag, max_staleness, txns, read_after
+        self, leaders, n_shards, apply_lag, max_staleness, txns, read_after
     ):
         engine = build(
-            n_shards, replicas=2,
+            n_shards, leaders, replicas=2,
             apply_lag=apply_lag, max_staleness=max_staleness,
         )
+        try:
+            self.check_every_read(engine, txns, read_after)
+        finally:
+            engine.close()
+
+    @staticmethod
+    def check_every_read(engine, txns, read_after):
         # The committed history: every state the leader passed through.
         history = [committed_contents(engine)]
         for i, ops in enumerate(txns):

@@ -28,8 +28,9 @@ from repro.model import (
     find_widowed_transactions,
 )
 from repro.replication import ReplicatedStorageEngine
-from repro.storage import ColumnType, TableSchema, TxnIsolation
+from repro.storage import ColumnType, TableSchema, TxnIsolation, shard_members
 from repro.storage.wal import LogRecordType, WriteAheadLog
+from repro.transport.process import spawn_workers
 
 SCHEMA = TableSchema.build(
     "T",
@@ -42,6 +43,26 @@ def build(n_shards=2, **kwargs) -> ReplicatedStorageEngine:
     engine = ReplicatedStorageEngine(n_shards, **kwargs)
     engine.create_table(SCHEMA)
     return engine
+
+
+@pytest.fixture(name="build", params=["in_process", "workers"])
+def build_leaders(request):
+    """The module's :func:`build`, for a case that takes ``build`` as an
+    argument: once with in-process leaders, once with each leader in a
+    worker process (followers always run here); every store it built is
+    closed afterwards."""
+    stores = []
+
+    def build_here_or_in_workers(n_shards=2, **kwargs):
+        members = None
+        if request.param == "workers":
+            members = spawn_workers(shard_members(n_shards))
+        stores.append(build(n_shards, shards=members, **kwargs))
+        return stores[-1]
+
+    yield build_here_or_in_workers
+    for store in stores:
+        store.close()
 
 
 def leader_contents(engine) -> dict[int, str]:
@@ -112,7 +133,7 @@ class TestShipping:
             for f in engine.followers[shard_idx]:
                 assert wal_lsns(f.wal) == wal_lsns(leader.wal)
 
-    def test_checkpoint_truncation_mirrors(self):
+    def test_checkpoint_truncation_mirrors(self, build):
         engine = build(replicas=1)
         for k in range(8):
             put(engine, k, f"v{k}")
@@ -167,6 +188,24 @@ class TestShipping:
 
 
 class TestFollowerReads:
+    def test_a_stale_cut_the_leader_pruned_is_served_by_a_follower(self, build):
+        """The followers hold back two commits, so a bounded-staleness
+        begin is served the cut after the first.  The leader pruned that
+        version when the third commit superseded the second, before the
+        reader pinned the cut; the first probe's turn is the leader's."""
+        engine = build(1, replicas=2, apply_lag=2, max_staleness=4)
+        put(engine, 0, "a")
+        for value in ("b", "c"):
+            txn = engine.begin()
+            row = engine.db.table("T").lookup_pk((0,))
+            engine.update(txn, "T", row.rid, (0, value))
+            engine.commit(txn)
+        txn = engine.begin(TxnIsolation.SNAPSHOT)
+        rows = engine.snapshot_provider(txn).table("T").scan()
+        assert [row.values for row in rows] == [(0, "a")]
+        engine.commit(txn)
+        assert engine.metrics()["follower_reads"] == 1
+
     def test_snapshot_probes_round_robin_over_caught_up_replicas(self):
         engine = build(replicas=2)
         for k in range(4):
@@ -253,7 +292,7 @@ class TestFollowerReads:
 
 
 class TestFailover:
-    def test_acknowledged_commits_survive_promotion(self):
+    def test_acknowledged_commits_survive_promotion(self, build):
         engine = build(replicas=2)
         for k in range(12):
             put(engine, k, f"v{k}")
@@ -276,7 +315,7 @@ class TestFailover:
         engine.fail_over(0)
         assert leader_contents(engine) == {1: "a", 2: "parked"}
 
-    def test_all_copies_converge_after_promotion(self):
+    def test_all_copies_converge_after_promotion(self, build):
         engine = build(replicas=2)
         for k in range(8):
             put(engine, k, f"v{k}")
@@ -385,7 +424,7 @@ class TestFailover:
         with pytest.raises(ReplicationError):
             engine.fail_over(0)
 
-    def test_repeated_failover(self):
+    def test_repeated_failover(self, build):
         engine = build(replicas=2)
         for k in range(4):
             put(engine, k, f"v{k}")
@@ -397,9 +436,11 @@ class TestFailover:
         expected[10] = "x"
         assert leader_contents(engine) == expected
 
-    def test_a_client_restart_keeps_its_replicas(self):
+    @pytest.mark.parametrize("executor", ["pool", "process"])
+    def test_a_client_restart_keeps_its_replicas(self, executor):
         db = repro.connect(
-            shards=2, replicas=1, config=EngineConfig(persist_state=True),
+            shards=2, replicas=1, executor=executor,
+            config=EngineConfig(persist_state=True),
         )
         try:
             db.create_table(SCHEMA)
@@ -435,9 +476,26 @@ class TestConfigValidation:
         with pytest.raises(MiddlewareError):
             repro.connect(shards=2, replica_lag=2)
 
-    def test_connect_replicas_rejects_process_mode(self):
-        with pytest.raises(MiddlewareError):
-            repro.connect(shards=2, replicas=1, executor="process")
+    def test_connect_replicas_runs_over_worker_processes(self):
+        """Leaders in workers, followers here: a commit ships to the
+        followers, and a stale-tolerant SNAPSHOT read is served by one."""
+        db = repro.connect(
+            shards=2, replicas=1, executor="process", max_staleness=8,
+        )
+        try:
+            assert db.store.worker_pids()
+            db.create_table(SCHEMA)
+            with db.session("w").transaction() as t:
+                for k in range(4):
+                    t.insert("T", (k, f"v{k}"))
+            reader = db.session("r", isolation=TxnIsolation.SNAPSHOT)
+            for _ in range(4):
+                with reader.transaction() as t:
+                    assert {row.values[0] for row in t.read_table("T")} == {
+                        0, 1, 2, 3}
+            assert db.store.metrics()["follower_reads"] > 0
+        finally:
+            db.close()
 
 
 class TestReadYourWrites:

@@ -23,8 +23,9 @@ from repro.storage import (
     ShardedStorageEngine,
     StorageEngine,
     TableSchema,
+    shard_members,
 )
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 SCHEMA = TableSchema.build(
     "T",
@@ -37,9 +38,13 @@ ROWS = {k: f"v{k}" for k in range(6)}
 STORES = {
     "single": lambda: StorageEngine(**SETTINGS),
     "sharded2": lambda: ShardedStorageEngine(2, **SETTINGS),
-    "process2": lambda: ProcessShardedStorageEngine(2, **SETTINGS),
+    "process2": lambda: ShardedStorageEngine(shards=spawn_workers(shard_members(2, **SETTINGS))),
     "replicated2": lambda: ReplicatedStorageEngine(
         2, replicas=2, max_staleness=3, apply_lag=1, **SETTINGS
+    ),
+    "replicated_process2": lambda: ReplicatedStorageEngine(
+        replicas=2, max_staleness=3, apply_lag=1,
+        shards=spawn_workers(shard_members(2, **SETTINGS)),
     ),
 }
 
@@ -112,8 +117,9 @@ def test_the_survivor_keeps_the_store(name):
         assert read_all(survivor) == ROWS
 
 
-def test_a_replicated_restart_resyncs_every_follower():
-    with restarted("replicated2") as (_before, survivor):
+@pytest.mark.parametrize("name", ["replicated2", "replicated_process2"])
+def test_a_replicated_restart_resyncs_every_follower(name):
+    with restarted(name) as (_before, survivor):
         survivor.drain_replicas()
         for leader, row in zip(survivor.shards, survivor.followers):
             assert len(row) == 2

@@ -27,9 +27,10 @@ from repro.storage import (
     ShardedStorageEngine,
     StorageEngine,
     TableSchema,
+    shard_members,
 )
 from repro.storage.engine import WouldBlock
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 SCHEMA = TableSchema.build(
     "T",
@@ -49,7 +50,7 @@ def failed_over():
 STORES = {
     "single": StorageEngine,
     "sharded2": lambda: ShardedStorageEngine(2),
-    "process2": lambda: ProcessShardedStorageEngine(2),
+    "process2": lambda: ShardedStorageEngine(shards=spawn_workers(shard_members(2))),
     "replicated2": lambda: ReplicatedStorageEngine(2, replicas=1),
     "replicated2-failed-over": failed_over,
 }

@@ -33,6 +33,7 @@ from repro.storage import (
     StorageEngine,
     TableSchema,
     TxnIsolation,
+    shard_members,
 )
 from repro.storage.engine import WouldBlock
 from repro.storage.locks import index_key_resource, table_resource
@@ -49,7 +50,7 @@ from repro.storage.expressions import (
 from repro.storage.protocol import ShardEngine, TableView
 from repro.storage.table import Table
 from repro.transport import proxy
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 from repro.transport.proxy import RemoteShardEngine, RemoteTableView
 from repro.transport.verbs import VERBS, Target, members_of
 
@@ -257,7 +258,7 @@ def run_in_step(script, local, remote):
 
 def test_local_and_remote_shards_agree_step_by_step():
     local = StorageEngine.shard_member(IDX, N_SHARDS)
-    fleet = ProcessShardedStorageEngine(N_SHARDS)
+    fleet = ShardedStorageEngine(shards=spawn_workers(shard_members(N_SHARDS)))
     successor = None
     try:
         remote = fleet.shards[IDX]
@@ -318,7 +319,7 @@ def test_every_implementation_satisfies_the_protocols():
     sharded.create_table(SCHEMA)
     txn = sharded.begin(SNAPSHOT)
     member = sharded.shards[0]
-    fleet = ProcessShardedStorageEngine(2)
+    fleet = ShardedStorageEngine(shards=spawn_workers(shard_members(2)))
     try:
         fleet.create_table(SCHEMA)
         remote = fleet.shards[0]

@@ -18,10 +18,16 @@ from hypothesis import strategies as st
 
 from repro.sql import parse_statement
 from repro.sql.compiler import compile_select
-from repro.storage import ColumnType, ShardedStorageEngine, TableSchema, TxnIsolation
+from repro.storage import (
+    ColumnType,
+    ShardedStorageEngine,
+    TableSchema,
+    TxnIsolation,
+    shard_members,
+)
 from repro.storage.query import AccessKind, evaluate
 from repro.storage.sharding import build_storage_engine
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 from _reference_bind import literal
 from test_range_queries import bound_strategy, dedupe, rows_strategy
@@ -35,7 +41,7 @@ SCHEMA = TableSchema.build(
 ENGINES = {
     "single": lambda: build_storage_engine(1),
     "pool": lambda: ShardedStorageEngine(2),
-    "process": lambda: ProcessShardedStorageEngine(2),
+    "process": lambda: ShardedStorageEngine(shards=spawn_workers(shard_members(2))),
 }
 
 

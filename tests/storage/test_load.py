@@ -31,8 +31,9 @@ from repro.storage import (
     TableSchema,
     TxnIsolation,
     WouldBlock,
+    shard_members,
 )
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 TOPOLOGIES = {
     "single": {},
@@ -233,7 +234,7 @@ def test_a_load_is_the_same_data_as_insert_statements(topology):
 STORES = {
     "single": StorageEngine,
     "shards2": lambda: ShardedStorageEngine(2),
-    "shards2-process": lambda: ProcessShardedStorageEngine(2),
+    "shards2-process": lambda: ShardedStorageEngine(shards=spawn_workers(shard_members(2))),
     "shards2-replicas2": lambda: ReplicatedStorageEngine(2, replicas=2),
 }
 

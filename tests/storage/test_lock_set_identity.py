@@ -35,13 +35,15 @@ from repro.storage import (
     ColumnType,
     LockMode,
     RowId,
+    ShardedStorageEngine,
     TableSchema,
     index_key_resource,
+    shard_members,
     table_resource,
 )
 from repro.storage.query import AccessKind, ReadAccess, Reads
 from repro.transport.frames import FrameChannel
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 from repro.workloads import (
     PaymentLedger,
     SocialNetwork,
@@ -314,7 +316,7 @@ def test_ledger_range_read(shards, monkeypatch):
 
 @pytest.fixture
 def fleet():
-    store = ProcessShardedStorageEngine(2)
+    store = ShardedStorageEngine(shards=spawn_workers(shard_members(2)))
     store.create_table(TableSchema.build(
         "L", [("id", ColumnType.INTEGER), ("at", ColumnType.INTEGER),
               ("grp", ColumnType.INTEGER)],

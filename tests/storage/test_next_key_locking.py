@@ -31,10 +31,11 @@ from repro.storage import (
     ShardedStorageEngine,
     TableSchema,
     TxnIsolation,
+    shard_members,
 )
 from repro.storage.engine import WouldBlock
 from repro.storage.sharding import build_storage_engine
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 from _reference_bind import literal
 
@@ -220,7 +221,7 @@ WIDTH = max(2, int(os.environ.get("REPRO_SHARDS", "2")))
 LIMIT_ENGINES = {
     "single": lambda: build_storage_engine(1),
     "pool": lambda: ShardedStorageEngine(WIDTH),
-    "process": lambda: ProcessShardedStorageEngine(WIDTH),
+    "process": lambda: ShardedStorageEngine(shards=spawn_workers(shard_members(WIDTH))),
 }
 KEYS = list(range(0, 40, 2))
 

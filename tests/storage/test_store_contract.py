@@ -40,6 +40,7 @@ from repro.storage import (
     StorageEngine,
     TableSchema,
     TxnIsolation,
+    shard_members,
 )
 from repro.storage import recovery
 from repro.storage.engine import WouldBlock
@@ -55,7 +56,7 @@ from repro.storage.protocol import ShardEngine, Store
 from repro.storage.query import evaluate
 from repro.storage.row import Row
 from repro.storage.store import METRICS, StoreBase
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 from _reference_bind import literal
 
@@ -69,7 +70,7 @@ STORES = {
     "single": StorageEngine,
     "sharded1": lambda: ShardedStorageEngine(1),
     "sharded2": lambda: ShardedStorageEngine(2),
-    "process2": lambda: ProcessShardedStorageEngine(2),
+    "process2": lambda: ShardedStorageEngine(shards=spawn_workers(shard_members(2))),
     "replicated2": lambda: ReplicatedStorageEngine(2, replicas=1),
 }
 
@@ -155,11 +156,7 @@ def test_the_middle_tier_never_asks_a_store_what_it_is():
                 assert "store" not in target, f"{path}:{node.lineno}"
             if node.func.id == "isinstance":
                 asked = ast.unparse(node.args[1])
-                assert "StorageEngine" not in asked or (
-                    # input validation: a caller's in-process engine
-                    # cannot be adopted under executor="process".
-                    asked == "ProcessShardedStorageEngine"
-                ), f"{path}:{node.lineno}"
+                assert "StorageEngine" not in asked, f"{path}:{node.lineno}"
 
 
 # -- structure ---------------------------------------------------------------------------
@@ -226,8 +223,7 @@ def test_shared_members_have_one_body(member):
     """The sharded engines inherit the body — or put a guard in front of
     ``super()``'s (the replicated ``_context``'s failover check); the
     single engine defines at most a pass-through to it under its mutex."""
-    for cls in (ShardedStorageEngine, ProcessShardedStorageEngine,
-                ReplicatedStorageEngine):
+    for cls in (ShardedStorageEngine, ReplicatedStorageEngine):
         own = vars(cls).get(member)
         assert own is None or (
             f"return super().{member}(" in inspect.getsource(own)), cls.__name__

@@ -29,7 +29,7 @@ from repro.errors import DeadlockError, TransactionStateError, TransportError
 from repro.replication import ReplicatedStorageEngine
 from repro.storage import ColumnType, TableSchema, TxnIsolation, recover
 from repro.storage.engine import StorageEngine, WouldBlock
-from repro.storage.sharding import ShardedStorageEngine
+from repro.storage.sharding import ShardedStorageEngine, shard_members
 from repro.storage.expressions import (
     Arith,
     ArithOp,
@@ -42,7 +42,7 @@ from repro.storage.expressions import (
 )
 from repro.storage.store import METRICS
 from repro.transport.frames import FrameChannel
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 from repro.transport.proxy import ShardConnection
 from repro.workloads.payments import payment_schema
 
@@ -232,7 +232,7 @@ def pk_is(key):
 
 
 def build(n_shards=2):
-    engine = ProcessShardedStorageEngine(n_shards)
+    engine = ShardedStorageEngine(shards=spawn_workers(shard_members(n_shards)))
     engine.create_table(K_SCHEMA)
     return engine
 
@@ -384,7 +384,7 @@ class TestFusedSemantics:
 @pytest.mark.parametrize("n_shards", [2, 4])
 class TestContractFramePins:
     def test_create_table_is_one_frame_per_shard(self, n_shards, monkeypatch):
-        engine = ProcessShardedStorageEngine(n_shards)
+        engine = ShardedStorageEngine(shards=spawn_workers(shard_members(n_shards)))
         try:
             frames = CountedFrames(monkeypatch)
             engine.create_table(K_SCHEMA)
@@ -421,7 +421,7 @@ def rid_classes(store, rows):
 
 def build_store(kind: str, n_shards: int):
     if kind == "process":
-        store = ProcessShardedStorageEngine(n_shards)
+        store = ShardedStorageEngine(shards=spawn_workers(shard_members(n_shards)))
     elif kind == "replicated":
         store = ReplicatedStorageEngine(n_shards, replicas=1)
     else:

@@ -159,10 +159,13 @@ class TestErrorRegistry:
     def test_would_block_rebuilds_waiter_and_resource(self):
         from repro.storage.engine import WouldBlock
 
-        rebuilt = self.roundtrip(WouldBlock(9, ("T", 4)))
+        original = WouldBlock(9, ("T", 4))
+        assert encode_error(original)[1] == ""  # the message stays home
+        rebuilt = self.roundtrip(original)
         assert isinstance(rebuilt, WouldBlock)
         assert rebuilt.txn == 9
         assert rebuilt.resource == ("T", 4)
+        assert str(rebuilt) == str(original)
 
     def test_plain_repro_errors_rebuild_by_name(self):
         rebuilt = self.roundtrip(DeadlockError("cycle"))

@@ -16,18 +16,21 @@ import os
 import pytest
 
 from repro.errors import SerializationFailureError
+from repro.storage.engine import WouldBlock
 from repro.storage import (
     ColumnType,
     ReadAccess,
+    ShardedStorageEngine,
     TableSchema,
     TxnIsolation,
     recover,
+    shard_members,
 )
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 
-def build_process(n_shards: int) -> ProcessShardedStorageEngine:
-    engine = ProcessShardedStorageEngine(n_shards)
+def build_process(n_shards: int) -> ShardedStorageEngine:
+    engine = ShardedStorageEngine(shards=spawn_workers(shard_members(n_shards)))
     engine.create_table(TableSchema.build(
         "T",
         [("k", ColumnType.INTEGER), ("v", ColumnType.TEXT)],
@@ -79,6 +82,23 @@ class TestBasics:
         assert len(pids) == 2
         assert os.getpid() not in pids
         assert len(set(pids)) == 2
+
+    def test_a_workers_would_block_reads_as_a_local_one(self, engine2):
+        """Its message does not cross the pipe: the coordinator rebuilds
+        it from the waiter and the resource, which is all it says."""
+        local = ShardedStorageEngine(2)
+        local.create_table(engine2.db.table("T").schema)
+        waits = []
+        for engine in (local, engine2):
+            engine.load("T", [(0, "a")])
+            holder, waiter = engine.begin(), engine.begin()
+            rid = engine.db.table("T").lookup_pk((0,)).rid
+            engine.update(holder, "T", rid, (0, "b"))
+            with pytest.raises(WouldBlock) as caught:
+                engine.update(waiter, "T", rid, (0, "c"))
+            waits.append(
+                (caught.value.txn, caught.value.resource, str(caught.value)))
+        assert waits[0] == waits[1]
 
     def test_snapshot_reads_see_a_consistent_cut(self, engine2):
         engine = engine2
@@ -162,7 +182,7 @@ class TestCrashRecovery:
             # flushed on exactly one shard when the SIGKILL lands.
             engine.commit(txn, flush=False)
             engine.shards[home_x].wal.flush()
-            engine.kill_worker(engine.route_key("T", (y,)))
+            engine.shards[engine.route_key("T", (y,))].kill()
             survivor = engine.crash()
             report = recover(survivor)
             assert txn in report.losers and txn not in report.winners

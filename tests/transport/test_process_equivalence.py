@@ -25,8 +25,9 @@ from repro.storage import (
     ShardedStorageEngine,
     TableSchema,
     TxnIsolation,
+    shard_members,
 )
-from repro.transport.process import ProcessShardedStorageEngine
+from repro.transport.process import spawn_workers
 
 SHARD_COUNTS = (1, 2, 4)
 
@@ -41,6 +42,10 @@ def build(cls, n_shards: int):
     engine = cls(n_shards)
     engine.create_table(SCHEMA)
     return engine
+
+
+def process_store(n_shards: int) -> ShardedStorageEngine:
+    return ShardedStorageEngine(shards=spawn_workers(shard_members(n_shards)))
 
 
 def contents(engine) -> dict[int, str]:
@@ -99,7 +104,7 @@ class TestProcessExecutorEquivalence:
         self, n_shards, ops, commit_every, isolation
     ):
         pool = build(ShardedStorageEngine, n_shards)
-        proc = build(ProcessShardedStorageEngine, n_shards)
+        proc = build(process_store, n_shards)
         try:
             watchers = {}
             if isolation is TxnIsolation.SERIALIZABLE:
@@ -140,7 +145,7 @@ class TestProcessExecutorEquivalence:
     )
     def test_snapshot_reads_agree_across_executors(self, n_shards, keys):
         pool = build(ShardedStorageEngine, n_shards)
-        proc = build(ProcessShardedStorageEngine, n_shards)
+        proc = build(process_store, n_shards)
         try:
             rows = [(k, f"v{k}") for k in keys]
             pool.load("T", rows)
@@ -181,7 +186,7 @@ class TestProcessExecutorEquivalence:
         # without a frame: after a load, a committed insert and a
         # committed delete they equal the pool shards' own counts.
         pool = build(ShardedStorageEngine, 2)
-        proc = build(ProcessShardedStorageEngine, 2)
+        proc = build(process_store, 2)
         try:
             estimates = []
             for engine in (pool, proc):
