@@ -388,9 +388,9 @@ def test_frontend_prepared_hit(benchmark):
 @pytest.mark.benchmark(group="micro-frontend")
 def test_bind_transfer_statements(benchmark):
     """Binding alone: the three statements of a cached transfer template
-    compiled with one script's parameters.  The SELECT's resolution is
-    memoised, so this is ``inline_hostvars`` over each statement plus the
-    compiled records it fills."""
+    compiled with one script's parameters.  Each runs from its prepared
+    form, so this is reading the values each statement's leaves read
+    plus the compiled records it fills."""
     from repro.sql.compiler import compile_insert, compile_select, compile_update
 
     db = Database("bind")
@@ -412,7 +412,8 @@ def test_bind_transfer_statements(benchmark):
     selected, updated, inserted = benchmark(bind)
     assert str(selected.query.where) == "(Accounts.id = ?0)"
     assert selected.values == {0: 17}
-    assert str(updated.predicate) == "(id = 4000)"
+    assert str(updated.predicate.where) == "(id = ?2)"
+    assert updated.predicate.values == {1: 1, 2: 4000}
     assert inserted.values == (4000, 1)
 
 

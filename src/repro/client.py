@@ -297,7 +297,10 @@ def connect(
     per-shard worker *threads*, and ``"process"`` runs each shard's
     complete engine in its own worker *process* behind the message
     transport (:mod:`repro.transport`) — the mode where CPU-bound
-    transaction processing scales past the GIL.  The default (``None``)
+    transaction processing scales past the GIL.  ``"process"`` forks
+    workers only for a store connect() builds: an adopted ``Database`` or
+    engine is served in this process, with dispatch threads.  The
+    default (``None``)
     picks the thread pool exactly when the ensemble has more than one
     shard; when connect() is building the ensemble itself, the
     ``REPRO_EXECUTOR`` environment variable (e.g. ``process``) can
@@ -392,11 +395,6 @@ def connect(
             raise MiddlewareError(
                 "connect(shards>1) cannot adopt a single Database; pass a "
                 "ShardedStorageEngine or let connect() build one"
-            )
-        if process_mode:
-            raise MiddlewareError(
-                "executor='process' cannot adopt a single Database; let "
-                "connect() build the worker fleet"
             )
         store = StorageEngine(database)
     elif process_mode:

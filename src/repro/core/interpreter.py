@@ -47,11 +47,10 @@ from repro.sql.compiler import (
     compile_entangled,
     compile_insert,
     compile_select,
+    compile_set,
     compile_update,
-    inline_hostvars,
 )
 from repro.storage.engine import WouldBlock
-from repro.storage.expressions import RowAssignments, RowPredicate
 from repro.storage.protocol import Store
 from repro.storage.types import SQLValue
 from repro.core.transaction import EntangledTransaction
@@ -154,8 +153,14 @@ def execute_statement(
         raise TransactionAborted("explicit ROLLBACK", reason="rollback")
     if isinstance(stmt, SelectStmt):
         compiled = compile_select(stmt, store.db, txn.env, params)
+        values = compiled.values
+        # Each IN (SELECT ...) is a read of this transaction like any
+        # other; the outer query tests the rows it leaves in ``values``.
+        for key, subquery in compiled.subqueries:
+            values[key] = store.query(
+                txn.storage_txn, subquery.query, values, subquery)
         rows = store.query(
-            txn.storage_txn, compiled.query, compiled.values, compiled.bound)
+            txn.storage_txn, compiled.query, values, compiled.bound)
         first = rows[0] if rows else None
         for var, index in compiled.bindings:
             txn.env[var] = None if first is None else first[index]
@@ -166,31 +171,22 @@ def execute_statement(
         return []
     if isinstance(stmt, UpdateStmt):
         compiled = compile_update(stmt, store.db, txn.env, params)
-        schema = store.db.table(compiled.table).schema
         # The statement as data: picklable, so a sharded store can hand
         # it to each target shard whole.
+        predicate = compiled.predicate
         store.update_where(
-            txn.storage_txn, compiled.table,
-            RowPredicate(schema.column_names, compiled.predicate),
-            RowAssignments(schema.column_names, tuple(
-                (schema.column_index(column), expr)
-                for column, expr in compiled.assignments
-            )),
-            where=compiled.predicate,
-        )
+            txn.storage_txn, compiled.table, predicate, compiled.assignments,
+            where=predicate.where, values=predicate.values)
         return []
     if isinstance(stmt, DeleteStmt):
         compiled = compile_delete(stmt, store.db, txn.env, params)
-        schema = store.db.table(compiled.table).schema
+        predicate = compiled.predicate
         store.delete_where(
-            txn.storage_txn, compiled.table,
-            RowPredicate(schema.column_names, compiled.predicate),
-            where=compiled.predicate,
-        )
+            txn.storage_txn, compiled.table, predicate,
+            where=predicate.where, values=predicate.values)
         return []
     if isinstance(stmt, SetStmt):
-        value = inline_hostvars(stmt.expr, txn.env, params).eval({})
-        txn.env[f"@{stmt.var}"] = value
+        txn.env[f"@{stmt.var}"] = compile_set(stmt, store.db, txn.env, params)
         return []
     raise EngineError(f"unsupported statement type {type(stmt).__name__}")
 

@@ -6,13 +6,13 @@ SELECT/INSERT/UPDATE/DELETE, ``SET @var = expr``, the entangled
 ``BEGIN TRANSACTION [WITH TIMEOUT d] ... COMMIT`` with optional
 ``ROLLBACK``.
 
-Expressions reuse :mod:`repro.storage.expressions` plus three SQL-level
-nodes: ``InSelect`` (tuple-IN-subquery) and ``InAnswer`` (tuple-IN-ANSWER
-— the entanglement postcondition), which only exist before compilation,
-and ``Param`` (a literal lifted out of a statement *template*), which a
-prepared plan keeps as a leaf that evaluates to its execution's value.
-Like the storage nodes, each declares its children in its ``map`` and
-nowhere else: ``Param`` is a leaf, and the ``IN`` nodes' children are
+Expressions reuse :mod:`repro.storage.expressions` — among them
+``Param``, a literal lifted out of a statement *template*, which a
+prepared plan keeps as a leaf that evaluates to its execution's value —
+plus two SQL-level nodes, which only exist before compilation:
+``InSelect`` (tuple-IN-subquery) and ``InAnswer`` (tuple-IN-ANSWER — the
+entanglement postcondition).  Like the storage nodes, each declares its
+children in its ``map`` and nowhere else: the ``IN`` nodes' children are
 their tuple items — a subquery is a statement, so a walker that binds one
 says so.
 
@@ -38,7 +38,7 @@ from typing import Mapping
 from weakref import WeakKeyDictionary
 
 from repro.errors import CompileError
-from repro.storage.expressions import Col, Const, Expr, map_items
+from repro.storage.expressions import Col, Const, Expr, Param, map_items
 from repro.storage.types import SQLValue
 
 #: Host-variable environment: "@name" -> value.
@@ -84,27 +84,6 @@ class InAnswer(Expr):
 
     def __str__(self) -> str:
         return _unparse(self)
-
-
-@dataclass(frozen=True)
-class Param(Expr):
-    """The ``index``-th lifted literal of a script (template ASTs only).
-
-    ``negate`` is a unary minus folded into a numeric literal, so that
-    ``id = -5`` binds to ``Const(-5)`` exactly as the literal parse does.
-    """
-
-    index: int
-    negate: bool = False
-
-    def eval(self, env) -> "SQLValue | None":
-        """The parameter's value where a prepared plan keeps it: under
-        its index in the values its execution fills."""
-        value = env[self.index]
-        return -value if self.negate else value
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{'-' if self.negate else ''}?{self.index}"
 
 
 # ---------------------------------------------------------------------------

@@ -2,27 +2,33 @@
 
 Statements arrive as shared *templates* plus the script's ``params``
 (see :mod:`repro.sql.parser`); a literal statement is the ``params=()``
-case.  **A template statement owns a prepared form per** ``Database``
-(``Statement.resolutions``), made on its first execution against that
-catalog; a preparation that raises is not remembered.  What depends on
-no literal is in it, and an execution only reads the values its
-``Param`` and ``@var`` leaves stand for — each parameter under its index,
-each host variable under its name — and hands them on beside the form:
+case.  **Every statement executes from its prepared form**, one per
+``Database`` (``Statement.resolutions``), made on its first execution
+against that catalog; a preparation that raises is not remembered.  The
+form holds what depends on no literal, its ``Param`` and ``@var`` leaves
+in place.  An execution only reads the values those leaves stand for —
+each parameter under its index, each host variable under its name — and
+hands them on beside the form, whose leaves read them there:
 
 * **Classical SELECT** compiles against the catalog into an
-  :class:`~repro.storage.query.SPJQuery`.  The prepared form holds its
+  :class:`~repro.storage.query.SPJQuery`, qualified but unbound, with its
   **resolution** — table refs, column qualification, output names, ``AS
-  @var`` bindings, ORDER BY — and the SPJ query itself, qualified but
-  unbound: one object for every execution, kept with its
-  :class:`~repro.storage.planner.BoundQuery`, so the planner keys and
-  binds its plan once.  The store evaluates it with the execution's
-  values as its parameters.  A WHERE clause with an
-  ``IN (SELECT ...)`` (uncorrelated, so evaluated eagerly into a literal
-  membership test) is bound per execution instead, with
-  :func:`~repro.sql.ast.inline_hostvars`.
+  @var`` bindings, ORDER BY: one query object for every execution, kept
+  with its :class:`~repro.storage.planner.BoundQuery`, so the planner keys
+  and binds its plan once.  The store evaluates it with the execution's
+  values as its parameters.  An ``IN (SELECT ...)`` in its WHERE clause
+  (uncorrelated in this dialect) is a prepared subquery of its own, and
+  in the outer query an :class:`~repro.storage.expressions.InRows` test
+  whose rows are a value of the execution: the statement's executor runs
+  each subquery through the store, in the statement's transaction and
+  before the outer query, so it reads under the same locks, snapshot and
+  SSI read set as any other read of that transaction.
 * **INSERT** evaluates its values over the execution's values, placed by
-  the column positions the form holds.  UPDATE and DELETE are bound per
-  execution: their predicate crosses the store's write path as data.
+  the column positions the form holds.  **UPDATE** and **DELETE** hand the
+  store their template WHERE clause and SET list, at the column positions
+  the form holds, as a :class:`~repro.storage.expressions.RowPredicate`
+  and :class:`~repro.storage.expressions.RowAssignments` that carry the
+  values.  **SET** evaluates its expression over them.
 
 * **Entangled SELECT statements** compile into the intermediate
   representation ``{C} H <- B`` of Appendix A.  The translation follows
@@ -38,25 +44,28 @@ each host variable under its name — and hands them on beside the form:
   value leaf that supplies it: the union-find classes, aliases and
   canonical variable names are the template's, the grounding body is
   compiled once, and an execution compares the pairs of leaves that met
-  in one class and instantiates the query with its values.
+  in one class and instantiates the query with its values.  The residual
+  predicate keeps its value leaves; grounding reads them from the
+  execution's values, as it does the body's.
 
 Errors are those a statement raised when each execution bound a copy
-of its tree (``inline_hostvars`` before translating), and of several,
-the one that binding met first.  The prepared form keeps, in that order, the steps whose outcome depends on an execution's values: the
-inputs its leaves read (an unbound host variable) and, for an entangled
-SELECT, the pairs of leaves unification met in one class (two constants
-that differ); an INSERT evaluates its values in order and raises a
-count mismatch after them.  A preparation that fails is not remembered,
-and its execution runs the steps it recorded before the fault, then
-raises the fault (:func:`_prepared`).  Only the shapes the prepared
-form does not hold — a SELECT's ``IN (SELECT ...)``, an entangled
-SELECT's residual predicate — are bound per execution.
+of its tree (``inline_hostvars`` before compiling), and of several, the
+one that binding met first.  The prepared form keeps, in that order, the
+steps whose outcome depends on an execution's values: the inputs its
+leaves read (an unbound host variable) and, for an entangled SELECT, the
+pairs of leaves unification met in one class (two constants that
+differ); an INSERT evaluates its values in order and raises a count
+mismatch after them.  A preparation that fails is not remembered, and
+its execution runs the steps it recorded before the fault, then raises
+the fault (:func:`_prepared`).  What executing a statement raises — a
+subquery's included — comes after all of them: a subquery runs once its
+statement has read every value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from repro.entangled.grounding import compile_body
 from repro.entangled.ir import Atom, EntangledQuery, Val, Var
@@ -72,6 +81,7 @@ from repro.sql.ast import (
     Params,
     SelectItem,
     SelectStmt,
+    SetStmt,
     UpdateStmt,
     inline_hostvars,
 )
@@ -84,13 +94,14 @@ from repro.storage.expressions import (
     Col,
     Const,
     Expr,
-    InList,
-    Or,
+    InRows,
+    RowAssignments,
+    RowPredicate,
     conjoin,
     split_conjuncts,
 )
 from repro.storage.planner import BoundQuery
-from repro.storage.query import SPJQuery, TableRef, evaluate
+from repro.storage.query import SPJQuery, TableRef
 from repro.storage.types import SQLValue
 
 
@@ -155,8 +166,8 @@ def _run(steps, env: Env, params: Params, values: dict) -> dict:
     read them, step by step in order: a parameter's index reads the
     parameter, a ``@name`` the host variable — unbound, it is a compile
     error, as in :func:`~repro.sql.ast.inline_hostvars` — and ``(message,
-    a, b)`` compares two value leaves unification met in one class,
-    raising ``message`` when they differ, as :class:`_UnionFind` does."""
+    a, b)`` compares two value leaves unification met in one class
+    (:class:`_UnionFind`), raising ``message`` when they differ."""
     for step in steps:
         kind = type(step)
         if kind is int:
@@ -194,13 +205,17 @@ class CompiledSelect(NamedTuple):
     ``query`` is the statement's prepared SPJ query, whose ``Param`` and
     ``@var`` leaves read ``values`` (pass them to the store as the
     query's parameters), and ``bound`` its
-    :class:`~repro.storage.planner.BoundQuery` (None: bound per call).
+    :class:`~repro.storage.planner.BoundQuery`.  ``subqueries`` holds the
+    ``(key, BoundQuery)`` of each ``IN (SELECT ...)``, in the order they
+    run: each one's rows go into ``values`` under its key before the
+    next runs, and all before ``query``.
     """
 
     query: SPJQuery
-    bindings: tuple[tuple[str, int], ...] = ()
-    values: Mapping[str, SQLValue | None] | None = None
-    bound: BoundQuery | None = None
+    bindings: tuple[tuple[str, int], ...]
+    values: dict
+    bound: BoundQuery
+    subqueries: tuple[tuple[str, BoundQuery], ...]
 
 
 class _ResolvedSelect(NamedTuple):
@@ -218,13 +233,13 @@ class _ResolvedSelect(NamedTuple):
 
 
 class _PreparedSelect(NamedTuple):
-    """A SELECT's prepared form: its resolution and, unless its WHERE
-    holds an ``IN (SELECT ...)`` (evaluated per execution), the SPJ
-    query every execution runs, planned once (``bound.query``), with the
-    inputs its leaves read."""
+    """A SELECT's prepared form: its ``AS @var`` bindings, the SPJ query
+    every execution runs, planned once (``bound.query``), those of its
+    subqueries, and the inputs their leaves read."""
 
-    resolved: _ResolvedSelect
-    bound: BoundQuery | None
+    bindings: tuple[tuple[str, int], ...]
+    bound: BoundQuery
+    subqueries: tuple[tuple[str, BoundQuery], ...]
     inputs: tuple
 
 
@@ -233,52 +248,51 @@ def compile_select(
 ) -> CompiledSelect:
     """Compile a classical SELECT against the catalog."""
     form = _prepared(stmt, db, _prepare_select, env, params)
-    bound = form.bound
-    if bound is None:
-        return CompiledSelect(
-            _bind_select(form.resolved, stmt, db, env, params),
-            form.resolved.bindings)
     return CompiledSelect(
-        bound.query, form.resolved.bindings,
-        _run(form.inputs, env, params, {}), bound)
+        form.bound.query, form.bindings, _run(form.inputs, env, params, {}),
+        form.bound, form.subqueries)
 
 
 def _prepare_select(
     stmt: SelectStmt, db: Database, steps: list
 ) -> _PreparedSelect:
+    subqueries: list = []
+    bound, bindings = _prepare_query(stmt, db, steps, subqueries)
+    return _PreparedSelect(bindings, bound, tuple(subqueries), _distinct(steps))
+
+
+def _prepare_query(
+    stmt: SelectStmt, db: Database, steps: list, subqueries: list
+) -> tuple[BoundQuery, tuple]:
+    """``stmt`` resolved and planned once, with its bindings.  Records
+    the inputs its leaves read in ``steps`` and appends its subqueries to
+    ``subqueries``, in the order binding met them."""
     resolved = _resolve_select(stmt, db)
-    if _has_subquery(resolved.where):
-        return _PreparedSelect(resolved, None, ())
     for expr in resolved.select:
         _inputs(expr, steps)
-    _inputs(resolved.where, steps)
-    query = SPJQuery(resolved.refs, resolved.select, resolved.names,
-                     resolved.where, stmt.distinct, stmt.limit,
-                     resolved.order_by)
-    return _PreparedSelect(resolved, BoundQuery(query), _distinct(steps))
+    where = resolved.where
+    if where is not None:
+        where = _prepare_where(where, db, steps, subqueries)
+    query = SPJQuery(resolved.refs, resolved.select, resolved.names, where,
+                     stmt.distinct, stmt.limit, resolved.order_by)
+    return BoundQuery(query), resolved.bindings
 
 
-def _has_subquery(expr: Expr | None) -> bool:
-    if type(expr) is InSelect:
-        return True
-    found: list = []
+def _prepare_where(expr: Expr, db: Database, steps: list, subqueries: list) -> Expr:
+    """A resolved WHERE clause with each ``IN (SELECT ...)`` prepared as
+    a subquery, and tested in its place as the rows that subquery puts
+    under its key (:class:`~repro.storage.expressions.InRows`)."""
     if isinstance(expr, CONNECTIVES):
-        expr.map(lambda node: found.append(_has_subquery(node)) or node)
-    return any(found)
-
-
-def _bind_select(
-    resolved: _ResolvedSelect, stmt: SelectStmt, db: Database, env: Env,
-    params: Params,
-) -> SPJQuery:
-    """The literal SPJ query of one execution: every leaf bound, and each
-    ``IN (SELECT ...)`` evaluated into a membership test."""
-    select = tuple(inline_hostvars(e, env, params) for e in resolved.select)
-    where = None
-    if resolved.where is not None:
-        where = _bind_where(resolved.where, db, env, params)
-    return SPJQuery(resolved.refs, select, resolved.names, where,
-                    stmt.distinct, stmt.limit, resolved.order_by)
+        return expr.map(lambda node: _prepare_where(node, db, steps, subqueries))
+    if type(expr) is not InSelect:
+        _inputs(expr, steps)
+        return expr
+    for item in expr.items:
+        _inputs(item, steps)
+    bound, _bindings = _prepare_query(expr.subquery, db, steps, subqueries)
+    key = f"?in{len(subqueries)}"
+    subqueries.append((key, bound))
+    return InRows(expr.items, key)
 
 
 def _resolve_select(stmt: SelectStmt, db: Database) -> _ResolvedSelect:
@@ -374,8 +388,7 @@ def _qualify(expr: Expr, resolve_bare) -> Expr:
 def _qualify_where(expr: Expr, resolve_bare) -> Expr:
     """:func:`_qualify` for a WHERE clause, whose AND/OR/NOT skeleton is
     where ``IN (SELECT ...)`` may stand: there it has its tuple items
-    qualified and its subquery left for :func:`_bind_where` to evaluate
-    per execution."""
+    qualified and its subquery left for :func:`_prepare_where`."""
     if isinstance(expr, CONNECTIVES):
         return expr.map(lambda node: _qualify_where(node, resolve_bare))
     if isinstance(expr, InSelect):
@@ -387,46 +400,6 @@ def _qualify_where(expr: Expr, resolve_bare) -> Expr:
     return _qualify(expr, resolve_bare)
 
 
-def _bind_where(expr: Expr, db: Database, env: Env, params: Params) -> Expr:
-    """Bind a resolved WHERE clause for one execution.
-
-    ``IN (SELECT ...)`` is uncorrelated in this dialect, so the subquery
-    is evaluated eagerly and replaced by a literal membership test;
-    everything else is :func:`inline_hostvars`.
-    """
-    if isinstance(expr, CONNECTIVES):
-        return expr.map(lambda node: _bind_where(node, db, env, params))
-    if isinstance(expr, InSelect):
-        return _membership_test(expr, db, env, params)
-    return inline_hostvars(expr, env, params)
-
-
-def _membership_test(
-    node: InSelect, db: Database, env: Env, params: Params
-) -> Expr:
-    items = tuple(inline_hostvars(i, env, params) for i in node.items)
-    compiled = compile_select(node.subquery, db, env, params)
-    rows = evaluate(compiled.query, db, compiled.values, bound=compiled.bound)
-    if len(items) == 1:
-        return InList(items[0], tuple(Const(row[0]) for row in rows))
-    # Tuple membership: expand into a disjunction of conjunctions.
-    disjuncts: list[Expr] = []
-    for row in rows:
-        parts = [
-            Cmp(CmpOp.EQ, item, Const(value))
-            for item, value in zip(items, row)
-        ]
-        combined = conjoin(parts)
-        if combined is not None:
-            disjuncts.append(combined)
-    if not disjuncts:
-        return Const(False)
-    out = disjuncts[0]
-    for d in disjuncts[1:]:
-        out = Or(out, d)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Entangled SELECT -> IR
 # ---------------------------------------------------------------------------
@@ -435,15 +408,14 @@ def _membership_test(
 class _UnionFind:
     """Union-find over term slots, tracking an optional constant per class.
 
-    Where two constants meet in a class they are compared — or, when
-    ``checks`` is a list, ``(message, a, b)`` is appended to it instead
-    and the class keeps the constant the comparison would have kept: a
-    template is unified over the value leaves (``Const``, ``Param``,
-    ``@var``) that stand for its constants, and each execution compares
-    the pairs (:func:`_run`).
+    A template is unified over the value leaves (``Const``, ``Param``,
+    ``@var``) that stand for its constants.  Where two of them meet in a
+    class, ``(message, a, b)`` is appended to ``checks`` and the class
+    keeps the constant comparing them would have kept: each execution
+    compares the pairs (:func:`_run`).
     """
 
-    def __init__(self, checks: list | None = None):
+    def __init__(self, checks: list):
         self._parent: dict = {}
         self._constant: dict = {}
         self.checks = checks
@@ -463,10 +435,7 @@ class _UnionFind:
             return
         ca, cb = self._constant.get(ra), self._constant.get(rb)
         if ca is not None and cb is not None:
-            if self.checks is not None:
-                self.checks.append((_CONTRADICTORY, ca[0], cb[0]))
-            elif ca != cb:
-                raise CompileError(_CONTRADICTORY.format(ca[0], cb[0]))
+            self.checks.append((_CONTRADICTORY, ca[0], cb[0]))
         # Deterministic root choice: smaller repr wins.
         root, child = sorted((ra, rb), key=repr)
         self._parent[child] = root
@@ -479,10 +448,7 @@ class _UnionFind:
         root = self.find(slot)
         existing = self._constant.get(root)
         if existing is not None:
-            if self.checks is not None:
-                self.checks.append((_BOUND_TWICE, existing[0], value))
-            elif existing[0] != value:
-                raise CompileError(_BOUND_TWICE.format(existing[0], value))
+            self.checks.append((_BOUND_TWICE, existing[0], value))
         self._constant[root] = (value,)
 
     def constant_of(self, slot):
@@ -494,8 +460,7 @@ class _EntangledContext:
     """Working state for one entangled-query translation."""
 
     db: Database
-    env: Env
-    uf: _UnionFind = field(default_factory=_UnionFind)
+    uf: _UnionFind
     #: (alias, relation, [slot per column]) for each body atom.
     body_atoms: list[tuple[str, str, list]] = field(default_factory=list)
     residual: list[Expr] = field(default_factory=list)
@@ -507,14 +472,6 @@ class _EntangledContext:
         if name not in self.outer_name_slots:
             self.outer_name_slots[name] = ("name", name)
         return self.outer_name_slots[name]
-
-    @property
-    def symbolic(self) -> bool:
-        """Translating a template: a value leaf is its own constant."""
-        return self.uf.checks is not None
-
-    def constant(self, leaf: Expr):
-        return leaf if self.symbolic else leaf.value
 
     def fresh_alias(self, base: str) -> str:
         alias = base
@@ -528,21 +485,16 @@ class _EntangledContext:
 
 class _PreparedEntangled(NamedTuple):
     """An entangled SELECT's prepared form: the query it translates to,
-    with each constant term a ``Val`` holding the value leaf it reads
-    (None when the statement has a residual predicate: that is
-    translated per execution); the steps of :func:`_run` in the order
-    binding met them — the inputs the leaves read, and the pairs of
-    leaves unification met in one class; and the grounding body,
-    compiled and planned once (None when compiling it fails: grounding
-    then compiles, and raises, per query)."""
+    with each constant term a ``Val`` holding the value leaf it reads and
+    its residual predicate holding its own; the steps of :func:`_run` in
+    the order binding met them — the inputs the leaves read, and the
+    pairs of leaves unification met in one class; and the grounding
+    body, compiled and planned once (None when compiling it fails:
+    grounding then compiles, and raises, per query)."""
 
-    query: EntangledQuery | None
+    query: EntangledQuery
     steps: tuple
     body: BoundQuery | None
-
-
-class _Residual(Exception):
-    """A template's translation met a residual predicate."""
 
 
 def compile_entangled(
@@ -557,14 +509,9 @@ def compile_entangled(
     An execution runs its prepared form's steps — reading its values and
     comparing the leaves unification put in one class, so it raises
     what binding raised, where binding raised it — and instantiates the
-    prepared query.  A statement with a residual predicate is translated
-    over this execution's bound statement instead.
+    prepared query.
     """
     form = _prepared(stmt, db, _prepare_entangled, env, params)
-    if form.query is None:
-        return _translate(
-            stmt, db, lambda expr: inline_hostvars(expr, env, params), None,
-            query_id)
     values = _run(form.steps, env, params, {})
     return _instantiate(form.query, query_id, values, form.body)
 
@@ -572,14 +519,7 @@ def compile_entangled(
 def _prepare_entangled(
     stmt: EntangledSelectStmt, db: Database, steps: list
 ) -> _PreparedEntangled:
-    def reading(expr: Expr) -> Expr:
-        _inputs(expr, steps)
-        return expr
-
-    try:
-        query = _translate(stmt, db, reading, steps)
-    except _Residual:
-        return _PreparedEntangled(None, (), None)
+    query = _translate(stmt, db, steps)
     try:
         body = BoundQuery(compile_body(query, db))
     except ReproError:
@@ -599,12 +539,14 @@ def _atoms(atoms: tuple, values: dict) -> tuple:
 def _instantiate(
     query: EntangledQuery, query_id: str, values: dict, body
 ) -> EntangledQuery:
-    """The prepared ``query`` with every value leaf read from ``values``."""
+    """The prepared ``query`` with every value leaf of its atoms read
+    from ``values``; its residual predicate reads them in grounding."""
     return EntangledQuery(
         query_id=query_id,
         heads=_atoms(query.heads, values),
         postconditions=_atoms(query.postconditions, values),
         body_atoms=_atoms(query.body_atoms, values),
+        body_predicate=query.body_predicate,
         choose=query.choose,
         var_bindings=query.var_bindings,
         body=None if body is None else (body, values),
@@ -612,26 +554,23 @@ def _instantiate(
 
 
 def _translate(
-    stmt: EntangledSelectStmt, db: Database, bind, checks: list | None,
-    query_id: str = "",
+    stmt: EntangledSelectStmt, db: Database, steps: list
 ) -> EntangledQuery:
-    """The translation of the module docstring.  ``bind`` is applied to
-    each WHERE conjunct and head item before use: the binding walk for
-    one execution, or for a template the walk that records the inputs a
-    node reads in ``checks``, whose value leaves then stand for the
-    constants they will be (``checks``: see :class:`_UnionFind`; a
-    template with a residual predicate raises :class:`_Residual`)."""
-    ctx = _EntangledContext(db, {}, _UnionFind(checks))
+    """The translation of the module docstring, over the template: the
+    inputs each WHERE conjunct and head item reads are recorded in
+    ``steps`` before it is translated, and its value leaves stand for
+    the constants they will be (the pairs of them unification meets go
+    to ``steps`` too: see :class:`_UnionFind`)."""
+    ctx = _EntangledContext(db, _UnionFind(steps))
     postcondition_specs: list[tuple[tuple[Expr, ...], str]] = []
 
     for conjunct in split_conjuncts(stmt.where):
-        conjunct = bind(conjunct)
+        _inputs(conjunct, steps)
         if isinstance(conjunct, InSelect):
             _absorb_in_select(ctx, conjunct)
         elif isinstance(conjunct, InAnswer):
             postcondition_specs.append((conjunct.items, conjunct.answer_relation))
         else:
-            _residual(ctx)
             ctx.residual.append(conjunct)
 
     # Build the head: one atom per INTO ANSWER relation, all carrying the
@@ -649,7 +588,8 @@ def _translate(
             assert item.bind_var is not None
             expr = Col(f"@{item.bind_var}")
             item = SelectItem(expr=expr, bind_var=None, alias=None)
-        term = _expr_to_term(ctx, bind(expr))
+        _inputs(expr, steps)
+        term = _expr_to_term(ctx, expr)
         head_terms.append(term)
         if item.bind_var:
             for head_index in range(len(stmt.answer_relations)):
@@ -671,7 +611,7 @@ def _translate(
         _residual_to_vars(ctx, conj) for conj in ctx.residual
     )
     return EntangledQuery(
-        query_id=query_id,
+        query_id="",
         heads=heads,
         postconditions=tuple(postconditions),
         body_atoms=body_atoms,
@@ -742,12 +682,11 @@ def _absorb_in_select(ctx: _EntangledContext, node: InSelect) -> None:
                     ctx.uf.union(resolve(left.name), resolve(right.name))
                     continue
                 if right_value:
-                    ctx.uf.bind_constant(resolve(left.name), ctx.constant(right))
+                    ctx.uf.bind_constant(resolve(left.name), right)
                     continue
             elif left_value and type(right) is Col and not right_value:
-                ctx.uf.bind_constant(resolve(right.name), ctx.constant(left))
+                ctx.uf.bind_constant(resolve(right.name), left)
                 continue
-        _residual(ctx)
         ctx.residual.append(_rebind_subquery_columns(conjunct, resolve))
 
     # Unify the outer items with the subquery's select columns.
@@ -764,7 +703,7 @@ def _absorb_in_select(ctx: _EntangledContext, node: InSelect) -> None:
             )
         inner_slot = resolve(inner.expr.name)
         if _is_value(outer):
-            ctx.uf.bind_constant(inner_slot, ctx.constant(outer))
+            ctx.uf.bind_constant(inner_slot, outer)
         elif type(outer) is Col:
             ctx.uf.union(ctx.outer_slot(outer.name), inner_slot)
         else:
@@ -773,17 +712,11 @@ def _absorb_in_select(ctx: _EntangledContext, node: InSelect) -> None:
             )
 
 
-def _residual(ctx: _EntangledContext) -> None:
-    """A conjunct goes to the residual predicate: translated per
-    execution, so a template's translation stops here."""
-    if ctx.symbolic:
-        raise _Residual
-
-
 def _rebind_subquery_columns(expr: Expr, resolve) -> Expr:
-    """Rewrite subquery column refs to canonical slot names for residuals."""
+    """Rewrite subquery column refs to canonical slot names for residuals
+    (a value leaf stays as it is)."""
     kind = type(expr)
-    if kind is Col:
+    if kind is Col and not expr.name.startswith("@"):
         return Col(_slot_name(resolve(expr.name)))
     if kind not in STORAGE_NODES:
         raise CompileError(
@@ -819,16 +752,12 @@ def _slot_to_term(ctx: _EntangledContext, slot):
 
 
 def _expr_to_term(ctx: _EntangledContext, expr: Expr):
-    """Convert a head/postcondition item to an IR term."""
-    if ctx.symbolic and _is_value(expr):
+    """Convert a head/postcondition item to an IR term: a value leaf is
+    the constant it reads."""
+    if _is_value(expr):
         return Val(expr)
-    if isinstance(expr, Const):
-        return Val(expr.value)
-    if isinstance(expr, Col):
-        if expr.name.startswith("@"):
-            raise CompileError(f"unbound host variable {expr.name}")
-        slot = ctx.outer_slot(expr.name)
-        return _slot_to_term(ctx, slot)
+    if type(expr) is Col:
+        return _slot_to_term(ctx, ctx.outer_slot(expr.name))
     raise CompileError(
         "entangled head/postcondition items must be columns, constants or "
         "host variables"
@@ -836,11 +765,11 @@ def _expr_to_term(ctx: _EntangledContext, expr: Expr):
 
 
 def _residual_to_vars(ctx: _EntangledContext, expr: Expr) -> Expr:
-    """Rewrite residual predicates to use canonical variable names."""
+    """Rewrite residual predicates to use canonical variable names (a
+    value leaf stays as it is, and a column unified with a constant
+    becomes the leaf that supplies it)."""
     kind = type(expr)
-    if kind is Col:
-        if expr.name.startswith("@"):
-            raise CompileError(f"unbound host variable {expr.name}")
+    if kind is Col and not expr.name.startswith("@"):
         # Either an outer name or an already-canonical subquery slot name.
         if ("name", expr.name) in ctx.uf._parent or expr.name in ctx.outer_name_slots:
             slot = ctx.outer_slot(expr.name)
@@ -848,7 +777,7 @@ def _residual_to_vars(ctx: _EntangledContext, expr: Expr) -> Expr:
             slot = _find_slot_by_name(ctx, expr.name)
         constant = ctx.uf.constant_of(slot)
         if constant is not None:
-            return Const(constant[0])
+            return constant[0]
         return Col(_canonical_var(ctx, slot))
     if kind not in STORAGE_NODES:
         raise CompileError(f"unsupported residual predicate: {kind.__name__}")
@@ -866,7 +795,7 @@ def _find_slot_by_name(ctx: _EntangledContext, name: str):
 
 
 # ---------------------------------------------------------------------------
-# INSERT / UPDATE / DELETE
+# INSERT / UPDATE / DELETE / SET
 # ---------------------------------------------------------------------------
 
 
@@ -941,38 +870,74 @@ def _prepare_insert(
         positions, _distinct(steps), tuple(host_vars), mismatch)
 
 
-@dataclass(frozen=True)
-class CompiledUpdate:
+class CompiledUpdate(NamedTuple):
+    """An UPDATE as the store's ``update_where`` takes it: the rows it
+    changes and their new values, as data whose ``Param`` and ``@var``
+    leaves read the execution's values, which both carry."""
+
     table: str
-    assignments: tuple[tuple[str, Expr], ...]
-    predicate: Expr | None
+    predicate: RowPredicate
+    assignments: RowAssignments
+
+
+class CompiledDelete(NamedTuple):
+    """A DELETE as the store's ``delete_where`` takes it (see
+    :class:`CompiledUpdate`)."""
+
+    table: str
+    predicate: RowPredicate
+
+
+class _PreparedWrite(NamedTuple):
+    """An UPDATE's or DELETE's prepared form: the table's column names,
+    the SET list as ``(column position, expression)`` pairs, and the
+    inputs its leaves read."""
+
+    columns: tuple[str, ...]
+    assignments: tuple[tuple[int, Expr], ...]
+    inputs: tuple
 
 
 def compile_update(
     stmt: UpdateStmt, db: Database, env: Env, params: Params = ()
 ) -> CompiledUpdate:
-    db.table(stmt.table)  # existence check
-    assignments = tuple(
-        (column, inline_hostvars(value, env, params))
-        for column, value in stmt.assignments
-    )
-    predicate = None
-    if stmt.where is not None:
-        predicate = inline_hostvars(stmt.where, env, params)
-    return CompiledUpdate(stmt.table, assignments, predicate)
-
-
-@dataclass(frozen=True)
-class CompiledDelete:
-    table: str
-    predicate: Expr | None
+    form = _prepared(stmt, db, _prepare_write, env, params)
+    values = _run(form.inputs, env, params, {})
+    return CompiledUpdate(
+        stmt.table, RowPredicate(form.columns, stmt.where, values),
+        RowAssignments(form.columns, form.assignments, values))
 
 
 def compile_delete(
     stmt: DeleteStmt, db: Database, env: Env, params: Params = ()
 ) -> CompiledDelete:
-    db.table(stmt.table)
-    predicate = None
-    if stmt.where is not None:
-        predicate = inline_hostvars(stmt.where, env, params)
-    return CompiledDelete(stmt.table, predicate)
+    form = _prepared(stmt, db, _prepare_write, env, params)
+    return CompiledDelete(stmt.table, RowPredicate(
+        form.columns, stmt.where, _run(form.inputs, env, params, {})))
+
+
+def _prepare_write(
+    stmt: UpdateStmt | DeleteStmt, db: Database, steps: list
+) -> _PreparedWrite:
+    schema = db.table(stmt.table).schema
+    assignments = stmt.assignments if type(stmt) is UpdateStmt else ()
+    for _column, expr in assignments:
+        _inputs(expr, steps)
+    _inputs(stmt.where, steps)
+    positions = tuple(
+        (schema.column_index(column), expr) for column, expr in assignments)
+    return _PreparedWrite(schema.column_names, positions, _distinct(steps))
+
+
+def compile_set(
+    stmt: SetStmt, db: Database, env: Env, params: Params = ()
+) -> "SQLValue | None":
+    """The value ``SET @var = expr`` assigns: ``expr`` over the inputs
+    it reads."""
+    inputs = _prepared(stmt, db, _prepare_set, env, params)
+    return stmt.expr.eval(_run(inputs, env, params, {}))
+
+
+def _prepare_set(stmt: SetStmt, db: Database, steps: list) -> tuple:
+    _inputs(stmt.expr, steps)
+    return _distinct(steps)

@@ -59,7 +59,7 @@ import enum
 import functools
 from itertools import repeat
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.latch import Latch
 from repro.errors import StorageError, WriteConflictError
@@ -1153,6 +1153,7 @@ class StorageEngine(StoreBase):
         predicate: Callable[[Row], bool],
         new_values: Callable[[Row], Sequence[Any]],
         where: "Expr | None" = None,
+        values: "Mapping | None" = None,
     ) -> list[tuple[Row, Row]]:
         """Update all rows matching ``predicate``; returns the
         ``(old, new)`` row pairs it changed.
@@ -1160,13 +1161,14 @@ class StorageEngine(StoreBase):
         One call is the whole statement — candidate probe and locks,
         first-updater-wins check, update — so a shard router can ship it
         to a shard as one frame.  ``where`` optionally carries the
-        compiled WHERE expression the ``predicate`` was built from; when
-        its equality conjuncts cover an index, candidate rows come from
-        that index under IX-table + key X locks instead of a table X lock.
+        compiled WHERE expression the ``predicate`` was built from, and
+        ``values`` what its ``Param`` and ``@var`` leaves read; when its
+        equality conjuncts cover an index, candidate rows come from that
+        index under IX-table + key X locks instead of a table X lock.
         """
         return [
             self.update(txn, table_name, row.rid, list(new_values(row)))
-            for row in self._write_candidates(txn, table_name, where)
+            for row in self._write_candidates(txn, table_name, where, values)
             if predicate(row)
         ]
 
@@ -1177,18 +1179,20 @@ class StorageEngine(StoreBase):
         table_name: str,
         predicate: Callable[[Row], bool],
         where: "Expr | None" = None,
+        values: "Mapping | None" = None,
     ) -> list[Row]:
         """Delete all rows matching ``predicate``; returns the rows
-        removed.  ``where`` enables the same index pushdown as
-        :meth:`update_where`."""
+        removed.  ``where`` and ``values`` enable the same index pushdown
+        as :meth:`update_where`."""
         return [
             self.delete(txn, table_name, row.rid)
-            for row in self._write_candidates(txn, table_name, where)
+            for row in self._write_candidates(txn, table_name, where, values)
             if predicate(row)
         ]
 
     def _write_candidates(
-        self, txn: int, table_name: str, where: "Expr | None"
+        self, txn: int, table_name: str, where: "Expr | None",
+        values: "Mapping | None" = None,
     ) -> list[Row]:
         """Candidate rows for a predicate write, with the right locks.
 
@@ -1218,9 +1222,7 @@ class StorageEngine(StoreBase):
         if ctx.isolation.uses_snapshot:
             self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
             view = self.snapshot_provider(txn).table(table_name)
-            bindings = (
-                equality_bindings(where, table) if where is not None else {}
-            )
+            bindings = equality_bindings(where, table, values)
             path = index_path_for(table, bindings)
             if path is not None:
                 cols, key, is_pk = path
@@ -1243,7 +1245,7 @@ class StorageEngine(StoreBase):
                 self._ssi_observe_read(txn, ReadAccess.row(table_name, row.rid))
             return self._lock_candidate_rows(txn, table_name, rows)
         if self.locking and self.granularity is LockGranularity.FINE and where is not None:
-            path = index_path_for(table, equality_bindings(where, table))
+            path = index_path_for(table, equality_bindings(where, table, values))
             if path is not None:
                 cols, key, is_pk = path
                 self._lock_intent(

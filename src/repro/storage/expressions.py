@@ -96,6 +96,28 @@ class Col(Expr):
         return self.name
 
 
+@dataclass(frozen=True)
+class Param(Expr):
+    """The ``index``-th lifted literal of a script: a statement
+    template's leaf (:mod:`repro.sql.parser`) that evaluates to its
+    execution's value, kept under its index in the values that execution
+    fills.
+
+    ``negate`` is a unary minus folded into a numeric literal, so that
+    ``id = -5`` binds to ``Const(-5)`` exactly as the literal parse does.
+    """
+
+    index: int
+    negate: bool = False
+
+    def eval(self, env) -> "SQLValue | None":
+        value = env[self.index]
+        return -value if self.negate else value
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{'-' if self.negate else ''}?{self.index}"
+
+
 class CmpOp(enum.Enum):
     EQ = "="
     NE = "<>"
@@ -300,14 +322,7 @@ class InList(Expr):
         value = self.operand.eval(env)
         if value is None:
             return None
-        saw_null = False
-        for option in self.options:
-            candidate = option.eval(env)
-            if candidate is None:
-                saw_null = True
-            elif candidate == value:
-                return True
-        return None if saw_null else False
+        return _member(value, (option.eval(env) for option in self.options))
 
     def map(self, f):
         operand, options = f(self.operand), map_items(f, self.options)
@@ -320,6 +335,60 @@ class InList(Expr):
         return f"({self.operand} IN ({inner}))"
 
 
+@dataclass(frozen=True)
+class InRows(Expr):
+    """``(item, ...) IN rows`` over rows its execution supplies under
+    ``key``: those of a classical ``IN (SELECT ...)``'s subquery, which
+    runs first, in the same transaction.  One item tests the rows' first
+    column as ``IN (v1, ...)`` does; a tuple is the disjunction, row by
+    row, of its items' equalities with the row's values."""
+
+    items: tuple[Expr, ...]
+    key: str
+
+    def eval(self, env: Env) -> bool | None:
+        rows = env[self.key]
+        if len(self.items) == 1:
+            value = self.items[0].eval(env)
+            if value is None:
+                return None
+            return _member(value, (row[0] for row in rows))
+        unknown = False
+        for row in rows:
+            truth = True
+            for item, candidate in zip(self.items, row):
+                value = item.eval(env)
+                if value is None or candidate is None:
+                    truth = None
+                elif value != candidate:
+                    truth = False
+                    break
+            if truth:
+                return True
+            unknown = unknown or truth is None
+        return None if unknown else False
+
+    def map(self, f):
+        items = map_items(f, self.items)
+        return self if items is self.items else InRows(items, self.key)
+
+    def __str__(self) -> str:
+        inner = ", ".join(str(item) for item in self.items)
+        return f"(({inner}) IN {self.key})"
+
+
+def _member(value, candidates) -> bool | None:
+    """``value IN (candidates)`` for a non-NULL ``value``, in 3VL: TRUE at
+    the first equal candidate, else UNKNOWN if one was NULL."""
+    saw_null = False
+    for candidate in candidates:
+        if candidate is None:
+            saw_null = True
+        elif candidate == value:
+            return True
+    return None if saw_null else False
+
+
 def map_items(f: Callable[[Expr], Expr], items: tuple) -> tuple:
     """``tuple(map(f, items))`` — ``items`` itself when ``f`` returned
     every item unchanged (the tuple half of the :meth:`Expr.map` rule)."""
@@ -329,10 +398,11 @@ def map_items(f: Callable[[Expr], Expr], items: tuple) -> tuple:
 
 #: The node kinds a rewrite below the SQL layer takes.  The SQL front
 #: end's ``InSelect`` and ``InAnswer`` are compiled away before a plan
-#: sees them; its ``Param`` reaches a prepared statement's plan as a leaf
-#: that reads its execution's values, and is rewritten by the front end
-#: only — so such a rewrite rejects all three by this.
-STORAGE_NODES = frozenset({Const, Col, Cmp, And, Or, Not, IsNull, Arith, InList})
+#: sees them, so such a rewrite rejects both by this; a ``Param`` is a
+#: value leaf like a host variable's ``Col``, which a prepared plan, row
+#: predicate or grounding body reads from its execution's values.
+STORAGE_NODES = frozenset({
+    Const, Col, Param, Cmp, And, Or, Not, IsNull, Arith, InList, InRows})
 
 #: The boolean skeleton of a predicate: the only positions where a
 #: WHERE clause's ``IN (SELECT ...)`` may stand.
@@ -359,29 +429,41 @@ def is_satisfied(predicate: Expr | None, env: Env) -> bool:
     return _as_bool(predicate.eval(env)) is True
 
 
+def _row_env(columns, row, values) -> dict:
+    env = dict(zip(columns, row.values))
+    if values:
+        env.update(values)
+    return env
+
+
 @dataclass(slots=True)
 class RowPredicate:
     """A row predicate as data: ``where`` over a table's bare column
-    names.  Callable like the closure it replaces, and picklable, so a
-    predicate write can cross to a shard worker as one frame."""
+    names, whose ``Param`` and ``@var`` leaves read ``values`` (a
+    prepared statement's, beside its template).  Callable like the
+    closure it replaces, and picklable, so a predicate write can cross
+    to a shard worker as one frame."""
 
     columns: tuple[str, ...]
     where: Expr | None
+    values: Mapping | None = None
 
     def __call__(self, row) -> bool:
-        return is_satisfied(self.where, dict(zip(self.columns, row.values)))
+        return is_satisfied(self.where, _row_env(self.columns, row, self.values))
 
 
 @dataclass(slots=True)
 class RowAssignments:
     """An UPDATE's SET list as data: ``(column position, expression)``
-    pairs evaluated over the old row; calling it gives the new values."""
+    pairs evaluated over the old row (and ``values``, as
+    :class:`RowPredicate`); calling it gives the new values."""
 
     columns: tuple[str, ...]
     assignments: tuple[tuple[int, Expr], ...]
+    values: Mapping | None = None
 
     def __call__(self, row) -> list:
-        env = dict(zip(self.columns, row.values))
+        env = _row_env(self.columns, row, self.values)
         out = list(row.values)
         for position, expr in self.assignments:
             out[position] = expr.eval(env)

@@ -167,19 +167,22 @@ class ShardEngine(Protocol):
     def update_where(
         self, txn: int, table_name: str, predicate: Callable[[Row], bool],
         new_values: Callable[[Row], Sequence], where: Expr | None = None,
+        values: Mapping | None = None,
     ) -> list[tuple[Row, Row]]:
         """The whole statement on this shard: probe, locks,
-        first-updater-wins check, writes."""
+        first-updater-wins check, writes (``values``: what the leaves of
+        ``where`` read)."""
 
     def delete_where(
         self, txn: int, table_name: str, predicate: Callable[[Row], bool],
-        where: Expr | None = None,
+        where: Expr | None = None, values: Mapping | None = None,
     ) -> list[Row]: ...
 
     # -- locks -------------------------------------------------------------------------
 
     def lock_write_candidates(
-        self, txn: int, table_name: str, where: Expr | None
+        self, txn: int, table_name: str, where: Expr | None,
+        values: Mapping | None = None,
     ) -> list[Row]:
         """A predicate write's probe and locks alone, nothing written."""
 
@@ -297,11 +300,12 @@ class Store(Protocol):
     def update_where(
         self, txn: int, table_name: str, predicate: Callable[[Row], bool],
         new_values: Callable[[Row], Sequence], *, where: Expr | None = None,
+        values: Mapping | None = None,
     ) -> list[tuple[Row, Row]]: ...
 
     def delete_where(
         self, txn: int, table_name: str, predicate: Callable[[Row], bool],
-        *, where: Expr | None = None,
+        *, where: Expr | None = None, values: Mapping | None = None,
     ) -> list[Row]: ...
 
     # -- entangled evaluation and the schedule recorder ------------------------------

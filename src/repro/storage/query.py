@@ -462,7 +462,8 @@ def equality_bindings(
 
     The write path (``UPDATE``/``DELETE`` with a WHERE clause) uses this to
     choose an index access path and lock rows + index keys instead of the
-    whole table.  Only top-level conjuncts count; anything under OR/NOT is
+    whole table; ``params`` are the values a prepared statement's
+    ``Param`` and ``@var`` leaves read.  Only top-level conjuncts count; anything under OR/NOT is
     ignored, which keeps the result sound (a subset of the true bindings).
     """
     if where is None:

@@ -82,7 +82,7 @@ import heapq
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.latch import Latch, allow_blocking
 from repro.errors import (
@@ -1160,6 +1160,7 @@ class ShardedStorageEngine(StoreBase):
         new_values: Callable[[Row], Sequence[Any]],
         *,
         where: "Expr | None" = None,
+        values: "Mapping | None" = None,
     ) -> list[tuple[Row, Row]]:
         """Route the statement to its target shards; each applies it
         whole through its own ``update_where`` (one frame when the shard
@@ -1167,23 +1168,23 @@ class ShardedStorageEngine(StoreBase):
         — a primary-key column, or an opaque callable — run row at a
         time through :meth:`update`, which migrates across shards."""
         ctx = self._context(txn)
-        targets = self._write_targets(ctx, table_name, where)
+        targets = self._write_targets(ctx, table_name, where, values)
         pk = self.shards[0].db.table(table_name).schema.primary_key
         assigned = getattr(new_values, "assigned_columns", None)
         if assigned is None or assigned() & set(pk):
-            rows = self._lock_candidates(txn, table_name, where, targets)
+            rows = self._lock_candidates(txn, table_name, where, values, targets)
             rows.sort(key=lambda r: r.rid)
             return [
                 self.update(txn, table_name, row.rid, list(new_values(row)))
                 for row in rows if predicate(row)
             ]
         if len(targets) > 1:
-            self._lock_candidates(txn, table_name, where, targets)
+            self._lock_candidates(txn, table_name, where, values, targets)
         changed: list[tuple[Row, Row]] = []
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
             for old, new in shard.update_where(
-                txn, table_name, predicate, new_values, where
+                txn, table_name, predicate, new_values, where, values
             ):
                 self._record_write(ctx, shard_idx, table_name)
                 self._notify(txn, "write", table_name)
@@ -1197,22 +1198,25 @@ class ShardedStorageEngine(StoreBase):
         predicate: Callable[[Row], bool],
         *,
         where: "Expr | None" = None,
+        values: "Mapping | None" = None,
     ) -> list[Row]:
         ctx = self._context(txn)
-        targets = self._write_targets(ctx, table_name, where)
+        targets = self._write_targets(ctx, table_name, where, values)
         if len(targets) > 1:
-            self._lock_candidates(txn, table_name, where, targets)
+            self._lock_candidates(txn, table_name, where, values, targets)
         removed: list[Row] = []
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
-            for old in shard.delete_where(txn, table_name, predicate, where):
+            for old in shard.delete_where(
+                    txn, table_name, predicate, where, values):
                 self._record_write(ctx, shard_idx, table_name)
                 self._notify(txn, "write", table_name)
                 removed.append(old)
         return removed
 
     def _write_targets(
-        self, ctx: ShardedTxnContext, table_name: str, where: "Expr | None"
+        self, ctx: ShardedTxnContext, table_name: str, where: "Expr | None",
+        values: "Mapping | None",
     ) -> list[int]:
         """The shards a predicate write must visit: the key's home shard
         when ``where`` pins the primary key (and the shards will take the
@@ -1220,7 +1224,7 @@ class ShardedStorageEngine(StoreBase):
         enters the global SSI read set here; the shards' own trackers
         are off."""
         table = self.shards[0].db.table(table_name)
-        path = index_path_for(table, equality_bindings(where, table))
+        path = index_path_for(table, equality_bindings(where, table, values))
         snapshot = ctx.isolation.uses_snapshot
         if snapshot:
             self.ssi.record_read(ctx.txn_id, ssi_read_items(
@@ -1236,7 +1240,7 @@ class ShardedStorageEngine(StoreBase):
 
     def _lock_candidates(
         self, txn: int, table_name: str, where: "Expr | None",
-        targets: list[int],
+        values: "Mapping | None", targets: list[int],
     ) -> list[Row]:
         """Lock (and fetch) the statement's candidate rows on every
         target before any of them writes, so a WouldBlock on a later
@@ -1245,7 +1249,8 @@ class ShardedStorageEngine(StoreBase):
         rows: list[Row] = []
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
-            rows.extend(shard.lock_write_candidates(txn, table_name, where))
+            rows.extend(
+                shard.lock_write_candidates(txn, table_name, where, values))
         return rows
 
     # -- distributed deadlock detection ----------------------------------------------

@@ -73,6 +73,18 @@ class TestConnect:
         with connect(catalog) as db:
             assert db.store.db is catalog
 
+    def test_process_mode_serves_an_adopted_database_in_process(self):
+        catalog = Database("adopted")
+        with connect(catalog, executor="process") as db:
+            assert isinstance(db.store, StorageEngine)
+            db.create_table(TableSchema.build(
+                "Items", [("k", ColumnType.INTEGER)], primary_key=["k"]))
+            script = db.session("s").run_script(
+                "BEGIN TRANSACTION; INSERT INTO Items (k) VALUES (1); COMMIT;")
+            assert script.wait().succeeded, script.abort_reason
+            assert db.store.worker_pids() == []
+            assert db.query("SELECT k FROM Items") == [(1,)]
+
     def test_shard_mismatch_rejected(self):
         store = ShardedStorageEngine(2)
         with pytest.raises(MiddlewareError):

@@ -24,7 +24,8 @@ from repro import (
     TableSchema,
     connect,
 )
-from repro.storage.engine import WouldBlock
+from repro.errors import SerializationFailureError
+from repro.storage.engine import TxnIsolation, WouldBlock
 
 SHARDS = [1, 2]
 
@@ -148,6 +149,84 @@ def test_direct_transaction_keeps_set_bindings(shards):
             assert txn.query("SELECT v AS @y FROM T WHERE k = 3") == [(30,)]
             txn.execute("INSERT INTO T (k, v) VALUES (9, @y + @x)")
         assert (9, 32) in db.query("SELECT k, v FROM T")
+    finally:
+        db.close()
+
+
+# -- a subquery reads inside its transaction -----------------------------------------------
+
+#: connect() setting per storage isolation.
+ISOLATIONS = {
+    TxnIsolation.TWO_PL: "full",
+    TxnIsolation.SNAPSHOT: "snapshot",
+    TxnIsolation.SERIALIZABLE: "serializable",
+}
+TOPOLOGIES = {
+    "1-shard": dict(shards=1),
+    "2-serial-shards": dict(shards=2, executor="serial"),
+    "2-worker-processes": dict(shards=2, executor="process"),
+}
+
+
+def subquery_db(isolation: TxnIsolation, tables=("T", "U"), **topology):
+    db = connect(isolation=ISOLATIONS[isolation], **topology)
+    for name in tables:
+        db.create_table(TableSchema.build(
+            name, [("id", ColumnType.INTEGER), ("v", ColumnType.INTEGER)],
+            primary_key=["id"],
+        ))
+        db.load(name, [(1, 10), (2, 20)])
+    return db
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("isolation", ISOLATIONS, ids=lambda i: i.name)
+def test_an_in_subquery_reads_no_uncommitted_write(isolation, topology):
+    """A classical ``IN (SELECT ...)`` is a read of its transaction: it
+    waits for the writer's lock under 2PL and reads its snapshot
+    otherwise, never the writer's uncommitted value (a P1 dirty read)."""
+    db = subquery_db(isolation, **TOPOLOGIES[topology])
+    try:
+        writer = db.session("writer").transaction(isolation)
+        writer.execute("UPDATE T SET v = 99 WHERE id = 1")
+        reader = db.session("reader").transaction(isolation)
+        sql = "SELECT id FROM U WHERE id IN (SELECT id FROM T WHERE v = 99)"
+        if isolation is TxnIsolation.TWO_PL:
+            with pytest.raises(WouldBlock):
+                reader.execute(sql)
+            reader.abort()
+        else:
+            assert reader.execute(sql) == []
+            reader.commit()
+        writer.commit()
+        assert db.query(sql) == [(1,)]
+    finally:
+        db.close()
+
+
+@pytest.mark.parametrize("shards", SHARDS)
+def test_a_write_skew_read_through_subqueries_is_refused(shards):
+    """Each side reads one table through a subquery and writes the
+    other: SSI sees both reads, so one of the two commits fails."""
+    serializable = TxnIsolation.SERIALIZABLE
+    db = subquery_db(serializable, ("A", "B", "U"), shards=shards,
+                     executor="serial")
+    try:
+        sides = []
+        for read, write in (("A", "B"), ("B", "A")):
+            txn = db.session(f"reads-{read}").transaction(serializable)
+            assert txn.execute(
+                f"SELECT id FROM U WHERE id IN "
+                f"(SELECT id FROM {read} WHERE v = 10)") == [(1,)]
+            txn.execute(f"UPDATE {write} SET v = 0 WHERE id = 1")
+            sides.append(txn)
+        failures = 0
+        for txn in sides:
+            try:
+                txn.commit()
+            except SerializationFailureError:
+                failures += 1
+        assert failures == 1
     finally:
         db.close()
 

@@ -1,14 +1,18 @@
 """TEST-ONLY ORACLE: the bind path as it stood before statements were prepared.
 
-A verbatim copy of ``src/repro/sql/compiler.py`` (every execution binds a
-copy of the statement's tree with :func:`~repro.sql.ast.inline_hostvars`,
-and unifies an entangled query afresh) and of ``build_plan`` / ``execute``
-of ``src/repro/storage/planner.py`` (every execution splits its WHERE
-clause and keys its plan by the conjuncts' shapes) at the parent of that
+The only copy of the per-execution bind path left: every statement of
+``src/`` now executes from its prepared form, and this path is kept as
+the oracle that form is checked against.  A verbatim copy of
+``src/repro/sql/compiler.py`` (every execution binds a copy of the
+statement's tree with :func:`~repro.sql.ast.inline_hostvars`, evaluates a
+classical ``IN (SELECT ...)`` into a literal membership test, and unifies
+an entangled query afresh) and of ``build_plan`` / ``execute`` of
+``src/repro/storage/planner.py`` (every execution splits its WHERE clause
+and keys its plan by the conjuncts' shapes) at the parent of that
 change.  Slow but obviously correct, which is what a reference is for:
 ``test_prepared_execution.py`` runs it and the production path on the
 same statements and values and requires the same rows, host-variable
-bindings, ``EntangledQuery`` and errors.  Two deviations, both forced:
+bindings, ``EntangledQuery``, rows written and errors.  Two deviations, both forced:
 the resolution memo the copy kept on ``SelectStmt.resolutions`` is not
 kept (that attribute now holds the production path's prepared forms),
 and ``build_plan`` imports the production planner's ``_prepare`` and

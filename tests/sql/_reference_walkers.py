@@ -22,9 +22,10 @@ method — the only edit to the copies).
 ``test_walkers_differential.py`` runs each against the production walker
 over the same generated trees and requires the same result (``==``), the
 same ``names`` order and the same exception type.  It shares the node
-classes, ``_membership_test``, ``_slot_name``, ``_canonical_var`` and
-``_find_slot_by_name`` with ``src/`` on purpose, so results compare with
-``==``.  Never import this from ``src/``.
+classes, ``_slot_name``, ``_canonical_var`` and ``_find_slot_by_name``
+with ``src/`` on purpose, so results compare with ``==``, and takes
+``_membership_test`` from ``_reference_bind.py``, the one copy of the
+bind path ``_bind_where`` belonged to.  Never import this from ``src/``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from repro.sql.ast import InAnswer, InSelect, Param, SelectItem, SelectStmt
 from repro.sql.compiler import (
     _canonical_var,
     _find_slot_by_name,
-    _membership_test,
     _slot_name,
 )
+from _reference_bind import _membership_test
 from repro.storage.expressions import (
     And,
     Arith,

@@ -93,7 +93,12 @@ class TestCompileSelect:
                 "SELECT fno FROM Flights WHERE fno IN "
                 "(SELECT fno FROM Airlines WHERE airline='United')"),
             db, {})
-        assert [r[0] for r in evaluate(literal(compiled), db)] == [122, 123]
+        # The subquery runs first; the outer query tests its rows.
+        values = compiled.values
+        for key, subquery in compiled.subqueries:
+            values[key] = evaluate(subquery.query, db, values, bound=subquery)
+        rows = evaluate(compiled.query, db, values, bound=compiled.bound)
+        assert [r[0] for r in rows] == [122, 123]
 
     def test_tableless_select(self, db):
         compiled = compile_select(parse_statement("SELECT 1 AS one"), db, {})
@@ -128,7 +133,7 @@ class TestCompileDml:
         compiled = compile_update(
             parse_statement("UPDATE User SET hometown='LAX' WHERE uid=1"),
             db, {})
-        assert compiled.assignments[0][0] == "hometown"
+        assert compiled.assignments.assigned_columns() == {"hometown"}
 
     def test_delete_compiles(self, db):
         compiled = compile_delete(

@@ -1,21 +1,29 @@
 """A prepared execution is the execution it replaced.
 
 A template statement owns a prepared form per ``Database``: the SELECT
-resolution and the SPJ query its plan is keyed on once, the INSERT's
-column positions, the entangled SELECT's unification and grounding body.
-An execution only fills the values its ``Param`` and ``@var`` leaves
-read.  ``_reference_bind.py`` keeps the path that bound a copy of the
-tree per execution (``inline_hostvars`` -> ``compile_*`` -> per-execution
-keyed ``build_plan``); over every statement shape the six benchmark
-workloads and ``examples/`` generate, with random parameter vectors and
-host-variable environments (NULLs, unbound names, parameters equal in one
-draw and unequal in the next), both must give the same rows, the same
-host-variable bindings, the same ``EntangledQuery`` and groundings, the
-same inserted row — or the same error, class and message.
+resolution and the SPJ query its plan is keyed on once (its ``IN (SELECT
+...)`` subqueries each a prepared query too), the INSERT's column
+positions, the UPDATE's and DELETE's column positions and template
+predicate, the entangled SELECT's unification, residual predicate and
+grounding body.  An execution only fills the values its ``Param`` and
+``@var`` leaves read.  ``_reference_bind.py`` keeps the path that bound a
+copy of the tree per execution (``inline_hostvars`` -> ``compile_*`` ->
+per-execution keyed ``build_plan``); over every statement shape the six
+benchmark workloads and ``examples/`` generate, with random parameter
+vectors and host-variable environments (NULLs, unbound names, parameters
+equal in one draw and unequal in the next), both must give the same rows,
+the same host-variable bindings, the same ``EntangledQuery`` and
+groundings, the same inserted row, the same rows updated or deleted and
+their new values — or the same error, class and message.
+
+A subquery now runs once its statement has read every value, where the
+bind path ran it midway through binding; the examples' subqueries cannot
+fail once bound, so the first fault is the same either way.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -28,9 +36,27 @@ from repro import ColumnType, TableSchema
 from repro.entangled import ground
 from repro.errors import ReproError
 from repro.sql import parse_transaction, unparse_statement
-from repro.sql.ast import EntangledSelectStmt, InsertStmt, SelectStmt
-from repro.sql.compiler import compile_entangled, compile_insert, compile_select
+from repro.sql.ast import (
+    DeleteStmt,
+    EntangledSelectStmt,
+    InSelect,
+    InsertStmt,
+    SelectStmt,
+    SetStmt,
+    UpdateStmt,
+    inline_hostvars,
+)
+from repro.sql.compiler import (
+    compile_delete,
+    compile_entangled,
+    compile_insert,
+    compile_select,
+    compile_set,
+    compile_update,
+)
 from repro.storage import Database, evaluate
+from repro.storage.expressions import RowAssignments, RowPredicate
+from repro.storage.query import equality_bindings
 from repro.workloads import (
     OnCallRoster,
     PaymentLedger,
@@ -85,6 +111,39 @@ EDGES = [
     "BEGIN TRANSACTION; SELECT 'k', fno AS @f INTO ANSWER R WHERE fno IN "
     "(SELECT F.fno FROM Flights F, Airlines A WHERE F.fno = 122 AND "
     "A.fno = 235 AND F.fno = A.fno) AND ('j', fno) IN ANSWER R CHOOSE 1; COMMIT;",
+]
+
+#: A classical ``IN (SELECT ...)`` — one item and a tuple, under AND, OR
+#: and NOT, nested — and entangled SELECTs with a residual predicate, in
+#: the subquery and outside it, over parameters and host variables.
+SUBQUERIES = [
+    "BEGIN TRANSACTION; "
+    "SELECT fno, dest AS @g FROM Flights WHERE fno IN (SELECT fno FROM "
+    "Airlines WHERE airline = 'United') AND dest <> @d ORDER BY fno; "
+    "SELECT fno, fdate FROM Flights WHERE (fno, fdate) IN (SELECT F.fno, "
+    "F.fdate FROM Flights F, Airlines A WHERE F.fno = A.fno AND F.dest = @d "
+    "AND A.airline <> 'Delta') OR fno = 235; "
+    "SELECT fno FROM Flights WHERE NOT (fno IN (SELECT fno FROM Airlines "
+    "WHERE fno IN (SELECT fno FROM Flights WHERE fdate = 'May 3'))) "
+    "AND dest = 'LA'; "
+    "SELECT airline FROM Airlines WHERE (fno, airline) IN (SELECT fno, "
+    "@d FROM Flights WHERE dest = 'LA') OR fno IN (SELECT fno FROM Flights "
+    "WHERE fno = -1); COMMIT;",
+    "BEGIN TRANSACTION; SELECT 'Mickey', fno AS @f INTO ANSWER R WHERE fno "
+    "IN (SELECT fno FROM Flights WHERE dest = 'LA' AND fno > 122) AND "
+    "('Minnie', fno) IN ANSWER R CHOOSE 1; "
+    "SELECT 'Mickey', fno, fdate INTO ANSWER R WHERE fno, fdate IN (SELECT "
+    "fno, fdate FROM Flights WHERE dest = @d AND fdate <> 'May 4') AND "
+    "fno <> @f AND ('Minnie', fno, fdate) IN ANSWER R CHOOSE 1; COMMIT;",
+]
+
+#: UPDATE and DELETE by key, by index and by scan, over parameters and
+#: host variables.
+WRITES = [
+    "BEGIN TRANSACTION; UPDATE Flights SET dest = @d, fdate = 'May 9' "
+    "WHERE fno = 122; UPDATE Flights SET fno = fno + 1 WHERE dest = 'LA' "
+    "AND fdate <> @g; DELETE FROM Airlines WHERE fno = @f OR airline = "
+    "'Delta'; DELETE FROM Flights WHERE dest = 'Paris'; COMMIT;",
 ]
 
 
@@ -144,7 +203,7 @@ def _families():
 
     examples_db = Database("examples")
     _figure1(examples_db)
-    examples = QUICKSTART + EDGES + [
+    examples = QUICKSTART + EDGES + SUBQUERIES + WRITES + [
         travel_planning.travel_program("Mickey", "Minnie"),
         course_enrollment.enroll("ann", "bo"),
         gift_matching.pledge("Alice", "Guild", "parks", 20),
@@ -168,7 +227,8 @@ CASES = [
     for family, (_db, scripts) in FAMILIES.items()
     for index, text in enumerate(scripts)
     for position, stmt in enumerate(parse_transaction(text).template)
-    if isinstance(stmt, (SelectStmt, EntangledSelectStmt, InsertStmt))
+    if isinstance(stmt, (SelectStmt, EntangledSelectStmt, InsertStmt,
+                         UpdateStmt, DeleteStmt))
 ]
 
 
@@ -218,17 +278,71 @@ def outcome(run):
         return "raised", type(exc), str(exc)
 
 
+def has_subquery(stmt) -> bool:
+    found = []
+
+    def walk(expr):
+        found.append(type(expr) is InSelect)
+        return expr.map(walk)
+
+    if stmt.where is not None:
+        walk(stmt.where)
+    return any(found)
+
+
+def entangled_literal(query):
+    """A production ``EntangledQuery`` with its residual predicate's
+    value leaves read from the values grounding reads them from."""
+    predicate = query.body_predicate
+    if predicate is None or query.body is None:
+        return query
+    values = query.body[1]
+    return dataclasses.replace(
+        query, body_predicate=inline_hostvars(predicate, values, values))
+
+
+def written(db, table, predicate, assignments=None):
+    """What an UPDATE or DELETE would change: each matching row, and
+    its new values."""
+    return [(row.values, assignments and tuple(assignments(row)))
+            for row in db.table(table).scan() if predicate(row)]
+
+
 def production(stmt, db, env, params):
     if isinstance(stmt, SelectStmt):
         compiled = compile_select(stmt, db, env, params)
-        rows = evaluate(compiled.query, db, compiled.values)
+        values = compiled.values
+        for key, subquery in compiled.subqueries:
+            values[key] = evaluate(subquery.query, db, values, bound=subquery)
+        rows = evaluate(compiled.query, db, values, bound=compiled.bound)
         first = rows[0] if rows else None
         bound = {var: None if first is None else first[i]
                  for var, i in compiled.bindings}
-        return reference.literal(compiled), rows, bound
+        plan = None if compiled.subqueries else reference.literal(compiled)
+        return plan, rows, bound
     if isinstance(stmt, EntangledSelectStmt):
         query = compile_entangled(stmt, db, env, "q1", params)
-        return query, ground(query, db)
+        return entangled_literal(query), ground(query, db)
+    if isinstance(stmt, (UpdateStmt, DeleteStmt)):
+        if isinstance(stmt, UpdateStmt):
+            compiled = compile_update(stmt, db, env, params)
+            assignments = compiled.assignments
+            literal = tuple(
+                (position, inline_hostvars(expr, assignments.values,
+                                           assignments.values))
+                for position, expr in assignments.assignments)
+        else:
+            compiled = compile_delete(stmt, db, env, params)
+            assignments = literal = None
+        predicate, values = compiled.predicate, compiled.predicate.values
+        where = predicate.where
+        table = db.table(compiled.table)
+        return (compiled.table, literal,
+                where and inline_hostvars(where, values, values),
+                equality_bindings(where, table, values),
+                written(db, compiled.table, predicate, assignments))
+    if isinstance(stmt, SetStmt):
+        return compile_set(stmt, db, env, params)
     compiled = compile_insert(stmt, db, env, params)
     return compiled.table, compiled.values
 
@@ -241,10 +355,32 @@ def oracle(stmt, db, env, params, plans):
         first = rows[0] if rows else None
         bound = {var: None if first is None else first[i]
                  for var, i in compiled.bindings}
-        return compiled.plan, rows, bound
+        plan = None if has_subquery(stmt) else compiled.plan
+        return plan, rows, bound
     if isinstance(stmt, EntangledSelectStmt):
         query = reference.compile_entangled(stmt, db, env, "q1", params)
         return query, ground(query, db)
+    if isinstance(stmt, (UpdateStmt, DeleteStmt)):
+        # What the interpreter made of a bound UPDATE or DELETE.
+        if isinstance(stmt, UpdateStmt):
+            compiled = reference.compile_update(stmt, db, env, params)
+        else:
+            compiled = reference.compile_delete(stmt, db, env, params)
+        schema = db.table(compiled.table).schema
+        columns = schema.column_names
+        literal = assignments = None
+        if isinstance(stmt, UpdateStmt):
+            literal = tuple((schema.column_index(column), expr)
+                            for column, expr in compiled.assignments)
+            assignments = RowAssignments(columns, literal)
+        where = compiled.predicate
+        return (compiled.table, literal, where,
+                equality_bindings(where, db.table(compiled.table)),
+                written(db, compiled.table, RowPredicate(columns, where),
+                        assignments))
+    if isinstance(stmt, SetStmt):
+        # What the interpreter made of a bound SET.
+        return inline_hostvars(stmt.expr, env, params).eval({})
     compiled = reference.compile_insert(stmt, db, env, params)
     return compiled.table, compiled.values
 
@@ -305,6 +441,17 @@ FAULTS = [
     "INSERT INTO Bookings VALUES (@d, @f + 1)",
     "INSERT INTO Nowhere VALUES (@d)",
     "SELECT fno FROM Flights F, Flights F WHERE fno = @d",
+    "SELECT fno FROM Flights WHERE fno IN (SELECT fno FROM Airlines WHERE "
+    "airline = @d) AND fno IN (SELECT nosuch FROM Airlines) AND dest = @f",
+    "SELECT fno FROM Flights WHERE (fno, dest) IN (SELECT fno, @f FROM "
+    "Nowhere) OR dest = @d",
+    "UPDATE Flights SET nosuch = @d, dest = @f WHERE fno = 1",
+    "UPDATE Flights SET dest = @d + 1 WHERE fno = @f",
+    "UPDATE Nowhere SET dest = @d WHERE fno = @f",
+    "DELETE FROM Flights WHERE fno = @f AND dest = @d",
+    "DELETE FROM Nowhere WHERE fno = @f",
+    "SET @x = @d + @f",
+    "SET @x = 'a' + @f",
 ]
 
 

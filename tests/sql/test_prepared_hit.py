@@ -7,7 +7,9 @@ prepare every shape, then a second round with other literals runs with
 counting wrappers around every step a hit must skip.  It builds no token
 (``_scan`` is the only place tokens are made), parses nothing, binds no
 copy of a statement's tree, splits and re-keys no WHERE clause, resolves
-no SELECT against the catalog and unifies no entangled query.
+no SELECT against the catalog and unifies no entangled query.  The
+transfer and on-call shapes — UPDATE, DELETE, SET and an ``IN (SELECT
+...)`` among them — bind no copy of a statement's tree either.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from collections import Counter
 import pytest
 
 import repro
+from repro import ColumnType, TableSchema
 from repro.workloads import (
+    OnCallRoster,
     SocialNetwork,
     TravelDatabase,
     WorkloadKind,
@@ -100,8 +104,46 @@ def test_a_second_script_of_a_known_shape_skips_every_step(calls):
         _run(client, second)
         assert dict(calls) == {}
         # The control: the same scripts as new shapes take every step but
-        # the binding copy, which only UPDATE and DELETE still make.
+        # the binding copy, which no statement makes.
         _run(client, [text.replace("2 DAYS", "3 DAYS").replace("LIMIT 1", "LIMIT 2")
                       for text in first]
              + ["BEGIN TRANSACTION; UPDATE Reserve SET fid = 1 WHERE uid = -1; COMMIT;"])
-    assert set(calls) == {attr for _module, attr in SKIPPED}
+    assert set(calls) == {attr for _module, attr in SKIPPED} - {"inline_hostvars"}
+
+
+TRANSFER = """
+    BEGIN TRANSACTION;
+    SELECT balance AS @b FROM Accounts WHERE id={0};
+    UPDATE Accounts SET balance = balance + 1 WHERE id={1};
+    INSERT INTO Transfers (account, amount) VALUES ({1}, 1);
+    SET @left = @b - {2};
+    SELECT account FROM Transfers WHERE account IN
+        (SELECT id FROM Accounts WHERE id={1} AND balance > @left);
+    DELETE FROM Transfers WHERE account={0} AND amount > {2};
+    COMMIT;
+"""
+
+
+def test_a_second_transfer_and_oncall_script_bind_no_copy(calls):
+    """UPDATE, DELETE, SET and a classical ``IN (SELECT ...)`` execute
+    from their prepared forms: a second script of each shape reads its
+    values and builds no bound copy of a tree."""
+    roster = OnCallRoster(n_wards=2, doctors_per_ward=3, seed=4)
+    with repro.connect() as client:
+        client.create_table(TableSchema.build(
+            "Accounts", [("id", ColumnType.INTEGER), ("balance", ColumnType.FLOAT)],
+            primary_key=["id"]))
+        client.create_table(TableSchema.build(
+            "Transfers", [("account", ColumnType.INTEGER),
+                          ("amount", ColumnType.FLOAT)], indexes=[["account"]]))
+        client.load("Accounts", [(i, 100.0) for i in range(8)])
+        roster.install(client)
+        _run(client, [TRANSFER.format(1, 2, 5), roster.signoff_program(0, 1),
+                      roster.signon_program(2)])
+        calls.install()
+        _run(client, [TRANSFER.format(3, 4, 7), roster.signoff_program(1, 4),
+                      roster.signon_program(5)])
+    assert calls["inline_hostvars"] == 0
+    # The write path still splits an UPDATE's or DELETE's WHERE clause per
+    # execution, to choose the index its candidates come from.
+    assert set(calls) <= {"split_conjuncts"}

@@ -9,6 +9,14 @@ kinds plus ``Param``, ``IsNull``, ``InList``, ``Not``, ``InSelect`` and
 exception (type and message), and ``names`` must list the same names in
 the same order: the planner keys plans on it.
 
+The references predate one change: a ``Param`` is a value leaf below the
+SQL layer (a prepared statement's row predicate, residual predicate and
+grounding body read it from their execution's values), and the entangled
+residual walkers take a template, whose value leaves they keep.  So the
+storage walkers are compared with a ``Param`` standing in the reference's
+tree as a column neither binds, and the residual walkers over the
+template, then bound, against the reference over the bound tree.
+
 The second half pins the identity rule ``map`` declares: binding shares
 every subtree that holds no ``Param`` and no host variable, of every node
 kind, and a bound template statement shares those with its template.
@@ -37,7 +45,7 @@ from repro.sql.ast import (
 )
 from repro.sql.compiler import (
     _EntangledContext,
-    _bind_where,
+    _UnionFind,
     _qualify,
     _qualify_where,
     _rebind_subquery_columns,
@@ -168,16 +176,42 @@ def resolve_slot(name: str):
     return ("col", "F", bare)
 
 
-def entangled_context() -> _EntangledContext:
+def entangled_context(three=Const(3)) -> _EntangledContext:
     """Body atom ``F(x, y, uid, fno, dest)``; ``fno`` and ``dest`` are
-    outer names, ``dest`` unified with ``F.dest`` and ``y`` fixed to 3."""
-    ctx = _EntangledContext(DB, ENV)
+    outer names, ``dest`` unified with ``F.dest`` and ``y`` fixed to 3 —
+    by a template's value leaf, or for the reference by the value."""
+    ctx = _EntangledContext(DB, _UnionFind([]))
     ctx.body_atoms.append(
         ("F", "T", [("col", "F", c) for c in ("x", "y", "uid", "fno", "dest")]))
     ctx.uf.union(ctx.outer_slot("dest"), ("col", "F", "dest"))
     ctx.outer_slot("fno")
-    ctx.uf.bind_constant(("col", "F", "y"), 3)
+    ctx.uf.bind_constant(("col", "F", "y"), three)
     return ctx
+
+
+def params_as_columns(expr):
+    """``expr`` with each ``Param`` a column no walker binds."""
+    if type(expr) is Param:
+        return Col(f"?{expr.index}{'-' if expr.negate else ''}")
+    return expr.map(params_as_columns)
+
+
+def columns_as_params(expr):
+    """The inverse of :func:`params_as_columns`."""
+    if type(expr) is Col and expr.name.startswith("?"):
+        return Param(int(expr.name[1:].rstrip("-")), expr.name.endswith("-"))
+    return expr.map(columns_as_params)
+
+
+def bound(expr):
+    return inline_hostvars(expr, ENV, PARAMS)
+
+
+def template_then_bound(walk, expr):
+    """A walk over a template, then bound: binding's faults come first,
+    as a prepared statement's steps raise them before its preparation's."""
+    bound(expr)
+    return bound(walk(expr))
 
 
 # -- the differential --------------------------------------------------------------
@@ -186,25 +220,26 @@ def entangled_context() -> _EntangledContext:
 @settings(max_examples=300, deadline=None)
 @given(expr=walker_exprs())
 def test_walkers_match_their_references(expr):
+    hidden = params_as_columns(expr)
     bindings = {"x": 1, "@v": 2, "T.x": None}
     same(lambda: substitute(expr, bindings),
-         lambda: reference.substitute(expr, bindings))
+         lambda: columns_as_params(reference.substitute(hidden, bindings)))
 
     mapping = {"x": Col("_b0.x"), "fno": Col("_b1.fno"), "@v": Col("_b0.y")}
     same(lambda: _rewrite_vars(expr, mapping),
-         lambda: reference._rewrite_vars(expr, mapping))
+         lambda: columns_as_params(reference._rewrite_vars(hidden, mapping)))
 
     same(lambda: _qualify(expr, resolve_bare),
          lambda: reference._qualify(expr, resolve_bare))
     same(lambda: _qualify_where(expr, resolve_bare),
          lambda: reference._qualify_where(expr, resolve_bare))
-    same(lambda: _bind_where(expr, DB, ENV, PARAMS),
-         lambda: reference._bind_where(expr, DB, ENV, PARAMS))
 
-    same(lambda: _rebind_subquery_columns(expr, resolve_slot),
-         lambda: reference._rebind_subquery_columns(expr, resolve_slot))
-    same(lambda: _residual_to_vars(entangled_context(), expr),
-         lambda: reference._residual_to_vars(entangled_context(), expr))
+    same(lambda: template_then_bound(
+             lambda e: _rebind_subquery_columns(e, resolve_slot), expr),
+         lambda: reference._rebind_subquery_columns(bound(expr), resolve_slot))
+    same(lambda: template_then_bound(
+             lambda e: _residual_to_vars(entangled_context(), e), expr),
+         lambda: reference._residual_to_vars(entangled_context(3), bound(expr)))
 
     for env in (ENV, None):
         same(lambda: inline_hostvars(expr, env, PARAMS),
@@ -229,7 +264,6 @@ def test_names_lists_left_to_right_with_repeats():
 
 
 @pytest.mark.parametrize("node", [
-    Param(0),
     InSelect((Col("x"),), SelectStmt((SelectItem(Col("x")),), (TableSource("T"),))),
     InAnswer((Col("x"),), "R"),
 ])
@@ -246,6 +280,20 @@ def test_a_sql_node_below_the_sql_layer_is_a_typed_error(node):
         _rebind_subquery_columns(expr, resolve_slot)
     with pytest.raises(CompileError, match="residual predicate"):
         _residual_to_vars(entangled_context(), expr)
+
+
+@pytest.mark.parametrize("leaf", [Param(0), Param(1, True), Col("@v")])
+def test_a_value_leaf_below_the_sql_layer_stays_as_it_is(leaf):
+    """A parameter or host variable is read from its execution's values
+    wherever a template's expression goes: every walker keeps it."""
+    expr = Not(Cmp(CmpOp.EQ, Col("fno"), leaf))
+    assert substitute(expr, {"fno": 1}) == Not(Cmp(CmpOp.EQ, Const(1), leaf))
+    assert _rewrite_vars(expr, {"fno": Col("_b0.fno")}) == (
+        Not(Cmp(CmpOp.EQ, Col("_b0.fno"), leaf)))
+    assert _rebind_subquery_columns(expr, resolve_slot) == (
+        Not(Cmp(CmpOp.EQ, Col("F_fno"), leaf)))
+    assert _residual_to_vars(entangled_context(), expr) == (
+        Not(Cmp(CmpOp.EQ, Col("fno"), leaf)))
 
 
 def test_walking_leaves_no_garbage_cycles():
@@ -266,7 +314,6 @@ def test_walking_leaves_no_garbage_cycles():
             plain.columns()
             _qualify(sql, resolve_bare)
             _qualify_where(sql, resolve_bare)
-            _bind_where(sql, DB, ENV, PARAMS)
             substitute(plain, {"fno": 3})
             _rewrite_vars(plain, {"fno": Col("_b0.fno")})
             _rebind_subquery_columns(plain, resolve_slot)
