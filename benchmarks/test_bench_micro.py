@@ -390,7 +390,7 @@ def test_bind_transfer_statements(benchmark):
     """Binding alone: the three statements of a cached transfer template
     compiled with one script's parameters.  Each runs from its prepared
     form, so this is reading the values each statement's leaves read
-    plus the compiled records it fills."""
+    plus the compiled records it fills, and the UPDATE's index key."""
     from repro.sql.compiler import compile_insert, compile_select, compile_update
 
     db = Database("bind")
@@ -414,6 +414,7 @@ def test_bind_transfer_statements(benchmark):
     assert selected.values == {0: 17}
     assert str(updated.predicate.where) == "(id = ?2)"
     assert updated.predicate.values == {1: 1, 2: 4000}
+    assert updated.predicate.key == (("id",), (4000,), True)
     assert inserted.values == (4000, 1)
 
 

@@ -319,12 +319,12 @@ class EntangledTransactionEngine:
         self.store.commit(system)
 
     def _delete_pool_row(self, storage_txn: int, handle: int) -> None:
+        # Keyed by the primary key: row and key locks, no table X.
         where = Cmp(CmpOp.EQ, Col("handle"), Const(handle))
         columns = self.store.db.table(self.POOL_TABLE).schema.column_names
         self.store.delete_where(
-            storage_txn, self.POOL_TABLE, RowPredicate(columns, where),
-            where=where,
-        )
+            storage_txn, self.POOL_TABLE,
+            RowPredicate(columns, where, key=(("handle",), (handle,), True)))
 
     # -- submission --------------------------------------------------------------------
 

@@ -151,44 +151,44 @@ def execute_statement(
     params = txn.program.params
     if isinstance(stmt, RollbackStmt):
         raise TransactionAborted("explicit ROLLBACK", reason="rollback")
-    if isinstance(stmt, SelectStmt):
-        compiled = compile_select(stmt, store.db, txn.env, params)
-        values = compiled.values
-        # Each IN (SELECT ...) is a read of this transaction like any
-        # other; the outer query tests the rows it leaves in ``values``.
-        for key, subquery in compiled.subqueries:
-            values[key] = store.query(
-                txn.storage_txn, subquery.query, values, subquery)
-        rows = store.query(
-            txn.storage_txn, compiled.query, values, compiled.bound)
-        first = rows[0] if rows else None
-        for var, index in compiled.bindings:
-            txn.env[var] = None if first is None else first[index]
-        return rows
     if isinstance(stmt, InsertStmt):
         compiled = compile_insert(stmt, store.db, txn.env, params)
         store.insert(txn.storage_txn, compiled.table, list(compiled.values))
         return []
-    if isinstance(stmt, UpdateStmt):
-        compiled = compile_update(stmt, store.db, txn.env, params)
-        # The statement as data: picklable, so a sharded store can hand
-        # it to each target shard whole.
-        predicate = compiled.predicate
-        store.update_where(
-            txn.storage_txn, compiled.table, predicate, compiled.assignments,
-            where=predicate.where, values=predicate.values)
-        return []
-    if isinstance(stmt, DeleteStmt):
-        compiled = compile_delete(stmt, store.db, txn.env, params)
-        predicate = compiled.predicate
-        store.delete_where(
-            txn.storage_txn, compiled.table, predicate,
-            where=predicate.where, values=predicate.values)
-        return []
     if isinstance(stmt, SetStmt):
         txn.env[f"@{stmt.var}"] = compile_set(stmt, store.db, txn.env, params)
         return []
-    raise EngineError(f"unsupported statement type {type(stmt).__name__}")
+    if isinstance(stmt, SelectStmt):
+        compiled = compile_select(stmt, store.db, txn.env, params)
+        values = compiled.values
+    elif isinstance(stmt, UpdateStmt):
+        compiled = compile_update(stmt, store.db, txn.env, params)
+        values = compiled.predicate.values
+    elif isinstance(stmt, DeleteStmt):
+        compiled = compile_delete(stmt, store.db, txn.env, params)
+        values = compiled.predicate.values
+    else:
+        raise EngineError(f"unsupported statement type {type(stmt).__name__}")
+    # Each IN (SELECT ...) is a read of this transaction like any other,
+    # run before its statement, which tests the rows it leaves in
+    # ``values``.
+    for key, subquery in compiled.subqueries:
+        values[key] = store.query(
+            txn.storage_txn, subquery.query, values, subquery)
+    if isinstance(stmt, UpdateStmt):
+        # The statement as data, its key bound: picklable, so a sharded
+        # store can hand it to each target shard whole.
+        store.update_where(txn.storage_txn, compiled.table,
+                           compiled.predicate, compiled.assignments)
+        return []
+    if isinstance(stmt, DeleteStmt):
+        store.delete_where(txn.storage_txn, compiled.table, compiled.predicate)
+        return []
+    rows = store.query(txn.storage_txn, compiled.query, values, compiled.bound)
+    first = rows[0] if rows else None
+    for var, index in compiled.bindings:
+        txn.env[var] = None if first is None else first[index]
+    return rows
 
 
 def deliver_answer(txn: EntangledTransaction, answer: QueryAnswer | None) -> None:

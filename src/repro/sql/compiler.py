@@ -28,7 +28,12 @@ hands them on beside the form, whose leaves read them there:
   store their template WHERE clause and SET list, at the column positions
   the form holds, as a :class:`~repro.storage.expressions.RowPredicate`
   and :class:`~repro.storage.expressions.RowAssignments` that carry the
-  values.  **SET** evaluates its expression over them.
+  values.  The form plans the WHERE clause once as a single-table query
+  (its ``IN (SELECT ...)`` prepared as a SELECT's, and run the same way,
+  before the write); each execution binds the index key its candidates
+  come from with the planner's chooser, the one a read of that WHERE
+  clause would probe, into ``RowPredicate.key``.  **SET** evaluates its
+  expression over them.
 
 * **Entangled SELECT statements** compile into the intermediate
   representation ``{C} H <- B`` of Appendix A.  The translation follows
@@ -100,7 +105,7 @@ from repro.storage.expressions import (
     conjoin,
     split_conjuncts,
 )
-from repro.storage.planner import BoundQuery
+from repro.storage.planner import DEFAULT_HINTS, BoundQuery
 from repro.storage.query import SPJQuery, TableRef
 from repro.storage.types import SQLValue
 
@@ -872,12 +877,16 @@ def _prepare_insert(
 
 class CompiledUpdate(NamedTuple):
     """An UPDATE as the store's ``update_where`` takes it: the rows it
-    changes and their new values, as data whose ``Param`` and ``@var``
-    leaves read the execution's values, which both carry."""
+    changes, keyed, and their new values, as data whose ``Param`` and
+    ``@var`` leaves read the execution's values, which both carry.
+    ``subqueries`` are its ``IN (SELECT ...)`` subqueries, as a
+    :class:`CompiledSelect`'s: each one's rows go into those values
+    under its key, all before the write."""
 
     table: str
     predicate: RowPredicate
     assignments: RowAssignments
+    subqueries: tuple[tuple[str, BoundQuery], ...]
 
 
 class CompiledDelete(NamedTuple):
@@ -886,15 +895,20 @@ class CompiledDelete(NamedTuple):
 
     table: str
     predicate: RowPredicate
+    subqueries: tuple[tuple[str, BoundQuery], ...]
 
 
 class _PreparedWrite(NamedTuple):
     """An UPDATE's or DELETE's prepared form: the table's column names,
-    the SET list as ``(column position, expression)`` pairs, and the
-    inputs its leaves read."""
+    the SET list as ``(column position, expression)`` pairs, the WHERE
+    clause as a single-table query planned once (``bound.query.where``,
+    its ``IN (SELECT ...)`` tests prepared as a SELECT's), those
+    subqueries, and the inputs its leaves read."""
 
     columns: tuple[str, ...]
     assignments: tuple[tuple[int, Expr], ...]
+    bound: BoundQuery
+    subqueries: tuple[tuple[str, BoundQuery], ...]
     inputs: tuple
 
 
@@ -904,16 +918,28 @@ def compile_update(
     form = _prepared(stmt, db, _prepare_write, env, params)
     values = _run(form.inputs, env, params, {})
     return CompiledUpdate(
-        stmt.table, RowPredicate(form.columns, stmt.where, values),
-        RowAssignments(form.columns, form.assignments, values))
+        stmt.table, _keyed(form, db, values),
+        RowAssignments(form.columns, form.assignments, values),
+        form.subqueries)
 
 
 def compile_delete(
     stmt: DeleteStmt, db: Database, env: Env, params: Params = ()
 ) -> CompiledDelete:
     form = _prepared(stmt, db, _prepare_write, env, params)
-    return CompiledDelete(stmt.table, RowPredicate(
-        form.columns, stmt.where, _run(form.inputs, env, params, {})))
+    return CompiledDelete(
+        stmt.table, _keyed(form, db, _run(form.inputs, env, params, {})),
+        form.subqueries)
+
+
+def _keyed(form: _PreparedWrite, db: Database, values: dict) -> RowPredicate:
+    """The write's WHERE clause over ``values``, keyed by the probe its
+    plan's one level chooses under them, as a read of it would."""
+    bound = form.bound
+    table = db.table(bound.query.tables[0].name)
+    _plan, (level,) = bound.plan([table], values, DEFAULT_HINTS, db.plans)
+    key, _bound_by = level.equality_key(values, table)
+    return RowPredicate(form.columns, bound.query.where, values, key)
 
 
 def _prepare_write(
@@ -923,10 +949,14 @@ def _prepare_write(
     assignments = stmt.assignments if type(stmt) is UpdateStmt else ()
     for _column, expr in assignments:
         _inputs(expr, steps)
-    _inputs(stmt.where, steps)
+    where, subqueries = stmt.where, []
+    if where is not None:
+        where = _prepare_where(where, db, steps, subqueries)
     positions = tuple(
         (schema.column_index(column), expr) for column, expr in assignments)
-    return _PreparedWrite(schema.column_names, positions, _distinct(steps))
+    query = SPJQuery((TableRef(stmt.table),), (), (), where)
+    return _PreparedWrite(schema.column_names, positions, BoundQuery(query),
+                          tuple(subqueries), _distinct(steps))
 
 
 def compile_set(

@@ -136,7 +136,6 @@ from repro.storage.query import (
     ReadAccess,
     SPJQuery,
     TableRef,
-    equality_bindings,
     evaluate,
     evaluate_single,
 )
@@ -215,7 +214,6 @@ __all__ = [
     "build_storage_engine",
     "coerce",
     "conjoin",
-    "equality_bindings",
     "evaluate",
     "index_key_resource",
     "evaluate_single",

@@ -59,12 +59,12 @@ import enum
 import functools
 from itertools import repeat
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.analysis.latch import Latch
 from repro.errors import StorageError, WriteConflictError
 from repro.storage.catalog import Database
-from repro.storage.expressions import Expr
+from repro.storage.expressions import RowAssignments, RowPredicate
 from repro.storage.oracle import TimestampOracle
 from repro.storage.locks import (
     LockManager,
@@ -77,8 +77,6 @@ from repro.storage.query import (
     AccessKind,
     ReadAccess,
     Reads,
-    equality_bindings,
-    index_path_for,
 )
 from repro.storage.recovery import RecoveryReport, replay_log
 from repro.storage.row import Row, RowId, ValueTuple, row_id
@@ -1150,119 +1148,99 @@ class StorageEngine(StoreBase):
         self,
         txn: int,
         table_name: str,
-        predicate: Callable[[Row], bool],
-        new_values: Callable[[Row], Sequence[Any]],
-        where: "Expr | None" = None,
-        values: "Mapping | None" = None,
+        predicate: RowPredicate,
+        new_values: RowAssignments,
     ) -> list[tuple[Row, Row]]:
         """Update all rows matching ``predicate``; returns the
         ``(old, new)`` row pairs it changed.
 
         One call is the whole statement — candidate probe and locks,
         first-updater-wins check, update — so a shard router can ship it
-        to a shard as one frame.  ``where`` optionally carries the
-        compiled WHERE expression the ``predicate`` was built from, and
-        ``values`` what its ``Param`` and ``@var`` leaves read; when its
-        equality conjuncts cover an index, candidate rows come from that
-        index under IX-table + key X locks instead of a table X lock.
+        to a shard as one frame.  When ``predicate.key`` names an index
+        probe, candidate rows come from it under IX-table + key X locks
+        instead of a table X lock.
         """
         return [
             self.update(txn, table_name, row.rid, list(new_values(row)))
-            for row in self._write_candidates(txn, table_name, where, values)
+            for row in self._write_candidates(txn, table_name, predicate)
             if predicate(row)
         ]
 
     @_locked
     def delete_where(
-        self,
-        txn: int,
-        table_name: str,
-        predicate: Callable[[Row], bool],
-        where: "Expr | None" = None,
-        values: "Mapping | None" = None,
+        self, txn: int, table_name: str, predicate: RowPredicate
     ) -> list[Row]:
         """Delete all rows matching ``predicate``; returns the rows
-        removed.  ``where`` and ``values`` enable the same index pushdown
-        as :meth:`update_where`."""
+        removed.  Candidates and locks as :meth:`update_where`."""
         return [
             self.delete(txn, table_name, row.rid)
-            for row in self._write_candidates(txn, table_name, where, values)
+            for row in self._write_candidates(txn, table_name, predicate)
             if predicate(row)
         ]
 
     def _write_candidates(
-        self, txn: int, table_name: str, where: "Expr | None",
-        values: "Mapping | None" = None,
+        self, txn: int, table_name: str, predicate: RowPredicate
     ) -> list[Row]:
         """Candidate rows for a predicate write, with the right locks.
 
-        When the predicate pins an index key, take IX on the table, X on
-        that key — the key X keeps the candidate set stable (no insert or
-        update can add a matching row while we hold it) and conflicts
-        with keyed readers — and X on every candidate row *before* the
-        caller evaluates its predicate, so the match decision never reads
-        another transaction's uncommitted values.  Otherwise fall back to
-        the table X lock.
+        When the predicate is keyed (``predicate.key``), take IX on the
+        table, X on that key — the key X keeps the candidate set stable
+        (no insert or update can add a matching row while we hold it) and
+        conflicts with keyed readers — and X on every candidate row
+        *before* the caller evaluates its predicate, so the match
+        decision never reads another transaction's uncommitted values.
+        Otherwise fall back to the table X lock.
 
         SNAPSHOT transactions choose their targets on the *snapshot*
         instead (SI semantics): the rows the snapshot saw, located
-        through the snapshot view.  A target a later transaction already
-        changed or deleted is not silently skipped — it reaches
-        ``update``/``delete``, whose first-updater-wins check raises
-        :class:`WriteConflictError`.  No key locks are needed: rows
-        inserted after the snapshot are rightly invisible to the write,
-        and the candidate set cannot shift mid-statement in the
-        cooperative single-threaded engine.
+        through the snapshot view by the same probe.  A target a later
+        transaction already changed or deleted is not silently skipped —
+        it reaches ``update``/``delete``, whose first-updater-wins check
+        raises :class:`WriteConflictError`.  No key locks are needed:
+        rows inserted after the snapshot are rightly invisible to the
+        write, and the candidate set cannot shift mid-statement in the
+        cooperative single-threaded engine.  The probe (even a miss) and
+        the rows it produces are snapshot reads that pick the write's
+        targets: they enter the SSI read set like any other access path.
 
         Nothing is written here: a router whose statement spans shards
         calls this on each before any of them writes.
         """
         table = self.db.table(table_name)
         ctx = self._context(txn)
-        if ctx.isolation.uses_snapshot:
+        path = predicate.key
+        snapshot = ctx.isolation.uses_snapshot
+        if snapshot:
             self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
-            view = self.snapshot_provider(txn).table(table_name)
-            bindings = equality_bindings(where, table, values)
-            path = index_path_for(table, bindings)
-            if path is not None:
-                cols, key, is_pk = path
-                # The probe (even a miss) and the produced rows are
-                # snapshot reads that pick the write's targets: they
-                # enter the SSI read set like any other access path.
-                self._ssi_observe_read(
-                    txn,
-                    ReadAccess.index_key(table_name, cols, key),
-                )
-                if is_pk:
-                    row = view.lookup_pk(key)
-                    rows = [row] if row is not None else []
-                else:
-                    rows = view.lookup_index(cols, key)
+            source = self.snapshot_provider(txn).table(table_name)
+            self._ssi_observe_read(txn, (
+                ReadAccess.scan(table_name) if path is None
+                else ReadAccess.index_key(table_name, path[0], path[1])))
+        elif (path is not None and self.locking
+              and self.granularity is LockGranularity.FINE):
+            self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
+            # X, not an inserter's IX: it also excludes concurrent
+            # inserters of the key, so the candidate set stays stable.
+            self._lock(
+                txn, index_key_resource(table_name, path[0], path[1]),
+                LockMode.EXCLUSIVE)
+            source = table
+        else:
+            self._lock(txn, table_resource(table_name), LockMode.EXCLUSIVE)
+            return list(table.scan())
+        if path is None:
+            rows = list(source.scan())
+        else:
+            cols, key, is_pk = path
+            if is_pk:
+                row = source.lookup_pk(key)
+                rows = [row] if row is not None else []
             else:
-                self._ssi_observe_read(txn, ReadAccess.scan(table_name))
-                rows = list(view.scan())
+                rows = list(source.lookup_index(cols, key))
+        if snapshot:
             for row in rows:
                 self._ssi_observe_read(txn, ReadAccess.row(table_name, row.rid))
-            return self._lock_candidate_rows(txn, table_name, rows)
-        if self.locking and self.granularity is LockGranularity.FINE and where is not None:
-            path = index_path_for(table, equality_bindings(where, table, values))
-            if path is not None:
-                cols, key, is_pk = path
-                self._lock_intent(
-                    ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
-                # X, not an inserter's IX: it also excludes concurrent
-                # inserters of the key, so the candidate set stays stable.
-                self._lock(
-                    txn, index_key_resource(table_name, cols, key),
-                    LockMode.EXCLUSIVE)
-                if is_pk:
-                    row = table.lookup_pk(key)
-                    rows = [row] if row is not None else []
-                else:
-                    rows = list(table.lookup_index(cols, key))
-                return self._lock_candidate_rows(txn, table_name, rows)
-        self._lock(txn, table_resource(table_name), LockMode.EXCLUSIVE)
-        return list(table.scan())
+        return self._lock_candidate_rows(txn, table_name, rows)
 
     #: the statement's lock-and-probe half alone, as a shard verb.
     lock_write_candidates = _locked(_write_candidates)

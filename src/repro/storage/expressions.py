@@ -440,13 +440,20 @@ def _row_env(columns, row, values) -> dict:
 class RowPredicate:
     """A row predicate as data: ``where`` over a table's bare column
     names, whose ``Param`` and ``@var`` leaves read ``values`` (a
-    prepared statement's, beside its template).  Callable like the
-    closure it replaces, and picklable, so a predicate write can cross
-    to a shard worker as one frame."""
+    prepared statement's, beside its template).  Callable, and
+    picklable, so a predicate write can cross to a shard worker as one
+    frame.
+
+    ``key`` is the index probe the write's candidates come from,
+    ``(index columns, key, is_pk)``, bound once by the compiler with the
+    planner's chooser (``_JoinLevel.equality_key``); None means every
+    row is a candidate.  The store and the sharded router read it and
+    derive nothing from ``where``."""
 
     columns: tuple[str, ...]
     where: Expr | None
     values: Mapping | None = None
+    key: tuple | None = None
 
     def __call__(self, row) -> bool:
         return is_satisfied(self.where, _row_env(self.columns, row, self.values))

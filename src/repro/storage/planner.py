@@ -42,10 +42,11 @@ columns.
   other query is split, keyed and bound per execution.
 
 * **Decided per outer row** (:meth:`_JoinLevel.access`): only what
-  depends on values or sizes.  The probe key is evaluated; when a
-  component is NULL — ``col = NULL`` admits no row, so that column
-  cannot key a probe — the level asks :func:`index_path_for` what the
-  remaining bindings still cover.  Range bounds are evaluated, the
+  depends on values or sizes.  The probe key is evaluated
+  (:meth:`_JoinLevel.equality_key`, which binds an UPDATE's or DELETE's
+  key too); when a component is NULL — ``col = NULL`` admits no row, so
+  that column cannot key a probe — the level asks :func:`index_path_for`
+  what the remaining bindings still cover.  Range bounds are evaluated, the
   tightest kept, and costed by the classical selectivity guesses —
   two-sided range ~ n/8, one-sided ~ n/3, scan = n — so a range path is
   taken only over a table of more than one row.  With the path goes
@@ -526,30 +527,10 @@ class _JoinLevel:
             return self._ordered(cols[0], lo, hi, reverse, consumed)
 
         if self.eq:
-            bindings: dict = {}
-            bound_by: dict = {}
-            for index, group in self.eq:
-                for column, other in group:
-                    if column in bindings:
-                        continue
-                    value = other.eval(env)
-                    if value is not None:
-                        bindings[column] = value
-                        bound_by[column] = index
-                        break
-            if len(bindings) == shape.eq_columns:
-                if shape.point is not None:
-                    cols, is_pk = shape.point
-                    return self._probe(
-                        cols, tuple([bindings[c] for c in cols]), is_pk,
-                        bound_by)
-            else:
-                # A NULL never keys a probe (``col = NULL`` admits no
-                # row): probe what the remaining bindings still cover.
-                path = index_path_for(table, bindings)
-                if path is not None:
-                    cols, key, is_pk = path
-                    return self._probe(cols, key, is_pk, bound_by)
+            path, bound_by = self.equality_key(env, table)
+            if path is not None:
+                cols, key, is_pk = path
+                return self._probe(cols, key, is_pk, bound_by)
 
         if self.ranges:
             bounds, consumed = self._bounds(env)
@@ -565,6 +546,35 @@ class _JoinLevel:
                     return self._ordered(column, lo, hi, False, consumed)
 
         return shape.scan, self.checks
+
+    def equality_key(self, env: dict, table) -> tuple:
+        """``(path, bound_by)``: the point probe the equality recipes
+        admit under ``env`` — ``(index columns, key, is_pk)``, or None —
+        and per bound column the conjunct that bound it.  Each conjunct
+        binds with its first orientation whose value is non-NULL; the
+        probe is the primary key, else the widest covered index.  The one
+        key chooser of reads and of UPDATE/DELETE
+        (:func:`repro.sql.compiler.compile_update`)."""
+        bindings: dict = {}
+        bound_by: dict = {}
+        for index, group in self.eq:
+            for column, other in group:
+                if column in bindings:
+                    continue
+                value = other.eval(env)
+                if value is not None:
+                    bindings[column] = value
+                    bound_by[column] = index
+                    break
+        if len(bindings) == self.shape.eq_columns:
+            point = self.shape.point
+            if point is None:
+                return None, bound_by
+            cols, is_pk = point
+            return (cols, tuple([bindings[c] for c in cols]), is_pk), bound_by
+        # A NULL never keys a probe (``col = NULL`` admits no row): probe
+        # what the remaining bindings still cover.
+        return index_path_for(table, bindings), bound_by
 
     def _probe(self, cols, key, is_pk, bound_by: dict):
         """``(operator, checks)`` for the point probe of ``key``: every

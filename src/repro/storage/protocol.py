@@ -43,14 +43,14 @@ a remote shard.
 from __future__ import annotations
 
 from typing import (
-    TYPE_CHECKING, Any, Callable, ContextManager, Iterable, Protocol,
+    TYPE_CHECKING, Any, ContextManager, Iterable, Protocol,
     Mapping, Sequence, runtime_checkable,
 )
 
 if TYPE_CHECKING:
     from repro.storage.engine import TxnIsolation
     from repro.storage.query import SPJQuery
-    from repro.storage.expressions import Expr
+    from repro.storage.expressions import RowAssignments, RowPredicate
     from repro.storage.oracle import TimestampOracle
     from repro.storage.query import ReadAccess, Reads
     from repro.storage.recovery import RecoveryReport
@@ -165,24 +165,21 @@ class ShardEngine(Protocol):
     def delete(self, txn: int, table_name: str, rid: int) -> Row: ...
 
     def update_where(
-        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
-        new_values: Callable[[Row], Sequence], where: Expr | None = None,
-        values: Mapping | None = None,
+        self, txn: int, table_name: str, predicate: RowPredicate,
+        new_values: RowAssignments,
     ) -> list[tuple[Row, Row]]:
-        """The whole statement on this shard: probe, locks,
-        first-updater-wins check, writes (``values``: what the leaves of
-        ``where`` read)."""
+        """The whole statement on this shard: the probe of
+        ``predicate.key`` (None: a scan), locks, first-updater-wins
+        check, writes."""
 
     def delete_where(
-        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
-        where: Expr | None = None, values: Mapping | None = None,
+        self, txn: int, table_name: str, predicate: RowPredicate
     ) -> list[Row]: ...
 
     # -- locks -------------------------------------------------------------------------
 
     def lock_write_candidates(
-        self, txn: int, table_name: str, where: Expr | None,
-        values: Mapping | None = None,
+        self, txn: int, table_name: str, predicate: RowPredicate
     ) -> list[Row]:
         """A predicate write's probe and locks alone, nothing written."""
 
@@ -298,15 +295,19 @@ class Store(Protocol):
     def delete(self, txn: int, table_name: str, rid: int) -> Row: ...
 
     def update_where(
-        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
-        new_values: Callable[[Row], Sequence], *, where: Expr | None = None,
-        values: Mapping | None = None,
-    ) -> list[tuple[Row, Row]]: ...
+        self, txn: int, table_name: str, predicate: RowPredicate,
+        new_values: RowAssignments,
+    ) -> list[tuple[Row, Row]]:
+        """``UPDATE ... SET ... WHERE``: the statement as data, its
+        candidates the probe of ``predicate.key`` (bound by the
+        compiler; None: every row); returns the ``(old, new)`` pairs it
+        changed."""
 
     def delete_where(
-        self, txn: int, table_name: str, predicate: Callable[[Row], bool],
-        *, where: Expr | None = None, values: Mapping | None = None,
-    ) -> list[Row]: ...
+        self, txn: int, table_name: str, predicate: RowPredicate
+    ) -> list[Row]:
+        """``DELETE ... WHERE``, keyed as :meth:`update_where`; returns
+        the rows removed."""
 
     # -- entangled evaluation and the schedule recorder ------------------------------
 

@@ -31,8 +31,8 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
-from repro.errors import CompileError, UnknownColumnError
-from repro.storage.expressions import Cmp, CmpOp, Col, Expr, split_conjuncts
+from repro.errors import CompileError
+from repro.storage.expressions import Col, Expr
 from repro.storage.protocol import TableView
 from repro.storage.table import Table
 from repro.storage.types import SQLValue
@@ -338,40 +338,6 @@ def _tell_rows(observer, table: str, rids, path) -> None:
             observer(ReadAccess.row(table, rid))
 
 
-def _constant_eq_conjuncts(
-    conjuncts: Sequence[Expr],
-    ref: TableRef,
-    table: Table,
-    outer: Mapping[str, "SQLValue | None"],
-) -> tuple[dict[str, "SQLValue | None"], list[Expr]]:
-    """Split conjuncts into index-usable ``col = const`` bindings vs. rest.
-
-    A conjunct is index-usable for ``ref`` when it is an equality between a
-    column of ``ref`` and an expression fully evaluable from ``outer``
-    (constants, host variables, columns of earlier tables).
-    """
-    bindings: dict[str, "SQLValue | None"] = {}
-    residual: list[Expr] = []
-    for conj in conjuncts:
-        usable = False
-        if isinstance(conj, Cmp) and conj.op is CmpOp.EQ:
-            for col_side, other in ((conj.left, conj.right), (conj.right, conj.left)):
-                column = _own_column(col_side, ref, table)
-                if column is None:
-                    continue
-                try:
-                    value = other.eval(outer)
-                except UnknownColumnError:
-                    continue
-                if value is not None and column not in bindings:
-                    bindings[column] = value
-                    usable = True
-                    break
-        if not usable:
-            residual.append(conj)
-    return bindings, residual
-
-
 def _own_column(expr: Expr, ref: TableRef, table: Table) -> str | None:
     """Return the bare column name when ``expr`` names a column of ``ref``."""
     if not isinstance(expr, Col):
@@ -396,10 +362,12 @@ def index_path_for(
     ``(a, b)`` are a subset of those matching ``(a)``, so the wider probe
     fetches — and locks — no row the narrower one would not, and writers
     lock every index key a row carries, so the phantom guard is the same
-    on either key.  Shared by the read path (:func:`evaluate`) and the
-    predicate-write path (``StorageEngine.update_where``/``delete_where``,
-    the sharded router's target choice) so all always choose — and lock —
-    the same access path.
+    on either key.  The planner asks it once per shape for the index
+    its equality recipes cover, and again when a NULL leaves fewer
+    bindings (:meth:`~repro.storage.planner._JoinLevel.equality_key`);
+    that one chooser keys reads and, through the ``RowPredicate.key`` the
+    compiler binds, UPDATE and DELETE, so all choose — and lock — the
+    same access path.
     """
     if not bindings:
         return None
@@ -451,28 +419,6 @@ def evaluate(
     return _plan_execute(
         query, tables, dict(params or {}), Reads.of(read_observer), hints,
         provider.plans, bound)
-
-
-def equality_bindings(
-    where: Expr | None,
-    table: Table,
-    params: Mapping[str, "SQLValue | None"] | None = None,
-) -> dict[str, "SQLValue | None"]:
-    """Extract ``column = constant`` bindings from a predicate over ``table``.
-
-    The write path (``UPDATE``/``DELETE`` with a WHERE clause) uses this to
-    choose an index access path and lock rows + index keys instead of the
-    whole table; ``params`` are the values a prepared statement's
-    ``Param`` and ``@var`` leaves read.  Only top-level conjuncts count; anything under OR/NOT is
-    ignored, which keeps the result sound (a subset of the true bindings).
-    """
-    if where is None:
-        return {}
-    ref = TableRef(table.name)
-    bindings, _ = _constant_eq_conjuncts(
-        split_conjuncts(where), ref, table, dict(params or {})
-    )
-    return bindings
 
 
 def evaluate_single(

@@ -82,7 +82,7 @@ import heapq
 import itertools
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.latch import Latch, allow_blocking
 from repro.errors import (
@@ -102,12 +102,10 @@ from repro.storage.engine import (
     ssi_batch_items,
     ssi_read_items,
 )
-from repro.storage.expressions import Expr
+from repro.storage.expressions import RowAssignments, RowPredicate
 from repro.storage.query import (
     ReadAccess,
     AccessKind,
-    equality_bindings,
-    index_path_for,
 )
 from repro.storage.protocol import ShardEngine, TableView
 from repro.storage.recovery import RecoveryReport
@@ -1156,75 +1154,61 @@ class ShardedStorageEngine(StoreBase):
         self,
         txn: int,
         table_name: str,
-        predicate: Callable[[Row], bool],
-        new_values: Callable[[Row], Sequence[Any]],
-        *,
-        where: "Expr | None" = None,
-        values: "Mapping | None" = None,
+        predicate: RowPredicate,
+        new_values: RowAssignments,
     ) -> list[tuple[Row, Row]]:
         """Route the statement to its target shards; each applies it
         whole through its own ``update_where`` (one frame when the shard
-        is remote).  Only assignments that may move a row's routing key
-        — a primary-key column, or an opaque callable — run row at a
-        time through :meth:`update`, which migrates across shards."""
+        is remote).  Only assignments to a primary-key column, which may
+        move a row's routing key, run row at a time through
+        :meth:`update`, which migrates across shards."""
         ctx = self._context(txn)
-        targets = self._write_targets(ctx, table_name, where, values)
+        targets = self._write_targets(ctx, table_name, predicate)
         pk = self.shards[0].db.table(table_name).schema.primary_key
-        assigned = getattr(new_values, "assigned_columns", None)
-        if assigned is None or assigned() & set(pk):
-            rows = self._lock_candidates(txn, table_name, where, values, targets)
+        if new_values.assigned_columns() & set(pk):
+            rows = self._lock_candidates(txn, table_name, predicate, targets)
             rows.sort(key=lambda r: r.rid)
             return [
                 self.update(txn, table_name, row.rid, list(new_values(row)))
                 for row in rows if predicate(row)
             ]
         if len(targets) > 1:
-            self._lock_candidates(txn, table_name, where, values, targets)
+            self._lock_candidates(txn, table_name, predicate, targets)
         changed: list[tuple[Row, Row]] = []
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
             for old, new in shard.update_where(
-                txn, table_name, predicate, new_values, where, values
-            ):
+                    txn, table_name, predicate, new_values):
                 self._record_write(ctx, shard_idx, table_name)
                 self._notify(txn, "write", table_name)
                 changed.append((old, new))
         return changed
 
     def delete_where(
-        self,
-        txn: int,
-        table_name: str,
-        predicate: Callable[[Row], bool],
-        *,
-        where: "Expr | None" = None,
-        values: "Mapping | None" = None,
+        self, txn: int, table_name: str, predicate: RowPredicate
     ) -> list[Row]:
         ctx = self._context(txn)
-        targets = self._write_targets(ctx, table_name, where, values)
+        targets = self._write_targets(ctx, table_name, predicate)
         if len(targets) > 1:
-            self._lock_candidates(txn, table_name, where, values, targets)
+            self._lock_candidates(txn, table_name, predicate, targets)
         removed: list[Row] = []
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
-            for old in shard.delete_where(
-                    txn, table_name, predicate, where, values):
+            for old in shard.delete_where(txn, table_name, predicate):
                 self._record_write(ctx, shard_idx, table_name)
                 self._notify(txn, "write", table_name)
                 removed.append(old)
         return removed
 
     def _write_targets(
-        self, ctx: ShardedTxnContext, table_name: str, where: "Expr | None",
-        values: "Mapping | None",
+        self, ctx: ShardedTxnContext, table_name: str, predicate: RowPredicate
     ) -> list[int]:
         """The shards a predicate write must visit: the key's home shard
-        when ``where`` pins the primary key (and the shards will take the
-        index path), else all of them.  Snapshot writers' target probe
-        enters the global SSI read set here; the shards' own trackers
-        are off."""
-        table = self.shards[0].db.table(table_name)
-        path = index_path_for(table, equality_bindings(where, table, values))
+        when ``predicate.key`` is the primary key (and the shards will
+        take the index path), else all of them.  Snapshot writers'
+        target probe enters the global SSI read set here; the shards' own
+        trackers are off."""
+        path = predicate.key
         snapshot = ctx.isolation.uses_snapshot
         if snapshot:
             self.ssi.record_read(ctx.txn_id, ssi_read_items(
@@ -1239,8 +1223,8 @@ class ShardedStorageEngine(StoreBase):
         return list(range(self.n_shards))
 
     def _lock_candidates(
-        self, txn: int, table_name: str, where: "Expr | None",
-        values: "Mapping | None", targets: list[int],
+        self, txn: int, table_name: str, predicate: RowPredicate,
+        targets: list[int],
     ) -> list[Row]:
         """Lock (and fetch) the statement's candidate rows on every
         target before any of them writes, so a WouldBlock on a later
@@ -1250,7 +1234,7 @@ class ShardedStorageEngine(StoreBase):
         for shard_idx in targets:
             shard = self._ensure_shard_txn(txn, shard_idx)
             rows.extend(
-                shard.lock_write_candidates(txn, table_name, where, values))
+                shard.lock_write_candidates(txn, table_name, predicate))
         return rows
 
     # -- distributed deadlock detection ----------------------------------------------

@@ -21,8 +21,11 @@ One frame is one *step of the protocol* — a statement on this shard, a
 commit, a flush — not one line of the coordinator's implementation of
 it: ``update_where``/``delete_where`` fuse IX + candidate probe at the
 shard's ``read_ts`` + row X locks + first-updater-wins check + the
-writes, the statement's template and its values in the one frame; ``lock_write_candidates`` is the probe and locks alone (a
-statement spanning shards locks everywhere before it writes anywhere);
+writes, and their one frame carries the statement as data — its
+``RowPredicate`` (template, values and the index key the compiler bound)
+and, for an UPDATE, its ``RowAssignments``; ``lock_write_candidates`` is
+the probe and locks alone (a statement spanning shards locks everywhere
+before it writes anywhere);
 a ``range_scan`` ships at most its ``limit`` rows; ``commit`` is the
 in-memory commit and ``wal_flush`` the fsync, whose response envelope
 acknowledges the durable WAL delta.

@@ -41,9 +41,35 @@ from repro.storage import (
     TxnIsolation,
 )
 from repro.storage.engine import WouldBlock
+from repro.storage.expressions import (
+    Arith,
+    ArithOp,
+    Cmp,
+    CmpOp,
+    Col,
+    Const,
+    RowAssignments,
+    RowPredicate,
+)
 from repro.storage.sharding import shard_for_key
 
 from _reference_bind import literal
+
+
+#: the columns of every table here.
+COLUMNS = ("k", "v")
+
+
+def _k_is(key: int) -> RowPredicate:
+    """``WHERE k = <key>``, keyed by the primary key as the compiler
+    keys it."""
+    return RowPredicate(COLUMNS, Cmp(CmpOp.EQ, Col("k"), Const(key)),
+                        key=(("k",), (key,), True))
+
+
+def _add_to_v(n: int) -> RowAssignments:
+    """``SET v = v + <n>``."""
+    return RowAssignments(COLUMNS, ((1, Arith(ArithOp.ADD, Col("v"), Const(n))),))
 
 
 def distinct_shard_keys(n_shards: int, per_shard: int = 1) -> list[int]:
@@ -138,12 +164,10 @@ class TestRealThreadStress:
         errors: list[BaseException] = []
 
         def worker(idx: int) -> None:
-            from repro.storage.expressions import Cmp, CmpOp, Col, Const
-
             table, key = tables[idx], keys[idx]
             neighbor = tables[(idx + 1) % len(tables)]
             neighbor_key = keys[(idx + 1) % len(keys)]
-            pin = Cmp(CmpOp.EQ, Col("k"), Const(key))
+            pin = _k_is(key)
             try:
                 for turn in range(self.INCREMENTS):
                     while True:  # retry loop: cooperative conflicts
@@ -158,10 +182,8 @@ class TestRealThreadStress:
                                     _point_read(store, neighbor, neighbor_key),
                                 )
                             store.update_where(
-                                txn, table,
-                                lambda row: row.values[0] == key,
-                                lambda row: (key, value + 1),
-                                where=pin,
+                                txn, table, pin,
+                                RowAssignments(COLUMNS, ((1, Const(value + 1)),)),
                             )
                             store.commit(txn)
                             break
@@ -236,17 +258,10 @@ class TestWouldBlockInterleavings:
         second_locked = threading.Event()
 
         def bump(txn, key, value_by_key):
-            from repro.storage.expressions import Cmp, CmpOp, Col, Const
-
             # The WHERE pins the pk, so the write takes key/row locks in
             # the key's home shard only — the cross-shard cycle forms
             # from two single-shard waits, not one table lock.
-            store.update_where(
-                txn, "R",
-                lambda row: row.values[0] == key,
-                lambda row: (key, row.values[1] + 1),
-                where=Cmp(CmpOp.EQ, Col("k"), Const(key)),
-            )
+            store.update_where(txn, "R", _k_is(key), _add_to_v(1))
 
         def runner_one():
             bump(t1, key_a, None)
@@ -283,16 +298,9 @@ class TestWouldBlockInterleavings:
             (t1, t2) if outcomes["t1"] == "deadlock" else (t2, t1)
         )
         store.abort(victim)
-        from repro.storage.expressions import Cmp, CmpOp, Col, Const
-
         for key in (key_a, key_b):
             try:
-                store.update_where(
-                    survivor, "R",
-                    lambda row, key=key: row.values[0] == key,
-                    lambda row: (row.values[0], row.values[1] + 10),
-                    where=Cmp(CmpOp.EQ, Col("k"), Const(key)),
-                )
+                store.update_where(survivor, "R", _k_is(key), _add_to_v(10))
             except WouldBlock:  # pragma: no cover - should not happen
                 pytest.fail("survivor still blocked after victim aborted")
         store.commit(survivor)

@@ -204,6 +204,29 @@ def test_an_in_subquery_reads_no_uncommitted_write(isolation, topology):
         db.close()
 
 
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+@pytest.mark.parametrize("isolation", ISOLATIONS, ids=lambda i: i.name)
+@pytest.mark.parametrize("statement, left", [
+    ("UPDATE T SET v = 2 WHERE id IN (SELECT id FROM T WHERE v = 1)",
+     [(1, 10), (2, 20), (3, 2), (4, 2)]),
+    ("DELETE FROM T WHERE id IN (SELECT id FROM T WHERE v = 1)",
+     [(1, 10), (2, 20)]),
+], ids=["update", "delete"])
+def test_a_write_through_an_in_subquery_commits(
+        isolation, topology, statement, left):
+    """An UPDATE's or DELETE's ``IN (SELECT ...)`` runs as a read of its
+    transaction before the write, which changes the rows it chose."""
+    db = subquery_db(isolation, ("T",), **TOPOLOGIES[topology])
+    try:
+        db.load("T", [(3, 1), (4, 1)])
+        script = db.session("writer").run_script(
+            f"BEGIN TRANSACTION; {statement}; COMMIT;").wait()
+        assert script.succeeded, script.abort_reason
+        assert db.query("SELECT id, v FROM T ORDER BY id") == left
+    finally:
+        db.close()
+
+
 @pytest.mark.parametrize("shards", SHARDS)
 def test_a_write_skew_read_through_subqueries_is_refused(shards):
     """Each side reads one table through a subquery and writes the

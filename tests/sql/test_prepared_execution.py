@@ -14,7 +14,9 @@ vectors and host-variable environments (NULLs, unbound names, parameters
 equal in one draw and unequal in the next), both must give the same rows,
 the same host-variable bindings, the same ``EntangledQuery`` and
 groundings, the same inserted row, the same rows updated or deleted and
-their new values — or the same error, class and message.
+their new values, and an UPDATE's or DELETE's ``RowPredicate.key`` the
+index probe the reference chooser picks from the bound WHERE clause — or
+the same error, class and message.
 
 A subquery now runs once its statement has read every value, where the
 bind path ran it midway through binding; the examples' subqueries cannot
@@ -24,6 +26,7 @@ fail once bound, so the first fault is the same either way.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
 
@@ -35,7 +38,7 @@ from hypothesis import strategies as st
 from repro import ColumnType, TableSchema
 from repro.entangled import ground
 from repro.errors import ReproError
-from repro.sql import parse_transaction, unparse_statement
+from repro.sql import parse_statement, parse_transaction, unparse_statement
 from repro.sql.ast import (
     DeleteStmt,
     EntangledSelectStmt,
@@ -55,8 +58,8 @@ from repro.sql.compiler import (
     compile_update,
 )
 from repro.storage import Database, evaluate
-from repro.storage.expressions import RowAssignments, RowPredicate
-from repro.storage.query import equality_bindings
+from repro.storage.expressions import RowAssignments, RowPredicate, split_conjuncts
+from repro.storage.query import TableRef, index_path_for
 from repro.workloads import (
     OnCallRoster,
     PaymentLedger,
@@ -69,6 +72,8 @@ from repro.workloads import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "examples"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "storage"))
+import _reference_planner  # noqa: E402
 import course_enrollment  # noqa: E402
 import gift_matching  # noqa: E402
 import social_game_interactive  # noqa: E402
@@ -138,12 +143,22 @@ SUBQUERIES = [
 ]
 
 #: UPDATE and DELETE by key, by index and by scan, over parameters and
-#: host variables.
+#: host variables; then the shapes the write key is bound from: a
+#: flipped equality, a key computed from a host variable (NULL in some
+#: draws), a primary key beside a secondary index, and equalities that
+#: cover the one-column index ``(deck)`` and the two-column ``(deck,
+#: slot)`` declared after it — or, with ``slot`` NULL, only the first.
 WRITES = [
     "BEGIN TRANSACTION; UPDATE Flights SET dest = @d, fdate = 'May 9' "
     "WHERE fno = 122; UPDATE Flights SET fno = fno + 1 WHERE dest = 'LA' "
     "AND fdate <> @g; DELETE FROM Airlines WHERE fno = @f OR airline = "
     "'Delta'; DELETE FROM Flights WHERE dest = 'Paris'; COMMIT;",
+    "BEGIN TRANSACTION; UPDATE Flights SET dest = 'SF' WHERE 5 = fno; "
+    "UPDATE Flights SET fdate = 'May 7' WHERE fno = @f + 1; "
+    "DELETE FROM Flights WHERE dest = @d AND fno = 122; "
+    "UPDATE Berths SET holder = @d WHERE deck = 1 AND slot = 2; "
+    "UPDATE Berths SET holder = 'x' WHERE slot = @f AND deck = 2; "
+    "DELETE FROM Berths WHERE deck = @f; COMMIT;",
 ]
 
 
@@ -168,7 +183,11 @@ def _figure1(db: Database) -> None:
     db.create_table(TableSchema.build(
         "Inventory", [("item", INT), ("name", TEXT),
                       ("tradeable", ColumnType.BOOLEAN)], primary_key=["item"]))
+    db.create_table(TableSchema.build(
+        "Berths", [("id", INT), ("deck", INT), ("slot", INT), ("holder", TEXT)],
+        primary_key=["id"], indexes=[["deck"], ["deck", "slot"]]))
     db.load("Sections", [("CS4320", 1, True), ("CS4320", 2, False)])
+    db.load("Berths", [(i, i % 3, i % 4, "") for i in range(12)])
     db.load("Guild", [("Alice",), ("Bob",)])
     db.load("Inventory", [(1, "hoe", True), (2, "axe", False), (3, "map", True)])
 
@@ -236,7 +255,8 @@ def _host_vars(stmt) -> list[str]:
     """The ``@names`` in a statement's text (read or bound)."""
     names = []
     for chunk in unparse_statement(stmt).split("@")[1:]:
-        name = "@" + "".join(c for c in chunk if c.isalnum() or c == "_")
+        name = "@" + "".join(
+            itertools.takewhile(lambda c: c.isalnum() or c == "_", chunk))
         if name not in names:
             names.append(name)
     return names
@@ -336,15 +356,24 @@ def production(stmt, db, env, params):
             assignments = literal = None
         predicate, values = compiled.predicate, compiled.predicate.values
         where = predicate.where
-        table = db.table(compiled.table)
         return (compiled.table, literal,
                 where and inline_hostvars(where, values, values),
-                equality_bindings(where, table, values),
+                predicate.key,
                 written(db, compiled.table, predicate, assignments))
     if isinstance(stmt, SetStmt):
         return compile_set(stmt, db, env, params)
     compiled = compile_insert(stmt, db, env, params)
     return compiled.table, compiled.values
+
+
+def reference_key(where, table):
+    """The index probe the per-execution chooser picked for a bound
+    WHERE clause: the reference planner's equality bindings, keyed by
+    the primary key, else the widest covered index (the reference's own
+    ``index_path_for`` predates the widest rule and takes the first)."""
+    bindings, _residual = _reference_planner._constant_eq_conjuncts(
+        split_conjuncts(where), TableRef(table.name), table, {})
+    return index_path_for(table, bindings)
 
 
 def oracle(stmt, db, env, params, plans):
@@ -375,7 +404,7 @@ def oracle(stmt, db, env, params, plans):
             assignments = RowAssignments(columns, literal)
         where = compiled.predicate
         return (compiled.table, literal, where,
-                equality_bindings(where, db.table(compiled.table)),
+                reference_key(where, db.table(compiled.table)),
                 written(db, compiled.table, RowPredicate(columns, where),
                         assignments))
     if isinstance(stmt, SetStmt):
@@ -465,3 +494,24 @@ def test_the_first_fault_binding_met_is_the_one_raised(text, env):
     want = outcome(lambda: oracle(stmt, db, env, params, {}))
     for _ in range(2):
         assert outcome(lambda: production(stmt, db, env, params)) == want
+
+
+def key_of(sql: str):
+    db, _scripts = FAMILIES["examples"]
+    return compile_delete(parse_statement(sql), db, {}).predicate.key
+
+
+class TestWriteKey:
+    """The key a write's WHERE clause binds: top-level equalities with
+    a constant only (moved from ``tests/storage/test_query.py``, where
+    they pinned ``equality_bindings``)."""
+
+    def test_extracts_constant_conjuncts(self):
+        assert key_of("DELETE FROM Flights WHERE fno = 122 AND "
+                      "fdate < '2011-06-01'") == (("fno",), (122,), True)
+
+    def test_none_where_gives_no_bindings(self):
+        assert key_of("DELETE FROM Flights") is None
+
+    def test_or_is_not_mined(self):
+        assert key_of("DELETE FROM Flights WHERE fno = 122 OR fno = 123") is None

@@ -66,15 +66,18 @@ TWO_PL, SNAPSHOT = TxnIsolation.TWO_PL, TxnIsolation.SNAPSHOT
 
 
 def eq(column, value):
-    return Cmp(CmpOp.EQ, Col(column), Const(value))
+    """``WHERE <column> = <value>``, keyed as the compiler keys it: the
+    primary key ``k``, or the index on ``grp``."""
+    return RowPredicate(COLUMNS, Cmp(CmpOp.EQ, Col(column), Const(value)),
+                        key=((column,), (value,), column == "k"))
 
 
-def bump(shard, txn, where):
-    """``UPDATE T SET n = n + 1 WHERE <where>``, as the interpreter ships it."""
+def bump(shard, txn, predicate):
+    """``UPDATE T SET n = n + 1 WHERE <predicate>``, as the interpreter
+    ships it."""
     return shard.update_where(
-        txn, "T", RowPredicate(COLUMNS, where),
+        txn, "T", predicate,
         RowAssignments(COLUMNS, ((2, Arith(ArithOp.ADD, Col("n"), Const(1))),)),
-        where,
     )
 
 
@@ -148,8 +151,7 @@ BEFORE_CRASH = [
     ("update_where pk", lambda s: bump(s, 3, eq("k", 1))),
     ("update_where index", lambda s: bump(s, 3, eq("grp", "a"))),
     ("update_where miss", lambda s: bump(s, 3, eq("k", 77))),
-    ("delete_where", lambda s: s.delete_where(
-        3, "T", RowPredicate(COLUMNS, eq("k", 8)), eq("k", 8))),
+    ("delete_where", lambda s: s.delete_where(3, "T", eq("k", 8))),
     ("lock_write_candidates", lambda s: s.lock_write_candidates(
         3, "T", eq("grp", "b"))),
     ("update by rid", lambda s: s.update(3, "T", 2, (1, "b", 40))),

@@ -10,6 +10,7 @@ that remain are exactly the ones isolation needs.
 import pytest
 
 from repro.storage import (
+    And,
     Cmp,
     CmpOp,
     Col,
@@ -24,6 +25,7 @@ from repro.storage import (
     WouldBlock,
     table_resource,
 )
+from repro.storage.expressions import RowAssignments, RowPredicate
 
 
 def build_store(granularity=LockGranularity.FINE) -> StorageEngine:
@@ -223,18 +225,20 @@ class TestPhantomProtection:
         store.commit(t2)
 
 
+COLUMNS = ("id", "owner", "balance")
+#: ``owner = 'u1'`` as the compiler keys it: the secondary index.
+OWNER_U1 = (("owner",), ("u1",), False)
+
+
 class TestPredicateWritePushdown:
     def test_pk_update_does_not_lock_table_exclusively(self):
         store = build_store()
         t1, t2 = store.begin(), store.begin()
         where = Cmp(CmpOp.EQ, Col("id"), Const(1))
-        schema = store.db.table("Accounts").schema
-        idx = schema.column_index("id")
         changed = store.update_where(
             t1, "Accounts",
-            lambda row: row.values[idx] == 1,
-            lambda row: [1, "u1", 0.0],
-            where=where,
+            RowPredicate(COLUMNS, where, key=(("id",), (1,), True)),
+            RowAssignments(COLUMNS, ((1, Const("u1")), (2, Const(0.0)))),
         )
         assert [new.values for _old, new in changed] == [(1, "u1", 0.0)]
         # A disjoint-row reader is not blocked: no table X was taken.
@@ -244,13 +248,9 @@ class TestPredicateWritePushdown:
         store = build_store()
         t1, t2 = store.begin(), store.begin()
         where = Cmp(CmpOp.GT, Col("balance"), Const(0.0))
-        schema = store.db.table("Accounts").schema
-        idx = schema.column_index("balance")
         store.update_where(
-            t1, "Accounts",
-            lambda row: row.values[idx] > 0,
-            lambda row: list(row.values),
-            where=where,
+            t1, "Accounts", RowPredicate(COLUMNS, where),
+            RowAssignments(COLUMNS, ()),
         )
         assert store.locks.holds(
             t1, table_resource("Accounts"), LockMode.EXCLUSIVE
@@ -265,27 +265,18 @@ class TestPredicateWritePushdown:
         store = build_store()
         t1, t2 = store.begin(), store.begin()
         store.update(t1, "Accounts", 1, [1, "u1", 0.0])  # uncommitted
-        where = Cmp(CmpOp.EQ, Col("owner"), Const("u1"))
-        schema = store.db.table("Accounts").schema
-        bal = schema.column_index("balance")
+        where = And(Cmp(CmpOp.EQ, Col("owner"), Const("u1")),
+                    Cmp(CmpOp.GT, Col("balance"), Const(50.0)))
         with pytest.raises(WouldBlock):
-            store.delete_where(
-                t2, "Accounts",
-                lambda row: row.values[bal] > 50.0,
-                where=where,
-            )
+            store.delete_where(t2, "Accounts", RowPredicate(
+                COLUMNS, where, key=OWNER_U1))
 
     def test_keyed_delete_blocks_same_key_insert(self):
         store = build_store()
         t1, t2 = store.begin(), store.begin()
         where = Cmp(CmpOp.EQ, Col("owner"), Const("u1"))
-        schema = store.db.table("Accounts").schema
-        idx = schema.column_index("owner")
         store.delete_where(
-            t1, "Accounts",
-            lambda row: row.values[idx] == "u1",
-            where=where,
-        )
+            t1, "Accounts", RowPredicate(COLUMNS, where, key=OWNER_U1))
         # The pinned key X keeps the deleted set stable.
         with pytest.raises(WouldBlock):
             store.insert(t2, "Accounts", [100, "u1", 0.0])

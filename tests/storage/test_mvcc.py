@@ -18,7 +18,14 @@ from repro.storage import (
     TxnStatus,
 )
 from repro.storage.query import SPJQuery, TableRef
-from repro.storage.expressions import Cmp, CmpOp, Col, Const
+from repro.storage.expressions import (
+    Cmp,
+    CmpOp,
+    Col,
+    Const,
+    RowAssignments,
+    RowPredicate,
+)
 from repro.storage.recovery import recover
 
 
@@ -31,6 +38,9 @@ def build_engine() -> StorageEngine:
     ))
     engine.load("T", [(1, "a"), (2, "b")])
     return engine
+
+
+COLUMNS = ("k", "v")
 
 
 def select_all(engine: StorageEngine, txn: int):
@@ -164,9 +174,8 @@ class TestWriteConflicts:
         with pytest.raises(WriteConflictError):
             engine.update_where(
                 loser, "T",
-                lambda row: row.values[1] == "a",
-                lambda row: (row.values[0], "l"),
-                where=Cmp(CmpOp.EQ, Col("v"), Const("a")),
+                RowPredicate(COLUMNS, Cmp(CmpOp.EQ, Col("v"), Const("a"))),
+                RowAssignments(COLUMNS, ((1, Const("l")),)),
             )
 
     def test_predicate_delete_conflicts_on_concurrently_deleted_row(self):
@@ -177,11 +186,9 @@ class TestWriteConflicts:
         engine.delete(winner, "T", engine.db.table("T").pk_rid((2,)))
         engine.commit(winner)
         with pytest.raises(WriteConflictError):
-            engine.delete_where(
-                loser, "T",
-                lambda row: row.values[0] == 2,
-                where=Cmp(CmpOp.EQ, Col("k"), Const(2)),
-            )
+            engine.delete_where(loser, "T", RowPredicate(
+                COLUMNS, Cmp(CmpOp.EQ, Col("k"), Const(2)),
+                key=(("k",), (2,), True)))
 
     def test_no_conflict_on_untouched_row(self):
         engine = build_engine()

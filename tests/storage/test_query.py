@@ -12,7 +12,6 @@ from repro.storage import (
     SPJQuery,
     TableRef,
     And,
-    equality_bindings,
     evaluate,
     evaluate_single,
 )
@@ -226,25 +225,3 @@ class TestReadObserver:
         plan = q([TableRef("Flights")], [Col("fno")], ["fno"])
         with pytest.raises(Stop):
             evaluate(plan, db, read_observer=observer)
-
-
-class TestEqualityBindings:
-    def test_extracts_constant_conjuncts(self, db):
-        table = db.table("Flights")
-        where = And(
-            Cmp(CmpOp.EQ, Col("fno"), Const(122)),
-            Cmp(CmpOp.LT, Col("fdate"), Const("2011-06-01")),
-        )
-        assert equality_bindings(where, table) == {"fno": 122}
-
-    def test_none_where_gives_no_bindings(self, db):
-        assert equality_bindings(None, db.table("Flights")) == {}
-
-    def test_or_is_not_mined(self, db):
-        from repro.storage import Or
-
-        where = Or(
-            Cmp(CmpOp.EQ, Col("fno"), Const(122)),
-            Cmp(CmpOp.EQ, Col("fno"), Const(123)),
-        )
-        assert equality_bindings(where, db.table("Flights")) == {}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import repro
 from repro.errors import UnknownColumnError
 from repro.storage import ColumnType, TableSchema, TxnIsolation
+from repro.storage.expressions import Cmp, CmpOp, Col, Const, RowPredicate
 from repro.storage.sharding import build_storage_engine
 
 from _reference_bind import literal
@@ -75,10 +76,9 @@ def apply_mutations(store, mutations):
             store.insert(txn, "T", [insert_id, "m", insert_id % 7])
             inserted.add(insert_id)
         elif op == "delete":
-            store.delete_where(
-                txn, "T",
-                lambda row: row.values[0] == delete_id,
-            )
+            store.delete_where(txn, "T", RowPredicate(
+                ("id", "grp", "amount"),
+                Cmp(CmpOp.EQ, Col("id"), Const(delete_id))))
             if delete_id in inserted:
                 inserted.discard(delete_id)
         store.commit(txn)

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.sql import parse_statement
-from repro.sql.compiler import compile_select
+from repro.sql.compiler import compile_delete, compile_select
 from repro.storage import (
     ColumnType,
     Database,
@@ -33,6 +33,7 @@ from repro.storage import (
     table_resource,
 )
 from repro.storage.engine import WouldBlock
+from repro.storage.expressions import Const, RowAssignments, RowPredicate
 from repro.storage.query import AccessKind
 from repro.storage.sharding import build_storage_engine
 
@@ -113,8 +114,8 @@ class TestMostSelectiveKey:
         store = build()
         writer = store.begin()
         candidates = store.lock_write_candidates(
-            writer, "N", literal(compile_select(parse_statement(
-                "SELECT id FROM N WHERE a = 1 AND b = 4"), store.db, {})).where)
+            writer, "N", compile_delete(parse_statement(
+                "DELETE FROM N WHERE a = 1 AND b = 4"), store.db, {}).predicate)
         assert [row.values[0] for row in candidates] == [4]
         assert store.locks.holds(
             writer, index_key_resource("N", ("a", "b"), (1, 4)), LockMode.EXCLUSIVE)
@@ -233,7 +234,9 @@ class TestIntentOnce:
     def test_a_refused_is_is_asked_for_again(self):
         store = build()
         scanner = store.begin()
-        store.update_where(scanner, "N", lambda row: False, lambda row: row.values)
+        columns = NESTED.column_names
+        store.update_where(scanner, "N", RowPredicate(columns, Const(False)),
+                           RowAssignments(columns, ()))
         reader = store.begin()                       # table X is held: IS waits
         with pytest.raises(WouldBlock):
             read(store, reader, "SELECT id FROM N WHERE id = 3")

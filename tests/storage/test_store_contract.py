@@ -248,6 +248,12 @@ U = TableSchema.build(
 )
 
 
+def k_is(k: int) -> RowPredicate:
+    """``WHERE k = <k>``, keyed by the primary key as the compiler keys it."""
+    return RowPredicate(T.column_names, Cmp(CmpOp.EQ, Col("k"), Const(k)),
+                        key=(("k",), (k,), True))
+
+
 class World:
     """One store under the script: the store (replaced by its crash
     successor), the transaction ids the steps name, the event stream."""
@@ -267,10 +273,9 @@ class World:
 
     def set_n(self, txn: str, k: int, n: int):
         """``UPDATE T SET n = <n> WHERE k = <k>`` as the executor ships it."""
-        where = Cmp(CmpOp.EQ, Col("k"), Const(k))
         return self.store.update_where(
-            self.ids[txn], "T", RowPredicate(T.column_names, where),
-            RowAssignments(T.column_names, ((2, Const(n)),)), where=where)
+            self.ids[txn], "T", k_is(k),
+            RowAssignments(T.column_names, ((2, Const(n)),)))
 
     def rid(self, k: int) -> int:
         return self.store.db.table("T").lookup_pk((k,)).rid
@@ -351,8 +356,7 @@ def script(iso) -> list:
         ("update_where", lambda w: w.set_n("w", 4, 9)),
         ("update_where miss", lambda w: w.set_n("w", 77, 9)),
         ("delete_where", lambda w: s(w).delete_where(
-            w.ids["w"], "T", RowPredicate(T.column_names, None), where=Cmp(
-                CmpOp.EQ, Col("k"), Const(11))) and None),
+            w.ids["w"], "T", k_is(11)) and None),
         ("written_shards", lambda w: len(s(w).written_shards(w.ids["w"])) >= 1),
         ("commit unflushed", lambda w: sorted(
             s(w).commit(w.ids["w"], flush=False))),

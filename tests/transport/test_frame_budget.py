@@ -217,18 +217,25 @@ K_SCHEMA = TableSchema.build(
 COLUMNS = K_SCHEMA.column_names
 
 
-def bump(engine, txn, where):
-    """``UPDATE T SET n = n + 1 WHERE <where>`` as the interpreter ships it."""
+def bump(engine, txn, predicate):
+    """``UPDATE T SET n = n + 1 WHERE <predicate>`` as the interpreter
+    ships it."""
     return engine.update_where(
-        txn, "T", RowPredicate(COLUMNS, where),
+        txn, "T", predicate,
         RowAssignments(COLUMNS, (
             (2, Arith(ArithOp.ADD, Col("n"), Const(1))),)),
-        where=where,
     )
 
 
+def keyed(column, value):
+    """``WHERE <column> = <value>``, keyed as the compiler keys it: the
+    primary key ``k``, or the index on ``grp``."""
+    return RowPredicate(COLUMNS, Cmp(CmpOp.EQ, Col(column), Const(value)),
+                        key=((column,), (value,), column == "k"))
+
+
 def pk_is(key):
-    return Cmp(CmpOp.EQ, Col("k"), Const(key))
+    return keyed("k", key)
 
 
 def build(n_shards=2):
@@ -266,7 +273,7 @@ class TestFusedSemantics:
         engine.load("T", [(x, "a", 0), (y, "a", 0)])
         holder, writer = engine.begin(), engine.begin()
         bump(engine, holder, pk_is(last))
-        grp_a = Cmp(CmpOp.EQ, Col("grp"), Const("a"))
+        grp_a = keyed("grp", "a")
         with pytest.raises(WouldBlock):
             bump(engine, writer, grp_a)
         engine.abort(holder)
@@ -281,7 +288,7 @@ class TestFusedSemantics:
             engine.load("T", [(1, "a", 0), (2, "a", 0)])
             holder, writer = engine.begin(), engine.begin()
             bump(engine, holder, pk_is(2))
-            grp_a = Cmp(CmpOp.EQ, Col("grp"), Const("a"))
+            grp_a = keyed("grp", "a")
             with pytest.raises(WouldBlock):
                 bump(engine, writer, grp_a)
             engine.abort(holder)
@@ -367,8 +374,7 @@ class TestFusedSemantics:
         engine.load("T", [(x, "a", 7)])
         txn = engine.begin()
         changed = engine.update_where(
-            txn, "T", RowPredicate(COLUMNS, pk_is(x)),
-            RowAssignments(COLUMNS, ((0, Const(y)),)), where=pk_is(x),
+            txn, "T", pk_is(x), RowAssignments(COLUMNS, ((0, Const(y)),)),
         )
         assert [(old.values[0], new.values[0]) for old, new in changed] == [(x, y)]
         engine.commit(txn)
