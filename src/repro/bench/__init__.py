@@ -14,8 +14,10 @@ harness with admission control, ``BENCH_traffic.json``), and
 percentiles and leader failover, ``BENCH_replication.json``).
 
 Every closed-loop experiment runs on :mod:`repro.bench.harness` (one
-store builder, one ``drive()``, one ``Point``, one shape checker) and
-every module's ``main()`` ends in the harness's ``report()``.  The
+store builder, one ``drive()``, one ``Point``, one shape checker), both
+open-loop benches on its one arrival-schedule driver (``drive_open()``
+into one ``OpenPoint``), and every module's ``main()`` ends in the
+harness's ``report()``.  The
 figure modules have a ``run()`` returning
 :class:`~repro.sim.metrics.Measurements` and a ``check_shapes()``
 verifying the paper's qualitative claims; the contention ablations are
@@ -24,11 +26,13 @@ entries of the declarative ``repro.bench.contention.ARMS`` table.
 
 from repro.bench.harness import (
     Arm,
+    OpenPoint,
     Point,
     Script,
     TravelEnv,
     bank_store,
     drive,
+    drive_open,
     grid,
     make_travel_env,
     report,
@@ -39,11 +43,13 @@ from repro.bench.harness import (
 
 __all__ = [
     "Arm",
+    "OpenPoint",
     "Point",
     "Script",
     "TravelEnv",
     "bank_store",
     "drive",
+    "drive_open",
     "grid",
     "make_travel_env",
     "report",

@@ -1,4 +1,4 @@
-"""The one closed-loop benchmark harness.
+"""The one benchmark harness, closed-loop and open-loop.
 
 Every closed-loop experiment in this package — the three Figure 6
 modules and every arm of :mod:`repro.bench.contention` — is the same
@@ -9,8 +9,12 @@ into the one :class:`Point` type; :func:`grid` an :class:`Arm` (one
 experiment as data: series × x-grid × named metric extractors) into
 :class:`~repro.sim.metrics.Measurements` tables; :func:`check_shapes`
 them against the arm's :class:`Rule` list; and :func:`report` — render,
-persist, exit code — which the open-loop benches
-(:mod:`repro.bench.traffic`, :mod:`repro.bench.replication`) share.
+persist, exit code.
+
+Both open-loop benches (:mod:`repro.bench.traffic`,
+:mod:`repro.bench.replication`) drive their arrival schedules with the
+one :func:`drive_open` into the one :class:`OpenPoint` type, and end in
+the same :func:`report`.
 
 A ``clock="virtual"`` arm runs the engine on a
 :class:`~repro.sim.clock.VirtualClock` and measures its *virtual elapsed
@@ -28,22 +32,24 @@ runner, point type, grid builder or checker.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import operator
 import os
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from repro.client import Client, connect
+from repro.client import Client, RetryPolicy, ScriptHandle, connect
 from repro.core.engine import EngineConfig, IsolationConfig, RunReport
 from repro.core.policies import ManualPolicy, RunPolicy
 from repro.core.transaction import TxnPhase
-from repro.errors import BenchError
+from repro.errors import BenchError, OverloadError, WorkloadError
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
-from repro.sim.metrics import Measurements
+from repro.sim.metrics import LatencySummary, Measurements
 from repro.storage.engine import LockGranularity
 from repro.storage.schema import TableSchema
 from repro.storage.sharding import (
@@ -268,6 +274,187 @@ def drive(
         client=client,
     )
     require_all_committed(point, label, allow_aborts=allow_aborts)
+    return point
+
+
+# -- driving an arrival schedule: the one OpenPoint type --------------------------------
+
+#: a schedule that has not quiesced after this many runs is a bug.
+MAX_OPEN_RUNS = 100_000
+
+#: seeds the retry backoff jitter, so a retried point is reproducible.
+RETRY_SEED = 0x5EED
+
+
+@dataclass
+class OpenPoint:
+    """Everything measured while driving one arrival schedule."""
+
+    offered: float                # arrivals per virtual second
+    committed: int = 0
+    timely: int = 0               # committed within the deadline
+    aborted: int = 0
+    shed: int = 0                 # bounces off admission control
+    retried: int = 0              # resubmissions scheduled after a shed
+    exhausted: int = 0            # arrivals dropped with retry budget spent
+    makespan: float = 0.0         # virtual seconds, first arrival → quiesce
+    runs: int = 0
+    latencies: list[float] = field(default_factory=list, repr=False)
+    #: the store's counters when the schedule quiesced; every point
+    #: drives a fresh store, so these are the point's own.
+    metrics: dict[str, int] = field(default_factory=dict, repr=False)
+
+    @property
+    def goodput(self) -> float:
+        """Timely commits per virtual second."""
+        return self.timely / self.makespan if self.makespan > 0 else 0.0
+
+    @property
+    def throughput(self) -> float:
+        return self.committed / self.makespan if self.makespan > 0 else 0.0
+
+    @property
+    def shed_share(self) -> float:
+        total = self.committed + self.shed + self.aborted
+        return self.shed / total if total else 0.0
+
+    @property
+    def latency(self) -> "LatencySummary | None":
+        return LatencySummary.of(self.latencies) if self.latencies else None
+
+    @property
+    def pivot_aborts(self) -> int:
+        return self.metrics["ssi.pivot_aborts"]
+
+    @property
+    def conservative_aborts(self) -> int:
+        return self.metrics["ssi.conservative_aborts"]
+
+    @property
+    def unproven_pivot_aborts(self) -> int:
+        return self.metrics["ssi.pivot_aborts_unproven"]
+
+    @property
+    def ssi_aborts(self) -> int:
+        """Total SSI validation aborts (pivots plus conservative)."""
+        return self.pivot_aborts + self.conservative_aborts
+
+    @property
+    def unproven_share(self) -> float:
+        """``pivot_aborts_unproven`` as a share of all SSI aborts."""
+        return (self.unproven_pivot_aborts / self.ssi_aborts
+                if self.ssi_aborts else 0.0)
+
+
+def drive_open(
+    client: Client,
+    scenario,
+    arrivals: Sequence[float],
+    *,
+    deadline: float,
+    retry: "RetryPolicy | None" = None,
+    after_submit: "Callable[[ScriptHandle, str], None] | None" = None,
+    after_run: "Callable[[OpenPoint, RunReport], None] | None" = None,
+) -> OpenPoint:
+    """Drive one arrival schedule of ``scenario`` programs through
+    ``client`` (installed, on a virtual clock) until it quiesces.
+
+    The open-loop discipline: the clock advances only while the engine
+    runs, so the driver alternates *inject everything that has arrived
+    by now* with *run once if anything is pending*; when the engine goes
+    idle before the next arrival, the clock jumps forward to it.  Each
+    run's commits are settled against their *intended* arrival instants:
+    latency includes the queueing delay, and a commit is timely when
+    that latency is within ``deadline``.
+
+    A shed arrival (:class:`~repro.errors.OverloadError`) is counted and
+    dropped, or with a :class:`~repro.client.RetryPolicy` resubmitted
+    after its jittered backoff (floored by the limiter's
+    ``retry_after``); one whose budget runs out is ``exhausted``.
+
+    ``after_submit(handle, program)`` follows every admitted submission
+    and ``after_run(point, report)`` every settled run.
+    """
+    if not arrivals:
+        raise WorkloadError("no arrivals to drive")
+    arrivals = sorted(arrivals)
+    start = arrivals[0]
+    horizon = arrivals[-1] - start
+    point = OpenPoint(
+        offered=len(arrivals) / horizon if horizon > 0 else float("inf"))
+    clock = client.clock
+    session = client.session("traffic")
+    clock.advance_to(start)
+
+    arrived_at: dict[int, float] = {}   # engine handle -> intended instant
+    next_arrival = 0
+    #: min-heap of (due instant, seq, intended instant, attempt) for
+    #: shed arrivals awaiting their backoff.
+    retries: list[tuple[float, int, float, int]] = []
+    retry_rng = random.Random(RETRY_SEED)
+
+    def submit(intended: float, attempt: int) -> None:
+        program = scenario.program(at=intended)
+        try:
+            handle = session.run_script(program, at=intended)
+        except OverloadError as exc:
+            point.shed += 1
+            if retry is None:
+                return
+            if retry.should_retry(attempt):
+                delay = retry.delay_for(attempt, exc, rng=retry_rng)
+                point.retried += 1
+                heapq.heappush(retries, (
+                    clock.now + delay, point.retried, intended, attempt + 1))
+            else:
+                point.exhausted += 1
+            return
+        arrived_at[handle.handle] = intended
+        if after_submit is not None:
+            after_submit(handle, program)
+
+    def settle(report: RunReport) -> None:
+        now = clock.now
+        point.runs += 1
+        for handle in report.committed:
+            t = arrived_at.pop(handle, None)
+            if t is None:
+                continue
+            latency = now - t
+            point.committed += 1
+            point.latencies.append(latency)
+            if latency <= deadline:
+                point.timely += 1
+        for handle in report.aborted + report.timed_out:
+            if arrived_at.pop(handle, None) is not None:
+                point.aborted += 1
+        if after_run is not None:
+            after_run(point, report)
+
+    while next_arrival < len(arrivals) or retries or client.engine.dormant_count:
+        while (next_arrival < len(arrivals)
+               and arrivals[next_arrival] <= clock.now):
+            next_arrival += 1
+            submit(arrivals[next_arrival - 1], attempt=1)
+        while retries and retries[0][0] <= clock.now:
+            _due, _seq, intended, attempt = heapq.heappop(retries)
+            submit(intended, attempt=attempt)
+        if client.engine.dormant_count:
+            settle(client.run())
+        else:
+            # Idle server: virtual time jumps to whichever comes first,
+            # the next scheduled arrival or the next retry.
+            upcoming = arrivals[next_arrival:next_arrival + 1] + [
+                due for due, *_ in retries[:1]]
+            if upcoming:
+                clock.advance_to(max(min(upcoming), clock.now))
+        if point.runs >= MAX_OPEN_RUNS:  # pragma: no cover - defensive
+            raise WorkloadError(
+                f"open-loop point exceeded {MAX_OPEN_RUNS} runs without "
+                f"quiescing")
+
+    point.makespan = max(clock.now - start, horizon)
+    point.metrics = client.store.metrics()
     return point
 
 

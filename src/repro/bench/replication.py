@@ -32,12 +32,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 
-from repro.bench.harness import report
-from repro.bench.traffic import (
-    TRAFFIC_CONNECTIONS,
-    poisson_arrivals,
-)
+from repro.bench.harness import OpenPoint, drive_open, report
+from repro.bench.traffic import TRAFFIC_CONNECTIONS, poisson_arrivals
 from repro.client import connect
 from repro.core.engine import EngineConfig
 from repro.errors import WorkloadError
@@ -81,43 +79,23 @@ def read_heavy_scenario(seed: int = 2011) -> PaymentLedger:
 
 
 @dataclasses.dataclass
-class ReplicaPoint:
-    """Everything measured while driving one schedule once."""
+class ReplicaStats:
+    """The replication instrumentation of one point, beside its
+    :class:`~repro.bench.harness.OpenPoint`."""
 
-    offered: float
-    replicas: int
-    committed: int = 0
-    timely: int = 0
-    aborted: int = 0
-    makespan: float = 0.0
-    runs: int = 0
-    follower_reads: int = 0
+    follower_reads: int = 0       # summed over the point's runs
     promotions: int = 0
     committed_transfers: int = 0
     ledger_rows: int = 0
     ryw_probes: int = 0
     ryw_violations: int = 0
-    lag_samples: list[int] = dataclasses.field(
+    #: worst-follower lag, sampled after every run.
+    lag_samples: list[float] = dataclasses.field(
         default_factory=list, repr=False)
 
     @property
-    def goodput(self) -> float:
-        return self.timely / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def throughput(self) -> float:
-        return self.committed / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def follower_read_share(self) -> float:
-        total = self.committed + self.aborted
-        return self.follower_reads / total if total else 0.0
-
-    @property
-    def lag_summary(self) -> "LatencySummary | None":
-        if not self.lag_samples:
-            return None
-        return LatencySummary.of([float(s) for s in self.lag_samples])
+    def lag(self) -> "LatencySummary | None":
+        return LatencySummary.of(self.lag_samples) if self.lag_samples else None
 
     @property
     def zero_acknowledged_loss(self) -> bool:
@@ -135,35 +113,24 @@ def run_replica_point(
     shards: int = DEFAULT_SHARDS,
     max_staleness: int = 8,
     replica_lag: int = 0,
-    connections: int = TRAFFIC_CONNECTIONS,
     fail_over_midway: bool = False,
     ryw_probe_every: int = 0,
-    max_runs: int = 100_000,
-) -> ReplicaPoint:
+) -> "tuple[OpenPoint, ReplicaStats]":
     """Drive one arrival schedule through a fresh replicated ensemble.
 
-    The same open-loop discipline as
-    :func:`repro.bench.traffic.run_traffic_point`, minus admission (the
-    arms here measure routing and durability, not shedding), plus the
-    replication instrumentation: worst-follower lag sampled after every
+    The open-loop driver of :func:`repro.bench.traffic.run_traffic_point`
+    (:func:`~repro.bench.harness.drive_open`), minus admission (the arms
+    here measure routing and durability, not shedding), plus the
+    replication instrumentation in a :class:`ReplicaStats`: follower
+    reads summed over the runs, worst-follower lag sampled after every
     run, committed-transfer conservation for the zero-loss check,
     optional read-your-writes probes between runs, and an optional
     leader kill at the schedule's midpoint.
     """
-    if not arrivals:
-        raise WorkloadError("no arrivals to drive")
-    arrivals = sorted(arrivals)
-    start = arrivals[0]
-    horizon = arrivals[-1] - start
-    point = ReplicaPoint(
-        offered=len(arrivals) / horizon if horizon > 0 else float("inf"),
-        replicas=replicas,
-    )
-
     db = connect(
         shards=shards,
         isolation="snapshot",
-        config=EngineConfig(connections=connections),
+        config=EngineConfig(connections=TRAFFIC_CONNECTIONS),
         clock=VirtualClock(costs=BENCH_COSTS),
         replicas=replicas,
         max_staleness=max_staleness,
@@ -172,75 +139,43 @@ def run_replica_point(
     try:
         scenario.install(db)
         db.create_table(_RYW_SCHEMA)
-        session = db.session("traffic")
         ryw = db.session("ryw-probe")
-        db.clock.advance_to(start)
-
-        arrived_at: dict[int, float] = {}
+        stats = ReplicaStats()
         transfers: set[int] = set()
-        next_arrival = 0
-        kill_after = len(arrivals) // 2 if fail_over_midway else None
+        submitted = itertools.count(1)
+        kill_at = max(len(arrivals) // 2, 1) if fail_over_midway else 0
 
-        def settle(report) -> None:
-            now = db.clock.now
-            point.runs += 1
-            point.follower_reads += report.follower_reads
-            for handle in report.committed:
-                t = arrived_at.pop(handle, None)
-                if t is None:
-                    continue
-                point.committed += 1
-                if handle in transfers:
-                    point.committed_transfers += 1
-                if now - t <= deadline:
-                    point.timely += 1
-            for handle in report.aborted + report.timed_out:
-                if arrived_at.pop(handle, None) is not None:
-                    point.aborted += 1
-            point.lag_samples.append(db.store.replication_lag())
+        def after_submit(handle, program: str) -> None:
+            if "UPDATE" in program:
+                transfers.add(handle.handle)
+            if next(submitted) == kill_at:
+                db.store.fail_over(0)
 
-        def ryw_probe() -> None:
-            point.ryw_probes += 1
-            key = point.ryw_probes
-            with ryw.transaction() as t:
-                t.insert("RywProbe", (key, point.runs))
-            with ryw.transaction() as t:
-                seen = {row.values[0] for row in t.read_table("RywProbe")}
-            if any(k not in seen for k in range(1, key + 1)):
-                point.ryw_violations += 1
+        def after_run(point: OpenPoint, report) -> None:
+            # The probes below read through followers too: only the
+            # scheduled runs' reports count toward ``follower_reads``.
+            stats.follower_reads += report.follower_reads
+            stats.committed_transfers += len(
+                transfers.intersection(report.committed))
+            stats.lag_samples.append(float(db.store.replication_lag()))
+            if ryw_probe_every and point.runs % ryw_probe_every == 0:
+                stats.ryw_probes += 1
+                probes = stats.ryw_probes
+                with ryw.transaction() as t:
+                    t.insert("RywProbe", (probes, point.runs))
+                with ryw.transaction() as t:
+                    seen = {row.values[0] for row in t.read_table("RywProbe")}
+                if any(k not in seen for k in range(1, probes + 1)):
+                    stats.ryw_violations += 1
 
-        while next_arrival < len(arrivals) or db.engine.dormant_count:
-            while (next_arrival < len(arrivals)
-                   and arrivals[next_arrival] <= db.clock.now):
-                t = arrivals[next_arrival]
-                next_arrival += 1
-                program = scenario.program(at=t)
-                handle = session.run_script(program, at=t)
-                arrived_at[handle.handle] = t
-                if "UPDATE" in program:
-                    transfers.add(handle.handle)
-                if kill_after is not None and next_arrival >= kill_after:
-                    kill_after = None
-                    db.store.fail_over(0)
-            if db.engine.dormant_count:
-                settle(db.run())
-                if ryw_probe_every and point.runs % ryw_probe_every == 0:
-                    ryw_probe()
-            elif next_arrival < len(arrivals):
-                db.clock.advance_to(
-                    max(arrivals[next_arrival], db.clock.now))
-            if point.runs >= max_runs:  # pragma: no cover - defensive
-                raise WorkloadError(
-                    f"replica point exceeded {max_runs} runs without "
-                    f"quiescing")
-
-        point.makespan = max(db.clock.now - start, horizon)
-        point.promotions = db.store.promotion_count
-        point.ledger_rows = sum(
-            1 for _ in db.store.db.table("Ledger").scan())
+        point = drive_open(
+            db, scenario, arrivals, deadline=deadline,
+            after_submit=after_submit, after_run=after_run)
+        stats.promotions = db.store.promotion_count
+        stats.ledger_rows = sum(1 for _ in db.store.db.table("Ledger").scan())
     finally:
         db.close()
-    return point
+    return point, stats
 
 
 def estimate_capacity(
@@ -252,7 +187,7 @@ def estimate_capacity(
     end, throughput *is* capacity under the bench cost model.
     """
     schedule = poisson_arrivals(500.0, arrivals, seed=seed)
-    probe = run_replica_point(
+    probe, _stats = run_replica_point(
         read_heavy_scenario(seed=seed), schedule,
         deadline=1e9, replicas=0, shards=shards,
     )
@@ -291,22 +226,25 @@ def run(
     )
     schedule = poisson_arrivals(3.0 * mu0, n_arrivals, seed=seed)
     for n in replica_counts:
-        point = run_replica_point(
+        point, stats = run_replica_point(
             read_heavy_scenario(seed=seed), schedule,
             deadline=deadline, replicas=n, shards=shards,
             ryw_probe_every=4,
         )
+        settled = point.committed + point.aborted
         goodput.add("goodput", n, point.goodput)
         goodput.add("throughput", n, point.throughput)
-        routing.add("follower-reads", n, float(point.follower_reads))
-        routing.add("follower-read-share", n, point.follower_read_share)
-        routing.add("ryw-violations", n, float(point.ryw_violations))
-        routing.add("ryw-probes", n, float(point.ryw_probes))
+        routing.add("follower-reads", n, float(stats.follower_reads))
+        routing.add(
+            "follower-read-share", n,
+            stats.follower_reads / settled if settled else 0.0)
+        routing.add("ryw-violations", n, float(stats.ryw_violations))
+        routing.add("ryw-probes", n, float(stats.ryw_probes))
         if verbose:
             print(
                 f"[follower-reads] replicas={n}  goodput={point.goodput:7.1f}"
-                f"  follower-reads={point.follower_reads}"
-                f"  ryw={point.ryw_violations}/{point.ryw_probes} stale"
+                f"  follower-reads={stats.follower_reads}"
+                f"  ryw={stats.ryw_violations}/{stats.ryw_probes} stale"
             )
 
     # -- replication lag percentiles -----------------------------------------
@@ -318,24 +256,23 @@ def run(
     )
     lag_schedule = poisson_arrivals(1.0 * mu0, n_arrivals, seed=seed + 1)
     for lag in lag_steps:
-        point = run_replica_point(
+        _point, stats = run_replica_point(
             PaymentLedger(n_accounts=128, query_share=0.5, seed=seed),
             lag_schedule,
             deadline=deadline, replicas=2, shards=shards,
             max_staleness=256, replica_lag=lag,
             ryw_probe_every=4,
         )
-        summary = point.lag_summary
-        lag_t.add("p50", lag, summary.p50 if summary else 0.0)
-        lag_t.add("p95", lag, summary.p95 if summary else 0.0)
-        lag_t.add("p99", lag, summary.p99 if summary else 0.0)
-        lag_t.add("ryw-violations", lag, float(point.ryw_violations))
+        summary = stats.lag
+        for p in ("p50", "p95", "p99"):
+            lag_t.add(p, lag, getattr(summary, p) if summary else 0.0)
+        lag_t.add("ryw-violations", lag, float(stats.ryw_violations))
         if verbose:
             print(
                 f"[replication-lag] replica_lag={lag}  "
-                f"p50={summary.p50 if summary else 0:.1f}  "
-                f"p99={summary.p99 if summary else 0:.1f}  "
-                f"ryw={point.ryw_violations}/{point.ryw_probes} stale"
+                f"p50={summary.p50 if summary else 0.0:.1f}  "
+                f"p99={summary.p99 if summary else 0.0:.1f}  "
+                f"ryw={stats.ryw_violations}/{stats.ryw_probes} stale"
             )
 
     # -- failover mid-schedule ------------------------------------------------
@@ -345,25 +282,25 @@ def run(
         y_label="count / flag",
     )
     kill_schedule = poisson_arrivals(1.0 * mu0, n_arrivals, seed=seed + 2)
-    point = run_replica_point(
+    point, stats = run_replica_point(
         read_heavy_scenario(seed=seed), kill_schedule,
         deadline=deadline, replicas=2, shards=shards,
         fail_over_midway=True,
     )
-    failover_t.add("promotions", 0, float(point.promotions))
+    zero_loss = stats.zero_acknowledged_loss
+    failover_t.add("promotions", 0, float(stats.promotions))
     failover_t.add("committed", 0, float(point.committed))
     failover_t.add("aborted", 0, float(point.aborted))
-    failover_t.add("committed-transfers", 0, float(point.committed_transfers))
-    failover_t.add("ledger-rows", 0, float(point.ledger_rows))
-    failover_t.add(
-        "zero-acknowledged-loss", 0,
-        1.0 if point.zero_acknowledged_loss else 0.0)
+    failover_t.add("committed-transfers", 0, float(stats.committed_transfers))
+    failover_t.add("ledger-rows", 0, float(stats.ledger_rows))
+    failover_t.add("zero-acknowledged-loss", 0, 1.0 if zero_loss else 0.0)
     if verbose:
         print(
-            f"[failover] promotions={point.promotions}  "
+            f"[failover] promotions={stats.promotions}  "
             f"committed={point.committed} (transfers="
-            f"{point.committed_transfers})  ledger-rows={point.ledger_rows}"
-            f"  zero-loss={point.zero_acknowledged_loss}"
+            f"{stats.committed_transfers})  "
+            f"ledger-rows={stats.ledger_rows}"
+            f"  zero-loss={zero_loss}"
         )
 
     return {

@@ -7,8 +7,10 @@ rate is whatever the system can serve.  This harness is *open-loop*:
 arrivals come from an external schedule (Poisson or bursty) at a
 configurable offered rate, whether or not the engine has kept up.
 
-The driver injects each arrival at its scheduled (virtual) instant,
-runs the scheduler whenever work is pending, and records per-transaction
+The driver — :func:`repro.bench.harness.drive_open`, which
+:mod:`repro.bench.replication` runs too — injects each arrival at its
+scheduled (virtual) instant, runs the scheduler whenever work is
+pending, and records per-transaction
 **end-to-end latency**: commit instant minus *intended arrival instant*
 — queueing delay included, which is the whole point.  A transaction is
 *timely* when its latency is within the deadline SLO; **goodput** is
@@ -54,18 +56,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import heapq
 import math
 import random
-from dataclasses import dataclass, field
 
-from repro.bench.harness import report
+from repro.bench.harness import OpenPoint, drive_open, report
 from repro.client import AdmissionConfig, RetryPolicy, connect
 from repro.core.engine import EngineConfig
-from repro.errors import OverloadError, WorkloadError
+from repro.errors import WorkloadError
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import DEFAULT_COSTS
-from repro.sim.metrics import LatencySummary, Measurements
+from repro.sim.metrics import Measurements
 from repro.workloads.flashsale import FlashSale
 from repro.workloads.oncall import OnCallRoster
 from repro.workloads.payments import PaymentLedger
@@ -178,74 +178,6 @@ def bursty_arrivals(
 # -- one measured point -------------------------------------------------------
 
 
-@dataclass
-class TrafficPoint:
-    """Everything measured at one offered-load point of one arm."""
-
-    offered: float                # arrivals per virtual second
-    committed: int = 0
-    timely: int = 0               # committed within the deadline
-    shed: int = 0                 # bounces off admission control
-    retried: int = 0              # resubmissions scheduled after a shed
-    exhausted: int = 0            # arrivals dropped with retry budget spent
-    aborted: int = 0
-    makespan: float = 0.0         # virtual seconds, first arrival → quiesce
-    runs: int = 0
-    latency: "LatencySummary | None" = None
-    latencies: list[float] = field(default_factory=list, repr=False)
-    #: SSI tracker counters (meaningful under SERIALIZABLE; zero else).
-    pivot_aborts: int = 0
-    conservative_aborts: int = 0
-    unproven_pivot_aborts: int = 0
-
-    @property
-    def goodput(self) -> float:
-        """Timely commits per virtual second."""
-        return self.timely / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def throughput(self) -> float:
-        return self.committed / self.makespan if self.makespan > 0 else 0.0
-
-    @property
-    def shed_share(self) -> float:
-        total = self.committed + self.shed + self.aborted
-        return self.shed / total if total else 0.0
-
-    @property
-    def ssi_aborts(self) -> int:
-        """Total SSI validation aborts (pivots plus conservative)."""
-        return self.pivot_aborts + self.conservative_aborts
-
-    @property
-    def unproven_share(self) -> float:
-        """``pivot_aborts_unproven`` as a share of all SSI aborts."""
-        return (self.unproven_pivot_aborts / self.ssi_aborts
-                if self.ssi_aborts else 0.0)
-
-    def as_dict(self) -> dict:
-        return {
-            "offered": self.offered,
-            "goodput": self.goodput,
-            "throughput": self.throughput,
-            "committed": self.committed,
-            "timely": self.timely,
-            "shed": self.shed,
-            "retried": self.retried,
-            "exhausted": self.exhausted,
-            "aborted": self.aborted,
-            "shed_share": self.shed_share,
-            "makespan": self.makespan,
-            "runs": self.runs,
-            "latency": self.latency.as_dict() if self.latency else None,
-            "ssi_aborts": self.ssi_aborts,
-            "pivot_aborts": self.pivot_aborts,
-            "conservative_aborts": self.conservative_aborts,
-            "unproven_pivot_aborts": self.unproven_pivot_aborts,
-            "unproven_share": self.unproven_share,
-        }
-
-
 def run_traffic_point(
     scenario,
     arrivals: list[float],
@@ -253,149 +185,43 @@ def run_traffic_point(
     deadline: float,
     admission: "AdmissionConfig | None" = None,
     retry: "RetryPolicy | None" = None,
-    connections: int = TRAFFIC_CONNECTIONS,
     isolation: str = "full",
     shards: int = 1,
-    max_runs: int = 100_000,
-    retry_seed: int = 0x5EED,
-) -> TrafficPoint:
-    """Drive one arrival schedule through a fresh engine.
+) -> OpenPoint:
+    """Drive one arrival schedule through a fresh engine
+    (:func:`~repro.bench.harness.drive_open`).
 
-    The open-loop discipline: the (virtual) clock advances only while
-    the engine runs, so the driver alternates *inject everything that
-    has arrived by now* with *run once if anything is pending*; when the
-    engine goes idle before the next arrival, the clock jumps forward
-    to it.  Shed arrivals (:class:`~repro.errors.OverloadError`) are
-    counted and, by default, dropped — a pure open workload does not
-    wait to retry.
-
-    With a :class:`~repro.client.RetryPolicy`, shed arrivals are instead
-    resubmitted after the policy's jittered exponential backoff (floored
-    by the limiter's ``retry_after`` hint), on the same virtual clock;
-    an arrival whose retry budget runs out is dropped and counted as
-    ``exhausted``.  Latency is always measured from the *original*
-    intended arrival instant, so a retried commit pays its backoff in
-    full — retries trade sheds for lateness, which is exactly the
-    trade-off worth measuring.
+    Shed arrivals are dropped — a pure open workload does not wait to
+    retry — unless a :class:`~repro.client.RetryPolicy` resubmits them.
+    Latency is always measured from the *original* intended arrival
+    instant, so a retried commit pays its backoff in full: retries trade
+    sheds for lateness, which is exactly the trade-off worth measuring.
 
     ``isolation`` is the engine-level isolation (``"full"``,
     ``"snapshot"``, ``"serializable"``, ...); under ``"serializable"``
-    the point also captures the SSI tracker's abort counters —
-    ``pivot_aborts``, ``conservative_aborts`` and the unproven-pivot
-    count whose share of total SSI aborts measures validation
-    precision.  ``shards > 1`` drives the schedule through a sharded
-    engine (the fanout arms' cross-shard commit path).  Execution is
-    serial at any shard count, as in :func:`calibrate`: under the thread
-    pool the order of cost charges per connection slot follows thread
+    the point's SSI counters — ``pivot_aborts``, ``conservative_aborts``
+    and the unproven-pivot count whose share of total SSI aborts
+    measures validation precision — are the interesting ones.
+    ``shards > 1`` drives the schedule through a sharded engine (the
+    fanout arms' cross-shard commit path).  Execution is serial at any
+    shard count, as in :func:`calibrate`: under the thread pool the
+    order of cost charges per connection slot follows thread
     interleaving, and the virtual series would change from run to run.
+    A scenario with a ``verify(client)`` hook has it called on the
+    quiesced store.
     """
-    if not arrivals:
-        raise WorkloadError("no arrivals to drive")
-    arrivals = sorted(arrivals)
-    start = arrivals[0]
-    horizon = arrivals[-1] - start
-    offered = len(arrivals) / horizon if horizon > 0 else float("inf")
-
     db = connect(
         shards=shards,
         isolation=isolation,
         executor="serial",
-        config=EngineConfig(connections=connections),
+        config=EngineConfig(connections=TRAFFIC_CONNECTIONS),
         clock=VirtualClock(costs=DEFAULT_COSTS),
         admission=admission,
     )
-    point = TrafficPoint(offered=offered)
     try:
         scenario.install(db)
-        session = db.session("traffic")
-        db.clock.advance_to(start)
-
-        arrived_at: dict[int, float] = {}   # engine handle -> intended instant
-        next_arrival = 0
-        #: min-heap of (due instant, seq, intended instant, attempt) for
-        #: shed arrivals awaiting their backoff (retry policy only).
-        retries: list[tuple[float, int, float, int]] = []
-        retry_rng = random.Random(retry_seed)
-        retry_seq = 0
-
-        def submit(intended: float, attempt: int) -> None:
-            """Submit one (re)arrival; on shed, back off or give up."""
-            nonlocal retry_seq
-            program = scenario.program(at=intended)
-            try:
-                handle = session.run_script(program, at=intended)
-            except OverloadError as exc:
-                point.shed += 1
-                if retry is None:
-                    return
-                if retry.should_retry(attempt):
-                    delay = retry.delay_for(attempt, exc, rng=retry_rng)
-                    retry_seq += 1
-                    heapq.heappush(
-                        retries,
-                        (db.clock.now + delay, retry_seq, intended, attempt + 1),
-                    )
-                    point.retried += 1
-                else:
-                    point.exhausted += 1
-            else:
-                arrived_at[handle.handle] = intended
-
-        def settle(report) -> None:
-            """Account one run's commits/aborts against arrival times."""
-            now = db.clock.now
-            point.runs += 1
-            for handle in report.committed:
-                t = arrived_at.pop(handle, None)
-                if t is None:
-                    continue
-                latency = now - t
-                point.committed += 1
-                point.latencies.append(latency)
-                if latency <= deadline:
-                    point.timely += 1
-            for handle in report.aborted + report.timed_out:
-                if arrived_at.pop(handle, None) is not None:
-                    point.aborted += 1
-
-        while (next_arrival < len(arrivals) or retries
-               or db.engine.dormant_count):
-            # Inject everything whose scheduled instant has passed —
-            # fresh arrivals and retries whose backoff expired.
-            while (next_arrival < len(arrivals)
-                   and arrivals[next_arrival] <= db.clock.now):
-                t = arrivals[next_arrival]
-                next_arrival += 1
-                submit(t, attempt=1)
-            while retries and retries[0][0] <= db.clock.now:
-                _due, _seq, intended, attempt = heapq.heappop(retries)
-                submit(intended, attempt=attempt)
-            if db.engine.dormant_count:
-                settle(db.run())
-            else:
-                # Idle server: virtual time jumps to whichever comes
-                # first — the next scheduled arrival or the next retry.
-                upcoming = []
-                if next_arrival < len(arrivals):
-                    upcoming.append(arrivals[next_arrival])
-                if retries:
-                    upcoming.append(retries[0][0])
-                if upcoming:
-                    db.clock.advance_to(max(min(upcoming), db.clock.now))
-            if point.runs >= max_runs:  # pragma: no cover - defensive
-                raise WorkloadError(
-                    f"traffic point exceeded {max_runs} runs without "
-                    f"quiescing")
-
-        point.makespan = max(db.clock.now - start, horizon)
-        if point.latencies:
-            point.latency = LatencySummary.of(point.latencies)
-        # Fresh engine per point, so cumulative tracker counters are
-        # exactly this point's counts.
-        reading = db.engine.store.metrics()
-        point.pivot_aborts = reading["ssi.pivot_aborts"]
-        point.conservative_aborts = reading["ssi.conservative_aborts"]
-        point.unproven_pivot_aborts = reading["ssi.pivot_aborts_unproven"]
+        point = drive_open(
+            db, scenario, arrivals, deadline=deadline, retry=retry)
         verify = getattr(scenario, "verify", None)
         if verify is not None:
             verify(db)
@@ -407,16 +233,11 @@ def run_traffic_point(
 # -- calibration --------------------------------------------------------------
 
 
-def calibrate(
-    make_scenario,
-    *,
-    waves: int = 25,
-    connections: int = TRAFFIC_CONNECTIONS,
-    shards: int = 1,
-) -> float:
+def calibrate(make_scenario, *, waves: int = 25, shards: int = 1) -> float:
     """Closed-loop service rate μ (commits per virtual second).
 
-    Submits work in *waves* of ``connections`` transactions and drains
+    Submits work in *waves* of :data:`TRAFFIC_CONNECTIONS` transactions
+    and drains
     each before the next, so the engine runs at full connection
     occupancy without the self-inflicted lock thrashing a single huge
     batch would add (hundreds of concurrent transfers retrying against
@@ -431,7 +252,7 @@ def calibrate(
     db = connect(
         shards=shards,
         executor="serial",
-        config=EngineConfig(connections=connections),
+        config=EngineConfig(connections=TRAFFIC_CONNECTIONS),
         clock=VirtualClock(costs=DEFAULT_COSTS),
     )
     try:
@@ -440,7 +261,7 @@ def calibrate(
         t0 = db.clock.now
         committed = 0
         for _ in range(waves):
-            for i in range(connections):
+            for i in range(TRAFFIC_CONNECTIONS):
                 at = db.clock.now + i * 1e-9
                 session.run_script(scenario.program(at=at), at=at)
             committed += sum(len(r.committed) for r in db.drain())

@@ -149,8 +149,8 @@ class RetryPolicy:
 
     The policy is pure arithmetic — it computes *when* to retry; the
     caller owns the clock and the resubmission (see
-    :func:`repro.bench.traffic.run_traffic_point` for the open-loop
-    driver's use).  Frozen so one instance is safely shared by every
+    :func:`repro.bench.harness.drive_open` for the open-loop driver's
+    use).  Frozen so one instance is safely shared by every
     session of a client.
 
     Attributes:

@@ -117,7 +117,6 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         replicas: int = 1,
         max_staleness: int = 0,
         apply_lag: int = 0,
-        locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
         ordered_indexes: bool = True,
         shards: "list[StorageEngine] | None" = None,
@@ -136,7 +135,6 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
             )
         super().__init__(
             n_shards,
-            locking=locking,
             granularity=granularity,
             shards=shards,
             ordered_indexes=ordered_indexes,

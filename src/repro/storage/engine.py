@@ -73,11 +73,7 @@ from repro.storage.locks import (
     index_key_resource,
     table_resource,
 )
-from repro.storage.query import (
-    AccessKind,
-    ReadAccess,
-    Reads,
-)
+from repro.storage.query import AccessKind, ReadAccess
 from repro.storage.recovery import RecoveryReport, replay_log
 from repro.storage.row import Row, RowId, ValueTuple, row_id
 from repro.storage.schema import TableSchema
@@ -260,7 +256,6 @@ class StorageEngine(StoreBase):
         self,
         db: Database | None = None,
         *,
-        locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
         ordered_indexes: bool = True,
     ):
@@ -281,7 +276,6 @@ class StorageEngine(StoreBase):
         #: DeadlockError when the wait closes a cycle across shards).
         self.deadlock_probe = no_deadlock_probe
         self.wal = WriteAheadLog()
-        self.locking = locking
         self.granularity = granularity
         #: planner knob: may queries use B+ tree range/ordered access
         #: paths?  Tables maintain the trees either way; False is the
@@ -343,7 +337,6 @@ class StorageEngine(StoreBase):
         idx: int,
         n_shards: int,
         *,
-        locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
         ordered_indexes: bool = True,
     ) -> "StorageEngine":
@@ -361,7 +354,7 @@ class StorageEngine(StoreBase):
         globally unique without coordination.
         """
         engine = StorageEngine(
-            Database(f"shard{idx}"), locking=locking,
+            Database(f"shard{idx}"),
             granularity=granularity, ordered_indexes=ordered_indexes,
         )
         engine._member = (idx, n_shards)
@@ -536,7 +529,7 @@ class StorageEngine(StoreBase):
         self.commit_count += 1
         self._notify(txn, "commit", "")
         ctx.intents.clear()
-        woken = self.locks.release_all(txn) if self.locking else []
+        woken = self.locks.release_all(txn)
         if commit_ts is not None and self.vacuum_interval:
             self._commits_since_vacuum += 1
             if self._commits_since_vacuum >= self.vacuum_interval:
@@ -607,7 +600,7 @@ class StorageEngine(StoreBase):
         self.ssi.on_abort(txn)
         self._notify(txn, "abort", "")
         ctx.intents.clear()
-        return self.locks.release_all(txn) if self.locking else []
+        return self.locks.release_all(txn)
 
     status = _locked(StoreBase.status)
     context = _locked(StoreBase.context)
@@ -615,8 +608,6 @@ class StorageEngine(StoreBase):
     # -- locking helpers --------------------------------------------------------------
 
     def _lock(self, txn: int, resource, mode: LockMode) -> None:
-        if not self.locking:
-            return
         outcome = self.locks.acquire(txn, resource, mode)
         if outcome is LockOutcome.WAIT:
             raise self._would_block(txn, resource)
@@ -651,8 +642,6 @@ class StorageEngine(StoreBase):
         self._lock_read_rows(self._context(txn), table, rids)
 
     def _lock_read_access(self, ctx: TxnContext, access: ReadAccess) -> None:
-        if not self.locking:
-            return
         kind = access.kind
         if (
             self.granularity is LockGranularity.TABLE
@@ -700,7 +689,7 @@ class StorageEngine(StoreBase):
         """Row S on each of ``rids``, in order (``path``, a range leaf's
         access as consumed, was locked before its probe).  Under TABLE
         granularity the table S that access took covers them."""
-        if not self.locking or self.granularity is LockGranularity.TABLE:
+        if self.granularity is LockGranularity.TABLE:
             return
         if table not in ctx.intents:
             self._lock_intent(ctx, table, LockMode.INTENTION_SHARED)
@@ -728,8 +717,6 @@ class StorageEngine(StoreBase):
         table S already conflicts with every writer's table IX, but two
         writers meet only on rows, and a vacated primary key is the one
         conflict between them that no row carries."""
-        if not self.locking:
-            return
         primary = table.schema.primary_key
         fine = self.granularity is LockGranularity.FINE
         for key in keys:
@@ -758,7 +745,7 @@ class StorageEngine(StoreBase):
         with the reader while same-gap inserters (IX/IX) stay compatible.
         Must run *before* the physical write, while ``k`` is still absent.
         """
-        if not self.locking or self.granularity is not LockGranularity.FINE:
+        if self.granularity is not LockGranularity.FINE:
             return
         for columns, key in keys:
             fence = table.successor_key(columns, key, strict=True)
@@ -1073,39 +1060,33 @@ class StorageEngine(StoreBase):
         self._lock(txn, RowId(table_name, rid), LockMode.EXCLUSIVE)
         table = self.db.table(table_name)
         self._check_write_conflict(ctx, table, rid)
-        if self.locking:
-            # Keys the row *gains or vacates* need IX: moving a row into
-            # an index key is an insert from the perspective of a reader
-            # holding that key's S lock, and moving it *out* changes what
-            # a (possibly negative) probe of the old key observes — both
-            # membership changes must conflict with key-S readers.  Keys
-            # the row keeps are covered by the row X lock (any reader who
-            # saw the row under that key holds row S).
-            canonical = table.schema.validate_row(values)
-            index_keys = table.schema.index_keys
-            old_keys = set(index_keys(table.get(rid).values))
-            new_keys = set(index_keys(canonical))
-            # Deterministic acquisition order; key=repr because key tuples
-            # may mix NULL with values, which don't compare directly.
-            self._lock_moved_keys(
-                txn, table, table_name, sorted(old_keys ^ new_keys, key=repr),
-                old_keys - new_keys,
-            )
-            # Keys the row *gains* are inserts from a range reader's
-            # perspective: gap-lock their successors too.
-            self._lock_gap_successors(
-                txn, table, table_name, sorted(new_keys - old_keys, key=repr)
-            )
-            old, new = table.update(
-                rid, canonical, validated=True, writer=txn,
-                rekeyed=old_keys != new_keys,
-                prune_horizon=self.oracle.oldest_active(),
-            )
-        else:
-            old, new = table.update(
-                rid, values, writer=txn,
-                prune_horizon=self.oracle.oldest_active(),
-            )
+        # Keys the row *gains or vacates* need IX: moving a row into
+        # an index key is an insert from the perspective of a reader
+        # holding that key's S lock, and moving it *out* changes what
+        # a (possibly negative) probe of the old key observes — both
+        # membership changes must conflict with key-S readers.  Keys
+        # the row keeps are covered by the row X lock (any reader who
+        # saw the row under that key holds row S).
+        canonical = table.schema.validate_row(values)
+        index_keys = table.schema.index_keys
+        old_keys = set(index_keys(table.get(rid).values))
+        new_keys = set(index_keys(canonical))
+        # Deterministic acquisition order; key=repr because key tuples
+        # may mix NULL with values, which don't compare directly.
+        self._lock_moved_keys(
+            txn, table, table_name, sorted(old_keys ^ new_keys, key=repr),
+            old_keys - new_keys,
+        )
+        # Keys the row *gains* are inserts from a range reader's
+        # perspective: gap-lock their successors too.
+        self._lock_gap_successors(
+            txn, table, table_name, sorted(new_keys - old_keys, key=repr)
+        )
+        old, new = table.update(
+            rid, canonical, validated=True, writer=txn,
+            rekeyed=old_keys != new_keys,
+            prune_horizon=self.oracle.oldest_active(),
+        )
         self.mvcc_stats["supersede_prunes"] += table.take_supersede_pruned()
         self.wal.append(
             LogRecordType.UPDATE, txn, table_name, rid, old.values, new.values
@@ -1123,13 +1104,12 @@ class StorageEngine(StoreBase):
         self._lock(txn, RowId(table_name, rid), LockMode.EXCLUSIVE)
         table = self.db.table(table_name)
         self._check_write_conflict(ctx, table, rid)
-        if self.locking:
-            # The delete vacates every key the row carries: a reader
-            # probing one of them (perhaps getting a miss) must not see
-            # the uncommitted removal, so each key takes IX first.  The
-            # primary key takes X (see _lock_moved_keys).
-            keys = table.schema.index_keys(table.get(rid).values)
-            self._lock_moved_keys(txn, table, table_name, keys, keys)
+        # The delete vacates every key the row carries: a reader
+        # probing one of them (perhaps getting a miss) must not see
+        # the uncommitted removal, so each key takes IX first.  The
+        # primary key takes X (see _lock_moved_keys).
+        keys = table.schema.index_keys(table.get(rid).values)
+        self._lock_moved_keys(txn, table, table_name, keys, keys)
         old = table.delete(
             rid, writer=txn, prune_horizon=self.oracle.oldest_active()
         )
@@ -1216,8 +1196,7 @@ class StorageEngine(StoreBase):
             self._ssi_observe_read(txn, (
                 ReadAccess.scan(table_name) if path is None
                 else ReadAccess.index_key(table_name, path[0], path[1])))
-        elif (path is not None and self.locking
-              and self.granularity is LockGranularity.FINE):
+        elif path is not None and self.granularity is LockGranularity.FINE:
             self._lock_intent(ctx, table_name, LockMode.INTENTION_EXCLUSIVE)
             # X, not an inserter's IX: it also excludes concurrent
             # inserters of the key, so the candidate set stays stable.
@@ -1292,7 +1271,6 @@ class StorageEngine(StoreBase):
         it, so the same body builds the successor of a dead worker.
         """
         settings = {
-            "locking": self.locking,
             "granularity": self.granularity,
             "ordered_indexes": self.ordered_indexes,
         }

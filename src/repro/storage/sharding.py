@@ -454,7 +454,6 @@ class ShardedStorageEngine(StoreBase):
         self,
         n_shards: int = 2,
         *,
-        locking: bool = True,
         granularity: LockGranularity = LockGranularity.FINE,
         shards: "list[ShardEngine] | None" = None,
         ordered_indexes: bool = True,
@@ -466,11 +465,10 @@ class ShardedStorageEngine(StoreBase):
         given."""
         if shards is None:
             shards = shard_members(
-                n_shards, locking=locking, granularity=granularity,
+                n_shards, granularity=granularity,
                 ordered_indexes=ordered_indexes,
             )
         self.shards = shards
-        self.locking = shards[0].locking
         self.granularity = shards[0].granularity
         self.ordered_indexes = shards[0].ordered_indexes
         #: coordinator-level planner counters (the coordinator plans the
@@ -1215,9 +1213,7 @@ class ShardedStorageEngine(StoreBase):
                 ReadAccess.scan(table_name) if path is None
                 else ReadAccess.index_key(table_name, path[0], path[1])
             ))
-        indexed = snapshot or (
-            self.locking and self.granularity is LockGranularity.FINE
-        )
+        indexed = snapshot or self.granularity is LockGranularity.FINE
         if path is not None and path[2] and indexed:
             return [self.route_key(table_name, path[1])]
         return list(range(self.n_shards))
@@ -1338,7 +1334,6 @@ class ShardedStorageEngine(StoreBase):
 def shard_members(
     n_shards: int,
     *,
-    locking: bool = True,
     granularity: LockGranularity = LockGranularity.FINE,
     ordered_indexes: bool = True,
 ) -> list[StorageEngine]:
@@ -1347,7 +1342,7 @@ def shard_members(
         raise TransactionStateError(f"need >= 1 shard, got {n_shards}")
     return [
         StorageEngine.shard_member(
-            i, n_shards, locking=locking, granularity=granularity,
+            i, n_shards, granularity=granularity,
             ordered_indexes=ordered_indexes,
         )
         for i in range(n_shards)
@@ -1357,7 +1352,6 @@ def shard_members(
 def build_storage_engine(
     shards: int = 1,
     *,
-    locking: bool = True,
     granularity: LockGranularity = LockGranularity.FINE,
     ordered_indexes: bool = True,
 ) -> "StorageEngine | ShardedStorageEngine":
@@ -1366,13 +1360,10 @@ def build_storage_engine(
     one shard means a plain engine, more means the sharded router."""
     if shards > 1:
         return ShardedStorageEngine(
-            shards, locking=locking, granularity=granularity,
-            ordered_indexes=ordered_indexes,
+            shards, granularity=granularity, ordered_indexes=ordered_indexes,
         )
     return StorageEngine(
-        locking=locking, granularity=granularity,
-        ordered_indexes=ordered_indexes,
-    )
+        granularity=granularity, ordered_indexes=ordered_indexes)
 
 
 # -- restart recovery -----------------------------------------------------------------

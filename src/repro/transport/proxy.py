@@ -432,7 +432,6 @@ class RemoteShardEngine:
         self._connection = connection
         self._worker = worker
         self._member = engine._member
-        self.locking = engine.locking
         self.granularity = engine.granularity
         self.ordered_indexes = engine.ordered_indexes
         self.mutex = _shard_proxy_mutex()

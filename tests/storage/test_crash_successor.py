@@ -2,7 +2,7 @@
 
 ``crash()`` + ``recover()`` must hand back the store that crashed, not
 a plainer one: the same type and shard count, the same settings
-(locking, granularity, ordered indexes), the same knobs (transaction-id
+(granularity, ordered indexes), the same knobs (transaction-id
 floor, vacuum and checkpoint cadences, every WAL's simulated fsync
 latency) and, for a replicated store, the same followers — replica
 count, staleness bound and per-follower apply lag — resynced from the
@@ -55,7 +55,6 @@ def shape(store) -> dict:
     return {
         "type": type(store),
         "n_shards": store.n_shards,
-        "locking": store.locking,
         "granularity": store.granularity,
         "ordered_indexes": store.ordered_indexes,
         "next_txn": store._next_txn,

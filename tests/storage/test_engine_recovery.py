@@ -146,14 +146,6 @@ class TestLockingIntegration:
         with pytest.raises(DeadlockError):
             store.read_table(t2, "Reserve")
 
-    def test_locking_disabled_engine(self):
-        engine = StorageEngine(locking=False)
-        engine.create_table(TableSchema.build(
-            "T", [("x", ColumnType.INTEGER)]))
-        t1, t2 = engine.begin(), engine.begin()
-        engine.insert(t1, "T", (1,))
-        engine.read_table(t2, "T")  # no blocking without locks
-
 
 class TestWAL:
     def test_commit_flushes_log(self, store):

@@ -1,9 +1,12 @@
 """Stateful property tests: the storage engine against a model.
 
 A hypothesis RuleBasedStateMachine drives interleaved transactions
-through begin/insert/update/delete/commit/abort (with locking disabled,
-so interleavings are unrestricted) while maintaining a pure-Python model
-of what each table should contain.  Invariants:
+through begin/insert/update/delete/commit/abort (under the default 2PL
+locks; the rules touch no key another open transaction wrote, and a
+write that still meets a lock — a gap lock on a successor key, or a key
+another transaction failed to insert — aborts its transaction) while
+maintaining a pure-Python model of what each table should contain.
+Invariants:
 
 * after COMMIT, the model and the engine agree on table contents;
 * after ABORT, the transaction's effects are fully undone;
@@ -23,7 +26,7 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import DuplicateKeyError
-from repro.storage import ColumnType, StorageEngine, TableSchema
+from repro.storage import ColumnType, StorageEngine, TableSchema, WouldBlock
 from repro.storage.recovery import recover
 
 KEYS = list(range(8))
@@ -37,7 +40,7 @@ class StorageMachine(RuleBasedStateMachine):
 
     @initialize()
     def setup(self):
-        self.engine = StorageEngine(locking=False)
+        self.engine = StorageEngine()
         self.engine.create_table(TableSchema.build(
             "T",
             [("k", ColumnType.INTEGER), ("v", ColumnType.TEXT)],
@@ -53,8 +56,7 @@ class StorageMachine(RuleBasedStateMachine):
     def _visible(self, txn: int) -> dict[int, str]:
         """What ``txn`` should see: committed + every open overlay.
 
-        Without locking, later transactions see uncommitted writes; for
-        the *model* we only track per-txn outcomes, so rules below only
+        The model tracks only per-txn outcomes, so rules below only
         mutate keys not touched by other open transactions — keeping the
         model exact without modelling full visibility.
         """
@@ -73,6 +75,14 @@ class StorageMachine(RuleBasedStateMachine):
             for txn, overlay in self.overlays.items()
             if txn != me
         )
+
+    def _blocked(self, txn: int) -> None:
+        """``txn`` met another transaction's lock on a key outside every
+        overlay (a gap lock on a successor key, or a key another
+        transaction failed to insert): abort it, which also drops the
+        wait it left queued."""
+        self.engine.abort(txn)
+        self.overlays.pop(txn)
 
     # -- rules ----------------------------------------------------------------
 
@@ -93,6 +103,8 @@ class StorageMachine(RuleBasedStateMachine):
             self.overlays[txn][key] = value
         except DuplicateKeyError:
             assert key in visible, "duplicate-key raised for a free key"
+        except WouldBlock:
+            self._blocked(txn)
 
     @rule(txn=txns, key=st.sampled_from(KEYS), value=st.sampled_from(VALUES))
     def update(self, txn, key, value):
@@ -102,7 +114,11 @@ class StorageMachine(RuleBasedStateMachine):
         row = table.lookup_pk((key,))
         if row is None:
             return
-        self.engine.update(txn, "T", row.rid, (key, value))
+        try:
+            self.engine.update(txn, "T", row.rid, (key, value))
+        except WouldBlock:
+            self._blocked(txn)
+            return
         self.overlays[txn][key] = value
 
     @rule(txn=txns, key=st.sampled_from(KEYS))
@@ -113,7 +129,11 @@ class StorageMachine(RuleBasedStateMachine):
         row = table.lookup_pk((key,))
         if row is None:
             return
-        self.engine.delete(txn, "T", row.rid)
+        try:
+            self.engine.delete(txn, "T", row.rid)
+        except WouldBlock:
+            self._blocked(txn)
+            return
         self.overlays[txn][key] = None
 
     @rule(txn=txns)
@@ -165,3 +185,33 @@ class StorageMachine(RuleBasedStateMachine):
 TestStorageMachine = StorageMachine.TestCase
 TestStorageMachine.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None)
+
+
+def _replay_blocked_delete(first_write):
+    """Key 5 committed; A writes with ``first_write``, then B deletes 5
+    — a key in no overlay that A's write still locked."""
+    machine = StorageMachine()
+    machine.setup()
+    seed = machine.begin()
+    machine.insert(seed, 5, "a")
+    machine.commit(seed)
+    a, b = machine.begin(), machine.begin()
+    first_write(machine, a)
+    machine.delete(b, 5)
+    assert b not in machine.overlays  # blocked, so aborted
+    machine.commit(a)
+    machine.quiescent_state_matches_model()
+    machine.pk_index_consistent()
+    return machine
+
+
+def test_a_gap_lock_on_the_successor_key_aborts_the_blocked_delete():
+    machine = _replay_blocked_delete(
+        lambda machine, txn: machine.insert(txn, 4, "b"))
+    assert machine.committed == {4: "b", 5: "a"}
+
+
+def test_a_failed_insert_lock_aborts_the_blocked_delete():
+    machine = _replay_blocked_delete(
+        lambda machine, txn: machine.insert(txn, 5, "b"))
+    assert machine.committed == {5: "a"}

@@ -4,13 +4,17 @@ import pytest
 
 from repro.bench import (
     drive,
+    drive_open,
     make_travel_env,
     require_all_committed,
     travel_scripts,
 )
+from repro.client import connect
 from repro.core.policies import ArrivalCountPolicy
 from repro.errors import BenchError
-from repro.workloads import WorkloadKind, generate_workload
+from repro.sim.clock import VirtualClock
+from repro.sim.costs import DEFAULT_COSTS
+from repro.workloads import PaymentLedger, WorkloadKind, generate_workload
 
 
 class TestMakeTravelEnv:
@@ -80,3 +84,21 @@ class TestSubmitAndDrain:
         assert result.runs == 5
         per_run = [r.elapsed for r in env.client.run_reports]
         assert result.elapsed == pytest.approx(sum(per_run))
+
+
+class TestDriveOpen:
+    """The open-loop driver both arrival-schedule benches run."""
+
+    def test_an_idle_engine_jumps_to_the_next_arrival(self):
+        client = connect(
+            executor="serial", clock=VirtualClock(costs=DEFAULT_COSTS))
+        scenario = PaymentLedger(n_accounts=16, seed=1)
+        scenario.install(client)
+        point = drive_open(client, scenario, [1.0, 5.0, 9.0], deadline=0.1)
+        client.close()
+        # Each arrival finds the engine idle and commits in its own run,
+        # which starts at the arrival instant, not at the previous run's
+        # end or later: every commit lands within one run's service time.
+        assert point.committed == point.timely == point.runs == 3
+        assert all(0 < latency < 0.1 for latency in point.latencies)
+        assert 8.0 < point.makespan < 8.1

@@ -116,18 +116,6 @@ class TestRunTrafficPoint:
         # The whole point: admitted work still lands inside its SLO.
         assert point.timely > 0
 
-    def test_as_dict_round_trips_the_measurements(self):
-        point = run_traffic_point(
-            PaymentLedger(n_accounts=16, seed=1),
-            self._arrivals(),
-            deadline=0.5,
-        )
-        doc = point.as_dict()
-        assert doc["committed"] == point.committed
-        assert doc["goodput"] == pytest.approx(point.goodput)
-        assert set(doc["latency"]) == {
-            "count", "mean", "p50", "p95", "p99", "max"}
-
     def test_rejects_empty_schedule(self):
         with pytest.raises(WorkloadError):
             run_traffic_point(
@@ -148,10 +136,6 @@ class TestRunTrafficPoint:
             point.pivot_aborts + point.conservative_aborts
         assert 0.0 <= point.unproven_share <= 1.0
         assert point.unproven_pivot_aborts <= point.ssi_aborts
-        doc = point.as_dict()
-        for key in ("ssi_aborts", "pivot_aborts", "conservative_aborts",
-                    "unproven_pivot_aborts", "unproven_share"):
-            assert doc[key] == getattr(point, key)
 
     def test_default_isolation_never_counts_ssi_aborts(self):
         point = run_traffic_point(
