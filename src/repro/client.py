@@ -449,7 +449,9 @@ class Client:
         self.broker = InteractiveBroker(
             self.store, default_isolation=engine._storage_isolation
         )
-        self._sessions: list[Session] = []
+        #: the open sessions (insertion-ordered; a session leaves when it
+        #: closes).
+        self._sessions: dict[Session, None] = {}
         #: wakes threads blocked on a :class:`PendingAnswer` — notified
         #: whenever a matching round answers queries or a pending answer
         #: is cancelled, so blocked waiters never busy-spin ``pump()``.
@@ -496,7 +498,6 @@ class Client:
         """
         self._check_open()
         if self.admission is not None and self.admission.max_sessions is not None:
-            self._sessions = [s for s in self._sessions if not s.closed]
             if len(self._sessions) >= self.admission.max_sessions:
                 self._sessions_shed += 1
                 raise OverloadError(
@@ -506,7 +507,7 @@ class Client:
                     reason="session-pool",
                 )
         session = Session(self, client, isolation)
-        self._sessions.append(session)
+        self._sessions[session] = None
         return session
 
     @property
@@ -597,7 +598,7 @@ class Client:
         """
         if self._closed:
             return
-        for session in self._sessions:
+        for session in list(self._sessions):
             session.close()
         self.engine.close()
         for wal in self.store.wals():
@@ -736,10 +737,11 @@ class Session:
         before any storage side effect.
         """
         self._admit()
-        handle = self.client.engine.submit(
+        engine = self.client.engine
+        handle = engine.submit(
             program, client=self.name, at=at, shard_hint=shard_hint
         )
-        return ScriptHandle(self.client, handle)
+        return ScriptHandle(self.client, engine.transaction(handle))
 
     # -- interactive statements -----------------------------------------------------
 
@@ -820,6 +822,7 @@ class Session:
         if self._closed:
             return
         self._closed = True
+        self.client._sessions.pop(self, None)
         pending = self._pending
         if pending is not None:
             pending.cancel()  # no-op when already resolved/cancelled
@@ -859,8 +862,8 @@ class Session:
 
     def _observe_commit(self, store: Store, txn: int) -> None:
         """Advance the read-your-writes floor past an acknowledged
-        commit — where the store says a later begin could miss it
-        (replicated stores serving bounded-staleness cuts)."""
+        writing commit — where the store says a later begin could miss
+        it (replicated stores serving bounded-staleness cuts)."""
         vector = store.commit_vector(txn)
         if vector is None:
             return
@@ -876,15 +879,18 @@ class Session:
 
 
 class ScriptHandle:
-    """The client-side view of one submitted batch script."""
+    """The client-side view of one submitted batch script.
 
-    def __init__(self, client: Client, handle: int):
+    It holds the script's transaction itself, so it answers for the
+    script after the run that finished it: the engine keeps only
+    unfinished transactions, and a finished one lives on here for as
+    long as the caller keeps the handle.
+    """
+
+    def __init__(self, client: Client, txn: EntangledTransaction):
         self.client = client
-        self.handle = handle
-
-    @property
-    def _txn(self):
-        return self.client.engine.transaction(self.handle)
+        self.handle = txn.handle
+        self._txn = txn
 
     @property
     def phase(self) -> TxnPhase:
@@ -1192,8 +1198,11 @@ class StorageTransaction:
 
     def commit(self) -> None:
         self._finished = True
+        # Asked before the commit: a finished transaction is unknown.
+        observe = self._session is not None and bool(
+            self._store.written_shards(self.txn))
         self._store.commit(self.txn)
-        if self._session is not None:
+        if observe:
             self._session._observe_commit(self._store, self.txn)
 
     def abort(self) -> None:

@@ -262,6 +262,10 @@ class EntangledTransactionEngine:
         if self.config.record_schedule:
             self.recorder = ScheduleRecorder(store=self.store)
             self.listeners.append(self.recorder)
+        #: the unfinished transactions: one leaves at the end of the run
+        #: that finishes it (or of the run start that finds it expired),
+        #: and what a caller keeps of it after that is its
+        #: :class:`~repro.client.ScriptHandle`'s.
         self._transactions: dict[int, EntangledTransaction] = {}
         self._dormant: list[int] = []
         #: cumulative admission counters (per-run deltas land on each
@@ -398,10 +402,12 @@ class EntangledTransactionEngine:
         return handle
 
     def transaction(self, handle: int) -> EntangledTransaction:
+        """An unfinished transaction by handle."""
         try:
             return self._transactions[handle]
         except KeyError:
-            raise MiddlewareError(f"unknown transaction handle {handle}") from None
+            raise MiddlewareError(
+                f"no unfinished transaction has handle {handle}") from None
 
     def phase(self, handle: int) -> TxnPhase:
         return self.transaction(handle).phase
@@ -411,9 +417,7 @@ class EntangledTransactionEngine:
         return len(self._dormant)
 
     def unfinished(self) -> list[int]:
-        return [
-            h for h, t in self._transactions.items() if not t.phase.is_terminal
-        ]
+        return list(self._transactions)
 
     # -- the run loop (Section 4) --------------------------------------------------------
 
@@ -461,6 +465,7 @@ class EntangledTransactionEngine:
             txn = self.transaction(handle)
             if txn.is_expired(started):
                 self._finalize_timeout(txn, report)
+                self._retire(txn)
                 continue
             batch.append(txn)
 
@@ -811,10 +816,13 @@ class EntangledTransactionEngine:
 
         # Entanglement links are attempt-local: committed members are
         # terminal and everyone else restarts from scratch, so this run's
-        # links must not constrain future runs.
+        # links must not constrain future runs.  The run's lookups are
+        # over, so its finished transactions leave the engine here.
         for txn in batch:
-            self.groups.forget(txn.handle)
-            if not txn.phase.is_terminal:
+            if txn.phase.is_terminal:
+                self._retire(txn)
+            else:
+                self.groups.forget(txn.handle)
                 self.groups.register(txn.handle)
 
     def _commit_transaction(
@@ -831,26 +839,29 @@ class EntangledTransactionEngine:
 
     def _stage_commit(self, txn: EntangledTransaction) -> None:
         """The stateless-middleware writes that ride inside the user
-        transaction, just before its storage commit."""
+        transaction, just before its storage commit; then the
+        ``committing`` event."""
         assert txn.storage_txn is not None
-        if not self.config.persist_state:
-            return
-        group = sorted(self.groups.group_of(txn.handle))
-        group_storage = [
-            self.transaction(h).storage_txn for h in group
-        ]
-        group_id = min(s for s in group_storage if s is not None)
-        self.store.insert(
-            txn.storage_txn,
-            self.COMMITS_TABLE,
-            (txn.storage_txn, group_id, len(group)),
-        )
-        # Remove the dormant-pool row *inside* the user transaction so
-        # commit and pool removal are atomic: a crash can never leave
-        # a committed transaction still queued for re-execution.  The
-        # pk-pinned WHERE keeps this a row+key delete, so concurrent
-        # group commits don't serialize on the pool table.
-        self._delete_pool_row(txn.storage_txn, txn.handle)
+        if self.config.persist_state:
+            group = sorted(self.groups.group_of(txn.handle))
+            group_storage = [
+                self.transaction(h).storage_txn for h in group
+            ]
+            group_id = min(s for s in group_storage if s is not None)
+            self.store.insert(
+                txn.storage_txn,
+                self.COMMITS_TABLE,
+                (txn.storage_txn, group_id, len(group)),
+            )
+            # Remove the dormant-pool row *inside* the user transaction
+            # so commit and pool removal are atomic: a crash can never
+            # leave a committed transaction still queued for
+            # re-execution.  The pk-pinned WHERE keeps this a row+key
+            # delete, so concurrent group commits don't serialize on the
+            # pool table.
+            self._delete_pool_row(txn.storage_txn, txn.handle)
+        for listener in self.listeners:
+            listener.committing(txn)
 
     def _commit_rejected(
         self, txn: EntangledTransaction, report: RunReport
@@ -901,6 +912,11 @@ class EntangledTransactionEngine:
         with self._report_lock:
             self._dormant.append(txn.handle)
             report.returned_to_pool.append(txn.handle)
+
+    def _retire(self, txn: EntangledTransaction) -> None:
+        """A finished transaction leaves every registry of the engine."""
+        self.groups.forget(txn.handle)
+        del self._transactions[txn.handle]
 
     def _finalize_timeout(self, txn: EntangledTransaction, report: RunReport) -> None:
         txn.mark_timed_out()

@@ -39,6 +39,13 @@ class RunListener:
         coordinating choice), or — ``None`` — one transaction's query
         succeeded with an empty answer."""
 
+    def committing(self, txn) -> None:
+        """*Worker.*  ``txn``'s storage commit is next: its writes are
+        final, and the store still knows it (the commit may yet fail
+        validation).  A subscriber that needs the store's view of what
+        ``txn`` wrote reads it here; once committed, ``txn`` is finished
+        and the store keeps nothing of it."""
+
     def committed(self, txn) -> None:
         """*Worker.*  ``txn``'s storage commit stuck."""
 

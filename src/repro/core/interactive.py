@@ -220,6 +220,7 @@ class InteractiveBroker:
         self.store = store
         self.default_isolation = default_isolation
         self.groups = GroupTracker()
+        #: the sessions whose transaction is unfinished.
         self._sessions: dict[int, InteractiveSession] = {}
         self._waiting: dict[int, InteractiveSession] = {}
         self._next_id = 1
@@ -360,7 +361,12 @@ class InteractiveBroker:
                 outcome.failed.abort()
             else:
                 for member in members:
-                    self.groups.forget(member.session_id)
+                    self._retire(member)
+
+    def _retire(self, session: InteractiveSession) -> None:
+        """A finished session leaves the broker (broker mutex held)."""
+        self.groups.forget(session.session_id)
+        del self._sessions[session.session_id]
 
     def _on_abort(self, session: InteractiveSession) -> None:
         """Widow prevention: aborting a session aborts its whole group."""
@@ -369,7 +375,7 @@ class InteractiveBroker:
                 self.groups.group_of(session.session_id)
                 - {session.session_id}
             )
-            self.groups.forget(session.session_id)
+            self._retire(session)
             for sid in sorted(group):
                 member = self._sessions.get(sid)
                 if member is None or member.state in (

@@ -127,13 +127,13 @@ def run_until_block(
             return StepOutcome.ROLLED_BACK
         txn.pc += 1
         if autocommit:
+            # Asked before the commit: a finished transaction is unknown.
+            isolation = store.isolation_of(txn.storage_txn)
             try:
                 store.commit(txn.storage_txn)
             except SerializationFailureError:
                 return StepOutcome.SERIALIZATION_FAILURE
-            txn.storage_txn = store.begin(
-                isolation=store.isolation_of(txn.storage_txn)
-            )
+            txn.storage_txn = store.begin(isolation=isolation)
     return StepOutcome.COMPLETED
 
 

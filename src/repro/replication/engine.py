@@ -338,17 +338,13 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         return fresh
 
     def commit(self, txn: int, *, flush: bool = True) -> list[int]:
+        # Read before the commit: a flushed commit leaves no context.
+        writing = bool(self._context(txn).written)
         woken = super().commit(txn, flush=flush)
         with self._commit_lock:
-            ctx = self._contexts.get(txn)
-            if (
-                ctx is not None
-                and ctx.status is TxnStatus.COMMITTED
-                and ctx.commit_seq is not None
-                and (
-                    not self._recent_cuts
-                    or self._recent_cuts[-1][0] != self._commit_seq
-                )
+            if writing and (
+                not self._recent_cuts
+                or self._recent_cuts[-1][0] != self._commit_seq
             ):
                 # Record the post-commit consistent cut (funnel-held, so
                 # it is a true prefix cut) as a candidate for future
@@ -363,12 +359,12 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
     def commit_vector(self, txn: int) -> "tuple[int, ...] | None":
         """A bounded-staleness begin may be served a recorded cut older
         than ``txn``'s commit; a session that must observe its own write
-        passes this back as ``min_vector``.  Capturing the whole current
-        vector *overclaims* — it may include other sessions' concurrent
-        commits — which is safe: an inflated floor can only force extra
-        freshness, never staleness."""
-        if not self.written_shards(txn):
-            return None
+        passes this back as ``min_vector``.  Asked once ``txn``'s writing
+        commit is acknowledged, so the whole current vector covers it.
+        Capturing it *overclaims* — it may include other sessions'
+        concurrent commits — which is safe: an inflated floor can only
+        force extra freshness, never staleness."""
+        del txn
         return tuple(s.oracle.last_commit_ts for s in self.shards)
 
     def replication_lag(self) -> int:
@@ -409,7 +405,7 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
                     acking = bool(self._acking)
                 parked = [
                     txn for txn, ctx in self._contexts.items()
-                    if ctx.status is TxnStatus.COMMITTED and ctx.flush_targets
+                    if ctx.status is TxnStatus.COMMITTED
                 ]
                 if not acking and not parked:
                     return self._fail_over_quiesced(shard_idx)
@@ -464,9 +460,9 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         # versions and undo state on the failed shard are gone, and a
         # snapshot vector spanning the old timeline may observe commits
         # the demotion just rolled back.  Abort them ensemble-wide.
-        for txn, ctx in list(self._contexts.items()):
-            if ctx.status is not TxnStatus.ACTIVE:
-                continue
+        # (No context here is a parked commit: the ack drain flushed
+        # those, and a flushed commit leaves no context.)
+        for txn in list(self._contexts):
             # The dead shard's half went down with its leader; everything
             # else — the survivors' rollback, the snapshot release, SSI,
             # the observers — is the ordinary abort.
@@ -508,13 +504,8 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
         return super().recover(demote)
 
     def _context(self, txn: int) -> ShardedTxnContext:
-        ctx = self._contexts.get(txn)
-        if (
-            ctx is not None
-            and ctx.status is not TxnStatus.ACTIVE
-            and txn in self._failed_over
-        ):
-            shard_idx = self._failed_over[txn]
+        shard_idx = self._failed_over.get(txn)
+        if shard_idx is not None:
             raise LeaderFailoverError(
                 f"shard {shard_idx} leader failed over while transaction "
                 f"{txn} was live; the successor is serving — retry",
@@ -524,14 +515,10 @@ class ReplicatedStorageEngine(ShardedStorageEngine):
 
     def abort(self, txn: int) -> list[int]:
         # Client cleanup after a LeaderFailoverError aborts the handle;
-        # the failover already did the work, so absorb it quietly.
+        # the failover already did the work, so absorb it quietly — and
+        # the owner's abort is the last the store hears of it.
         with self._commit_lock:
-            ctx = self._contexts.get(txn)
-            if (
-                ctx is not None
-                and ctx.status is TxnStatus.ABORTED
-                and txn in self._failed_over
-            ):
+            if self._failed_over.pop(txn, None) is not None:
                 return []
         return super().abort(txn)
 

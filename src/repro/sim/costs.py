@@ -126,6 +126,8 @@ class CostAccount(RunListener):
         store = self.engine.store
         self._connections = ConnectionPool(self.engine.config.connections)
         self._slots: dict[int, int] = {}
+        #: handle -> the shards its pending commit will flush.
+        self._written: dict[int, list[int]] = {}
         # Each shard's WAL/group-commit pipeline is a serial resource;
         # the run pays the busiest (the shard ablation's subject).
         self._flushes = ConnectionPool(store.n_shards)
@@ -158,10 +160,14 @@ class CostAccount(RunListener):
             + costs.entangled_answer_cost * len(result.answers)
         )
 
+    def committing(self, txn) -> None:
+        self._written[txn.handle] = self.engine.store.written_shards(
+            txn.storage_txn)
+
     def committed(self, txn) -> None:
         # The flush lands on every shard the transaction wrote in, plus
         # the two-phase prepare tax when it wrote more than one.
-        written = self.engine.store.written_shards(txn.storage_txn)
+        written = self._written.pop(txn.handle)
         per_shard = self.costs.commit_flush_cost + (
             self.costs.cross_shard_prepare_cost if len(written) > 1 else 0.0
         )

@@ -159,33 +159,31 @@ class _UndoEntry:
 
 @dataclass
 class TxnContext:
-    """Book-keeping for one storage-level transaction."""
+    """Book-keeping for one live storage-level transaction: it is made
+    at ``begin`` and dropped at the end of ``commit`` or ``abort``."""
 
     txn_id: int
+    #: always ACTIVE here (a finished context is gone); a router's
+    #: context may read COMMITTED until its deferred flush.
     status: TxnStatus = TxnStatus.ACTIVE
     isolation: TxnIsolation = TxnIsolation.TWO_PL
     #: snapshot timestamp: the last commit timestamp visible to this txn.
     read_ts: int = 0
-    #: commit timestamp, stamped at commit time for writing transactions.
-    commit_ts: int | None = None
     #: set once information derived from this snapshot escaped to the
     #: client (an entangled answer was delivered): the snapshot must not
     #: be silently refreshed afterwards, even if ``reads`` is empty.
     snapshot_pinned: bool = False
     #: one entry per row write, in order: what rollback replays in
-    #: reverse and what ``prepare`` derives the SSI write set from, both
-    #: while the transaction is active — emptied once its outcome is
-    #: decided, so a finished context (kept for ``status`` and friends)
-    #: holds no row image.
+    #: reverse and what ``prepare`` derives the SSI write set from.
     undo: list[_UndoEntry] = field(default_factory=list)
     reads: list[str] = field(default_factory=list)
     #: the tables it wrote (its row-level write set is ``undo``).
     written_tables: set[str] = field(default_factory=set)
     #: per table, the strongest intent lock (IS or IX) it was granted:
     #: every keyed read wants the table's IS and every row write its IX,
-    #: and one request per transaction answers them all.  Emptied
-    #: whenever the locks go: at the end, or when read locks are
-    #: released early.  Nothing else mirrors the lock manager's table.
+    #: and one request per transaction answers them all.  Emptied when
+    #: read locks are released early (at the end the context goes).
+    #: Nothing else mirrors the lock manager's table.
     intents: dict[str, LockMode] = field(default_factory=dict)
 
 
@@ -499,7 +497,8 @@ class StorageEngine(StoreBase):
             # nothing (its coordinator pulls ``prepare`` into the global
             # one), so this is wasted work there — ``benchmarks/e2e``
             # declares the hook exercised on replicated shards, and
-            # ROADMAP gate 0(f) is what lets a member skip it.
+            # ROADMAP gate 0(b) (declare hooks optional where a change
+            # silences them) is what lets a member skip it.
             self.ssi.record_write(txn, self._write_set(ctx))
         # SSI validation happens before the commit point.  Read-only
         # transactions take the last allocated timestamp as their commit
@@ -516,19 +515,16 @@ class StorageEngine(StoreBase):
         if flush:
             self.wal.flush(record.lsn)  # write-ahead rule: commit is durable
         if commit_ts is not None:
-            ctx.commit_ts = commit_ts
             for name in written:
                 self.db.table(name).commit_versions(txn, commit_ts)
                 self._table_writers.setdefault(name, []).append(
                     (commit_ts, txn)
                 )
-        ctx.status = TxnStatus.COMMITTED
-        ctx.undo.clear()
+        del self._contexts[txn]
         self.oracle.release_snapshot(txn)
         self._active_writers.discard(txn)
         self.commit_count += 1
         self._notify(txn, "commit", "")
-        ctx.intents.clear()
         woken = self.locks.release_all(txn)
         if commit_ts is not None and self.vacuum_interval:
             self._commits_since_vacuum += 1
@@ -592,14 +588,12 @@ class StorageEngine(StoreBase):
                     entry.after, entry.before,
                 )
         self.wal.append(LogRecordType.ABORT, txn)
-        ctx.status = TxnStatus.ABORTED
-        ctx.undo.clear()
+        del self._contexts[txn]
         self.oracle.release_snapshot(txn)
         self._active_writers.discard(txn)
         self.abort_count += 1
         self.ssi.on_abort(txn)
         self._notify(txn, "abort", "")
-        ctx.intents.clear()
         return self.locks.release_all(txn)
 
     status = _locked(StoreBase.status)
@@ -957,9 +951,9 @@ class StorageEngine(StoreBase):
 
     @_locked
     def written_shards(self, txn: int) -> list[int]:
-        """Shard indexes ``txn`` wrote to (commit-flush cost accounting)."""
-        ctx = self._contexts.get(txn)
-        return [0] if ctx is not None and ctx.written_tables else []
+        """Shard indexes a live ``txn`` wrote to (commit-flush cost
+        accounting)."""
+        return [0] if self.context(txn).written_tables else []
 
     def _check_write_conflict(self, ctx: TxnContext, table, rid: int) -> None:
         """First-updater-wins: a SNAPSHOT writer loses against any version

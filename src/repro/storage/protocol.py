@@ -235,6 +235,15 @@ class Store(Protocol):
     topology with nothing to report for a member reports zero — in
     :meth:`metrics`, a lone engine's ``cross_shard_commits`` and an
     unreplicated store's ``follower_reads``.
+
+    A store keeps state for *live* transactions only.  Once ``commit``
+    (with its flush) or ``abort`` returns, the transaction is unknown
+    to every member that takes its id — ``isolation_of``,
+    ``written_shards``, ``reads_from``, and a store's ``status`` and
+    ``context`` raise :class:`~repro.errors.TransactionStateError`: its
+    outcome is what that call returned, and the WAL's COMMIT or ABORT
+    record.  A commit taken with ``flush=False`` stays known until
+    :meth:`flush_commits` flushed it.
     """
 
     #: the catalog and live table provider: ``has_table``, ``table``,
@@ -271,11 +280,15 @@ class Store(Protocol):
     def commit_funnel(self) -> ContextManager:
         """Held across an atomic group's validate-and-commit sequence."""
 
-    def isolation_of(self, txn: int) -> TxnIsolation: ...
+    def isolation_of(self, txn: int) -> TxnIsolation:
+        """Of a live transaction: what a caller needs of one it is about
+        to commit, it asks before the commit."""
 
     def serialization_doomed_group(self, txns: Sequence[int]) -> bool: ...
 
-    def commit_vector(self, txn: int) -> tuple[int, ...] | None: ...
+    def commit_vector(self, txn: int) -> tuple[int, ...] | None:
+        """Asked once ``txn``'s *writing* commit is acknowledged (the
+        caller learnt it wrote from :meth:`written_shards`, before)."""
 
     # -- statements ------------------------------------------------------------------
 
@@ -357,7 +370,8 @@ class Store(Protocol):
 
     # -- statistics --------------------------------------------------------------------
 
-    def written_shards(self, txn: int) -> list[int]: ...
+    def written_shards(self, txn: int) -> list[int]:
+        """The shards a live transaction wrote in."""
 
     def metrics(self) -> dict[str, int]:
         """One reading of every counter, keyed as

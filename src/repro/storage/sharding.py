@@ -375,9 +375,9 @@ class ShardedTxnContext:
     #: observe lives at-or-below these LSNs, so a writing commit must
     #: not become durable before they are (reads-from durability).
     dep_lsns: tuple[int, ...] = ()
+    #: COMMITTED only between ``commit(flush=False)`` and the
+    #: ``flush_commits`` that drops the context.
     status: TxnStatus = TxnStatus.ACTIVE
-    #: global commit-sequence number stamped at commit (writers only).
-    commit_seq: int | None = None
     snapshot_pinned: bool = False
     #: shards with a begun shard-local transaction, in begin order.
     begun: list[int] = field(default_factory=list)
@@ -682,11 +682,12 @@ class ShardedStorageEngine(StoreBase):
         written shard's log is durable.
 
         ``flush=False`` defers the physical flushes entirely: the
-        targets are parked on the transaction's context and the caller
-        *must* follow up with :meth:`flush_commits` before
-        acknowledging the commit.  Group-commit coordinators use this —
-        they hold the (re-entrant) funnel across every member's commit,
-        so an eager flush here would block inside it.
+        targets are parked on the transaction's context — the one thing
+        a committed context is kept for — and the caller *must* follow
+        up with :meth:`flush_commits` before acknowledging the commit.
+        Group-commit coordinators use this — they hold the (re-entrant)
+        funnel across every member's commit, so an eager flush here
+        would block inside it.
         """
         ctx = self._context(txn)
         with self._commit_lock:
@@ -710,7 +711,6 @@ class ShardedStorageEngine(StoreBase):
                 )
             if written:
                 self._commit_seq += 1
-                ctx.commit_seq = self._commit_seq
                 for name in ctx.written_tables:
                     self._table_writers.setdefault(name, []).append(
                         (self._commit_seq, txn)
@@ -759,19 +759,21 @@ class ShardedStorageEngine(StoreBase):
         Per-transaction targets (parked on each context by
         :meth:`commit`) are merged so each shard's log flushes at most
         once to the maximum required LSN — the group-commit batching a
-        real engine gets from sharing one fsync.  Must be called with
-        the commit funnel *released*: flushes block, the funnel must
-        not.
+        real engine gets from sharing one fsync.  Their contexts go with
+        them: nothing reads a committed transaction's context after
+        this.  Must be called with the commit funnel *released*: flushes
+        block, the funnel must not (it is taken only to drop the
+        contexts).
         """
         merged: dict[int, int] = {}
-        for txn in txns:
-            ctx = self._contexts.get(txn)
-            if ctx is None:
-                continue
-            for shard_idx, lsn in ctx.flush_targets.items():
-                if merged.get(shard_idx, 0) < lsn:
-                    merged[shard_idx] = lsn
-            ctx.flush_targets = {}
+        with self._commit_lock:
+            for txn in txns:
+                ctx = self._contexts.pop(txn, None)
+                if ctx is None:
+                    continue
+                for shard_idx, lsn in ctx.flush_targets.items():
+                    if merged.get(shard_idx, 0) < lsn:
+                        merged[shard_idx] = lsn
         for shard_idx, lsn in sorted(merged.items()):
             wal = self.shards[shard_idx].wal
             # Skip already-durable targets without touching the WAL
@@ -799,7 +801,7 @@ class ShardedStorageEngine(StoreBase):
                     woken.extend(self.shards[shard_idx].abort(txn))
             if ctx.isolation.uses_snapshot:
                 self._release_horizon(txn)
-            ctx.status = TxnStatus.ABORTED
+            del self._contexts[txn]
             with self._meta_lock:
                 self._active_writers.discard(txn)
                 self.abort_count += 1
@@ -1284,8 +1286,7 @@ class ShardedStorageEngine(StoreBase):
         return committed - torn
 
     def written_shards(self, txn: int) -> list[int]:
-        ctx = self._contexts.get(txn)
-        return sorted(ctx.written) if ctx is not None else []
+        return sorted(self.context(txn).written)
 
     # -- crash simulation ----------------------------------------------------------------
 

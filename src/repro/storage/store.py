@@ -9,7 +9,12 @@ engine.StorageEngine` and :class:`~repro.storage.sharding.
 ShardedStorageEngine` (hence the process and replicated engines) supply
 the primitives they are written against:
 
-* ``_contexts`` — every transaction's context, whatever its status;
+* ``_contexts`` — the live transactions' contexts: one is made at
+  ``begin`` and dropped when nothing reads it any more (at the end of
+  ``commit`` or ``abort``; a router's deferred commit keeps its context
+  until ``flush_commits`` consumed its flush targets), so a finished
+  transaction is unknown here and its outcome is what its ``commit`` or
+  ``abort`` call returned — and the WAL's COMMIT or ABORT record;
 * ``snapshot_provider(txn)`` — the provider serving its snapshot;
 * ``_lock_read_access(ctx, access)`` — observe one 2PL access path:
   take the locks it requires (may raise ``WouldBlock``);
@@ -85,9 +90,11 @@ def metrics_delta(
 
 
 class TxnStatus(enum.Enum):
+    """A live transaction's status (a finished one has none here)."""
+
     ACTIVE = "active"
+    #: committed with ``flush=False``, its flush still to come.
     COMMITTED = "committed"
-    ABORTED = "aborted"
 
 
 class StoreBase:
@@ -108,8 +115,9 @@ class StoreBase:
 
     def commit_vector(self, txn: int) -> "tuple[int, ...] | None":
         """The ``min_vector`` a later ``begin`` must dominate to observe
-        ``txn``'s commit, or None when every begin does (no cut here is
-        ever older than an acknowledged commit)."""
+        ``txn``'s writing commit, asked once it is acknowledged, or None
+        when every begin does (no cut here is ever older than an
+        acknowledged commit)."""
         return None
 
     def close(self) -> None:
@@ -156,17 +164,20 @@ class StoreBase:
         return ctx
 
     def context(self, txn: int):
-        """Expose read/write sets for the model recorder (any status)."""
+        """A live transaction's context (its read and write sets); a
+        finished transaction is unknown."""
         try:
             return self._contexts[txn]
         except KeyError:
             raise TransactionStateError(f"unknown transaction {txn}") from None
 
     def isolation_of(self, txn: int):
-        """The isolation a transaction was begun with (any status)."""
+        """The isolation a live transaction was begun with."""
         return self.context(txn).isolation
 
     def status(self, txn: int):
+        """A live transaction's status: ACTIVE, or COMMITTED while a
+        commit taken with ``flush=False`` awaits ``flush_commits``."""
         return self.context(txn).status
 
     def serialization_doomed(self, txn: int) -> bool:

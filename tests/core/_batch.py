@@ -29,12 +29,16 @@ def system_for(
 
 def submit(system: Client, program, client: str = "client", at=None) -> int:
     """Submit one batch script under a named session; returns its handle."""
-    return system.session(client).run_script(program, at=at).handle
+    return script(system, program, client, at).handle
 
 
-def ticket(system: Client, handle: int) -> ScriptHandle:
-    """The client-visible view of a submitted script."""
-    return ScriptHandle(system, handle)
+def script(
+    system: Client, program, client: str = "client", at=None
+) -> ScriptHandle:
+    """Submit one batch script under a named session; returns its
+    client-visible view, which answers for the script once it finished
+    (the engine keeps only unfinished transactions)."""
+    return system.session(client).run_script(program, at=at)
 
 
 def engine_for(store, config: "EngineConfig | None" = None, *, policy=None):

@@ -12,7 +12,7 @@ from repro.core import (
     TimeIntervalPolicy,
     TxnPhase,
 )
-from repro.client import ScriptHandle, connect
+from repro.client import connect
 from repro.core.interpreter import StepOutcome, deliver_answer, run_until_block
 from repro.core.transaction import EntangledTransaction
 from repro.errors import EngineError, MiddlewareError
@@ -322,7 +322,7 @@ class TestMiddlewareFacade:
     def test_unknown_handle(self):
         system = connect()
         with pytest.raises(MiddlewareError):
-            ScriptHandle(system, 42).phase
+            system.engine.transaction(42)
 
     def test_host_variables_require_commit(self):
         system = connect()

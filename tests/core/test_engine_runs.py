@@ -17,7 +17,7 @@ from repro.sim.clock import VirtualClock
 from repro.storage import ColumnType, TableSchema
 from repro.workloads import example_schema, figure1_rows
 
-from _batch import submit, system_for, ticket
+from _batch import script, submit, system_for
 
 
 def make_system(config: EngineConfig | None = None, clock=None) -> Client:
@@ -62,14 +62,14 @@ class TestFigure4Walkthrough:
 
     def test_first_run_aborts_unmatched_pair(self):
         system = make_system()
-        mickey = submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        mickey = script(system, travel_program("Mickey", "Minnie"), "mickey")
         donald = submit(system, travel_program("Donald", "Daffy"), "donald")
         report = system.run()
         # "Neither transaction is able to progress; therefore, the system
         # immediately aborts the run and returns both transactions."
         assert report.committed == []
-        assert sorted(report.returned_to_pool) == [mickey, donald]
-        assert ticket(system, mickey).phase is TxnPhase.DORMANT
+        assert sorted(report.returned_to_pool) == [mickey.handle, donald]
+        assert mickey.phase is TxnPhase.DORMANT
 
     def test_second_run_commits_mickey_and_minnie(self):
         system = make_system()
@@ -105,10 +105,10 @@ class TestFigure4Walkthrough:
 
     def test_host_variables_captured(self):
         system = make_system()
-        mickey = submit(system, travel_program("Mickey", "Minnie"), "mickey")
+        mickey = script(system, travel_program("Mickey", "Minnie"), "mickey")
         submit(system, travel_program("Minnie", "Mickey"), "minnie")
         system.run()
-        variables = ticket(system, mickey).host_variables()
+        variables = mickey.host_variables()
         assert variables["@fno"] in (122, 123, 124)
         assert variables["@hid"] in (7, 9)
 
@@ -202,38 +202,38 @@ class TestGroupCommit:
 class TestTimeouts:
     def test_expired_transaction_times_out(self):
         system = make_system(EngineConfig(), clock=VirtualClock())
-        donald = submit(system, 
+        donald = script(system, 
             travel_program("Donald", "Daffy").replace("2 DAYS", "1 SECONDS"),
             "donald",
         )
         system.run()
-        assert ticket(system, donald).phase is TxnPhase.DORMANT
+        assert donald.phase is TxnPhase.DORMANT
         system.engine.clock.advance(5.0)
         report = system.run()
-        assert report.timed_out == [donald]
-        assert ticket(system, donald).phase is TxnPhase.TIMED_OUT
+        assert report.timed_out == [donald.handle]
+        assert donald.phase is TxnPhase.TIMED_OUT
 
     def test_no_timeout_cycles_forever(self):
         system = make_system()
-        donald = submit(system, travel_program("Donald", "Daffy"), "donald")
+        donald = script(system, travel_program("Donald", "Daffy"), "donald")
         reports = system.drain(max_runs=50)
         # drain stops on no-progress; Donald still dormant.
         assert len(reports) < 50
-        assert ticket(system, donald).phase is TxnPhase.DORMANT
+        assert donald.phase is TxnPhase.DORMANT
 
 
 class TestRollbackAndErrors:
     def test_explicit_rollback_aborts_permanently(self):
         system = make_system()
-        handle = submit(system, """
+        rollback = script(system, """
             BEGIN TRANSACTION;
             INSERT INTO FlightBookings (name, fno) VALUES ('X', 1);
             ROLLBACK;
             COMMIT;
         """, "client")
         report = system.run()
-        assert report.aborted == [handle]
-        assert ticket(system, handle).phase is TxnPhase.ABORTED
+        assert report.aborted == [rollback.handle]
+        assert rollback.phase is TxnPhase.ABORTED
         assert len(system.store.db.table("FlightBookings")) == 0
 
     def test_classical_transaction_commits_without_entanglement(self):

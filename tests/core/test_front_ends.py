@@ -305,16 +305,19 @@ def wishes(draw):
 
 def groups_of_a_run(wanted) -> set[frozenset[str]]:
     db = make_db()
-    names = {}
+    names, scripts = {}, {}
     for i, friend in enumerate(wanted):
         script = db.session(f"p{i}").run_script(
             "BEGIN TRANSACTION; "
             + PICK.format(me=f"p{i}", friend=f"p{friend}") + "; COMMIT;")
         names[script.handle] = f"p{i}"
+        scripts[script.handle] = script
     report = db.run()
+    # A committed script's partners are its handle's to tell: the engine
+    # forgets a finished transaction.
     groups = {
         frozenset(names[h] for h in
-                  {handle} | db.engine.transaction(handle).partners)
+                  {handle} | scripts[handle]._txn.partners)
         for handle in report.committed
     }
     db.close()

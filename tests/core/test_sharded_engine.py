@@ -90,7 +90,10 @@ def run_workload(mode: IsolationConfig, n_shards: int, workload):
     programs, order, chunks = workload
     store = build_store(n_shards)
     engine = engine_for(store, EngineConfig(isolation=mode))
-    handles = [engine.submit(p, client=f"c{i}") for i, p in enumerate(programs)]
+    # Kept from submission: the engine forgets a finished transaction.
+    txns = [engine.transaction(engine.submit(p, client=f"c{i}"))
+            for i, p in enumerate(programs)]
+    handles = [txn.handle for txn in txns]
     shuffled = [handles[i] for i in order]
     position = 0
     for size in chunks:
@@ -99,10 +102,10 @@ def run_workload(mode: IsolationConfig, n_shards: int, workload):
         engine.run_once(handles=shuffled[position:position + size])
         position += size
     engine.drain()
-    for handle in handles:
-        assert engine.transaction(handle).phase is TxnPhase.COMMITTED, (
-            f"shards={n_shards} txn {handle} did not commit: "
-            f"{engine.transaction(handle).abort_reason}"
+    for txn in txns:
+        assert txn.phase is TxnPhase.COMMITTED, (
+            f"shards={n_shards} txn {txn.handle} did not commit: "
+            f"{txn.abort_reason}"
         )
     return engine
 
@@ -287,11 +290,11 @@ class TestEntangledRecoverySharded:
             primary_key=["k"],
         ))
         store.load("T", [(0, 10), (1, 10)])
-        done = engine.submit(
+        done = engine.transaction(engine.submit(
             "BEGIN TRANSACTION; UPDATE T SET v = v + 1 WHERE k = 0; COMMIT;"
-        )
+        ))
         engine.run_once()
-        assert engine.transaction(done).phase is TxnPhase.COMMITTED
+        assert done.phase is TxnPhase.COMMITTED
         # A dormant transaction queued but never run: must survive.
         engine.submit(
             "BEGIN TRANSACTION; UPDATE T SET v = v + 5 WHERE k = 1; COMMIT;"

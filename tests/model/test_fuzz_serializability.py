@@ -163,7 +163,10 @@ def run_workload(mode: IsolationConfig, workload):
     """Execute one seeded workload to completion; returns the engine."""
     programs, order, chunks = workload
     engine = build_engine(mode)
-    handles = [engine.submit(p, client=f"c{i}") for i, p in enumerate(programs)]
+    # Kept from submission: the engine forgets a finished transaction.
+    txns = [engine.transaction(engine.submit(p, client=f"c{i}"))
+            for i, p in enumerate(programs)]
+    handles = [txn.handle for txn in txns]
     shuffled = [handles[i] for i in order]
     position = 0
     for size in chunks:
@@ -173,10 +176,9 @@ def run_workload(mode: IsolationConfig, workload):
         position += size
     engine.drain()
     engine.close()  # join executor workers; the recorded schedule stays
-    for handle in handles:
-        assert engine.transaction(handle).phase is TxnPhase.COMMITTED, (
-            f"transaction {handle} did not commit: "
-            f"{engine.transaction(handle).abort_reason}"
+    for txn in txns:
+        assert txn.phase is TxnPhase.COMMITTED, (
+            f"transaction {txn.handle} did not commit: {txn.abort_reason}"
         )
     return engine
 
@@ -343,11 +345,11 @@ class TestWriteSkew:
     @only_2pl
     def test_2pl_prevents_write_skew(self):
         engine = build_engine(IsolationConfig.FULL)
-        handles = [engine.submit(p) for p in WRITE_SKEW]
+        txns = [engine.transaction(engine.submit(p)) for p in WRITE_SKEW]
         engine.run_once()
         engine.drain()
-        for handle in handles:
-            assert engine.transaction(handle).phase is TxnPhase.COMMITTED
+        for txn in txns:
+            assert txn.phase is TxnPhase.COMMITTED
         schedule = engine.recorded_schedule()
         assert find_serialization_order(schedule).serializable
         assert check_isolation(schedule, IsolationLevel.FULL_ENTANGLED).ok
@@ -358,7 +360,7 @@ class TestWriteSkew:
         the pivot in the concurrent run, retries it, and the final
         history is serializable with both transactions committed."""
         engine = build_engine(IsolationConfig.SERIALIZABLE)
-        handles = [engine.submit(p) for p in WRITE_SKEW]
+        txns = [engine.transaction(engine.submit(p)) for p in WRITE_SKEW]
         report = engine.run_once()
         # The concurrent run cannot commit both: the second committer is
         # the pivot of the dangerous structure and aborts.
@@ -366,8 +368,8 @@ class TestWriteSkew:
         assert report.ssi_aborts == 1
         assert report.pivot_aborts == 1
         engine.drain()
-        for handle in handles:
-            assert engine.transaction(handle).phase is TxnPhase.COMMITTED
+        for txn in txns:
+            assert txn.phase is TxnPhase.COMMITTED
         schedule = engine.recorded_schedule()
         assert find_serialization_order(schedule).serializable
         assert check_isolation(schedule, IsolationLevel.SERIALIZABLE).ok

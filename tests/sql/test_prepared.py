@@ -439,7 +439,7 @@ class TestEngine:
         with make_db() as db:
             handle = db.session("s").run_script(script(2, 99)).wait()
             assert handle.host_variables() == {"@old": 20}
-            txn = db.engine.transaction(handle.handle)
+            txn = handle._txn
             assert txn.program.params == (2, 99, 2)
             assert set(txn.env) == {"@old"}
             assert items(db)[2] == 99

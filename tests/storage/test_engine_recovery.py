@@ -8,7 +8,6 @@ from repro.storage import (
     LogRecordType,
     StorageEngine,
     TableSchema,
-    TxnStatus,
     WouldBlock,
     recover,
 )
@@ -34,7 +33,7 @@ class TestCommitAbort:
         store.insert(txn, "Reserve", (1, 100))
         store.commit(txn)
         assert rows(store) == [(1, 100)]
-        assert store.status(txn) is TxnStatus.COMMITTED
+        assert txn in store.wal.committed_txns()
 
     def test_abort_undoes_insert(self, store):
         txn = store.begin()
@@ -62,9 +61,9 @@ class TestCommitAbort:
         assert rows(store) == []
 
     def test_a_finished_transaction_keeps_no_row_image(self, store):
-        """A context outlives its transaction (``status``, ``isolation_of``
-        and ``written_shards`` read it); its undo log — a before- and an
-        after-image per row write — goes when the outcome is decided."""
+        """A context lives as long as its transaction: it goes, with its
+        undo log — a before- and an after-image per row write — when the
+        outcome is decided, and the WAL's record keeps the outcome."""
         import gc
         import types
 
@@ -77,10 +76,10 @@ class TestCommitAbort:
             store.update(txn, "Reserve", row.rid, (n, 3))
             assert len(store.context(txn).undo) == 3
             (store.abort if n % 10 == 9 else store.commit)(txn)
-        assert len(store._contexts) == 1000 and len(rows(store)) == 900
+        assert store._contexts == {} and len(rows(store)) == 900
 
         opaque = (type, types.ModuleType, types.FunctionType)
-        seen, stack, entries = set(), [store._contexts], []
+        seen, stack, entries = set(), [store], []
         while stack:
             obj = stack.pop()
             if id(obj) in seen or isinstance(obj, opaque):
@@ -90,10 +89,16 @@ class TestCommitAbort:
                 entries.append(obj)
             stack.extend(gc.get_referents(obj))
         assert not entries
-        # What a finished context is kept for still answers.
-        assert store.status(txn) is TxnStatus.ABORTED
-        assert store.status(txn - 1) is TxnStatus.COMMITTED
-        assert store.written_shards(txn - 1) == [0]
+        # A finished transaction is unknown to the store; the WAL's
+        # COMMIT or ABORT record answers for it (a writing commit's
+        # carries its commit timestamp).
+        with pytest.raises(TransactionStateError):
+            store.status(txn)
+        ends = {r.txn: r for r in store.wal.records()
+                if r.type in (LogRecordType.COMMIT, LogRecordType.ABORT)}
+        assert ends[txn].type is LogRecordType.ABORT
+        assert ends[txn - 1].type is LogRecordType.COMMIT
+        assert ends[txn - 1].commit_ts is not None
 
     def test_double_commit_rejected(self, store):
         txn = store.begin()

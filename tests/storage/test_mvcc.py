@@ -15,7 +15,6 @@ from repro.storage import (
     StorageEngine,
     TableSchema,
     TxnIsolation,
-    TxnStatus,
 )
 from repro.storage.query import SPJQuery, TableRef
 from repro.storage.expressions import (
@@ -199,7 +198,7 @@ class TestWriteConflicts:
         # Row 2 was not touched by the other transaction: no conflict.
         engine.update(txn, "T", engine.db.table("T").pk_rid((2,)), (2, "m"))
         engine.commit(txn)
-        assert engine.status(txn) is TxnStatus.COMMITTED
+        assert txn in engine.wal.committed_txns()
 
 
 class TestVacuum:

@@ -183,15 +183,15 @@ class TestPhantomWriteSkew:
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_serializable_aborts_the_pivot(self, shards):
         engine = build_engine(shards, IsolationConfig.SERIALIZABLE)
-        handles = [engine.submit(p) for p in PHANTOM_SKEW]
+        txns = [engine.transaction(engine.submit(p)) for p in PHANTOM_SKEW]
         report = engine.run_once()
         # the ixrange read intervals catch the cross-range inserts: the
         # second committer is the pivot and aborts
         assert len(report.committed) == 1
         assert report.ssi_aborts >= 1
         engine.drain()
-        for handle in handles:
-            assert engine.transaction(handle).phase is TxnPhase.COMMITTED
+        for txn in txns:
+            assert txn.phase is TxnPhase.COMMITTED
         # serializable outcome: the retried scan saw the first insert
         store = engine.store
         txn = store.begin()
@@ -202,10 +202,10 @@ class TestPhantomWriteSkew:
     def test_2pl_blocks_the_phantom_with_next_key_locks(self, shards):
         engine = build_engine(shards, IsolationConfig.FULL)
         store = engine.store
-        handles = [engine.submit(p) for p in PHANTOM_SKEW]
+        txns = [engine.transaction(engine.submit(p)) for p in PHANTOM_SKEW]
         engine.drain()
-        for handle in handles:
-            assert engine.transaction(handle).phase is TxnPhase.COMMITTED
+        for txn in txns:
+            assert txn.phase is TxnPhase.COMMITTED
         # the conflict was real (one attempt waited) and it was resolved
         # by key locks alone — never a whole-table S lock
         assert sum(r.lock_waits for r in engine.run_reports) >= 1
@@ -341,13 +341,13 @@ class TestLimitPhantom:
         # Each scan examined three keys ([0, 4] and [20, 24]); each
         # insert lands inside the other's: the classic write skew.
         engine = build_engine(shards, IsolationConfig.SERIALIZABLE)
-        handles = [engine.submit(p) for p in self.skew(23, 3)]
+        txns = [engine.transaction(engine.submit(p)) for p in self.skew(23, 3)]
         report = engine.run_once()
         assert len(report.committed) == 1
         assert report.ssi_aborts >= 1
         engine.drain()
-        for handle in handles:
-            assert engine.transaction(handle).phase is TxnPhase.COMMITTED
+        for txn in txns:
+            assert txn.phase is TxnPhase.COMMITTED
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_serializable_insert_beyond_the_prefix_adds_no_rw_edge(self, shards):

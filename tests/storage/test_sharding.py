@@ -166,6 +166,8 @@ class TestCrossShardWrites:
         txn = engine.begin()
         row = engine.db.table("T").lookup_pk((0,))
         old, new = engine.update(txn, "T", row.rid, (new_key, "moved"))
+        # Asked while it is live: a committed transaction is unknown.
+        assert len(engine.written_shards(txn)) == 2
         engine.commit(txn)
         assert engine.db.table("T").lookup_pk((0,)) is None
         moved = engine.db.table("T").lookup_pk((new_key,))
@@ -173,7 +175,6 @@ class TestCrossShardWrites:
         assert engine.shard_of_rid(moved.rid) == engine.route_key(
             "T", (new_key,)
         )
-        assert len(engine.written_shards(txn)) == 2
 
     def test_cross_shard_commit_counts_and_survives_recovery(self):
         engine = build_sharded(2)
