@@ -197,9 +197,12 @@ def test_spj_join_with_pushdown(benchmark):
     assert len(rows) == 2_000
 
 
-def _social_join(uid: int) -> SPJQuery:
-    """Social-T's friend lookup (Appendix D) as the compiler hands it to
-    storage: Friends x User x User, the host variable inlined, LIMIT 1."""
+def _social_join(uid) -> SPJQuery:
+    """Social-T's friend lookup (Appendix D): Friends x User x User,
+    LIMIT 1, with ``uid`` inlined — or, given the host variable's
+    ``Col``, as the compiler hands it to storage."""
+    if not isinstance(uid, Col):
+        uid = Const(uid)
 
     def eq(left, right):
         return Cmp(CmpOp.EQ, left, right)
@@ -209,51 +212,55 @@ def _social_join(uid: int) -> SPJQuery:
         select=(Col("Friends.uid2"),),
         select_names=("uid2",),
         where=And(And(And(
-            eq(Col("Friends.uid1"), Const(uid)),
+            eq(Col("Friends.uid1"), uid),
             eq(Col("Friends.uid2"), Col("u2.uid"))),
-            eq(Col("u1.uid"), Const(uid))),
+            eq(Col("u1.uid"), uid)),
             eq(Col("u1.hometown"), Col("u2.hometown"))),
         limit=1,
     )
 
 
 def _social_planning():
-    """``(cold, hit)``: plan the Social-T join for a fresh uid per call,
-    into an emptied plan table and into one that knows the shape."""
+    """``(kept, cold, hit)``: the operator pipeline of the Social-T join,
+    planned for each call through a fresh ``BoundQuery`` (a query with no
+    kept plan), and through ``kept``, the one a prepared statement keeps
+    beside its query, whose host variable each call supplies."""
     db = Database()
     TravelDatabase(SocialNetwork(100)).populate(db)
     tables = [db.table(name) for name in ("Friends", "User", "User")]
     queries = itertools.cycle([_social_join(uid) for uid in range(1, 65)])
+    template = _social_join(Col("@uid"))
+    kept = planner.BoundQuery(template)
+    envs = itertools.cycle([{"@uid": uid} for uid in range(1, 65)])
 
     def cold():
-        db.plans.clear()
         return planner.build_plan(
-            next(queries), tables, {}, planner.DEFAULT_HINTS, db.plans)
+            next(queries), tables, {}, planner.DEFAULT_HINTS)
 
     def hit():
         return planner.build_plan(
-            next(queries), tables, {}, planner.DEFAULT_HINTS, db.plans)
+            template, tables, next(envs), planner.DEFAULT_HINTS, kept)
 
-    return db, cold, hit
+    return kept, cold, hit
 
 
 @pytest.mark.benchmark(group="micro-spj")
 def test_spj_plan_cold(benchmark):
-    db, cold, _hit = _social_planning()
+    _kept, cold, _hit = _social_planning()
     benchmark(cold)
-    assert len(db.plans) == 1
 
 
 @pytest.mark.benchmark(group="micro-spj")
 def test_spj_plan_prepared_hit(benchmark):
-    """Same shape, fresh literal: fetch the prepared plan and bind this
-    query's expressions to it.  As for the front end, the assertion is a
-    ratio to the cold plan on this host, best of five."""
-    db, cold, hit = _social_planning()
-    cold()
-    (plan,) = db.plans.values()
+    """Same statement, fresh value: the plan its ``BoundQuery`` keeps,
+    bound once, over a source of this call's values.  As for the front
+    end, the assertion is a ratio to the cold plan on this host, best of
+    five."""
+    kept, cold, hit = _social_planning()
+    hit()
+    (plan,) = kept.bound.values()
     benchmark(hit)
-    assert list(db.plans.values()) == [plan]
+    assert list(kept.bound.values()) == [plan]
     slow = min(timeit.repeat(cold, number=200, repeat=5))
     fast = min(timeit.repeat(hit, number=200, repeat=5))
     assert fast <= 0.6 * slow, f"prepared hit {fast / slow:.2f}x a cold plan"
@@ -289,8 +296,12 @@ def test_latch_with_witness_off(benchmark):
     benchmark(with_latch)
     if latch_module._witness.armed:
         pytest.skip("the witness is (or was) on in this process")
-    bare = min(timeit.repeat(with_bare, number=20_000, repeat=5))
-    latched = min(timeit.repeat(with_latch, number=20_000, repeat=5))
+    # Alternating rounds, the best of each side over the same rounds:
+    # background work an earlier test left behind lands on both sides.
+    rounds = [(timeit.timeit(with_bare, number=20_000),
+               timeit.timeit(with_latch, number=20_000)) for _ in range(10)]
+    bare = min(bare for bare, _latched in rounds)
+    latched = min(latched for _bare, latched in rounds)
     assert latched <= 2 * bare, f"with Latch {latched / bare:.2f}x a bare RLock"
 
 
@@ -352,7 +363,7 @@ def _cold_parse(text: str):
     """A template-table miss: lex, derive the shape, run the parser."""
     from repro.sql import parse_transaction, parser
 
-    parser._templates.clear()
+    parser._table.clear()
     return parse_transaction(text)
 
 

@@ -86,8 +86,8 @@ from repro.errors import (
     TransportError,
 )
 from repro.replication import ReplicatedStorageEngine
-from repro.sql.ast import SelectStmt, Statement, TransactionProgram
-from repro.sql.parser import parse_statement
+from repro.sql.ast import Params, SelectStmt, Statement, TransactionProgram
+from repro.sql.parser import prepare_statement
 from repro.storage.catalog import Database
 from repro.storage.engine import StorageEngine, TxnIsolation
 from repro.storage.protocol import Store
@@ -571,13 +571,13 @@ class Client:
     def query(self, sql: str) -> list[tuple["SQLValue | None", ...]]:
         """Execute a read-only classical SELECT in its own transaction."""
         self._check_open()
-        stmt = _parse_select(sql, "Client.query")
+        stmt, params = _prepare_select(sql, "Client.query")
         # A failed read (WouldBlock under contention, a pruned snapshot,
         # ...) must abort, as leaving the block on an exception does —
         # committing would both mask the original error and finalize a
         # transaction that may still sit in a lock queue.
         with StorageTransaction(self.store, TxnIsolation.TWO_PL) as txn:
-            return txn._run(stmt)
+            return txn._run(stmt, params)
 
     # -- shutdown ------------------------------------------------------------------
 
@@ -1123,11 +1123,11 @@ class PendingAnswer:
         return f"PendingAnswer({self.query_id}, {state})"
 
 
-def _parse_select(sql: str, caller: str) -> SelectStmt:
-    stmt = parse_statement(sql)
+def _prepare_select(sql: str, caller: str) -> tuple[SelectStmt, Params]:
+    stmt, params = prepare_statement(sql)
     if not isinstance(stmt, SelectStmt):
         raise MiddlewareError(f"{caller} only accepts SELECT")
-    return stmt
+    return stmt, params
 
 
 class StorageTransaction:
@@ -1170,17 +1170,19 @@ class StorageTransaction:
 
     # -- statements -----------------------------------------------------------------
 
-    def _run(self, stmt: Statement) -> list[tuple["SQLValue | None", ...]]:
-        return execute_statement(self._txn, stmt, self._store)
+    def _run(
+        self, stmt: Statement, params: Params
+    ) -> list[tuple["SQLValue | None", ...]]:
+        return execute_statement(self._txn, stmt, self._store, params)
 
     def query(self, sql: str) -> list[tuple["SQLValue | None", ...]]:
         """Run a SELECT inside this transaction."""
-        return self._run(_parse_select(sql, "StorageTransaction.query"))
+        return self._run(*_prepare_select(sql, "StorageTransaction.query"))
 
     def execute(self, sql: str) -> list[tuple["SQLValue | None", ...]]:
         """Run one classical statement (SELECT/INSERT/UPDATE/DELETE/SET)
         inside this transaction; returns rows for SELECTs."""
-        return self._run(parse_statement(sql))
+        return self._run(*prepare_statement(sql))
 
     def insert(self, table: str, values: Sequence[Any]):
         return self._store.insert(self.txn, table, values)

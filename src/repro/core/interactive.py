@@ -39,7 +39,7 @@ from repro.entangled.evaluator import QueryOutcome
 from repro.errors import MiddlewareError, TransactionAborted
 from repro.sql.ast import EntangledSelectStmt
 from repro.sql.compiler import compile_entangled
-from repro.sql.parser import parse_statement
+from repro.sql.parser import prepare_statement
 from repro.storage.engine import TxnIsolation
 from repro.storage.protocol import Store
 from repro.storage.types import SQLValue
@@ -114,17 +114,18 @@ class InteractiveSession:
             # and rejoin the vacuum horizon.
             store.unpark_snapshot(self.storage_txn)
             self._parked = False
-        stmt = parse_statement(sql)
+        stmt, params = prepare_statement(sql)
         if isinstance(stmt, EntangledSelectStmt):
             txn.entangled_ordinal += 1
             query_id = f"s{self.session_id}q{txn.entangled_ordinal}"
-            txn.block_on(
-                stmt, compile_entangled(stmt, store.db, txn.env, query_id))
+            txn.block_on(stmt, compile_entangled(
+                stmt, store.db, txn.env, query_id, params))
             self.state = SessionState.WAITING
             self.broker._enqueue(self)
             return StatementResult(pending=True)
         try:
-            return StatementResult(rows=execute_statement(txn, stmt, store))
+            return StatementResult(
+                rows=execute_statement(txn, stmt, store, params))
         except TransactionAborted:
             self.abort()
             return StatementResult()

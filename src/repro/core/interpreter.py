@@ -11,8 +11,11 @@ as in Figure 2 — and hands control back to the scheduler.
 and :func:`deliver_answer` the one binder of an entangled answer, for
 all three front ends: a batch script (:func:`run_until_block`), an
 interactive session and a direct storage transaction each call them on
-the :class:`~repro.core.transaction.EntangledTransaction` they hold, so
-host variables and parameters behave identically everywhere.
+the :class:`~repro.core.transaction.EntangledTransaction` they hold,
+with a statement's shared template and its parameters
+(:func:`~repro.sql.parser.prepare_statement`), so host variables and
+parameters behave identically everywhere and a statement of a known
+shape prepares nothing, whichever front end sends it.
 
 Nothing here accounts time: the engine reports each step of a batch
 script to its run-event subscribers (:mod:`repro.core.events`), and a
@@ -37,6 +40,7 @@ from repro.sql.ast import (
     DeleteStmt,
     EntangledSelectStmt,
     InsertStmt,
+    Params,
     RollbackStmt,
     SelectStmt,
     SetStmt,
@@ -105,7 +109,7 @@ def run_until_block(
                     stmt, store.db, txn.env, txn.query_id(), params)
                 txn.block_on(stmt, query)
                 return StepOutcome.BLOCKED_ON_QUERY
-            execute_statement(txn, stmt, store)
+            execute_statement(txn, stmt, store, params)
         except WouldBlock:
             return StepOutcome.LOCK_BLOCKED
         except DeadlockError:
@@ -141,14 +145,15 @@ def execute_statement(
     txn: EntangledTransaction,
     stmt,
     store: Store,
+    params: Params,
 ) -> list[tuple["SQLValue | None", ...]]:
     """Execute one classical statement inside ``txn.storage_txn`` — a
-    literal one, or a template statement of ``txn.program`` — binding
-    into ``txn.env``; returns a SELECT's rows (``[]`` otherwise).
-    ROLLBACK raises :class:`~repro.errors.TransactionAborted`: ending
-    the transaction is its owner's business."""
+    template statement with the ``params`` its leaves read (a literal
+    statement is the ``params=()`` case) — binding into ``txn.env``;
+    returns a SELECT's rows (``[]`` otherwise).  ROLLBACK raises
+    :class:`~repro.errors.TransactionAborted`: ending the transaction is
+    its owner's business."""
     assert txn.storage_txn is not None
-    params = txn.program.params
     if isinstance(stmt, RollbackStmt):
         raise TransactionAborted("explicit ROLLBACK", reason="rollback")
     if isinstance(stmt, InsertStmt):

@@ -1,28 +1,31 @@
 """Compile SQL ASTs to storage plans and entangled-query IR.
 
-Statements arrive as shared *templates* plus the script's ``params``
-(see :mod:`repro.sql.parser`); a literal statement is the ``params=()``
-case.  **Every statement executes from its prepared form**, one per
-``Database`` (``Statement.resolutions``), made on its first execution
-against that catalog; a preparation that raises is not remembered.  The
-form holds what depends on no literal, its ``Param`` and ``@var`` leaves
-in place.  An execution only reads the values those leaves stand for —
-each parameter under its index, each host variable under its name — and
-hands them on beside the form, whose leaves read them there:
+Statements arrive as shared *templates* plus their text's ``params``
+(see :mod:`repro.sql.parser`), from every front end — a batch script, an
+interactive session, a direct transaction, ``Client.query``; a literal
+statement is the ``params=()`` case.  **Every statement executes from
+its prepared form**, one per ``Database`` (``Statement.resolutions``),
+made on its first execution against that catalog; a preparation that
+raises is not remembered.  The form holds what depends on no literal,
+its ``Param`` and ``@var`` leaves in place.  An execution only reads the
+values those leaves stand for — each parameter under its index, each
+host variable under its name — and hands them on beside the form, whose
+leaves read them there:
 
 * **Classical SELECT** compiles against the catalog into an
   :class:`~repro.storage.query.SPJQuery`, qualified but unbound, with its
   **resolution** — table refs, column qualification, output names, ``AS
   @var`` bindings, ORDER BY: one query object for every execution, kept
-  with its :class:`~repro.storage.planner.BoundQuery`, so the planner keys
-  and binds its plan once.  The store evaluates it with the execution's
-  values as its parameters.  An ``IN (SELECT ...)`` in its WHERE clause
-  (uncorrelated in this dialect) is a prepared subquery of its own, and
-  in the outer query an :class:`~repro.storage.expressions.InRows` test
-  whose rows are a value of the execution: the statement's executor runs
-  each subquery through the store, in the statement's transaction and
-  before the outer query, so it reads under the same locks, snapshot and
-  SSI read set as any other read of that transaction.
+  with its :class:`~repro.storage.planner.BoundQuery`, which keeps the
+  plan the planner makes and binds on its first execution.  The store
+  evaluates it with the execution's values as its parameters.  An ``IN
+  (SELECT ...)`` in its WHERE clause (uncorrelated in this dialect) is a
+  prepared subquery of its own, and in the outer query an
+  :class:`~repro.storage.expressions.InRows` test whose rows are a value
+  of the execution: the statement's executor runs each subquery through
+  the store, in the statement's transaction and before the outer query,
+  so it reads under the same locks, snapshot and SSI read set as any
+  other read of that transaction.
 * **INSERT** evaluates its values over the execution's values, placed by
   the column positions the form holds.  **UPDATE** and **DELETE** hand the
   store their template WHERE clause and SET list, at the column positions
@@ -937,7 +940,7 @@ def _keyed(form: _PreparedWrite, db: Database, values: dict) -> RowPredicate:
     plan's one level chooses under them, as a read of it would."""
     bound = form.bound
     table = db.table(bound.query.tables[0].name)
-    _plan, (level,) = bound.plan([table], values, DEFAULT_HINTS, db.plans)
+    _plan, (level,) = bound.plan([table], values, DEFAULT_HINTS)
     key, _bound_by = level.equality_key(values, table)
     return RowPredicate(form.columns, bound.query.where, values, key)
 

@@ -22,53 +22,49 @@ additive < multiplicative < primary) and include the entangled forms
 ``(items) IN (SELECT ...)`` and ``(items) IN ANSWER Name``.
 
 **Parse once per shape.**  The scripts of a workload differ only in their
-literals, so :func:`parse_script`, :func:`parse_transaction` and
-:func:`parse_statement` run the recursive descent once per *shape* and
-keep the result in one bounded, process-wide template table:
+literals, so :func:`parse_script`, :func:`parse_transaction`,
+:func:`prepare_statement` and :func:`parse_statement` run the recursive
+descent once per *shape* and keep the result in one bounded,
+process-wide template table, keyed by the script's spelling:
 
-* The **shape key** is the token stream with every NUMBER and STRING in
-  expression position replaced by its token type; keywords, identifiers,
-  host variables, operators and punctuation stay verbatim.  Numbers the
-  grammar consumes as syntax — after ``LIMIT``, ``CHOOSE``, ``TIMEOUT`` —
-  are part of the shape and stay in the key (``LIMIT 1`` and ``LIMIT 2``
-  are two templates).  The lifted values, in token order, are the
-  script's **parameters**; ``1`` and ``1.0`` share a shape and differ in
-  the parameter.
-* A script of a known shape is found without its tokens: the lexer's
-  one-pass **skeleton** (the text with its literals lifted, see
-  :mod:`repro.sql.lexer`) leads to the template entry, together with the
-  entry's **recipe** for that skeleton — per lifted literal, "parameter"
-  (converted as the token path converts it) or "shape literal, must
-  read exactly so" (the ``2`` of ``LIMIT 2``).  One skeleton may lead to
-  several shapes (``LIMIT 1``, ``LIMIT 2``); a shape keeps the skeleton
-  of its newest spelling only (case, spacing and comments vary it; a
-  workload builds each script from one format string, so it has one).
-  A script in a spelling the shape no longer keeps takes the token path
-  below and becomes the kept spelling.  The skeleton index has no bound
-  of its own: it holds skeletons of entries in the table only, one per
-  entry, and an entry evicted from the table is gone under both keys.
-  Such a **hit** is a dictionary lookup and one pass over the literals,
-  and builds no token.
-* A skeleton **miss** takes the token path: the shape key is computed
-  from the tokens, and a shape **miss** runs the parser below with
-  ``lift=True``: each literal it meets becomes a
+* The lexer's one-pass **skeleton** (the text with its literals lifted,
+  see :mod:`repro.sql.lexer`) is the key.  Its entry holds, per shape
+  spelled that way, the shape's template units and its **recipe** —
+  per lifted literal, "parameter" (converted as the token path converts
+  it) or "shape literal, must read exactly so".  Numbers the grammar
+  consumes as syntax — after ``LIMIT``, ``CHOOSE``, ``TIMEOUT`` — are
+  part of the shape (``LIMIT 1`` and ``LIMIT 2`` are one skeleton, two
+  shapes); every other NUMBER and STRING is a **parameter**, in token
+  order, and ``1`` and ``1.0`` share a shape and differ in the
+  parameter.  A script of a known shape is a dictionary lookup and one
+  pass over its literals, and builds no token.
+* Case, spacing and comments vary the skeleton: two spellings of one
+  shape are two templates (a workload builds each script from one
+  format string, so it has one).
+* A **miss** takes the token path: the parser below runs over the
+  script's tokens with ``lift=True``: each literal it meets becomes a
   :class:`~repro.sql.ast.Param` leaf numbered in the order met — the
   parser consumes tokens left to right, so that *is* token order — and a
   unary minus folds into a numeric parameter (``Param(i, negate=True)``),
   as it folds into a numeric literal.  There is no uncached mode: the
-  miss path is the parser.
+  miss path is the parser.  Text the skeleton pass cannot split (a word
+  starting with a non-ASCII letter) takes it on every submission and is
+  kept nowhere.
 * **Errors are never cached**: a miss parses the script's own tokens
   (lifting is a decision at the leaf, not a rewritten token stream), so
   a ``ParseError`` quotes the right token value and position and
   propagates before anything is stored; a literal the recipe cannot
   convert sends the script down the token path to raise there.
-* The table holds :data:`TEMPLATE_CAP` shapes, least recently used out
-  first.  It takes no latch: every step is one dict operation under the
-  GIL, and the worst a race does is parse a shape twice.
+* The table holds :data:`TEMPLATE_CAP` shapes, the least recently used
+  skeleton out first.  It takes no latch: every step is one dict
+  operation under the GIL, and the worst a race does is parse a shape
+  twice.
 
 :func:`parse_transaction` returns the shared template with the script's
 parameters (``TransactionProgram.template`` / ``.params``; the literal
-``.statements`` is materialised on demand); :func:`parse_statement` and
+``.statements`` is materialised on demand), and
+:func:`prepare_statement` a statement's template and parameters, which
+every front end executes; :func:`parse_statement` and
 :func:`parse_script` return literal statements.
 """
 
@@ -633,38 +629,23 @@ def _single(items: list[Expr]) -> Expr:
 # The template table
 # ---------------------------------------------------------------------------
 
-#: Shapes kept; the least recently used goes first.  A workload has a
-#: handful of shapes, an application some dozens; a template is a few KB.
+#: Shapes kept; the least recently used skeleton goes first.  A workload
+#: has a handful of shapes, an application some dozens; a template is a
+#: few KB.
 TEMPLATE_CAP = 512
 
-
-class _Template:
-    """One entry of the table: a shape's template units, and the
-    skeleton of its newest spelling (None before one is known)."""
-
-    __slots__ = ("key", "units", "skeleton")
-
-    def __init__(self, key: tuple, units: tuple):
-        self.key = key
-        #: the parsed script template (a tuple of units: template
-        #: Statements and parameterless template TransactionPrograms).
-        self.units = units
-        self.skeleton: str | None = None
+#: skeleton -> ``((recipe, template units), ...)``, one pair per shape
+#: spelled that way (``LIMIT 1`` and ``LIMIT 2`` are one skeleton, two
+#: shapes), least recently used first.  The template units are the parsed
+#: script template: template Statements and parameterless template
+#: TransactionPrograms.
+_table: OrderedDict[str, tuple] = OrderedDict()
 
 
-#: shape key -> its entry, least recently used first.
-_templates: OrderedDict[tuple, _Template] = OrderedDict()
-#: skeleton -> ``(entry, recipe)`` per shape spelled that way (``LIMIT 1``
-#: and ``LIMIT 2`` are one skeleton, two shapes).  Not a table of its
-#: own: it holds entries of ``_templates`` under their ``skeleton`` only.
-_skeletons: dict[str, list] = {}
-
-
-def _shape(tokens: list[Token]) -> tuple[tuple, Params, list]:
-    """Split a token stream into its shape key, its parameters and, per
-    literal, what it is: ``_NUMBER`` or ``_STRING`` for a parameter, or
-    the text of a number consumed as syntax."""
-    key: list = []
+def _shape(tokens: list[Token]) -> tuple[Params, list]:
+    """Split a token stream into its parameters and, per literal, what
+    it is: ``_NUMBER`` or ``_STRING`` for a parameter, or the text of a
+    number consumed as syntax."""
     params: list = []
     rules: list = []
     previous = None
@@ -672,24 +653,15 @@ def _shape(tokens: list[Token]) -> tuple[tuple, Params, list]:
         kind = token[0]
         if kind is _NUMBER:
             if previous in _NUMBER_CLAUSES:
-                element = token[1]
-                rules.append(element)
+                rules.append(token[1])
             else:
-                element = _NUMBER
                 params.append(_number(token))
                 rules.append(_NUMBER)
         elif kind is _STRING:
-            element = _STRING
             params.append(token[1])
             rules.append(_STRING)
-        elif kind is TokenType.HOSTVAR:
-            # The one token type whose value alone is ambiguous: @x vs x.
-            element = "@" + token[1]
-        else:
-            element = token[1]
-        key.append(element)
-        previous = element
-    return tuple(key), tuple(params), rules
+        previous = token[1] if kind is TokenType.KEYWORD else None
+    return tuple(params), rules
 
 
 def _recipe(rules: list, parts: list) -> tuple:
@@ -739,68 +711,44 @@ def _prepare(text: str) -> tuple[tuple, Params]:
     """The template units of ``text``'s shape and ``text``'s parameters."""
     lexed = tokenize(text)
     skeleton = lexed.skeleton
-    if skeleton is not None:
-        for entry, recipe in _skeletons.get(skeleton, ()):
-            params = _bind(recipe, lexed.parts)
-            if params is not None and _templates.get(entry.key) is entry:
-                try:
-                    _templates.move_to_end(entry.key)
-                except KeyError:
-                    pass  # evicted by another thread since; still valid
-                return entry.units, params
-    # A skeleton miss: the token path.
-    tokens = lexed.tokens
-    key, params, rules = _shape(tokens)
-    entry = _templates.get(key)
-    if entry is None:
-        # Parsed from this script's own tokens, so a ParseError quotes the
-        # right values and positions; it propagates before anything is kept.
-        entry = _templates[key] = _Template(
-            key, tuple(Parser(tokens, lift=True).parse_script()))
-        while len(_templates) > TEMPLATE_CAP:
+    shapes = () if skeleton is None else _table.get(skeleton, ())
+    for recipe, units in shapes:
+        params = _bind(recipe, lexed.parts)
+        if params is not None:
             try:
-                _key, evicted = _templates.popitem(last=False)
+                _table.move_to_end(skeleton)
             except KeyError:
-                break  # another thread emptied it first
-            if evicted.skeleton is not None:
-                _forget(evicted.skeleton)
-    else:
-        try:
-            _templates.move_to_end(key)
-        except KeyError:
-            pass
+                pass  # evicted by another thread since; still valid
+            return units, params
+    # A miss: the token path.  Parsed from this script's own tokens, so a
+    # ParseError quotes the right values and positions; it propagates
+    # before anything is kept.
+    tokens = lexed.tokens
+    params, rules = _shape(tokens)
+    units = tuple(Parser(tokens, lift=True).parse_script())
     if skeleton is not None:
-        _spell(entry, skeleton, _recipe(rules, lexed.parts))
-    return entry.units, params
+        _keep(skeleton, shapes + ((_recipe(rules, lexed.parts), units),))
+    return units, params
 
 
-def _spell(entry: _Template, skeleton: str, recipe: tuple) -> None:
-    """Make ``skeleton`` lead to ``entry`` by ``recipe``, in place of the
-    spelling the entry kept before."""
-    previous, entry.skeleton = entry.skeleton, skeleton
-    if previous is not None and previous != skeleton:
-        _forget(previous)
-    pairs = [pair for pair in _live(skeleton) if pair[0] is not entry]
-    pairs.append((entry, recipe))
-    _skeletons[skeleton] = pairs
-
-
-def _live(skeleton: str) -> list:
-    """The ``(entry, recipe)`` pairs of ``skeleton`` whose entry is in the
-    table and still spelled that way."""
-    return [
-        (entry, recipe) for entry, recipe in _skeletons.get(skeleton, ())
-        if entry.skeleton == skeleton and _templates.get(entry.key) is entry
-    ]
-
-
-def _forget(skeleton: str) -> None:
-    """Drop the pairs of ``skeleton`` that no longer hold (see :func:`_live`)."""
-    live = _live(skeleton)
-    if live:
-        _skeletons[skeleton] = live
-    else:
-        _skeletons.pop(skeleton, None)
+def _keep(skeleton: str, shapes: tuple) -> None:
+    """Make ``shapes`` the entry of ``skeleton``, the most recently used,
+    and evict the least recently used skeletons until the table holds
+    :data:`TEMPLATE_CAP` shapes (the newest of ``skeleton``'s stay)."""
+    _table[skeleton] = shapes[-TEMPLATE_CAP:]
+    try:
+        _table.move_to_end(skeleton)
+    except KeyError:
+        pass
+    # ``list`` copies the values in one step, so a thread changing the
+    # table meanwhile cannot break the count.
+    kept = sum(map(len, list(_table.values())))
+    while kept > TEMPLATE_CAP:
+        try:
+            _skeleton, evicted = _table.popitem(last=False)
+        except KeyError:
+            break  # another thread emptied it first
+        kept -= len(evicted)
 
 
 def parse_script(text: str) -> list:
@@ -823,9 +771,15 @@ def parse_transaction(text: str) -> TransactionProgram:
     return units[0].bind(params)
 
 
-def parse_statement(text: str) -> Statement:
-    """Parse exactly one standalone statement."""
-    units = parse_script(text)
+def prepare_statement(text: str) -> tuple[Statement, Params]:
+    """Exactly one standalone statement, as its shape's shared template
+    statement and this text's parameters."""
+    units, params = _prepare(text)
     if len(units) != 1 or not isinstance(units[0], Statement):
         raise ParseError("expected exactly one statement")
-    return units[0]
+    return units[0], params
+
+
+def parse_statement(text: str) -> Statement:
+    """Parse exactly one standalone statement."""
+    return bind_statement(*prepare_statement(text))

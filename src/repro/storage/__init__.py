@@ -137,7 +137,6 @@ from repro.storage.query import (
     SPJQuery,
     TableRef,
     evaluate,
-    evaluate_single,
 )
 from repro.storage.oracle import TimestampOracle
 from repro.storage.recovery import RecoveryReport, recover
@@ -216,7 +215,6 @@ __all__ = [
     "conjoin",
     "evaluate",
     "index_key_resource",
-    "evaluate_single",
     "infer_type",
     "is_satisfied",
     "parse_date",

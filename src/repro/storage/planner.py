@@ -1,19 +1,18 @@
 """Prepared plans for SPJ queries over ordered + hash indexes.
 
-A query is planned once per *shape* and executed many times.  The shape
-is the query with its constants abstracted — FROM items, the column
-names and comparison operators of each WHERE conjunct, which SELECT
-items are plain columns, DISTINCT / ORDER BY, the names in scope before
-the first table (host variables, and the parameters a prepared
-statement's leaves read), and ``PlanHints.ordered_indexes`` — so the
-thousands of scripts one statement template produces, and the grounding
-bodies one entangled query shape produces, share one plan.  A table goes
-by one set of column names whichever view serves it (a schema never
-changes once created), so a FROM item's table name stands for its
-columns.
+A query is planned once and executed many times.  A prepared statement
+keeps one SPJ query for all its executions — its ``Param`` and ``@var``
+leaves read each execution's values — so the thousands of scripts one
+statement template produces, and the grounding bodies one entangled
+query template produces, run one plan: the one its
+:class:`BoundQuery` keeps per names in scope before the first table
+(host variables, and the parameters the leaves read) and
+``PlanHints.ordered_indexes``.  A table goes by one set of column names
+whichever view serves it (a schema never changes once created), so one
+plan serves every view of its database.
 
-* **Prepared once** (:func:`_prepare`, memoised in ``provider.plans``,
-  one dict per ``Database``): the operator chain — Source -> one
+* **Prepared once** (:func:`_prepare`, kept in the query's
+  :class:`BoundQuery`): the operator chain — Source -> one
   NestedLoopJoin per FROM item -> (Filter? -> Project)? -> Distinct? ->
   Sort?/pushdown -> Limit? — whether the ORDER BY can ride an ordered
   scan of the outermost table (sort elision) and whether the LIMIT may
@@ -28,7 +27,7 @@ columns.
   execution.  What preparing asks about a table it asks the table's
   *schema* (``has_column``, ``has_index``, the declared indexes, column
   types and nullability); a view is asked for rows and a row estimate
-  only.  A shape whose preparation raises is not remembered.
+  only.  A preparation that raises is not remembered.
 
 * **Bound per query object** (:class:`BoundQuery`): the conjunct list
   of the query is laid over the recipes (a recipe says "conjunct 2,
@@ -36,10 +35,11 @@ columns.
   template's SPJ query is one object for all its executions — its
   ``Param`` and ``@var`` leaves read the values each execution puts in
   its source environment (``base_env``) — and the statement's prepared
-  form keeps its ``BoundQuery``: the WHERE split, the key and the bound
-  join levels are made once, and an execution of a known statement is a
-  dictionary lookup and an operator chain (:func:`build_plan`).  Any
-  other query is split, keyed and bound per execution.
+  form keeps its ``BoundQuery``: the WHERE split, the plan and the
+  bound join levels are made once, and an execution of a known
+  statement is a dictionary lookup and an operator chain
+  (:func:`build_plan`).  Any other query is split, planned and bound for
+  its one execution.
 
 * **Decided per outer row** (:meth:`_JoinLevel.access`): only what
   depends on values or sizes.  The probe key is evaluated
@@ -123,11 +123,6 @@ class PlanHints:
 
 DEFAULT_HINTS = PlanHints()
 
-#: Prepared plans kept per ``Database`` — the front end's template table
-#: holds as many statement shapes (``repro.sql.parser.TEMPLATE_CAP``), so
-#: a plan is not evicted while its template is live.  Oldest out first.
-PLAN_CAP = 512
-
 
 @dataclass(frozen=True)
 class _Bound:
@@ -173,30 +168,6 @@ def _range_cost(n: int, lo: "_Bound | None", hi: "_Bound | None") -> int:
     if lo is not None and hi is not None:
         return max(1, n // 8)
     return max(1, n // 3)
-
-
-# -- the shape of a query: what a plan may depend on ---------------------------------
-
-
-def _side(expr: Expr):
-    """One side of a comparison as the planner sees it: a column by its
-    name, anything else by the names it mentions."""
-    if type(expr) is Col:
-        return expr.name
-    found: list = []
-    names(expr, found)
-    return tuple(found)
-
-
-def _conjunct_shape(conj: Expr):
-    """What planning reads off one conjunct: for an equality or ordering
-    comparison the operator and both sides, otherwise just the names
-    that decide where it can be checked."""
-    if type(conj) is Cmp and conj.op is not CmpOp.NE:
-        return conj.op, _side(conj.left), _side(conj.right)
-    found: list = []
-    names(conj, found)
-    return tuple(found)
 
 
 # -- prepared plans --------------------------------------------------------------------
@@ -316,8 +287,8 @@ def _prepare(
     query: SPJQuery, tables: list, conjuncts: list, base_env: dict,
     hints: PlanHints,
 ) -> _PreparedPlan:
-    """Plan ``query``'s shape.  ``tables`` and ``conjuncts`` are read for
-    what every query of the shape shares — schemas, names, operators."""
+    """Plan ``query``.  ``tables`` and ``conjuncts`` are read for what
+    every execution of it shares — schemas, names, operators."""
     n = len(tables)
     # Column names occurring in more than one table must stay qualified.
     seen: set[str] = set()
@@ -662,62 +633,36 @@ class _JoinLevel:
 
 class BoundQuery:
     """A query object planned once for all its executions: its WHERE
-    conjuncts, the part of its plan key that is its own, and — per names
-    in scope and ``ordered_indexes`` setting — its plan bound to those
-    conjuncts, ``(plan, join levels)``.
+    conjuncts and — per names in scope and ``ordered_indexes`` setting —
+    its plan bound to those conjuncts, ``(plan, join levels)``.
 
     A prepared statement keeps one beside the SPJ query every execution
     of it runs (:mod:`repro.sql.compiler`), whose ``Param`` and ``@var``
     leaves read the values each execution puts in the source
     environment, and hands it to :func:`build_plan`; an execution of a
     known statement is then a dictionary lookup and an operator chain,
-    with no split, no key and no binding.  Any other query is bound for
-    its one execution.  The plan itself is shared through ``plans``, so
-    every query of one shape has one.
+    with no split, no planning and no binding.  Any other query is
+    planned and bound for its one execution.
     """
 
-    __slots__ = ("query", "conjuncts", "shape", "bound")
+    __slots__ = ("query", "conjuncts", "bound")
 
     def __init__(self, query: SPJQuery):
         self.query = query
         self.conjuncts = split_conjuncts(query.where)
-        self.shape = (
-            query.tables,
-            tuple([_conjunct_shape(conj) for conj in self.conjuncts]),
-            query.distinct,
-            query.order_by,
-            # Which SELECT items are plain columns, and of what name.
-            tuple([e.name if type(e) is Col else None for e in query.select]),
-        )
         self.bound: dict = {}
 
-    def plan(
-        self, tables: list, base_env: dict, hints: PlanHints,
-        plans: "MutableMapping | None",
-    ) -> tuple:
+    def plan(self, tables: list, base_env: dict, hints: PlanHints) -> tuple:
         """``(plan, join levels)`` under ``base_env``'s names and
-        ``hints``: the plan of the query's shape from ``plans`` (prepared
-        and stored on first use; None = nothing is kept), bound to its
-        conjuncts on first use."""
-        names_in_scope = frozenset(base_env) if base_env else None
-        slot = (names_in_scope, hints.ordered_indexes)
+        ``hints``, prepared and bound to the query's conjuncts on first
+        use.  Worker threads plan concurrently and no latch is taken: a
+        slot prepared twice keeps one of two equivalent plans."""
+        slot = (frozenset(base_env) if base_env else None,
+                hints.ordered_indexes)
         found = self.bound.get(slot)
         if found is not None:
             return found
-        key = (self.shape, names_in_scope, hints.ordered_indexes)
-        plan = plans.get(key) if plans is not None else None
-        if plan is None:
-            plan = _prepare(self.query, tables, self.conjuncts, base_env, hints)
-            if plans is not None:
-                # Worker threads plan concurrently and no latch is taken: a
-                # shape prepared twice stores equivalent plans, and an
-                # eviction that loses a race just evicts on the next store.
-                if len(plans) >= PLAN_CAP:
-                    try:
-                        del plans[next(iter(plans))]
-                    except (KeyError, RuntimeError, StopIteration):
-                        pass
-                plans[key] = plan
+        plan = _prepare(self.query, tables, self.conjuncts, base_env, hints)
         limit = self.query.limit
         leaf_limit = limit if plan.at_leaf else None
         found = self.bound[slot] = (plan, tuple([
@@ -731,7 +676,6 @@ def build_plan(
     tables: list,
     base_env: dict,
     hints: PlanHints,
-    plans: "MutableMapping | None" = None,
     bound: "BoundQuery | None" = None,
 ):
     """The operator pipeline for one execution of ``query``: its plan
@@ -742,7 +686,7 @@ def build_plan(
     """
     if bound is None:
         bound = BoundQuery(query)
-    plan, levels = bound.plan(tables, base_env, hints, plans)
+    plan, levels = bound.plan(tables, base_env, hints)
     node = Source(base_env)
     for level in levels:
         node = NestedLoopJoin(
@@ -768,12 +712,11 @@ def execute(
     base_env: dict,
     observe,
     hints: "PlanHints | None" = None,
-    plans: "MutableMapping | None" = None,
     bound: "BoundQuery | None" = None,
 ) -> list[tuple]:
     """Bind ``query`` to its prepared plan and run it; returns the output
     tuples in order."""
     hints = hints or DEFAULT_HINTS
-    root = build_plan(query, tables, base_env, hints, plans, bound)
+    root = build_plan(query, tables, base_env, hints, bound)
     ctx = ExecContext(tables, observe, hints.stats)
     return [output for output, _skey in root.run(ctx)]

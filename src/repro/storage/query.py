@@ -40,15 +40,10 @@ from repro.storage.types import SQLValue
 
 class TableProvider(Protocol):
     """Anything that can resolve a table name to a
-    :class:`~repro.storage.protocol.TableView`.
-
-    ``plans`` is the planner's memo of prepared plans (query shape ->
-    plan, see :func:`repro.storage.planner.build_plan`): one dict per
-    :class:`~repro.storage.catalog.Database`, which every view provider
-    over that database hands on, so a shape is planned once whichever
-    transaction's views execute it."""
-
-    plans: dict
+    :class:`~repro.storage.protocol.TableView`.  It keeps no plan: a
+    query's plan lives in its
+    :class:`~repro.storage.planner.BoundQuery`, and serves every view of
+    the tables it was planned over."""
 
     def table(self, name: str) -> TableView:  # pragma: no cover - protocol
         ...
@@ -403,40 +398,18 @@ def evaluate(
     read locks, so an observer that raises (e.g. on a lock conflict)
     aborts the evaluation with no unlocked data consumed.
 
-    Execution is delegated to the planner (:mod:`repro.storage.planner`):
-    the plan for this query's *shape* is prepared on first use and kept
-    in ``provider.plans``; each call binds this query's values to it and
-    runs the volcano pipeline.  ``hints`` (a
+    Execution is delegated to the planner (:mod:`repro.storage.planner`),
+    which runs the volcano pipeline of the query's plan.  ``hints`` (a
     :class:`~repro.storage.planner.PlanHints`) carries the engine's
     planner knobs and stat counters; None means defaults (ordered
     indexes allowed, no counters).  ``bound`` is the query's
     :class:`~repro.storage.planner.BoundQuery` when it has one kept (a
-    prepared statement's), so its plan is bound once, not per call.
+    prepared statement's), whose plan is made on its first execution and
+    kept there; without one, the query is planned for this call.
     """
     from repro.storage.planner import execute as _plan_execute
 
     tables = [provider.table(ref.name) for ref in query.tables]
     return _plan_execute(
         query, tables, dict(params or {}), Reads.of(read_observer), hints,
-        provider.plans, bound)
-
-
-def evaluate_single(
-    query: SPJQuery,
-    provider: TableProvider,
-    params: Mapping[str, "SQLValue | None"] | None = None,
-    read_observer: ReadObserver | None = None,
-    hints=None,
-) -> tuple["SQLValue | None", ...] | None:
-    """Evaluate and return the first row, or None when empty."""
-    limited = SPJQuery(
-        tables=query.tables,
-        select=query.select,
-        select_names=query.select_names,
-        where=query.where,
-        distinct=query.distinct,
-        limit=1,
-        order_by=query.order_by,
-    )
-    rows = evaluate(limited, provider, params, read_observer, hints)
-    return rows[0] if rows else None
+        bound)

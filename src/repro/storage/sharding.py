@@ -286,9 +286,6 @@ class ShardedDatabase:
 
     def __init__(self, engine: "ShardedStorageEngine"):
         self._engine = engine
-        #: the coordinator's prepared plans (it plans over union views;
-        #: the shards' own databases plan only what reaches them whole).
-        self.plans: dict = {}
 
     @property
     def name(self) -> str:
@@ -349,7 +346,6 @@ class ShardedSnapshotDatabase:
         self._engine = engine
         self.txn = txn
         self.vector = tuple(vector)
-        self.plans = engine.db.plans
 
     def table(self, name: str) -> ShardedTableView:
         return ShardedTableView(self._engine, name, self.txn, self.vector)

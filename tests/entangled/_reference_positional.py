@@ -84,7 +84,6 @@ class PositionalView:
 
     def __init__(self, provider):
         self._provider = provider
-        self.plans = provider.plans
 
     def table(self, name: str) -> "PositionalTable":
         return PositionalTable(self._provider.table(name))

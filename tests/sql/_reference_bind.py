@@ -16,7 +16,9 @@ bindings, ``EntangledQuery``, rows written and errors.  Two deviations, both for
 the resolution memo the copy kept on ``SelectStmt.resolutions`` is not
 kept (that attribute now holds the production path's prepared forms),
 and ``build_plan`` imports the production planner's ``_prepare`` and
-operators, which it shares on purpose.  One addition: :func:`literal`,
+operators, which it shares on purpose.  Its plan key (``_conjunct_shape``,
+``_side``) and ``PLAN_CAP`` are private copies: the planner no longer has
+them.  One addition: :func:`literal`,
 which reads a production compiled SELECT as the plan this path binds, for
 the suites that inspect or run that plan.  Never import this from ``src/``.
 
@@ -710,15 +712,38 @@ from repro.storage.operators import (  # noqa: E402
     Sort,
     Source,
 )
+from repro.storage.expressions import names  # noqa: E402
 from repro.storage.planner import (  # noqa: E402
     DEFAULT_HINTS,
-    PLAN_CAP,
     PlanHints,
-    _conjunct_shape,
     _JoinLevel,
     _prepare,
 )
 from typing import MutableMapping  # noqa: E402
+
+#: Prepared plans kept per ``plans`` dict.  Oldest out first.
+PLAN_CAP = 512
+
+
+def _side(expr: Expr):
+    """One side of a comparison as the planner sees it: a column by its
+    name, anything else by the names it mentions."""
+    if type(expr) is Col:
+        return expr.name
+    found: list = []
+    names(expr, found)
+    return tuple(found)
+
+
+def _conjunct_shape(conj: Expr):
+    """What planning reads off one conjunct: for an equality or ordering
+    comparison the operator and both sides, otherwise just the names
+    that decide where it can be checked."""
+    if type(conj) is Cmp and conj.op is not CmpOp.NE:
+        return conj.op, _side(conj.left), _side(conj.right)
+    found: list = []
+    names(conj, found)
+    return tuple(found)
 
 
 def build_plan(

@@ -395,15 +395,21 @@ class TestTemplateTable:
 
     def test_statement_without_literals_is_shared_outright(self):
         assert parse_statement("SELECT k FROM Items") is parse_statement(
+            "SELECT k FROM Items")
+        # Another spelling is a template of its own, equal to the first.
+        assert parse_statement("SELECT k FROM Items") == parse_statement(
             "select  k  from Items -- same tokens")
 
     def test_table_stays_at_its_cap(self, monkeypatch):
+        def shapes_kept():
+            return sum(map(len, parser_module._table.values()))
+
         monkeypatch.setattr(parser_module, "TEMPLATE_CAP", 8)
-        parser_module._templates.clear()
+        parser_module._table.clear()
         for i in range(80):
             parse_statement(f"SELECT c{i} FROM T WHERE k = {i}")
-            assert len(parser_module._templates) <= 8
-        assert len(parser_module._templates) == 8
+            assert shapes_kept() <= 8
+        assert shapes_kept() == 8
         # Least recently *used* goes first: touch the oldest, add one.
         oldest = parse_statement("SELECT c72 FROM T WHERE k = 0")
         parse_statement("SELECT fresh FROM T WHERE k = 0")
@@ -411,11 +417,11 @@ class TestTemplateTable:
             oldest.where.left)
 
     def test_parse_errors_are_not_cached(self):
-        parser_module._templates.clear()
+        parser_module._table.clear()
         for _ in range(2):
             with pytest.raises(ParseError):
                 parse_statement("SELECT a FROM T WHERE a = 5 5")
-        assert not parser_module._templates
+        assert not parser_module._table
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ A script of a known shape is recognised by its *skeleton* — one regular
 expression pass that lifts every number and string literal out of the
 text — and bound by the recipe its template recorded, without a token
 being built (``repro.sql.lexer.tokenize``, ``repro.sql.parser._prepare``).
-The token shape stays as the miss path.  Over generated scripts full of
+The token path stays as the miss path.  Over generated scripts full of
 what could confuse a regular expression — comments holding quotes and
 digits, words ending in digits, every quote kind with doubled closers,
 ``1.``, ``0003``, ``-5``, 25-digit integers, counts after ``LIMIT``,
-``CHOOSE`` and ``TIMEOUT`` — the two paths must agree: the same template
-object, and parameters equal in value and in type; and text the lexer
-rejects fails from ``tokenize()`` exactly as the reference front end's
-lexer does.
+``CHOOSE`` and ``TIMEOUT`` — the two paths must agree per skeleton: the
+skeleton's own template, equal to the one the script's tokens parse to,
+and parameters equal in value and in type; and text the lexer rejects
+fails from ``tokenize()`` exactly as the reference front end's lexer
+does.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from repro.errors import LexError
 from repro.sql import parser as parser_module
 from repro.sql import tokenize
-from repro.sql.parser import _shape
+from repro.sql.parser import Parser, _bind, _shape
 from repro.sql.tokens import TokenType
 
 WORDS = ["t1", "a", "uid", "é1", "Tábla", "x_2"]
@@ -96,10 +97,24 @@ def scripts(draw) -> str:
 
 
 def token_path(text: str):
-    """What the template table holds for ``text``'s token shape, and the
-    parameters the token path reads."""
-    key, params, _rules = _shape(tokenize(text).tokens)
-    return parser_module._templates[key].units, params
+    """The template ``text``'s tokens parse to, and the parameters the
+    token path reads."""
+    tokens = tokenize(text).tokens
+    params, _rules = _shape(tokens)
+    return tuple(Parser(tokens, lift=True).parse_script()), params
+
+
+def kept(text: str):
+    """The template the table keeps for ``text``: of its skeleton's
+    shapes, the one whose recipe reads ``text``."""
+    lexed = tokenize(text)
+    (units,) = [units for recipe, units in parser_module._table[lexed.skeleton]
+                if _bind(recipe, lexed.parts) is not None]
+    return units
+
+
+def shapes_kept() -> int:
+    return sum(len(shapes) for shapes in parser_module._table.values())
 
 
 def typed(params) -> list:
@@ -117,19 +132,22 @@ def skeleton_path(text: str):
 
 
 def assert_paths_agree(text: str) -> None:
-    parser_module._templates.clear()
-    parser_module._skeletons.clear()
+    parser_module._table.clear()
     units, params = parser_module._prepare(text)  # a miss: the token path
     want_units, want_params = token_path(text)
-    assert units is want_units and typed(params) == typed(want_params)
+    assert units == want_units and typed(params) == typed(want_params)
     lexed = tokenize(text)
-    if lexed.skeleton is not None:
-        # The one pass lifts exactly the scanner's literals.
-        assert lexed.literals == [
-            t.value for t in lexed.tokens
-            if t.type in (TokenType.NUMBER, TokenType.STRING)]
-        again, again_params = skeleton_path(text)
-        assert again is units and typed(again_params) == typed(params)
+    if lexed.skeleton is None:
+        # Text the skeleton pass cannot split is kept nowhere.
+        assert not parser_module._table
+        return
+    # The one pass lifts exactly the scanner's literals.
+    assert lexed.literals == [
+        t.value for t in lexed.tokens
+        if t.type in (TokenType.NUMBER, TokenType.STRING)]
+    again, again_params = skeleton_path(text)
+    assert again is units is kept(text)
+    assert typed(again_params) == typed(params)
 
 
 @settings(max_examples=300, deadline=None)
@@ -142,7 +160,8 @@ def test_skeleton_path_and_token_path_agree(script):
 @given(first=scripts(), second=scripts())
 def test_a_second_script_of_a_known_skeleton_binds_its_own_literals(first, second):
     """``second`` may share ``first``'s skeleton (same words, other
-    literals) or not; either way it gets its own shape's template."""
+    literals) or not; either way it gets the template its skeleton keeps
+    for its shape, and its own parameters."""
     for text in (first, second):
         try:
             parser_module._prepare(text)
@@ -151,7 +170,9 @@ def test_a_second_script_of_a_known_skeleton_binds_its_own_literals(first, secon
     for text in (second, first):
         units, params = parser_module._prepare(text)
         want_units, want_params = token_path(text)
-        assert units is want_units and typed(params) == typed(want_params)
+        assert units == want_units and typed(params) == typed(want_params)
+        if tokenize(text).skeleton is not None:
+            assert units is kept(text)
 
 
 @pytest.mark.parametrize("clause", ["LIMIT {}", "CHOOSE {}"])
@@ -169,26 +190,37 @@ def test_a_count_is_shape_not_parameter(clause):
     assert template(1)[0] is one[0] and template(2)[0] is two[0]
 
 
-def test_an_evicted_template_is_gone_under_both_keys(monkeypatch):
-    monkeypatch.setattr(parser_module, "TEMPLATE_CAP", 2)
-    parser_module._templates.clear()
-    parser_module._skeletons.clear()
-    first = parser_module._prepare("SELECT a FROM T WHERE a = 1")[0]
+def test_eviction_counts_shapes(monkeypatch):
+    """The cap bounds shapes, not skeletons: the least recently used
+    skeleton goes with all its shapes, and one skeleton with ever-new
+    ``LIMIT`` counts keeps its newest shapes only."""
+    monkeypatch.setattr(parser_module, "TEMPLATE_CAP", 3)
+    parser_module._table.clear()
+    first = parser_module._prepare("SELECT a FROM T WHERE a = 1 LIMIT 1")[0]
+    parser_module._prepare("SELECT a FROM T WHERE a = 1 LIMIT 2")
     parser_module._prepare("SELECT b FROM T WHERE a = 1")
+    assert shapes_kept() == 3 and len(parser_module._table) == 2
     parser_module._prepare("SELECT c FROM T WHERE a = 1")
-    assert len(parser_module._templates) == 2
-    skeleton = tokenize("SELECT a FROM T WHERE a = 2").skeleton
-    assert skeleton not in parser_module._skeletons
-    assert parser_module._prepare("SELECT a FROM T WHERE a = 2")[0] is not first
+    assert shapes_kept() == 2
+    assert tokenize("SELECT a FROM T WHERE a = 2 LIMIT 1").skeleton not in (
+        parser_module._table)
+    assert parser_module._prepare(
+        "SELECT a FROM T WHERE a = 2 LIMIT 1")[0] is not first
+    parser_module._table.clear()
+    for n in range(10):
+        parser_module._prepare(f"SELECT a FROM T WHERE a = 1 LIMIT {n}")
+        assert shapes_kept() <= 3
+    newest = parser_module._prepare("SELECT a FROM T WHERE a = 5 LIMIT 9")[0]
+    assert shapes_kept() == 3
+    assert newest is kept("SELECT a FROM T WHERE a = 3 LIMIT 9")
 
 
-def test_a_new_spelling_replaces_the_one_kept(monkeypatch):
-    """A shape keeps the skeleton of its newest spelling only.  A script
-    in another spelling takes the token path — to the same template and
-    the parameters the token path reads — and becomes the kept spelling;
-    the skeleton index never holds more than one skeleton for it."""
-    parser_module._templates.clear()
-    parser_module._skeletons.clear()
+def test_each_spelling_is_its_own_template(monkeypatch):
+    """Case, spacing and comments make another skeleton: each spelling of
+    one shape walks the tokens once, then is kept beside the others as a
+    template of its own, equal to theirs, with the parameters the token
+    path reads."""
+    parser_module._table.clear()
     token_walks = []
     shape = parser_module._shape
     monkeypatch.setattr(parser_module, "_shape",
@@ -198,21 +230,21 @@ def test_a_new_spelling_replaces_the_one_kept(monkeypatch):
         "select a from T where a = {} and b = '{}' limit 2",
         "SELECT a FROM T -- it's 9\n WHERE a={} AND b='{}' LIMIT 2",
     ]
-    template = parser_module._prepare(spellings[0].format(0, "p"))[0]
+    templates = {}
     for round_ in range(2):
         for number, spelling in enumerate(spellings):
             for value in (number + round_, 7.5):
                 text = spelling.format(value, f"q{number}")
                 token_walks.clear()
                 units, params = parser_module._prepare(text)
-                assert units is template
                 assert typed(params) == typed((value, f"q{number}"))
                 # A new spelling walks the tokens once; then it is kept.
-                new = (number > 0 or round_ > 0) and value != 7.5
-                assert len(token_walks) == (1 if new else 0)
-                assert list(parser_module._skeletons) == [
-                    tokenize(text).skeleton]
-    assert list(parser_module._templates.values())[0].units is template
+                assert len(token_walks) == (0 if number in templates else 1)
+                assert templates.setdefault(number, units) is units
+    assert len(parser_module._table) == shapes_kept() == 3
+    one, two, three = templates.values()
+    assert one == two == three
+    assert one is not two and two is not three and one is not three
 
 
 @st.composite

@@ -7,29 +7,35 @@ query of the family below — 1 to 3 FROM items (a table may appear twice),
 equality / range / residual / IN-list conjuncts against literals (NULL
 included), host variables and other tables' columns, DISTINCT, ORDER BY
 asc/desc, LIMIT — the production path returns **identical rows in
-identical order**, on its first execution of the shape (which prepares
-the plan) and on the next (a cache hit), over live tables, snapshot
-views and sharded union views, also phrased the way entangled grounding
-phrases a body (every column ``alias.column``); and a twin of the query
-with every literal shifted runs on the *same* prepared plan.
+identical order**, on the first execution of a query's
+:class:`~repro.storage.planner.BoundQuery` (which prepares the plan) and
+on the next (which reuses it), over live tables, snapshot views and
+sharded union views, also phrased the way entangled grounding phrases a
+body (every column ``alias.column``); and the query as a prepared
+statement's template — every literal a ``Param`` leaf — runs its values
+and shifted ones on *one* plan.
 
-The second half pins the plan cache itself: what it is keyed by, that
-nothing failing is stored, that it is bounded, and that threads sharing
-one template agree with the reference.
+The second half pins where a plan is kept: in the query's
+``BoundQuery``, per names in scope and ``ordered_indexes``, serving
+every view of its database; that nothing failing is kept; and that
+threads sharing one ``BoundQuery`` agree with the reference.
 """
 
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.entangled import Atom, EntangledQuery, Val, Var, compile_body, ground
+from repro.entangled import ground
 from repro.errors import ReproError, UnknownColumnError, UnknownTableError
-from repro.sql import parse_statement, parser
-from repro.sql.compiler import compile_select
+from repro.sql import parse_statement, parse_transaction
+from repro.sql.parser import prepare_statement
+from repro.sql.ast import Param
+from repro.sql.compiler import compile_entangled, compile_select
 from repro.storage import (
     And,
     Arith,
@@ -53,7 +59,7 @@ from repro.storage import (
     evaluate,
 )
 from repro.storage import planner
-from repro.storage.planner import PlanHints
+from repro.storage.planner import BoundQuery, PlanHints
 
 import _reference_planner as reference
 
@@ -239,15 +245,16 @@ def queries(draw, *, limits=True, leaf=False):
     return query, params
 
 
-def rebuild(expr, *, column=lambda name: name, const=lambda value: value):
-    """``expr`` with every column name / literal value mapped."""
+def rebuild(expr, *, column=lambda name: name, leaf=Const):
+    """``expr`` with every column name mapped and every literal value
+    replaced by the leaf ``leaf`` makes of it."""
     if expr is None:
         return None
-    go = lambda e: rebuild(e, column=column, const=const)  # noqa: E731
+    go = lambda e: rebuild(e, column=column, leaf=leaf)  # noqa: E731
     if isinstance(expr, Col):
         return Col(column(expr.name))
     if isinstance(expr, Const):
-        return Const(const(expr.value))
+        return leaf(expr.value)
     if isinstance(expr, (Cmp, Arith)):
         return type(expr)(expr.op, go(expr.left), go(expr.right))
     if isinstance(expr, (And, Or)):
@@ -275,7 +282,22 @@ def remap(query, **maps):
 
 def shifted(query):
     """The same shape, every non-NULL literal moved by one."""
-    return remap(query, const=lambda v: v if v is None else v + 1)
+    return remap(query, leaf=lambda v: Const(v if v is None else v + 1))
+
+
+def lifted(query):
+    """``(template, values)``: the query as a prepared statement keeps
+    it, every non-NULL literal a ``Param`` leaf, and the values an
+    execution puts under the leaves' indexes."""
+    values: dict = {}
+
+    def leaf(value):
+        if value is None:
+            return Const(None)
+        values[len(values)] = value
+        return Param(len(values) - 1)
+
+    return remap(query, leaf=leaf), values
 
 
 def qualified(query):
@@ -302,17 +324,24 @@ def outcome(run):
 
 def assert_same_rows(query, target, params):
     want = outcome(lambda: reference.evaluate(query, target, params))
-    target.plans.clear()
-    first = outcome(lambda: evaluate(query, target, params))
-    assert len(target.plans) == 1
-    (plan,) = target.plans.values()
-    hit = outcome(lambda: evaluate(query, target, params))
+    bound = BoundQuery(query)
+    first = outcome(lambda: evaluate(query, target, params, bound=bound))
+    (plan,) = bound.bound.values()
+    hit = outcome(lambda: evaluate(query, target, params, bound=bound))
     assert first == want and hit == want
-    # Shifted literals: still one plan, still the reference's answer.
+    assert len(bound.bound) == 1 and next(iter(bound.bound.values())) is plan
+    # Shifted literals: the reference's answer, unprepared or prepared.
     twin = shifted(query)
     assert outcome(lambda: evaluate(twin, target, params)) == outcome(
         lambda: reference.evaluate(twin, target, params))
-    assert list(target.plans.values()) == [plan]
+    template, values = lifted(query)
+    kept = BoundQuery(template)
+    for literal, given in ((query, values),
+                           (twin, {i: v + 1 for i, v in values.items()})):
+        assert outcome(lambda: evaluate(
+            template, target, {**(params or {}), **given}, bound=kept)) == outcome(
+            lambda: reference.evaluate(literal, target, params))
+    assert len(kept.bound) == 1
 
 
 RELAXED = settings(
@@ -357,70 +386,82 @@ def test_hash_only_plans_equal_the_reference(case):
     assert outcome(lambda: evaluate(query, db, params, hints=hints)) == want
 
 
-# -- the cache ------------------------------------------------------------------------------
+# -- where a plan is kept -----------------------------------------------------------------
 
 POINT = SPJQuery(
     tables=(TableRef("A"),), select=(Col("v"),), select_names=("v",),
-    where=Cmp(CmpOp.EQ, Col("id"), Const(3)))
+    where=Cmp(CmpOp.EQ, Col("id"), Param(0)))
 
 
 def test_a_plan_survives_create_table_of_another_table():
     db, _close = _live(DATASETS["full"])
-    assert evaluate(POINT, db) == [(None,)]
-    (plan,) = db.plans.values()
+    bound = BoundQuery(POINT)
+    assert evaluate(POINT, db, {0: 3}, bound=bound) == [(None,)]
+    (plan,) = bound.bound.values()
     db.create_table(TableSchema.build("Later", [("z", INT)]))
-    assert evaluate(shifted(POINT), db) == [(0,)]
-    assert list(db.plans.values()) == [plan]
+    assert evaluate(POINT, db, {0: 4}, bound=bound) == [(0,)]
+    assert list(bound.bound.values()) == [plan]
 
 
-def test_plans_are_per_database_and_per_ordered_indexes_setting():
-    one, _ = _live(DATASETS["full"])
-    other, _ = _live(DATASETS["tiny"])
+def test_a_plan_is_kept_per_names_in_scope_and_ordered_indexes_setting():
+    db, _ = _live(DATASETS["full"])
     ranged = SPJQuery(
         tables=(TableRef("A"),), select=(Col("id"),), select_names=("id",),
         where=Cmp(CmpOp.LT, Col("id"), Const(3)))
-    evaluate(ranged, one)
-    assert len(one.plans) == 1 and not other.plans
-    evaluate(ranged, other)
-    (mine,), (theirs,) = one.plans.values(), other.plans.values()
-    assert mine is not theirs
+    bound = BoundQuery(ranged)
+    evaluate(ranged, db, bound=bound)
+    assert len(bound.bound) == 1
     stats = {}
-    evaluate(ranged, one, hints=PlanHints(ordered_indexes=False, stats=stats))
-    assert len(one.plans) == 2 and not stats
-    evaluate(ranged, one, hints=PlanHints(stats=stats))
-    assert len(one.plans) == 2 and stats["index_range_scans"] == 1
+    evaluate(ranged, db, hints=PlanHints(ordered_indexes=False, stats=stats),
+             bound=bound)
+    assert len(bound.bound) == 2 and not stats
+    evaluate(ranged, db, hints=PlanHints(stats=stats), bound=bound)
+    assert len(bound.bound) == 2 and stats["index_range_scans"] == 1
+    evaluate(ranged, db, {"@h": 1}, bound=bound)
+    assert len(bound.bound) == 3
 
 
-def test_a_snapshot_and_a_grounding_body_plan_into_their_database():
+def test_a_snapshot_and_a_grounding_body_run_their_statements_plan():
     engine = StorageEngine()
     _install(engine.create_table, engine.load, DATASETS["full"])
     txn = engine.begin(TxnIsolation.SNAPSHOT)
-    evaluate(POINT, engine.snapshot_provider(txn))
-    assert len(engine.db.plans) == 1
-    evaluate(POINT, engine.snapshot_provider(engine.begin(TxnIsolation.SNAPSHOT)))
-    evaluate(POINT, engine.db)
-    assert len(engine.db.plans) == 1
-    # A body is a statement like any other: planned once per shape,
-    # whichever provider grounds it and whatever its constants.
-    body = lambda key: EntangledQuery(  # noqa: E731
-        "q", heads=(Atom("R", (Var("v"),)),), postconditions=(),
-        body_atoms=(Atom("A", (Val(key), Var("g"), Var("v"))),))
-    assert [g.heads[0].values for g in ground(body(4), engine.db)] == [(0,)]
-    assert len(engine.db.plans) == 2
-    assert ground(body(3), engine.snapshot_provider(txn))[0].heads[0].values == (None,)
-    evaluate(compile_body(body(5), engine.db), engine.db)
-    assert len(engine.db.plans) == 2
+    bound = BoundQuery(POINT)
+    evaluate(POINT, engine.snapshot_provider(txn), {0: 3}, bound=bound)
+    (plan,) = bound.bound.values()
+    evaluate(POINT, engine.snapshot_provider(engine.begin(TxnIsolation.SNAPSHOT)),
+             {0: 3}, bound=bound)
+    evaluate(POINT, engine.db, {0: 3}, bound=bound)
+    assert list(bound.bound.values()) == [plan]
+    # A body is a statement like any other: planned once per prepared
+    # statement, whichever provider grounds it and whatever its values.
+    def body(key):
+        stmt, params = prepare_statement(
+            f"SELECT v INTO ANSWER R WHERE ({key}, g, v) IN "
+            "(SELECT id, g, v FROM A) CHOOSE 1")
+        return compile_entangled(stmt, engine.db, {}, "q", params)
+
+    query = body(4)
+    kept, _values = query.body
+    assert [g.heads[0].values for g in ground(query, engine.db)] == [(0,)]
+    (plan,) = kept.bound.values()
+    again = body(3)
+    assert again.body[0] is kept
+    assert ground(again, engine.snapshot_provider(txn))[0].heads[0].values == (None,)
+    assert list(kept.bound.values()) == [plan]
 
 
-def test_a_failing_statement_stores_nothing():
+def test_a_failing_statement_keeps_nothing():
     db, _close = _live(DATASETS["full"])
     nowhere = SPJQuery(
         tables=(TableRef("Nowhere"),), select=(Col("v"),), select_names=("v",))
+    bound = BoundQuery(nowhere)
     with pytest.raises(UnknownTableError):
-        evaluate(nowhere, db)
+        evaluate(nowhere, db, bound=bound)
+    assert not bound.bound
+    stmt = parse_statement("SELECT nothing FROM A WHERE id = 1")
     with pytest.raises(UnknownColumnError):
-        compile_select(parse_statement("SELECT nothing FROM A WHERE id = 1"), db, {})
-    assert not db.plans
+        compile_select(stmt, db, {})
+    assert db not in stmt.resolutions
 
     class NoCatalog:
         """A schema that fails the question preparing a probe asks it."""
@@ -438,68 +479,60 @@ def test_a_failing_statement_stores_nothing():
             self.schema = NoCatalog(table.schema)
 
     class BrokenProvider:
-        plans = db.plans
-
         def table(self, name):
             return Broken(db.table(name))
 
+    bound = BoundQuery(POINT)
     with pytest.raises(RuntimeError):
-        evaluate(POINT, BrokenProvider())
-    assert not db.plans
+        evaluate(POINT, BrokenProvider(), {0: 3}, bound=bound)
+    assert not bound.bound
 
 
-def test_cached_plans_are_bounded_like_the_template_table():
-    assert planner.PLAN_CAP == parser.TEMPLATE_CAP
-    db, _close = _live(DATASETS["tiny"])
-    for n in range(planner.PLAN_CAP + 40):
-        # A fresh alias is a fresh shape.
-        query = SPJQuery(
-            tables=(TableRef("A", f"a{n}"),), select=(Col("g"),),
-            select_names=("g",),
-            where=Cmp(CmpOp.EQ, Col(f"a{n}.id"), Const(3)))
-        assert evaluate(query, db) == [(1,)]
-    assert len(db.plans) == planner.PLAN_CAP
-    # Oldest out first: the newest shape is still a hit.
-    newest = list(db.plans.values())[-1]
-    evaluate(query, db)
-    assert list(db.plans.values())[-1] is newest
-
-
-def test_scripts_of_one_template_share_one_plan_per_select():
+def test_scripts_of_one_template_share_one_plan_per_select(monkeypatch):
+    prepared = Counter()
+    prepare = planner._prepare
+    monkeypatch.setattr(planner, "_prepare", lambda query, *rest: prepared.update(
+        [query]) or prepare(query, *rest))
     client = repro.connect()
     client.create_table(SCHEMAS["A"])
     client.load("A", DATASETS["full"]["A"])
     session = client.session("s")
+    script = ("BEGIN TRANSACTION; SELECT v AS @v FROM A WHERE id = {}; "
+              "SELECT id AS @i FROM A WHERE g = @v AND v = {} LIMIT 1; COMMIT;")
     for key in range(12):
-        handle = session.run_script(
-            f"BEGIN TRANSACTION; SELECT v AS @v FROM A WHERE id = {key}; "
-            f"SELECT id AS @i FROM A WHERE g = @v AND v = {key % 2} LIMIT 1; "
-            "COMMIT;")
+        handle = session.run_script(script.format(key, key % 2))
         handle.wait()
         assert handle.succeeded
-    assert len(client.store.db.plans) == 2
+    plans = [
+        stmt.resolutions[client.store.db].bound.bound
+        for stmt in parse_transaction(script.format(0, 0)).template]
+    assert [len(plan) for plan in plans] == [1, 1]
+    # One preparation per SELECT for the twelve scripts.
+    assert sorted(prepared.values()) == [1, 1]
     client.close()
 
 
-def test_threads_sharing_one_template_agree_with_the_reference():
+def test_threads_sharing_one_bound_query_agree_with_the_reference():
     """Four threads, a switch interval short enough to interleave them
-    inside ``build_plan``, one shared shape with per-call literals: every
-    answer equals the reference's and one plan is left."""
+    inside ``build_plan``, one shared ``BoundQuery`` with per-call
+    values: every answer equals the reference's and one plan is left."""
     db, _close = _live(DATASETS["full"])
-    template = SPJQuery(
+    literal = SPJQuery(
         tables=(TableRef("B", "b"), TableRef("A", "a")),
         select=(Col("b.id"), Col("a.v")), select_names=("b", "v"),
         where=And(Cmp(CmpOp.EQ, Col("a.id"), Col("b.a_id")),
                   Cmp(CmpOp.GE, Col("b.w"), Const(0))),
         order_by=(("b.id", True),))
-    cases = [
-        remap(template, const=lambda v, k=k: k % 4) for k in range(200)]
-    want = [reference.evaluate(query, db) for query in cases]
+    template, _values = lifted(literal)
+    bound = BoundQuery(template)
+    want = [
+        reference.evaluate(remap(literal, leaf=lambda _v, k=k: Const(k % 4)), db)
+        for k in range(200)]
     wrong: list = []
 
     def worker(offset):
-        for k in range(offset, len(cases), 4):
-            got = evaluate(cases[k], db)
+        for k in range(offset, len(want), 4):
+            got = evaluate(template, db, {0: k % 4}, bound=bound)
             if got != want[k]:
                 wrong.append((k, got))
 
@@ -515,4 +548,4 @@ def test_threads_sharing_one_template_agree_with_the_reference():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not wrong
-    assert len(db.plans) == 1
+    assert len(bound.bound) == 1

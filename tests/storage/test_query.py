@@ -13,7 +13,6 @@ from repro.storage import (
     TableRef,
     And,
     evaluate,
-    evaluate_single,
 )
 from repro.errors import CompileError
 
@@ -60,16 +59,6 @@ class TestSingleTable:
     def test_distinct(self, db):
         plan = q([TableRef("Flights")], [Col("dest")], ["dest"], distinct=True)
         assert sorted(r[0] for r in evaluate(plan, db)) == ["LA", "Paris"]
-
-    def test_evaluate_single(self, db):
-        plan = q([TableRef("Flights")], [Col("fno")], ["fno"],
-                 where=Cmp(CmpOp.EQ, Col("dest"), Const("Paris")))
-        assert evaluate_single(plan, db) == (235,)
-
-    def test_evaluate_single_empty(self, db):
-        plan = q([TableRef("Flights")], [Col("fno")], ["fno"],
-                 where=Cmp(CmpOp.EQ, Col("dest"), Const("Mars")))
-        assert evaluate_single(plan, db) is None
 
 
 class TestJoins:
