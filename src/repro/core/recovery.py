@@ -104,8 +104,8 @@ def recover_entangled(
 ) -> tuple[EntangledTransactionEngine, EntangledRecoveryReport]:
     """Entanglement-aware restart: storage recovery + middle-tier rebuild.
 
-    ``crashed`` must be the engine returned by
-    :meth:`StorageEngine.crash` (empty tables, surviving WAL).  Returns
+    ``crashed`` must be the successor :meth:`StorageEngine.crash`
+    returned (empty tables, holding the surviving WAL unrecovered).  Returns
     the rebuilt middle tier, on ``clock`` (default: real seconds), and
     a report.  Each resubmitted script keeps its original arrival
     stamp, so its ``WITH TIMEOUT`` deadline survives the restart.

@@ -7,8 +7,8 @@ The ROADMAP's "millions of read-heavy users" item.  Each shard's
   replica :class:`~repro.storage.engine.StorageEngine` fed committed
   WAL records by its leader and replaying them with the existing redo
   path (:func:`repro.storage.recovery._apply` + version stamping), so
-  its version chains are bit-for-bit the leader's up to its applied
-  commit timestamp.
+  a snapshot at or below its applied commit timestamp reads
+  bit-for-bit the leader's data.
 * :class:`~repro.replication.engine.ReplicatedStorageEngine` — a
   :class:`~repro.storage.sharding.ShardedStorageEngine` that ships each
   shard's durable log delta to its followers at commit-ack time

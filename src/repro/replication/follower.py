@@ -178,8 +178,12 @@ class FollowerShard:
 
         Reuses restart recovery's redo helper, then stamps the versions
         at the leader's commit timestamp and fast-forwards the oracle —
-        exactly what recovery does for a winner, so follower state is
-        the state recovery would rebuild from the same log prefix.
+        what recovery does for a winner, except the prune: recovery
+        keeps only what a post-restart snapshot can see, while a
+        follower keeps the superseded versions, so the stale cuts it
+        serves stay readable.  Every snapshot at or past the applied
+        commit reads what recovery would rebuild from the same log
+        prefix.
         """
         with self.engine.mutex:
             tables: set[str] = set()

@@ -241,6 +241,13 @@ def ssi_batch_items(table: str, rids: Sequence[int], path: "ReadAccess | None"):
         yield RowId(table, rid)
 
 
+def with_counters(old, new):
+    """``new``, carrying ``old``'s counters: what a crashed engine keeps
+    of its lock manager and SSI tracker."""
+    new.stats = old.stats
+    return new
+
+
 class StorageEngine(StoreBase):
     """Classical ACID transactions over a :class:`Database`.
 
@@ -1230,15 +1237,30 @@ class StorageEngine(StoreBase):
 
     # -- crash simulation ---------------------------------------------------------------
 
+    @_locked
     def crash(self) -> "StorageEngine":
-        """Simulate a crash: volatile state (tables, locks, contexts) is
-        lost; the flushed WAL prefix survives.  Returns the
-        :meth:`successor` holding that prefix, ready for :meth:`recover`,
-        with this engine's transaction-id floor.
+        """Simulate a crash: the flushed WAL prefix survives, volatile
+        state is lost.  Returns the :meth:`successor` holding that
+        prefix, ready for :meth:`recover`, with this engine's
+        transaction-id floor.
+
+        This engine then keeps only its catalog and its counters — what
+        :meth:`metrics` reads and the commit-timestamp counter: its
+        rows, versions, indexes and history, its contexts, lock queues
+        and SSI state, and its log records go, so a restart never holds
+        two stores, whoever still references this one.
         """
-        self.wal.truncate_to_flushed()
         survivor = self.successor()
         survivor._next_txn = self._next_txn
+        for name in self.db.table_names():
+            self.db.table(name).clear()
+        self.wal.discard_records()
+        self._contexts = {}
+        self._active_writers = set()
+        self._table_writers = {}
+        self.oracle = TimestampOracle(self.oracle.last_commit_ts)
+        self.locks = with_counters(self.locks, LockManager())
+        self.ssi = with_counters(self.ssi, SSITracker())
         return survivor
 
     @staticmethod

@@ -1,23 +1,27 @@
 """ARIES-style restart recovery for the storage substrate.
 
 After a crash (:meth:`repro.storage.engine.StorageEngine.crash`), the
-database tables are empty and only the flushed WAL prefix survives.
-:func:`recover` rebuilds the committed state in three passes:
+successor's tables are empty and only the flushed WAL prefix survives.
+:func:`recover` rebuilds the committed state in these passes:
 
 1. **Analysis** — scan the durable log to classify transactions into
-   winners (COMMIT record present) and losers (everything else), and
-   collect the winners' logged commit timestamps.
+   winners (COMMIT record present) and losers (everything else).
 2. **Redo** — replay *all* logged row operations in LSN order, winners and
    losers alike (repeating history, as ARIES does).  Redo runs in
-   versioned mode, so the tables' version chains are rebuilt as pending
-   versions attributed to their original transactions.
-3. **Undo** — roll back the losers' operations in reverse LSN order
+   versioned mode, so each operation rebuilds a pending version
+   attributed to its original transaction.
+3. **Stamp** — at each winner's COMMIT record, still inside the redo
+   pass, its versions get their logged commit timestamp and the rows it
+   superseded are pruned at that timestamp.  No reader survives a
+   restart and every later snapshot reads at or past the newest
+   recovered commit, so this keeps what every post-restart snapshot can
+   see — each row's newest committed version, with its original
+   ``begin_ts`` — and no history nobody can read: the state a
+   checkpoint restore brings back.  The commit-timestamp counter is
+   restored, and the prune floor rises as in a vacuum.
+4. **Undo** — roll back the losers' operations in reverse LSN order
    (physical undo plus discarding their pending versions) and append
    ABORT records for them.
-4. **Stamp** — commit the winners' rebuilt versions with their logged
-   commit timestamps and restore the engine's commit-timestamp counter,
-   so MVCC snapshot visibility is bit-for-bit what it was before the
-   crash.
 
 Entanglement-aware recovery (Section 4 "Persistence and Recovery": *"if two
 transactions entangle and only one manages to commit prior to a crash, both
@@ -100,20 +104,33 @@ def replay_log(engine: "StorageEngine", demote_to_loser: set[int]) -> RecoveryRe
     active = log.active_txns_at_end(durable_only=True)
     report.winners = committed - demote_to_loser
     report.losers = active | aborted | (committed & demote_to_loser)
-    commit_ts_of = log.commit_timestamps(durable_only=True)
     # Transactions with a durable ABORT record were fully compensated in
     # the log (abort writes CLRs before the ABORT marker), so redo alone
     # reproduces their rollback; only still-active transactions — and
     # committed ones being demoted — need an undo pass.
     undo_needed = active | (committed & demote_to_loser)
 
-    # ---- redo: repeat history in LSN order (rebuilding version chains) ----
+    # ---- redo: repeat history in LSN order, stamping winners as we go ----
+    # A version a winner ended is visible to no post-restart snapshot,
+    # so its COMMIT prunes it at once: chains never outgrow what a
+    # reader can see.
     undo_stack: list[LogRecord] = []
     touched_tables: dict[int, set[str]] = {}
+    last_commit_ts = 0
     for record in log.records(durable_only=True):
-        if record.lsn <= ckpt_lsn or record.type in (
+        if record.lsn <= ckpt_lsn:
+            continue
+        if record.type is LogRecordType.COMMIT:
+            if record.commit_ts is None:
+                continue
+            last_commit_ts = max(last_commit_ts, record.commit_ts)
+            if record.txn in report.winners:
+                for name in sorted(touched_tables.get(record.txn, ())):
+                    engine.db.table(name).commit_and_prune(
+                        record.txn, record.commit_ts)
+            continue
+        if record.type in (
             LogRecordType.BEGIN,
-            LogRecordType.COMMIT,
             LogRecordType.ABORT,
             LogRecordType.CHECKPOINT,
         ):
@@ -133,18 +150,10 @@ def replay_log(engine: "StorageEngine", demote_to_loser: set[int]) -> RecoveryRe
         _log_compensation(engine, record)
         report.undone += 1
 
-    # ---- stamp: winners' versions get their original commit timestamps ----
-    for winner, commit_ts in sorted(
-        commit_ts_of.items(), key=lambda item: item[1]
-    ):
-        if winner in report.losers:
-            continue
-        for name in sorted(touched_tables.get(winner, ())):
-            engine.db.table(name).commit_versions(winner, commit_ts)
     # The recovered state is the new epoch's initial load: reads-from
     # attribution annotates it 0, like bulk-loaded data.
     engine._table_writers = {}
-    engine.oracle.advance_to(max(commit_ts_of.values(), default=0))
+    engine.oracle.advance_to(last_commit_ts)
 
     for loser in sorted(report.losers):
         if loser not in aborted:

@@ -26,7 +26,7 @@ from repro.storage.types import SQLValue
 ValueTuple = tuple["SQLValue | None", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Row:
     """A stored row: a stable row id plus its current value tuple.
 
@@ -54,7 +54,7 @@ class Row:
         return (Row, (self.rid, self.values))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RowVersion:
     """One entry of a row's version chain.
 

@@ -101,6 +101,7 @@ from repro.storage.engine import (
     WouldBlock,
     ssi_batch_items,
     ssi_read_items,
+    with_counters,
 )
 from repro.storage.expressions import RowAssignments, RowPredicate
 from repro.storage.query import (
@@ -1295,7 +1296,9 @@ class ShardedStorageEngine(StoreBase):
         batch per kind of member (a worker fleet forks in one go).  The
         survivor is this topology rebuilt over them (:meth:`_survivor`);
         it keeps the router's floor and checkpoint cadence, and each
-        shard keeps its own knobs.
+        shard keeps its own knobs.  This router, like each crashed
+        member, then keeps only its catalog and its counters: its
+        contexts, table-writer lists and global SSI state go.
         """
         crashed = [(shard.place, shard.crash()) for shard in self.shards]
         batches: dict[Callable, list] = {}
@@ -1306,6 +1309,13 @@ class ShardedStorageEngine(StoreBase):
         survivor = self._survivor([next(placed[place]) for place, _ in crashed])
         survivor._next_txn = self._next_txn
         survivor.checkpoint_interval = self._checkpoint_interval
+        with self._commit_lock:
+            self._contexts = {}
+            self._table_writers = {}
+            self._active_seqs = {}
+            self.ssi = with_counters(self.ssi, SSITracker())
+        with self._meta_lock:
+            self._active_writers = set()
         return survivor
 
     def _survivor(self, shards: list) -> "ShardedStorageEngine":

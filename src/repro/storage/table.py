@@ -677,46 +677,66 @@ class Table:
         alone has nothing at or below any horizon, and a rid that is not
         historic has no history entry to retire.
         """
-        removed = 0
-        for rid in list(self._prunable):
-            chain = self._versions.get(rid)
-            if chain is None:
-                # Pruned away entirely in an earlier pass (or restored
-                # without history): nothing below any horizon is left, so
-                # the historic entry — and the per-key buckets built from
-                # it — must not outlive the chain.
-                self._history_discard(rid)
-                self._prunable.discard(rid)
-                continue
-            keep = [
-                v for v in chain
-                if v.end_ts is None or v.end_ts > horizon
-            ]
-            if len(keep) != len(chain):
-                removed += len(chain) - len(keep)
-                self._chain_resized(len(chain), len(keep))
-                if keep:
-                    self._versions[rid] = keep
-                else:
-                    del self._versions[rid]
-            if rid in self._history:
-                # Historic no longer: the chain is gone, or it is down to
-                # the one live version the current indexes already reach.
-                if not keep or (
-                    rid in self._rows and len(keep) == 1
-                    and keep[0].end_ts is None and keep[0].deleted_by is None
-                ):
-                    self._history_discard(rid)
-            if rid not in self._history and not any(
-                v.end_ts is not None or v.deleted_by is not None for v in keep
+        removed = sum(self._prune_rid(rid, horizon)
+                      for rid in list(self._prunable))
+        self._pruned(removed, horizon)
+        return removed
+
+    def commit_and_prune(self, txn: int, commit_ts: int) -> None:
+        """:meth:`commit_versions`, then prune the chains ``txn``
+        superseded at ``commit_ts`` — restart recovery's stamp, where no
+        snapshot older than the recovered state survives.  Only those
+        rows are visited, not the whole ``_prunable`` set."""
+        superseded = [rid for rid, _version in self._pending_ended.get(txn, ())]
+        self.commit_versions(txn, commit_ts)
+        removed = sum(self._prune_rid(rid, commit_ts) for rid in superseded)
+        self._pruned(removed, commit_ts)
+
+    def _prune_rid(self, rid: int, horizon: int) -> int:
+        """Drop ``rid``'s versions ended at/below ``horizon``; retire its
+        history entry and its ``_prunable`` mark once nothing of it is
+        left to prune.  Returns the number of versions removed."""
+        chain = self._versions.get(rid)
+        if chain is None:
+            # Pruned away entirely in an earlier pass (or restored
+            # without history): nothing below any horizon is left, so
+            # the historic entry — and the per-key buckets built from
+            # it — must not outlive the chain.
+            self._history_discard(rid)
+            self._prunable.discard(rid)
+            return 0
+        keep = [
+            v for v in chain
+            if v.end_ts is None or v.end_ts > horizon
+        ]
+        removed = len(chain) - len(keep)
+        if removed:
+            self._chain_resized(len(chain), len(keep))
+            if keep:
+                self._versions[rid] = keep
+            else:
+                del self._versions[rid]
+        if rid in self._history:
+            # Historic no longer: the chain is gone, or it is down to
+            # the one live version the current indexes already reach.
+            if not keep or (
+                rid in self._rows and len(keep) == 1
+                and keep[0].end_ts is None and keep[0].deleted_by is None
             ):
-                self._prunable.discard(rid)
+                self._history_discard(rid)
+        if rid not in self._history and not any(
+            v.end_ts is not None or v.deleted_by is not None for v in keep
+        ):
+            self._prunable.discard(rid)
+        return removed
+
+    def _pruned(self, removed: int, horizon: int) -> None:
+        """Settle the footprint counters after a prune at ``horizon``."""
         self._total_versions -= removed
         # The watermark resets to exact after a prune.
         self._max_chain = max(self._chain_lengths, default=0)
         if removed:
             self._prune_floor = max(self._prune_floor, horizon)
-        return removed
 
     def version_chains(self) -> dict[int, tuple[RowVersion, ...]]:
         """A read-only view of every rid's version chain (oldest first)."""

@@ -76,7 +76,7 @@ class CheckpointImage:
     tables: Mapping[str, TableImage]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """A single WAL record.
 
@@ -206,6 +206,14 @@ class WriteAheadLog:
             copy._flushed_lsn = self._flushed_lsn
             copy._next_lsn = self._next_lsn
         return copy
+
+    def discard_records(self) -> None:
+        """Drop every record, keeping the watermarks and the next LSN:
+        what a crashed engine's log keeps once its successor adopted the
+        durable prefix (a :meth:`durable_copy` shares the records, so
+        they live on there)."""
+        with self._mutex:
+            self._records = []
 
     def commit_timestamps(self, durable_only: bool = True) -> dict[int, int]:
         """``txn -> commit_ts`` for every (durable) stamped COMMIT record."""

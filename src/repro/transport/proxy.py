@@ -266,9 +266,9 @@ class WalReplica(WriteAheadLog):
     """The coordinator's replica of one worker's write-ahead log.
 
     Record deltas arrive in response envelopes (:meth:`~repro.storage.
-    wal.WriteAheadLog.install`); checkpoint/recovery truncations arrive
-    as wholesale :meth:`~repro.storage.wal.WriteAheadLog.replace`
-    resyncs.  Reads (``last_lsn``, ``records`` — commit analysis,
+    wal.WriteAheadLog.install`), recovery's appends among them; a
+    checkpoint's truncation arrives as a wholesale :meth:`~repro.storage.
+    wal.WriteAheadLog.replace` resync.  Reads (``last_lsn``, ``records`` — commit analysis,
     durability reporting) answer locally; :meth:`flush` is the one
     verb that must touch the worker, because the fsync it simulates
     happens where the authoritative log lives.
@@ -570,7 +570,11 @@ class RemoteShardEngine:
         losing power loses what it never acknowledged."""
         self.kill()
         self._connection.close()
-        return self.successor()
+        survivor = self.successor()
+        # The successor shares the mirrored records; this proxy keeps
+        # only its catalog and counters.
+        self.wal.discard_records()
+        return survivor
 
     def close(self) -> None:
         """Shut the worker down (idempotent; a dead worker is left alone)."""

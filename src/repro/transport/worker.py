@@ -14,9 +14,10 @@ verbs.VERBS`: the server resolves the frame's method there and calls the
 named member of the named part of its engine.  The only handlers written
 out here are the ones that do more than that — ``begin`` (the engine
 takes the imposed id and cut by keyword), ``commit`` (never the fsync),
-``checkpoint`` and ``recover`` (rewrite WAL history, so the next
-envelope resyncs the coordinator's replica wholesale) and
-``create_table`` (the table it returns lives here).
+``checkpoint`` (truncates the log, so the next envelope resyncs the
+coordinator's replica wholesale) and ``create_table`` (the table it
+returns lives here).  Recovery only appends, so what it writes ships as
+the ordinary delta.
 
 One-way verbs have no frame of their own: they arrive as the
 **prelude** of the next request frame and run, in order, before that
@@ -86,11 +87,14 @@ class ShardServer:
     def __init__(self, engine: StorageEngine, channel: FrameChannel):
         self.engine = engine
         self.channel = channel
-        #: highest WAL lsn already shipped to the coordinator's replica.
-        self._shipped_lsn = 0
-        #: set by handlers that rewrite WAL history (checkpoint/recover):
-        #: the next envelope carries a wholesale log resync instead of a
-        #: delta, because ``install`` cannot express truncation.
+        #: highest WAL lsn already shipped to the coordinator's replica,
+        #: which starts as a copy of the durable log this worker was
+        #: forked holding (empty at birth, a dead worker's mirrored log
+        #: for its successor): recovery's appends then ship as a delta.
+        self._shipped_lsn = engine.wal.flushed_lsn
+        #: set by a checkpoint, which truncates the log: the next
+        #: envelope carries a wholesale log resync instead of a delta,
+        #: because ``install`` cannot express truncation.
         self._wal_resync = False
         #: wire name -> the ``do_*`` handlers below, which do more than
         #: call the verb's member; every other verb goes through the table.
@@ -245,8 +249,3 @@ class ShardServer:
         if record is not None:
             self._wal_resync = True  # checkpoint truncated the log
         return record
-
-    def do_recover(self, demote):
-        report = self.engine.recover(demote)
-        self._wal_resync = True  # recovery appended/abandoned records
-        return report

@@ -265,14 +265,16 @@ class TestRecoveryRebuildsVersions:
             rid: [(v.values, v.begin_ts, v.end_ts) for v in chain]
             for rid, chain in survivor.db.table("T").version_chains().items()
         }
-        # The in-flight update never committed: the never-crashed engine
-        # still carries its pending version, the recovered one must not —
-        # everything committed must match timestamp-for-timestamp.
-        committed_before = {
-            rid: [v for v in chain if v[1] is not None]
+        # No reader survives the crash, so recovery keeps what a vacuum at
+        # the last commit timestamp leaves: each row's newest committed
+        # version, with its original begin timestamp.  The in-flight
+        # update never committed: the never-crashed engine still carries
+        # its pending version, the recovered one must not.
+        newest_committed = {
+            rid: [[v for v in chain if v[1] is not None][-1]]
             for rid, chain in before.items()
         }
-        assert after == committed_before
+        assert after == newest_committed
         assert survivor.oracle.last_commit_ts == engine.oracle.last_commit_ts
 
     def test_snapshot_reads_work_after_recovery(self):
